@@ -71,14 +71,12 @@ func main() {
 	short := flag.Bool("short", false, "sweep sizes 32-128 only and skip reference timings above 64")
 	out := flag.String("out", "", "write the JSON report to this file (default stdout)")
 	workers := flag.Int("workers", 0, "kernel worker count (0 = GOMAXPROCS)")
-	kernelSplitK := flag.Int("kernel-splitk", 0, "ambient split-K factor for the square sweep (0 = off); the skinny sweep sets its own factors")
 	packCache := flag.Bool("pack-cache", true, "enable the persistent operand-pack cache")
 	skinnySplitK := flag.Int("skinny-splitk", 4, "split-K factor the skinny sweep measures against factor 0")
 	flag.Parse()
 
 	overlap.SetKernelWorkers(*workers)
-	overlap.SetKernelSplitK(*kernelSplitK)
-	overlap.SetKernelPackCache(*packCache)
+	tensor.SetPackCache(*packCache)
 
 	sizes := []int{32, 64, 128, 256, 512}
 	refCeiling := 256 // reference is O(n^3) scalar; cap how long we wait
@@ -132,7 +130,6 @@ func main() {
 	}
 
 	rep.Skinny = skinnySweep(*skinnySplitK)
-	overlap.SetKernelSplitK(*kernelSplitK)
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -192,15 +189,14 @@ func skinnySweep(factor int) []skinnyResult {
 }
 
 // skinnyBench runs one skinny benchmark under the given split-K factor
-// (restored by the caller) and annotates it with its scalar-reference
-// baseline. Skinny references are cheap — the work is O(M·K·N) with
-// tiny M — so they are never skipped.
+// and annotates it with its scalar-reference baseline. Skinny
+// references are cheap — the work is O(M·K·N) with tiny M — so they
+// are never skipped.
 func skinnyBench(m, k, n, factor int, packed bool, spec string, x, y *tensor.Tensor, flops float64) skinnyResult {
-	overlap.SetKernelSplitK(factor)
 	kr := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tensor.Einsum(spec, x, y)
+			tensor.EinsumSplitK(factor, spec, x, y)
 		}
 	})
 	rr := testing.Benchmark(func(b *testing.B) {

@@ -33,12 +33,10 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit one machine-readable JSON object per experiment")
 	metricsOut := flag.String("metrics-out", "", "export telemetry to this file (Prometheus text, or JSON with a .json suffix)")
 	kernelWorkers := flag.Int("kernel-workers", 0, "intra-op einsum kernel parallelism (0 = GOMAXPROCS); results are byte-identical for any value")
-	kernelSplitK := flag.Int("kernel-splitk", 0, "split-K factor for skinny einsum kernels (0 = off); factors >= 2 reassociate the contraction deterministically")
 	transport := flag.String("transport", "chan", "fabric transport for the wall-clock experiments: chan or proc (the transport experiment always measures both)")
 	flag.Parse()
 
 	overlap.SetKernelWorkers(*kernelWorkers)
-	overlap.SetKernelSplitK(*kernelSplitK)
 	tk, err := overlap.ParseTransport(*transport)
 	if err != nil {
 		fail(err)

@@ -70,13 +70,11 @@ func main() {
 	flightKeep := flag.Int("flight-keep", 8, "flight recorder: slowest/failed runs kept beyond the ring")
 	traceDir := flag.String("trace-dir", "", "additionally write every recorded run trace to <dir>/<run-id>.json")
 	kernelWorkers := flag.Int("kernel-workers", 0, "intra-op einsum kernel parallelism (0 = GOMAXPROCS); keyed into every plan fingerprint")
-	kernelSplitK := flag.Int("kernel-splitk", 0, "split-K factor for skinny einsum kernels (0 = off); keyed into every plan fingerprint")
 	transport := flag.String("transport", "chan", "fabric transport of served runs: chan (in-process channels) or proc (one worker process per device over Unix sockets); an operator decision, requests cannot override it")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 	flag.Parse()
 
 	overlap.SetKernelWorkers(*kernelWorkers)
-	overlap.SetKernelSplitK(*kernelSplitK)
 	tk, err := overlap.ParseTransport(*transport)
 	if err != nil {
 		fail(err)

@@ -41,6 +41,10 @@ import (
 // resolved once from -transport in main.
 var transportKind overlap.TransportKind
 
+// kernelSplitK is -kernel-splitk: the factor the rolled and overlap
+// modes' pipelines stamp on their einsums.
+var kernelSplitK int
+
 func main() {
 	// A proc-transport run re-executes this binary as its workers; the
 	// worker hook must run before any flag or model work.
@@ -58,7 +62,7 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "export telemetry to this file (Prometheus text, or JSON with a .json suffix)")
 	serveAddr := flag.String("serve", "", "serve a live /metrics endpoint at this address and stay up after the run")
 	kernelWorkers := flag.Int("kernel-workers", 0, "intra-op einsum kernel parallelism (0 = GOMAXPROCS); results are byte-identical for any value")
-	kernelSplitK := flag.Int("kernel-splitk", 0, "split-K factor for skinny einsum kernels (0 = off); factors >= 2 reassociate the contraction deterministically")
+	flag.IntVar(&kernelSplitK, "kernel-splitk", 0, "split-K factor the rolled and overlap pipelines stamp on every einsum (0 = off); factors >= 2 reassociate the contraction deterministically")
 	faultSpec := flag.String("fault", "", "inject faults, comma-separated: crash:dev:D[:K], drop:link:S-D[:K], dup:link:S-D[:K], delay:link:S-D:DUR[:JITTER]")
 	faultSeed := flag.Int64("fault-seed", 0, "seed for fault-injection jitter (deterministic per seed)")
 	deadline := flag.Duration("deadline", 0, "abort a run that exceeds this wall-clock with a structured error (0 = no deadline)")
@@ -67,7 +71,6 @@ func main() {
 	flag.Parse()
 
 	overlap.SetKernelWorkers(*kernelWorkers)
-	overlap.SetKernelSplitK(*kernelSplitK)
 
 	tk, err := overlap.ParseTransport(*transport)
 	if err != nil {
@@ -241,7 +244,7 @@ func runMode(cfg models.Config, mode string, devices int, timeScale float64, tra
 	case "baseline":
 		// Keep the blocking collectives.
 	case "rolled":
-		opts := core.Options{Spec: spec, Rolled: true, UseCostModel: false, Scheduler: core.SchedulerNone}
+		opts := core.Options{Spec: spec, Rolled: true, UseCostModel: false, Scheduler: core.SchedulerNone, KernelSplitK: kernelSplitK}
 		if _, err := core.Apply(c, opts); err != nil {
 			return err
 		}
@@ -250,6 +253,7 @@ func runMode(cfg models.Config, mode string, devices int, timeScale float64, tra
 		// prices the full-size model); decompose unconditionally.
 		opts := overlap.DefaultOptions(spec)
 		opts.UseCostModel = false
+		opts.KernelSplitK = kernelSplitK
 		if _, err := overlap.Apply(c, opts); err != nil {
 			return err
 		}

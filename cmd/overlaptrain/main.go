@@ -63,14 +63,13 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write the overlap mode's final-step run trace artifact (RunTrace JSON, readable by traceviz -trace-in) to this file")
 	metricsOut := flag.String("metrics-out", "", "export telemetry to this file (Prometheus text, or JSON with a .json suffix)")
 	kernelWorkers := flag.Int("kernel-workers", 0, "intra-op einsum kernel parallelism (0 = GOMAXPROCS); results are byte-identical for any value")
-	kernelSplitK := flag.Int("kernel-splitk", 0, "split-K factor for skinny einsum kernels (0 = off); factors >= 2 reassociate the contraction deterministically")
+	kernelSplitK := flag.Int("kernel-splitk", 0, "split-K factor the rolled and overlap pipelines stamp on every einsum (0 = off); factors >= 2 reassociate the contraction deterministically")
 	faultSpec := flag.String("fault", "", "inject faults, comma-separated: crash:dev:D[:K], drop:link:S-D[:K], dup:link:S-D[:K], delay:link:S-D:DUR[:JITTER]")
 	faultSeed := flag.Int64("fault-seed", 0, "seed for fault-injection jitter (deterministic per seed)")
 	deadline := flag.Duration("deadline", 0, "abort a run that exceeds this wall-clock with a structured error (0 = no deadline)")
 	flag.Parse()
 
 	overlap.SetKernelWorkers(*kernelWorkers)
-	overlap.SetKernelSplitK(*kernelSplitK)
 
 	strat, err := overlap.ParseTrainStrategy(*strategy)
 	if err != nil {
@@ -108,7 +107,7 @@ func main() {
 	var runErr error
 	var lastTrace *overlap.RunTrace
 	for _, m := range modes {
-		res, err := runMode(cfg, m, strat, *steps, *lr, *seed, *bucketBytes, *timeScale, *check, *attrib, faults, *deadline)
+		res, err := runMode(cfg, m, strat, *steps, *lr, *seed, *bucketBytes, *kernelSplitK, *timeScale, *check, *attrib, faults, *deadline)
 		if err != nil {
 			runErr = err
 			break
@@ -179,7 +178,7 @@ type benchMode struct {
 // decomposes and schedules — bucketing the gradient all-reduces for
 // ddp, rematerializing the shared forward gathers for megatron so the
 // backward weight-gradient einsums own their collectives.
-func pipelineFor(mode string, strat overlap.TrainStrategy, bucketBytes int64) (*overlap.Options, error) {
+func pipelineFor(mode string, strat overlap.TrainStrategy, bucketBytes int64, splitK int) (*overlap.Options, error) {
 	switch mode {
 	case "baseline":
 		return nil, nil
@@ -189,6 +188,7 @@ func pipelineFor(mode string, strat overlap.TrainStrategy, bucketBytes int64) (*
 		opts.UseCostModel = false
 		opts.RematerializeGathers = true
 		opts.Rolled = mode == "rolled"
+		opts.KernelSplitK = splitK
 		if strat == overlap.TrainDDP && mode == "overlap" {
 			opts.GradBucketBytes = bucketBytes
 		}
@@ -198,8 +198,8 @@ func pipelineFor(mode string, strat overlap.TrainStrategy, bucketBytes int64) (*
 	}
 }
 
-func runMode(cfg overlap.TrainConfig, mode string, strat overlap.TrainStrategy, steps int, lr float64, seed, bucketBytes int64, timeScale float64, check, attrib bool, faults *overlap.FaultPlan, deadline time.Duration) (*overlap.TrainResult, error) {
-	pipeline, err := pipelineFor(mode, strat, bucketBytes)
+func runMode(cfg overlap.TrainConfig, mode string, strat overlap.TrainStrategy, steps int, lr float64, seed, bucketBytes int64, splitK int, timeScale float64, check, attrib bool, faults *overlap.FaultPlan, deadline time.Duration) (*overlap.TrainResult, error) {
+	pipeline, err := pipelineFor(mode, strat, bucketBytes, splitK)
 	if err != nil {
 		return nil, err
 	}

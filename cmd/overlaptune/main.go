@@ -43,12 +43,10 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "export telemetry to this file (Prometheus text, or JSON with a .json suffix)")
 	serveAddr := flag.String("serve", "", "serve a live /metrics endpoint at this address and stay up after tuning")
 	kernelWorkers := flag.Int("kernel-workers", 0, "intra-op einsum kernel parallelism (0 = GOMAXPROCS); keyed into the decision cache")
-	kernelSplitK := flag.Int("kernel-splitk", 0, "ambient split-K factor for skinny einsum kernels (0 = off); keyed into the decision cache, and searched as a knob regardless")
 	planOut := flag.String("plan-out", "", "write the compiled Plan artifact (tuned, scheduled program as JSON) to this file; overlaprun -plan-in and the overlapd daemon execute the same artifact")
 	flag.Parse()
 
 	overlap.SetKernelWorkers(*kernelWorkers)
-	overlap.SetKernelSplitK(*kernelSplitK)
 
 	if *serveAddr != "" {
 		_, addr, err := overlap.ServeMetrics(*serveAddr)

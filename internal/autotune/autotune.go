@@ -175,21 +175,12 @@ type Result struct {
 
 // ApplyBest applies the winning configuration to c in place; when the
 // blocking baseline won it leaves c untouched and returns an empty
-// report. Besides rewriting the program it configures the kernel
-// engine's process-global split-K factor (tensor.SetKernelSplitK) —
-// that knob is part of the tuned decision but acts at execution time,
-// not in the program text, so applying the decision must set it or a
-// later bare Run would not execute the measured winner. Executors that
-// run plans concurrently must not rely on the global: they carry the
-// factor per run via runtime.Options.KernelSplitK (see
-// runtime.ExplicitSplitK), which insulates an executing plan from
-// ApplyBest on another.
+// report. The whole decision, kernel split-K factor included, lands in
+// the program text, so any executor of c runs the measured winner.
 func (r *Result) ApplyBest(c *hlo.Computation) (core.Report, error) {
 	if r.BestIsBaseline {
-		tensor.SetKernelSplitK(0)
 		return core.Report{}, nil
 	}
-	tensor.SetKernelSplitK(r.Best.KernelSplitK)
 	return core.Apply(c, r.Best)
 }
 
@@ -286,11 +277,7 @@ func enumerate(c *hlo.Computation, numDevices int, opts Options) []*Candidate {
 }
 
 // stage1 transforms a clone of the program per candidate, dedups
-// byte-identical results, and simulates each unique survivor. The dedup
-// key is the transformed program text plus the kernel split-K factor:
-// the factor changes execution (it reassociates skinny contractions)
-// without changing a single emitted instruction, so two candidates with
-// identical text but different factors are distinct measurements.
+// byte-identical results, and simulates each unique survivor.
 func stage1(cands []*Candidate, c *hlo.Computation, numDevices int, opts Options) {
 	seen := map[string]*Candidate{}
 	for _, cand := range cands {
@@ -301,7 +288,7 @@ func stage1(cands []*Candidate, c *hlo.Computation, numDevices int, opts Options
 				continue
 			}
 		}
-		text := fmt.Sprintf("ksplit=%d\n%s", cand.Opts.KernelSplitK, clone.Format())
+		text := clone.Format()
 		if first, dup := seen[text]; dup {
 			cand.DuplicateOf = first.Name
 			cand.Predicted = first.Predicted
@@ -378,18 +365,10 @@ func stage2(res *Result, c *hlo.Computation, numDevices int, args [][]*tensor.Te
 
 	ropts := runtime.Options{Spec: opts.Spec, TimeScale: opts.TimeScale}
 
-	// Each candidate's kernel split-K factor travels in the run's own
-	// options and in the interpreter's explicit-factor entry point — the
-	// two engines must agree on the factor for the bitwise cross-check
-	// to be meaningful. Nothing touches the process-global knob, so a
-	// tune never perturbs plans executing concurrently elsewhere in the
-	// process (and their ApplyBest never perturbs this tune).
-
 	// One untimed warmup run: the first execution in a process pays for
 	// thread-pool and allocator spin-up that would otherwise be charged
 	// to whichever candidate happens to run first.
 	ropts.RunID = opts.RunID + ".warmup"
-	ropts.KernelSplitK = runtime.ExplicitSplitK(res.Candidates[toRun[0]].Opts.KernelSplitK)
 	if warm, err := runtime.Run(res.Candidates[toRun[0]].transformed, numDevices, args, ropts); err == nil && warm != nil {
 		res.Executions++
 	}
@@ -397,8 +376,7 @@ func stage2(res *Result, c *hlo.Computation, numDevices int, args [][]*tensor.Te
 	best := -1
 	for _, i := range toRun {
 		cand := &res.Candidates[i]
-		ropts.KernelSplitK = runtime.ExplicitSplitK(cand.Opts.KernelSplitK)
-		want, err := sim.InterpretSplitK(cand.transformed, numDevices, args, cand.Opts.KernelSplitK)
+		want, err := sim.Interpret(cand.transformed, numDevices, args)
 		if err != nil {
 			return fmt.Errorf("autotune: interpreting %s: %w", cand.Name, err)
 		}

@@ -26,7 +26,9 @@ import (
 // space gained KernelSplitK (the kernel engine's planned split-K
 // factor) and keys gained the ambient factor, so older decisions
 // neither searched the factor nor recorded the environment it ran in.
-const cacheVersion = 5
+// Version 6: keys lost the ambient factor again — the tuned factor is
+// stamped into the program text, so no ambient value affects a plan.
+const cacheVersion = 6
 
 // DefaultCachePath returns where decisions persist when Options does
 // not say otherwise: <user cache dir>/overlap/autotune.json, falling
@@ -49,23 +51,21 @@ func cachePath(opts Options) string {
 // Key is the decision identity a (program, machine, environment) tuple
 // tunes and caches under: program shape, machine spec, ring size, the
 // einsum-kernel worker count (intra-op parallelism shifts measured
-// compute spans, which shifts which overlap plan wins), the ambient
-// kernel split-K factor (it changes the bytes any plan cached under
-// this key will produce when executed outside a tune), and whether
+// compute spans, which shifts which overlap plan wins), and whether
 // telemetry instrumentation is recording (its bounded overhead still
 // moves measured spans). Anything else (TopK, repeats, wire scale) only
 // affects how hard the search looks, not what it is searching for.
 // Every plan- or decision-cache layer must key with this one function
-// so a SetKernelWorkers, SetKernelSplitK or obs.SetEnabled change can
-// never serve a stale decision.
+// so a SetKernelWorkers or obs.SetEnabled change can never serve a
+// stale decision.
 func Key(c *hlo.Computation, spec machine.Spec, numDevices int) string {
 	specFP := fmt.Sprintf("%x", sha256.Sum256([]byte(spec.Fingerprint())))[:16]
 	instr := 0
 	if obs.Default().Enabled() {
 		instr = 1
 	}
-	return fmt.Sprintf("%s|%s|n=%d|kw=%d|ks=%d|obs=%d",
-		ProgramFingerprint(c), specFP, numDevices, tensor.KernelWorkers(), tensor.KernelSplitK(), instr)
+	return fmt.Sprintf("%s|%s|n=%d|kw=%d|obs=%d",
+		ProgramFingerprint(c), specFP, numDevices, tensor.KernelWorkers(), instr)
 }
 
 func cacheKey(c *hlo.Computation, spec machine.Spec, numDevices int) string {

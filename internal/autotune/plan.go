@@ -14,7 +14,10 @@ import (
 // PlanVersion pins the serialized Plan schema; bump it whenever a field
 // changes meaning so stale artifacts are rejected instead of silently
 // misread. The golden test in plan_test.go pins the JSON layout.
-const PlanVersion = 1
+// Version 2: the kernel split-K factor lives in Program (splitk= on
+// each einsum); a v1 plan with Knobs.KernelSplitK >= 2 has an unstamped
+// program and would execute unsplit.
+const PlanVersion = 2
 
 // Plan is the immutable compiled artifact the serving path executes: the
 // fully transformed (partitioned, decomposed, scheduled) program text,

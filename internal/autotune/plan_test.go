@@ -58,7 +58,7 @@ func TestPlanGoldenJSON(t *testing.T) {
 	if string(want) != string(got) {
 		t.Fatalf("Plan JSON schema changed; bump PlanVersion and run with -update if intended.\n--- got ---\n%s", got)
 	}
-	if !strings.Contains(string(got), `"version": 1`) {
+	if !strings.Contains(string(got), `"version": 2`) {
 		t.Fatal("serialized plan does not carry the version field")
 	}
 
@@ -133,9 +133,11 @@ func TestDecodePlanRejects(t *testing.T) {
 	if _, err := autotune.DecodePlan(good[:len(good)/2]); err == nil {
 		t.Fatal("truncated plan decoded")
 	}
-	if _, err := autotune.DecodePlan([]byte(strings.Replace(string(good),
-		`"version": 1`, `"version": 99`, 1))); err == nil {
-		t.Fatal("version-mismatched plan decoded")
+	// A v1 plan predates the stamped split-K factor: its program would
+	// execute unsplit whatever its knobs say, so it must fail closed.
+	stale := strings.Replace(string(good), `"version": 2`, `"version": 1`, 1)
+	if _, err := autotune.DecodePlan([]byte(stale)); err == nil || !strings.Contains(err.Error(), "plan version 1, want 2") {
+		t.Fatalf("v1 plan: got %v, want the version error", err)
 	}
 	corrupt := *plan
 	corrupt.Program = "this is not an hlo computation"

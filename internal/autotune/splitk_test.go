@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"overlap/internal/autotune"
+	"overlap/internal/core"
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
 	"overlap/internal/tensor"
@@ -35,19 +36,34 @@ func skinnySite(n int, seed int64) (*hlo.Computation, [][]*tensor.Tensor) {
 	return c, [][]*tensor.Tensor{perDevice([]int{m, k}), perDevice([]int{k, nn})}
 }
 
-// TestKeySensitiveToKernelSplitK pins the cache-identity contract: a
-// SetKernelSplitK change must change every plan/decision cache key, or
-// a factor flip could serve results computed under different bytes.
-func TestKeySensitiveToKernelSplitK(t *testing.T) {
+// TestKeyIgnoresSplitK pins the cache-identity contract: the split-K
+// factor of a plan lives in the plan's own program text, so neither
+// applying a split-K winner nor the tensor-level bare-call default may
+// move the key of the untransformed program — a key that drifts
+// recompiles plans that are already cached.
+func TestKeyIgnoresSplitK(t *testing.T) {
 	defer tensor.SetKernelSplitK(0)
 	c, _ := skinnySite(4, 40)
 	spec := machine.TPUv4()
-	tensor.SetKernelSplitK(0)
-	k0 := autotune.Key(c, spec, 4)
-	tensor.SetKernelSplitK(4)
-	k4 := autotune.Key(c, spec, 4)
-	if k0 == k4 {
-		t.Fatalf("Key ignores the ambient split-K factor: %s", k0)
+	want := autotune.Key(c, spec, 4)
+
+	best := core.DefaultOptions(spec)
+	best.UseCostModel = false
+	best.KernelSplitK = 2
+	if _, err := (&autotune.Result{Best: best}).ApplyBest(c.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	if got := tensor.KernelSplitK(); got != 0 {
+		t.Fatalf("ApplyBest wrote package-level state: tensor.KernelSplitK() = %d", got)
+	}
+	if got := autotune.Key(c, spec, 4); got != want {
+		t.Fatalf("Key moved across ApplyBest: %s -> %s", want, got)
+	}
+	for _, f := range []int{0, 2, 4} {
+		tensor.SetKernelSplitK(f)
+		if got := autotune.Key(c, spec, 4); got != want {
+			t.Fatalf("Key reads the tensor-level factor %d: %s -> %s", f, want, got)
+		}
 	}
 }
 
@@ -55,10 +71,9 @@ func TestKeySensitiveToKernelSplitK(t *testing.T) {
 // verifies the factor is a real dimension of it: split-K candidates
 // are enumerated as distinct (not deduplicated away despite identical
 // program text), at least one executes — bitwise cross-checked against
-// the interpreter under its factor — and ApplyBest installs the
-// winning factor process-wide.
+// the interpreter — and ApplyBest stamps the winning factor on every
+// einsum of the program it rewrites.
 func TestTuneSearchesSplitK(t *testing.T) {
-	defer tensor.SetKernelSplitK(0)
 	const n = 4
 	c, args := skinnySite(n, 41)
 	opts := autotune.Options{
@@ -113,7 +128,9 @@ func TestTuneSearchesSplitK(t *testing.T) {
 	if res.BestIsBaseline {
 		want = 0
 	}
-	if got := tensor.KernelSplitK(); got != want && !(want == 1 && got == 0) {
-		t.Fatalf("ApplyBest installed factor %d, winner says %d", got, want)
-	}
+	clone.Walk(func(in *hlo.Instruction) {
+		if in.Op == hlo.OpEinsum && in.SplitK != want {
+			t.Errorf("ApplyBest left %s stamped %d, winner says %d", in.Name, in.SplitK, want)
+		}
+	})
 }

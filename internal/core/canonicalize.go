@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"overlap/internal/hlo"
 )
 
@@ -59,7 +61,11 @@ func RematerializeGathers(c *hlo.Computation) int {
 			if in.Op != hlo.OpAllGather || in.NumUsers() <= 1 {
 				continue
 			}
-			for _, u := range in.Users() {
+			// Users() has no defined order; clone in ID order so the
+			// emitted names, and with them the program text, are stable.
+			users := in.Users()
+			sort.Slice(users, func(i, j int) bool { return users[i].ID < users[j].ID })
+			for _, u := range users {
 				clone := c.AllGather(in.Operands[0], in.CollectiveAxis, in.Groups)
 				u.ReplaceOperand(in, clone)
 				duplicated++

@@ -10,12 +10,10 @@ import (
 )
 
 // Fingerprint returns a stable textual identity of every knob that
-// changes what Apply emits or how the result executes (KernelSplitK
-// leaves the program text untouched but reassociates skinny
-// contractions at run time, so it is part of the planned identity).
-// The machine spec is deliberately excluded — it prices decisions but,
-// with UseCostModel off, does not alter the rewrite — so autotune can
-// key candidates by program shape and spec separately.
+// changes what Apply emits. The machine spec is deliberately excluded —
+// it prices decisions but, with UseCostModel off, does not alter the
+// rewrite — so autotune can key candidates by program shape and spec
+// separately.
 func (o Options) Fingerprint() string {
 	b := func(v bool) int {
 		if v {

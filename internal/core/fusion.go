@@ -189,6 +189,7 @@ func fuseRegion(c *hlo.Computation, anchor *hlo.Instruction, region map[*hlo.Ins
 			Name:           m.Name + ".f",
 			Shape:          append([]int(nil), m.Shape...),
 			EinsumSpec:     m.EinsumSpec,
+			SplitK:         m.SplitK,
 			Axis:           m.Axis,
 			PadLow:         append([]int(nil), m.PadLow...),
 			PadHigh:        append([]int(nil), m.PadHigh...),

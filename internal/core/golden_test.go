@@ -5,7 +5,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"overlap/internal/hlo"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -49,6 +52,36 @@ func TestGoldenDecomposedHLO(t *testing.T) {
 			}
 			if string(want) != got {
 				t.Fatalf("decomposed HLO changed; run with -update if intended.\n--- got ---\n%s", got)
+			}
+
+			// The split-K factor only stamps: below 2 the text is the
+			// golden's, at 2 it is the golden's with every einsum — top
+			// level, loop body and fusion body alike — marked, and the
+			// marked text survives Format∘Parse∘Format.
+			for _, factor := range []int{1, 2} {
+				opts := tc.opts
+				opts.KernelSplitK = factor
+				c := site.build()
+				if _, err := Apply(c, opts); err != nil {
+					t.Fatal(err)
+				}
+				text := c.Format()
+				if factor == 2 {
+					if marked, einsums := strings.Count(text, `" splitk=2`), strings.Count(got, " einsum("); marked != einsums {
+						t.Fatalf("factor 2 marked %d of %d einsums:\n%s", marked, einsums, text)
+					}
+					parsed, err := hlo.Parse(text)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if parsed.Format() != text {
+						t.Fatalf("stamped text does not round-trip:\n%s", text)
+					}
+					text = strings.ReplaceAll(text, " splitk=2", "")
+				}
+				if text != got {
+					t.Fatalf("factor %d changed more than the stamp:\n%s", factor, text)
+				}
 			}
 		})
 	}

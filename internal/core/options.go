@@ -103,10 +103,12 @@ type Options struct {
 	// latency better.
 	GradBucketBytes int64
 
-	// KernelSplitK, when >= 2, asks the kernel engine to execute skinny
-	// GEMMs (the decomposed loop's partial einsums: few output rows,
-	// large contraction) by partitioning the contraction into this many
-	// ranges reduced with a fixed-shape binary tree. For a fixed factor
+	// KernelSplitK is stamped on every einsum Apply emits
+	// (hlo.Instruction.SplitK, printed as splitk=N). When >= 2 the
+	// kernel engine executes skinny GEMMs (the decomposed loop's partial
+	// einsums: few output rows, large contraction) by partitioning the
+	// contraction into this many ranges reduced with a fixed-shape
+	// binary tree. For a fixed factor
 	// results are byte-identical across worker counts, but different
 	// factors reassociate the contraction and round differently — so
 	// the factor is a planned, fingerprinted decision the autotuner

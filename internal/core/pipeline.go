@@ -14,7 +14,9 @@ import (
 //  3. rewrite accepted sites into Looped CollectiveEinsums,
 //  4. apply the fusion-friendliness rewrites and accumulation fusion,
 //  5. split CollectivePermutes into asynchronous start/done pairs and
-//     run the selected scheduler.
+//     run the selected scheduler,
+//  6. stamp Options.KernelSplitK on every einsum, so the factor the
+//     program executes with is part of its text.
 //
 // With SchedulerNone the collectives are decomposed but left blocking
 // (a useful ablation); to keep the baseline program untouched simply do
@@ -92,5 +94,10 @@ func Apply(c *hlo.Computation, opts Options) (Report, error) {
 	if applyErr != nil {
 		return report, applyErr
 	}
+	c.Walk(func(in *hlo.Instruction) {
+		if in.Op == hlo.OpEinsum {
+			in.SplitK = opts.KernelSplitK
+		}
+	})
 	return report, c.Verify()
 }

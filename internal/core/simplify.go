@@ -50,8 +50,8 @@ func cseKey(in *hlo.Instruction) string {
 	for _, op := range in.Operands {
 		fmt.Fprintf(&b, "%p,", op)
 	}
-	fmt.Fprintf(&b, "|%v|%s|%d|%v%v%g|%v%v|%v%v|%v|%v|%v|%d|%d|%d",
-		in.Shape, in.EinsumSpec, in.Axis,
+	fmt.Fprintf(&b, "|%v|%s|%d|%d|%v%v%g|%v%v|%v%v|%v|%v|%v|%d|%d|%d",
+		in.Shape, in.EinsumSpec, in.SplitK, in.Axis,
 		in.PadLow, in.PadHigh, in.PadValue,
 		in.Starts, in.Limits,
 		in.Offsets, in.SliceSizes,

@@ -56,10 +56,8 @@ func wallclock(spec machine.Spec, p wallclockParams) (string, []float64, error) 
 	}
 	args := [][]*tensor.Tensor{shards, {tensor.Rand(rng, p.n, p.k)}}
 
-	// The ambient kernel knobs are process-global; run each variant
-	// under its own setting and restore the caller's afterwards.
-	prevSplit := tensor.KernelSplitK()
-	defer tensor.SetKernelSplitK(prevSplit)
+	// The pack-cache toggle is process-global; run each variant under
+	// its own setting and restore the default afterwards.
 	defer tensor.SetPackCache(true)
 
 	type variant struct {
@@ -82,11 +80,11 @@ func wallclock(spec machine.Spec, p wallclockParams) (string, []float64, error) 
 		opts := core.DefaultOptions(spec)
 		opts.UseCostModel = false
 		opts.Rolled = v.rolled
+		opts.KernelSplitK = v.splitK
 		if _, err := core.Apply(c, opts); err != nil {
 			return "", nil, err
 		}
 		tensor.SetPackCache(v.packCache)
-		tensor.SetKernelSplitK(v.splitK)
 		best := 0.0
 		for rep := 0; rep <= p.reps; rep++ {
 			res, err := runtime.Run(c, p.devices, args, runtime.Options{Transport: DefaultTransport})

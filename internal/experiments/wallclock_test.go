@@ -10,11 +10,9 @@ import (
 
 // TestWallclockShape runs the measured-kernel experiment at miniature
 // sizes: every variant must produce a positive time, the normalized
-// series must line up with the variants, and the process-global kernel
-// knobs must come back as they went in.
+// series must line up with the variants, and the process-global
+// pack-cache toggle must come back as it went in.
 func TestWallclockShape(t *testing.T) {
-	tensor.SetKernelSplitK(0)
-	defer tensor.SetKernelSplitK(0)
 	p := wallclockParams{devices: 2, m: 2, k: 256, n: 16, reps: 1, splitK: 4}
 	text, normalized, err := wallclock(machine.TPUv4(), p)
 	if err != nil {
@@ -32,9 +30,6 @@ func TestWallclockShape(t *testing.T) {
 		if !strings.Contains(text, label) {
 			t.Fatalf("report is missing the %q variant:\n%s", label, text)
 		}
-	}
-	if got := tensor.KernelSplitK(); got != 0 {
-		t.Fatalf("wallclock leaked split-K factor %d", got)
 	}
 	if !tensor.PackCacheEnabled() {
 		t.Fatal("wallclock leaked a disabled pack cache")

@@ -3,6 +3,8 @@ package hlo
 import (
 	"container/heap"
 	"fmt"
+
+	"overlap/internal/tensor"
 )
 
 // Computation is an SPMD program: a dataflow graph of instructions kept
@@ -320,6 +322,9 @@ func (c *Computation) Verify() error {
 }
 
 func verifyInstruction(in *Instruction) error {
+	if err := checkSplitK(in); err != nil {
+		return fmt.Errorf("hlo: %s: %w", in.Name, err)
+	}
 	want, err := inferShape(in)
 	if err != nil {
 		return fmt.Errorf("hlo: %s: %w", in.Name, err)
@@ -331,6 +336,18 @@ func verifyInstruction(in *Instruction) error {
 		if want[i] != in.Shape[i] {
 			return fmt.Errorf("hlo: %s shape %v, inferred %v", in.Name, in.Shape, want)
 		}
+	}
+	return nil
+}
+
+// checkSplitK bounds the einsum split-K attribute to the factors the
+// kernel engine executes unclamped; other opcodes carry none.
+func checkSplitK(in *Instruction) error {
+	if in.SplitK < 0 || in.SplitK > tensor.MaxKernelSplitK {
+		return fmt.Errorf("splitk %d out of range [0,%d]", in.SplitK, tensor.MaxKernelSplitK)
+	}
+	if in.SplitK != 0 && in.Op != OpEinsum {
+		return fmt.Errorf("splitk %d on %s (einsum only)", in.SplitK, in.Op)
 	}
 	return nil
 }
@@ -351,6 +368,7 @@ func (c *Computation) Clone() *Computation {
 			Group:          in.Group,
 			ParamIndex:     in.ParamIndex,
 			EinsumSpec:     in.EinsumSpec,
+			SplitK:         in.SplitK,
 			Axis:           in.Axis,
 			PadLow:         append([]int(nil), in.PadLow...),
 			PadHigh:        append([]int(nil), in.PadHigh...),

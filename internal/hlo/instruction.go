@@ -97,8 +97,12 @@ type Instruction struct {
 	// Constant.
 	Literal *tensor.Tensor
 
-	// Einsum.
+	// Einsum. SplitK >= 2 is the kernel split-K factor this einsum
+	// executes with (see tensor.EinsumSplitK); 0 keeps the reference
+	// accumulation order. core.Apply stamps the planned factor here so
+	// every executor of the text reassociates the contraction the same.
 	EinsumSpec string
+	SplitK     int
 
 	// Concat.
 	Axis int

@@ -140,6 +140,9 @@ func applyAttrs(in *Instruction, attrs string) error {
 	if attrs == "" {
 		return nil
 	}
+	if in.Op != OpEinsum && strings.Contains(attrs, "splitk=") {
+		return fmt.Errorf("splitk attribute on %s (einsum only)", in.Op)
+	}
 	switch in.Op {
 	case OpParameter:
 		return scanInt(attrs, "index=%d", &in.ParamIndex)
@@ -151,12 +154,25 @@ func applyAttrs(in *Instruction, attrs string) error {
 		in.Literal = tensor.FromValues(in.Shape, vals)
 		return nil
 	case OpEinsum:
-		spec, err := strconv.Unquote(cut(attrs, "spec="))
+		quoted, err := strconv.QuotedPrefix(cut(attrs, "spec="))
+		if err == nil {
+			in.EinsumSpec, err = strconv.Unquote(quoted)
+		}
 		if err != nil {
 			return fmt.Errorf("bad einsum spec %q: %w", attrs, err)
 		}
-		in.EinsumSpec = spec
-		return nil
+		rest := strings.TrimPrefix(attrs, "spec="+quoted)
+		if rest == "" {
+			return nil
+		}
+		factor, ok := strings.CutPrefix(rest, " splitk=")
+		if !ok {
+			return fmt.Errorf("bad einsum attrs %q", attrs)
+		}
+		if in.SplitK, err = strconv.Atoi(factor); err != nil {
+			return fmt.Errorf("bad einsum splitk %q", factor)
+		}
+		return checkSplitK(in)
 	case OpConcat:
 		return scanInt(attrs, "axis=%d", &in.Axis)
 	case OpPad:

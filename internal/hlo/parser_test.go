@@ -32,6 +32,7 @@ func TestParseRoundTripBasics(t *testing.T) {
 	b := c.Parameter(1, "b", []int{6, 5})
 	k := c.Constant("k", tensor.Iota(4, 5))
 	ein := c.Einsum("mk,kn->mn", a, b)
+	ein.SplitK = 2
 	sum := c.Add(ein, k)
 	mx := c.Max(sum, k)
 	cp := c.Copy(mx)
@@ -42,7 +43,16 @@ func TestParseRoundTripBasics(t *testing.T) {
 	sl := c.Slice(pd, []int{0, 0}, []int{4, 6})
 	z := c.Zeros("z", []int{4, 6})
 	c.Tuple(sl, z)
-	roundTrip(t, c)
+	parsed := roundTrip(t, c)
+	if !strings.Contains(c.Format(), `spec="mk,kn->mn" splitk=2`) {
+		t.Fatalf("stamped factor not printed:\n%s", c.Format())
+	}
+	if got := parsed.Find(ein.Name).SplitK; got != 2 {
+		t.Fatalf("parsed einsum has splitk %d, want 2", got)
+	}
+	if got := c.Clone().Find(ein.Name).SplitK; got != 2 {
+		t.Fatalf("cloned einsum has splitk %d, want 2", got)
+	}
 }
 
 func TestParseRoundTripDynamicOps(t *testing.T) {
@@ -124,6 +134,29 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(text); err == nil {
 			t.Errorf("case %d parsed successfully: %q", i, text)
 		}
+	}
+
+	// Plan files are outside input: a split-K factor the kernel engine
+	// would clamp, or one on an opcode that cannot carry it, is an error.
+	einsum := "c {\n  %a = f32[2 2] parameter(), index=0\n  %e = f32[2 2] einsum(%a, %a), spec=\"ab,bc->ac\""
+	for _, text := range []string{
+		einsum + " splitk=65\n}",
+		einsum + " splitk=-1\n}",
+		einsum + " splitk=x\n}",
+		einsum + " splitk=\n}",
+		einsum + " splitk=2 extra\n}",
+		"c {\n  %a = f32[2 2] parameter(), index=0 splitk=2\n}",
+		"c {\n  %a = f32[2 2] parameter(), index=0\n  %b = f32[2 2] copy(%a), splitk=2\n}",
+	} {
+		if _, err := Parse(text); err == nil || !strings.Contains(err.Error(), "splitk") {
+			t.Errorf("bad split-K attribute: got %v for %q", err, text)
+		}
+	}
+	c := NewComputation("verify")
+	a := c.Parameter(0, "a", []int{2, 2})
+	c.Einsum("ab,bc->ac", a, a).SplitK = 65
+	if err := c.Verify(); err == nil || !strings.Contains(err.Error(), "splitk") {
+		t.Errorf("Verify accepted splitk=65: %v", err)
 	}
 }
 

@@ -52,7 +52,11 @@ func formatAttributes(in *Instruction) []string {
 	case OpConstant:
 		attrs = append(attrs, fmt.Sprintf("value=%v", in.Literal.Data()))
 	case OpEinsum:
-		attrs = append(attrs, fmt.Sprintf("spec=%q", in.EinsumSpec))
+		attr := fmt.Sprintf("spec=%q", in.EinsumSpec)
+		if in.SplitK >= 2 {
+			attr += fmt.Sprintf(" splitk=%d", in.SplitK)
+		}
+		attrs = append(attrs, attr)
 	case OpConcat:
 		attrs = append(attrs, fmt.Sprintf("axis=%d", in.Axis))
 	case OpPad:

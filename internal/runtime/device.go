@@ -200,7 +200,7 @@ func (d *device) runSeq(instrs []*hlo.Instruction, values map[*hlo.Instruction]*
 			}
 			d.setStat(PhaseCompute, in.Name)
 			t0 := e.since()
-			v, err := sim.EvalLocalSplitK(in, ops, d.id, iter, e.splitK)
+			v, err := sim.EvalLocal(in, ops, d.id, iter)
 			if err != nil {
 				e.fail(&RunError{
 					Device: d.id, Instr: in.Name, Phase: PhaseCompute,

@@ -28,12 +28,6 @@ type engine struct {
 	inj     *injector
 	devices []*device
 
-	// splitK is Options.KernelSplitK resolved into the tensor layer's
-	// encoding (SplitKInherit / 0 / factor), threaded through every
-	// sim.EvalLocalSplitK call so the run never consults the mutable
-	// process-global knob mid-flight.
-	splitK int
-
 	mu    sync.Mutex
 	gens  map[rvKey]*genState
 	abort chan struct{}
@@ -51,14 +45,6 @@ func newEngine(c *hlo.Computation, numDevices int, opts Options) (*engine, error
 		opts:  opts,
 		gens:  map[rvKey]*genState{},
 		abort: make(chan struct{}),
-	}
-	switch {
-	case opts.KernelSplitK == 0:
-		e.splitK = tensor.SplitKInherit
-	case opts.KernelSplitK == 1:
-		e.splitK = 0
-	default:
-		e.splitK = opts.KernelSplitK
 	}
 	if opts.Faults != nil && len(opts.Faults.Faults) > 0 {
 		e.inj = newInjector(opts.Faults)

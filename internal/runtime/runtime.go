@@ -79,27 +79,6 @@ type Options struct {
 	// bit-identical across transports — only the movement layer
 	// changes.
 	Transport TransportKind
-
-	// KernelSplitK pins the GEMM split-K factor for this run: 0
-	// inherits the ambient process-global setting
-	// (tensor.SetKernelSplitK), 1 disables split-K reduction for the
-	// run, and 2..64 forces that factor. Carrying the factor in the
-	// run's options — instead of only in the process-global knob —
-	// insulates concurrent runs from each other: applying one plan's
-	// tuned factor can no longer change a plan already executing on
-	// another goroutine.
-	KernelSplitK int
-}
-
-// ExplicitSplitK converts a tuned split-K knob value (core.Knobs
-// convention: < 2 means off) into the Options.KernelSplitK encoding,
-// where the run must NOT fall back to the ambient global: off becomes
-// the explicit 1, factors pass through.
-func ExplicitSplitK(n int) int {
-	if n < 2 {
-		return 1
-	}
-	return n
 }
 
 // DefaultOptions returns options that inject wire delays from spec at a

@@ -12,114 +12,57 @@ import (
 	"overlap/internal/tensor"
 )
 
-// splitKCase builds a GEMM big enough to clear every split-K gate
-// (skinny rows, deep contraction), so the factor genuinely changes the
-// reduction order — and therefore the bit pattern — of the result.
-func splitKCase(t *testing.T) (*hlo.Computation, [][]*tensor.Tensor) {
-	t.Helper()
+// TestConcurrentSplitKIsolation runs two programs that differ only in
+// their einsum's stamped split-K factor concurrently: each must stay
+// bit-identical to sim.Interpret of its own text, and the two must
+// differ from each other (the GEMM clears every split-K gate, so the
+// factor genuinely reassociates the reduction). The factor lives in
+// the instruction, so there is no shared state for the runs to race
+// on — which -race confirms.
+func TestConcurrentSplitKIsolation(t *testing.T) {
 	const m, k, n = 32, 512, 128
-	c := hlo.NewComputation("splitk")
-	a := c.Parameter(0, "a", []int{m, k})
-	b := c.Parameter(1, "b", []int{k, n})
-	c.Einsum("mk,kn->mn", a, b)
 	rng := rand.New(rand.NewSource(23))
-	return c, [][]*tensor.Tensor{{tensor.Rand(rng, m, k)}, {tensor.Rand(rng, k, n)}}
-}
+	args := [][]*tensor.Tensor{{tensor.Rand(rng, m, k)}, {tensor.Rand(rng, k, n)}}
 
-// TestRunKernelSplitKPinned pins the per-run split-K plumbing: a run
-// carrying an explicit factor must match the interpreter run with the
-// same factor, and the off/factor-4 results must actually differ
-// bitwise (otherwise the concurrency test below would be vacuous).
-func TestRunKernelSplitKPinned(t *testing.T) {
-	c, args := splitKCase(t)
-	run := func(k int) *tensor.Tensor {
-		res, err := runtime.Run(c, 1, args, runtime.Options{KernelSplitK: k})
+	progs := map[int]*hlo.Computation{}
+	want := map[int]*tensor.Tensor{}
+	for _, factor := range []int{0, 4} {
+		c := hlo.NewComputation("splitk")
+		a := c.Parameter(0, "a", []int{m, k})
+		b := c.Parameter(1, "b", []int{k, n})
+		c.Einsum("mk,kn->mn", a, b).SplitK = factor
+		vals, err := sim.Interpret(c, 1, args)
 		if err != nil {
-			t.Fatalf("split-K %d: %v", k, err)
+			t.Fatal(err)
 		}
-		return res.Values[0]
+		progs[factor], want[factor] = c, vals[0]
 	}
-	off, four := run(1), run(4)
-	if off.Equal(four) {
+	if want[0].Equal(want[4]) {
 		t.Fatal("split-K 4 did not change the reduction bit pattern; the shapes no longer clear the gates")
 	}
-	for _, k := range []int{1, 4} {
-		want, err := sim.InterpretSplitK(c, 1, args, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := run(k)
-		if !got.Equal(want[0]) {
-			t.Fatalf("split-K %d: runtime diverges bitwise from interpreter by %v", k, got.MaxDifference(want[0]))
-		}
-	}
-}
-
-// TestConcurrentSplitKIsolation is the regression test for the
-// process-global split-K race: two plans tuned to different factors
-// executing concurrently — while a third goroutine flips the ambient
-// global the way autotune.ApplyBest on an unrelated plan would — must
-// each produce results bit-identical to their single-run executions.
-// On the old code, where the executing kernel consulted the mutable
-// process-wide knob mid-run, the flapping global bled into both plans'
-// reductions; per-run Options.KernelSplitK insulates them. Run under
-// -race this also pins the absence of the data race itself.
-func TestConcurrentSplitKIsolation(t *testing.T) {
-	c, args := splitKCase(t)
-	single := map[int]*tensor.Tensor{}
-	for _, k := range []int{1, 4} {
-		res, err := runtime.Run(c, 1, args, runtime.Options{KernelSplitK: k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		single[k] = res.Values[0]
-	}
-
-	prev := tensor.KernelSplitK()
-	defer tensor.SetKernelSplitK(prev)
 
 	const iters = 6
-	stop := make(chan struct{})
-	var flapper sync.WaitGroup
-	flapper.Add(1)
-	go func() {
-		// The ApplyBest stand-in: keep retuning the process-global knob
-		// while both plans execute.
-		defer flapper.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			tensor.SetKernelSplitK([]int{0, 2, 4, 8}[i%4])
-		}
-	}()
-
 	var wg sync.WaitGroup
-	errs := make(chan error, 2*iters)
-	for _, k := range []int{1, 4} {
-		k := k
+	errs := make(chan error, len(progs)) // one send per goroutine at most
+	for factor, c := range progs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				res, err := runtime.Run(c, 1, args, runtime.Options{KernelSplitK: k})
+				res, err := runtime.Run(c, 1, args, runtime.Options{})
 				if err != nil {
 					errs <- err
 					return
 				}
-				if !res.Values[0].Equal(single[k]) {
-					errs <- fmt.Errorf("split-K %d iteration %d: concurrent result diverges bitwise from single-run by %v",
-						k, i, res.Values[0].MaxDifference(single[k]))
+				if !res.Values[0].Equal(want[factor]) {
+					errs <- fmt.Errorf("split-K %d iteration %d: concurrent run diverges bitwise from the interpreter by %v",
+						factor, i, res.Values[0].MaxDifference(want[factor]))
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	close(stop)
-	flapper.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)

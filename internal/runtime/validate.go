@@ -24,9 +24,6 @@ func validate(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts 
 	if _, err := ParseTransport(string(opts.Transport)); err != nil {
 		return err
 	}
-	if opts.KernelSplitK < 0 || opts.KernelSplitK > 64 {
-		return formatErr("kernel split-K %d out of range [0,64]", opts.KernelSplitK)
-	}
 	params := c.Parameters()
 	if len(args) != len(params) {
 		return formatErr("computation %s has %d parameters, got %d arguments", c.Name, len(params), len(args))

@@ -398,14 +398,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	runID := obs.NewRunID()
 	args := Args(out.plan.comp, req.Seed)
-	// The plan's tuned split-K factor rides in the run's own options
-	// (explicit even when off), so concurrent runs of differently tuned
-	// plans — and plan compiles applying ApplyBest mid-flight — cannot
-	// bleed into this execution through the process-global knob.
 	ropts := runtime.Options{
 		Spec: s.cfg.Spec, TimeScale: s.runTimeScale(req), Trace: true, RunID: runID,
-		Transport:    s.cfg.Transport,
-		KernelSplitK: runtime.ExplicitSplitK(out.plan.plan.Knobs.KernelSplitK),
+		Transport: s.cfg.Transport,
 	}
 	if req.Fault != "" {
 		plan, err := runtime.ParseFaults(req.Fault)
@@ -465,10 +460,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	outputs := Outputs(out.plan.comp, res.All, out.plan.plan.Devices)
 	checked := false
 	if req.Check {
-		// The interpreter must reassociate contractions with the same
-		// split-K factor the run carried for bitwise equality to hold.
-		wantAll, err := sim.InterpretAllSplitK(out.plan.comp, out.plan.plan.Devices, args,
-			out.plan.plan.Knobs.KernelSplitK)
+		wantAll, err := sim.InterpretAll(out.plan.comp, out.plan.plan.Devices, args)
 		if err != nil {
 			s.writeError(w, http.StatusInternalServerError, err)
 			return

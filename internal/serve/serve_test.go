@@ -13,6 +13,7 @@ import (
 
 	"overlap/internal/autotune"
 	"overlap/internal/sim"
+	"overlap/internal/tensor"
 )
 
 // testConfig keeps compiles cheap: one executed candidate, tiny wire
@@ -71,9 +72,12 @@ func miniatureRequest() Request {
 // TestWarmPathZeroCompilation pins the serving contract at the heart of
 // the daemon: the first request compiles, every identical request after
 // it is answered from the plan cache with zero compilation — witnessed
-// by the compile counter standing still.
+// by the compile counter standing still. The tensor-level split-K
+// default is flipped between the requests: a plan's factor is in its
+// program text, so the fingerprint must not move with it.
 func TestWarmPathZeroCompilation(t *testing.T) {
 	_, ts := newTestServer(t, testConfig())
+	defer tensor.SetKernelSplitK(0)
 
 	c0 := svCompiles.Value()
 	first, _, _, err := postRun(ts, miniatureRequest())
@@ -89,12 +93,14 @@ func TestWarmPathZeroCompilation(t *testing.T) {
 
 	c1 := svCompiles.Value()
 	for i := 0; i < 3; i++ {
+		tensor.SetKernelSplitK([]int{2, 4, 0}[i])
 		warm, _, _, err := postRun(ts, miniatureRequest())
 		if err != nil {
 			t.Fatalf("warm request %d: %v", i, err)
 		}
-		if warm.Plan != "hit" {
-			t.Fatalf("warm request %d plan = %q, want hit", i, warm.Plan)
+		if warm.Plan != "hit" || warm.Fingerprint != first.Fingerprint {
+			t.Fatalf("warm request %d plan = %q under %s, want hit under %s",
+				i, warm.Plan, warm.Fingerprint, first.Fingerprint)
 		}
 		if warm.Digest != first.Digest {
 			t.Fatalf("warm request %d digest %s != cold digest %s", i, warm.Digest, first.Digest)

@@ -38,35 +38,10 @@ func Interpret(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor) ([]*
 	return values[root], nil
 }
 
-// InterpretSplitK is Interpret with an explicit kernel split-K factor
-// (see InterpretAllSplitK), for cross-checking runs that carried a
-// per-run factor instead of the process-wide setting.
-func InterpretSplitK(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, splitK int) ([]*tensor.Tensor, error) {
-	values, err := InterpretAllSplitK(c, numDevices, args, splitK)
-	if err != nil {
-		return nil, err
-	}
-	root := c.Root()
-	if root == nil {
-		return nil, fmt.Errorf("sim: empty computation %s", c.Name)
-	}
-	return values[root], nil
-}
-
 // InterpretAll executes the computation and returns every instruction's
 // per-device value, letting callers inspect interior outputs (e.g. the
 // operands of a result tuple).
 func InterpretAll(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor) (map[*hlo.Instruction][]*tensor.Tensor, error) {
-	return InterpretAllSplitK(c, numDevices, args, tensor.SplitKInherit)
-}
-
-// InterpretAllSplitK is InterpretAll with an explicit kernel split-K
-// factor for every einsum the interpretation evaluates:
-// tensor.SplitKInherit follows the process-wide setting, 0/1 forces the
-// split off, >= 2 forces that factor. Cross-checks of runs executed
-// with a per-run factor use it so both sides reassociate contractions
-// identically.
-func InterpretAllSplitK(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, splitK int) (map[*hlo.Instruction][]*tensor.Tensor, error) {
 	if numDevices <= 0 {
 		return nil, fmt.Errorf("sim: need at least one device")
 	}
@@ -93,7 +68,7 @@ func InterpretAllSplitK(c *hlo.Computation, numDevices int, args [][]*tensor.Ten
 		return v, nil
 	}
 
-	if err := runSequence(c.Instructions(), values, numDevices, 0, splitK, argFor); err != nil {
+	if err := runSequence(c.Instructions(), values, numDevices, 0, argFor); err != nil {
 		return nil, err
 	}
 	return values, nil
@@ -102,7 +77,7 @@ func InterpretAllSplitK(c *hlo.Computation, numDevices int, args [][]*tensor.Ten
 // runSequence interprets one instruction sequence: the top-level program
 // (iter 0) or a loop body at a given iteration, with parameters resolved
 // by paramFor.
-func runSequence(instrs []*hlo.Instruction, values map[*hlo.Instruction][]*tensor.Tensor, numDevices, iter, splitK int, paramFor func(p *hlo.Instruction, dev int) (*tensor.Tensor, error)) error {
+func runSequence(instrs []*hlo.Instruction, values map[*hlo.Instruction][]*tensor.Tensor, numDevices, iter int, paramFor func(p *hlo.Instruction, dev int) (*tensor.Tensor, error)) error {
 	for _, in := range instrs {
 		perDevice := make([]*tensor.Tensor, numDevices)
 		switch in.Op {
@@ -143,7 +118,7 @@ func runSequence(instrs []*hlo.Instruction, values map[*hlo.Instruction][]*tenso
 			copy(perDevice, out)
 
 		case hlo.OpLoop:
-			res, err := runLoop(in, values, numDevices, splitK)
+			res, err := runLoop(in, values, numDevices)
 			if err != nil {
 				return err
 			}
@@ -155,7 +130,7 @@ func runSequence(instrs []*hlo.Instruction, values map[*hlo.Instruction][]*tenso
 				for i, op := range in.Operands {
 					ops[i] = values[op][d]
 				}
-				v, err := EvalLocalSplitK(in, ops, d, iter, splitK)
+				v, err := EvalLocal(in, ops, d, iter)
 				if err != nil {
 					return err
 				}
@@ -172,7 +147,7 @@ func runSequence(instrs []*hlo.Instruction, values map[*hlo.Instruction][]*tenso
 // the parameters, and the iteration index feeding the body's dynamic
 // offsets. Nested loops are rejected (the decomposition never emits
 // them).
-func runLoop(loop *hlo.Instruction, values map[*hlo.Instruction][]*tensor.Tensor, numDevices, splitK int) ([]*tensor.Tensor, error) {
+func runLoop(loop *hlo.Instruction, values map[*hlo.Instruction][]*tensor.Tensor, numDevices int) ([]*tensor.Tensor, error) {
 	carried := make([][]*tensor.Tensor, len(loop.Operands))
 	for i, op := range loop.Operands {
 		carried[i] = values[op]
@@ -189,7 +164,7 @@ func runLoop(loop *hlo.Instruction, values map[*hlo.Instruction][]*tensor.Tensor
 		resolve := func(p *hlo.Instruction, dev int) (*tensor.Tensor, error) {
 			return carried[p.ParamIndex][dev], nil
 		}
-		if err := runSequence(bodyInstrs, bodyValues, numDevices, it, splitK, resolve); err != nil {
+		if err := runSequence(bodyInstrs, bodyValues, numDevices, it, resolve); err != nil {
 			return nil, fmt.Errorf("sim: loop %s iteration %d: %w", loop.Name, it, err)
 		}
 		for i, op := range root.Operands {
@@ -244,24 +219,16 @@ func evalGroupCollective(in *hlo.Instruction, src, out []*tensor.Tensor) error {
 // partition- and iteration-dependent offsets. It is the shared execution
 // hook: the lockstep interpreter and the concurrent goroutine runtime
 // (internal/runtime) both evaluate local instructions through it, which
-// is what makes their results bit-identical by construction.
+// is what makes their results bit-identical by construction. An einsum
+// executes with the split-K factor its instruction carries.
 func EvalLocal(in *hlo.Instruction, ops []*tensor.Tensor, pid, iter int) (*tensor.Tensor, error) {
-	return EvalLocalSplitK(in, ops, pid, iter, tensor.SplitKInherit)
-}
-
-// EvalLocalSplitK is EvalLocal with an explicit kernel split-K factor
-// for the einsums this instruction evaluates (tensor.SplitKInherit
-// follows the process-wide setting). The concurrent runtime passes each
-// run's resolved factor through here so concurrently executing runs
-// with different tuned factors never read a shared global.
-func EvalLocalSplitK(in *hlo.Instruction, ops []*tensor.Tensor, pid, iter, splitK int) (*tensor.Tensor, error) {
 	switch in.Op {
 	case hlo.OpZero:
 		return tensor.New(in.Shape...), nil
 	case hlo.OpTuple:
 		return tensor.New(), nil // rank-0 placeholder; outputs are read by name
 	case hlo.OpEinsum:
-		return tensor.EinsumSplitK(splitK, in.EinsumSpec, ops[0], ops[1]), nil
+		return tensor.EinsumSplitK(in.SplitK, in.EinsumSpec, ops[0], ops[1]), nil
 	case hlo.OpAdd:
 		return tensor.Add(ops[0], ops[1]), nil
 	case hlo.OpMax:
@@ -283,7 +250,7 @@ func EvalLocalSplitK(in *hlo.Instruction, ops []*tensor.Tensor, pid, iter, split
 	case hlo.OpDynamicUpdateSlice:
 		return tensor.DynamicUpdateSlice(ops[0], ops[1], evalOffsets(in.Offsets, pid, iter)), nil
 	case hlo.OpFusion:
-		return evalFusion(in, ops, pid, iter, splitK)
+		return evalFusion(in, ops, pid, iter)
 	}
 	return nil, fmt.Errorf("sim: cannot evaluate %s locally", in.Op)
 }
@@ -299,7 +266,7 @@ func EvalLocalSplitK(in *hlo.Instruction, ops []*tensor.Tensor, pid, iter, split
 // summing it elementwise. Both execution engines (the lockstep
 // interpreter and the goroutine runtime) share this path via EvalLocal,
 // so their bit-identical cross-check is unaffected.
-func evalFusion(f *hlo.Instruction, ops []*tensor.Tensor, pid, iter, splitK int) (*tensor.Tensor, error) {
+func evalFusion(f *hlo.Instruction, ops []*tensor.Tensor, pid, iter int) (*tensor.Tensor, error) {
 	deferred := fusionDeferredEinsums(f.Body)
 	vals := make(map[*hlo.Instruction]*tensor.Tensor, f.Body.NumInstructions())
 	for _, in := range f.Body.Instructions() {
@@ -315,14 +282,14 @@ func evalFusion(f *hlo.Instruction, ops []*tensor.Tensor, pid, iter, splitK int)
 			continue // materialized fused into its consuming Add below
 		}
 		if in.Op == hlo.OpAdd && (deferred[in.Operands[0]] || deferred[in.Operands[1]]) {
-			vals[in] = evalFusedAdd(f.Body, in, deferred, vals, splitK)
+			vals[in] = evalFusedAdd(f.Body, in, deferred, vals)
 			continue
 		}
 		inner := make([]*tensor.Tensor, len(in.Operands))
 		for i, op := range in.Operands {
 			inner[i] = vals[op]
 		}
-		v, err := EvalLocalSplitK(in, inner, pid, iter, splitK)
+		v, err := EvalLocal(in, inner, pid, iter)
 		if err != nil {
 			return nil, fmt.Errorf("sim: fusion %s: %w", f.Name, err)
 		}
@@ -359,14 +326,14 @@ func fusionDeferredEinsums(body *hlo.Computation) map[*hlo.Instruction]bool {
 // place only when no other reader can observe it (a body-local value
 // with a single user that is not the body root); parameter and constant
 // values are cloned first, since they alias caller-owned tensors.
-func evalFusedAdd(body *hlo.Computation, add *hlo.Instruction, deferred map[*hlo.Instruction]bool, vals map[*hlo.Instruction]*tensor.Tensor, splitK int) *tensor.Tensor {
+func evalFusedAdd(body *hlo.Computation, add *hlo.Instruction, deferred map[*hlo.Instruction]bool, vals map[*hlo.Instruction]*tensor.Tensor) *tensor.Tensor {
 	a, b := add.Operands[0], add.Operands[1]
 	var acc *tensor.Tensor
 	var fuse *hlo.Instruction
 	if deferred[a] && deferred[b] {
 		// Both operands are sole-use einsums: materialize the left one
 		// as the accumulator base and fuse the right onto it.
-		acc = tensor.EinsumSplitK(splitK, a.EinsumSpec, vals[a.Operands[0]], vals[a.Operands[1]])
+		acc = tensor.EinsumSplitK(a.SplitK, a.EinsumSpec, vals[a.Operands[0]], vals[a.Operands[1]])
 		fuse = b
 	} else {
 		e, o := a, b
@@ -378,7 +345,7 @@ func evalFusedAdd(body *hlo.Computation, add *hlo.Instruction, deferred map[*hlo
 			acc = acc.Clone()
 		}
 	}
-	return tensor.EinsumAddIntoSplitK(acc, fuse.EinsumSpec, vals[fuse.Operands[0]], vals[fuse.Operands[1]], splitK)
+	return tensor.EinsumAddIntoSplitK(acc, fuse.EinsumSpec, vals[fuse.Operands[0]], vals[fuse.Operands[1]], fuse.SplitK)
 }
 
 func evalOffsets(offsets []hlo.DynOffset, pid, iter int) []int {

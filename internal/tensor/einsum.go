@@ -156,14 +156,12 @@ func (s EinsumSpec) labelSizes(shapes [][]int) (map[byte]int, error) {
 // (the interpreter and runtime evaluate the same instruction every step)
 // skip straight to the kernel.
 func Einsum(spec string, operands ...*Tensor) *Tensor {
-	return EinsumSplitK(SplitKInherit, spec, operands...)
+	return EinsumSplitK(KernelSplitK(), spec, operands...)
 }
 
 // EinsumSplitK is Einsum with an explicit split-K factor for this call:
-// SplitKInherit follows the process-wide setting, 0/1 forces the split
-// off, >= 2 forces that factor (clamped). Per-run executors use it so a
-// tuned plan's factor travels with the run instead of through the
-// mutable global.
+// 0/1 is off, >= 2 is that factor (clamped). The executors pass each
+// einsum instruction's own factor (hlo.Instruction.SplitK).
 func EinsumSplitK(splitK int, spec string, operands ...*Tensor) *Tensor {
 	e, err := einsumLookup(spec)
 	if err != nil {
@@ -199,7 +197,7 @@ func EinsumParsed(spec EinsumSpec, operands ...*Tensor) (*Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return einsumExec(e, operands, SplitKInherit)
+	return einsumExec(e, operands, KernelSplitK())
 }
 
 // newEinsumOutput validates the operand shapes and returns the zeroed

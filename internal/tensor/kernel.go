@@ -508,14 +508,11 @@ func einsumLookup(spec string) (*einsumEntry, error) {
 // of acc's prior value. Like Einsum, it panics on malformed specs or
 // mismatched shapes.
 func EinsumAddInto(acc *Tensor, spec string, lhs, rhs *Tensor) *Tensor {
-	return EinsumAddIntoSplitK(acc, spec, lhs, rhs, SplitKInherit)
+	return EinsumAddIntoSplitK(acc, spec, lhs, rhs, KernelSplitK())
 }
 
 // EinsumAddIntoSplitK is EinsumAddInto with an explicit split-K factor
-// for this call: SplitKInherit follows the process-wide setting, 0/1
-// forces the split off, >= 2 forces that factor (clamped). Per-run
-// executors use it so a tuned plan's factor travels with the run
-// instead of through the mutable global.
+// for this call, like EinsumSplitK.
 func EinsumAddIntoSplitK(acc *Tensor, spec string, lhs, rhs *Tensor, splitK int) *Tensor {
 	e, err := einsumLookup(spec)
 	if err != nil {

@@ -5,8 +5,7 @@ import "fmt"
 // The element-wise ops below use direct loops rather than a shared
 // combinator taking a func(x, y float64): the per-element indirect call
 // defeats bounds-check elimination and vectorization, roughly tripling
-// the cost of the decomposed runtime's accumulate-heavy inner loops
-// (see BenchmarkElementwiseAdd vs BenchmarkElementwiseZipWith).
+// the cost of the decomposed runtime's accumulate-heavy inner loops.
 
 // Add returns the element-wise sum of a and b, which must share a shape.
 func Add(a, b *Tensor) *Tensor {
@@ -79,21 +78,6 @@ func Scale(t *Tensor, s float64) *Tensor {
 		c.data[i] *= s
 	}
 	return c
-}
-
-// zipWith is the generic element-wise combinator the exported ops used
-// before they switched to direct loops. It is kept as the baseline for
-// BenchmarkElementwiseZipWith, which documents the cost of the
-// per-element indirect call.
-func zipWith(a, b *Tensor, f func(x, y float64) float64) *Tensor {
-	if !a.SameShape(b) {
-		panic(fmt.Sprintf("tensor: shape mismatch %v vs %v", a.shape, b.shape))
-	}
-	out := New(a.shape...)
-	for i := range a.data {
-		out.data[i] = f(a.data[i], b.data[i])
-	}
-	return out
 }
 
 // Slice extracts the sub-tensor t[starts[0]:limits[0], ...]. Every

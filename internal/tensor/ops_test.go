@@ -232,9 +232,6 @@ func TestShardedUpdateReassembles(t *testing.T) {
 	}
 }
 
-// The pair below documents why Add/Sub/Mul/Max use direct loops: the
-// zipWith combinator pays a per-element indirect call that blocks
-// vectorization. Compare ns/op between the two.
 func BenchmarkElementwiseAdd(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := Rand(rng, 256, 256)
@@ -242,15 +239,5 @@ func BenchmarkElementwiseAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Add(x, y)
-	}
-}
-
-func BenchmarkElementwiseZipWith(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := Rand(rng, 256, 256)
-	y := Rand(rng, 256, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		zipWith(x, y, func(p, q float64) float64 { return p + q })
 	}
 }

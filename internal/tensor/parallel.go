@@ -42,67 +42,42 @@ func KernelWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// maxKernelSplitK bounds the configurable split factor; the tree
-// combine costs (S-1)·M·N adds, so very large factors only add
-// overhead.
-const maxKernelSplitK = 64
+// MaxKernelSplitK bounds the split factor; the tree combine costs
+// (S-1)·M·N adds, so very large factors only add overhead.
+const MaxKernelSplitK = 64
 
-// kernelSplitK holds the configured split-K factor; 0 or 1 means
-// "rows only" (the default — results are then byte-identical to the
-// scalar reference on every spec).
+// kernelSplitK holds the factor bare Einsum / EinsumAddInto calls use;
+// 0 or 1 means "rows only" (the default — results are then
+// byte-identical to the scalar reference on every spec).
 var kernelSplitK atomic.Int32
 
-// SetKernelSplitK sets the kernel engine's split-K factor: skinny
-// GEMMs (too few output rows to feed the worker pool) partition their
-// contraction into n ranges reduced by a fixed-shape binary tree
-// (see splitk.go). n <= 1 disables splitting. The factor is part of
-// the planned kernel strategy — for a fixed factor, results are
-// byte-identical across worker counts and runs, but different factors
-// legitimately round differently (the tree reassociates the
-// contraction), which is why the autotuner searches and pins it per
-// program (core.Options.KernelSplitK) rather than a heuristic deriving
-// it from the machine.
+// SetKernelSplitK sets the split-K factor of bare Einsum and
+// EinsumAddInto calls, the ones made outside any program: skinny GEMMs
+// (too few output rows to feed the worker pool) partition their
+// contraction into n ranges reduced by a fixed-shape binary tree (see
+// splitk.go). n <= 1 disables splitting. Programs do not read it: an
+// einsum instruction carries its planned factor in the text
+// (hlo.Instruction.SplitK, stamped by core.Apply) and the executors
+// pass it to EinsumSplitK explicitly.
 func SetKernelSplitK(n int) {
-	if n < 0 {
-		n = 0
-	}
-	if n > maxKernelSplitK {
-		n = maxKernelSplitK
-	}
-	kernelSplitK.Store(int32(n))
+	kernelSplitK.Store(int32(clampSplitK(n)))
 }
 
-// KernelSplitK returns the configured split-K factor (0 when off).
+// KernelSplitK returns the factor of bare calls (0 when off).
 func KernelSplitK() int {
-	n := kernelSplitK.Load()
+	return int(kernelSplitK.Load())
+}
+
+// clampSplitK maps a requested split-K value to the factor the GEMM
+// dispatcher uses: 0 for anything below 2, at most MaxKernelSplitK.
+func clampSplitK(n int) int {
 	if n <= 1 {
 		return 0
 	}
-	return int(n)
-}
-
-// SplitKInherit is the per-call split-K value meaning "use the
-// process-wide factor" (SetKernelSplitK). Entry points that accept an
-// explicit factor — EinsumSplitK, EinsumAddIntoSplitK — treat any
-// non-negative value as an override, so a run that was planned with a
-// specific factor (including an explicit 0 = off) is insulated from
-// concurrent changes to the global.
-const SplitKInherit = -1
-
-// effectiveSplitK resolves a per-call split-K value to the factor the
-// GEMM dispatcher uses: the ambient global for SplitKInherit, otherwise
-// the clamped explicit value (0/1 = off).
-func effectiveSplitK(splitK int) int {
-	if splitK < 0 {
-		return KernelSplitK()
+	if n > MaxKernelSplitK {
+		return MaxKernelSplitK
 	}
-	if splitK <= 1 {
-		return 0
-	}
-	if splitK > maxKernelSplitK {
-		return maxKernelSplitK
-	}
-	return splitK
+	return n
 }
 
 var (

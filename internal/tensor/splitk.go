@@ -40,13 +40,12 @@ const (
 )
 
 // splitFactor returns the effective split-K factor for a GEMM with the
-// given output rows and extents: the requested factor (SplitKInherit
-// resolves to the process-wide setting) when the shape is skinny enough
-// to benefit, otherwise 0. Deliberately independent of the worker
+// given output rows and extents: the requested factor when the shape
+// is skinny enough to benefit, otherwise 0. Deliberately independent of the worker
 // count — eligibility must not change result bytes, and the worker
 // count must never change results at all.
 func splitFactor(rows, K, N, splitK int) int {
-	s := effectiveSplitK(splitK)
+	s := clampSplitK(splitK)
 	if s < 2 || rows >= splitKMaxRows || K < s*splitKMinChunk {
 		return 0
 	}

@@ -49,7 +49,6 @@ func splitOracleMatmul(x, y *Tensor, s int) *Tensor {
 // when it does not. The gate itself (splitFactor) is consulted
 // directly, so a gate/dispatch mismatch fails here too.
 func TestSplitKMatchesOracleFuzz(t *testing.T) {
-	defer SetKernelSplitK(0)
 	defer SetKernelWorkers(0)
 	rng := rand.New(rand.NewSource(21))
 	workerChoices := []int{1, 2, 3, runtime.GOMAXPROCS(0)}
@@ -61,11 +60,10 @@ func TestSplitKMatchesOracleFuzz(t *testing.T) {
 		s := 2 + rng.Intn(7)
 		x := Rand(rng, m, k)
 		y := Rand(rng, k, n)
-		SetKernelSplitK(s)
 		SetKernelWorkers(workerChoices[rng.Intn(len(workerChoices))])
-		got := Einsum("mk,kn->mn", x, y)
+		got := EinsumSplitK(s, "mk,kn->mn", x, y)
 		var want *Tensor
-		if eff := splitFactor(m, k, n, SplitKInherit); eff > 1 {
+		if eff := splitFactor(m, k, n, s); eff > 1 {
 			split++
 			want = splitOracleMatmul(x, y, eff)
 		} else {
@@ -86,7 +84,6 @@ func TestSplitKMatchesOracleFuzz(t *testing.T) {
 // identical at every worker count, for direct and packed layouts —
 // and identical to the scalar oracle.
 func TestSplitKWorkerCountDeterminism(t *testing.T) {
-	defer SetKernelSplitK(0)
 	defer SetKernelWorkers(0)
 	rng := rand.New(rand.NewSource(22))
 	const m, k, n = 4, 1024, 64
@@ -95,14 +92,13 @@ func TestSplitKWorkerCountDeterminism(t *testing.T) {
 	yT := Rand(rng, n, k)
 	counts := []int{1, 2, 3, 5, runtime.GOMAXPROCS(0)}
 	for _, s := range []int{2, 3, 4, 5, 8} {
-		SetKernelSplitK(s)
-		if splitFactor(m, k, n, SplitKInherit) != s {
+		if splitFactor(m, k, n, s) != s {
 			t.Fatalf("factor %d did not pass the gate for m=%d k=%d n=%d", s, m, k, n)
 		}
 		want := splitOracleMatmul(x, y, s)
 		for _, w := range counts {
 			SetKernelWorkers(w)
-			if got := Einsum("mk,kn->mn", x, y); !got.Equal(want) {
+			if got := EinsumSplitK(s, "mk,kn->mn", x, y); !got.Equal(want) {
 				t.Fatalf("factor %d, %d workers: bytes differ from oracle", s, w)
 			}
 		}
@@ -110,7 +106,7 @@ func TestSplitKWorkerCountDeterminism(t *testing.T) {
 		var base *Tensor
 		for _, w := range counts {
 			SetKernelWorkers(w)
-			got := Einsum("mk,nk->mn", x, yT)
+			got := EinsumSplitK(s, "mk,nk->mn", x, yT)
 			if base == nil {
 				base = got
 			} else if !got.Equal(base) {
@@ -125,7 +121,6 @@ func TestSplitKWorkerCountDeterminism(t *testing.T) {
 // split-K must equal the plain reference bit for bit — the property
 // the train package's dyadic gradient fixtures rely on.
 func TestSplitKExactOnDyadicValues(t *testing.T) {
-	defer SetKernelSplitK(0)
 	rng := rand.New(rand.NewSource(23))
 	const m, k, n = 2, 512, 32
 	x, y := New(m, k), New(k, n)
@@ -137,8 +132,7 @@ func TestSplitKExactOnDyadicValues(t *testing.T) {
 	}
 	want := ReferenceEinsum("mk,kn->mn", x, y)
 	for _, s := range []int{2, 4, 8} {
-		SetKernelSplitK(s)
-		if got := Einsum("mk,kn->mn", x, y); !got.Equal(want) {
+		if got := EinsumSplitK(s, "mk,kn->mn", x, y); !got.Equal(want) {
 			t.Fatalf("factor %d: integer-valued split-K differs from reference", s)
 		}
 	}
@@ -147,7 +141,8 @@ func TestSplitKExactOnDyadicValues(t *testing.T) {
 // TestSplitKCloseToReference bounds the reassociation error on random
 // floats: different factors may legitimately round differently, but
 // the tree reduction must stay within a few ulps of the ascending-k
-// reference.
+// reference. It runs through the bare-call default (SetKernelSplitK +
+// Einsum), which must produce the explicit-factor entry point's bytes.
 func TestSplitKCloseToReference(t *testing.T) {
 	defer SetKernelSplitK(0)
 	rng := rand.New(rand.NewSource(24))
@@ -161,6 +156,9 @@ func TestSplitKCloseToReference(t *testing.T) {
 		if d := got.MaxDifference(want); d > 1e-10 {
 			t.Fatalf("factor %d: split-K drifts %g from reference", s, d)
 		}
+		if !got.Equal(EinsumSplitK(s, "mk,kn->mn", x, y)) {
+			t.Fatalf("factor %d: bare Einsum differs from EinsumSplitK", s)
+		}
 	}
 }
 
@@ -168,7 +166,6 @@ func TestSplitKCloseToReference(t *testing.T) {
 // split-K lands on the accumulator as prior + tree(chunks), matching
 // the oracle folded onto the same prior.
 func TestSplitKAccumulatesOntoPrior(t *testing.T) {
-	defer SetKernelSplitK(0)
 	rng := rand.New(rand.NewSource(25))
 	const m, k, n = 4, 512, 32
 	x := Rand(rng, m, k)
@@ -179,8 +176,7 @@ func TestSplitKAccumulatesOntoPrior(t *testing.T) {
 	for j := range want.data {
 		want.data[j] += oracle.data[j]
 	}
-	SetKernelSplitK(4)
-	if got := EinsumAddInto(acc.Clone(), "mk,kn->mn", x, y); !got.Equal(want) {
+	if got := EinsumAddIntoSplitK(acc.Clone(), "mk,kn->mn", x, y, 4); !got.Equal(want) {
 		t.Fatal("split-K EinsumAddInto differs from oracle folded onto the prior accumulator")
 	}
 }
@@ -190,7 +186,6 @@ func TestSplitKAccumulatesOntoPrior(t *testing.T) {
 // bytes are identical across worker counts and pack-cache settings,
 // and the factor-0 cell equals the scalar reference exactly.
 func TestKernelStrategyGrid(t *testing.T) {
-	defer SetKernelSplitK(0)
 	defer SetKernelWorkers(0)
 	defer SetPackCache(true)
 	rng := rand.New(rand.NewSource(26))
@@ -206,13 +201,12 @@ func TestKernelStrategyGrid(t *testing.T) {
 		lhs := Rand(rng, tc.lhs...)
 		rhs := Rand(rng, tc.rhs...)
 		for _, s := range []int{0, 2, 4} {
-			SetKernelSplitK(s)
 			var base *Tensor
 			for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 				for _, cache := range []bool{true, false} {
 					SetKernelWorkers(w)
 					SetPackCache(cache)
-					got := Einsum(tc.spec, lhs, rhs)
+					got := EinsumSplitK(s, tc.spec, lhs, rhs)
 					if base == nil {
 						base = got
 					} else if !got.Equal(base) {
@@ -233,8 +227,6 @@ func TestKernelStrategyGrid(t *testing.T) {
 // TestSplitFactorGate pins the eligibility rules: worker-independent,
 // rows-bounded, chunk-floor and flops-floor gated.
 func TestSplitFactorGate(t *testing.T) {
-	defer SetKernelSplitK(0)
-	SetKernelSplitK(4)
 	cases := []struct {
 		rows, k, n, want int
 	}{
@@ -245,16 +237,13 @@ func TestSplitFactorGate(t *testing.T) {
 		{1, 4096, 64, 4},  // single row, long K: the motivating shape
 	}
 	for _, tc := range cases {
-		if got := splitFactor(tc.rows, tc.k, tc.n, SplitKInherit); got != tc.want {
+		if got := splitFactor(tc.rows, tc.k, tc.n, 4); got != tc.want {
 			t.Errorf("splitFactor(%d,%d,%d) = %d, want %d", tc.rows, tc.k, tc.n, got, tc.want)
 		}
 	}
-	SetKernelSplitK(0)
-	if got := splitFactor(4, 1024, 64, SplitKInherit); got != 0 {
-		t.Errorf("splitFactor with factor unset = %d, want 0", got)
-	}
-	SetKernelSplitK(1)
-	if got := splitFactor(4, 1024, 64, SplitKInherit); got != 0 {
-		t.Errorf("splitFactor with factor 1 = %d, want 0", got)
+	for _, off := range []int{-1, 0, 1} {
+		if got := splitFactor(4, 1024, 64, off); got != 0 {
+			t.Errorf("splitFactor with factor %d = %d, want 0", off, got)
+		}
 	}
 }

@@ -97,7 +97,23 @@ type Result struct {
 	Trace *obs.RunTrace `json:"trace,omitempty"`
 }
 
-// FinalLoss returns the last step's loss (NaN-free by construction).
+// DivergedError reports a training run stopped at the first step whose
+// loss was NaN or ±Inf: the learning rate is too large for the
+// configuration, and every later step would only propagate the
+// non-finite weights.
+type DivergedError struct {
+	Step int
+	LR   float64
+	Loss float64
+}
+
+func (e *DivergedError) Error() string {
+	return fmt.Sprintf("train: step %d: loss %v is not finite at learning rate %g (lower -lr / Options.LR)", e.Step, e.Loss, e.LR)
+}
+
+// FinalLoss returns the last step's loss; it is finite, because
+// Execute fails with a *DivergedError instead of recording a
+// non-finite step.
 func (r *Result) FinalLoss() float64 {
 	if len(r.Steps) == 0 {
 		return 0
@@ -188,6 +204,11 @@ func Execute(ctx context.Context, prog *Program, res *Result, opts Options) (*Re
 		loss := 0.0
 		for _, t := range rres.All[prog.RootLoss()] {
 			loss += t.At()
+		}
+		if math.IsNaN(loss) || math.IsInf(loss, 0) {
+			err := &DivergedError{Step: step, LR: lr, Loss: loss}
+			obs.Log().Error("train.step", "run_id", stepID, "step", step, "error", err.Error())
+			return nil, err
 		}
 		stat := StepStat{
 			Loss:         loss,

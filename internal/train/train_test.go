@@ -2,6 +2,9 @@ package train_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -281,5 +284,105 @@ func TestMegatronBackwardHidesReduceScatter(t *testing.T) {
 	}
 	if !hidden {
 		t.Fatalf("no collective hidden under einsum compute:\n%s", rep.Render())
+	}
+}
+
+// TestRunStopsOnNonFiniteLoss is the regression test for the diverging
+// default: at this size the 1/16 learning rate overflows within a few
+// steps, and the run used to complete with a NaN FinalLoss. It must
+// stop at the first non-finite step and say which step and rate.
+func TestRunStopsOnNonFiniteLoss(t *testing.T) {
+	cfg := train.Config{Devices: 4, Layers: 2, Model: 128, Hidden: 512, Tokens: 128, Strategy: train.StrategyMegatron}
+	_, err := train.Run(context.Background(), cfg, train.Options{Steps: 12, Seed: 1})
+	var div *train.DivergedError
+	if !errors.As(err, &div) {
+		t.Fatalf("got %v, want a *train.DivergedError", err)
+	}
+	if div.LR != 1.0/16 || div.Step < 1 || div.Step >= 12 {
+		t.Fatalf("diverged error names step %d, lr %g", div.Step, div.LR)
+	}
+}
+
+// TestRunExecutesPipelineSplitK pins that the pipeline's split-K factor
+// reaches the executed program and nothing else does: every einsum is
+// stamped, the kernels really split (the counter moves), every step
+// matches the interpreter bitwise, and the digests equal a quiet run's
+// while another goroutine flips the tensor-level bare-call default.
+func TestRunExecutesPipelineSplitK(t *testing.T) {
+	cfg := train.Config{Devices: 4, Layers: 1, Model: 64, Hidden: 256, Tokens: 32, Strategy: train.StrategyMegatron}
+	pipeline := overlapOptions()
+	pipeline.KernelSplitK = 2
+	opts := train.Options{Pipeline: &pipeline, Steps: 2, LR: 1.0 / 1024, Seed: 3, Check: true}
+
+	prog, err := train.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.Apply(prog.Comp, pipeline); err != nil {
+		t.Fatal(err)
+	}
+	prog.Comp.Walk(func(in *hlo.Instruction) {
+		if in.Op == hlo.OpEinsum && in.SplitK != 2 {
+			t.Errorf("%s stamped %d, want 2", in.Name, in.SplitK)
+		}
+	})
+
+	splits := func() float64 { return obs.Default().Counter("overlap_kernel_splitk_total", "").Value() }
+	before := splits()
+	quiet, err := train.Run(context.Background(), cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if splits() == before {
+		t.Fatal("no kernel split its contraction: Run ignored Pipeline.KernelSplitK")
+	}
+
+	defer tensor.SetKernelSplitK(0)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				tensor.SetKernelSplitK([]int{0, 4, 8}[i%3])
+			}
+		}
+	}()
+	noisy, err := train.Run(context.Background(), cfg, opts)
+	close(stop)
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range quiet.Steps {
+		if noisy.Steps[i].WeightDigest != quiet.Steps[i].WeightDigest || !noisy.Steps[i].Checked {
+			t.Fatalf("step %d: digest moved with the tensor-level factor (checked=%v)", i, noisy.Steps[i].Checked)
+		}
+	}
+}
+
+// TestPipelineTextBelowFactor2 pins the megatron program the overlap
+// pipeline emits with split-K off to the bytes it had before einsums
+// could carry a factor (sha256 of the text at that commit, which
+// emitted it on 29 runs of 30 — RematerializeGathers then cloned in
+// map order): factors below 2 print nothing.
+func TestPipelineTextBelowFactor2(t *testing.T) {
+	const want = "a74735f0fee1357657e0e51ce9ebd4503d3b57ca18e3dc4d9d72c1be541eded0"
+	for _, factor := range []int{0, 1} {
+		prog, err := train.Build(testConfig(train.StrategyMegatron))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipeline := overlapOptions()
+		pipeline.KernelSplitK = factor
+		if _, err := core.Apply(prog.Comp, pipeline); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(prog.Comp.Format()))); got != want {
+			t.Fatalf("factor %d: megatron overlap program text changed (sha256 %s)", factor, got)
+		}
 	}
 }

@@ -346,27 +346,6 @@ func SetKernelWorkers(n int) { tensor.SetKernelWorkers(n) }
 // KernelWorkers returns the effective intra-op kernel worker count.
 func KernelWorkers() int { return tensor.KernelWorkers() }
 
-// SetKernelSplitK sets the process-wide split-K factor of the einsum
-// kernel engine: skinny GEMMs (too few output rows to feed the worker
-// pool) partition their contraction into n ranges reduced by a
-// fixed-shape binary tree. n <= 1 disables splitting (the default).
-// Unlike the worker count, the factor is part of a result's numeric
-// identity — for a fixed factor results are byte-identical across
-// worker counts and runs, but different factors reassociate the
-// contraction and round differently — which is why the autotuner
-// searches it as a planned knob (Options.KernelSplitK) rather than
-// deriving it from the machine.
-func SetKernelSplitK(n int) { tensor.SetKernelSplitK(n) }
-
-// KernelSplitK returns the configured split-K factor (0 when off).
-func KernelSplitK() int { return tensor.KernelSplitK() }
-
-// SetKernelPackCache enables or disables the kernel engine's
-// persistent operand-pack cache (on by default). The cache changes
-// only where packed operand bytes come from, never the result bytes;
-// the toggle exists for A/B measurement and leak-hunting.
-func SetKernelPackCache(on bool) { tensor.SetPackCache(on) }
-
 // Attribute runs the overlap-attribution analyzer over a trace
 // (simulated or measured) and reports, per collective instruction, how
 // much of its wire time was hidden under which partial einsum versus
