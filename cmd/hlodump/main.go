@@ -92,12 +92,14 @@ func main() {
 			report.SitesFound, report.SitesDecomposed, report.SitesRejected, report.FusionsFormed)
 	}
 	if *traceOut != "" {
-		_, events, err := sim.SimulateTrace(c, cfg.Mesh().NumDevices(), machine.TPUv4())
+		_, spans, err := sim.SimulateTrace(c, cfg.Mesh().NumDevices(), machine.TPUv4())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hlodump: %v\n", err)
 			os.Exit(1)
 		}
-		raw, err := sim.TraceJSON(events)
+		trace := overlap.NewRunTrace("sim-"+cfg.Name, "run", spans) // fixed id: the file is diffable across revisions
+		trace.Model = cfg.Name
+		raw, err := trace.ChromeTrace()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hlodump: %v\n", err)
 			os.Exit(1)
@@ -106,7 +108,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hlodump: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "hlodump: wrote %d trace events to %s\n", len(events), *traceOut)
+		fmt.Fprintf(os.Stderr, "hlodump: wrote %d trace events to %s\n", len(spans), *traceOut)
 	}
 	fmt.Print(c.Format())
 }

@@ -48,9 +48,16 @@ func main() {
 	flag.Parse()
 
 	if *traceIn != "" {
-		if err := renderArtifact(*traceIn, *width, *attrib); err != nil {
+		data, err := os.ReadFile(*traceIn)
+		if err != nil {
 			fail(err)
 		}
+		trace, err := overlap.DecodeRunTrace(data)
+		if err != nil {
+			fail(err)
+		}
+		printArtifactHeader(trace)
+		render(trace, *width, *attrib)
 		return
 	}
 
@@ -93,7 +100,8 @@ func main() {
 
 	var (
 		bd     overlap.Breakdown
-		events []overlap.TraceEvent
+		spans  []overlap.Span
+		id     string
 		source string
 	)
 	if *run {
@@ -103,43 +111,32 @@ func main() {
 		if rerr != nil {
 			fail(rerr)
 		}
-		bd, events, source = res.Breakdown, res.Trace, "measured"
+		bd, spans, id, source = res.Breakdown, res.Trace, res.RunID, "measured"
 	} else {
-		bd, events, err = sim.SimulateTrace(c, cfg.Mesh().NumDevices(), spec)
+		bd, spans, err = sim.SimulateTrace(c, cfg.Mesh().NumDevices(), spec)
 		if err != nil {
 			fail(err)
 		}
-		source = "simulated"
+		id, source = "sim-"+cfg.Name, "simulated"
 	}
 	fmt.Printf("%s, one layer step (%s): %.3f ms, %.0f%% exposed communication\n",
 		cfg.Name, source, 1e3*bd.StepTime, 100*bd.CommFraction())
-	fmt.Print(sim.RenderTimeline(events, *width))
-	if *attrib {
-		fmt.Print(overlap.Attribute(events).Render())
+	render(overlap.NewRunTrace(id, "run", spans), *width, *attrib)
+}
+
+// render prints the one timeline view of a RunTrace — simulated,
+// measured or read back from a file — and, on request, the attribution
+// report its wire-span verdicts were stamped from.
+func render(trace *overlap.RunTrace, width int, attrib bool) {
+	fmt.Print(trace.Timeline(width))
+	if attrib && trace.Attribution != nil {
+		fmt.Print(trace.Attribution.Render())
 	}
 }
 
-// renderArtifact reads a serialized RunTrace and renders it through the
-// same timeline view: the artifact's spans convert back onto the
-// Chrome-trace tracks the renderer reads, its embedded attribution and
-// verdicts print without re-analysis.
-func renderArtifact(path string, width int, attrib bool) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	trace, err := overlap.DecodeRunTrace(data)
-	if err != nil {
-		return err
-	}
-	events := make([]overlap.TraceEvent, 0, len(trace.Spans))
-	for _, s := range trace.Spans {
-		events = append(events, overlap.TraceEvent{
-			Name: s.Name, Cat: s.Cat, Ph: "X",
-			TS: s.StartMS * 1e3, Dur: s.DurMS * 1e3,
-			PID: s.Device, TID: s.Track,
-		})
-	}
+// printArtifactHeader prints what a recorded artifact says about its
+// run above the timeline: identity, failure, serve-path stages.
+func printArtifactHeader(trace *overlap.RunTrace) {
 	header := fmt.Sprintf("run %s (%s, %s)", trace.ID, trace.Scenario, trace.Status)
 	if trace.Model != "" {
 		header += ", model " + trace.Model
@@ -155,11 +152,6 @@ func renderArtifact(path string, width int, attrib bool) error {
 	for _, st := range trace.Stages {
 		fmt.Printf("stage %-10s %8.3f ms\n", st.Name, st.DurMS)
 	}
-	fmt.Print(sim.RenderTimeline(events, width))
-	if attrib && trace.Attribution != nil {
-		fmt.Print(trace.Attribution.Render())
-	}
-	return nil
 }
 
 // randomArgs supplies one replicated random tensor per parameter, the

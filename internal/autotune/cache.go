@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"overlap/internal/core"
@@ -136,11 +137,19 @@ func cacheLookup(path, key string) (cacheEntry, bool) {
 	return e, ok
 }
 
+// cacheStoreMu serialises load → merge → rename within this process:
+// the daemon compiles distinct fingerprints on concurrent goroutines,
+// and unserialised stores to one file each rename over the others'
+// entries.
+var cacheStoreMu sync.Mutex
+
 // cacheStore merges the decision into the cache file, creating the
-// directory as needed. Concurrent tuners may interleave read-modify-
-// write; the loser's other entries survive because the file is re-read
-// immediately before writing.
+// directory as needed. Stores from separate processes may still
+// interleave read-modify-write; the loser's older entries survive
+// because the file is re-read immediately before writing.
 func cacheStore(path, key string, res *Result) error {
+	cacheStoreMu.Lock()
+	defer cacheStoreMu.Unlock()
 	f := loadCache(path)
 	f.Entries[key] = cacheEntry{
 		BestName:       res.BestName,

@@ -2,9 +2,11 @@ package autotune
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -108,6 +110,38 @@ func TestWriteFileAtomic(t *testing.T) {
 	for _, e := range entries {
 		if strings.Contains(e.Name(), ".tmp") {
 			t.Fatalf("temp file %s left behind after a failed write", e.Name())
+		}
+	}
+}
+
+// TestCacheStoreConcurrentKeepsAll is the daemon's cold burst: one
+// compile goroutine per distinct fingerprint, all storing into one
+// cache file. Every decision must survive — load → merge → rename is
+// serialised, so no store renames over another's entry.
+func TestCacheStoreConcurrentKeepsAll(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "autotune.json")
+	const stores = 32
+	keys := make([]string, stores)
+	errs := make([]error, stores)
+	var wg sync.WaitGroup
+	for i := range keys {
+		keys[i] = fmt.Sprintf("prog%02d|n=4", i)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = cacheStore(path, keys[i], &Result{BestName: keys[i]})
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("store %d: %v", i, err)
+		}
+	}
+	f := loadCache(path)
+	for _, k := range keys {
+		if e, ok := f.Entries[k]; !ok || e.BestName != k {
+			t.Errorf("entry %s lost (file holds %d of %d)", k, len(f.Entries), stores)
 		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"overlap/internal/core"
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
+	"overlap/internal/obs"
 	"overlap/internal/runtime"
-	"overlap/internal/sim"
 	"overlap/internal/tensor"
 	"overlap/internal/topology"
 )
@@ -107,7 +107,7 @@ func transportCompare(spec machine.Spec, p transportParams) (string, []float64, 
 			if steps[i] == 0 || b.StepTime < steps[i] {
 				steps[i] = b.StepTime
 				breakdowns[i] = struct{ compute, wire, exposed float64 }{b.Compute, b.CollectiveWire, b.Exposed}
-				effs[i] = sim.Attribute(res.Trace).OverlapEfficiency()
+				effs[i] = obs.Attribute(res.Trace).OverlapEfficiency()
 			}
 		}
 	}

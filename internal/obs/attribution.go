@@ -9,9 +9,9 @@ import (
 // Span is one timed interval from an execution's span stream, simulated
 // or measured: a compute-track event (a local instruction, a blocking
 // collective wait, or an exposed stall) or a transfer-engine event (one
-// asynchronous transfer occupying its link). Times are seconds from the
-// start of the step; Device follows the trace's pid convention (transfer
-// spans sit on the sending device).
+// asynchronous transfer occupying its link). It is the one in-memory
+// span every executor and the simulator record. Times are seconds from
+// the start of the step; transfer spans sit on the sending device.
 type Span struct {
 	Device int
 	Track  int
@@ -21,13 +21,21 @@ type Span struct {
 	Dur    float64
 }
 
-// Track values, matching the sim/runtime trace tid convention.
+// Track values: the two per-device tracks, the compute pipe and the
+// transfer engine. The simulator and the runtime record on the same
+// tracks so modeled and measured timelines line up.
 const (
 	TrackCompute  = 0
 	TrackTransfer = 1
 )
 
-// Span categories, matching the sim/runtime trace cat convention.
+// TraceMaxDevices bounds the recorded devices: spans for devices
+// >= TraceMaxDevices are deliberately dropped, not merged. SPMD
+// programs are symmetric, so a handful of adjacent devices shows the
+// whole picture without gigabyte traces.
+const TraceMaxDevices = 8
+
+// Span categories.
 const (
 	CatCompute    = "compute"
 	CatCollective = "collective"

@@ -38,7 +38,7 @@ func gptRingAttribution(t *testing.T, devices int, configure func(*core.Options)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sim.Attribute(events)
+	return obs.Attribute(events)
 }
 
 func TestAttributionDecomposedHidesRolledExposes(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -234,7 +235,10 @@ func (t *RunTrace) EncodeJSON() ([]byte, error) {
 }
 
 // DecodeRunTrace parses a serialized artifact, rejecting version
-// mismatches and traces without an ID.
+// mismatches, traces without an ID, and spans or stages no executor can
+// have recorded (negative or non-finite times, a negative device, a
+// track other than compute/transfer) — the file is outside input, and
+// the renderers index by what it says.
 func DecodeRunTrace(data []byte) (*RunTrace, error) {
 	var t RunTrace
 	if err := json.Unmarshal(data, &t); err != nil {
@@ -246,7 +250,28 @@ func DecodeRunTrace(data []byte) (*RunTrace, error) {
 	if t.ID == "" {
 		return nil, fmt.Errorf("obs: run trace has no id")
 	}
+	for i, st := range t.Stages {
+		if !validInterval(st.StartMS, st.DurMS) {
+			return nil, fmt.Errorf("obs: run trace stage %d (%q): start_ms %v, dur_ms %v out of range", i, st.Name, st.StartMS, st.DurMS)
+		}
+	}
+	for i, s := range t.Spans {
+		switch {
+		case !validInterval(s.StartMS, s.DurMS):
+			return nil, fmt.Errorf("obs: run trace span %d (%q): start_ms %v, dur_ms %v out of range", i, s.Name, s.StartMS, s.DurMS)
+		case s.Device < 0:
+			return nil, fmt.Errorf("obs: run trace span %d (%q): device %d", i, s.Name, s.Device)
+		case s.Track != TrackCompute && s.Track != TrackTransfer:
+			return nil, fmt.Errorf("obs: run trace span %d (%q): track %d", i, s.Name, s.Track)
+		}
+	}
 	return &t, nil
+}
+
+// validInterval reports whether a start/duration pair is non-negative
+// with a finite end (NaN fails the comparisons).
+func validInterval(start, dur float64) bool {
+	return start >= 0 && dur >= 0 && !math.IsInf(start+dur, 1)
 }
 
 // chromeEvent is one complete ("X") event in the Chrome trace format,

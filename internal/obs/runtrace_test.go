@@ -318,6 +318,58 @@ func TestDecodeRunTraceRejects(t *testing.T) {
 	}
 }
 
+// TestRunTraceHostileFiles feeds the reader artifacts no executor can
+// have written. Each used to reach the timeline renderer and index out
+// of range (or size a row table from the file's device number); now the
+// decoder rejects what it can name, and the view survives the rest.
+func TestRunTraceHostileFiles(t *testing.T) {
+	file := func(span string) string {
+		return `{"version": 1, "id": "r-1", "status": "ok", "spans": [` + span + `]}`
+	}
+	for _, tc := range []struct {
+		name, data, wantErr string
+	}{
+		{"negative device", file(`{"device": -1, "track": 0, "cat": "compute", "name": "e", "start_ms": 0, "dur_ms": 1}`), "device -1"},
+		{"negative start", file(`{"device": 0, "track": 0, "cat": "compute", "name": "e", "start_ms": -5, "dur_ms": 1}`), "start_ms -5"},
+		{"negative duration", file(`{"device": 0, "track": 0, "cat": "compute", "name": "e", "start_ms": 0, "dur_ms": -1}`), "dur_ms -1"},
+		{"unknown track", file(`{"device": 0, "track": 7, "cat": "compute", "name": "e", "start_ms": 0, "dur_ms": 1}`), "track 7"},
+		{"negative stage", `{"version": 1, "id": "r-1", "status": "ok", "stages": [{"name": "queue", "start_ms": -1, "dur_ms": 1}]}`, "stage 0"},
+		// A huge device number is a legal span; the view must not size
+		// anything by it.
+		{"huge device", file(`{"device": 1000000000, "track": 1, "cat": "transfer", "name": "cp", "start_ms": 0, "dur_ms": 1}`), ""},
+	} {
+		tr, err := DecodeRunTrace([]byte(tc.data))
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: decode error %v, want one naming %q", tc.name, err, tc.wantErr)
+			}
+		} else if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		// The view must hold up even when handed the file undecoded.
+		var raw RunTrace
+		if err := json.Unmarshal([]byte(tc.data), &raw); err != nil {
+			t.Fatalf("%s: fixture does not parse: %v", tc.name, err)
+		}
+		for _, view := range []*RunTrace{tr, &raw} {
+			if view == nil {
+				continue
+			}
+			if out := view.Timeline(40); strings.Count(out, "\n") > 2+2*len(view.Spans) {
+				t.Errorf("%s: timeline drew more rows than spans:\n%s", tc.name, out)
+			}
+		}
+	}
+}
+
+// TestTimelineEmpty: a trace with no spans renders a placeholder, not
+// a zero-width grid.
+func TestTimelineEmpty(t *testing.T) {
+	if out := NewRunTrace("r-1", "run", nil).Timeline(80); !strings.Contains(out, "no events") {
+		t.Fatalf("empty timeline = %q", out)
+	}
+}
+
 func TestRunTraceSetError(t *testing.T) {
 	tr := NewRunTrace("r-0000000000000002", "run", nil)
 	if tr.Status != StatusOK {

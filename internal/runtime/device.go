@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"overlap/internal/hlo"
+	"overlap/internal/obs"
 	"overlap/internal/sim"
 	"overlap/internal/tensor"
 )
@@ -49,7 +50,7 @@ type device struct {
 	peakInFlight int
 
 	finished float64
-	trace    []sim.TraceEvent
+	trace    []obs.Span
 
 	statMu    sync.Mutex
 	status    devStatus
@@ -252,15 +253,14 @@ func (d *device) bump(in *hlo.Instruction) int {
 	return n
 }
 
-// span records one compute-track trace event when tracing is on and the
+// span records one compute-track span when tracing is on and the
 // device is inside the recorded window.
 func (d *device) span(cat, name string, start, dur float64) {
 	if !d.eng.opts.Trace || d.id >= d.eng.traceWindow() || dur <= 0 {
 		return
 	}
-	d.trace = append(d.trace, sim.TraceEvent{
-		Name: name, Cat: cat, Ph: "X",
-		TS: start * 1e6, Dur: dur * 1e6,
-		PID: d.id, TID: sim.TraceTIDCompute,
+	d.trace = append(d.trace, obs.Span{
+		Device: d.id, Track: obs.TrackCompute,
+		Cat: cat, Name: name, Start: start, Dur: dur,
 	})
 }

@@ -255,16 +255,16 @@ func (e *engine) assemble(devices []*device) *Result {
 		for _, dev := range devices {
 			res.Trace = append(res.Trace, dev.trace...)
 		}
-		res.Trace = append(res.Trace, e.fabric.traceEvents()...)
+		res.Trace = append(res.Trace, e.fabric.spans()...)
 		sort.SliceStable(res.Trace, func(i, j int) bool {
 			a, b := res.Trace[i], res.Trace[j]
-			if a.PID != b.PID {
-				return a.PID < b.PID
+			if a.Device != b.Device {
+				return a.Device < b.Device
 			}
-			if a.TID != b.TID {
-				return a.TID < b.TID
+			if a.Track != b.Track {
+				return a.Track < b.Track
 			}
-			return a.TS < b.TS
+			return a.Start < b.Start
 		})
 	}
 	return res
@@ -275,7 +275,7 @@ func (e *engine) assemble(devices []*device) *Result {
 func (e *engine) traceWindow() int {
 	w := e.opts.TraceDevices
 	if w <= 0 {
-		w = sim.TraceMaxDevices
+		w = obs.TraceMaxDevices
 	}
 	if w > e.n {
 		w = e.n

@@ -4,7 +4,7 @@ import (
 	"sync"
 
 	"overlap/internal/hlo"
-	"overlap/internal/sim"
+	"overlap/internal/obs"
 	"overlap/internal/tensor"
 )
 
@@ -232,7 +232,7 @@ func (f *fabric) shutdown() { f.tr.shutdown() }
 
 // traceEvents merges the transport's transfer spans. Only called after
 // shutdown, when nothing appends.
-func (f *fabric) traceEvents() []sim.TraceEvent { return f.tr.traceEvents() }
+func (f *fabric) spans() []obs.Span { return f.tr.spans() }
 
 // mailboxSizes reports the current entry counts of the addressing maps
 // for one device — the boundedness the pruning in receive guarantees,

@@ -49,12 +49,12 @@ type Options struct {
 	// setting for correctness tests.
 	TimeScale float64
 
-	// Trace records per-device, per-instruction wall-clock spans in the
-	// sim.TraceEvent Chrome-trace format.
+	// Trace records per-device, per-instruction wall-clock spans
+	// (Result.Trace).
 	Trace bool
 
 	// TraceDevices bounds the devices recorded when tracing; zero means
-	// sim.TraceMaxDevices, mirroring the simulator's window.
+	// obs.TraceMaxDevices, mirroring the simulator's window.
 	TraceDevices int
 
 	// Faults injects deterministic, seeded failures — link delays,
@@ -114,8 +114,9 @@ type Result struct {
 	Breakdown sim.Breakdown
 
 	// Trace holds the recorded spans when Options.Trace was set, on the
-	// same pid/tid tracks the simulator emits.
-	Trace []sim.TraceEvent
+	// same device tracks the simulator emits, in seconds from run
+	// start.
+	Trace []obs.Span
 }
 
 // Run executes the computation on numDevices goroutine devices and

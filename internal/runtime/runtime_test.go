@@ -1,13 +1,17 @@
 package runtime_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"overlap/internal/core"
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
+	"overlap/internal/obs"
 	"overlap/internal/runtime"
 	"overlap/internal/sim"
 	"overlap/internal/tensor"
@@ -313,9 +317,9 @@ func TestValidation(t *testing.T) {
 }
 
 // TestTraceRecording runs a decomposed program with tracing on and
-// checks the recorded spans land on the simulator's pid/tid tracks,
-// include both compute and transfer events, respect the device window,
-// and serialize as a Chrome trace.
+// checks the recorded spans land on the simulator's device tracks,
+// include both compute and transfer spans, respect the device window,
+// and render as a Chrome trace through the RunTrace artifact.
 func TestTraceRecording(t *testing.T) {
 	const n = 4
 	rng := rand.New(rand.NewSource(13))
@@ -339,31 +343,104 @@ func TestTraceRecording(t *testing.T) {
 	}
 	var computes, transfers int
 	for _, ev := range res.Trace {
-		if ev.PID >= 2 {
-			t.Fatalf("event %s on device %d, window is 2", ev.Name, ev.PID)
+		if ev.Device >= 2 {
+			t.Fatalf("span %s on device %d, window is 2", ev.Name, ev.Device)
 		}
-		switch ev.TID {
-		case sim.TraceTIDCompute:
+		switch ev.Track {
+		case obs.TrackCompute:
 			computes++
-		case sim.TraceTIDTransfer:
+		case obs.TrackTransfer:
 			transfers++
 		default:
-			t.Fatalf("event %s on unknown track %d", ev.Name, ev.TID)
+			t.Fatalf("span %s on unknown track %d", ev.Name, ev.Track)
 		}
-		if ev.Ph != "X" || ev.Dur < 0 {
-			t.Fatalf("event %s is not a well-formed complete span", ev.Name)
+		if ev.Start < 0 || ev.Dur < 0 {
+			t.Fatalf("span %s is not a well-formed interval: %+v", ev.Name, ev)
 		}
 	}
 	if computes == 0 || transfers == 0 {
 		t.Fatalf("want both compute and transfer spans, got %d/%d", computes, transfers)
 	}
-	if _, err := sim.TraceJSON(res.Trace); err != nil {
+	raw, err := obs.NewRunTrace(res.RunID, "run", res.Trace).ChromeTrace()
+	if err != nil {
 		t.Fatalf("trace serialization: %v", err)
+	}
+	var chrome struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &chrome); err != nil || len(chrome.TraceEvents) != len(res.Trace) {
+		t.Fatalf("chrome trace: %d events for %d spans, err %v", len(chrome.TraceEvents), len(res.Trace), err)
 	}
 	if res.Breakdown.AsyncTransfers == 0 || res.Breakdown.PeakInFlight == 0 {
 		t.Fatalf("breakdown did not observe async transfers: %+v", res.Breakdown)
 	}
 	if res.Breakdown.CollectiveWire <= 0 {
 		t.Fatalf("breakdown recorded no wire time: %+v", res.Breakdown)
+	}
+}
+
+// TestModeledAndMeasuredTimelinesSameShape builds the RunTrace artifact
+// from the simulator's spans and from a real run of the same decomposed
+// AllGather-einsum site, and checks the two are comparable span by span:
+// per device the same multiset of transfer-track instruction names,
+// every one stamped with an attribution verdict. The simulated
+// artifact's Chrome encoding is byte-stable.
+func TestModeledAndMeasuredTimelinesSameShape(t *testing.T) {
+	const n = 4
+	site := goldenSites(n, rand.New(rand.NewSource(17)))[0]
+	c := site.build()
+	opts := core.DefaultOptions(machine.TPUv4())
+	opts.UseCostModel = false
+	if _, err := core.Apply(c, opts); err != nil {
+		t.Fatal(err)
+	}
+
+	_, simSpans, err := sim.SimulateTrace(c, n, machine.TPUv4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runtime.Run(c, n, site.args, runtime.Options{Spec: machine.TPUv4(), TimeScale: 200, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	modeled := obs.NewRunTrace("sim", "run", simSpans)
+	measured := obs.NewRunTrace(res.RunID, "run", res.Trace)
+
+	// transfers returns device -> instruction name -> count over the
+	// transfer track, failing on any wire span without a verdict.
+	transfers := func(label string, tr *obs.RunTrace) map[int]map[string]int {
+		out := map[int]map[string]int{}
+		for _, s := range tr.Spans {
+			if s.Track != obs.TrackTransfer {
+				continue
+			}
+			if s.Verdict == "" {
+				t.Errorf("%s: transfer span %s on device %d carries no verdict", label, s.Name, s.Device)
+			}
+			if out[s.Device] == nil {
+				out[s.Device] = map[string]int{}
+			}
+			out[s.Device][s.Name]++
+		}
+		return out
+	}
+	want, got := transfers("modeled", modeled), transfers("measured", measured)
+	if len(want) != n {
+		t.Fatalf("modeled trace has transfers on %d devices, want %d", len(want), n)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("transfer spans differ:\nmodeled  %v\nmeasured %v", want, got)
+	}
+
+	a, err := modeled.ChromeTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := modeled.ChromeTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("two ChromeTrace calls on one simulated RunTrace differ")
 	}
 }

@@ -3,7 +3,7 @@ package runtime
 import (
 	"time"
 
-	"overlap/internal/sim"
+	"overlap/internal/obs"
 )
 
 // TransportKind selects the fabric implementation a run's transfers
@@ -63,7 +63,7 @@ type transport interface {
 
 	// traceEvents returns the transfer-layer spans recorded during the
 	// run. Only called after shutdown, when nothing appends.
-	traceEvents() []sim.TraceEvent
+	spans() []obs.Span
 }
 
 // newTransport constructs the configured transport for one engine.

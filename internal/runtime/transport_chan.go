@@ -4,7 +4,7 @@ import (
 	"sync"
 	"time"
 
-	"overlap/internal/sim"
+	"overlap/internal/obs"
 )
 
 // chanLink is one directed (src,dst) connection of the in-process
@@ -15,7 +15,7 @@ import (
 type chanLink struct {
 	src, dst int
 	ch       chan parcel
-	trace    []sim.TraceEvent
+	trace    []obs.Span
 }
 
 // chanTransport is the original fabric data plane: per-edge buffered Go
@@ -67,10 +67,10 @@ func (t *chanTransport) serve(l *chanLink) {
 			continue // aborted mid-wire: keep draining without sleeping
 		}
 		if e.opts.Trace && l.src < e.traceWindow() {
-			l.trace = append(l.trace, sim.TraceEvent{
-				Name: p.key.start.Name, Cat: "transfer", Ph: "X",
-				TS: start * 1e6, Dur: (e.since() - start) * 1e6,
-				PID: l.src, TID: sim.TraceTIDTransfer,
+			l.trace = append(l.trace, obs.Span{
+				Device: l.src, Track: obs.TrackTransfer,
+				Cat: obs.CatTransfer, Name: p.key.start.Name,
+				Start: start, Dur: e.since() - start,
 			})
 		}
 		t.fab.deliver(l.dst, p.key, p.data, "")
@@ -100,9 +100,9 @@ func (t *chanTransport) shutdown() {
 	t.wg.Wait()
 }
 
-// traceEvents merges the per-link transfer spans.
-func (t *chanTransport) traceEvents() []sim.TraceEvent {
-	var out []sim.TraceEvent
+// spans merges the per-link transfer spans.
+func (t *chanTransport) spans() []obs.Span {
+	var out []obs.Span
 	for _, l := range t.links {
 		out = append(out, l.trace...)
 	}

@@ -14,7 +14,6 @@ import (
 
 	"overlap/internal/obs"
 	"overlap/internal/runtime/wire"
-	"overlap/internal/sim"
 	"overlap/internal/tensor"
 )
 
@@ -64,7 +63,7 @@ type procWorker struct {
 	cmd     *exec.Cmd
 	control *os.File   // parent end of the control socketpair
 	writeMu sync.Mutex // serializes outbound frames on the control socket
-	trace   []sim.TraceEvent
+	trace   []obs.Span
 }
 
 // procEdge is the parent-side queue for one directed edge, mirroring
@@ -73,7 +72,7 @@ type procWorker struct {
 type procEdge struct {
 	src, dst int
 	ch       chan parcel
-	trace    []sim.TraceEvent
+	trace    []obs.Span
 }
 
 func newProcTransportChecked(e *engine, f *fabric) (transport, error) {
@@ -267,10 +266,10 @@ func (t *procTransport) serveEdge(l *procEdge) {
 			continue // keep draining so posters never block forever
 		}
 		if traced {
-			l.trace = append(l.trace, sim.TraceEvent{
-				Name: p.key.start.Name, Cat: "serialize", Ph: "X",
-				TS: t0 * 1e6, Dur: ser * 1e6,
-				PID: l.src, TID: sim.TraceTIDTransfer,
+			l.trace = append(l.trace, obs.Span{
+				Device: l.src, Track: obs.TrackTransfer,
+				Cat: "serialize", Name: p.key.start.Name,
+				Start: t0, Dur: ser,
 			})
 			if !drop {
 				t.pendMu.Lock()
@@ -312,18 +311,18 @@ func (t *procTransport) readWorker(w *procWorker) {
 		des := e.since() - t0
 		rtDeserializeSpans.Observe(des)
 		if e.opts.Trace && w.id < e.traceWindow() {
-			w.trace = append(w.trace, sim.TraceEvent{
-				Name: fr.Name, Cat: "deserialize", Ph: "X",
-				TS: t0 * 1e6, Dur: des * 1e6,
-				PID: w.id, TID: sim.TraceTIDTransfer,
+			w.trace = append(w.trace, obs.Span{
+				Device: w.id, Track: obs.TrackTransfer,
+				Cat: "deserialize", Name: fr.Name,
+				Start: t0, Dur: des,
 			})
 			t.pendMu.Lock()
 			if post, ok := t.pending[pendingKey{fr.Name, fr.Inst, fr.Src, fr.Dst}]; ok {
 				delete(t.pending, pendingKey{fr.Name, fr.Inst, fr.Src, fr.Dst})
-				w.trace = append(w.trace, sim.TraceEvent{
-					Name: fr.Name, Cat: "transfer", Ph: "X",
-					TS: post * 1e6, Dur: (e.since() - post) * 1e6,
-					PID: fr.Src, TID: sim.TraceTIDTransfer,
+				w.trace = append(w.trace, obs.Span{
+					Device: fr.Src, Track: obs.TrackTransfer,
+					Cat: obs.CatTransfer, Name: fr.Name,
+					Start: post, Dur: e.since() - post,
 				})
 			}
 			t.pendMu.Unlock()
@@ -361,10 +360,10 @@ func (t *procTransport) shutdown() {
 	}
 }
 
-// traceEvents merges the per-edge serialize spans and per-worker
+// spans merges the per-edge serialize spans and per-worker
 // deserialize/transfer spans.
-func (t *procTransport) traceEvents() []sim.TraceEvent {
-	var out []sim.TraceEvent
+func (t *procTransport) spans() []obs.Span {
+	var out []obs.Span
 	for _, l := range t.edges {
 		out = append(out, l.trace...)
 	}

@@ -518,8 +518,8 @@ func scenarioLabel(s string) string {
 // newTrace assembles the run-scoped trace artifact for one served run:
 // executor spans (with attribution verdicts) when the run produced
 // them, plus the serve-path stage breakdown and request metadata.
-func (s *Server) newTrace(runID string, req *Request, key string, devices int, start time.Time, timing TimingMS, events []sim.TraceEvent) *obs.RunTrace {
-	trace := obs.NewRunTrace(runID, scenarioLabel(req.Scenario), sim.Spans(events))
+func (s *Server) newTrace(runID string, req *Request, key string, devices int, start time.Time, timing TimingMS, spans []obs.Span) *obs.RunTrace {
+	trace := obs.NewRunTrace(runID, scenarioLabel(req.Scenario), spans)
 	trace.Model = req.Model
 	trace.Fingerprint = key
 	trace.Devices = devices

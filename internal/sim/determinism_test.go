@@ -7,13 +7,14 @@ import (
 	"overlap/internal/core"
 	"overlap/internal/machine"
 	"overlap/internal/models"
+	"overlap/internal/obs"
 	"overlap/internal/sim"
 )
 
-// TestSimulateTraceDeterministic pins byte-identical TraceJSON across
-// two identical SimulateTrace runs: the trace path must stay free of
-// map-iteration or other nondeterminism, or recorded timelines stop
-// being diffable across revisions.
+// TestSimulateTraceDeterministic pins a byte-identical Chrome trace
+// across two identical SimulateTrace runs: the trace path must stay
+// free of map-iteration or other nondeterminism, or recorded timelines
+// stop being diffable across revisions.
 func TestSimulateTraceDeterministic(t *testing.T) {
 	cfg, err := models.Miniature(models.Table2()[0], 4, 4)
 	if err != nil {
@@ -33,7 +34,7 @@ func TestSimulateTraceDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := sim.TraceJSON(events)
+		data, err := obs.NewRunTrace("t", "run", events).ChromeTrace()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,27 +34,11 @@ func (b Breakdown) Record(scope string) {
 	r.Gauge(name("last_peak_in_flight"), "Peak outstanding asynchronous transfers of the most recent run.").Set(float64(b.PeakInFlight))
 }
 
-// Spans converts a trace (simulated or measured — both use the same
-// event schema) into the analyzer's span stream: microsecond timestamps
-// become seconds, pid becomes the device, tid the track.
-func Spans(events []TraceEvent) []obs.Span {
-	out := make([]obs.Span, len(events))
-	for i, e := range events {
-		out[i] = obs.Span{
-			Device: e.PID,
-			Track:  e.TID,
-			Cat:    e.Cat,
-			Name:   e.Name,
-			Start:  e.TS / 1e6,
-			Dur:    e.Dur / 1e6,
-		}
-	}
-	return out
-}
+// Spans is the identity: executors and the simulator record obs.Span
+// directly. It survives only because the frozen bench/ calls it; the
+// next benchmark PR drops it.
+func Spans(spans []obs.Span) []obs.Span { return spans }
 
-// Attribute runs the overlap-attribution analyzer over a trace: per
-// collective instruction, how much wire time was hidden under which
-// compute spans versus exposed.
-func Attribute(events []TraceEvent) obs.AttributionReport {
-	return obs.Attribute(Spans(events))
-}
+// Attribute is obs.Attribute. It survives only because the frozen
+// bench/ calls it; the next benchmark PR drops it.
+func Attribute(spans []obs.Span) obs.AttributionReport { return obs.Attribute(spans) }

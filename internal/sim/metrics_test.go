@@ -40,15 +40,18 @@ func TestSimulateRecordsMetrics(t *testing.T) {
 	}
 }
 
-// TestSpansConversion checks trace events convert to analyzer spans
-// with microseconds scaled back to seconds.
-func TestSpansConversion(t *testing.T) {
-	spans := Spans([]TraceEvent{
-		{Name: "x", Cat: "transfer", TS: 2e6, Dur: 5e5, PID: 3, TID: TraceTIDTransfer},
-	})
-	s := spans[0]
-	if s.Device != 3 || s.Track != obs.TrackTransfer || s.Cat != obs.CatTransfer ||
-		s.Name != "x" || s.Start != 2 || s.Dur != 0.5 {
-		t.Fatalf("span = %+v", s)
+// TestBenchShims pins what the frozen bench/ relies on: Spans hands
+// back the same slice (no copy, no unit change) and Attribute is
+// obs.Attribute.
+func TestBenchShims(t *testing.T) {
+	in := []obs.Span{
+		{Device: 3, Track: obs.TrackTransfer, Cat: obs.CatTransfer, Name: "x", Start: 2, Dur: 0.5},
+	}
+	out := Spans(in)
+	if len(out) != 1 || &out[0] != &in[0] {
+		t.Fatalf("Spans copied or resized its input: %+v", out)
+	}
+	if got, want := Attribute(in), obs.Attribute(in); got.TotalWire != want.TotalWire || got.TotalWire != 0.5 {
+		t.Fatalf("Attribute = %+v, obs.Attribute = %+v", got, want)
 	}
 }

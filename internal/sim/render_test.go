@@ -5,21 +5,29 @@ import (
 	"testing"
 
 	"overlap/internal/machine"
+	"overlap/internal/obs"
 )
 
-func TestRenderTimeline(t *testing.T) {
-	_, events, err := SimulateTrace(traceSite(), 2, machine.TPUv4())
+// TestTimelineOfSimulatedTrace pins the ASCII timeline of a simulated
+// span set byte for byte: the string below is what the pre-RunTrace
+// renderer drew for the same spans.
+func TestTimelineOfSimulatedTrace(t *testing.T) {
+	_, spans, err := SimulateTrace(traceSite(), 2, machine.TPUv4())
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := RenderTimeline(events, 80)
-	if !strings.Contains(out, "dev  0 comp") || !strings.Contains(out, "xfer") {
-		t.Fatalf("timeline missing device rows:\n%s", out)
-	}
-	for _, glyph := range []string{"#", "=", "C"} {
-		if !strings.Contains(out, glyph) {
-			t.Errorf("timeline missing %q glyphs:\n%s", glyph, out)
-		}
+	out := obs.NewRunTrace("t", "run", spans).Timeline(80)
+	want := strings.Join([]string{
+		"time: 0 .. 0.072 ms  (one column = 0.9 us)",
+		"legend: # compute   C collective/wait   . stall   = transfer in flight",
+		"dev  0 comp |############........................................CCCCCCCCCCCCCCCCCCCCCCCCCCCC|",
+		"       xfer |=====================================================                           |",
+		"dev  1 comp |############........................................CCCCCCCCCCCCCCCCCCCCCCCCCCCC|",
+		"       xfer |=====================================================                           |",
+		"",
+	}, "\n")
+	if out != want {
+		t.Fatalf("timeline moved:\n got:\n%s\nwant:\n%s", out, want)
 	}
 	// Every row must be exactly the requested width between the bars.
 	for _, line := range strings.Split(out, "\n") {
@@ -29,11 +37,5 @@ func TestRenderTimeline(t *testing.T) {
 				t.Fatalf("row width %d, want 80: %q", j-i-1, line)
 			}
 		}
-	}
-}
-
-func TestRenderTimelineEmpty(t *testing.T) {
-	if out := RenderTimeline(nil, 80); !strings.Contains(out, "no events") {
-		t.Fatalf("empty render = %q", out)
 	}
 }

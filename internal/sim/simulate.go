@@ -5,6 +5,7 @@ import (
 
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
+	"overlap/internal/obs"
 )
 
 // Breakdown reports where a simulated training/inference step spent its
@@ -51,27 +52,45 @@ func (b Breakdown) CommFraction() float64 {
 // same pair serialize; the generated ring patterns use each neighbor
 // link once per step, so this matches torus behaviour).
 func Simulate(c *hlo.Computation, numDevices int, spec machine.Spec) (Breakdown, error) {
+	b, _, err := simulate(c, numDevices, spec, 0)
+	return b, err
+}
+
+// SimulateTrace runs the timing simulation and additionally returns a
+// per-device span timeline for the first few devices: compute spans,
+// blocking collective spans, asynchronous transfer spans (on the
+// transfer-engine track) and exposed stalls. Only devices
+// 0..obs.TraceMaxDevices-1 are recorded; spans for devices beyond the
+// window are dropped, not merged.
+func SimulateTrace(c *hlo.Computation, numDevices int, spec machine.Spec) (Breakdown, []obs.Span, error) {
+	return simulate(c, numDevices, spec, min(numDevices, obs.TraceMaxDevices))
+}
+
+// simulate is the one simulation body; spans are recorded for the first
+// traceDevices devices (zero records nothing).
+func simulate(c *hlo.Computation, numDevices int, spec machine.Spec, traceDevices int) (Breakdown, []obs.Span, error) {
 	if err := spec.Validate(); err != nil {
-		return Breakdown{}, err
+		return Breakdown{}, nil, err
 	}
 	if numDevices <= 0 {
-		return Breakdown{}, fmt.Errorf("sim: need at least one device")
+		return Breakdown{}, nil, fmt.Errorf("sim: need at least one device")
 	}
 
 	st := &simState{
-		spec:        spec,
-		numDevices:  numDevices,
-		now:         make([]float64, numDevices),
-		compute:     make([]float64, numDevices),
-		wire:        make([]float64, numDevices),
-		exposed:     make([]float64, numDevices),
-		outstanding: make([][]float64, numDevices),
-		linkFree:    map[[2]int]float64{},
-		arrivals:    map[*hlo.Instruction][]float64{},
+		spec:         spec,
+		numDevices:   numDevices,
+		now:          make([]float64, numDevices),
+		compute:      make([]float64, numDevices),
+		wire:         make([]float64, numDevices),
+		exposed:      make([]float64, numDevices),
+		outstanding:  make([][]float64, numDevices),
+		linkFree:     map[[2]int]float64{},
+		arrivals:     map[*hlo.Instruction][]float64{},
+		traceDevices: traceDevices,
 	}
 	for _, in := range c.Instructions() {
 		if err := st.exec(in); err != nil {
-			return Breakdown{}, err
+			return Breakdown{}, nil, err
 		}
 	}
 
@@ -87,7 +106,7 @@ func Simulate(c *hlo.Computation, numDevices int, spec machine.Spec) (Breakdown,
 	b.AsyncTransfers = st.asyncSends
 	b.PeakInFlight = st.peakInFlight
 	b.Record("sim")
-	return b, nil
+	return b, st.trace, nil
 }
 
 // simState carries the per-device clocks and transfer bookkeeping of one
@@ -105,10 +124,19 @@ type simState struct {
 	asyncSends   int
 	peakInFlight int
 
-	// Tracing (SimulateTrace): events recorded for the first
+	// Tracing (SimulateTrace): spans recorded for the first
 	// traceDevices devices; zero disables recording.
 	traceDevices int
-	trace        []TraceEvent
+	trace        []obs.Span
+}
+
+// record appends a span for device d when the device is within the
+// recorded window.
+func (st *simState) record(d, track int, cat, name string, start, dur float64) {
+	if d >= st.traceDevices || dur <= 0 {
+		return
+	}
+	st.trace = append(st.trace, obs.Span{Device: d, Track: track, Cat: cat, Name: name, Start: start, Dur: dur})
 }
 
 // exec advances every device's clock across one instruction.
@@ -164,7 +192,7 @@ func (st *simState) exec(in *hlo.Instruction) error {
 				arr[tgt] = arrival
 				outstanding[d] = append(outstanding[d], arrival)
 				wire[d] += t
-				st.record(d, TraceTIDTransfer, "transfer", in.Name, depart, t)
+				st.record(d, obs.TrackTransfer, obs.CatTransfer, in.Name, depart, t)
 				if len(outstanding[d]) > st.peakInFlight {
 					st.peakInFlight = len(outstanding[d])
 				}
@@ -185,7 +213,7 @@ func (st *simState) exec(in *hlo.Instruction) error {
 				}
 				if arr[d] > now[d] {
 					exposed[d] += arr[d] - now[d]
-					st.record(d, TraceTIDCompute, "stall", in.Name, now[d], arr[d]-now[d])
+					st.record(d, obs.TrackCompute, obs.CatStall, in.Name, now[d], arr[d]-now[d])
 					now[d] = arr[d]
 				}
 			}
@@ -203,7 +231,7 @@ func (st *simState) exec(in *hlo.Instruction) error {
 				arrival := now[src] + t
 				if arrival > newNow[d] {
 					exposed[d] += arrival - newNow[d]
-					st.record(d, TraceTIDCompute, "collective", in.Name, newNow[d], arrival-newNow[d])
+					st.record(d, obs.TrackCompute, obs.CatCollective, in.Name, newNow[d], arrival-newNow[d])
 					newNow[d] = arrival
 				}
 			}
@@ -226,7 +254,7 @@ func (st *simState) exec(in *hlo.Instruction) error {
 				finish := barrier + cost
 				for _, d := range group {
 					exposed[d] += finish - now[d]
-					st.record(d, TraceTIDCompute, "collective", in.Name, now[d], finish-now[d])
+					st.record(d, obs.TrackCompute, obs.CatCollective, in.Name, now[d], finish-now[d])
 					now[d] = finish
 					wire[d] += cost
 				}
@@ -251,7 +279,7 @@ func (st *simState) exec(in *hlo.Instruction) error {
 		default:
 			cost := spec.InstructionCost(in)
 			for d := 0; d < numDevices; d++ {
-				st.record(d, TraceTIDCompute, "compute", in.Name, now[d], cost)
+				st.record(d, obs.TrackCompute, obs.CatCompute, in.Name, now[d], cost)
 				now[d] += cost
 				st.compute[d] += cost
 			}

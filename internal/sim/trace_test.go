@@ -6,6 +6,7 @@ import (
 
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
+	"overlap/internal/obs"
 )
 
 func traceSite() *hlo.Computation {
@@ -33,14 +34,14 @@ func TestSimulateTraceEvents(t *testing.T) {
 	cats := map[string]int{}
 	for _, e := range events {
 		cats[e.Cat]++
-		if e.Dur <= 0 || e.TS < 0 {
-			t.Fatalf("degenerate event %+v", e)
+		if e.Dur <= 0 || e.Start < 0 {
+			t.Fatalf("degenerate span %+v", e)
 		}
-		if e.PID < 0 || e.PID >= 2 {
-			t.Fatalf("event on unknown device %+v", e)
+		if e.Device < 0 || e.Device >= 2 {
+			t.Fatalf("span on unknown device %+v", e)
 		}
-		if e.Ph != "X" {
-			t.Fatalf("unexpected phase %q", e.Ph)
+		if e.Track != obs.TrackCompute && e.Track != obs.TrackTransfer {
+			t.Fatalf("span on unknown track %+v", e)
 		}
 	}
 	for _, want := range []string{"compute", "transfer", "collective"} {
@@ -58,23 +59,36 @@ func TestSimulateTraceEvents(t *testing.T) {
 	}
 }
 
-func TestTraceJSONWellFormed(t *testing.T) {
-	_, events, err := SimulateTrace(traceSite(), 2, machine.TPUv4())
+// TestChromeTraceWellFormed checks the simulated spans survive the one
+// Chrome encoder: every span becomes one complete ("X") event on its
+// device's pid and its track's tid, in microseconds.
+func TestChromeTraceWellFormed(t *testing.T) {
+	_, spans, err := SimulateTrace(traceSite(), 2, machine.TPUv4())
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := TraceJSON(events)
+	raw, err := obs.NewRunTrace("t", "run", spans).ChromeTrace()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var decoded struct {
-		TraceEvents []TraceEvent `json:"traceEvents"`
+		TraceEvents []struct {
+			Name, Cat, Ph string
+			TS, Dur       float64
+			PID, TID      int
+		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(raw, &decoded); err != nil {
-		t.Fatalf("trace JSON does not round-trip: %v", err)
+		t.Fatalf("chrome trace does not parse: %v", err)
 	}
-	if len(decoded.TraceEvents) != len(events) {
-		t.Fatalf("lost events in JSON: %d vs %d", len(decoded.TraceEvents), len(events))
+	if len(decoded.TraceEvents) != len(spans) {
+		t.Fatalf("lost events in JSON: %d vs %d", len(decoded.TraceEvents), len(spans))
+	}
+	for _, e := range decoded.TraceEvents {
+		if e.Ph != "X" || e.Dur <= 0 || e.TS < 0 || e.PID < 0 || e.PID >= 2 ||
+			(e.TID != obs.TrackCompute && e.TID != obs.TrackTransfer) {
+			t.Fatalf("malformed chrome event %+v", e)
+		}
 	}
 }
 
@@ -82,8 +96,8 @@ func TestTraceDeviceWindow(t *testing.T) {
 	// The recording window is deliberately part of the trace contract:
 	// consumers (and the concurrent runtime, which emits on the same
 	// tracks) rely on devices >= 8 being dropped, not merged.
-	if TraceMaxDevices != 8 {
-		t.Fatalf("TraceMaxDevices = %d, the documented window is 8", TraceMaxDevices)
+	if obs.TraceMaxDevices != 8 {
+		t.Fatalf("obs.TraceMaxDevices = %d, the documented window is 8", obs.TraceMaxDevices)
 	}
 	c := hlo.NewComputation("many")
 	a := c.Parameter(0, "a", []int{128, 128})
@@ -95,15 +109,15 @@ func TestTraceDeviceWindow(t *testing.T) {
 	}
 	seen := map[int]int{}
 	for _, e := range events {
-		if e.PID >= TraceMaxDevices {
-			t.Fatalf("event recorded for device %d beyond the window", e.PID)
+		if e.Device >= obs.TraceMaxDevices {
+			t.Fatalf("span recorded for device %d beyond the window", e.Device)
 		}
-		seen[e.PID]++
+		seen[e.Device]++
 	}
 	// Every device inside the window is recorded; the einsum runs on
 	// all 32 devices, so a missing pid would mean the window truncated
 	// the wrong end.
-	for d := 0; d < TraceMaxDevices; d++ {
+	for d := 0; d < obs.TraceMaxDevices; d++ {
 		if seen[d] == 0 {
 			t.Fatalf("no events for in-window device %d (got pids %v)", d, seen)
 		}

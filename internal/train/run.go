@@ -171,19 +171,18 @@ func Execute(ctx context.Context, prog *Program, res *Result, opts Options) (*Re
 	trGradBucketBytes.Set(bucketBytes(opts.Pipeline))
 	trGradBuckets.Set(float64(len(res.Report.Buckets)))
 
-	if opts.Attribution {
-		_, events, err := sim.SimulateTrace(prog.Comp, cfg.Devices, spec)
-		if err != nil {
-			return nil, fmt.Errorf("train: modeled attribution: %w", err)
-		}
-		rep := sim.Attribute(events)
-		res.Modeled = &rep
-		res.ModeledBuckets = rep.GroupBy(BucketKey)
-	}
-
 	runID := opts.RunID
 	if runID == "" {
 		runID = obs.NewRunID()
+	}
+
+	if opts.Attribution {
+		_, spans, err := sim.SimulateTrace(prog.Comp, cfg.Devices, spec)
+		if err != nil {
+			return nil, fmt.Errorf("train: modeled attribution: %w", err)
+		}
+		res.Modeled = attributionOf(obs.NewRunTrace(runID, "train", spans))
+		res.ModeledBuckets = res.Modeled.GroupBy(BucketKey)
 	}
 
 	n := cfg.Devices
@@ -242,16 +241,14 @@ func Execute(ctx context.Context, prog *Program, res *Result, opts Options) (*Re
 			"loss", loss, "step_seconds", stat.StepSeconds, "checked", stat.Checked)
 
 		if opts.Attribution && last {
-			rep := sim.Attribute(rres.Trace)
-			res.Attribution = &rep
-			res.BucketAttribution = rep.GroupBy(BucketKey)
-			trGradWireSeconds.Set(rep.TotalWire)
-			trGradHiddenSeconds.Set(rep.TotalHidden)
-
-			trace := obs.NewRunTrace(runID, "train", sim.Spans(rres.Trace))
+			trace := obs.NewRunTrace(runID, "train", rres.Trace)
 			trace.Devices = n
 			trace.StepMS = rres.Breakdown.StepTime * 1e3
 			res.Trace = trace
+			res.Attribution = attributionOf(trace)
+			res.BucketAttribution = res.Attribution.GroupBy(BucketKey)
+			trGradWireSeconds.Set(res.Attribution.TotalWire)
+			trGradHiddenSeconds.Set(res.Attribution.TotalHidden)
 		}
 
 		// The updated weights become the next step's parameters; x, the
@@ -261,6 +258,16 @@ func Execute(ctx context.Context, prog *Program, res *Result, opts Options) (*Re
 		}
 	}
 	return res, nil
+}
+
+// attributionOf returns the report a RunTrace was stamped from. The
+// artifact omits it for a program with no collectives; callers of an
+// attributed run still get a non-nil (empty) report.
+func attributionOf(t *obs.RunTrace) *obs.AttributionReport {
+	if t.Attribution == nil {
+		return &obs.AttributionReport{}
+	}
+	return t.Attribution
 }
 
 // BucketKey maps a gradient-bucket instruction name ("gbkt3.…") to its

@@ -223,7 +223,7 @@ func attributionFor(t *testing.T, cfg train.Config, opts core.Options) (obs.Attr
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sim.Attribute(events), prog, report
+	return obs.Attribute(events), prog, report
 }
 
 // TestTrainOverlapAttribution is the issue's attribution acceptance: on

@@ -95,8 +95,11 @@ type (
 	// TransportChan (in-process channels) or TransportProc (per-device
 	// worker processes over Unix sockets). See RunOptions.Transport.
 	TransportKind = runtime.TransportKind
-	// TraceEvent is one Chrome-trace span (simulated or measured).
-	TraceEvent = sim.TraceEvent
+	// Span is one timed interval of an execution's span stream,
+	// simulated (sim.SimulateTrace) or measured (RunResult.Trace):
+	// device, track, category, instruction name, seconds from step
+	// start.
+	Span = obs.Span
 	// AutotuneOptions configures the profile-guided variant search.
 	AutotuneOptions = autotune.Options
 	// AutotuneResult is what one Autotune call decided and measured.
@@ -299,22 +302,19 @@ func Miniature(cfg ModelConfig, devices, dim int) (ModelConfig, error) {
 	return models.Miniature(cfg, devices, dim)
 }
 
-// TraceJSON renders trace events (simulated or measured) as a Chrome
-// trace file loadable in Perfetto.
-func TraceJSON(events []TraceEvent) ([]byte, error) { return sim.TraceJSON(events) }
-
 // NewRunID mints a fresh run identity ("r-" + 16 hex chars) — the key a
 // run's trace, structured logs, metrics, and failure correlate under.
 func NewRunID() string { return obs.NewRunID() }
 
 // NewRunTrace assembles the run-scoped trace artifact from a measured
-// (or simulated) trace-event stream: the attribution analyzer runs
-// once, every wire span is stamped with its verdict (hidden /
-// partially-hidden / exposed) and the compute that hid it, and the full
-// report is embedded. Scenario is "run" for layer steps, "train" for
-// training steps.
-func NewRunTrace(id, scenario string, events []TraceEvent) *RunTrace {
-	return obs.NewRunTrace(id, scenario, sim.Spans(events))
+// (or simulated) span stream: the attribution analyzer runs once, every
+// wire span is stamped with its verdict (hidden / partially-hidden /
+// exposed) and the compute that hid it, and the full report is
+// embedded. Scenario is "run" for layer steps, "train" for training
+// steps. The artifact is the one renderer input: EncodeJSON,
+// ChromeTrace (Perfetto) and Timeline (ASCII) all read it.
+func NewRunTrace(id, scenario string, spans []Span) *RunTrace {
+	return obs.NewRunTrace(id, scenario, spans)
 }
 
 // DecodeRunTrace parses a serialized RunTrace artifact (a CLI
@@ -346,22 +346,18 @@ func SetKernelWorkers(n int) { tensor.SetKernelWorkers(n) }
 // KernelWorkers returns the effective intra-op kernel worker count.
 func KernelWorkers() int { return tensor.KernelWorkers() }
 
-// Attribute runs the overlap-attribution analyzer over a trace
+// Attribute runs the overlap-attribution analyzer over a span stream
 // (simulated or measured) and reports, per collective instruction, how
 // much of its wire time was hidden under which partial einsum versus
 // exposed — the per-op analogue of the paper's Figure 9 — plus the
 // aggregate overlap-efficiency scalar.
-func Attribute(events []TraceEvent) AttributionReport { return sim.Attribute(events) }
+func Attribute(spans []Span) AttributionReport { return obs.Attribute(spans) }
 
 // ServeMetrics exposes the process-wide registry at http://addr/metrics
 // in the Prometheus text format and returns the server (for Shutdown)
 // and the resolved listen address.
 func ServeMetrics(addr string) (*http.Server, string, error) { return obs.Serve(addr, obs.Default()) }
 
-// Gradients appends the backward pass of root (seeded with seed) to the
-// computation and returns the gradient instruction for every wrt entry.
-// Forward AllGathers become backward ReduceScatters (and vice versa),
-// so the overlap pipeline applies to the result.
 // Train builds cfg's fwd+bwd+SGD training-step program, optionally
 // applies the overlap pipeline (TrainOptions.Pipeline), and executes
 // the requested number of steps on the goroutine runtime, feeding each
@@ -378,6 +374,10 @@ func BuildTrainStep(cfg TrainConfig) (*TrainProgram, error) { return train.Build
 // TrainStrategy.
 func ParseTrainStrategy(name string) (TrainStrategy, error) { return train.ParseStrategy(name) }
 
+// Gradients appends the backward pass of root (seeded with seed) to the
+// computation and returns the gradient instruction for every wrt entry.
+// Forward AllGathers become backward ReduceScatters (and vice versa),
+// so the overlap pipeline applies to the result.
 func Gradients(c *Computation, root, seed *Instruction, wrt []*Instruction) (map[*Instruction]*Instruction, error) {
 	return grad.Append(c, root, seed, wrt)
 }
