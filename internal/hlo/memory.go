@@ -11,15 +11,21 @@ package hlo
 // instruction executes and dies after its last user executes. Aliasing
 // ops reuse their operand's storage:
 //
-//   - Reshape is a free re-interpretation;
 //   - Tuple materializes nothing;
-//   - DynamicUpdateSlice updates in place when it is the final user of
-//     its base buffer (the accumulation chains the decomposition emits);
+//   - Reshape re-interprets, and DynamicUpdateSlice updates in place,
+//     when it is the final user of a buffer the schedule itself
+//     produced (the accumulation chains the decomposition emits); of a
+//     parameter or constant, or of a value read again later, it is a
+//     copy;
 //   - CollectivePermuteDone hands over the receive buffer its Start
 //     allocated.
 //
-// Loops account for their carried buffers plus the body's own peak;
-// fusions materialize only their result.
+// Loops account for their carried buffers plus the body's own peak. A
+// fusion materializes its result and, while it runs, whatever its body
+// holds beyond that. The runtime measures the same quantity
+// (Result.ArenaPeakBytes) and is tested to stay under this estimate;
+// the copy cases above and the fusion temporaries are where the
+// estimate used to be the optimistic one.
 
 // MemoryStats reports the live-byte profile of one computation.
 type MemoryStats struct {
@@ -32,6 +38,27 @@ type MemoryStats struct {
 	ParameterBytes int64
 }
 
+// LastUses is the liveness of the schedule: for the instruction at
+// each position, the position of the last instruction that reads it
+// (its own position when nothing does). Everything that reasons about
+// buffer lifetimes reads this one pass — PeakMemory's estimate below
+// and the runtime's tape, which recycles a value's buffer at exactly
+// the position named here.
+func (c *Computation) LastUses() []int {
+	pos := make(map[*Instruction]int, len(c.instrs))
+	last := make([]int, len(c.instrs))
+	for i, in := range c.instrs {
+		pos[in] = i
+		last[i] = i
+		for _, op := range in.Operands {
+			if p, ok := pos[op]; ok {
+				last[p] = i
+			}
+		}
+	}
+	return last
+}
+
 // PeakMemory estimates the peak live bytes of the computation under its
 // current schedule.
 func PeakMemory(c *Computation) MemoryStats {
@@ -40,21 +67,22 @@ func PeakMemory(c *Computation) MemoryStats {
 	for i, in := range instrs {
 		pos[in] = i
 	}
-	death := make([]int, len(instrs))
-	for i, in := range instrs {
-		d := i
-		for _, u := range in.Users() {
-			if p, ok := pos[u]; ok && p > d {
-				d = p
-			}
-		}
-		death[i] = d
-	}
+	death := c.LastUses()
 
-	// allocBytes[i] is the fresh storage instruction i materializes;
-	// it is freed after position freeAt[i].
+	// alloc[i] is the fresh storage instruction i materializes; it is
+	// freed after position freeAt[i]. transient[i] is live only while
+	// instruction i executes.
 	alloc := make([]int64, len(instrs))
+	transient := make([]int64, len(instrs))
 	freeAt := make([]int, len(instrs))
+	// inPlace reports whether instruction i, reusing its operand 0's
+	// storage, may: it must be that buffer's last reader, and the
+	// buffer the schedule's own.
+	inPlace := func(i int, in *Instruction) bool {
+		base := in.Operands[0]
+		p, ok := pos[base]
+		return ok && death[p] == i && base.Op != OpParameter && base.Op != OpConstant
+	}
 	var params int64
 	for i, in := range instrs {
 		freeAt[i] = death[i]
@@ -63,7 +91,7 @@ func PeakMemory(c *Computation) MemoryStats {
 			params += in.ByteSize()
 			alloc[i] = in.ByteSize()
 			freeAt[i] = len(instrs) - 1 // inputs live for the whole step
-		case OpTuple, OpReshape:
+		case OpTuple:
 			alloc[i] = 0
 		case OpCollectivePermuteStart:
 			// The start allocates the receive buffer; the done aliases
@@ -78,12 +106,15 @@ func PeakMemory(c *Computation) MemoryStats {
 			}
 		case OpCollectivePermuteDone:
 			alloc[i] = 0 // aliases the start's receive buffer
-		case OpDynamicUpdateSlice:
-			base := in.Operands[0]
-			if p, ok := pos[base]; ok && death[p] == i {
-				alloc[i] = 0 // in-place update of a dying base
-			} else {
+		case OpDynamicUpdateSlice, OpReshape:
+			if !inPlace(i, in) {
 				alloc[i] = in.ByteSize()
+			}
+		case OpFusion:
+			alloc[i] = in.ByteSize()
+			body := PeakMemory(in.Body)
+			if extra := body.PeakBytes - body.ParameterBytes - alloc[i]; extra > 0 {
+				transient[i] = extra
 			}
 		case OpLoop:
 			// Carried buffers live in the operands; the body's own
@@ -104,8 +135,8 @@ func PeakMemory(c *Computation) MemoryStats {
 	peakIdx := 0
 	for i := range instrs {
 		live += delta[i]
-		if live > peak {
-			peak = live
+		if live+transient[i] > peak {
+			peak = live + transient[i]
 			peakIdx = i
 		}
 	}

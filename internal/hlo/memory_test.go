@@ -21,11 +21,49 @@ func TestPeakMemorySimpleChain(t *testing.T) {
 func TestPeakMemoryReshapeAndTupleAreFree(t *testing.T) {
 	c := NewComputation("free")
 	a := c.Parameter(0, "a", []int{256})
-	r := c.Reshape(a, 16, 16)
+	r := c.Reshape(c.Copy(a), 16, 16)
 	c.Tuple(r)
 	stats := PeakMemory(c)
-	if stats.PeakBytes != 1024 {
-		t.Fatalf("PeakBytes = %d, want 1024 (reshape/tuple must be free)", stats.PeakBytes)
+	if stats.PeakBytes != 2048 {
+		t.Fatalf("PeakBytes = %d, want 2048 (reshaping a dying intermediate and the tuple must be free)", stats.PeakBytes)
+	}
+}
+
+func TestPeakMemoryReshapeOfLiveOrBorrowedValueCopies(t *testing.T) {
+	// A parameter is not the schedule's to reinterpret, and a value read
+	// again later cannot change shape under its other reader.
+	c := NewComputation("copies")
+	a := c.Parameter(0, "a", []int{256})
+	c.Reshape(a, 16, 16)
+	if got := PeakMemory(c).PeakBytes; got != 2048 {
+		t.Fatalf("reshape of a parameter: PeakBytes = %d, want 2048", got)
+	}
+	c = NewComputation("copies2")
+	a = c.Parameter(0, "a", []int{256})
+	x := c.Copy(a)
+	r := c.Reshape(x, 16, 16)
+	c.Tuple(r, x)
+	if got := PeakMemory(c).PeakBytes; got != 3072 {
+		t.Fatalf("reshape of a value still live: PeakBytes = %d, want 3072", got)
+	}
+}
+
+func TestPeakMemoryFusionCountsBodyTemporaries(t *testing.T) {
+	// While the fusion runs its body holds a slice and a product beside
+	// the result; afterwards only the result remains.
+	body := NewComputation("fused")
+	p := body.Parameter(0, "p", []int{256})
+	q := body.Copy(p)
+	body.Add(q, q)
+
+	c := NewComputation("outer")
+	a := c.Parameter(0, "a", []int{256})
+	f := c.Fusion("", body, a)
+	c.Copy(f)
+	stats := PeakMemory(c)
+	// Parameter + fusion result + the body's copy, at the fusion.
+	if stats.PeakBytes != 3*1024 || stats.PeakIndex != 1 {
+		t.Fatalf("PeakBytes = %d at %d, want %d at the fusion", stats.PeakBytes, stats.PeakIndex, 3*1024)
 	}
 }
 

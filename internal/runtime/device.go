@@ -1,40 +1,41 @@
 package runtime
 
 import (
-	"sync"
+	"math"
+	"sync/atomic"
 
-	"overlap/internal/hlo"
 	"overlap/internal/obs"
-	"overlap/internal/sim"
 	"overlap/internal/tensor"
 )
 
-// devStatus is what a device was last doing, published for the deadline
-// watchdog: the pipeline phase and when the device entered it. The
-// instruction name lives beside it in device.statInstr.
-type devStatus struct {
-	phase Phase
-	since float64
-}
-
-// device is one SPMD participant: a goroutine executing the scheduled
-// instruction sequence against its own arena. All of its fields are
-// goroutine-local while running, except the watchdog-facing status,
-// which is published under statMu; the engine reads everything else
-// only after the device has joined.
+// device is one SPMD participant: a goroutine walking the tape against
+// its own slots. All of its fields are goroutine-local while running,
+// except the watchdog-facing status word; the engine reads everything
+// else only after the device has joined.
 type device struct {
 	id  int
 	eng *engine
 
-	// values is the top-level arena: every scheduled instruction's value
-	// on this device (loop bodies use per-iteration scratch arenas).
-	values map[*hlo.Instruction]*tensor.Tensor
+	// vals holds each slot's current value; owned marks the slots whose
+	// buffer this device drew from the free lists (or adopted off a
+	// link) and alone refers to — the ones it may overwrite and must
+	// hand back. See the tape's doc for the rule.
+	vals  []*tensor.Tensor
+	owned []bool
 
-	// execCount tracks per-instruction execution counts; it numbers
-	// asynchronous transfer instances and collective generations, which
-	// stay aligned across devices because SPMD executes the same
-	// sequence everywhere.
-	execCount map[*hlo.Instruction]int
+	// args is the operand scratch of the step being evaluated; a loop's
+	// back-edge lifts the carried values into it, their owned bits into
+	// flags.
+	args  []*tensor.Tensor
+	flags []bool
+
+	// count tracks per-op execution counts; it numbers asynchronous
+	// transfer instances and collective generations, which stay aligned
+	// across devices because SPMD executes the same tape everywhere.
+	count []int32
+
+	// iter is the induction variable of the enclosing loop (0 outside).
+	iter int
 
 	// seq counts every instruction this device has executed, in program
 	// order with loop bodies counted once per iteration — the index
@@ -49,208 +50,430 @@ type device struct {
 	outstanding  int
 	peakInFlight int
 
+	// arena and arenaPeak count the bytes (elements x 4, the IR's
+	// convention) of free-list buffers this device holds in slots, plus
+	// its posted transfers nobody has adopted yet.
+	arena, arenaPeak int64
+
 	finished float64
 	trace    []obs.Span
 
-	statMu    sync.Mutex
-	status    devStatus
-	statInstr string
+	// status publishes what the device was last doing, for the deadline
+	// watchdog: the op index plus one in the high bits, the entry time
+	// in microseconds since the epoch in the low statTimeBits. Zero is
+	// idle. The phase and instruction name follow from the op.
+	status atomic.Uint64
 }
 
+const statTimeBits = 40 // 12 days of microseconds
+
 func newDevice(e *engine, id int) *device {
+	t := e.tape
 	return &device{
-		id:        id,
-		eng:       e,
-		values:    make(map[*hlo.Instruction]*tensor.Tensor, e.comp.NumInstructions()),
-		execCount: map[*hlo.Instruction]int{},
+		id:    id,
+		eng:   e,
+		vals:  make([]*tensor.Tensor, t.nslots),
+		owned: make([]bool, t.nslots),
+		args:  make([]*tensor.Tensor, t.maxArgs),
+		flags: make([]bool, t.maxArgs),
+		count: make([]int32, len(t.ops)),
 	}
 }
 
-// setStat publishes the phase the device is entering; the watchdog uses
-// it to attribute deadline aborts to the device blocked longest in the
-// most communication-bound phase.
-func (d *device) setStat(phase Phase, instr string) {
-	d.statMu.Lock()
-	d.status = devStatus{phase: phase, since: d.eng.since()}
-	d.statInstr = instr
-	d.statMu.Unlock()
+// setStat publishes the op the device is entering and when; the
+// watchdog uses it to attribute deadline aborts to the device blocked
+// longest in the most communication-bound phase.
+func (d *device) setStat(pc int, since float64) {
+	d.status.Store(uint64(pc+1)<<statTimeBits | uint64(since*1e6)&(1<<statTimeBits-1))
 }
 
-// clearStat marks the device idle (finished or failed).
-func (d *device) clearStat() {
-	d.statMu.Lock()
-	d.status = devStatus{}
-	d.statInstr = ""
-	d.statMu.Unlock()
+// stat decodes the published status: the phase ("" when idle), the
+// instruction, and the entry time in seconds.
+func (d *device) stat() (Phase, string, float64) {
+	w := d.status.Load()
+	if w == 0 {
+		return "", "", 0
+	}
+	op := &d.eng.tape.ops[w>>statTimeBits-1]
+	phase := PhaseCompute
+	switch op.kind {
+	case opCollective:
+		phase = PhaseRendezvous
+	case opStart:
+		phase = PhasePost
+	case opDone:
+		phase = PhaseReceive
+	}
+	return phase, op.in.Name, float64(w&(1<<statTimeBits-1)) / 1e6
 }
 
-// stat returns the device's published status.
-func (d *device) stat() (devStatus, string) {
-	d.statMu.Lock()
-	defer d.statMu.Unlock()
-	return d.status, d.statInstr
+// poisonReleased makes release overwrite a buffer with NaN before it
+// re-enters a free list, so a read after the planned last use, or a
+// buffer recycled while still on a link, corrupts a checked result
+// instead of passing unnoticed. Set only by tests.
+var poisonReleased bool
+
+// acquire draws an owned buffer of the given shape; its contents are
+// unspecified.
+func (d *device) acquire(shape []int) *tensor.Tensor {
+	t := tensor.NewPooled(shape...)
+	d.charge(t)
+	return t
 }
 
-// run executes the top-level sequence and records the device's total
-// wall-clock. Any failure aborts the whole engine.
-func (d *device) run(paramFor func(p *hlo.Instruction, dev int) *tensor.Tensor) {
-	resolve := func(p *hlo.Instruction) *tensor.Tensor { return paramFor(p, d.id) }
-	d.runSeq(d.eng.comp.Instructions(), d.values, 0, resolve)
+// charge counts a buffer the device now holds against its arena.
+func (d *device) charge(t *tensor.Tensor) {
+	d.arena += 4 * int64(t.NumElements())
+	if d.arena > d.arenaPeak {
+		d.arenaPeak = d.arena
+	}
+}
+
+// release takes a buffer the device held out of its arena and recycles
+// it.
+func (d *device) release(t *tensor.Tensor) {
+	d.arena -= 4 * int64(t.NumElements())
+	recycle(t)
+}
+
+// recycle returns a free-list buffer nothing refers to any more.
+func recycle(t *tensor.Tensor) {
+	if poisonReleased {
+		data := t.Data()
+		for i := range data {
+			data[i] = math.NaN()
+		}
+	}
+	tensor.Release(t)
+}
+
+// free empties a slot, recycling its buffer if the device owns it.
+func (d *device) free(slot int32) {
+	if d.owned[slot] {
+		d.release(d.vals[slot])
+	}
+	d.set(slot, nil, false)
+}
+
+// set stores a value in a slot.
+func (d *device) set(slot int32, t *tensor.Tensor, owned bool) {
+	d.vals[slot], d.owned[slot] = t, owned
+}
+
+// yield stores the value an op produced whole — an adopted transfer, a
+// loop's result. One that reaches Result is copied out of the arena
+// first, so what the caller gets is never recycled.
+func (d *device) yield(op *tapeOp, t *tensor.Tensor, owned bool) {
+	if op.fresh && owned {
+		arena := t
+		t, owned = tensor.CopyInto(nil, arena), false
+		d.release(arena)
+	}
+	d.set(op.out, t, owned)
+}
+
+// run walks the tape and records the device's total wall-clock. Any
+// failure aborts the whole engine.
+func (d *device) run(paramFor func(index, dev int) *tensor.Tensor) {
+	d.walk(paramFor)
 	d.finished = d.eng.since()
-	d.clearStat()
+	d.status.Store(0)
 }
 
-// runSeq executes one instruction sequence (the program, or a loop body
-// at one iteration) into the given arena. It returns false when the run
-// aborted — either this device failed or another one did.
-func (d *device) runSeq(instrs []*hlo.Instruction, values map[*hlo.Instruction]*tensor.Tensor, iter int, resolve func(p *hlo.Instruction) *tensor.Tensor) bool {
+// walk executes the tape. It returns early when the run aborted —
+// either this device failed or another one did.
+func (d *device) walk(paramFor func(index, dev int) *tensor.Tensor) {
 	e := d.eng
-	for _, in := range instrs {
+	ops := e.tape.ops
+	for pc := 0; pc < len(ops); pc++ {
+		op := &ops[pc]
+		if op.kind == opLoopEnd {
+			pc = d.loopEnd(op, pc)
+			continue
+		}
 		if e.inj != nil {
 			if f, ok := e.inj.crash(d.id, d.seq); ok {
-				e.inj.record(f, in.Name)
+				e.inj.record(f, op.in.Name)
 				rtFaultCrashes.Inc()
 				e.fail(&RunError{
-					Device: d.id, Instr: in.Name, Phase: PhaseCompute,
+					Device: d.id, Instr: op.in.Name, Phase: PhaseCompute,
 					Elapsed: e.sinceDur(), Fault: f.String(), Err: ErrInjectedCrash,
 				})
-				return false
+				return
 			}
 		}
 		d.seq++
 		rtInstructions.Inc()
-		switch in.Op {
-		case hlo.OpParameter:
-			values[in] = resolve(in)
+		switch op.kind {
+		case opParam:
+			d.set(op.out, paramFor(op.in.ParamIndex, d.id), false)
 
-		case hlo.OpConstant:
-			values[in] = in.Literal
+		case opCarried:
+			// A loop body's parameter: already in its carried slot.
 
-		case hlo.OpAllGather, hlo.OpReduceScatter, hlo.OpAllReduce,
-			hlo.OpAllToAll, hlo.OpCollectivePermute:
-			d.setStat(PhaseRendezvous, in.Name)
-			gen := d.bump(in)
+		case opConst:
+			d.set(op.out, op.in.Literal, false)
+
+		case opCollective:
 			t0 := e.since()
-			out, ok := e.rendezvous(in, gen, d.id, values[in.Operands[0]])
+			d.setStat(pc, t0)
+			gen := int(d.count[pc])
+			d.count[pc]++
+			out, ok := e.rendezvous(op.in, gen, d.id, d.vals[op.arg.slot])
 			if !ok {
-				return false
+				return
 			}
 			wait := e.since() - t0
 			d.exposed += wait
-			d.wire += e.collectiveDelay(in).Seconds()
+			d.wire += op.delay.Seconds()
 			rtCollectiveSpans.Observe(wait)
-			d.span("collective", in.Name, t0, wait)
-			values[in] = out
+			d.span("collective", op.in.Name, t0, wait)
+			// The group has computed its result, so nobody reads the
+			// input any more.
+			if op.arg.last {
+				d.free(op.arg.slot)
+			}
+			d.set(op.out, out, false)
 
-		case hlo.OpCollectivePermuteStart:
-			// The start carries its operand (matching the interpreter);
-			// if this device is a pair source, the tensor is posted to
-			// the link without waiting for the wire.
-			operand := values[in.Operands[0]]
-			values[in] = operand
-			inst := d.bump(in)
-			if target, ok := in.PairTarget(d.id); ok {
-				d.setStat(PhasePost, in.Name)
-				bytes := in.Operands[0].ByteSize()
-				if !e.fabric.post(d.id, target, mailKey{start: in, inst: inst}, operand, bytes) {
-					return false
-				}
-				d.wire += e.transferDelay(bytes).Seconds()
-				d.asyncSends++
-				d.outstanding++
-				if d.outstanding > d.peakInFlight {
-					d.peakInFlight = d.outstanding
-				}
+		case opStart:
+			if !d.post(op, pc) {
+				return
 			}
 
-		case hlo.OpCollectivePermuteDone:
-			start := in.Operands[0]
-			inst := d.bump(in)
+		case opDone:
+			if !d.receive(op, pc) {
+				return
+			}
+
+		case opLoop:
+			d.loopEnter(op)
+			if op.loop.trips == 0 {
+				pc = int(op.loop.end)
+				d.loopExit(&ops[pc])
+			}
+
+		case opLocal:
 			t0 := e.since()
-			var out *tensor.Tensor
-			if _, ok := in.PairSource(d.id); ok {
-				d.setStat(PhaseReceive, in.Name)
-				t, alive := e.fabric.receive(d.id, mailKey{start: start, inst: inst})
-				if !alive {
-					return false
+			d.setStat(pc, t0)
+			for i := range op.steps {
+				if err := d.eval(&op.steps[i]); err != nil {
+					e.fail(&RunError{
+						Device: d.id, Instr: op.in.Name, Phase: PhaseCompute,
+						Elapsed: e.sinceDur(), Err: err,
+					})
+					return
 				}
-				out = t.Clone()
-			} else {
-				// Non-targets get a zero tensor, mirroring the permute
-				// kernel's zero fill.
-				out = shapedZero(in.Shape)
-			}
-			wait := e.since() - t0
-			d.exposed += wait
-			rtStallSpans.Observe(wait)
-			d.span("stall", in.Name, t0, wait)
-			if _, ok := start.PairTarget(d.id); ok {
-				d.outstanding--
-			}
-			values[in] = out
-
-		case hlo.OpLoop:
-			if !d.runLoop(in, values) {
-				return false
-			}
-
-		default:
-			ops := make([]*tensor.Tensor, len(in.Operands))
-			for i, op := range in.Operands {
-				ops[i] = values[op]
-			}
-			d.setStat(PhaseCompute, in.Name)
-			t0 := e.since()
-			v, err := sim.EvalLocal(in, ops, d.id, iter)
-			if err != nil {
-				e.fail(&RunError{
-					Device: d.id, Instr: in.Name, Phase: PhaseCompute,
-					Elapsed: e.sinceDur(), Err: err,
-				})
-				return false
 			}
 			dur := e.since() - t0
 			d.compute += dur
 			rtComputeSpans.Observe(dur)
-			d.span("compute", in.Name, t0, dur)
-			values[in] = v
+			d.span("compute", op.in.Name, t0, dur)
 		}
+		for _, s := range op.drop {
+			d.free(s)
+		}
+	}
+}
+
+// eval runs one kernel step: gather the operands, settle where the
+// result goes — nowhere planned when it reaches Result, else into a
+// dying operand's buffer when the kernel can overwrite one this device
+// owns, else into a fresh arena buffer — evaluate through the dispatch
+// shared with the interpreter, and release what died.
+func (d *device) eval(st *step) error {
+	args := d.args[:len(st.args)]
+	for k, a := range st.args {
+		args[k] = d.vals[a.slot]
+	}
+	var dst *tensor.Tensor
+	took := -1
+	if !st.fresh {
+		for _, k := range st.take {
+			if d.owned[st.args[k].slot] {
+				dst, took = args[k], int(k)
+				break
+			}
+		}
+		if dst == nil {
+			dst = d.acquire(st.In.Shape)
+		}
+	}
+	v, err := st.EvalInto(dst, args, d.id, d.iter)
+	if err != nil {
+		if took < 0 && dst != nil {
+			d.release(dst)
+		}
+		return err
+	}
+	for k, a := range st.args {
+		if !a.last {
+			continue
+		}
+		if k == took {
+			d.set(a.slot, nil, false) // moved into the result
+		} else {
+			d.free(a.slot)
+		}
+	}
+	d.set(st.out, v, dst != nil)
+	clear(args)
+	return nil
+}
+
+// post executes a start: if this device is a pair source, the operand
+// goes onto the link without waiting for the wire. A buffer the device
+// owns and is reading for the last time is handed over as is;
+// otherwise the link gets a private copy, so the schedule may recycle
+// or overwrite the operand the moment its own reads are done.
+func (d *device) post(op *tapeOp, pc int) bool {
+	e := d.eng
+	src := d.vals[op.arg.slot]
+	if op.fresh {
+		// Something besides the done reads the start: it carries its
+		// operand, like the interpreter's (the plan keeps the operand
+		// borrowed, so the alias is safe).
+		d.set(op.out, src, false)
+	}
+	inst := int(d.count[pc])
+	d.count[pc]++
+	target := op.peer[d.id]
+	if target < 0 {
+		if op.arg.last {
+			d.free(op.arg.slot)
+		}
+		return true
+	}
+	d.setStat(pc, e.since())
+	data := src
+	if op.arg.last && d.owned[op.arg.slot] {
+		d.set(op.arg.slot, nil, false) // the link owns it now; still charged until a done settles it
+	} else {
+		data = d.acquire(op.in.Operands[0].Shape)
+		tensor.CopyInto(data, src)
+		if op.arg.last {
+			d.free(op.arg.slot)
+		}
+	}
+	if !e.fabric.post(d.id, int(target), mailKey{start: op.in, box: int(op.box), inst: inst}, data, op.bytes) {
+		return false
+	}
+	d.wire += op.delay.Seconds()
+	d.asyncSends++
+	d.outstanding++
+	if d.outstanding > d.peakInFlight {
+		d.peakInFlight = d.outstanding
 	}
 	return true
 }
 
-// runLoop executes a counted loop on this device, threading the carried
-// buffers from the body's root tuple back into its parameters, exactly
-// like the interpreter's runLoop but device-local. Collectives inside
-// the body synchronize through the engine as usual; the execution
-// counters give each iteration a distinct generation.
-func (d *device) runLoop(loop *hlo.Instruction, values map[*hlo.Instruction]*tensor.Tensor) bool {
-	carried := make([]*tensor.Tensor, len(loop.Operands))
-	for i, op := range loop.Operands {
-		carried[i] = values[op]
-	}
-	bodyInstrs := loop.Body.Instructions()
-	root := loop.Body.Root()
-	for it := 0; it < loop.TripCount; it++ {
-		bodyValues := make(map[*hlo.Instruction]*tensor.Tensor, len(bodyInstrs))
-		resolve := func(p *hlo.Instruction) *tensor.Tensor { return carried[p.ParamIndex] }
-		if !d.runSeq(bodyInstrs, bodyValues, it, resolve) {
+// receive executes a done: a pair target blocks for the delivery and
+// adopts its buffer as the slot's value — no copy; any other device
+// gets zeros, mirroring the permute kernel's zero fill.
+func (d *device) receive(op *tapeOp, pc int) bool {
+	e := d.eng
+	inst := int(d.count[pc])
+	d.count[pc]++
+	t0 := e.since()
+	var out *tensor.Tensor
+	if op.peer[d.id] >= 0 {
+		d.setStat(pc, t0)
+		t, alive := e.fabric.receive(d.id, mailKey{start: op.in.Operands[0], box: int(op.box), inst: inst})
+		if !alive {
 			return false
 		}
-		for i, op := range root.Operands {
-			carried[i] = bodyValues[op]
-		}
+		out = t
+		d.charge(out)
+	} else {
+		out = tensor.Zero(d.acquire(op.in.Shape), op.in.Shape...)
 	}
-	values[loop] = carried[loop.ResultIndex]
+	wait := e.since() - t0
+	d.exposed += wait
+	rtStallSpans.Observe(wait)
+	d.span("stall", op.in.Name, t0, wait)
+	if op.sent[d.id] >= 0 {
+		d.outstanding--
+		d.arena -= op.bytes // the buffer this device posted has a new owner
+	}
+	d.yield(op, out, true)
 	return true
 }
 
-// bump returns this device's execution count for the instruction and
-// advances it.
-func (d *device) bump(in *hlo.Instruction) int {
-	n := d.execCount[in]
-	d.execCount[in] = n + 1
-	return n
+// loopEnter binds the carried slots to the loop's operands. An operand
+// read here for the last time moves in, ownership and all; any other is
+// lent: the body reads it, and its owner — a slot outside the loop,
+// idle until the loop is over — keeps it.
+func (d *device) loopEnter(op *tapeOp) {
+	lp := op.loop
+	for i, a := range lp.init {
+		d.set(lp.carried[i], d.vals[a.slot], a.last && d.owned[a.slot])
+		if a.last {
+			d.set(a.slot, nil, false)
+		}
+	}
+	d.iter = 0
+}
+
+// loopEnd is the back-edge: the body root's operands become the carried
+// values of the next iteration, whatever the old ones still hold is
+// released, and the walk resumes at the body's first op — or, after the
+// last iteration, past the loop. It returns the pc to continue from.
+func (d *device) loopEnd(op *tapeOp, pc int) int {
+	lp := op.loop
+	// Lift the next values out of their slots first: a carried slot may
+	// be both a source (passed through, or rotated) and a destination.
+	next, owned := d.args[:len(lp.next)], d.flags[:len(lp.next)]
+	for i, s := range lp.next {
+		next[i], owned[i] = d.vals[s], d.owned[s]
+	}
+	for i, s := range lp.next {
+		// A value carried into two slots has two readers from here on:
+		// nobody may overwrite or recycle it.
+		for j, o := range lp.next {
+			if o == s && j != i {
+				owned[i] = false
+			}
+		}
+	}
+	for i, s := range lp.next {
+		if !owned[i] && d.owned[s] {
+			d.arena -= 4 * int64(d.vals[s].NumElements())
+		}
+		d.set(s, nil, false)
+	}
+	for i, c := range lp.carried {
+		d.free(c) // not carried on: an operand the body never consumed
+		d.set(c, next[i], owned[i])
+	}
+	clear(next)
+	if d.iter+1 < lp.trips {
+		d.iter++
+		return int(lp.begin) - 1
+	}
+	d.loopExit(op)
+	return pc
+}
+
+// loopExit yields the loop's result and releases the other carried
+// values and the operands that were only lent.
+func (d *device) loopExit(op *tapeOp) {
+	lp := op.loop
+	res := lp.carried[lp.result]
+	v, owned := d.vals[res], d.owned[res]
+	d.set(res, nil, false)
+	if !owned && v.Pooled() {
+		// Lent by a slot that may release it after the loop: the result
+		// needs a buffer that outlives its lender.
+		c := d.acquire(v.Shape())
+		v, owned = tensor.CopyInto(c, v), true
+	}
+	d.yield(op, v, owned)
+	for _, c := range lp.carried {
+		d.free(c)
+	}
+	for _, s := range op.drop {
+		d.free(s)
+	}
+	d.iter = 0
 }
 
 // span records one compute-track span when tracing is on and the

@@ -24,6 +24,7 @@ type engine struct {
 	n    int
 	opts Options
 
+	tape    *tape
 	fabric  *fabric
 	inj     *injector
 	devices []*device
@@ -49,6 +50,11 @@ func newEngine(c *hlo.Computation, numDevices int, opts Options) (*engine, error
 	if opts.Faults != nil && len(opts.Faults.Faults) > 0 {
 		e.inj = newInjector(opts.Faults)
 	}
+	t, err := lower(e)
+	if err != nil {
+		return nil, err
+	}
+	e.tape = t
 	f, err := newFabric(e)
 	if err != nil {
 		return nil, err
@@ -95,11 +101,11 @@ func (e *engine) sleep(d time.Duration) bool {
 
 // run launches one goroutine per device, arms the deadline watchdog,
 // joins everything, winds down the fabric, and assembles the per-device
-// values and measured breakdown.
+// outputs and measured breakdown.
 func (e *engine) run(ctx context.Context, args [][]*tensor.Tensor) (*Result, error) {
 	e.devices = make([]*device, e.n)
-	paramFor := func(p *hlo.Instruction, dev int) *tensor.Tensor {
-		set := args[p.ParamIndex]
+	paramFor := func(index, dev int) *tensor.Tensor {
+		set := args[index]
 		if len(set) == 1 {
 			return set[0]
 		}
@@ -133,7 +139,7 @@ func (e *engine) run(ctx context.Context, args [][]*tensor.Tensor) (*Result, err
 			// instead of deadlocking.
 			defer func() {
 				if r := recover(); r != nil {
-					_, instr := dev.stat()
+					_, instr, _ := dev.stat()
 					e.fail(&RunError{
 						Device: dev.id, Instr: instr, Phase: PhaseCompute,
 						Elapsed: e.sinceDur(), Err: fmt.Errorf("panic: %v", r),
@@ -197,37 +203,37 @@ func (e *engine) deadlineError(cause error) *RunError {
 	rank := map[Phase]int{PhaseReceive: 3, PhasePost: 2, PhaseRendezvous: 1, PhaseCompute: 0}
 	bestSince := 0.0
 	for _, dev := range e.devices {
-		st, instr := dev.stat()
-		if st.phase == "" {
+		phase, instr, since := dev.stat()
+		if phase == "" {
 			continue
 		}
 		better := re.Phase == "" ||
-			rank[st.phase] > rank[re.Phase] ||
-			(rank[st.phase] == rank[re.Phase] && st.since < bestSince)
+			rank[phase] > rank[re.Phase] ||
+			(rank[phase] == rank[re.Phase] && since < bestSince)
 		if better {
 			re.Device = dev.id
 			re.Instr = instr
-			re.Phase = st.phase
-			bestSince = st.since
+			re.Phase = phase
+			bestSince = since
 		}
 	}
 	return re
 }
 
-// assemble merges the per-device arenas, stats, and trace buffers into
+// assemble merges the per-device outputs, stats, and trace buffers into
 // the caller-facing result. It runs after every goroutine has joined, so
 // all device- and link-local state is safely visible.
 func (e *engine) assemble(devices []*device) *Result {
 	res := &Result{
 		RunID: e.opts.RunID,
-		All:   make(map[*hlo.Instruction][]*tensor.Tensor, e.comp.NumInstructions()),
+		All:   make(map[*hlo.Instruction][]*tensor.Tensor, len(e.tape.outputs)),
 	}
-	for _, in := range e.comp.Instructions() {
+	for _, out := range e.tape.outputs {
 		per := make([]*tensor.Tensor, e.n)
 		for d, dev := range devices {
-			per[d] = dev.values[in]
+			per[d] = dev.vals[out.slot]
 		}
-		res.All[in] = per
+		res.All[out.in] = per
 	}
 	if root := e.comp.Root(); root != nil {
 		res.Values = res.All[root]
@@ -246,6 +252,9 @@ func (e *engine) assemble(devices []*device) *Result {
 		}
 		if dev.peakInFlight > b.PeakInFlight {
 			b.PeakInFlight = dev.peakInFlight
+		}
+		if dev.arenaPeak > res.ArenaPeakBytes {
+			res.ArenaPeakBytes = dev.arenaPeak
 		}
 	}
 	res.Breakdown = b

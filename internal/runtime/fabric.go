@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"sync"
+	"time"
 
 	"overlap/internal/hlo"
 	"overlap/internal/obs"
@@ -9,23 +10,50 @@ import (
 )
 
 // mailKey addresses one asynchronous transfer instance: which
-// CollectivePermuteStart produced it and the per-device execution count
-// of that start. SPMD keeps the counters symmetric — the sender's k-th
-// execution of a start pairs with the receiver's k-th execution of the
-// matching done — so no further coordination is needed to match them.
+// CollectivePermuteStart produced it — the instruction for attribution,
+// box its mailbox number on every device (its position in the tape's
+// start list) — and the per-device execution count of that start. SPMD
+// keeps the counters symmetric — the sender's k-th execution of a start
+// pairs with the receiver's k-th execution of the matching done — so no
+// further coordination is needed to match them.
 type mailKey struct {
 	start *hlo.Instruction
+	box   int
 	inst  int
 }
 
-// parcel is one tensor in flight on a link.
+// parcel is one tensor in flight on a link. The link owns data from
+// post to delivery: the sender either handed over a buffer it was done
+// with or posted a private copy, and the receiving done adopts it.
 type parcel struct {
 	key   mailKey
 	data  *tensor.Tensor
 	bytes int64
 }
 
-// fabric owns transfer addressing: every device's mailbox set, the
+// mailboxes is one device's receive side: a queue per start, all under
+// one lock, and one wake-up channel — only the device itself ever waits
+// here, on one transfer at a time.
+type mailboxes struct {
+	mu sync.Mutex
+
+	// queue[box][i] is instance water[box]+i of that start, nil until
+	// it arrives; water[box] is one past the last instance the device
+	// consumed. Per (start, device) instances are consumed strictly in
+	// order — the receiver's k-th done blocks until instance k arrives
+	// — so a delivery below the watermark, or into an occupied cell,
+	// can only be a duplicate (injected or a fabric bug), and a queue
+	// holds only in-flight instances however many times a loop executes
+	// the start.
+	queue [][]*tensor.Tensor
+	water []int
+
+	// wake has room for one token: a delivery leaves one, the device
+	// takes it and rechecks its queue.
+	wake chan struct{}
+}
+
+// fabric owns transfer addressing: every device's mailboxes, the
 // at-most-once bookkeeping, and the edge table. The movement between
 // post and deliver — wire pacing, fault actions, and (for the process
 // transport) the serialization across real sockets — belongs to the
@@ -35,32 +63,13 @@ type fabric struct {
 	edges map[[2]int]bool
 	tr    transport
 
-	// starts maps instruction names back to the start instructions, so
+	// boxes maps start-instruction names to mailbox numbers, so
 	// transports that cross a process boundary (where instruction
 	// pointers cannot travel) can re-derive the mailbox key from the
 	// portable (name, inst) pair.
-	starts map[string]*hlo.Instruction
+	boxes map[string]int
 
-	mailMu []sync.Mutex
-	mail   []map[mailKey]chan *tensor.Tensor
-
-	// delivered marks transfer instances delivered to each device but
-	// not yet consumed, enforcing the at-most-once invariant the
-	// capacity-1 mailboxes rely on. Entries are pruned when the device
-	// consumes the instance — the consume advances the per-start
-	// watermark below, so the map holds only in-flight instances
-	// instead of growing by one entry per instance for the life of the
-	// run (long training loops execute the same start thousands of
-	// times).
-	delivered []map[mailKey]bool
-
-	// watermark[dst][start] is one past the last instance of start that
-	// device dst consumed. Per (start, dst) pair instances are consumed
-	// strictly in order — the receiver's k-th done blocks until
-	// instance k arrives — so any delivery below the watermark can only
-	// be a duplicate (injected or a fabric bug) and fails the run just
-	// as a tracked duplicate would.
-	watermark []map[*hlo.Instruction]int
+	mail []mailboxes
 }
 
 // linkBuffer bounds parcels queued on one edge before the wire; a start
@@ -69,35 +78,39 @@ type fabric struct {
 // stall but never deadlock.
 const linkBuffer = 64
 
-// newFabric discovers the directed edges used by any asynchronous
-// permute in the program (including loop bodies) and constructs the
+// newFabric lays out one mailbox per (device, start) of the tape,
+// collects the directed edges those starts use, and constructs the
 // configured transport for them. The transport's data plane is not
 // started yet — engine.run starts it before launching devices, so a
 // spawn failure surfaces as a run error instead of a hang.
 func newFabric(e *engine) (*fabric, error) {
+	starts := e.tape.starts
 	f := &fabric{
-		eng:       e,
-		edges:     map[[2]int]bool{},
-		starts:    map[string]*hlo.Instruction{},
-		mailMu:    make([]sync.Mutex, e.n),
-		mail:      make([]map[mailKey]chan *tensor.Tensor, e.n),
-		delivered: make([]map[mailKey]bool, e.n),
-		watermark: make([]map[*hlo.Instruction]int, e.n),
+		eng:   e,
+		edges: map[[2]int]bool{},
+		boxes: make(map[string]int, len(starts)),
+		mail:  make([]mailboxes, e.n),
 	}
-	for d := 0; d < e.n; d++ {
-		f.mail[d] = map[mailKey]chan *tensor.Tensor{}
-		f.delivered[d] = map[mailKey]bool{}
-		f.watermark[d] = map[*hlo.Instruction]int{}
-	}
-	e.comp.Walk(func(in *hlo.Instruction) {
-		if in.Op != hlo.OpCollectivePermuteStart {
-			return
+	// One cell per mailbox up front: in a healthy run at most one
+	// instance of a start is waiting at a device, so queues never grow.
+	cells := make([]*tensor.Tensor, e.n*len(starts))
+	for d := range f.mail {
+		m := &f.mail[d]
+		m.queue = make([][]*tensor.Tensor, len(starts))
+		for b := range m.queue {
+			at := d*len(starts) + b
+			m.queue[b] = cells[at : at : at+1]
 		}
-		f.starts[in.Name] = in
+		m.water = make([]int, len(starts))
+		m.wake = make(chan struct{}, 1)
+	}
+	for box, idx := range starts {
+		in := e.tape.ops[idx].in
+		f.boxes[in.Name] = box
 		for _, p := range in.Pairs {
 			f.edges[[2]int{p.Source, p.Target}] = true
 		}
-	})
+	}
 	tr, err := newTransport(e, f)
 	if err != nil {
 		return nil, err
@@ -119,42 +132,42 @@ func (f *fabric) start() error {
 // at-most-once delivery per transfer instance. fault carries the
 // injected-fault description when this delivery is itself the fault (a
 // duplicate); a detected duplicate fails the run with a structured
-// error attributed to the receiving device.
+// error attributed to the receiving device, and the buffer is not
+// handed over a second time.
 func (f *fabric) deliver(dst int, key mailKey, data *tensor.Tensor, fault string) {
-	f.mailMu[dst].Lock()
-	if f.delivered[dst][key] || key.inst < f.watermark[dst][key.start] {
-		f.mailMu[dst].Unlock()
+	m := &f.mail[dst]
+	m.mu.Lock()
+	q := m.queue[key.box]
+	i := key.inst - m.water[key.box]
+	if i < 0 || (i < len(q) && q[i] != nil) {
+		m.mu.Unlock()
 		f.eng.fail(&RunError{
 			Device: dst, Instr: key.start.Name, Phase: PhaseReceive,
 			Elapsed: f.eng.sinceDur(), Fault: fault, Err: ErrDuplicateDelivery,
 		})
 		return
 	}
-	f.delivered[dst][key] = true
-	ch, ok := f.mail[dst][key]
-	if !ok {
-		ch = make(chan *tensor.Tensor, 1)
-		f.mail[dst][key] = ch
+	for len(q) <= i {
+		q = append(q, nil)
 	}
-	f.mailMu[dst].Unlock()
-	// The at-most-once mark above guarantees room in the capacity-1
-	// mailbox, so this send cannot block in a healthy run; the abort arm
-	// is belt-and-braces for faulted ones.
+	q[i] = data
+	m.queue[key.box] = q
+	m.mu.Unlock()
 	select {
-	case ch <- data:
-	case <-f.eng.abort:
+	case m.wake <- struct{}{}:
+	default: // a token is already waiting; the device rechecks every queue state it finds
 	}
 }
 
 // deliverNamed is deliver for transports that re-enter the parent from
 // another process: the key arrives as the portable (name, inst) pair
-// and is mapped back to the start instruction. fault is the injected
+// and is mapped back to the start's mailbox. fault is the injected
 // fault the frame was marked with (a duplicated delivery carries its
 // injection's description on both copies, so a detected duplicate is
 // attributed identically to the in-process transport). An unknown name
 // is a framing or routing bug and fails the run.
 func (f *fabric) deliverNamed(dst int, name string, inst int, data *tensor.Tensor, fault string) {
-	start, ok := f.starts[name]
+	box, ok := f.boxes[name]
 	if !ok || dst < 0 || dst >= f.eng.n {
 		f.eng.fail(&RunError{
 			Device: dst, Instr: name, Phase: PhaseReceive,
@@ -163,7 +176,20 @@ func (f *fabric) deliverNamed(dst int, name string, inst int, data *tensor.Tenso
 		})
 		return
 	}
-	f.deliver(dst, mailKey{start: start, inst: inst}, data, fault)
+	f.deliver(dst, f.key(box, inst), data, fault)
+}
+
+// key names instance inst of the start behind mailbox number box.
+func (f *fabric) key(box, inst int) mailKey {
+	t := f.eng.tape
+	return mailKey{start: t.ops[t.starts[box]].in, box: box, inst: inst}
+}
+
+// delay is the injected wire occupancy of one transfer of the start
+// behind a mailbox number, resolved when the tape was lowered.
+func (f *fabric) delay(box int) time.Duration {
+	t := f.eng.tape
+	return t.ops[t.starts[box]].delay
 }
 
 // post enqueues a transfer on its link without waiting for the wire.
@@ -188,57 +214,59 @@ func (f *fabric) post(src, dst int, key mailKey, data *tensor.Tensor, bytes int6
 	return true
 }
 
-// receive blocks until the transfer addressed by key arrives at device
-// dst, or the run aborts. A consumed instance is pruned from the
-// mailbox and delivered maps and folded into the per-start watermark,
-// so repeated instances of one start (loop iterations, training steps)
-// occupy O(in-flight) memory, not O(instances).
+// receive blocks until the transfer addressed by key — always the next
+// instance the device has not consumed — arrives at device dst, or the
+// run aborts. The device becomes the buffer's owner.
 func (f *fabric) receive(dst int, key mailKey) (*tensor.Tensor, bool) {
-	select {
-	case t := <-f.mailbox(dst, key):
-		f.mailMu[dst].Lock()
-		delete(f.mail[dst], key)
-		delete(f.delivered[dst], key)
-		f.watermark[dst][key.start] = key.inst + 1
-		f.mailMu[dst].Unlock()
-		return t, true
-	case <-f.eng.abort:
-		return nil, false
+	m := &f.mail[dst]
+	for {
+		m.mu.Lock()
+		if q := m.queue[key.box]; len(q) > 0 && q[0] != nil {
+			t := q[0]
+			copy(q, q[1:])
+			q[len(q)-1] = nil
+			m.queue[key.box] = q[:len(q)-1]
+			m.water[key.box] = key.inst + 1
+			m.mu.Unlock()
+			return t, true
+		}
+		m.mu.Unlock()
+		select {
+		case <-m.wake:
+		case <-f.eng.abort:
+			return nil, false
+		}
 	}
-}
-
-// mailbox returns the single-parcel channel for one transfer instance at
-// one device, creating it on first use by either side. Each key carries
-// exactly one parcel (validation enforces unique pair sources, the
-// fabric enforces at-most-once delivery), so delivery into the
-// capacity-1 channel never blocks the transport.
-func (f *fabric) mailbox(dev int, key mailKey) chan *tensor.Tensor {
-	f.mailMu[dev].Lock()
-	defer f.mailMu[dev].Unlock()
-	ch, ok := f.mail[dev][key]
-	if !ok {
-		ch = make(chan *tensor.Tensor, 1)
-		f.mail[dev][key] = ch
-	}
-	return ch
 }
 
 // shutdown winds the transport down. Called after all devices have
 // returned: remaining parcels (possible only on abort) drain into
-// mailboxes nobody reads, which cannot block because each key's channel
-// has room for its one parcel and in-flight sleeps select against the
-// abort.
+// mailboxes nobody reads, which cannot block because delivery never
+// waits on a reader and in-flight sleeps select against the abort.
 func (f *fabric) shutdown() { f.tr.shutdown() }
 
-// traceEvents merges the transport's transfer spans. Only called after
+// spans merges the transport's transfer spans. Only called after
 // shutdown, when nothing appends.
 func (f *fabric) spans() []obs.Span { return f.tr.spans() }
 
-// mailboxSizes reports the current entry counts of the addressing maps
-// for one device — the boundedness the pruning in receive guarantees,
-// pinned by the fabric tests.
+// mailboxSizes reports, for one device, how many queue cells exist, how
+// many hold an undelivered parcel, and how many starts have advanced
+// their watermark — the boundedness receive guarantees, pinned by the
+// fabric tests.
 func (f *fabric) mailboxSizes(dev int) (mail, delivered, watermarks int) {
-	f.mailMu[dev].Lock()
-	defer f.mailMu[dev].Unlock()
-	return len(f.mail[dev]), len(f.delivered[dev]), len(f.watermark[dev])
+	m := &f.mail[dev]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for box, q := range m.queue {
+		mail += len(q)
+		for _, t := range q {
+			if t != nil {
+				delivered++
+			}
+		}
+		if m.water[box] > 0 {
+			watermarks++
+		}
+	}
+	return mail, delivered, watermarks
 }

@@ -1,18 +1,21 @@
 // Package runtime executes SPMD computations concurrently: each logical
-// device is a goroutine with its own tensor arena, ring links are
-// buffered Go channels serviced by per-link goroutines, and the
-// asynchronous CollectivePermuteStart/Done pair maps onto a genuinely
-// non-blocking post + blocking wait. Where internal/sim *models* the
+// device is a goroutine walking the program's tape (tape.go) over its
+// own slots and arena buffers, ring links are buffered Go channels
+// serviced by per-link goroutines, and the asynchronous
+// CollectivePermuteStart/Done pair maps onto a genuinely non-blocking
+// post + blocking wait. Where internal/sim *models* the
 // overlap of communication with dependent computation, this package
 // *performs* it: the schedule produced by internal/core decides how much
 // wall-clock the in-flight transfers hide behind partial einsums.
 //
 // Correctness is anchored to the lockstep interpreter: local
-// instructions evaluate through the shared sim.EvalLocal hook and group
-// collectives through the same internal/collective kernels, so for any
-// program both executors accept, the results are bit-identical by
-// construction — the runtime tests cross-validate this on every golden
-// decomposition case.
+// instructions evaluate through the shared sim.EvalLocalInto dispatch
+// (the interpreter with no destination, this package into the buffer
+// its plan assigned) and group collectives through the same
+// internal/collective kernels, so for any program both executors
+// accept, the results are bit-identical by construction — the runtime
+// tests cross-validate this on every golden decomposition case, with
+// released buffers poisoned so that a wrong plan cannot pass.
 //
 // Because Go cannot put a tensor on a real ICI link, wire time is
 // *injected*: every transfer holds its (src,dst) link goroutine for the
@@ -102,9 +105,20 @@ type Result struct {
 	// Values is the root instruction's value on each device.
 	Values []*tensor.Tensor
 
-	// All holds every top-level instruction's per-device values, like
-	// sim.InterpretAll (loop-body interiors are not retained).
+	// All holds the run's outputs per device: the root instruction and,
+	// when the root is a tuple, each of its operands. Nothing else
+	// survives the run — every other value's buffer went back to the
+	// arena at its last use — so a program that wants an interior value
+	// names it in its root tuple. The tensors belong to the caller and
+	// are never recycled.
 	All map[*hlo.Instruction][]*tensor.Tensor
+
+	// ArenaPeakBytes is the largest number of bytes any one device held
+	// in buffers from the arena at once, posted transfers not yet
+	// adopted included, counted the IR's way (elements x 4): the
+	// measured side of hlo.PeakMemory's estimate, parameters, constants
+	// and collective results aside.
+	ArenaPeakBytes int64
 
 	// Breakdown is the step decomposition measured from real
 	// timestamps, in seconds of wall-clock: StepTime is the slowest
@@ -168,8 +182,6 @@ func (e *engine) collectiveDelay(in *hlo.Instruction) time.Duration {
 	}
 	return time.Duration(e.opts.Spec.CollectiveTime(in) * e.opts.TimeScale * 1e9)
 }
-
-func shapedZero(shape []int) *tensor.Tensor { return tensor.New(shape...) }
 
 func formatErr(format string, a ...interface{}) error {
 	return fmt.Errorf("runtime: "+format, a...)

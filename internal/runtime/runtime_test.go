@@ -215,8 +215,11 @@ func TestCrossValidateGolden(t *testing.T) {
 	}
 }
 
-// TestInteriorValues checks the All map against sim.InterpretAll for
-// every top-level instruction of a scheduled program, not just the root.
+// TestInteriorValues checks every top-level instruction of a scheduled
+// program against sim.InterpretAll, not just the result. A run hands
+// back only what its root names, so the program gets a tuple root over
+// all of its instructions — which also makes every one of them a value
+// the arena must not recycle.
 func TestInteriorValues(t *testing.T) {
 	const n = 4
 	rng := rand.New(rand.NewSource(11))
@@ -225,6 +228,8 @@ func TestInteriorValues(t *testing.T) {
 	if _, err := core.Apply(c, forceOpts(true, true)); err != nil {
 		t.Fatal(err)
 	}
+	interior := c.Instructions()
+	c.Tuple(interior...)
 	want, err := sim.InterpretAll(c, n, site.args)
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +238,7 @@ func TestInteriorValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, in := range c.Instructions() {
+	for _, in := range interior {
 		for d := 0; d < n; d++ {
 			if !res.All[in][d].Equal(want[in][d]) {
 				t.Fatalf("%s device %d: runtime value diverges from interpreter", in.Name, d)

@@ -1,0 +1,472 @@
+package runtime
+
+import (
+	"time"
+
+	"overlap/internal/hlo"
+	"overlap/internal/sim"
+)
+
+// The tape is the scheduled program lowered once per run into the form
+// the device loop walks: one op per scheduled instruction, in order,
+// with loop bodies inlined between a loop op and its back-edge and
+// fusion bodies flattened into kernel steps. Every value is a dense
+// slot index; operand slots, per-device permute peers, transfer sizes,
+// injected wire delays and mailbox numbers are resolved here, so
+// executing an op looks nothing up. The tape is SPMD — shared by all
+// devices, which differ only in the per-device columns of peer tables
+// and in what their slots hold.
+//
+// The buffer plan rides on the same ops. One liveness pass per
+// computation (hlo.Computation.LastUses, the pass hlo.PeakMemory sweeps)
+// marks the read at which each slot's value dies. What happens there
+// depends on who owns the buffer, which the device tracks per slot:
+//
+//   - An owned buffer came from the exact-size free lists — a kernel
+//     result, an adopted transfer, a zero fill — and exactly one slot
+//     (or one parcel on a link) refers to it. At its last read it goes
+//     back to its free list, or the op killing it takes it over: a
+//     DynamicUpdateSlice writes its window in place, an Add or a fused
+//     EinsumAddInto accumulates in place (across fusion boundaries: a
+//     fusion's operands are the body's parameters' slots), a Copy or
+//     Reshape of it is a move.
+//   - A borrowed buffer is read-only forever: run arguments, constants,
+//     the results of blocking collectives (one tensor may serve a whole
+//     group), and everything that reaches Result — the root and, when
+//     it is a tuple, its operands, which are produced fresh and never
+//     recycled. An op that would overwrite a borrowed operand gets a
+//     buffer of its own instead, exactly the interpreter's semantics.
+//
+// Ownership is a property of the value, liveness of the schedule; the
+// plan is the second, the device's owned bits the first.
+type tape struct {
+	ops    []tapeOp
+	nslots int
+
+	// starts lists the op index of every CollectivePermuteStart; a
+	// start's position here is its mailbox number on every device.
+	starts []int32
+
+	// outputs are the instructions Result.All reports, with their
+	// slots.
+	outputs []output
+
+	// maxArgs sizes each device's scratch: the most operands any step
+	// reads, or values any loop carries.
+	maxArgs int
+}
+
+type output struct {
+	in   *hlo.Instruction
+	slot int32
+}
+
+type opKind uint8
+
+const (
+	opParam      opKind = iota // run argument
+	opCarried                  // loop-body parameter: the carried slot itself
+	opConst                    // literal
+	opLocal                    // device-local kernel steps
+	opCollective               // blocking collective: rendezvous
+	opStart                    // asynchronous permute: post
+	opDone                     // asynchronous permute: receive
+	opLoop                     // loop entry: bind the carried values
+	opLoopEnd                  // loop back-edge; not an instruction of its own
+)
+
+// arg is one read of a slot.
+type arg struct {
+	slot int32
+	// last marks the final read of the slot's value: afterwards the
+	// slot is empty, its buffer released if owned. Set on one read only
+	// when an op reads the slot more than once.
+	last bool
+}
+
+// step is one kernel evaluation: a local instruction, or one piece of
+// a flattened fusion body.
+type step struct {
+	sim.Step
+	args []arg
+	out  int32
+	// take lists the args this step may use as its destination: last
+	// reads, read once by this step, at a position the kernel can
+	// overwrite. The first one holding an owned buffer is taken over.
+	take []int8
+	// fresh: the result reaches Result (or is a literal or placeholder
+	// with nothing to plan), so it is produced with no destination.
+	fresh bool
+}
+
+type tapeOp struct {
+	kind opKind
+	in   *hlo.Instruction
+	out  int32
+
+	// fresh: out reaches Result. Steps carry their own flag; here it
+	// covers values that arrive whole — an adopted transfer, a loop
+	// result — and must be copied out of the arena.
+	fresh bool
+
+	// arg is the operand of a collective or a start.
+	arg arg
+
+	steps []step
+
+	// drop lists slots whose value dies at this op without a step
+	// reading it last: results nobody reads, fusion operands the body
+	// ignores.
+	drop []int32
+
+	// Starts and dones. peer[d] is the device d sends to (start) or
+	// receives from (done), -1 when d is not in the pairs; box is the
+	// start's mailbox number, bytes the payload size in the IR's
+	// 4-byte convention, delay the injected wire occupancy (also the
+	// blocking collectives' modeled time). On a done, sent is the
+	// matching start's peer column: d posted a buffer iff sent[d] >= 0.
+	peer  []int32
+	sent  []int32
+	box   int32
+	bytes int64
+	delay time.Duration
+
+	loop *loopPlan
+}
+
+// loopPlan is shared by a loop's entry and back-edge ops.
+type loopPlan struct {
+	trips  int
+	begin  int32 // first body op
+	end    int32 // the opLoopEnd
+	result int   // carried index the loop yields
+
+	// init reads the loop's operands; a last read that is the operand's
+	// only appearance moves the value in, any other operand is lent to
+	// the body. carried[i] is the slot the body's parameter i names;
+	// next[i] the slot of the body root's operand i, the value carried
+	// into the following iteration.
+	init    []arg
+	carried []int32
+	next    []int32
+}
+
+// lowering builds a tape.
+type lowering struct {
+	t      *tape
+	eng    *engine
+	pinned map[*hlo.Instruction]bool
+}
+
+func lower(e *engine) (*tape, error) {
+	lw := &lowering{t: &tape{}, eng: e, pinned: map[*hlo.Instruction]bool{}}
+	c := e.comp
+	var outputs []*hlo.Instruction
+	if root := c.Root(); root != nil {
+		outputs = append(outputs, root)
+		if root.Op == hlo.OpTuple {
+			outputs = append(outputs, root.Operands...)
+		}
+	}
+	for _, in := range outputs {
+		lw.pinned[in] = true
+	}
+	// A start whose value something other than its done reads aliases
+	// its operand for that reader; keeping the operand borrowed makes
+	// the alias safe.
+	c.Walk(func(in *hlo.Instruction) {
+		if in.Op == hlo.OpCollectivePermuteStart && in.NumUsers() > 1 {
+			lw.pinned[in] = true
+			lw.pinned[in.Operands[0]] = true
+		}
+	})
+	slots, err := lw.seq(c, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	for i, in := range c.Instructions() {
+		for _, o := range outputs {
+			if o == in {
+				lw.t.outputs = append(lw.t.outputs, output{in: in, slot: slots[i]})
+				break
+			}
+		}
+	}
+	return lw.t, nil
+}
+
+func (lw *lowering) newSlot() int32 {
+	lw.t.nslots++
+	return int32(lw.t.nslots - 1)
+}
+
+// seq lowers one instruction sequence — the program, or a loop body
+// whose parameter i is bound to carried[i] and whose root operands
+// (held) are carried out rather than released — and returns each
+// instruction's slot by schedule position.
+func (lw *lowering) seq(c *hlo.Computation, carried []int32, held map[*hlo.Instruction]bool) ([]int32, error) {
+	instrs := c.Instructions()
+	lastUse := c.LastUses()
+	pos := make(map[*hlo.Instruction]int, len(instrs))
+	slots := make([]int32, len(instrs))
+	inLoop := carried != nil
+
+	// read returns the arg for instruction i reading operand op.
+	read := func(i int, op *hlo.Instruction) arg {
+		p := pos[op]
+		return arg{slot: slots[p], last: lastUse[p] == i && !lw.pinned[op] && !held[op]}
+	}
+
+	for i, in := range instrs {
+		pos[in] = i
+		op := tapeOp{kind: opLocal, in: in}
+		if in.Op == hlo.OpParameter && inLoop {
+			op.out = carried[in.ParamIndex]
+		} else {
+			op.out = lw.newSlot()
+		}
+		slots[i] = op.out
+		op.fresh = lw.pinned[in]
+
+		switch in.Op {
+		case hlo.OpParameter:
+			op.kind = opParam
+			if inLoop {
+				op.kind = opCarried
+			}
+		case hlo.OpConstant:
+			op.kind = opConst
+
+		case hlo.OpAllGather, hlo.OpReduceScatter, hlo.OpAllReduce,
+			hlo.OpAllToAll, hlo.OpCollectivePermute:
+			op.kind = opCollective
+			op.arg = read(i, in.Operands[0])
+			op.delay = lw.eng.collectiveDelay(in)
+
+		case hlo.OpCollectivePermuteStart:
+			op.kind = opStart
+			op.arg = read(i, in.Operands[0])
+			op.box = int32(len(lw.t.starts))
+			op.bytes = in.Operands[0].ByteSize()
+			op.delay = lw.eng.transferDelay(op.bytes)
+			op.peer = lw.peers(in, true)
+			lw.t.starts = append(lw.t.starts, int32(len(lw.t.ops)))
+
+		case hlo.OpCollectivePermuteDone:
+			op.kind = opDone
+			start := lw.t.ops[lw.startOp(slots[pos[in.Operands[0]]])]
+			op.box = start.box
+			op.bytes = in.ByteSize()
+			op.peer = lw.peers(in, false)
+			op.sent = start.peer
+
+		case hlo.OpLoop:
+			// The loop appends its own ops: entry, body, back-edge.
+			if err := lw.loop(op, lastUse[i] == i, func(o *hlo.Instruction) arg { return read(i, o) }); err != nil {
+				return nil, err
+			}
+			continue
+
+		case hlo.OpFusion:
+			if err := lw.fusion(&op, func(o *hlo.Instruction) arg { return read(i, o) }); err != nil {
+				return nil, err
+			}
+
+		default:
+			st := step{Step: sim.Step{In: in}, out: op.out, fresh: op.fresh || in.Op == hlo.OpTuple}
+			for _, o := range in.Operands {
+				st.args = append(st.args, read(i, o))
+			}
+			op.steps = []step{st}
+			lw.finishSteps(&op)
+		}
+		if lastUse[i] == i && !op.fresh && !held[in] && in.Op != hlo.OpCollectivePermuteStart {
+			op.drop = append(op.drop, op.out)
+		}
+		lw.t.ops = append(lw.t.ops, op)
+	}
+	return slots, nil
+}
+
+// startOp finds the start op that owns a slot (a done's operand).
+func (lw *lowering) startOp(slot int32) int32 {
+	for _, idx := range lw.t.starts {
+		if lw.t.ops[idx].out == slot {
+			return idx
+		}
+	}
+	panic(formatErr("done completes no lowered start")) // validate rules it out
+}
+
+// peers resolves a permute's pairs into a per-device column: whom each
+// device sends to (asSource) or receives from.
+func (lw *lowering) peers(in *hlo.Instruction, asSource bool) []int32 {
+	out := make([]int32, lw.eng.n)
+	for d := range out {
+		out[d] = -1
+	}
+	for _, p := range in.Pairs {
+		if asSource {
+			out[p.Source] = int32(p.Target)
+		} else {
+			out[p.Target] = int32(p.Source)
+		}
+	}
+	return out
+}
+
+// fusion flattens a fusion's body into the op's steps. The body's
+// parameters are the fusion's operand slots themselves, so a dying
+// operand is taken over by the step inside the body that reads it last.
+func (lw *lowering) fusion(op *tapeOp, read func(*hlo.Instruction) arg) error {
+	f := op.in
+	steps, result, err := sim.FusionSteps(f)
+	if err != nil {
+		return err
+	}
+	if result < len(f.Operands) {
+		return formatErr("fusion %s yields its operand %d unchanged", f.Name, result)
+	}
+	outer := make([]arg, len(f.Operands))
+	for k, o := range f.Operands {
+		outer[k] = read(o)
+	}
+	base := len(f.Operands)
+	inner := make([]int32, len(steps))
+	for j := range steps {
+		if base+j == result {
+			inner[j] = op.out
+		} else {
+			inner[j] = lw.newSlot()
+		}
+	}
+	op.steps = make([]step, len(steps))
+	for j, s := range steps {
+		st := step{Step: s, out: inner[j], fresh: s.In.Op == hlo.OpConstant || s.In.Op == hlo.OpTuple}
+		if base+j == result {
+			st.fresh = st.fresh || op.fresh
+		}
+		for _, v := range s.Args {
+			if v < base {
+				st.args = append(st.args, outer[v])
+			} else {
+				// An interior value dies with the fusion unless it is
+				// the result.
+				st.args = append(st.args, arg{slot: inner[v-base], last: v != result})
+			}
+		}
+		op.steps[j] = st
+	}
+	// Operands the body never reads, and interior values nothing reads,
+	// still die here.
+	isRead := map[int32]bool{}
+	for _, st := range op.steps {
+		for _, a := range st.args {
+			isRead[a.slot] = true
+		}
+	}
+	for _, a := range outer {
+		if a.last && !isRead[a.slot] {
+			op.drop = append(op.drop, a.slot)
+			isRead[a.slot] = true // an operand named twice drops once
+		}
+	}
+	for j, s := range inner {
+		if base+j != result && !isRead[s] {
+			op.drop = append(op.drop, s)
+		}
+	}
+	lw.finishSteps(op)
+	return nil
+}
+
+// finishSteps settles, across an op's steps, which read of each dying
+// slot is the last one, and which of those a kernel may overwrite.
+func (lw *lowering) finishSteps(op *tapeOp) {
+	final := map[int32]int{} // dying slot -> the last step reading it
+	for j := range op.steps {
+		for k, a := range op.steps[j].args {
+			if a.last {
+				final[a.slot] = j
+				op.steps[j].args[k].last = false
+			}
+		}
+	}
+	for j := range op.steps {
+		st := &op.steps[j]
+		reads := map[int32]int{}
+		for k, a := range st.args {
+			if f, dying := final[a.slot]; dying && f == j && reads[a.slot] == 0 {
+				st.args[k].last = true
+			}
+			reads[a.slot]++
+		}
+		if !st.fresh {
+			for _, k := range st.Overwrites() {
+				if a := st.args[k]; a.last && reads[a.slot] == 1 {
+					st.take = append(st.take, int8(k))
+				}
+			}
+		}
+		if len(st.args) > lw.t.maxArgs {
+			lw.t.maxArgs = len(st.args)
+		}
+	}
+}
+
+// loop lowers a counted loop: the entry op, the body inline, and the
+// back-edge. unread reports that nothing reads the loop's result.
+func (lw *lowering) loop(op tapeOp, unread bool, read func(*hlo.Instruction) arg) error {
+	l := op.in
+	root := l.Body.Root()
+	lp := &loopPlan{trips: l.TripCount, result: l.ResultIndex}
+	exit := tapeOp{kind: opLoopEnd, in: l, out: op.out, fresh: op.fresh, loop: lp}
+	op.kind, op.loop = opLoop, lp
+
+	named := map[int32]int{}
+	for _, o := range l.Operands {
+		named[read(o).slot]++
+	}
+	for _, o := range l.Operands {
+		a := read(o)
+		if a.last && named[a.slot] != 1 {
+			// Named twice: lent to the body each time, released once
+			// the loop is over.
+			a.last = false
+			if named[a.slot] > 0 {
+				exit.drop = append(exit.drop, a.slot)
+				named[a.slot] = -1
+			}
+		}
+		lp.init = append(lp.init, a)
+		lp.carried = append(lp.carried, lw.newSlot())
+	}
+	if len(lp.carried) > lw.t.maxArgs {
+		lw.t.maxArgs = len(lp.carried)
+	}
+	if unread && !op.fresh {
+		exit.drop = append(exit.drop, op.out)
+	}
+
+	lw.t.ops = append(lw.t.ops, op)
+	lp.begin = int32(len(lw.t.ops))
+	held := make(map[*hlo.Instruction]bool, len(root.Operands))
+	for _, o := range root.Operands {
+		held[o] = true
+	}
+	slots, err := lw.seq(l.Body, lp.carried, held)
+	if err != nil {
+		return err
+	}
+	lp.next = make([]int32, len(root.Operands))
+	for k, in := range l.Body.Instructions() {
+		for r, o := range root.Operands {
+			if o == in {
+				lp.next[r] = slots[k]
+			}
+		}
+	}
+	lp.end = int32(len(lw.t.ops))
+	lw.t.ops = append(lw.t.ops, exit)
+	return nil
+}

@@ -57,7 +57,7 @@ func (t *chanTransport) serve(l *chanLink) {
 	lf := e.injLink(l.src, l.dst)
 	for p := range l.ch {
 		start := e.since()
-		wire := e.transferDelay(p.bytes)
+		wire := t.fab.delay(p.key.box)
 		drop, dup, extra := e.faultActions(lf, p.key.start.Name)
 		if drop {
 			continue // lost on the wire: never delivered

@@ -219,8 +219,9 @@ func (t *procTransport) post(src, dst int, p parcel) bool {
 }
 
 // serveEdge drains one edge queue: decide the parcel's fault actions
-// from the seeded injector, serialize the tensor into a frame, and send
-// it down the source worker's control socket. Wire pacing happens in
+// from the seeded injector, serialize the tensor into a frame, send it
+// down the source worker's control socket, and recycle the parcel's
+// buffer — the bytes are on the wire, and the link was its only owner. Wire pacing happens in
 // the worker; serialization cost is measured here, as a span and a
 // histogram sample, because it is the genuinely new cost the process
 // fabric adds over the channel one.
@@ -230,7 +231,7 @@ func (t *procTransport) serveEdge(l *procEdge) {
 	w := t.workers[l.src]
 	traced := e.opts.Trace && l.src < e.traceWindow()
 	for p := range l.ch {
-		wireDur := e.transferDelay(p.bytes)
+		wireDur := t.fab.delay(p.key.box)
 		drop, dup, extra := e.faultActions(lf, p.key.start.Name)
 		fr := wire.Frame{
 			Src: l.src, Dst: l.dst,
@@ -255,6 +256,7 @@ func (t *procTransport) serveEdge(l *procEdge) {
 		rtSerializeSpans.Observe(ser)
 		rtWireFrames.Inc()
 		rtWireFrameBytes.Add(float64(8 * len(fr.Data)))
+		recycle(p.data)
 		if err != nil {
 			if !t.closing.Load() {
 				e.fail(&RunError{
@@ -281,15 +283,26 @@ func (t *procTransport) serveEdge(l *procEdge) {
 }
 
 // readWorker drains one worker's control socket: every frame coming up
-// is a transfer that finished its socket journey, deserialized here and
-// handed to the fabric for delivery. An EOF or read error while the run
+// is a transfer that finished its socket journey, decoded here straight
+// into the arena buffer the receiving done will adopt and handed to the
+// fabric for delivery. An EOF or read error while the run
 // is still live means the worker died — a real fabric failure, surfaced
 // as a structured *RunError attributed to that device.
 func (t *procTransport) readWorker(w *procWorker) {
 	e := t.eng
 	var fr wire.Frame
+	// The deserialize span runs from the header being parsed — the
+	// frame's bytes are all here — to the payload decoded into the
+	// tensor; the wait for the frame itself is not deserialization.
+	var data *tensor.Tensor
+	var t0 float64
+	into := func(shape []int) []float64 {
+		t0 = e.since()
+		data = tensor.NewPooled(shape...)
+		return data.Data()
+	}
 	for {
-		err := wire.ReadFrame(w.control, &fr)
+		err := wire.ReadFrameInto(w.control, &fr, into)
 		if err != nil {
 			if t.closing.Load() {
 				return
@@ -305,9 +318,6 @@ func (t *procTransport) readWorker(w *procWorker) {
 			})
 			return
 		}
-		t0 := e.since()
-		// FromValues copies, so the frame's buffers are reusable.
-		data := tensor.FromValues(fr.Shape, fr.Data)
 		des := e.since() - t0
 		rtDeserializeSpans.Observe(des)
 		if e.opts.Trace && w.id < e.traceWindow() {

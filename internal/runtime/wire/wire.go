@@ -22,8 +22,9 @@
 // it to the socket as a single Write, so a frame is never interleaved
 // with another writer's on a shared socket as long as callers serialize
 // Writes per socket (the transport does). Reads use the same pool for
-// the raw bytes; the float64 payload is decoded into a fresh slice
-// because the delivered tensor owns it for the rest of the run.
+// the raw bytes; the float64 payload is decoded into the frame's own
+// reused slice or, with ReadFrameInto, straight into storage the caller
+// supplies — the buffer the delivered tensor will own.
 package wire
 
 import (
@@ -147,7 +148,15 @@ func WriteFrame(w io.Writer, f *Frame) error {
 // capacity when present. io.EOF is returned untouched on a clean
 // end-of-stream (no partial frame), so callers can distinguish an
 // orderly peer close from a truncated frame.
-func ReadFrame(r io.Reader, f *Frame) error {
+func ReadFrame(r io.Reader, f *Frame) error { return ReadFrameInto(r, f, nil) }
+
+// ReadFrameInto is ReadFrame with the payload's storage chosen by the
+// caller: once the header is parsed, alloc is called with the frame's
+// shape and must return a slice of exactly its element count, which the
+// payload is decoded into and f.Data is set to. The shape slice is the
+// frame's own and is only valid during the call. A nil alloc reuses
+// f.Data's capacity, as ReadFrame does.
+func ReadFrameInto(r io.Reader, f *Frame, alloc func(shape []int) []float64) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
@@ -202,7 +211,11 @@ func ReadFrame(r io.Reader, f *Frame) error {
 	if off+8*elems != n {
 		return fmt.Errorf("wire: frame payload %d elements does not fill %d remaining bytes", elems, n-off)
 	}
-	f.Data = resizeF(f.Data, elems)
+	if alloc == nil {
+		f.Data = resizeF(f.Data, elems)
+	} else if f.Data = alloc(f.Shape); len(f.Data) != elems {
+		return fmt.Errorf("wire: payload storage holds %d elements, frame carries %d", len(f.Data), elems)
+	}
 	for i := range f.Data {
 		f.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
 		off += 8

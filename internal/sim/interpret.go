@@ -215,145 +215,248 @@ func evalGroupCollective(in *hlo.Instruction, src, out []*tensor.Tensor) error {
 }
 
 // EvalLocal evaluates a device-local instruction (hlo.OpCode.
-// IsDeviceLocal) on one device's operand values. pid and iter resolve
-// partition- and iteration-dependent offsets. It is the shared execution
-// hook: the lockstep interpreter and the concurrent goroutine runtime
-// (internal/runtime) both evaluate local instructions through it, which
-// is what makes their results bit-identical by construction. An einsum
-// executes with the split-K factor its instruction carries.
+// IsDeviceLocal) on one device's operand values and returns a fresh
+// result: EvalLocalInto with no destination.
 func EvalLocal(in *hlo.Instruction, ops []*tensor.Tensor, pid, iter int) (*tensor.Tensor, error) {
+	return EvalLocalInto(in, nil, ops, pid, iter)
+}
+
+// EvalLocalInto evaluates a device-local instruction on one device's
+// operand values. pid and iter resolve partition- and iteration-
+// dependent offsets. It is the one dispatch from opcode to kernel: the
+// lockstep interpreter calls it with a nil dst and gets value semantics
+// — a fresh result, operands untouched — and the concurrent runtime
+// (internal/runtime) passes the buffer its memory plan assigned, so the
+// two execute the same kernel on the same bytes and agree bit for bit
+// by construction. An einsum executes with the split-K factor its
+// instruction carries.
+//
+// A non-nil dst carries the result shape (the same element count for a
+// Reshape, whose header is rewritten); its contents are ignored and it
+// is returned. It may be one of the operands only where the kernel runs
+// in place (Step.Overwrites names the positions): either operand of an
+// Add or Max, the base of a DynamicUpdateSlice, the operand of a Copy
+// or Reshape. A
+// Constant (met inside fusion bodies) is its literal and a Tuple a fresh
+// placeholder; neither uses dst.
+func EvalLocalInto(in *hlo.Instruction, dst *tensor.Tensor, ops []*tensor.Tensor, pid, iter int) (*tensor.Tensor, error) {
 	switch in.Op {
+	case hlo.OpConstant:
+		return in.Literal, nil
 	case hlo.OpZero:
-		return tensor.New(in.Shape...), nil
+		return tensor.Zero(dst, in.Shape...), nil
 	case hlo.OpTuple:
 		return tensor.New(), nil // rank-0 placeholder; outputs are read by name
 	case hlo.OpEinsum:
-		return tensor.EinsumSplitK(in.SplitK, in.EinsumSpec, ops[0], ops[1]), nil
+		return tensor.EinsumIntoSplitK(dst, in.SplitK, in.EinsumSpec, ops[0], ops[1]), nil
 	case hlo.OpAdd:
-		return tensor.Add(ops[0], ops[1]), nil
+		return tensor.AddInto(dst, ops[0], ops[1]), nil
 	case hlo.OpMax:
-		return tensor.Max(ops[0], ops[1]), nil
+		return tensor.MaxInto(dst, ops[0], ops[1]), nil
 	case hlo.OpCopy:
-		return ops[0].Clone(), nil
+		return tensor.CopyInto(dst, ops[0]), nil
 	case hlo.OpReshape:
-		return tensor.Reshape(ops[0], in.Shape...), nil
+		return tensor.ReshapeInto(dst, ops[0], in.Shape...), nil
 	case hlo.OpTranspose:
-		return tensor.Transpose(ops[0], in.Perm...), nil
+		return tensor.TransposeInto(dst, ops[0], in.Perm...), nil
 	case hlo.OpConcat:
-		return tensor.Concat(in.Axis, ops...), nil
+		return tensor.ConcatInto(dst, in.Axis, ops...), nil
 	case hlo.OpPad:
-		return tensor.Pad(ops[0], in.PadLow, in.PadHigh, in.PadValue), nil
+		return tensor.PadInto(dst, ops[0], in.PadLow, in.PadHigh, in.PadValue), nil
 	case hlo.OpSlice:
-		return tensor.Slice(ops[0], in.Starts, in.Limits), nil
+		return tensor.SliceInto(dst, ops[0], in.Starts, in.Limits), nil
 	case hlo.OpDynamicSlice:
-		return tensor.DynamicSlice(ops[0], evalOffsets(in.Offsets, pid, iter), in.SliceSizes), nil
+		var buf [maxOffsetRank]int
+		return tensor.DynamicSliceInto(dst, ops[0], evalOffsets(buf[:0], in.Offsets, pid, iter), in.SliceSizes), nil
 	case hlo.OpDynamicUpdateSlice:
-		return tensor.DynamicUpdateSlice(ops[0], ops[1], evalOffsets(in.Offsets, pid, iter)), nil
+		var buf [maxOffsetRank]int
+		return tensor.DynamicUpdateSliceInto(dst, ops[0], ops[1], evalOffsets(buf[:0], in.Offsets, pid, iter)), nil
 	case hlo.OpFusion:
-		return evalFusion(in, ops, pid, iter)
+		return evalFusion(in, dst, ops, pid, iter)
 	}
 	return nil, fmt.Errorf("sim: cannot evaluate %s locally", in.Op)
 }
 
-// evalFusion interprets a fusion body on one device. Fusion bodies are
-// device-local by construction (the fusion pass never fuses collectives).
-//
-// Einsums whose only consumer is an Add in the same body — the shape
-// FuseAccumulation produces for the decomposed ReduceScatter chain —
-// are never materialized: the Add evaluates them with
-// tensor.EinsumAddInto, accumulating the contracted terms directly on
-// the accumulator instead of allocating a partial-result temporary and
-// summing it elementwise. Both execution engines (the lockstep
-// interpreter and the goroutine runtime) share this path via EvalLocal,
-// so their bit-identical cross-check is unaffected.
-func evalFusion(f *hlo.Instruction, ops []*tensor.Tensor, pid, iter int) (*tensor.Tensor, error) {
-	deferred := fusionDeferredEinsums(f.Body)
-	vals := make(map[*hlo.Instruction]*tensor.Tensor, f.Body.NumInstructions())
-	for _, in := range f.Body.Instructions() {
+var (
+	overwritesFirst  = []int{0}
+	overwritesEither = []int{0, 1}
+)
+
+// Step is one kernel evaluation of a fusion body. Both executors run a
+// fusion as its steps: the interpreter with fresh results, the runtime
+// flattened into its tape with planned destinations.
+type Step struct {
+	// In is the body instruction evaluated; it supplies the opcode and
+	// attributes. For an accumulation step it is the Add.
+	In *hlo.Instruction
+
+	// Args index the values read: k names the fusion's operand k, and
+	// len(operands)+j the result of step j.
+	Args []int
+
+	// Fused, when set, makes this an accumulation step — the shape
+	// FuseAccumulation produces for the decomposed ReduceScatter chain.
+	// An einsum whose only reader is an Add of the same body is never
+	// materialized: the Add evaluates as tensor.EinsumAddInto, the
+	// contracted terms landing directly on the accumulator. Args are
+	// then the accumulator followed by Fused's two operands — or, when
+	// both sides of the Add are such einsums, Base's two operands (Base
+	// is computed as the accumulator) followed by Fused's.
+	Fused, Base *hlo.Instruction
+}
+
+// Overwrites lists the argument positions whose tensor EvalInto accepts
+// as the destination: element-wise ops fold into either operand, a
+// DynamicUpdateSlice writes its window into the base, a Copy or Reshape
+// of a value nobody else reads is that value, and an accumulation step
+// folds into its accumulator unless it computes the accumulator itself.
+func (s *Step) Overwrites() []int {
+	switch {
+	case s.Fused != nil && s.Base != nil:
+		return nil
+	case s.Fused != nil:
+		return overwritesFirst
+	}
+	switch s.In.Op {
+	case hlo.OpAdd, hlo.OpMax:
+		return overwritesEither
+	case hlo.OpCopy, hlo.OpReshape, hlo.OpDynamicUpdateSlice:
+		return overwritesFirst
+	}
+	return nil
+}
+
+// EvalInto evaluates the step on its argument values, under
+// EvalLocalInto's destination contract.
+func (s *Step) EvalInto(dst *tensor.Tensor, args []*tensor.Tensor, pid, iter int) (*tensor.Tensor, error) {
+	if s.Fused == nil {
+		return EvalLocalInto(s.In, dst, args, pid, iter)
+	}
+	var acc *tensor.Tensor
+	if s.Base != nil {
+		acc = tensor.EinsumIntoSplitK(dst, s.Base.SplitK, s.Base.EinsumSpec, args[0], args[1])
+		args = args[2:]
+	} else {
+		acc = tensor.CopyInto(dst, args[0])
+		args = args[1:]
+	}
+	return tensor.EinsumAddIntoSplitK(acc, s.Fused.EinsumSpec, args[0], args[1], s.Fused.SplitK), nil
+}
+
+// FusionSteps lowers a fusion instruction's body to its evaluation
+// steps and the index (in Step.Args numbering) of the fusion's result.
+// Fusion bodies are device-local by construction (the fusion pass never
+// fuses collectives); parameters and deferred einsums produce no step.
+func FusionSteps(f *hlo.Instruction) (steps []Step, result int, err error) {
+	body := f.Body
+	root := body.Root()
+	instrs := body.Instructions()
+	steps = make([]Step, 0, len(instrs))
+	// valueOf resolves a body instruction to its value index. Bodies
+	// are a handful of instructions, so a scan beats building a map on
+	// every interpreted call.
+	valueOf := func(in *hlo.Instruction) int {
 		if in.Op == hlo.OpParameter {
-			vals[in] = ops[in.ParamIndex]
+			return in.ParamIndex
+		}
+		for j := range steps {
+			if steps[j].In == in {
+				return len(f.Operands) + j
+			}
+		}
+		return -1
+	}
+	for _, in := range instrs {
+		if in.Op == hlo.OpParameter {
+			if in.ParamIndex < 0 || in.ParamIndex >= len(f.Operands) {
+				return nil, 0, fmt.Errorf("sim: fusion %s: parameter %s index %d out of range", f.Name, in.Name, in.ParamIndex)
+			}
 			continue
 		}
-		if in.Op == hlo.OpConstant {
-			vals[in] = in.Literal
-			continue
+		if deferredEinsum(in, root) {
+			continue // folded into its consuming Add below
 		}
-		if deferred[in] {
-			continue // materialized fused into its consuming Add below
+		s := Step{In: in}
+		reads := in.Operands
+		if in.Op == hlo.OpAdd {
+			a, b := in.Operands[0], in.Operands[1]
+			switch da, db := deferredEinsum(a, root), deferredEinsum(b, root); {
+			case da && db:
+				s.Base, s.Fused = a, b
+				reads = []*hlo.Instruction{a.Operands[0], a.Operands[1], b.Operands[0], b.Operands[1]}
+			case da:
+				s.Fused = a
+				reads = []*hlo.Instruction{b, a.Operands[0], a.Operands[1]}
+			case db:
+				s.Fused = b
+				reads = []*hlo.Instruction{a, b.Operands[0], b.Operands[1]}
+			}
 		}
-		if in.Op == hlo.OpAdd && (deferred[in.Operands[0]] || deferred[in.Operands[1]]) {
-			vals[in] = evalFusedAdd(f.Body, in, deferred, vals)
-			continue
+		s.Args = make([]int, len(reads))
+		for i, op := range reads {
+			if s.Args[i] = valueOf(op); s.Args[i] < 0 {
+				return nil, 0, fmt.Errorf("sim: fusion %s: %s reads %s before it is computed", f.Name, in.Name, op.Name)
+			}
 		}
-		inner := make([]*tensor.Tensor, len(in.Operands))
-		for i, op := range in.Operands {
-			inner[i] = vals[op]
+		steps = append(steps, s)
+	}
+	if result = valueOf(root); result < 0 {
+		return nil, 0, fmt.Errorf("sim: fusion %s has no result", f.Name)
+	}
+	return steps, result, nil
+}
+
+// deferredEinsum reports whether a body einsum is evaluated fused into
+// its consumer: it is read by exactly one instruction, that instruction
+// is an Add of the same body with two distinct operands, and it is not
+// the body's result.
+func deferredEinsum(in, root *hlo.Instruction) bool {
+	if in.Op != hlo.OpEinsum || in == root || in.NumUsers() != 1 {
+		return false
+	}
+	u := in.Users()[0]
+	return u.Op == hlo.OpAdd && u.Operands[0] != u.Operands[1]
+}
+
+// evalFusion interprets a fusion on one device: its steps in order,
+// over a value list seeded with the operands. Only the step computing
+// the result may use dst.
+func evalFusion(f *hlo.Instruction, dst *tensor.Tensor, ops []*tensor.Tensor, pid, iter int) (*tensor.Tensor, error) {
+	steps, result, err := FusionSteps(f)
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]*tensor.Tensor, len(ops), len(ops)+len(steps))
+	copy(vals, ops)
+	var args []*tensor.Tensor
+	for j := range steps {
+		s := &steps[j]
+		args = args[:0]
+		for _, a := range s.Args {
+			args = append(args, vals[a])
 		}
-		v, err := EvalLocal(in, inner, pid, iter)
+		var d *tensor.Tensor
+		if len(ops)+j == result {
+			d = dst
+		}
+		v, err := s.EvalInto(d, args, pid, iter)
 		if err != nil {
 			return nil, fmt.Errorf("sim: fusion %s: %w", f.Name, err)
 		}
-		vals[in] = v
+		vals = append(vals, v)
 	}
-	return vals[f.Body.Root()], nil
+	return vals[result], nil
 }
 
-// fusionDeferredEinsums returns the body einsums eligible for fused
-// accumulation: consumed by exactly one instruction, that instruction
-// is an Add in the same body with two distinct operands, and the einsum
-// is not the body root. Returns nil (cheap) when the body has none.
-func fusionDeferredEinsums(body *hlo.Computation) map[*hlo.Instruction]bool {
-	var deferred map[*hlo.Instruction]bool
-	root := body.Root()
-	for _, in := range body.Instructions() {
-		if in.Op != hlo.OpEinsum || in == root || in.NumUsers() != 1 {
-			continue
-		}
-		u := in.Users()[0]
-		if u.Op != hlo.OpAdd || u.Operands[0] == u.Operands[1] {
-			continue
-		}
-		if deferred == nil {
-			deferred = make(map[*hlo.Instruction]bool)
-		}
-		deferred[in] = true
-	}
-	return deferred
-}
+// maxOffsetRank sizes the stack scratch dynamic offsets evaluate into;
+// a higher-rank instruction (none exist) spills to the heap.
+const maxOffsetRank = 8
 
-// evalFusedAdd evaluates an Add with at least one deferred-einsum
-// operand. The non-einsum operand becomes the accumulator, mutated in
-// place only when no other reader can observe it (a body-local value
-// with a single user that is not the body root); parameter and constant
-// values are cloned first, since they alias caller-owned tensors.
-func evalFusedAdd(body *hlo.Computation, add *hlo.Instruction, deferred map[*hlo.Instruction]bool, vals map[*hlo.Instruction]*tensor.Tensor) *tensor.Tensor {
-	a, b := add.Operands[0], add.Operands[1]
-	var acc *tensor.Tensor
-	var fuse *hlo.Instruction
-	if deferred[a] && deferred[b] {
-		// Both operands are sole-use einsums: materialize the left one
-		// as the accumulator base and fuse the right onto it.
-		acc = tensor.EinsumSplitK(a.SplitK, a.EinsumSpec, vals[a.Operands[0]], vals[a.Operands[1]])
-		fuse = b
-	} else {
-		e, o := a, b
-		if !deferred[e] {
-			e, o = b, a
-		}
-		acc, fuse = vals[o], e
-		if o.Op == hlo.OpParameter || o.Op == hlo.OpConstant || o.NumUsers() > 1 || o == body.Root() {
-			acc = acc.Clone()
-		}
+func evalOffsets(buf []int, offsets []hlo.DynOffset, pid, iter int) []int {
+	for _, o := range offsets {
+		buf = append(buf, o.EvalIter(pid, iter))
 	}
-	return tensor.EinsumAddIntoSplitK(acc, fuse.EinsumSpec, vals[fuse.Operands[0]], vals[fuse.Operands[1]], fuse.SplitK)
-}
-
-func evalOffsets(offsets []hlo.DynOffset, pid, iter int) []int {
-	out := make([]int, len(offsets))
-	for i, o := range offsets {
-		out[i] = o.EvalIter(pid, iter)
-	}
-	return out
+	return buf
 }
 
 func pairSlice(pairs []hlo.SourceTargetPair) [][2]int {

@@ -163,11 +163,17 @@ func Einsum(spec string, operands ...*Tensor) *Tensor {
 // 0/1 is off, >= 2 is that factor (clamped). The executors pass each
 // einsum instruction's own factor (hlo.Instruction.SplitK).
 func EinsumSplitK(splitK int, spec string, operands ...*Tensor) *Tensor {
+	return EinsumIntoSplitK(nil, splitK, spec, operands...)
+}
+
+// EinsumIntoSplitK is EinsumSplitK writing into dst (see ops.go for
+// the destination convention); dst must not alias an operand.
+func EinsumIntoSplitK(dst *Tensor, splitK int, spec string, operands ...*Tensor) *Tensor {
 	e, err := einsumLookup(spec)
 	if err != nil {
 		panic(err)
 	}
-	out, err := einsumExec(e, operands, splitK)
+	out, err := einsumExec(e, dst, operands, splitK)
 	if err != nil {
 		panic(err)
 	}
@@ -183,7 +189,7 @@ func ReferenceEinsum(spec string, operands ...*Tensor) *Tensor {
 	if err != nil {
 		panic(err)
 	}
-	out, err := newEinsumOutput(e.spec, operands)
+	out, err := newEinsumOutput(e.spec, nil, operands)
 	if err != nil {
 		panic(err)
 	}
@@ -197,31 +203,28 @@ func EinsumParsed(spec EinsumSpec, operands ...*Tensor) (*Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return einsumExec(e, operands, KernelSplitK())
+	return einsumExec(e, nil, operands, KernelSplitK())
 }
 
 // newEinsumOutput validates the operand shapes and returns the zeroed
-// result tensor.
-func newEinsumOutput(spec EinsumSpec, operands []*Tensor) (*Tensor, error) {
+// result tensor: a fresh one, or dst cleared.
+func newEinsumOutput(spec EinsumSpec, dst *Tensor, operands []*Tensor) (*Tensor, error) {
 	shapes := make([][]int, len(operands))
 	for i, op := range operands {
 		shapes[i] = op.shape
-	}
-	if _, err := spec.labelSizes(shapes); err != nil {
-		return nil, err
 	}
 	outShape, err := spec.OutputShape(shapes...)
 	if err != nil {
 		return nil, err
 	}
-	return New(outShape...), nil
+	return Zero(dst, outShape...), nil
 }
 
 // einsumExec validates shapes and runs the fastest applicable path:
 // the blocked GEMM kernel for lowerable two-operand specs, otherwise
 // the odometer reference.
-func einsumExec(e *einsumEntry, operands []*Tensor, splitK int) (*Tensor, error) {
-	out, err := newEinsumOutput(e.spec, operands)
+func einsumExec(e *einsumEntry, dst *Tensor, operands []*Tensor, splitK int) (*Tensor, error) {
+	out, err := newEinsumOutput(e.spec, dst, operands)
 	if err != nil {
 		return nil, err
 	}

@@ -2,24 +2,35 @@ package tensor
 
 import "fmt"
 
-// The element-wise ops below use direct loops rather than a shared
-// combinator taking a func(x, y float64): the per-element indirect call
-// defeats bounds-check elimination and vectorization, roughly tripling
-// the cost of the decomposed runtime's accumulate-heavy inner loops.
+// Every op below has a destination-passing form. A nil dst allocates a
+// fresh result (value semantics: the operands are never written); a
+// non-nil dst must already carry the result shape, its prior contents
+// are ignored, and it is overwritten and returned. Where the doc says
+// dst may alias an operand the kernel is safe to run in place; nowhere
+// else may dst share storage with an operand. Writing a destination
+// counts as a mutation for pack-cache invalidation.
+
+// The element-wise ops use direct loops rather than a shared combinator
+// taking a func(x, y float64): the per-element indirect call defeats
+// bounds-check elimination and vectorization, roughly tripling the cost
+// of the decomposed runtime's accumulate-heavy inner loops.
 
 // Add returns the element-wise sum of a and b, which must share a shape.
-func Add(a, b *Tensor) *Tensor {
-	out := newElementwise(a, b)
-	bd := b.data
-	for i, x := range a.data {
-		out.data[i] = x + bd[i]
+func Add(a, b *Tensor) *Tensor { return AddInto(nil, a, b) }
+
+// AddInto writes a+b into dst, which may alias a or b.
+func AddInto(dst, a, b *Tensor) *Tensor {
+	out := elementwiseDst(dst, a, b)
+	ad, bd := a.data, b.data
+	for i := range out.data {
+		out.data[i] = ad[i] + bd[i]
 	}
 	return out
 }
 
 // Sub returns the element-wise difference a - b.
 func Sub(a, b *Tensor) *Tensor {
-	out := newElementwise(a, b)
+	out := elementwiseDst(nil, a, b)
 	bd := b.data
 	for i, x := range a.data {
 		out.data[i] = x - bd[i]
@@ -29,7 +40,7 @@ func Sub(a, b *Tensor) *Tensor {
 
 // Mul returns the element-wise product of a and b.
 func Mul(a, b *Tensor) *Tensor {
-	out := newElementwise(a, b)
+	out := elementwiseDst(nil, a, b)
 	bd := b.data
 	for i, x := range a.data {
 		out.data[i] = x * bd[i]
@@ -38,11 +49,15 @@ func Mul(a, b *Tensor) *Tensor {
 }
 
 // Max returns the element-wise maximum of a and b.
-func Max(a, b *Tensor) *Tensor {
-	out := newElementwise(a, b)
-	bd := b.data
-	for i, x := range a.data {
-		y := bd[i]
+func Max(a, b *Tensor) *Tensor { return MaxInto(nil, a, b) }
+
+// MaxInto writes the element-wise maximum into dst, which may alias a
+// or b.
+func MaxInto(dst, a, b *Tensor) *Tensor {
+	out := elementwiseDst(dst, a, b)
+	ad, bd := a.data, b.data
+	for i := range out.data {
+		x, y := ad[i], bd[i]
 		if !(x > y) {
 			x = y
 		}
@@ -51,25 +66,42 @@ func Max(a, b *Tensor) *Tensor {
 	return out
 }
 
-// newElementwise validates the shared shape and allocates the result.
-func newElementwise(a, b *Tensor) *Tensor {
+// elementwiseDst validates the shared shape and resolves the result.
+func elementwiseDst(dst, a, b *Tensor) *Tensor {
 	if !a.SameShape(b) {
-		panic(fmt.Sprintf("tensor: shape mismatch %v vs %v", a.shape, b.shape))
+		panic("tensor: shape mismatch " + dims(a.shape) + " vs " + dims(b.shape))
 	}
-	return New(a.shape...)
+	return resolveDst(dst, a.shape)
+}
+
+// resolveDst returns the tensor an op writes its result to: a fresh
+// zeroed one when dst is nil, otherwise dst itself, checked against
+// the result shape and marked mutated.
+func resolveDst(dst *Tensor, shape []int) *Tensor {
+	if dst == nil {
+		return New(shape...)
+	}
+	if !sameDims(dst.shape, shape) {
+		panic("tensor: destination shape " + dims(dst.shape) + ", result shape " + dims(shape))
+	}
+	dst.noteMutation()
+	return dst
+}
+
+func sameDims(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // AddInPlace accumulates b into a and returns a.
-func AddInPlace(a, b *Tensor) *Tensor {
-	if !a.SameShape(b) {
-		panic(fmt.Sprintf("tensor: AddInPlace shape mismatch %v vs %v", a.shape, b.shape))
-	}
-	for i := range a.data {
-		a.data[i] += b.data[i]
-	}
-	a.noteMutation()
-	return a
-}
+func AddInPlace(a, b *Tensor) *Tensor { return AddInto(a, a, b) }
 
 // Scale returns a copy of t with every element multiplied by s.
 func Scale(t *Tensor, s float64) *Tensor {
@@ -80,86 +112,186 @@ func Scale(t *Tensor, s float64) *Tensor {
 	return c
 }
 
-// Slice extracts the sub-tensor t[starts[0]:limits[0], ...]. Every
-// dimension must satisfy 0 <= start <= limit <= dim.
-func Slice(t *Tensor, starts, limits []int) *Tensor {
-	if len(starts) != t.Rank() || len(limits) != t.Rank() {
-		panic(fmt.Sprintf("tensor: Slice bounds rank mismatch for shape %v", t.shape))
-	}
-	outShape := make([]int, t.Rank())
-	for i := range starts {
-		if starts[i] < 0 || limits[i] > t.shape[i] || starts[i] > limits[i] {
-			panic(fmt.Sprintf("tensor: Slice bounds [%v,%v) invalid for shape %v", starts, limits, t.shape))
-		}
-		outShape[i] = limits[i] - starts[i]
-	}
-	out := New(outShape...)
-	it := newIndexIterator(outShape)
-	src := make([]int, t.Rank())
-	for idx, ok := it.next(); ok; idx, ok = it.next() {
-		for i := range idx {
-			src[i] = idx[i] + starts[i]
-		}
-		out.data[out.offset(idx)] = t.data[t.offset(src)]
+// Zero clears dst (or allocates a zero tensor of the shape when dst is
+// nil) and returns it.
+func Zero(dst *Tensor, shape ...int) *Tensor {
+	out := resolveDst(dst, shape)
+	if dst != nil {
+		clear(out.data)
 	}
 	return out
+}
+
+// CopyInto copies t into dst; dst may be t itself, which is a no-op.
+func CopyInto(dst, t *Tensor) *Tensor {
+	if dst == t {
+		return t
+	}
+	out := resolveDst(dst, t.shape)
+	copy(out.data, t.data)
+	return out
+}
+
+// maxBlockRank bounds the rank the block copier walks with stack
+// scratch; higher ranks (none in practice) fall back to the heap.
+const maxBlockRank = 8
+
+// copyBlock copies the rectangular block of the given extents from src
+// (starting at element srcOff, dimension strides srcStrides) to dst.
+// Both sides are row-major with a unit innermost stride, so the block
+// moves as copies of contiguous runs: the innermost dimension, widened
+// over every outer dimension the block spans in full on both sides.
+func copyBlock(dst []float64, dstStrides []int, dstOff int, src []float64, srcStrides []int, srcOff int, extents []int) {
+	rank := len(extents)
+	run := 1
+	for _, e := range extents {
+		if e == 0 {
+			return
+		}
+	}
+	// outer is the number of leading dimensions the odometer walks.
+	outer := rank
+	for outer > 0 && srcStrides[outer-1] == run && dstStrides[outer-1] == run {
+		run *= extents[outer-1]
+		outer--
+	}
+	if outer == 0 {
+		copy(dst[dstOff:dstOff+run], src[srcOff:srcOff+run])
+		return
+	}
+	var odoArr [maxBlockRank]int
+	odo := odoArr[:]
+	if outer > maxBlockRank {
+		odo = make([]int, outer)
+	}
+	for {
+		copy(dst[dstOff:dstOff+run], src[srcOff:srcOff+run])
+		i := outer - 1
+		for ; i >= 0; i-- {
+			odo[i]++
+			dstOff += dstStrides[i]
+			srcOff += srcStrides[i]
+			if odo[i] < extents[i] {
+				break
+			}
+			odo[i] = 0
+			dstOff -= extents[i] * dstStrides[i]
+			srcOff -= extents[i] * srcStrides[i]
+		}
+		if i < 0 {
+			return
+		}
+	}
+}
+
+// Slice extracts the sub-tensor t[starts[0]:limits[0], ...]. Every
+// dimension must satisfy 0 <= start <= limit <= dim.
+func Slice(t *Tensor, starts, limits []int) *Tensor { return SliceInto(nil, t, starts, limits) }
+
+// SliceInto is Slice writing into dst.
+func SliceInto(dst, t *Tensor, starts, limits []int) *Tensor {
+	if len(starts) != t.Rank() || len(limits) != t.Rank() {
+		panic("tensor: Slice bounds rank mismatch for shape " + dims(t.shape))
+	}
+	var sizesArr [maxBlockRank]int
+	sizes := append(sizesArr[:0], limits...)
+	for i := range starts {
+		if starts[i] < 0 || limits[i] > t.shape[i] || starts[i] > limits[i] {
+			panic("tensor: Slice bounds [" + dims(starts) + "," + dims(limits) + ") invalid for shape " + dims(t.shape))
+		}
+		sizes[i] -= starts[i]
+	}
+	return sliceBlock(dst, t, starts, sizes)
+}
+
+// sliceBlock copies the in-bounds window of the given sizes at starts
+// out of t.
+func sliceBlock(dst, t *Tensor, starts, sizes []int) *Tensor {
+	out := resolveDst(dst, sizes)
+	copyBlock(out.data, out.strides, 0, t.data, t.strides, t.offsetOf(starts), sizes)
+	return out
+}
+
+// offsetOf returns the flat offset of an in-bounds index.
+func (t *Tensor) offsetOf(index []int) int {
+	off := 0
+	for i, ix := range index {
+		off += ix * t.strides[i]
+	}
+	return off
+}
+
+// clampStarts clamps dynamic start offsets so a window of the given
+// sizes stays inside t — XLA's DynamicSlice/DynamicUpdateSlice rule —
+// appending the result to buf.
+func clampStarts(buf []int, t *Tensor, starts, sizes []int) []int {
+	for i, s := range starts {
+		if s > t.shape[i]-sizes[i] {
+			s = t.shape[i] - sizes[i]
+		}
+		if s < 0 {
+			s = 0
+		}
+		buf = append(buf, s)
+	}
+	return buf
 }
 
 // DynamicSlice extracts a sub-tensor of the given sizes starting at
 // starts, clamping the start offsets so the slice stays in bounds — the
 // same semantics as XLA's DynamicSlice.
 func DynamicSlice(t *Tensor, starts, sizes []int) *Tensor {
+	return DynamicSliceInto(nil, t, starts, sizes)
+}
+
+// DynamicSliceInto is DynamicSlice writing into dst.
+func DynamicSliceInto(dst, t *Tensor, starts, sizes []int) *Tensor {
 	if len(starts) != t.Rank() || len(sizes) != t.Rank() {
-		panic(fmt.Sprintf("tensor: DynamicSlice rank mismatch for shape %v", t.shape))
+		panic("tensor: DynamicSlice rank mismatch for shape " + dims(t.shape))
 	}
-	clamped := make([]int, t.Rank())
-	limits := make([]int, t.Rank())
-	for i := range starts {
-		s := starts[i]
-		if s < 0 {
-			s = 0
+	for i, n := range sizes {
+		if n < 0 || n > t.shape[i] {
+			panic("tensor: DynamicSlice sizes " + dims(sizes) + " invalid for shape " + dims(t.shape))
 		}
-		if s > t.shape[i]-sizes[i] {
-			s = t.shape[i] - sizes[i]
-		}
-		clamped[i] = s
-		limits[i] = s + sizes[i]
 	}
-	return Slice(t, clamped, limits)
+	var buf [maxBlockRank]int
+	return sliceBlock(dst, t, clampStarts(buf[:0], t, starts, sizes), sizes)
 }
 
 // DynamicUpdateSlice returns a copy of t with the sub-tensor at starts
 // overwritten by update, clamping starts as XLA does.
 func DynamicUpdateSlice(t, update *Tensor, starts []int) *Tensor {
+	return DynamicUpdateSliceInto(nil, t, update, starts)
+}
+
+// DynamicUpdateSliceInto is DynamicUpdateSlice writing into dst. dst
+// may be t itself: the update then lands in place and only its window
+// is touched.
+func DynamicUpdateSliceInto(dst, t, update *Tensor, starts []int) *Tensor {
 	if len(starts) != t.Rank() || update.Rank() != t.Rank() {
-		panic(fmt.Sprintf("tensor: DynamicUpdateSlice rank mismatch %v vs %v", t.shape, update.shape))
+		panic("tensor: DynamicUpdateSlice rank mismatch " + dims(t.shape) + " vs " + dims(update.shape))
 	}
-	clamped := make([]int, t.Rank())
-	for i := range starts {
-		s := starts[i]
-		if s < 0 {
-			s = 0
+	for i, n := range update.shape {
+		if n > t.shape[i] {
+			panic("tensor: DynamicUpdateSlice update " + dims(update.shape) + " exceeds " + dims(t.shape))
 		}
-		if s > t.shape[i]-update.shape[i] {
-			s = t.shape[i] - update.shape[i]
-		}
-		clamped[i] = s
 	}
-	out := t.Clone()
-	it := newIndexIterator(update.shape)
-	dst := make([]int, t.Rank())
-	for idx, ok := it.next(); ok; idx, ok = it.next() {
-		for i := range idx {
-			dst[i] = idx[i] + clamped[i]
-		}
-		out.data[out.offset(dst)] = update.data[update.offset(idx)]
+	out := CopyInto(dst, t)
+	if dst == t {
+		out.noteMutation()
 	}
+	var buf [maxBlockRank]int
+	at := out.offsetOf(clampStarts(buf[:0], t, starts, update.shape))
+	copyBlock(out.data, out.strides, at, update.data, update.strides, 0, update.shape)
 	return out
 }
 
 // Concat concatenates the given tensors along axis. All inputs must agree
 // on every other dimension.
-func Concat(axis int, tensors ...*Tensor) *Tensor {
+func Concat(axis int, tensors ...*Tensor) *Tensor { return ConcatInto(nil, axis, tensors...) }
+
+// ConcatInto is Concat writing into dst.
+func ConcatInto(dst *Tensor, axis int, tensors ...*Tensor) *Tensor {
 	if len(tensors) == 0 {
 		panic("tensor: Concat needs at least one input")
 	}
@@ -167,7 +299,8 @@ func Concat(axis int, tensors ...*Tensor) *Tensor {
 	if axis < 0 || axis >= rank {
 		panic(fmt.Sprintf("tensor: Concat axis %d out of range for rank %d", axis, rank))
 	}
-	outShape := tensors[0].Shape()
+	var shapeArr [maxBlockRank]int
+	outShape := append(shapeArr[:0], tensors[0].shape...)
 	total := 0
 	for _, t := range tensors {
 		if t.Rank() != rank {
@@ -175,26 +308,17 @@ func Concat(axis int, tensors ...*Tensor) *Tensor {
 		}
 		for d := 0; d < rank; d++ {
 			if d != axis && t.shape[d] != outShape[d] {
-				panic(fmt.Sprintf("tensor: Concat shape mismatch %v vs %v on dim %d", t.shape, outShape, d))
+				panic(fmt.Sprintf("tensor: Concat shape mismatch %s vs %s on dim %d", dims(t.shape), dims(outShape), d))
 			}
 		}
 		total += t.shape[axis]
 	}
 	outShape[axis] = total
-	out := New(outShape...)
-	offset := 0
-	starts := make([]int, rank)
+	out := resolveDst(dst, outShape)
+	at := 0
 	for _, t := range tensors {
-		starts[axis] = offset
-		it := newIndexIterator(t.shape)
-		dst := make([]int, rank)
-		for idx, ok := it.next(); ok; idx, ok = it.next() {
-			for i := range idx {
-				dst[i] = idx[i] + starts[i]
-			}
-			out.data[out.offset(dst)] = t.data[t.offset(idx)]
-		}
-		offset += t.shape[axis]
+		copyBlock(out.data, out.strides, at, t.data, t.strides, 0, t.shape)
+		at += t.shape[axis] * out.strides[axis]
 	}
 	return out
 }
@@ -202,66 +326,76 @@ func Concat(axis int, tensors ...*Tensor) *Tensor {
 // Pad returns t padded with padValue: low[i] elements before and high[i]
 // elements after dimension i. Negative padding is not supported.
 func Pad(t *Tensor, low, high []int, padValue float64) *Tensor {
+	return PadInto(nil, t, low, high, padValue)
+}
+
+// PadInto is Pad writing into dst.
+func PadInto(dst, t *Tensor, low, high []int, padValue float64) *Tensor {
 	if len(low) != t.Rank() || len(high) != t.Rank() {
-		panic(fmt.Sprintf("tensor: Pad rank mismatch for shape %v", t.shape))
+		panic("tensor: Pad rank mismatch for shape " + dims(t.shape))
 	}
-	outShape := make([]int, t.Rank())
-	for i := range outShape {
+	var shapeArr [maxBlockRank]int
+	outShape := shapeArr[:0]
+	for i, d := range t.shape {
 		if low[i] < 0 || high[i] < 0 {
 			panic("tensor: Pad does not support negative padding")
 		}
-		outShape[i] = low[i] + t.shape[i] + high[i]
+		outShape = append(outShape, low[i]+d+high[i])
 	}
-	out := New(outShape...)
+	out := resolveDst(dst, outShape)
 	for i := range out.data {
 		out.data[i] = padValue
 	}
-	it := newIndexIterator(t.shape)
-	dst := make([]int, t.Rank())
-	for idx, ok := it.next(); ok; idx, ok = it.next() {
-		for i := range idx {
-			dst[i] = idx[i] + low[i]
-		}
-		out.data[out.offset(dst)] = t.data[t.offset(idx)]
-	}
+	copyBlock(out.data, out.strides, out.offsetOf(low), t.data, t.strides, 0, t.shape)
 	return out
 }
 
 // Reshape returns a tensor with the same row-major data and a new shape.
 // The element counts must match.
-func Reshape(t *Tensor, shape ...int) *Tensor {
-	out := New(shape...)
-	if len(out.data) != len(t.data) {
-		panic(fmt.Sprintf("tensor: Reshape %v -> %v changes element count", t.shape, shape))
+func Reshape(t *Tensor, shape ...int) *Tensor { return ReshapeInto(nil, t, shape...) }
+
+// ReshapeInto is Reshape writing into dst. dst may be t itself: the
+// tensor is then reinterpreted in place, its data untouched.
+func ReshapeInto(dst, t *Tensor, shape ...int) *Tensor {
+	n := 1
+	for _, d := range shape {
+		n *= d
 	}
+	if n != len(t.data) {
+		panic("tensor: Reshape " + dims(t.shape) + " -> " + dims(shape) + " changes element count")
+	}
+	if dst == t {
+		t.setShape(shape)
+		return t
+	}
+	out := resolveDst(dst, shape)
 	copy(out.data, t.data)
 	return out
 }
 
 // Transpose permutes the dimensions of t according to perm, where
 // output dimension i is input dimension perm[i].
-func Transpose(t *Tensor, perm ...int) *Tensor {
+func Transpose(t *Tensor, perm ...int) *Tensor { return TransposeInto(nil, t, perm...) }
+
+// TransposeInto is Transpose writing into dst.
+func TransposeInto(dst, t *Tensor, perm ...int) *Tensor {
 	if len(perm) != t.Rank() {
-		panic(fmt.Sprintf("tensor: Transpose perm %v rank mismatch for shape %v", perm, t.shape))
+		panic("tensor: Transpose perm " + dims(perm) + " rank mismatch for shape " + dims(t.shape))
 	}
-	seen := make([]bool, t.Rank())
-	outShape := make([]int, t.Rank())
-	for i, p := range perm {
-		if p < 0 || p >= t.Rank() || seen[p] {
-			panic(fmt.Sprintf("tensor: Transpose perm %v is not a permutation", perm))
+	var seen uint64 // einsum labels bound the rank at 52
+	var shapeArr [maxBlockRank]int
+	outShape := shapeArr[:0]
+	for _, p := range perm {
+		if p < 0 || p >= t.Rank() || seen&(1<<p) != 0 {
+			panic("tensor: Transpose perm " + dims(perm) + " is not a permutation")
 		}
-		seen[p] = true
-		outShape[i] = t.shape[p]
+		seen |= 1 << p
+		outShape = append(outShape, t.shape[p])
 	}
-	out := New(outShape...)
-	it := newIndexIterator(outShape)
-	src := make([]int, t.Rank())
-	for idx, ok := it.next(); ok; idx, ok = it.next() {
-		for i, p := range perm {
-			src[p] = idx[i]
-		}
-		out.data[out.offset(idx)] = t.data[t.offset(src)]
-	}
+	out := resolveDst(dst, outShape)
+	// The result is t packed in perm order: the kernel engine's pack
+	// walk, which copies unit-stride innermost runs whole.
+	permCopy(out.data, t, perm, true)
 	return out
 }
 

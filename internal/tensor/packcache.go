@@ -24,7 +24,10 @@ import (
 // are simply dropped for the GC. The cache is bounded (entries per
 // plan side), so churn from non-recurring operands (the circulating
 // activation shards) evicts in LRU order instead of growing without
-// bound.
+// bound. Pooled tensors (NewPooled) never enter: an executor's own
+// buffers are recycled, not revisited, so a pack keyed on one could
+// only pin a finished run's memory — they pack into pooled scratch like
+// the cache-off path.
 
 // packCacheMaxEntries bounds one plan side's cache. A program has a
 // handful of persistent weight tensors per einsum spec (one per device
@@ -113,11 +116,11 @@ func (pc *packCache) touch(t *Tensor) {
 // packedOperand resolves one non-direct operand to its packed buffer:
 // from the plan's cache when enabled and current, otherwise by packing
 // — into a cache-owned buffer on a cacheable miss, or into pooled
-// scratch when the cache is off. The second return is the pooled
+// scratch when the cache is off or the operand is a pooled tensor. The second return is the pooled
 // scratch to release after the kernel runs (nil when the bytes are
 // cache-owned).
 func packedOperand(pc *packCache, t *Tensor, perm []int, n int) ([]float64, *[]float64) {
-	if pc == nil || !packCacheOn.Load() {
+	if pc == nil || t.pooled || !packCacheOn.Load() {
 		buf := getBuf(n)
 		permCopy(*buf, t, perm, true)
 		return *buf, buf
@@ -133,4 +136,25 @@ func packedOperand(pc *packCache, t *Tensor, perm []int, n int) ([]float64, *[]f
 	permCopy(data, t, perm, true)
 	pc.store(t, version, data)
 	return data, nil
+}
+
+// PackCacheTensors returns the tensors the pack caches of every einsum
+// plan currently key on, in no particular order. Each is kept
+// reachable, with its pack, until evicted — which makes the list the
+// thing to inspect when asking what a finished run left behind.
+func PackCacheTensors() []*Tensor {
+	var out []*Tensor
+	einsumCache.Range(func(_, v any) bool {
+		if plan := v.(*einsumEntry).plan; plan != nil {
+			for _, pc := range []*packCache{plan.lhsPack, plan.rhsPack} {
+				if pc != nil {
+					pc.mu.Lock()
+					out = append(out, pc.recency...)
+					pc.mu.Unlock()
+				}
+			}
+		}
+		return true
+	})
+	return out
 }

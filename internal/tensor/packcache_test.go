@@ -65,6 +65,48 @@ func TestPackCacheInvalidationOnMutation(t *testing.T) {
 	// mutation note must invalidate too.
 	EinsumAddInto(w, "mk,kn->mn", Rand(rng, 32, 16), Rand(rng, 16, 64))
 	check("after being a kernel output")
+
+	// The destination-passing kernels an executor's buffer plan runs in
+	// place: each one writes w without w ever leaving the cache's sight.
+	AddInto(w, Rand(rng, 32, 64), w)
+	check("after AddInto in place")
+	MaxInto(w, w, Rand(rng, 32, 64))
+	check("after MaxInto in place")
+	DynamicUpdateSliceInto(w, w, Rand(rng, 4, 64), []int{9, 0})
+	check("after DynamicUpdateSliceInto in place")
+	CopyInto(w, Rand(rng, 32, 64))
+	check("after CopyInto")
+	EinsumIntoSplitK(w, 0, "mk,kn->mn", Rand(rng, 32, 16), Rand(rng, 16, 64))
+	check("after EinsumInto")
+}
+
+// TestPooledTensorsBypassPackCache pins the arena rule: a tensor from
+// the exact-size free lists is some executor's recycled buffer — it
+// will be overwritten, not revisited — so packing it must neither
+// consult nor populate a plan's cache, whatever its version says.
+func TestPooledTensorsBypassPackCache(t *testing.T) {
+	defer SetPackCache(true)
+	SetPackCache(true)
+	rng := rand.New(rand.NewSource(36))
+	const spec = "mk,nk->mn"
+	x := Rand(rng, 4, 64)
+	w := NewPooled(32, 64)
+	defer Release(w)
+	for round := 0; round < 3; round++ {
+		CopyInto(w, Rand(rng, 32, 64))
+		misses0 := kernelPackMisses.Value()
+		if got, want := Einsum(spec, x, w), ReferenceEinsum(spec, x, w); !got.Equal(want) {
+			t.Fatalf("round %d: pooled operand produced wrong bytes", round)
+		}
+		if kernelPackMisses.Value() != misses0 {
+			t.Fatalf("round %d: a pooled operand went through the pack cache", round)
+		}
+	}
+	for _, cached := range PackCacheTensors() {
+		if cached == w {
+			t.Fatal("a pooled tensor is keyed in a pack cache")
+		}
+	}
 }
 
 // TestPackCacheEvictionBound pins the LRU bound: churning more distinct

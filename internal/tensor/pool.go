@@ -82,3 +82,71 @@ func putBuf(p *[]float64) {
 	*p = (*p)[:c]
 	bufClasses[bufClass(c)].Put(p)
 }
+
+// Exact-size free lists for whole tensors. The scratch classes above
+// round capacities up to a power of two, which is right for transient
+// kernel scratch but would inflate an executor's value buffers by up
+// to 2x; an executor's buffers also recur at exactly the same sizes
+// run after run (the same program, the same shapes), so these lists
+// are keyed by exact element count. A pooled tensor is owned by exactly
+// one holder between NewPooled and Release; the lists are sync.Pools,
+// so buffers no run has asked for across two collections are dropped
+// rather than held.
+var (
+	freeMu    sync.RWMutex
+	freeLists = map[int]*sync.Pool{}
+)
+
+func freeList(n int) *sync.Pool {
+	freeMu.RLock()
+	p := freeLists[n]
+	freeMu.RUnlock()
+	if p != nil {
+		return p
+	}
+	freeMu.Lock()
+	defer freeMu.Unlock()
+	if p = freeLists[n]; p == nil {
+		p = new(sync.Pool)
+		freeLists[n] = p
+	}
+	return p
+}
+
+// NewPooled returns a tensor of the given shape from the exact-size
+// free lists. Its contents are unspecified: the caller must overwrite
+// every element before reading any. The caller owns it until Release.
+func NewPooled(shape ...int) *Tensor {
+	n := 1
+	for _, d := range shape {
+		if d < 0 {
+			panic("tensor: negative dimension in shape " + dims(shape))
+		}
+		n *= d
+	}
+	var t *Tensor
+	if v := freeList(n).Get(); v != nil {
+		t = v.(*Tensor)
+		t.setShape(shape)
+	} else {
+		t = New(shape...)
+	}
+	t.pooled = true
+	return t
+}
+
+// Pooled reports whether t came from NewPooled and has not been
+// released.
+func (t *Tensor) Pooled() bool { return t.pooled }
+
+// Release hands a tensor obtained from NewPooled back to its free
+// list. The caller must hold the only reference: the next NewPooled of
+// the same size may return it. Releasing any other tensor, or the same
+// one twice, panics.
+func Release(t *Tensor) {
+	if !t.pooled {
+		panic("tensor: Release of a tensor that is not pooled (or already released)")
+	}
+	t.pooled = false
+	freeList(len(t.data)).Put(t)
+}

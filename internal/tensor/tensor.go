@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync/atomic"
 )
@@ -37,6 +38,12 @@ type Tensor struct {
 	// because concurrent device goroutines may call Data on a shared
 	// replicated tensor.
 	version atomic.Uint64
+
+	// pooled marks a tensor drawn from the exact-size free lists
+	// (NewPooled): exactly one holder owns it, may overwrite it, and
+	// hands it back with Release. Its contents never recur, so the pack
+	// cache does not key on it.
+	pooled bool
 }
 
 // New returns a zero-filled tensor of the given shape. A nil or empty
@@ -47,7 +54,7 @@ func New(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension in shape %v", shape))
+			panic("tensor: negative dimension in shape " + dims(shape))
 		}
 		n *= d
 	}
@@ -99,14 +106,44 @@ func Iota(shape ...int) *Tensor {
 	return t
 }
 
+// dims renders a shape or index list like fmt's %v. The kernels' panic
+// messages use it instead of fmt so their slice arguments stay on the
+// caller's stack: a slice handed to fmt escapes to the heap.
+func dims(s []int) string {
+	b := []byte{'['}
+	for i, d := range s {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(d), 10)
+	}
+	return string(append(b, ']'))
+}
+
 func computeStrides(shape []int) []int {
 	strides := make([]int, len(shape))
+	fillStrides(strides, shape)
+	return strides
+}
+
+func fillStrides(strides, shape []int) {
 	acc := 1
 	for i := len(shape) - 1; i >= 0; i-- {
 		strides[i] = acc
 		acc *= shape[i]
 	}
-	return strides
+}
+
+// setShape reinterprets t's row-major data under a new shape of the
+// same element count, reusing the header's slices when the rank fits.
+func (t *Tensor) setShape(shape []int) {
+	t.shape = append(t.shape[:0], shape...)
+	if cap(t.strides) < len(shape) {
+		t.strides = make([]int, len(shape))
+	}
+	t.strides = t.strides[:len(shape)]
+	fillStrides(t.strides, shape)
+	t.noteMutation()
 }
 
 // Rank returns the number of dimensions.
@@ -170,17 +207,7 @@ func (t *Tensor) offset(index []int) int {
 }
 
 // SameShape reports whether t and o have identical shapes.
-func (t *Tensor) SameShape(o *Tensor) bool {
-	if len(t.shape) != len(o.shape) {
-		return false
-	}
-	for i := range t.shape {
-		if t.shape[i] != o.shape[i] {
-			return false
-		}
-	}
-	return true
-}
+func (t *Tensor) SameShape(o *Tensor) bool { return sameDims(t.shape, o.shape) }
 
 // Equal reports whether t and o have the same shape and bitwise-equal
 // elements.
@@ -229,43 +256,4 @@ func (t *Tensor) String() string {
 		fmt.Fprintf(&b, "%v", t.data)
 	}
 	return b.String()
-}
-
-// indexIterator walks a multi-dimensional index space in row-major order.
-// next reports false once the space is exhausted. A zero-size space yields
-// no indices.
-type indexIterator struct {
-	shape []int
-	index []int
-	done  bool
-}
-
-func newIndexIterator(shape []int) *indexIterator {
-	it := &indexIterator{shape: shape, index: make([]int, len(shape))}
-	for _, d := range shape {
-		if d == 0 {
-			it.done = true
-		}
-	}
-	return it
-}
-
-// next advances to the following index. The returned slice is reused
-// between calls; callers must not retain it.
-func (it *indexIterator) next() ([]int, bool) {
-	if it.done {
-		return nil, false
-	}
-	cur := it.index
-	// Pre-compute the successor for the next call.
-	out := append([]int(nil), cur...)
-	for i := len(it.index) - 1; i >= 0; i-- {
-		it.index[i]++
-		if it.index[i] < it.shape[i] {
-			return out, true
-		}
-		it.index[i] = 0
-	}
-	it.done = true
-	return out, true
 }
