@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"overlap"
+	"overlap/cmd/internal/cli"
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
 	"overlap/internal/models"
@@ -22,12 +23,12 @@ import (
 )
 
 func main() {
-	model := flag.String("model", "GPT_32B", "model name from Table 1 or Table 2")
-	in := flag.String("in", "", "parse this HLO text file instead of building a model")
-	devices := flag.Int("devices", 0, "with -in: simulate on this many devices")
+	f := cli.Defaults()
+	f.Devices = 0 // with -in: also simulate on this many devices
+	f.Register(flag.CommandLine, "model", "devices", "trace")
+	in := flag.String("in", "", "parse this HLO text file instead of building a model (with -devices N, simulate it too)")
 	apply := flag.Bool("overlap", false, "apply the overlap pipeline before printing")
 	scheduler := flag.String("scheduler", "bottom-up", "scheduler: bottom-up, top-down or none")
-	traceOut := flag.String("trace", "", "also simulate and write a Chrome trace (chrome://tracing) to this file")
 	flag.Parse()
 
 	if *in != "" {
@@ -47,8 +48,8 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "hlodump: parsed %d instructions, peak memory %.2f MiB\n",
 			c.NumInstructions(), float64(hlo.PeakMemory(c).PeakBytes)/(1<<20))
-		if *devices > 0 {
-			bd, err := sim.Simulate(c, *devices, machine.TPUv4())
+		if f.Devices > 0 {
+			bd, err := sim.Simulate(c, f.Devices, machine.TPUv4())
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "hlodump: %v\n", err)
 				os.Exit(1)
@@ -60,7 +61,7 @@ func main() {
 		return
 	}
 
-	cfg, err := models.ByName(*model)
+	cfg, err := models.ByName(f.Model)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hlodump: %v\n", err)
 		os.Exit(1)
@@ -91,7 +92,7 @@ func main() {
 		fmt.Printf("// sites found=%d decomposed=%d rejected=%d fusions=%d\n",
 			report.SitesFound, report.SitesDecomposed, report.SitesRejected, report.FusionsFormed)
 	}
-	if *traceOut != "" {
+	if f.Trace != "" {
 		_, spans, err := sim.SimulateTrace(c, cfg.Mesh().NumDevices(), machine.TPUv4())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hlodump: %v\n", err)
@@ -104,11 +105,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hlodump: %v\n", err)
 			os.Exit(1)
 		}
-		if err := os.WriteFile(*traceOut, raw, 0o644); err != nil {
+		if err := os.WriteFile(f.Trace, raw, 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "hlodump: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "hlodump: wrote %d trace events to %s\n", len(spans), *traceOut)
+		fmt.Fprintf(os.Stderr, "hlodump: wrote %d trace events to %s\n", len(spans), f.Trace)
 	}
 	fmt.Print(c.Format())
 }

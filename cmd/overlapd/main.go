@@ -11,7 +11,7 @@
 //	                  the measured breakdown, overlap efficiency, and a
 //	                  result digest
 //	POST /v1/compile  return the compiled Plan artifact (same JSON as
-//	                  overlaptune -plan-out / overlaprun -plan-in)
+//	                  overlap tune -plan-out / overlap run -plan-in)
 //	GET  /v1/plans    list cached plan fingerprints
 //	GET  /v1/runs     flight recorder: recent + kept (slowest/failed)
 //	                  run traces, newest first
@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"overlap"
+	"overlap/cmd/internal/cli"
 )
 
 func main() {
@@ -52,15 +53,16 @@ func main() {
 	// their per-device workers; the hook must run before anything else.
 	overlap.MaybeTransportWorker()
 
+	f := cli.Defaults()
+	f.TopK = 2
+	// -transport is an operator decision: requests cannot override it.
+	f.Register(flag.CommandLine, "transport", "kernel-workers", "topk", "cache", "no-cache")
 	addr := flag.String("addr", ":8080", "listen address")
 	maxBatch := flag.Int("max-batch", 8, "batcher flush size (requests)")
 	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "batcher flush age: a partial batch waits at most this long")
 	inbox := flag.Int("inbox", 256, "bounded request inbox; beyond it requests get 503")
 	maxRuns := flag.Int("max-runs", 4, "admission limit: concurrent runtime executions sharing the kernel pool")
 	planCache := flag.Int("plan-cache", 64, "in-memory compiled-plan LRU capacity")
-	cachePath := flag.String("cache", "", "autotune decision cache file backing cold compiles (default: per-user cache dir)")
-	noCache := flag.Bool("no-cache", false, "skip the on-disk decision cache")
-	tuneTopK := flag.Int("topk", 2, "candidates executed for real per cold compile")
 	tuneScale := flag.Float64("tune-timescale", 50, "wire-delay scale during cold-compile tuning")
 	runScale := flag.Float64("run-timescale", 50, "wire-delay scale of served runs (negative disables injection)")
 	deadline := flag.Duration("default-deadline", 60*time.Second, "run deadline when the request carries none")
@@ -69,13 +71,11 @@ func main() {
 	flightSize := flag.Int("flight-size", 64, "flight recorder: ring capacity of recent run traces served at /v1/runs")
 	flightKeep := flag.Int("flight-keep", 8, "flight recorder: slowest/failed runs kept beyond the ring")
 	traceDir := flag.String("trace-dir", "", "additionally write every recorded run trace to <dir>/<run-id>.json")
-	kernelWorkers := flag.Int("kernel-workers", 0, "intra-op einsum kernel parallelism (0 = GOMAXPROCS); keyed into every plan fingerprint")
-	transport := flag.String("transport", "chan", "fabric transport of served runs: chan (in-process channels) or proc (one worker process per device over Unix sockets); an operator decision, requests cannot override it")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 	flag.Parse()
 
-	overlap.SetKernelWorkers(*kernelWorkers)
-	tk, err := overlap.ParseTransport(*transport)
+	overlap.SetKernelWorkers(f.KernelWorkers)
+	tk, err := overlap.ParseTransport(f.Transport)
 	if err != nil {
 		fail(err)
 	}
@@ -95,9 +95,9 @@ func main() {
 		InboxSize:          *inbox,
 		MaxConcurrentRuns:  *maxRuns,
 		PlanCacheSize:      *planCache,
-		CachePath:          *cachePath,
-		DisableDiskCache:   *noCache,
-		TuneTopK:           *tuneTopK,
+		CachePath:          f.Cache,
+		DisableDiskCache:   f.NoCache,
+		TuneTopK:           f.TopK,
 		TuneTimeScale:      *tuneScale,
 		RunTimeScale:       *runScale,
 		DefaultDeadline:    *deadline,

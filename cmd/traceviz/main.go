@@ -18,33 +18,28 @@
 //	traceviz -model GPT_32B -overlap -attrib   # per-collective attribution table
 //	traceviz -model GPT_32B -link-gbs 200      # machine-spec override
 //	traceviz -trace-in run.json                # render a recorded RunTrace artifact
-//	                                           # (overlaprun -trace-out / overlapd /v1/runs/{id})
+//	                                           # (overlap run -trace-out / overlapd /v1/runs/{id})
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 
 	"overlap"
+	"overlap/cmd/internal/cli"
 	"overlap/internal/models"
 	"overlap/internal/sim"
-	"overlap/internal/tensor"
 )
 
 func main() {
-	model := flag.String("model", "GPT_32B", "model name from Table 1 or Table 2")
+	f := cli.Defaults()
+	// -devices, -dim and -timescale size and pace the -run miniature.
+	f.Register(flag.CommandLine, "model", "devices", "dim", "timescale", "attrib", "link-gbs", "peak-tflops")
 	apply := flag.Bool("overlap", false, "apply the overlap pipeline first")
 	width := flag.Int("width", 120, "timeline width in columns")
 	run := flag.Bool("run", false, "execute a miniature on the goroutine runtime and render the measured trace")
-	devices := flag.Int("devices", 4, "ring size for -run (goroutine devices)")
-	dim := flag.Int("dim", 8, "miniature per-head dimension for -run")
-	timeScale := flag.Float64("timescale", 2000, "wire-delay scale for -run")
-	attrib := flag.Bool("attrib", false, "print the per-collective overlap attribution under the timeline")
-	linkGBs := flag.Float64("link-gbs", 0, "override per-direction link bandwidth (GB/s, 4-byte-element equivalent)")
-	peakTF := flag.Float64("peak-tflops", 0, "override per-chip peak TFLOP/s")
-	traceIn := flag.String("trace-in", "", "render a recorded RunTrace artifact (from overlaprun/overlaptrain -trace-out or overlapd /v1/runs/{id}) instead of building a model")
+	traceIn := flag.String("trace-in", "", "render a recorded RunTrace artifact (from overlap run/train -trace-out or overlapd /v1/runs/{id}) instead of building a model")
 	flag.Parse()
 
 	if *traceIn != "" {
@@ -57,30 +52,23 @@ func main() {
 			fail(err)
 		}
 		printArtifactHeader(trace)
-		render(trace, *width, *attrib)
+		render(trace, *width, f.Attrib)
 		return
 	}
 
-	spec := overlap.TPUv4()
-	if *linkGBs != 0 {
-		spec.LinkBandwidth = *linkGBs * 1e9
-	}
-	if *peakTF != 0 {
-		spec.PeakFLOPS = *peakTF * 1e12
-	}
-	if err := spec.Validate(); err != nil {
-		fail(err)
-	}
-
-	cfg, err := models.ByName(*model)
+	spec, err := f.Spec()
 	if err != nil {
 		fail(err)
 	}
+
+	var cfg overlap.ModelConfig
 	if *run {
-		var merr error
-		if cfg, merr = overlap.Miniature(cfg, *devices, *dim); merr != nil {
-			fail(merr)
-		}
+		cfg, err = f.Miniature()
+	} else {
+		cfg, err = models.ByName(f.Model)
+	}
+	if err != nil {
+		fail(err)
 	}
 	c, err := overlap.BuildLayerStep(cfg)
 	if err != nil {
@@ -105,8 +93,8 @@ func main() {
 		source string
 	)
 	if *run {
-		res, rerr := overlap.Run(c, *devices, randomArgs(c), overlap.RunOptions{
-			Spec: spec, TimeScale: *timeScale, Trace: true,
+		res, rerr := overlap.Run(c, f.Devices, cli.Args(c), overlap.RunOptions{
+			Spec: spec, TimeScale: f.TimeScale, Trace: true,
 		})
 		if rerr != nil {
 			fail(rerr)
@@ -121,7 +109,7 @@ func main() {
 	}
 	fmt.Printf("%s, one layer step (%s): %.3f ms, %.0f%% exposed communication\n",
 		cfg.Name, source, 1e3*bd.StepTime, 100*bd.CommFraction())
-	render(overlap.NewRunTrace(id, "run", spans), *width, *attrib)
+	render(overlap.NewRunTrace(id, "run", spans), *width, f.Attrib)
 }
 
 // render prints the one timeline view of a RunTrace — simulated,
@@ -152,18 +140,6 @@ func printArtifactHeader(trace *overlap.RunTrace) {
 	for _, st := range trace.Stages {
 		fmt.Printf("stage %-10s %8.3f ms\n", st.Name, st.DurMS)
 	}
-}
-
-// randomArgs supplies one replicated random tensor per parameter, the
-// same convention overlaprun uses.
-func randomArgs(c *overlap.Computation) [][]*tensor.Tensor {
-	rng := rand.New(rand.NewSource(42))
-	params := c.Parameters()
-	args := make([][]*tensor.Tensor, len(params))
-	for i, p := range params {
-		args[i] = []*tensor.Tensor{tensor.Rand(rng, p.Shape...)}
-	}
-	return args
 }
 
 func fail(err error) {

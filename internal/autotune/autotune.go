@@ -210,7 +210,7 @@ func Tune(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Opti
 		opts.RunID = obs.NewRunID()
 	}
 	res := &Result{
-		Fingerprint:    cacheKey(c, opts.Spec, numDevices),
+		Fingerprint:    Key(c, opts.Spec, numDevices),
 		Calibration:    machine.Identity(),
 		CalibratedSpec: opts.Spec,
 		Residual:       -1,
@@ -252,7 +252,7 @@ func Tune(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Opti
 	}
 
 	if !opts.DisableCache {
-		if err := cacheStore(res.CachePath, res.Fingerprint, res); err != nil {
+		if err := cacheStore(res.CachePath, res.Fingerprint, numDevices, res); err != nil {
 			return nil, fmt.Errorf("autotune: storing decision: %w", err)
 		}
 	}

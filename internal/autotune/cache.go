@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
@@ -67,10 +66,6 @@ func Key(c *hlo.Computation, spec machine.Spec, numDevices int) string {
 	}
 	return fmt.Sprintf("%s|%s|n=%d|kw=%d|obs=%d",
 		ProgramFingerprint(c), specFP, numDevices, tensor.KernelWorkers(), instr)
-}
-
-func cacheKey(c *hlo.Computation, spec machine.Spec, numDevices int) string {
-	return Key(c, spec, numDevices)
 }
 
 // cacheEntry is one persisted decision.
@@ -147,7 +142,7 @@ var cacheStoreMu sync.Mutex
 // directory as needed. Stores from separate processes may still
 // interleave read-modify-write; the loser's older entries survive
 // because the file is re-read immediately before writing.
-func cacheStore(path, key string, res *Result) error {
+func cacheStore(path, key string, numDevices int, res *Result) error {
 	cacheStoreMu.Lock()
 	defer cacheStoreMu.Unlock()
 	f := loadCache(path)
@@ -160,7 +155,7 @@ func cacheStore(path, key string, res *Result) error {
 		Calibration:    res.Calibration,
 		Residual:       res.Residual,
 		Created:        time.Now().UTC().Format(time.RFC3339),
-		Devices:        deviceCount(key),
+		Devices:        numDevices,
 		SpecName:       res.CalibratedSpec.Name,
 		SearchedUnique: countUnique(res.Candidates),
 	}
@@ -206,14 +201,6 @@ func writeFileAtomic(path string, data []byte) error {
 		return err
 	}
 	return nil
-}
-
-func deviceCount(key string) int {
-	var n int
-	if _, err := fmt.Sscanf(key[strings.LastIndex(key, "|n=")+3:], "%d", &n); err != nil {
-		return 0
-	}
-	return n
 }
 
 func countUnique(cands []Candidate) int {

@@ -129,7 +129,7 @@ func TestCacheStoreConcurrentKeepsAll(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = cacheStore(path, keys[i], &Result{BestName: keys[i]})
+			errs[i] = cacheStore(path, keys[i], 4, &Result{BestName: keys[i]})
 		}(i)
 	}
 	wg.Wait()

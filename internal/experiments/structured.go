@@ -31,7 +31,7 @@ func IDs() []string {
 		"table1", "table2", "fig1", "fig12", "fig13", "fig14", "fig15", "fig16",
 		"energy", "inference",
 		// Extensions beyond the paper's evaluation section.
-		"memory", "rolled", "inference-sweep", "pipeline", "gpu", "wallclock", "transport",
+		"memory", "rolled", "inference-sweep", "pipeline", "gpu",
 	}
 }
 
@@ -85,10 +85,6 @@ func RunStructured(id string, spec machine.Spec) (Structured, error) {
 		s.Text, err = Pipeline(spec)
 	case "gpu":
 		s.Text, err = GPU(spec)
-	case "wallclock":
-		s.Text, s.Speedups, err = Wallclock(spec)
-	case "transport":
-		s.Text, s.Speedups, err = Transport(spec)
 	default:
 		return s, fmt.Errorf("experiments: unknown experiment %q (want one of %v)", id, IDs())
 	}

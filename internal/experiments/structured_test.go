@@ -7,9 +7,9 @@ import (
 	"overlap/internal/sim"
 )
 
-// TestStructuredJSONGolden pins the overlapbench -json line schema byte
-// for byte: renaming or reordering a field breaks downstream tracking
-// tools, so it must fail here first.
+// TestStructuredJSONGolden pins the `overlap experiments -json` line
+// schema byte for byte: renaming or reordering a field breaks downstream
+// tracking tools, so it must fail here first.
 func TestStructuredJSONGolden(t *testing.T) {
 	s := Structured{
 		Experiment: "fig12",

@@ -20,8 +20,6 @@ import (
 // replicated tensor, and whole runs — from the plan's cache, while
 // staying bit-identical to the lockstep interpreter.
 func TestDecomposedRunReusesPacks(t *testing.T) {
-	defer tensor.SetPackCache(true)
-	tensor.SetPackCache(true)
 	const n = 4
 	c := hlo.NewComputation("packs")
 	groups := topology.NewRing(n).AxisGroups(0)

@@ -61,7 +61,7 @@ type transport interface {
 	// processes reaped — after every device goroutine has returned.
 	shutdown()
 
-	// traceEvents returns the transfer-layer spans recorded during the
+	// spans returns the transfer-layer spans recorded during the
 	// run. Only called after shutdown, when nothing appends.
 	spans() []obs.Span
 }

@@ -129,7 +129,6 @@ func runWorker(dev int, edgeSpec string) error {
 	}
 	out := map[int]*outEdge{}
 	var inSocks []*os.File
-	var inPeers []int
 	for i, part := range strings.Split(edgeSpec, ",") {
 		if part == "" {
 			continue
@@ -150,7 +149,6 @@ func runWorker(dev int, edgeSpec string) error {
 			out[peer] = e
 		case "i":
 			inSocks = append(inSocks, sock)
-			inPeers = append(inPeers, peer)
 		default:
 			return fmt.Errorf("bad edge kind %q in %q", kind, part)
 		}
@@ -217,9 +215,8 @@ func runWorker(dev int, edgeSpec string) error {
 	// under a mutex (frames are single Writes, but interleaving two
 	// would still corrupt the stream).
 	var ctlWriteMu sync.Mutex
-	for i, sock := range inSocks {
+	for _, sock := range inSocks {
 		sock := sock
-		_ = inPeers[i]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -303,6 +303,10 @@ type Request struct {
 	// DebugFaults.
 	Fault     string `json:"fault,omitempty"`
 	FaultSeed int64  `json:"fault_seed,omitempty"`
+
+	// faults is Fault parsed and seeded by decodeRequest; nil injects
+	// nothing (no spec, or one that is blank once trimmed).
+	faults *runtime.FaultPlan
 }
 
 // RunResponse is the answer to /v1/run.
@@ -400,16 +404,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	args := Args(out.plan.comp, req.Seed)
 	ropts := runtime.Options{
 		Spec: s.cfg.Spec, TimeScale: s.runTimeScale(req), Trace: true, RunID: runID,
-		Transport: s.cfg.Transport,
-	}
-	if req.Fault != "" {
-		plan, err := runtime.ParseFaults(req.Fault)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		plan.Seed = req.FaultSeed
-		ropts.Faults = plan
+		Transport: s.cfg.Transport, Faults: req.faults,
 	}
 
 	runStart := time.Now()
@@ -624,7 +619,7 @@ func (s *Server) handleRunByID(w http.ResponseWriter, r *http.Request) {
 
 // handleCompile serves POST /v1/compile: acquire (or build) the plan
 // and return the serialized artifact itself — the same bytes
-// overlaptune -plan-out writes and overlaprun -plan-in executes.
+// overlap tune -plan-out writes and overlap run -plan-in executes.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	req, err := s.decodeRequest(w, r)
 	if err != nil {
@@ -703,10 +698,23 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*Request
 		s.writeError(w, http.StatusBadRequest, err)
 		return nil, err
 	}
-	if req.Fault != "" && !s.cfg.DebugFaults {
-		err := fmt.Errorf("serve: fault injection requires the daemon's debug-faults flag")
-		s.writeError(w, http.StatusForbidden, err)
-		return nil, err
+	if req.Fault != "" {
+		if !s.cfg.DebugFaults {
+			err := fmt.Errorf("serve: fault injection requires the daemon's debug-faults flag")
+			s.writeError(w, http.StatusForbidden, err)
+			return nil, err
+		}
+		// Rejected here, before any plan is acquired or admission slot
+		// taken: a malformed spec must not cost a cold compile.
+		plan, err := runtime.ParseFaults(req.Fault)
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, err)
+			return nil, err
+		}
+		if plan != nil {
+			plan.Seed = req.FaultSeed
+		}
+		req.faults = plan
 	}
 	if req.Seed == 0 {
 		req.Seed = 42

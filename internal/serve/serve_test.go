@@ -276,6 +276,40 @@ func TestFaultRejectedWithoutDebugFaults(t *testing.T) {
 	}
 }
 
+// TestFaultSpecValidatedUpFront pins where a fault spec is judged: once,
+// in request decoding. A spec that trims to nothing parses to a nil
+// FaultPlan and injects nothing — it must not panic the handler; a
+// malformed one is a 400 that never touched the compiler, even for a fingerprint
+// the server has not seen; a valid one runs, and fails only as the
+// structured 503.
+func TestFaultSpecValidatedUpFront(t *testing.T) {
+	cfg := testConfig()
+	cfg.DebugFaults = true
+	_, ts := newTestServer(t, cfg)
+
+	blank := miniatureRequest()
+	blank.Fault = " "
+	if _, status, raw, err := postRun(ts, blank); err != nil {
+		t.Fatalf("blank fault spec: status %d, want 200: %v\n%s", status, err, raw)
+	}
+
+	c0 := svCompiles.Value()
+	malformed := Request{Model: "GPT_32B", Devices: 4, Dim: 4, Fault: "explode:dev:1"}
+	if _, status, raw, _ := postRun(ts, malformed); status != http.StatusBadRequest {
+		t.Fatalf("malformed fault spec: status %d, want 400\n%s", status, raw)
+	}
+	if d := svCompiles.Value() - c0; d != 0 {
+		t.Fatalf("malformed fault spec cost %v compiles before it was rejected, want 0", d)
+	}
+
+	valid := miniatureRequest()
+	valid.Fault = "delay:link:0-1:1ms"
+	valid.FaultSeed = 7
+	if _, status, raw, _ := postRun(ts, valid); status != http.StatusOK && status != http.StatusServiceUnavailable {
+		t.Fatalf("valid fault spec: status %d, want 200 or 503\n%s", status, raw)
+	}
+}
+
 // TestRequestValidation pins the request-surface errors.
 func TestRequestValidation(t *testing.T) {
 	_, ts := newTestServer(t, testConfig())

@@ -237,8 +237,7 @@ func TestEinsumAddIntoPackedPathPoolsScratch(t *testing.T) {
 }
 
 // BenchmarkEinsum sweeps square matmuls from 32 to 512, reporting
-// GFLOP/s alongside ns/op. cmd/kernelbench runs the same sweep to emit
-// BENCH_kernels.json in CI.
+// GFLOP/s alongside ns/op.
 func BenchmarkEinsum(b *testing.B) {
 	for _, size := range []int{32, 64, 128, 256, 512} {
 		b.Run(fmt.Sprintf("matmul%d", size), func(b *testing.B) {

@@ -35,19 +35,13 @@ import (
 // while churning transient ones.
 const packCacheMaxEntries = 64
 
-// packCacheOn gates the cache process-wide (SetPackCache). On by
-// default; the differential grid tests run both settings.
+// packCacheOn gates the cache. It is always on outside this package's
+// tests, which switch it off (setPackCache) to run the always-freshly-
+// packed path as the reference: disabling only changes where packed
+// bytes come from, never the result bytes.
 var packCacheOn atomic.Bool
 
 func init() { packCacheOn.Store(true) }
-
-// SetPackCache enables or disables the kernel engine's persistent
-// operand-pack cache. Disabling only changes where packed bytes come
-// from (always freshly packed scratch), never the result bytes.
-func SetPackCache(on bool) { packCacheOn.Store(on) }
-
-// PackCacheEnabled reports whether the pack cache is active.
-func PackCacheEnabled() bool { return packCacheOn.Load() }
 
 // packEntry is one cached packed operand: the packed row-major buffer
 // and the tensor version it was packed from.

@@ -7,13 +7,17 @@ import (
 	"testing"
 )
 
+// setPackCache is the test-only switch of the pack cache: off runs the
+// always-freshly-packed path the cached engine is compared against.
+func setPackCache(on bool) { packCacheOn.Store(on) }
+
 // TestPackCacheHitsAcrossIterations verifies the cache's purpose: a
 // recurring packed operand (the decomposed loop's weight shard) packs
 // once, then every later kernel execution against it is a hit — and
 // the bytes never differ from the uncached engine.
 func TestPackCacheHitsAcrossIterations(t *testing.T) {
-	defer SetPackCache(true)
-	SetPackCache(true)
+	defer setPackCache(true)
+	setPackCache(true)
 	rng := rand.New(rand.NewSource(31))
 	x := Rand(rng, 4, 96)
 	w := Rand(rng, 64, 96) // rhs of "mk,nk->mn": packed every run
@@ -37,8 +41,8 @@ func TestPackCacheHitsAcrossIterations(t *testing.T) {
 // in-place accumulation, or being the output of a kernel — must force
 // a repack, so results always reflect current contents.
 func TestPackCacheInvalidationOnMutation(t *testing.T) {
-	defer SetPackCache(true)
-	SetPackCache(true)
+	defer setPackCache(true)
+	setPackCache(true)
 	rng := rand.New(rand.NewSource(32))
 	const spec = "mk,nk->mn"
 	x := Rand(rng, 4, 64)
@@ -85,8 +89,8 @@ func TestPackCacheInvalidationOnMutation(t *testing.T) {
 // will be overwritten, not revisited — so packing it must neither
 // consult nor populate a plan's cache, whatever its version says.
 func TestPooledTensorsBypassPackCache(t *testing.T) {
-	defer SetPackCache(true)
-	SetPackCache(true)
+	defer setPackCache(true)
+	setPackCache(true)
 	rng := rand.New(rand.NewSource(36))
 	const spec = "mk,nk->mn"
 	x := Rand(rng, 4, 64)
@@ -113,8 +117,8 @@ func TestPooledTensorsBypassPackCache(t *testing.T) {
 // operands than one plan side holds evicts in LRU order instead of
 // growing without bound, and evictions are counted.
 func TestPackCacheEvictionBound(t *testing.T) {
-	defer SetPackCache(true)
-	SetPackCache(true)
+	defer setPackCache(true)
+	setPackCache(true)
 	rng := rand.New(rand.NewSource(33))
 	const spec = "mk,nk->mn" // rhs side packs
 	e, err := einsumLookup(spec)
@@ -142,13 +146,13 @@ func TestPackCacheEvictionBound(t *testing.T) {
 // TestPackCacheDisabled verifies the toggle: with the cache off the
 // engine packs into pooled scratch every run, still byte-identical.
 func TestPackCacheDisabled(t *testing.T) {
-	defer SetPackCache(true)
+	defer setPackCache(true)
 	rng := rand.New(rand.NewSource(34))
 	x := Rand(rng, 4, 64)
 	w := Rand(rng, 32, 64)
-	SetPackCache(true)
+	setPackCache(true)
 	on := Einsum("mk,nk->mn", x, w)
-	SetPackCache(false)
+	setPackCache(false)
 	hits0 := kernelPackHits.Value()
 	off := Einsum("mk,nk->mn", x, w)
 	if kernelPackHits.Value() != hits0 {
@@ -165,8 +169,8 @@ func TestPackCacheDisabled(t *testing.T) {
 // race job runs under -race. Shared tensors are only read; each
 // goroutine mutates its own operand between kernels.
 func TestPackCacheConcurrentUse(t *testing.T) {
-	defer SetPackCache(true)
-	SetPackCache(true)
+	defer setPackCache(true)
+	setPackCache(true)
 	rng := rand.New(rand.NewSource(35))
 	x := Rand(rng, 2, 48)
 	shared := Rand(rng, 24, 48) // cached pack read by every goroutine

@@ -187,7 +187,7 @@ func TestSplitKAccumulatesOntoPrior(t *testing.T) {
 // and the factor-0 cell equals the scalar reference exactly.
 func TestKernelStrategyGrid(t *testing.T) {
 	defer SetKernelWorkers(0)
-	defer SetPackCache(true)
+	defer setPackCache(true)
 	rng := rand.New(rand.NewSource(26))
 	specs := []struct {
 		spec     string
@@ -205,7 +205,7 @@ func TestKernelStrategyGrid(t *testing.T) {
 			for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 				for _, cache := range []bool{true, false} {
 					SetKernelWorkers(w)
-					SetPackCache(cache)
+					setPackCache(cache)
 					got := EinsumSplitK(s, tc.spec, lhs, rhs)
 					if base == nil {
 						base = got

@@ -19,8 +19,6 @@ import (
 // was given as an argument: the data, or weights an earlier step
 // returned.
 func TestPackCacheKeysOnlyArguments(t *testing.T) {
-	defer tensor.SetPackCache(true)
-	tensor.SetPackCache(true)
 	prog, err := Build(Config{Devices: 4, Layers: 2, Model: 8, Hidden: 16, Tokens: 16, Strategy: StrategyMegatron})
 	if err != nil {
 		t.Fatal(err)

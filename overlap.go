@@ -401,11 +401,6 @@ func BuildLayerStep(cfg ModelConfig) (*Computation, error) {
 	return models.BuildLayerStep(cfg)
 }
 
-// SetExperimentTransport selects the fabric transport the wall-clock
-// experiments execute on. The "transport" comparison experiment ignores
-// it and always measures both.
-func SetExperimentTransport(t TransportKind) { experiments.DefaultTransport = t }
-
 // ExperimentIDs lists the experiments RunExperiment accepts, in
 // presentation order.
 func ExperimentIDs() []string { return experiments.IDs() }

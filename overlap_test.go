@@ -87,7 +87,7 @@ func TestRunExperimentDispatch(t *testing.T) {
 	if err != nil || !strings.Contains(out, "GPT_1T") {
 		t.Fatalf("table1 = %v, %v", out, err)
 	}
-	if len(ExperimentIDs()) != 17 {
+	if len(ExperimentIDs()) != 15 {
 		t.Fatalf("ExperimentIDs = %v", ExperimentIDs())
 	}
 }
