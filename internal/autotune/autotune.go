@@ -371,6 +371,7 @@ func stage2(res *Result, c *hlo.Computation, numDevices int, args [][]*tensor.Te
 	ropts.RunID = opts.RunID + ".warmup"
 	if warm, err := runtime.Run(res.Candidates[toRun[0]].transformed, numDevices, args, ropts); err == nil && warm != nil {
 		res.Executions++
+		warm.Release()
 	}
 
 	best := -1
@@ -395,6 +396,9 @@ func stage2(res *Result, c *hlo.Computation, numDevices int, args [][]*tensor.Te
 				}
 				cand.Checked = true
 			}
+			// Only the timings are kept; the next execution reuses the
+			// output buffers.
+			run.Release()
 			if !cand.Executed || run.Breakdown.StepTime < cand.MeasuredWall {
 				cand.Measured = run.Breakdown
 				cand.MeasuredWall = run.Breakdown.StepTime

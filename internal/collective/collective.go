@@ -4,6 +4,15 @@
 // the device's position within its group, and return the post-collective
 // value(s). The SPMD interpreter delegates to these, and the overlap
 // decomposition's equivalence tests use them as ground truth.
+//
+// Every collective has a destination-passing form, the kernel both
+// executors run. With nil destinations it allocates its results — value
+// semantics, what the interpreter asks for; the concurrent runtime
+// passes one buffer per member (in group order, each already of the
+// result shape, contents ignored, none sharing storage with an input)
+// and every one of them is written in full. The reduction order is the
+// group order either way, so the two agree bit for bit. Temporaries
+// come from the tensor package's free lists.
 package collective
 
 import (
@@ -15,30 +24,89 @@ import (
 // AllGather concatenates the group's shards along axis; every device
 // receives the same result.
 func AllGather(shards []*tensor.Tensor, axis int) *tensor.Tensor {
+	return AllGatherInto(nil, shards, axis)
+}
+
+// AllGatherInto is AllGather writing the result into every member's
+// destination; it returns the first (the one fresh result when dsts is
+// nil).
+func AllGatherInto(dsts, shards []*tensor.Tensor, axis int) *tensor.Tensor {
 	if len(shards) == 0 {
 		panic("collective: AllGather with no shards")
 	}
-	return tensor.Concat(axis, shards...)
+	return replicate(dsts, tensor.ConcatInto(first(dsts, len(shards)), axis, shards...))
 }
 
 // ReduceScatter element-wise sums the group's inputs and returns one
 // shard of the sum per device, split along axis in group order.
 func ReduceScatter(inputs []*tensor.Tensor, axis int) []*tensor.Tensor {
-	sum := AllReduce(inputs)
-	return tensor.Split(sum, axis, len(inputs))
+	return ReduceScatterInto(nil, inputs, axis)
+}
+
+// ReduceScatterInto is ReduceScatter writing shard i into dsts[i].
+func ReduceScatterInto(dsts, inputs []*tensor.Tensor, axis int) []*tensor.Tensor {
+	if len(inputs) == 0 {
+		panic("collective: ReduceScatter with no inputs")
+	}
+	sum := sumInto(tensor.NewPooled(inputs[0].Shape()...), inputs)
+	defer tensor.Release(sum)
+	return tensor.SplitInto(dsts, sum, axis, len(inputs))
 }
 
 // AllReduce element-wise sums the group's inputs; every device receives
 // the full sum.
-func AllReduce(inputs []*tensor.Tensor) *tensor.Tensor {
+func AllReduce(inputs []*tensor.Tensor) *tensor.Tensor { return AllReduceInto(nil, inputs) }
+
+// AllReduceInto is AllReduce writing the sum into every member's
+// destination; it returns the first (the one fresh result when dsts is
+// nil).
+func AllReduceInto(dsts, inputs []*tensor.Tensor) *tensor.Tensor {
 	if len(inputs) == 0 {
 		panic("collective: AllReduce with no inputs")
 	}
-	acc := inputs[0].Clone()
+	return replicate(dsts, sumInto(first(dsts, len(inputs)), inputs))
+}
+
+// sumInto accumulates the inputs into dst (a fresh tensor when nil) in
+// group order: the one reduction order of AllReduce and ReduceScatter.
+func sumInto(dst *tensor.Tensor, inputs []*tensor.Tensor) *tensor.Tensor {
+	acc := tensor.CopyInto(dst, inputs[0])
 	for _, in := range inputs[1:] {
 		tensor.AddInPlace(acc, in)
 	}
 	return acc
+}
+
+// perMember returns the destinations of a collective whose members get
+// different results: dsts itself, checked to hold one per member, or —
+// for nil — that many empty places for fresh results.
+func perMember(dsts []*tensor.Tensor, members int) []*tensor.Tensor {
+	if dsts == nil {
+		return make([]*tensor.Tensor, members)
+	}
+	if len(dsts) != members {
+		panic(fmt.Sprintf("collective: %d destinations for %d members", len(dsts), members))
+	}
+	return dsts
+}
+
+// first returns the destination a replicated result is computed into:
+// nil (allocate) without destinations, else dsts[0], after checking
+// that every member brought one.
+func first(dsts []*tensor.Tensor, members int) *tensor.Tensor {
+	if dsts == nil {
+		return nil
+	}
+	return perMember(dsts, members)[0]
+}
+
+// replicate copies a result computed into dsts[0] to the other members'
+// destinations and returns it.
+func replicate(dsts []*tensor.Tensor, res *tensor.Tensor) *tensor.Tensor {
+	for _, d := range dsts {
+		tensor.CopyInto(d, res)
+	}
+	return res
 }
 
 // AllToAll splits every device's input into len(inputs) pieces along
@@ -46,23 +114,42 @@ func AllReduce(inputs []*tensor.Tensor) *tensor.Tensor {
 // from every device (in group order) along concatAxis — the shard
 // transpose used by mixture-of-experts dispatch.
 func AllToAll(inputs []*tensor.Tensor, splitAxis, concatAxis int) []*tensor.Tensor {
+	return AllToAllInto(nil, inputs, splitAxis, concatAxis)
+}
+
+// AllToAllInto is AllToAll writing device j's result into dsts[j].
+func AllToAllInto(dsts, inputs []*tensor.Tensor, splitAxis, concatAxis int) []*tensor.Tensor {
 	n := len(inputs)
 	if n == 0 {
 		panic("collective: AllToAll with no inputs")
 	}
-	pieces := make([][]*tensor.Tensor, n)
-	for i, in := range inputs {
-		pieces[i] = tensor.Split(in, splitAxis, n)
+	shape := inputs[0].Shape()
+	rank := len(shape)
+	if splitAxis < 0 || splitAxis >= rank || concatAxis < 0 || concatAxis >= rank || shape[splitAxis]%n != 0 {
+		panic(fmt.Sprintf("collective: AllToAll cannot split axis %d and concatenate axis %d of shape %v across %d devices", splitAxis, concatAxis, shape, n))
 	}
-	out := make([]*tensor.Tensor, n)
-	for j := 0; j < n; j++ {
-		row := make([]*tensor.Tensor, n)
-		for i := 0; i < n; i++ {
-			row[i] = pieces[i][j]
+	dsts = perMember(dsts, n)
+	// One piece at a time through a pooled buffer: piece j of input i
+	// lands in window i of result j.
+	shape[splitAxis] /= n
+	piece := tensor.NewPooled(shape...)
+	defer tensor.Release(piece)
+	from, to := make([]int, rank), make([]int, rank)
+	limits := inputs[0].Shape()
+	width := shape[concatAxis]
+	shape[concatAxis] *= n
+	for j := range dsts {
+		if dsts[j] == nil {
+			dsts[j] = tensor.New(shape...)
 		}
-		out[j] = tensor.Concat(concatAxis, row...)
+		from[splitAxis] = j * piece.Dim(splitAxis)
+		limits[splitAxis] = from[splitAxis] + piece.Dim(splitAxis)
+		for i, in := range inputs {
+			to[concatAxis] = i * width
+			tensor.DynamicUpdateSliceInto(dsts[j], dsts[j], tensor.SliceInto(piece, in, from, limits), to)
+		}
 	}
-	return out
+	return dsts
 }
 
 // Permute applies point-to-point transfers over global device ids:
@@ -70,21 +157,28 @@ func AllToAll(inputs []*tensor.Tensor, splitAxis, concatAxis int) []*tensor.Tens
 // input's shape for devices that are not the target of any pair (XLA
 // CollectivePermute semantics).
 func Permute(inputs []*tensor.Tensor, pairs [][2]int) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, len(inputs))
+	return PermuteInto(nil, inputs, pairs)
+}
+
+// PermuteInto is Permute writing device d's value into dsts[d].
+func PermuteInto(dsts, inputs []*tensor.Tensor, pairs [][2]int) []*tensor.Tensor {
+	dsts = perMember(dsts, len(inputs))
+	written := make([]bool, len(inputs))
 	for _, p := range pairs {
 		src, dst := p[0], p[1]
 		if src < 0 || src >= len(inputs) || dst < 0 || dst >= len(inputs) {
 			panic(fmt.Sprintf("collective: permute pair %v out of range for %d devices", p, len(inputs)))
 		}
-		if out[dst] != nil {
+		if written[dst] {
 			panic(fmt.Sprintf("collective: permute target %d written twice", dst))
 		}
-		out[dst] = inputs[src].Clone()
+		dsts[dst] = tensor.CopyInto(dsts[dst], inputs[src])
+		written[dst] = true
 	}
-	for d := range out {
-		if out[d] == nil {
-			out[d] = tensor.New(inputs[d].Shape()...)
+	for d, done := range written {
+		if !done {
+			dsts[d] = tensor.Zero(dsts[d], inputs[d].Shape()...)
 		}
 	}
-	return out
+	return dsts
 }

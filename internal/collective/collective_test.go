@@ -1,6 +1,8 @@
 package collective
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -161,5 +163,109 @@ func TestPermuteCycleOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// nanDsts returns n destinations of the shape with every cell NaN: a
+// cell an …Into form leaves unwritten then differs from everything.
+func nanDsts(n int, shape ...int) []*tensor.Tensor {
+	out := make([]*tensor.Tensor, n)
+	for i := range out {
+		out[i] = tensor.New(shape...)
+		for j, data := 0, out[i].Data(); j < len(data); j++ {
+			data[j] = math.NaN()
+		}
+	}
+	return out
+}
+
+// TestIntoFormsMatchFreshBitwise pins the destination-passing kernels
+// the runtime calls against the fresh forms the interpreter calls, bit
+// for bit, on inputs whose sums round (tensor.Rand is not dyadic, so a
+// different reduction order shows) and for contiguous, strided and
+// whole-ring groups of an eight-device run. Every member's destination
+// starts all-NaN, so the comparison also requires each to be written in
+// full — the shares of a ReduceScatter, the windows of an AllToAll, the
+// zero fill of a Permute's non-targets.
+func TestIntoFormsMatchFreshBitwise(t *testing.T) {
+	const devices, rows, cols = 8, 16, 8
+	rng := rand.New(rand.NewSource(41))
+	values := make([]*tensor.Tensor, devices)
+	for d := range values {
+		values[d] = tensor.Rand(rng, rows, cols)
+	}
+	same := func(what string, got, want []*tensor.Tensor) {
+		t.Helper()
+		for i := range want {
+			if !got[i].Equal(want[i]) {
+				t.Errorf("%s: member %d differs from the fresh form by %v", what, i, got[i].MaxDifference(want[i]))
+			}
+		}
+	}
+	replicated := func(res *tensor.Tensor, n int) []*tensor.Tensor {
+		out := make([]*tensor.Tensor, n)
+		for i := range out {
+			out[i] = res
+		}
+		return out
+	}
+	for _, group := range [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}, {0, 2, 4, 6}, {1, 3, 5, 7}, {3, 7}, {0, 1, 2, 3, 4, 5, 6, 7}} {
+		n := len(group)
+		in := make([]*tensor.Tensor, n)
+		for i, d := range group {
+			in[i] = values[d]
+		}
+		label := func(op string) string { return fmt.Sprintf("%s over %v", op, group) }
+
+		for axis, shape := range [][]int{{rows * n, cols}, {rows, cols * n}} {
+			dsts := nanDsts(n, shape...)
+			if got := AllGatherInto(dsts, in, axis); got != dsts[0] {
+				t.Errorf("%s: returned something other than the first destination", label("AllGatherInto"))
+			}
+			same(label(fmt.Sprintf("AllGatherInto axis %d", axis)), dsts, replicated(AllGather(in, axis), n))
+		}
+
+		dsts := nanDsts(n, rows, cols)
+		AllReduceInto(dsts, in)
+		same(label("AllReduceInto"), dsts, replicated(AllReduce(in), n))
+		// The reduction order is the group order, whoever asks.
+		inOrder, reversed := in[0], in[n-1]
+		for i := 1; i < n; i++ {
+			inOrder = tensor.Add(inOrder, in[i])
+			reversed = tensor.Add(reversed, in[n-1-i])
+		}
+		if !dsts[0].Equal(inOrder) {
+			t.Errorf("%s: not the left-to-right sum in group order", label("AllReduceInto"))
+		}
+		if n > 2 && dsts[0].Equal(reversed) {
+			t.Fatalf("%s: the inputs do not distinguish reduction orders; the test pins nothing", label("AllReduceInto"))
+		}
+
+		for axis, shape := range [][]int{{rows / n, cols}, {rows, cols / n}} {
+			dsts := nanDsts(n, shape...)
+			ReduceScatterInto(dsts, in, axis)
+			same(label(fmt.Sprintf("ReduceScatterInto axis %d", axis)), dsts, ReduceScatter(in, axis))
+		}
+
+		for _, axes := range [][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}} {
+			shape := []int{rows, cols}
+			shape[axes[0]] /= n
+			shape[axes[1]] *= n
+			dsts := nanDsts(n, shape...)
+			AllToAllInto(dsts, in, axes[0], axes[1])
+			same(label(fmt.Sprintf("AllToAllInto split %d concat %d", axes[0], axes[1])), dsts, AllToAll(in, axes[0], axes[1]))
+		}
+	}
+
+	// Devices 1, 4 and 5 are nobody's target and must read zero.
+	pairs := [][2]int{{0, 3}, {3, 0}, {5, 2}, {6, 6}, {1, 7}}
+	dsts := nanDsts(devices, rows, cols)
+	PermuteInto(dsts, values, pairs)
+	same("PermuteInto", dsts, Permute(values, pairs))
+
+	for d, v := range values {
+		if v.Version() != 0 {
+			t.Errorf("input %d was written (version %d)", d, v.Version())
+		}
 	}
 }

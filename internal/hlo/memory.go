@@ -8,8 +8,10 @@ package hlo
 // measurable.
 //
 // The model is interval-based: a buffer becomes live when its defining
-// instruction executes and dies after its last user executes. Aliasing
-// ops reuse their operand's storage:
+// instruction executes and dies after its last user executes; the
+// computation's inputs are live throughout, wherever the schedule names
+// them. Aliasing ops reuse their operand's storage and keep it live for
+// as long as they are read themselves:
 //
 //   - Tuple materializes nothing;
 //   - Reshape re-interprets, and DynamicUpdateSlice updates in place,
@@ -23,9 +25,15 @@ package hlo
 // Loops account for their carried buffers plus the body's own peak. A
 // fusion materializes its result and, while it runs, whatever its body
 // holds beyond that. The runtime measures the same quantity
-// (Result.ArenaPeakBytes) and is tested to stay under this estimate;
-// the copy cases above and the fusion temporaries are where the
-// estimate used to be the optimistic one.
+// (Result.ArenaPeakBytes: every kernel and collective result and every
+// output is an arena buffer) and is tested to stay under this estimate.
+// With nothing outside the arena any more the bound is tight — equal on
+// most pinned programs — and what slack remains is deliberate
+// over-counting: constants, an Add the runtime folds into a dying
+// operand, a loop's carried values counted at both ends. The copy cases
+// above, the fusion temporaries, the lifetime of an updated-in-place
+// buffer and inputs named late in the schedule are where the estimate
+// used to be the optimistic one.
 
 // MemoryStats reports the live-byte profile of one computation.
 type MemoryStats struct {
@@ -71,10 +79,24 @@ func PeakMemory(c *Computation) MemoryStats {
 
 	// alloc[i] is the fresh storage instruction i materializes; it is
 	// freed after position freeAt[i]. transient[i] is live only while
-	// instruction i executes.
+	// instruction i executes. An instruction that materializes nothing
+	// because it reuses an operand's storage names, in owner[i], the
+	// instruction whose storage that is, and keeps it alive for as long
+	// as it is read itself.
 	alloc := make([]int64, len(instrs))
 	transient := make([]int64, len(instrs))
 	freeAt := make([]int, len(instrs))
+	owner := make([]int, len(instrs))
+	alias := func(i int, base *Instruction) {
+		p, ok := pos[base]
+		if !ok {
+			return
+		}
+		owner[i] = owner[p]
+		if death[i] > freeAt[owner[i]] {
+			freeAt[owner[i]] = death[i]
+		}
+	}
 	// inPlace reports whether instruction i, reusing its operand 0's
 	// storage, may: it must be that buffer's last reader, and the
 	// buffer the schedule's own.
@@ -86,28 +108,23 @@ func PeakMemory(c *Computation) MemoryStats {
 	var params int64
 	for i, in := range instrs {
 		freeAt[i] = death[i]
+		owner[i] = i
 		switch in.Op {
 		case OpParameter:
+			// The inputs exist before the step starts and outlive it,
+			// wherever the schedule happens to name them: the sweep
+			// starts from their sum.
 			params += in.ByteSize()
-			alloc[i] = in.ByteSize()
-			freeAt[i] = len(instrs) - 1 // inputs live for the whole step
 		case OpTuple:
 			alloc[i] = 0
-		case OpCollectivePermuteStart:
-			// The start allocates the receive buffer; the done aliases
-			// it, so extend the lifetime to the done's own death.
-			alloc[i] = in.ByteSize()
-			for _, u := range in.Users() {
-				if u.Op == OpCollectivePermuteDone {
-					if p, ok := pos[u]; ok && death[p] > freeAt[i] {
-						freeAt[i] = death[p]
-					}
-				}
-			}
 		case OpCollectivePermuteDone:
-			alloc[i] = 0 // aliases the start's receive buffer
+			// The start allocated the receive buffer; the done hands it
+			// over.
+			alias(i, in.Operands[0])
 		case OpDynamicUpdateSlice, OpReshape:
-			if !inPlace(i, in) {
+			if inPlace(i, in) {
+				alias(i, in.Operands[0])
+			} else {
 				alloc[i] = in.ByteSize()
 			}
 		case OpFusion:
@@ -131,7 +148,7 @@ func PeakMemory(c *Computation) MemoryStats {
 		delta[i] += alloc[i]
 		delta[freeAt[i]+1] -= alloc[i]
 	}
-	var live, peak int64
+	live, peak := params, params
 	peakIdx := 0
 	for i := range instrs {
 		live += delta[i]

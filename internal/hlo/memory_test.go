@@ -84,6 +84,39 @@ func TestPeakMemoryInPlaceUpdate(t *testing.T) {
 	}
 }
 
+func TestPeakMemoryInPlaceUpdateKeepsItsBuffer(t *testing.T) {
+	// The update reuses the base's storage, so that storage stays live
+	// for as long as the update's result is read — here across two
+	// later temporaries, where the peak is.
+	c := NewComputation("dus-held")
+	upd := c.Parameter(0, "u", []int{64}) // 256 B
+	base := c.Zeros("base", []int{256})   // 1 KiB
+	acc := c.DynamicUpdateSlice(base, upd, []DynOffset{Static(0)})
+	x := c.Copy(upd)
+	y := c.Copy(x)
+	c.Tuple(acc, y)
+	stats := PeakMemory(c)
+	want := int64(256 + 1024 + 256 + 256)
+	if stats.PeakBytes != want {
+		t.Fatalf("PeakBytes = %d, want %d (the accumulator is live under x and y)", stats.PeakBytes, want)
+	}
+}
+
+func TestPeakMemoryParametersLiveFromTheStart(t *testing.T) {
+	// An input is resident before the step begins, wherever the schedule
+	// names it: b counts under the temporaries that precede it.
+	c := NewComputation("late-param")
+	a := c.Parameter(0, "a", []int{256})
+	x := c.Copy(a)
+	y := c.Copy(x)
+	b := c.Parameter(1, "b", []int{256})
+	c.Tuple(y, b)
+	stats := PeakMemory(c)
+	if stats.PeakBytes != 4*1024 || stats.ParameterBytes != 2*1024 {
+		t.Fatalf("PeakBytes = %d (parameters %d), want 4096 (2048): both inputs under x and y", stats.PeakBytes, stats.ParameterBytes)
+	}
+}
+
 func TestPeakMemorySharedBaseAllocates(t *testing.T) {
 	// If the base is used again later, the update cannot be in place.
 	c := NewComputation("dus2")

@@ -13,35 +13,35 @@ import (
 	"overlap/internal/topology"
 )
 
-// TestSiteRunAllocBudget pins what one run of the benchmark's golden
-// site may allocate once the arena is warm: the four results it hands
-// back (32 KiB each) plus engine bookkeeping. Before the tape every run
-// cloned each received shard and each updated result and walked slices
-// one heap-allocated index at a time: 4147 KiB in 17,099 allocations.
-func TestSiteRunAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop buffers at random")
-	}
+// benchSite builds the benchmark's golden site — an AllGather feeding
+// an einsum, 4 devices, m4 k8192 n256 — through the given pipeline (nil
+// leaves the blocking collective in place) with its arguments.
+func benchSite(t *testing.T, pipeline *core.Options) (*hlo.Computation, [][]*tensor.Tensor) {
+	t.Helper()
 	const devices, m, k, n = 4, 4, 8192, 256
 	c := hlo.NewComputation("site")
 	a := c.Parameter(0, "a", []int{m, k})
 	w := c.Parameter(1, "w", []int{n, k})
 	c.Einsum("mk,nk->mn", c.AllGather(a, 0, topology.NewRing(devices).AxisGroups(0)), w)
-	opts := core.DefaultOptions(machine.TPUv4())
-	opts.UseCostModel = false
-	if _, err := core.Apply(c, opts); err != nil {
-		t.Fatal(err)
+	if pipeline != nil {
+		if _, err := core.Apply(c, *pipeline); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rng := rand.New(rand.NewSource(1))
 	shards := make([]*tensor.Tensor, devices)
 	for d := range shards {
 		shards[d] = tensor.Rand(rng, m, k)
 	}
-	args := [][]*tensor.Tensor{shards, {tensor.Rand(rng, n, k)}}
-	run := func() {
-		if _, err := runtime.Run(c, devices, args, runtime.Options{Spec: machine.TPUv4()}); err != nil {
-			t.Fatal(err)
-		}
+	return c, [][]*tensor.Tensor{shards, {tensor.Rand(rng, n, k)}}
+}
+
+// warmRunAllocs reports what one call of run allocates once the arena
+// is warm, as KiB and allocation count averaged over twenty calls.
+func warmRunAllocs(t *testing.T, run func()) (kib, mallocs float64) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers at random")
 	}
 	for i := 0; i < 3; i++ {
 		run()
@@ -53,10 +53,59 @@ func TestSiteRunAllocBudget(t *testing.T) {
 		run()
 	}
 	goruntime.ReadMemStats(&after)
-	kib := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / runs
-	mallocs := float64(after.Mallocs-before.Mallocs) / runs
+	kib = float64(after.TotalAlloc-before.TotalAlloc) / 1024 / runs
+	mallocs = float64(after.Mallocs-before.Mallocs) / runs
 	t.Logf("per run: %.1f KiB in %.0f allocations", kib, mallocs)
+	return kib, mallocs
+}
+
+// TestSiteRunAllocBudget pins what one run of the benchmark's golden
+// site may allocate once the arena is warm: the four results it hands
+// back (32 KiB each; the benchmark never releases a result, and neither
+// does this test) plus engine bookkeeping. Before the tape every run
+// cloned each received shard and each updated result and walked slices
+// one heap-allocated index at a time: 4147 KiB in 17,099 allocations.
+func TestSiteRunAllocBudget(t *testing.T) {
+	opts := core.DefaultOptions(machine.TPUv4())
+	opts.UseCostModel = false
+	c, args := benchSite(t, &opts)
+	kib, mallocs := warmRunAllocs(t, func() {
+		if _, err := runtime.Run(c, 4, args, runtime.Options{Spec: machine.TPUv4()}); err != nil {
+			t.Fatal(err)
+		}
+	})
 	if kib > 600 || mallocs > 1500 {
 		t.Fatalf("one warm site run allocates %.1f KiB in %.0f allocations, budget 600 KiB / 1500", kib, mallocs)
+	}
+}
+
+// TestBlockingCollectiveAllocBudget pins the same site in the two forms
+// that keep a blocking collective, each run releasing its result. The
+// untransformed baseline gathers [4 8192] shards into one [16 8192]
+// operand per device: when the rendezvous returned a fresh tensor that
+// was 1 MiB a run for the gathered operand alone. The rolled form runs
+// a blocking collective-permute every trip of its loop, which cloned a
+// 256 KiB shard per target per trip. With each member's share written
+// into an arena buffer, and the outputs handed back by Release, a warm
+// run allocates nothing tensor-sized.
+func TestBlockingCollectiveAllocBudget(t *testing.T) {
+	rolled := core.Options{Spec: machine.TPUv4(), Rolled: true, Scheduler: core.SchedulerNone}
+	for _, tc := range []struct {
+		name     string
+		pipeline *core.Options
+	}{{"baseline", nil}, {"rolled", &rolled}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, args := benchSite(t, tc.pipeline)
+			kib, _ := warmRunAllocs(t, func() {
+				res, err := runtime.Run(c, 4, args, runtime.Options{Spec: machine.TPUv4()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res.Release()
+			})
+			if kib > 200 {
+				t.Fatalf("one warm %s site run allocates %.1f KiB, budget 200 KiB", tc.name, kib)
+			}
+		})
 	}
 }

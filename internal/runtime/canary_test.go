@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"overlap/internal/core"
 	"overlap/internal/hlo"
@@ -37,6 +38,13 @@ func randomArgs(c *hlo.Computation, n int, rng *rand.Rand) [][]*tensor.Tensor {
 // channel run's result.
 func checkOutputsBitwise(t *testing.T, label string, c *hlo.Computation, n int, args [][]*tensor.Tensor) *runtime.Result {
 	t.Helper()
+	return checkOutputsBitwiseWith(t, label, c, n, args, runtime.Options{})
+}
+
+// checkOutputsBitwiseWith is checkOutputsBitwise under the given run
+// options (the transport is set per run).
+func checkOutputsBitwiseWith(t *testing.T, label string, c *hlo.Computation, n int, args [][]*tensor.Tensor, opts runtime.Options) *runtime.Result {
+	t.Helper()
 	want, err := sim.InterpretAll(c, n, args)
 	if err != nil {
 		t.Fatalf("%s: interpret: %v", label, err)
@@ -47,7 +55,8 @@ func checkOutputsBitwise(t *testing.T, label string, c *hlo.Computation, n int, 
 	}
 	var first *runtime.Result
 	for _, tr := range transports {
-		res, err := runtime.Run(c, n, args, runtime.Options{Transport: tr})
+		opts.Transport = tr
+		res, err := runtime.Run(c, n, args, opts)
 		if err != nil {
 			t.Fatalf("%s (%s): %v", label, tr, err)
 		}
@@ -66,19 +75,28 @@ func checkOutputsBitwise(t *testing.T, label string, c *hlo.Computation, n int, 
 	return first
 }
 
+// trainOverlap is the full overlap pipeline the training programs run
+// through.
+func trainOverlap() *core.Options {
+	opts := core.DefaultOptions(machine.TPUv4())
+	opts.UseCostModel = false
+	opts.RematerializeGathers = true
+	return &opts
+}
+
 // trainStep builds one strategy's two-layer training program through
-// the full overlap pipeline, with its seeded arguments.
-func trainStep(t *testing.T, s train.Strategy) (*train.Program, [][]*tensor.Tensor) {
+// the given pipeline (nil keeps the blocking baseline), with its seeded
+// arguments.
+func trainStep(t *testing.T, s train.Strategy, pipeline *core.Options) (*train.Program, [][]*tensor.Tensor) {
 	t.Helper()
 	prog, err := train.Build(train.Config{Devices: 4, Layers: 2, Model: 8, Hidden: 16, Tokens: 16, Strategy: s})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := core.DefaultOptions(machine.TPUv4())
-	opts.UseCostModel = false
-	opts.RematerializeGathers = true
-	if _, err := core.Apply(prog.Comp, opts); err != nil {
-		t.Fatal(err)
+	if pipeline != nil {
+		if _, err := core.Apply(prog.Comp, *pipeline); err != nil {
+			t.Fatal(err)
+		}
 	}
 	args, err := train.Args(prog, 5, 1.0/1024)
 	if err != nil {
@@ -165,24 +183,79 @@ func TestUseAfterReleaseCanary(t *testing.T) {
 	}
 
 	for _, s := range []train.Strategy{train.StrategyMegatron, train.StrategyDDP} {
-		prog, args := trainStep(t, s)
-		// Two steps: the second runs on weights the first produced, out
-		// of buffers the first recycled.
-		for step := 0; step < 2; step++ {
+		prog, args := trainStep(t, s, trainOverlap())
+		// Three steps, released the way train.Execute does: each runs on
+		// weights the step before produced, and from the third on out of
+		// the poisoned output buffers of the step before that.
+		var prev *runtime.Result
+		for step := 0; step < 3; step++ {
 			res := checkOutputsBitwise(t, fmt.Sprintf("train/%s/step%d", s, step), prog.Comp, n, args)
 			for i := 0; i < prog.Config.NumWeights(); i++ {
 				args[train.ParamWeight0+i] = res.All[prog.RootWeight(i)]
 			}
+			if prev != nil {
+				prev.Release()
+			}
+			prev = res
 		}
 	}
+
+	// Blocking collectives write each member's share into a buffer that
+	// member owns. Their results reaching Result directly — alone, and
+	// beside a value computed from them — leave the arena by move.
+	ring := topology.NewRing(n)
+	direct := hlo.NewComputation("gather-is-root")
+	direct.AllGather(direct.Parameter(0, "a", []int{2, 4}), 0, ring.AxisGroups(0))
+	checkOutputsBitwise(t, "gather-is-root", direct, n, randomArgs(direct, n, rng))
+
+	outputs := hlo.NewComputation("collectives-are-outputs")
+	{
+		c := outputs
+		a := c.Parameter(0, "a", []int{8, 4})
+		rs := c.ReduceScatter(a, 0, ring.AxisGroups(0))
+		ar := c.AllReduce(a, [][]int{{0, 2}, {1, 3}})
+		c.Tuple(rs, ar, c.Add(ar, ar), c.CollectivePermute(a, ringPairs(n)[:n-1]))
+	}
+	// Run N's released outputs are run N+1's buffers.
+	args := randomArgs(outputs, n, rng)
+	for run := 0; run < 3; run++ {
+		checkOutputsBitwise(t, fmt.Sprintf("collectives-are-outputs/run%d", run), outputs, n, args).Release()
+	}
+
+	// A collective in a loop body, its result consumed in place, with one
+	// device held back between the collective and that read on every
+	// trip: the others are through generation k and depositing for k+1
+	// while it has yet to read k's result.
+	body := hlo.NewComputation("body")
+	{
+		b := body
+		p := b.Parameter(0, "p", []int{2, 4})
+		q := b.Parameter(1, "q", []int{8, 4})
+		start := b.CollectivePermuteStart(p, ringPairs(n))
+		full := b.AllGather(p, 0, ring.AxisGroups(0))
+		shard := b.CollectivePermuteDone(start) // device 1 waits here
+		b.Tuple(shard, b.Add(full, q))          // full dies into the sum
+	}
+	looped := hlo.NewComputation("collective-in-loop")
+	{
+		c := looped
+		x := c.Parameter(0, "x", []int{2, 4})
+		acc := c.Parameter(1, "acc", []int{8, 4})
+		c.Loop(body, 6, 1, x, acc)
+	}
+	slow := runtime.Options{Faults: &runtime.FaultPlan{Seed: 1, Faults: []runtime.Fault{
+		{Kind: runtime.FaultDelay, Src: 0, Dst: 1, K: -1, Delay: 2 * time.Millisecond},
+	}}}
+	checkOutputsBitwiseWith(t, "collective-in-loop", looped, n, randomArgs(looped, n, rng), slow)
 }
 
-// TestPlanRefusesUnsafeReuse pins the two shapes the buffer plan must
-// not optimize, under the NaN canary. A value posted by a start and
-// read again afterwards has two readers — the link and the later op —
-// so the link gets a copy, not the buffer. And an AllGather's result is
-// one tensor shared by the whole group: a member whose
-// DynamicUpdateSlice is its last reader still may not write into it.
+// TestPlanRefusesUnsafeReuse pins, under the NaN canary, the reuse the
+// buffer plan must refuse and the one that only looks unsafe. A value
+// posted by a start and read again afterwards has two readers — the
+// link and the later op — so the link gets a copy, not the buffer. An
+// AllGather's result, on the other hand, is each member's own copy: a
+// member whose DynamicUpdateSlice is its last reader writes into it in
+// place, and no other member may see that window change.
 func TestPlanRefusesUnsafeReuse(t *testing.T) {
 	defer runtime.PoisonReleased()()
 	const n = 4
@@ -208,7 +281,8 @@ func TestPlanRefusesUnsafeReuse(t *testing.T) {
 		a := c.Parameter(0, "a", []int{2, 4})
 		u := c.Parameter(1, "u", []int{2, 4})
 		full := c.AllGather(a, 0, ring.AxisGroups(0))
-		// Each member overwrites a different window; full dies here.
+		// Each member overwrites a different window of its own copy; full
+		// dies here.
 		own := c.DynamicUpdateSlice(full, u, []hlo.DynOffset{{PIDFactor: 1, Mod: n, Scale: 2}, hlo.Static(0)})
 		// A barrier, so every member's update has happened before any
 		// member reads its own.
@@ -228,10 +302,13 @@ func ringPairs(n int) []hlo.SourceTargetPair {
 
 // TestArenaWithinModeledPeak is the measured side of hlo.PeakMemory:
 // the most arena bytes any device held at once must fit under the
-// model's peak for everything but the parameters. The model also counts
-// constants, collective results and outputs, which the arena does not
-// hold, so the bound has slack; what it catches is the runtime keeping
-// buffers alive that the model says are dead.
+// model's peak for everything but the parameters. Collective results
+// and outputs are arena buffers like any other, so the only slack left
+// is what the model deliberately over-counts (constants, an Add that
+// the runtime folds into a dying operand, a loop's carried values
+// counted at both ends); on several goldens the two sides are equal.
+// What it catches is the runtime keeping buffers alive that the model
+// says are dead — and a model that forgets a buffer the runtime holds.
 func TestArenaWithinModeledPeak(t *testing.T) {
 	const n = 4
 	rng := rand.New(rand.NewSource(31))
@@ -251,6 +328,109 @@ func TestArenaWithinModeledPeak(t *testing.T) {
 	for name, c := range goldenPrograms(t) {
 		check(name, c, randomArgs(c, n, rng))
 	}
-	prog, args := trainStep(t, train.StrategyMegatron)
-	check("train/megatron", prog.Comp, args)
+	rolled := &core.Options{Spec: machine.TPUv4(), Rolled: true, Scheduler: core.SchedulerNone}
+	pipelines := []struct {
+		name string
+		opts *core.Options
+	}{{"baseline", nil}, {"rolled", rolled}, {"overlap", trainOverlap()}}
+	for _, model := range []string{"GPT_32B", "GLaM_1T", "T5_300B"} {
+		cfg, err := models.ByName(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mini, err := models.Miniature(cfg, n, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pipelines {
+			c, err := models.BuildLayerStep(mini)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.opts != nil {
+				if _, err := core.Apply(c, *p.opts); err != nil {
+					t.Fatalf("%s/%s: %v", model, p.name, err)
+				}
+			}
+			check(model+"/"+p.name, c, randomArgs(c, n, rng))
+		}
+	}
+	// The undecomposed baseline and the rolled form are where blocking
+	// collectives' results dominate the arena.
+	for _, s := range []train.Strategy{train.StrategyMegatron, train.StrategyDDP} {
+		for _, p := range pipelines {
+			prog, args := trainStep(t, s, p.opts)
+			check(fmt.Sprintf("train/%s/%s", s, p.name), prog.Comp, args)
+		}
+	}
+}
+
+// TestResultRelease pins what Release may and may not touch, with the
+// canary on so that every buffer it recycles turns to NaN: the outputs
+// the run computed go back to the arena, once; an output that is an
+// argument or a constant of the program is not the run's and stays bit
+// for bit what it was; and a result nobody released stays valid however
+// many runs, released or not, come after it.
+func TestResultRelease(t *testing.T) {
+	defer runtime.PoisonReleased()()
+	const n = 2
+	rng := rand.New(rand.NewSource(37))
+
+	c := hlo.NewComputation("outputs")
+	a := c.Parameter(0, "a", []int{4, 4})
+	k := c.Constant("k", tensor.Rand(rng, 4, 4))
+	sum := c.Add(a, k)
+	c.Tuple(a, k, sum)
+	args := randomArgs(c, n, rng)
+	givenA := []*tensor.Tensor{args[0][0].Clone(), args[0][1].Clone()}
+	givenK := k.Literal.Clone()
+
+	kept, err := runtime.Run(c, n, args, runtime.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keptSum := []*tensor.Tensor{kept.All[sum][0].Clone(), kept.All[sum][1].Clone()}
+
+	for run := 0; run < 3; run++ {
+		res, err := runtime.Run(c, n, args, runtime.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.All[a][0] != args[0][0] || res.All[k][1] != k.Literal {
+			t.Fatal("an output that is an argument or a constant should be that very tensor")
+		}
+		res.Release()
+		if res.All != nil || res.Values != nil {
+			t.Fatal("Release left All or Values behind")
+		}
+		res.Release() // a no-op, not a double release
+	}
+	for d := 0; d < n; d++ {
+		if !args[0][d].Equal(givenA[d]) {
+			t.Fatalf("device %d: Release wrote the caller's argument", d)
+		}
+		if !kept.All[sum][d].Equal(keptSum[d]) {
+			t.Fatalf("device %d: an unreleased output changed under later runs", d)
+		}
+	}
+	if !k.Literal.Equal(givenK) {
+		t.Fatal("Release wrote the program's constant")
+	}
+
+	// An earlier result's output fed forward as an argument is borrowed
+	// by the run it feeds: a root that is that parameter hands it back
+	// untouched, and only the earlier result's own Release recycles it.
+	id := hlo.NewComputation("identity")
+	id.Parameter(0, "p", []int{4, 4})
+	through, err := runtime.Run(id, n, [][]*tensor.Tensor{kept.All[sum]}, runtime.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	through.Release()
+	for d := 0; d < n; d++ {
+		if !kept.All[sum][d].Equal(keptSum[d]) {
+			t.Fatalf("device %d: releasing a pass-through result recycled its argument", d)
+		}
+	}
+	kept.Release()
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"overlap/internal/hlo"
 	"overlap/internal/obs"
 	"overlap/internal/tensor"
 )
@@ -160,18 +161,6 @@ func (d *device) set(slot int32, t *tensor.Tensor, owned bool) {
 	d.vals[slot], d.owned[slot] = t, owned
 }
 
-// yield stores the value an op produced whole — an adopted transfer, a
-// loop's result. One that reaches Result is copied out of the arena
-// first, so what the caller gets is never recycled.
-func (d *device) yield(op *tapeOp, t *tensor.Tensor, owned bool) {
-	if op.fresh && owned {
-		arena := t
-		t, owned = tensor.CopyInto(nil, arena), false
-		d.release(arena)
-	}
-	d.set(op.out, t, owned)
-}
-
 // run walks the tape and records the device's total wall-clock. Any
 // failure aborts the whole engine.
 func (d *device) run(paramFor func(index, dev int) *tensor.Tensor) {
@@ -219,8 +208,11 @@ func (d *device) walk(paramFor func(index, dev int) *tensor.Tensor) {
 			d.setStat(pc, t0)
 			gen := int(d.count[pc])
 			d.count[pc]++
-			out, ok := e.rendezvous(op.in, gen, d.id, d.vals[op.arg.slot])
-			if !ok {
+			// The group writes this device's share into a buffer of its
+			// own. On an abort it is abandoned, not recycled: the member
+			// computing the result may still be writing it.
+			out := d.acquire(op.in.Shape)
+			if !e.rendezvous(op, gen, d.id, d.vals[op.arg.slot], out) {
 				return
 			}
 			wait := e.since() - t0
@@ -233,7 +225,7 @@ func (d *device) walk(paramFor func(index, dev int) *tensor.Tensor) {
 			if op.arg.last {
 				d.free(op.arg.slot)
 			}
-			d.set(op.out, out, false)
+			d.set(op.out, out, true)
 
 		case opStart:
 			if !d.post(op, pc) {
@@ -276,10 +268,10 @@ func (d *device) walk(paramFor func(index, dev int) *tensor.Tensor) {
 }
 
 // eval runs one kernel step: gather the operands, settle where the
-// result goes — nowhere planned when it reaches Result, else into a
-// dying operand's buffer when the kernel can overwrite one this device
-// owns, else into a fresh arena buffer — evaluate through the dispatch
-// shared with the interpreter, and release what died.
+// result goes — into a dying operand's buffer when the kernel can
+// overwrite one this device owns, else into a fresh arena buffer; a
+// literal or a tuple placeholder has nothing to plan — evaluate through
+// the dispatch shared with the interpreter, and release what died.
 func (d *device) eval(st *step) error {
 	args := d.args[:len(st.args)]
 	for k, a := range st.args {
@@ -287,7 +279,7 @@ func (d *device) eval(st *step) error {
 	}
 	var dst *tensor.Tensor
 	took := -1
-	if !st.fresh {
+	if st.In.Op != hlo.OpConstant && st.In.Op != hlo.OpTuple {
 		for _, k := range st.take {
 			if d.owned[st.args[k].slot] {
 				dst, took = args[k], int(k)
@@ -328,10 +320,10 @@ func (d *device) eval(st *step) error {
 func (d *device) post(op *tapeOp, pc int) bool {
 	e := d.eng
 	src := d.vals[op.arg.slot]
-	if op.fresh {
+	if op.carries {
 		// Something besides the done reads the start: it carries its
-		// operand, like the interpreter's (the plan keeps the operand
-		// borrowed, so the alias is safe).
+		// operand, like the interpreter's (the plan never releases the
+		// operand, so the alias is safe).
 		d.set(op.out, src, false)
 	}
 	inst := int(d.count[pc])
@@ -394,7 +386,7 @@ func (d *device) receive(op *tapeOp, pc int) bool {
 		d.outstanding--
 		d.arena -= op.bytes // the buffer this device posted has a new owner
 	}
-	d.yield(op, out, true)
+	d.set(op.out, out, true)
 	return true
 }
 
@@ -466,7 +458,7 @@ func (d *device) loopExit(op *tapeOp) {
 		c := d.acquire(v.Shape())
 		v, owned = tensor.CopyInto(c, v), true
 	}
-	d.yield(op, v, owned)
+	d.set(op.out, v, owned)
 	for _, c := range lp.carried {
 		d.free(c)
 	}

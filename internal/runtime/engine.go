@@ -221,17 +221,22 @@ func (e *engine) deadlineError(cause error) *RunError {
 }
 
 // assemble merges the per-device outputs, stats, and trace buffers into
-// the caller-facing result. It runs after every goroutine has joined, so
+// the caller-facing result; the output buffers the devices own move out
+// of their arenas with it. It runs after every goroutine has joined, so
 // all device- and link-local state is safely visible.
 func (e *engine) assemble(devices []*device) *Result {
 	res := &Result{
 		RunID: e.opts.RunID,
 		All:   make(map[*hlo.Instruction][]*tensor.Tensor, len(e.tape.outputs)),
+		owned: make([]*tensor.Tensor, 0, len(e.tape.outputs)*e.n),
 	}
 	for _, out := range e.tape.outputs {
 		per := make([]*tensor.Tensor, e.n)
 		for d, dev := range devices {
 			per[d] = dev.vals[out.slot]
+			if dev.owned[out.slot] {
+				res.owned = append(res.owned, per[d])
+			}
 		}
 		res.All[out.in] = per
 	}

@@ -7,127 +7,92 @@ import (
 )
 
 // rvKey names one instance of a blocking collective: the instruction,
-// which of its device groups is rendezvousing (-1 for CollectivePermute,
-// which synchronizes all devices), and the per-device execution count of
-// that instruction (its "generation" — a collective inside a loop body
-// runs once per iteration, and fast devices may reach generation k+1
-// before slow ones have read generation k's output).
+// which of its device groups is rendezvousing, and the per-device
+// execution count of that instruction (its "generation" — a collective
+// inside a loop body runs once per iteration, and fast devices may reach
+// generation k+1 before slow ones have left generation k).
 type rvKey struct {
 	in    *hlo.Instruction
-	group int
+	group int32
 	gen   int
 }
 
-// genState accumulates one generation of one collective group: inputs
-// arrive positionally, the last arriver injects the modeled wire delay
-// and computes the group result with the same internal/collective
-// kernels the lockstep interpreter uses, and done releases the waiters.
+// genState accumulates one generation of one collective group: every
+// member deposits, by position, its input and the arena buffer its share
+// of the result goes into. The last arriver injects the modeled wire
+// delay and evaluates the same internal/collective kernel the lockstep
+// interpreter uses, into those buffers; done releases the waiters.
 type genState struct {
 	inputs  []*tensor.Tensor
+	dsts    []*tensor.Tensor
 	arrived int
-	outputs []*tensor.Tensor
 	done    chan struct{}
-	read    int
 }
 
 // rendezvous runs device pid's side of a blocking collective: deposit
-// the input, wait for the group, return this device's share of the
-// result. It returns false when the run aborted while waiting.
-func (e *engine) rendezvous(in *hlo.Instruction, gen, pid int, input *tensor.Tensor) (*tensor.Tensor, bool) {
-	group, groupIdx, pos := e.groupOf(in, pid)
-
-	key := rvKey{in: in, group: groupIdx, gen: gen}
+// the input and the destination, wait until the group has written the
+// result. Inputs are read, and destinations written, only between the
+// last arrival and done. It returns false when the run aborted while
+// waiting.
+func (e *engine) rendezvous(op *tapeOp, gen, pid int, input, dst *tensor.Tensor) bool {
+	group, pos := op.groups.group[pid], op.groups.pos[pid]
+	members := int(op.groups.members[group])
+	key := rvKey{in: op.in, group: group, gen: gen}
 	e.mu.Lock()
 	gs, ok := e.gens[key]
 	if !ok {
-		gs = &genState{
-			inputs: make([]*tensor.Tensor, len(group)),
-			done:   make(chan struct{}),
-		}
+		table := make([]*tensor.Tensor, 2*members)
+		gs = &genState{inputs: table[:members], dsts: table[members:], done: make(chan struct{})}
 		e.gens[key] = gs
 	}
-	gs.inputs[pos] = input
+	gs.inputs[pos], gs.dsts[pos] = input, dst
 	gs.arrived++
-	last := gs.arrived == len(group)
-	e.mu.Unlock()
-
+	last := gs.arrived == members
 	if last {
-		// The whole group is blocked here, so the group's wire time is
-		// serialized with its devices: one injected delay per instance.
-		// The sleep is abort-aware — on a failed run the waiters are
-		// released by the abort channel, not by gs.done.
-		if !e.sleep(e.collectiveDelay(in)) {
-			return nil, false
-		}
-		gs.outputs = collectiveResult(in, gs.inputs)
-		close(gs.done)
-	} else {
-		select {
-		case <-gs.done:
-		case <-e.abort:
-			return nil, false
-		}
-	}
-
-	out := gs.outputs[pos]
-	e.mu.Lock()
-	gs.read++
-	if gs.read == len(group) {
+		// Every member holds the state itself by now; nobody looks this
+		// generation up again.
 		delete(e.gens, key)
 	}
 	e.mu.Unlock()
-	return out, true
-}
 
-// groupOf resolves which rendezvous group device pid joins for the
-// instruction and its position within it. CollectivePermute synchronizes
-// every device (its kernel consumes all per-device inputs and zero-fills
-// non-targets); group collectives use the instruction's device groups.
-// Validation guarantees membership exists.
-func (e *engine) groupOf(in *hlo.Instruction, pid int) (group []int, groupIdx, pos int) {
-	if in.Op == hlo.OpCollectivePermute {
-		group = make([]int, e.n)
-		for d := range group {
-			group[d] = d
-		}
-		return group, -1, pid
-	}
-	for gi, g := range in.Groups {
-		for i, d := range g {
-			if d == pid {
-				return g, gi, i
-			}
+	if !last {
+		select {
+		case <-gs.done:
+			return true
+		case <-e.abort:
+			return false
 		}
 	}
-	panic(formatErr("device %d has no group for %s", pid, in.Name))
+	// The whole group is blocked here, so the group's wire time is
+	// serialized with its devices: one injected delay per instance. The
+	// sleep is abort-aware — on a failed run the waiters are released by
+	// the abort channel, not by gs.done.
+	if !e.sleep(op.delay) {
+		return false
+	}
+	collectiveInto(op.in, gs.dsts, gs.inputs)
+	close(gs.done)
+	return true
 }
 
-// collectiveResult computes one group instance's per-position outputs,
-// dispatching to the same kernels sim's interpreter uses so both
-// executors produce bit-identical tensors.
-func collectiveResult(in *hlo.Instruction, inputs []*tensor.Tensor) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, len(inputs))
+// collectiveInto evaluates one group instance into its members'
+// destinations, dispatching to the same kernels sim's interpreter uses
+// so both executors produce bit-identical tensors.
+func collectiveInto(in *hlo.Instruction, dsts, inputs []*tensor.Tensor) {
 	switch in.Op {
 	case hlo.OpAllGather:
-		res := collective.AllGather(inputs, in.CollectiveAxis)
-		for i := range out {
-			out[i] = res
-		}
+		collective.AllGatherInto(dsts, inputs, in.CollectiveAxis)
 	case hlo.OpReduceScatter:
-		copy(out, collective.ReduceScatter(inputs, in.CollectiveAxis))
+		collective.ReduceScatterInto(dsts, inputs, in.CollectiveAxis)
 	case hlo.OpAllReduce:
-		res := collective.AllReduce(inputs)
-		for i := range out {
-			out[i] = res
-		}
+		collective.AllReduceInto(dsts, inputs)
 	case hlo.OpAllToAll:
-		copy(out, collective.AllToAll(inputs, in.CollectiveAxis, in.Axis))
+		collective.AllToAllInto(dsts, inputs, in.CollectiveAxis, in.Axis)
 	case hlo.OpCollectivePermute:
-		copy(out, collective.Permute(inputs, pairSlice(in.Pairs)))
+		collective.PermuteInto(dsts, inputs, pairSlice(in.Pairs))
 	default:
 		panic(formatErr("%s is not a blocking collective", in.Op))
 	}
-	return out
 }
 
 func pairSlice(pairs []hlo.SourceTargetPair) [][2]int {

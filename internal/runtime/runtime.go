@@ -102,22 +102,28 @@ type Result struct {
 	// freshly minted one when the caller supplied none).
 	RunID string
 
-	// Values is the root instruction's value on each device.
+	// Values is the root instruction's value on each device: All's entry
+	// for the root.
 	Values []*tensor.Tensor
 
 	// All holds the run's outputs per device: the root instruction and,
 	// when the root is a tuple, each of its operands. Nothing else
 	// survives the run — every other value's buffer went back to the
 	// arena at its last use — so a program that wants an interior value
-	// names it in its root tuple. The tensors belong to the caller and
-	// are never recycled.
+	// names it in its root tuple. The outputs were computed in arena
+	// buffers and moved out to the caller, who owns them until Release:
+	// until then each is an ordinary tensor, valid across later runs and
+	// usable as a later run's argument, except that the pack cache
+	// treats it as transient and never keys on it. An output that is
+	// itself an argument or a constant of the program stays whoever's it
+	// was.
 	All map[*hlo.Instruction][]*tensor.Tensor
 
 	// ArenaPeakBytes is the largest number of bytes any one device held
-	// in buffers from the arena at once, posted transfers not yet
-	// adopted included, counted the IR's way (elements x 4): the
-	// measured side of hlo.PeakMemory's estimate, parameters, constants
-	// and collective results aside.
+	// in buffers from the arena at once — kernel and collective results,
+	// the outputs, posted transfers not yet adopted — counted the IR's
+	// way (elements x 4): the measured side of hlo.PeakMemory's
+	// estimate, parameters and constants aside.
 	ArenaPeakBytes int64
 
 	// Breakdown is the step decomposition measured from real
@@ -131,6 +137,24 @@ type Result struct {
 	// same device tracks the simulator emits, in seconds from run
 	// start.
 	Trace []obs.Span
+
+	// owned lists the output buffers that came out of the arena: what
+	// Release hands back.
+	owned []*tensor.Tensor
+}
+
+// Release returns the outputs the run computed to the arena's free
+// lists, for a later run to reuse, and clears All and Values: no tensor
+// obtained from them may be touched afterwards. Outputs the run only
+// passed through — an argument, a constant — are not the run's to
+// recycle and stay intact. A caller that is done with a result calls it
+// once; further calls do nothing, and never calling it merely leaves
+// the buffers to the garbage collector.
+func (r *Result) Release() {
+	for _, t := range r.owned {
+		recycle(t)
+	}
+	r.owned, r.All, r.Values = nil, nil, nil
 }
 
 // Run executes the computation on numDevices goroutine devices and

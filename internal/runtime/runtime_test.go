@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"overlap/internal/core"
@@ -318,6 +319,35 @@ func TestValidation(t *testing.T) {
 	bad := [][]*tensor.Tensor{{tensor.Rand(rng, 3, 3)}, site.args[1]}
 	if _, err := runtime.Run(site.build(), 4, bad, runtime.Options{}); err == nil {
 		t.Error("want error for mis-shaped argument")
+	}
+}
+
+// TestNilArgumentIsAnError feeds both executors an argument list with a
+// hole in it — what reading a released Result's All yields — and wants
+// the structured parameter error from each, not a nil dereference on
+// the caller's goroutine.
+func TestNilArgumentIsAnError(t *testing.T) {
+	c := hlo.NewComputation("nil-arg")
+	a := c.Parameter(0, "a", []int{2, 2})
+	c.Add(a, a)
+	ok := tensor.Iota(2, 2)
+	for _, tc := range []struct {
+		name string
+		args [][]*tensor.Tensor
+	}{
+		{"replicated", [][]*tensor.Tensor{{nil}}},
+		{"first device", [][]*tensor.Tensor{{nil, ok}}},
+		{"last device", [][]*tensor.Tensor{{ok, nil}}},
+	} {
+		executors := map[string]func() error{
+			"runtime":     func() error { _, err := runtime.Run(c, 2, tc.args, runtime.Options{}); return err },
+			"interpreter": func() error { _, err := sim.InterpretAll(c, 2, tc.args); return err },
+		}
+		for name, run := range executors {
+			if err := run(); err == nil || !strings.Contains(err.Error(), "parameter 0") {
+				t.Errorf("%s, %s: want a parameter-0 error, got %v", tc.name, name, err)
+			}
+		}
 	}
 }
 

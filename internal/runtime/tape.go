@@ -23,19 +23,23 @@ import (
 // depends on who owns the buffer, which the device tracks per slot:
 //
 //   - An owned buffer came from the exact-size free lists — a kernel
-//     result, an adopted transfer, a zero fill — and exactly one slot
-//     (or one parcel on a link) refers to it. At its last read it goes
-//     back to its free list, or the op killing it takes it over: a
-//     DynamicUpdateSlice writes its window in place, an Add or a fused
-//     EinsumAddInto accumulates in place (across fusion boundaries: a
-//     fusion's operands are the body's parameters' slots), a Copy or
-//     Reshape of it is a move.
-//   - A borrowed buffer is read-only forever: run arguments, constants,
-//     the results of blocking collectives (one tensor may serve a whole
-//     group), and everything that reaches Result — the root and, when
-//     it is a tuple, its operands, which are produced fresh and never
-//     recycled. An op that would overwrite a borrowed operand gets a
-//     buffer of its own instead, exactly the interpreter's semantics.
+//     result, a blocking collective's result (each member brings its
+//     own destination to the rendezvous), an adopted transfer, a zero
+//     fill — and exactly one slot (or one parcel on a link) refers to
+//     it. At its last read it goes back to its free list, or the op
+//     killing it takes it over: a DynamicUpdateSlice writes its window
+//     in place, an Add or a fused EinsumAddInto accumulates in place
+//     (across fusion boundaries: a fusion's operands are the body's
+//     parameters' slots), a Copy or Reshape of it is a move.
+//   - A borrowed buffer is read-only forever: run arguments and
+//     constants, nothing else. An op that would overwrite a borrowed
+//     operand gets a buffer of its own instead, exactly the
+//     interpreter's semantics.
+//
+// What reaches Result — the root and, when it is a tuple, its operands
+// — is planned like any other value and simply never released by the
+// run: the engine moves the owned ones out of the arena into the
+// Result, whose Release hands them back.
 //
 // Ownership is a property of the value, liveness of the schedule; the
 // plan is the second, the device's owned bits the first.
@@ -94,9 +98,6 @@ type step struct {
 	// reads, read once by this step, at a position the kernel can
 	// overwrite. The first one holding an owned buffer is taken over.
 	take []int8
-	// fresh: the result reaches Result (or is a literal or placeholder
-	// with nothing to plan), so it is produced with no destination.
-	fresh bool
 }
 
 type tapeOp struct {
@@ -104,13 +105,15 @@ type tapeOp struct {
 	in   *hlo.Instruction
 	out  int32
 
-	// fresh: out reaches Result. Steps carry their own flag; here it
-	// covers values that arrive whole — an adopted transfer, a loop
-	// result — and must be copied out of the arena.
-	fresh bool
+	// carries marks a start something besides its done reads: its slot
+	// then aliases the operand, like the interpreter's.
+	carries bool
 
 	// arg is the operand of a collective or a start.
 	arg arg
+
+	// groups is a blocking collective's rendezvous membership.
+	groups *groupPlan
 
 	steps []step
 
@@ -134,6 +137,15 @@ type tapeOp struct {
 	loop *loopPlan
 }
 
+// groupPlan resolves who a device meets at a blocking collective:
+// group[d] is the rendezvous group device d joins, pos[d] its position
+// in it, members[g] group g's size. A CollectivePermute synchronizes
+// every device: one group, each device at its own id.
+type groupPlan struct {
+	group, pos []int32
+	members    []int32
+}
+
 // loopPlan is shared by a loop's entry and back-edge ops.
 type loopPlan struct {
 	trips  int
@@ -153,8 +165,10 @@ type loopPlan struct {
 
 // lowering builds a tape.
 type lowering struct {
-	t      *tape
-	eng    *engine
+	t   *tape
+	eng *engine
+	// pinned values are never released or taken over by the run: no read
+	// of one is its last.
 	pinned map[*hlo.Instruction]bool
 }
 
@@ -172,8 +186,8 @@ func lower(e *engine) (*tape, error) {
 		lw.pinned[in] = true
 	}
 	// A start whose value something other than its done reads aliases
-	// its operand for that reader; keeping the operand borrowed makes
-	// the alias safe.
+	// its operand for that reader; keeping the operand for the whole run
+	// makes the alias safe.
 	c.Walk(func(in *hlo.Instruction) {
 		if in.Op == hlo.OpCollectivePermuteStart && in.NumUsers() > 1 {
 			lw.pinned[in] = true
@@ -226,7 +240,6 @@ func (lw *lowering) seq(c *hlo.Computation, carried []int32, held map[*hlo.Instr
 			op.out = lw.newSlot()
 		}
 		slots[i] = op.out
-		op.fresh = lw.pinned[in]
 
 		switch in.Op {
 		case hlo.OpParameter:
@@ -242,6 +255,7 @@ func (lw *lowering) seq(c *hlo.Computation, carried []int32, held map[*hlo.Instr
 			op.kind = opCollective
 			op.arg = read(i, in.Operands[0])
 			op.delay = lw.eng.collectiveDelay(in)
+			op.groups = lw.groups(in)
 
 		case hlo.OpCollectivePermuteStart:
 			op.kind = opStart
@@ -250,6 +264,7 @@ func (lw *lowering) seq(c *hlo.Computation, carried []int32, held map[*hlo.Instr
 			op.bytes = in.Operands[0].ByteSize()
 			op.delay = lw.eng.transferDelay(op.bytes)
 			op.peer = lw.peers(in, true)
+			op.carries = lw.pinned[in]
 			lw.t.starts = append(lw.t.starts, int32(len(lw.t.ops)))
 
 		case hlo.OpCollectivePermuteDone:
@@ -273,14 +288,14 @@ func (lw *lowering) seq(c *hlo.Computation, carried []int32, held map[*hlo.Instr
 			}
 
 		default:
-			st := step{Step: sim.Step{In: in}, out: op.out, fresh: op.fresh || in.Op == hlo.OpTuple}
+			st := step{Step: sim.Step{In: in}, out: op.out}
 			for _, o := range in.Operands {
 				st.args = append(st.args, read(i, o))
 			}
 			op.steps = []step{st}
 			lw.finishSteps(&op)
 		}
-		if lastUse[i] == i && !op.fresh && !held[in] && in.Op != hlo.OpCollectivePermuteStart {
+		if lastUse[i] == i && !lw.pinned[in] && !held[in] && in.Op != hlo.OpCollectivePermuteStart {
 			op.drop = append(op.drop, op.out)
 		}
 		lw.t.ops = append(lw.t.ops, op)
@@ -315,6 +330,29 @@ func (lw *lowering) peers(in *hlo.Instruction, asSource bool) []int32 {
 	return out
 }
 
+// groups resolves a blocking collective's rendezvous membership into
+// per-device columns. Validation guarantees every device joins exactly
+// one group.
+func (lw *lowering) groups(in *hlo.Instruction) *groupPlan {
+	n := lw.eng.n
+	gp := &groupPlan{group: make([]int32, n), pos: make([]int32, n)}
+	if in.Op == hlo.OpCollectivePermute {
+		for d := range gp.pos {
+			gp.pos[d] = int32(d)
+		}
+		gp.members = []int32{int32(n)}
+		return gp
+	}
+	gp.members = make([]int32, len(in.Groups))
+	for g, devs := range in.Groups {
+		gp.members[g] = int32(len(devs))
+		for i, d := range devs {
+			gp.group[d], gp.pos[d] = int32(g), int32(i)
+		}
+	}
+	return gp
+}
+
 // fusion flattens a fusion's body into the op's steps. The body's
 // parameters are the fusion's operand slots themselves, so a dying
 // operand is taken over by the step inside the body that reads it last.
@@ -342,10 +380,7 @@ func (lw *lowering) fusion(op *tapeOp, read func(*hlo.Instruction) arg) error {
 	}
 	op.steps = make([]step, len(steps))
 	for j, s := range steps {
-		st := step{Step: s, out: inner[j], fresh: s.In.Op == hlo.OpConstant || s.In.Op == hlo.OpTuple}
-		if base+j == result {
-			st.fresh = st.fresh || op.fresh
-		}
+		st := step{Step: s, out: inner[j]}
 		for _, v := range s.Args {
 			if v < base {
 				st.args = append(st.args, outer[v])
@@ -401,11 +436,9 @@ func (lw *lowering) finishSteps(op *tapeOp) {
 			}
 			reads[a.slot]++
 		}
-		if !st.fresh {
-			for _, k := range st.Overwrites() {
-				if a := st.args[k]; a.last && reads[a.slot] == 1 {
-					st.take = append(st.take, int8(k))
-				}
+		for _, k := range st.Overwrites() {
+			if a := st.args[k]; a.last && reads[a.slot] == 1 {
+				st.take = append(st.take, int8(k))
 			}
 		}
 		if len(st.args) > lw.t.maxArgs {
@@ -420,7 +453,7 @@ func (lw *lowering) loop(op tapeOp, unread bool, read func(*hlo.Instruction) arg
 	l := op.in
 	root := l.Body.Root()
 	lp := &loopPlan{trips: l.TripCount, result: l.ResultIndex}
-	exit := tapeOp{kind: opLoopEnd, in: l, out: op.out, fresh: op.fresh, loop: lp}
+	exit := tapeOp{kind: opLoopEnd, in: l, out: op.out, loop: lp}
 	op.kind, op.loop = opLoop, lp
 
 	named := map[int32]int{}
@@ -444,7 +477,7 @@ func (lw *lowering) loop(op tapeOp, unread bool, read func(*hlo.Instruction) arg
 	if len(lp.carried) > lw.t.maxArgs {
 		lw.t.maxArgs = len(lp.carried)
 	}
-	if unread && !op.fresh {
+	if unread && !lw.pinned[l] {
 		exit.drop = append(exit.drop, op.out)
 	}
 

@@ -33,7 +33,10 @@ func validate(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts 
 		if len(set) != 1 && len(set) != numDevices {
 			return formatErr("parameter %d has %d values, want 1 or %d", p.ParamIndex, len(set), numDevices)
 		}
-		for _, v := range set {
+		for d, v := range set {
+			if v == nil {
+				return formatErr("parameter %d value %d of %d is nil", p.ParamIndex, d, len(set))
+			}
 			if !sameShape(v.Shape(), p.Shape) {
 				return formatErr("parameter %d value shape %v, declared %v", p.ParamIndex, v.Shape(), p.Shape)
 			}

@@ -34,7 +34,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -452,6 +451,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// The digest (and the check) are the last readers of the outputs;
+	// afterwards their buffers go back to the arena for the next run.
+	defer res.Release()
 	outputs := Outputs(out.plan.comp, res.All, out.plan.plan.Devices)
 	checked := false
 	if req.Check {
@@ -878,15 +880,6 @@ func Outputs(c *hlo.Computation, all map[*hlo.Instruction][]*tensor.Tensor, devi
 // cheap bit-identity witness responses carry.
 func Digest(values []*tensor.Tensor) string {
 	h := sha256.New()
-	var buf [8]byte
-	for _, t := range values {
-		for _, v := range t.Data() {
-			bits := math.Float64bits(v)
-			for i := 0; i < 8; i++ {
-				buf[i] = byte(bits >> (8 * i))
-			}
-			h.Write(buf[:])
-		}
-	}
+	tensor.HashBits(h, values...)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -62,6 +62,9 @@ func InterpretAll(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor) (
 		default:
 			return nil, fmt.Errorf("sim: parameter %d has %d values, want 1 or %d", p.ParamIndex, len(set), numDevices)
 		}
+		if v == nil {
+			return nil, fmt.Errorf("sim: parameter %d value for device %d is nil", p.ParamIndex, dev)
+		}
 		if !sameShape(v.Shape(), p.Shape) {
 			return nil, fmt.Errorf("sim: parameter %d value shape %v, declared %v", p.ParamIndex, v.Shape(), p.Shape)
 		}

@@ -401,21 +401,30 @@ func TransposeInto(dst, t *Tensor, perm ...int) *Tensor {
 
 // Split partitions t into parts equal chunks along axis; the dimension
 // size must be divisible by parts.
-func Split(t *Tensor, axis, parts int) []*Tensor {
+func Split(t *Tensor, axis, parts int) []*Tensor { return SplitInto(nil, t, axis, parts) }
+
+// SplitInto is Split writing chunk p into dsts[p]. A nil dsts allocates
+// the chunks; otherwise it must hold one destination per part, and is
+// returned.
+func SplitInto(dsts []*Tensor, t *Tensor, axis, parts int) []*Tensor {
 	if axis < 0 || axis >= t.Rank() {
 		panic(fmt.Sprintf("tensor: Split axis %d out of range for shape %v", axis, t.shape))
 	}
 	if parts <= 0 || t.shape[axis]%parts != 0 {
 		panic(fmt.Sprintf("tensor: cannot Split dim %d of shape %v into %d parts", axis, t.shape, parts))
 	}
-	chunk := t.shape[axis] / parts
-	out := make([]*Tensor, parts)
-	starts := make([]int, t.Rank())
-	limits := t.Shape()
-	for p := 0; p < parts; p++ {
-		starts[axis] = p * chunk
-		limits[axis] = (p + 1) * chunk
-		out[p] = Slice(t, starts, limits)
+	if dsts == nil {
+		dsts = make([]*Tensor, parts)
+	} else if len(dsts) != parts {
+		panic(fmt.Sprintf("tensor: Split into %d parts given %d destinations", parts, len(dsts)))
 	}
-	return out
+	chunk := t.shape[axis] / parts
+	starts := make([]int, t.Rank())
+	sizes := t.Shape()
+	sizes[axis] = chunk
+	for p := range dsts {
+		starts[axis] = p * chunk
+		dsts[p] = sliceBlock(dsts[p], t, starts, sizes)
+	}
+	return dsts
 }

@@ -16,8 +16,10 @@ import (
 // runtime's buffers came from an arena the cache ignores, held 135 MB
 // of finished steps' activations. After five steps of a two-layer
 // megatron program every key the steps added must be a tensor some step
-// was given as an argument: the data, or weights an earlier step
-// returned.
+// was given as an argument — in practice the data: the weights an
+// earlier step returned are arena buffers too, so the cache never keys
+// on them either (TestMegatronStepAllocBudget pins that the key count
+// stops growing).
 func TestPackCacheKeysOnlyArguments(t *testing.T) {
 	prog, err := Build(Config{Devices: 4, Layers: 2, Model: 8, Hidden: 16, Tokens: 16, Strategy: StrategyMegatron})
 	if err != nil {

@@ -3,7 +3,6 @@ package train
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
@@ -187,6 +186,11 @@ func Execute(ctx context.Context, prog *Program, res *Result, opts Options) (*Re
 
 	n := cfg.Devices
 	w := cfg.NumWeights()
+	// prev is the step before the current one: its updated weights are
+	// the current step's arguments, so its buffers go back to the arena
+	// only once the current step — and whatever reads its arguments — is
+	// through.
+	var prev *runtime.Result
 	for step := 0; step < steps; step++ {
 		stepID := fmt.Sprintf("%s.s%d", runID, step)
 		ropts := runtime.Options{Spec: spec, TimeScale: opts.TimeScale, Faults: opts.Faults, RunID: stepID}
@@ -211,8 +215,8 @@ func Execute(ctx context.Context, prog *Program, res *Result, opts Options) (*Re
 		}
 		stat := StepStat{
 			Loss:         loss,
-			GradDigest:   digestOutputs(rres.All, gradOps(prog), n),
-			WeightDigest: digestOutputs(rres.All, weightOps(prog), n),
+			GradDigest:   digestOutputs(rres.All, gradOps(prog)),
+			WeightDigest: digestOutputs(rres.All, weightOps(prog)),
 			StepSeconds:  rres.Breakdown.StepTime,
 			RunID:        stepID,
 		}
@@ -256,7 +260,12 @@ func Execute(ctx context.Context, prog *Program, res *Result, opts Options) (*Re
 		for i := 0; i < w; i++ {
 			args[ParamWeight0+i] = rres.All[prog.RootWeight(i)]
 		}
+		if prev != nil {
+			prev.Release()
+		}
+		prev = rres
 	}
+	prev.Release()
 	return res, nil
 }
 
@@ -303,16 +312,10 @@ func weightOps(prog *Program) []*hlo.Instruction {
 // digestOutputs hashes the named root operands' tensors across devices
 // into one hex sha256, float bits taken verbatim: equal digests mean
 // bit-identical values.
-func digestOutputs(all map[*hlo.Instruction][]*tensor.Tensor, ops []*hlo.Instruction, n int) string {
+func digestOutputs(all map[*hlo.Instruction][]*tensor.Tensor, ops []*hlo.Instruction) string {
 	h := sha256.New()
-	var buf [8]byte
 	for _, op := range ops {
-		for d := 0; d < n; d++ {
-			for _, v := range all[op][d].Data() {
-				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-				h.Write(buf[:])
-			}
-		}
+		tensor.HashBits(h, all[op]...)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

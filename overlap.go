@@ -81,6 +81,8 @@ type (
 	// RunOptions configures the concurrent goroutine runtime.
 	RunOptions = runtime.Options
 	// RunResult is a concurrent execution's values and measured timings.
+	// The caller owns its output tensors until RunResult.Release hands
+	// their buffers back for a later run to reuse.
 	RunResult = runtime.Result
 	// RunError is the structured failure of an aborted runtime
 	// execution: device, instruction, phase, elapsed wall-clock, and —
