@@ -6,14 +6,31 @@
 // beneficial" rule generalizes from one site to a whole program:
 //
 //  1. every enumerated candidate (core.EnumerateOptions, plus the
-//     untransformed blocking baseline) is applied to a clone of the
-//     program and ranked by the discrete-event simulator's predicted
-//     step time — cheap, analytic, §5.5's cost model writ large;
+//     untransformed blocking baseline) is compiled and ranked by the
+//     discrete-event simulator's predicted step time — cheap, analytic,
+//     §5.5's cost model writ large;
 //  2. the top-K predicted candidates (always including the paper's
 //     DefaultOptions configuration, so tuning can never regress it) are
 //     executed for real on the concurrent goroutine runtime, each run
 //     cross-checked bit-identical against the lockstep interpreter, and
 //     the winner is picked by measured wall-clock.
+//
+// Stage 1 never runs the pipeline per candidate. core's stage table
+// says which knobs each stage reads, so the candidates form a tree over
+// knob prefixes (search.go): node(stage, options) is a Clone of
+// node(stage-1) with that one stage run on it, memoised on the stage's
+// prefix key, and a stage that is the identity under a candidate's
+// options hands its input node on as it is. Nodes are shared and never
+// mutated — every mutating stage starts from a Clone. The final stamp
+// stage is not run for ranking at all: it writes an attribute the
+// simulator never reads, so a candidate is identified by the SHA-256 of
+// its scheduled node's text plus its split-K factor (when the node has
+// an einsum to print it on), split-K variants share their node's one
+// simulation, and only the candidates stage 2 executes are cloned,
+// stamped and verified in full. What is verified when: every decomposed
+// site inside Decompose, every distinct scheduled node once, each
+// factor's legality against its node, every executed program stamped
+// and then bitwise against sim.Interpret.
 //
 // Because stage 2 observes real breakdowns, the tuner also *calibrates*
 // the machine model: it fits effective compute throughput, link
@@ -27,7 +44,7 @@
 package autotune
 
 import (
-	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sort"
 
@@ -124,7 +141,10 @@ type Candidate struct {
 	// failure); such candidates are never executed.
 	Err string
 
-	transformed *hlo.Computation
+	// unique marks the first candidate, in enumeration order, to yield
+	// its program without error: the one stage 1 simulated, and the only
+	// kind stage 2 executes. Duplicates and errored candidates are not.
+	unique bool
 }
 
 // Result is what one Tune call decided.
@@ -187,7 +207,8 @@ func (r *Result) ApplyBest(c *hlo.Computation) (core.Report, error) {
 // ProgramFingerprint returns the cache identity of a computation: a
 // hash of its printed form, so any structural change re-tunes.
 func ProgramFingerprint(c *hlo.Computation) string {
-	return fmt.Sprintf("%x", sha256.Sum256([]byte(c.Format())))[:16]
+	sum := c.TextDigest()
+	return hex.EncodeToString(sum[:8])
 }
 
 // Tune searches the pipeline variant space for the computation and
@@ -195,6 +216,12 @@ func ProgramFingerprint(c *hlo.Computation) string {
 // modified; args follows sim.Interpret's convention (args[i][d] is
 // parameter i's value on device d, a single entry replicates).
 func Tune(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options) (*Result, error) {
+	return tune("", c, numDevices, args, opts)
+}
+
+// tune is Tune under a decision key the caller already computed —
+// Key(c, opts.Spec, numDevices); empty computes it here.
+func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if c == nil {
 		return nil, fmt.Errorf("autotune: nil computation")
@@ -206,11 +233,14 @@ func Tune(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Opti
 		return nil, err
 	}
 
+	if key == "" {
+		key = Key(c, opts.Spec, numDevices)
+	}
 	if opts.RunID == "" {
 		opts.RunID = obs.NewRunID()
 	}
 	res := &Result{
-		Fingerprint:    Key(c, opts.Spec, numDevices),
+		Fingerprint:    key,
 		Calibration:    machine.Identity(),
 		CalibratedSpec: opts.Spec,
 		Residual:       -1,
@@ -232,20 +262,22 @@ func Tune(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Opti
 	}
 	atCacheMisses.Inc()
 
-	// Stage 1: enumerate, transform clones, rank by simulated time.
+	// Stage 1: enumerate, compile each knob prefix once, rank by
+	// simulated time.
 	cands := enumerate(c, numDevices, opts)
-	stage1(cands, c, numDevices, opts)
+	s := newSearch(c, numDevices, opts.Spec)
+	s.stage1(cands)
 	res.Candidates = rank(cands)
 	atCandidates.Add(float64(len(res.Candidates)))
 
 	// Stage 2: execute the top-K (plus the paper's default) for real.
-	if err := stage2(res, c, numDevices, args, opts); err != nil {
+	if err := stage2(res, s, args, opts); err != nil {
 		return nil, err
 	}
 	atExecutions.Add(float64(res.Executions))
 
 	if opts.Calibrate {
-		calibrate(res, numDevices, opts)
+		calibrate(res, s, opts)
 		if res.Residual >= 0 {
 			atResidual.Set(res.Residual)
 		}
@@ -276,37 +308,6 @@ func enumerate(c *hlo.Computation, numDevices int, opts Options) []*Candidate {
 	return cands
 }
 
-// stage1 transforms a clone of the program per candidate, dedups
-// byte-identical results, and simulates each unique survivor.
-func stage1(cands []*Candidate, c *hlo.Computation, numDevices int, opts Options) {
-	seen := map[string]*Candidate{}
-	for _, cand := range cands {
-		clone := c.Clone()
-		if !cand.Baseline {
-			if _, err := core.Apply(clone, cand.Opts); err != nil {
-				cand.Err = err.Error()
-				continue
-			}
-		}
-		text := clone.Format()
-		if first, dup := seen[text]; dup {
-			cand.DuplicateOf = first.Name
-			cand.Predicted = first.Predicted
-			continue
-		}
-		seen[text] = cand
-		cand.transformed = clone
-		bd, err := sim.Simulate(clone, numDevices, opts.Spec)
-		if err != nil {
-			cand.Err = err.Error()
-			cand.transformed = nil
-			delete(seen, text)
-			continue
-		}
-		cand.Predicted = bd
-	}
-}
-
 // rank orders candidates by predicted step time; duplicates follow
 // their canonical candidate, errored candidates sink to the end.
 func rank(cands []*Candidate) []Candidate {
@@ -322,7 +323,7 @@ func rank(cands []*Candidate) []Candidate {
 			return a.Predicted.StepTime < b.Predicted.StepTime
 		}
 		// Ties (e.g. duplicates): keep unique candidates first.
-		return a.transformed != nil && b.transformed == nil
+		return a.unique && !b.unique
 	})
 	out := make([]Candidate, len(cands))
 	for i, c := range cands {
@@ -331,37 +332,58 @@ func rank(cands []*Candidate) []Candidate {
 	return out
 }
 
-// stage2 executes the top-K unique candidates — forcing the paper's
-// DefaultOptions configuration into the set so the tuned result can
-// never be slower than it in the same measurement session — and picks
-// the fastest by wall-clock.
-func stage2(res *Result, c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options) error {
-	defaultFP := defaultFingerprint(opts.Spec)
+// stage2Set picks, from the ranked candidates, the indices stage 2
+// executes: the first topK unique ones, plus the unique candidate that
+// is or stands in for the paper's DefaultOptions configuration when it
+// did not rank among them.
+func stage2Set(ranked []Candidate, topK int, spec machine.Spec) []int {
+	defaultFP := defaultFingerprint(spec)
 	toRun := []int{}
 	haveDefault := false
-	for i := range res.Candidates {
-		cand := &res.Candidates[i]
-		if cand.transformed == nil || len(toRun) >= opts.TopK {
+	for i := range ranked {
+		cand := &ranked[i]
+		if !cand.unique || len(toRun) >= topK {
 			continue
 		}
 		toRun = append(toRun, i)
-		if cand.coversFingerprint(defaultFP, res.Candidates) {
+		if cand.coversFingerprint(defaultFP, ranked) {
 			haveDefault = true
 		}
 	}
 	if !haveDefault {
-		for i := range res.Candidates {
-			cand := &res.Candidates[i]
-			if cand.transformed != nil && cand.coversFingerprint(defaultFP, res.Candidates) {
+		for i := range ranked {
+			cand := &ranked[i]
+			if cand.unique && cand.coversFingerprint(defaultFP, ranked) {
 				toRun = append(toRun, i)
-				haveDefault = true
 				break
 			}
 		}
 	}
+	return toRun
+}
+
+// stage2 executes the top-K unique candidates — forcing the paper's
+// DefaultOptions configuration into the set so the tuned result can
+// never be slower than it in the same measurement session — and picks
+// the fastest by wall-clock.
+func stage2(res *Result, s *search, args [][]*tensor.Tensor, opts Options) error {
+	toRun := stage2Set(res.Candidates, opts.TopK, opts.Spec)
 	if len(toRun) == 0 {
 		return fmt.Errorf("autotune: no candidate survived stage 1 (first error: %s)", firstErr(res.Candidates))
 	}
+
+	// Only now does a program leave the search tree: each candidate to
+	// execute is cloned from its node, stamped and verified in full.
+	progs := make([]*hlo.Computation, len(toRun))
+	for k, i := range toRun {
+		prog, err := s.materialise(&res.Candidates[i])
+		if err != nil {
+			return fmt.Errorf("autotune: materialising %s: %w", res.Candidates[i].Name, err)
+		}
+		progs[k] = prog
+	}
+	s.releaseTree()
+	numDevices := s.numDevices
 
 	ropts := runtime.Options{Spec: opts.Spec, TimeScale: opts.TimeScale}
 
@@ -369,21 +391,21 @@ func stage2(res *Result, c *hlo.Computation, numDevices int, args [][]*tensor.Te
 	// thread-pool and allocator spin-up that would otherwise be charged
 	// to whichever candidate happens to run first.
 	ropts.RunID = opts.RunID + ".warmup"
-	if warm, err := runtime.Run(res.Candidates[toRun[0]].transformed, numDevices, args, ropts); err == nil && warm != nil {
+	if warm, err := runtime.Run(progs[0], numDevices, args, ropts); err == nil && warm != nil {
 		res.Executions++
 		warm.Release()
 	}
 
 	best := -1
-	for _, i := range toRun {
-		cand := &res.Candidates[i]
-		want, err := sim.Interpret(cand.transformed, numDevices, args)
+	for k, i := range toRun {
+		cand, prog := &res.Candidates[i], progs[k]
+		want, err := sim.Interpret(prog, numDevices, args)
 		if err != nil {
 			return fmt.Errorf("autotune: interpreting %s: %w", cand.Name, err)
 		}
 		for r := 0; r < opts.Repeats; r++ {
 			ropts.RunID = fmt.Sprintf("%s.%s.r%d", opts.RunID, cand.Name, r)
-			run, err := runtime.Run(cand.transformed, numDevices, args, ropts)
+			run, err := runtime.Run(prog, numDevices, args, ropts)
 			if err != nil {
 				return fmt.Errorf("autotune: executing %s: %w", cand.Name, err)
 			}

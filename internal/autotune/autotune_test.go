@@ -5,15 +5,18 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"overlap/internal/autotune"
 	"overlap/internal/core"
+	"overlap/internal/corpus"
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
 	"overlap/internal/models"
 	"overlap/internal/tensor"
 	"overlap/internal/topology"
+	"overlap/internal/train"
 )
 
 // site builds a canonical AllGather-Einsum decomposition site on a ring
@@ -300,5 +303,58 @@ func TestTuneMiniatures(t *testing.T) {
 	}
 	if improved == 0 {
 		t.Error("no model improved on DefaultOptions anywhere in the sweep")
+	}
+}
+
+// TestTuneAllocBudget bounds what one cold Tune allocates, on the two
+// program shapes the daemon compiles most: a layer miniature and a
+// training step. The per-candidate pipeline this search replaced
+// allocated 69 MiB and 221 MiB here; memoised on knob prefixes and keyed
+// by a streamed digest it takes about half and a sixth of that.
+func TestTuneAllocBudget(t *testing.T) {
+	if corpus.RaceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	cfg, err := models.ByName("GPT_32B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mini, err := models.Miniature(cfg, 4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layer, err := models.BuildLayerStep(mini)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc, err := train.FromModel(cfg, 4, 8, 2, train.StrategyMegatron)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step, err := train.Build(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		c         *hlo.Computation
+		budgetMiB float64
+	}{
+		{"GPT_32B devices 4 dim 8", layer, 45},
+		{"megatron step dim 8 layers 2", step.Comp, 64},
+	} {
+		args := miniArgs(tc.c, 7)
+		opts := autotune.Options{Spec: machine.TPUv4(), TimeScale: 200, DisableCache: true, Calibrate: true}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := autotune.Tune(tc.c, 4, args, opts); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		runtime.ReadMemStats(&after)
+		got := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+		t.Logf("%s: %.1f MiB per Tune (budget %.0f)", tc.name, got, tc.budgetMiB)
+		if got > tc.budgetMiB {
+			t.Errorf("%s: one Tune allocated %.1f MiB, budget %.0f", tc.name, got, tc.budgetMiB)
+		}
 	}
 }

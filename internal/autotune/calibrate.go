@@ -26,15 +26,15 @@ import (
 // Each factor becomes a machine.Calibration throughput multiplier; the
 // residual is the RMS relative step-time error of the re-simulated,
 // calibrated spec against the measurements.
-func calibrate(res *Result, numDevices int, opts Options) {
+func calibrate(res *Result, s *search, opts Options) {
+	numDevices := s.numDevices
 	ts := opts.TimeScale
 	if ts <= 0 {
 		return // wall-clock has no modeled-seconds axis to fit against
 	}
 	measured := []*Candidate{}
 	for i := range res.Candidates {
-		c := &res.Candidates[i]
-		if c.Executed && c.transformed != nil {
+		if c := &res.Candidates[i]; c.Executed {
 			measured = append(measured, c)
 		}
 	}
@@ -63,11 +63,11 @@ func calibrate(res *Result, numDevices int, opts Options) {
 	partial := cal.Apply(opts.Spec)
 	var xs, rs []float64
 	for _, c := range measured {
-		bd, err := sim.Simulate(c.transformed, numDevices, partial)
+		bd, err := sim.Simulate(s.programs[c.Name], numDevices, partial)
 		if err != nil {
 			continue
 		}
-		xs = append(xs, float64(opsPerDevice(c.transformed))*ts)
+		xs = append(xs, float64(opsPerDevice(s.programs[c.Name]))*ts)
 		rs = append(rs, c.MeasuredWall-bd.StepTime*ts)
 	}
 	var delta, den float64
@@ -94,7 +94,7 @@ func calibrate(res *Result, numDevices int, opts Options) {
 	var sq float64
 	n := 0
 	for _, c := range measured {
-		bd, err := sim.Simulate(c.transformed, numDevices, res.CalibratedSpec)
+		bd, err := sim.Simulate(s.programs[c.Name], numDevices, res.CalibratedSpec)
 		if err != nil || c.MeasuredWall <= 0 {
 			continue
 		}
@@ -135,9 +135,9 @@ func clampSlope(s float64) float64 {
 // expanding rolled loops by their trip count.
 func opsPerDevice(c *hlo.Computation) int {
 	n := 0
-	for _, in := range c.Instructions() {
-		if in.Op == hlo.OpLoop && in.Body != nil {
-			n += in.TripCount * len(in.Body.Instructions())
+	for i := 0; i < c.NumInstructions(); i++ {
+		if in := c.At(i); in.Op == hlo.OpLoop && in.Body != nil {
+			n += in.TripCount * in.Body.NumInstructions()
 			continue
 		}
 		n++

@@ -64,7 +64,16 @@ type Plan struct {
 // cache when warm), apply the winner to a clone, capture the schedule —
 // and freezes the result into a Plan. c is not modified.
 func Compile(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options) (*Plan, error) {
-	res, err := Tune(c, numDevices, args, opts)
+	return CompileKeyed("", c, numDevices, args, opts)
+}
+
+// CompileKeyed is Compile for a caller that already computed the
+// program's decision key — key must be Key(c, opts.Spec, numDevices),
+// or empty to have it computed — so a request that looked its plan up
+// under the key does not format and hash the program a second time to
+// compile it.
+func CompileKeyed(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options) (*Plan, error) {
+	res, err := tune(key, c, numDevices, args, opts)
 	if err != nil {
 		return nil, err
 	}

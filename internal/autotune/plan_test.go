@@ -88,6 +88,19 @@ func TestPlanCompileExecutes(t *testing.T) {
 	if plan.Fingerprint == "" || plan.Program == "" {
 		t.Fatal("compiled plan is missing its fingerprint or program")
 	}
+	if want := autotune.Key(c, opts.Spec, 4); plan.Fingerprint != want {
+		t.Fatalf("Compile keyed the plan %q, Key says %q", plan.Fingerprint, want)
+	}
+	// A caller that already holds the key hands it down: the decision
+	// Compile just cached under it answers, without the program being
+	// formatted and hashed again.
+	keyed, err := autotune.CompileKeyed(plan.Fingerprint, c, 4, args, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keyed.Fingerprint != plan.Fingerprint || keyed.Program != plan.Program {
+		t.Fatal("CompileKeyed under the program's key compiled a different plan")
+	}
 
 	data, err := plan.EncodeJSON()
 	if err != nil {

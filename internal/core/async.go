@@ -17,11 +17,8 @@ import (
 // scheduling passes is left exactly as it stands.
 func MakeAsync(c *hlo.Computation) int {
 	blocking := false
-	for _, in := range c.Instructions() {
-		if in.Op == hlo.OpCollectivePermute {
-			blocking = true
-			break
-		}
+	for i := 0; i < c.NumInstructions() && !blocking; i++ {
+		blocking = c.At(i).Op == hlo.OpCollectivePermute
 	}
 	if !blocking {
 		return 0

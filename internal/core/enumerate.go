@@ -54,6 +54,16 @@ func (o Options) Fingerprint() string {
 // the per-site analytic gate with a whole-program decision. The blocking
 // baseline (do not call Apply at all) is not representable as an Options
 // value and must be added by the caller.
+//
+// The order of the returned slice is part of the contract: the rolled
+// candidate first, then scheduler × unroll × bidirectional × fusion ×
+// remat × reduce × split-K with the rightmost varying fastest. The
+// autotuner dedups and breaks ranking ties in this order — the first
+// candidate to print a program is its unique representative, the one
+// that is measured and whose name a cached decision records — so
+// reordering the loops changes decisions, not just their listing. It is
+// deliberately not the pipeline's stage order (see pipeline.go); the
+// search memoises on stage prefixes whatever order candidates arrive in.
 func EnumerateOptions(spec machine.Spec, ringSize int, c *hlo.Computation) []Options {
 	base := Options{Spec: spec}
 
@@ -120,12 +130,11 @@ func EnumerateOptions(spec machine.Spec, ringSize int, c *hlo.Computation) []Opt
 // hasRingAllReduce reports whether any AllReduce's groups form a ring
 // the bucketing/split passes could lower.
 func hasRingAllReduce(c *hlo.Computation) bool {
-	for _, in := range c.Instructions() {
-		if in.Op != hlo.OpAllReduce {
-			continue
-		}
-		if _, ok := RingFromGroups(in.Groups); ok {
-			return true
+	for i := 0; i < c.NumInstructions(); i++ {
+		if in := c.At(i); in.Op == hlo.OpAllReduce {
+			if _, ok := RingFromGroups(in.Groups); ok {
+				return true
+			}
 		}
 	}
 	return false
@@ -134,8 +143,8 @@ func hasRingAllReduce(c *hlo.Computation) bool {
 // hasMultiConsumerGather reports whether any AllGather feeds more than
 // one consumer — the only shape RematerializeGathers rewrites.
 func hasMultiConsumerGather(c *hlo.Computation) bool {
-	for _, in := range c.Instructions() {
-		if in.Op == hlo.OpAllGather && len(in.Users()) > 1 {
+	for i := 0; i < c.NumInstructions(); i++ {
+		if in := c.At(i); in.Op == hlo.OpAllGather && in.NumUsers() > 1 {
 			return true
 		}
 	}
@@ -157,7 +166,8 @@ const (
 // conservative: the miniature programs used by golden and serving tests
 // have tiny contractions and never enumerate the factor.
 func hasSkinnySite(c *hlo.Computation, ringSize int) bool {
-	for _, in := range c.Instructions() {
+	for i := 0; i < c.NumInstructions(); i++ {
+		in := c.At(i)
 		if in.Op != hlo.OpEinsum || len(in.Operands) != 2 {
 			continue
 		}

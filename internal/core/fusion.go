@@ -158,9 +158,9 @@ func dependsOnDone(in *hlo.Instruction, depth int) bool {
 // whose body re-creates the member instructions over parameters for the
 // external operands.
 func fuseRegion(c *hlo.Computation, anchor *hlo.Instruction, region map[*hlo.Instruction]bool) bool {
-	var members []*hlo.Instruction
-	for _, in := range c.Instructions() {
-		if region[in] {
+	members := make([]*hlo.Instruction, 0, len(region))
+	for i := 0; i < c.NumInstructions(); i++ {
+		if in := c.At(i); region[in] {
 			members = append(members, in)
 		}
 	}

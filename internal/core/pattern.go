@@ -162,7 +162,8 @@ func (r RingInfo) ShiftPairs(delta int) []hlo.SourceTargetPair {
 // one the paper's §5.5 rule prefers and the others are left blocking.
 func FindPatterns(c *hlo.Computation, chooser CandidateChooser) []Pattern {
 	byEinsum := map[*hlo.Instruction][]Pattern{}
-	for _, in := range c.Instructions() {
+	for i := 0; i < c.NumInstructions(); i++ {
+		in := c.At(i)
 		switch in.Op {
 		case hlo.OpAllGather:
 			for _, u := range in.Users() {
@@ -177,8 +178,8 @@ func FindPatterns(c *hlo.Computation, chooser CandidateChooser) []Pattern {
 		}
 	}
 	var out []Pattern
-	for _, in := range c.Instructions() {
-		cands := byEinsum[in]
+	for i := 0; i < c.NumInstructions(); i++ {
+		cands := byEinsum[c.At(i)]
 		if len(cands) == 0 {
 			continue
 		}

@@ -6,98 +6,228 @@ import (
 	"overlap/internal/hlo"
 )
 
-// Apply runs the full overlap pipeline on the computation in place:
+// The stage table below is the pipeline: Apply runs its entries in
+// order and does nothing else, and there is no other implementation of
+// any pass.
 //
-//  1. find decomposable AllGather-Einsum / Einsum-ReduceScatter sites
-//     (picking one candidate per einsum with the §5.5 rule),
-//  2. gate each site on the cost model when enabled,
-//  3. rewrite accepted sites into Looped CollectiveEinsums,
-//  4. apply the fusion-friendliness rewrites and accumulation fusion,
-//  5. split CollectivePermutes into asynchronous start/done pairs and
-//     run the selected scheduler,
-//  6. stamp Options.KernelSplitK on every einsum, so the factor the
-//     program executes with is part of its text.
+//	pre        GradBucketBytes, SplitAllReduce, RematerializeGathers
+//	decompose  Rolled, Unroll, Bidirectional, UseCostModel
+//	fuse       ConcatToPadMax, FuseAddIntoEinsum, OverlapFriendlyFusion
+//	schedule   Scheduler
+//	stamp      KernelSplitK
 //
-// With SchedulerNone the collectives are decomposed but left blocking
-// (a useful ablation); to keep the baseline program untouched simply do
-// not call Apply.
+// Each stage declares the knobs it reads, whether it is the identity
+// for a given Options, and its body; what a stage emits is a function
+// of its input program, the ambient machine Spec and the knobs of the
+// stages up to and including it — its prefix key (PrefixKey) — and of
+// nothing else. Each stage closes its own WithRootPreserved section, so
+// a stage boundary is a legal hlo.Computation.Clone point (Clone carries
+// the root and the id and fusion-group counters). Together these let a
+// search over many Options compile each distinct prefix once and clone
+// it for every continuation, which is what autotune's stage 1 does.
+//
+// To add a knob: add the field to Options, Knobs and Fingerprint, read
+// it in exactly one stage's body and copy it in that stage's reads. The
+// guard test in stage_test.go fails while any of the four is missing: a
+// knob no stage claims would silently alias two candidates of a search.
+
+// Stage indices, in pipeline order.
+const (
+	// StagePre rewrites the blocking collectives themselves before any
+	// site is matched.
+	StagePre = iota
+	// StageDecompose matches the collective/einsum sites and rewrites
+	// the accepted ones into Looped CollectiveEinsums.
+	StageDecompose
+	// StageFuse applies the fusion-friendliness rewrite and accumulation
+	// fusion.
+	StageFuse
+	// StageSchedule splits the CollectivePermutes into asynchronous
+	// start/done pairs and runs the selected scheduler.
+	StageSchedule
+	// StageStamp writes the kernel split-K factor on every einsum. It
+	// changes one attribute of instructions that already exist — no
+	// structure, no schedule, nothing the machine model prices — so a
+	// search may rank the schedule stage's output and stamp only the
+	// programs it goes on to execute.
+	StageStamp
+	numStages
+)
+
+// Stage is one entry of the pipeline.
+type Stage struct {
+	Name string
+	// reads copies the knobs the body reads from o into key.
+	reads func(o Options, key *Options)
+	// identity reports that the body leaves every program untouched
+	// under o; nil means it never statically does.
+	identity func(o Options) bool
+	// body is the stage's work, run with the root preserved.
+	body func(c *hlo.Computation, o Options, report *Report) error
+}
+
+var stages = [numStages]Stage{
+	StagePre: {
+		Name: "pre",
+		reads: func(o Options, key *Options) {
+			key.GradBucketBytes = o.GradBucketBytes
+			key.SplitAllReduce = o.SplitAllReduce
+			key.RematerializeGathers = o.RematerializeGathers
+		},
+		identity: func(o Options) bool {
+			return o.GradBucketBytes <= 0 && !o.SplitAllReduce && !o.RematerializeGathers
+		},
+		body: func(c *hlo.Computation, o Options, report *Report) error {
+			// Gradient bucketing runs first so it consumes the backward
+			// pass's ring AllReduces before SplitAllReduce would
+			// canonicalize them away.
+			if o.GradBucketBytes > 0 {
+				report.Buckets = BucketAllReduces(c, o.GradBucketBytes)
+			}
+			if o.SplitAllReduce {
+				CanonicalizeAllReduce(c)
+			}
+			if o.RematerializeGathers {
+				RematerializeGathers(c)
+			}
+			return nil
+		},
+	},
+	StageDecompose: {
+		Name: "decompose",
+		reads: func(o Options, key *Options) {
+			key.Rolled = o.Rolled
+			key.Unroll = o.Unroll
+			key.Bidirectional = o.Bidirectional
+			key.UseCostModel = o.UseCostModel
+		},
+		body: func(c *hlo.Computation, o Options, report *Report) error {
+			// Find the decomposable AllGather-Einsum / Einsum-ReduceScatter
+			// sites (one candidate per einsum, by the §5.5 rule), gate each
+			// on the cost model when enabled, and rewrite the accepted ones.
+			var chooser CandidateChooser = FirstChooser{}
+			if o.UseCostModel {
+				chooser = CostChooser{Spec: o.Spec}
+			}
+			patterns := FindPatterns(c, chooser)
+			report.SitesFound = len(patterns)
+
+			for _, p := range patterns {
+				d := Evaluate(p, o)
+				report.Decisions = append(report.Decisions, d)
+				if o.UseCostModel && !d.Enable {
+					report.SitesRejected++
+					continue
+				}
+				if err := Decompose(c, p, o); err != nil {
+					return fmt.Errorf("core: decomposing %s at %s: %w", p.Kind, p.Einsum.Name, err)
+				}
+				report.SitesDecomposed++
+			}
+			return nil
+		},
+	},
+	StageFuse: {
+		Name: "fuse",
+		reads: func(o Options, key *Options) {
+			key.ConcatToPadMax = o.ConcatToPadMax
+			key.FuseAddIntoEinsum = o.FuseAddIntoEinsum
+			key.OverlapFriendlyFusion = o.OverlapFriendlyFusion
+		},
+		identity: func(o Options) bool { return !o.ConcatToPadMax && !o.FuseAddIntoEinsum },
+		body: func(c *hlo.Computation, o Options, report *Report) error {
+			if o.ConcatToPadMax {
+				RewriteConcatToPadMax(c)
+			}
+			if o.FuseAddIntoEinsum {
+				report.FusionsFormed = FuseAccumulation(c, o.OverlapFriendlyFusion)
+			}
+			return nil
+		},
+	},
+	StageSchedule: {
+		Name:     "schedule",
+		reads:    func(o Options, key *Options) { key.Scheduler = o.Scheduler },
+		identity: func(o Options) bool { return o.Scheduler == SchedulerNone },
+		body: func(c *hlo.Computation, o Options, _ *Report) error {
+			// With SchedulerNone the collectives stay decomposed but
+			// blocking (a useful ablation).
+			if o.Scheduler == SchedulerNone {
+				return nil
+			}
+			// §5.2: the overlap schedulers consume the memory-minimizing
+			// pass's output; their tie-breaks preserve that order.
+			if err := ScheduleMinMemory(c); err != nil {
+				return fmt.Errorf("core: min-memory scheduling: %w", err)
+			}
+			MakeAsync(c)
+			var err error
+			switch o.Scheduler {
+			case SchedulerBottomUp:
+				err = ScheduleBottomUp(c, o.Spec)
+			case SchedulerTopDown:
+				err = ScheduleTopDown(c, o.Spec)
+			}
+			if err != nil {
+				return fmt.Errorf("core: scheduling: %w", err)
+			}
+			return nil
+		},
+	},
+	StageStamp: {
+		Name:  "stamp",
+		reads: func(o Options, key *Options) { key.KernelSplitK = o.KernelSplitK },
+		body: func(c *hlo.Computation, o Options, _ *Report) error {
+			// The factor the program executes with is part of its text.
+			c.Walk(func(in *hlo.Instruction) {
+				if in.Op == hlo.OpEinsum {
+					in.SplitK = o.KernelSplitK
+				}
+			})
+			return nil
+		},
+	},
+}
+
+// Stages returns the pipeline's stages, indexed by the Stage constants.
+func Stages() []Stage { return stages[:] }
+
+// Identity reports that running the stage under o leaves any program
+// exactly as it was, so its output may be its input itself.
+func (s Stage) Identity(o Options) bool { return s.identity != nil && s.identity(o) }
+
+// Run executes the stage on c in place, recording what it did in
+// report.
+func (s Stage) Run(c *hlo.Computation, o Options, report *Report) error {
+	var err error
+	c.WithRootPreserved(func() { err = s.body(c, o, report) })
+	return err
+}
+
+// PrefixKey returns o reduced to the knobs stages[0..stage] read: two
+// Options with equal prefix keys put the same program, under the same
+// Spec, into the same state after that stage. Spec is left zero — it is
+// ambient to one search, not a knob.
+func PrefixKey(stage int, o Options) Options {
+	var key Options
+	for _, s := range stages[:stage+1] {
+		s.reads(o, &key)
+	}
+	return key
+}
+
+// Apply runs the full overlap pipeline on the computation in place —
+// every stage of the table above, in order — and verifies the result.
+// To keep the baseline program untouched simply do not call Apply.
 func Apply(c *hlo.Computation, opts Options) (Report, error) {
 	var report Report
 	if err := opts.Spec.Validate(); err != nil {
 		return report, err
 	}
-
-	var applyErr error
-	c.WithRootPreserved(func() {
-		// Gradient bucketing runs first so it consumes the backward
-		// pass's ring AllReduces before SplitAllReduce would
-		// canonicalize them away.
-		if opts.GradBucketBytes > 0 {
-			report.Buckets = BucketAllReduces(c, opts.GradBucketBytes)
+	for _, s := range stages {
+		if err := s.Run(c, opts, &report); err != nil {
+			return report, err
 		}
-		if opts.SplitAllReduce {
-			CanonicalizeAllReduce(c)
-		}
-		if opts.RematerializeGathers {
-			RematerializeGathers(c)
-		}
-
-		var chooser CandidateChooser = FirstChooser{}
-		if opts.UseCostModel {
-			chooser = CostChooser{Spec: opts.Spec}
-		}
-		patterns := FindPatterns(c, chooser)
-		report.SitesFound = len(patterns)
-
-		for _, p := range patterns {
-			d := Evaluate(p, opts)
-			report.Decisions = append(report.Decisions, d)
-			if opts.UseCostModel && !d.Enable {
-				report.SitesRejected++
-				continue
-			}
-			if err := Decompose(c, p, opts); err != nil {
-				applyErr = fmt.Errorf("core: decomposing %s at %s: %w", p.Kind, p.Einsum.Name, err)
-				return
-			}
-			report.SitesDecomposed++
-		}
-
-		if opts.ConcatToPadMax {
-			RewriteConcatToPadMax(c)
-		}
-		if opts.FuseAddIntoEinsum {
-			report.FusionsFormed = FuseAccumulation(c, opts.OverlapFriendlyFusion)
-		}
-
-		if opts.Scheduler != SchedulerNone {
-			// §5.2: the overlap schedulers consume the memory-minimizing
-			// pass's output; their tie-breaks preserve that order.
-			if err := ScheduleMinMemory(c); err != nil {
-				applyErr = fmt.Errorf("core: min-memory scheduling: %w", err)
-				return
-			}
-			MakeAsync(c)
-			var err error
-			switch opts.Scheduler {
-			case SchedulerBottomUp:
-				err = ScheduleBottomUp(c, opts.Spec)
-			case SchedulerTopDown:
-				err = ScheduleTopDown(c, opts.Spec)
-			}
-			if err != nil {
-				applyErr = fmt.Errorf("core: scheduling: %w", err)
-				return
-			}
-		}
-	})
-	if applyErr != nil {
-		return report, applyErr
 	}
-	c.Walk(func(in *hlo.Instruction) {
-		if in.Op == hlo.OpEinsum {
-			in.SplitK = opts.KernelSplitK
-		}
-	})
 	return report, c.Verify()
 }

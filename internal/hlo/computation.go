@@ -84,6 +84,11 @@ func (c *Computation) Instructions() []*Instruction {
 // NumInstructions returns the length of the sequence.
 func (c *Computation) NumInstructions() int { return len(c.instrs) }
 
+// At returns the i-th instruction of the sequence. Loops that only read
+// index through it instead of paying for Instructions' snapshot; a loop
+// that adds, removes or reorders instructions ranges over the snapshot.
+func (c *Computation) At(i int) *Instruction { return c.instrs[i] }
+
 // Walk calls f for every instruction of the computation and,
 // recursively, of every fusion and loop body, in schedule order (each
 // instruction immediately before its body's instructions). It is the
@@ -322,7 +327,7 @@ func (c *Computation) Verify() error {
 }
 
 func verifyInstruction(in *Instruction) error {
-	if err := checkSplitK(in); err != nil {
+	if err := checkSplitK(in.Op, in.SplitK); err != nil {
 		return fmt.Errorf("hlo: %s: %w", in.Name, err)
 	}
 	want, err := inferShape(in)
@@ -342,69 +347,135 @@ func verifyInstruction(in *Instruction) error {
 
 // checkSplitK bounds the einsum split-K attribute to the factors the
 // kernel engine executes unclamped; other opcodes carry none.
-func checkSplitK(in *Instruction) error {
-	if in.SplitK < 0 || in.SplitK > tensor.MaxKernelSplitK {
-		return fmt.Errorf("splitk %d out of range [0,%d]", in.SplitK, tensor.MaxKernelSplitK)
+func checkSplitK(op OpCode, k int) error {
+	if k < 0 || k > tensor.MaxKernelSplitK {
+		return fmt.Errorf("splitk %d out of range [0,%d]", k, tensor.MaxKernelSplitK)
 	}
-	if in.SplitK != 0 && in.Op != OpEinsum {
-		return fmt.Errorf("splitk %d on %s (einsum only)", in.SplitK, in.Op)
+	if k != 0 && op != OpEinsum {
+		return fmt.Errorf("splitk %d on %s (einsum only)", k, op)
+	}
+	return nil
+}
+
+// VerifySplitK returns the error Verify would report for a verified c
+// with factor k stamped on every einsum, bodies included, without
+// stamping it: the check is instruction-local, so a search can hold one
+// unstamped program and still decide each factor's legality against it.
+func (c *Computation) VerifySplitK(k int) error {
+	for _, in := range c.instrs {
+		if in.Op == OpEinsum {
+			if err := checkSplitK(in.Op, k); err != nil {
+				return fmt.Errorf("hlo: %s: %w", in.Name, err)
+			}
+		}
+		if in.Body != nil {
+			if err := in.Body.VerifySplitK(k); err != nil {
+				return fmt.Errorf("hlo: %s %s body: %w", in.Op, in.Name, err)
+			}
+		}
 	}
 	return nil
 }
 
 // Clone returns a deep copy of the computation: new instruction objects,
-// same structure and attributes, including fusion bodies.
+// same structure and attributes, including fusion bodies. It is the
+// unit of work of every search over the pipeline (one clone per
+// memoised stage), so the copy is slab-allocated: the instructions, the
+// operand lists and each kind of attribute slice come out of one
+// allocation per kind, carved with their capacity capped so a later
+// append reallocates instead of running into a neighbour, and each user
+// map is sized from its source.
 func (c *Computation) Clone() *Computation {
 	out := NewComputation(c.Name)
 	out.nextID = c.nextID
 	out.groupSeq = c.groupSeq
-	mapping := make(map[*Instruction]*Instruction, len(c.instrs))
+
+	var nOperands, nInts, nOffsets, nPairs int
 	for _, in := range c.instrs {
-		cp := &Instruction{
+		nOperands += len(in.Operands)
+		nInts += len(in.Shape) + len(in.PadLow) + len(in.PadHigh) + len(in.Starts) +
+			len(in.Limits) + len(in.SliceSizes) + len(in.Perm)
+		for _, g := range in.Groups {
+			nInts += len(g)
+		}
+		nOffsets += len(in.Offsets)
+		nPairs += len(in.Pairs)
+	}
+	instrs := make([]Instruction, len(c.instrs))
+	operands := make([]*Instruction, nOperands)
+	ints := make([]int, nInts)
+	offsets := make([]DynOffset, nOffsets)
+	pairs := make([]SourceTargetPair, nPairs)
+
+	out.instrs = make([]*Instruction, len(c.instrs))
+	mapping := make(map[*Instruction]*Instruction, len(c.instrs))
+	for i, in := range c.instrs {
+		cp := &instrs[i]
+		*cp = Instruction{
 			ID:             in.ID,
 			Name:           in.Name,
 			Op:             in.Op,
-			Shape:          append([]int(nil), in.Shape...),
+			Shape:          carve(&ints, in.Shape),
 			Group:          in.Group,
 			ParamIndex:     in.ParamIndex,
 			EinsumSpec:     in.EinsumSpec,
 			SplitK:         in.SplitK,
 			Axis:           in.Axis,
-			PadLow:         append([]int(nil), in.PadLow...),
-			PadHigh:        append([]int(nil), in.PadHigh...),
+			PadLow:         carve(&ints, in.PadLow),
+			PadHigh:        carve(&ints, in.PadHigh),
 			PadValue:       in.PadValue,
-			Starts:         append([]int(nil), in.Starts...),
-			Limits:         append([]int(nil), in.Limits...),
-			Offsets:        append([]DynOffset(nil), in.Offsets...),
-			SliceSizes:     append([]int(nil), in.SliceSizes...),
-			Perm:           append([]int(nil), in.Perm...),
-			Pairs:          append([]SourceTargetPair(nil), in.Pairs...),
+			Starts:         carve(&ints, in.Starts),
+			Limits:         carve(&ints, in.Limits),
+			Offsets:        carve(&offsets, in.Offsets),
+			SliceSizes:     carve(&ints, in.SliceSizes),
+			Perm:           carve(&ints, in.Perm),
+			Pairs:          carve(&pairs, in.Pairs),
 			CollectiveAxis: in.CollectiveAxis,
 			TripCount:      in.TripCount,
 			ResultIndex:    in.ResultIndex,
 		}
+		if len(in.users) > 0 {
+			cp.users = make(map[*Instruction]int, len(in.users))
+		}
 		if in.Literal != nil {
 			cp.Literal = in.Literal.Clone()
 		}
-		for _, g := range in.Groups {
-			cp.Groups = append(cp.Groups, append([]int(nil), g...))
+		if len(in.Groups) > 0 {
+			cp.Groups = make([][]int, len(in.Groups))
+			for g, group := range in.Groups {
+				cp.Groups[g] = carve(&ints, group)
+			}
 		}
 		if in.Body != nil {
 			cp.Body = in.Body.Clone()
 		}
-		for _, op := range in.Operands {
+		cp.Operands = carve(&operands, in.Operands)
+		for slot, op := range in.Operands {
 			mop, ok := mapping[op]
 			if !ok {
 				panic(fmt.Sprintf("hlo: clone saw operand %s before definition", op.Name))
 			}
-			cp.Operands = append(cp.Operands, mop)
+			cp.Operands[slot] = mop
 			mop.addUser(cp)
 		}
 		mapping[in] = cp
-		out.instrs = append(out.instrs, cp)
+		out.instrs[i] = cp
 	}
 	if c.root != nil {
 		out.root = mapping[c.root]
 	}
 	return out
+}
+
+// carve copies src into the front of *slab and returns the copy, its
+// capacity capped at its length; an empty src yields nil.
+func carve[T any](slab *[]T, src []T) []T {
+	n := len(src)
+	if n == 0 {
+		return nil
+	}
+	dst := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	copy(dst, src)
+	return dst
 }

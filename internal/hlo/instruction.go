@@ -54,19 +54,7 @@ func (o DynOffset) EvalIter(pid, iter int) int {
 // device.
 func Static(v int) DynOffset { return DynOffset{Add: v, Scale: 1} }
 
-func (o DynOffset) String() string {
-	if o.PIDFactor == 0 && o.IterFactor == 0 && o.Mod == 0 {
-		return fmt.Sprintf("%d", o.Add*o.Scale)
-	}
-	div := o.Div
-	if div < 1 {
-		div = 1
-	}
-	if o.IterFactor != 0 {
-		return fmt.Sprintf("((%d*(pid/%d)+%d*i+%d)%%%d)*%d", o.PIDFactor, div, o.IterFactor, o.Add, o.Mod, o.Scale)
-	}
-	return fmt.Sprintf("((%d*(pid/%d)+%d)%%%d)*%d", o.PIDFactor, div, o.Add, o.Mod, o.Scale)
-}
+func (o DynOffset) String() string { return string(o.appendText(nil)) }
 
 // SourceTargetPair names one point-to-point edge of a CollectivePermute.
 type SourceTargetPair struct {

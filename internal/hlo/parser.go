@@ -172,7 +172,7 @@ func applyAttrs(in *Instruction, attrs string) error {
 		if in.SplitK, err = strconv.Atoi(factor); err != nil {
 			return fmt.Errorf("bad einsum splitk %q", factor)
 		}
-		return checkSplitK(in)
+		return checkSplitK(in.Op, in.SplitK)
 	case OpConcat:
 		return scanInt(attrs, "axis=%d", &in.Axis)
 	case OpPad:

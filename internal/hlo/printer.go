@@ -1,98 +1,238 @@
 package hlo
 
 import (
-	"fmt"
-	"strings"
+	"crypto/sha256"
+	"hash"
+	"strconv"
 )
+
+// The printer is one strconv.Append* pass: every byte of a
+// computation's text is appended to a caller-supplied buffer, fusion
+// and loop bodies directly behind their "    | " prefixes, so printing
+// allocates nothing beyond the buffer's own growth. Format and
+// TextDigest are its two callers; printer_test.go pins it byte for byte
+// against the fmt-based printer it replaced.
+
+// bodyPrefix indents one nesting level of a fusion or loop body.
+const bodyPrefix = "    | "
+
+// digestChunk is how much text TextDigest buffers between hash writes.
+const digestChunk = 512
 
 // Format renders the computation in an HLO-text-like form, one scheduled
 // instruction per line. Fusion bodies are printed indented beneath their
 // fusion instruction.
-func (c *Computation) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s {\n", c.Name)
-	for _, in := range c.instrs {
-		b.WriteString("  ")
-		b.WriteString(formatInstruction(in))
-		b.WriteByte('\n')
-		if in.Op == OpFusion || in.Op == OpLoop {
-			for _, line := range strings.Split(in.Body.Format(), "\n") {
-				if line == "" {
-					continue
-				}
-				fmt.Fprintf(&b, "    | %s\n", line)
-			}
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
+func (c *Computation) Format() string { return string(c.AppendFormat(nil)) }
+
+// AppendFormat appends the computation's Format text to dst and returns
+// the extended buffer.
+func (c *Computation) AppendFormat(dst []byte) []byte {
+	return c.appendText(dst, 0, nil)
 }
 
-func formatInstruction(in *Instruction) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%%%s = f32%v %s(", in.Name, in.Shape, in.Op)
+// TextDigest returns the SHA-256 of the computation's Format text
+// without building it: the text streams through one small buffer into
+// the hash.
+func (c *Computation) TextDigest() [sha256.Size]byte {
+	h := sha256.New()
+	h.Write(c.appendText(make([]byte, 0, 2*digestChunk), 0, h))
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
+// appendText appends the text of c, nested depth bodies deep. With a
+// sink, the buffer is drained into it whenever a finished line leaves
+// more than digestChunk bytes pending; the caller writes what remains.
+func (c *Computation) appendText(dst []byte, depth int, sink hash.Hash) []byte {
+	dst = appendPrefix(dst, depth)
+	dst = append(dst, c.Name...)
+	dst = append(dst, " {\n"...)
+	for _, in := range c.instrs {
+		dst = appendPrefix(dst, depth)
+		dst = append(dst, "  "...)
+		dst = appendInstruction(dst, in)
+		dst = append(dst, '\n')
+		if in.Op == OpFusion || in.Op == OpLoop {
+			dst = in.Body.appendText(dst, depth+1, sink)
+		}
+		if sink != nil && len(dst) >= digestChunk {
+			sink.Write(dst)
+			dst = dst[:0]
+		}
+	}
+	dst = appendPrefix(dst, depth)
+	return append(dst, "}\n"...)
+}
+
+func appendPrefix(dst []byte, depth int) []byte {
+	for ; depth > 0; depth-- {
+		dst = append(dst, bodyPrefix...)
+	}
+	return dst
+}
+
+func appendInstruction(dst []byte, in *Instruction) []byte {
+	dst = append(dst, '%')
+	dst = append(dst, in.Name...)
+	dst = append(dst, " = f32"...)
+	dst = appendInts(dst, in.Shape)
+	dst = append(dst, ' ')
+	dst = append(dst, in.Op.String()...)
+	dst = append(dst, '(')
 	for i, op := range in.Operands {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		fmt.Fprintf(&b, "%%%s", op.Name)
+		dst = append(dst, '%')
+		dst = append(dst, op.Name...)
 	}
-	b.WriteByte(')')
-	for _, attr := range formatAttributes(in) {
-		fmt.Fprintf(&b, ", %s", attr)
-	}
-	return b.String()
+	dst = append(dst, ')')
+	return appendAttributes(dst, in)
 }
 
-func formatAttributes(in *Instruction) []string {
-	var attrs []string
+func appendAttributes(dst []byte, in *Instruction) []byte {
 	switch in.Op {
 	case OpParameter:
-		attrs = append(attrs, fmt.Sprintf("index=%d", in.ParamIndex))
+		dst = append(dst, ", index="...)
+		dst = strconv.AppendInt(dst, int64(in.ParamIndex), 10)
 	case OpConstant:
-		attrs = append(attrs, fmt.Sprintf("value=%v", in.Literal.Data()))
-	case OpEinsum:
-		attr := fmt.Sprintf("spec=%q", in.EinsumSpec)
-		if in.SplitK >= 2 {
-			attr += fmt.Sprintf(" splitk=%d", in.SplitK)
+		dst = append(dst, ", value=["...)
+		for i, v := range in.Literal.Data() {
+			if i > 0 {
+				dst = append(dst, ' ')
+			}
+			dst = appendFloat(dst, v)
 		}
-		attrs = append(attrs, attr)
+		dst = append(dst, ']')
+	case OpEinsum:
+		dst = append(dst, ", spec="...)
+		dst = strconv.AppendQuote(dst, in.EinsumSpec)
+		if in.SplitK >= 2 {
+			dst = append(dst, " splitk="...)
+			dst = strconv.AppendInt(dst, int64(in.SplitK), 10)
+		}
 	case OpConcat:
-		attrs = append(attrs, fmt.Sprintf("axis=%d", in.Axis))
+		dst = append(dst, ", axis="...)
+		dst = strconv.AppendInt(dst, int64(in.Axis), 10)
 	case OpPad:
-		attrs = append(attrs, fmt.Sprintf("low=%v high=%v value=%g", in.PadLow, in.PadHigh, in.PadValue))
+		dst = append(dst, ", low="...)
+		dst = appendInts(dst, in.PadLow)
+		dst = append(dst, " high="...)
+		dst = appendInts(dst, in.PadHigh)
+		dst = append(dst, " value="...)
+		dst = appendFloat(dst, in.PadValue)
 	case OpSlice:
-		attrs = append(attrs, fmt.Sprintf("bounds=[%v:%v]", in.Starts, in.Limits))
+		dst = append(dst, ", bounds=["...)
+		dst = appendInts(dst, in.Starts)
+		dst = append(dst, ':')
+		dst = appendInts(dst, in.Limits)
+		dst = append(dst, ']')
 	case OpDynamicSlice:
-		attrs = append(attrs, fmt.Sprintf("offsets=%s sizes=%v", formatOffsets(in.Offsets), in.SliceSizes))
+		dst = append(dst, ", offsets="...)
+		dst = appendOffsets(dst, in.Offsets)
+		dst = append(dst, " sizes="...)
+		dst = appendInts(dst, in.SliceSizes)
 	case OpDynamicUpdateSlice:
-		attrs = append(attrs, fmt.Sprintf("offsets=%s", formatOffsets(in.Offsets)))
+		dst = append(dst, ", offsets="...)
+		dst = appendOffsets(dst, in.Offsets)
 	case OpTranspose:
-		attrs = append(attrs, fmt.Sprintf("perm=%v", in.Perm))
+		dst = append(dst, ", perm="...)
+		dst = appendInts(dst, in.Perm)
 	case OpAllGather, OpReduceScatter, OpAllToAll:
-		attrs = append(attrs, fmt.Sprintf("axis=%d groups=%v", in.CollectiveAxis, in.Groups))
+		dst = append(dst, ", axis="...)
+		dst = strconv.AppendInt(dst, int64(in.CollectiveAxis), 10)
+		dst = append(dst, " groups="...)
+		dst = appendGroups(dst, in.Groups)
 	case OpAllReduce:
-		attrs = append(attrs, fmt.Sprintf("groups=%v", in.Groups))
+		dst = append(dst, ", groups="...)
+		dst = appendGroups(dst, in.Groups)
 	case OpCollectivePermute, OpCollectivePermuteStart, OpCollectivePermuteDone:
-		attrs = append(attrs, fmt.Sprintf("pairs=%s", formatPairs(in.Pairs)))
+		dst = append(dst, ", pairs=["...)
+		for i, p := range in.Pairs {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, '{')
+			dst = strconv.AppendInt(dst, int64(p.Source), 10)
+			dst = append(dst, ',')
+			dst = strconv.AppendInt(dst, int64(p.Target), 10)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
 	case OpLoop:
-		attrs = append(attrs, fmt.Sprintf("trip=%d result=%d", in.TripCount, in.ResultIndex))
+		dst = append(dst, ", trip="...)
+		dst = strconv.AppendInt(dst, int64(in.TripCount), 10)
+		dst = append(dst, " result="...)
+		dst = strconv.AppendInt(dst, int64(in.ResultIndex), 10)
 	}
-	return attrs
+	return dst
 }
 
-func formatOffsets(offsets []DynOffset) string {
-	parts := make([]string, len(offsets))
+// appendInts renders vs as fmt's %v does a []int: "[1 2 3]".
+func appendInts(dst []byte, vs []int) []byte {
+	dst = append(dst, '[')
+	for i, v := range vs {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = strconv.AppendInt(dst, int64(v), 10)
+	}
+	return append(dst, ']')
+}
+
+// appendGroups renders device groups as fmt's %v does a [][]int.
+func appendGroups(dst []byte, groups [][]int) []byte {
+	dst = append(dst, '[')
+	for i, g := range groups {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = appendInts(dst, g)
+	}
+	return append(dst, ']')
+}
+
+// appendFloat renders v as fmt's %v and %g do a float64: strconv's
+// shortest round-tripping 'g' form ("-0", "1e-07", "1e+06", "NaN",
+// "+Inf").
+func appendFloat(dst []byte, v float64) []byte {
+	return strconv.AppendFloat(dst, v, 'g', -1, 64)
+}
+
+func appendOffsets(dst []byte, offsets []DynOffset) []byte {
+	dst = append(dst, '{')
 	for i, o := range offsets {
-		parts[i] = o.String()
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = o.appendText(dst)
 	}
-	return "{" + strings.Join(parts, ",") + "}"
+	return append(dst, '}')
 }
 
-func formatPairs(pairs []SourceTargetPair) string {
-	parts := make([]string, len(pairs))
-	for i, p := range pairs {
-		parts[i] = fmt.Sprintf("{%d,%d}", p.Source, p.Target)
+// appendText appends the offset in the closed form the parser reads
+// back: a bare integer when static, else ((P*(pid/D)+[I*i+]A)%M)*S.
+func (o DynOffset) appendText(dst []byte) []byte {
+	if o.PIDFactor == 0 && o.IterFactor == 0 && o.Mod == 0 {
+		return strconv.AppendInt(dst, int64(o.Add*o.Scale), 10)
 	}
-	return "[" + strings.Join(parts, ",") + "]"
+	div := o.Div
+	if div < 1 {
+		div = 1
+	}
+	dst = append(dst, "(("...)
+	dst = strconv.AppendInt(dst, int64(o.PIDFactor), 10)
+	dst = append(dst, "*(pid/"...)
+	dst = strconv.AppendInt(dst, int64(div), 10)
+	dst = append(dst, ")+"...)
+	if o.IterFactor != 0 {
+		dst = strconv.AppendInt(dst, int64(o.IterFactor), 10)
+		dst = append(dst, "*i+"...)
+	}
+	dst = strconv.AppendInt(dst, int64(o.Add), 10)
+	dst = append(dst, ")%"...)
+	dst = strconv.AppendInt(dst, int64(o.Mod), 10)
+	dst = append(dst, ")*"...)
+	return strconv.AppendInt(dst, int64(o.Scale), 10)
 }

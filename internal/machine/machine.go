@@ -362,7 +362,8 @@ func (s Spec) InstructionCost(in *hlo.Instruction) float64 {
 		// A rolled loop occupies the device for its whole (serial)
 		// execution: TripCount times the body's local and wire costs.
 		var per float64
-		for _, inner := range in.Body.Instructions() {
+		for i := 0; i < in.Body.NumInstructions(); i++ {
+			inner := in.Body.At(i)
 			per += s.InstructionCost(inner) + s.CollectiveTime(inner)
 		}
 		return float64(in.TripCount) * per
@@ -390,7 +391,8 @@ func (s Spec) fusionCost(in *hlo.Instruction) float64 {
 	minDim := 0
 	var dusWrite int64
 	aliasedBases := map[*hlo.Instruction]bool{}
-	for _, inner := range in.Body.Instructions() {
+	for i := 0; i < in.Body.NumInstructions(); i++ {
+		inner := in.Body.At(i)
 		switch inner.Op {
 		case hlo.OpEinsum:
 			f, m := EinsumStats(inner)

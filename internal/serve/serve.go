@@ -785,7 +785,7 @@ func (s *Server) resolve(req *Request) (*hlo.Computation, string, error) {
 func (s *Server) acquirePlan(ctx context.Context, req *Request, comp *hlo.Computation, key string) (planOutcome, error) {
 	devices, seed := req.Devices, req.Seed
 	return s.batch.submit(ctx, key, func() (*cachedPlan, error) {
-		plan, err := autotune.Compile(comp, devices, Args(comp, seed), autotune.Options{
+		plan, err := autotune.CompileKeyed(key, comp, devices, Args(comp, seed), autotune.Options{
 			Spec:         s.cfg.Spec,
 			TopK:         s.cfg.TuneTopK,
 			TimeScale:    s.cfg.TuneTimeScale,

@@ -88,8 +88,8 @@ func simulate(c *hlo.Computation, numDevices int, spec machine.Spec, traceDevice
 		arrivals:     map[*hlo.Instruction][]float64{},
 		traceDevices: traceDevices,
 	}
-	for _, in := range c.Instructions() {
-		if err := st.exec(in); err != nil {
+	for i := 0; i < c.NumInstructions(); i++ {
+		if err := st.exec(c.At(i)); err != nil {
 			return Breakdown{}, nil, err
 		}
 	}
@@ -267,10 +267,9 @@ func (st *simState) exec(in *hlo.Instruction) error {
 			// blocking CollectivePermutes, so the loop exposes its
 			// communication — which is why the optimized pipeline emits
 			// the expanded form.)
-			body := in.Body.Instructions()
 			for it := 0; it < in.TripCount; it++ {
-				for _, inner := range body {
-					if err := st.exec(inner); err != nil {
+				for i := 0; i < in.Body.NumInstructions(); i++ {
+					if err := st.exec(in.Body.At(i)); err != nil {
 						return fmt.Errorf("sim: loop %s iteration %d: %w", in.Name, it, err)
 					}
 				}
