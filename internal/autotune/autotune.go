@@ -44,6 +44,7 @@
 package autotune
 
 import (
+	"context"
 	"encoding/hex"
 	"fmt"
 	"sort"
@@ -373,25 +374,33 @@ func stage2(res *Result, s *search, args [][]*tensor.Tensor, opts Options) error
 	}
 
 	// Only now does a program leave the search tree: each candidate to
-	// execute is cloned from its node, stamped and verified in full.
+	// execute is cloned from its node, stamped and verified in full, and
+	// compiled for the runtime once — the warm-up and every repeat run
+	// the same Executable.
+	numDevices := s.numDevices
 	progs := make([]*hlo.Computation, len(toRun))
+	exes := make([]*runtime.Executable, len(toRun))
 	for k, i := range toRun {
-		prog, err := s.materialise(&res.Candidates[i])
+		cand := &res.Candidates[i]
+		prog, err := s.materialise(cand)
 		if err != nil {
-			return fmt.Errorf("autotune: materialising %s: %w", res.Candidates[i].Name, err)
+			return fmt.Errorf("autotune: materialising %s: %w", cand.Name, err)
 		}
 		progs[k] = prog
+		if exes[k], err = runtime.Compile(prog, numDevices, opts.Spec); err != nil {
+			return fmt.Errorf("autotune: executing %s: %w", cand.Name, err)
+		}
 	}
 	s.releaseTree()
-	numDevices := s.numDevices
 
-	ropts := runtime.Options{Spec: opts.Spec, TimeScale: opts.TimeScale}
+	ctx := context.Background()
+	ropts := runtime.Options{TimeScale: opts.TimeScale}
 
 	// One untimed warmup run: the first execution in a process pays for
 	// thread-pool and allocator spin-up that would otherwise be charged
 	// to whichever candidate happens to run first.
 	ropts.RunID = opts.RunID + ".warmup"
-	if warm, err := runtime.Run(progs[0], numDevices, args, ropts); err == nil && warm != nil {
+	if warm, err := exes[0].Run(ctx, args, ropts); err == nil && warm != nil {
 		res.Executions++
 		warm.Release()
 	}
@@ -405,7 +414,7 @@ func stage2(res *Result, s *search, args [][]*tensor.Tensor, opts Options) error
 		}
 		for r := 0; r < opts.Repeats; r++ {
 			ropts.RunID = fmt.Sprintf("%s.%s.r%d", opts.RunID, cand.Name, r)
-			run, err := runtime.Run(prog, numDevices, args, ropts)
+			run, err := exes[k].Run(ctx, args, ropts)
 			if err != nil {
 				return fmt.Errorf("autotune: executing %s: %w", cand.Name, err)
 			}

@@ -59,13 +59,22 @@ func cachePath(opts Options) string {
 // so a SetKernelWorkers or obs.SetEnabled change can never serve a
 // stale decision.
 func Key(c *hlo.Computation, spec machine.Spec, numDevices int) string {
+	return KeyOf(ProgramFingerprint(c), spec, numDevices)
+}
+
+// KeyOf is Key for a caller that already holds the program's
+// ProgramFingerprint — the daemon remembers it per request shape so a
+// warm request need not rebuild its graph to name its plan. Only the
+// program half may be remembered: the environment half (kernel workers,
+// instrumentation) is read here, live, on every call.
+func KeyOf(programFingerprint string, spec machine.Spec, numDevices int) string {
 	specFP := fmt.Sprintf("%x", sha256.Sum256([]byte(spec.Fingerprint())))[:16]
 	instr := 0
 	if obs.Default().Enabled() {
 		instr = 1
 	}
 	return fmt.Sprintf("%s|%s|n=%d|kw=%d|obs=%d",
-		ProgramFingerprint(c), specFP, numDevices, tensor.KernelWorkers(), instr)
+		programFingerprint, specFP, numDevices, tensor.KernelWorkers(), instr)
 }
 
 // cacheEntry is one persisted decision.

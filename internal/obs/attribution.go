@@ -170,13 +170,14 @@ func (r AttributionReport) GroupBy(key func(name string) string) []Attribution {
 // construction. Devices outside the trace window simply contribute
 // nothing; SPMD symmetry makes the recorded devices representative.
 func Attribute(spans []Span) AttributionReport {
-	byDevice := map[int][]Span{}
-	maxDev := -1
-	for _, s := range spans {
-		byDevice[s.Device] = append(byDevice[s.Device], s)
-		if s.Device > maxDev {
-			maxDev = s.Device
-		}
+	// The analysis visits devices in ascending order and each device's
+	// spans in stream order — every sum below depends on it. A stream
+	// already grouped that way (every executor's is) is walked in place;
+	// any other is copied and grouped once.
+	byDevice := func(i, j int) bool { return spans[i].Device < spans[j].Device }
+	if !sort.SliceIsSorted(spans, byDevice) {
+		spans = append([]Span(nil), spans...)
+		sort.SliceStable(spans, byDevice)
 	}
 
 	type acc struct {
@@ -195,9 +196,25 @@ func Attribute(spans []Span) AttributionReport {
 	}
 
 	var report AttributionReport
-	for dev := 0; dev <= maxDev; dev++ {
-		devSpans := byDevice[dev]
-		var compute []Span
+	var compute []Span // one device's compute spans; reused across devices
+	for lo, hi := 0, 0; lo < len(spans); lo = hi {
+		dev := spans[lo].Device
+		for hi = lo; hi < len(spans) && spans[hi].Device == dev; hi++ {
+		}
+		if dev < 0 {
+			continue // no executor records one; a hostile stream's are ignored
+		}
+		devSpans := spans[lo:hi]
+		n := 0
+		for _, s := range devSpans {
+			if s.Track == TrackCompute && s.Cat == CatCompute {
+				n++
+			}
+		}
+		if cap(compute) < n {
+			compute = make([]Span, 0, n)
+		}
+		compute = compute[:0]
 		for _, s := range devSpans {
 			if s.Track == TrackCompute && s.Cat == CatCompute {
 				compute = append(compute, s)
@@ -215,10 +232,10 @@ func Attribute(spans []Span) AttributionReport {
 					if c.Start >= s.Start+s.Dur {
 						break
 					}
-					lo, hi := maxf(c.Start, s.Start), minf(c.Start+c.Dur, s.Start+s.Dur)
-					if hi > lo {
-						hidden += hi - lo
-						a.under[c.Name] += hi - lo
+					from, to := maxf(c.Start, s.Start), minf(c.Start+c.Dur, s.Start+s.Dur)
+					if to > from {
+						hidden += to - from
+						a.under[c.Name] += to - from
 					}
 				}
 				if hidden > s.Dur {
@@ -242,11 +259,17 @@ func Attribute(spans []Span) AttributionReport {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	if len(names) > 0 {
+		report.Collectives = make([]Attribution, 0, len(names))
+	}
 	for _, name := range names {
 		a := accs[name]
 		att := Attribution{
 			Name: name, Blocking: a.blocking,
 			Wire: a.wire, Hidden: a.hidden, Exposed: a.exposed,
+		}
+		if len(a.under) > 0 {
+			att.Under = make([]UnderShare, 0, len(a.under))
 		}
 		for under, sec := range a.under {
 			att.Under = append(att.Under, UnderShare{Name: under, Seconds: sec})

@@ -133,33 +133,57 @@ type RunSpan struct {
 	Under          []string `json:"under,omitempty"`
 }
 
+// SpanLess is the order of a span stream at rest: by device, track,
+// start, then name. The runtime assembles Result.Trace in it and
+// NewRunTrace requires it of the stream it encodes, so a stream that
+// came from the runtime is never sorted a second time.
+func SpanLess(a, b Span) bool {
+	if a.Device != b.Device {
+		return a.Device < b.Device
+	}
+	if a.Track != b.Track {
+		return a.Track < b.Track
+	}
+	if a.Start != b.Start {
+		return a.Start < b.Start
+	}
+	return a.Name < b.Name
+}
+
 // NewRunTrace assembles the artifact from an execution's span stream:
 // it runs the attribution analyzer once, stamps every wire span with
 // its instruction's verdict, and embeds the full report. Spans are
-// sorted (device, track, start, name) so the encoding is deterministic
-// regardless of collection order. Metadata fields (Model, Fingerprint,
-// Stages, timings) are the caller's to fill in.
+// encoded in SpanLess order so the encoding is deterministic regardless
+// of collection order: a stream already in it is read in place, any
+// other (the simulator's, a hand-built one) is copied and sorted first
+// — the caller's slice is never reordered. Metadata fields (Model,
+// Fingerprint, Stages, timings) are the caller's to fill in.
 func NewRunTrace(id, scenario string, spans []Span) *RunTrace {
 	rep := Attribute(spans)
-	byName := make(map[string]*Attribution, len(rep.Collectives))
-	for i := range rep.Collectives {
-		byName[rep.Collectives[i].Name] = &rep.Collectives[i]
+	// What a wire span is stamped with is a property of its collective:
+	// computed once per collective, the Under list shared by its spans.
+	type stamp struct {
+		verdict string
+		hidden  float64
+		under   []string
+	}
+	stamps := make(map[string]stamp, len(rep.Collectives))
+	for _, a := range rep.Collectives {
+		st := stamp{verdict: verdictOf(a), hidden: a.HiddenFraction()}
+		if n := min(len(a.Under), 3); n > 0 {
+			st.under = make([]string, n)
+			for i := range st.under {
+				st.under[i] = a.Under[i].Name
+			}
+		}
+		stamps[a.Name] = st
 	}
 
-	sorted := append([]Span(nil), spans...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		a, b := sorted[i], sorted[j]
-		if a.Device != b.Device {
-			return a.Device < b.Device
-		}
-		if a.Track != b.Track {
-			return a.Track < b.Track
-		}
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		return a.Name < b.Name
-	})
+	less := func(i, j int) bool { return SpanLess(spans[i], spans[j]) }
+	if !sort.SliceIsSorted(spans, less) {
+		spans = append([]Span(nil), spans...)
+		sort.SliceStable(spans, less)
+	}
 
 	t := &RunTrace{
 		Version:           RunTraceVersion,
@@ -171,8 +195,12 @@ func NewRunTrace(id, scenario string, spans []Span) *RunTrace {
 	if len(rep.Collectives) > 0 || rep.StallSeconds > 0 {
 		t.Attribution = &rep
 	}
-	for _, s := range sorted {
-		rs := RunSpan{
+	if len(spans) > 0 {
+		t.Spans = make([]RunSpan, len(spans))
+	}
+	for i, s := range spans {
+		rs := &t.Spans[i]
+		*rs = RunSpan{
 			Device:  s.Device,
 			Track:   s.Track,
 			Cat:     s.Cat,
@@ -181,18 +209,10 @@ func NewRunTrace(id, scenario string, spans []Span) *RunTrace {
 			DurMS:   s.Dur * 1e3,
 		}
 		if isWireSpan(s) {
-			if a, ok := byName[s.Name]; ok {
-				rs.Verdict = verdictOf(*a)
-				rs.HiddenFraction = a.HiddenFraction()
-				for i, u := range a.Under {
-					if i == 3 {
-						break
-					}
-					rs.Under = append(rs.Under, u.Name)
-				}
+			if st, ok := stamps[s.Name]; ok {
+				rs.Verdict, rs.HiddenFraction, rs.Under = st.verdict, st.hidden, st.under
 			}
 		}
-		t.Spans = append(t.Spans, rs)
 	}
 	return t
 }

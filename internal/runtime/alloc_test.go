@@ -74,8 +74,8 @@ func TestSiteRunAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if kib > 600 || mallocs > 1500 {
-		t.Fatalf("one warm site run allocates %.1f KiB in %.0f allocations, budget 600 KiB / 1500", kib, mallocs)
+	if kib > 220 || mallocs > 1500 {
+		t.Fatalf("one warm site run allocates %.1f KiB in %.0f allocations, budget 220 KiB / 1500", kib, mallocs)
 	}
 }
 

@@ -57,7 +57,13 @@ type device struct {
 	arena, arenaPeak int64
 
 	finished float64
-	trace    []obs.Span
+
+	// trace holds the device's compute-track spans: allocated once, at
+	// the size the trace layout gives, when the device is inside the
+	// run's trace window, and nil otherwise. pace times the blocking
+	// collectives this device closes.
+	trace []obs.Span
+	pace  pacer
 
 	// status publishes what the device was last doing, for the deadline
 	// watchdog: the op index plus one in the high bits, the entry time
@@ -70,7 +76,7 @@ const statTimeBits = 40 // 12 days of microseconds
 
 func newDevice(e *engine, id int) *device {
 	t := e.tape
-	return &device{
+	d := &device{
 		id:    id,
 		eng:   e,
 		vals:  make([]*tensor.Tensor, t.nslots),
@@ -79,6 +85,10 @@ func newDevice(e *engine, id int) *device {
 		flags: make([]bool, t.maxArgs),
 		count: make([]int32, len(t.ops)),
 	}
+	if id < e.window {
+		d.trace = make([]obs.Span, 0, e.computeSpans)
+	}
+	return d
 }
 
 // setStat publishes the op the device is entering and when; the
@@ -212,12 +222,12 @@ func (d *device) walk(paramFor func(index, dev int) *tensor.Tensor) {
 			// own. On an abort it is abandoned, not recycled: the member
 			// computing the result may still be writing it.
 			out := d.acquire(op.in.Shape)
-			if !e.rendezvous(op, gen, d.id, d.vals[op.arg.slot], out) {
+			if !e.rendezvous(op, gen, d, d.vals[op.arg.slot], out) {
 				return
 			}
 			wait := e.since() - t0
 			d.exposed += wait
-			d.wire += op.delay.Seconds()
+			d.wire += e.delay(op.modeled).Seconds()
 			rtCollectiveSpans.Observe(wait)
 			d.span("collective", op.in.Name, t0, wait)
 			// The group has computed its result, so nobody reads the
@@ -349,7 +359,7 @@ func (d *device) post(op *tapeOp, pc int) bool {
 	if !e.fabric.post(d.id, int(target), mailKey{start: op.in, box: int(op.box), inst: inst}, data, op.bytes) {
 		return false
 	}
-	d.wire += op.delay.Seconds()
+	d.wire += e.delay(op.modeled).Seconds()
 	d.asyncSends++
 	d.outstanding++
 	if d.outstanding > d.peakInFlight {
@@ -471,7 +481,7 @@ func (d *device) loopExit(op *tapeOp) {
 // span records one compute-track span when tracing is on and the
 // device is inside the recorded window.
 func (d *device) span(cat, name string, start, dur float64) {
-	if !d.eng.opts.Trace || d.id >= d.eng.traceWindow() || dur <= 0 {
+	if d.id >= d.eng.window || dur <= 0 {
 		return
 	}
 	d.trace = append(d.trace, obs.Span{

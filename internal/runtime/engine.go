@@ -14,17 +14,21 @@ import (
 	"overlap/internal/tensor"
 )
 
-// engine owns one concurrent execution: the shared rendezvous registry
-// for blocking collectives, the link fabric for asynchronous transfers,
-// the fault injector (nil when no plan is set), and the abort machinery
-// that lets any device — or the run deadline — fail the run without
-// deadlocking the others.
+// engine owns one concurrent execution of an Executable: the shared
+// rendezvous registry for blocking collectives, the link fabric for
+// asynchronous transfers, the fault injector (nil when no plan is set),
+// and the abort machinery that lets any device — or the run deadline —
+// fail the run without deadlocking the others. It reads the Executable
+// and writes only its own state, and it is never reused: an aborted
+// run's mailboxes and counters die with it.
 type engine struct {
-	comp *hlo.Computation
-	n    int
+	*Executable
 	opts Options
 
-	tape    *tape
+	// window is the number of leading devices whose spans are recorded:
+	// zero with tracing off.
+	window int
+
 	fabric  *fabric
 	inj     *injector
 	devices []*device
@@ -39,22 +43,19 @@ type engine struct {
 	failedAt time.Time
 }
 
-func newEngine(c *hlo.Computation, numDevices int, opts Options) (*engine, error) {
+func newEngine(x *Executable, opts Options) (*engine, error) {
 	e := &engine{
-		comp:  c,
-		n:     numDevices,
-		opts:  opts,
-		gens:  map[rvKey]*genState{},
-		abort: make(chan struct{}),
+		Executable: x,
+		opts:       opts,
+		gens:       map[rvKey]*genState{},
+		abort:      make(chan struct{}),
+	}
+	if opts.Trace {
+		e.window = traceWindow(opts.TraceDevices, x.n)
 	}
 	if opts.Faults != nil && len(opts.Faults.Faults) > 0 {
 		e.inj = newInjector(opts.Faults)
 	}
-	t, err := lower(e)
-	if err != nil {
-		return nil, err
-	}
-	e.tape = t
 	f, err := newFabric(e)
 	if err != nil {
 		return nil, err
@@ -81,20 +82,44 @@ func (e *engine) fail(err error) {
 	})
 }
 
+// delay scales an op's modeled wire seconds into the occupancy this
+// run injects for it.
+func (e *engine) delay(modeled float64) time.Duration {
+	if e.opts.TimeScale <= 0 {
+		return 0
+	}
+	return time.Duration(modeled * e.opts.TimeScale * 1e9)
+}
+
+// pacer is the one timer a goroutine that injects wire time — a link, or
+// a device closing a blocking collective — keeps for the whole run,
+// instead of a new one per transfer.
+type pacer struct {
+	timer *time.Timer
+}
+
 // sleep holds the caller for d of modeled wire or collective time, but
-// wakes immediately when the run aborts — a failed run must never wait
-// out an in-flight transfer. It reports false when the abort cut the
-// sleep short.
-func (e *engine) sleep(d time.Duration) bool {
+// wakes immediately when abort closes — a failed run must never wait out
+// an in-flight transfer. It reports false when the abort cut the sleep
+// short.
+func (p *pacer) sleep(d time.Duration, abort <-chan struct{}) bool {
 	if d <= 0 {
 		return true
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+	if p.timer == nil {
+		p.timer = time.NewTimer(d)
+	} else {
+		p.timer.Reset(d) // stopped or expired, and drained, by the previous sleep
+	}
 	select {
-	case <-t.C:
+	case <-p.timer.C:
 		return true
-	case <-e.abort:
+	case <-abort:
+		// A link keeps draining its queue after an abort: a tick left in
+		// the channel would end its next sleep before it began.
+		if !p.timer.Stop() {
+			<-p.timer.C
+		}
 		return false
 	}
 }
@@ -266,33 +291,36 @@ func (e *engine) assemble(devices []*device) *Result {
 	b.Record("runtime")
 
 	if e.opts.Trace {
+		bufs := e.fabric.traces()
 		for _, dev := range devices {
-			res.Trace = append(res.Trace, dev.trace...)
+			bufs = append(bufs, dev.trace)
 		}
-		res.Trace = append(res.Trace, e.fabric.spans()...)
+		total := 0
+		for _, b := range bufs {
+			total += len(b)
+		}
+		res.Trace = make([]obs.Span, 0, total)
+		for _, b := range bufs {
+			res.Trace = append(res.Trace, b...)
+		}
+		// The order NewRunTrace wants, so its own sort finds nothing to do.
 		sort.SliceStable(res.Trace, func(i, j int) bool {
-			a, b := res.Trace[i], res.Trace[j]
-			if a.Device != b.Device {
-				return a.Device < b.Device
-			}
-			if a.Track != b.Track {
-				return a.Track < b.Track
-			}
-			return a.Start < b.Start
+			return obs.SpanLess(res.Trace[i], res.Trace[j])
 		})
 	}
 	return res
 }
 
-// traceWindow returns the number of leading devices whose spans are
-// recorded, following the simulator's truncation convention.
-func (e *engine) traceWindow() int {
-	w := e.opts.TraceDevices
+// traceWindow returns the number of leading devices whose spans a traced
+// run of n devices records, following the simulator's truncation
+// convention.
+func traceWindow(traceDevices, n int) int {
+	w := traceDevices
 	if w <= 0 {
 		w = obs.TraceMaxDevices
 	}
-	if w > e.n {
-		w = e.n
+	if w > n {
+		w = n
 	}
 	return w
 }

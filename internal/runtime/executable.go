@@ -1,0 +1,152 @@
+package runtime
+
+import (
+	"context"
+	"sort"
+
+	"overlap/internal/hlo"
+	"overlap/internal/machine"
+	"overlap/internal/obs"
+	"overlap/internal/tensor"
+)
+
+// Executable is a computation compiled for an n-device ring: validated,
+// lowered to its tape and buffer plan, with the fabric tables and the
+// trace layout the tape implies. Everything in it is a function of the
+// program, the ring size and the machine spec, computed once by Compile
+// and never written again, so one Executable serves any number of runs,
+// sequential or concurrent, each with its own arguments and Options.
+// The computation must not be modified while an Executable of it is in
+// use: kernels read their instructions' attributes as they execute.
+type Executable struct {
+	comp   *hlo.Computation
+	n      int
+	params []*hlo.Instruction
+	tape   *tape
+
+	// specErr is what the machine spec the tape was priced on fails
+	// validation with, nil for a sound one. Only a run that injects wire
+	// time (TimeScale > 0) reads the modeled seconds, so only such a run
+	// fails on it: TimeScale-0 callers compile with the zero Spec.
+	specErr error
+
+	// The fabric's program-derived tables. edges lists the directed
+	// links the starts' pairs use, in (source, target) order, and link
+	// finds an edge's position; boxes maps a start instruction's name to
+	// its mailbox number, for transports that cross a process boundary,
+	// where instruction pointers cannot travel.
+	edges []edge
+	link  map[[2]int]int
+	boxes map[string]int
+
+	// computeSpans is the device half of the trace layout: how many
+	// compute-track spans one device records at most. Each edge carries
+	// the link half.
+	computeSpans int
+}
+
+// edge is one directed link of the fabric.
+type edge struct {
+	src, dst int
+	// transfers is how many parcels one run posts on the edge: the
+	// executions of every start whose pairs name it.
+	transfers int
+}
+
+// Compile validates the computation for execution on numDevices devices
+// — every blocking collective joinable by all of its devices, every
+// posted transfer with exactly one reader, loops shaped the way the
+// interpreter expects — and lowers it once. spec prices the wire time
+// runs inject; a caller whose runs never inject any (TimeScale 0) may
+// pass the zero Spec.
+func Compile(c *hlo.Computation, numDevices int, spec machine.Spec) (*Executable, error) {
+	if numDevices <= 0 {
+		return nil, formatErr("need at least one device")
+	}
+	if err := validateSeq(c, numDevices, false); err != nil {
+		return nil, err
+	}
+	t, err := lower(c, numDevices, spec)
+	if err != nil {
+		return nil, err
+	}
+	x := &Executable{
+		comp:    c,
+		n:       numDevices,
+		params:  c.Parameters(),
+		tape:    t,
+		specErr: spec.Validate(),
+		boxes:   make(map[string]int, len(t.starts)),
+	}
+	x.layout()
+	return x, nil
+}
+
+// layout derives what the tape implies about a run before any run
+// exists: the edges its starts use and how often, and the number of
+// compute-track spans a device records. An op in a loop body executes
+// once per trip, not at all in a zero-trip loop.
+func (x *Executable) layout() {
+	transfers := map[[2]int]int{}
+	trips := 1
+	for i := range x.tape.ops {
+		op := &x.tape.ops[i]
+		switch op.kind {
+		case opLoop:
+			trips = op.loop.trips
+		case opLoopEnd:
+			trips = 1
+		case opLocal, opCollective, opDone:
+			x.computeSpans += trips
+		case opStart:
+			x.boxes[op.in.Name] = int(op.box)
+			for src, dst := range op.peer {
+				if dst >= 0 {
+					transfers[[2]int{src, int(dst)}] += trips
+				}
+			}
+		}
+	}
+	x.edges = make([]edge, 0, len(transfers))
+	for e, n := range transfers {
+		x.edges = append(x.edges, edge{src: e[0], dst: e[1], transfers: n})
+	}
+	sort.Slice(x.edges, func(i, j int) bool {
+		a, b := x.edges[i], x.edges[j]
+		if a.src != b.src {
+			return a.src < b.src
+		}
+		return a.dst < b.dst
+	})
+	x.link = make(map[[2]int]int, len(x.edges))
+	for at, e := range x.edges {
+		x.link[[2]int{e.src, e.dst}] = at
+	}
+}
+
+// Run executes the compiled program once: args follows sim.Interpret's
+// convention (args[i][d] is parameter i's value on device d, and
+// len(args[i]) == 1 supplies one replicated tensor), opts is the run's
+// own — see Options for which fields a run reads. When ctx expires or
+// is cancelled the run aborts — every blocked device, link and
+// rendezvous wakes — and the error is a *RunError attributing the stall
+// to a device, instruction and phase (and, under fault injection, to
+// the fault that caused it), with the context error available via
+// errors.Is. A failed or aborted run leaves nothing behind in the
+// Executable; the next Run starts clean.
+func (x *Executable) Run(ctx context.Context, args [][]*tensor.Tensor, opts Options) (*Result, error) {
+	if err := x.validateRun(args, opts); err != nil {
+		return nil, err
+	}
+	if err := opts.Faults.validate(x.n); err != nil {
+		return nil, err
+	}
+	if opts.RunID == "" {
+		opts.RunID = obs.NewRunID()
+	}
+	eng, err := newEngine(x, opts)
+	if err != nil {
+		return nil, err
+	}
+	return eng.run(ctx, args)
+}

@@ -1,0 +1,358 @@
+package runtime_test
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+	"time"
+
+	"overlap/internal/core"
+	"overlap/internal/corpus"
+	"overlap/internal/hlo"
+	"overlap/internal/machine"
+	"overlap/internal/models"
+	"overlap/internal/obs"
+	"overlap/internal/runtime"
+	"overlap/internal/sim"
+	"overlap/internal/tensor"
+)
+
+// reuseProgram builds a 4-device GPT_32B miniature through the given
+// pipeline: decomposed, it is all asynchronous permutes; rolled, a
+// blocking permute per loop trip.
+func reuseProgram(t *testing.T, opts core.Options) *hlo.Computation {
+	t.Helper()
+	cfg, err := models.ByName("GPT_32B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mini, err := models.Miniature(cfg, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := models.BuildLayerStep(mini)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.Apply(c, opts); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func reusePrograms(t *testing.T) map[string]*hlo.Computation {
+	return map[string]*hlo.Computation{
+		"decomposed": reuseProgram(t, forceOpts(false, false)),
+		"rolled":     reuseProgram(t, core.Options{Spec: machine.TPUv4(), Rolled: true, Scheduler: core.SchedulerNone}),
+	}
+}
+
+// runMatchesInterpreter runs the Executable once and requires every
+// device's root value to equal the interpreter's bit for bit. It
+// reports instead of failing the test so that concurrent runs can call
+// it.
+func runMatchesInterpreter(x *runtime.Executable, c *hlo.Computation, n int, args [][]*tensor.Tensor, opts runtime.Options) (*runtime.Result, error) {
+	want, err := sim.Interpret(c, n, args)
+	if err != nil {
+		return nil, fmt.Errorf("interpret: %w", err)
+	}
+	res, err := x.Run(context.Background(), args, opts)
+	if err != nil {
+		return nil, err
+	}
+	for d := 0; d < n; d++ {
+		if !res.Values[d].Equal(want[d]) {
+			return nil, fmt.Errorf("device %d diverges from the interpreter by %v", d, res.Values[d].MaxDifference(want[d]))
+		}
+	}
+	return res, nil
+}
+
+// TestExecutableReusable pins the Executable's one promise: it is
+// written by Compile and only read afterwards. One Executable run three
+// times in a row and four times at once, every run on its own
+// arguments, equals the interpreter bit for bit each time — on both
+// transports, with every released buffer poisoned, so state leaking
+// from one run into another (a slot table, a mailbox watermark, an
+// execution count) or a buffer shared between two concurrent runs
+// corrupts a checked result.
+func TestExecutableReusable(t *testing.T) {
+	defer runtime.PoisonReleased()()
+	const n = 4
+	for name, c := range reusePrograms(t) {
+		x, err := runtime.Compile(c, n, machine.TPUv4())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, tr := range transports {
+			opts := runtime.Options{Transport: tr, TimeScale: 20}
+			rng := rand.New(rand.NewSource(31))
+			for run := 0; run < 3; run++ {
+				res, err := runMatchesInterpreter(x, c, n, randomArgs(c, n, rng), opts)
+				if err != nil {
+					t.Fatalf("%s (%s): sequential run %d: %v", name, tr, run, err)
+				}
+				res.Release()
+			}
+			var wg sync.WaitGroup
+			for run := 0; run < 4; run++ {
+				args := randomArgs(c, n, rng)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					res, err := runMatchesInterpreter(x, c, n, args, opts)
+					if err != nil {
+						t.Errorf("%s (%s): concurrent run %d: %v", name, tr, run, err)
+						return
+					}
+					res.Release()
+				}()
+			}
+			wg.Wait()
+		}
+	}
+}
+
+// TestExecutableTimeScaleIsPerRun: the tape stores modeled seconds and
+// each run scales them, so one Executable serves every TimeScale. The
+// wire time a run reports is the sum of the durations it injected; it
+// must equal, exactly, what a one-shot Run at that scale reports — the
+// injected time.Durations are the same values.
+func TestExecutableTimeScaleIsPerRun(t *testing.T) {
+	const n = 4
+	spec := machine.TPUv4()
+	for name, c := range reusePrograms(t) {
+		x, err := runtime.Compile(c, n, spec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		args := randomArgs(c, n, rand.New(rand.NewSource(37)))
+		for _, tr := range transports {
+			for _, scale := range []float64{0, 50, 4000, 50} {
+				opts := runtime.Options{Spec: spec, TimeScale: scale, Transport: tr}
+				oneShot, err := runtime.Run(c, n, args, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := x.Run(context.Background(), args, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, want := res.Breakdown.CollectiveWire, oneShot.Breakdown.CollectiveWire
+				if got != want || (scale > 0) != (got > 0) {
+					t.Fatalf("%s (%s) at TimeScale %v: the Executable injected %v s of wire, the one-shot run %v s", name, tr, scale, got, want)
+				}
+				oneShot.Release()
+				res.Release()
+			}
+		}
+	}
+}
+
+// TestExecutableZeroSpec: callers that never inject wire time compile
+// with no spec at all; a run that then asks for injection fails with
+// the spec's own validation error, as the one-shot Run always has.
+func TestExecutableZeroSpec(t *testing.T) {
+	const n = 4
+	c := reuseProgram(t, forceOpts(false, false))
+	args := randomArgs(c, n, rand.New(rand.NewSource(41)))
+	x, err := runtime.Compile(c, n, machine.Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runMatchesInterpreter(x, c, n, args, runtime.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Release()
+	want := machine.Spec{}.Validate()
+	if want == nil {
+		t.Fatal("the zero Spec validates")
+	}
+	_, err = x.Run(context.Background(), args, runtime.Options{TimeScale: 50})
+	if err == nil || err.Error() != want.Error() {
+		t.Fatalf("TimeScale 50 on a zero-Spec Executable: %v, want %v", err, want)
+	}
+	_, oneShot := runtime.Run(c, n, args, runtime.Options{TimeScale: 50})
+	if oneShot == nil || oneShot.Error() != want.Error() {
+		t.Fatalf("one-shot Run with TimeScale 50 and no Spec: %v, want %v", oneShot, want)
+	}
+}
+
+// TestExecutableSurvivesAbortedRuns: an aborted run's state — parcels
+// still on links, half-filled mailboxes, a rendezvous generation that
+// never completed — belongs to its engine and dies with it. After a
+// dropped transfer that a deadline turns into an abort, and after an
+// injected crash, the same Executable runs clean and bit-identical.
+func TestExecutableSurvivesAbortedRuns(t *testing.T) {
+	defer runtime.PoisonReleased()()
+	site, edges := faultSite(t)
+	c := site.build()
+	x, err := runtime.Compile(c, site.n, machine.TPUv4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	aborts := []struct {
+		fault    runtime.Fault
+		deadline time.Duration
+		sentinel error
+	}{
+		{runtime.Fault{Kind: runtime.FaultDrop, Src: edges[0][0], Dst: edges[0][1], K: 0}, 200 * time.Millisecond, context.DeadlineExceeded},
+		{runtime.Fault{Kind: runtime.FaultCrash, Device: 1, K: 2}, 10 * time.Second, runtime.ErrInjectedCrash},
+	}
+	for _, tr := range transports {
+		for _, a := range aborts {
+			ctx, cancel := context.WithTimeout(context.Background(), a.deadline)
+			_, err := x.Run(ctx, site.args, runtime.Options{
+				Transport: tr, TimeScale: 20,
+				Faults: &runtime.FaultPlan{Seed: 3, Faults: []runtime.Fault{a.fault}},
+			})
+			cancel()
+			var re *runtime.RunError
+			if !errors.Is(err, a.sentinel) || !errors.As(err, &re) {
+				t.Fatalf("%s: injected %s: error %v, want a *RunError wrapping %v", tr, a.fault, err, a.sentinel)
+			}
+			res, err := runMatchesInterpreter(x, c, site.n, site.args, runtime.Options{Transport: tr, TimeScale: 20})
+			if err != nil {
+				t.Fatalf("%s: clean run after %s: %v", tr, a.fault, err)
+			}
+			res.Release()
+		}
+	}
+}
+
+// TestExecutableTracedAndUntracedInterleave: tracing is a run's choice.
+// Alternating traced and untraced runs on one Executable, the traced
+// ones carry spans in obs.SpanLess order inside their window, the
+// untraced ones none, and all of them compute the same values.
+func TestExecutableTracedAndUntracedInterleave(t *testing.T) {
+	const n = 4
+	c := reuseProgram(t, forceOpts(false, false))
+	x, err := runtime.Compile(c, n, machine.TPUv4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := randomArgs(c, n, rand.New(rand.NewSource(43)))
+	for _, tr := range transports {
+		for run := 0; run < 4; run++ {
+			traced := run%2 == 0
+			res, err := runMatchesInterpreter(x, c, n, args, runtime.Options{
+				Transport: tr, TimeScale: 20, Trace: traced, TraceDevices: 2,
+			})
+			if err != nil {
+				t.Fatalf("%s run %d: %v", tr, run, err)
+			}
+			if traced == (len(res.Trace) == 0) {
+				t.Fatalf("%s run %d: traced=%v but %d spans", tr, run, traced, len(res.Trace))
+			}
+			for i, s := range res.Trace {
+				if s.Device >= 2 {
+					t.Fatalf("%s run %d: span %s on device %d, window is 2", tr, run, s.Name, s.Device)
+				}
+				if i > 0 && obs.SpanLess(s, res.Trace[i-1]) {
+					t.Fatalf("%s run %d: spans %d and %d are out of SpanLess order", tr, run, i-1, i)
+				}
+			}
+			res.Release()
+		}
+	}
+}
+
+// zeroTripProgram wraps an asynchronous permute and an add in a loop
+// that never runs: its edges exist, and carry nothing. (The builder
+// refuses a trip count below one; the runtime accepts zero, so the
+// count is set on the built instruction.)
+func zeroTripProgram() *hlo.Computation {
+	body := hlo.NewComputation("body")
+	p := body.Parameter(0, "p", []int{2, 2})
+	done := body.CollectivePermuteDone(body.CollectivePermuteStart(p, ringPairs(4)))
+	body.Tuple(body.Add(done, p))
+	c := hlo.NewComputation("zero-trip")
+	x := c.Parameter(0, "x", []int{2, 2})
+	loop := c.Loop(body, 1, 0, x)
+	loop.TripCount = 0
+	c.Add(loop, x)
+	return c
+}
+
+// TestTraceLayoutSizesEveryBuffer runs every corpus program — as built,
+// rolled, and decomposed, plus a zero-trip loop — traced and untraced
+// and inspects the span buffers the run recorded into. The trace layout
+// is a compile-time count of what the tape can record, so a traced
+// run's device and link buffers must have been allocated once at
+// exactly that count and never have grown (an append past capacity
+// would show as a larger one), and an untraced run, or a device outside
+// the trace window, must have allocated none.
+func TestTraceLayoutSizesEveryBuffer(t *testing.T) {
+	progs, err := corpus.Programs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs = append(progs, corpus.Program{Name: "zero-trip", Devices: 4, Comp: zeroTripProgram()})
+	spec := machine.TPUv4()
+	decompose := core.DefaultOptions(spec)
+	decompose.UseCostModel = false
+	forms := []struct {
+		name string
+		opts *core.Options
+	}{
+		{"as-built", nil},
+		{"rolled", &core.Options{Spec: spec, Rolled: true, Scheduler: core.SchedulerNone}},
+		{"decomposed", &decompose},
+	}
+	rng := rand.New(rand.NewSource(47))
+	for _, p := range progs {
+		if p.Long() && (testing.Short() || raceEnabled) {
+			continue
+		}
+		for _, form := range forms {
+			if p.Name == "zero-trip" && form.opts != nil {
+				continue // hlo.Verify, which every pass ends with, refuses the trip count
+			}
+			c := p.Comp.Clone()
+			if form.opts != nil {
+				if _, err := core.Apply(c, *form.opts); err != nil {
+					t.Fatalf("%s/%s: %v", p.Name, form.name, err)
+				}
+			}
+			x, err := runtime.Compile(c, p.Devices, spec)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", p.Name, form.name, err)
+			}
+			args := randomArgs(c, p.Devices, rng)
+			for _, tr := range transports {
+				if tr == runtime.TransportProc && p.Long() {
+					continue // four processes per run; the small programs cover the transport
+				}
+				for _, window := range []int{0, 3} { // 0: every device; 3: device 3 outside
+					for _, traced := range []bool{true, false} {
+						label := fmt.Sprintf("%s/%s (%s, window %d, traced %v)", p.Name, form.name, tr, window, traced)
+						bufs, err := x.RunTraceBuffers(context.Background(), args,
+							runtime.Options{Transport: tr, Trace: traced, TraceDevices: window})
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						recorded := 0
+						for _, b := range bufs {
+							want := b.Layout
+							if !traced {
+								want = 0
+							}
+							if b.Cap != want || b.Len > b.Cap {
+								t.Fatalf("%s: %s holds %d spans in a buffer of %d, the layout says %d",
+									label, b.Owner, b.Len, b.Cap, want)
+							}
+							recorded += b.Len
+						}
+						if traced && recorded == 0 && p.Name != "zero-trip" {
+							t.Fatalf("%s: a traced run recorded nothing", label)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -53,22 +53,15 @@ type mailboxes struct {
 	wake chan struct{}
 }
 
-// fabric owns transfer addressing: every device's mailboxes, the
-// at-most-once bookkeeping, and the edge table. The movement between
-// post and deliver — wire pacing, fault actions, and (for the process
-// transport) the serialization across real sockets — belongs to the
-// pluggable transport underneath.
+// fabric is one run's transfer addressing: every device's mailboxes and
+// the at-most-once bookkeeping, over the edge and mailbox tables the
+// Executable derived from the program. The movement between post and
+// deliver — wire pacing, fault actions, and (for the process transport)
+// the serialization across real sockets — belongs to the pluggable
+// transport underneath.
 type fabric struct {
-	eng   *engine
-	edges map[[2]int]bool
-	tr    transport
-
-	// boxes maps start-instruction names to mailbox numbers, so
-	// transports that cross a process boundary (where instruction
-	// pointers cannot travel) can re-derive the mailbox key from the
-	// portable (name, inst) pair.
-	boxes map[string]int
-
+	eng  *engine
+	tr   transport
 	mail []mailboxes
 }
 
@@ -78,18 +71,16 @@ type fabric struct {
 // stall but never deadlock.
 const linkBuffer = 64
 
-// newFabric lays out one mailbox per (device, start) of the tape,
-// collects the directed edges those starts use, and constructs the
-// configured transport for them. The transport's data plane is not
-// started yet — engine.run starts it before launching devices, so a
-// spawn failure surfaces as a run error instead of a hang.
+// newFabric lays out one mailbox per (device, start) of the tape and
+// constructs the configured transport for the Executable's edges. The
+// transport's data plane is not started yet — engine.run starts it
+// before launching devices, so a spawn failure surfaces as a run error
+// instead of a hang.
 func newFabric(e *engine) (*fabric, error) {
 	starts := e.tape.starts
 	f := &fabric{
-		eng:   e,
-		edges: map[[2]int]bool{},
-		boxes: make(map[string]int, len(starts)),
-		mail:  make([]mailboxes, e.n),
+		eng:  e,
+		mail: make([]mailboxes, e.n),
 	}
 	// One cell per mailbox up front: in a healthy run at most one
 	// instance of a start is waiting at a device, so queues never grow.
@@ -104,13 +95,6 @@ func newFabric(e *engine) (*fabric, error) {
 		m.water = make([]int, len(starts))
 		m.wake = make(chan struct{}, 1)
 	}
-	for box, idx := range starts {
-		in := e.tape.ops[idx].in
-		f.boxes[in.Name] = box
-		for _, p := range in.Pairs {
-			f.edges[[2]int{p.Source, p.Target}] = true
-		}
-	}
 	tr, err := newTransport(e, f)
 	if err != nil {
 		return nil, err
@@ -120,13 +104,7 @@ func newFabric(e *engine) (*fabric, error) {
 }
 
 // start brings the transport's data plane up.
-func (f *fabric) start() error {
-	edges := make([][2]int, 0, len(f.edges))
-	for e := range f.edges {
-		edges = append(edges, e)
-	}
-	return f.tr.start(edges)
-}
+func (f *fabric) start() error { return f.tr.start() }
 
 // deliver hands one parcel to its destination mailbox, enforcing
 // at-most-once delivery per transfer instance. fault carries the
@@ -167,7 +145,7 @@ func (f *fabric) deliver(dst int, key mailKey, data *tensor.Tensor, fault string
 // attributed identically to the in-process transport). An unknown name
 // is a framing or routing bug and fails the run.
 func (f *fabric) deliverNamed(dst int, name string, inst int, data *tensor.Tensor, fault string) {
-	box, ok := f.boxes[name]
+	box, ok := f.eng.boxes[name]
 	if !ok || dst < 0 || dst >= f.eng.n {
 		f.eng.fail(&RunError{
 			Device: dst, Instr: name, Phase: PhaseReceive,
@@ -185,20 +163,21 @@ func (f *fabric) key(box, inst int) mailKey {
 	return mailKey{start: t.ops[t.starts[box]].in, box: box, inst: inst}
 }
 
-// delay is the injected wire occupancy of one transfer of the start
-// behind a mailbox number, resolved when the tape was lowered.
+// delay is the wire occupancy this run injects for one transfer of the
+// start behind a mailbox number.
 func (f *fabric) delay(box int) time.Duration {
 	t := f.eng.tape
-	return t.ops[t.starts[box]].delay
+	return f.eng.delay(t.ops[t.starts[box]].modeled)
 }
 
 // post enqueues a transfer on its link without waiting for the wire.
 // It reports false if the run aborted while the link queue was full, or
-// if no link exists for the edge — a malformed program or a pair
-// mutated after fabric construction — which fails the run with an error
-// naming the edge instead of blocking forever.
+// if no link exists for the edge — a peer table that names an edge the
+// Executable never laid out — which fails the run with an error naming
+// the edge instead of blocking forever.
 func (f *fabric) post(src, dst int, key mailKey, data *tensor.Tensor, bytes int64) bool {
-	if !f.edges[[2]int{src, dst}] {
+	link, ok := f.eng.link[[2]int{src, dst}]
+	if !ok {
 		f.eng.fail(&RunError{
 			Device: src, Instr: key.start.Name, Phase: PhasePost,
 			Elapsed: f.eng.sinceDur(),
@@ -206,7 +185,7 @@ func (f *fabric) post(src, dst int, key mailKey, data *tensor.Tensor, bytes int6
 		})
 		return false
 	}
-	if !f.tr.post(src, dst, parcel{key: key, data: data, bytes: bytes}) {
+	if !f.tr.post(link, parcel{key: key, data: data, bytes: bytes}) {
 		return false
 	}
 	rtTransfers.Inc()
@@ -245,9 +224,9 @@ func (f *fabric) receive(dst int, key mailKey) (*tensor.Tensor, bool) {
 // waits on a reader and in-flight sleeps select against the abort.
 func (f *fabric) shutdown() { f.tr.shutdown() }
 
-// spans merges the transport's transfer spans. Only called after
+// traces returns the transport's span buffers. Only called after
 // shutdown, when nothing appends.
-func (f *fabric) spans() []obs.Span { return f.tr.spans() }
+func (f *fabric) traces() [][]obs.Span { return f.tr.traces() }
 
 // mailboxSizes reports, for one device, how many queue cells exist, how
 // many hold an undelivered parcel, and how many starts have advanced

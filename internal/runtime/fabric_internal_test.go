@@ -9,24 +9,37 @@ import (
 	"time"
 
 	"overlap/internal/hlo"
+	"overlap/internal/machine"
 	"overlap/internal/tensor"
 )
 
+// mustEngine compiles c for n devices and builds one run's engine over
+// the Executable.
+func mustEngine(t *testing.T, c *hlo.Computation, n int) *engine {
+	t.Helper()
+	x, err := Compile(c, n, machine.Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := newEngine(x, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // TestPostMissingLinkFailsFast pins the fabric's defense against edges
-// absent at build time: posting on a (src,dst) pair with no link — a
-// malformed program or pairs mutated after fabric construction — must
-// fail the run with a structured error naming the edge, not send on a
-// nil channel and block until some other failure aborts the run.
+// the Executable never laid out: posting on a (src,dst) pair with no
+// link must fail the run with a structured error naming the edge, not
+// index a link that is not there or block until some other failure
+// aborts the run.
 func TestPostMissingLinkFailsFast(t *testing.T) {
 	c := hlo.NewComputation("missing-link")
 	a := c.Parameter(0, "a", []int{2, 2})
 	start := c.CollectivePermuteStart(a, []hlo.SourceTargetPair{{Source: 0, Target: 1}})
 	c.CollectivePermuteDone(start)
 
-	e, err := newEngine(c, 4, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := mustEngine(t, c, 4)
 	if err := e.fabric.start(); err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +76,54 @@ func TestPostMissingLinkFailsFast(t *testing.T) {
 	}
 }
 
+// TestRunOnUnbuiltEdgeFailsWithMissingLink drives the same defense
+// through a whole run. An Executable snapshots the program's pairs into
+// its tape and its edge table together, so the two cannot disagree; if
+// they ever did — the peer column naming a target the edge table never
+// saw, which is what a pair edited after Compile would look like had it
+// reached the tape — the posting device must fail the run with
+// ErrMissingLink while its peers are released, not leave them waiting
+// on a transfer nobody carries.
+func TestRunOnUnbuiltEdgeFailsWithMissingLink(t *testing.T) {
+	c := hlo.NewComputation("unbuilt-edge")
+	a := c.Parameter(0, "a", []int{2, 2})
+	start := c.CollectivePermuteStart(a, []hlo.SourceTargetPair{{Source: 0, Target: 1}})
+	c.CollectivePermuteDone(start)
+	x, err := Compile(c, 4, machine.Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := [][]*tensor.Tensor{{tensor.Rand(rand.New(rand.NewSource(5)), 2, 2)}}
+	if _, err := x.Run(context.Background(), args, Options{}); err != nil {
+		t.Fatalf("untampered run: %v", err)
+	}
+
+	// Editing the instruction after Compile does not reach the run: the
+	// tape holds its own copy of the pairs.
+	start.Pairs[0].Target = 3
+	if _, err := x.Run(context.Background(), args, Options{}); err != nil {
+		t.Fatalf("run after the instruction's pairs were edited: %v", err)
+	}
+
+	// Reaching into the tape does: device 0 now posts on 0->3, and the
+	// done on device 1 would wait for ever.
+	for i := range x.tape.ops {
+		if op := &x.tape.ops[i]; op.kind == opStart {
+			op.peer[0] = 3
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, err = x.Run(ctx, args, Options{})
+	var re *RunError
+	if !errors.As(err, &re) || !errors.Is(err, ErrMissingLink) {
+		t.Fatalf("run on an unbuilt edge: %v, want a *RunError wrapping ErrMissingLink", err)
+	}
+	if re.Device != 0 || re.Phase != PhasePost || !strings.Contains(re.Error(), "0->3") {
+		t.Fatalf("error %v does not attribute the post on 0->3 to device 0", re)
+	}
+}
+
 // TestMailboxMapsBounded pins the fabric's watermark pruning: a loop
 // executing the same permute start many times must leave the mailbox
 // and delivered maps empty and the watermark map at one entry per
@@ -82,10 +143,7 @@ func TestMailboxMapsBounded(t *testing.T) {
 	x := c.Parameter(0, "x", []int{4})
 	c.Loop(body, iters, 0, x)
 
-	e, err := newEngine(c, 2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := mustEngine(t, c, 2)
 	rng := rand.New(rand.NewSource(3))
 	args := [][]*tensor.Tensor{{tensor.Rand(rng, 4), tensor.Rand(rng, 4)}}
 	if _, err := e.run(context.Background(), args); err != nil {

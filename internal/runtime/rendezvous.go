@@ -29,13 +29,13 @@ type genState struct {
 	done    chan struct{}
 }
 
-// rendezvous runs device pid's side of a blocking collective: deposit
+// rendezvous runs device d's side of a blocking collective: deposit
 // the input and the destination, wait until the group has written the
 // result. Inputs are read, and destinations written, only between the
 // last arrival and done. It returns false when the run aborted while
 // waiting.
-func (e *engine) rendezvous(op *tapeOp, gen, pid int, input, dst *tensor.Tensor) bool {
-	group, pos := op.groups.group[pid], op.groups.pos[pid]
+func (e *engine) rendezvous(op *tapeOp, gen int, d *device, input, dst *tensor.Tensor) bool {
+	group, pos := op.groups.group[d.id], op.groups.pos[d.id]
 	members := int(op.groups.members[group])
 	key := rvKey{in: op.in, group: group, gen: gen}
 	e.mu.Lock()
@@ -67,7 +67,7 @@ func (e *engine) rendezvous(op *tapeOp, gen, pid int, input, dst *tensor.Tensor)
 	// serialized with its devices: one injected delay per instance. The
 	// sleep is abort-aware — on a failed run the waiters are released by
 	// the abort channel, not by gs.done.
-	if !e.sleep(op.delay) {
+	if !d.pace.sleep(e.delay(op.modeled), e.abort) {
 		return false
 	}
 	collectiveInto(op.in, gs.dsts, gs.inputs)

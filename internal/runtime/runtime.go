@@ -8,6 +8,15 @@
 // *performs* it: the schedule produced by internal/core decides how much
 // wall-clock the in-flight transfers hide behind partial einsums.
 //
+// Execution has two halves. Compile is the program's: validation,
+// lowering to the tape and its buffer plan, the fabric's edge and
+// mailbox tables, the trace layout — paid once, held in an immutable
+// Executable by whoever holds the plan (serve's plan cache, a training
+// loop, the tuner's measured candidates). (*Executable).Run is the
+// run's: argument and fault-plan checks, a fresh engine, mailboxes,
+// transport and span buffers, all discarded with the run. Run and
+// RunContext are the one-shot form, Compile then Run.
+//
 // Correctness is anchored to the lockstep interpreter: local
 // instructions evaluate through the shared sim.EvalLocalInto dispatch
 // (the interpreter with no destination, this package into the buffer
@@ -30,7 +39,6 @@ package runtime
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
@@ -39,10 +47,14 @@ import (
 	"overlap/internal/tensor"
 )
 
-// Options configures a runtime execution.
+// Options configures a runtime execution. Spec belongs to the program
+// half: Run and RunContext hand it to Compile, which prices the tape's
+// transfers on it, and (*Executable).Run ignores it — an Executable
+// keeps the spec it was compiled with. Every other field is the run's
+// own and is read afresh by each Run.
 type Options struct {
 	// Spec supplies the wire-time model for injected transfer delays.
-	// It is only consulted when TimeScale > 0.
+	// Its modeled seconds are only consulted when TimeScale > 0.
 	Spec machine.Spec
 
 	// TimeScale converts modeled wire seconds into real slept seconds:
@@ -165,46 +177,16 @@ func Run(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Optio
 	return RunContext(context.Background(), c, numDevices, args, opts)
 }
 
-// RunContext is Run with a deadline: when ctx expires or is cancelled,
-// the run aborts — every blocked device, link, and rendezvous wakes —
-// and the error is a *RunError attributing the stall to a device,
-// instruction, and phase (and, under fault injection, to the fault that
-// caused it), with the context error available via errors.Is. This is
-// how a stalled transfer or livelocked rendezvous surfaces as a
-// structured failure instead of hanging forever.
+// RunContext is Run with a deadline (see Executable.Run for what an
+// expired context does to a run). It compiles the computation for this
+// one run; a caller that runs a program repeatedly keeps the Executable
+// instead.
 func RunContext(ctx context.Context, c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options) (*Result, error) {
-	if err := validate(c, numDevices, args, opts); err != nil {
-		return nil, err
-	}
-	if err := opts.Faults.validate(numDevices); err != nil {
-		return nil, err
-	}
-	if opts.RunID == "" {
-		opts.RunID = obs.NewRunID()
-	}
-	eng, err := newEngine(c, numDevices, opts)
+	x, err := Compile(c, numDevices, opts.Spec)
 	if err != nil {
 		return nil, err
 	}
-	return eng.run(ctx, args)
-}
-
-// transferDelay returns the injected wire occupancy of one point-to-point
-// transfer of the given size.
-func (e *engine) transferDelay(bytes int64) time.Duration {
-	if e.opts.TimeScale <= 0 {
-		return 0
-	}
-	return time.Duration(e.opts.Spec.TransferTime(bytes, 1) * e.opts.TimeScale * 1e9)
-}
-
-// collectiveDelay returns the injected wire occupancy of one blocking
-// collective instruction.
-func (e *engine) collectiveDelay(in *hlo.Instruction) time.Duration {
-	if e.opts.TimeScale <= 0 {
-		return 0
-	}
-	return time.Duration(e.opts.Spec.CollectiveTime(in) * e.opts.TimeScale * 1e9)
+	return x.Run(ctx, args, opts)
 }
 
 func formatErr(format string, a ...interface{}) error {

@@ -2,6 +2,7 @@ package runtime_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -295,30 +296,54 @@ func TestBlockingPermute(t *testing.T) {
 }
 
 // TestValidation checks that malformed runs fail fast with an error
-// instead of deadlocking the device goroutines.
+// instead of deadlocking the device goroutines — the same error whether
+// the run is one-shot or split into its halves: a defect of the program
+// or the ring size is Compile's to report, a defect of the arguments
+// Run's.
 func TestValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	site := goldenSites(4, rng)[0]
 
-	if _, err := runtime.Run(site.build(), 0, site.args, runtime.Options{}); err == nil {
-		t.Error("want error for zero devices")
-	}
-	if _, err := runtime.Run(site.build(), 4, site.args[:1], runtime.Options{}); err == nil {
-		t.Error("want error for missing argument")
-	}
 	// A group collective whose groups miss a device would hang its
 	// rendezvous; validation must reject it.
-	c := hlo.NewComputation("partial")
-	a := c.Parameter(0, "a", []int{2, 2})
-	c.AllGather(a, 0, [][]int{{0, 1}})
-	args := [][]*tensor.Tensor{{tensor.Rand(rng, 2, 2)}}
-	if _, err := runtime.Run(c, 3, args, runtime.Options{}); err == nil {
-		t.Error("want error for device outside every collective group")
-	}
-	// Wrong-shaped argument.
-	bad := [][]*tensor.Tensor{{tensor.Rand(rng, 3, 3)}, site.args[1]}
-	if _, err := runtime.Run(site.build(), 4, bad, runtime.Options{}); err == nil {
-		t.Error("want error for mis-shaped argument")
+	partial := hlo.NewComputation("partial")
+	a := partial.Parameter(0, "a", []int{2, 2})
+	partial.AllGather(a, 0, [][]int{{0, 1}})
+
+	for _, tc := range []struct {
+		name    string
+		c       *hlo.Computation
+		n       int
+		args    [][]*tensor.Tensor
+		want    string
+		compile bool // Compile rejects it; otherwise Run does
+	}{
+		{"zero devices", site.build(), 0, site.args, "runtime: need at least one device", true},
+		{"missing argument", site.build(), 4, site.args[:1], "has 2 parameters, got 1 arguments", false},
+		{"device outside every collective group", partial, 3, [][]*tensor.Tensor{{tensor.Rand(rng, 2, 2)}},
+			"device 2 does not participate in", true},
+		{"mis-shaped argument", site.build(), 4, [][]*tensor.Tensor{{tensor.Rand(rng, 3, 3)}, site.args[1]},
+			"parameter 0 value shape [3 3], declared", false},
+	} {
+		_, err := runtime.Run(tc.c, tc.n, tc.args, runtime.Options{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: one-shot Run: %v, want an error containing %q", tc.name, err, tc.want)
+			continue
+		}
+		x, cerr := runtime.Compile(tc.c, tc.n, machine.Spec{})
+		if tc.compile {
+			if cerr == nil || cerr.Error() != err.Error() {
+				t.Errorf("%s: Compile: %v, want the one-shot error %v", tc.name, cerr, err)
+			}
+			continue
+		}
+		if cerr != nil {
+			t.Errorf("%s: Compile rejected a sound program: %v", tc.name, cerr)
+			continue
+		}
+		if _, rerr := x.Run(context.Background(), tc.args, runtime.Options{}); rerr == nil || rerr.Error() != err.Error() {
+			t.Errorf("%s: Executable.Run: %v, want the one-shot error %v", tc.name, rerr, err)
+		}
 	}
 }
 

@@ -1,21 +1,36 @@
 package runtime
 
 import (
-	"time"
-
 	"overlap/internal/hlo"
+	"overlap/internal/machine"
 	"overlap/internal/sim"
 )
 
-// The tape is the scheduled program lowered once per run into the form
-// the device loop walks: one op per scheduled instruction, in order,
-// with loop bodies inlined between a loop op and its back-edge and
-// fusion bodies flattened into kernel steps. Every value is a dense
+// The tape is the scheduled program lowered once per Executable into
+// the form the device loop walks: one op per scheduled instruction, in
+// order, with loop bodies inlined between a loop op and its back-edge
+// and fusion bodies flattened into kernel steps. Every value is a dense
 // slot index; operand slots, per-device permute peers, transfer sizes,
-// injected wire delays and mailbox numbers are resolved here, so
+// modeled wire seconds and mailbox numbers are resolved here, so
 // executing an op looks nothing up. The tape is SPMD — shared by all
 // devices, which differ only in the per-device columns of peer tables
 // and in what their slots hold.
+//
+// The tape is program state: a function of the computation, the ring
+// size and the machine spec, immutable once Compile returns and walked
+// by any number of runs at once. Everything a run changes lives with
+// the run — each device's slot table, owned bits, execution counts and
+// arena accounting, the mailboxes, the span buffers — and the run's own
+// options (TimeScale, Transport, Trace, Faults) never reach the tape:
+// it stores a transfer's modeled seconds, and the engine turns them
+// into a slept duration under the run's TimeScale.
+//
+// The tape also fixes the run's trace layout, because the tape is what
+// executes: a device records at most one compute-track span per local
+// op, blocking collective and done it executes (a loop body's ops once
+// per trip), and a directed edge carries one transfer per execution of
+// each start that names it. Compile counts both (Executable.layout), so
+// a traced run allocates its span buffers once, at their final size.
 //
 // The buffer plan rides on the same ops. One liveness pass per
 // computation (hlo.Computation.LastUses, the pass hlo.PeakMemory sweeps)
@@ -125,14 +140,15 @@ type tapeOp struct {
 	// Starts and dones. peer[d] is the device d sends to (start) or
 	// receives from (done), -1 when d is not in the pairs; box is the
 	// start's mailbox number, bytes the payload size in the IR's
-	// 4-byte convention, delay the injected wire occupancy (also the
-	// blocking collectives' modeled time). On a done, sent is the
+	// 4-byte convention, modeled the machine spec's wire seconds for
+	// one transfer (also a blocking collective's modeled time), which a
+	// run scales into its injected delay. On a done, sent is the
 	// matching start's peer column: d posted a buffer iff sent[d] >= 0.
-	peer  []int32
-	sent  []int32
-	box   int32
-	bytes int64
-	delay time.Duration
+	peer    []int32
+	sent    []int32
+	box     int32
+	bytes   int64
+	modeled float64
 
 	loop *loopPlan
 }
@@ -165,16 +181,18 @@ type loopPlan struct {
 
 // lowering builds a tape.
 type lowering struct {
-	t   *tape
-	eng *engine
+	t    *tape
+	n    int
+	spec machine.Spec
 	// pinned values are never released or taken over by the run: no read
 	// of one is its last.
 	pinned map[*hlo.Instruction]bool
 }
 
-func lower(e *engine) (*tape, error) {
-	lw := &lowering{t: &tape{}, eng: e, pinned: map[*hlo.Instruction]bool{}}
-	c := e.comp
+// lower builds the tape of a validated computation for an n-device
+// ring, pricing its transfers on spec. Compile is its one caller.
+func lower(c *hlo.Computation, n int, spec machine.Spec) (*tape, error) {
+	lw := &lowering{t: &tape{}, n: n, spec: spec, pinned: map[*hlo.Instruction]bool{}}
 	var outputs []*hlo.Instruction
 	if root := c.Root(); root != nil {
 		outputs = append(outputs, root)
@@ -254,7 +272,7 @@ func (lw *lowering) seq(c *hlo.Computation, carried []int32, held map[*hlo.Instr
 			hlo.OpAllToAll, hlo.OpCollectivePermute:
 			op.kind = opCollective
 			op.arg = read(i, in.Operands[0])
-			op.delay = lw.eng.collectiveDelay(in)
+			op.modeled = lw.spec.CollectiveTime(in)
 			op.groups = lw.groups(in)
 
 		case hlo.OpCollectivePermuteStart:
@@ -262,7 +280,7 @@ func (lw *lowering) seq(c *hlo.Computation, carried []int32, held map[*hlo.Instr
 			op.arg = read(i, in.Operands[0])
 			op.box = int32(len(lw.t.starts))
 			op.bytes = in.Operands[0].ByteSize()
-			op.delay = lw.eng.transferDelay(op.bytes)
+			op.modeled = lw.spec.TransferTime(op.bytes, 1)
 			op.peer = lw.peers(in, true)
 			op.carries = lw.pinned[in]
 			lw.t.starts = append(lw.t.starts, int32(len(lw.t.ops)))
@@ -316,7 +334,7 @@ func (lw *lowering) startOp(slot int32) int32 {
 // peers resolves a permute's pairs into a per-device column: whom each
 // device sends to (asSource) or receives from.
 func (lw *lowering) peers(in *hlo.Instruction, asSource bool) []int32 {
-	out := make([]int32, lw.eng.n)
+	out := make([]int32, lw.n)
 	for d := range out {
 		out[d] = -1
 	}
@@ -334,7 +352,7 @@ func (lw *lowering) peers(in *hlo.Instruction, asSource bool) []int32 {
 // per-device columns. Validation guarantees every device joins exactly
 // one group.
 func (lw *lowering) groups(in *hlo.Instruction) *groupPlan {
-	n := lw.eng.n
+	n := lw.n
 	gp := &groupPlan{group: make([]int32, n), pos: make([]int32, n)}
 	if in.Op == hlo.OpCollectivePermute {
 		for d := range gp.pos {

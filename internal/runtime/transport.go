@@ -47,23 +47,27 @@ func ParseTransport(s string) (TransportKind, error) {
 // the fabric, shared by every implementation, which is what keeps the
 // bitwise cross-check against sim.Interpret transport-independent.
 type transport interface {
-	// start brings the data plane up for the program's directed edges.
-	// Called once, before any device goroutine runs; an error fails
-	// the run before it starts.
-	start(edges [][2]int) error
+	// start brings the data plane up for the Executable's directed
+	// edges. Called once, before any device goroutine runs; an error
+	// fails the run before it starts.
+	start() error
 
-	// post hands one parcel to the edge's wire without waiting for it.
-	// It may block while the edge's queue is full but must return
-	// false instead of blocking forever once the run aborts.
-	post(src, dst int, p parcel) bool
+	// post hands one parcel to the wire of the edge at position link of
+	// the Executable's edge table, without waiting for it. It may block
+	// while the edge's queue is full but must return false instead of
+	// blocking forever once the run aborts.
+	post(link int, p parcel) bool
 
 	// shutdown tears the data plane down — goroutines joined, worker
 	// processes reaped — after every device goroutine has returned.
 	shutdown()
 
-	// spans returns the transfer-layer spans recorded during the
-	// run. Only called after shutdown, when nothing appends.
-	spans() []obs.Span
+	// traces returns the transfer-layer span buffers the run recorded
+	// into, one per link or endpoint in a fixed order, each allocated
+	// once at the size the trace layout gives it (nil outside the trace
+	// window or with tracing off). Only called after shutdown, when
+	// nothing appends.
+	traces() [][]obs.Span
 }
 
 // newTransport constructs the configured transport for one engine.

@@ -16,6 +16,7 @@ type chanLink struct {
 	src, dst int
 	ch       chan parcel
 	trace    []obs.Span
+	pace     pacer
 }
 
 // chanTransport is the original fabric data plane: per-edge buffered Go
@@ -23,19 +24,25 @@ type chanLink struct {
 type chanTransport struct {
 	eng   *engine
 	fab   *fabric
-	links map[[2]int]*chanLink
+	links []*chanLink // by position in the Executable's edge table
 	wg    sync.WaitGroup
 }
 
 func newChanTransport(e *engine, f *fabric) *chanTransport {
-	return &chanTransport{eng: e, fab: f, links: map[[2]int]*chanLink{}}
+	return &chanTransport{eng: e, fab: f}
 }
 
-// start spins up one link goroutine per directed edge.
-func (t *chanTransport) start(edges [][2]int) error {
-	for _, edge := range edges {
-		l := &chanLink{src: edge[0], dst: edge[1], ch: make(chan parcel, linkBuffer)}
-		t.links[edge] = l
+// start spins up one link goroutine per directed edge. A link's queue
+// holds every parcel the run will post on it, up to linkBuffer, and its
+// span buffer every transfer the trace layout says it carries.
+func (t *chanTransport) start() error {
+	t.links = make([]*chanLink, len(t.eng.edges))
+	for i, edge := range t.eng.edges {
+		l := &chanLink{src: edge.src, dst: edge.dst, ch: make(chan parcel, min(linkBuffer, edge.transfers))}
+		if l.src < t.eng.window {
+			l.trace = make([]obs.Span, 0, edge.transfers)
+		}
+		t.links[i] = l
 		t.wg.Add(1)
 		go func() {
 			defer t.wg.Done()
@@ -55,6 +62,7 @@ func (t *chanTransport) start(edges [][2]int) error {
 func (t *chanTransport) serve(l *chanLink) {
 	e := t.eng
 	lf := e.injLink(l.src, l.dst)
+	traced := l.src < e.window
 	for p := range l.ch {
 		start := e.since()
 		wire := t.fab.delay(p.key.box)
@@ -63,10 +71,10 @@ func (t *chanTransport) serve(l *chanLink) {
 			continue // lost on the wire: never delivered
 		}
 		wire += time.Duration(extra)
-		if !e.sleep(wire) {
+		if !l.pace.sleep(wire, e.abort) {
 			continue // aborted mid-wire: keep draining without sleeping
 		}
-		if e.opts.Trace && l.src < e.traceWindow() {
+		if traced {
 			l.trace = append(l.trace, obs.Span{
 				Device: l.src, Track: obs.TrackTransfer,
 				Cat: obs.CatTransfer, Name: p.key.start.Name,
@@ -82,10 +90,9 @@ func (t *chanTransport) serve(l *chanLink) {
 
 // post enqueues a transfer on its link channel without waiting for the
 // wire.
-func (t *chanTransport) post(src, dst int, p parcel) bool {
-	l := t.links[[2]int{src, dst}]
+func (t *chanTransport) post(link int, p parcel) bool {
 	select {
-	case l.ch <- p:
+	case t.links[link].ch <- p:
 		return true
 	case <-t.eng.abort:
 		return false
@@ -100,11 +107,11 @@ func (t *chanTransport) shutdown() {
 	t.wg.Wait()
 }
 
-// spans merges the per-link transfer spans.
-func (t *chanTransport) spans() []obs.Span {
-	var out []obs.Span
-	for _, l := range t.links {
-		out = append(out, l.trace...)
+// traces returns the per-link transfer span buffers, in edge order.
+func (t *chanTransport) traces() [][]obs.Span {
+	out := make([][]obs.Span, len(t.links))
+	for i, l := range t.links {
+		out[i] = l.trace
 	}
 	return out
 }

@@ -39,7 +39,7 @@ type procTransport struct {
 	fab *fabric
 
 	workers map[int]*procWorker
-	edges   map[[2]int]*procEdge
+	edges   []*procEdge // by position in the Executable's edge table
 
 	closing atomic.Bool
 	sendWG  sync.WaitGroup
@@ -84,7 +84,6 @@ func newProcTransport(e *engine, f *fabric) *procTransport {
 		eng:     e,
 		fab:     f,
 		workers: map[int]*procWorker{},
-		edges:   map[[2]int]*procEdge{},
 		pending: map[pendingKey]float64{},
 	}
 }
@@ -100,10 +99,13 @@ const (
 // socketpairs between them, and brings up the parent's per-edge sender
 // and per-worker reader goroutines. Any failure tears down what was
 // already spawned and fails the run before a device goroutine starts.
-func (t *procTransport) start(edges [][2]int) error {
+func (t *procTransport) start() error {
 	type edgeFDs struct {
 		spec string // "o:<peer>:<fd>" / "i:<peer>:<fd>" fragments
 		fds  []*os.File
+		// inbound counts the transfers addressed to this worker's device:
+		// each comes back up its control socket as one frame.
+		inbound int
 	}
 	perWorker := map[int]*edgeFDs{}
 	worker := func(id int) *edgeFDs {
@@ -124,8 +126,9 @@ func (t *procTransport) start(edges [][2]int) error {
 		return formatErr("proc transport: %w", err)
 	}
 
-	for _, edge := range edges {
-		src, dst := edge[0], edge[1]
+	window := t.eng.window
+	for _, edge := range t.eng.edges {
+		src, dst := edge.src, edge.dst
 		fds, err := socketpair()
 		if err != nil {
 			return fail(err)
@@ -141,7 +144,12 @@ func (t *procTransport) start(edges [][2]int) error {
 		ws.spec += fmt.Sprintf("o:%d:%d,", dst, 3+len(ws.fds))
 		wd.fds = append(wd.fds, inEnd)
 		wd.spec += fmt.Sprintf("i:%d:%d,", src, 3+len(wd.fds))
-		t.edges[edge] = &procEdge{src: src, dst: dst, ch: make(chan parcel, linkBuffer)}
+		wd.inbound += edge.transfers
+		l := &procEdge{src: src, dst: dst, ch: make(chan parcel, linkBuffer)}
+		if src < window {
+			l.trace = make([]obs.Span, 0, edge.transfers) // one serialize span per parcel
+		}
+		t.edges = append(t.edges, l)
 	}
 
 	exe, err := os.Executable()
@@ -181,6 +189,9 @@ func (t *procTransport) start(edges [][2]int) error {
 		}
 		wf.fds = nil
 		w := &procWorker{id: id, cmd: cmd, control: parentCtl}
+		if id < window {
+			w.trace = make([]obs.Span, 0, 2*wf.inbound) // a deserialize and a transfer span per frame
+		}
 		t.workers[id] = w
 		rtTransportWorkers.Inc()
 		obs.Log().Debug("runtime.worker_spawn", "run_id", t.eng.opts.RunID,
@@ -208,10 +219,9 @@ func (t *procTransport) start(edges [][2]int) error {
 
 // post enqueues a transfer on its edge queue without waiting for the
 // wire.
-func (t *procTransport) post(src, dst int, p parcel) bool {
-	l := t.edges[[2]int{src, dst}]
+func (t *procTransport) post(link int, p parcel) bool {
 	select {
-	case l.ch <- p:
+	case t.edges[link].ch <- p:
 		return true
 	case <-t.eng.abort:
 		return false
@@ -229,7 +239,7 @@ func (t *procTransport) serveEdge(l *procEdge) {
 	e := t.eng
 	lf := e.injLink(l.src, l.dst)
 	w := t.workers[l.src]
-	traced := e.opts.Trace && l.src < e.traceWindow()
+	traced := l.src < e.window
 	for p := range l.ch {
 		wireDur := t.fab.delay(p.key.box)
 		drop, dup, extra := e.faultActions(lf, p.key.start.Name)
@@ -320,7 +330,7 @@ func (t *procTransport) readWorker(w *procWorker) {
 		}
 		des := e.since() - t0
 		rtDeserializeSpans.Observe(des)
-		if e.opts.Trace && w.id < e.traceWindow() {
+		if w.id < e.window {
 			w.trace = append(w.trace, obs.Span{
 				Device: w.id, Track: obs.TrackTransfer,
 				Cat: "deserialize", Name: fr.Name,
@@ -370,15 +380,18 @@ func (t *procTransport) shutdown() {
 	}
 }
 
-// spans merges the per-edge serialize spans and per-worker
-// deserialize/transfer spans.
-func (t *procTransport) spans() []obs.Span {
-	var out []obs.Span
+// traces returns the per-edge serialize span buffers, in edge order,
+// then the per-worker deserialize/transfer span buffers by ascending
+// device.
+func (t *procTransport) traces() [][]obs.Span {
+	out := make([][]obs.Span, 0, len(t.edges)+len(t.workers))
 	for _, l := range t.edges {
-		out = append(out, l.trace...)
+		out = append(out, l.trace)
 	}
-	for _, w := range t.workers {
-		out = append(out, w.trace...)
+	for id := 0; id < t.eng.n; id++ {
+		if w, ok := t.workers[id]; ok {
+			out = append(out, w.trace)
+		}
 	}
 	return out
 }

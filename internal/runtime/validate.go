@@ -5,33 +5,24 @@ import (
 	"overlap/internal/tensor"
 )
 
-// validate preflights a run so that device goroutines cannot deadlock on
-// malformed programs: every blocking collective must be joinable by all
-// of its devices, every posted transfer must have exactly one reader,
-// and loops must be shaped the way the interpreter expects. Programs
-// produced by internal/core satisfy all of this; the checks exist so
-// hand-built or fuzzed programs fail fast with an error instead of
-// hanging the goroutine fleet.
-func validate(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options) error {
-	if numDevices <= 0 {
-		return formatErr("need at least one device")
-	}
-	if opts.TimeScale > 0 {
-		if err := opts.Spec.Validate(); err != nil {
-			return err
-		}
+// validateRun is the per-run half of the preflight: the run's options
+// and arguments against the compiled program. A nil or mis-shaped
+// argument must fail here, on the caller's goroutine, not as a nil
+// dereference on a device's.
+func (x *Executable) validateRun(args [][]*tensor.Tensor, opts Options) error {
+	if opts.TimeScale > 0 && x.specErr != nil {
+		return x.specErr
 	}
 	if _, err := ParseTransport(string(opts.Transport)); err != nil {
 		return err
 	}
-	params := c.Parameters()
-	if len(args) != len(params) {
-		return formatErr("computation %s has %d parameters, got %d arguments", c.Name, len(params), len(args))
+	if len(args) != len(x.params) {
+		return formatErr("computation %s has %d parameters, got %d arguments", x.comp.Name, len(x.params), len(args))
 	}
-	for _, p := range params {
+	for _, p := range x.params {
 		set := args[p.ParamIndex]
-		if len(set) != 1 && len(set) != numDevices {
-			return formatErr("parameter %d has %d values, want 1 or %d", p.ParamIndex, len(set), numDevices)
+		if len(set) != 1 && len(set) != x.n {
+			return formatErr("parameter %d has %d values, want 1 or %d", p.ParamIndex, len(set), x.n)
 		}
 		for d, v := range set {
 			if v == nil {
@@ -42,9 +33,17 @@ func validate(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts 
 			}
 		}
 	}
-	return validateSeq(c, numDevices, false)
+	return nil
 }
 
+// validateSeq is the program half, run once per Executable: it
+// preflights a sequence so that device goroutines cannot deadlock on a
+// malformed program — every blocking collective must be joinable by all
+// of its devices, every posted transfer must have exactly one reader,
+// and loops must be shaped the way the interpreter expects. Programs
+// produced by internal/core satisfy all of this; the checks exist so
+// hand-built or fuzzed programs fail fast with an error instead of
+// hanging the goroutine fleet.
 func validateSeq(c *hlo.Computation, n int, inLoop bool) error {
 	for _, in := range c.Instructions() {
 		switch in.Op {

@@ -1,0 +1,276 @@
+package serve
+
+import (
+	"bytes"
+	"net/http"
+	"net/http/httptest"
+	goruntime "runtime"
+	"testing"
+	"time"
+
+	"overlap/internal/tensor"
+)
+
+// mustRun posts one /v1/run request and fails the test on anything but
+// a 200.
+func mustRun(t *testing.T, ts *httptest.Server, req Request) *RunResponse {
+	t.Helper()
+	rr, _, _, err := postRun(ts, req)
+	if err != nil {
+		t.Fatalf("request %+v: %v", req, err)
+	}
+	return rr
+}
+
+// TestKnownShapeBuildsNoGraph pins the alias fast path: the first
+// request of a shape builds its graph once — to name it, and the
+// compile closure reuses that graph — and every later request of the
+// shape is answered without models.BuildLayerStep / train.Build running
+// at all, under the same fingerprint and with the same digest.
+func TestKnownShapeBuildsNoGraph(t *testing.T) {
+	for _, req := range []Request{miniatureRequest(), trainRequest("megatron")} {
+		s, ts := newTestServer(t, testConfig())
+		first := mustRun(t, ts, req)
+		if got := s.graphBuilds.Load(); got != 1 {
+			t.Fatalf("%s: the cold request built %d graphs, want 1", scenarioLabel(req.Scenario), got)
+		}
+		for i := 0; i < 3; i++ {
+			warm := mustRun(t, ts, req)
+			if warm.Plan != "hit" || warm.Fingerprint != first.Fingerprint || warm.Digest != first.Digest {
+				t.Fatalf("%s: warm request %d = plan %q under %s digest %s, want hit under %s digest %s",
+					scenarioLabel(req.Scenario), i, warm.Plan, warm.Fingerprint, warm.Digest, first.Fingerprint, first.Digest)
+			}
+		}
+		if got := s.graphBuilds.Load(); got != 1 {
+			t.Fatalf("%s: three warm requests of a known shape built %d more graphs, want 0",
+				scenarioLabel(req.Scenario), got-1)
+		}
+		// Fields the scenario ignores, and defaults spelled out, are the
+		// same shape.
+		same := req
+		if req.Scenario == "train" {
+			same.Strategy = ""
+		} else {
+			same.Scenario, same.Layers, same.Strategy = "layer", 7, "ddp"
+		}
+		if again := mustRun(t, ts, same); again.Plan != "hit" || s.graphBuilds.Load() != 1 {
+			t.Fatalf("%s: an equivalent spelling of the shape was not recognised (plan %q, %d graphs built)",
+				scenarioLabel(req.Scenario), again.Plan, s.graphBuilds.Load())
+		}
+	}
+}
+
+// TestAliasNeverServesStaleEnvironment pins autotune.Key's contract
+// through the alias: only the program half of a fingerprint is
+// remembered per shape. A kernel-worker change between two requests of
+// one shape must change the fingerprint and miss the plan cache, exactly
+// as it did when every request rebuilt its graph; changing it back must
+// hit the first plan again.
+func TestAliasNeverServesStaleEnvironment(t *testing.T) {
+	defer tensor.SetKernelWorkers(0)
+	tensor.SetKernelWorkers(1)
+	s, ts := newTestServer(t, testConfig())
+	req := miniatureRequest()
+
+	first := mustRun(t, ts, req)
+	if warm := mustRun(t, ts, req); warm.Plan != "hit" {
+		t.Fatalf("second request plan = %q, want hit", warm.Plan)
+	}
+
+	tensor.SetKernelWorkers(2)
+	c0 := svCompiles.Value()
+	moved := mustRun(t, ts, req)
+	if moved.Fingerprint == first.Fingerprint {
+		t.Fatalf("fingerprint %s did not move with the kernel-worker count: the alias served a stale environment", moved.Fingerprint)
+	}
+	if moved.Plan != "miss" || svCompiles.Value()-c0 != 1 {
+		t.Fatalf("request under the new environment: plan %q, %v compiles; want miss, 1", moved.Plan, svCompiles.Value()-c0)
+	}
+	if moved.Digest != first.Digest {
+		t.Fatalf("digest moved with the kernel-worker count: %s vs %s", moved.Digest, first.Digest)
+	}
+	if s.plans.len() != 2 {
+		t.Fatalf("plan cache holds %d plans, want one per environment", s.plans.len())
+	}
+
+	tensor.SetKernelWorkers(1)
+	if back := mustRun(t, ts, req); back.Plan != "hit" || back.Fingerprint != first.Fingerprint {
+		t.Fatalf("back under the first environment: plan %q under %s, want hit under %s", back.Plan, back.Fingerprint, first.Fingerprint)
+	}
+}
+
+// TestEvictionDropsAliasesAndExecutable pins "aliases die with their
+// plan": with room for one plan, a second shape evicts the first plan,
+// and with it the first shape's alias and its Executable — the next
+// request of the first shape rebuilds its graph and compiles again.
+func TestEvictionDropsAliasesAndExecutable(t *testing.T) {
+	cfg := testConfig()
+	cfg.PlanCacheSize = 1
+	s, ts := newTestServer(t, cfg)
+	a, b := miniatureRequest(), miniatureRequest()
+	b.Model = "T5_300B"
+
+	first := mustRun(t, ts, a)
+	if _, ok := s.plans.fingerprintOf(shapeOf(&a)); !ok {
+		t.Fatal("the first shape was not remembered")
+	}
+	mustRun(t, ts, b)
+	if _, ok := s.plans.fingerprintOf(shapeOf(&a)); ok {
+		t.Fatal("the first shape's alias outlived its evicted plan")
+	}
+	if _, ok := s.plans.get(first.Fingerprint); ok {
+		t.Fatal("the first plan and its Executable survived eviction")
+	}
+	s.plans.mu.Lock()
+	aliases := len(s.plans.aliases)
+	s.plans.mu.Unlock()
+	if aliases != 1 || s.plans.len() != 1 {
+		t.Fatalf("%d aliases over %d plans, want 1 over 1", aliases, s.plans.len())
+	}
+
+	builds := s.graphBuilds.Load()
+	if again := mustRun(t, ts, a); again.Plan != "miss" || s.graphBuilds.Load() != builds+1 {
+		t.Fatalf("first shape after eviction: plan %q, %d graphs built; want miss, 1",
+			again.Plan, s.graphBuilds.Load()-builds)
+	}
+}
+
+// TestTwoModelsOneProgramShareOnePlan: a training step is miniaturized
+// to (devices, dim, layers) alone, so two model names build the same
+// program. They must share one plan — the second name's first request
+// builds its graph to find that out and hits — and both names must be
+// fast afterwards.
+func TestTwoModelsOneProgramShareOnePlan(t *testing.T) {
+	s, ts := newTestServer(t, testConfig())
+	a, b := trainRequest("megatron"), trainRequest("megatron")
+	b.Model = "T5_300B"
+
+	first := mustRun(t, ts, a)
+	second := mustRun(t, ts, b)
+	if second.Plan != "hit" || second.Fingerprint != first.Fingerprint {
+		t.Fatalf("second model name: plan %q under %s, want hit under %s", second.Plan, second.Fingerprint, first.Fingerprint)
+	}
+	if s.plans.len() != 1 {
+		t.Fatalf("plan cache holds %d plans for one program", s.plans.len())
+	}
+	if got := s.graphBuilds.Load(); got != 2 {
+		t.Fatalf("two new shapes built %d graphs, want 2", got)
+	}
+	for _, req := range []Request{a, b, a, b} {
+		if warm := mustRun(t, ts, req); warm.Plan != "hit" {
+			t.Fatalf("%s: plan %q, want hit", req.Model, warm.Plan)
+		}
+	}
+	if got := s.graphBuilds.Load(); got != 2 {
+		t.Fatalf("warm requests under either name built %d more graphs, want 0", got-2)
+	}
+}
+
+// blockingWriter is a ResponseWriter whose body writes wait for release:
+// a client that has stopped reading.
+type blockingWriter struct {
+	header  http.Header
+	writing chan struct{} // closed at the first Write
+	release chan struct{}
+	status  int
+}
+
+func (w *blockingWriter) Header() http.Header    { return w.header }
+func (w *blockingWriter) WriteHeader(status int) { w.status = status }
+func (w *blockingWriter) Write(p []byte) (int, error) {
+	select {
+	case <-w.writing:
+	default:
+		close(w.writing)
+	}
+	<-w.release
+	return len(p), nil
+}
+
+// TestAdmissionSlotReleasedBeforeResponse pins what an admission slot
+// bounds: runs holding the kernel worker pool, not requests in flight.
+// With one slot, a first request whose client has stopped reading its
+// response must not keep a second request from running.
+func TestAdmissionSlotReleasedBeforeResponse(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxConcurrentRuns = 1
+	s, ts := newTestServer(t, cfg)
+	mustRun(t, ts, miniatureRequest()) // compile outside the measured part
+
+	body := mustJSON(t, miniatureRequest())
+	slow := &blockingWriter{header: http.Header{}, writing: make(chan struct{}), release: make(chan struct{})}
+	slowDone := make(chan struct{})
+	go func() {
+		defer close(slowDone)
+		s.Handler().ServeHTTP(slow, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+	}()
+	select {
+	case <-slow.writing:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the first request never reached its response write")
+	}
+
+	second := make(chan *RunResponse, 1)
+	go func() {
+		rr, _, _, err := postRun(ts, miniatureRequest())
+		if err != nil {
+			t.Errorf("second request: %v", err)
+		}
+		second <- rr
+	}()
+	select {
+	case rr := <-second:
+		if rr != nil && rr.Plan != "hit" {
+			t.Errorf("second request plan = %q, want hit", rr.Plan)
+		}
+	case <-time.After(30 * time.Second):
+		t.Error("the second request waited for an admission slot the first still held while writing its response")
+	}
+	close(slow.release)
+	<-slowDone
+	if slow.status != http.StatusOK {
+		t.Fatalf("the slow request ended with status %d", slow.status)
+	}
+	if got := svInflight.Value(); got != 0 {
+		t.Fatalf("inflight gauge reads %v with nothing running", got)
+	}
+}
+
+// TestWarmRequestAllocBudget pins what one warm request may allocate,
+// end to end through the handler: the benchmark's commonest request
+// (GPT_32B, 4 devices, dim 8) once its plan is cached and the arena is
+// warm. While every request rebuilt its graph to name it, re-validated
+// and re-lowered the program, grew its span buffers by append and had
+// them copied per device, per track and once more to sort, that was
+// about 770 KiB; what is left is the request's own — its arguments, its
+// spans and trace artifact, its engine's slot tables — plus HTTP and
+// JSON.
+func TestWarmRequestAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers at random")
+	}
+	s, _ := newTestServer(t, testConfig())
+	body := mustJSON(t, Request{Model: "GPT_32B", Devices: 4, Dim: 8})
+	post := func() {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		post()
+	}
+	const requests = 40
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for i := 0; i < requests; i++ {
+		post()
+	}
+	goruntime.ReadMemStats(&after)
+	kib := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / requests
+	t.Logf("one warm request: %.1f KiB in %.0f allocations", kib, float64(after.Mallocs-before.Mallocs)/requests)
+	if kib > 450 {
+		t.Fatalf("one warm request allocates %.1f KiB, budget 450 KiB", kib)
+	}
+}

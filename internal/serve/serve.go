@@ -11,8 +11,13 @@
 //   - a compiled Plan artifact (autotune.Plan): the transformed,
 //     scheduled program frozen to text with its knobs and calibration,
 //     held in an in-memory LRU keyed by the autotune fingerprint and
-//     backed by the on-disk decision cache, so the steady-state run
-//     path is one map lookup plus runtime execution — zero compilation;
+//     backed by the on-disk decision cache. A cache entry holds
+//     everything that is a function of the plan — the artifact, its
+//     parsed computation, the runtime.Executable that computation was
+//     validated and lowered into, and the request shapes known to
+//     resolve to it — so the steady-state run path is two map lookups
+//     plus (*Executable).Run: no graph construction, no compilation, no
+//     lowering;
 //   - a channel-based request batcher: a bounded inbox flushed at
 //     MaxBatch requests or MaxWait after the first, grouping requests
 //     by fingerprint so N simultaneous callers with identical programs
@@ -170,6 +175,9 @@ type Server struct {
 	mux      *http.ServeMux
 	httpSrv  *http.Server
 	draining atomic.Bool
+	// graphBuilds counts buildGraph calls: what a warm request of a known
+	// shape must not do (the alias tests read it).
+	graphBuilds atomic.Int64
 	// drainMu is the drain barrier: every in-flight handler holds a read
 	// lock, and Shutdown's write lock acquires only once they have all
 	// finished. (A WaitGroup cannot express this — Add would race Wait
@@ -361,62 +369,45 @@ type errorBody struct {
 }
 
 // handleRun serves POST /v1/run: acquire the plan (cache, coalesced, or
-// compiled), take an admission slot, execute on the concurrent runtime,
-// answer with the measured breakdown and overlap attribution.
+// compiled), execute it under an admission slot on the concurrent
+// runtime, answer with the measured breakdown and overlap attribution.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	req, err := s.decodeRequest(w, r)
 	if err != nil {
 		return
 	}
-	comp, key, err := s.resolve(req)
+	prog, err := s.resolve(req)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	key := prog.key
 
 	ctx, cancel := s.runContext(r, req)
 	defer cancel()
 
-	out, err := s.acquirePlan(ctx, req, comp, key)
+	out, err := s.acquirePlan(ctx, req, prog)
 	if err != nil {
 		s.writePlanError(w, key, err)
 		return
 	}
 
-	// Admission: served runs share the kernel worker pool; bound how
-	// many hold it at once.
-	admStart := time.Now()
-	select {
-	case s.slots <- struct{}{}:
-	case <-ctx.Done():
-		s.writeError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("serve: admission wait exceeded deadline: %w", ctx.Err()))
+	runID := obs.NewRunID()
+	run, err := s.runAdmitted(ctx, req, out.plan, runID)
+	if err != nil {
+		s.writeError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	admWait := time.Since(admStart)
-	svAdmissionWait.Observe(admWait.Seconds())
-	svInflight.Add(1)
-	defer func() { svInflight.Add(-1); <-s.slots }()
-
-	runID := obs.NewRunID()
-	args := Args(out.plan.comp, req.Seed)
-	ropts := runtime.Options{
-		Spec: s.cfg.Spec, TimeScale: s.runTimeScale(req), Trace: true, RunID: runID,
-		Transport: s.cfg.Transport, Faults: req.faults,
-	}
-
-	runStart := time.Now()
-	res, err := runtime.RunContext(ctx, out.plan.comp, out.plan.plan.Devices, args, ropts)
-	runDur := time.Since(runStart)
-	svRunSeconds.Observe(runDur.Seconds())
+	// The admission slot is free again: the digest, the attribution, the
+	// trace and the response below are this request's own time.
 	timing := TimingMS{
 		Queue:     out.queueWait.Seconds() * 1e3,
 		Plan:      out.planWait.Seconds() * 1e3,
-		Admission: admWait.Seconds() * 1e3,
-		Run:       runDur.Seconds() * 1e3,
+		Admission: run.admission.Seconds() * 1e3,
+		Run:       run.dur.Seconds() * 1e3,
 	}
-	if err != nil {
+	if err := run.err; err != nil {
 		// Graceful degradation: a failed run is this request's failure
 		// alone. The structured attribution goes back as JSON, the
 		// daemon keeps serving, and the plan stays cached — it is a
@@ -451,26 +442,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The digest (and the check) are the last readers of the outputs;
-	// afterwards their buffers go back to the arena for the next run.
+	// The digest is the last reader of the outputs; afterwards their
+	// buffers go back to the arena for the next run.
+	res := run.res
 	defer res.Release()
-	outputs := Outputs(out.plan.comp, res.All, out.plan.plan.Devices)
-	checked := false
-	if req.Check {
-		wantAll, err := sim.InterpretAll(out.plan.comp, out.plan.plan.Devices, args)
-		if err != nil {
-			s.writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		want := Outputs(out.plan.comp, wantAll, out.plan.plan.Devices)
-		for i := range want {
-			if !outputs[i].Equal(want[i]) {
-				s.writeError(w, http.StatusInternalServerError,
-					fmt.Errorf("serve: output %d diverges bitwise from the interpreter", i))
-				return
-			}
-		}
-		checked = true
+	if run.checkErr != nil {
+		s.writeError(w, http.StatusInternalServerError, run.checkErr)
+		return
 	}
 
 	b := res.Breakdown
@@ -497,10 +475,71 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			Exposed: b.Exposed * 1e3,
 		},
 		OverlapEfficiency: trace.OverlapEfficiency,
-		Digest:            Digest(outputs),
-		Checked:           checked,
+		Digest:            Digest(run.outputs),
+		Checked:           req.Check,
 		TimingMS:          timing,
 	})
+}
+
+// admittedRun is what one execution under an admission slot produced:
+// how long it waited for the slot and ran, then either the run's error
+// or its result with the flattened outputs and, when the request asked
+// for the interpreter cross-check, what that found.
+type admittedRun struct {
+	admission, dur time.Duration
+	res            *runtime.Result
+	outputs        []*tensor.Tensor
+	err, checkErr  error
+}
+
+// runAdmitted executes the plan's Executable for one request. Served
+// runs share the kernel worker pool, and the admission semaphore bounds
+// how many hold it at once: the slot is taken here and given back when
+// the run and its Check are over — before the digest, the trace and the
+// response write to a possibly slow client, none of which touch the
+// pool. The error return is the admission wait outlasting the
+// request's deadline; a failed run comes back in admittedRun.err.
+func (s *Server) runAdmitted(ctx context.Context, req *Request, cp *cachedPlan, runID string) (admittedRun, error) {
+	var run admittedRun
+	admStart := time.Now()
+	select {
+	case s.slots <- struct{}{}:
+	case <-ctx.Done():
+		return run, fmt.Errorf("serve: admission wait exceeded deadline: %w", ctx.Err())
+	}
+	run.admission = time.Since(admStart)
+	svAdmissionWait.Observe(run.admission.Seconds())
+	svInflight.Add(1)
+	defer func() { svInflight.Add(-1); <-s.slots }()
+
+	devices := cp.plan.Devices
+	args := Args(cp.comp, req.Seed)
+	runStart := time.Now()
+	run.res, run.err = cp.exe.Run(ctx, args, runtime.Options{
+		TimeScale: s.runTimeScale(req), Trace: true, RunID: runID,
+		Transport: s.cfg.Transport, Faults: req.faults,
+	})
+	run.dur = time.Since(runStart)
+	svRunSeconds.Observe(run.dur.Seconds())
+	if run.err != nil {
+		return run, nil
+	}
+	run.outputs = Outputs(cp.comp, run.res.All, devices)
+	if req.Check {
+		wantAll, err := sim.InterpretAll(cp.comp, devices, args)
+		if err != nil {
+			run.checkErr = err
+			return run, nil
+		}
+		want := Outputs(cp.comp, wantAll, devices)
+		for i := range want {
+			if !run.outputs[i].Equal(want[i]) {
+				run.checkErr = fmt.Errorf("serve: output %d diverges bitwise from the interpreter", i)
+				return run, nil
+			}
+		}
+	}
+	return run, nil
 }
 
 // scenarioLabel normalizes a request scenario onto the trace artifact's
@@ -627,16 +666,16 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		return
 	}
-	comp, key, err := s.resolve(req)
+	prog, err := s.resolve(req)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	ctx, cancel := s.runContext(r, req)
 	defer cancel()
-	out, err := s.acquirePlan(ctx, req, comp, key)
+	out, err := s.acquirePlan(ctx, req, prog)
 	if err != nil {
-		s.writePlanError(w, key, err)
+		s.writePlanError(w, prog.key, err)
 		return
 	}
 	data, err := out.plan.plan.EncodeJSON()
@@ -727,65 +766,114 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*Request
 	return &req, nil
 }
 
-// resolve builds the request's computation (a miniaturized named model
-// or inline HLO text) and its cache fingerprint. Graph construction is
-// cheap and deliberately not cached — compilation (tune + transform +
-// schedule) is what the plan cache elides.
-func (s *Server) resolve(req *Request) (*hlo.Computation, string, error) {
-	var comp *hlo.Computation
-	if req.Scenario == "train" {
-		cfg, err := models.ByName(req.Model)
+// program is a request's computation as the plan machinery needs it:
+// named (key), and built only if somebody has to compile it.
+type program struct {
+	// key is the plan fingerprint, autotune.KeyOf(fingerprint, …).
+	key string
+	// fingerprint is the graph's autotune.ProgramFingerprint.
+	fingerprint string
+	// shape is the request's shape; zero (no model name) for an
+	// inline-program request, which has none.
+	shape requestShape
+	// comp is the graph when resolve had to build it to name it; nil
+	// for a known shape, whose graph is built only if its plan must be
+	// compiled.
+	comp *hlo.Computation
+}
+
+// resolve names the request's program: its plan-cache fingerprint, and
+// the graph itself when naming it took building it.
+//
+// The fingerprint has two halves (autotune.Key). The program half is a
+// digest of the graph's text, a pure function of the request's shape,
+// and building a miniature's graph only to digest it was a twentieth of
+// a warm request's allocations — so the plan cache remembers, beside
+// each plan, the shapes that resolved to it and their program digest,
+// and a known shape skips models.BuildLayerStep / train.Build and the
+// digest altogether. The environment half — kernel workers, whether
+// telemetry is recording — is process state a request cannot see and
+// must never be remembered: KeyOf reads it live on every request, so a
+// SetKernelWorkers between two requests of one shape changes the key
+// and misses the cache, exactly as if the graph had been rebuilt.
+// Inline programs are parsed and digested every time.
+func (s *Server) resolve(req *Request) (*program, error) {
+	if req.Program != "" {
+		c, err := hlo.Parse(req.Program)
 		if err != nil {
-			return nil, "", err
+			return nil, fmt.Errorf("serve: program does not parse: %w", err)
 		}
-		strategy, err := train.ParseStrategy(req.Strategy)
+		fp := autotune.ProgramFingerprint(c)
+		return &program{key: autotune.KeyOf(fp, s.cfg.Spec, req.Devices), fingerprint: fp, comp: c}, nil
+	}
+	prog := &program{shape: shapeOf(req)}
+	fp, known := s.plans.fingerprintOf(prog.shape)
+	if !known {
+		c, err := s.buildGraph(prog.shape)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
-		layers := req.Layers
-		if layers == 0 {
-			layers = 2
-		}
-		tc, err := train.FromModel(cfg, req.Devices, req.Dim, layers, strategy)
+		prog.comp, fp = c, autotune.ProgramFingerprint(c)
+	}
+	prog.fingerprint = fp
+	prog.key = autotune.KeyOf(fp, s.cfg.Spec, req.Devices)
+	return prog, nil
+}
+
+// buildGraph constructs the computation a request shape names: the
+// forward layer step of a miniaturized Table 1/2 model, or its
+// fwd+bwd+SGD training step.
+func (s *Server) buildGraph(shape requestShape) (*hlo.Computation, error) {
+	s.graphBuilds.Add(1)
+	cfg, err := models.ByName(shape.model)
+	if err != nil {
+		return nil, err
+	}
+	if shape.train {
+		strategy, err := train.ParseStrategy(shape.strategy)
 		if err != nil {
-			return nil, "", err
+			return nil, err
+		}
+		tc, err := train.FromModel(cfg, shape.devices, shape.dim, shape.layers, strategy)
+		if err != nil {
+			return nil, err
 		}
 		prog, err := train.Build(tc)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
-		comp = prog.Comp
-	} else if req.Program != "" {
-		c, err := hlo.Parse(req.Program)
-		if err != nil {
-			return nil, "", fmt.Errorf("serve: program does not parse: %w", err)
-		}
-		comp = c
-	} else {
-		cfg, err := models.ByName(req.Model)
-		if err != nil {
-			return nil, "", err
-		}
-		mini, err := models.Miniature(cfg, req.Devices, req.Dim)
-		if err != nil {
-			return nil, "", err
-		}
-		c, err := models.BuildLayerStep(mini)
-		if err != nil {
-			return nil, "", err
-		}
-		comp = c
+		return prog.Comp, nil
 	}
-	return comp, autotune.Key(comp, s.cfg.Spec, req.Devices), nil
+	mini, err := models.Miniature(cfg, shape.devices, shape.dim)
+	if err != nil {
+		return nil, err
+	}
+	return models.BuildLayerStep(mini)
 }
 
 // acquirePlan funnels the request through the batcher: identical
 // fingerprints coalesce onto one compile, the plan cache answers warm
-// requests with zero compilation.
-func (s *Server) acquirePlan(ctx context.Context, req *Request, comp *hlo.Computation, key string) (planOutcome, error) {
+// requests with zero compilation. The compile closure runs at most once
+// per fingerprint at a time and builds everything a cache entry holds —
+// the plan, its parsed computation and that computation's Executable —
+// before the entry is published. A model request that got its plan is
+// remembered by shape, so the next one of that shape resolves without
+// its graph.
+func (s *Server) acquirePlan(ctx context.Context, req *Request, prog *program) (planOutcome, error) {
 	devices, seed := req.Devices, req.Seed
-	return s.batch.submit(ctx, key, func() (*cachedPlan, error) {
-		plan, err := autotune.CompileKeyed(key, comp, devices, Args(comp, seed), autotune.Options{
+	out, err := s.batch.submit(ctx, prog.key, func() (*cachedPlan, error) {
+		comp := prog.comp
+		if comp == nil {
+			// A known shape whose plan is not cached under this key: the
+			// environment half of the key moved since the shape was
+			// remembered, or the plan was evicted since resolve looked.
+			c, err := s.buildGraph(prog.shape)
+			if err != nil {
+				return nil, err
+			}
+			comp = c
+		}
+		plan, err := autotune.CompileKeyed(prog.key, comp, devices, Args(comp, seed), autotune.Options{
 			Spec:         s.cfg.Spec,
 			TopK:         s.cfg.TuneTopK,
 			TimeScale:    s.cfg.TuneTimeScale,
@@ -800,8 +888,16 @@ func (s *Server) acquirePlan(ctx context.Context, req *Request, comp *hlo.Comput
 		if err != nil {
 			return nil, err
 		}
-		return &cachedPlan{plan: plan, comp: exec}, nil
+		exe, err := runtime.Compile(exec, plan.Devices, s.cfg.Spec)
+		if err != nil {
+			return nil, err
+		}
+		return &cachedPlan{plan: plan, comp: exec, exe: exe}, nil
 	})
+	if err == nil && prog.shape.model != "" {
+		s.plans.remember(prog.key, prog.shape, prog.fingerprint)
+	}
+	return out, err
 }
 
 func (s *Server) runContext(r *http.Request, req *Request) (context.Context, context.CancelFunc) {

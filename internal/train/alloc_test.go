@@ -19,7 +19,9 @@ import (
 // copied out of the arena, and the pack cache keyed on every step's
 // gathered weights, that was 8.4 MiB a step and 36 more cached tensors
 // after twelve steps than after three; with collective results and
-// outputs in arena buffers that Execute releases, what is left is
+// outputs in arena buffers that Execute releases it was 174 KiB, most
+// of it the program being re-validated and re-lowered every step. With
+// one Executable per Execute, what is left is a step's engine
 // bookkeeping and the digests' blocks.
 func TestMegatronStepAllocBudget(t *testing.T) {
 	if raceEnabled {
@@ -54,8 +56,8 @@ func TestMegatronStepAllocBudget(t *testing.T) {
 	long, cachedLong := execute(12)
 	perStep := (float64(long) - float64(short)) / 9 / 1024
 	t.Logf("steps 3…12: %.1f KiB per step; pack caches key on %d tensors after step 3, %d after step 12", perStep, cachedShort, cachedLong)
-	if perStep > 1024 {
-		t.Errorf("a warm megatron step allocates %.1f KiB, budget 1024 KiB", perStep)
+	if perStep > 200 {
+		t.Errorf("a warm megatron step allocates %.1f KiB, budget 200 KiB", perStep)
 	}
 	if cachedLong != cachedShort {
 		t.Errorf("the pack caches key on %d tensors after step 12 and %d after step 3: steps pin tensors", cachedLong, cachedShort)

@@ -186,6 +186,12 @@ func Execute(ctx context.Context, prog *Program, res *Result, opts Options) (*Re
 
 	n := cfg.Devices
 	w := cfg.NumWeights()
+	// The program is the same every step; only the weights move. Validate
+	// and lower it once, and run the Executable per step.
+	exe, err := runtime.Compile(prog.Comp, n, spec)
+	if err != nil {
+		return nil, fmt.Errorf("train: %w", err)
+	}
 	// prev is the step before the current one: its updated weights are
 	// the current step's arguments, so its buffers go back to the arena
 	// only once the current step — and whatever reads its arguments — is
@@ -193,12 +199,12 @@ func Execute(ctx context.Context, prog *Program, res *Result, opts Options) (*Re
 	var prev *runtime.Result
 	for step := 0; step < steps; step++ {
 		stepID := fmt.Sprintf("%s.s%d", runID, step)
-		ropts := runtime.Options{Spec: spec, TimeScale: opts.TimeScale, Faults: opts.Faults, RunID: stepID}
+		ropts := runtime.Options{TimeScale: opts.TimeScale, Faults: opts.Faults, RunID: stepID}
 		last := step == steps-1
 		if opts.Attribution && last {
 			ropts.Trace = true
 		}
-		rres, err := runtime.RunContext(ctx, prog.Comp, n, args, ropts)
+		rres, err := exe.Run(ctx, args, ropts)
 		if err != nil {
 			obs.Log().Error("train.step", "run_id", stepID, "step", step, "error", err.Error())
 			return nil, fmt.Errorf("train: step %d: %w", step, err)
