@@ -20,17 +20,24 @@
 // knob prefixes (search.go): node(stage, options) is a Clone of
 // node(stage-1) with that one stage run on it, memoised on the stage's
 // prefix key, and a stage that is the identity under a candidate's
-// options hands its input node on as it is. Nodes are shared and never
-// mutated — every mutating stage starts from a Clone. The final stamp
-// stage is not run for ranking at all: it writes an attribute the
-// simulator never reads, so a candidate is identified by the SHA-256 of
-// its scheduled node's text plus its split-K factor (when the node has
-// an einsum to print it on), split-K variants share their node's one
-// simulation, and only the candidates stage 2 executes are cloned,
-// stamped and verified in full. What is verified when: every decomposed
-// site inside Decompose, every distinct scheduled node once, each
-// factor's legality against its node, every executed program stamped
-// and then bitwise against sim.Interpret.
+// options hands its input node on as it is. The tree is planned from
+// the prefix keys before any of it is built, parents first; a pass in
+// enumeration order then dedups and simulates. A program's graph is
+// never rewritten once built — every rewriting stage starts from a
+// Clone. The order stage rewrites nothing, so an order node is no
+// clone: it is its async parent's program plus the scheduler's order as
+// instruction IDs, applied with SetSchedule by whoever reads the program
+// in that order — both overlap schedulers order one asynchronous
+// program. The final stamp stage is not run for ranking at all: it
+// writes an attribute the simulator never reads, so a candidate is
+// identified by the SHA-256 of its ordered node's text plus its split-K
+// factor (when the node has an einsum to print it on), split-K variants
+// share their node's one simulation, and only the candidates stage 2
+// executes are cloned, put in their order, stamped and verified in full.
+// What is verified when: every decomposed site inside Decompose; every
+// order where SetSchedule applies it; every node a candidate lands on,
+// once, in its order; each factor's legality against its node; every
+// executed program stamped, and then bitwise against sim.Interpret.
 //
 // Because stage 2 observes real breakdowns, the tuner also *calibrates*
 // the machine model: it fits effective compute throughput, link

@@ -14,6 +14,7 @@ import (
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
 	"overlap/internal/models"
+	"overlap/internal/sim"
 	"overlap/internal/tensor"
 	"overlap/internal/topology"
 	"overlap/internal/train"
@@ -306,11 +307,15 @@ func TestTuneMiniatures(t *testing.T) {
 	}
 }
 
-// TestTuneAllocBudget bounds what one cold Tune allocates, on the two
-// program shapes the daemon compiles most: a layer miniature and a
-// training step. The per-candidate pipeline this search replaced
-// allocated 69 MiB and 221 MiB here; memoised on knob prefixes and keyed
-// by a streamed digest it takes about half and a sixth of that.
+// TestTuneAllocBudget bounds what one cold Tune allocates, on the
+// program shapes the daemon compiles most — a layer miniature and a
+// megatron training step — and on the widest tree there is, a ddp step
+// (GradBucketBytes × SplitAllReduce multiply the pre stage). The
+// per-candidate pipeline allocated 69 and 221 MiB on the first two; the
+// tree memoised on knob prefixes 31.4, 33.9 and (ddp) 40.7; with einsums
+// parsed once, slice-backed users, ID-indexed scratch and an order node
+// that is an order and not a clone, they measure 16.6, 17.8 and 26.7.
+// The budgets are those plus 15%.
 func TestTuneAllocBudget(t *testing.T) {
 	if corpus.RaceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -327,21 +332,26 @@ func TestTuneAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc, err := train.FromModel(cfg, 4, 8, 2, train.StrategyMegatron)
-	if err != nil {
-		t.Fatal(err)
-	}
-	step, err := train.Build(tc)
-	if err != nil {
-		t.Fatal(err)
+	steps := map[train.Strategy]*hlo.Computation{}
+	for _, strategy := range []train.Strategy{train.StrategyMegatron, train.StrategyDDP} {
+		tc, err := train.FromModel(cfg, 4, 8, 2, strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step, err := train.Build(tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps[strategy] = step.Comp
 	}
 	for _, tc := range []struct {
 		name      string
 		c         *hlo.Computation
 		budgetMiB float64
 	}{
-		{"GPT_32B devices 4 dim 8", layer, 45},
-		{"megatron step dim 8 layers 2", step.Comp, 64},
+		{"GPT_32B devices 4 dim 8", layer, 19},
+		{"megatron step dim 8 layers 2", steps[train.StrategyMegatron], 20.5},
+		{"ddp step dim 8 layers 2", steps[train.StrategyDDP], 31},
 	} {
 		args := miniArgs(tc.c, 7)
 		opts := autotune.Options{Spec: machine.TPUv4(), TimeScale: 200, DisableCache: true, Calibrate: true}
@@ -352,9 +362,85 @@ func TestTuneAllocBudget(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		got := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
-		t.Logf("%s: %.1f MiB per Tune (budget %.0f)", tc.name, got, tc.budgetMiB)
+		t.Logf("%s: %.1f MiB per Tune (budget %.1f)", tc.name, got, tc.budgetMiB)
 		if got > tc.budgetMiB {
-			t.Errorf("%s: one Tune allocated %.1f MiB, budget %.0f", tc.name, got, tc.budgetMiB)
+			t.Errorf("%s: one Tune allocated %.1f MiB, budget %.1f", tc.name, got, tc.budgetMiB)
+		}
+	}
+}
+
+// TestTuneIsDeterministic: nothing stage 1 decides may depend on the
+// run — not on map iteration (user lists are slices in edge order now),
+// not on which order an async node's shared program was last read in,
+// not on how many cores stage 2's executions had. For every corpus
+// program, three tunes on one core and three on four agree on the whole
+// candidate list — names, order, Predicted, DuplicateOf, Err, and which
+// candidates stage 2 executed — and on the program text of whichever
+// candidate wins. Which one wins is stage 2's wall-clock measurement and
+// may differ from run to run when more than one was executed; when only
+// one was, so must BestName.
+func TestTuneIsDeterministic(t *testing.T) {
+	progs, err := corpus.Programs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	// Stage 1 is what is under test: the fewest executions, no wire delay.
+	opts := autotune.Options{Spec: machine.TPUv4(), TopK: 1, TimeScale: -1, DisableCache: true}
+	type decided struct {
+		name, dupOf, err  string
+		predicted         sim.Breakdown
+		executed, checked bool
+	}
+	for _, p := range progs {
+		if (testing.Short() || corpus.RaceEnabled) && p.Long() {
+			continue
+		}
+		args := miniArgs(p.Comp, 7)
+		var first []decided
+		texts := map[string]string{} // winner → plan text
+		for _, procs := range []int{1, 4} {
+			for rep := 0; rep < 3; rep++ {
+				runtime.GOMAXPROCS(procs)
+				res, err := autotune.Tune(p.Comp, p.Devices, args, opts)
+				if err != nil {
+					t.Fatalf("%s: GOMAXPROCS %d: %v", p.Name, procs, err)
+				}
+				got := make([]decided, len(res.Candidates))
+				executed, wonExecuted := 0, false
+				for i, c := range res.Candidates {
+					got[i] = decided{c.Name, c.DuplicateOf, c.Err, c.Predicted, c.Executed, c.Checked}
+					if c.Executed {
+						executed++
+						wonExecuted = wonExecuted || c.Name == res.BestName
+					}
+				}
+				if !wonExecuted {
+					t.Fatalf("%s: winner %q was not executed", p.Name, res.BestName)
+				}
+				plan, err := autotune.PlanFromResult(p.Comp, p.Devices, res)
+				if err != nil {
+					t.Fatalf("%s: %v", p.Name, err)
+				}
+				if first == nil {
+					first = got
+				}
+				if len(got) != len(first) {
+					t.Fatalf("%s: GOMAXPROCS %d run %d: %d candidates, first run %d", p.Name, procs, rep, len(got), len(first))
+				}
+				for i := range got {
+					if got[i] != first[i] {
+						t.Fatalf("%s: GOMAXPROCS %d run %d: candidate %d is %+v, first run %+v", p.Name, procs, rep, i, got[i], first[i])
+					}
+				}
+				if text, seen := texts[res.BestName]; seen && text != plan.Program {
+					t.Fatalf("%s: GOMAXPROCS %d run %d: winner %s compiled to a different program", p.Name, procs, rep, res.BestName)
+				}
+				texts[res.BestName] = plan.Program
+				if executed == 1 && len(texts) != 1 {
+					t.Fatalf("%s: one candidate executed, winners %v", p.Name, texts)
+				}
+			}
 		}
 	}
 }

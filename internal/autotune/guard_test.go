@@ -1,0 +1,74 @@
+package autotune
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestOnePipelineOneStage1 keeps stage 1 what it is, by reading this
+// package's non-test source:
+//
+//   - core.Apply is the stage table run in order and the search walks
+//     the same table through its prefix memo, so the one core.Apply call
+//     here is ApplyBest's (PlanFromResult goes through it). The
+//     per-candidate Clone → Apply → Format → Simulate loop survives only
+//     as the oracle in search_test.go;
+//   - search.go keys programs by TextDigest and never builds their text;
+//   - search.go clones a program where a stage is about to rewrite it
+//     (build), where one leaves the tree (materialise) and to un-stamp
+//     a stamped input (newSearch) — nowhere else, and in particular not
+//     once per scheduler: an order node is an order, not a copy.
+func TestOnePipelineOneStage1(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				at := fset.Position(call.Pos())
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "core" && sel.Sel.Name == "Apply" && fn.Name.Name != "ApplyBest" {
+					t.Errorf("%s: %s runs the whole pipeline: only ApplyBest may; stage 1 uses the search tree", at, fn.Name.Name)
+				}
+				if name != "search.go" {
+					return true
+				}
+				switch sel.Sel.Name {
+				case "Format":
+					t.Errorf("%s: stage 1 builds a program's text: key it by TextDigest", at)
+				case "Clone":
+					switch fn.Name.Name {
+					case "newSearch", "build", "materialise":
+					default:
+						t.Errorf("%s: %s clones a program: an order node holds an order, and every other node is cloned in build", at, fn.Name.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+}

@@ -2,6 +2,7 @@ package autotune
 
 import (
 	"crypto/sha256"
+	"fmt"
 
 	"overlap/internal/core"
 	"overlap/internal/hlo"
@@ -10,9 +11,9 @@ import (
 )
 
 // search is the state of one tune's stage 1: the tree of programs the
-// candidates share, memoised on core's stage prefix keys, and what
-// ranking has learned about each distinct program so far. It lives for
-// one Tune call; a Result keeps none of its graphs.
+// candidates share, planned from core's stage prefix keys and then
+// built, and what ranking has learned about each distinct program so
+// far. It lives for one Tune call; a Result keeps none of its graphs.
 type search struct {
 	numDevices int
 	spec       machine.Spec
@@ -51,12 +52,28 @@ type programKey struct {
 }
 
 // node is one memoised program: the input after a prefix of stages. It
-// is shared by every candidate and child that reaches it and is never
-// mutated once built; every stage runs on a Clone.
+// is planned first (parent, stage, the options that reached it, kids)
+// and built later; once built it is shared by every candidate and child
+// that reaches it and its graph is never rewritten — every stage that
+// rewrites runs on a Clone.
+//
+// The order stage rewrites nothing: it only permutes. So an order node
+// has no program of its own. It shares its async parent's and keeps its
+// schedule as instruction IDs, which whoever reads the program in that
+// schedule — ranking here, a Clone in materialise — applies first.
 type node struct {
-	c *hlo.Computation
-	// err is the failure of the stage that should have built this node;
-	// every descendant candidate inherits it and nothing below is built.
+	parent *node
+	stage  int
+	opts   core.Options
+	kids   []*node
+	// lands marks a node some candidate is ranked on.
+	lands bool
+
+	c     *hlo.Computation
+	order []int // order nodes only
+	// err is the failure of the stage that should have built this node
+	// or an ancestor; every descendant candidate inherits it and nothing
+	// below is built.
 	err string
 
 	// What ranking learned when the first candidate landed here:
@@ -111,21 +128,24 @@ func newSearch(c *hlo.Computation, numDevices int, spec machine.Spec) *search {
 
 func stampStage() core.Stage { return core.Stages()[core.StageStamp] }
 
-// stage1 ranks the candidates, in enumeration order — which is the
+// stage1 ranks the candidates: the tree is planned from their prefix
+// keys and built, then one pass in enumeration order — which is the
 // dedup and tie-break order: the first candidate to produce a program
-// is its unique representative, later ones its duplicates.
+// is its unique representative, later ones its duplicates — reads what
+// the nodes learned.
 func (s *search) stage1(cands []*Candidate) {
-	for _, cand := range cands {
+	at := s.grow(cands)
+	for i, cand := range cands {
 		// The baseline is not verified here: Apply, whose tail the
 		// inspection stands in for, never sees it.
 		n, key := s.base, s.baseKey
 		if !cand.Baseline {
-			n = s.scheduled(cand.Opts)
+			n = at[i]
 			if n.err != "" {
 				cand.Err = n.err
 				continue
 			}
-			if n.inspect(); n.rankErr != "" {
+			if n.rankErr != "" {
 				cand.Err = n.rankErr
 				continue
 			}
@@ -145,14 +165,16 @@ func (s *search) stage1(cands []*Candidate) {
 		}
 		// The simulator never reads the stamped factor, so every
 		// split-K variant of a node shares its one simulation — and its
-		// one failure.
+		// one failure. Only a program no earlier candidate printed is
+		// simulated, which is why this is here and not in grow: whether
+		// it is one is this pass's to say.
 		if !n.simulated {
 			n.simulated = true
-			bd, err := sim.Simulate(n.c, s.numDevices, s.spec)
-			if err != nil {
+			if err := n.schedule(n.c); err != nil {
+				n.rankErr = err.Error()
+			} else if n.predicted, err = sim.Simulate(n.c, s.numDevices, s.spec); err != nil {
 				n.rankErr = err.Error()
 			}
-			n.predicted = bd
 		}
 		if n.rankErr != "" {
 			cand.Err = n.rankErr
@@ -165,47 +187,118 @@ func (s *search) stage1(cands []*Candidate) {
 	}
 }
 
-// scheduled returns the node holding the program as the schedule stage
-// leaves it under o, building whatever part of the path from the root
-// is not memoised yet.
-func (s *search) scheduled(o core.Options) *node {
-	n := s.root
-	for i, st := range core.Stages()[:core.StageStamp] {
-		if st.Identity(o) {
+// grow plans the tree the candidates span — one node per distinct
+// (stage, prefix key) on any candidate's path, a stage that is the
+// identity under a candidate's options handing its input node on —
+// then builds it, parents first, inspecting every node a candidate
+// lands on, and returns each candidate's node. Planning first is what
+// lets an async node know which orders it will be asked for.
+//
+// The subtrees under the decompose nodes share only ancestors they
+// Clone, and building them on min(GOMAXPROCS, subtrees) workers was
+// tried (results stayed bit-identical). It is not here because it did
+// not pay where it had to: over ten alternating pairs on the 2-core
+// reference box autotune.compile_ms_p50 fell 48.6 → 44.9 ms (9/10) but
+// serve_cold op_ms_p50 did not move (57.6 vs 57.6 ms, 5/10) and
+// peak_rss_mb rose 57 → 62 MiB — stage 2's executions are two thirds
+// of a compile now, and the collector already uses the second core.
+func (s *search) grow(cands []*Candidate) []*node {
+	at := make([]*node, len(cands))
+	var planned []*node
+	for i, cand := range cands {
+		if cand.Baseline {
 			continue
 		}
-		key := memoKey{stage: i, knobs: core.PrefixKey(i, o)}
-		child, ok := s.memo[key]
-		if !ok {
-			child = n.then(st, o)
-			s.memo[key] = child
+		n := s.root
+		for st, stage := range core.Stages()[:core.StageStamp] {
+			if stage.Identity(cand.Opts) {
+				continue
+			}
+			key := memoKey{stage: st, knobs: core.PrefixKey(st, cand.Opts)}
+			child, ok := s.memo[key]
+			if !ok {
+				child = &node{parent: n, stage: st, opts: cand.Opts}
+				s.memo[key] = child
+				n.kids = append(n.kids, child)
+				planned = append(planned, child)
+			}
+			n = child
 		}
-		n = child
+		n.lands = true
+		at[i] = n
 	}
-	return n
+	for _, n := range planned {
+		n.build()
+		if n.lands {
+			n.inspect()
+		}
+	}
+	return at
 }
 
-// then builds the child of n under one stage. A failed node is its own
-// child: the error reaches every descendant and nothing is cloned.
-func (n *node) then(st core.Stage, o core.Options) *node {
-	if n.err != "" {
-		return n
+// build runs the node's stage on a Clone of its parent's program. A
+// failed parent fails the node with the same error and nothing is
+// cloned. An async node also builds its order kids, which is to take
+// each scheduler's order against the program it has just made: they
+// get no clone of their own.
+func (n *node) build() {
+	switch {
+	case n.parent.err != "":
+		n.err = n.parent.err
+		return
+	case n.c != nil:
+		return // an order node, built with its async parent
 	}
-	c := n.c.Clone()
-	if err := st.Run(c, o, &core.Report{}); err != nil {
-		return &node{err: err.Error()}
+	c := n.parent.c.Clone()
+	if err := core.Stages()[n.stage].Run(c, n.opts, &core.Report{}); err != nil {
+		n.err = err.Error()
+		return
 	}
-	return &node{c: c}
+	n.c = c
+	if n.stage == core.StageAsync {
+		n.orderKids()
+	}
+}
+
+// orderKids gives every order-stage kid of an async node the async
+// program and its scheduler's order of it.
+func (n *node) orderKids() {
+	for _, kid := range n.kids {
+		if kid.stage != core.StageOrder {
+			continue
+		}
+		kid.c = n.c
+		kid.order = make([]int, 0, n.c.NumInstructions())
+		for _, in := range core.Order(n.c, kid.opts) {
+			kid.order = append(kid.order, in.ID)
+		}
+	}
+}
+
+// schedule puts the node's schedule on c — n.c, or a Clone of it. For
+// any node but an order node that is the order c is in already.
+func (n *node) schedule(c *hlo.Computation) error {
+	if n.order == nil {
+		return nil
+	}
+	if err := c.SetScheduleIDs(n.order); err != nil {
+		return fmt.Errorf("core: scheduling: %w", err) // as the order stage words it
+	}
+	return nil
 }
 
 // inspect does, once per node a candidate lands on, what Apply's tail
 // and the dedup key need: Verify, the text digest, and whether there is
 // an einsum for a factor to print on.
 func (n *node) inspect() {
-	if n.inspected {
+	if n.inspected || n.err != "" {
 		return
 	}
 	n.inspected = true
+	if err := n.schedule(n.c); err != nil {
+		n.rankErr = err.Error()
+		return
+	}
 	if err := n.c.Verify(); err != nil {
 		n.rankErr = err.Error()
 		return
@@ -217,7 +310,7 @@ func (n *node) inspect() {
 // releaseTree drops every memoised program once the ones to execute
 // have been materialised, so the executions and the calibration that
 // follow do not hold a whole search's graphs live.
-func (s *search) releaseTree() { s.memo, s.landed = nil, nil }
+func (s *search) releaseTree() { s.memo, s.landed, s.root.kids = nil, nil, nil }
 
 // printedFactor is the split-K factor as the program text shows it:
 // below 2 the printer writes nothing.
@@ -229,11 +322,16 @@ func printedFactor(k int) int {
 }
 
 // materialise builds the program a unique candidate stands for — a
-// clone of its node with the stamp stage run and the whole verified, or
-// a clone of the input for the baseline — and keeps it for calibration.
+// clone of its node in the node's schedule, with the stamp stage run
+// and the whole verified, or a clone of the input for the baseline —
+// and keeps it for calibration.
 func (s *search) materialise(cand *Candidate) (*hlo.Computation, error) {
-	prog := s.landed[cand.Name].c.Clone()
+	n := s.landed[cand.Name]
+	prog := n.c.Clone()
 	if !cand.Baseline {
+		if err := n.schedule(prog); err != nil {
+			return nil, err
+		}
 		if err := stampStage().Run(prog, cand.Opts, &core.Report{}); err != nil {
 			return nil, err
 		}

@@ -55,7 +55,7 @@ func TestMakeAsyncIdempotent(t *testing.T) {
 
 	// A scheduled program must also survive re-conversion untouched:
 	// the guard must not re-sort the schedule the pass produced.
-	if err := ScheduleBottomUp(c, machine.TPUv4()); err != nil {
+	if err := c.SetSchedule(ScheduleBottomUp(c, machine.TPUv4())); err != nil {
 		t.Fatal(err)
 	}
 	scheduled := c.Format()

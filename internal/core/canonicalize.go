@@ -61,8 +61,9 @@ func RematerializeGathers(c *hlo.Computation) int {
 			if in.Op != hlo.OpAllGather || in.NumUsers() <= 1 {
 				continue
 			}
-			// Users() has no defined order; clone in ID order so the
-			// emitted names, and with them the program text, are stable.
+			// Users() is in the order the edges were made, which earlier
+			// rewrites shuffle; clone in ID order so the emitted names,
+			// and with them the program text, follow the program alone.
 			users := in.Users()
 			sort.Slice(users, func(i, j int) bool { return users[i].ID < users[j].ID })
 			for _, u := range users {

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"overlap/internal/hlo"
 	"overlap/internal/machine"
-	"overlap/internal/tensor"
 )
 
 // Decision is the §5.5 benefit estimate for one site. The feature is
@@ -75,7 +73,7 @@ func Evaluate(p Pattern, opts Options) Decision {
 // comp_t; we refine it because our machine model, like real matrix
 // units, derates small tiles.)
 func decomposedComputeTime(p Pattern, opts Options, bidi bool) float64 {
-	flops, _ := machine.EinsumStats(p.Einsum)
+	flops, _ := p.Einsum.EinsumStats()
 	n := p.Ring.N
 	steps := n
 	sliceFactor := n
@@ -114,39 +112,28 @@ func decomposedComputeTime(p Pattern, opts Options, bidi bool) float64 {
 // partialEinsumStats recomputes the effective matmul dims of the
 // pattern's einsum with operand side's dimension dim resized to sliced.
 func partialEinsumStats(p Pattern, side, dim, sliced int) (int64, int) {
+	spec, err := p.Einsum.ParsedEinsum()
+	if err != nil {
+		panic(err) // a matched pattern's einsum parsed when it was built
+	}
 	shapes := [2][]int{
 		append([]int(nil), p.Einsum.Operands[0].Shape...),
 		append([]int(nil), p.Einsum.Operands[1].Shape...),
 	}
-	shapes[side][dim] = sliced
-	// Mirror the sliced size onto the other operand / output views by
-	// reusing EinsumStats on a shallow clone.
-	clone := &hlo.Instruction{
-		Op:         hlo.OpEinsum,
-		EinsumSpec: p.Einsum.EinsumSpec,
-		Operands: []*hlo.Instruction{
-			{Shape: shapes[0]},
-			{Shape: shapes[1]},
-		},
-	}
 	// Labels shared with the other operand must agree; shrink them too.
-	label := labelAt(p.Einsum.EinsumSpec, side, dim)
+	label := spec.Inputs[side][dim]
 	for s := 0; s < 2; s++ {
 		for i := range shapes[s] {
-			if labelAt(p.Einsum.EinsumSpec, s, i) == label {
+			if spec.Inputs[s][i] == label {
 				shapes[s][i] = sliced
 			}
 		}
 	}
-	return machine.EinsumStats(clone)
-}
-
-func labelAt(spec string, side, dim int) byte {
-	parsed, err := tensor.ParseEinsum(spec)
+	flops, m, n, k, err := spec.MatmulStats(shapes[0], shapes[1])
 	if err != nil {
-		return 0
+		panic(err) // the same labels resized consistently
 	}
-	return parsed.Inputs[side][dim]
+	return flops, min(m, n, k)
 }
 
 func maxf(a, b float64) float64 {

@@ -6,7 +6,6 @@ import (
 
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
-	"overlap/internal/tensor"
 )
 
 // Fingerprint returns a stable textual identity of every knob that
@@ -171,7 +170,7 @@ func hasSkinnySite(c *hlo.Computation, ringSize int) bool {
 		if in.Op != hlo.OpEinsum || len(in.Operands) != 2 {
 			continue
 		}
-		spec, err := tensor.ParseEinsum(in.EinsumSpec)
+		spec, err := in.ParsedEinsum()
 		if err != nil || len(spec.Inputs) != 2 {
 			continue
 		}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"overlap/internal/hlo"
-)
+import "overlap/internal/hlo"
 
 // ScheduleMinMemory reorders the computation with a greedy list
 // scheduler that minimizes live bytes — the "existing instruction
@@ -18,72 +14,62 @@ import (
 // bottom-up scheduler starts from the memory-friendly order the paper
 // assumes (its tie-breaking falls back to that order).
 func ScheduleMinMemory(c *hlo.Computation) error {
-	instrs := c.Instructions()
-	origPos := make(map[*hlo.Instruction]int, len(instrs))
-	for i, in := range instrs {
-		origPos[in] = i
-	}
-	opsLeft := make(map[*hlo.Instruction]int, len(instrs))
-	usersLeft := make(map[*hlo.Instruction]int, len(instrs))
-	for _, in := range instrs {
-		seen := map[*hlo.Instruction]bool{}
-		for _, op := range in.Operands {
-			if !seen[op] {
-				seen[op] = true
-				opsLeft[in]++
+	n := c.NumInstructions()
+	// Per-instruction state, indexed by ID: distinct operands not yet
+	// placed, distinct users not yet placed.
+	origPos := make([]int, c.IDBound())
+	opsLeft := make([]int, c.IDBound())
+	usersLeft := make([]int, c.IDBound())
+	var ready []*hlo.Instruction
+	for i := 0; i < n; i++ {
+		in := c.At(i)
+		origPos[in.ID] = i
+		for slot := range in.Operands {
+			if firstMention(in.Operands, slot) {
+				opsLeft[in.ID]++
 			}
 		}
-		usersLeft[in] = in.NumUsers()
+		usersLeft[in.ID] = in.NumUsers()
+		if opsLeft[in.ID] == 0 {
+			ready = append(ready, in)
+		}
 	}
 
 	// delta estimates the immediate live-bytes change of scheduling in:
 	// its own allocation minus operands whose last use this is.
 	delta := func(in *hlo.Instruction) int64 {
 		d := allocBytes(in)
-		seen := map[*hlo.Instruction]bool{}
-		for _, op := range in.Operands {
-			if seen[op] {
-				continue
-			}
-			seen[op] = true
-			if usersLeft[op] == 1 && op.Op != hlo.OpParameter {
+		for slot, op := range in.Operands {
+			if firstMention(in.Operands, slot) && usersLeft[op.ID] == 1 && op.Op != hlo.OpParameter {
 				d -= allocBytes(op)
 			}
 		}
 		return d
 	}
 
-	var ready []*hlo.Instruction
-	for _, in := range instrs {
-		if opsLeft[in] == 0 {
-			ready = append(ready, in)
-		}
-	}
-	var order []*hlo.Instruction
-	for len(order) < len(instrs) {
-		if len(ready) == 0 {
-			break
-		}
-		sort.SliceStable(ready, func(i, j int) bool {
-			di, dj := delta(ready[i]), delta(ready[j])
-			if di != dj {
-				return di < dj
+	order := make([]*hlo.Instruction, 0, n)
+	for len(order) < n && len(ready) > 0 {
+		// The ready instruction with the least delta, the earliest in
+		// the original order among equals.
+		best, bestDelta := 0, delta(ready[0])
+		for k := 1; k < len(ready); k++ {
+			d := delta(ready[k])
+			if d < bestDelta || (d == bestDelta && origPos[ready[k].ID] < origPos[ready[best].ID]) {
+				best, bestDelta = k, d
 			}
-			return origPos[ready[i]] < origPos[ready[j]]
-		})
-		cand := ready[0]
-		ready = ready[1:]
+		}
+		cand := ready[best]
+		ready = append(ready[:best], ready[best+1:]...)
 		order = append(order, cand)
-		seen := map[*hlo.Instruction]bool{}
-		for _, op := range cand.Operands {
-			if !seen[op] {
-				seen[op] = true
-				usersLeft[op]--
+		for slot, op := range cand.Operands {
+			if firstMention(cand.Operands, slot) {
+				usersLeft[op.ID]--
 			}
 		}
-		for _, u := range cand.Users() {
-			opsLeft[u]--
-			if opsLeft[u] == 0 {
+		for i := 0; i < cand.NumUsers(); i++ {
+			u := cand.User(i)
+			opsLeft[u.ID]--
+			if opsLeft[u.ID] == 0 {
 				ready = append(ready, u)
 			}
 		}

@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"overlap/internal/hlo"
-	"overlap/internal/tensor"
 )
 
 // PatternKind distinguishes the two decomposable collective/einsum
@@ -200,7 +199,7 @@ func matchAllGatherEinsum(ag, user *hlo.Instruction) (Pattern, bool) {
 	if !ok {
 		return Pattern{}, false
 	}
-	spec, err := tensor.ParseEinsum(user.EinsumSpec)
+	spec, err := user.ParsedEinsum()
 	if err != nil || len(spec.Inputs) != 2 {
 		return Pattern{}, false
 	}
@@ -260,7 +259,7 @@ func matchEinsumReduceScatter(rs *hlo.Instruction) (Pattern, bool) {
 	if !ok {
 		return Pattern{}, false
 	}
-	spec, err := tensor.ParseEinsum(ein.EinsumSpec)
+	spec, err := ein.ParsedEinsum()
 	if err != nil || len(spec.Inputs) != 2 {
 		return Pattern{}, false
 	}

@@ -13,7 +13,8 @@ import (
 //	pre        GradBucketBytes, SplitAllReduce, RematerializeGathers
 //	decompose  Rolled, Unroll, Bidirectional, UseCostModel
 //	fuse       ConcatToPadMax, FuseAddIntoEinsum, OverlapFriendlyFusion
-//	schedule   Scheduler
+//	async      Scheduler (only whether it is SchedulerNone)
+//	order      Scheduler
 //	stamp      KernelSplitK
 //
 // Each stage declares the knobs it reads, whether it is the identity
@@ -42,13 +43,19 @@ const (
 	// StageFuse applies the fusion-friendliness rewrite and accumulation
 	// fusion.
 	StageFuse
-	// StageSchedule splits the CollectivePermutes into asynchronous
-	// start/done pairs and runs the selected scheduler.
-	StageSchedule
+	// StageAsync puts the program in the memory-minimizing order and
+	// splits the CollectivePermutes into asynchronous start/done pairs —
+	// the one program every overlap scheduler orders.
+	StageAsync
+	// StageOrder runs the selected scheduler. It adds and removes
+	// nothing: its whole effect is the instruction order (Order), which
+	// a search can therefore keep beside the asynchronous program
+	// instead of in a copy of it.
+	StageOrder
 	// StageStamp writes the kernel split-K factor on every einsum. It
 	// changes one attribute of instructions that already exist — no
 	// structure, no schedule, nothing the machine model prices — so a
-	// search may rank the schedule stage's output and stamp only the
+	// search may rank the order stage's output and stamp only the
 	// programs it goes on to execute.
 	StageStamp
 	numStages
@@ -145,13 +152,21 @@ var stages = [numStages]Stage{
 			return nil
 		},
 	},
-	StageSchedule: {
-		Name:     "schedule",
-		reads:    func(o Options, key *Options) { key.Scheduler = o.Scheduler },
+	StageAsync: {
+		Name: "async",
+		// The body reads only whether a scheduler runs at all, so both
+		// overlap schedulers share a prefix key here and SchedulerNone
+		// has its own.
+		reads: func(o Options, key *Options) {
+			key.Scheduler = SchedulerBottomUp
+			if o.Scheduler == SchedulerNone {
+				key.Scheduler = SchedulerNone
+			}
+		},
+		// With SchedulerNone the collectives stay decomposed but
+		// blocking (a useful ablation).
 		identity: func(o Options) bool { return o.Scheduler == SchedulerNone },
 		body: func(c *hlo.Computation, o Options, _ *Report) error {
-			// With SchedulerNone the collectives stay decomposed but
-			// blocking (a useful ablation).
 			if o.Scheduler == SchedulerNone {
 				return nil
 			}
@@ -161,14 +176,15 @@ var stages = [numStages]Stage{
 				return fmt.Errorf("core: min-memory scheduling: %w", err)
 			}
 			MakeAsync(c)
-			var err error
-			switch o.Scheduler {
-			case SchedulerBottomUp:
-				err = ScheduleBottomUp(c, o.Spec)
-			case SchedulerTopDown:
-				err = ScheduleTopDown(c, o.Spec)
-			}
-			if err != nil {
+			return nil
+		},
+	},
+	StageOrder: {
+		Name:     "order",
+		reads:    func(o Options, key *Options) { key.Scheduler = o.Scheduler },
+		identity: func(o Options) bool { return o.Scheduler == SchedulerNone },
+		body: func(c *hlo.Computation, o Options, _ *Report) error {
+			if err := c.SetSchedule(Order(c, o)); err != nil {
 				return fmt.Errorf("core: scheduling: %w", err)
 			}
 			return nil
@@ -187,6 +203,25 @@ var stages = [numStages]Stage{
 			return nil
 		},
 	},
+}
+
+// Order returns the instruction order the order stage gives c — the
+// async stage's output — under o, leaving c as it is: c's own order
+// under SchedulerNone. SetSchedule applies it.
+//
+// This is the form a search uses: one asynchronous program, one Order
+// per scheduler against it, no copy per scheduler. (Splitting async
+// from order while still cloning once per scheduler was measured slower
+// than not splitting at all — the extra clone costs more than making
+// the program asynchronous twice.)
+func Order(c *hlo.Computation, o Options) []*hlo.Instruction {
+	switch o.Scheduler {
+	case SchedulerBottomUp:
+		return ScheduleBottomUp(c, o.Spec)
+	case SchedulerTopDown:
+		return ScheduleTopDown(c, o.Spec)
+	}
+	return c.Instructions()
 }
 
 // Stages returns the pipeline's stages, indexed by the Stage constants.

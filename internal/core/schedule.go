@@ -2,7 +2,6 @@ package core
 
 import (
 	"container/heap"
-	"sort"
 
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
@@ -25,7 +24,19 @@ func latency(in *hlo.Instruction, spec machine.Spec) float64 {
 	}
 }
 
-// ScheduleBottomUp reorders the computation with the reverse list
+// firstMention reports whether operands[i] does not already appear in
+// operands[:i]: the schedulers count an operand named in several slots
+// once.
+func firstMention(operands []*hlo.Instruction, i int) bool {
+	for _, earlier := range operands[:i] {
+		if earlier == operands[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// ScheduleBottomUp orders the computation with the reverse list
 // scheduler of Algorithm 2: instructions are scheduled from the graph
 // roots backwards, prioritizing CollectivePermuteDones (so they land
 // late in forward order) and holding each CollectivePermuteStart in a
@@ -33,22 +44,27 @@ func latency(in *hlo.Instruction, spec machine.Spec) float64 {
 // been covered by other work, which is what places computation between
 // the start and the done. The in-flight budget bounds simultaneously
 // outstanding transfers.
-func ScheduleBottomUp(c *hlo.Computation, spec machine.Spec) error {
-	instrs := c.Instructions()
-	origPos := make(map[*hlo.Instruction]int, len(instrs))
-	for i, in := range instrs {
-		origPos[in] = i
+//
+// It returns the order and leaves c as it was; the caller applies it
+// with SetSchedule, which is also what rejects an order a malformed
+// graph left incomplete. A search holds one asynchronous program and
+// the orders of several schedulers against it, as instruction IDs.
+func ScheduleBottomUp(c *hlo.Computation, spec machine.Spec) []*hlo.Instruction {
+	n := c.NumInstructions()
+	// Per-instruction state, indexed by ID. usersLeft counts distinct
+	// users not yet scheduled; lat is latency(), which only the
+	// instruction itself determines, taken once.
+	origPos := make([]int, c.IDBound())
+	usersLeft := make([]int, c.IDBound())
+	readyTime := make([]float64, c.IDBound())
+	lat := make([]float64, c.IDBound())
+	for i := 0; i < n; i++ {
+		in := c.At(i)
+		origPos[in.ID] = i
+		usersLeft[in.ID] = in.NumUsers()
+		lat[in.ID] = latency(in, spec)
 	}
-
-	// usersLeft counts distinct users not yet scheduled.
-	usersLeft := make(map[*hlo.Instruction]int, len(instrs))
-	for _, in := range instrs {
-		usersLeft[in] = in.NumUsers()
-	}
-
-	readyTime := make(map[*hlo.Instruction]float64, len(instrs))
-	var newSeq []*hlo.Instruction
-	scheduled := make(map[*hlo.Instruction]bool, len(instrs))
+	newSeq := make([]*hlo.Instruction, 0, n)
 
 	// rank orders the ready queue: smaller is better.
 	rank := func(in *hlo.Instruction) int {
@@ -67,6 +83,7 @@ func ScheduleBottomUp(c *hlo.Computation, spec machine.Spec) error {
 			return 3
 		}
 	}
+	// less is a total order: no two instructions share a position.
 	less := func(a, b *hlo.Instruction) bool {
 		ra, rb := rank(a), rank(b)
 		if ra != rb {
@@ -74,7 +91,7 @@ func ScheduleBottomUp(c *hlo.Computation, spec machine.Spec) error {
 		}
 		// Reverse original order preserves the memory-pressure-friendly
 		// input schedule among equals.
-		return origPos[a] > origPos[b]
+		return origPos[a.ID] > origPos[b.ID]
 	}
 
 	var ready []*hlo.Instruction
@@ -84,8 +101,9 @@ func ScheduleBottomUp(c *hlo.Computation, spec machine.Spec) error {
 
 	computeReady := func(in *hlo.Instruction) float64 {
 		t := 0.0
-		for _, u := range in.Users() {
-			if f := readyTime[u] + latency(u, spec); f > t {
+		for i := 0; i < in.NumUsers(); i++ {
+			u := in.User(i)
+			if f := readyTime[u.ID] + lat[u.ID]; f > t {
 				t = f
 			}
 		}
@@ -99,23 +117,22 @@ func ScheduleBottomUp(c *hlo.Computation, spec machine.Spec) error {
 			heap.Push(pending, pendingItem{in, rt})
 		}
 	}
-	for _, in := range instrs {
-		if in.NumUsers() == 0 {
+	for i := 0; i < n; i++ {
+		if in := c.At(i); in.NumUsers() == 0 {
 			enqueue(in)
 		}
 	}
 
 	schedule := func(in *hlo.Instruction) {
-		scheduled[in] = true
 		newSeq = append(newSeq, in)
 		rt := computeReady(in)
-		readyTime[in] = rt
+		readyTime[in.ID] = rt
 		// Algorithm 2: current_time follows the candidate's critical
 		// path, so the pending gate measures covered path length, not
 		// the serial sum of all scheduled latencies. A done advances
 		// the clock by zero — it occupies no device time; its transfer
 		// latency gates only the matching start (via computeReady).
-		advance := latency(in, spec)
+		advance := lat[in.ID]
 		if in.Op == hlo.OpCollectivePermuteDone {
 			advance = 0
 		}
@@ -126,37 +143,39 @@ func ScheduleBottomUp(c *hlo.Computation, spec machine.Spec) error {
 		case hlo.OpCollectivePermuteStart:
 			inFlight--
 		}
-		seen := map[*hlo.Instruction]bool{}
-		for _, op := range in.Operands {
-			if seen[op] {
+		for i, op := range in.Operands {
+			if !firstMention(in.Operands, i) {
 				continue
 			}
-			seen[op] = true
-			usersLeft[op]--
-			if usersLeft[op] == 0 {
+			usersLeft[op.ID]--
+			if usersLeft[op.ID] == 0 {
 				enqueue(op)
 			}
 		}
 	}
 
-	for len(newSeq) < len(instrs) {
+	for len(newSeq) < n {
 		// Promote pending entries whose time has come.
 		for pending.Len() > 0 && (*pending)[0].readyAt <= currentTime {
 			ready = append(ready, heap.Pop(pending).(pendingItem).in)
 		}
 		var cand *hlo.Instruction
 		if len(ready) > 0 {
-			sort.SliceStable(ready, func(i, j int) bool { return less(ready[i], ready[j]) })
-			idx := 0
-			// Budget: avoid opening another async window when the flag
-			// pool is exhausted, unless nothing else is ready.
-			if ready[idx].Op == hlo.OpCollectivePermuteDone && inFlight >= spec.MaxInFlight {
-				for k := range ready {
-					if ready[k].Op != hlo.OpCollectivePermuteDone {
-						idx = k
-						break
-					}
+			// The least ready instruction under less — and, for the
+			// budget, the least that is not a done: avoid opening
+			// another async window when the flag pool is exhausted,
+			// unless nothing else is ready.
+			idx, other := 0, -1
+			for k, in := range ready {
+				if less(in, ready[idx]) {
+					idx = k
 				}
+				if in.Op != hlo.OpCollectivePermuteDone && (other < 0 || less(in, ready[other])) {
+					other = k
+				}
+			}
+			if ready[idx].Op == hlo.OpCollectivePermuteDone && inFlight >= spec.MaxInFlight && other >= 0 {
+				idx = other
 			}
 			cand = ready[idx]
 			ready = append(ready[:idx], ready[idx+1:]...)
@@ -174,7 +193,7 @@ func ScheduleBottomUp(c *hlo.Computation, spec machine.Spec) error {
 	for i, j := 0, len(newSeq)-1; i < j; i, j = i+1, j-1 {
 		newSeq[i], newSeq[j] = newSeq[j], newSeq[i]
 	}
-	return c.SetSchedule(newSeq)
+	return newSeq
 }
 
 type pendingItem struct {
@@ -204,39 +223,34 @@ func hasOperandOp(in *hlo.Instruction, op hlo.OpCode) bool {
 	return false
 }
 
-// ScheduleTopDown reorders the computation with the simpler forward
+// ScheduleTopDown orders the computation with the simpler forward
 // heuristic of §5.2: a CollectivePermuteStart is scheduled as early as
 // possible once its operands are placed, a CollectivePermuteDone as
 // late as possible (only when no other instruction is ready), and
 // everything else keeps its input order. The in-flight budget defers
-// starts rather than dones.
-func ScheduleTopDown(c *hlo.Computation, spec machine.Spec) error {
-	instrs := c.Instructions()
-	origPos := make(map[*hlo.Instruction]int, len(instrs))
-	for i, in := range instrs {
-		origPos[in] = i
-	}
-	opsLeft := make(map[*hlo.Instruction]int, len(instrs))
-	for _, in := range instrs {
-		seen := map[*hlo.Instruction]bool{}
-		for _, op := range in.Operands {
-			if !seen[op] {
-				seen[op] = true
-				opsLeft[in]++
+// starts rather than dones. Like ScheduleBottomUp it returns the order
+// and leaves c as it was.
+func ScheduleTopDown(c *hlo.Computation, spec machine.Spec) []*hlo.Instruction {
+	n := c.NumInstructions()
+	origPos := make([]int, c.IDBound())
+	opsLeft := make([]int, c.IDBound())     // distinct operands not yet placed
+	arrival := make([]float64, c.IDBound()) // start → estimated landing time
+	var ready []*hlo.Instruction
+	for i := 0; i < n; i++ {
+		in := c.At(i)
+		origPos[in.ID] = i
+		for slot := range in.Operands {
+			if firstMention(in.Operands, slot) {
+				opsLeft[in.ID]++
 			}
 		}
-	}
-
-	var ready []*hlo.Instruction
-	for _, in := range instrs {
-		if opsLeft[in] == 0 {
+		if opsLeft[in.ID] == 0 {
 			ready = append(ready, in)
 		}
 	}
-	var newSeq []*hlo.Instruction
+	newSeq := make([]*hlo.Instruction, 0, n)
 	inFlight := 0
 	now := 0.0
-	arrival := map[*hlo.Instruction]float64{} // start → estimated landing time
 
 	// Rank: starts go as early as possible; dones whose transfer has
 	// (by estimate) already landed are free to place; compute fills the
@@ -251,7 +265,7 @@ func ScheduleTopDown(c *hlo.Computation, spec machine.Spec) error {
 			}
 			return 0
 		case hlo.OpCollectivePermuteDone:
-			if arrival[in.Operands[0]] <= now {
+			if arrival[in.Operands[0].ID] <= now {
 				return 1 // transfer already landed: placing it is free
 			}
 			return 4
@@ -260,14 +274,11 @@ func ScheduleTopDown(c *hlo.Computation, spec machine.Spec) error {
 		}
 	}
 
-	for len(newSeq) < len(instrs) {
-		if len(ready) == 0 {
-			break
-		}
+	for len(newSeq) < n && len(ready) > 0 {
 		best := 0
 		for k := 1; k < len(ready); k++ {
 			rb, rk := rank(ready[best]), rank(ready[k])
-			if rk < rb || (rk == rb && origPos[ready[k]] < origPos[ready[best]]) {
+			if rk < rb || (rk == rb && origPos[ready[k].ID] < origPos[ready[best].ID]) {
 				best = k
 			}
 		}
@@ -277,24 +288,23 @@ func ScheduleTopDown(c *hlo.Computation, spec machine.Spec) error {
 		switch cand.Op {
 		case hlo.OpCollectivePermuteStart:
 			inFlight++
-			arrival[cand] = now + latency(&hlo.Instruction{
-				Op:       hlo.OpCollectivePermuteDone,
-				Operands: []*hlo.Instruction{cand},
-			}, spec)
+			// What latency() prices the done this start will get at.
+			arrival[cand.ID] = now + spec.TransferTime(cand.Operands[0].ByteSize(), 1)
 		case hlo.OpCollectivePermuteDone:
 			inFlight--
-			if a := arrival[cand.Operands[0]]; a > now {
+			if a := arrival[cand.Operands[0].ID]; a > now {
 				now = a // stalled until the transfer landed
 			}
 		default:
 			now += latency(cand, spec)
 		}
-		for _, u := range cand.Users() {
-			opsLeft[u]--
-			if opsLeft[u] == 0 {
+		for i := 0; i < cand.NumUsers(); i++ {
+			u := cand.User(i)
+			opsLeft[u.ID]--
+			if opsLeft[u.ID] == 0 {
 				ready = append(ready, u)
 			}
 		}
 	}
-	return c.SetSchedule(newSeq)
+	return newSeq
 }

@@ -66,6 +66,35 @@ func TestEveryKnobHasAStage(t *testing.T) {
 	}
 }
 
+// TestSchedulersShareTheAsyncStage: Scheduler is the one knob two
+// stages read. The async stage reads only whether it is SchedulerNone,
+// so both overlap schedulers must share a prefix key there — a search
+// makes a program asynchronous once and orders it per scheduler — and
+// part at the order stage. (TestEveryKnobHasAStage sets the knob to
+// SchedulerNone, which the async stage's key already tells apart, and
+// so still finds exactly one claimant.)
+func TestSchedulersShareTheAsyncStage(t *testing.T) {
+	key := func(stage int, s core.SchedulerKind) core.Options {
+		return core.PrefixKey(stage, core.Options{Scheduler: s})
+	}
+	if key(core.StageAsync, core.SchedulerBottomUp) != key(core.StageAsync, core.SchedulerTopDown) {
+		t.Error("the overlap schedulers have different async prefix keys: their async program would be built twice")
+	}
+	if key(core.StageAsync, core.SchedulerBottomUp) == key(core.StageAsync, core.SchedulerNone) {
+		t.Error("SchedulerNone shares the overlap schedulers' async prefix key")
+	}
+	if key(core.StageOrder, core.SchedulerBottomUp) == key(core.StageOrder, core.SchedulerTopDown) {
+		t.Error("the overlap schedulers share an order prefix key")
+	}
+	stages := core.Stages()
+	for _, s := range []core.SchedulerKind{core.SchedulerBottomUp, core.SchedulerTopDown, core.SchedulerNone} {
+		o := core.Options{Scheduler: s}
+		if none := s == core.SchedulerNone; stages[core.StageAsync].Identity(o) != none || stages[core.StageOrder].Identity(o) != none {
+			t.Errorf("%v: async and order must be the identity exactly under SchedulerNone", s)
+		}
+	}
+}
+
 // TestStagesOverCorpus runs the pipeline one stage at a time for every
 // enumerated Options on every corpus program, without any memo, and
 // checks what a search that memoises on the stage table relies on:

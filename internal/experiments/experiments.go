@@ -76,12 +76,12 @@ func deviceFlops(c *hlo.Computation) int64 {
 	for _, in := range c.Instructions() {
 		switch in.Op {
 		case hlo.OpEinsum:
-			f, _ := machine.EinsumStats(in)
+			f, _ := in.EinsumStats()
 			total += f
 		case hlo.OpFusion:
 			for _, inner := range in.Body.Instructions() {
 				if inner.Op == hlo.OpEinsum {
-					f, _ := machine.EinsumStats(inner)
+					f, _ := inner.EinsumStats()
 					total += f
 				}
 			}

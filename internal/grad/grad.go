@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"overlap/internal/hlo"
-	"overlap/internal/tensor"
 )
 
 // Append differentiates root with respect to each instruction in wrt,
@@ -179,7 +178,7 @@ func adjoints(c *hlo.Computation, in, dy *hlo.Instruction) ([]*hlo.Instruction, 
 // output or the other operand (true of matmul-like specs; a label
 // summed away from a single operand would need a broadcast rule).
 func einsumAdjoints(c *hlo.Computation, in, dy *hlo.Instruction) ([]*hlo.Instruction, error) {
-	spec, err := tensor.ParseEinsum(in.EinsumSpec)
+	spec, err := in.ParsedEinsum()
 	if err != nil {
 		return nil, err
 	}

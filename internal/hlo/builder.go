@@ -12,6 +12,10 @@ import (
 // is a bug, not an input error.
 
 func (c *Computation) build(in *Instruction) *Instruction {
+	if in.Op == OpEinsum {
+		// A malformed einsum is inferShape's to report.
+		in.einsum, _ = deriveEinsumFacts(in)
+	}
 	shape, err := inferShape(in)
 	if err != nil {
 		panic(fmt.Sprintf("hlo: building %s in %s: %v", in.Op, c.Name, err))

@@ -120,6 +120,51 @@ func TestSetScheduleValidation(t *testing.T) {
 	if err := c.SetSchedule([]*Instruction{a, b, b}); err == nil {
 		t.Fatal("duplicate schedule accepted")
 	}
+	// An instruction of another computation rejected, even one whose ID
+	// an instruction here has too.
+	other := NewComputation("other")
+	x := other.Parameter(0, "x", []int{2})
+	if err := c.SetSchedule([]*Instruction{x, b, d}); err == nil || !strings.Contains(err.Error(), "not in the computation") {
+		t.Fatalf("foreign instruction in the schedule: %v", err)
+	}
+	// An operand outside the computation is its own error: it has no
+	// position here, which used to read as position 0 — "before every
+	// user but the first".
+	d.ReplaceOperand(b, x)
+	if err := c.SetSchedule([]*Instruction{a, b, d}); err == nil || !strings.Contains(err.Error(), "operand x is not in the computation") {
+		t.Fatalf("operand outside the computation: %v", err)
+	}
+	d.ReplaceOperand(x, b)
+
+	// An order taken as IDs applies to a Clone, which keeps them.
+	e := c.Copy(a)
+	if err := c.SetSchedule([]*Instruction{a, e, b, d}); err != nil {
+		t.Fatal(err)
+	}
+	idsOf := func(c *Computation) []int {
+		ids := make([]int, c.NumInstructions())
+		for i := range ids {
+			ids[i] = c.At(i).ID
+		}
+		return ids
+	}
+	ids := idsOf(c)
+	cp := c.Clone()
+	if err := c.SetSchedule([]*Instruction{a, b, d, e}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.SetScheduleIDs(idsOf(c)); err != nil {
+		t.Fatal(err)
+	}
+	if cp.Format() != c.Format() {
+		t.Fatalf("a clone in the source's schedule prints\n%s\nthe source\n%s", cp.Format(), c.Format())
+	}
+	if err := cp.SetScheduleIDs(ids); err != nil || cp.At(1).Name != e.Name {
+		t.Fatalf("re-applying the earlier order: %v, second is %s", err, cp.At(1).Name)
+	}
+	if err := cp.SetScheduleIDs([]int{0, 1, 2, 99}); err == nil {
+		t.Fatal("unknown instruction id accepted")
+	}
 }
 
 func TestScheduleStableTopological(t *testing.T) {
@@ -156,10 +201,74 @@ func TestVerifyCatchesBadUserEdge(t *testing.T) {
 	c := NewComputation("broken")
 	a := c.Parameter(0, "a", []int{2})
 	b := c.Copy(a)
-	// Corrupt the user map directly.
+	// Corrupt the user list directly: an edge missing, ...
 	a.removeUser(b)
 	if err := c.Verify(); err == nil {
 		t.Fatal("verifier missed a corrupted user edge")
+	}
+	// ... one left over, ...
+	a.addUser(b)
+	b.addUser(a)
+	if err := c.Verify(); err == nil || !strings.Contains(err.Error(), "does not read it") {
+		t.Fatalf("verifier missed a user that does not read: %v", err)
+	}
+	b.removeUser(a)
+	// ... one counting a slot too many.
+	a.addUser(b)
+	if err := c.Verify(); err == nil || !strings.Contains(err.Error(), "slots") {
+		t.Fatalf("verifier missed a miscounted user edge: %v", err)
+	}
+	a.removeUser(b)
+	if err := c.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEinsumFactsAreBuiltOnceAndChecked: the builder and the parser
+// give an einsum its parsed spec and stats, Clone shares them, a query
+// on an instruction no Computation built derives them on the fly, and
+// Verify notices when the shapes they were derived from have moved.
+func TestEinsumFactsAreBuiltOnceAndChecked(t *testing.T) {
+	c := NewComputation("facts")
+	a := c.Parameter(0, "a", []int{8, 32})
+	b := c.Parameter(1, "b", []int{32, 16})
+	ein := c.Einsum("ik,kj->ij", a, b)
+	if ein.einsum == nil {
+		t.Fatal("the builder left an einsum without its facts")
+	}
+	if flops, minDim := ein.EinsumStats(); flops != 2*8*32*16 || minDim != 8 {
+		t.Fatalf("stats = %d flops, tiling dim %d", flops, minDim)
+	}
+	if cp := c.Clone().Find(ein.Name); cp.einsum != ein.einsum {
+		t.Fatal("Clone re-derived or dropped the einsum facts")
+	}
+	parsed, err := Parse(c.Format())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pe := parsed.Find(ein.Name); pe.einsum == nil || pe.einsum.flops != ein.einsum.flops {
+		t.Fatal("the parser left an einsum without its facts")
+	}
+	loose := &Instruction{Op: OpEinsum, Name: "loose", EinsumSpec: "ik,kj->ij",
+		Operands: []*Instruction{{Shape: []int{2, 3}}, {Shape: []int{3, 5}}}}
+	if flops, minDim := loose.EinsumStats(); flops != 2*2*3*5 || minDim != 2 || loose.einsum != nil {
+		t.Fatalf("unbuilt einsum: %d flops, tiling dim %d, kept %v", flops, minDim, loose.einsum)
+	}
+	if spec, err := ein.ParsedEinsum(); err != nil || spec.Output != "ij" {
+		t.Fatalf("ParsedEinsum = %v, %v", spec, err)
+	}
+
+	// Same output shape, different contraction: only the facts notice.
+	a.Shape[1], b.Shape[0] = 64, 64
+	if err := c.Verify(); err == nil || !strings.Contains(err.Error(), "einsum facts") {
+		t.Fatalf("verifier missed stale einsum facts: %v", err)
+	}
+	a.Shape[1], b.Shape[0] = 32, 32
+	// Replacing an operand by one of another shape drops them instead.
+	wide := c.Parameter(2, "wide", []int{8, 64})
+	ein.ReplaceOperand(a, wide)
+	if ein.einsum != nil {
+		t.Fatal("ReplaceOperand kept facts derived from the old operand's shape")
 	}
 }
 

@@ -30,11 +30,11 @@ func inferShape(in *Instruction) ([]int, error) {
 		if len(in.Operands) != 2 {
 			return nil, fmt.Errorf("einsum needs 2 operands, has %d", len(in.Operands))
 		}
-		spec, err := tensor.ParseEinsum(in.EinsumSpec)
+		facts, err := in.einsumFacts()
 		if err != nil {
 			return nil, err
 		}
-		return spec.OutputShape(in.Operands[0].Shape, in.Operands[1].Shape)
+		return facts.spec.OutputShape(in.Operands[0].Shape, in.Operands[1].Shape)
 
 	case OpAdd, OpMax:
 		if len(in.Operands) != 2 {
@@ -301,6 +301,67 @@ func inferShape(in *Instruction) ([]int, error) {
 		return in.Body.Root().Shape, nil
 	}
 	return nil, fmt.Errorf("unsupported opcode %v", in.Op)
+}
+
+// einsumFacts is what an einsum's spec text and operand shapes
+// determine: the parsed spec, the FLOP count and the matrix-unit tiling
+// dimension (min of the matmul view's M, N, K). Every cost query of
+// every scheduler and simulation reads them, so they are derived once,
+// when a Computation builds or parses the instruction, and never
+// written again: Clone shares the pointer, and concurrent readers of a
+// shared program need no lock.
+type einsumFacts struct {
+	text   string // the EinsumSpec these were parsed from
+	spec   tensor.EinsumSpec
+	flops  int64
+	minDim int
+}
+
+// einsumFacts returns the instruction's facts: the ones it carries
+// when they still describe its spec text, freshly derived ones (not
+// kept: reads never write) for an instruction no Computation built or
+// whose operands were replaced by differently shaped ones.
+func (in *Instruction) einsumFacts() (*einsumFacts, error) {
+	if f := in.einsum; f != nil && f.text == in.EinsumSpec {
+		return f, nil
+	}
+	return deriveEinsumFacts(in)
+}
+
+func deriveEinsumFacts(in *Instruction) (*einsumFacts, error) {
+	if in.Op != OpEinsum || len(in.Operands) != 2 {
+		return nil, fmt.Errorf("%s is not a two-operand einsum", in.Name)
+	}
+	spec, err := tensor.ParseEinsum(in.EinsumSpec)
+	if err != nil {
+		return nil, err
+	}
+	flops, m, n, k, err := spec.MatmulStats(in.Operands[0].Shape, in.Operands[1].Shape)
+	if err != nil {
+		return nil, err
+	}
+	return &einsumFacts{text: in.EinsumSpec, spec: spec, flops: flops, minDim: min(m, n, k)}, nil
+}
+
+// ParsedEinsum returns the einsum's parsed spec.
+func (in *Instruction) ParsedEinsum() (tensor.EinsumSpec, error) {
+	f, err := in.einsumFacts()
+	if err != nil {
+		return tensor.EinsumSpec{}, err
+	}
+	return f.spec, nil
+}
+
+// EinsumStats returns the einsum's FLOP count and its effective
+// matrix-unit tiling dimension: viewing it as a (batched) M×K·K×N
+// matmul, min(M, N, K). It panics on an instruction Verify would
+// reject.
+func (in *Instruction) EinsumStats() (flops int64, minDim int) {
+	f, err := in.einsumFacts()
+	if err != nil {
+		panic(fmt.Sprintf("hlo: einsum %s stats: %v", in.Name, err))
+	}
+	return f.flops, f.minDim
 }
 
 func unary(in *Instruction) ([]int, error) {

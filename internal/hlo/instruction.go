@@ -77,7 +77,11 @@ type Instruction struct {
 	// grows a region within the anchor's group; 0 means untagged.
 	Group int
 
-	users map[*Instruction]int // user -> number of operand slots referencing this
+	// users lists the instructions reading this one, in the order each
+	// first became a user. Fan-out is a handful, so a slice scanned
+	// linearly is both smaller and faster than a map, and Clone carves
+	// every instruction's list out of one allocation.
+	users []use
 
 	// Parameter.
 	ParamIndex int
@@ -91,6 +95,9 @@ type Instruction struct {
 	// every executor of the text reassociates the contraction the same.
 	EinsumSpec string
 	SplitK     int
+	// einsum is what EinsumSpec and the operand shapes determine (see
+	// einsumFacts). Built instructions carry it; Clone shares it.
+	einsum *einsumFacts
 
 	// Concat.
 	Axis int
@@ -132,12 +139,19 @@ type Instruction struct {
 	ResultIndex int
 }
 
-// Users returns the instructions that use this one as an operand, in an
-// unspecified order.
+// use is one user edge: the reading instruction and how many of its
+// operand slots name this one.
+type use struct {
+	user  *Instruction
+	slots int
+}
+
+// Users returns the instructions that use this one as an operand, in
+// the order each first became a user. The slice is the caller's.
 func (in *Instruction) Users() []*Instruction {
-	out := make([]*Instruction, 0, len(in.users))
-	for u := range in.users {
-		out = append(out, u)
+	out := make([]*Instruction, len(in.users))
+	for i, u := range in.users {
+		out[i] = u.user
 	}
 	return out
 }
@@ -145,10 +159,19 @@ func (in *Instruction) Users() []*Instruction {
 // NumUsers returns the number of distinct user instructions.
 func (in *Instruction) NumUsers() int { return len(in.users) }
 
+// User returns the i-th user in Users' order, for loops that only read.
+func (in *Instruction) User(i int) *Instruction { return in.users[i].user }
+
 // HasUser reports whether u uses in as an operand.
-func (in *Instruction) HasUser(u *Instruction) bool {
-	_, ok := in.users[u]
-	return ok
+func (in *Instruction) HasUser(u *Instruction) bool { return in.userIndex(u) >= 0 }
+
+func (in *Instruction) userIndex(u *Instruction) int {
+	for i := range in.users {
+		if in.users[i].user == u {
+			return i
+		}
+	}
+	return -1
 }
 
 // ReplaceOperand swaps every occurrence of old in the operand list for
@@ -161,21 +184,31 @@ func (in *Instruction) ReplaceOperand(old, new *Instruction) {
 			new.addUser(in)
 		}
 	}
+	if in.einsum != nil && !sameShape(old.Shape, new.Shape) {
+		in.einsum = nil // priced for the old shapes; queries recompute
+	}
 }
 
 func (in *Instruction) addUser(u *Instruction) {
-	if in.users == nil {
-		in.users = make(map[*Instruction]int)
+	if i := in.userIndex(u); i >= 0 {
+		in.users[i].slots++
+		return
 	}
-	in.users[u]++
+	in.users = append(in.users, use{u, 1})
 }
 
 func (in *Instruction) removeUser(u *Instruction) {
-	if n := in.users[u]; n > 1 {
-		in.users[u] = n - 1
-	} else {
-		delete(in.users, u)
+	i := in.userIndex(u)
+	if i < 0 {
+		return
 	}
+	if in.users[i].slots > 1 {
+		in.users[i].slots--
+		return
+	}
+	copy(in.users[i:], in.users[i+1:])
+	in.users[len(in.users)-1] = use{}
+	in.users = in.users[:len(in.users)-1]
 }
 
 // NumElements returns the element count of the instruction's result.

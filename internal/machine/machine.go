@@ -14,7 +14,6 @@ import (
 	"math"
 
 	"overlap/internal/hlo"
-	"overlap/internal/tensor"
 )
 
 // Spec describes one accelerator chip and its interconnect attachment.
@@ -350,7 +349,7 @@ func (s Spec) InstructionCost(in *hlo.Instruction) float64 {
 	case hlo.OpAllGather, hlo.OpReduceScatter, hlo.OpAllReduce, hlo.OpAllToAll, hlo.OpCollectivePermute:
 		return s.OpOverhead
 	case hlo.OpEinsum:
-		flops, minDim := EinsumStats(in)
+		flops, minDim := in.EinsumStats()
 		bytes := in.ByteSize()
 		for _, op := range in.Operands {
 			bytes += op.ByteSize()
@@ -395,7 +394,7 @@ func (s Spec) fusionCost(in *hlo.Instruction) float64 {
 		inner := in.Body.At(i)
 		switch inner.Op {
 		case hlo.OpEinsum:
-			f, m := EinsumStats(inner)
+			f, m := inner.EinsumStats()
 			flops += f
 			if minDim == 0 || m < minDim {
 				minDim = m
@@ -423,60 +422,4 @@ func (s Spec) fusionCost(in *hlo.Instruction) float64 {
 		return s.MemoryTime(bytes)
 	}
 	return s.EinsumTime(flops, bytes, minDim)
-}
-
-// EinsumStats returns the FLOP count and the effective matrix-unit
-// tiling dimension of an einsum instruction: viewing the einsum as a
-// (batched) M×K·K×N matmul — M the product of LHS-only output labels, N
-// the product of RHS-only output labels, K the product of contracted
-// labels — the efficiency-limiting dimension is min(M, N, K). Batch
-// labels do not limit tiling.
-func EinsumStats(in *hlo.Instruction) (flops int64, minDim int) {
-	spec, err := tensor.ParseEinsum(in.EinsumSpec)
-	if err != nil {
-		panic(fmt.Sprintf("machine: einsum %s has invalid spec %q", in.Name, in.EinsumSpec))
-	}
-	flops, err = spec.Flops(in.Operands[0].Shape, in.Operands[1].Shape)
-	if err != nil {
-		panic(fmt.Sprintf("machine: einsum %s stats: %v", in.Name, err))
-	}
-
-	sizes := map[byte]int{}
-	for side, labels := range spec.Inputs {
-		for i := 0; i < len(labels); i++ {
-			sizes[labels[i]] = in.Operands[side].Shape[i]
-		}
-	}
-	contains := func(s string, c byte) bool {
-		for i := 0; i < len(s); i++ {
-			if s[i] == c {
-				return true
-			}
-		}
-		return false
-	}
-	m, n, k := 1, 1, 1
-	for label, size := range sizes {
-		inL := contains(spec.Inputs[0], label)
-		inR := len(spec.Inputs) > 1 && contains(spec.Inputs[1], label)
-		inOut := contains(spec.Output, label)
-		switch {
-		case !inOut:
-			k *= size
-		case inL && inR:
-			// batch label: does not limit matrix-unit tiling
-		case inL:
-			m *= size
-		default:
-			n *= size
-		}
-	}
-	minDim = m
-	if n < minDim {
-		minDim = n
-	}
-	if k < minDim {
-		minDim = k
-	}
-	return flops, minDim
 }

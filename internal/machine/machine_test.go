@@ -259,7 +259,7 @@ func TestEinsumStats(t *testing.T) {
 	a := c.Parameter(0, "a", []int{8, 32})
 	b := c.Parameter(1, "b", []int{32, 16})
 	ein := c.Einsum("ik,kj->ij", a, b)
-	flops, minDim := EinsumStats(ein)
+	flops, minDim := ein.EinsumStats()
 	if flops != 2*8*32*16 {
 		t.Fatalf("flops = %d", flops)
 	}

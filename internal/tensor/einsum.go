@@ -25,32 +25,34 @@ func ParseEinsum(spec string) (EinsumSpec, error) {
 	if len(s.Inputs) < 1 || len(s.Inputs) > 2 {
 		return EinsumSpec{}, fmt.Errorf("einsum: spec %q must have one or two operands", spec)
 	}
-	seenAnywhere := map[byte]bool{}
+	var seenAnywhere labelSet
 	for _, in := range s.Inputs {
-		seenHere := map[byte]bool{}
+		var seenHere labelSet
 		for i := 0; i < len(in); i++ {
 			c := in[i]
 			if !isLabel(c) {
 				return EinsumSpec{}, fmt.Errorf("einsum: invalid label %q in spec %q", c, spec)
 			}
-			if seenHere[c] {
+			if seenHere.has(c) {
 				return EinsumSpec{}, fmt.Errorf("einsum: repeated label %q within one operand of %q", c, spec)
 			}
-			seenHere[c] = true
-			seenAnywhere[c] = true
+			seenHere.add(c)
 		}
+		seenAnywhere |= seenHere
 	}
+	var seenOut labelSet
 	for i := 0; i < len(s.Output); i++ {
 		c := s.Output[i]
 		if !isLabel(c) {
 			return EinsumSpec{}, fmt.Errorf("einsum: invalid output label %q in spec %q", c, spec)
 		}
-		if !seenAnywhere[c] {
+		if !seenAnywhere.has(c) {
 			return EinsumSpec{}, fmt.Errorf("einsum: output label %q not present in any operand of %q", c, spec)
 		}
-		if strings.Count(s.Output, string(c)) > 1 {
+		if seenOut.has(c) {
 			return EinsumSpec{}, fmt.Errorf("einsum: repeated output label %q in %q", c, spec)
 		}
+		seenOut.add(c)
 	}
 	return s, nil
 }
@@ -58,6 +60,33 @@ func ParseEinsum(spec string) (EinsumSpec, error) {
 func isLabel(c byte) bool {
 	return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 }
+
+// numLabels is the size of the label alphabet: a-z then A-Z.
+const numLabels = 52
+
+// labelIndex is a label's slot in a label-indexed table.
+func labelIndex(c byte) int {
+	if c >= 'a' {
+		return int(c - 'a')
+	}
+	return 26 + int(c-'A')
+}
+
+// labelSet is a set of labels, one bit per slot.
+type labelSet uint64
+
+func (s labelSet) has(c byte) bool { return s&(1<<labelIndex(c)) != 0 }
+func (s *labelSet) add(c byte)     { *s |= 1 << labelIndex(c) }
+
+// labelSizes is the size each label of a spec takes on given operand
+// shapes: a fixed table indexed by label, so a shape or cost query on a
+// spec allocates nothing.
+type labelSizes struct {
+	size    [numLabels]int
+	present labelSet
+}
+
+func (ls *labelSizes) of(c byte) int { return ls.size[labelIndex(c)] }
 
 // String reassembles the canonical spec text.
 func (s EinsumSpec) String() string {
@@ -106,7 +135,7 @@ func (s EinsumSpec) OutputShape(shapes ...[]int) ([]int, error) {
 	}
 	out := make([]int, len(s.Output))
 	for i := 0; i < len(s.Output); i++ {
-		out[i] = sizes[s.Output[i]]
+		out[i] = sizes.of(s.Output[i])
 	}
 	return out, nil
 }
@@ -119,31 +148,76 @@ func (s EinsumSpec) Flops(shapes ...[]int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return s.flops(&sizes), nil
+}
+
+func (s EinsumSpec) flops(sizes *labelSizes) int64 {
 	total := int64(1)
-	for _, size := range sizes {
-		total *= int64(size)
+	for i, size := range sizes.size {
+		if sizes.present&(1<<i) != 0 {
+			total *= int64(size)
+		}
 	}
 	if len(s.Inputs) == 2 {
 		total *= 2
 	}
-	return total, nil
+	return total
 }
 
-func (s EinsumSpec) labelSizes(shapes [][]int) (map[byte]int, error) {
-	if len(shapes) != len(s.Inputs) {
-		return nil, fmt.Errorf("einsum: %s expects %d operands, got %d", s, len(s.Inputs), len(shapes))
+// MatmulStats returns Flops and the spec's (batched) matmul view on the
+// given operand shapes: m the product of the output labels only the
+// first operand carries, n of those only the second carries, k of the
+// contracted labels. Labels both operands and the output carry are batch
+// dimensions and enter none of the three.
+func (s EinsumSpec) MatmulStats(shapes ...[]int) (flops int64, m, n, k int, err error) {
+	sizes, err := s.labelSizes(shapes)
+	if err != nil {
+		return 0, 0, 0, 0, err
 	}
-	sizes := map[byte]int{}
+	var lhs, rhs, out labelSet
+	for i := 0; i < len(s.Inputs[0]); i++ {
+		lhs.add(s.Inputs[0][i])
+	}
+	if len(s.Inputs) > 1 {
+		for i := 0; i < len(s.Inputs[1]); i++ {
+			rhs.add(s.Inputs[1][i])
+		}
+	}
+	for i := 0; i < len(s.Output); i++ {
+		out.add(s.Output[i])
+	}
+	m, n, k = 1, 1, 1
+	for i, size := range sizes.size {
+		switch bit := labelSet(1) << i; {
+		case sizes.present&bit == 0:
+		case out&bit == 0:
+			k *= size
+		case lhs&bit != 0 && rhs&bit != 0:
+		case lhs&bit != 0:
+			m *= size
+		default:
+			n *= size
+		}
+	}
+	return s.flops(&sizes), m, n, k, nil
+}
+
+func (s EinsumSpec) labelSizes(shapes [][]int) (labelSizes, error) {
+	var sizes labelSizes
+	if len(shapes) != len(s.Inputs) {
+		return sizes, fmt.Errorf("einsum: %s expects %d operands, got %d", s, len(s.Inputs), len(shapes))
+	}
 	for op, labels := range s.Inputs {
 		if len(labels) != len(shapes[op]) {
-			return nil, fmt.Errorf("einsum: operand %d of %s has rank %d, want %d", op, s, len(shapes[op]), len(labels))
+			return sizes, fmt.Errorf("einsum: operand %d of %s has rank %d, want %d", op, s, len(shapes[op]), len(labels))
 		}
 		for i := 0; i < len(labels); i++ {
 			c := labels[i]
-			if prev, ok := sizes[c]; ok && prev != shapes[op][i] {
-				return nil, fmt.Errorf("einsum: label %q size mismatch %d vs %d in %s", c, prev, shapes[op][i], s)
+			if prev := sizes.of(c); sizes.present.has(c) && prev != shapes[op][i] {
+				return sizes, fmt.Errorf("einsum: label %q size mismatch %d vs %d in %s", c, prev, shapes[op][i], s)
 			}
-			sizes[c] = shapes[op][i]
+			sizes.size[labelIndex(c)] = shapes[op][i]
+			sizes.present.add(c)
 		}
 	}
 	return sizes, nil
@@ -264,7 +338,7 @@ func einsumReference(out *Tensor, spec EinsumSpec, operands []*Tensor) {
 	labels := spec.Output + spec.ContractedLabels()
 	dims := make([]int, len(labels))
 	for i := 0; i < len(labels); i++ {
-		dims[i] = sizes[labels[i]]
+		dims[i] = sizes.of(labels[i])
 	}
 	strideFor := func(opLabels string, strides []int) []int {
 		res := make([]int, len(labels))
