@@ -89,28 +89,59 @@ func putBuf(p *[]float64) {
 // to 2x; an executor's buffers also recur at exactly the same sizes
 // run after run (the same program, the same shapes), so these lists
 // are keyed by exact element count. A pooled tensor is owned by exactly
-// one holder between NewPooled and Release; the lists are sync.Pools,
-// so buffers no run has asked for across two collections are dropped
-// rather than held.
-var (
-	freeMu    sync.RWMutex
-	freeLists = map[int]*sync.Pool{}
-)
+// one holder between NewPooled and Release.
+//
+// The lists hold their buffers strongly, most recently released on
+// top, and are bounded by bytes rather than by the collector: a
+// Release that would take them past maxFreeBytes empties every list
+// first, so sizes no run asks for any more cannot pin memory for good
+// and a working set under the bound is never re-allocated. They were
+// sync.Pools, which drop what sat idle across two collections; what a
+// run found in them then depended on where the collector's cycles fell
+// between two runs (one step of the benchmark's training workload
+// allocated 224, 326 or 365 KiB with nothing changed but GOGC).
+// maxFreeBytes is a variable only so that a test can lower it.
+var maxFreeBytes = 64 << 20
 
-func freeList(n int) *sync.Pool {
-	freeMu.RLock()
-	p := freeLists[n]
-	freeMu.RUnlock()
-	if p != nil {
-		return p
+var free struct {
+	sync.Mutex
+	lists map[int][]*Tensor // by element count
+	bytes int               // held by lists
+}
+
+// takeFree pops the most recently released n-element tensor, or nil.
+func takeFree(n int) *Tensor {
+	free.Lock()
+	defer free.Unlock()
+	l := free.lists[n]
+	if len(l) == 0 {
+		return nil
 	}
-	freeMu.Lock()
-	defer freeMu.Unlock()
-	if p = freeLists[n]; p == nil {
-		p = new(sync.Pool)
-		freeLists[n] = p
+	t := l[len(l)-1]
+	l[len(l)-1] = nil
+	free.lists[n] = l[:len(l)-1]
+	free.bytes -= 8 * n
+	return t
+}
+
+// putFree pushes t onto its list, emptying all of them first if t
+// would not fit under maxFreeBytes; a tensor larger than the bound on
+// its own is left to the collector.
+func putFree(t *Tensor) {
+	n := len(t.data)
+	free.Lock()
+	defer free.Unlock()
+	if free.bytes+8*n > maxFreeBytes {
+		free.lists, free.bytes = nil, 0
+		if 8*n > maxFreeBytes {
+			return
+		}
 	}
-	return p
+	if free.lists == nil {
+		free.lists = map[int][]*Tensor{}
+	}
+	free.lists[n] = append(free.lists[n], t)
+	free.bytes += 8 * n
 }
 
 // NewPooled returns a tensor of the given shape from the exact-size
@@ -124,9 +155,8 @@ func NewPooled(shape ...int) *Tensor {
 		}
 		n *= d
 	}
-	var t *Tensor
-	if v := freeList(n).Get(); v != nil {
-		t = v.(*Tensor)
+	t := takeFree(n)
+	if t != nil {
 		t.setShape(shape)
 	} else {
 		t = New(shape...)
@@ -148,5 +178,5 @@ func Release(t *Tensor) {
 		panic("tensor: Release of a tensor that is not pooled (or already released)")
 	}
 	t.pooled = false
-	freeList(len(t.data)).Put(t)
+	putFree(t)
 }

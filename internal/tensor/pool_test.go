@@ -1,0 +1,82 @@
+package tensor
+
+import (
+	"runtime"
+	"testing"
+)
+
+// resetFree empties the free lists, so a test sees only its own
+// buffers whatever ran before it.
+func resetFree() {
+	free.Lock()
+	free.lists, free.bytes = nil, 0
+	free.Unlock()
+}
+
+func freeBytes() int {
+	free.Lock()
+	defer free.Unlock()
+	return free.bytes
+}
+
+// TestFreeListsOutliveCollections pins what made a run's allocations
+// repeat: a released buffer is there for the next NewPooled of its size
+// however many collections fall in between (as sync.Pools the lists
+// lost it at the second one), most recently released first, and at any
+// shape of that size.
+func TestFreeListsOutliveCollections(t *testing.T) {
+	resetFree()
+	defer resetFree()
+	a, b := NewPooled(4, 6), NewPooled(4, 6)
+	Release(a)
+	Release(b)
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	if got := NewPooled(3, 8); got != b {
+		t.Fatal("the most recently released buffer did not survive three collections")
+	} else if got.Shape()[0] != 3 || got.Shape()[1] != 8 || !got.Pooled() {
+		t.Fatalf("recycled tensor has shape %v pooled=%v", got.Shape(), got.Pooled())
+	}
+	if got := NewPooled(24); got != a {
+		t.Fatal("the earlier released buffer did not survive three collections")
+	}
+	if got := NewPooled(24); got == a || got == b {
+		t.Fatal("a buffer was handed out twice")
+	}
+	if n := freeBytes(); n != 0 {
+		t.Fatalf("free lists account %d bytes with nothing in them", n)
+	}
+}
+
+// TestFreeListsBounded pins the bound: releases past maxFreeBytes empty
+// the lists instead of growing them, sizes nobody asks for again go with
+// them, and a tensor over the bound on its own is never kept.
+func TestFreeListsBounded(t *testing.T) {
+	defer func(b int) { maxFreeBytes = b; resetFree() }(maxFreeBytes)
+	maxFreeBytes = 1 << 20
+	resetFree()
+	const n = 16 << 10 // 128 KiB each
+	stale := NewPooled(7)
+	Release(stale)
+	held := make([]*Tensor, maxFreeBytes/(8*n)+1)
+	for i := range held {
+		held[i] = NewPooled(n)
+	}
+	for i, h := range held {
+		Release(h)
+		if got := freeBytes(); got > maxFreeBytes {
+			t.Fatalf("after %d releases the lists hold %d bytes, bound %d", i+1, got, maxFreeBytes)
+		}
+	}
+	if got := freeBytes(); got == 0 || got%(8*n) != 0 {
+		t.Fatalf("the lists hold %d bytes: want some of the %d-byte buffers and nothing else", got, 8*n)
+	}
+	if NewPooled(7) == stale {
+		t.Fatal("a size nobody asked for survived the flush")
+	}
+	Release(NewPooled(maxFreeBytes/8 + 1))
+	if got := freeBytes(); got != 0 {
+		t.Fatalf("a tensor over the bound on its own was kept: lists hold %d bytes", got)
+	}
+}
