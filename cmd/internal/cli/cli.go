@@ -86,8 +86,8 @@ var shared = []flagDef{
 	{"check", "cross-check runtime outputs bitwise against the lockstep interpreter", func(f *Flags) any { return &f.Check }},
 
 	{"topk", "candidates executed for real per tune, after simulator ranking", func(f *Flags) any { return &f.TopK }},
-	{"cache", "autotune decision cache file (default: per-user cache dir)", func(f *Flags) any { return &f.Cache }},
-	{"no-cache", "skip the on-disk decision cache", func(f *Flags) any { return &f.NoCache }},
+	{"cache", "plan store directory (default: <user cache dir>/overlap/plans)", func(f *Flags) any { return &f.Cache }},
+	{"no-cache", "skip the on-disk plan store", func(f *Flags) any { return &f.NoCache }},
 
 	{"attrib", "print the per-collective overlap attribution", func(f *Flags) any { return &f.Attrib }},
 	{"trace", "write the run's Chrome trace (Perfetto, chrome://tracing) to this file", func(f *Flags) any { return &f.Trace }},

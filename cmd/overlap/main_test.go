@@ -84,7 +84,7 @@ func children(t *testing.T) []int {
 // smokes grep for.
 func TestSubcommands(t *testing.T) {
 	dir := t.TempDir()
-	cache := filepath.Join(dir, "tune.json")
+	cache := filepath.Join(dir, "plans")
 	plan := filepath.Join(dir, "plan.json")
 	with := func(sub string, extra ...string) []string {
 		return append(append([]string{sub}, tiny...), extra...)
@@ -111,7 +111,27 @@ func TestSubcommands(t *testing.T) {
 	t.Run("tune cold then warm", func(t *testing.T) {
 		args := with("tune", "-topk", "1", "-cache", cache, "-plan-out", plan)
 		mustContain(t, args, 0, []string{"cache: cold", "wrote compiled plan"}, nil)
+		cold, err := os.ReadFile(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
 		mustContain(t, args, 0, []string{"warm hit", "0 runtime executions"}, nil)
+		// The warm run hands out the stored plan itself, timestamp and
+		// all: -plan-out and the store hold one record, not two builds.
+		warm, err := os.ReadFile(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(cold, warm) {
+			t.Errorf("-plan-out differs between the cold and the warm tune:\n%s\n%s", cold, warm)
+		}
+		stored, err := filepath.Glob(filepath.Join(cache, "*.json"))
+		if err != nil || len(stored) != 1 {
+			t.Fatalf("store holds %v (%v), want one plan file", stored, err)
+		}
+		if data, err := os.ReadFile(stored[0]); err != nil || !bytes.Equal(data, cold) {
+			t.Errorf("the stored plan is not the -plan-out bytes (%v)", err)
+		}
 	})
 	t.Run("run a tuned plan", func(t *testing.T) {
 		mustContain(t, []string{"run", "-plan-in", plan, "-timescale", "1", "-check"}, 0, []string{"plan      step", "[checked]"}, nil)

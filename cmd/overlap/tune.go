@@ -14,8 +14,8 @@ import (
 // of a miniature, rank them with the timing simulator, execute the best
 // few for real on the concurrent runtime, and print the winning
 // configuration, the predicted-vs-measured table, the fitted machine
-// calibration, and the decision-cache status. Tuning the same miniature
-// again answers from the cache without executing anything.
+// calibration, and the plan store's status. Tuning the same miniature
+// again answers from the stored plan without executing anything.
 func setupTune(fs *flag.FlagSet, stdout io.Writer) func() error {
 	f := cli.Defaults()
 	f.TimeScale = 500
@@ -55,18 +55,14 @@ func setupTune(fs *flag.FlagSet, stdout io.Writer) func() error {
 			if *planOut == "" {
 				return nil
 			}
-			plan, err := overlap.PlanFromResult(c, f.Devices, res)
-			if err != nil {
-				return err
-			}
-			data, err := plan.EncodeJSON()
+			data, err := res.Plan.EncodeJSON()
 			if err != nil {
 				return err
 			}
 			if err := os.WriteFile(*planOut, data, 0o644); err != nil {
 				return err
 			}
-			fmt.Fprintf(stdout, "wrote compiled plan to %s (fingerprint %s)\n", *planOut, plan.Fingerprint)
+			fmt.Fprintf(stdout, "wrote compiled plan to %s (fingerprint %s)\n", *planOut, res.Fingerprint)
 			return nil
 		})
 	}
@@ -77,7 +73,7 @@ func reportTune(w io.Writer, res *overlap.AutotuneResult) {
 	case res.CacheHit:
 		fmt.Fprintf(w, "cache: warm hit (%s) — 0 runtime executions\n", res.CachePath)
 	case res.CachePath != "":
-		fmt.Fprintf(w, "cache: cold (%s) — decision stored\n", res.CachePath)
+		fmt.Fprintf(w, "cache: cold (%s) — plan stored\n", res.CachePath)
 	default:
 		fmt.Fprintln(w, "cache: disabled")
 	}

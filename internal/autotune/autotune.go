@@ -44,10 +44,14 @@
 // bandwidth and per-op overhead so simulated and measured times track
 // each other, and reports the residual error of the fit (calibrate.go).
 //
-// Tuning the same program on the same machine twice is free: decisions
-// persist in a JSON cache keyed by (program fingerprint, machine spec
-// fingerprint, device count), and a warm hit performs zero runtime
-// executions (cache.go).
+// A tuning decision has one record, the Plan (plan.go), produced once:
+// where stage 2 picks its winner, from the program it executed. Every
+// Result carries it. The plan store keeps it in two tiers under one key
+// (Key): the daemon's in-memory LRU (serve.planCache) and a directory of
+// plan files, one per fingerprint (cache.go) — the same bytes -plan-out
+// writes and -plan-in reads. Tuning a fingerprint the directory holds
+// answers from the stored plan: no pipeline stage, no simulation, no
+// execution.
 package autotune
 
 import (
@@ -86,11 +90,11 @@ type Options struct {
 	// wall-clock is kept, damping scheduler noise. Zero means 1.
 	Repeats int
 
-	// CachePath overrides the decision-cache location; empty means the
+	// CachePath names the plan store's directory; empty means the
 	// per-user default (DefaultCachePath).
 	CachePath string
 
-	// DisableCache skips both cache lookup and store.
+	// DisableCache skips both the store's lookup and its write.
 	DisableCache bool
 
 	// Calibrate fits the machine spec to the measured breakdowns and
@@ -170,19 +174,22 @@ type Result struct {
 	// time (modeled seconds) and measured step time (wall seconds).
 	PredictedWall, MeasuredWall float64
 
+	// Plan is the decision's record: the winner as stage 2 executed it,
+	// or, on a CacheHit, the stored plan as it was read.
+	Plan *Plan
+
 	// Candidates lists every enumerated configuration, sorted by
-	// predicted step time (errored candidates last).
+	// predicted step time (errored candidates last); empty on a
+	// CacheHit, when no search ran.
 	Candidates []Candidate
-	// Executions counts runtime runs performed; zero on a warm cache
-	// hit.
+	// Executions counts runtime runs performed; zero on a CacheHit.
 	Executions int
 
-	// CacheHit reports the decision came from the cache; CachePath is
-	// where the cache lives (empty when disabled).
+	// CacheHit reports the plan came from the store's directory;
+	// CachePath is that directory (empty when the disk tier is off).
 	CacheHit  bool
 	CachePath string
-	// Fingerprint identifies the (program, spec, devices) key the
-	// decision is cached under.
+	// Fingerprint is the key the plan is stored under (see Key).
 	Fingerprint string
 
 	// Calibration is the fitted rescaling of the machine spec (identity
@@ -257,12 +264,15 @@ func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tenso
 
 	atTunes.Inc()
 
-	// Warm path: a cached decision answers without touching the runtime.
+	// Warm path: a stored plan answers without compiling, simulating or
+	// executing anything.
 	if !opts.DisableCache {
 		res.CachePath = cachePath(opts)
-		if entry, ok := cacheLookup(res.CachePath, res.Fingerprint); ok {
+	}
+	if res.CachePath != "" {
+		if plan := loadPlan(res.CachePath, key, numDevices); plan != nil {
 			atCacheHits.Inc()
-			entry.fill(res, opts.Spec)
+			res.fromPlan(plan, opts.Spec)
 			obs.Log().Info("autotune.tune", "run_id", res.RunID,
 				"fingerprint", res.Fingerprint, "cache_hit", true, "best", res.BestName)
 			return res, nil
@@ -279,7 +289,8 @@ func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tenso
 	atCandidates.Add(float64(len(res.Candidates)))
 
 	// Stage 2: execute the top-K (plus the paper's default) for real.
-	if err := stage2(res, s, args, opts); err != nil {
+	winner, err := stage2(res, s, args, opts)
+	if err != nil {
 		return nil, err
 	}
 	atExecutions.Add(float64(res.Executions))
@@ -291,9 +302,11 @@ func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tenso
 		}
 	}
 
-	if !opts.DisableCache {
-		if err := cacheStore(res.CachePath, res.Fingerprint, numDevices, res); err != nil {
-			return nil, fmt.Errorf("autotune: storing decision: %w", err)
+	// The one place a Plan is made: from the program stage 2 executed.
+	res.Plan = newPlan(res, numDevices, winner)
+	if res.CachePath != "" {
+		if err := storePlan(res.CachePath, res.Plan); err != nil {
+			return nil, fmt.Errorf("autotune: storing plan: %w", err)
 		}
 	}
 	obs.Log().Info("autotune.tune", "run_id", res.RunID,
@@ -372,12 +385,13 @@ func stage2Set(ranked []Candidate, topK int, spec machine.Spec) []int {
 
 // stage2 executes the top-K unique candidates — forcing the paper's
 // DefaultOptions configuration into the set so the tuned result can
-// never be slower than it in the same measurement session — and picks
-// the fastest by wall-clock.
-func stage2(res *Result, s *search, args [][]*tensor.Tensor, opts Options) error {
+// never be slower than it in the same measurement session — picks the
+// fastest by wall-clock and returns its program: the one that was
+// executed and checked, not a rebuild of it.
+func stage2(res *Result, s *search, args [][]*tensor.Tensor, opts Options) (*hlo.Computation, error) {
 	toRun := stage2Set(res.Candidates, opts.TopK, opts.Spec)
 	if len(toRun) == 0 {
-		return fmt.Errorf("autotune: no candidate survived stage 1 (first error: %s)", firstErr(res.Candidates))
+		return nil, fmt.Errorf("autotune: no candidate survived stage 1 (first error: %s)", firstErr(res.Candidates))
 	}
 
 	// Only now does a program leave the search tree: each candidate to
@@ -391,11 +405,11 @@ func stage2(res *Result, s *search, args [][]*tensor.Tensor, opts Options) error
 		cand := &res.Candidates[i]
 		prog, err := s.materialise(cand)
 		if err != nil {
-			return fmt.Errorf("autotune: materialising %s: %w", cand.Name, err)
+			return nil, fmt.Errorf("autotune: materialising %s: %w", cand.Name, err)
 		}
 		progs[k] = prog
 		if exes[k], err = runtime.Compile(prog, numDevices, opts.Spec); err != nil {
-			return fmt.Errorf("autotune: executing %s: %w", cand.Name, err)
+			return nil, fmt.Errorf("autotune: executing %s: %w", cand.Name, err)
 		}
 	}
 	s.releaseTree()
@@ -412,24 +426,24 @@ func stage2(res *Result, s *search, args [][]*tensor.Tensor, opts Options) error
 		warm.Release()
 	}
 
-	best := -1
+	best := -1 // position in toRun
 	for k, i := range toRun {
 		cand, prog := &res.Candidates[i], progs[k]
 		want, err := sim.Interpret(prog, numDevices, args)
 		if err != nil {
-			return fmt.Errorf("autotune: interpreting %s: %w", cand.Name, err)
+			return nil, fmt.Errorf("autotune: interpreting %s: %w", cand.Name, err)
 		}
 		for r := 0; r < opts.Repeats; r++ {
 			ropts.RunID = fmt.Sprintf("%s.%s.r%d", opts.RunID, cand.Name, r)
 			run, err := exes[k].Run(ctx, args, ropts)
 			if err != nil {
-				return fmt.Errorf("autotune: executing %s: %w", cand.Name, err)
+				return nil, fmt.Errorf("autotune: executing %s: %w", cand.Name, err)
 			}
 			res.Executions++
 			if r == 0 {
 				for d := range want {
 					if !run.Values[d].Equal(want[d]) {
-						return fmt.Errorf("autotune: %s: device %d diverges bitwise from the interpreter", cand.Name, d)
+						return nil, fmt.Errorf("autotune: %s: device %d diverges bitwise from the interpreter", cand.Name, d)
 					}
 				}
 				cand.Checked = true
@@ -443,18 +457,18 @@ func stage2(res *Result, s *search, args [][]*tensor.Tensor, opts Options) error
 			}
 			cand.Executed = true
 		}
-		if best < 0 || cand.MeasuredWall < res.Candidates[best].MeasuredWall {
-			best = i
+		if best < 0 || cand.MeasuredWall < res.Candidates[toRun[best]].MeasuredWall {
+			best = k
 		}
 	}
 
-	w := res.Candidates[best]
+	w := res.Candidates[toRun[best]]
 	res.Best = w.Opts
 	res.BestIsBaseline = w.Baseline
 	res.BestName = w.Name
 	res.PredictedWall = w.Predicted.StepTime
 	res.MeasuredWall = w.MeasuredWall
-	return nil
+	return progs[best], nil
 }
 
 // coversFingerprint reports whether this candidate is, or canonically

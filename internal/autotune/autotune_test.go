@@ -1,6 +1,8 @@
 package autotune_test
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -58,7 +60,7 @@ func tuneOpts(t *testing.T) autotune.Options {
 		Spec:      machine.TPUv4(),
 		TopK:      2,
 		TimeScale: 50,
-		CachePath: filepath.Join(t.TempDir(), "autotune.json"),
+		CachePath: filepath.Join(t.TempDir(), "plans"),
 	}
 }
 
@@ -136,9 +138,10 @@ func TestTuneSite(t *testing.T) {
 	}
 }
 
-// TestWarmCacheZeroExecutions pins the decision cache contract: a
-// second Tune of the same (program, spec, devices) returns the stored
-// decision and performs zero runtime executions.
+// TestWarmCacheZeroExecutions pins the plan store's contract: a second
+// Tune of the same (program, spec, devices) returns the stored plan —
+// the cold tune's, field for field — and performs zero runtime
+// executions.
 func TestWarmCacheZeroExecutions(t *testing.T) {
 	const n = 4
 	c, args := site(n, 2)
@@ -166,8 +169,15 @@ func TestWarmCacheZeroExecutions(t *testing.T) {
 	if !warm.BestIsBaseline && warm.Best.Fingerprint() != cold.Best.Fingerprint() {
 		t.Fatalf("warm options %s != cold %s", warm.Best.Fingerprint(), cold.Best.Fingerprint())
 	}
-	if warm.Calibration != cold.Calibration {
-		t.Fatalf("calibration not restored from cache: %+v != %+v", warm.Calibration, cold.Calibration)
+	if warm.Calibration != cold.Calibration || warm.Residual != cold.Residual {
+		t.Fatalf("calibration not restored from the store: %+v (residual %v) != %+v (residual %v)",
+			warm.Calibration, warm.Residual, cold.Calibration, cold.Residual)
+	}
+	if warm.PredictedWall != cold.PredictedWall || warm.MeasuredWall != cold.MeasuredWall {
+		t.Fatal("step times not restored from the store")
+	}
+	if *warm.Plan != *cold.Plan {
+		t.Fatalf("warm tune returned a different plan than the cold tune stored:\n%+v\n%+v", warm.Plan, cold.Plan)
 	}
 
 	// A different device count is a different decision.
@@ -192,13 +202,14 @@ func TestWarmCacheZeroExecutions(t *testing.T) {
 	}
 }
 
-// TestCacheCorruptionTolerated checks a rotten cache file degrades to a
+// TestCacheCorruptionTolerated checks a rotten plan file degrades to a
 // cold tune instead of an error, and is repaired by the store.
 func TestCacheCorruptionTolerated(t *testing.T) {
 	const n = 4
 	c, args := site(n, 3)
 	opts := tuneOpts(t)
-	if err := writeFile(opts.CachePath, "{not json"); err != nil {
+	name := fmt.Sprintf("%x.json", sha256.Sum256([]byte(autotune.Key(c, opts.Spec, n))))
+	if err := writeFile(filepath.Join(opts.CachePath, name), "{not json"); err != nil {
 		t.Fatal(err)
 	}
 	res, err := autotune.Tune(c, n, args, opts)
@@ -285,7 +296,7 @@ func TestTuneMiniatures(t *testing.T) {
 				Spec:      spec,
 				TopK:      2,
 				TimeScale: 25,
-				CachePath: filepath.Join(t.TempDir(), "cache.json"),
+				CachePath: filepath.Join(t.TempDir(), "plans"),
 			})
 			if err != nil {
 				t.Fatalf("%s/%d: %v", cfg.Name, n, err)
@@ -418,10 +429,7 @@ func TestTuneIsDeterministic(t *testing.T) {
 				if !wonExecuted {
 					t.Fatalf("%s: winner %q was not executed", p.Name, res.BestName)
 				}
-				plan, err := autotune.PlanFromResult(p.Comp, p.Devices, res)
-				if err != nil {
-					t.Fatalf("%s: %v", p.Name, err)
-				}
+				plan := res.Plan
 				if first == nil {
 					first = got
 				}

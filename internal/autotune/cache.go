@@ -2,43 +2,27 @@ package autotune
 
 import (
 	"crypto/sha256"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
-	"time"
 
-	"overlap/internal/core"
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
 	"overlap/internal/obs"
 	"overlap/internal/tensor"
 )
 
-// cacheVersion invalidates every stored decision when the entry layout
-// or the meaning of a knob changes. Version 2: keys gained the kernel
-// worker count, which changes measured runtimes. Version 3: keys gained
-// the telemetry-instrumentation toggle (recording overhead shifts
-// measured spans) and entries encode knobs via core.Knobs. Version 4:
-// the knob space gained GradBucketBytes (gradient bucketing), so
-// decisions made over the smaller space are stale. Version 5: the knob
-// space gained KernelSplitK (the kernel engine's planned split-K
-// factor) and keys gained the ambient factor, so older decisions
-// neither searched the factor nor recorded the environment it ran in.
-// Version 6: keys lost the ambient factor again — the tuned factor is
-// stamped into the program text, so no ambient value affects a plan.
-const cacheVersion = 6
-
-// DefaultCachePath returns where decisions persist when Options does
-// not say otherwise: <user cache dir>/overlap/autotune.json, falling
-// back to the temp dir when the platform reports no cache dir.
+// DefaultCachePath returns the plan store's directory when Options does
+// not name one: <user cache dir>/overlap/plans. A platform that reports
+// no per-user cache dir gets no disk tier ("") — a stored plan's program
+// text is executed, so it is never loaded from a shared temp dir.
 func DefaultCachePath() string {
 	base, err := os.UserCacheDir()
 	if err != nil {
-		base = os.TempDir()
+		return ""
 	}
-	return filepath.Join(base, "overlap", "autotune.json")
+	return filepath.Join(base, "overlap", "plans")
 }
 
 func cachePath(opts Options) string {
@@ -48,16 +32,16 @@ func cachePath(opts Options) string {
 	return DefaultCachePath()
 }
 
-// Key is the decision identity a (program, machine, environment) tuple
-// tunes and caches under: program shape, machine spec, ring size, the
+// Key is the identity a (program, machine, environment) tuple tunes and
+// stores its plan under: program shape, machine spec, ring size, the
 // einsum-kernel worker count (intra-op parallelism shifts measured
 // compute spans, which shifts which overlap plan wins), and whether
 // telemetry instrumentation is recording (its bounded overhead still
 // moves measured spans). Anything else (TopK, repeats, wire scale) only
 // affects how hard the search looks, not what it is searching for.
-// Every plan- or decision-cache layer must key with this one function
-// so a SetKernelWorkers or obs.SetEnabled change can never serve a
-// stale decision.
+// Both tiers of the plan store key with this one function so a
+// SetKernelWorkers or obs.SetEnabled change can never serve a stale
+// plan.
 func Key(c *hlo.Computation, spec machine.Spec, numDevices int) string {
 	return KeyOf(ProgramFingerprint(c), spec, numDevices)
 }
@@ -77,111 +61,54 @@ func KeyOf(programFingerprint string, spec machine.Spec, numDevices int) string 
 		programFingerprint, specFP, numDevices, tensor.KernelWorkers(), instr)
 }
 
-// cacheEntry is one persisted decision.
-type cacheEntry struct {
-	BestName       string              `json:"best_name"`
-	Baseline       bool                `json:"baseline,omitempty"`
-	Options        core.Knobs          `json:"options"`
-	PredictedSec   float64             `json:"predicted_sec"`
-	MeasuredSec    float64             `json:"measured_sec"`
-	Calibration    machine.Calibration `json:"calibration"`
-	Residual       float64             `json:"residual"`
-	Created        string              `json:"created"`
-	Devices        int                 `json:"devices"`
-	SpecName       string              `json:"spec_name"`
-	SearchedUnique int                 `json:"searched_unique"`
+// planPath is where the store keeps the plan compiled under key: one
+// file per fingerprint, so a lookup reads one file, a store writes one,
+// and stores of different plans — from one process or several — never
+// touch each other's.
+func planPath(dir, key string) string {
+	return filepath.Join(dir, fmt.Sprintf("%x.json", sha256.Sum256([]byte(key))))
 }
 
-// fill reconstitutes a warm-cache Result from a stored entry: the
-// decision and calibration come back, but no candidates, because no
-// search ran.
-func (e cacheEntry) fill(res *Result, spec machine.Spec) {
-	res.CacheHit = true
-	res.BestName = e.BestName
-	res.BestIsBaseline = e.Baseline
-	res.Best = e.Options.Options(spec)
-	res.PredictedWall = e.PredictedSec
-	res.MeasuredWall = e.MeasuredSec
-	res.Residual = e.Residual
-	if e.Calibration != (machine.Calibration{}) {
-		res.Calibration = e.Calibration
-		res.CalibratedSpec = e.Calibration.Apply(spec)
-	}
-}
-
-type cacheFile struct {
-	Version int                   `json:"version"`
-	Entries map[string]cacheEntry `json:"entries"`
-}
-
-// loadCache reads the cache file; a missing, unreadable, corrupt, or
-// version-mismatched file degrades to an empty cache — tuning must
-// never fail because a cache rotted. A file that exists but does not
-// parse (e.g. truncated by a crash mid-write before writes were atomic)
-// is counted as corrupt so the poisoning is visible in telemetry.
-func loadCache(path string) cacheFile {
-	empty := cacheFile{Version: cacheVersion, Entries: map[string]cacheEntry{}}
-	data, err := os.ReadFile(path)
+// loadPlan returns the plan stored under key, or nil: a missing file and
+// one written under another PlanVersion are plain misses; one that does
+// not decode, or that is not the plan asked for (another fingerprint or
+// ring size under this name), is a miss counted as corruption. Either
+// way the next store overwrites it — tuning never fails because the
+// store rotted.
+func loadPlan(dir, key string, numDevices int) *Plan {
+	data, err := os.ReadFile(planPath(dir, key))
 	if err != nil {
-		return empty
+		return nil
 	}
-	var f cacheFile
-	if json.Unmarshal(data, &f) != nil || f.Entries == nil {
+	p, err := DecodePlan(data)
+	switch {
+	case errors.Is(err, errPlanVersion):
+		return nil
+	case err != nil, p.Fingerprint != key, p.Devices != numDevices:
 		atCacheCorrupt.Inc()
-		return empty
+		return nil
 	}
-	if f.Version != cacheVersion {
-		return empty
-	}
-	return f
+	return p
 }
 
-func cacheLookup(path, key string) (cacheEntry, bool) {
-	e, ok := loadCache(path).Entries[key]
-	return e, ok
-}
-
-// cacheStoreMu serialises load → merge → rename within this process:
-// the daemon compiles distinct fingerprints on concurrent goroutines,
-// and unserialised stores to one file each rename over the others'
-// entries.
-var cacheStoreMu sync.Mutex
-
-// cacheStore merges the decision into the cache file, creating the
-// directory as needed. Stores from separate processes may still
-// interleave read-modify-write; the loser's older entries survive
-// because the file is re-read immediately before writing.
-func cacheStore(path, key string, numDevices int, res *Result) error {
-	cacheStoreMu.Lock()
-	defer cacheStoreMu.Unlock()
-	f := loadCache(path)
-	f.Entries[key] = cacheEntry{
-		BestName:       res.BestName,
-		Baseline:       res.BestIsBaseline,
-		Options:        res.Best.Knobs(),
-		PredictedSec:   res.PredictedWall,
-		MeasuredSec:    res.MeasuredWall,
-		Calibration:    res.Calibration,
-		Residual:       res.Residual,
-		Created:        time.Now().UTC().Format(time.RFC3339),
-		Devices:        numDevices,
-		SpecName:       res.CalibratedSpec.Name,
-		SearchedUnique: countUnique(res.Candidates),
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(f, "", "  ")
+// storePlan writes the plan under its fingerprint — the bytes -plan-out
+// writes and -plan-in reads — creating the directory, private to the
+// user, as needed.
+func storePlan(dir string, p *Plan) error {
+	data, err := p.EncodeJSON()
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(path, data)
+	if err := os.MkdirAll(dir, 0o700); err != nil {
+		return err
+	}
+	return writeFileAtomic(planPath(dir, p.Fingerprint), data)
 }
 
 // writeFileAtomic replaces path's contents via a temp file in the same
 // directory and a rename, so a crash mid-write can never leave a
-// half-written JSON that poisons every later run: readers see either
-// the old cache or the new one, never a torn file.
+// half-written plan and concurrent stores of one key need no lock:
+// readers see one whole plan or another, never a torn file.
 func writeFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".autotune-*.tmp")
@@ -197,9 +124,6 @@ func writeFileAtomic(path string, data []byte) error {
 	if _, err := tmp.Write(data); err != nil {
 		return err
 	}
-	if err := tmp.Chmod(0o644); err != nil {
-		return err
-	}
 	if err := tmp.Close(); err != nil {
 		return err
 	}
@@ -210,14 +134,4 @@ func writeFileAtomic(path string, data []byte) error {
 		return err
 	}
 	return nil
-}
-
-func countUnique(cands []Candidate) int {
-	n := 0
-	for _, c := range cands {
-		if c.Err == "" && c.DuplicateOf == "" {
-			n++
-		}
-	}
-	return n
 }

@@ -1,7 +1,6 @@
 package autotune
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,54 +9,87 @@ import (
 	"testing"
 )
 
-// TestLoadCacheCorruptCounted pins the degradation contract: a cache
-// file that fails to parse loads as empty (cold tune, never an error)
-// and bumps the corruption counter so the poisoning shows up in
-// telemetry. A version mismatch is a deliberate invalidation, not rot,
-// and must load cold without touching the counter.
-func TestLoadCacheCorruptCounted(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "autotune.json")
-
-	before := atCacheCorrupt.Value()
-	if f := loadCache(path); len(f.Entries) != 0 {
-		t.Fatalf("missing file loaded %d entries", len(f.Entries))
-	}
-	if atCacheCorrupt.Value() != before {
-		t.Fatal("a missing cache file was counted as corrupt")
-	}
-
-	for _, junk := range []string{"{not json", `"a bare string"`, `{"version":2}`} {
-		if err := os.WriteFile(path, []byte(junk), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		before = atCacheCorrupt.Value()
-		f := loadCache(path)
-		if len(f.Entries) != 0 {
-			t.Fatalf("corrupt cache %q loaded %d entries", junk, len(f.Entries))
-		}
-		if f.Version != cacheVersion {
-			t.Fatalf("corrupt cache %q did not reset to version %d", junk, cacheVersion)
-		}
-		if atCacheCorrupt.Value() != before+1 {
-			t.Fatalf("corrupt cache %q did not bump the corruption counter", junk)
-		}
-	}
-
-	stale := cacheFile{Version: cacheVersion - 1, Entries: map[string]cacheEntry{"k": {}}}
-	data, err := json.Marshal(stale)
+// goldenPlan decodes the committed plan fixture: a valid plan to store,
+// corrupt and load.
+func goldenPlan(t *testing.T) *Plan {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "plan.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	p, err := DecodePlan(data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	before = atCacheCorrupt.Value()
-	if f := loadCache(path); len(f.Entries) != 0 {
-		t.Fatal("version-mismatched cache returned entries")
+	return p
+}
+
+// TestLoadCacheCorruptCounted pins the degradation contract, one plan
+// file at a time: a file that does not decode, or that holds a plan
+// other than the one asked for, loads as a miss (cold tune, never an
+// error) and bumps the corruption counter once, so the poisoning shows
+// up in telemetry. A missing file is a plain miss, and a PlanVersion
+// mismatch is a deliberate invalidation, not rot: neither touches the
+// counter. Whatever was there, the next store overwrites it.
+func TestLoadCacheCorruptCounted(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "plans")
+	good := goldenPlan(t)
+	key, devices := good.Fingerprint, good.Devices
+	encode := func(edit func(*Plan)) string {
+		p := *good
+		edit(&p)
+		data, err := p.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
 	}
-	if atCacheCorrupt.Value() != before {
-		t.Fatal("a version mismatch was counted as corruption")
+
+	for _, tc := range []struct {
+		name, content string
+		corrupt       bool
+	}{
+		{"missing file", "", false},
+		{"torn JSON", "{not json", true},
+		{"not an object", `"a bare string"`, true},
+		{"program does not parse", encode(func(p *Plan) { p.Program = "site {\n  %g = f32[] all-gather()\n}\n" }), true},
+		{"another fingerprint", encode(func(p *Plan) { p.Fingerprint = "someone else's" }), true},
+		{"another ring size", encode(func(p *Plan) { p.Devices = devices + 1 }), true},
+		{"older version", encode(func(p *Plan) { p.Version = PlanVersion - 1 }), false},
+	} {
+		if tc.content != "" {
+			if err := os.MkdirAll(dir, 0o700); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(planPath(dir, key), []byte(tc.content), 0o600); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := atCacheCorrupt.Value()
+		if p := loadPlan(dir, key, devices); p != nil {
+			t.Fatalf("%s: loaded a plan", tc.name)
+		}
+		want := before
+		if tc.corrupt {
+			want++
+		}
+		if got := atCacheCorrupt.Value(); got != want {
+			t.Fatalf("%s: corruption counter moved %v -> %v, want %v", tc.name, before, got, want)
+		}
+		if err := storePlan(dir, good); err != nil {
+			t.Fatalf("%s: store over it: %v", tc.name, err)
+		}
+		if p := loadPlan(dir, key, devices); p == nil || p.Program != good.Program {
+			t.Fatalf("%s: the next store did not replace it", tc.name)
+		}
+	}
+
+	info, err := os.Stat(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perm := info.Mode().Perm(); perm&0o077 != 0 {
+		t.Fatalf("store directory is %v: program text must not sit where others can write", perm)
 	}
 }
 
@@ -67,12 +99,12 @@ func TestLoadCacheCorruptCounted(t *testing.T) {
 // either the success or the failure path.
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "autotune.json")
+	path := filepath.Join(dir, "plan.json")
 	if err := os.WriteFile(path, []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	want := []byte(`{"version":2,"entries":{}}`)
+	want := []byte(`{"version":3}`)
 	if err := writeFileAtomic(path, want); err != nil {
 		t.Fatal(err)
 	}
@@ -83,53 +115,50 @@ func TestWriteFileAtomic(t *testing.T) {
 	if string(got) != string(want) {
 		t.Fatalf("read back %q, want %q", got, want)
 	}
-	var parsed cacheFile
-	if err := json.Unmarshal(got, &parsed); err != nil {
-		t.Fatalf("replaced file is not valid JSON: %v", err)
-	}
+	noTemp(t, dir, "a successful write")
 
+	// Failure path: a directory that does not exist must error without
+	// dropping a temp file anywhere visible.
+	if err := writeFileAtomic(filepath.Join(dir, "missing", "plan.json"), want); err == nil {
+		t.Fatal("write into a missing directory succeeded")
+	}
+	noTemp(t, dir, "a failed write")
+}
+
+func noTemp(t *testing.T, dir, after string) {
+	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
 		if strings.Contains(e.Name(), ".tmp") {
-			t.Fatalf("temp file %s left behind after a successful write", e.Name())
-		}
-	}
-
-	// Failure path: a directory that does not exist must error without
-	// dropping a temp file anywhere visible.
-	if err := writeFileAtomic(filepath.Join(dir, "missing", "autotune.json"), want); err == nil {
-		t.Fatal("write into a missing directory succeeded")
-	}
-	entries, err = os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.Contains(e.Name(), ".tmp") {
-			t.Fatalf("temp file %s left behind after a failed write", e.Name())
+			t.Fatalf("temp file %s left behind after %s", e.Name(), after)
 		}
 	}
 }
 
 // TestCacheStoreConcurrentKeepsAll is the daemon's cold burst: one
 // compile goroutine per distinct fingerprint, all storing into one
-// cache file. Every decision must survive — load → merge → rename is
-// serialised, so no store renames over another's entry.
+// directory, plus several storing one fingerprint at once (two daemons
+// sharing a store). Every plan must load afterwards — each has its own
+// file, and racing writers of one file each rename a whole plan into
+// place — and no temp file may survive.
 func TestCacheStoreConcurrentKeepsAll(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "autotune.json")
-	const stores = 32
-	keys := make([]string, stores)
-	errs := make([]error, stores)
+	dir := filepath.Join(t.TempDir(), "plans")
+	good := goldenPlan(t)
+	const distinct, same = 32, 8
+	keys := make([]string, distinct+same)
+	errs := make([]error, len(keys))
 	var wg sync.WaitGroup
 	for i := range keys {
-		keys[i] = fmt.Sprintf("prog%02d|n=4", i)
+		keys[i] = fmt.Sprintf("prog%02d|n=2", min(i, distinct))
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = cacheStore(path, keys[i], 4, &Result{BestName: keys[i]})
+			p := *good
+			p.Fingerprint = keys[i]
+			errs[i] = storePlan(dir, &p)
 		}(i)
 	}
 	wg.Wait()
@@ -138,10 +167,10 @@ func TestCacheStoreConcurrentKeepsAll(t *testing.T) {
 			t.Fatalf("store %d: %v", i, err)
 		}
 	}
-	f := loadCache(path)
 	for _, k := range keys {
-		if e, ok := f.Entries[k]; !ok || e.BestName != k {
-			t.Errorf("entry %s lost (file holds %d of %d)", k, len(f.Entries), stores)
+		if p := loadPlan(dir, k, good.Devices); p == nil || p.Fingerprint != k {
+			t.Errorf("plan %s lost", k)
 		}
 	}
+	noTemp(t, dir, "the burst")
 }

@@ -14,9 +14,11 @@ import (
 //
 //   - core.Apply is the stage table run in order and the search walks
 //     the same table through its prefix memo, so the one core.Apply call
-//     here is ApplyBest's (PlanFromResult goes through it). The
-//     per-candidate Clone → Apply → Format → Simulate loop survives only
-//     as the oracle in search_test.go;
+//     here is ApplyBest's, for a caller that wants the winning knobs on
+//     its own graph. A plan is made from the program stage 2 executed,
+//     never by applying the winner again; that rebuild, and the
+//     per-candidate Clone → Apply → Format → Simulate loop, survive only
+//     as oracles in plan_test.go and search_test.go;
 //   - search.go keys programs by TextDigest and never builds their text;
 //   - search.go clones a program where a stage is about to rewrite it
 //     (build), where one leaves the tree (materialise) and to un-stamp

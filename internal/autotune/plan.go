@@ -2,6 +2,7 @@ package autotune
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -16,22 +17,28 @@ import (
 // misread. The golden test in plan_test.go pins the JSON layout.
 // Version 2: the kernel split-K factor lives in Program (splitk= on
 // each einsum); a v1 plan with Knobs.KernelSplitK >= 2 has an unstamped
-// program and would execute unsplit.
-const PlanVersion = 2
+// program and would execute unsplit. Version 3: plans carry Residual,
+// so a stored plan restores everything a warm Result reports.
+const PlanVersion = 3
 
-// Plan is the immutable compiled artifact the serving path executes: the
-// fully transformed (partitioned, decomposed, scheduled) program text,
-// the knob configuration that produced it, and the calibration the tune
-// fitted — everything needed to run the program with zero further
-// compilation. A Plan is a pure function of its Fingerprint (program
-// shape, machine spec, device count, kernel workers, instrumentation
-// toggle), which is exactly what makes it cacheable: the daemon's LRU,
-// the on-disk decision cache, and the -plan-out/-plan-in CLI round-trip
-// all carry this one artifact.
+// errPlanVersion marks a plan written under another PlanVersion: a
+// deliberate invalidation, which the store tells apart from rot.
+var errPlanVersion = errors.New("recompile the plan")
+
+// Plan is the one record of a tuning decision: the program stage 2
+// executed and checked bitwise against the interpreter, as text, with
+// the knobs that produced it, its predicted and measured step times and
+// the calibration the tune fitted — everything needed to run the winner
+// with zero further compilation. tune is its only producer. It is a
+// pure function of its Fingerprint (program shape, machine spec, device
+// count, kernel workers, instrumentation toggle), which is what makes it
+// storable: the daemon's in-memory LRU holds it, the disk tier keeps one
+// file of EncodeJSON bytes per fingerprint, and -plan-out/-plan-in move
+// the same bytes by hand.
 type Plan struct {
 	// Version is PlanVersion at encode time; Decode rejects mismatches.
 	Version int `json:"version"`
-	// Fingerprint is the autotune cache key the plan was compiled under
+	// Fingerprint is the key the plan was compiled and is stored under
 	// (see Key).
 	Fingerprint string `json:"fingerprint"`
 	// Devices is the ring size the program was compiled for.
@@ -53,16 +60,17 @@ type Plan struct {
 	PredictedSec float64 `json:"predicted_sec"`
 	MeasuredSec  float64 `json:"measured_sec"`
 	// Calibration is the fitted machine rescaling (identity when the
-	// tune did not calibrate).
+	// tune did not calibrate) and Residual the fit's RMS relative
+	// step-time error (-1 when there was no fit).
 	Calibration machine.Calibration `json:"calibration"`
+	Residual    float64             `json:"residual"`
 	// Created is the compile timestamp (RFC 3339, UTC); empty in golden
 	// fixtures.
 	Created string `json:"created,omitempty"`
 }
 
-// Compile runs the full pipeline — tune (answering from the decision
-// cache when warm), apply the winner to a clone, capture the schedule —
-// and freezes the result into a Plan. c is not modified.
+// Compile tunes c — or answers from the plan store when it holds c's
+// fingerprint — and returns the Plan. c is not modified.
 func Compile(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options) (*Plan, error) {
 	return CompileKeyed("", c, numDevices, args, opts)
 }
@@ -77,19 +85,12 @@ func CompileKeyed(key string, c *hlo.Computation, numDevices int, args [][]*tens
 	if err != nil {
 		return nil, err
 	}
-	return PlanFromResult(c, numDevices, res)
+	return res.Plan, nil
 }
 
-// PlanFromResult freezes an already-computed tuning decision into a
-// Plan without re-searching: the winner is applied to a clone of c and
-// the transformed schedule captured as text. This is the path the CLIs
-// use after reporting a Tune, so -plan-out costs one Apply, not a
-// second search.
-func PlanFromResult(c *hlo.Computation, numDevices int, res *Result) (*Plan, error) {
-	transformed := c.Clone()
-	if _, err := res.ApplyBest(transformed); err != nil {
-		return nil, fmt.Errorf("autotune: applying tuned options: %w", err)
-	}
+// newPlan freezes a finished search: prog is the winner as stage 2
+// materialised and executed it.
+func newPlan(res *Result, numDevices int, prog *hlo.Computation) *Plan {
 	return &Plan{
 		Version:      PlanVersion,
 		Fingerprint:  res.Fingerprint,
@@ -98,12 +99,29 @@ func PlanFromResult(c *hlo.Computation, numDevices int, res *Result) (*Plan, err
 		BestName:     res.BestName,
 		Baseline:     res.BestIsBaseline,
 		Knobs:        res.Best.Knobs(),
-		Program:      transformed.Format(),
+		Program:      prog.Format(),
 		PredictedSec: res.PredictedWall,
 		MeasuredSec:  res.MeasuredWall,
 		Calibration:  res.Calibration,
+		Residual:     res.Residual,
 		Created:      time.Now().UTC().Format(time.RFC3339),
-	}, nil
+	}
+}
+
+// fromPlan makes res the answer a stored plan gives: the decision, its
+// timings and the calibration come back, but no candidates, because no
+// search ran.
+func (res *Result) fromPlan(p *Plan, spec machine.Spec) {
+	res.Plan = p
+	res.CacheHit = true
+	res.BestName = p.BestName
+	res.BestIsBaseline = p.Baseline
+	res.Best = p.Knobs.Options(spec)
+	res.PredictedWall = p.PredictedSec
+	res.MeasuredWall = p.MeasuredSec
+	res.Calibration = p.Calibration
+	res.CalibratedSpec = p.Calibration.Apply(spec)
+	res.Residual = p.Residual
 }
 
 // Computation parses the plan's transformed program back into an
@@ -134,18 +152,23 @@ func (p *Plan) EncodeJSON() ([]byte, error) {
 }
 
 // DecodePlan parses a serialized Plan, rejecting version mismatches and
-// artifacts whose embedded program no longer parses — a truncated or
-// hand-edited plan must fail loudly here, not misexecute later.
+// artifacts whose embedded program does not parse and verify — a
+// truncated or hand-edited plan must fail loudly here, not misexecute
+// later.
 func DecodePlan(data []byte) (*Plan, error) {
 	var p Plan
 	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("autotune: plan does not parse: %w", err)
 	}
 	if p.Version != PlanVersion {
-		return nil, fmt.Errorf("autotune: plan version %d, want %d (recompile the plan)", p.Version, PlanVersion)
+		return nil, fmt.Errorf("autotune: plan version %d, want %d (%w)", p.Version, PlanVersion, errPlanVersion)
 	}
-	if _, err := p.Computation(); err != nil {
+	c, err := p.Computation()
+	if err != nil {
 		return nil, err
+	}
+	if err := c.Verify(); err != nil {
+		return nil, fmt.Errorf("autotune: plan program is malformed: %w", err)
 	}
 	if p.Devices < 1 {
 		return nil, fmt.Errorf("autotune: plan has no device count")

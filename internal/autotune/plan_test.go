@@ -4,11 +4,13 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	goruntime "runtime"
 	"strings"
 	"testing"
 
 	"overlap/internal/autotune"
 	"overlap/internal/core"
+	"overlap/internal/corpus"
 	"overlap/internal/machine"
 	"overlap/internal/obs"
 	"overlap/internal/runtime"
@@ -38,6 +40,7 @@ func TestPlanGoldenJSON(t *testing.T) {
 		PredictedSec: 0.001,
 		MeasuredSec:  0.002,
 		Calibration:  machine.Identity(),
+		Residual:     0.125,
 		// Created deliberately empty: golden fixtures are timeless.
 	}
 	got, err := p.EncodeJSON()
@@ -58,7 +61,7 @@ func TestPlanGoldenJSON(t *testing.T) {
 	if string(want) != string(got) {
 		t.Fatalf("Plan JSON schema changed; bump PlanVersion and run with -update if intended.\n--- got ---\n%s", got)
 	}
-	if !strings.Contains(string(got), `"version": 2`) {
+	if !strings.Contains(string(got), `"version": 3`) {
 		t.Fatal("serialized plan does not carry the version field")
 	}
 
@@ -130,6 +133,88 @@ func TestPlanCompileExecutes(t *testing.T) {
 	}
 }
 
+// TestPlanIsTheExecutedProgram pins the single producer over the corpus:
+// the plan a tune hands out carries the text of the program stage 2
+// materialised, executed and checked — which is, byte for byte, what the
+// whole pipeline run on a fresh clone under the winning knobs prints (the
+// rebuild the tuner used to do to make a plan, kept here as the oracle) —
+// and the artifact survives its own encoding unchanged.
+func TestPlanIsTheExecutedProgram(t *testing.T) {
+	progs, err := corpus.Programs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := autotune.Options{Spec: machine.TPUv4(), TopK: 2, TimeScale: -1, DisableCache: true, Calibrate: true}
+	for _, p := range progs {
+		if p.Long() {
+			continue
+		}
+		plan, err := autotune.Compile(p.Comp, p.Devices, miniArgs(p.Comp, 7), opts)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		rebuilt := p.Comp.Clone()
+		if !plan.Baseline {
+			if _, err := core.Apply(rebuilt, plan.Options(opts.Spec)); err != nil {
+				t.Fatalf("%s: %v", p.Name, err)
+			}
+		}
+		if want := rebuilt.Format(); plan.Program != want {
+			t.Errorf("%s: winner %s: the plan's program is not the pipeline's:\n--- plan ---\n%s--- pipeline ---\n%s",
+				p.Name, plan.BestName, plan.Program, want)
+		}
+		data, err := plan.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := autotune.DecodePlan(data)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		if *back != *plan {
+			t.Errorf("%s: plan did not round-trip:\n%+v\n%+v", p.Name, back, plan)
+		}
+		exec, err := back.Computation()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exec.Format() != plan.Program {
+			t.Errorf("%s: the plan's program does not print back as itself", p.Name)
+		}
+	}
+}
+
+// TestWarmCompileDoesNoPipelineWork is the disk tier's reason to exist,
+// as allocation: compiling a fingerprint the store holds reads one file
+// and parses one program — under a tenth of what the search allocated.
+func TestWarmCompileDoesNoPipelineWork(t *testing.T) {
+	if corpus.RaceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	c, args := site(4, 9)
+	opts := tuneOpts(t)
+	opts.Calibrate = true
+	allocated := func() (*autotune.Plan, uint64) {
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		plan, err := autotune.Compile(c, 4, args, opts)
+		goruntime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan, after.TotalAlloc - before.TotalAlloc
+	}
+	cold, coldBytes := allocated()
+	warm, warmBytes := allocated()
+	if *warm != *cold {
+		t.Fatal("the warm compile returned a different plan")
+	}
+	t.Logf("cold %d KiB, warm %d KiB", coldBytes>>10, warmBytes>>10)
+	if warmBytes*10 >= coldBytes {
+		t.Fatalf("warm compile allocated %d KiB, cold %d KiB: a stored plan must cost under a tenth of a search", warmBytes>>10, coldBytes>>10)
+	}
+}
+
 // TestDecodePlanRejects pins the failure modes: wrong version, torn
 // JSON, and an embedded program that no longer parses must all error.
 func TestDecodePlanRejects(t *testing.T) {
@@ -146,11 +231,12 @@ func TestDecodePlanRejects(t *testing.T) {
 	if _, err := autotune.DecodePlan(good[:len(good)/2]); err == nil {
 		t.Fatal("truncated plan decoded")
 	}
-	// A v1 plan predates the stamped split-K factor: its program would
-	// execute unsplit whatever its knobs say, so it must fail closed.
-	stale := strings.Replace(string(good), `"version": 2`, `"version": 1`, 1)
-	if _, err := autotune.DecodePlan([]byte(stale)); err == nil || !strings.Contains(err.Error(), "plan version 1, want 2") {
-		t.Fatalf("v1 plan: got %v, want the version error", err)
+	// A plan of an older version may mean something else by the same
+	// fields (a v1 program is unstamped and would execute unsplit
+	// whatever its knobs say), so it must fail closed.
+	stale := strings.Replace(string(good), `"version": 3`, `"version": 2`, 1)
+	if _, err := autotune.DecodePlan([]byte(stale)); err == nil || !strings.Contains(err.Error(), "plan version 2, want 3 (recompile the plan)") {
+		t.Fatalf("v2 plan: got %v, want the version error", err)
 	}
 	corrupt := *plan
 	corrupt.Program = "this is not an hlo computation"
@@ -161,6 +247,61 @@ func TestDecodePlanRejects(t *testing.T) {
 	if _, err := autotune.DecodePlan(bad); err == nil {
 		t.Fatal("plan with a corrupt program decoded")
 	}
+}
+
+// TestDecodePlanMalformedProgram: a plan file is outside input, and its
+// program is the part that gets executed. Text the IR builder panics on
+// must fail the decode with the parser's line-numbered error, and text
+// that parses but is not a well-formed program must fail Verify there
+// too — not in whoever runs the plan.
+func TestDecodePlanMalformedProgram(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "plan.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := autotune.DecodePlan(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, program, want string }{
+		{"operandless collective", "m {\n  %p = f32[] parameter()\n  %g = f32[] all-gather()\n}", "hlo: line 3: "},
+		{"missing einsum label", "m {\n  %a = f32[2 2] parameter(), index=0\n  %e = f32[2 2] einsum(%a, %a), spec=\"ab,bc->ad\"\n}", "hlo: line 3: "},
+		{"one-operand add", "m {\n  %a = f32[2] parameter(), index=0\n  %s = f32[2] add(%a)\n}", "hlo: line 3: "},
+		{"parses, does not verify", "m {\n  %a = f32[2] parameter(), index=0\n  %r = f32[3] reshape(%a)\n}", ""},
+	} {
+		p := *good
+		p.Program = tc.program
+		data, err := p.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back, err := autotune.DecodePlan(data); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: DecodePlan returned (%v, %v), want an error containing %q", tc.name, back, err, tc.want)
+		}
+	}
+}
+
+// FuzzDecodePlan follows a plan file as far as overlap run -plan-in and
+// the plan store take it — decode, parse, compile for the runtime — and
+// every step must end in a plan or an error. The seeds under
+// testdata/fuzz are the plan fixture, a plan around each of core's five
+// goldens and around each malformed text above; plain go test replays
+// them.
+func FuzzDecodePlan(f *testing.F) {
+	spec := machine.TPUv4()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := autotune.DecodePlan(data)
+		if err != nil {
+			return
+		}
+		c, err := p.Computation()
+		if err != nil {
+			t.Fatalf("a decoded plan's program does not parse: %v", err)
+		}
+		if p.Devices <= 16 {
+			_, _ = runtime.Compile(c, p.Devices, spec)
+		}
+	})
 }
 
 // TestKeyTracksEnvironment pins that the decision/plan cache key moves

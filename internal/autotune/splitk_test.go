@@ -80,7 +80,7 @@ func TestTuneSearchesSplitK(t *testing.T) {
 		Spec:      machine.TPUv4(),
 		TopK:      4,
 		TimeScale: 50,
-		CachePath: filepath.Join(t.TempDir(), "autotune.json"),
+		CachePath: filepath.Join(t.TempDir(), "plans"),
 	}
 	res, err := autotune.Tune(c, n, args, opts)
 	if err != nil {

@@ -156,8 +156,8 @@ func mustValidSpec(spec machine.Spec) {
 // rewrite-changing booleans and the scheduler, with JSON tags pinned by
 // golden tests. The machine spec is deliberately excluded — persisted
 // artifacts key on the spec fingerprint and re-attach a live Spec on
-// decode — so one encoding serves the autotune decision cache, the
-// compiled Plan artifact, and the serving daemon.
+// decode — so one encoding serves the compiled Plan artifact, its
+// store, and the serving daemon.
 type Knobs struct {
 	Scheduler             string `json:"scheduler"`
 	Unroll                bool   `json:"unroll,omitempty"`

@@ -12,18 +12,28 @@ import (
 // is a bug, not an input error.
 
 func (c *Computation) build(in *Instruction) *Instruction {
+	built, err := c.tryBuild(in)
+	if err != nil {
+		panic("hlo: " + err.Error())
+	}
+	return built
+}
+
+// tryBuild is build for the parser, whose instructions are input: a
+// malformed one is an error and the computation is left as it was.
+func (c *Computation) tryBuild(in *Instruction) (*Instruction, error) {
 	if in.Op == OpEinsum {
 		// A malformed einsum is inferShape's to report.
 		in.einsum, _ = deriveEinsumFacts(in)
 	}
 	shape, err := inferShape(in)
 	if err != nil {
-		panic(fmt.Sprintf("hlo: building %s in %s: %v", in.Op, c.Name, err))
+		return nil, fmt.Errorf("building %s in %s: %v", in.Op, c.Name, err)
 	}
 	if in.Op != OpParameter && in.Op != OpReshape && in.Op != OpZero {
 		in.Shape = shape
 	}
-	return c.add(in)
+	return c.add(in), nil
 }
 
 // Parameter declares computation input number index with the given shape.

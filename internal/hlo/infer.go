@@ -298,7 +298,11 @@ func inferShape(in *Instruction) ([]int, error) {
 				return nil, fmt.Errorf("fusion operand %d shape %v mismatches body parameter %v", i, in.Operands[i].Shape, p.Shape)
 			}
 		}
-		return in.Body.Root().Shape, nil
+		root := in.Body.Root()
+		if root == nil {
+			return nil, fmt.Errorf("fusion body is empty")
+		}
+		return root.Shape, nil
 	}
 	return nil, fmt.Errorf("unsupported opcode %v", in.Op)
 }

@@ -18,10 +18,12 @@ func Parse(text string) (*Computation, error) {
 	lines := strings.Split(text, "\n")
 	// Drop leading comment/blank lines (hlodump prefixes reports with
 	// // comments) and trailing blanks.
+	first := 1
 	for len(lines) > 0 {
 		t := strings.TrimSpace(lines[0])
 		if t == "" || strings.HasPrefix(t, "//") {
 			lines = lines[1:]
+			first++
 			continue
 		}
 		break
@@ -29,7 +31,7 @@ func Parse(text string) (*Computation, error) {
 	for len(lines) > 0 && strings.TrimSpace(lines[len(lines)-1]) == "" {
 		lines = lines[:len(lines)-1]
 	}
-	c, rest, err := parseComputation(lines)
+	c, rest, err := parseComputation(lines, first)
 	if err != nil {
 		return nil, err
 	}
@@ -47,8 +49,11 @@ var (
 )
 
 // parseComputation consumes one "name { ... }" block from lines and
-// returns the remaining lines.
-func parseComputation(lines []string) (*Computation, []string, error) {
+// returns the remaining lines. first is the text's line number of
+// lines[0]. The text comes from outside the program — a plan file, a
+// request body — so an instruction the builder methods would panic on
+// is an error naming its line.
+func parseComputation(lines []string, first int) (*Computation, []string, error) {
 	if len(lines) == 0 {
 		return nil, nil, fmt.Errorf("hlo: empty input")
 	}
@@ -60,7 +65,7 @@ func parseComputation(lines []string) (*Computation, []string, error) {
 	byName := map[string]*Instruction{}
 	i := 1
 	for ; i < len(lines); i++ {
-		line := strings.TrimRight(lines[i], " ")
+		line, at := strings.TrimRight(lines[i], " "), first+i
 		if line == "}" {
 			return c, lines[i+1:], nil
 		}
@@ -100,7 +105,7 @@ func parseComputation(lines []string) (*Computation, []string, error) {
 				}
 				bodyLines = append(bodyLines, strings.TrimPrefix(trimmed, "    | "))
 			}
-			body, rest, err := parseComputation(bodyLines)
+			body, rest, err := parseComputation(bodyLines, at+1)
 			if err != nil {
 				return nil, nil, fmt.Errorf("hlo: body of %s: %w", name, err)
 			}
@@ -111,7 +116,10 @@ func parseComputation(lines []string) (*Computation, []string, error) {
 			i = j - 1
 		}
 
-		built := c.build(in)
+		built, err := c.tryBuild(in)
+		if err != nil {
+			return nil, nil, fmt.Errorf("hlo: line %d: %w", at, err)
+		}
 		byName[built.Name] = built
 	}
 	return nil, nil, fmt.Errorf("hlo: computation %s not closed", c.Name)
@@ -150,6 +158,16 @@ func applyAttrs(in *Instruction, attrs string) error {
 		vals, err := parseFloats(cut(attrs, "value="))
 		if err != nil {
 			return err
+		}
+		// Checked before FromValues sizes a tensor by the declared shape;
+		// in floating point, so an absurd shape cannot overflow into
+		// agreement.
+		n := 1.0
+		for _, d := range in.Shape {
+			n *= float64(d)
+		}
+		if n != float64(len(vals)) {
+			return fmt.Errorf("constant of shape %v has %d values", in.Shape, len(vals))
 		}
 		in.Literal = tensor.FromValues(in.Shape, vals)
 		return nil

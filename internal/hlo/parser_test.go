@@ -160,6 +160,42 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseMalformedIsAnError: program text comes from plan files and
+// request bodies, so an instruction the builder methods panic on — they
+// serve compiler passes, where a bad shape is a bug — must come back from
+// Parse as an error naming its line, bodies included.
+func TestParseMalformedIsAnError(t *testing.T) {
+	for _, tc := range []struct{ name, text, want string }{
+		{"operandless collective", "m {\n  %p = f32[] parameter()\n  %g = f32[] all-gather()\n}", "hlo: line 3: "},
+		{"missing einsum label", "m {\n  %a = f32[2 2] parameter(), index=0\n  %e = f32[2 2] einsum(%a, %a), spec=\"ab,bc->ad\"\n}", "hlo: line 3: "},
+		{"one-operand add", "// dumped by hand\nm {\n  %a = f32[2] parameter(), index=0\n  %s = f32[2] add(%a)\n}", "hlo: line 4: "},
+		{"inside a body", "m {\n  %a = f32[2] parameter(), index=0\n  %f = f32[2] fusion(%a)\n    | b {\n    |   %p = f32[2] parameter(), index=0\n    |   %s = f32[2] add(%p)\n    | }\n}", "hlo: line 6: "},
+		{"empty fusion body", "m {\n  %f = f32[2] fusion()\n    | b {\n    | }\n}", "hlo: line 2: "},
+		{"constant sized by its shape, not its values", "m {\n  %k = f32[99999 99999] constant(), value=[1]\n}", "has 1 values"},
+	} {
+		c, err := Parse(tc.text)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Parse returned (%v, %v), want an error containing %q", tc.name, c, err, tc.want)
+		}
+	}
+}
+
+// FuzzParse: whatever the text, Parse returns a computation or an error;
+// what it returns can be verified and printed. The seeds under
+// testdata/fuzz are core's five goldens, the plan fixture's program and
+// the malformed texts above; plain go test replays them.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, text string) {
+		c, err := Parse(text)
+		if err != nil {
+			return
+		}
+		if c.Verify() == nil {
+			_ = c.Format()
+		}
+	})
+}
+
 func TestParseRejectsTrailing(t *testing.T) {
 	c := NewComputation("one")
 	c.Parameter(0, "a", []int{2})

@@ -60,12 +60,11 @@ func shapeOf(req *Request) requestShape {
 }
 
 // planCache is a fixed-capacity LRU of compiled plans keyed by the
-// autotune fingerprint. It is the in-memory tier above the on-disk
-// decision cache: the disk cache spares tuning *executions*, this cache
-// spares the whole compile (tune + apply + parse + lower). A run failure
-// never evicts anything — plans are pure functions of their
-// fingerprint, so a failed run says nothing about the plan (see the
-// poisoning regression test).
+// autotune fingerprint: the plan store's memory tier, above autotune's
+// directory of plan files. The disk tier spares the search; this one
+// also spares the parse and the lowering. A run failure never evicts
+// anything — plans are pure functions of their fingerprint, so a failed
+// run says nothing about the plan (see the poisoning regression test).
 //
 // Each entry also remembers the request shapes that resolved to it, with
 // the ProgramFingerprint of the graph they build, so a known shape names

@@ -10,8 +10,11 @@
 //
 //   - a compiled Plan artifact (autotune.Plan): the transformed,
 //     scheduled program frozen to text with its knobs and calibration,
-//     held in an in-memory LRU keyed by the autotune fingerprint and
-//     backed by the on-disk decision cache. A cache entry holds
+//     held in an in-memory LRU keyed by the autotune fingerprint, the
+//     memory tier of a plan store whose disk tier is a directory of
+//     plan files. A plan reaches the runtime the same way whether it
+//     came from a search or from that directory: parsed, then
+//     runtime.Compile. A cache entry holds
 //     everything that is a function of the plan — the artifact, its
 //     parsed computation, the runtime.Executable that computation was
 //     validated and lowered into, and the request shapes known to
@@ -85,8 +88,10 @@ type Config struct {
 	// PlanCacheSize bounds the in-memory compiled-plan LRU (default 64).
 	PlanCacheSize int
 
-	// CachePath / DisableDiskCache control the autotune decision cache
-	// backing the plan cache (empty path = per-user default).
+	// CachePath / DisableDiskCache control the plan store's disk tier
+	// under the plan cache: a directory of plan files (empty path =
+	// per-user default), which is what lets a restarted daemon answer
+	// a fingerprint it has compiled before without compiling.
 	CachePath        string
 	DisableDiskCache bool
 
@@ -800,6 +805,9 @@ type program struct {
 func (s *Server) resolve(req *Request) (*program, error) {
 	if req.Program != "" {
 		c, err := hlo.Parse(req.Program)
+		if err == nil {
+			err = c.Verify()
+		}
 		if err != nil {
 			return nil, fmt.Errorf("serve: program does not parse: %w", err)
 		}

@@ -7,11 +7,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"overlap/internal/autotune"
+	"overlap/internal/obs"
 	"overlap/internal/sim"
 	"overlap/internal/tensor"
 )
@@ -339,6 +342,86 @@ func TestRequestValidation(t *testing.T) {
 		if resp.StatusCode != tc.status {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.status)
 		}
+	}
+}
+
+// TestMalformedInlineProgramIs400 sends program text the builder methods
+// panic on — a collective with no operand, an einsum whose spec names a
+// label no operand has, a one-operand add. Each must come back as a
+// structured 400 naming the line, on both endpoints that take a program,
+// and the daemon must go on serving.
+func TestMalformedInlineProgramIs400(t *testing.T) {
+	_, ts := newTestServer(t, testConfig())
+	for name, program := range map[string]string{
+		"operandless collective": "m {\n  %p = f32[] parameter()\n  %g = f32[] all-gather()\n}",
+		"missing einsum label":   "m {\n  %a = f32[2 2] parameter(), index=0\n  %e = f32[2 2] einsum(%a, %a), spec=\"ab,bc->ad\"\n}",
+		"one-operand add":        "m {\n  %a = f32[2] parameter(), index=0\n  %s = f32[2] add(%a)\n}",
+	} {
+		for _, endpoint := range []string{"/v1/run", "/v1/compile"} {
+			body, err := json.Marshal(Request{Program: program, Devices: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+endpoint, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatalf("%s %s: the daemon dropped the connection: %v", name, endpoint, err)
+			}
+			var eb errorBody
+			err = json.NewDecoder(resp.Body).Decode(&eb)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || err != nil || !strings.Contains(eb.Error, "hlo: line 3: ") {
+				t.Errorf("%s %s: status %d, body %+v (decode: %v); want a 400 naming line 3", name, endpoint, resp.StatusCode, eb, err)
+			}
+		}
+	}
+	if _, _, _, err := postRun(ts, miniatureRequest()); err != nil {
+		t.Fatalf("the daemon stopped serving after malformed programs: %v", err)
+	}
+}
+
+// TestRestartedDaemonAnswersFromDisk restarts the daemon over one plan
+// store: the second server has an empty plan cache, so its first request
+// for a shape the first server compiled goes through the compile closure
+// — and comes out of the store's directory. No candidate is simulated,
+// none executed; the stored plan reaches the runtime by the path a fresh
+// one takes and gives the first server's digest, checked against the
+// interpreter.
+func TestRestartedDaemonAnswersFromDisk(t *testing.T) {
+	cfg := testConfig()
+	cfg.DisableDiskCache = false
+	cfg.CachePath = filepath.Join(t.TempDir(), "plans")
+	req := miniatureRequest()
+	req.Check = true
+
+	_, first := newTestServer(t, cfg)
+	cold, _, _, err := postRun(first, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	counter := func(name string) float64 { return obs.Default().Counter(name, "").Value() }
+	executions, simulated, hits := counter("overlap_autotune_executions_total"),
+		counter("overlap_sim_instructions_total"), counter("overlap_autotune_cache_hits_total")
+
+	_, second := newTestServer(t, cfg)
+	warm, _, _, err := postRun(second, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Plan != "miss" {
+		t.Fatalf("the restarted daemon's plan cache answered (%q): the request never reached the store", warm.Plan)
+	}
+	if d := counter("overlap_autotune_executions_total") - executions; d != 0 {
+		t.Errorf("the restarted daemon executed %v candidates for a stored plan", d)
+	}
+	if d := counter("overlap_sim_instructions_total") - simulated; d != 0 {
+		t.Errorf("the restarted daemon simulated %v instructions for a stored plan", d)
+	}
+	if d := counter("overlap_autotune_cache_hits_total") - hits; d != 1 {
+		t.Errorf("the store answered %v times, want 1", d)
+	}
+	if warm.Fingerprint != cold.Fingerprint || warm.BestName != cold.BestName || warm.Digest != cold.Digest || !warm.Checked {
+		t.Errorf("restarted daemon answered %+v, first daemon %+v", warm, cold)
 	}
 }
 

@@ -256,32 +256,27 @@ func MaybeTransportWorker() { runtime.MaybeWorker() }
 // computation fastest: candidates are ranked by the timing simulator,
 // the best few are run for real on the goroutine runtime (cross-checked
 // against the interpreter), and the winner is picked by measured
-// wall-clock. Decisions persist in a JSON cache keyed by (program,
-// machine spec, device count), so re-tuning an unchanged program
-// returns instantly without executing anything. c is not modified;
-// apply the winner with result.ApplyBest(c).
+// wall-clock. The result carries the decision's one record, result.Plan
+// — the winning program as it was executed — and the plan is stored
+// under its fingerprint in a directory of plan files, so re-tuning an
+// unchanged program returns the stored plan without compiling or
+// executing anything. c is not modified; result.ApplyBest(c) applies
+// the winning knobs to it.
 func Autotune(c *Computation, numDevices int, args [][]*Tensor, opts AutotuneOptions) (*AutotuneResult, error) {
 	return autotune.Tune(c, numDevices, args, opts)
 }
 
-// CompilePlan runs the full pipeline — tune (answering from the
-// decision cache when warm), apply the winner, capture the schedule —
-// and freezes the result into an immutable, serializable Plan: the
-// artifact the daemon caches, the CLIs round-trip via -plan-out /
-// -plan-in, and Plan.Computation re-executes with zero compilation.
+// CompilePlan is Autotune returning only the Plan: the immutable,
+// serializable artifact the daemon caches, the plan store keeps on
+// disk, the CLIs round-trip via -plan-out / -plan-in, and
+// Plan.Computation re-executes with zero compilation.
 func CompilePlan(c *Computation, numDevices int, args [][]*Tensor, opts AutotuneOptions) (*Plan, error) {
 	return autotune.Compile(c, numDevices, args, opts)
 }
 
 // DecodePlan parses a serialized Plan, rejecting version mismatches and
-// artifacts whose embedded program no longer parses.
+// artifacts whose embedded program does not parse and verify.
 func DecodePlan(data []byte) (*Plan, error) { return autotune.DecodePlan(data) }
-
-// PlanFromResult freezes an already-computed Autotune decision into a
-// Plan without re-searching (one Apply on a clone of c).
-func PlanFromResult(c *Computation, numDevices int, res *AutotuneResult) (*Plan, error) {
-	return autotune.PlanFromResult(c, numDevices, res)
-}
 
 // PlanKey returns the fingerprint a computation compiles and caches
 // under: program shape, machine spec, device count, kernel workers, and

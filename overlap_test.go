@@ -122,7 +122,7 @@ func TestFacadeAutotune(t *testing.T) {
 	for _, p := range c.Parameters() {
 		args = append(args, []*Tensor{tensor.Rand(rng, p.Shape...)})
 	}
-	opts := AutotuneOptions{Spec: TPUv4(), TopK: 1, TimeScale: 25, CachePath: t.TempDir() + "/cache.json"}
+	opts := AutotuneOptions{Spec: TPUv4(), TopK: 1, TimeScale: 25, CachePath: t.TempDir() + "/plans"}
 	res, err := Autotune(c, 4, args, opts)
 	if err != nil {
 		t.Fatal(err)
