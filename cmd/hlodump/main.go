@@ -24,9 +24,9 @@ import (
 
 func main() {
 	f := cli.Defaults()
-	f.Devices = 0 // with -in: also simulate on this many devices
+	f.Devices = 0 // only -in reads it, and must be told
 	f.Register(flag.CommandLine, "model", "devices", "trace")
-	in := flag.String("in", "", "parse this HLO text file instead of building a model (with -devices N, simulate it too)")
+	in := flag.String("in", "", "parse, verify and simulate this HLO text file on a -devices N ring instead of building a model")
 	apply := flag.Bool("overlap", false, "apply the overlap pipeline before printing")
 	scheduler := flag.String("scheduler", "bottom-up", "scheduler: bottom-up, top-down or none")
 	flag.Parse()
@@ -37,26 +37,24 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hlodump: %v\n", err)
 			os.Exit(1)
 		}
-		c, err := hlo.Parse(string(raw))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hlodump: %v\n", err)
-			os.Exit(1)
+		if f.Devices < 1 {
+			fmt.Fprintln(os.Stderr, "hlodump: -in needs -devices N: a program is verified for, and simulated on, a ring")
+			os.Exit(2)
 		}
-		if err := c.Verify(); err != nil {
+		c, err := hlo.ParseProgram(string(raw), f.Devices)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "hlodump: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "hlodump: parsed %d instructions, peak memory %.2f MiB\n",
 			c.NumInstructions(), float64(hlo.PeakMemory(c).PeakBytes)/(1<<20))
-		if f.Devices > 0 {
-			bd, err := sim.Simulate(c, f.Devices, machine.TPUv4())
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hlodump: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "hlodump: step %.3f ms, %.0f%% exposed communication\n",
-				1e3*bd.StepTime, 100*bd.CommFraction())
+		bd, err := sim.Simulate(c, f.Devices, machine.TPUv4())
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "hlodump: %v\n", err)
+			os.Exit(1)
 		}
+		fmt.Fprintf(os.Stderr, "hlodump: step %.3f ms, %.0f%% exposed communication\n",
+			1e3*bd.StepTime, 100*bd.CommFraction())
 		fmt.Print(c.Format())
 		return
 	}

@@ -124,14 +124,8 @@ func execute(f *cli.Flags, stdout io.Writer, ropts overlap.RunOptions, label, mo
 
 	mark := ""
 	if f.Check {
-		want, err := overlap.Interpret(c, devices, args)
-		if err != nil {
-			return err
-		}
-		for d := range want {
-			if !res.Values[d].Equal(want[d]) {
-				return fmt.Errorf("%s: device %d diverges from the interpreter", label, d)
-			}
+		if err := overlap.CheckRun(c, devices, args, res); err != nil {
+			return fmt.Errorf("%s: %w", label, err)
 		}
 		mark = "  [checked]"
 	}

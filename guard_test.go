@@ -2,10 +2,14 @@ package overlap
 
 import (
 	"bufio"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -117,6 +121,21 @@ var sourceGuards = []sourceGuard{
 		pattern: regexp.MustCompile(`\b(cacheEntry|cacheFile|cacheVersion|loadCache|cacheLookup|cacheStore|cacheStoreMu|countUnique|PlanFromResult)\b`),
 		roots:   []string{"."},
 	},
+	{
+		name: "one definition of well-formed: no private ring check",
+		why: "whether a program fits an n-device ring is hlo.VerifyRing's to say, and runtime.Compile, sim.Interpret and sim.Simulate ask it: " +
+			"the runtime's program validator and the interpreter's own range, participation and nesting checks stay deleted",
+		pattern: regexp.MustCompile(`\b(validateSeq|validateGroups|validatePairs|samePairs)\b|group device %d out of range|does not participate in|done users, want|nested loop %s|different sequence than`),
+		roots:   []string{"internal", "cmd", "overlap.go"},
+		except:  under("internal/hlo/"),
+	},
+	{
+		name:    "one definition of well-formed: outside text goes through hlo.ParseProgram",
+		why:     "a front door that calls hlo.Parse and verifies by hand can forget the ring: serve, the plan store and hlodump take text through the one call that cannot",
+		pattern: regexp.MustCompile(`hlo\.Parse\(`),
+		roots:   []string{"internal", "cmd", "overlap.go"},
+		except:  under("internal/corpus/"), // the goldens core itself printed; only tests import it
+	},
 }
 
 // TestSourceGuards runs every rule over the tree, then the two checks
@@ -182,4 +201,262 @@ func (g sourceGuard) scan(t *testing.T, path string) error {
 		}
 	}
 	return lines.Err()
+}
+
+// testOnly lists what under internal/ no shipped code reaches and stays
+// anyway, each with the reason: a declaration by its id (dir.Name, or
+// dir.Type.Method), or a whole package by its directory.
+// TestNoTestOnlyCode fails on a declaration that belongs here and is
+// missing, and on an entry that vouches for nothing.
+var testOnly = map[string]string{
+	"internal/corpus": "the program list the compile path's tests share; only tests import it, by design",
+
+	"internal/autotune.Result.ApplyBest": "public API (overlap.AutotuneResult), named by overlap.Autotune's doc; autotune/guard_test.go keeps it core.Apply's only caller in the package",
+	"internal/core.SwapReshapeConcat":    "the paper's §5.4.3 fusion-friendliness rewrite, kept as the paper's artifact; no pipeline stage needs it on the graphs the builders emit",
+	"internal/core.SwapReshapeSlice":     "as SwapReshapeConcat",
+	"internal/hlo.Computation.Constant":  "builder for the constant opcode: the parser builds constants itself, tests and callers of the public overlap.Computation build them with this",
+	"internal/hlo.Computation.Find":      "lookup by name for tests that assert on one instruction of a rewritten program",
+
+	"internal/obs.Attribution.ExposedFraction": "HiddenFraction's complement; the attribution tests state their expectations in it",
+	"internal/obs.Registry.SetEnabled":         "test hook: the telemetry toggle autotune.KeyOf reads live, flipped to show the key and the overhead move",
+	"internal/partition.Sharding.IsReplicated": "states the propagation tests' expectation; one line over the sharding's own fields",
+	"internal/partition.UnshardTensor":         "ShardTensor's inverse: the reference the partition tests reassemble per-device results with",
+	"internal/partition.addShapes":             "UnshardTensor's helper",
+	"internal/runtime.fabric.mailboxSizes":     "test hook: the leak check that every mailbox is empty after a run, failed or not",
+
+	"internal/tensor.ReferenceEinsum":        "the scalar reference einsum every kernel configuration is compared against bitwise",
+	"internal/tensor.PackCacheTensors":       "test hook: counts pack-cache entries to pin what is cached and what is transient",
+	"internal/tensor.EinsumAddInto":          "EinsumAddIntoSplitK at the bare-call default, as Einsum is to EinsumSplitK; the kernel tests call it",
+	"internal/tensor.EinsumSpec.BatchLabels": "part of the parsed spec's classification (batch / contracting / free) the einsum tests pin",
+	"internal/tensor.Iota":                   "test fixture: a tensor whose every element is distinguishable",
+	"internal/tensor.Scale":                  "test fixture: expected values of scaled sums",
+	"internal/tensor.Concat":                 "value form of ConcatInto (nil destination): tests build expected values with it",
+	"internal/tensor.DynamicSlice":           "value form of DynamicSliceInto, as Concat",
+	"internal/tensor.DynamicUpdateSlice":     "value form of DynamicUpdateSliceInto, as Concat",
+	"internal/tensor.Pad":                    "value form of PadInto, as Concat",
+	"internal/tensor.Reshape":                "value form of ReshapeInto, as Concat",
+	"internal/tensor.Transpose":              "value form of TransposeInto, as Concat",
+
+	"internal/topology.NewTorus3D":          "the 3D torus of the paper's TPU pods; the parked 2D/3D-mesh item's surface, exercised by topology_test.go",
+	"internal/topology.Mesh.AxisByName":     "mesh geometry query, as NewTorus3D",
+	"internal/topology.Mesh.AxisStride":     "mesh geometry query, as NewTorus3D",
+	"internal/topology.Mesh.HopDistance":    "mesh geometry query, as NewTorus3D",
+	"internal/topology.Mesh.LinksPerDevice": "mesh geometry query, as NewTorus3D",
+	"internal/topology.Mesh.Neighbor":       "mesh geometry query, as NewTorus3D",
+}
+
+// implicitMethods are called through standard-library interfaces, where
+// no selector in this module names them.
+var implicitMethods = map[string]bool{
+	"String": true, "Error": true, "Unwrap": true, // fmt, errors
+	"Len": true, "Less": true, "Swap": true, // sort, container/heap
+	"MarshalJSON": true, "UnmarshalJSON": true, "ServeHTTP": true,
+}
+
+// decl is one top-level declaration of a non-test file: a function, a
+// method, a type, a var, or a whole const block (an enum's members are
+// not judged one by one).
+type decl struct {
+	id      string // dir.Name, or dir.Recv.Name for a method
+	dir     string
+	method  string // its name, for a method
+	node    ast.Node
+	imports map[string]string // local name -> module-relative dir
+}
+
+// TestNoTestOnlyCode is the dead-weight audit: every non-test
+// declaration under internal/ must be reachable from what ships — the
+// five mains, package overlap, bench/ and examples/ — through non-test
+// code. Reachability is by name over the syntax trees (go/ast, no type
+// information): pkg.Name reaches Name in the imported package, a bare
+// identifier reaches the package's own declaration of that name, and
+// x.Name reaches every method called Name. That over-approximates, so
+// what it flags only _test.go files (or nothing) can reach.
+func TestNoTestOnlyCode(t *testing.T) {
+	fset := token.NewFileSet()
+	var decls []*decl
+	byID := map[string][]*decl{}    // a const block registers under each member
+	methods := map[string][]*decl{} // by method name
+	add := func(d *decl, ids ...string) {
+		decls = append(decls, d)
+		for _, id := range ids {
+			byID[id] = append(byID[id], d)
+		}
+		if d.method != "" {
+			methods[d.method] = append(methods[d.method], d)
+		}
+	}
+
+	var roots []*decl
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() {
+			if name := e.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return fs.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		imports := map[string]string{}
+		for _, im := range file.Imports {
+			p, _ := strconv.Unquote(im.Path.Value)
+			rel, ok := strings.CutPrefix(p, "overlap")
+			if !ok || (rel != "" && rel[0] != '/') {
+				continue
+			}
+			target := strings.TrimPrefix(rel, "/")
+			if target == "" {
+				target = "."
+			}
+			name := filepath.Base(p)
+			if im.Name != nil {
+				name = im.Name.Name
+			}
+			imports[name] = target
+		}
+		isRoot := file.Name.Name == "main" || dir == "." || dir == "bench" || strings.HasPrefix(dir, "examples/")
+		before := len(decls)
+		for _, d := range file.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				nd := &decl{dir: dir, node: d, imports: imports}
+				if d.Recv != nil && len(d.Recv.List) == 1 {
+					nd.method = d.Name.Name
+					nd.id = dir + "." + recvName(d.Recv.List[0].Type) + "." + d.Name.Name
+				} else {
+					nd.id = dir + "." + d.Name.Name
+				}
+				add(nd, nd.id)
+				if d.Name.Name == "init" && d.Recv == nil {
+					roots = append(roots, nd)
+				}
+			case *ast.GenDecl:
+				if d.Tok == token.IMPORT {
+					continue
+				}
+				if d.Tok == token.CONST {
+					nd := &decl{dir: dir, node: d, imports: imports}
+					var ids []string
+					for _, s := range d.Specs {
+						for _, n := range s.(*ast.ValueSpec).Names {
+							ids = append(ids, dir+"."+n.Name)
+						}
+					}
+					nd.id = ids[0]
+					add(nd, ids...)
+					continue
+				}
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						add(&decl{id: dir + "." + s.Name.Name, dir: dir, node: s, imports: imports}, dir+"."+s.Name.Name)
+					case *ast.ValueSpec:
+						nd := &decl{id: dir + "." + s.Names[0].Name, dir: dir, node: s, imports: imports}
+						var ids []string
+						for _, n := range s.Names {
+							ids = append(ids, dir+"."+n.Name)
+						}
+						add(nd, ids...)
+						if s.Names[0].Name == "_" {
+							roots = append(roots, nd)
+						}
+					}
+				}
+			}
+		}
+		if isRoot {
+			roots = append(roots, decls[before:]...)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reached := map[*decl]bool{}
+	var work []*decl
+	reach := func(ds []*decl) {
+		for _, d := range ds {
+			if !reached[d] {
+				reached[d] = true
+				work = append(work, d)
+			}
+		}
+	}
+	reach(roots)
+	for len(work) > 0 {
+		d := work[len(work)-1]
+		work = work[:len(work)-1]
+		ast.Inspect(d.node, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok {
+					if target, ok := d.imports[x.Name]; ok {
+						reach(byID[target+"."+n.Sel.Name])
+						return false
+					}
+				}
+				reach(methods[n.Sel.Name])
+			case *ast.Ident:
+				reach(byID[d.dir+"."+n.Name])
+			}
+			return true
+		})
+		// A type's methods that satisfy a standard-library interface are
+		// called without being named.
+		if ts, ok := d.node.(*ast.TypeSpec); ok {
+			for name := range implicitMethods {
+				reach(byID[d.dir+"."+ts.Name.Name+"."+name])
+			}
+		}
+	}
+
+	vouches := map[string]bool{}
+	for _, d := range decls {
+		if !strings.HasPrefix(d.dir, "internal/") || reached[d] {
+			continue
+		}
+		switch {
+		case testOnly[d.id] != "":
+			vouches[d.id] = true
+		case testOnly[d.dir] != "":
+			vouches[d.dir] = true
+		default:
+			t.Errorf("%s (%s) is reached by no shipped code: delete it, move it into the _test.go file that uses it, or vouch for it in testOnly",
+				d.id, fset.Position(d.node.Pos()))
+		}
+	}
+	for id := range testOnly {
+		if !vouches[id] {
+			t.Errorf("testOnly vouches for %s, which shipped code reaches or which is gone: drop the entry", id)
+		}
+	}
+}
+
+// recvName returns the receiver's type name, pointer and type
+// parameters stripped.
+func recvName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return "?"
+		}
+	}
 }

@@ -241,8 +241,8 @@ func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tenso
 	if c == nil {
 		return nil, fmt.Errorf("autotune: nil computation")
 	}
-	if numDevices < 1 {
-		return nil, fmt.Errorf("autotune: need at least one device")
+	if err := c.VerifyRing(numDevices); err != nil {
+		return nil, err
 	}
 	if err := opts.Spec.Validate(); err != nil {
 		return nil, err
@@ -429,10 +429,6 @@ func stage2(res *Result, s *search, args [][]*tensor.Tensor, opts Options) (*hlo
 	best := -1 // position in toRun
 	for k, i := range toRun {
 		cand, prog := &res.Candidates[i], progs[k]
-		want, err := sim.Interpret(prog, numDevices, args)
-		if err != nil {
-			return nil, fmt.Errorf("autotune: interpreting %s: %w", cand.Name, err)
-		}
 		for r := 0; r < opts.Repeats; r++ {
 			ropts.RunID = fmt.Sprintf("%s.%s.r%d", opts.RunID, cand.Name, r)
 			run, err := exes[k].Run(ctx, args, ropts)
@@ -441,10 +437,8 @@ func stage2(res *Result, s *search, args [][]*tensor.Tensor, opts Options) (*hlo
 			}
 			res.Executions++
 			if r == 0 {
-				for d := range want {
-					if !run.Values[d].Equal(want[d]) {
-						return nil, fmt.Errorf("autotune: %s: device %d diverges bitwise from the interpreter", cand.Name, d)
-					}
+				if err := runtime.CheckInterpreter(prog, numDevices, args, run); err != nil {
+					return nil, fmt.Errorf("autotune: checking %s: %w", cand.Name, err)
 				}
 				cand.Checked = true
 			}

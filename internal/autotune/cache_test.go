@@ -53,6 +53,9 @@ func TestLoadCacheCorruptCounted(t *testing.T) {
 		{"torn JSON", "{not json", true},
 		{"not an object", `"a bare string"`, true},
 		{"program does not parse", encode(func(p *Plan) { p.Program = "site {\n  %g = f32[] all-gather()\n}\n" }), true},
+		{"program names a device outside the plan's ring", encode(func(p *Plan) {
+			p.Program = "site {\n  %a = f32[2 2] parameter(), index=0\n  %g = f32[4 2] all-gather(%a), axis=0 groups=[[0 99]]\n}\n"
+		}), true},
 		{"another fingerprint", encode(func(p *Plan) { p.Fingerprint = "someone else's" }), true},
 		{"another ring size", encode(func(p *Plan) { p.Devices = devices + 1 }), true},
 		{"older version", encode(func(p *Plan) { p.Version = PlanVersion - 1 }), false},

@@ -2,6 +2,7 @@ package autotune_test
 
 import (
 	"flag"
+	"math/rand"
 	"os"
 	"path/filepath"
 	goruntime "runtime"
@@ -11,6 +12,7 @@ import (
 	"overlap/internal/autotune"
 	"overlap/internal/core"
 	"overlap/internal/corpus"
+	"overlap/internal/hlo"
 	"overlap/internal/machine"
 	"overlap/internal/obs"
 	"overlap/internal/runtime"
@@ -252,8 +254,8 @@ func TestDecodePlanRejects(t *testing.T) {
 // TestDecodePlanMalformedProgram: a plan file is outside input, and its
 // program is the part that gets executed. Text the IR builder panics on
 // must fail the decode with the parser's line-numbered error, and text
-// that parses but is not a well-formed program must fail Verify there
-// too — not in whoever runs the plan.
+// that parses but is not a well-formed program, or not one for the
+// plan's own ring, must fail there too — not in whoever runs the plan.
 func TestDecodePlanMalformedProgram(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "plan.golden"))
 	if err != nil {
@@ -268,6 +270,8 @@ func TestDecodePlanMalformedProgram(t *testing.T) {
 		{"missing einsum label", "m {\n  %a = f32[2 2] parameter(), index=0\n  %e = f32[2 2] einsum(%a, %a), spec=\"ab,bc->ad\"\n}", "hlo: line 3: "},
 		{"one-operand add", "m {\n  %a = f32[2] parameter(), index=0\n  %s = f32[2] add(%a)\n}", "hlo: line 3: "},
 		{"parses, does not verify", "m {\n  %a = f32[2] parameter(), index=0\n  %r = f32[3] reshape(%a)\n}", ""},
+		{"verifies, does not fit the plan's 2-device ring", "m {\n  %a = f32[2] parameter(), index=0\n  %p = f32[2] collective-permute(%a), pairs=[{0,2}]\n}",
+			"hlo: p pair 0->2 out of range [0,2)"},
 	} {
 		p := *good
 		p.Program = tc.program
@@ -283,10 +287,13 @@ func TestDecodePlanMalformedProgram(t *testing.T) {
 
 // FuzzDecodePlan follows a plan file as far as overlap run -plan-in and
 // the plan store take it — decode, parse, compile for the runtime — and
-// every step must end in a plan or an error. The seeds under
+// on to the other two executors, the simulator and the interpreter, on
+// seeded arguments: what the front door accepts, no executor panics on.
+// Every step must end in a plan or an error. The seeds under
 // testdata/fuzz are the plan fixture, a plan around each of core's five
-// goldens and around each malformed text above; plain go test replays
-// them.
+// goldens, around each malformed text above, and around the programs
+// that used to crash the simulator (a device outside the plan's ring) or
+// spin it (a 999999999-trip loop); plain go test replays them.
 func FuzzDecodePlan(f *testing.F) {
 	spec := machine.TPUv4()
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -298,10 +305,40 @@ func FuzzDecodePlan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("a decoded plan's program does not parse: %v", err)
 		}
-		if p.Devices <= 16 {
-			_, _ = runtime.Compile(c, p.Devices, spec)
+		if p.Devices > 16 || !fuzzRunnable(c) {
+			return // sound, but not something a fuzz iteration can afford
+		}
+		_, _ = runtime.Compile(c, p.Devices, spec)
+		_, _ = sim.Simulate(c, p.Devices, spec)
+		rng := rand.New(rand.NewSource(1))
+		var args [][]*tensor.Tensor
+		for _, param := range c.Parameters() {
+			args = append(args, []*tensor.Tensor{tensor.Rand(rng, param.Shape...)})
+		}
+		_, _ = sim.Interpret(c, p.Devices, args)
+	})
+}
+
+// fuzzRunnable bounds what FuzzDecodePlan executes: no tensor past 4096
+// elements, no loop past 1024 body instructions in all — a plan file may
+// name any shape and any trip count, and the plan store refuses neither.
+func fuzzRunnable(c *hlo.Computation) bool {
+	small := true
+	c.Walk(func(in *hlo.Instruction) {
+		elems := 1
+		for _, d := range in.Shape {
+			if d < 0 || d > 1<<12 || elems > 1<<12 {
+				small = false
+				return
+			}
+			elems *= d
+		}
+		small = small && elems <= 1<<12
+		if in.Op == hlo.OpLoop && in.TripCount > 1<<10/max(in.Body.NumInstructions(), 1) {
+			small = false
 		}
 	})
+	return small
 }
 
 // TestKeyTracksEnvironment pins that the decision/plan cache key moves

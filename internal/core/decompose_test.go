@@ -86,7 +86,7 @@ func TestAllGatherShardSchedule(t *testing.T) {
 		// evaluates to ((pos+i) mod 4) * shardRows with shardRows = 4.
 		for pos := 0; pos < 4; pos++ {
 			want := ((pos + i) % 4) * 4
-			if got := off.Eval(pos); got != want {
+			if got := off.EvalIter(pos, 0); got != want {
 				t.Fatalf("step %d pos %d offset = %d, want %d", i, pos, got, want)
 			}
 		}
@@ -130,7 +130,7 @@ func TestReduceScatterShardSchedule(t *testing.T) {
 	for i, off := range slices {
 		for pos := 0; pos < 4; pos++ {
 			want := ((pos + i + 1) % 4) * 4 // shard rows = 4
-			if got := off.Eval(pos); got != want {
+			if got := off.EvalIter(pos, 0); got != want {
 				t.Fatalf("step %d pos %d slice offset = %d, want %d", i, pos, got, want)
 			}
 		}

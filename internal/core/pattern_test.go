@@ -55,7 +55,7 @@ func TestRingShiftPairsAndOffsets(t *testing.T) {
 	}
 	off := r.PosOffset(1, 10)
 	// Device 4 = coord (1,1): position 1 → ((1+1)%3)*10 = 20.
-	if got := off.Eval(4); got != 20 {
+	if got := off.EvalIter(4, 0); got != 20 {
 		t.Fatalf("PosOffset eval = %d, want 20", got)
 	}
 }

@@ -157,7 +157,7 @@ func TestIterOffsetEval(t *testing.T) {
 	if got := off.EvalIter(2, 3); got != 16 {
 		t.Fatalf("EvalIter(2,3) = %d, want 16", got)
 	}
-	if got := off.Eval(2); got != 24 {
+	if got := off.EvalIter(2, 0); got != 24 {
 		t.Fatal("Eval must be EvalIter(·, 0)")
 	}
 }

@@ -100,7 +100,8 @@ func TestSchedulersShareTheAsyncStage(t *testing.T) {
 // checks what a search that memoises on the stage table relies on:
 //
 //   - every stage leaves verifiable IR (Apply itself verifies only at
-//     the end, Decompose per site);
+//     the end, Decompose per site) that still fits the program's ring
+//     (VerifyRing: the corpus passes it before any stage, too);
 //   - two Options that agree on a stage's prefix key have the same text
 //     after that stage;
 //   - a stage that declares itself the identity changes nothing.
@@ -118,6 +119,9 @@ func TestStagesOverCorpus(t *testing.T) {
 		if (testing.Short() || corpus.RaceEnabled) && p.Long() {
 			continue
 		}
+		if err := p.Comp.VerifyRing(p.Devices); err != nil {
+			t.Fatalf("%s does not fit its %d-device ring: %v", p.Name, p.Devices, err)
+		}
 		after := map[stageKey]string{}
 		for _, o := range core.EnumerateOptions(spec, p.Devices, p.Comp) {
 			c := p.Comp.Clone()
@@ -129,6 +133,9 @@ func TestStagesOverCorpus(t *testing.T) {
 				}
 				if err := c.Verify(); err != nil {
 					t.Fatalf("%s: %s under %s left unverifiable IR: %v", p.Name, st.Name, o.Fingerprint(), err)
+				}
+				if err := c.VerifyRing(p.Devices); err != nil {
+					t.Fatalf("%s: %s under %s left a program its %d-device ring cannot run: %v", p.Name, st.Name, o.Fingerprint(), p.Devices, err)
 				}
 				prev := text
 				text = c.Format()

@@ -52,9 +52,6 @@ func (c *Computation) WithRootPreserved(f func()) {
 	c.trackRoot = nil
 }
 
-// SetRoot pins the computation's result explicitly.
-func (c *Computation) SetRoot(in *Instruction) { c.root = in }
-
 // NewBuildGroup allocates a fresh fusion-group id and makes it the
 // current build group: instructions added until the next SetBuildGroup
 // call carry it. Rewrites that emit loop iterations use one group per

@@ -58,7 +58,7 @@ func TestUsersTracking(t *testing.T) {
 	b := c.Parameter(1, "b", []int{2, 2})
 	sum := c.Add(a, b)
 	twice := c.Add(sum, sum) // same operand used twice
-	if a.NumUsers() != 1 || !a.HasUser(sum) {
+	if a.NumUsers() != 1 || a.userIndex(sum) < 0 {
 		t.Fatalf("a users = %v", a.Users())
 	}
 	if sum.NumUsers() != 1 {
@@ -70,7 +70,7 @@ func TestUsersTracking(t *testing.T) {
 	if sum.NumUsers() != 0 {
 		t.Fatalf("sum still has users after replacement: %v", sum.Users())
 	}
-	if repl.NumUsers() != 1 || !repl.HasUser(twice) {
+	if repl.NumUsers() != 1 || repl.userIndex(twice) < 0 {
 		t.Fatal("replacement user edge missing")
 	}
 }
@@ -291,16 +291,16 @@ func TestDynOffsetEval(t *testing.T) {
 	o := DynOffset{PIDFactor: 1, Add: 1, Mod: 4, Scale: 8}
 	wants := []int{8, 16, 24, 0}
 	for pid, want := range wants {
-		if got := o.Eval(pid); got != want {
+		if got := o.EvalIter(pid, 0); got != want {
 			t.Fatalf("Eval(%d) = %d, want %d", pid, got, want)
 		}
 	}
-	if got := Static(5).Eval(3); got != 5 {
+	if got := Static(5).EvalIter(3, 0); got != 5 {
 		t.Fatalf("Static(5).Eval = %d", got)
 	}
 	// Negative intermediate values must wrap into [0, Mod).
 	neg := DynOffset{PIDFactor: -1, Add: 0, Mod: 4, Scale: 1}
-	if got := neg.Eval(1); got != 3 {
+	if got := neg.EvalIter(1, 0); got != 3 {
 		t.Fatalf("negative wrap Eval = %d, want 3", got)
 	}
 }

@@ -29,12 +29,8 @@ type DynOffset struct {
 	Scale      int
 }
 
-// Eval returns the offset value for the given partition id outside any
-// loop (iteration 0).
-func (o DynOffset) Eval(pid int) int { return o.EvalIter(pid, 0) }
-
 // EvalIter returns the offset value for the given partition id and loop
-// iteration.
+// iteration (0 outside any loop).
 func (o DynOffset) EvalIter(pid, iter int) int {
 	p := pid
 	if o.Div > 1 {
@@ -162,9 +158,6 @@ func (in *Instruction) NumUsers() int { return len(in.users) }
 // User returns the i-th user in Users' order, for loops that only read.
 func (in *Instruction) User(i int) *Instruction { return in.users[i].user }
 
-// HasUser reports whether u uses in as an operand.
-func (in *Instruction) HasUser(u *Instruction) bool { return in.userIndex(u) >= 0 }
-
 func (in *Instruction) userIndex(u *Instruction) int {
 	for i := range in.users {
 		if in.users[i].user == u {
@@ -223,19 +216,6 @@ func (in *Instruction) NumElements() int {
 // ByteSize returns the result size in bytes assuming 4-byte elements
 // (the bf16-pair / f32 granularity the machine model uses).
 func (in *Instruction) ByteSize() int64 { return int64(in.NumElements()) * 4 }
-
-// GroupFor returns the collective group containing device pid, or nil if
-// the device does not participate.
-func (in *Instruction) GroupFor(pid int) []int {
-	for _, g := range in.Groups {
-		for _, d := range g {
-			if d == pid {
-				return g
-			}
-		}
-	}
-	return nil
-}
 
 // PairSource returns the source device sending to target under the
 // instruction's permute pairs, and whether one exists.

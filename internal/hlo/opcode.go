@@ -104,35 +104,3 @@ func (op OpCode) String() string {
 	}
 	return "unknown"
 }
-
-// IsCollective reports whether the op moves data between devices.
-func (op OpCode) IsCollective() bool {
-	switch op {
-	case OpAllGather, OpReduceScatter, OpAllReduce, OpAllToAll,
-		OpCollectivePermute, OpCollectivePermuteStart, OpCollectivePermuteDone:
-		return true
-	}
-	return false
-}
-
-// IsDeviceLocal reports whether the op executes entirely within one
-// device: no data crosses a link and no cross-device synchronization is
-// required. Execution engines (the lockstep interpreter in internal/sim,
-// the concurrent runtime in internal/runtime) dispatch on this to
-// separate per-device evaluation from communication handling. Loop is
-// not device-local because its body may contain collectives.
-func (op OpCode) IsDeviceLocal() bool {
-	switch op {
-	case OpParameter, OpConstant, OpZero, OpEinsum, OpAdd, OpMax, OpCopy,
-		OpReshape, OpTranspose, OpConcat, OpPad, OpSlice,
-		OpDynamicSlice, OpDynamicUpdateSlice, OpFusion, OpTuple:
-		return true
-	}
-	return false
-}
-
-// IsAsyncStart reports whether the op begins an asynchronous transfer.
-func (op OpCode) IsAsyncStart() bool { return op == OpCollectivePermuteStart }
-
-// IsAsyncDone reports whether the op completes an asynchronous transfer.
-func (op OpCode) IsAsyncDone() bool { return op == OpCollectivePermuteDone }

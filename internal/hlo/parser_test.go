@@ -181,15 +181,18 @@ func TestParseMalformedIsAnError(t *testing.T) {
 }
 
 // FuzzParse: whatever the text, Parse returns a computation or an error;
-// what it returns can be verified and printed. The seeds under
-// testdata/fuzz are core's five goldens, the plan fixture's program and
-// the malformed texts above; plain go test replays them.
+// what it returns can be checked against a ring — verified or not —
+// and, once verified, printed. The seeds under testdata/fuzz are core's
+// five goldens, the plan fixture's program, the malformed texts above
+// and the out-of-ring programs that used to crash the simulator; plain
+// go test replays them.
 func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, text string) {
 		c, err := Parse(text)
 		if err != nil {
 			return
 		}
+		_ = c.VerifyRing(4)
 		if c.Verify() == nil {
 			_ = c.Format()
 		}

@@ -38,7 +38,7 @@ func checkUsers(t *testing.T, step string, c *Computation) {
 			t.Fatalf("%s: %s has users %v, operands say %v", step, in.Name, got, want[in])
 		}
 		for u, slots := range want[in] {
-			if got[u] != slots || !in.HasUser(u) {
+			if got[u] != slots || in.userIndex(u) < 0 {
 				t.Fatalf("%s: %s -> %s tracked as %d slots, operands name it %d times", step, in.Name, u.Name, got[u], slots)
 			}
 		}

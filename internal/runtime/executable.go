@@ -7,6 +7,7 @@ import (
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
 	"overlap/internal/obs"
+	"overlap/internal/sim"
 	"overlap/internal/tensor"
 )
 
@@ -19,10 +20,9 @@ import (
 // The computation must not be modified while an Executable of it is in
 // use: kernels read their instructions' attributes as they execute.
 type Executable struct {
-	comp   *hlo.Computation
-	n      int
-	params []*hlo.Instruction
-	tape   *tape
+	comp *hlo.Computation
+	n    int
+	tape *tape
 
 	// specErr is what the machine spec the tape was priced on fails
 	// validation with, nil for a sound one. Only a run that injects wire
@@ -53,17 +53,14 @@ type edge struct {
 	transfers int
 }
 
-// Compile validates the computation for execution on numDevices devices
-// — every blocking collective joinable by all of its devices, every
-// posted transfer with exactly one reader, loops shaped the way the
-// interpreter expects — and lowers it once. spec prices the wire time
-// runs inject; a caller whose runs never inject any (TimeScale 0) may
-// pass the zero Spec.
+// Compile checks that the computation can execute on a numDevices ring
+// (hlo.VerifyRing: every blocking collective joinable by all of its
+// devices, every posted transfer with exactly one reader — what keeps a
+// device goroutine from waiting forever) and lowers it once. spec prices
+// the wire time runs inject; a caller whose runs never inject any
+// (TimeScale 0) may pass the zero Spec.
 func Compile(c *hlo.Computation, numDevices int, spec machine.Spec) (*Executable, error) {
-	if numDevices <= 0 {
-		return nil, formatErr("need at least one device")
-	}
-	if err := validateSeq(c, numDevices, false); err != nil {
+	if err := c.VerifyRing(numDevices); err != nil {
 		return nil, err
 	}
 	t, err := lower(c, numDevices, spec)
@@ -73,7 +70,6 @@ func Compile(c *hlo.Computation, numDevices int, spec machine.Spec) (*Executable
 	x := &Executable{
 		comp:    c,
 		n:       numDevices,
-		params:  c.Parameters(),
 		tape:    t,
 		specErr: spec.Validate(),
 		boxes:   make(map[string]int, len(t.starts)),
@@ -149,4 +145,29 @@ func (x *Executable) Run(ctx context.Context, args [][]*tensor.Tensor, opts Opti
 		return nil, err
 	}
 	return eng.run(ctx, args)
+}
+
+// CheckInterpreter is the bitwise contract as a call: it executes c on
+// the lockstep interpreter with the arguments res was run on and
+// compares every output res holds — the root, or each operand of a
+// tuple root — on every device. Whoever offers a -check (the CLI, the
+// daemon, the training loop, the tuner's measured candidates) calls it
+// before releasing res.
+func CheckInterpreter(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, res *Result) error {
+	want, err := sim.InterpretAll(c, numDevices, args)
+	if err != nil {
+		return err
+	}
+	outs := []*hlo.Instruction{c.Root()}
+	if outs[0].Op == hlo.OpTuple {
+		outs = outs[0].Operands
+	}
+	for _, in := range outs {
+		for d, got := range res.All[in] {
+			if !got.Equal(want[in][d]) {
+				return formatErr("%s on device %d diverges bitwise from the interpreter", in.Name, d)
+			}
+		}
+	}
+	return nil
 }

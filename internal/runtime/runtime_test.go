@@ -318,7 +318,7 @@ func TestValidation(t *testing.T) {
 		want    string
 		compile bool // Compile rejects it; otherwise Run does
 	}{
-		{"zero devices", site.build(), 0, site.args, "runtime: need at least one device", true},
+		{"zero devices", site.build(), 0, site.args, "hlo: need at least one device", true},
 		{"missing argument", site.build(), 4, site.args[:1], "has 2 parameters, got 1 arguments", false},
 		{"device outside every collective group", partial, 3, [][]*tensor.Tensor{{tensor.Rand(rng, 2, 2)}},
 			"device 2 does not participate in", true},
@@ -344,6 +344,52 @@ func TestValidation(t *testing.T) {
 		if _, rerr := x.Run(context.Background(), tc.args, runtime.Options{}); rerr == nil || rerr.Error() != err.Error() {
 			t.Errorf("%s: Executable.Run: %v, want the one-shot error %v", tc.name, rerr, err)
 		}
+	}
+}
+
+// TestExecutorsShareTheRingCheck: a program naming a device its ring
+// does not have is the same hlo: error from the simulator (which used
+// to index out of range on it), the interpreter and Compile — one
+// definition, asked by each before it touches the program.
+func TestExecutorsShareTheRingCheck(t *testing.T) {
+	c := hlo.NewComputation("out-of-ring")
+	a := c.Parameter(0, "a", []int{2, 2})
+	c.AllGather(a, 0, [][]int{{0, 99}})
+	args := [][]*tensor.Tensor{{tensor.Iota(2, 2)}}
+	const want = "hlo: all-gather.1 group device 99 out of range [0,2)"
+
+	_, simErr := sim.Simulate(c, 2, machine.TPUv4())
+	_, interpErr := sim.Interpret(c, 2, args)
+	_, compileErr := runtime.Compile(c, 2, machine.Spec{})
+	for name, err := range map[string]error{"sim.Simulate": simErr, "sim.Interpret": interpErr, "runtime.Compile": compileErr} {
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: %v, want %q", name, err, want)
+		}
+	}
+}
+
+// TestCheckInterpreter: the one cross-check passes on what the runtime
+// computed, covers every operand of a tuple root, and names the output
+// and device where a result was tampered with.
+func TestCheckInterpreter(t *testing.T) {
+	const n = 2
+	c := hlo.NewComputation("checked")
+	a := c.Parameter(0, "a", []int{2, 2})
+	sum := c.AllReduce(a, [][]int{{0, 1}})
+	twice := c.Add(sum, sum)
+	c.Tuple(sum, twice)
+	args := [][]*tensor.Tensor{{tensor.Iota(2, 2), tensor.Iota(2, 2)}}
+	res, err := runtime.Run(c, n, args, runtime.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runtime.CheckInterpreter(c, n, args, res); err != nil {
+		t.Fatalf("an untouched result fails the cross-check: %v", err)
+	}
+	res.All[twice][1].Data()[3]++
+	want := "runtime: " + twice.Name + " on device 1 diverges bitwise from the interpreter"
+	if err := runtime.CheckInterpreter(c, n, args, res); err == nil || err.Error() != want {
+		t.Fatalf("a tampered second output: %v, want %q", err, want)
 	}
 }
 

@@ -328,7 +328,7 @@ func (lw *lowering) startOp(slot int32) int32 {
 			return idx
 		}
 	}
-	panic(formatErr("done completes no lowered start")) // validate rules it out
+	panic(formatErr("done completes no lowered start")) // hlo.VerifyRing rules it out
 }
 
 // peers resolves a permute's pairs into a per-device column: whom each
@@ -349,7 +349,7 @@ func (lw *lowering) peers(in *hlo.Instruction, asSource bool) []int32 {
 }
 
 // groups resolves a blocking collective's rendezvous membership into
-// per-device columns. Validation guarantees every device joins exactly
+// per-device columns. hlo.VerifyRing has every device join exactly
 // one group.
 func (lw *lowering) groups(in *hlo.Instruction) *groupPlan {
 	n := lw.n

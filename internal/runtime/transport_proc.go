@@ -395,15 +395,3 @@ func (t *procTransport) traces() [][]obs.Span {
 	}
 	return out
 }
-
-// workerPids lists the live worker process IDs (test hook for the
-// no-leaked-processes assertions).
-func (t *procTransport) workerPids() []int {
-	var pids []int
-	for _, w := range t.workers {
-		if w.cmd.Process != nil {
-			pids = append(pids, w.cmd.Process.Pid)
-		}
-	}
-	return pids
-}

@@ -59,7 +59,6 @@ import (
 	"overlap/internal/models"
 	"overlap/internal/obs"
 	"overlap/internal/runtime"
-	"overlap/internal/sim"
 	"overlap/internal/tensor"
 	"overlap/internal/train"
 )
@@ -531,18 +530,7 @@ func (s *Server) runAdmitted(ctx context.Context, req *Request, cp *cachedPlan, 
 	}
 	run.outputs = Outputs(cp.comp, run.res.All, devices)
 	if req.Check {
-		wantAll, err := sim.InterpretAll(cp.comp, devices, args)
-		if err != nil {
-			run.checkErr = err
-			return run, nil
-		}
-		want := Outputs(cp.comp, wantAll, devices)
-		for i := range want {
-			if !run.outputs[i].Equal(want[i]) {
-				run.checkErr = fmt.Errorf("serve: output %d diverges bitwise from the interpreter", i)
-				return run, nil
-			}
-		}
+		run.checkErr = runtime.CheckInterpreter(cp.comp, devices, args, run.res)
 	}
 	return run, nil
 }
@@ -707,6 +695,15 @@ func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// What one request may ask of the daemon before any plan exists: the
+// bytes of its body, and — for an inline program, whose text that bounds
+// — the loop-body instructions one run of it executes (Σ trip count ×
+// body length; ring loops over 8 devices stay under a thousand).
+const (
+	maxBodyBytes      = 1 << 20
+	maxInlineLoopWork = 1 << 16
+)
+
 // decodeRequest parses and validates the POST body; on failure it has
 // already written the error response.
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*Request, error) {
@@ -716,7 +713,7 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*Request
 		return nil, err
 	}
 	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err := dec.Decode(&req); err != nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad request body: %w", err))
 		return nil, err
@@ -804,12 +801,12 @@ type program struct {
 // Inline programs are parsed and digested every time.
 func (s *Server) resolve(req *Request) (*program, error) {
 	if req.Program != "" {
-		c, err := hlo.Parse(req.Program)
+		c, err := hlo.ParseProgram(req.Program, req.Devices)
 		if err == nil {
-			err = c.Verify()
+			err = boundLoopWork(c)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("serve: program does not parse: %w", err)
+			return nil, fmt.Errorf("serve: program is not accepted: %w", err)
 		}
 		fp := autotune.ProgramFingerprint(c)
 		return &program{key: autotune.KeyOf(fp, s.cfg.Spec, req.Devices), fingerprint: fp, comp: c}, nil
@@ -826,6 +823,29 @@ func (s *Server) resolve(req *Request) (*program, error) {
 	prog.fingerprint = fp
 	prog.key = autotune.KeyOf(fp, s.cfg.Spec, req.Devices)
 	return prog, nil
+}
+
+// boundLoopWork refuses an inline program whose loops would execute more
+// than maxInlineLoopWork body instructions: the body size bounds the
+// text, and only a trip count makes a small text a long run. Programs
+// built from a model name never come here; their loops trip once per
+// device.
+func boundLoopWork(c *hlo.Computation) error {
+	work := 0
+	for i := 0; i < c.NumInstructions(); i++ {
+		in := c.At(i)
+		if in.Op != hlo.OpLoop {
+			continue
+		}
+		// Divided, not multiplied: a trip count is any int the text names.
+		body := max(in.Body.NumInstructions(), 1)
+		if in.TripCount > (maxInlineLoopWork-work)/body {
+			return fmt.Errorf("serve: loop %s (trip count %d, %d body instructions) takes the program past %d loop-body instructions per run",
+				in.Name, in.TripCount, body, maxInlineLoopWork)
+		}
+		work += in.TripCount * body
+	}
+	return nil
 }
 
 // buildGraph constructs the computation a request shape names: the

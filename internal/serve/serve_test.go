@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"overlap/internal/autotune"
+	"overlap/internal/corpus"
 	"overlap/internal/obs"
 	"overlap/internal/sim"
 	"overlap/internal/tensor"
@@ -376,6 +377,86 @@ func TestMalformedInlineProgramIs400(t *testing.T) {
 	}
 	if _, _, _, err := postRun(ts, miniatureRequest()); err != nil {
 		t.Fatalf("the daemon stopped serving after malformed programs: %v", err)
+	}
+}
+
+// postProgram posts an inline program at devices: 2 and returns the
+// status and the structured error body.
+func postProgram(t *testing.T, ts *httptest.Server, endpoint, program string) (int, errorBody) {
+	t.Helper()
+	body, err := json.Marshal(Request{Program: program, Devices: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+endpoint, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("%s: the daemon dropped the connection: %v", endpoint, err)
+	}
+	defer resp.Body.Close()
+	var eb errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatalf("%s: status %d with a body that is not a structured error: %v", endpoint, resp.StatusCode, err)
+	}
+	return resp.StatusCode, eb
+}
+
+// TestOutOfRingInlineProgramIs400 sends programs that parse and verify
+// but name a device the request's 2-device ring does not have. The
+// simulator indexes by device id: before hlo.VerifyRing stood at the
+// front door the first of these panicked autotune stage 1 on the
+// batcher's compile goroutine and took the process down. Each must be a
+// 400 naming the instruction, and the daemon must go on serving.
+func TestOutOfRingInlineProgramIs400(t *testing.T) {
+	_, ts := newTestServer(t, testConfig())
+	const head = "m {\n  %a = f32[2 2] parameter(), index=0\n"
+	for name, tc := range map[string]struct{ program, want string }{
+		"group device": {head + "  %g = f32[4 2] all-gather(%a), axis=0 groups=[[0 99]]\n}",
+			"hlo: g group device 99 out of range [0,2)"},
+		"pair target": {head + "  %p = f32[2 2] collective-permute(%a), pairs=[{0,99}]\n}",
+			"hlo: p pair 0->99 out of range [0,2)"},
+		"negative pair source": {head + "  %s = f32[2 2] collective-permute-start(%a), pairs=[{-1,0}]\n  %d = f32[2 2] collective-permute-done(%s), pairs=[{-1,0}]\n}",
+			"hlo: s pair -1->0 out of range [0,2)"},
+	} {
+		for _, endpoint := range []string{"/v1/run", "/v1/compile"} {
+			if status, eb := postProgram(t, ts, endpoint, tc.program); status != http.StatusBadRequest || !strings.Contains(eb.Error, tc.want) {
+				t.Errorf("%s %s: status %d, body %+v; want a 400 containing %q", name, endpoint, status, eb, tc.want)
+			}
+		}
+	}
+	if _, _, _, err := postRun(ts, miniatureRequest()); err != nil {
+		t.Fatalf("the daemon stopped serving after out-of-ring programs: %v", err)
+	}
+}
+
+// TestInlineLoopWorkIsBounded: a trip count is the one number that makes
+// a small text a long run. A loop past maxInlineLoopWork is a 400 naming
+// it; the same loop with a ring-sized trip count runs; and every corpus
+// program — what the pipeline's own tests take for realistic — is far
+// inside the bound.
+func TestInlineLoopWorkIsBounded(t *testing.T) {
+	_, ts := newTestServer(t, testConfig())
+	loop := func(trip int) string {
+		return fmt.Sprintf("m {\n  %%a = f32[2 2] parameter(), index=0\n  %%spin = f32[2 2] loop(%%a), trip=%d result=0\n"+
+			"    | body {\n    |   %%x = f32[2 2] parameter(), index=0\n    |   %%y = f32[2 2] add(%%x, %%x)\n    |   %%t = f32[] tuple(%%y)\n    | }\n}", trip)
+	}
+	for _, endpoint := range []string{"/v1/run", "/v1/compile"} {
+		status, eb := postProgram(t, ts, endpoint, loop(999999999))
+		if status != http.StatusBadRequest || !strings.Contains(eb.Error, "loop spin (trip count 999999999, 3 body instructions)") {
+			t.Errorf("%s: status %d, body %+v; want a 400 naming loop spin", endpoint, status, eb)
+		}
+	}
+	if _, _, _, err := postRun(ts, Request{Program: loop(2), Devices: 2, Check: true}); err != nil {
+		t.Fatalf("a two-trip loop is refused: %v", err)
+	}
+
+	progs, err := corpus.Programs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range progs {
+		if err := boundLoopWork(p.Comp); err != nil {
+			t.Errorf("corpus program %s is past the inline bound: %v", p.Name, err)
+		}
 	}
 }
 

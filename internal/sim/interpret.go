@@ -42,35 +42,17 @@ func Interpret(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor) ([]*
 // per-device value, letting callers inspect interior outputs (e.g. the
 // operands of a result tuple).
 func InterpretAll(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor) (map[*hlo.Instruction][]*tensor.Tensor, error) {
-	if numDevices <= 0 {
-		return nil, fmt.Errorf("sim: need at least one device")
+	if err := c.VerifyRing(numDevices); err != nil {
+		return nil, err
 	}
-	params := c.Parameters()
-	if len(args) != len(params) {
-		return nil, fmt.Errorf("sim: computation %s has %d parameters, got %d arguments", c.Name, len(params), len(args))
+	if err := c.VerifyArgs(numDevices, args); err != nil {
+		return nil, err
 	}
 	values := make(map[*hlo.Instruction][]*tensor.Tensor, c.NumInstructions())
-
-	argFor := func(p *hlo.Instruction, dev int) (*tensor.Tensor, error) {
+	argFor := func(p *hlo.Instruction, dev int) *tensor.Tensor {
 		set := args[p.ParamIndex]
-		var v *tensor.Tensor
-		switch len(set) {
-		case 1:
-			v = set[0]
-		case numDevices:
-			v = set[dev]
-		default:
-			return nil, fmt.Errorf("sim: parameter %d has %d values, want 1 or %d", p.ParamIndex, len(set), numDevices)
-		}
-		if v == nil {
-			return nil, fmt.Errorf("sim: parameter %d value for device %d is nil", p.ParamIndex, dev)
-		}
-		if !sameShape(v.Shape(), p.Shape) {
-			return nil, fmt.Errorf("sim: parameter %d value shape %v, declared %v", p.ParamIndex, v.Shape(), p.Shape)
-		}
-		return v, nil
+		return set[dev%len(set)] // one replicated value, or one per device
 	}
-
 	if err := runSequence(c.Instructions(), values, numDevices, 0, argFor); err != nil {
 		return nil, err
 	}
@@ -80,17 +62,13 @@ func InterpretAll(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor) (
 // runSequence interprets one instruction sequence: the top-level program
 // (iter 0) or a loop body at a given iteration, with parameters resolved
 // by paramFor.
-func runSequence(instrs []*hlo.Instruction, values map[*hlo.Instruction][]*tensor.Tensor, numDevices, iter int, paramFor func(p *hlo.Instruction, dev int) (*tensor.Tensor, error)) error {
+func runSequence(instrs []*hlo.Instruction, values map[*hlo.Instruction][]*tensor.Tensor, numDevices, iter int, paramFor func(p *hlo.Instruction, dev int) *tensor.Tensor) error {
 	for _, in := range instrs {
 		perDevice := make([]*tensor.Tensor, numDevices)
 		switch in.Op {
 		case hlo.OpParameter:
 			for d := 0; d < numDevices; d++ {
-				v, err := paramFor(in, d)
-				if err != nil {
-					return err
-				}
-				perDevice[d] = v
+				perDevice[d] = paramFor(in, d)
 			}
 
 		case hlo.OpConstant:
@@ -99,10 +77,7 @@ func runSequence(instrs []*hlo.Instruction, values map[*hlo.Instruction][]*tenso
 			}
 
 		case hlo.OpAllGather, hlo.OpReduceScatter, hlo.OpAllReduce, hlo.OpAllToAll:
-			src := values[in.Operands[0]]
-			if err := evalGroupCollective(in, src, perDevice); err != nil {
-				return err
-			}
+			evalGroupCollective(in, values[in.Operands[0]], perDevice)
 
 		case hlo.OpCollectivePermute:
 			src := values[in.Operands[0]]
@@ -148,25 +123,18 @@ func runSequence(instrs []*hlo.Instruction, values map[*hlo.Instruction][]*tenso
 // runLoop interprets a counted loop: the body runs TripCount times with
 // the carried per-device values threaded from the root tuple back into
 // the parameters, and the iteration index feeding the body's dynamic
-// offsets. Nested loops are rejected (the decomposition never emits
-// them).
+// offsets. (hlo.VerifyRing has rejected nested loops: the decomposition
+// never emits them.)
 func runLoop(loop *hlo.Instruction, values map[*hlo.Instruction][]*tensor.Tensor, numDevices int) ([]*tensor.Tensor, error) {
 	carried := make([][]*tensor.Tensor, len(loop.Operands))
 	for i, op := range loop.Operands {
 		carried[i] = values[op]
 	}
 	bodyInstrs := loop.Body.Instructions()
-	for _, in := range bodyInstrs {
-		if in.Op == hlo.OpLoop {
-			return nil, fmt.Errorf("sim: nested loop %s unsupported", in.Name)
-		}
-	}
 	root := loop.Body.Root()
 	for it := 0; it < loop.TripCount; it++ {
 		bodyValues := make(map[*hlo.Instruction][]*tensor.Tensor, len(bodyInstrs))
-		resolve := func(p *hlo.Instruction, dev int) (*tensor.Tensor, error) {
-			return carried[p.ParamIndex][dev], nil
-		}
+		resolve := func(p *hlo.Instruction, dev int) *tensor.Tensor { return carried[p.ParamIndex][dev] }
 		if err := runSequence(bodyInstrs, bodyValues, numDevices, it, resolve); err != nil {
 			return nil, fmt.Errorf("sim: loop %s iteration %d: %w", loop.Name, it, err)
 		}
@@ -177,13 +145,12 @@ func runLoop(loop *hlo.Instruction, values map[*hlo.Instruction][]*tensor.Tensor
 	return carried[loop.ResultIndex], nil
 }
 
-func evalGroupCollective(in *hlo.Instruction, src, out []*tensor.Tensor) error {
+// evalGroupCollective evaluates a group collective group by group;
+// hlo.VerifyRing has every device in exactly one.
+func evalGroupCollective(in *hlo.Instruction, src, out []*tensor.Tensor) {
 	for _, group := range in.Groups {
 		inputs := make([]*tensor.Tensor, len(group))
 		for i, dev := range group {
-			if dev < 0 || dev >= len(src) {
-				return fmt.Errorf("sim: %s group device %d out of range", in.Name, dev)
-			}
 			inputs[i] = src[dev]
 		}
 		switch in.Op {
@@ -209,17 +176,11 @@ func evalGroupCollective(in *hlo.Instruction, src, out []*tensor.Tensor) error {
 			}
 		}
 	}
-	for d, v := range out {
-		if v == nil {
-			return fmt.Errorf("sim: device %d does not participate in %s", d, in.Name)
-		}
-	}
-	return nil
 }
 
-// EvalLocal evaluates a device-local instruction (hlo.OpCode.
-// IsDeviceLocal) on one device's operand values and returns a fresh
-// result: EvalLocalInto with no destination.
+// EvalLocal evaluates a device-local instruction on one device's
+// operand values and returns a fresh result: EvalLocalInto with no
+// destination.
 func EvalLocal(in *hlo.Instruction, ops []*tensor.Tensor, pid, iter int) (*tensor.Tensor, error) {
 	return EvalLocalInto(in, nil, ops, pid, iter)
 }
@@ -468,16 +429,4 @@ func pairSlice(pairs []hlo.SourceTargetPair) [][2]int {
 		out[i] = [2]int{p.Source, p.Target}
 	}
 	return out
-}
-
-func sameShape(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

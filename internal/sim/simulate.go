@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
 	"overlap/internal/obs"
@@ -72,8 +70,8 @@ func simulate(c *hlo.Computation, numDevices int, spec machine.Spec, traceDevice
 	if err := spec.Validate(); err != nil {
 		return Breakdown{}, nil, err
 	}
-	if numDevices <= 0 {
-		return Breakdown{}, nil, fmt.Errorf("sim: need at least one device")
+	if err := c.VerifyRing(numDevices); err != nil {
+		return Breakdown{}, nil, err
 	}
 
 	st := &simState{
@@ -89,9 +87,7 @@ func simulate(c *hlo.Computation, numDevices int, spec machine.Spec, traceDevice
 		traceDevices: traceDevices,
 	}
 	for i := 0; i < c.NumInstructions(); i++ {
-		if err := st.exec(c.At(i)); err != nil {
-			return Breakdown{}, nil, err
-		}
+		st.exec(c.At(i))
 	}
 
 	var b Breakdown
@@ -139,8 +135,10 @@ func (st *simState) record(d, track int, cat, name string, start, dur float64) {
 	st.trace = append(st.trace, obs.Span{Device: d, Track: track, Cat: cat, Name: name, Start: start, Dur: dur})
 }
 
-// exec advances every device's clock across one instruction.
-func (st *simState) exec(in *hlo.Instruction) error {
+// exec advances every device's clock across one instruction. It indexes
+// by device id and pairs each done with its start's arrivals unchecked:
+// hlo.VerifyRing ran first.
+func (st *simState) exec(in *hlo.Instruction) {
 	simInstructions.Inc()
 	spec := st.spec
 	numDevices := st.numDevices
@@ -204,9 +202,6 @@ func (st *simState) exec(in *hlo.Instruction) error {
 
 		case hlo.OpCollectivePermuteDone:
 			arr := arrivals[in.Operands[0]]
-			if arr == nil {
-				return fmt.Errorf("sim: %s executed before its start", in.Name)
-			}
 			for d := 0; d < numDevices; d++ {
 				if arr[d] < 0 {
 					continue // device receives nothing: zero result, no wait
@@ -269,9 +264,7 @@ func (st *simState) exec(in *hlo.Instruction) error {
 			// the expanded form.)
 			for it := 0; it < in.TripCount; it++ {
 				for i := 0; i < in.Body.NumInstructions(); i++ {
-					if err := st.exec(in.Body.At(i)); err != nil {
-						return fmt.Errorf("sim: loop %s iteration %d: %w", in.Name, it, err)
-					}
+					st.exec(in.Body.At(i))
 				}
 			}
 
@@ -284,5 +277,4 @@ func (st *simState) exec(in *hlo.Instruction) error {
 			}
 		}
 	}
-	return nil
 }

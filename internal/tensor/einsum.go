@@ -271,15 +271,6 @@ func ReferenceEinsum(spec string, operands ...*Tensor) *Tensor {
 	return out
 }
 
-// EinsumParsed evaluates a pre-parsed spec on the operands.
-func EinsumParsed(spec EinsumSpec, operands ...*Tensor) (*Tensor, error) {
-	e, err := einsumLookup(spec.String())
-	if err != nil {
-		return nil, err
-	}
-	return einsumExec(e, nil, operands, KernelSplitK())
-}
-
 // newEinsumOutput validates the operand shapes and returns the zeroed
 // result tensor: a fresh one, or dst cleared.
 func newEinsumOutput(spec EinsumSpec, dst *Tensor, operands []*Tensor) (*Tensor, error) {

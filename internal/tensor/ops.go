@@ -28,26 +28,6 @@ func AddInto(dst, a, b *Tensor) *Tensor {
 	return out
 }
 
-// Sub returns the element-wise difference a - b.
-func Sub(a, b *Tensor) *Tensor {
-	out := elementwiseDst(nil, a, b)
-	bd := b.data
-	for i, x := range a.data {
-		out.data[i] = x - bd[i]
-	}
-	return out
-}
-
-// Mul returns the element-wise product of a and b.
-func Mul(a, b *Tensor) *Tensor {
-	out := elementwiseDst(nil, a, b)
-	bd := b.data
-	for i, x := range a.data {
-		out.data[i] = x * bd[i]
-	}
-	return out
-}
-
 // Max returns the element-wise maximum of a and b.
 func Max(a, b *Tensor) *Tensor { return MaxInto(nil, a, b) }
 

@@ -12,12 +12,6 @@ func TestAddSubMulMax(t *testing.T) {
 	if got := Add(a, b); !got.Equal(FromValues([]int{2, 2}, []float64{5, 5, 5, 5})) {
 		t.Fatalf("Add = %v", got)
 	}
-	if got := Sub(a, b); !got.Equal(FromValues([]int{2, 2}, []float64{-3, -1, 1, 3})) {
-		t.Fatalf("Sub = %v", got)
-	}
-	if got := Mul(a, b); !got.Equal(FromValues([]int{2, 2}, []float64{4, 6, 6, 4})) {
-		t.Fatalf("Mul = %v", got)
-	}
 	if got := Max(a, b); !got.Equal(FromValues([]int{2, 2}, []float64{4, 3, 3, 4})) {
 		t.Fatalf("Max = %v", got)
 	}

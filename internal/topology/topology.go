@@ -54,12 +54,6 @@ func (m *Mesh) Rank() int { return len(m.dims) }
 // Dim returns the size of the given axis.
 func (m *Mesh) Dim(axis int) int { return m.dims[axis] }
 
-// Dims returns a copy of all axis sizes.
-func (m *Mesh) Dims() []int { return append([]int(nil), m.dims...) }
-
-// AxisName returns the name of the given axis.
-func (m *Mesh) AxisName(axis int) string { return m.names[axis] }
-
 // AxisByName returns the index of the named axis, or -1.
 func (m *Mesh) AxisByName(name string) int {
 	for i, n := range m.names {

@@ -110,16 +110,6 @@ func (e *DivergedError) Error() string {
 	return fmt.Sprintf("train: step %d: loss %v is not finite at learning rate %g (lower -lr / Options.LR)", e.Step, e.Loss, e.LR)
 }
 
-// FinalLoss returns the last step's loss; it is finite, because
-// Execute fails with a *DivergedError instead of recording a
-// non-finite step.
-func (r *Result) FinalLoss() float64 {
-	if len(r.Steps) == 0 {
-		return 0
-	}
-	return r.Steps[len(r.Steps)-1].Loss
-}
-
 // Run builds cfg's training-step program, optionally applies the
 // overlap pipeline, and executes opts.Steps SGD steps on the goroutine
 // runtime, feeding each step's updated weights into the next. Gradients
@@ -228,16 +218,8 @@ func Execute(ctx context.Context, prog *Program, res *Result, opts Options) (*Re
 		}
 
 		if opts.Check {
-			want, err := sim.InterpretAll(prog.Comp, n, args)
-			if err != nil {
-				return nil, fmt.Errorf("train: step %d interpreter: %w", step, err)
-			}
-			for _, op := range prog.Comp.Root().Operands {
-				for d := 0; d < n; d++ {
-					if !rres.All[op][d].Equal(want[op][d]) {
-						return nil, fmt.Errorf("train: step %d: %s on device %d diverges from the interpreter", step, op.Name, d)
-					}
-				}
+			if err := runtime.CheckInterpreter(prog.Comp, n, args, rres); err != nil {
+				return nil, fmt.Errorf("train: step %d: %w", step, err)
 			}
 			stat.Checked = true
 			trChecks.Inc()

@@ -289,7 +289,7 @@ func TestMegatronBackwardHidesReduceScatter(t *testing.T) {
 
 // TestRunStopsOnNonFiniteLoss is the regression test for the diverging
 // default: at this size the 1/16 learning rate overflows within a few
-// steps, and the run used to complete with a NaN FinalLoss. It must
+// steps, and the run used to complete with a NaN final loss. It must
 // stop at the first non-finite step and say which step and rate.
 func TestRunStopsOnNonFiniteLoss(t *testing.T) {
 	cfg := train.Config{Devices: 4, Layers: 2, Model: 128, Hidden: 512, Tokens: 128, Strategy: train.StrategyMegatron}

@@ -218,6 +218,13 @@ func RunContext(ctx context.Context, c *Computation, numDevices int, args [][]*T
 	return runtime.RunContext(ctx, c, numDevices, args, opts)
 }
 
+// CheckRun re-executes c on the lockstep interpreter with the arguments
+// res was run on and compares every output of res bitwise: the check
+// behind every -check.
+func CheckRun(c *Computation, numDevices int, args [][]*Tensor, res *RunResult) error {
+	return runtime.CheckInterpreter(c, numDevices, args, res)
+}
+
 // ParseFaults parses a comma-separated fault-injection spec (e.g.
 // "drop:link:0-1,crash:dev:2:40") into a FaultPlan for
 // RunOptions.Faults. An empty spec returns a nil plan.
@@ -383,8 +390,13 @@ func Gradients(c *Computation, root, seed *Instruction, wrt []*Instruction) (map
 // current schedule.
 func PeakMemory(c *Computation) MemoryStats { return hlo.PeakMemory(c) }
 
-// ParseHLO reads a computation back from its Format text.
-func ParseHLO(text string) (*Computation, error) { return hlo.Parse(text) }
+// ParseHLO reads a computation back from its Format text and checks it
+// the way every front door does: structure and shapes, then that it
+// fits a numDevices ring. What it returns, Run, Interpret and Simulate
+// accept.
+func ParseHLO(text string, numDevices int) (*Computation, error) {
+	return hlo.ParseProgram(text, numDevices)
+}
 
 // Table1Models returns the six production workloads of Table 1.
 func Table1Models() []ModelConfig { return models.Table1() }
