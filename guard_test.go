@@ -225,7 +225,6 @@ var testOnly = map[string]string{
 	"internal/runtime.fabric.mailboxSizes":     "test hook: the leak check that every mailbox is empty after a run, failed or not",
 
 	"internal/tensor.ReferenceEinsum":        "the scalar reference einsum every kernel configuration is compared against bitwise",
-	"internal/tensor.PackCacheTensors":       "test hook: counts pack-cache entries to pin what is cached and what is transient",
 	"internal/tensor.EinsumAddInto":          "EinsumAddIntoSplitK at the bare-call default, as Einsum is to EinsumSplitK; the kernel tests call it",
 	"internal/tensor.EinsumSpec.BatchLabels": "part of the parsed spec's classification (batch / contracting / free) the einsum tests pin",
 	"internal/tensor.Iota":                   "test fixture: a tensor whose every element is distinguishable",

@@ -134,9 +134,9 @@ type RunSpan struct {
 }
 
 // SpanLess is the order of a span stream at rest: by device, track,
-// start, then name. The runtime assembles Result.Trace in it and
-// NewRunTrace requires it of the stream it encodes, so a stream that
-// came from the runtime is never sorted a second time.
+// start, then name. The runtime records Result.Trace in it and
+// WithSpans encodes in it, so a stream that came from the runtime is
+// never sorted.
 func SpanLess(a, b Span) bool {
 	if a.Device != b.Device {
 		return a.Device < b.Device
@@ -152,39 +152,18 @@ func SpanLess(a, b Span) bool {
 
 // NewRunTrace assembles the artifact from an execution's span stream:
 // it runs the attribution analyzer once, stamps every wire span with
-// its instruction's verdict, and embeds the full report. Spans are
-// encoded in SpanLess order so the encoding is deterministic regardless
-// of collection order: a stream already in it is read in place, any
-// other (the simulator's, a hand-built one) is copied and sorted first
-// — the caller's slice is never reordered. Metadata fields (Model,
-// Fingerprint, Stages, timings) are the caller's to fill in.
+// its instruction's verdict, and embeds the full report. Metadata
+// fields (Model, Fingerprint, Stages, timings) are the caller's to fill
+// in. A caller that keeps a run's spans and wants the artifact only if
+// somebody asks takes the two halves separately: NewRunHeader when the
+// run ends, WithSpans when it is asked.
 func NewRunTrace(id, scenario string, spans []Span) *RunTrace {
-	rep := Attribute(spans)
-	// What a wire span is stamped with is a property of its collective:
-	// computed once per collective, the Under list shared by its spans.
-	type stamp struct {
-		verdict string
-		hidden  float64
-		under   []string
-	}
-	stamps := make(map[string]stamp, len(rep.Collectives))
-	for _, a := range rep.Collectives {
-		st := stamp{verdict: verdictOf(a), hidden: a.HiddenFraction()}
-		if n := min(len(a.Under), 3); n > 0 {
-			st.under = make([]string, n)
-			for i := range st.under {
-				st.under[i] = a.Under[i].Name
-			}
-		}
-		stamps[a.Name] = st
-	}
+	return NewRunHeader(id, scenario, Attribute(spans)).WithSpans(spans)
+}
 
-	less := func(i, j int) bool { return SpanLess(spans[i], spans[j]) }
-	if !sort.SliceIsSorted(spans, less) {
-		spans = append([]Span(nil), spans...)
-		sort.SliceStable(spans, less)
-	}
-
+// NewRunHeader is the artifact without its spans: identity, status, and
+// what the attribution report of the run's span stream says.
+func NewRunHeader(id, scenario string, rep AttributionReport) *RunTrace {
 	t := &RunTrace{
 		Version:           RunTraceVersion,
 		ID:                id,
@@ -195,11 +174,51 @@ func NewRunTrace(id, scenario string, spans []Span) *RunTrace {
 	if len(rep.Collectives) > 0 || rep.StallSeconds > 0 {
 		t.Attribution = &rep
 	}
+	return t
+}
+
+// WithSpans returns a copy of the header t carrying the span stream its
+// attribution was computed from, every wire span stamped with its
+// instruction's verdict. Spans are encoded in SpanLess order so the
+// encoding is deterministic regardless of collection order: a stream
+// already in it is read in place, any other (the simulator's, a
+// hand-built one) is copied and sorted first — the caller's slice is
+// never reordered, and t is not written.
+func (t *RunTrace) WithSpans(spans []Span) *RunTrace {
+	// What a wire span is stamped with is a property of its collective:
+	// computed once per collective, the Under list shared by its spans.
+	type stamp struct {
+		verdict string
+		hidden  float64
+		under   []string
+	}
+	var stamps map[string]stamp
+	if t.Attribution != nil {
+		stamps = make(map[string]stamp, len(t.Attribution.Collectives))
+		for _, a := range t.Attribution.Collectives {
+			st := stamp{verdict: verdictOf(a), hidden: a.HiddenFraction()}
+			if n := min(len(a.Under), 3); n > 0 {
+				st.under = make([]string, n)
+				for i := range st.under {
+					st.under[i] = a.Under[i].Name
+				}
+			}
+			stamps[a.Name] = st
+		}
+	}
+
+	less := func(i, j int) bool { return SpanLess(spans[i], spans[j]) }
+	if !sort.SliceIsSorted(spans, less) {
+		spans = append([]Span(nil), spans...)
+		sort.SliceStable(spans, less)
+	}
+
+	out := *t
 	if len(spans) > 0 {
-		t.Spans = make([]RunSpan, len(spans))
+		out.Spans = make([]RunSpan, len(spans))
 	}
 	for i, s := range spans {
-		rs := &t.Spans[i]
+		rs := &out.Spans[i]
 		*rs = RunSpan{
 			Device:  s.Device,
 			Track:   s.Track,
@@ -214,7 +233,7 @@ func NewRunTrace(id, scenario string, spans []Span) *RunTrace {
 			}
 		}
 	}
-	return t
+	return &out
 }
 
 // isWireSpan reports whether a span represents wire occupancy the

@@ -394,3 +394,36 @@ func TestNewRunIDUnique(t *testing.T) {
 		seen[id] = true
 	}
 }
+
+// FuzzDecodeRunTrace: a run-trace file is outside input — traceviz
+// -trace-in reads one, the daemon re-reads its TraceDir twins. Whatever
+// the bytes, DecodeRunTrace returns an artifact or an error; what it
+// returns encodes, decodes again and re-encodes to the same bytes, and
+// renders as a Chrome trace or fails with an error (times near the
+// float range overflow the microsecond scale), never a panic. The seeds
+// under testdata/fuzz are the two goldens (this package's and the
+// daemon's GET), a failed run, and one file per rule the decoder
+// enforces; plain go test replays them.
+func FuzzDecodeRunTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := DecodeRunTrace(data)
+		if err != nil {
+			return
+		}
+		first, err := tr.EncodeJSON()
+		if err != nil {
+			t.Fatalf("a decoded trace does not encode: %v", err)
+		}
+		back, err := DecodeRunTrace(first)
+		if err != nil {
+			t.Fatalf("an encoded trace does not decode: %v\n%s", err, first)
+		}
+		second, err := back.EncodeJSON()
+		if err != nil || !bytes.Equal(first, second) {
+			t.Fatalf("encode → decode → encode is not a fixed point (%v):\n%s\n%s", err, first, second)
+		}
+		if chrome, err := tr.ChromeTrace(); err == nil && !json.Valid(chrome) {
+			t.Fatalf("the Chrome export is not JSON:\n%s", chrome)
+		}
+	})
+}

@@ -1,18 +1,25 @@
 package runtime_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"overlap/internal/autotune"
 	"overlap/internal/core"
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
 	"overlap/internal/models"
 	"overlap/internal/runtime"
+	"overlap/internal/serve"
 	"overlap/internal/sim"
 	"overlap/internal/tensor"
 	"overlap/internal/topology"
@@ -433,4 +440,77 @@ func TestResultRelease(t *testing.T) {
 		}
 	}
 	kept.Release()
+}
+
+// TestReleasedArgumentsCanary is the canary over a served request's own
+// buffers. The daemon draws a request's arguments from the arena's free
+// lists, the run's kernels leave packs on them, and after the digest
+// and the interpreter check both go back — here NaN-filled, arguments
+// and packs alike. Request k+1 of the same plan draws those very
+// buffers: with the same seed it must refill every element it reads,
+// with a different one a pack left on a recycled tensor would be the
+// wrong weights. Every digest must be what the interpreter computes
+// from freshly allocated arguments of that seed, for a forward layer
+// and for a training step, checked and unchecked, on both transports.
+func TestReleasedArgumentsCanary(t *testing.T) {
+	defer runtime.PoisonReleased()()
+	post := func(ts *httptest.Server, path string, req serve.Request) []byte {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %+v: status %d, %v: %s", path, req, resp.StatusCode, err, data)
+		}
+		return data
+	}
+	shapes := []serve.Request{
+		{Model: "GPT_32B", Devices: 4, Dim: 2},
+		{Model: "GPT_32B", Devices: 4, Dim: 2, Scenario: "train", Strategy: "megatron"},
+	}
+	for _, tr := range transports {
+		s, err := serve.New(serve.Config{DisableDiskCache: true, TuneTopK: 1, TuneTimeScale: 5, RunTimeScale: 5, Transport: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		for _, shape := range shapes {
+			plan, err := autotune.DecodePlan(post(ts, "/v1/compile", shape))
+			if err != nil {
+				t.Fatal(err)
+			}
+			comp, err := plan.Computation()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[int64]string{}
+			for k, seed := range []int64{42, 42, 7, 42, 7, 9} {
+				if want[seed] == "" {
+					all, err := sim.InterpretAll(comp, plan.Devices, serve.Args(comp, seed))
+					if err != nil {
+						t.Fatal(err)
+					}
+					want[seed] = serve.Digest(serve.Outputs(comp, all, plan.Devices))
+				}
+				req := shape
+				req.Seed, req.Check = seed, k%2 == 1
+				var got serve.RunResponse
+				if err := json.Unmarshal(post(ts, "/v1/run", req), &got); err != nil {
+					t.Fatal(err)
+				}
+				if got.Digest != want[seed] {
+					t.Fatalf("%s, %s%s request %d (seed %d): digest %s, the interpreter's is %s",
+						tr, shape.Model, shape.Scenario, k, seed, got.Digest, want[seed])
+				}
+			}
+		}
+		ts.Close()
+	}
 }

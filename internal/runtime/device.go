@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"math"
 	"sync/atomic"
 
 	"overlap/internal/hlo"
@@ -58,10 +57,10 @@ type device struct {
 
 	finished float64
 
-	// trace holds the device's compute-track spans: allocated once, at
-	// the size the trace layout gives, when the device is inside the
-	// run's trace window, and nil otherwise. pace times the blocking
-	// collectives this device closes.
+	// trace records the device's compute-track spans: its window of the
+	// run's span slab, the size the trace layout gives, when the device
+	// is inside the run's trace window, and nil otherwise. pace times
+	// the blocking collectives this device closes.
 	trace []obs.Span
 	pace  pacer
 
@@ -86,7 +85,7 @@ func newDevice(e *engine, id int) *device {
 		count: make([]int32, len(t.ops)),
 	}
 	if id < e.window {
-		d.trace = make([]obs.Span, 0, e.computeSpans)
+		e.spans.declare(id, obs.TrackCompute, e.computeSpans, &d.trace)
 	}
 	return d
 }
@@ -118,10 +117,10 @@ func (d *device) stat() (Phase, string, float64) {
 	return phase, op.in.Name, float64(w&(1<<statTimeBits-1)) / 1e6
 }
 
-// poisonReleased makes release overwrite a buffer with NaN before it
-// re-enters a free list, so a read after the planned last use, or a
-// buffer recycled while still on a link, corrupts a checked result
-// instead of passing unnoticed. Set only by tests.
+// poisonReleased makes release overwrite a buffer, and the packs it
+// carries, with NaN before it re-enters a free list, so a read after the
+// planned last use, or a buffer recycled while still on a link, corrupts
+// a checked result instead of passing unnoticed. Set only by tests.
 var poisonReleased bool
 
 // acquire draws an owned buffer of the given shape; its contents are
@@ -150,10 +149,7 @@ func (d *device) release(t *tensor.Tensor) {
 // recycle returns a free-list buffer nothing refers to any more.
 func recycle(t *tensor.Tensor) {
 	if poisonReleased {
-		data := t.Data()
-		for i := range data {
-			data[i] = math.NaN()
-		}
+		tensor.Poison(t)
 	}
 	tensor.Release(t)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -26,8 +25,10 @@ type engine struct {
 	opts Options
 
 	// window is the number of leading devices whose spans are recorded:
-	// zero with tracing off.
+	// zero with tracing off. spans is where they are recorded, nil with
+	// tracing off.
 	window int
+	spans  *spanSlab
 
 	fabric  *fabric
 	inj     *injector
@@ -52,15 +53,27 @@ func newEngine(x *Executable, opts Options) (*engine, error) {
 	}
 	if opts.Trace {
 		e.window = traceWindow(opts.TraceDevices, x.n)
+		// At most a compute window per device and, on the process
+		// transport, three transfer windows per edge.
+		e.spans = &spanSlab{wins: make([]spanWindow, 0, e.window+3*len(x.edges))}
 	}
 	if opts.Faults != nil && len(opts.Faults.Faults) > 0 {
 		e.inj = newInjector(opts.Faults)
 	}
+	// The transport's recorders and the devices declare their windows
+	// of the span slab as they are built; then the slab is cut.
 	f, err := newFabric(e)
 	if err != nil {
 		return nil, err
 	}
 	e.fabric = f
+	e.devices = make([]*device, e.n)
+	for d := range e.devices {
+		e.devices[d] = newDevice(e, d)
+	}
+	if e.spans != nil {
+		e.spans.carve()
+	}
 	return e, nil
 }
 
@@ -128,7 +141,6 @@ func (p *pacer) sleep(d time.Duration, abort <-chan struct{}) bool {
 // joins everything, winds down the fabric, and assembles the per-device
 // outputs and measured breakdown.
 func (e *engine) run(ctx context.Context, args [][]*tensor.Tensor) (*Result, error) {
-	e.devices = make([]*device, e.n)
 	paramFor := func(index, dev int) *tensor.Tensor {
 		set := args[index]
 		if len(set) == 1 {
@@ -151,9 +163,7 @@ func (e *engine) run(ctx context.Context, args [][]*tensor.Tensor) (*Result, err
 		return nil, e.err
 	}
 	var wg sync.WaitGroup
-	for d := 0; d < e.n; d++ {
-		dev := newDevice(e, d)
-		e.devices[d] = dev
+	for _, dev := range e.devices {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -245,10 +255,11 @@ func (e *engine) deadlineError(cause error) *RunError {
 	return re
 }
 
-// assemble merges the per-device outputs, stats, and trace buffers into
-// the caller-facing result; the output buffers the devices own move out
-// of their arenas with it. It runs after every goroutine has joined, so
-// all device- and link-local state is safely visible.
+// assemble merges the per-device outputs and stats into the
+// caller-facing result; the output buffers the devices own move out of
+// their arenas with it, and a traced run's span slab becomes its Trace.
+// It runs after every goroutine has joined, so all device- and
+// link-local state is safely visible.
 func (e *engine) assemble(devices []*device) *Result {
 	res := &Result{
 		RunID: e.opts.RunID,
@@ -290,23 +301,8 @@ func (e *engine) assemble(devices []*device) *Result {
 	res.Breakdown = b
 	b.Record("runtime")
 
-	if e.opts.Trace {
-		bufs := e.fabric.traces()
-		for _, dev := range devices {
-			bufs = append(bufs, dev.trace)
-		}
-		total := 0
-		for _, b := range bufs {
-			total += len(b)
-		}
-		res.Trace = make([]obs.Span, 0, total)
-		for _, b := range bufs {
-			res.Trace = append(res.Trace, b...)
-		}
-		// The order NewRunTrace wants, so its own sort finds nothing to do.
-		sort.SliceStable(res.Trace, func(i, j int) bool {
-			return obs.SpanLess(res.Trace[i], res.Trace[j])
-		})
+	if e.spans != nil {
+		res.Trace = e.spans.assemble()
 	}
 	return res
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"overlap/internal/obs"
 	"overlap/internal/tensor"
 )
 
@@ -15,10 +16,10 @@ func PoisonReleased() (restore func()) {
 	return func() { poisonReleased = false }
 }
 
-// TraceBuffer describes one span buffer a run recorded into: how many
-// spans it holds, its capacity after the run, and the size the
-// Executable's trace layout gives it — zero outside the trace window
-// and for an untraced run, where no buffer may exist at all.
+// TraceBuffer describes one recorder's span buffer after a run: how
+// many spans it holds, its capacity, and the size the Executable's
+// trace layout gives it — zero outside the trace window and for an
+// untraced run, where no buffer may exist at all.
 type TraceBuffer struct {
 	Owner    string
 	Len, Cap int
@@ -26,8 +27,11 @@ type TraceBuffer struct {
 }
 
 // RunTraceBuffers runs the Executable once, the way Run does, and
-// reports every span buffer the run's devices and transport held when
-// it was over.
+// reports every span buffer the run's devices and transport recorded
+// into: each device's, then the span slab's windows in slab order. The
+// layout sizes are derived here, from the edge table, not read back
+// from the slab; a slab whose windows are not exactly the ones the
+// layout names is an error.
 func (x *Executable) RunTraceBuffers(ctx context.Context, args [][]*tensor.Tensor, opts Options) ([]TraceBuffer, error) {
 	if err := x.validateRun(args, opts); err != nil {
 		return nil, err
@@ -42,41 +46,65 @@ func (x *Executable) RunTraceBuffers(ctx context.Context, args [][]*tensor.Tenso
 	}
 	res.Release()
 
-	in := func(dev, n int) int { // n inside the trace window, else 0
-		if dev < eng.window {
-			return n
-		}
-		return 0
-	}
 	var out []TraceBuffer
 	for _, d := range eng.devices {
-		out = append(out, TraceBuffer{fmt.Sprintf("device %d", d.id), len(d.trace), cap(d.trace), in(d.id, x.computeSpans)})
-	}
-	// The transports' traces() order: one buffer per edge in edge order;
-	// the process transport adds one per worker by ascending device, for
-	// the two spans of every frame addressed to it.
-	var layout []TraceBuffer
-	for _, e := range x.edges {
-		layout = append(layout, TraceBuffer{Owner: fmt.Sprintf("link %d->%d", e.src, e.dst), Layout: in(e.src, e.transfers)})
-	}
-	if opts.Transport == TransportProc {
-		inbound, touches := make([]int, x.n), make([]bool, x.n)
-		for _, e := range x.edges {
-			inbound[e.dst] += e.transfers
-			touches[e.src], touches[e.dst] = true, true
+		layout := 0
+		if d.id < eng.window {
+			layout = x.computeSpans
 		}
-		for dev := range inbound {
-			if touches[dev] {
-				layout = append(layout, TraceBuffer{Owner: fmt.Sprintf("worker %d", dev), Layout: in(dev, 2*inbound[dev])})
+		out = append(out, TraceBuffer{fmt.Sprintf("device %d", d.id), len(d.trace), cap(d.trace), layout})
+	}
+	if eng.spans == nil {
+		if res.Trace != nil {
+			return nil, fmt.Errorf("an untraced run returned %d spans", len(res.Trace))
+		}
+		return out, nil
+	}
+	// Per device inside the window: its compute track, then its transfer
+	// track — one window per outgoing edge (the process transport: two,
+	// serialize and transfer), then the process transport's deserialize
+	// window when any edge ends at the device.
+	var want []int
+	for dev := 0; dev < eng.window; dev++ {
+		want = append(want, x.computeSpans)
+		inbound := 0
+		for _, e := range x.edges {
+			if e.src == dev {
+				want = append(want, e.transfers)
+				if opts.Transport == TransportProc {
+					want = append(want, e.transfers)
+				}
+			}
+			if e.dst == dev {
+				inbound += e.transfers
 			}
 		}
+		if opts.Transport == TransportProc && inbound > 0 {
+			want = append(want, inbound)
+		}
 	}
-	bufs := eng.fabric.traces()
-	if len(bufs) != len(layout) {
-		return nil, fmt.Errorf("transport %q holds %d span buffers, the layout names %d", opts.Transport, len(bufs), len(layout))
+	if len(eng.spans.wins) != len(want) {
+		return nil, fmt.Errorf("transport %q: the span slab has %d windows, the layout names %d", opts.Transport, len(eng.spans.wins), len(want))
 	}
-	for i, b := range bufs {
-		layout[i].Len, layout[i].Cap = len(b), cap(b)
+	total, recorded := 0, 0
+	for i, w := range eng.spans.wins {
+		total += want[i]
+		recorded += len(*w.rec)
+		if w.track != 0 { // a device's own buffer is listed above
+			out = append(out, TraceBuffer{fmt.Sprintf("device %d transfer window %d", w.device, i), len(*w.rec), cap(*w.rec), want[i]})
+		}
 	}
-	return append(out, layout...), nil
+	if len(eng.spans.buf) != total || len(res.Trace) != recorded {
+		return nil, fmt.Errorf("transport %q: slab of %d spans for a layout of %d, %d spans returned of %d recorded",
+			opts.Transport, len(eng.spans.buf), total, len(res.Trace), recorded)
+	}
+	for i, sp := range res.Trace {
+		if sp.Name == "" || sp.Dur <= 0 {
+			return nil, fmt.Errorf("transport %q: span %d of the stream is a gap: %+v", opts.Transport, i, sp)
+		}
+		if i > 0 && obs.SpanLess(sp, res.Trace[i-1]) {
+			return nil, fmt.Errorf("transport %q: spans %d and %d of the stream are out of SpanLess order", opts.Transport, i-1, i)
+		}
+	}
+	return out, nil
 }

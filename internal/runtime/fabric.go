@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"overlap/internal/hlo"
-	"overlap/internal/obs"
 	"overlap/internal/tensor"
 )
 
@@ -223,10 +222,6 @@ func (f *fabric) receive(dst int, key mailKey) (*tensor.Tensor, bool) {
 // mailboxes nobody reads, which cannot block because delivery never
 // waits on a reader and in-flight sleeps select against the abort.
 func (f *fabric) shutdown() { f.tr.shutdown() }
-
-// traces returns the transport's span buffers. Only called after
-// shutdown, when nothing appends.
-func (f *fabric) traces() [][]obs.Span { return f.tr.traces() }
 
 // mailboxSizes reports, for one device, how many queue cells exist, how
 // many hold an undelivered parcel, and how many starts have advanced

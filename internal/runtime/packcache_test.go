@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -65,5 +66,54 @@ func TestDecomposedRunReusesPacks(t *testing.T) {
 	}
 	if churn := misses.Value() - misses0; churn > 2 {
 		t.Fatalf("decomposed run re-packed %g times; the weight should pack at most once", churn)
+	}
+}
+
+// TestReplicatedWeightPacksOncePerRun is the cold half: one Executable,
+// four device goroutines reaching the same never-packed replicated
+// weight at about the same moment. The pack is filled under the
+// tensor's lock, so exactly one of them packs it — on every run with a
+// new weight, and not at all on a second run with the same one. Under
+// -race this is also the witness that the devices' reads of the shared
+// pack are ordered after its fill.
+func TestReplicatedWeightPacksOncePerRun(t *testing.T) {
+	const n = 4
+	c := hlo.NewComputation("packs-once")
+	groups := topology.NewRing(n).AxisGroups(0)
+	a := c.Parameter(0, "a", []int{8, 16})
+	w := c.Parameter(1, "w", []int{64, 16}) // transposed weight: rhs packs
+	c.Einsum("mk,nk->mn", c.AllGather(a, 0, groups), w)
+	opts := core.DefaultOptions(machine.TPUv4())
+	opts.UseCostModel = false
+	if _, err := core.Apply(c, opts); err != nil {
+		t.Fatal(err)
+	}
+	x, err := Compile(c, n, machine.Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(10))
+	shards := make([]*tensor.Tensor, n)
+	for d := range shards {
+		shards[d] = tensor.Rand(rng, 8, 16)
+	}
+	misses := obs.Default().Counter("overlap_kernel_pack_misses_total", "")
+	for round := 0; round < 3; round++ {
+		args := [][]*tensor.Tensor{shards, {tensor.Rand(rng, 64, 16)}}
+		for run, want := range []float64{1, 0} {
+			misses0 := misses.Value()
+			res, err := x.Run(context.Background(), args, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := CheckInterpreter(c, n, args, res); err != nil {
+				t.Fatal(err)
+			}
+			res.Release()
+			// The interpreter check reads the same weight: by then it is packed.
+			if got := misses.Value() - misses0; got != want {
+				t.Fatalf("weight %d, run %d: %g pack misses, want %g", round, run, got, want)
+			}
+		}
 	}
 }

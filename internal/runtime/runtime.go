@@ -125,8 +125,7 @@ type Result struct {
 	// names it in its root tuple. The outputs were computed in arena
 	// buffers and moved out to the caller, who owns them until Release:
 	// until then each is an ordinary tensor, valid across later runs and
-	// usable as a later run's argument, except that the pack cache
-	// treats it as transient and never keys on it. An output that is
+	// usable as a later run's argument. An output that is
 	// itself an argument or a constant of the program stays whoever's it
 	// was.
 	All map[*hlo.Instruction][]*tensor.Tensor
@@ -167,6 +166,21 @@ func (r *Result) Release() {
 		recycle(t)
 	}
 	r.owned, r.All, r.Values = nil, nil, nil
+}
+
+// ReleaseArgs hands a finished run's arguments back to the arena's free
+// lists, packs and all, for a caller that drew them there itself
+// (tensor.NewPooled) and is their only holder; ordinary tensors among
+// them are left alone. An earlier result's outputs fed forward as
+// arguments are that result's to release, never this function's.
+func ReleaseArgs(args [][]*tensor.Tensor) {
+	for _, set := range args {
+		for _, t := range set {
+			if t.Pooled() {
+				recycle(t)
+			}
+		}
+	}
 }
 
 // Run executes the computation on numDevices goroutine devices and

@@ -1,10 +1,6 @@
 package runtime
 
-import (
-	"time"
-
-	"overlap/internal/obs"
-)
+import "time"
 
 // TransportKind selects the fabric implementation a run's transfers
 // move over.
@@ -45,7 +41,9 @@ func ParseTransport(s string) (TransportKind, error) {
 // way. Everything above it — mailbox addressing, at-most-once
 // enforcement, watermark pruning, the missing-link check — stays in
 // the fabric, shared by every implementation, which is what keeps the
-// bitwise cross-check against sim.Interpret transport-independent.
+// bitwise cross-check against sim.Interpret transport-independent. A
+// transport's span recorders declare their windows of a traced run's
+// slab (engine.spans) when it is constructed.
 type transport interface {
 	// start brings the data plane up for the Executable's directed
 	// edges. Called once, before any device goroutine runs; an error
@@ -61,13 +59,6 @@ type transport interface {
 	// shutdown tears the data plane down — goroutines joined, worker
 	// processes reaped — after every device goroutine has returned.
 	shutdown()
-
-	// traces returns the transfer-layer span buffers the run recorded
-	// into, one per link or endpoint in a fixed order, each allocated
-	// once at the size the trace layout gives it (nil outside the trace
-	// window or with tracing off). Only called after shutdown, when
-	// nothing appends.
-	traces() [][]obs.Span
 }
 
 // newTransport constructs the configured transport for one engine.

@@ -28,21 +28,25 @@ type chanTransport struct {
 	wg    sync.WaitGroup
 }
 
-func newChanTransport(e *engine, f *fabric) *chanTransport {
-	return &chanTransport{eng: e, fab: f}
-}
-
-// start spins up one link goroutine per directed edge. A link's queue
+// newChanTransport lays out one link per directed edge. A link's queue
 // holds every parcel the run will post on it, up to linkBuffer, and its
-// span buffer every transfer the trace layout says it carries.
-func (t *chanTransport) start() error {
-	t.links = make([]*chanLink, len(t.eng.edges))
-	for i, edge := range t.eng.edges {
+// window of the span slab every transfer the trace layout says it
+// carries.
+func newChanTransport(e *engine, f *fabric) *chanTransport {
+	t := &chanTransport{eng: e, fab: f, links: make([]*chanLink, len(e.edges))}
+	for i, edge := range e.edges {
 		l := &chanLink{src: edge.src, dst: edge.dst, ch: make(chan parcel, min(linkBuffer, edge.transfers))}
-		if l.src < t.eng.window {
-			l.trace = make([]obs.Span, 0, edge.transfers)
+		if l.src < e.window {
+			e.spans.declare(l.src, obs.TrackTransfer, edge.transfers, &l.trace)
 		}
 		t.links[i] = l
+	}
+	return t
+}
+
+// start spins up the link goroutines.
+func (t *chanTransport) start() error {
+	for _, l := range t.links {
 		t.wg.Add(1)
 		go func() {
 			defer t.wg.Done()
@@ -105,13 +109,4 @@ func (t *chanTransport) shutdown() {
 		close(l.ch)
 	}
 	t.wg.Wait()
-}
-
-// traces returns the per-link transfer span buffers, in edge order.
-func (t *chanTransport) traces() [][]obs.Span {
-	out := make([][]obs.Span, len(t.links))
-	for i, l := range t.links {
-		out[i] = l.trace
-	}
-	return out
 }

@@ -40,6 +40,9 @@ type procTransport struct {
 
 	workers map[int]*procWorker
 	edges   []*procEdge // by position in the Executable's edge table
+	// deser[d] records the deserialize spans of device d's worker's
+	// reader (nil outside the trace window).
+	deser [][]obs.Span
 
 	closing atomic.Bool
 	sendWG  sync.WaitGroup
@@ -63,7 +66,6 @@ type procWorker struct {
 	cmd     *exec.Cmd
 	control *os.File   // parent end of the control socketpair
 	writeMu sync.Mutex // serializes outbound frames on the control socket
-	trace   []obs.Span
 }
 
 // procEdge is the parent-side queue for one directed edge, mirroring
@@ -72,20 +74,46 @@ type procWorker struct {
 type procEdge struct {
 	src, dst int
 	ch       chan parcel
-	trace    []obs.Span
+	// The source device's transfer track, twice per parcel: ser is the
+	// serialize span, recorded by the edge's sender; transfer the span
+	// from post to delivery, recorded by the reader of the destination's
+	// worker — the one goroutine the edge's frames come back up through.
+	ser, transfer []obs.Span
 }
 
 func newProcTransportChecked(e *engine, f *fabric) (transport, error) {
 	return newProcTransport(e, f), nil
 }
 
+// newProcTransport lays out the parent-side edge queues and, for a
+// traced run, every recorder's window of the span slab: per edge a
+// serialize and a transfer span for each parcel, per device a
+// deserialize span for each frame addressed to it.
 func newProcTransport(e *engine, f *fabric) *procTransport {
-	return &procTransport{
+	t := &procTransport{
 		eng:     e,
 		fab:     f,
 		workers: map[int]*procWorker{},
+		edges:   make([]*procEdge, len(e.edges)),
+		deser:   make([][]obs.Span, e.n),
 		pending: map[pendingKey]float64{},
 	}
+	inbound := make([]int, e.n)
+	for i, edge := range e.edges {
+		l := &procEdge{src: edge.src, dst: edge.dst, ch: make(chan parcel, linkBuffer)}
+		if l.src < e.window {
+			e.spans.declare(l.src, obs.TrackTransfer, edge.transfers, &l.ser)
+			e.spans.declare(l.src, obs.TrackTransfer, edge.transfers, &l.transfer)
+		}
+		inbound[l.dst] += edge.transfers
+		t.edges[i] = l
+	}
+	for dev, n := range inbound[:e.window] {
+		if n > 0 {
+			e.spans.declare(dev, obs.TrackTransfer, n, &t.deser[dev])
+		}
+	}
+	return t
 }
 
 // workerEnv gates worker mode in a re-exec'd binary; workerEdgesEnv
@@ -103,9 +131,6 @@ func (t *procTransport) start() error {
 	type edgeFDs struct {
 		spec string // "o:<peer>:<fd>" / "i:<peer>:<fd>" fragments
 		fds  []*os.File
-		// inbound counts the transfers addressed to this worker's device:
-		// each comes back up its control socket as one frame.
-		inbound int
 	}
 	perWorker := map[int]*edgeFDs{}
 	worker := func(id int) *edgeFDs {
@@ -126,7 +151,6 @@ func (t *procTransport) start() error {
 		return formatErr("proc transport: %w", err)
 	}
 
-	window := t.eng.window
 	for _, edge := range t.eng.edges {
 		src, dst := edge.src, edge.dst
 		fds, err := socketpair()
@@ -144,12 +168,6 @@ func (t *procTransport) start() error {
 		ws.spec += fmt.Sprintf("o:%d:%d,", dst, 3+len(ws.fds))
 		wd.fds = append(wd.fds, inEnd)
 		wd.spec += fmt.Sprintf("i:%d:%d,", src, 3+len(wd.fds))
-		wd.inbound += edge.transfers
-		l := &procEdge{src: src, dst: dst, ch: make(chan parcel, linkBuffer)}
-		if src < window {
-			l.trace = make([]obs.Span, 0, edge.transfers) // one serialize span per parcel
-		}
-		t.edges = append(t.edges, l)
 	}
 
 	exe, err := os.Executable()
@@ -188,11 +206,7 @@ func (t *procTransport) start() error {
 			f.Close()
 		}
 		wf.fds = nil
-		w := &procWorker{id: id, cmd: cmd, control: parentCtl}
-		if id < window {
-			w.trace = make([]obs.Span, 0, 2*wf.inbound) // a deserialize and a transfer span per frame
-		}
-		t.workers[id] = w
+		t.workers[id] = &procWorker{id: id, cmd: cmd, control: parentCtl}
 		rtTransportWorkers.Inc()
 		obs.Log().Debug("runtime.worker_spawn", "run_id", t.eng.opts.RunID,
 			"device", id, "pid", cmd.Process.Pid)
@@ -278,7 +292,7 @@ func (t *procTransport) serveEdge(l *procEdge) {
 			continue // keep draining so posters never block forever
 		}
 		if traced {
-			l.trace = append(l.trace, obs.Span{
+			l.ser = append(l.ser, obs.Span{
 				Device: l.src, Track: obs.TrackTransfer,
 				Cat: "serialize", Name: p.key.start.Name,
 				Start: t0, Dur: ser,
@@ -331,21 +345,23 @@ func (t *procTransport) readWorker(w *procWorker) {
 		des := e.since() - t0
 		rtDeserializeSpans.Observe(des)
 		if w.id < e.window {
-			w.trace = append(w.trace, obs.Span{
+			t.deser[w.id] = append(t.deser[w.id], obs.Span{
 				Device: w.id, Track: obs.TrackTransfer,
 				Cat: "deserialize", Name: fr.Name,
 				Start: t0, Dur: des,
 			})
 			t.pendMu.Lock()
-			if post, ok := t.pending[pendingKey{fr.Name, fr.Inst, fr.Src, fr.Dst}]; ok {
-				delete(t.pending, pendingKey{fr.Name, fr.Inst, fr.Src, fr.Dst})
-				w.trace = append(w.trace, obs.Span{
+			post, ok := t.pending[pendingKey{fr.Name, fr.Inst, fr.Src, fr.Dst}]
+			delete(t.pending, pendingKey{fr.Name, fr.Inst, fr.Src, fr.Dst})
+			t.pendMu.Unlock()
+			if ok {
+				l := t.edges[e.link[[2]int{fr.Src, fr.Dst}]]
+				l.transfer = append(l.transfer, obs.Span{
 					Device: fr.Src, Track: obs.TrackTransfer,
 					Cat: obs.CatTransfer, Name: fr.Name,
 					Start: post, Dur: e.since() - post,
 				})
 			}
-			t.pendMu.Unlock()
 		}
 		t.fab.deliverNamed(fr.Dst, fr.Name, fr.Inst, data, fr.Fault)
 	}
@@ -378,20 +394,4 @@ func (t *procTransport) shutdown() {
 			<-done
 		}
 	}
-}
-
-// traces returns the per-edge serialize span buffers, in edge order,
-// then the per-worker deserialize/transfer span buffers by ascending
-// device.
-func (t *procTransport) traces() [][]obs.Span {
-	out := make([][]obs.Span, 0, len(t.edges)+len(t.workers))
-	for _, l := range t.edges {
-		out = append(out, l.trace)
-	}
-	for id := 0; id < t.eng.n; id++ {
-		if w, ok := t.workers[id]; ok {
-			out = append(out, w.trace)
-		}
-	}
-	return out
 }

@@ -9,7 +9,10 @@ import (
 
 // flightRecorder is the daemon's bounded in-memory trace store: the
 // last N runs in a ring, plus a kept set of the K most interesting runs
-// (slowest or failed) that survive ring wraparound. The answer to "show
+// (slowest or failed) that survive ring wraparound. A run is stored as
+// it came off the executor — the span slab, plus the header computed
+// from it — and becomes a trace artifact only when get is asked for it:
+// every request records one, few are ever read. The answer to "show
 // me the trace of the slow run from 30 seconds ago" without unbounded
 // memory: steady-state traffic cycles through the ring, while the runs
 // an operator actually asks about — the outliers and the failures —
@@ -26,12 +29,14 @@ type flightRecorder struct {
 	kept    map[string]struct{}
 }
 
-// recordedRun is one stored trace with its recording order and its
-// keep-worthiness score.
+// recordedRun is one stored run with its recording order and its
+// keep-worthiness score: head is the trace artifact less its spans,
+// spans the stream the header's attribution was computed from.
 type recordedRun struct {
 	seq   int64
 	score float64
-	trace *obs.RunTrace
+	head  *obs.RunTrace
+	spans []obs.Span
 }
 
 // keepScore ranks how much a trace deserves to outlive the ring:
@@ -58,11 +63,12 @@ func newFlightRecorder(size, keep int) *flightRecorder {
 	}
 }
 
-// record stores one run's trace. When the ring wraps, the overwritten
+// record stores one run: its header and its spans, neither of which the
+// caller may write afterwards. When the ring wraps, the overwritten
 // run either moves to the kept set (it outranks the weakest keeper, or
 // a keep slot is free) or is evicted for good — eviction is counted in
 // svTraceEvictions so memory pressure is visible in /metrics.
-func (fr *flightRecorder) record(t *obs.RunTrace) {
+func (fr *flightRecorder) record(t *obs.RunTrace, spans []obs.Span) {
 	if t == nil || t.ID == "" {
 		return
 	}
@@ -70,7 +76,7 @@ func (fr *flightRecorder) record(t *obs.RunTrace) {
 	defer fr.mu.Unlock()
 
 	fr.seq++
-	entry := &recordedRun{seq: fr.seq, score: keepScore(t), trace: t}
+	entry := &recordedRun{seq: fr.seq, score: keepScore(t), head: t, spans: spans}
 
 	if old, dup := fr.entries[t.ID]; dup {
 		// Same ID recorded twice (caller retry): replace in place, the
@@ -124,15 +130,16 @@ func (fr *flightRecorder) retire(id string) {
 	svTraceEvictions.Inc()
 }
 
-// get returns the stored trace for a run ID, nil when unknown (evicted
-// or never recorded).
+// get builds the trace artifact of a stored run, nil when the ID is
+// unknown (evicted or never recorded).
 func (fr *flightRecorder) get(id string) *obs.RunTrace {
 	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	if e, ok := fr.entries[id]; ok {
-		return e.trace
+	e, ok := fr.entries[id]
+	fr.mu.Unlock()
+	if !ok {
+		return nil
 	}
-	return nil
+	return e.head.WithSpans(e.spans)
 }
 
 // RunSummary is one flight-recorder entry as /v1/runs lists it.
@@ -158,7 +165,7 @@ func (fr *flightRecorder) list() []RunSummary {
 	sort.Slice(all, func(i, j int) bool { return all[i].seq > all[j].seq })
 	out := make([]RunSummary, 0, len(all))
 	for _, e := range all {
-		t := e.trace
+		t := e.head
 		_, kept := fr.kept[t.ID]
 		out = append(out, RunSummary{
 			ID:       t.ID,

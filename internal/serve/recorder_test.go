@@ -8,13 +8,15 @@ import (
 	"overlap/internal/obs"
 )
 
-func mkTrace(id string, totalMS float64, failed bool) *obs.RunTrace {
-	t := obs.NewRunTrace(id, "run", nil)
+// mkRun is a run as the server records it: a header and (here, no)
+// spans.
+func mkRun(id string, totalMS float64, failed bool) (*obs.RunTrace, []obs.Span) {
+	t := obs.NewRunHeader(id, "run", obs.Attribute(nil))
 	t.TotalMS = totalMS
 	if failed {
 		t.SetError(obs.RunTraceError{Device: 0, Cause: "injected"})
 	}
-	return t
+	return t, nil
 }
 
 // TestFlightRecorderEviction drives the ring far past wraparound and
@@ -26,11 +28,11 @@ func TestFlightRecorderEviction(t *testing.T) {
 	before := svTraceEvictions.Value()
 
 	// Two keep-worthy runs up front: a very slow run and a failure.
-	fr.record(mkTrace("r-slow", 5000, false))
-	fr.record(mkTrace("r-failed", 10, true))
+	fr.record(mkRun("r-slow", 5000, false))
+	fr.record(mkRun("r-failed", 10, true))
 	// Then enough fast runs to wrap the ring several times over.
 	for i := 0; i < 20; i++ {
-		fr.record(mkTrace(fmt.Sprintf("r-fast-%02d", i), 1+float64(i)/100, false))
+		fr.record(mkRun(fmt.Sprintf("r-fast-%02d", i), 1+float64(i)/100, false))
 	}
 
 	if got := fr.get("r-slow"); got == nil {
@@ -84,15 +86,15 @@ func TestFlightRecorderEviction(t *testing.T) {
 // kept set is full of slow successes, a failed run still displaces one.
 func TestFlightRecorderFailedOutranksSlow(t *testing.T) {
 	fr := newFlightRecorder(2, 1)
-	fr.record(mkTrace("r-slow", 9999, false))
-	fr.record(mkTrace("r-a", 1, false))
-	fr.record(mkTrace("r-b", 1, false)) // wraps: r-slow retires into the kept slot
+	fr.record(mkRun("r-slow", 9999, false))
+	fr.record(mkRun("r-a", 1, false))
+	fr.record(mkRun("r-b", 1, false)) // wraps: r-slow retires into the kept slot
 	if fr.get("r-slow") == nil {
 		t.Fatal("slow run should hold the keep slot")
 	}
-	fr.record(mkTrace("r-failed", 1, true))
-	fr.record(mkTrace("r-c", 1, false))
-	fr.record(mkTrace("r-d", 1, false)) // wraps twice: r-failed retires, displacing r-slow
+	fr.record(mkRun("r-failed", 1, true))
+	fr.record(mkRun("r-c", 1, false))
+	fr.record(mkRun("r-d", 1, false)) // wraps twice: r-failed retires, displacing r-slow
 	if fr.get("r-failed") == nil {
 		t.Error("failed run should displace the slow success from the keep slot")
 	}
@@ -112,7 +114,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				fr.record(mkTrace(fmt.Sprintf("r-%d-%03d", w, i), float64(i), i%7 == 0))
+				fr.record(mkRun(fmt.Sprintf("r-%d-%03d", w, i), float64(i), i%7 == 0))
 			}
 		}(w)
 	}

@@ -179,6 +179,8 @@ type Server struct {
 	mux      *http.ServeMux
 	httpSrv  *http.Server
 	draining atomic.Bool
+	// check is runtime.CheckInterpreter; a field so a test can fail it.
+	check func(*hlo.Computation, int, [][]*tensor.Tensor, *runtime.Result) error
 	// graphBuilds counts buildGraph calls: what a warm request of a known
 	// shape must not do (the alias tests read it).
 	graphBuilds atomic.Int64
@@ -201,6 +203,7 @@ func New(cfg Config) (*Server, error) {
 		plans:    newPlanCache(cfg.PlanCacheSize),
 		recorder: newFlightRecorder(cfg.FlightRecorderSize, cfg.FlightKeep),
 		slots:    make(chan struct{}, cfg.MaxConcurrentRuns),
+		check:    runtime.CheckInterpreter,
 	}
 	s.batch = newBatcher(s.plans, cfg.InboxSize, cfg.MaxBatch, cfg.MaxWait)
 	s.mux = http.NewServeMux()
@@ -403,6 +406,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, err)
 		return
 	}
+	// The digest below is the last reader of the outputs, the run and its
+	// check the only readers of the arguments: both go back to the arena.
+	defer run.release()
 	// The admission slot is free again: the digest, the attribution, the
 	// trace and the response below are this request's own time.
 	timing := TimingMS{
@@ -424,15 +430,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		var re *runtime.RunError
 		if errors.As(err, &re) {
 			svRunErrors.Inc()
-			trace := s.newTrace(runID, req, key, out.plan.plan.Devices, start, timing, nil)
-			trace.SetError(obs.RunTraceError{
+			head := s.newHeader(runID, req, key, out.plan.plan.Devices, start, timing, nil)
+			head.SetError(obs.RunTraceError{
 				Device:      re.Device,
 				Instruction: re.Instr,
 				Phase:       string(re.Phase),
 				Fault:       re.Fault,
 				Cause:       re.Error(),
 			})
-			s.record(trace)
+			s.record(head, nil)
 			obs.Log().Error("serve.run", "run_id", runID, "fingerprint", key,
 				"scenario", scenarioLabel(req.Scenario), "status", "failed",
 				"total_ms", timing.Total, "error", re.Error())
@@ -446,24 +452,27 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The digest is the last reader of the outputs; afterwards their
-	// buffers go back to the arena for the next run.
 	res := run.res
-	defer res.Release()
-	if run.checkErr != nil {
-		s.writeError(w, http.StatusInternalServerError, run.checkErr)
-		return
-	}
-
 	b := res.Breakdown
 	timing.Total = time.Since(start).Seconds() * 1e3
-	trace := s.newTrace(runID, req, key, out.plan.plan.Devices, start, timing, res.Trace)
-	trace.StepMS = b.StepTime * 1e3
-	s.record(trace)
+	head := s.newHeader(runID, req, key, out.plan.plan.Devices, start, timing, res.Trace)
+	head.StepMS = b.StepTime * 1e3
+	if run.checkErr != nil {
+		// The run an operator will ask for: recorded, spans and all.
+		head.SetError(obs.RunTraceError{Device: -1, Phase: "check", Cause: run.checkErr.Error()})
+		s.record(head, res.Trace)
+		obs.Log().Error("serve.run", "run_id", runID, "fingerprint", key,
+			"scenario", scenarioLabel(req.Scenario), "status", "failed", "error", run.checkErr.Error())
+		svErrors.Inc()
+		s.writeJSON(w, http.StatusInternalServerError,
+			errorBody{Error: run.checkErr.Error(), Fingerprint: key, RunID: runID})
+		return
+	}
+	s.record(head, res.Trace)
 	obs.Log().Info("serve.run", "run_id", runID, "fingerprint", key,
 		"scenario", scenarioLabel(req.Scenario), "status", "ok", "plan", out.source,
-		"step_ms", trace.StepMS, "total_ms", timing.Total,
-		"overlap_efficiency", trace.OverlapEfficiency)
+		"step_ms", head.StepMS, "total_ms", timing.Total,
+		"overlap_efficiency", head.OverlapEfficiency)
 
 	s.writeJSON(w, http.StatusOK, RunResponse{
 		RunID:       runID,
@@ -478,7 +487,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			Wire:    b.CollectiveWire * 1e3,
 			Exposed: b.Exposed * 1e3,
 		},
-		OverlapEfficiency: trace.OverlapEfficiency,
+		OverlapEfficiency: head.OverlapEfficiency,
 		Digest:            Digest(run.outputs),
 		Checked:           req.Check,
 		TimingMS:          timing,
@@ -486,14 +495,23 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 // admittedRun is what one execution under an admission slot produced:
-// how long it waited for the slot and ran, then either the run's error
-// or its result with the flattened outputs and, when the request asked
-// for the interpreter cross-check, what that found.
+// how long it waited for the slot and ran, the arguments it drew, then
+// either the run's error or its result with the flattened outputs and,
+// when the request asked for the interpreter cross-check, its verdict.
 type admittedRun struct {
 	admission, dur time.Duration
+	args           [][]*tensor.Tensor
 	res            *runtime.Result
 	outputs        []*tensor.Tensor
 	err, checkErr  error
+}
+
+// release hands the run's outputs and arguments back to the arena.
+func (r *admittedRun) release() {
+	if r.res != nil {
+		r.res.Release()
+	}
+	runtime.ReleaseArgs(r.args)
 }
 
 // runAdmitted executes the plan's Executable for one request. Served
@@ -517,9 +535,9 @@ func (s *Server) runAdmitted(ctx context.Context, req *Request, cp *cachedPlan, 
 	defer func() { svInflight.Add(-1); <-s.slots }()
 
 	devices := cp.plan.Devices
-	args := Args(cp.comp, req.Seed)
+	run.args = argsFrom(cp.comp, req.Seed, pooledRand)
 	runStart := time.Now()
-	run.res, run.err = cp.exe.Run(ctx, args, runtime.Options{
+	run.res, run.err = cp.exe.Run(ctx, run.args, runtime.Options{
 		TimeScale: s.runTimeScale(req), Trace: true, RunID: runID,
 		Transport: s.cfg.Transport, Faults: req.faults,
 	})
@@ -530,7 +548,7 @@ func (s *Server) runAdmitted(ctx context.Context, req *Request, cp *cachedPlan, 
 	}
 	run.outputs = Outputs(cp.comp, run.res.All, devices)
 	if req.Check {
-		run.checkErr = runtime.CheckInterpreter(cp.comp, devices, args, run.res)
+		run.checkErr = s.check(cp.comp, devices, run.args, run.res)
 	}
 	return run, nil
 }
@@ -544,40 +562,41 @@ func scenarioLabel(s string) string {
 	return "run"
 }
 
-// newTrace assembles the run-scoped trace artifact for one served run:
-// executor spans (with attribution verdicts) when the run produced
-// them, plus the serve-path stage breakdown and request metadata.
-func (s *Server) newTrace(runID string, req *Request, key string, devices int, start time.Time, timing TimingMS, spans []obs.Span) *obs.RunTrace {
-	trace := obs.NewRunTrace(runID, scenarioLabel(req.Scenario), spans)
-	trace.Model = req.Model
-	trace.Fingerprint = key
-	trace.Devices = devices
-	trace.Start = start.UTC().Format(time.RFC3339Nano)
-	trace.TotalMS = timing.Total
+// newHeader assembles one served run's trace artifact less its spans:
+// the attribution of the span stream the run produced (none when it
+// failed), the serve-path stage breakdown and the request metadata.
+func (s *Server) newHeader(runID string, req *Request, key string, devices int, start time.Time, timing TimingMS, spans []obs.Span) *obs.RunTrace {
+	head := obs.NewRunHeader(runID, scenarioLabel(req.Scenario), obs.Attribute(spans))
+	head.Model = req.Model
+	head.Fingerprint = key
+	head.Devices = devices
+	head.Start = start.UTC().Format(time.RFC3339Nano)
+	head.TotalMS = timing.Total
 	cursor := 0.0
 	for _, st := range []struct {
 		name string
 		dur  float64
 	}{{"queue", timing.Queue}, {"plan", timing.Plan}, {"admission", timing.Admission}, {"run", timing.Run}} {
-		trace.Stages = append(trace.Stages, obs.RunStage{Name: st.name, StartMS: cursor, DurMS: st.dur})
+		head.Stages = append(head.Stages, obs.RunStage{Name: st.name, StartMS: cursor, DurMS: st.dur})
 		cursor += st.dur
 	}
-	return trace
+	return head
 }
 
-// record stores a trace in the flight recorder and, when TraceDir is
-// configured, writes its durable JSON twin.
-func (s *Server) record(trace *obs.RunTrace) {
-	s.recorder.record(trace)
+// record stores a run — its header and the span slab its executor
+// recorded into — in the flight recorder. The trace artifact is built
+// here only for TraceDir's durable JSON twin; otherwise when a GET asks.
+func (s *Server) record(head *obs.RunTrace, spans []obs.Span) {
+	s.recorder.record(head, spans)
 	if s.cfg.TraceDir == "" {
 		return
 	}
-	data, err := trace.EncodeJSON()
+	data, err := head.WithSpans(spans).EncodeJSON()
 	if err == nil {
-		err = os.WriteFile(filepath.Join(s.cfg.TraceDir, trace.ID+".json"), data, 0o644)
+		err = os.WriteFile(filepath.Join(s.cfg.TraceDir, head.ID+".json"), data, 0o644)
 	}
 	if err != nil {
-		obs.Log().Error("serve.trace_write", "run_id", trace.ID, "error", err.Error())
+		obs.Log().Error("serve.trace_write", "run_id", head.ID, "error", err.Error())
 	}
 }
 
@@ -696,11 +715,13 @@ func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
 }
 
 // What one request may ask of the daemon before any plan exists: the
-// bytes of its body, and — for an inline program, whose text that bounds
-// — the loop-body instructions one run of it executes (Σ trip count ×
-// body length; ring loops over 8 devices stay under a thousand).
+// bytes of its body, the ring size (a run, the simulator and the span
+// slab all size by it) and — for an inline program, whose text the body
+// bounds — the loop-body instructions one run of it executes (Σ trip
+// count × body length; ring loops over 8 devices stay under a thousand).
 const (
 	maxBodyBytes      = 1 << 20
+	maxDevices        = 64
 	maxInlineLoopWork = 1 << 16
 )
 
@@ -718,8 +739,8 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*Request
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad request body: %w", err))
 		return nil, err
 	}
-	if req.Devices < 1 {
-		err := fmt.Errorf("serve: request needs devices >= 1")
+	if req.Devices < 1 || req.Devices > maxDevices {
+		err := fmt.Errorf("serve: request needs 1 <= devices <= %d, got %d", maxDevices, req.Devices)
 		s.writeError(w, http.StatusBadRequest, err)
 		return nil, err
 	}
@@ -973,13 +994,24 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 // the daemon, its clients, and the CLIs so a caller can reproduce a
 // served run bit for bit.
 func Args(c *hlo.Computation, seed int64) [][]*tensor.Tensor {
+	return argsFrom(c, seed, tensor.Rand)
+}
+
+// argsFrom is Args over the given source of seeded random tensors.
+func argsFrom(c *hlo.Computation, seed int64, draw func(rng *rand.Rand, shape ...int) *tensor.Tensor) [][]*tensor.Tensor {
 	rng := rand.New(rand.NewSource(seed))
 	params := c.Parameters()
 	args := make([][]*tensor.Tensor, len(params))
 	for i, p := range params {
-		args[i] = []*tensor.Tensor{tensor.Rand(rng, p.Shape...)}
+		args[i] = []*tensor.Tensor{draw(rng, p.Shape...)}
 	}
 	return args
+}
+
+// pooledRand is tensor.Rand — the same stream, the same bytes — into a
+// free-list buffer, for the request that hands it back (ReleaseArgs).
+func pooledRand(rng *rand.Rand, shape ...int) *tensor.Tensor {
+	return tensor.RandInto(tensor.NewPooled(shape...), rng)
 }
 
 // Outputs flattens a computation's real per-device output tensors in

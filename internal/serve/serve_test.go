@@ -460,6 +460,47 @@ func TestInlineLoopWorkIsBounded(t *testing.T) {
 	}
 }
 
+// TestDevicesAreBounded: a run sizes a goroutine, slot tables and a
+// window of its span slab per device, and the simulator and the trace
+// layout size by the ring too, so a request's devices is capped. One
+// past maxDevices is a structured 400 naming the limit, on both
+// endpoints, for a model and for an inline program alike; every corpus
+// program and the widest ring the tests serve are well inside it.
+func TestDevicesAreBounded(t *testing.T) {
+	_, ts := newTestServer(t, testConfig())
+	want := fmt.Sprintf("devices <= %d", maxDevices)
+	for name, req := range map[string]Request{
+		"model":  {Model: "GPT_32B", Devices: maxDevices + 1, Dim: 2},
+		"train":  {Model: "GPT_32B", Devices: maxDevices + 1, Dim: 2, Scenario: "train"},
+		"inline": {Program: "m {\n  %a = f32[2 2] parameter(), index=0\n}", Devices: 1 << 30},
+	} {
+		for _, endpoint := range []string{"/v1/run", "/v1/compile"} {
+			resp, err := http.Post(ts.URL+endpoint, "application/json", bytes.NewReader(mustJSON(t, req)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var eb errorBody
+			err = json.NewDecoder(resp.Body).Decode(&eb)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || err != nil || !strings.Contains(eb.Error, want) {
+				t.Errorf("%s %s: status %d, body %+v (decode: %v); want a 400 naming %q", name, endpoint, resp.StatusCode, eb, err, want)
+			}
+		}
+	}
+	progs, err := corpus.Programs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range progs {
+		if p.Devices > maxDevices {
+			t.Errorf("corpus program %s runs on %d devices, past the bound", p.Name, p.Devices)
+		}
+	}
+	if _, _, _, err := postRun(ts, Request{Model: "GPT_32B", Devices: 8, Dim: 2}); err != nil {
+		t.Fatalf("an 8-device request is refused: %v", err)
+	}
+}
+
 // TestRestartedDaemonAnswersFromDisk restarts the daemon over one plan
 // store: the second server has an empty plan cache, so its first request
 // for a shape the first server compiled goes through the compile closure

@@ -1,15 +1,23 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"overlap/internal/hlo"
 	"overlap/internal/obs"
+	"overlap/internal/runtime"
+	"overlap/internal/tensor"
 )
 
 // getTrace fetches GET /v1/runs/{id} and decodes the artifact.
@@ -338,4 +346,195 @@ func TestServeRunIDSanitized(t *testing.T) {
 	if got.ID != inside.ID {
 		t.Fatalf("disk fallback served trace %q, want %q", got.ID, inside.ID)
 	}
+}
+
+// goldenSpans is a fixed two-device span stream in the order the
+// runtime records one (obs.SpanLess): partial einsums hiding one
+// transfer fully and one partly, a blocking all-gather, a second
+// device stalled on its done.
+func goldenSpans() []obs.Span {
+	return []obs.Span{
+		{Device: 0, Track: obs.TrackCompute, Cat: obs.CatCompute, Name: "einsum.p0", Start: 0, Dur: 0.010},
+		{Device: 0, Track: obs.TrackCompute, Cat: obs.CatCompute, Name: "einsum.p1", Start: 0.010, Dur: 0.005},
+		{Device: 0, Track: obs.TrackCompute, Cat: obs.CatCollective, Name: "all-gather.3", Start: 0.020, Dur: 0.004},
+		{Device: 0, Track: obs.TrackTransfer, Cat: obs.CatTransfer, Name: "collective-permute-start.1", Start: 0, Dur: 0.008},
+		{Device: 0, Track: obs.TrackTransfer, Cat: obs.CatTransfer, Name: "collective-permute-start.2", Start: 0.012, Dur: 0.008},
+		{Device: 1, Track: obs.TrackCompute, Cat: obs.CatCompute, Name: "einsum.p0", Start: 0.001, Dur: 0.009},
+		{Device: 1, Track: obs.TrackCompute, Cat: obs.CatStall, Name: "collective-permute-done.4", Start: 0.010, Dur: 0.004},
+		{Device: 1, Track: obs.TrackTransfer, Cat: obs.CatTransfer, Name: "collective-permute-start.1", Start: 0.001, Dur: 0.007},
+	}
+}
+
+// getBytes fetches a URL that must answer 200 and returns the body.
+func getBytes(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d, %v: %s", url, resp.StatusCode, err, data)
+	}
+	return data
+}
+
+// TestRunGetGolden pins encode-on-read against the bytes encode-on-write
+// produced. The goldens under testdata are what the recorder's old
+// stored artifact — obs.NewRunTrace over goldenSpans with this header —
+// encoded to, as JSON and as a Chrome trace, generated before the
+// recorder stopped storing artifacts. A run recorded as slab + header
+// must GET as exactly those bytes: while it is in the ring, after ring
+// wraparound moved it to the kept set, and as its TraceDir twin.
+func TestRunGetGolden(t *testing.T) {
+	cfg := testConfig()
+	cfg.FlightRecorderSize, cfg.FlightKeep = 2, 1
+	cfg.TraceDir = t.TempDir()
+	s, ts := newTestServer(t, cfg)
+
+	const id = "r-00000000000000ab"
+	start := time.Date(2026, 1, 2, 3, 4, 5, 678000000, time.UTC)
+	timing := TimingMS{Queue: 0.5, Plan: 1.25, Admission: 0.25, Run: 24, Total: 26.5}
+	spans := goldenSpans()
+	head := s.newHeader(id, &Request{Model: "GPT_32B"}, "fp-golden", 2, start, timing, spans)
+	head.StepMS = 24
+	s.record(head, spans)
+	if head.Spans != nil {
+		t.Fatal("recording a run materialised its spans on the header")
+	}
+
+	check := func(when string) {
+		t.Helper()
+		for format, golden := range map[string]string{"": "run_get.golden.json", "?format=chrome": "run_get.golden.chrome.json"} {
+			want, err := os.ReadFile(filepath.Join("testdata", golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := getBytes(t, ts.URL+"/v1/runs/"+id+format); !bytes.Equal(got, want) {
+				t.Errorf("%s: GET %s differs from %s:\n%s", when, format, golden, got)
+			}
+		}
+	}
+	check("in the ring")
+
+	twin, err := os.ReadFile(filepath.Join(cfg.TraceDir, id+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(twin, getBytes(t, ts.URL+"/v1/runs/"+id)) {
+		t.Error("the TraceDir twin differs from the GET")
+	}
+
+	// Two faster runs wrap the ring; the golden run retires into the
+	// free keep slot.
+	for i := 0; i < 2; i++ {
+		other := s.newHeader(fmt.Sprintf("r-%016x", i), &Request{Model: "GPT_32B"}, "fp-golden", 2, start, TimingMS{Total: 1}, nil)
+		s.record(other, nil)
+	}
+	kept := false
+	for _, r := range s.recorder.list() {
+		kept = kept || (r.ID == id && r.Kept)
+	}
+	if !kept {
+		t.Fatal("the golden run did not move to the kept set")
+	}
+	check("in the kept set")
+	if err := os.Remove(filepath.Join(cfg.TraceDir, id+".json")); err != nil {
+		t.Fatal(err)
+	}
+	check("in the kept set, twin gone")
+}
+
+// TestFailedCheckIsRecorded: a run whose interpreter cross-check fails
+// is the one run an operator will ask for. It answers 500 with its
+// run_id and fingerprint in the body, and the flight recorder holds it
+// as failed — spans, attribution and the check's complaint included.
+func TestFailedCheckIsRecorded(t *testing.T) {
+	s, ts := newTestServer(t, testConfig())
+	req := miniatureRequest()
+	if _, _, _, err := postRun(ts, req); err != nil {
+		t.Fatal(err)
+	}
+	s.check = func(*hlo.Computation, int, [][]*tensor.Tensor, *runtime.Result) error {
+		return fmt.Errorf("output on device 2 diverges bitwise from the interpreter")
+	}
+	req.Check = true
+	_, status, raw, err := postRun(ts, req)
+	if err == nil || status != http.StatusInternalServerError {
+		t.Fatalf("a failed check answered %d (%v), want 500", status, err)
+	}
+	var body errorBody
+	if err := json.Unmarshal(raw, &body); err != nil {
+		t.Fatalf("the 500 body is not an errorBody: %v: %s", err, raw)
+	}
+	if !runIDPattern.MatchString(body.RunID) || body.Fingerprint == "" || !strings.Contains(body.Error, "diverges") {
+		t.Fatalf("the 500 body does not identify the run: %+v", body)
+	}
+	trace := getTrace(t, ts, body.RunID)
+	if trace.Status != obs.StatusFailed || trace.Error == nil || !strings.Contains(trace.Error.Cause, "diverges") || trace.Error.Phase != "check" {
+		t.Fatalf("the recorded run is not marked as a failed check: status %q, error %+v", trace.Status, trace.Error)
+	}
+	if len(trace.Spans) == 0 || trace.Attribution == nil || len(trace.Stages) != 4 {
+		t.Fatalf("the recorded run lost its spans (%d), attribution or stages (%d)", len(trace.Spans), len(trace.Stages))
+	}
+	checkWireVerdicts(t, trace)
+
+	// The daemon keeps serving, and the request's buffers went back.
+	s.check = runtime.CheckInterpreter
+	if rr, _, _, err := postRun(ts, req); err != nil || !rr.Checked {
+		t.Fatalf("the request after a failed check: %v", err)
+	}
+}
+
+// TestConcurrentWarmRequestsOnePlan is the -race witness for what warm
+// requests of one plan share — the Executable, the arena's free lists
+// their arguments and outputs cycle through, the scratch pool their
+// packs come from, the flight recorder — and what they must not: each
+// draws, packs and releases its own arguments. Eight at once, twice
+// over, every digest the one its seed has.
+func TestConcurrentWarmRequestsOnePlan(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxConcurrentRuns = 8
+	_, ts := newTestServer(t, cfg)
+	want := map[int64]string{}
+	for _, seed := range []int64{1, 2} {
+		req := miniatureRequest()
+		req.Seed, req.Check = seed, true
+		rr, _, _, err := postRun(ts, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[seed] = rr.Digest
+	}
+	if want[1] == want[2] {
+		t.Fatal("two seeds, one digest: the arguments do not depend on the seed")
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 2; i++ {
+				req := miniatureRequest()
+				req.Seed, req.Check = int64(1+(c+i)%2), c%4 == 0
+				rr, _, _, err := postRun(ts, req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if rr.Digest != want[req.Seed] {
+					t.Errorf("client %d request %d (seed %d): digest %s, want %s", c, i, req.Seed, rr.Digest, want[req.Seed])
+				}
+				resp, err := http.Get(ts.URL + "/v1/runs/" + rr.RunID)
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("client %d: GET of its own run: %v", c, err)
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}(c)
+	}
+	wg.Wait()
 }

@@ -43,13 +43,6 @@ type gemmPlan struct {
 	// Direct layouts: the operand (or output) is already row-major in
 	// packed order, so its backing array is used without copying.
 	lhsDirect, rhsDirect, outDirect bool
-
-	// Persistent pack caches for the non-direct input sides (nil when
-	// the side is direct or the spec does not lower). Plans live for
-	// the process, so a pack cached here survives across loop
-	// iterations and steps — the decomposed loop packs each recurring
-	// weight shard once instead of once per iteration.
-	lhsPack, rhsPack *packCache
 }
 
 // buildPlan classifies the spec's labels and constructs the packing
@@ -111,12 +104,6 @@ func buildPlan(spec EinsumSpec) *gemmPlan {
 	p.lhsDirect = lhsOrder == lhs
 	p.rhsDirect = rhsOrder == rhs
 	p.outDirect = outOrder == out
-	if !p.lhsDirect {
-		p.lhsPack = newPackCache()
-	}
-	if !p.rhsDirect {
-		p.rhsPack = newPackCache()
-	}
 	p.ok = true
 	return p
 }
@@ -189,12 +176,11 @@ func (p *gemmPlan) check(out, lhs, rhs *Tensor) error {
 
 // run accumulates spec(lhs, rhs) into out — out's existing contents are
 // the accumulator, so callers computing a fresh einsum pass a zeroed
-// tensor. Packed input operands come from the plan's persistent pack
-// cache (or pooled scratch when it is disabled); the accumulator is
-// pre-packed into pooled scratch when the output layout is not direct,
-// which keeps the per-element accumulation order identical to the
-// reference in every case. The accumulator pack is never cached: the
-// kernel itself mutates it.
+// tensor. A packed input operand is the pack its tensor carries
+// (packcache.go); the accumulator is pre-packed into pooled scratch
+// when the output layout is not direct, which keeps the per-element
+// accumulation order identical to the reference in every case. The
+// accumulator pack is never kept: the kernel itself mutates it.
 func (p *gemmPlan) run(out, lhs, rhs *Tensor, workers, splitK int) {
 	B, M, K, N := p.sizes(lhs, rhs)
 	if B*M*N == 0 {
@@ -202,14 +188,16 @@ func (p *gemmPlan) run(out, lhs, rhs *Tensor, workers, splitK int) {
 	}
 
 	a := lhs.data
-	var aBuf *[]float64
 	if !p.lhsDirect {
-		a, aBuf = packedOperand(p.lhsPack, lhs, p.lhsPerm, B*M*K)
+		pk := lhs.packed(p.lhsPerm)
+		defer lhs.unpack(pk)
+		a = *pk.buf
 	}
 	b := rhs.data
-	var bBuf *[]float64
 	if !p.rhsDirect {
-		b, bBuf = packedOperand(p.rhsPack, rhs, p.rhsPerm, B*K*N)
+		pk := rhs.packed(p.rhsPerm)
+		defer rhs.unpack(pk)
+		b = *pk.buf
 	}
 	c := out.data
 	var cBuf *[]float64
@@ -224,12 +212,6 @@ func (p *gemmPlan) run(out, lhs, rhs *Tensor, workers, splitK int) {
 	if cBuf != nil {
 		permCopy(*cBuf, out, p.outPerm, false)
 		putBuf(cBuf)
-	}
-	if aBuf != nil {
-		putBuf(aBuf)
-	}
-	if bBuf != nil {
-		putBuf(bBuf)
 	}
 	out.noteMutation()
 }

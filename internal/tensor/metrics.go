@@ -24,13 +24,11 @@ var (
 	kernelSpanSeconds = obs.Default().Histogram("overlap_kernel_span_seconds",
 		"Wall-clock duration of individual einsum kernel executions.", obs.TimeBuckets())
 	kernelPackHits = obs.Default().Counter("overlap_kernel_pack_hits_total",
-		"Kernel operand packs served from the persistent per-plan pack cache.")
+		"Kernel operand packs served from the pack the operand tensor carries.")
 	kernelPackMisses = obs.Default().Counter("overlap_kernel_pack_misses_total",
-		"Kernel operand packs recomputed on pack-cache misses (cold or invalidated).")
+		"Kernel operand packs computed because the tensor carried none, or a stale one.")
 	kernelPackBytes = obs.Default().Counter("overlap_kernel_pack_bytes_total",
-		"Bytes permute-packed into pack-cache entries on misses.")
-	kernelPackEvictions = obs.Default().Counter("overlap_kernel_pack_evictions_total",
-		"Pack-cache entries evicted in LRU order when a plan side exceeded its bound.")
+		"Bytes permute-packed on misses.")
 	kernelSplitKOps = obs.Default().Counter("overlap_kernel_splitk_total",
 		"GEMM executions on the deterministic split-K tree-reduction path.")
 )

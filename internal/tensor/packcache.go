@@ -1,154 +1,124 @@
 package tensor
 
 import (
-	"sync"
+	"math"
 	"sync/atomic"
 )
 
-// Persistent pack cache: the kernel engine's permute-packing of a
-// non-direct operand is a pure function of (plan, tensor contents), so
-// the packed buffer is a cacheable artifact. The decomposed loop is the
-// motivating workload — every iteration re-runs the same partial-einsum
-// spec against the same weight shard, and before this cache each
-// iteration paid the full permCopy again (for skinny partials the pack
-// costs as much as the GEMM itself). Entries live on the plan (plans
-// are cached per spec string for the process lifetime) and are keyed by
-// tensor identity + version, so a mutation anywhere — Set, writes
-// through Data, in-place accumulation — invalidates by version
-// mismatch and forces a repack.
+// A packed operand lives on the tensor it was packed from. The kernel
+// engine's permute-packing of a non-direct operand is a pure function
+// of (permutation, tensor contents), and the decomposed loop re-reads
+// the same stationary operand every iteration and on every device, so
+// the packed form is kept — by the one thing that is alive exactly as
+// long as its contents can be asked for again. A pack is keyed by its
+// permutation and stamped with the tensor version it was packed from: a
+// mutation anywhere — Set, writes through Data, in-place accumulation —
+// forces a repack.
 //
-// Ownership: cached buffers are owned by the cache and are never
-// returned to the scratch pool, even on eviction — a concurrent kernel
-// may still be reading an evicted buffer, and recycling it through the
-// pool would let another kernel overwrite it mid-read. Evicted buffers
-// are simply dropped for the GC. The cache is bounded (entries per
-// plan side), so churn from non-recurring operands (the circulating
-// activation shards) evicts in LRU order instead of growing without
-// bound. Pooled tensors (NewPooled) never enter: an executor's own
-// buffers are recycled, not revisited, so a pack keyed on one could
-// only pin a finished run's memory — they pack into pooled scratch like
-// the cache-off path.
+// A pack is reachable only through its tensor and dies with it. A
+// pooled tensor's pack buffers come from the scratch pool and go back
+// in Release, whose caller holds the only reference; any other tensor's
+// are plain allocations, collected with it. Packing happens under the
+// tensor's lock, so a replicated operand every device reads at once is
+// packed by the first and found by the rest. A stale pack is repacked
+// in place unless a kernel is still reading it (Data counts as a write,
+// so a version can move under a reader): then it is replaced and left
+// to the collector.
 
-// packCacheMaxEntries bounds one plan side's cache. A program has a
-// handful of persistent weight tensors per einsum spec (one per device
-// goroutine at most), so a small bound holds every recurring operand
-// while churning transient ones.
-const packCacheMaxEntries = 64
-
-// packCacheOn gates the cache. It is always on outside this package's
+// packCacheOn gates reuse. It is always on outside this package's
 // tests, which switch it off (setPackCache) to run the always-freshly-
-// packed path as the reference: disabling only changes where packed
-// bytes come from, never the result bytes.
+// packed path as the reference.
 var packCacheOn atomic.Bool
 
 func init() { packCacheOn.Store(true) }
 
-// packEntry is one cached packed operand: the packed row-major buffer
-// and the tensor version it was packed from.
-type packEntry struct {
+// pack is one packed form of a tensor: its elements in row-major order
+// under the dimension permutation perm, as of version. buf is nil once
+// Release has taken the buffer back.
+type pack struct {
+	perm    []int
 	version uint64
-	data    []float64
+	buf     *[]float64
+	readers int // kernels reading buf now; guarded by the tensor's packMu
 }
 
-// packCache is one plan side's tensor→pack map with LRU eviction. The
-// mutex guards the map and recency list only; packing itself happens
-// outside the lock (two goroutines racing to fill the same key both
-// pack — identical bytes — and one store wins).
-type packCache struct {
-	mu      sync.Mutex
-	entries map[*Tensor]*packEntry
-	recency []*Tensor // least recently used first
-}
-
-func newPackCache() *packCache {
-	return &packCache{entries: make(map[*Tensor]*packEntry)}
-}
-
-// lookup returns the cached pack for t at its current version, or nil.
-func (pc *packCache) lookup(t *Tensor, version uint64) []float64 {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	e, ok := pc.entries[t]
-	if !ok || e.version != version {
-		return nil
-	}
-	pc.touch(t)
-	return e.data
-}
-
-// store inserts or replaces t's pack, evicting the least recently used
-// entry when the side is full.
-func (pc *packCache) store(t *Tensor, version uint64, data []float64) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if _, ok := pc.entries[t]; ok {
-		pc.entries[t] = &packEntry{version: version, data: data}
-		pc.touch(t)
-		return
-	}
-	if len(pc.entries) >= packCacheMaxEntries {
-		oldest := pc.recency[0]
-		pc.recency = pc.recency[1:]
-		delete(pc.entries, oldest)
-		kernelPackEvictions.Inc()
-	}
-	pc.entries[t] = &packEntry{version: version, data: data}
-	pc.recency = append(pc.recency, t)
-}
-
-// touch moves t to the most-recently-used end. Called with mu held.
-func (pc *packCache) touch(t *Tensor) {
-	for i, o := range pc.recency {
-		if o == t {
-			copy(pc.recency[i:], pc.recency[i+1:])
-			pc.recency[len(pc.recency)-1] = t
-			return
+// packed resolves t to its elements packed under perm, reusing the pack
+// t carries when it is current. The caller hands the pack back with
+// unpack once its kernel has run.
+func (t *Tensor) packed(perm []int) *pack {
+	t.packMu.Lock()
+	defer t.packMu.Unlock()
+	version := t.Version()
+	var p *pack
+	at := -1
+	for i, q := range t.packs {
+		if sameDims(q.perm, perm) {
+			p, at = q, i
+			break
 		}
 	}
-}
-
-// packedOperand resolves one non-direct operand to its packed buffer:
-// from the plan's cache when enabled and current, otherwise by packing
-// — into a cache-owned buffer on a cacheable miss, or into pooled
-// scratch when the cache is off or the operand is a pooled tensor. The second return is the pooled
-// scratch to release after the kernel runs (nil when the bytes are
-// cache-owned).
-func packedOperand(pc *packCache, t *Tensor, perm []int, n int) ([]float64, *[]float64) {
-	if pc == nil || t.pooled || !packCacheOn.Load() {
-		buf := getBuf(n)
-		permCopy(*buf, t, perm, true)
-		return *buf, buf
-	}
-	version := t.Version()
-	if data := pc.lookup(t, version); data != nil {
+	if p != nil && p.buf != nil && p.version == version && packCacheOn.Load() {
 		kernelPackHits.Inc()
-		return data, nil
+		p.readers++
+		return p
 	}
 	kernelPackMisses.Inc()
-	kernelPackBytes.Add(float64(8 * n))
-	data := make([]float64, n)
-	permCopy(data, t, perm, true)
-	pc.store(t, version, data)
-	return data, nil
+	kernelPackBytes.Add(float64(8 * len(t.data)))
+	switch {
+	case p == nil:
+		p = &pack{perm: perm}
+		t.packs = append(t.packs, p)
+	case p.readers > 0:
+		p = &pack{perm: perm}
+		t.packs[at] = p
+	}
+	if p.buf == nil {
+		if t.pooled {
+			p.buf = getBuf(len(t.data))
+		} else {
+			data := make([]float64, len(t.data))
+			p.buf = &data
+		}
+	}
+	permCopy(*p.buf, t, perm, true)
+	p.version = version
+	p.readers++
+	return p
 }
 
-// PackCacheTensors returns the tensors the pack caches of every einsum
-// plan currently key on, in no particular order. Each is kept
-// reachable, with its pack, until evicted — which makes the list the
-// thing to inspect when asking what a finished run left behind.
-func PackCacheTensors() []*Tensor {
-	var out []*Tensor
-	einsumCache.Range(func(_, v any) bool {
-		if plan := v.(*einsumEntry).plan; plan != nil {
-			for _, pc := range []*packCache{plan.lhsPack, plan.rhsPack} {
-				if pc != nil {
-					pc.mu.Lock()
-					out = append(out, pc.recency...)
-					pc.mu.Unlock()
-				}
+// unpack ends one kernel's read of p.
+func (t *Tensor) unpack(p *pack) {
+	t.packMu.Lock()
+	p.readers--
+	t.packMu.Unlock()
+}
+
+// dropPacks returns a pooled tensor's pack buffers to the scratch pool.
+// Only Release calls it: nothing else may be reading t. The emptied
+// entries stay, so that the tensor's next holder, who mostly packs it
+// the same way, allocates nothing to do so.
+func (t *Tensor) dropPacks() {
+	for _, p := range t.packs {
+		if p.buf != nil {
+			putBuf(p.buf)
+			p.buf = nil
+		}
+	}
+}
+
+// Poison overwrites t's elements and every pack it carries with NaN: an
+// executor's use-after-release canary, applied just before Release.
+func Poison(t *Tensor) {
+	nan := math.NaN()
+	for i := range t.data {
+		t.data[i] = nan
+	}
+	t.noteMutation()
+	for _, p := range t.packs {
+		if p.buf != nil {
+			for i := range *p.buf {
+				(*p.buf)[i] = nan
 			}
 		}
-		return true
-	})
-	return out
+	}
 }

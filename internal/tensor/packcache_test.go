@@ -3,18 +3,20 @@ package tensor
 import (
 	"fmt"
 	"math/rand"
+	goruntime "runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // setPackCache is the test-only switch of the pack cache: off runs the
 // always-freshly-packed path the cached engine is compared against.
 func setPackCache(on bool) { packCacheOn.Store(on) }
 
-// TestPackCacheHitsAcrossIterations verifies the cache's purpose: a
+// TestPackCacheHitsAcrossIterations verifies the pack's purpose: a
 // recurring packed operand (the decomposed loop's weight shard) packs
 // once, then every later kernel execution against it is a hit — and
-// the bytes never differ from the uncached engine.
+// the bytes never differ from the reference.
 func TestPackCacheHitsAcrossIterations(t *testing.T) {
 	defer setPackCache(true)
 	setPackCache(true)
@@ -84,62 +86,153 @@ func TestPackCacheInvalidationOnMutation(t *testing.T) {
 	check("after EinsumInto")
 }
 
-// TestPooledTensorsBypassPackCache pins the arena rule: a tensor from
-// the exact-size free lists is some executor's recycled buffer — it
-// will be overwritten, not revisited — so packing it must neither
-// consult nor populate a plan's cache, whatever its version says.
-func TestPooledTensorsBypassPackCache(t *testing.T) {
+// TestPooledTensorCarriesItsPackUntilRelease pins the owner rule for a
+// tensor from the exact-size free lists: it carries its pack like any
+// other — a second kernel against unchanged contents is a hit, an
+// overwrite repacks into the same scratch buffer — and Release takes the
+// pack off it and hands the buffer back to the scratch pool, so the next
+// holder of the tensor starts with none.
+func TestPooledTensorCarriesItsPackUntilRelease(t *testing.T) {
 	defer setPackCache(true)
 	setPackCache(true)
 	rng := rand.New(rand.NewSource(36))
 	const spec = "mk,nk->mn"
 	x := Rand(rng, 4, 64)
 	w := NewPooled(32, 64)
-	defer Release(w)
+	var buf *[]float64
 	for round := 0; round < 3; round++ {
 		CopyInto(w, Rand(rng, 32, 64))
-		misses0 := kernelPackMisses.Value()
-		if got, want := Einsum(spec, x, w), ReferenceEinsum(spec, x, w); !got.Equal(want) {
-			t.Fatalf("round %d: pooled operand produced wrong bytes", round)
+		hits0, misses0 := kernelPackHits.Value(), kernelPackMisses.Value()
+		for use := 0; use < 2; use++ {
+			if got, want := Einsum(spec, x, w), ReferenceEinsum(spec, x, w); !got.Equal(want) {
+				t.Fatalf("round %d: pooled operand produced wrong bytes", round)
+			}
 		}
-		if kernelPackMisses.Value() != misses0 {
-			t.Fatalf("round %d: a pooled operand went through the pack cache", round)
+		if hits, misses := kernelPackHits.Value()-hits0, kernelPackMisses.Value()-misses0; hits != 1 || misses != 1 {
+			t.Fatalf("round %d: two kernels against one overwrite: %g hits and %g misses, want 1 and 1", round, hits, misses)
+		}
+		if len(w.packs) != 1 || w.packs[0].readers != 0 {
+			t.Fatalf("round %d: the tensor carries %d packs, want one with no reader left", round, len(w.packs))
+		}
+		if buf == nil {
+			buf = w.packs[0].buf
+		} else if w.packs[0].buf != buf {
+			t.Fatalf("round %d: a stale pack nobody was reading was replaced, not repacked in place", round)
 		}
 	}
-	for _, cached := range PackCacheTensors() {
-		if cached == w {
-			t.Fatal("a pooled tensor is keyed in a pack cache")
+	Poison(w)
+	for _, v := range *buf {
+		if v == v {
+			t.Fatal("Poison left a pack element that is not NaN")
 		}
+	}
+	Release(w)
+	if len(w.packs) != 1 || w.packs[0].buf != nil {
+		t.Fatal("a released tensor still carries a pack buffer")
+	}
+	if !raceEnabled { // the race detector makes sync.Pool drop buffers at random
+		fresh0 := kernelPoolFreshBytes.Value()
+		next := getBuf(32 * 64)
+		if next != buf || kernelPoolFreshBytes.Value() != fresh0 {
+			t.Fatal("Release did not hand the pack buffer back to the scratch pool")
+		}
+		putBuf(next)
 	}
 }
 
-// TestPackCacheEvictionBound pins the LRU bound: churning more distinct
-// operands than one plan side holds evicts in LRU order instead of
-// growing without bound, and evictions are counted.
-func TestPackCacheEvictionBound(t *testing.T) {
+// TestPackDiesWithItsTensor pins the other half: nothing but the tensor
+// refers to its pack. A caller-held operand's pack is a plain
+// allocation, and once the tensor is unreachable so is the pack —
+// however many other operands were packed under the same spec since.
+func TestPackDiesWithItsTensor(t *testing.T) {
 	defer setPackCache(true)
 	setPackCache(true)
 	rng := rand.New(rand.NewSource(33))
 	const spec = "mk,nk->mn" // rhs side packs
-	e, err := einsumLookup(spec)
-	if err != nil || e.plan.rhsPack == nil {
-		t.Fatalf("spec %q did not build an rhs pack cache", spec)
-	}
 	x := Rand(rng, 2, 32)
-	evict0 := kernelPackEvictions.Value()
-	for i := 0; i < packCacheMaxEntries+10; i++ {
+	freed := make(chan struct{})
+	func() {
+		w := Rand(rng, 8, 32)
+		Einsum(spec, x, w)
+		if len(w.packs) != 1 {
+			t.Fatalf("the operand carries %d packs, want 1", len(w.packs))
+		}
+		goruntime.SetFinalizer(w.packs[0], func(*pack) { close(freed) })
+	}()
+	for i := 0; i < 10; i++ {
 		Einsum(spec, x, Rand(rng, 8, 32))
 	}
-	pc := e.plan.rhsPack
-	pc.mu.Lock()
-	entries, recency := len(pc.entries), len(pc.recency)
-	pc.mu.Unlock()
-	if entries > packCacheMaxEntries || recency != entries {
-		t.Fatalf("pack cache holds %d entries (recency %d), bound %d",
-			entries, recency, packCacheMaxEntries)
+	deadline := time.After(10 * time.Second)
+	for {
+		goruntime.GC()
+		select {
+		case <-freed:
+			return
+		case <-deadline:
+			t.Fatal("a pack outlived the tensor it was packed from")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
-	if kernelPackEvictions.Value() == evict0 {
-		t.Fatal("eviction churn was not counted")
+}
+
+// TestReplicatedOperandPacksOnce pins the fill rule: goroutines that
+// reach one unpacked operand together — the devices of a run reading a
+// replicated weight — pack it once, under the tensor's lock, and the
+// rest find it.
+func TestReplicatedOperandPacksOnce(t *testing.T) {
+	defer setPackCache(true)
+	setPackCache(true)
+	rng := rand.New(rand.NewSource(37))
+	x := Rand(rng, 2, 48)
+	w := Rand(rng, 256, 48)
+	want := ReferenceEinsum("mk,nk->mn", x, w)
+	misses0 := kernelPackMisses.Value()
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if !Einsum("mk,nk->mn", x, w).Equal(want) {
+				t.Error("wrong bytes from a pack filled under contention")
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if misses := kernelPackMisses.Value() - misses0; misses != 1 {
+		t.Fatalf("8 goroutines packed one operand %g times, want once", misses)
+	}
+}
+
+// TestStalePackUnderAReaderIsReplaced: Data counts as a write, so a
+// version can move while another goroutine's kernel is still reading
+// the pack. The repack must then leave that buffer alone.
+func TestStalePackUnderAReaderIsReplaced(t *testing.T) {
+	defer setPackCache(true)
+	setPackCache(true)
+	rng := rand.New(rand.NewSource(38))
+	w := NewPooled(8, 16)
+	defer Release(w)
+	CopyInto(w, Rand(rng, 8, 16))
+	perm := []int{1, 0}
+	reading := w.packed(perm)
+	held := append([]float64(nil), *reading.buf...)
+	_ = w.Data() // a reader elsewhere asks for the live slice
+	again := w.packed(perm)
+	if again == reading || again.buf == reading.buf {
+		t.Fatal("a pack a kernel was still reading was repacked in place")
+	}
+	for i, v := range *reading.buf {
+		if v != held[i] {
+			t.Fatal("the buffer under the first reader changed")
+		}
+	}
+	w.unpack(reading)
+	w.unpack(again)
+	if len(w.packs) != 1 || w.packs[0] != again {
+		t.Fatalf("the tensor carries %d packs, want only the replacement", len(w.packs))
 	}
 }
 
@@ -163,7 +256,7 @@ func TestPackCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestPackCacheConcurrentUse exercises the cache from concurrent
+// TestPackCacheConcurrentUse exercises packs from concurrent
 // goroutines — shared hits, racing first-fills, and invalidating
 // mutations of a goroutine-private tensor — and is the workload the CI
 // race job runs under -race. Shared tensors are only read; each

@@ -170,13 +170,14 @@ func NewPooled(shape ...int) *Tensor {
 func (t *Tensor) Pooled() bool { return t.pooled }
 
 // Release hands a tensor obtained from NewPooled back to its free
-// list. The caller must hold the only reference: the next NewPooled of
-// the same size may return it. Releasing any other tensor, or the same
-// one twice, panics.
+// list, and the packs it carries back to the scratch pool. The caller
+// must hold the only reference: the next NewPooled of the same size may
+// return it. Releasing any other tensor, or the same one twice, panics.
 func Release(t *Tensor) {
 	if !t.pooled {
 		panic("tensor: Release of a tensor that is not pooled (or already released)")
 	}
 	t.pooled = false
+	t.dropPacks()
 	putFree(t)
 }

@@ -21,6 +21,7 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -33,18 +34,21 @@ type Tensor struct {
 	data    []float64
 
 	// version counts observed mutations of data after construction. The
-	// kernel engine's pack cache keys packed-operand artifacts by
-	// (tensor identity, version), so every path that can write data —
-	// Set, the live slice handed out by Data, in-place accumulation —
-	// must bump it; a stale version on lookup forces a repack. Atomic
-	// because concurrent device goroutines may call Data on a shared
-	// replicated tensor.
+	// packed forms the kernel engine keeps on the tensor (packs) are
+	// stamped with it, so every path that can write data — Set, the live
+	// slice handed out by Data, in-place accumulation — must bump it; a
+	// stale version on lookup forces a repack. Atomic because concurrent
+	// device goroutines may call Data on a shared replicated tensor.
 	version atomic.Uint64
+
+	// packs are the packed forms of data the kernel engine has built,
+	// one per permutation asked for, under packMu (packcache.go).
+	packMu sync.Mutex
+	packs  []*pack
 
 	// pooled marks a tensor drawn from the exact-size free lists
 	// (NewPooled): exactly one holder owns it, may overwrite it, and
-	// hands it back with Release. Its contents never recur, so the pack
-	// cache does not key on it.
+	// hands it back — its packs with it — with Release.
 	pooled bool
 }
 
@@ -91,10 +95,22 @@ func Scalar(v float64) *Tensor {
 // property-based equivalence tests reproducible.
 func Rand(rng *rand.Rand, shape ...int) *Tensor {
 	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = rng.Float64()*2 - 1
-	}
+	fillRand(t.data, rng)
 	return t
+}
+
+// RandInto overwrites every element of dst with Rand's draws, in Rand's
+// order, and returns dst: Rand into a buffer the caller already holds.
+func RandInto(dst *Tensor, rng *rand.Rand) *Tensor {
+	fillRand(dst.data, rng)
+	dst.noteMutation()
+	return dst
+}
+
+func fillRand(data []float64, rng *rand.Rand) {
+	for i := range data {
+		data[i] = rng.Float64()*2 - 1
+	}
 }
 
 // Iota returns a tensor of the given shape whose elements are
@@ -163,7 +179,7 @@ func (t *Tensor) NumElements() int { return len(t.data) }
 // Data returns the underlying row-major element slice. The slice is the
 // live backing store, not a copy; mutating it mutates the tensor. The
 // engine must assume the caller will write through it, so handing the
-// slice out counts as a mutation for pack-cache invalidation.
+// slice out counts as a mutation: the tensor's packs go stale.
 func (t *Tensor) Data() []float64 {
 	t.noteMutation()
 	return t.data
