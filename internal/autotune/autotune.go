@@ -16,24 +16,28 @@
 //     the winner is picked by measured wall-clock.
 //
 // Stage 1 never runs the pipeline per candidate. core's stage table
-// says which knobs each stage reads, so the candidates form a tree over
-// knob prefixes (search.go): node(stage, options) is a Clone of
-// node(stage-1) with that one stage run on it, memoised on the stage's
-// prefix key, and a stage that is the identity under a candidate's
-// options hands its input node on as it is. The tree is planned from
-// the prefix keys before any of it is built, parents first; a pass in
-// enumeration order then dedups and simulates. A program's graph is
-// never rewritten once built — every rewriting stage starts from a
-// Clone. The order stage rewrites nothing, so an order node is no
-// clone: it is its async parent's program plus the scheduler's order as
-// instruction IDs, applied with SetSchedule by whoever reads the program
-// in that order — both overlap schedulers order one asynchronous
-// program. The final stamp stage is not run for ranking at all: it
-// writes an attribute the simulator never reads, so a candidate is
-// identified by the SHA-256 of its ordered node's text plus its split-K
-// factor (when the node has an einsum to print it on), split-K variants
-// share their node's one simulation, and only the candidates stage 2
-// executes are cloned, put in their order, stamped and verified in full.
+// says which knobs each stage reads, and core.Stage.On narrows that to
+// the program the stage is about to run on, so the candidates form a
+// tree (search.go): a node's child is a Clone of its program with one
+// stage run on it, memoised on (node, stage, the stage's key on the
+// node's program). A knob On shows the program cannot feel is not in
+// that key, so it makes no second child, and a stage On marks the
+// identity on the program under a candidate's options hands the node
+// on as it is. Each
+// candidate walks the tree in enumeration order, building the nodes it
+// is the first to need, parents first by construction; a pass in the
+// same order then dedups and simulates. A program's graph is never
+// rewritten once built — every rewriting stage starts from a Clone.
+// The order stage rewrites nothing, so an order node is no clone: it is
+// its async parent's program plus the scheduler's order as instruction
+// IDs, applied with SetSchedule by whoever reads the program in that
+// order — both overlap schedulers order one asynchronous program. The
+// final stamp stage is not run for ranking at all: it writes an
+// attribute the simulator never reads, so a candidate is identified by
+// the SHA-256 of its ordered node's text plus its split-K factor (when
+// the node has an einsum to print it on), split-K variants share their
+// node's one simulation, and only the candidates stage 2 executes are
+// cloned, put in their order, stamped and verified in full.
 // What is verified when: every decomposed site inside Decompose; every
 // order where SetSchedule applies it; every node a candidate lands on,
 // once, in its order; each factor's legality against its node; every
@@ -280,8 +284,8 @@ func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tenso
 	}
 	atCacheMisses.Inc()
 
-	// Stage 1: enumerate, compile each knob prefix once, rank by
-	// simulated time.
+	// Stage 1: enumerate, run each stage once per distinct input and
+	// key, rank by simulated time.
 	cands := enumerate(c, numDevices, opts)
 	s := newSearch(c, numDevices, opts.Spec)
 	s.stage1(cands)

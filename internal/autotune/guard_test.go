@@ -13,7 +13,7 @@ import (
 // package's non-test source:
 //
 //   - core.Apply is the stage table run in order and the search walks
-//     the same table through its prefix memo, so the one core.Apply call
+//     the same table through its memo, so the one core.Apply call
 //     here is ApplyBest's, for a caller that wants the winning knobs on
 //     its own graph. A plan is made from the program stage 2 executed,
 //     never by applying the winner again; that rebuild, and the
@@ -21,9 +21,12 @@ import (
 //     as oracles in plan_test.go and search_test.go;
 //   - search.go keys programs by TextDigest and never builds their text;
 //   - search.go clones a program where a stage is about to rewrite it
-//     (build), where one leaves the tree (materialise) and to un-stamp
-//     a stamped input (newSearch) — nowhere else, and in particular not
-//     once per scheduler: an order node is an order, not a copy.
+//     into a new child (child), where one leaves the tree (materialise)
+//     and to un-stamp a stamped input (newSearch) — nowhere else: not
+//     once per scheduler (an order node is an order, not a copy), and
+//     not where On marks a stage the identity on its input program or
+//     drops a knob that would make a second child (those hand the
+//     parent on, or find the first child in the memo).
 func TestOnePipelineOneStage1(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -64,9 +67,9 @@ func TestOnePipelineOneStage1(t *testing.T) {
 					t.Errorf("%s: stage 1 builds a program's text: key it by TextDigest", at)
 				case "Clone":
 					switch fn.Name.Name {
-					case "newSearch", "build", "materialise":
+					case "newSearch", "child", "materialise":
 					default:
-						t.Errorf("%s: %s clones a program: an order node holds an order, and every other node is cloned in build", at, fn.Name.Name)
+						t.Errorf("%s: %s clones a program: an order node holds an order, and every other node is cloned in child", at, fn.Name.Name)
 					}
 				}
 				return true

@@ -11,9 +11,9 @@ import (
 )
 
 // search is the state of one tune's stage 1: the tree of programs the
-// candidates share, planned from core's stage prefix keys and then
-// built, and what ranking has learned about each distinct program so
-// far. It lives for one Tune call; a Result keeps none of its graphs.
+// candidates share, each node built the first time a candidate's path
+// reaches it, and what ranking has learned about each distinct program
+// so far. It lives for one Tune call; a Result keeps none of its graphs.
 type search struct {
 	numDevices int
 	spec       machine.Spec
@@ -36,11 +36,12 @@ type search struct {
 	programs map[string]*hlo.Computation
 }
 
-// memoKey identifies one node: the stage that produced it and the knobs
-// every stage up to it read.
+// memoKey identifies one node: the node whose program it was built
+// from, the stage that built it, and that stage's key on that program.
 type memoKey struct {
-	stage int
-	knobs core.Options
+	parent *node
+	stage  int
+	knobs  core.Options
 }
 
 // programKey identifies a candidate's final text without building it:
@@ -51,30 +52,27 @@ type programKey struct {
 	factor int
 }
 
-// node is one memoised program: the input after a prefix of stages. It
-// is planned first (parent, stage, the options that reached it, kids)
-// and built later; once built it is shared by every candidate and child
-// that reaches it and its graph is never rewritten — every stage that
-// rewrites runs on a Clone.
+// node is one memoised program: the input after the stages on its path.
+// Once built it is shared by every candidate and child that reaches it
+// and its graph is never rewritten — every stage that rewrites runs on a
+// Clone.
 //
 // The order stage rewrites nothing: it only permutes. So an order node
 // has no program of its own. It shares its async parent's and keeps its
 // schedule as instruction IDs, which whoever reads the program in that
-// schedule — ranking here, a Clone in materialise — applies first.
+// schedule — ranking here, a Clone in materialise — applies first. The
+// async node keeps its own order the same way, for its order kids to
+// reset the shared program to.
 type node struct {
-	parent *node
-	stage  int
-	opts   core.Options
-	kids   []*node
-	// lands marks a node some candidate is ranked on.
-	lands bool
-
 	c     *hlo.Computation
-	order []int // order nodes only
-	// err is the failure of the stage that should have built this node
-	// or an ancestor; every descendant candidate inherits it and nothing
-	// below is built.
+	order []int // order and async nodes only
+	// err is the failure of the stage that should have built this node;
+	// no candidate that reaches it goes further, and nothing below it is
+	// built.
 	err string
+	// on caches each stage up to order as it acts on c (core.Stage.On),
+	// by stage index; a zero Name is not yet asked for.
+	on [core.StageStamp]core.Stage
 
 	// What ranking learned when the first candidate landed here:
 	inspected bool
@@ -128,11 +126,11 @@ func newSearch(c *hlo.Computation, numDevices int, spec machine.Spec) *search {
 
 func stampStage() core.Stage { return core.Stages()[core.StageStamp] }
 
-// stage1 ranks the candidates: the tree is planned from their prefix
-// keys and built, then one pass in enumeration order — which is the
-// dedup and tie-break order: the first candidate to produce a program
-// is its unique representative, later ones its duplicates — reads what
-// the nodes learned.
+// stage1 ranks the candidates: grow walks each down the tree, then one
+// pass in enumeration order — which is the dedup and tie-break order:
+// the first candidate to produce a program is its unique
+// representative, later ones its duplicates — reads what the nodes
+// learned.
 func (s *search) stage1(cands []*Candidate) {
 	at := s.grow(cands)
 	for i, cand := range cands {
@@ -187,12 +185,14 @@ func (s *search) stage1(cands []*Candidate) {
 	}
 }
 
-// grow plans the tree the candidates span — one node per distinct
-// (stage, prefix key) on any candidate's path, a stage that is the
-// identity under a candidate's options handing its input node on —
-// then builds it, parents first, inspecting every node a candidate
-// lands on, and returns each candidate's node. Planning first is what
-// lets an async node know which orders it will be asked for.
+// grow walks every candidate down the tree, stage by stage, and returns
+// the node each lands on, inspected. At node n a stage is asked as it
+// acts on n's program (core.Stage.On): where it is the identity under
+// the candidate's options it hands n on, and otherwise the next node is
+// n's child memoised on (n, stage, the stage's key on n's program),
+// built the first time a candidate needs it — so parents are built
+// first by construction, and a knob On drops for n's program makes no
+// second child. A failed node ends every path that reaches it.
 //
 // The subtrees under the decompose nodes share only ancestors they
 // Clone, and building them on min(GOMAXPROCS, subtrees) workers was
@@ -204,79 +204,79 @@ func (s *search) stage1(cands []*Candidate) {
 // of a compile now, and the collector already uses the second core.
 func (s *search) grow(cands []*Candidate) []*node {
 	at := make([]*node, len(cands))
-	var planned []*node
 	for i, cand := range cands {
 		if cand.Baseline {
 			continue
 		}
 		n := s.root
-		for st, stage := range core.Stages()[:core.StageStamp] {
+		for st := range core.Stages()[:core.StageStamp] {
+			if n.err != "" {
+				break
+			}
+			stage := n.stageOn(st)
 			if stage.Identity(cand.Opts) {
 				continue
 			}
-			key := memoKey{stage: st, knobs: core.PrefixKey(st, cand.Opts)}
+			key := memoKey{parent: n, stage: st, knobs: stage.Key(cand.Opts)}
 			child, ok := s.memo[key]
 			if !ok {
-				child = &node{parent: n, stage: st, opts: cand.Opts}
+				child = n.child(st, stage, cand.Opts)
 				s.memo[key] = child
-				n.kids = append(n.kids, child)
-				planned = append(planned, child)
 			}
 			n = child
 		}
-		n.lands = true
+		n.inspect()
 		at[i] = n
-	}
-	for _, n := range planned {
-		n.build()
-		if n.lands {
-			n.inspect()
-		}
 	}
 	return at
 }
 
-// build runs the node's stage on a Clone of its parent's program. A
-// failed parent fails the node with the same error and nothing is
-// cloned. An async node also builds its order kids, which is to take
-// each scheduler's order against the program it has just made: they
-// get no clone of their own.
-func (n *node) build() {
-	switch {
-	case n.parent.err != "":
-		n.err = n.parent.err
-		return
-	case n.c != nil:
-		return // an order node, built with its async parent
+// stageOn returns stage st as it acts on n's program, asked once.
+func (n *node) stageOn(st int) core.Stage {
+	if n.on[st].Name == "" {
+		n.on[st] = core.Stages()[st].On(n.c)
 	}
-	c := n.parent.c.Clone()
-	if err := core.Stages()[n.stage].Run(c, n.opts, &core.Report{}); err != nil {
-		n.err = err.Error()
-		return
-	}
-	n.c = c
-	if n.stage == core.StageAsync {
-		n.orderKids()
-	}
+	return n.on[st]
 }
 
-// orderKids gives every order-stage kid of an async node the async
-// program and its scheduler's order of it.
-func (n *node) orderKids() {
-	for _, kid := range n.kids {
-		if kid.stage != core.StageOrder {
-			continue
+// child builds the node stage st makes of n's program under o: a Clone
+// with the stage run on it, or for the order stage n's own program and
+// the scheduler's order of it. That order is taken against the async
+// order, which an inspected sibling may have permuted away.
+func (n *node) child(st int, stage core.Stage, o core.Options) *node {
+	if st == core.StageOrder {
+		kid := &node{}
+		if err := n.schedule(n.c); err != nil {
+			kid.err = err.Error()
+			return kid
 		}
 		kid.c = n.c
-		kid.order = make([]int, 0, n.c.NumInstructions())
-		for _, in := range core.Order(n.c, kid.opts) {
-			kid.order = append(kid.order, in.ID)
+		order := core.Order(n.c, o)
+		kid.order = make([]int, len(order))
+		for i, in := range order {
+			kid.order[i] = in.ID
+		}
+		return kid
+	}
+	kid := &node{}
+	c := n.c.Clone()
+	if err := stage.Run(c, o, &core.Report{}); err != nil {
+		kid.err = err.Error()
+		return kid
+	}
+	kid.c = c
+	if st == core.StageAsync {
+		kid.order = make([]int, c.NumInstructions())
+		for i := range kid.order {
+			kid.order[i] = c.At(i).ID
 		}
 	}
+	return kid
 }
 
 // schedule puts the node's schedule on c — n.c, or a Clone of it. For
-// any node but an order node that is the order c is in already.
+// any node but an order or async node that is the order c is in
+// already.
 func (n *node) schedule(c *hlo.Computation) error {
 	if n.order == nil {
 		return nil
@@ -310,7 +310,7 @@ func (n *node) inspect() {
 // releaseTree drops every memoised program once the ones to execute
 // have been materialised, so the executions and the calibration that
 // follow do not hold a whole search's graphs live.
-func (s *search) releaseTree() { s.memo, s.landed, s.root.kids = nil, nil, nil }
+func (s *search) releaseTree() { s.memo, s.landed = nil, nil }
 
 // printedFactor is the split-K factor as the program text shows it:
 // below 2 the printer writes nothing.

@@ -9,6 +9,7 @@ import (
 	"overlap/internal/corpus"
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
+	"overlap/internal/models"
 	"overlap/internal/sim"
 	"overlap/internal/topology"
 )
@@ -238,4 +239,82 @@ func TestSearchTreeCorners(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestTreeKeysOnThePrograms counts the nodes stage 1 builds per stage
+// for the GPT_32B 4×8 layer — the shape the daemon compiles most — and
+// pins what keying each stage on its input program saves. No
+// CollectivePermuteDone reaches the fuse stage, so the two
+// OverlapFriendlyFusion variants of a FuseAddIntoEinsum candidate share
+// one fuse node and everything below it; and an input with no
+// decomposable site builds no decompose node at all. Keyed on static
+// prefix keys the layer built 1, 9, 16, 25 and 49 nodes.
+func TestTreeKeysOnThePrograms(t *testing.T) {
+	perStage := func(s *search) [core.StageStamp]int {
+		var n [core.StageStamp]int
+		for key := range s.memo {
+			n[key.stage]++
+		}
+		return n
+	}
+
+	cfg, err := models.ByName("GPT_32B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mini, err := models.Miniature(cfg, 4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layer, err := models.BuildLayerStep(mini)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := checkTreeIsFlatLoop(t, "GPT_32B 4x8", layer, 4, enumerated(layer, 4))
+	built := perStage(s)
+	if want := [core.StageStamp]int{1, 9, 8, 17, 33}; built != want {
+		t.Errorf("GPT_32B 4x8 built %v nodes per stage (pre, decompose, fuse, async, order), want %v", built, want)
+	}
+
+	// A second walk finds every node in the memo and shows where each
+	// candidate landed.
+	cands := enumerated(layer, 4)()
+	at := s.grow(cands)
+	if again := perStage(s); again != built {
+		t.Fatalf("a second walk built nodes: %v, then %v", built, again)
+	}
+	unfriendly := map[string]*node{}
+	for i, cand := range cands {
+		if !cand.Baseline && cand.Opts.FuseAddIntoEinsum && !cand.Opts.OverlapFriendlyFusion {
+			unfriendly[cand.Name] = at[i]
+		}
+	}
+	pairs := 0
+	for i, cand := range cands {
+		if cand.Baseline || !cand.Opts.OverlapFriendlyFusion {
+			continue
+		}
+		o := cand.Opts
+		o.OverlapFriendlyFusion = false
+		n, ok := unfriendly[o.Fingerprint()]
+		if !ok {
+			t.Fatalf("%s has no OverlapFriendlyFusion=false twin", cand.Name)
+		}
+		if n != at[i] {
+			t.Errorf("%s and its OverlapFriendlyFusion=false twin landed on different nodes", cand.Name)
+		}
+		pairs++
+	}
+	if pairs == 0 {
+		t.Fatal("no OverlapFriendlyFusion pairs enumerated")
+	}
+
+	siteless := hlo.NewComputation("siteless")
+	a := siteless.Parameter(0, "a", []int{4, 8})
+	b := siteless.Parameter(1, "b", []int{8, 32})
+	siteless.AllGather(siteless.Einsum("mk,kn->mn", a, b), 0, topology.NewRing(4).AxisGroups(0))
+	s, _ = checkTreeIsFlatLoop(t, "siteless", siteless, 4, enumerated(siteless, 4))
+	if n := perStage(s)[core.StageDecompose]; n != 0 {
+		t.Errorf("a site-less input built %d decompose nodes, want 0", n)
+	}
 }

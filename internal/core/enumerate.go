@@ -62,7 +62,7 @@ func (o Options) Fingerprint() string {
 // that is measured and whose name a cached decision records — so
 // reordering the loops changes decisions, not just their listing. It is
 // deliberately not the pipeline's stage order (see pipeline.go); the
-// search memoises on stage prefixes whatever order candidates arrive in.
+// search memoises on stage keys whatever order candidates arrive in.
 func EnumerateOptions(spec machine.Spec, ringSize int, c *hlo.Computation) []Options {
 	base := Options{Spec: spec}
 

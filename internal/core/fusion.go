@@ -32,7 +32,9 @@ func fusableProducer(op hlo.OpCode) bool {
 // an asynchronous CollectivePermuteDone: the other einsum then stays
 // independent and can execute during the transfer (Fig 11b). With
 // overlapFriendly false the first candidate in operand order is taken,
-// reproducing the Fig 11a regression.
+// reproducing the Fig 11a regression. In the pipeline the fuse stage
+// runs before the async stage, so an untransformed input has no Done to
+// prefer (see Options.OverlapFriendlyFusion).
 //
 // It returns the number of fusion nodes formed.
 func FuseAccumulation(c *hlo.Computation, overlapFriendly bool) int {

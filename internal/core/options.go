@@ -62,14 +62,21 @@ type Options struct {
 	Scheduler SchedulerKind
 
 	// FuseAddIntoEinsum enables the fusion pass that merges result
-	// accumulation with its producing einsum (with the §5.4.3 heuristic
-	// of preferring the einsum that already depends on an asynchronous
+	// accumulation with its producing einsum (with, under
+	// OverlapFriendlyFusion, the §5.4.3 heuristic of preferring the
+	// einsum that already depends on an asynchronous
 	// CollectivePermuteDone).
 	FuseAddIntoEinsum bool
 
 	// OverlapFriendlyFusion applies the §5.4.3 operand-choice heuristic;
 	// when false, fusion picks the first einsum operand (the "bad"
 	// default of Fig 11a), exposing the regression the paper describes.
+	//
+	// From an untransformed input it changes nothing: the heuristic
+	// looks for a CollectivePermuteDone, and only the async stage, which
+	// runs after fusion, makes one. It acts only on an input that already
+	// carries async pairs (the core goldens); the fuse stage's key drops
+	// it everywhere else (Stage.On).
 	OverlapFriendlyFusion bool
 
 	// RematerializeGathers duplicates multi-consumer AllGathers so each

@@ -19,18 +19,26 @@ import (
 //
 // Each stage declares the knobs it reads, whether it is the identity
 // for a given Options, and its body; what a stage emits is a function
-// of its input program, the ambient machine Spec and the knobs of the
-// stages up to and including it — its prefix key (PrefixKey) — and of
-// nothing else. Each stage closes its own WithRootPreserved section, so
-// a stage boundary is a legal hlo.Computation.Clone point (Clone carries
-// the root and the id and fusion-group counters). Together these let a
-// search over many Options compile each distinct prefix once and clone
-// it for every continuation, which is what autotune's stage 1 does.
+// of its input program, the ambient machine Spec and the knobs it reads
+// — its key (Key) — and of nothing else. On narrows those declarations
+// to one input program where a stage's `on` rule can tell exactly that
+// a knob cannot act on it, or that the stage has nothing to rewrite in
+// it (two rules today: fuse and decompose). Each stage closes its own
+// WithRootPreserved section, so a stage boundary is a legal
+// hlo.Computation.Clone point (Clone carries the root and the id and
+// fusion-group counters). Together these let a search over many Options
+// run each stage once per (input program, key) and clone the result for
+// every continuation, which is what autotune's stage 1 does.
 //
 // To add a knob: add the field to Options, Knobs and Fingerprint, read
-// it in exactly one stage's body and copy it in that stage's reads. The
-// guard test in stage_test.go fails while any of the four is missing: a
-// knob no stage claims would silently alias two candidates of a search.
+// it in exactly one stage's body and copy it in that stage's reads
+// (Scheduler, read by async and order, is the one exception). The guard
+// test in stage_test.go fails while any of the four is missing: a knob
+// no stage claims would silently alias two candidates of a search. A
+// program-aware rule (on) must be exact: stage_test.go runs every stage
+// over the corpus and fails when two Options with equal keys, or a
+// stage that calls itself the identity, leave an input in different
+// states.
 
 // Stage indices, in pipeline order.
 const (
@@ -69,6 +77,9 @@ type Stage struct {
 	// identity reports that the body leaves every program untouched
 	// under o; nil means it never statically does.
 	identity func(o Options) bool
+	// on narrows reads and identity to the input program c (see On);
+	// nil means the declarations hold as they are on every program.
+	on func(s Stage, c *hlo.Computation) Stage
 	// body is the stage's work, run with the root preserved.
 	body func(c *hlo.Computation, o Options, report *Report) error
 }
@@ -108,6 +119,15 @@ var stages = [numStages]Stage{
 			key.Bidirectional = o.Bidirectional
 			key.UseCostModel = o.UseCostModel
 		},
+		on: func(s Stage, c *hlo.Computation) Stage {
+			// A chooser only picks among one einsum's several sites, so a
+			// program where FirstChooser finds none has none under any:
+			// the body matches nothing and rewrites nothing.
+			if len(FindPatterns(c, FirstChooser{})) == 0 {
+				s.identity = func(Options) bool { return true }
+			}
+			return s
+		},
 		body: func(c *hlo.Computation, o Options, report *Report) error {
 			// Find the decomposable AllGather-Einsum / Einsum-ReduceScatter
 			// sites (one candidate per einsum, by the §5.5 rule), gate each
@@ -135,13 +155,22 @@ var stages = [numStages]Stage{
 		},
 	},
 	StageFuse: {
-		Name: "fuse",
-		reads: func(o Options, key *Options) {
-			key.ConcatToPadMax = o.ConcatToPadMax
-			key.FuseAddIntoEinsum = o.FuseAddIntoEinsum
-			key.OverlapFriendlyFusion = o.OverlapFriendlyFusion
-		},
+		Name:     "fuse",
+		reads:    readFuse,
 		identity: func(o Options) bool { return !o.ConcatToPadMax && !o.FuseAddIntoEinsum },
+		on: func(s Stage, c *hlo.Computation) Stage {
+			// The §5.4.3 operand choice prefers an einsum that depends on
+			// a CollectivePermuteDone (dependsOnDone), and only the async
+			// stage, which runs later, makes one: on a program without one
+			// both settings pick the first operand.
+			if !holdsDone(c) {
+				s.reads = func(o Options, key *Options) {
+					readFuse(o, key)
+					key.OverlapFriendlyFusion = false
+				}
+			}
+			return s
+		},
 		body: func(c *hlo.Computation, o Options, report *Report) error {
 			if o.ConcatToPadMax {
 				RewriteConcatToPadMax(c)
@@ -155,8 +184,8 @@ var stages = [numStages]Stage{
 	StageAsync: {
 		Name: "async",
 		// The body reads only whether a scheduler runs at all, so both
-		// overlap schedulers share a prefix key here and SchedulerNone
-		// has its own.
+		// overlap schedulers share a key here and SchedulerNone has
+		// its own.
 		reads: func(o Options, key *Options) {
 			key.Scheduler = SchedulerBottomUp
 			if o.Scheduler == SchedulerNone {
@@ -205,6 +234,25 @@ var stages = [numStages]Stage{
 	},
 }
 
+// readFuse is the fuse stage's reads, named so its On can narrow them.
+func readFuse(o Options, key *Options) {
+	key.ConcatToPadMax = o.ConcatToPadMax
+	key.FuseAddIntoEinsum = o.FuseAddIntoEinsum
+	key.OverlapFriendlyFusion = o.OverlapFriendlyFusion
+}
+
+// holdsDone reports whether c, fusion and loop bodies included, has a
+// CollectivePermuteDone.
+func holdsDone(c *hlo.Computation) bool {
+	for i := 0; i < c.NumInstructions(); i++ {
+		in := c.At(i)
+		if in.Op == hlo.OpCollectivePermuteDone || in.Body != nil && holdsDone(in.Body) {
+			return true
+		}
+	}
+	return false
+}
+
 // Order returns the instruction order the order stage gives c — the
 // async stage's output — under o, leaving c as it is: c's own order
 // under SchedulerNone. SetSchedule applies it.
@@ -227,8 +275,35 @@ func Order(c *hlo.Computation, o Options) []*hlo.Instruction {
 // Stages returns the pipeline's stages, indexed by the Stage constants.
 func Stages() []Stage { return stages[:] }
 
-// Identity reports that running the stage under o leaves any program
-// exactly as it was, so its output may be its input itself.
+// On returns the stage as it acts on the input program c: the same
+// body, with Key and Identity narrowed by the stage's `on` rule where
+// that is exact for c. It is sound, not complete — a knob c cannot feel
+// may stay in the key, and a stage may leave c untouched without
+// saying so. The rules today: fuse drops OverlapFriendlyFusion from
+// its key when c holds no CollectivePermuteDone, and decompose is the
+// identity when FindPatterns matches no site in c. It costs a scan of
+// c, so a search calls it once per (program, stage), not once per
+// Options.
+func (s Stage) On(c *hlo.Computation) Stage {
+	if s.on == nil {
+		return s
+	}
+	return s.on(s, c)
+}
+
+// Key returns o reduced to the knobs the stage reads: two Options with
+// equal keys put one input program, under one Spec, into the same state
+// after the stage — text, instruction IDs, fusion groups and IDBound.
+// Spec is left zero: it is ambient to one search, not a knob.
+func (s Stage) Key(o Options) Options {
+	var key Options
+	s.reads(o, &key)
+	return key
+}
+
+// Identity reports that running the stage under o leaves its input
+// exactly as it was — any program for a stage of the table, the one
+// program for a stage from On — so its output may be its input itself.
 func (s Stage) Identity(o Options) bool { return s.identity != nil && s.identity(o) }
 
 // Run executes the stage on c in place, recording what it did in
@@ -237,18 +312,6 @@ func (s Stage) Run(c *hlo.Computation, o Options, report *Report) error {
 	var err error
 	c.WithRootPreserved(func() { err = s.body(c, o, report) })
 	return err
-}
-
-// PrefixKey returns o reduced to the knobs stages[0..stage] read: two
-// Options with equal prefix keys put the same program, under the same
-// Spec, into the same state after that stage. Spec is left zero — it is
-// ambient to one search, not a knob.
-func PrefixKey(stage int, o Options) Options {
-	var key Options
-	for _, s := range stages[:stage+1] {
-		s.reads(o, &key)
-	}
-	return key
 }
 
 // Apply runs the full overlap pipeline on the computation in place —

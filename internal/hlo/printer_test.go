@@ -137,7 +137,8 @@ func checkPrinter(t *testing.T, label string, c *hlo.Computation) {
 // TestPrinterMatchesReferenceOnCorpus pins the printer byte for byte on
 // every program a search over the corpus ever holds: the inputs, every
 // distinct node of every enumerated Options' path through the stage
-// table up to the schedule, and a stamped leaf of each.
+// table up to the schedule (memoised as the search does, on the parent
+// and the stage's key on it), and a stamped leaf of each.
 func TestPrinterMatchesReferenceOnCorpus(t *testing.T) {
 	progs, err := corpus.Programs()
 	if err != nil {
@@ -145,8 +146,9 @@ func TestPrinterMatchesReferenceOnCorpus(t *testing.T) {
 	}
 	spec := machine.TPUv4()
 	type nodeKey struct {
-		stage int
-		knobs core.Options
+		parent *hlo.Computation
+		stage  int
+		knobs  core.Options
 	}
 	nodes := 0
 	for _, p := range progs {
@@ -155,7 +157,7 @@ func TestPrinterMatchesReferenceOnCorpus(t *testing.T) {
 		for _, o := range core.EnumerateOptions(spec, p.Devices, p.Comp) {
 			n := p.Comp
 			for i, st := range core.Stages()[:core.StageStamp] {
-				key := nodeKey{i, core.PrefixKey(i, o)}
+				key := nodeKey{n, i, st.On(n).Key(o)}
 				child, ok := memo[key]
 				if !ok {
 					child = n.Clone()
