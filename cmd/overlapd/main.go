@@ -2,8 +2,8 @@
 // an HTTP/JSON daemon that compiles programs into cacheable Plan
 // artifacts and executes them on the concurrent goroutine runtime. The
 // steady-state run path is a plan-cache lookup plus execution — zero
-// compilation — while cold requests batch through a coalescing
-// compiler so identical programs share one tune.
+// compilation — while a cold request joins the one compile in flight
+// for its fingerprint, so identical programs share one tune.
 //
 // Endpoints:
 //
@@ -28,8 +28,8 @@
 //	overlapd -addr :8080 -debug-addr localhost:6060   # net/http/pprof on a separate port
 //
 // Structured JSON logs (one object per line, "run_id"-keyed) go to
-// stderr. SIGINT/SIGTERM drain gracefully: in-flight requests finish,
-// then the process exits 0.
+// stderr. SIGINT/SIGTERM drain gracefully: in-flight requests and
+// compiles finish, then the process exits 0.
 package main
 
 import (
@@ -55,16 +55,14 @@ func main() {
 
 	f := cli.Defaults()
 	f.TopK = 2
-	// -transport is an operator decision: requests cannot override it.
-	f.Register(flag.CommandLine, "transport", "kernel-workers", "topk", "cache", "no-cache")
+	f.TimeScale = 50
+	// -transport and -timescale are operator decisions: requests cannot
+	// override them.
+	f.Register(flag.CommandLine, "timescale", "transport", "kernel-workers", "topk", "cache", "no-cache")
 	addr := flag.String("addr", ":8080", "listen address")
-	maxBatch := flag.Int("max-batch", 8, "batcher flush size (requests)")
-	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "batcher flush age: a partial batch waits at most this long")
-	inbox := flag.Int("inbox", 256, "bounded request inbox; beyond it requests get 503")
+	maxPending := flag.Int("max-pending", 256, "run and compile requests between decode and response; beyond it requests get 503")
 	maxRuns := flag.Int("max-runs", 4, "admission limit: concurrent runtime executions sharing the kernel pool")
 	planCache := flag.Int("plan-cache", 64, "in-memory compiled-plan LRU capacity")
-	tuneScale := flag.Float64("tune-timescale", 50, "wire-delay scale during cold-compile tuning")
-	runScale := flag.Float64("run-timescale", 50, "wire-delay scale of served runs (negative disables injection)")
 	deadline := flag.Duration("default-deadline", 60*time.Second, "run deadline when the request carries none")
 	debugFaults := flag.Bool("debug-faults", false, "allow requests to inject deterministic faults (chaos testing)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof at this address on a separate mux (never on the serving port); empty disables")
@@ -90,16 +88,13 @@ func main() {
 	}
 
 	srv, err := overlap.NewServer(overlap.ServerConfig{
-		MaxBatch:           *maxBatch,
-		MaxWait:            *maxWait,
-		InboxSize:          *inbox,
+		MaxPending:         *maxPending,
 		MaxConcurrentRuns:  *maxRuns,
 		PlanCacheSize:      *planCache,
 		CachePath:          f.Cache,
 		DisableDiskCache:   f.NoCache,
 		TuneTopK:           f.TopK,
-		TuneTimeScale:      *tuneScale,
-		RunTimeScale:       *runScale,
+		TimeScale:          f.TimeScale,
 		DefaultDeadline:    *deadline,
 		DebugFaults:        *debugFaults,
 		FlightRecorderSize: *flightSize,
@@ -123,8 +118,8 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("overlapd: serving at http://%s (plans cached: %d, admission: %d, batch: %d/%s)\n",
-		bound, *planCache, *maxRuns, *maxBatch, *maxWait)
+	fmt.Printf("overlapd: serving at http://%s (plans cached: %d, pending: %d, admission: %d, timescale: %g)\n",
+		bound, *planCache, *maxPending, *maxRuns, f.TimeScale)
 	if *debugFaults {
 		fmt.Println("overlapd: debug-faults enabled — requests may inject deterministic failures")
 	}

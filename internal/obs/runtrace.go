@@ -48,8 +48,8 @@ func NewRunID() string {
 }
 
 // RunTrace is the run-scoped trace artifact: one execution's identity,
-// the serve-path stages that led to it (queue → plan → admission →
-// run), the per-device/per-instruction/per-transfer spans the executor
+// the serve-path stages that led to it (plan → admission → run), the
+// per-device/per-instruction/per-transfer spans the executor
 // measured — wire spans stamped with their attribution verdict — and
 // the per-collective attribution report. It serializes to stable JSON
 // (EncodeJSON/DecodeRunTrace) and to a Chrome trace (ChromeTrace) from
@@ -77,7 +77,7 @@ type RunTrace struct {
 	Error  *RunTraceError `json:"error,omitempty"`
 
 	// Stages are the coarse serve-path intervals of this run's request
-	// (queue, plan, admission, run), in milliseconds from request start.
+	// (plan, admission, run), in milliseconds from request start.
 	Stages []RunStage `json:"stages,omitempty"`
 
 	// Spans are the fine-grained executor spans, milliseconds from run

@@ -4,10 +4,10 @@ import "overlap/internal/obs"
 
 // Serving-side instrumentation handles, resolved once against the
 // process-wide registry. The overlap_serve_* family answers the
-// operational questions a long-running daemon gets asked: how deep is
-// the queue, how well do requests coalesce, how often does the hot path
-// skip compilation, how long do runs wait for an admission slot, and
-// where each request's latency went.
+// operational questions a long-running daemon gets asked: how well do
+// requests coalesce, how often does the hot path skip compilation, how
+// long do runs wait for an admission slot, and where each request's
+// latency went.
 var (
 	svRequests = obs.Default().Counter("overlap_serve_requests_total",
 		"Requests accepted by the daemon (all endpoints that reach a handler).")
@@ -16,11 +16,7 @@ var (
 	svRunErrors = obs.Default().Counter("overlap_serve_run_errors_total",
 		"Served runs that failed with a structured runtime error (5xx, daemon stays up).")
 	svOverload = obs.Default().Counter("overlap_serve_overload_total",
-		"Requests rejected because the batcher inbox was full (503).")
-	svQueueDepth = obs.Default().Gauge("overlap_serve_queue_depth",
-		"Requests currently waiting in the batcher inbox.")
-	svBatchSize = obs.Default().Histogram("overlap_serve_batch_size",
-		"Requests per batcher flush.", obs.ExpBuckets(1, 2, 7))
+		"Requests rejected with 503 because MaxPending requests were already pending.")
 	svPlanHits = obs.Default().Counter("overlap_serve_plan_cache_hits_total",
 		"Plan acquisitions answered by the in-memory plan cache (zero compilation).")
 	svPlanMisses = obs.Default().Counter("overlap_serve_plan_cache_misses_total",
@@ -35,14 +31,12 @@ var (
 		"Runs currently holding an admission slot.")
 	svAdmissionWait = obs.Default().Histogram("overlap_serve_admission_wait_seconds",
 		"Time served runs waited for an admission slot.", obs.TimeBuckets())
-	svQueueSeconds = obs.Default().Histogram("overlap_serve_queue_seconds",
-		"Time requests spent in the batcher inbox before their flush.", obs.TimeBuckets())
 	svPlanSeconds = obs.Default().Histogram("overlap_serve_plan_seconds",
-		"Time from flush to plan availability (zero-ish on cache hits).", obs.TimeBuckets())
+		"Time from plan lookup to plan availability (zero-ish on cache hits).", obs.TimeBuckets())
 	svRunSeconds = obs.Default().Histogram("overlap_serve_run_seconds",
 		"Wall-clock of the runtime execution phase of served runs.", obs.TimeBuckets())
 	svFailedRunSeconds = obs.Default().Histogram("overlap_serve_failed_run_seconds",
-		"End-to-end latency of served runs that failed (queue + plan + admission + run until abort).",
+		"End-to-end latency of served runs that failed (plan + admission + run until abort).",
 		obs.TimeBuckets())
 	svTracesRecorded = obs.Default().Counter("overlap_serve_traces_recorded_total",
 		"Run traces recorded into the flight recorder.")

@@ -14,11 +14,10 @@ import (
 // cachedPlan is a compiled plan held hot: the immutable artifact, its
 // parsed computation, and the computation compiled for the runtime —
 // validated and lowered to its tape once, when the plan was. All three
-// are built inside one compile closure, under the batcher's
-// singleflight, and never written after the entry is published, so
-// every request that shares the plan reads them without a lock and runs
-// the one Executable concurrently (the 16-client soak pins this under
-// -race). The serve hot path is one map lookup and zero parsing, zero
+// are built inside one compile closure, under the singleflight, and
+// never written after the entry is published, so every request that
+// shares the plan reads them without a lock and runs the one Executable
+// concurrently (the 16-client soak pins this under -race). The serve hot path is one map lookup and zero parsing, zero
 // compilation, zero lowering.
 type cachedPlan struct {
 	plan *autotune.Plan

@@ -21,13 +21,18 @@
 //     resolve to it — so the steady-state run path is two map lookups
 //     plus (*Executable).Run: no graph construction, no compilation, no
 //     lowering;
-//   - a channel-based request batcher: a bounded inbox flushed at
-//     MaxBatch requests or MaxWait after the first, grouping requests
-//     by fingerprint so N simultaneous callers with identical programs
-//     share exactly one compile (batcher.go);
+//   - a singleflight over compiles: a request whose plan is not cached
+//     joins the compile already in flight for its fingerprint, or
+//     starts it, so N simultaneous callers with identical programs
+//     share exactly one compile (singleflight.go);
 //   - an admission-control semaphore bounding concurrent runtime
 //     executions, so served runs share the process-wide einsum kernel
 //     worker pool instead of oversubscribing it.
+//
+// A run request flows lookup → singleflight → admission → run: the plan
+// cache answers it, or it waits on its fingerprint's one compile; then
+// it waits for an admission slot and runs. MaxPending bounds the
+// requests anywhere in that flow; one more is answered 503.
 //
 // Failures degrade, never cascade: a run that fails (injected fault,
 // deadline) returns the structured *runtime.RunError as JSON with a
@@ -70,15 +75,10 @@ type Config struct {
 	// against; zero means machine.TPUv4().
 	Spec machine.Spec
 
-	// MaxBatch flushes the batcher when this many requests have
-	// collected (default 8); MaxWait flushes a partial batch this long
-	// after its first request (default 2ms).
-	MaxBatch int
-	MaxWait  time.Duration
-
-	// InboxSize bounds the batcher inbox; requests beyond it are
-	// rejected with 503 (default 256).
-	InboxSize int
+	// MaxPending bounds the /v1/run and /v1/compile requests between
+	// decode and response — waiting on a compile or an admission slot,
+	// running, answering; one more is rejected with 503 (default 256).
+	MaxPending int
 
 	// MaxConcurrentRuns bounds runtime executions holding the kernel
 	// worker pool at once (default 4).
@@ -94,12 +94,14 @@ type Config struct {
 	CachePath        string
 	DisableDiskCache bool
 
-	// TuneTopK and TuneTimeScale shape cold-path compiles (defaults 2
-	// and 50); RunTimeScale is the wire-delay injection scale of served
-	// runs (default 50; negative disables injection).
-	TuneTopK      int
-	TuneTimeScale float64
-	RunTimeScale  float64
+	// TuneTopK is how many candidates a cold-path compile executes
+	// (default 2).
+	TuneTopK int
+
+	// TimeScale is the wire-delay injection scale of served runs and of
+	// the compiles that tune their plans (default 50; negative disables
+	// injection). An operator decision: requests cannot override it.
+	TimeScale float64
 
 	// DefaultDeadline bounds runs that do not carry their own
 	// deadline_ms (default 60s).
@@ -132,14 +134,8 @@ func (c Config) withDefaults() Config {
 	if c.Spec.Name == "" {
 		c.Spec = machine.TPUv4()
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
-	}
-	if c.InboxSize <= 0 {
-		c.InboxSize = 256
+	if c.MaxPending <= 0 {
+		c.MaxPending = 256
 	}
 	if c.MaxConcurrentRuns <= 0 {
 		c.MaxConcurrentRuns = 4
@@ -150,11 +146,8 @@ func (c Config) withDefaults() Config {
 	if c.TuneTopK <= 0 {
 		c.TuneTopK = 2
 	}
-	if c.TuneTimeScale == 0 {
-		c.TuneTimeScale = 50
-	}
-	if c.RunTimeScale == 0 {
-		c.RunTimeScale = 50
+	if c.TimeScale == 0 {
+		c.TimeScale = 50
 	}
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 60 * time.Second
@@ -173,10 +166,17 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg      Config
 	plans    *planCache
-	batch    *batcher
 	recorder *flightRecorder
+	pending  chan struct{} // MaxPending places
 	slots    chan struct{} // admission semaphore
 	mux      *http.ServeMux
+	// flightsMu guards flights, the compile in flight per fingerprint.
+	flightsMu sync.Mutex
+	flights   map[string]*flight
+	// compiles counts the compiles in flight, for Shutdown to wait on.
+	// They start only inside a handler, under drainMu's read lock, so
+	// Add never races Shutdown's Wait.
+	compiles sync.WaitGroup
 	httpSrv  *http.Server
 	draining atomic.Bool
 	// check is runtime.CheckInterpreter; a field so a test can fail it.
@@ -202,10 +202,11 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		plans:    newPlanCache(cfg.PlanCacheSize),
 		recorder: newFlightRecorder(cfg.FlightRecorderSize, cfg.FlightKeep),
+		pending:  make(chan struct{}, cfg.MaxPending),
 		slots:    make(chan struct{}, cfg.MaxConcurrentRuns),
+		flights:  map[string]*flight{},
 		check:    runtime.CheckInterpreter,
 	}
-	s.batch = newBatcher(s.plans, cfg.InboxSize, cfg.MaxBatch, cfg.MaxWait)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/run", s.guard(s.handleRun))
 	s.mux.HandleFunc("/v1/compile", s.guard(s.handleCompile))
@@ -235,9 +236,9 @@ func (s *Server) Start(addr string) (string, error) {
 }
 
 // Shutdown drains gracefully: new requests are refused, every in-flight
-// request (including queued compiles its waiters still hold) completes
-// and is answered, then the batcher stops. Safe to call without Start
-// (test servers driving Handler directly).
+// request completes and is answered, then every compile still running —
+// one whose waiters all gave up included — lands. Safe to call without
+// Start (test servers driving Handler directly).
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	var err error
@@ -248,6 +249,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	go func() {
 		s.drainMu.Lock()
 		defer s.drainMu.Unlock()
+		s.compiles.Wait()
 		close(done)
 	}()
 	select {
@@ -255,9 +257,25 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	s.batch.close()
 	return err
 }
+
+// enterPending takes one of the MaxPending places for a decoded request,
+// which gives it back with leavePending once answered; with every place
+// taken it answers 503 and returns false.
+func (s *Server) enterPending(w http.ResponseWriter) bool {
+	select {
+	case s.pending <- struct{}{}:
+		return true
+	default:
+		svOverload.Inc()
+		s.writeError(w, http.StatusServiceUnavailable,
+			fmt.Errorf("serve: overloaded: %d requests already pending", cap(s.pending)))
+		return false
+	}
+}
+
+func (s *Server) leavePending() { <-s.pending }
 
 // guard wraps a handler with the drain gate, the in-flight waitgroup,
 // and request counting.
@@ -303,9 +321,6 @@ type Request struct {
 
 	// Seed generates the run's replicated random arguments (default 42).
 	Seed int64 `json:"seed,omitempty"`
-	// TimescaleOverride replaces the server's RunTimeScale for this run
-	// (0 keeps the server default; negative disables injection).
-	Timescale float64 `json:"timescale,omitempty"`
 	// DeadlineMS bounds the run (0 = server default).
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// Check cross-checks the run bit-for-bit against the lockstep
@@ -331,10 +346,13 @@ type RunResponse struct {
 	RunID       string `json:"run_id"`
 	Fingerprint string `json:"fingerprint"`
 	// Plan is where the plan came from: hit, miss, or coalesced.
-	Plan      string `json:"plan"`
-	BestName  string `json:"best_name"`
-	Devices   int    `json:"devices"`
-	BatchSize int    `json:"batch_size"`
+	Plan     string `json:"plan"`
+	BestName string `json:"best_name"`
+	Devices  int    `json:"devices"`
+	// BatchSize is always 1: the daemon batches nothing. It survives
+	// only because the frozen bench/ reads it; the next benchmark
+	// revision drops it.
+	BatchSize int `json:"batch_size"`
 
 	BreakdownMS       BreakdownMS `json:"breakdown_ms"`
 	OverlapEfficiency float64     `json:"overlap_efficiency"`
@@ -355,8 +373,12 @@ type BreakdownMS struct {
 }
 
 // TimingMS decomposes where the request's latency went, in
-// milliseconds.
+// milliseconds: plan lookup (and the compile it waited on), admission
+// wait, run.
 type TimingMS struct {
+	// Queue is always 0: nothing queues a request ahead of its plan
+	// lookup. It survives only because the frozen bench/ reads it; the
+	// next benchmark revision drops it.
 	Queue     float64 `json:"queue"`
 	Plan      float64 `json:"plan"`
 	Admission float64 `json:"admission"`
@@ -381,9 +403,10 @@ type errorBody struct {
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	req, err := s.decodeRequest(w, r)
-	if err != nil {
+	if err != nil || !s.enterPending(w) {
 		return
 	}
+	defer s.leavePending()
 	prog, err := s.resolve(req)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
@@ -412,8 +435,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// The admission slot is free again: the digest, the attribution, the
 	// trace and the response below are this request's own time.
 	timing := TimingMS{
-		Queue:     out.queueWait.Seconds() * 1e3,
-		Plan:      out.planWait.Seconds() * 1e3,
+		Plan:      out.wait.Seconds() * 1e3,
 		Admission: run.admission.Seconds() * 1e3,
 		Run:       run.dur.Seconds() * 1e3,
 	}
@@ -423,7 +445,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// daemon keeps serving, and the plan stays cached — it is a
 		// pure function of the fingerprint and a run failure says
 		// nothing about it. The failure still leaves a trace: its
-		// queue/plan/admission/run breakdown is recorded under the run
+		// plan/admission/run breakdown is recorded under the run
 		// ID, and the failed-run latency histogram sees it.
 		timing.Total = time.Since(start).Seconds() * 1e3
 		svFailedRunSeconds.Observe(time.Since(start).Seconds())
@@ -480,7 +502,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		Plan:        out.source,
 		BestName:    out.plan.plan.BestName,
 		Devices:     out.plan.plan.Devices,
-		BatchSize:   out.batchSize,
+		BatchSize:   1,
 		BreakdownMS: BreakdownMS{
 			Step:    b.StepTime * 1e3,
 			Compute: b.Compute * 1e3,
@@ -538,7 +560,7 @@ func (s *Server) runAdmitted(ctx context.Context, req *Request, cp *cachedPlan, 
 	run.args = argsFrom(cp.comp, req.Seed, pooledRand)
 	runStart := time.Now()
 	run.res, run.err = cp.exe.Run(ctx, run.args, runtime.Options{
-		TimeScale: s.runTimeScale(req), Trace: true, RunID: runID,
+		TimeScale: s.cfg.TimeScale, Trace: true, RunID: runID,
 		Transport: s.cfg.Transport, Faults: req.faults,
 	})
 	run.dur = time.Since(runStart)
@@ -576,7 +598,7 @@ func (s *Server) newHeader(runID string, req *Request, key string, devices int, 
 	for _, st := range []struct {
 		name string
 		dur  float64
-	}{{"queue", timing.Queue}, {"plan", timing.Plan}, {"admission", timing.Admission}, {"run", timing.Run}} {
+	}{{"plan", timing.Plan}, {"admission", timing.Admission}, {"run", timing.Run}} {
 		head.Stages = append(head.Stages, obs.RunStage{Name: st.name, StartMS: cursor, DurMS: st.dur})
 		cursor += st.dur
 	}
@@ -675,9 +697,10 @@ func (s *Server) handleRunByID(w http.ResponseWriter, r *http.Request) {
 // overlap tune -plan-out writes and overlap run -plan-in executes.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	req, err := s.decodeRequest(w, r)
-	if err != nil {
+	if err != nil || !s.enterPending(w) {
 		return
 	}
+	defer s.leavePending()
 	prog, err := s.resolve(req)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
@@ -900,17 +923,17 @@ func (s *Server) buildGraph(shape requestShape) (*hlo.Computation, error) {
 	return models.BuildLayerStep(mini)
 }
 
-// acquirePlan funnels the request through the batcher: identical
-// fingerprints coalesce onto one compile, the plan cache answers warm
-// requests with zero compilation. The compile closure runs at most once
-// per fingerprint at a time and builds everything a cache entry holds —
-// the plan, its parsed computation and that computation's Executable —
+// acquirePlan gets the request's plan through getPlan: the plan cache
+// answers warm requests with zero compilation, identical fingerprints
+// coalesce onto one compile. The compile closure runs at most once per
+// fingerprint at a time and builds everything a cache entry holds — the
+// plan, its parsed computation and that computation's Executable —
 // before the entry is published. A model request that got its plan is
 // remembered by shape, so the next one of that shape resolves without
 // its graph.
 func (s *Server) acquirePlan(ctx context.Context, req *Request, prog *program) (planOutcome, error) {
 	devices, seed := req.Devices, req.Seed
-	out, err := s.batch.submit(ctx, prog.key, func() (*cachedPlan, error) {
+	out, err := s.getPlan(ctx, prog.key, func() (*cachedPlan, error) {
 		comp := prog.comp
 		if comp == nil {
 			// A known shape whose plan is not cached under this key: the
@@ -925,7 +948,7 @@ func (s *Server) acquirePlan(ctx context.Context, req *Request, prog *program) (
 		plan, err := autotune.CompileKeyed(prog.key, comp, devices, Args(comp, seed), autotune.Options{
 			Spec:         s.cfg.Spec,
 			TopK:         s.cfg.TuneTopK,
-			TimeScale:    s.cfg.TuneTimeScale,
+			TimeScale:    s.cfg.TimeScale,
 			CachePath:    s.cfg.CachePath,
 			DisableCache: s.cfg.DisableDiskCache,
 			Calibrate:    true,
@@ -957,18 +980,8 @@ func (s *Server) runContext(r *http.Request, req *Request) (context.Context, con
 	return context.WithTimeout(r.Context(), deadline)
 }
 
-func (s *Server) runTimeScale(req *Request) float64 {
-	if req.Timescale != 0 {
-		return req.Timescale
-	}
-	return s.cfg.RunTimeScale
-}
-
 func (s *Server) writePlanError(w http.ResponseWriter, key string, err error) {
 	status := http.StatusInternalServerError
-	if errors.Is(err, errOverloaded) {
-		status = http.StatusServiceUnavailable
-	}
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		status = http.StatusGatewayTimeout
 	}

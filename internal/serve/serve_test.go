@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 
 	"overlap/internal/autotune"
 	"overlap/internal/corpus"
+	"overlap/internal/hlo"
 	"overlap/internal/obs"
 	"overlap/internal/sim"
 	"overlap/internal/tensor"
@@ -26,20 +28,65 @@ func testConfig() Config {
 	return Config{
 		DisableDiskCache: true,
 		TuneTopK:         1,
-		TuneTimeScale:    5,
-		RunTimeScale:     5,
+		TimeScale:        5,
 	}
 }
 
+// newTestServer serves a new daemon over httptest. At cleanup it closes
+// the listener, shuts the daemon down and checks that no goroutine
+// outlives them: the count settles back to what it was before New.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
+	before := liveGoroutines()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			n := liveGoroutines()
+			if n <= before {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Errorf("%d goroutines outlived the server, %d before New:\n%s", n, before, goroutineStacks())
+				return
+			}
+		}
+	})
 	return s, ts
+}
+
+// goroutineStacks is every goroutine's stack.
+func goroutineStacks() []byte {
+	buf := make([]byte, 1<<16)
+	for {
+		n := goruntime.Stack(buf, true)
+		if n < len(buf) {
+			return buf[:n]
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// liveGoroutines counts goroutines other than the einsum kernel pool's:
+// the pool starts with the first parallel einsum and lives as long as
+// the process.
+func liveGoroutines() int {
+	n := 0
+	for _, g := range bytes.Split(goroutineStacks(), []byte("\n\n")) {
+		if !bytes.Contains(g, []byte("created by overlap/internal/tensor.submit")) {
+			n++
+		}
+	}
+	return n
 }
 
 // postRun sends one /v1/run request and decodes the response; a non-200
@@ -346,6 +393,89 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// FuzzDecodeRequest: a /v1/run body is outside input. Whatever its
+// bytes, decodeRequest and resolve answer a 4xx or accept the request,
+// never panic, and accept none that names a ring past maxDevices or an
+// inline program whose loops run past maxInlineLoopWork body
+// instructions. The seeds under testdata/fuzz are the bodies of
+// TestRequestValidation, TestMalformedInlineProgramIs400 and
+// TestInlineLoopWorkIsBounded; plain go test replays them.
+func FuzzDecodeRequest(f *testing.F) {
+	cfg := testConfig()
+	cfg.DebugFaults = true // so fault specs reach their parser
+	s, err := New(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		w := httptest.NewRecorder()
+		req, err := s.decodeRequest(w, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+		if err != nil {
+			if w.Code < 400 || w.Code >= 500 {
+				t.Fatalf("a rejected body answered %d, want a 4xx", w.Code)
+			}
+			return
+		}
+		if req.Devices < 1 || req.Devices > maxDevices {
+			t.Fatalf("accepted a request on %d devices", req.Devices)
+		}
+		prog, err := s.resolve(req)
+		if err != nil || req.Program == "" {
+			return // an error is the handler's 400
+		}
+		work := 0
+		for i := 0; i < prog.comp.NumInstructions(); i++ {
+			if in := prog.comp.At(i); in.Op == hlo.OpLoop {
+				work += in.TripCount * max(in.Body.NumInstructions(), 1)
+			}
+		}
+		if work > maxInlineLoopWork {
+			t.Fatalf("accepted an inline program whose loops run %d body instructions", work)
+		}
+	})
+}
+
+// TestCallerCannotScaleTheWire: the wire-delay scale is the operator's.
+// A body asking for a billion-fold scale under an hour's deadline runs
+// at the server's own scale and answers promptly, and with one admission
+// slot an ordinary request sent beside it still gets the slot.
+func TestCallerCannotScaleTheWire(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxConcurrentRuns = 1
+	_, ts := newTestServer(t, cfg)
+	mustRun(t, ts, miniatureRequest()) // compile outside the measured part
+
+	answered := map[string]chan error{}
+	for name, body := range map[string]string{
+		"stretched": `{"model":"GPT_32B","devices":4,"dim":2,"timescale":1e9,"deadline_ms":3600000}`,
+		"ordinary":  `{"model":"GPT_32B","devices":4,"dim":2}`,
+	} {
+		done := make(chan error, 1)
+		answered[name] = done
+		go func() {
+			resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
+			if err == nil {
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("status %d", resp.StatusCode)
+				}
+			}
+			done <- err
+		}()
+	}
+	timeout := time.After(30 * time.Second)
+	for name, done := range answered {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("%s request: %v", name, err)
+			}
+		case <-timeout:
+			t.Fatalf("the %s request did not answer within 30s", name)
+		}
+	}
+}
+
 // TestMalformedInlineProgramIs400 sends program text the builder methods
 // panic on — a collective with no operand, an einsum whose spec names a
 // label no operand has, a one-operand add. Each must come back as a
@@ -404,7 +534,7 @@ func postProgram(t *testing.T, ts *httptest.Server, endpoint, program string) (i
 // but name a device the request's 2-device ring does not have. The
 // simulator indexes by device id: before hlo.VerifyRing stood at the
 // front door the first of these panicked autotune stage 1 on the
-// batcher's compile goroutine and took the process down. Each must be a
+// daemon's compile goroutine and took the process down. Each must be a
 // 400 naming the instruction, and the daemon must go on serving.
 func TestOutOfRingInlineProgramIs400(t *testing.T) {
 	_, ts := newTestServer(t, testConfig())

@@ -126,8 +126,8 @@ func TestServeRunTraceEndpoints(t *testing.T) {
 		if trace.Status != obs.StatusOK {
 			t.Errorf("%s: trace status %q", tc.scenario, trace.Status)
 		}
-		if len(trace.Stages) != 4 {
-			t.Errorf("%s: %d stages, want queue/plan/admission/run", tc.scenario, len(trace.Stages))
+		if len(trace.Stages) != 3 {
+			t.Errorf("%s: %d stages, want plan/admission/run", tc.scenario, len(trace.Stages))
 		}
 		checkWireVerdicts(t, trace)
 
@@ -186,7 +186,7 @@ func TestServeRunTraceEndpoints(t *testing.T) {
 
 // TestServeFailedRunTrace pins the failure path: an injected-fault run
 // answers 5xx with the run ID in the body, its trace is retrievable
-// with status "failed" and the full queue/plan/admission/run breakdown,
+// with status "failed" and the full plan/admission/run breakdown,
 // and the failed-run histogram sees it.
 func TestServeFailedRunTrace(t *testing.T) {
 	cfg := testConfig()
@@ -235,7 +235,7 @@ func TestServeFailedRunTrace(t *testing.T) {
 	if trace.Error == nil || trace.Error.Cause == "" {
 		t.Error("failed trace carries no error attribution")
 	}
-	if len(trace.Stages) != 4 {
+	if len(trace.Stages) != 3 {
 		t.Errorf("failed trace has %d stages, want the full breakdown", len(trace.Stages))
 	}
 	if got := svFailedRunSeconds.Count() - before; got != 1 {
@@ -395,7 +395,7 @@ func TestRunGetGolden(t *testing.T) {
 
 	const id = "r-00000000000000ab"
 	start := time.Date(2026, 1, 2, 3, 4, 5, 678000000, time.UTC)
-	timing := TimingMS{Queue: 0.5, Plan: 1.25, Admission: 0.25, Run: 24, Total: 26.5}
+	timing := TimingMS{Plan: 1.25, Admission: 0.25, Run: 24, Total: 26.5}
 	spans := goldenSpans()
 	head := s.newHeader(id, &Request{Model: "GPT_32B"}, "fp-golden", 2, start, timing, spans)
 	head.StepMS = 24
@@ -475,7 +475,7 @@ func TestFailedCheckIsRecorded(t *testing.T) {
 	if trace.Status != obs.StatusFailed || trace.Error == nil || !strings.Contains(trace.Error.Cause, "diverges") || trace.Error.Phase != "check" {
 		t.Fatalf("the recorded run is not marked as a failed check: status %q, error %+v", trace.Status, trace.Error)
 	}
-	if len(trace.Spans) == 0 || trace.Attribution == nil || len(trace.Stages) != 4 {
+	if len(trace.Spans) == 0 || trace.Attribution == nil || len(trace.Stages) != 3 {
 		t.Fatalf("the recorded run lost its spans (%d), attribution or stages (%d)", len(trace.Spans), len(trace.Stages))
 	}
 	checkWireVerdicts(t, trace)

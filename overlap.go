@@ -293,10 +293,11 @@ func PlanKey(c *Computation, spec MachineSpec, numDevices int) string {
 }
 
 // NewServer builds the overlap-as-a-service daemon: an HTTP/JSON server
-// whose hot path is plan-cache lookup + runtime execution, with request
-// batching (identical fingerprints share one compile) and admission
-// control (bounded concurrent runs over the shared kernel pool). Start
-// it with Server.Start and stop it with Server.Shutdown.
+// whose hot path is plan-cache lookup + runtime execution. A cache miss
+// joins the one compile in flight for its fingerprint (identical
+// fingerprints share one compile), and admission control bounds
+// concurrent runs over the shared kernel pool. Start it with
+// Server.Start and stop it with Server.Shutdown.
 func NewServer(cfg ServerConfig) (*Server, error) { return serve.New(cfg) }
 
 // Miniature shrinks a Table 1/2 model onto a 1×devices ring small
