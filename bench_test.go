@@ -248,7 +248,7 @@ func BenchmarkRuntimeRolledVsDecomposed(b *testing.B) {
 	}
 
 	b.Run("rolled", func(b *testing.B) {
-		bench(b, core.Options{Spec: machine.TPUv4(), Rolled: true, UseCostModel: false, Scheduler: core.SchedulerNone}, ropts)
+		bench(b, core.Options{Spec: machine.TPUv4(), Knobs: core.Knobs{Rolled: true, UseCostModel: false, Scheduler: core.SchedulerNone}}, ropts)
 	})
 	b.Run("decomposed", func(b *testing.B) {
 		opts := core.DefaultOptions(machine.TPUv4())

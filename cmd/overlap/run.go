@@ -64,7 +64,7 @@ func runMode(f *cli.Flags, stdout io.Writer, ropts overlap.RunOptions, cfg overl
 	case "rolled":
 		// The decomposition as a blocking counted loop: the paper's
 		// no-overlap form, unfused and unscheduled.
-		opts := core.Options{Spec: ropts.Spec, Rolled: true, Scheduler: core.SchedulerNone, KernelSplitK: f.KernelSplitK}
+		opts := core.Options{Spec: ropts.Spec, Knobs: core.Knobs{Rolled: true, Scheduler: core.SchedulerNone, KernelSplitK: f.KernelSplitK}}
 		if _, err := core.Apply(c, opts); err != nil {
 			return err
 		}

@@ -62,13 +62,14 @@ func setupTune(fs *flag.FlagSet, stdout io.Writer) func() error {
 			if err := os.WriteFile(*planOut, data, 0o644); err != nil {
 				return err
 			}
-			fmt.Fprintf(stdout, "wrote compiled plan to %s (fingerprint %s)\n", *planOut, res.Fingerprint)
+			fmt.Fprintf(stdout, "wrote compiled plan to %s (fingerprint %s)\n", *planOut, res.Plan.Fingerprint)
 			return nil
 		})
 	}
 }
 
 func reportTune(w io.Writer, res *overlap.AutotuneResult) {
+	plan := res.Plan
 	switch {
 	case res.CacheHit:
 		fmt.Fprintf(w, "cache: warm hit (%s) — 0 runtime executions\n", res.CachePath)
@@ -96,26 +97,26 @@ func reportTune(w io.Writer, res *overlap.AutotuneResult) {
 				continue
 			}
 			mark := ""
-			if cand.Name == res.BestName {
+			if cand.Name == plan.BestName {
 				mark = "  <- winner"
 			}
 			fmt.Fprintf(w, "  %-60s %10.3fms %10.3fms%s\n",
-				cand.Name, cand.Predicted.StepTime*1e3, cand.MeasuredWall*1e3, mark)
+				cand.Name, cand.Predicted.StepTime*1e3, cand.Measured.StepTime*1e3, mark)
 		}
 	}
 
-	if res.BestIsBaseline {
+	if plan.Baseline {
 		fmt.Fprintln(w, "winner: baseline — leaving the blocking program untouched is fastest here")
 	} else {
-		fmt.Fprintf(w, "winner: %s\n", res.BestName)
+		fmt.Fprintf(w, "winner: %s\n", plan.BestName)
 	}
 	fmt.Fprintf(w, "        predicted %.3fms (modeled), measured %.3fms (wall)\n",
-		res.PredictedWall*1e3, res.MeasuredWall*1e3)
+		plan.PredictedSec*1e3, plan.MeasuredSec*1e3)
 
-	cal := res.Calibration
-	if res.Residual >= 0 {
+	cal := plan.Calibration
+	if plan.Residual >= 0 {
 		fmt.Fprintf(w, "calibration: compute x%.3g, wire x%.3g, overhead x%.3g; residual %.1f%%\n",
-			cal.ComputeScale, cal.WireScale, cal.OverheadScale, res.Residual*100)
+			cal.ComputeScale, cal.WireScale, cal.OverheadScale, plan.Residual*100)
 	}
-	fmt.Fprintf(w, "key: %s\n", res.Fingerprint)
+	fmt.Fprintf(w, "key: %s\n", plan.Fingerprint)
 }

@@ -250,6 +250,7 @@ var implicitMethods = map[string]bool{
 	"String": true, "Error": true, "Unwrap": true, // fmt, errors
 	"Len": true, "Less": true, "Swap": true, // sort, container/heap
 	"MarshalJSON": true, "UnmarshalJSON": true, "ServeHTTP": true,
+	"MarshalText": true, "UnmarshalText": true, // encoding/json, via encoding.Text(Un)Marshaler
 }
 
 // decl is one top-level declaration of a non-test file: a function, a

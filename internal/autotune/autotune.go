@@ -102,7 +102,7 @@ type Options struct {
 	DisableCache bool
 
 	// Calibrate fits the machine spec to the measured breakdowns and
-	// reports the residual (Result.Calibration, Result.Residual).
+	// reports the residual (Plan.Calibration, Plan.Residual).
 	Calibrate bool
 
 	// RunID correlates the tune with the caller's run-scoped telemetry:
@@ -142,8 +142,6 @@ type Candidate struct {
 	// Measured is the runtime's breakdown of the fastest repeat, in
 	// wall-clock seconds; valid only when Executed.
 	Measured sim.Breakdown
-	// MeasuredWall is the fastest repeat's wall-clock step time.
-	MeasuredWall float64
 	// Executed reports whether stage 2 ran this candidate.
 	Executed bool
 	// Checked reports that the runtime outputs were verified
@@ -163,23 +161,14 @@ type Candidate struct {
 	unique bool
 }
 
-// Result is what one Tune call decided.
+// Result is what one Tune call decided — its Plan — and the log of the
+// search that decided it.
 type Result struct {
-	// Best is the winning configuration; apply it with ApplyBest or
-	// core.Apply. Meaningless when BestIsBaseline.
-	Best core.Options
-	// BestIsBaseline reports that the untransformed blocking program won
-	// — the §5.5 "apply only when beneficial" verdict at whole-program
-	// granularity.
-	BestIsBaseline bool
-	// BestName is the winner's candidate name.
-	BestName string
-	// PredictedWall and MeasuredWall are the winner's simulated step
-	// time (modeled seconds) and measured step time (wall seconds).
-	PredictedWall, MeasuredWall float64
-
-	// Plan is the decision's record: the winner as stage 2 executed it,
-	// or, on a CacheHit, the stored plan as it was read.
+	// Plan is the decision's one record: the winner as stage 2 executed
+	// it, or, on a CacheHit, the stored plan as it was read. Its
+	// Fingerprint, BestName, Baseline (the §5.5 "apply only when
+	// beneficial" verdict at whole-program granularity), Knobs, step
+	// times and calibration are everything the tune decided.
 	Plan *Plan
 
 	// Candidates lists every enumerated configuration, sorted by
@@ -193,23 +182,15 @@ type Result struct {
 	// CachePath is that directory (empty when the disk tier is off).
 	CacheHit  bool
 	CachePath string
-	// Fingerprint is the key the plan is stored under (see Key).
-	Fingerprint string
-
-	// Calibration is the fitted rescaling of the machine spec (identity
-	// unless Options.Calibrate was set and at least two candidates were
-	// measured); CalibratedSpec is the spec with it applied, and
-	// Residual is the root-mean-square relative step-time error of the
-	// calibrated simulator against the measurements (-1 when no fit was
-	// possible).
-	Calibration    machine.Calibration
-	CalibratedSpec machine.Spec
-	Residual       float64
 
 	// RunID is the tune's run identity (Options.RunID or freshly
 	// minted), the key its structured logs and candidate executions
 	// correlate under.
 	RunID string
+
+	// spec is the machine spec the tune was given: ApplyBest re-attaches
+	// it to the plan's knobs.
+	spec machine.Spec
 }
 
 // ApplyBest applies the winning configuration to c in place; when the
@@ -217,10 +198,10 @@ type Result struct {
 // report. The whole decision, kernel split-K factor included, lands in
 // the program text, so any executor of c runs the measured winner.
 func (r *Result) ApplyBest(c *hlo.Computation) (core.Report, error) {
-	if r.BestIsBaseline {
+	if r.Plan.Baseline {
 		return core.Report{}, nil
 	}
-	return core.Apply(c, r.Best)
+	return core.Apply(c, core.Options{Spec: r.spec, Knobs: r.Plan.Knobs})
 }
 
 // ProgramFingerprint returns the cache identity of a computation: a
@@ -258,13 +239,7 @@ func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tenso
 	if opts.RunID == "" {
 		opts.RunID = obs.NewRunID()
 	}
-	res := &Result{
-		Fingerprint:    key,
-		Calibration:    machine.Identity(),
-		CalibratedSpec: opts.Spec,
-		Residual:       -1,
-		RunID:          opts.RunID,
-	}
+	res := &Result{RunID: opts.RunID, spec: opts.Spec}
 
 	atTunes.Inc()
 
@@ -276,9 +251,9 @@ func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tenso
 	if res.CachePath != "" {
 		if plan := loadPlan(res.CachePath, key, numDevices); plan != nil {
 			atCacheHits.Inc()
-			res.fromPlan(plan, opts.Spec)
+			res.Plan, res.CacheHit = plan, true
 			obs.Log().Info("autotune.tune", "run_id", res.RunID,
-				"fingerprint", res.Fingerprint, "cache_hit", true, "best", res.BestName)
+				"fingerprint", key, "cache_hit", true, "best", plan.BestName)
 			return res, nil
 		}
 	}
@@ -293,29 +268,30 @@ func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tenso
 	atCandidates.Add(float64(len(res.Candidates)))
 
 	// Stage 2: execute the top-K (plus the paper's default) for real.
-	winner, err := stage2(res, s, args, opts)
+	winner, prog, err := stage2(res, s, args, opts)
 	if err != nil {
 		return nil, err
 	}
 	atExecutions.Add(float64(res.Executions))
 
+	cal, residual := machine.Identity(), -1.0
 	if opts.Calibrate {
-		calibrate(res, s, opts)
-		if res.Residual >= 0 {
-			atResidual.Set(res.Residual)
+		cal, residual = calibrate(res.Candidates, s, opts)
+		if residual >= 0 {
+			atResidual.Set(residual)
 		}
 	}
 
 	// The one place a Plan is made: from the program stage 2 executed.
-	res.Plan = newPlan(res, numDevices, winner)
+	res.Plan = newPlan(key, numDevices, opts.Spec, winner, prog, cal, residual)
 	if res.CachePath != "" {
 		if err := storePlan(res.CachePath, res.Plan); err != nil {
 			return nil, fmt.Errorf("autotune: storing plan: %w", err)
 		}
 	}
 	obs.Log().Info("autotune.tune", "run_id", res.RunID,
-		"fingerprint", res.Fingerprint, "cache_hit", false,
-		"best", res.BestName, "executions", res.Executions)
+		"fingerprint", key, "cache_hit", false,
+		"best", winner.Name, "executions", res.Executions)
 	return res, nil
 }
 
@@ -362,7 +338,7 @@ func rank(cands []*Candidate) []Candidate {
 // is or stands in for the paper's DefaultOptions configuration when it
 // did not rank among them.
 func stage2Set(ranked []Candidate, topK int, spec machine.Spec) []int {
-	defaultFP := defaultFingerprint(spec)
+	def := defaultKnobs(spec)
 	toRun := []int{}
 	haveDefault := false
 	for i := range ranked {
@@ -371,14 +347,14 @@ func stage2Set(ranked []Candidate, topK int, spec machine.Spec) []int {
 			continue
 		}
 		toRun = append(toRun, i)
-		if cand.coversFingerprint(defaultFP, ranked) {
+		if cand.covers(def, ranked) {
 			haveDefault = true
 		}
 	}
 	if !haveDefault {
 		for i := range ranked {
 			cand := &ranked[i]
-			if cand.unique && cand.coversFingerprint(defaultFP, ranked) {
+			if cand.unique && cand.covers(def, ranked) {
 				toRun = append(toRun, i)
 				break
 			}
@@ -390,12 +366,12 @@ func stage2Set(ranked []Candidate, topK int, spec machine.Spec) []int {
 // stage2 executes the top-K unique candidates — forcing the paper's
 // DefaultOptions configuration into the set so the tuned result can
 // never be slower than it in the same measurement session — picks the
-// fastest by wall-clock and returns its program: the one that was
-// executed and checked, not a rebuild of it.
-func stage2(res *Result, s *search, args [][]*tensor.Tensor, opts Options) (*hlo.Computation, error) {
+// fastest by wall-clock and returns it with its program: the one that
+// was executed and checked, not a rebuild of it.
+func stage2(res *Result, s *search, args [][]*tensor.Tensor, opts Options) (*Candidate, *hlo.Computation, error) {
 	toRun := stage2Set(res.Candidates, opts.TopK, opts.Spec)
 	if len(toRun) == 0 {
-		return nil, fmt.Errorf("autotune: no candidate survived stage 1 (first error: %s)", firstErr(res.Candidates))
+		return nil, nil, fmt.Errorf("autotune: no candidate survived stage 1 (first error: %s)", firstErr(res.Candidates))
 	}
 
 	// Only now does a program leave the search tree: each candidate to
@@ -409,11 +385,11 @@ func stage2(res *Result, s *search, args [][]*tensor.Tensor, opts Options) (*hlo
 		cand := &res.Candidates[i]
 		prog, err := s.materialise(cand)
 		if err != nil {
-			return nil, fmt.Errorf("autotune: materialising %s: %w", cand.Name, err)
+			return nil, nil, fmt.Errorf("autotune: materialising %s: %w", cand.Name, err)
 		}
 		progs[k] = prog
 		if exes[k], err = runtime.Compile(prog, numDevices, opts.Spec); err != nil {
-			return nil, fmt.Errorf("autotune: executing %s: %w", cand.Name, err)
+			return nil, nil, fmt.Errorf("autotune: executing %s: %w", cand.Name, err)
 		}
 	}
 	s.releaseTree()
@@ -437,60 +413,51 @@ func stage2(res *Result, s *search, args [][]*tensor.Tensor, opts Options) (*hlo
 			ropts.RunID = fmt.Sprintf("%s.%s.r%d", opts.RunID, cand.Name, r)
 			run, err := exes[k].Run(ctx, args, ropts)
 			if err != nil {
-				return nil, fmt.Errorf("autotune: executing %s: %w", cand.Name, err)
+				return nil, nil, fmt.Errorf("autotune: executing %s: %w", cand.Name, err)
 			}
 			res.Executions++
 			if r == 0 {
 				if err := runtime.CheckInterpreter(prog, numDevices, args, run); err != nil {
-					return nil, fmt.Errorf("autotune: checking %s: %w", cand.Name, err)
+					return nil, nil, fmt.Errorf("autotune: checking %s: %w", cand.Name, err)
 				}
 				cand.Checked = true
 			}
 			// Only the timings are kept; the next execution reuses the
 			// output buffers.
 			run.Release()
-			if !cand.Executed || run.Breakdown.StepTime < cand.MeasuredWall {
+			if !cand.Executed || run.Breakdown.StepTime < cand.Measured.StepTime {
 				cand.Measured = run.Breakdown
-				cand.MeasuredWall = run.Breakdown.StepTime
 			}
 			cand.Executed = true
 		}
-		if best < 0 || cand.MeasuredWall < res.Candidates[toRun[best]].MeasuredWall {
+		if best < 0 || cand.Measured.StepTime < res.Candidates[toRun[best]].Measured.StepTime {
 			best = k
 		}
 	}
-
-	w := res.Candidates[toRun[best]]
-	res.Best = w.Opts
-	res.BestIsBaseline = w.Baseline
-	res.BestName = w.Name
-	res.PredictedWall = w.Predicted.StepTime
-	res.MeasuredWall = w.MeasuredWall
-	return progs[best], nil
+	return &res.Candidates[toRun[best]], progs[best], nil
 }
 
-// coversFingerprint reports whether this candidate is, or canonically
-// stands in for (via dedup), the configuration with the given knob
-// fingerprint.
-func (cand *Candidate) coversFingerprint(fp string, all []Candidate) bool {
-	if !cand.Baseline && cand.Opts.Fingerprint() == fp {
+// covers reports whether this candidate is, or canonically stands in
+// for (via dedup), the configuration with the given knobs.
+func (cand *Candidate) covers(knobs core.Knobs, all []Candidate) bool {
+	if !cand.Baseline && cand.Opts.Knobs == knobs {
 		return true
 	}
 	for _, other := range all {
-		if other.DuplicateOf == cand.Name && !other.Baseline && other.Opts.Fingerprint() == fp {
+		if other.DuplicateOf == cand.Name && !other.Baseline && other.Opts.Knobs == knobs {
 			return true
 		}
 	}
 	return false
 }
 
-// defaultFingerprint is the knob identity of the paper's deployed
-// configuration within the enumerated space (cost-model gate off — the
-// search itself is the gate).
-func defaultFingerprint(spec machine.Spec) string {
-	o := core.DefaultOptions(spec)
-	o.UseCostModel = false
-	return o.Fingerprint()
+// defaultKnobs is the paper's deployed configuration within the
+// enumerated space (cost-model gate off — the search itself is the
+// gate).
+func defaultKnobs(spec machine.Spec) core.Knobs {
+	k := core.DefaultOptions(spec).Knobs
+	k.UseCostModel = false
+	return k
 }
 
 func firstErr(cands []Candidate) string {

@@ -69,12 +69,11 @@ func tuneOpts(t *testing.T) autotune.Options {
 // as the canonical representative it deduplicated into), and whether
 // one was executed.
 func defaultEquivalent(res *autotune.Result, spec machine.Spec) (float64, bool) {
-	want := core.DefaultOptions(spec)
+	want := core.DefaultOptions(spec).Knobs
 	want.UseCostModel = false
-	fp := want.Fingerprint()
 	canonical := ""
 	for _, cand := range res.Candidates {
-		if !cand.Baseline && cand.Err == "" && cand.Opts.Fingerprint() == fp {
+		if !cand.Baseline && cand.Err == "" && cand.Opts.Knobs == want {
 			canonical = cand.Name
 			if cand.DuplicateOf != "" {
 				canonical = cand.DuplicateOf
@@ -83,7 +82,7 @@ func defaultEquivalent(res *autotune.Result, spec machine.Spec) (float64, bool) 
 	}
 	for _, cand := range res.Candidates {
 		if cand.Name == canonical && cand.Executed {
-			return cand.MeasuredWall, true
+			return cand.Measured.StepTime, true
 		}
 	}
 	return 0, false
@@ -107,7 +106,7 @@ func TestTuneSite(t *testing.T) {
 	if res.Executions == 0 {
 		t.Fatal("cold tune executed nothing")
 	}
-	if res.BestName == "" {
+	if res.Plan.BestName == "" {
 		t.Fatal("no winner")
 	}
 	if len(res.Candidates) < 10 {
@@ -122,8 +121,8 @@ func TestTuneSite(t *testing.T) {
 		if !cand.Checked {
 			t.Errorf("%s executed without interpreter cross-check", cand.Name)
 		}
-		if cand.MeasuredWall < res.MeasuredWall {
-			t.Errorf("%s measured %v, faster than winner %v", cand.Name, cand.MeasuredWall, res.MeasuredWall)
+		if cand.Measured.StepTime < res.Plan.MeasuredSec {
+			t.Errorf("%s measured %v, faster than winner %v", cand.Name, cand.Measured.StepTime, res.Plan.MeasuredSec)
 		}
 	}
 	if executed < 2 {
@@ -133,8 +132,8 @@ func TestTuneSite(t *testing.T) {
 	if !ok {
 		t.Fatal("DefaultOptions configuration was not measured")
 	}
-	if res.MeasuredWall > defWall {
-		t.Fatalf("winner measured %v slower than DefaultOptions %v", res.MeasuredWall, defWall)
+	if res.Plan.MeasuredSec > defWall {
+		t.Fatalf("winner measured %v slower than DefaultOptions %v", res.Plan.MeasuredSec, defWall)
 	}
 }
 
@@ -161,20 +160,6 @@ func TestWarmCacheZeroExecutions(t *testing.T) {
 	}
 	if warm.Executions != 0 {
 		t.Fatalf("warm tune performed %d runtime executions, want 0", warm.Executions)
-	}
-	if warm.BestIsBaseline != cold.BestIsBaseline || warm.BestName != cold.BestName {
-		t.Fatalf("warm decision %q (baseline=%v) != cold %q (baseline=%v)",
-			warm.BestName, warm.BestIsBaseline, cold.BestName, cold.BestIsBaseline)
-	}
-	if !warm.BestIsBaseline && warm.Best.Fingerprint() != cold.Best.Fingerprint() {
-		t.Fatalf("warm options %s != cold %s", warm.Best.Fingerprint(), cold.Best.Fingerprint())
-	}
-	if warm.Calibration != cold.Calibration || warm.Residual != cold.Residual {
-		t.Fatalf("calibration not restored from the store: %+v (residual %v) != %+v (residual %v)",
-			warm.Calibration, warm.Residual, cold.Calibration, cold.Residual)
-	}
-	if warm.PredictedWall != cold.PredictedWall || warm.MeasuredWall != cold.MeasuredWall {
-		t.Fatal("step times not restored from the store")
 	}
 	if *warm.Plan != *cold.Plan {
 		t.Fatalf("warm tune returned a different plan than the cold tune stored:\n%+v\n%+v", warm.Plan, cold.Plan)
@@ -240,15 +225,15 @@ func TestCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cal := res.Calibration
+	cal, residual := res.Plan.Calibration, res.Plan.Residual
 	if cal.ComputeScale <= 0 || cal.WireScale <= 0 || cal.OverheadScale <= 0 {
 		t.Fatalf("non-positive calibration factors: %+v", cal)
 	}
-	if err := res.CalibratedSpec.Validate(); err != nil {
+	if err := cal.Apply(opts.Spec).Validate(); err != nil {
 		t.Fatalf("calibrated spec invalid: %v", err)
 	}
-	if res.Residual < 0 || math.IsNaN(res.Residual) || math.IsInf(res.Residual, 0) {
-		t.Fatalf("residual %v, want finite >= 0", res.Residual)
+	if residual < 0 || math.IsNaN(residual) || math.IsInf(residual, 0) {
+		t.Fatalf("residual %v, want finite >= 0", residual)
 	}
 	// The fit must actually move the spec: the runtime's Go compute is
 	// orders of magnitude off the TPU model, so identity would mean the
@@ -305,10 +290,10 @@ func TestTuneMiniatures(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s/%d: DefaultOptions configuration not measured", cfg.Name, n)
 			}
-			if res.MeasuredWall > defWall {
-				t.Errorf("%s/%d: tuned %v slower than default %v", cfg.Name, n, res.MeasuredWall, defWall)
+			if res.Plan.MeasuredSec > defWall {
+				t.Errorf("%s/%d: tuned %v slower than default %v", cfg.Name, n, res.Plan.MeasuredSec, defWall)
 			}
-			if res.MeasuredWall < defWall {
+			if res.Plan.MeasuredSec < defWall {
 				improved++
 			}
 		}
@@ -426,11 +411,11 @@ func TestTuneIsDeterministic(t *testing.T) {
 					got[i] = decided{c.Name, c.DuplicateOf, c.Err, c.Predicted, c.Executed, c.Checked}
 					if c.Executed {
 						executed++
-						wonExecuted = wonExecuted || c.Name == res.BestName
+						wonExecuted = wonExecuted || c.Name == res.Plan.BestName
 					}
 				}
 				if !wonExecuted {
-					t.Fatalf("%s: winner %q was not executed", p.Name, res.BestName)
+					t.Fatalf("%s: winner %q was not executed", p.Name, res.Plan.BestName)
 				}
 				plan := res.Plan
 				if first == nil {
@@ -444,10 +429,10 @@ func TestTuneIsDeterministic(t *testing.T) {
 						t.Fatalf("%s: GOMAXPROCS %d run %d: candidate %d is %+v, first run %+v", p.Name, procs, rep, i, got[i], first[i])
 					}
 				}
-				if text, seen := texts[res.BestName]; seen && text != plan.Program {
-					t.Fatalf("%s: GOMAXPROCS %d run %d: winner %s compiled to a different program", p.Name, procs, rep, res.BestName)
+				if text, seen := texts[res.Plan.BestName]; seen && text != plan.Program {
+					t.Fatalf("%s: GOMAXPROCS %d run %d: winner %s compiled to a different program", p.Name, procs, rep, res.Plan.BestName)
 				}
-				texts[res.BestName] = plan.Program
+				texts[res.Plan.BestName] = plan.Program
 				if executed == 1 && len(texts) != 1 {
 					t.Fatalf("%s: one candidate executed, winners %v", p.Name, texts)
 				}

@@ -9,8 +9,9 @@ import (
 )
 
 // calibrate fits the machine spec to the stage-2 measurements so that
-// simulated and measured step times track each other, and records the
-// residual error of the fit.
+// simulated and measured step times track each other, and returns the
+// fit and its residual error — identity and -1 when there is nothing to
+// fit.
 //
 // The runtime realizes modeled wire seconds as TimeScale-scaled sleeps
 // but evaluates compute as real Go tensor math, so the two domains
@@ -26,20 +27,20 @@ import (
 // Each factor becomes a machine.Calibration throughput multiplier; the
 // residual is the RMS relative step-time error of the re-simulated,
 // calibrated spec against the measurements.
-func calibrate(res *Result, s *search, opts Options) {
+func calibrate(cands []Candidate, s *search, opts Options) (machine.Calibration, float64) {
 	numDevices := s.numDevices
 	ts := opts.TimeScale
 	if ts <= 0 {
-		return // wall-clock has no modeled-seconds axis to fit against
+		return machine.Identity(), -1 // wall-clock has no modeled-seconds axis to fit against
 	}
 	measured := []*Candidate{}
-	for i := range res.Candidates {
-		if c := &res.Candidates[i]; c.Executed {
+	for i := range cands {
+		if c := &cands[i]; c.Executed {
 			measured = append(measured, c)
 		}
 	}
 	if len(measured) == 0 {
-		return
+		return machine.Identity(), -1
 	}
 
 	var predC, measC, predW, measW []float64
@@ -68,7 +69,7 @@ func calibrate(res *Result, s *search, opts Options) {
 			continue
 		}
 		xs = append(xs, float64(opsPerDevice(s.programs[c.Name]))*ts)
-		rs = append(rs, c.MeasuredWall-bd.StepTime*ts)
+		rs = append(rs, c.Measured.StepTime-bd.StepTime*ts)
 	}
 	var delta, den float64
 	for i := range xs {
@@ -86,25 +87,25 @@ func calibrate(res *Result, s *search, opts Options) {
 		cal.OverheadScale = clampSlope(newOvh / opts.Spec.OpOverhead)
 	}
 
-	res.Calibration = cal
-	res.CalibratedSpec = cal.Apply(opts.Spec)
-
 	// Residual: how well the calibrated simulator now predicts the
 	// measured step times.
+	calibrated := cal.Apply(opts.Spec)
 	var sq float64
 	n := 0
 	for _, c := range measured {
-		bd, err := sim.Simulate(s.programs[c.Name], numDevices, res.CalibratedSpec)
-		if err != nil || c.MeasuredWall <= 0 {
+		wall := c.Measured.StepTime
+		bd, err := sim.Simulate(s.programs[c.Name], numDevices, calibrated)
+		if err != nil || wall <= 0 {
 			continue
 		}
-		rel := (bd.StepTime*ts - c.MeasuredWall) / c.MeasuredWall
+		rel := (bd.StepTime*ts - wall) / wall
 		sq += rel * rel
 		n++
 	}
-	if n > 0 {
-		res.Residual = math.Sqrt(sq / float64(n))
+	if n == 0 {
+		return cal, -1
 	}
+	return cal, math.Sqrt(sq / float64(n))
 }
 
 // originSlope returns the least-squares slope of y ≈ s·x through the

@@ -88,40 +88,25 @@ func CompileKeyed(key string, c *hlo.Computation, numDevices int, args [][]*tens
 	return res.Plan, nil
 }
 
-// newPlan freezes a finished search: prog is the winner as stage 2
-// materialised and executed it.
-func newPlan(res *Result, numDevices int, prog *hlo.Computation) *Plan {
+// newPlan freezes a finished search: w is stage 2's winner and prog its
+// program as stage 2 materialised and executed it; cal and residual are
+// calibrate's fit (identity and -1 without one).
+func newPlan(key string, numDevices int, spec machine.Spec, w *Candidate, prog *hlo.Computation, cal machine.Calibration, residual float64) *Plan {
 	return &Plan{
 		Version:      PlanVersion,
-		Fingerprint:  res.Fingerprint,
+		Fingerprint:  key,
 		Devices:      numDevices,
-		SpecName:     res.CalibratedSpec.Name,
-		BestName:     res.BestName,
-		Baseline:     res.BestIsBaseline,
-		Knobs:        res.Best.Knobs(),
+		SpecName:     spec.Name,
+		BestName:     w.Name,
+		Baseline:     w.Baseline,
+		Knobs:        w.Opts.Knobs,
 		Program:      prog.Format(),
-		PredictedSec: res.PredictedWall,
-		MeasuredSec:  res.MeasuredWall,
-		Calibration:  res.Calibration,
-		Residual:     res.Residual,
+		PredictedSec: w.Predicted.StepTime,
+		MeasuredSec:  w.Measured.StepTime,
+		Calibration:  cal,
+		Residual:     residual,
 		Created:      time.Now().UTC().Format(time.RFC3339),
 	}
-}
-
-// fromPlan makes res the answer a stored plan gives: the decision, its
-// timings and the calibration come back, but no candidates, because no
-// search ran.
-func (res *Result) fromPlan(p *Plan, spec machine.Spec) {
-	res.Plan = p
-	res.CacheHit = true
-	res.BestName = p.BestName
-	res.BestIsBaseline = p.Baseline
-	res.Best = p.Knobs.Options(spec)
-	res.PredictedWall = p.PredictedSec
-	res.MeasuredWall = p.MeasuredSec
-	res.Calibration = p.Calibration
-	res.CalibratedSpec = p.Calibration.Apply(spec)
-	res.Residual = p.Residual
 }
 
 // Computation parses the plan's transformed program back into an
@@ -138,10 +123,6 @@ func (p *Plan) Computation() (*hlo.Computation, error) {
 	}
 	return c, nil
 }
-
-// Options reconstitutes the plan's pipeline configuration against a
-// live machine spec.
-func (p *Plan) Options(spec machine.Spec) core.Options { return p.Knobs.Options(spec) }
 
 // EncodeJSON serializes the plan with stable field order and a trailing
 // newline, suitable for -plan-out files and HTTP responses.

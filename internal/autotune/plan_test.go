@@ -157,7 +157,7 @@ func TestPlanIsTheExecutedProgram(t *testing.T) {
 		}
 		rebuilt := p.Comp.Clone()
 		if !plan.Baseline {
-			if _, err := core.Apply(rebuilt, plan.Options(opts.Spec)); err != nil {
+			if _, err := core.Apply(rebuilt, core.Options{Spec: opts.Spec, Knobs: plan.Knobs}); err != nil {
 				t.Fatalf("%s: %v", p.Name, err)
 			}
 		}
@@ -400,7 +400,7 @@ func TestTuneNoStaleHitAcrossKernelWorkers(t *testing.T) {
 	if second.CacheHit {
 		t.Fatal("stale hit: decision cached under kw=1 answered a kw=2 tune")
 	}
-	if first.Fingerprint == second.Fingerprint {
+	if first.Plan.Fingerprint == second.Plan.Fingerprint {
 		t.Fatal("fingerprints identical across SetKernelWorkers")
 	}
 
@@ -418,7 +418,7 @@ func TestTuneNoStaleHitAcrossKernelWorkers(t *testing.T) {
 // a stable literal so the golden file does not depend on DefaultOptions
 // drift.
 func core4DefaultKnobs() (k core.Knobs) {
-	k.Scheduler = "bottom-up"
+	k.Scheduler = core.SchedulerBottomUp
 	k.Unroll = true
 	k.Bidirectional = true
 	k.FuseAddIntoEinsum = true

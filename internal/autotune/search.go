@@ -41,7 +41,7 @@ type search struct {
 type memoKey struct {
 	parent *node
 	stage  int
-	knobs  core.Options
+	knobs  core.Knobs
 }
 
 // programKey identifies a candidate's final text without building it:

@@ -47,10 +47,11 @@ func TestKeyIgnoresSplitK(t *testing.T) {
 	spec := machine.TPUv4()
 	want := autotune.Key(c, spec, 4)
 
-	best := core.DefaultOptions(spec)
+	best := core.DefaultOptions(spec).Knobs
 	best.UseCostModel = false
 	best.KernelSplitK = 2
-	if _, err := (&autotune.Result{Best: best}).ApplyBest(c.Clone()); err != nil {
+	res := autotune.ResultOf(&autotune.Plan{Knobs: best}, spec)
+	if _, err := res.ApplyBest(c.Clone()); err != nil {
 		t.Fatal(err)
 	}
 	if got := tensor.KernelSplitK(); got != 0 {
@@ -124,8 +125,11 @@ func TestTuneSearchesSplitK(t *testing.T) {
 	if _, err := res.ApplyBest(clone); err != nil {
 		t.Fatal(err)
 	}
-	want := res.Best.KernelSplitK
-	if res.BestIsBaseline {
+	if got := tensor.KernelSplitK(); got != 0 {
+		t.Fatalf("ApplyBest wrote package-level state: tensor.KernelSplitK() = %d", got)
+	}
+	want := res.Plan.Knobs.KernelSplitK
+	if res.Plan.Baseline {
 		want = 0
 	}
 	clone.Walk(func(in *hlo.Instruction) {

@@ -9,11 +9,11 @@ import (
 )
 
 // Fingerprint returns a stable textual identity of every knob that
-// changes what Apply emits. The machine spec is deliberately excluded —
-// it prices decisions but, with UseCostModel off, does not alter the
-// rewrite — so autotune can key candidates by program shape and spec
-// separately.
-func (o Options) Fingerprint() string {
+// changes what Apply emits: the knobs themselves, as autotune names its
+// candidates. The machine spec is not a knob — it prices decisions but,
+// with UseCostModel off, does not alter the rewrite — so autotune can key
+// candidates by program shape and spec separately.
+func (o Knobs) Fingerprint() string {
 	b := func(v bool) int {
 		if v {
 			return 1

@@ -93,16 +93,18 @@ func randomProgram(rng *rand.Rand, n int) (*hlo.Computation, [][]*tensor.Tensor)
 
 func randomOptions(rng *rand.Rand) Options {
 	opts := Options{
-		Spec:                  machine.TPUv4(),
-		Unroll:                rng.Intn(2) == 0,
-		Bidirectional:         rng.Intn(2) == 0,
-		Rolled:                rng.Intn(4) == 0,
-		UseCostModel:          false,
-		Scheduler:             []SchedulerKind{SchedulerNone, SchedulerBottomUp, SchedulerTopDown}[rng.Intn(3)],
-		FuseAddIntoEinsum:     rng.Intn(2) == 0,
-		OverlapFriendlyFusion: rng.Intn(2) == 0,
-		ConcatToPadMax:        rng.Intn(3) == 0,
-		SplitAllReduce:        rng.Intn(2) == 0,
+		Spec: machine.TPUv4(),
+		Knobs: Knobs{
+			Unroll:                rng.Intn(2) == 0,
+			Bidirectional:         rng.Intn(2) == 0,
+			Rolled:                rng.Intn(4) == 0,
+			UseCostModel:          false,
+			Scheduler:             []SchedulerKind{SchedulerNone, SchedulerBottomUp, SchedulerTopDown}[rng.Intn(3)],
+			FuseAddIntoEinsum:     rng.Intn(2) == 0,
+			OverlapFriendlyFusion: rng.Intn(2) == 0,
+			ConcatToPadMax:        rng.Intn(3) == 0,
+			SplitAllReduce:        rng.Intn(2) == 0,
+		},
 	}
 	return opts
 }

@@ -161,13 +161,15 @@ func checkEquivalence(t *testing.T, tc testCase, opts Options, label string) {
 // forceOpts returns options that decompose unconditionally.
 func forceOpts(unroll, bidi bool, sched SchedulerKind, fuse bool) Options {
 	return Options{
-		Spec:                  machine.TPUv4(),
-		Unroll:                unroll,
-		Bidirectional:         bidi,
-		UseCostModel:          false,
-		Scheduler:             sched,
-		FuseAddIntoEinsum:     fuse,
-		OverlapFriendlyFusion: true,
+		Spec: machine.TPUv4(),
+		Knobs: Knobs{
+			Unroll:                unroll,
+			Bidirectional:         bidi,
+			UseCostModel:          false,
+			Scheduler:             sched,
+			FuseAddIntoEinsum:     fuse,
+			OverlapFriendlyFusion: true,
+		},
 	}
 }
 

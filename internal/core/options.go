@@ -1,6 +1,10 @@
 package core
 
-import "overlap/internal/machine"
+import (
+	"encoding/json"
+
+	"overlap/internal/machine"
+)
 
 // SchedulerKind selects the asynchronous-collective scheduling approach
 // from §5.2.
@@ -28,23 +32,57 @@ func (s SchedulerKind) String() string {
 	}
 }
 
-// Options configures the overlap pipeline.
+// MarshalText writes the scheduler's name — the form Knobs, and so every
+// plan file, serializes it in.
+func (s SchedulerKind) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText reads a scheduler name. An unknown name degrades to
+// SchedulerNone, the conservative choice for artifacts written by a
+// future version.
+func (s *SchedulerKind) UnmarshalText(name []byte) error {
+	switch string(name) {
+	case SchedulerBottomUp.String():
+		*s = SchedulerBottomUp
+	case SchedulerTopDown.String():
+		*s = SchedulerTopDown
+	default:
+		*s = SchedulerNone
+	}
+	return nil
+}
+
+// Options configures the overlap pipeline: the machine model it prices
+// decisions on, and the knobs that choose what it emits.
 type Options struct {
 	// Spec is the machine model used by the cost model and schedulers.
 	Spec machine.Spec
+
+	Knobs
+}
+
+// Knobs is the pipeline's knob set, declared once: every setting that
+// chooses what Apply emits. It is also a decision's serialized identity,
+// with JSON tags pinned by golden tests. The machine spec is deliberately
+// not in it — persisted artifacts key on the spec fingerprint and
+// re-attach a live Spec on decode — so one encoding serves the compiled
+// Plan artifact, its store, and the serving daemon. To add a knob, see
+// pipeline.go.
+type Knobs struct {
+	// Scheduler selects the §5.2 scheduling approach.
+	Scheduler SchedulerKind `json:"scheduler"`
 
 	// Unroll enables the degree-2 loop unrolling of §5.4.1: it removes
 	// the loop-carried Copy instructions and, for Einsum-ReduceScatter,
 	// splits the accumulation into two interleaved chains (plus an
 	// alignment epilogue) so CollectivePermuteDones can overlap the
 	// other chain's einsum.
-	Unroll bool
+	Unroll bool `json:"unroll,omitempty"`
 
 	// Bidirectional enables the §5.4.2 optimization: each step moves
 	// two shards in opposite ring directions, halving the ring's
 	// serialized transfer time and doubling per-step computation.
 	// Requires an even ring size; odd rings fall back to unidirectional.
-	Bidirectional bool
+	Bidirectional bool `json:"bidirectional,omitempty"`
 
 	// Rolled emits the Looped CollectiveEinsum as an actual counted
 	// loop (hlo.OpLoop) instead of the expanded sequence. The rolled
@@ -52,21 +90,19 @@ type Options struct {
 	// (start/done pairs cannot straddle the back-edge) and carries the
 	// per-iteration aliasing Copy, so it serves as a fidelity/ablation
 	// mode; Unroll and Bidirectional are ignored when set.
-	Rolled bool
+	Rolled bool `json:"rolled,omitempty"`
 
 	// UseCostModel gates each site on the §5.5 benefit estimate; when
-	// false every matched site is decomposed.
-	UseCostModel bool
-
-	// Scheduler selects the §5.2 scheduling approach.
-	Scheduler SchedulerKind
+	// false every matched site is decomposed. A searched decision has it
+	// off — the search replaces the per-site gate — so no plan prints it.
+	UseCostModel bool `json:"use_cost_model,omitempty"`
 
 	// FuseAddIntoEinsum enables the fusion pass that merges result
 	// accumulation with its producing einsum (with, under
 	// OverlapFriendlyFusion, the §5.4.3 heuristic of preferring the
 	// einsum that already depends on an asynchronous
 	// CollectivePermuteDone).
-	FuseAddIntoEinsum bool
+	FuseAddIntoEinsum bool `json:"fuse_add_into_einsum,omitempty"`
 
 	// OverlapFriendlyFusion applies the §5.4.3 operand-choice heuristic;
 	// when false, fusion picks the first einsum operand (the "bad"
@@ -77,7 +113,7 @@ type Options struct {
 	// runs after fusion, makes one. It acts only on an input that already
 	// carries async pairs (the core goldens); the fuse stage's key drops
 	// it everywhere else (Stage.On).
-	OverlapFriendlyFusion bool
+	OverlapFriendlyFusion bool `json:"overlap_friendly_fusion,omitempty"`
 
 	// RematerializeGathers duplicates multi-consumer AllGathers so each
 	// consuming einsum owns its gather, restoring the single-consumer
@@ -86,18 +122,18 @@ type Options struct {
 	// autodiff-produced backward passes (the weight gradient shares the
 	// forward gather) but not where sharing was already cheap — so it
 	// is opt-in.
-	RematerializeGathers bool
+	RematerializeGathers bool `json:"rematerialize_gathers,omitempty"`
 
 	// SplitAllReduce canonicalizes each AllReduce into ReduceScatter +
 	// AllGather before pattern matching (§2.1's identity), exposing both
 	// halves as decomposition targets — a natural extension the paper's
 	// future-work discussion implies.
-	SplitAllReduce bool
+	SplitAllReduce bool `json:"split_all_reduce,omitempty"`
 
 	// ConcatToPadMax rewrites Concat(a,b) on einsum local operands into
 	// Max(PadLow, PadHigh) form (§5.4.3) so the pre-processing can fuse
 	// with the einsum.
-	ConcatToPadMax bool
+	ConcatToPadMax bool `json:"concat_to_pad_max,omitempty"`
 
 	// GradBucketBytes, when positive, runs the DDP-style gradient
 	// bucketing pass before everything else: ring AllReduces (the
@@ -108,7 +144,7 @@ type Options struct {
 	// pass. The value is a searchable autotuner knob: small buckets
 	// start communicating earlier, large buckets amortize per-step
 	// latency better.
-	GradBucketBytes int64
+	GradBucketBytes int64 `json:"grad_bucket_bytes,omitempty"`
 
 	// KernelSplitK is stamped on every einsum Apply emits
 	// (hlo.Instruction.SplitK, printed as splitk=N). When >= 2 the
@@ -121,7 +157,21 @@ type Options struct {
 	// the factor is a planned, fingerprinted decision the autotuner
 	// searches per program, never a machine-derived heuristic. 0 (and
 	// 1) keep every kernel on the reference accumulation order.
-	KernelSplitK int
+	KernelSplitK int `json:"kernel_split_k,omitempty"`
+}
+
+// UnmarshalJSON decodes a serialized decision. A missing scheduler reads
+// as SchedulerNone, as an unknown name does: the zero Knobs means
+// bottom-up, but an artifact that names no scheduler gets the
+// conservative one.
+func (k *Knobs) UnmarshalJSON(data []byte) error {
+	type fields Knobs // Knobs without this method, so decoding it does not recurse
+	f := fields{Scheduler: SchedulerNone}
+	if err := json.Unmarshal(data, &f); err != nil {
+		return err
+	}
+	*k = Knobs(f)
+	return nil
 }
 
 // DefaultOptions returns the configuration the paper deploys: all
@@ -130,98 +180,17 @@ type Options struct {
 // alternative is NaN/Inf silently leaking into every cost-model and
 // simulator time derived from the returned options.
 func DefaultOptions(spec machine.Spec) Options {
-	mustValidSpec(spec)
-	return Options{
-		Spec:                  spec,
-		Unroll:                true,
-		Bidirectional:         true,
-		UseCostModel:          true,
-		Scheduler:             SchedulerBottomUp,
-		FuseAddIntoEinsum:     true,
-		OverlapFriendlyFusion: true,
-		ConcatToPadMax:        false,
-	}
-}
-
-// BaselineOptions returns a configuration with the overlap feature off;
-// Apply becomes a no-op and the program keeps its blocking collectives.
-// Like DefaultOptions it panics on an invalid machine spec.
-func BaselineOptions(spec machine.Spec) Options {
-	mustValidSpec(spec)
-	return Options{Spec: spec, Scheduler: SchedulerNone}
-}
-
-// mustValidSpec rejects malformed machine specs at options-construction
-// time with a clear panic instead of letting NaN/Inf propagate.
-func mustValidSpec(spec machine.Spec) {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-}
-
-// Knobs is the serializable identity of an Options value: only the
-// rewrite-changing booleans and the scheduler, with JSON tags pinned by
-// golden tests. The machine spec is deliberately excluded — persisted
-// artifacts key on the spec fingerprint and re-attach a live Spec on
-// decode — so one encoding serves the compiled Plan artifact, its
-// store, and the serving daemon.
-type Knobs struct {
-	Scheduler             string `json:"scheduler"`
-	Unroll                bool   `json:"unroll,omitempty"`
-	Bidirectional         bool   `json:"bidirectional,omitempty"`
-	Rolled                bool   `json:"rolled,omitempty"`
-	FuseAddIntoEinsum     bool   `json:"fuse_add_into_einsum,omitempty"`
-	OverlapFriendlyFusion bool   `json:"overlap_friendly_fusion,omitempty"`
-	RematerializeGathers  bool   `json:"rematerialize_gathers,omitempty"`
-	SplitAllReduce        bool   `json:"split_all_reduce,omitempty"`
-	ConcatToPadMax        bool   `json:"concat_to_pad_max,omitempty"`
-	GradBucketBytes       int64  `json:"grad_bucket_bytes,omitempty"`
-	KernelSplitK          int    `json:"kernel_split_k,omitempty"`
-}
-
-// Knobs strips o down to its serializable rewrite knobs.
-func (o Options) Knobs() Knobs {
-	return Knobs{
-		Scheduler:             o.Scheduler.String(),
-		Unroll:                o.Unroll,
-		Bidirectional:         o.Bidirectional,
-		Rolled:                o.Rolled,
-		FuseAddIntoEinsum:     o.FuseAddIntoEinsum,
-		OverlapFriendlyFusion: o.OverlapFriendlyFusion,
-		RematerializeGathers:  o.RematerializeGathers,
-		SplitAllReduce:        o.SplitAllReduce,
-		ConcatToPadMax:        o.ConcatToPadMax,
-		GradBucketBytes:       o.GradBucketBytes,
-		KernelSplitK:          o.KernelSplitK,
-	}
-}
-
-// Options reconstitutes a full pipeline configuration from the knobs by
-// re-attaching a live machine spec. An unknown scheduler name degrades
-// to SchedulerNone (the conservative choice for artifacts written by a
-// future version).
-func (k Knobs) Options(spec machine.Spec) Options {
-	sched := SchedulerNone
-	switch k.Scheduler {
-	case SchedulerBottomUp.String():
-		sched = SchedulerBottomUp
-	case SchedulerTopDown.String():
-		sched = SchedulerTopDown
-	}
-	return Options{
-		Spec:                  spec,
-		Scheduler:             sched,
-		Unroll:                k.Unroll,
-		Bidirectional:         k.Bidirectional,
-		Rolled:                k.Rolled,
-		FuseAddIntoEinsum:     k.FuseAddIntoEinsum,
-		OverlapFriendlyFusion: k.OverlapFriendlyFusion,
-		RematerializeGathers:  k.RematerializeGathers,
-		SplitAllReduce:        k.SplitAllReduce,
-		ConcatToPadMax:        k.ConcatToPadMax,
-		GradBucketBytes:       k.GradBucketBytes,
-		KernelSplitK:          k.KernelSplitK,
-	}
+	return Options{Spec: spec, Knobs: Knobs{
+		Scheduler:             SchedulerBottomUp,
+		Unroll:                true,
+		Bidirectional:         true,
+		UseCostModel:          true,
+		FuseAddIntoEinsum:     true,
+		OverlapFriendlyFusion: true,
+	}}
 }
 
 // Report summarizes what the pipeline did to a computation.

@@ -30,15 +30,15 @@ import (
 // run each stage once per (input program, key) and clone the result for
 // every continuation, which is what autotune's stage 1 does.
 //
-// To add a knob: add the field to Options, Knobs and Fingerprint, read
-// it in exactly one stage's body and copy it in that stage's reads
-// (Scheduler, read by async and order, is the one exception). The guard
-// test in stage_test.go fails while any of the four is missing: a knob
-// no stage claims would silently alias two candidates of a search. A
-// program-aware rule (on) must be exact: stage_test.go runs every stage
-// over the corpus and fails when two Options with equal keys, or a
-// stage that calls itself the identity, leave an input in different
-// states.
+// To add a knob, touch three places: a field of Knobs (options.go), its
+// term in Fingerprint (enumerate.go), and the reads of the one stage
+// whose body reads it (Scheduler, read by async and order, is the one
+// exception). The guard test in stage_test.go fails while any of them is
+// missing: a knob no stage claims would silently alias two candidates of
+// a search. A program-aware rule (on) must be exact: stage_test.go runs
+// every stage over the corpus and fails when two Options with equal
+// keys, or a stage that calls itself the identity, leave an input in
+// different states.
 
 // Stage indices, in pipeline order.
 const (
@@ -73,7 +73,7 @@ const (
 type Stage struct {
 	Name string
 	// reads copies the knobs the body reads from o into key.
-	reads func(o Options, key *Options)
+	reads func(o Options, key *Knobs)
 	// identity reports that the body leaves every program untouched
 	// under o; nil means it never statically does.
 	identity func(o Options) bool
@@ -87,7 +87,7 @@ type Stage struct {
 var stages = [numStages]Stage{
 	StagePre: {
 		Name: "pre",
-		reads: func(o Options, key *Options) {
+		reads: func(o Options, key *Knobs) {
 			key.GradBucketBytes = o.GradBucketBytes
 			key.SplitAllReduce = o.SplitAllReduce
 			key.RematerializeGathers = o.RematerializeGathers
@@ -113,7 +113,7 @@ var stages = [numStages]Stage{
 	},
 	StageDecompose: {
 		Name: "decompose",
-		reads: func(o Options, key *Options) {
+		reads: func(o Options, key *Knobs) {
 			key.Rolled = o.Rolled
 			key.Unroll = o.Unroll
 			key.Bidirectional = o.Bidirectional
@@ -164,7 +164,7 @@ var stages = [numStages]Stage{
 			// stage, which runs later, makes one: on a program without one
 			// both settings pick the first operand.
 			if !holdsDone(c) {
-				s.reads = func(o Options, key *Options) {
+				s.reads = func(o Options, key *Knobs) {
 					readFuse(o, key)
 					key.OverlapFriendlyFusion = false
 				}
@@ -186,7 +186,7 @@ var stages = [numStages]Stage{
 		// The body reads only whether a scheduler runs at all, so both
 		// overlap schedulers share a key here and SchedulerNone has
 		// its own.
-		reads: func(o Options, key *Options) {
+		reads: func(o Options, key *Knobs) {
 			key.Scheduler = SchedulerBottomUp
 			if o.Scheduler == SchedulerNone {
 				key.Scheduler = SchedulerNone
@@ -210,7 +210,7 @@ var stages = [numStages]Stage{
 	},
 	StageOrder: {
 		Name:     "order",
-		reads:    func(o Options, key *Options) { key.Scheduler = o.Scheduler },
+		reads:    func(o Options, key *Knobs) { key.Scheduler = o.Scheduler },
 		identity: func(o Options) bool { return o.Scheduler == SchedulerNone },
 		body: func(c *hlo.Computation, o Options, _ *Report) error {
 			if err := c.SetSchedule(Order(c, o)); err != nil {
@@ -221,7 +221,7 @@ var stages = [numStages]Stage{
 	},
 	StageStamp: {
 		Name:  "stamp",
-		reads: func(o Options, key *Options) { key.KernelSplitK = o.KernelSplitK },
+		reads: func(o Options, key *Knobs) { key.KernelSplitK = o.KernelSplitK },
 		body: func(c *hlo.Computation, o Options, _ *Report) error {
 			// The factor the program executes with is part of its text.
 			c.Walk(func(in *hlo.Instruction) {
@@ -235,7 +235,7 @@ var stages = [numStages]Stage{
 }
 
 // readFuse is the fuse stage's reads, named so its On can narrow them.
-func readFuse(o Options, key *Options) {
+func readFuse(o Options, key *Knobs) {
 	key.ConcatToPadMax = o.ConcatToPadMax
 	key.FuseAddIntoEinsum = o.FuseAddIntoEinsum
 	key.OverlapFriendlyFusion = o.OverlapFriendlyFusion
@@ -291,12 +291,12 @@ func (s Stage) On(c *hlo.Computation) Stage {
 	return s.on(s, c)
 }
 
-// Key returns o reduced to the knobs the stage reads: two Options with
-// equal keys put one input program, under one Spec, into the same state
-// after the stage — text, instruction IDs, fusion groups and IDBound.
-// Spec is left zero: it is ambient to one search, not a knob.
-func (s Stage) Key(o Options) Options {
-	var key Options
+// Key returns o's knobs reduced to the ones the stage reads: two Options
+// with equal keys put one input program, under one Spec, into the same
+// state after the stage — text, instruction IDs, fusion groups and
+// IDBound. Spec is not in it: it is ambient to one search, not a knob.
+func (s Stage) Key(o Options) Knobs {
+	var key Knobs
 	s.reads(o, &key)
 	return key
 }

@@ -14,36 +14,31 @@ import (
 )
 
 // TestEveryKnobHasAStage is the guard that keeps a knob from being
-// forgotten: by reflection over core.Options, every field other than
-// Spec is claimed by exactly one stage's declared key (the table entry,
-// before On narrows it to a program), moves Fingerprint, and
-// round-trips through Knobs. A knob no stage claims would make two
-// candidates of a search share a memoised program they should not; a
-// knob copied into the reads of a stage that does not read it would
-// split that stage's nodes for nothing and give its On a wrong key to
-// narrow. Scheduler is the one knob two stages read, async and order:
+// forgotten: by reflection over core.Knobs, every field is claimed by
+// exactly one stage's declared key (the table entry, before On narrows
+// it to a program) and moves Fingerprint. A knob no stage claims would
+// make two candidates of a search share a memoised program they should
+// not; a knob copied into the reads of a stage that does not read it
+// would split that stage's nodes for nothing and give its On a wrong key
+// to narrow. Scheduler is the one knob two stages read, async and order:
 // see TestSchedulersShareTheAsyncStage.
 func TestEveryKnobHasAStage(t *testing.T) {
-	spec := machine.TPUv4()
-	typ := reflect.TypeOf(core.Options{})
+	typ := reflect.TypeOf(core.Knobs{})
 	for f := 0; f < typ.NumField(); f++ {
 		field := typ.Field(f)
-		if field.Name == "Spec" {
-			continue // ambient to a search, not a knob: see Stage.Key
-		}
 		var o core.Options
-		switch v := reflect.ValueOf(&o).Elem().Field(f); v.Kind() {
+		switch v := reflect.ValueOf(&o.Knobs).Elem().Field(f); v.Kind() {
 		case reflect.Bool:
 			v.SetBool(true)
 		case reflect.Int, reflect.Int64:
 			v.SetInt(2) // also a valid SchedulerKind and split-K factor
 		default:
-			t.Fatalf("Options.%s has kind %s: teach this test to set it", field.Name, v.Kind())
+			t.Fatalf("Knobs.%s has kind %s: teach this test to set it", field.Name, v.Kind())
 		}
 
 		var claimedBy []string
 		for _, st := range core.Stages() {
-			if reflect.ValueOf(st.Key(o)).Field(f).Interface() == reflect.ValueOf(o).Field(f).Interface() {
+			if reflect.ValueOf(st.Key(o)).Field(f).Interface() == reflect.ValueOf(o.Knobs).Field(f).Interface() {
 				claimedBy = append(claimedBy, st.Name)
 			}
 		}
@@ -52,22 +47,10 @@ func TestEveryKnobHasAStage(t *testing.T) {
 			claimants = 2 // async reads whether it is SchedulerNone, order which one it is
 		}
 		if len(claimedBy) != claimants {
-			t.Errorf("Options.%s is claimed by stages %v, want %d: copy it in the reads of the stage whose body reads it, and only there", field.Name, claimedBy, claimants)
+			t.Errorf("Knobs.%s is claimed by stages %v, want %d: copy it in the reads of the stage whose body reads it, and only there", field.Name, claimedBy, claimants)
 		}
-		if o.Fingerprint() == (core.Options{}).Fingerprint() {
-			t.Errorf("Options.%s does not appear in Fingerprint()", field.Name)
-		}
-
-		want := o
-		want.Spec = spec
-		if field.Name == "UseCostModel" {
-			// Knobs omits it on purpose: a persisted decision replaces
-			// the per-site gate, so it is never the cost model's to
-			// re-take when the artifact is decoded.
-			want.UseCostModel = false
-		}
-		if got := o.Knobs().Options(spec); got != want {
-			t.Errorf("Options.%s does not round-trip through Knobs: %+v", field.Name, got)
+		if o.Fingerprint() == (core.Knobs{}).Fingerprint() {
+			t.Errorf("Knobs.%s does not appear in Fingerprint()", field.Name)
 		}
 	}
 }
@@ -79,8 +62,8 @@ func TestEveryKnobHasAStage(t *testing.T) {
 // the order stage.
 func TestSchedulersShareTheAsyncStage(t *testing.T) {
 	stages := core.Stages()
-	key := func(stage int, s core.SchedulerKind) core.Options {
-		return stages[stage].Key(core.Options{Scheduler: s})
+	key := func(stage int, s core.SchedulerKind) core.Knobs {
+		return stages[stage].Key(core.Options{Knobs: core.Knobs{Scheduler: s}})
 	}
 	if key(core.StageAsync, core.SchedulerBottomUp) != key(core.StageAsync, core.SchedulerTopDown) {
 		t.Error("the overlap schedulers have different async keys: their async program would be built twice")
@@ -92,7 +75,7 @@ func TestSchedulersShareTheAsyncStage(t *testing.T) {
 		t.Error("the overlap schedulers share an order key")
 	}
 	for _, s := range []core.SchedulerKind{core.SchedulerBottomUp, core.SchedulerTopDown, core.SchedulerNone} {
-		o := core.Options{Scheduler: s}
+		o := core.Options{Knobs: core.Knobs{Scheduler: s}}
 		if none := s == core.SchedulerNone; stages[core.StageAsync].Identity(o) != none || stages[core.StageOrder].Identity(o) != none {
 			t.Errorf("%v: async and order must be the identity exactly under SchedulerNone", s)
 		}
@@ -149,7 +132,7 @@ func TestStagesOverCorpus(t *testing.T) {
 	type stageKey struct {
 		stage int
 		in    [sha256.Size]byte
-		knobs core.Options
+		knobs core.Knobs
 	}
 	for _, p := range progs {
 		if (testing.Short() || corpus.RaceEnabled) && p.Long() {
@@ -221,9 +204,9 @@ func TestOverlapFriendlyFusionIsUnreachable(t *testing.T) {
 		if strings.HasPrefix(p.Name, "golden/") || (testing.Short() || corpus.RaceEnabled) && p.Long() {
 			continue
 		}
-		seen := map[[core.StageAsync]core.Options]bool{}
+		seen := map[[core.StageAsync]core.Knobs]bool{}
 		for _, o := range core.EnumerateOptions(machine.TPUv4(), p.Devices, p.Comp) {
-			var keys [core.StageAsync]core.Options
+			var keys [core.StageAsync]core.Knobs
 			for i := range keys {
 				keys[i] = stages[i].Key(o)
 			}

@@ -160,11 +160,10 @@ func configTable(title string, cfgs []models.Config) string {
 // Fig1 reproduces the step-time breakdown of Figure 1: the fraction of
 // the (baseline, non-overlapped) training step spent in communication.
 func Fig1(spec machine.Spec) (string, error) {
-	opts := core.BaselineOptions(spec)
 	out := "Figure 1: training step time breakdown (baseline, no overlap)\n"
 	var rows []string
 	for _, cfg := range models.Table1() {
-		run, err := RunModel(cfg, opts, false)
+		run, err := RunModel(cfg, core.Options{Spec: spec}, false)
 		if err != nil {
 			return "", err
 		}

@@ -160,9 +160,8 @@ func TestFig1CommunicationFractions(t *testing.T) {
 	}
 	// Baseline comm fractions: substantial for every model (the Fig 1
 	// premise) — checked via the structured path.
-	opts := core.BaselineOptions(machine.TPUv4())
 	for _, cfg := range models.Table1() {
-		run, err := RunModel(cfg, opts, false)
+		run, err := RunModel(cfg, core.Options{Spec: machine.TPUv4()}, false)
 		if err != nil {
 			t.Fatal(err)
 		}

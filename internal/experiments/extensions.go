@@ -69,12 +69,7 @@ func Rolled(spec machine.Spec) (string, error) {
 					continue
 				}
 				opts := core.DefaultOptions(spec)
-				switch mode {
-				case "baseline":
-					opts = core.BaselineOptions(spec)
-				case "rolled":
-					opts.Rolled = true
-				}
+				opts.Rolled = mode == "rolled"
 				if mode != "baseline" {
 					if _, err := core.Apply(c, opts); err != nil {
 						fmt.Fprintf(w, "%s\terror: %v\n", cfg.Name, err)

@@ -1,6 +1,7 @@
 package hlo
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -397,6 +398,18 @@ func TestByteSizeAndNumElements(t *testing.T) {
 	}
 	if a.ByteSize() != 4096 {
 		t.Fatalf("ByteSize = %d", a.ByteSize())
+	}
+	// Parsed text may name any shape: the byte size saturates, where the
+	// element count of the first wraps int64 to zero.
+	for shape, want := range map[[2]int]int64{
+		{1 << 62, 4}:       math.MaxInt64,
+		{1 << 61, 1}:       math.MaxInt64, // 2^63 bytes, one past
+		{1 << 30, 1 << 30}: 1 << 62,
+		{1 << 40, 0}:       0,
+	} {
+		if got := c.Parameter(1, "huge", shape[:]).ByteSize(); got != want {
+			t.Errorf("ByteSize of %v = %d, want %d", shape, got, want)
+		}
 	}
 }
 

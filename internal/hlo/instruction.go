@@ -2,6 +2,8 @@ package hlo
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"overlap/internal/tensor"
 )
@@ -214,8 +216,21 @@ func (in *Instruction) NumElements() int {
 }
 
 // ByteSize returns the result size in bytes assuming 4-byte elements
-// (the bf16-pair / f32 granularity the machine model uses).
-func (in *Instruction) ByteSize() int64 { return int64(in.NumElements()) * 4 }
+// (the bf16-pair / f32 granularity the machine model uses), saturating
+// at math.MaxInt64: parsed text may name a shape of any size.
+func (in *Instruction) ByteSize() int64 {
+	if slices.Contains(in.Shape, 0) {
+		return 0
+	}
+	n := int64(4)
+	for _, d := range in.Shape {
+		if n > math.MaxInt64/int64(d) {
+			return math.MaxInt64
+		}
+		n *= int64(d)
+	}
+	return n
+}
 
 // PairSource returns the source device sending to target under the
 // instruction's permute pairs, and whether one exists.

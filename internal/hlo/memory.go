@@ -35,6 +35,8 @@ package hlo
 // buffer and inputs named late in the schedule are where the estimate
 // used to be the optimistic one.
 
+import "math"
+
 // MemoryStats reports the live-byte profile of one computation.
 type MemoryStats struct {
 	// PeakBytes is the maximum simultaneously live bytes at any point of
@@ -68,7 +70,8 @@ func (c *Computation) LastUses() []int {
 }
 
 // PeakMemory estimates the peak live bytes of the computation under its
-// current schedule.
+// current schedule. The byte counts saturate at math.MaxInt64 instead of
+// wrapping, so a program naming huge shapes reads as huge.
 func PeakMemory(c *Computation) MemoryStats {
 	instrs := c.instrs
 	pos := make(map[*Instruction]int, len(instrs))
@@ -114,7 +117,7 @@ func PeakMemory(c *Computation) MemoryStats {
 			// The inputs exist before the step starts and outlive it,
 			// wherever the schedule happens to name them: the sweep
 			// starts from their sum.
-			params += in.ByteSize()
+			params = addBytes(params, in.ByteSize())
 		case OpTuple:
 			alloc[i] = 0
 		case OpCollectivePermuteDone:
@@ -142,6 +145,16 @@ func PeakMemory(c *Computation) MemoryStats {
 		}
 	}
 
+	// Every running sum below lies between zero and the total of all the
+	// storage; a total past math.MaxInt64 is reported as that, saturated.
+	total := params
+	for i := range instrs {
+		total = addBytes(addBytes(total, alloc[i]), transient[i])
+	}
+	if total == math.MaxInt64 {
+		return MemoryStats{PeakBytes: total, ParameterBytes: params}
+	}
+
 	// Sweep: +alloc at def, -alloc after freeAt.
 	delta := make([]int64, len(instrs)+1)
 	for i := range instrs {
@@ -158,4 +171,13 @@ func PeakMemory(c *Computation) MemoryStats {
 		}
 	}
 	return MemoryStats{PeakBytes: peak, PeakIndex: peakIdx, ParameterBytes: params}
+}
+
+// addBytes adds two byte counts, saturating at math.MaxInt64 (both are
+// non-negative: ByteSize saturates rather than wraps).
+func addBytes(a, b int64) int64 {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
 }

@@ -1,6 +1,24 @@
 package hlo
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
+
+// TestPeakMemorySaturates: sums that would wrap int64 read as
+// math.MaxInt64, never as a small or negative peak — whether one result
+// is past it or only the total is.
+func TestPeakMemorySaturates(t *testing.T) {
+	one := NewComputation("one")
+	one.Copy(one.Parameter(0, "a", []int{1 << 62, 4}))
+	two := NewComputation("two")
+	two.Copy(two.Parameter(0, "a", []int{1 << 30, 1 << 30})) // 2^62 bytes each, 2^63 live
+	for _, c := range []*Computation{one, two} {
+		if got := PeakMemory(c).PeakBytes; got != math.MaxInt64 {
+			t.Errorf("%s: PeakBytes = %d, want it saturated", c.Name, got)
+		}
+	}
+}
 
 func TestPeakMemorySimpleChain(t *testing.T) {
 	c := NewComputation("chain")

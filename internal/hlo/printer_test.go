@@ -148,7 +148,7 @@ func TestPrinterMatchesReferenceOnCorpus(t *testing.T) {
 	type nodeKey struct {
 		parent *hlo.Computation
 		stage  int
-		knobs  core.Options
+		knobs  core.Knobs
 	}
 	nodes := 0
 	for _, p := range progs {

@@ -49,7 +49,7 @@ func TestAttributionDecomposedHidesRolledExposes(t *testing.T) {
 		return true
 	})
 	rolled := gptRingAttribution(t, devices, func(o *core.Options) bool {
-		*o = core.Options{Spec: o.Spec, Rolled: true, UseCostModel: false, Scheduler: core.SchedulerNone}
+		*o = core.Options{Spec: o.Spec, Knobs: core.Knobs{Rolled: true, UseCostModel: false, Scheduler: core.SchedulerNone}}
 		return true
 	})
 

@@ -89,7 +89,7 @@ func TestSiteRunAllocBudget(t *testing.T) {
 // into an arena buffer, and the outputs handed back by Release, a warm
 // run allocates nothing tensor-sized.
 func TestBlockingCollectiveAllocBudget(t *testing.T) {
-	rolled := core.Options{Spec: machine.TPUv4(), Rolled: true, Scheduler: core.SchedulerNone}
+	rolled := core.Options{Spec: machine.TPUv4(), Knobs: core.Knobs{Rolled: true, Scheduler: core.SchedulerNone}}
 	for _, tc := range []struct {
 		name     string
 		pipeline *core.Options

@@ -161,7 +161,7 @@ func TestUseAfterReleaseCanary(t *testing.T) {
 		opts *core.Options
 	}{
 		{"baseline", nil},
-		{"rolled", &core.Options{Spec: spec, Rolled: true, Scheduler: core.SchedulerNone}},
+		{"rolled", &core.Options{Spec: spec, Knobs: core.Knobs{Rolled: true, Scheduler: core.SchedulerNone}}},
 		{"decomposed", force(false, false)},
 		{"bidirectional", force(false, true)},
 		{"unrolled", force(true, false)},
@@ -335,7 +335,7 @@ func TestArenaWithinModeledPeak(t *testing.T) {
 	for name, c := range goldenPrograms(t) {
 		check(name, c, randomArgs(c, n, rng))
 	}
-	rolled := &core.Options{Spec: machine.TPUv4(), Rolled: true, Scheduler: core.SchedulerNone}
+	rolled := &core.Options{Spec: machine.TPUv4(), Knobs: core.Knobs{Rolled: true, Scheduler: core.SchedulerNone}}
 	pipelines := []struct {
 		name string
 		opts *core.Options

@@ -52,7 +52,7 @@ func newEngine(x *Executable, opts Options) (*engine, error) {
 		abort:      make(chan struct{}),
 	}
 	if opts.Trace {
-		e.window = traceWindow(opts.TraceDevices, x.n)
+		e.window = min(x.n, obs.TraceMaxDevices)
 		// At most a compute window per device and, on the process
 		// transport, three transfer windows per edge.
 		e.spans = &spanSlab{wins: make([]spanWindow, 0, e.window+3*len(x.edges))}
@@ -305,20 +305,6 @@ func (e *engine) assemble(devices []*device) *Result {
 		res.Trace = e.spans.assemble()
 	}
 	return res
-}
-
-// traceWindow returns the number of leading devices whose spans a traced
-// run of n devices records, following the simulator's truncation
-// convention.
-func traceWindow(traceDevices, n int) int {
-	w := traceDevices
-	if w <= 0 {
-		w = obs.TraceMaxDevices
-	}
-	if w > n {
-		w = n
-	}
-	return w
 }
 
 // since returns seconds elapsed from the execution epoch.

@@ -46,7 +46,7 @@ func reuseProgram(t *testing.T, opts core.Options) *hlo.Computation {
 func reusePrograms(t *testing.T) map[string]*hlo.Computation {
 	return map[string]*hlo.Computation{
 		"decomposed": reuseProgram(t, forceOpts(false, false)),
-		"rolled":     reuseProgram(t, core.Options{Spec: machine.TPUv4(), Rolled: true, Scheduler: core.SchedulerNone}),
+		"rolled":     reuseProgram(t, core.Options{Spec: machine.TPUv4(), Knobs: core.Knobs{Rolled: true, Scheduler: core.SchedulerNone}}),
 	}
 }
 
@@ -226,8 +226,8 @@ func TestExecutableSurvivesAbortedRuns(t *testing.T) {
 
 // TestExecutableTracedAndUntracedInterleave: tracing is a run's choice.
 // Alternating traced and untraced runs on one Executable, the traced
-// ones carry spans in obs.SpanLess order inside their window, the
-// untraced ones none, and all of them compute the same values.
+// ones carry spans in obs.SpanLess order, the untraced ones none, and
+// all of them compute the same values.
 func TestExecutableTracedAndUntracedInterleave(t *testing.T) {
 	const n = 4
 	c := reuseProgram(t, forceOpts(false, false))
@@ -240,7 +240,7 @@ func TestExecutableTracedAndUntracedInterleave(t *testing.T) {
 		for run := 0; run < 4; run++ {
 			traced := run%2 == 0
 			res, err := runMatchesInterpreter(x, c, n, args, runtime.Options{
-				Transport: tr, TimeScale: 20, Trace: traced, TraceDevices: 2,
+				Transport: tr, TimeScale: 20, Trace: traced,
 			})
 			if err != nil {
 				t.Fatalf("%s run %d: %v", tr, run, err)
@@ -249,9 +249,6 @@ func TestExecutableTracedAndUntracedInterleave(t *testing.T) {
 				t.Fatalf("%s run %d: traced=%v but %d spans", tr, run, traced, len(res.Trace))
 			}
 			for i, s := range res.Trace {
-				if s.Device >= 2 {
-					t.Fatalf("%s run %d: span %s on device %d, window is 2", tr, run, s.Name, s.Device)
-				}
 				if i > 0 && obs.SpanLess(s, res.Trace[i-1]) {
 					t.Fatalf("%s run %d: spans %d and %d are out of SpanLess order", tr, run, i-1, i)
 				}
@@ -284,8 +281,9 @@ func zeroTripProgram() *hlo.Computation {
 // is a compile-time count of what the tape can record, so a traced
 // run's device and link buffers must have been allocated once at
 // exactly that count and never have grown (an append past capacity
-// would show as a larger one), and an untraced run, or a device outside
-// the trace window, must have allocated none.
+// would show as a larger one), and an untraced run must have allocated
+// none. (A device outside the trace window allocating none is
+// TestTraceRecording's: no corpus ring is that wide.)
 func TestTraceLayoutSizesEveryBuffer(t *testing.T) {
 	progs, err := corpus.Programs()
 	if err != nil {
@@ -300,7 +298,7 @@ func TestTraceLayoutSizesEveryBuffer(t *testing.T) {
 		opts *core.Options
 	}{
 		{"as-built", nil},
-		{"rolled", &core.Options{Spec: spec, Rolled: true, Scheduler: core.SchedulerNone}},
+		{"rolled", &core.Options{Spec: spec, Knobs: core.Knobs{Rolled: true, Scheduler: core.SchedulerNone}}},
 		{"decomposed", &decompose},
 	}
 	rng := rand.New(rand.NewSource(47))
@@ -327,29 +325,27 @@ func TestTraceLayoutSizesEveryBuffer(t *testing.T) {
 				if tr == runtime.TransportProc && p.Long() {
 					continue // four processes per run; the small programs cover the transport
 				}
-				for _, window := range []int{0, 3} { // 0: every device; 3: device 3 outside
-					for _, traced := range []bool{true, false} {
-						label := fmt.Sprintf("%s/%s (%s, window %d, traced %v)", p.Name, form.name, tr, window, traced)
-						bufs, err := x.RunTraceBuffers(context.Background(), args,
-							runtime.Options{Transport: tr, Trace: traced, TraceDevices: window})
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
+				for _, traced := range []bool{true, false} {
+					label := fmt.Sprintf("%s/%s (%s, traced %v)", p.Name, form.name, tr, traced)
+					bufs, err := x.RunTraceBuffers(context.Background(), args,
+						runtime.Options{Transport: tr, Trace: traced})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					recorded := 0
+					for _, b := range bufs {
+						want := b.Layout
+						if !traced {
+							want = 0
 						}
-						recorded := 0
-						for _, b := range bufs {
-							want := b.Layout
-							if !traced {
-								want = 0
-							}
-							if b.Cap != want || b.Len > b.Cap {
-								t.Fatalf("%s: %s holds %d spans in a buffer of %d, the layout says %d",
-									label, b.Owner, b.Len, b.Cap, want)
-							}
-							recorded += b.Len
+						if b.Cap != want || b.Len > b.Cap {
+							t.Fatalf("%s: %s holds %d spans in a buffer of %d, the layout says %d",
+								label, b.Owner, b.Len, b.Cap, want)
 						}
-						if traced && recorded == 0 && p.Name != "zero-trip" {
-							t.Fatalf("%s: a traced run recorded nothing", label)
-						}
+						recorded += b.Len
+					}
+					if traced && recorded == 0 && p.Name != "zero-trip" {
+						t.Fatalf("%s: a traced run recorded nothing", label)
 					}
 				}
 			}

@@ -212,10 +212,13 @@ func (p *FaultPlan) validate(n int) error {
 //	crash:dev:D[:K]           crash device D at its K-th instruction (default 0)
 //	drop:link:S-D[:K]         drop the K-th delivery on edge S->D (default 0)
 //	dup:link:S-D[:K]          duplicate the K-th delivery on edge S->D (default 0)
-//	delay:link:S-D:DUR[:JIT]  delay every delivery on S->D by DUR plus
-//	                          seeded jitter uniform in [0,JIT)
+//	delay:link:S-D:DUR[:JIT][@K]
+//	                          delay every delivery on S->D — or only the
+//	                          K-th — by DUR plus seeded jitter uniform in
+//	                          [0,JIT)
 //
-// An empty spec returns a nil plan (no injection).
+// An empty spec returns a nil plan (no injection). Fault.String prints
+// every fault back in this grammar.
 func ParseFaults(spec string) (*FaultPlan, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -274,13 +277,19 @@ func parseFault(s string) (Fault, error) {
 		if kind == FaultDelay {
 			f.K = -1 // every delivery
 			if len(rest) == 0 {
-				return bad("delay faults need a duration: delay:link:S-D:DUR[:JIT]")
+				return bad("delay faults need a duration: delay:link:S-D:DUR[:JIT][@K]")
+			}
+			if last, k, one := strings.Cut(rest[len(rest)-1], "@"); one {
+				if f.K, err = strconv.Atoi(k); err != nil || f.K < 0 {
+					return bad("delivery index must be an integer >= 0")
+				}
+				rest[len(rest)-1] = last
 			}
 			if f.Delay, err = time.ParseDuration(rest[0]); err != nil {
 				return bad("bad duration " + strconv.Quote(rest[0]))
 			}
 			if len(rest) > 1 {
-				if f.Jitter, err = time.ParseDuration(rest[1]); err != nil {
+				if f.Jitter, err = time.ParseDuration(rest[1]); err != nil || f.Jitter < 0 {
 					return bad("bad jitter " + strconv.Quote(rest[1]))
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,22 +14,37 @@ import (
 	"overlap/internal/tensor"
 )
 
+// parseFaultCases are well-formed one-fault specs and what they parse
+// to; malformedFaultSpecs must all be rejected. Both seed
+// FuzzParseFaults.
+var parseFaultCases = []struct {
+	spec string
+	want runtime.Fault
+}{
+	{"crash:dev:2", runtime.Fault{Kind: runtime.FaultCrash, Device: 2}},
+	{"crash:dev:1:40", runtime.Fault{Kind: runtime.FaultCrash, Device: 1, K: 40}},
+	{"drop:link:0-1", runtime.Fault{Kind: runtime.FaultDrop, Src: 0, Dst: 1}},
+	{"drop:link:3-0:2", runtime.Fault{Kind: runtime.FaultDrop, Src: 3, Dst: 0, K: 2}},
+	{"dup:link:1-2:1", runtime.Fault{Kind: runtime.FaultDuplicate, Src: 1, Dst: 2, K: 1}},
+	{"delay:link:0-1:50ms", runtime.Fault{Kind: runtime.FaultDelay, Src: 0, Dst: 1, K: -1, Delay: 50 * time.Millisecond}},
+	{"delay:link:0-1:50ms:10ms", runtime.Fault{Kind: runtime.FaultDelay, Src: 0, Dst: 1, K: -1, Delay: 50 * time.Millisecond, Jitter: 10 * time.Millisecond}},
+	// A delay aimed at one delivery, as Fault.String prints it.
+	{"delay:link:0-1:5ns@3", runtime.Fault{Kind: runtime.FaultDelay, Src: 0, Dst: 1, K: 3, Delay: 5 * time.Nanosecond}},
+	{"delay:link:2-1:1ms:2ms@0", runtime.Fault{Kind: runtime.FaultDelay, Src: 2, Dst: 1, K: 0, Delay: time.Millisecond, Jitter: 2 * time.Millisecond}},
+}
+
+var malformedFaultSpecs = []string{
+	"crash:dev", "crash:link:0-1", "crash:dev:x", "crash:dev:1:2:3",
+	"drop:dev:1", "drop:link:01", "drop:link:a-b", "drop:link:0-1:x",
+	"delay:link:0-1", "delay:link:0-1:nope", "delay:link:0-1:1ms:nope:extra",
+	"delay:link:0-1:1ms@x", "delay:link:0-1:1ms@-2", "delay:link:0-1:1ms@1:2ms", "delay:link:0-1:1ms:-1ms",
+	"explode:dev:1", "nonsense",
+}
+
 // TestParseFaults checks the CLI fault grammar round-trips through
 // Fault.String and rejects malformed specs.
 func TestParseFaults(t *testing.T) {
-	cases := []struct {
-		spec string
-		want runtime.Fault
-	}{
-		{"crash:dev:2", runtime.Fault{Kind: runtime.FaultCrash, Device: 2}},
-		{"crash:dev:1:40", runtime.Fault{Kind: runtime.FaultCrash, Device: 1, K: 40}},
-		{"drop:link:0-1", runtime.Fault{Kind: runtime.FaultDrop, Src: 0, Dst: 1}},
-		{"drop:link:3-0:2", runtime.Fault{Kind: runtime.FaultDrop, Src: 3, Dst: 0, K: 2}},
-		{"dup:link:1-2:1", runtime.Fault{Kind: runtime.FaultDuplicate, Src: 1, Dst: 2, K: 1}},
-		{"delay:link:0-1:50ms", runtime.Fault{Kind: runtime.FaultDelay, Src: 0, Dst: 1, K: -1, Delay: 50 * time.Millisecond}},
-		{"delay:link:0-1:50ms:10ms", runtime.Fault{Kind: runtime.FaultDelay, Src: 0, Dst: 1, K: -1, Delay: 50 * time.Millisecond, Jitter: 10 * time.Millisecond}},
-	}
-	for _, c := range cases {
+	for _, c := range parseFaultCases {
 		plan, err := runtime.ParseFaults(c.spec)
 		if err != nil {
 			t.Fatalf("ParseFaults(%q): %v", c.spec, err)
@@ -54,16 +70,39 @@ func TestParseFaults(t *testing.T) {
 		t.Fatalf("empty spec: %v, %+v", err, plan)
 	}
 
-	for _, bad := range []string{
-		"crash:dev", "crash:link:0-1", "crash:dev:x", "crash:dev:1:2:3",
-		"drop:dev:1", "drop:link:01", "drop:link:a-b", "drop:link:0-1:x",
-		"delay:link:0-1", "delay:link:0-1:nope", "delay:link:0-1:1ms:nope:extra",
-		"explode:dev:1", "nonsense",
-	} {
+	for _, bad := range malformedFaultSpecs {
 		if _, err := runtime.ParseFaults(bad); err == nil {
 			t.Errorf("ParseFaults(%q) accepted a malformed spec", bad)
 		}
 	}
+}
+
+// FuzzParseFaults: a fault spec is outside input (overlap run -fault, a
+// /v1/run body's fault). Whatever its bytes, ParseFaults returns a plan
+// or an error and never panics, and every plan it accepts prints, by
+// FaultPlan.String, a spec that parses back to an equal plan — the
+// syntax a RunError's Fault field promises.
+func FuzzParseFaults(f *testing.F) {
+	for _, c := range parseFaultCases {
+		f.Add(c.spec)
+	}
+	for _, bad := range malformedFaultSpecs {
+		f.Add(bad)
+	}
+	f.Add("crash:dev:0, drop:link:0-1:3")
+	f.Fuzz(func(t *testing.T, spec string) {
+		plan, err := runtime.ParseFaults(spec)
+		if err != nil || plan == nil {
+			return
+		}
+		again, err := runtime.ParseFaults(plan.String())
+		if err != nil {
+			t.Fatalf("%q prints as %q, which does not parse: %v", spec, plan, err)
+		}
+		if !slices.Equal(again.Faults, plan.Faults) {
+			t.Fatalf("%q prints as %q, which parses to %+v, not %+v", spec, plan, again.Faults, plan.Faults)
+		}
+	})
 }
 
 // stallProgram builds a two-device program whose structure guarantees a

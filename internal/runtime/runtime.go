@@ -65,12 +65,9 @@ type Options struct {
 	TimeScale float64
 
 	// Trace records per-device, per-instruction wall-clock spans
-	// (Result.Trace).
+	// (Result.Trace) for the first obs.TraceMaxDevices devices, the
+	// simulator's window.
 	Trace bool
-
-	// TraceDevices bounds the devices recorded when tracing; zero means
-	// obs.TraceMaxDevices, mirroring the simulator's window.
-	TraceDevices int
 
 	// Faults injects deterministic, seeded failures — link delays,
 	// dropped or duplicated deliveries, device crashes — into the run.

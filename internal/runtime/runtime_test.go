@@ -128,13 +128,15 @@ func goldenSites(n int, rng *rand.Rand) []siteCase {
 // forceOpts returns pipeline options that decompose unconditionally.
 func forceOpts(unroll, bidi bool) core.Options {
 	return core.Options{
-		Spec:                  machine.TPUv4(),
-		Unroll:                unroll,
-		Bidirectional:         bidi,
-		UseCostModel:          false,
-		Scheduler:             core.SchedulerBottomUp,
-		FuseAddIntoEinsum:     true,
-		OverlapFriendlyFusion: true,
+		Spec: machine.TPUv4(),
+		Knobs: core.Knobs{
+			Unroll:                unroll,
+			Bidirectional:         bidi,
+			UseCostModel:          false,
+			Scheduler:             core.SchedulerBottomUp,
+			FuseAddIntoEinsum:     true,
+			OverlapFriendlyFusion: true,
+		},
 	}
 }
 
@@ -158,7 +160,7 @@ func variants() []variant {
 			return nil
 		}
 	}
-	rolled := core.Options{Spec: machine.TPUv4(), Rolled: true, UseCostModel: false, Scheduler: core.SchedulerNone}
+	rolled := core.Options{Spec: machine.TPUv4(), Knobs: core.Knobs{Rolled: true, UseCostModel: false, Scheduler: core.SchedulerNone}}
 	return []variant{
 		{"blocking", func(*hlo.Computation) error { return nil }},
 		{"rolled", pipeline(rolled)},
@@ -422,25 +424,25 @@ func TestNilArgumentIsAnError(t *testing.T) {
 	}
 }
 
-// TestTraceRecording runs a decomposed program with tracing on and
-// checks the recorded spans land on the simulator's device tracks,
-// include both compute and transfer spans, respect the device window,
-// and render as a Chrome trace through the RunTrace artifact.
+// TestTraceRecording runs a decomposed program with tracing on, on a
+// ring wider than the simulator's trace window, and checks the recorded
+// spans land on the simulator's device tracks: spans on every device
+// inside the window (obs.TraceMaxDevices), both compute and transfer
+// ones, none beyond it — where a device allocates no span buffer at all
+// — and a Chrome rendering through the RunTrace artifact.
 func TestTraceRecording(t *testing.T) {
-	const n = 4
+	const n = obs.TraceMaxDevices + 2
 	rng := rand.New(rand.NewSource(13))
 	site := goldenSites(n, rng)[0]
 	c := site.build()
 	if _, err := core.Apply(c, forceOpts(false, false)); err != nil {
 		t.Fatal(err)
 	}
-	opts := runtime.Options{
-		Spec:         machine.TPUv4(),
-		TimeScale:    200,
-		Trace:        true,
-		TraceDevices: 2,
+	x, err := runtime.Compile(c, n, machine.TPUv4())
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, err := runtime.Run(c, n, site.args, opts)
+	res, err := x.Run(context.Background(), site.args, runtime.Options{TimeScale: 200, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,10 +450,12 @@ func TestTraceRecording(t *testing.T) {
 		t.Fatal("no trace events recorded")
 	}
 	var computes, transfers int
+	recorded := map[int]bool{}
 	for _, ev := range res.Trace {
-		if ev.Device >= 2 {
-			t.Fatalf("span %s on device %d, window is 2", ev.Name, ev.Device)
+		if ev.Device >= obs.TraceMaxDevices {
+			t.Fatalf("span %s on device %d, window is %d", ev.Name, ev.Device, obs.TraceMaxDevices)
 		}
+		recorded[ev.Device] = true
 		switch ev.Track {
 		case obs.TrackCompute:
 			computes++
@@ -466,6 +470,18 @@ func TestTraceRecording(t *testing.T) {
 	}
 	if computes == 0 || transfers == 0 {
 		t.Fatalf("want both compute and transfer spans, got %d/%d", computes, transfers)
+	}
+	if len(recorded) != obs.TraceMaxDevices {
+		t.Fatalf("spans on %d devices, want every one of the %d inside the window", len(recorded), obs.TraceMaxDevices)
+	}
+	bufs, err := x.RunTraceBuffers(context.Background(), site.args, runtime.Options{Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bufs {
+		if b.Cap != b.Layout {
+			t.Fatalf("%s has a span buffer of %d, the layout says %d", b.Owner, b.Cap, b.Layout)
+		}
 	}
 	raw, err := obs.NewRunTrace(res.RunID, "run", res.Trace).ChromeTrace()
 	if err != nil {

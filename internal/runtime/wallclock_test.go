@@ -61,16 +61,18 @@ func runWallClock(t testing.TB, build func() *hlo.Computation, args [][]*tensor.
 }
 
 func rolledOptions() core.Options {
-	return core.Options{Spec: machine.TPUv4(), Rolled: true, UseCostModel: false, Scheduler: core.SchedulerNone}
+	return core.Options{Spec: machine.TPUv4(), Knobs: core.Knobs{Rolled: true, UseCostModel: false, Scheduler: core.SchedulerNone}}
 }
 
 func decomposedOptions() core.Options {
 	return core.Options{
-		Spec:                  machine.TPUv4(),
-		UseCostModel:          false,
-		Scheduler:             core.SchedulerBottomUp,
-		FuseAddIntoEinsum:     true,
-		OverlapFriendlyFusion: true,
+		Spec: machine.TPUv4(),
+		Knobs: core.Knobs{
+			UseCostModel:          false,
+			Scheduler:             core.SchedulerBottomUp,
+			FuseAddIntoEinsum:     true,
+			OverlapFriendlyFusion: true,
+		},
 	}
 }
 

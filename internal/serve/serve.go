@@ -739,13 +739,25 @@ func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
 
 // What one request may ask of the daemon before any plan exists: the
 // bytes of its body, the ring size (a run, the simulator and the span
-// slab all size by it) and — for an inline program, whose text the body
-// bounds — the loop-body instructions one run of it executes (Σ trip
-// count × body length; ring loops over 8 devices stay under a thousand).
+// slab all size by it), a model's head dimension and training layer
+// count (what building its graph costs; CI and the benchmark send at
+// most 8 and 2), for an inline program — whose text the body bounds but
+// whose loops it does not — the loop-body instructions one run of it
+// executes (Σ trip count × body length; ring loops over 8 devices stay
+// under a thousand), and for every program, built or inline, its
+// modeled live bytes across the ring (hlo.PeakMemory per device ×
+// devices). The caps on the numbers do not bound the bytes: a dim-8
+// BigSSL_10B layer step is modeled at 0.36 MB on 4 devices, 5.5 MB on 8
+// and 82 GB on 64, and a dim-8, 2-layer ddp training step at 0.44 MB on
+// 4 and 1.8 GB on 64. The largest program the benchmark sends is the
+// 0.44 MB one, and the corpus peaks under half a megabyte.
 const (
 	maxBodyBytes      = 1 << 20
 	maxDevices        = 64
+	maxDim            = 32
+	maxLayers         = 16
 	maxInlineLoopWork = 1 << 16
+	maxProgramBytes   = 1 << 26
 )
 
 // decodeRequest parses and validates the POST body; on failure it has
@@ -764,6 +776,11 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*Request
 	}
 	if req.Devices < 1 || req.Devices > maxDevices {
 		err := fmt.Errorf("serve: request needs 1 <= devices <= %d, got %d", maxDevices, req.Devices)
+		s.writeError(w, http.StatusBadRequest, err)
+		return nil, err
+	}
+	if req.Dim > maxDim || req.Layers > maxLayers {
+		err := fmt.Errorf("serve: request needs dim <= %d and layers <= %d, got %d and %d", maxDim, maxLayers, req.Dim, req.Layers)
 		s.writeError(w, http.StatusBadRequest, err)
 		return nil, err
 	}
@@ -849,6 +866,9 @@ func (s *Server) resolve(req *Request) (*program, error) {
 		if err == nil {
 			err = boundLoopWork(c)
 		}
+		if err == nil {
+			err = boundMemory(c, req.Devices)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("serve: program is not accepted: %w", err)
 		}
@@ -858,7 +878,11 @@ func (s *Server) resolve(req *Request) (*program, error) {
 	prog := &program{shape: shapeOf(req)}
 	fp, known := s.plans.fingerprintOf(prog.shape)
 	if !known {
+		// A known shape was bounded when it was first built.
 		c, err := s.buildGraph(prog.shape)
+		if err == nil {
+			err = boundMemory(c, req.Devices)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -888,6 +912,18 @@ func boundLoopWork(c *hlo.Computation) error {
 				in.Name, in.TripCount, body, maxInlineLoopWork)
 		}
 		work += in.TripCount * body
+	}
+	return nil
+}
+
+// boundMemory refuses a program whose modeled live bytes across the
+// ring pass maxProgramBytes: the daemon allocates every parameter before
+// the program's first run, and each run about its peak.
+func boundMemory(c *hlo.Computation, devices int) error {
+	perDevice := int64(maxProgramBytes / devices)
+	if peak := hlo.PeakMemory(c).PeakBytes; peak > perDevice {
+		return fmt.Errorf("serve: the program peaks at %d live bytes per device, past the %d a %d-device program may use",
+			peak, perDevice, devices)
 	}
 	return nil
 }

@@ -395,11 +395,13 @@ func TestRequestValidation(t *testing.T) {
 
 // FuzzDecodeRequest: a /v1/run body is outside input. Whatever its
 // bytes, decodeRequest and resolve answer a 4xx or accept the request,
-// never panic, and accept none that names a ring past maxDevices or an
-// inline program whose loops run past maxInlineLoopWork body
-// instructions. The seeds under testdata/fuzz are the bodies of
-// TestRequestValidation, TestMalformedInlineProgramIs400 and
-// TestInlineLoopWorkIsBounded; plain go test replays them.
+// never panic, and accept none that names a ring past maxDevices, a dim
+// or layer count past maxDim or maxLayers, a program whose modeled live
+// bytes across the ring pass maxProgramBytes, or an inline program whose
+// loops run past maxInlineLoopWork body instructions. The seeds under
+// testdata/fuzz are the bodies of TestRequestValidation,
+// TestMalformedInlineProgramIs400, TestInlineLoopWorkIsBounded and
+// TestRequestSizeIsBounded; plain go test replays them.
 func FuzzDecodeRequest(f *testing.F) {
 	cfg := testConfig()
 	cfg.DebugFaults = true // so fault specs reach their parser
@@ -419,9 +421,29 @@ func FuzzDecodeRequest(f *testing.F) {
 		if req.Devices < 1 || req.Devices > maxDevices {
 			t.Fatalf("accepted a request on %d devices", req.Devices)
 		}
+		if req.Dim > maxDim || req.Layers > maxLayers {
+			t.Fatalf("accepted a request of dim %d and %d layers", req.Dim, req.Layers)
+		}
 		prog, err := s.resolve(req)
-		if err != nil || req.Program == "" {
-			return // an error is the handler's 400
+		if err != nil {
+			return // the handler's 400
+		}
+		if prog.comp != nil { // nil for a shape resolved, and bounded, before
+			prog.comp.Walk(func(in *hlo.Instruction) {
+				bytes := 4.0 // in float64, which a shape cannot overflow
+				for _, d := range in.Shape {
+					bytes *= float64(d)
+				}
+				if bytes*float64(req.Devices) > maxProgramBytes {
+					t.Fatalf("accepted a program whose %s %v is %g bytes on each of %d devices", in.Name, in.Shape, bytes, req.Devices)
+				}
+			})
+			if peak := hlo.PeakMemory(prog.comp).PeakBytes; peak*int64(req.Devices) > maxProgramBytes {
+				t.Fatalf("accepted a program peaking at %d bytes on each of %d devices", peak, req.Devices)
+			}
+		}
+		if req.Program == "" {
+			return
 		}
 		work := 0
 		for i := 0; i < prog.comp.NumInstructions(); i++ {
@@ -628,6 +650,61 @@ func TestDevicesAreBounded(t *testing.T) {
 	}
 	if _, _, _, err := postRun(ts, Request{Model: "GPT_32B", Devices: 8, Dim: 2}); err != nil {
 		t.Fatalf("an 8-device request is refused: %v", err)
+	}
+}
+
+// TestRequestSizeIsBounded: what a request's numbers make the daemon
+// allocate is bounded before anything is compiled. An inline parameter
+// of f32[100000000000 100000], which passes the parser, the ring check
+// and the loop bound and used to panic the compile goroutine in Args —
+// process and all — is a 400; so is one whose byte size wraps int64 to
+// zero, an inline program whose every result fits but whose peak does
+// not, a model layer and a training step that are modeled at gigabytes
+// on 64 devices, a model dim past maxDim and a training step past
+// maxLayers. Each on both endpoints, and the daemon goes on serving.
+// Every corpus program is far inside the memory bound.
+func TestRequestSizeIsBounded(t *testing.T) {
+	_, ts := newTestServer(t, testConfig())
+	for name, tc := range map[string]struct {
+		req  Request
+		want string
+	}{
+		"inline parameter": {Request{Program: "m {\n  %a = f32[100000000000 100000] parameter(), index=0\n}", Devices: 2},
+			"the program peaks at 40000000000000000 live bytes per device, past the 33554432 a 2-device program may use"},
+		"inline overflow": {Request{Program: "m {\n  %a = f32[4611686018427387904 4] parameter(), index=0\n}", Devices: 2},
+			"the program peaks at 9223372036854775807 live bytes"}, // 2^66 bytes: int64 arithmetic would see 0
+		"inline peak": {Request{Program: "m {\n  %a = f32[256 1024] parameter(), index=0\n  %b = f32[256 1024] parameter(), index=1\n  %c = f32[256 1024] add(%a, %b)\n}", Devices: 64},
+			"the program peaks at 3145728 live bytes per device, past the 1048576"},
+		"model": {Request{Model: "BigSSL_10B", Devices: 64, Dim: 8}, "past the 1048576 a 64-device program may use"},
+		"train": {Request{Model: "GPT_1T", Devices: 64, Dim: 8, Scenario: "train", Strategy: "ddp", Layers: 2},
+			"past the 1048576 a 64-device program may use"},
+		"dim":    {Request{Model: "GPT_32B", Devices: 2, Dim: maxDim + 1}, fmt.Sprintf("dim <= %d", maxDim)},
+		"layers": {Request{Model: "GPT_32B", Devices: 2, Dim: 2, Scenario: "train", Layers: maxLayers + 1}, fmt.Sprintf("layers <= %d", maxLayers)},
+	} {
+		for _, endpoint := range []string{"/v1/run", "/v1/compile"} {
+			resp, err := http.Post(ts.URL+endpoint, "application/json", bytes.NewReader(mustJSON(t, tc.req)))
+			if err != nil {
+				t.Fatalf("%s %s: the daemon dropped the connection: %v", name, endpoint, err)
+			}
+			var eb errorBody
+			err = json.NewDecoder(resp.Body).Decode(&eb)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || err != nil || !strings.Contains(eb.Error, tc.want) {
+				t.Errorf("%s %s: status %d, body %+v (decode: %v); want a 400 containing %q", name, endpoint, resp.StatusCode, eb, err, tc.want)
+			}
+		}
+	}
+	if _, _, _, err := postRun(ts, miniatureRequest()); err != nil {
+		t.Fatalf("the daemon stopped serving after oversized requests: %v", err)
+	}
+	progs, err := corpus.Programs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range progs {
+		if err := boundMemory(p.Comp, p.Devices); err != nil {
+			t.Errorf("corpus program %s is past the memory bound: %v", p.Name, err)
+		}
 	}
 }
 

@@ -127,7 +127,7 @@ func Run(ctx context.Context, cfg Config, opts Options) (*Result, error) {
 			return nil, err
 		}
 		res.Report = report
-		k := opts.Pipeline.Knobs()
+		k := opts.Pipeline.Knobs
 		res.Knobs = &k
 	}
 	return Execute(ctx, prog, res, opts)

@@ -181,9 +181,6 @@ func TPUv4() MachineSpec { return machine.TPUv4() }
 // gated by the cost model.
 func DefaultOptions(spec MachineSpec) Options { return core.DefaultOptions(spec) }
 
-// BaselineOptions returns a configuration with the feature off.
-func BaselineOptions(spec MachineSpec) Options { return core.BaselineOptions(spec) }
-
 // Apply runs the overlap pipeline on the computation in place and
 // returns what it did.
 func Apply(c *Computation, opts Options) (Report, error) { return core.Apply(c, opts) }

@@ -127,7 +127,7 @@ func TestFacadeAutotune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Executions == 0 || res.MeasuredWall <= 0 {
+	if res.Executions == 0 || res.Plan.MeasuredSec <= 0 {
 		t.Fatalf("cold tune did not execute: %+v", res)
 	}
 	if _, err := res.ApplyBest(c.Clone()); err != nil {
@@ -140,7 +140,7 @@ func TestFacadeAutotune(t *testing.T) {
 	if !warm.CacheHit || warm.Executions != 0 {
 		t.Fatalf("warm tune re-executed: hit=%v executions=%d", warm.CacheHit, warm.Executions)
 	}
-	if warm.Best.Fingerprint() != res.Best.Fingerprint() {
+	if *warm.Plan != *res.Plan {
 		t.Fatal("warm decision differs from cold decision")
 	}
 }
