@@ -1,6 +1,6 @@
 // Package cli is the one mapping from command-line flags to run
-// configuration that every binary under cmd/ shares. A flag that more
-// than one command accepts is defined here exactly once — name, usage
+// configuration that every overlap subcommand shares. A flag that more
+// than one subcommand accepts is defined here exactly once — name, usage
 // text, and the Flags field it binds — and a command registers the
 // subset it honours; the methods below turn the parsed values into the
 // program, arguments, context and runtime options a run needs.
@@ -91,7 +91,7 @@ var shared = []flagDef{
 
 	{"attrib", "print the per-collective overlap attribution", func(f *Flags) any { return &f.Attrib }},
 	{"trace", "write the run's Chrome trace (Perfetto, chrome://tracing) to this file", func(f *Flags) any { return &f.Trace }},
-	{"trace-out", "write the overlap mode's run trace artifact (RunTrace JSON: spans with attribution verdicts, readable by traceviz -trace-in) to this file", func(f *Flags) any { return &f.TraceOut }},
+	{"trace-out", "write the overlap mode's run trace artifact (RunTrace JSON: spans with attribution verdicts, readable by overlap trace -trace-in) to this file", func(f *Flags) any { return &f.TraceOut }},
 	{"metrics-out", "export telemetry to this file (Prometheus text, or JSON with a .json suffix)", func(f *Flags) any { return &f.MetricsOut }},
 	{"serve", "serve a live /metrics endpoint at this address and stay up afterwards", func(f *Flags) any { return &f.Serve }},
 }

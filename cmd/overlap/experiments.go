@@ -17,7 +17,7 @@ import (
 // experiment emits one JSON object per line — its id, headline speedup
 // series and rendered text — so trajectories can be tracked across
 // revisions with standard tools.
-func setupExperiments(fs *flag.FlagSet, stdout io.Writer) func() error {
+func setupExperiments(fs *flag.FlagSet, stdout, _ io.Writer) func() error {
 	f := cli.Defaults()
 	f.Register(fs, "link-gbs", "peak-tflops", "metrics-out")
 	asJSON := fs.Bool("json", false, "emit one machine-readable JSON object per experiment")

@@ -1,7 +1,8 @@
 // Command overlap is the front door to the reproduction: every way of
 // running a program — executing a miniature on the concurrent runtime,
-// autotuning it, training it, regenerating the paper's simulated
-// evaluation — is a subcommand, and all of them take their program,
+// autotuning it, training it, serving it, regenerating the paper's
+// simulated evaluation — and every way of looking at one — its HLO, its
+// trace — is a subcommand, and all of them take their program,
 // execution and output flags from one shared set (cmd/internal/cli).
 //
 // Usage:
@@ -13,6 +14,10 @@
 //	overlap tune -model GPT_32B -plan-out plan.json     # autotune, write the compiled plan
 //	overlap run -plan-in plan.json -check               # execute a plan, zero compilation
 //	overlap train -strategy ddp -steps 3 -check -attrib # fwd+bwd+SGD, bucketed gradient all-reduce
+//	overlap serve -addr :8080                           # the HTTP/JSON daemon
+//	overlap trace -model GPT_32B -overlap -attrib       # ASCII timeline of the simulated layer
+//	overlap trace -trace-in run.json                    # ... of a recorded run trace
+//	overlap hlo -model GPT_32B -overlap                 # the HLO after the pipeline
 //	overlap experiments fig12 fig13                     # the paper's tables and figures (simulated)
 //
 // `overlap <subcommand> -h` lists a subcommand's flags.
@@ -33,19 +38,23 @@ import (
 // returns the body dispatch runs once they are parsed.
 type command struct {
 	name, summary string
-	setup         func(fs *flag.FlagSet, stdout io.Writer) func() error
+	setup         func(fs *flag.FlagSet, stdout, stderr io.Writer) func() error
 }
 
 var commands = []command{
 	{"run", "execute a model miniature (or a compiled plan) on the concurrent runtime", setupRun},
 	{"tune", "autotune a miniature's overlap pipeline; write the compiled plan", setupTune},
 	{"train", "execute fwd+bwd+SGD training steps, overlapping the gradient communication", setupTrain},
+	{"serve", "serve compile and run requests over HTTP/JSON until SIGINT or SIGTERM", setupServe},
+	{"trace", "render a run trace (simulated, or read from a file) as a timeline or Chrome trace", setupTrace},
+	{"hlo", "print a model's HLO before or after the pipeline, or check and simulate an HLO file", setupHLO},
 	{"experiments", "regenerate the paper's evaluation tables and figures on the simulator", setupExperiments},
 }
 
 func main() {
-	// A proc-transport run re-executes this binary as its workers; the
-	// worker hook must run before any flag or model work.
+	// A proc-transport run — the CLI's or a served one — re-executes this
+	// binary as its workers; the worker hook must run before any flag or
+	// model work.
 	overlap.MaybeTransportWorker()
 	os.Exit(dispatch(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -60,7 +69,7 @@ func dispatch(args []string, stdout, stderr io.Writer) int {
 			}
 			fs := flag.NewFlagSet("overlap "+cmd.name, flag.ContinueOnError)
 			fs.SetOutput(stderr)
-			body := cmd.setup(fs, stdout)
+			body := cmd.setup(fs, stdout, stderr)
 			if err := fs.Parse(args[1:]); err != nil {
 				if errors.Is(err, flag.ErrHelp) {
 					return 0

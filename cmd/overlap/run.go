@@ -17,12 +17,12 @@ import (
 // — and print a compute / communication / exposed-stall breakdown
 // measured from wall-clock timestamps rather than the simulator's
 // predictions. With -plan-in a compiled plan runs instead of a model.
-func setupRun(fs *flag.FlagSet, stdout io.Writer) func() error {
+func setupRun(fs *flag.FlagSet, stdout, _ io.Writer) func() error {
 	f := cli.Defaults()
 	f.Register(fs, "model", "devices", "dim", "mode",
 		"timescale", "transport", "kernel-workers", "kernel-splitk", "fault", "fault-seed", "deadline", "check",
 		"attrib", "trace", "trace-out", "metrics-out", "serve")
-	planIn := fs.String("plan-in", "", "execute a compiled Plan artifact (from overlap tune -plan-out or the daemon's /v1/compile) instead of building a model; zero compilation")
+	planIn := fs.String("plan-in", "", "execute a compiled Plan artifact (from overlap tune -plan-out or overlap serve's /v1/compile) instead of building a model; zero compilation")
 
 	return func() error {
 		ropts, err := runOptions(f, stdout)
@@ -133,17 +133,19 @@ func execute(f *cli.Flags, stdout io.Writer, ropts overlap.RunOptions, label, mo
 	fmt.Fprintf(stdout, "%-9s step %8.2fms  compute %8.2fms  wire %8.2fms  exposed %8.2fms  async %d  in-flight %d%s\n",
 		label, b.StepTime*1e3, b.Compute*1e3, b.CollectiveWire*1e3, b.Exposed*1e3,
 		b.AsyncTransfers, b.PeakInFlight, mark)
-	if f.Attrib {
-		fmt.Fprint(stdout, overlap.Attribute(res.Trace).Render())
-	}
-	if chromeOut == "" && artifactOut == "" {
+	if !ropts.Trace {
 		return nil
 	}
 
+	// One RunTrace, one attribution: the -attrib table and both files
+	// read the report NewRunTrace computed.
 	trace := overlap.NewRunTrace(res.RunID, "run", res.Trace)
 	trace.Model = model
 	trace.Devices = devices
 	trace.StepMS = b.StepTime * 1e3
+	if f.Attrib {
+		printAttribution(stdout, trace)
+	}
 	if artifactOut != "" {
 		data, err := trace.EncodeJSON()
 		if err != nil {

@@ -30,7 +30,7 @@ import (
 // interpreter (-check), and the dyadic training fixtures make
 // first-step gradients byte-identical across every overlap
 // configuration.
-func setupTrain(fs *flag.FlagSet, stdout io.Writer) func() error {
+func setupTrain(fs *flag.FlagSet, stdout, _ io.Writer) func() error {
 	f := cli.Defaults()
 	f.Register(fs, "model", "devices", "dim", "mode",
 		"timescale", "kernel-workers", "kernel-splitk", "fault", "fault-seed", "deadline", "check",

@@ -16,7 +16,7 @@ import (
 // configuration, the predicted-vs-measured table, the fitted machine
 // calibration, and the plan store's status. Tuning the same miniature
 // again answers from the stored plan without executing anything.
-func setupTune(fs *flag.FlagSet, stdout io.Writer) func() error {
+func setupTune(fs *flag.FlagSet, stdout, _ io.Writer) func() error {
 	f := cli.Defaults()
 	f.TimeScale = 500
 	f.TopK = 3
@@ -24,7 +24,7 @@ func setupTune(fs *flag.FlagSet, stdout io.Writer) func() error {
 		"topk", "cache", "no-cache", "metrics-out", "serve")
 	repeats := fs.Int("repeats", 1, "measured repetitions per executed candidate (minimum kept)")
 	noCalibrate := fs.Bool("no-calibrate", false, "skip fitting the machine spec to measured breakdowns")
-	planOut := fs.String("plan-out", "", "write the compiled Plan artifact (tuned, scheduled program as JSON) to this file; overlap run -plan-in and the overlapd daemon execute the same artifact")
+	planOut := fs.String("plan-out", "", "write the compiled Plan artifact (tuned, scheduled program as JSON) to this file; overlap run -plan-in and overlap serve execute the same artifact")
 
 	return func() error {
 		return around(f, stdout, func() error {

@@ -131,7 +131,7 @@ var sourceGuards = []sourceGuard{
 	},
 	{
 		name:    "one definition of well-formed: outside text goes through hlo.ParseProgram",
-		why:     "a front door that calls hlo.Parse and verifies by hand can forget the ring: serve, the plan store and hlodump take text through the one call that cannot",
+		why:     "a front door that calls hlo.Parse and verifies by hand can forget the ring: serve, the plan store and overlap hlo take text through the one call that cannot",
 		pattern: regexp.MustCompile(`hlo\.Parse\(`),
 		roots:   []string{"internal", "cmd", "overlap.go"},
 		except:  under("internal/corpus/"), // the goldens core itself printed; only tests import it
@@ -167,23 +167,32 @@ func TestSourceGuards(t *testing.T) {
 	if snapshots, _ := filepath.Glob("BENCH_*.json"); len(snapshots) != 0 {
 		t.Errorf("one front door, one ledger: committed benchmark snapshots %v: numbers come from go run ./bench", snapshots)
 	}
+	// One binary: one main, and one proc-transport worker hook (in it)
+	// outside the tests.
 	mainFunc := regexp.MustCompile(`(?m)^func main\(\)`)
-	mains := 0
+	workerHook := regexp.MustCompile(`MaybeTransportWorker\(\)`)
+	var mains, hooks []string
 	err := filepath.WalkDir("cmd", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return err
 		}
 		data, err := os.ReadFile(path)
-		if err == nil && mainFunc.Match(data) {
-			mains++
+		if err != nil {
+			return err
 		}
-		return err
+		if mainFunc.Match(data) {
+			mains = append(mains, path)
+		}
+		for range workerHook.FindAll(data, -1) {
+			hooks = append(hooks, path)
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mains > 5 {
-		t.Errorf("one front door, one ledger: cmd/ holds %d mains (overlap, overlapd, traceviz, hlodump, promlint): add a subcommand to cmd/overlap instead", mains)
+	if len(mains) != 1 || len(hooks) != 1 {
+		t.Errorf("one front door, one ledger: cmd/ holds mains %v and MaybeTransportWorker() calls %v, want one each, in cmd/overlap: add a subcommand there instead", mains, hooks)
 	}
 }
 
@@ -205,11 +214,12 @@ func (g sourceGuard) scan(t *testing.T, path string) error {
 
 // testOnly lists what under internal/ no shipped code reaches and stays
 // anyway, each with the reason: a declaration by its id (dir.Name, or
-// dir.Type.Method), or a whole package by its directory.
-// TestNoTestOnlyCode fails on a declaration that belongs here and is
-// missing, and on an entry that vouches for nothing.
+// dir.Type.Method), a whole file by its path, or a whole package by its
+// directory. TestNoTestOnlyCode fails on a declaration that belongs here
+// and is missing, and on an entry that vouches for nothing.
 var testOnly = map[string]string{
-	"internal/corpus": "the program list the compile path's tests share; only tests import it, by design",
+	"internal/corpus":      "the program list the compile path's tests share; only tests import it, by design",
+	"internal/obs/lint.go": "LintPrometheus, the Prometheus exporter's test oracle: the tests of every export path (obs, the facade, the CLI's -metrics-out, a served /metrics) lint what it wrote",
 
 	"internal/autotune.Result.ApplyBest": "public API (overlap.AutotuneResult), named by overlap.Autotune's doc; autotune/guard_test.go keeps it core.Apply's only caller in the package",
 	"internal/core.SwapReshapeConcat":    "the paper's §5.4.3 fusion-friendliness rewrite, kept as the paper's artifact; no pipeline stage needs it on the graphs the builders emit",
@@ -265,8 +275,8 @@ type decl struct {
 }
 
 // TestNoTestOnlyCode is the dead-weight audit: every non-test
-// declaration under internal/ must be reachable from what ships — the
-// five mains, package overlap, bench/ and examples/ — through non-test
+// declaration under internal/ must be reachable from what ships —
+// cmd/overlap, package overlap, bench/ and examples/ — through non-test
 // code. Reachability is by name over the syntax trees (go/ast, no type
 // information): pkg.Name reaches Name in the imported package, a bare
 // identifier reaches the package's own declaration of that name, and
@@ -425,9 +435,12 @@ func TestNoTestOnlyCode(t *testing.T) {
 		if !strings.HasPrefix(d.dir, "internal/") || reached[d] {
 			continue
 		}
+		file := filepath.ToSlash(fset.Position(d.node.Pos()).Filename)
 		switch {
 		case testOnly[d.id] != "":
 			vouches[d.id] = true
+		case testOnly[file] != "":
+			vouches[file] = true
 		case testOnly[d.dir] != "":
 			vouches[d.dir] = true
 		default:

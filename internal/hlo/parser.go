@@ -11,13 +11,13 @@ import (
 
 // Parse reads the text produced by Computation.Format back into a
 // Computation, including fusion and loop bodies. Together with Format
-// it gives the IR a stable textual exchange form: dumps from hlodump
+// it gives the IR a stable textual exchange form: dumps from overlap hlo
 // can be edited and re-loaded, and golden tests can assert on program
 // text.
 func Parse(text string) (*Computation, error) {
 	lines := strings.Split(text, "\n")
-	// Drop leading comment/blank lines (hlodump prefixes reports with
-	// // comments) and trailing blanks.
+	// Drop leading comment/blank lines (overlap hlo prefixes reports
+	// with // comments) and trailing blanks.
 	first := 1
 	for len(lines) > 0 {
 		t := strings.TrimSpace(lines[0])

@@ -53,8 +53,8 @@ func NewRunID() string {
 // measured — wire spans stamped with their attribution verdict — and
 // the per-collective attribution report. It serializes to stable JSON
 // (EncodeJSON/DecodeRunTrace) and to a Chrome trace (ChromeTrace) from
-// this one code path, so the daemon's flight recorder, the CLIs'
-// -trace-out files, and traceviz all speak the same artifact.
+// this one code path, so the daemon's flight recorder, the CLI's
+// -trace-out files, and overlap trace all speak the same artifact.
 type RunTrace struct {
 	Version  int    `json:"version"`
 	ID       string `json:"id"`

@@ -395,9 +395,9 @@ func TestNewRunIDUnique(t *testing.T) {
 	}
 }
 
-// FuzzDecodeRunTrace: a run-trace file is outside input — traceviz
-// -trace-in reads one, the daemon re-reads its TraceDir twins. Whatever
-// the bytes, DecodeRunTrace returns an artifact or an error; what it
+// FuzzDecodeRunTrace: a run-trace file is outside input — overlap
+// trace -trace-in reads one, the daemon re-reads its TraceDir twins.
+// Whatever the bytes, DecodeRunTrace returns an artifact or an error; what it
 // returns encodes, decodes again and re-encodes to the same bytes, and
 // renders as a Chrome trace or fails with an error (times near the
 // float range overflow the microsecond scale), never a panic. The seeds

@@ -93,18 +93,6 @@ type Options struct {
 	Transport TransportKind
 }
 
-// DefaultOptions returns options that inject wire delays from spec at a
-// scale that makes overlap visible in wall-clock on commodity hosts:
-// microsecond-class modeled transfers become millisecond-class sleeps.
-// It panics on an invalid machine spec (see machine.Spec.Validate),
-// since the spec is consulted for every injected delay.
-func DefaultOptions(spec machine.Spec) Options {
-	if err := spec.Validate(); err != nil {
-		panic(err)
-	}
-	return Options{Spec: spec, TimeScale: 1000}
-}
-
 // Result is what one concurrent execution produced and measured.
 type Result struct {
 	// RunID is the execution's run identity (Options.RunID, or the

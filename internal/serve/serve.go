@@ -130,7 +130,10 @@ type Config struct {
 	Transport runtime.TransportKind
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every unset field at the value New serves
+// with: the one statement of the daemon's defaults, which overlap
+// serve's flags show rather than restate.
+func (c Config) WithDefaults() Config {
 	if c.Spec.Name == "" {
 		c.Spec = machine.TPUv4()
 	}
@@ -194,7 +197,7 @@ type Server struct {
 // New builds a daemon from the config; it starts serving once attached
 // to a listener (Start) or a mux (Handler).
 func New(cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
 	}

@@ -133,7 +133,7 @@ type (
 	Plan = autotune.Plan
 	// ServerConfig configures the overlap-as-a-service daemon.
 	ServerConfig = serve.Config
-	// Server is the long-running compile/tune/run daemon (cmd/overlapd).
+	// Server is the long-running compile/tune/run daemon (overlap serve).
 	Server = serve.Server
 	// TrainConfig describes one training-step program (devices, layers,
 	// dimensions, partitioning strategy).
@@ -226,10 +226,6 @@ func CheckRun(c *Computation, numDevices int, args [][]*Tensor, res *RunResult) 
 // "drop:link:0-1,crash:dev:2:40") into a FaultPlan for
 // RunOptions.Faults. An empty spec returns a nil plan.
 func ParseFaults(spec string) (*FaultPlan, error) { return runtime.ParseFaults(spec) }
-
-// DefaultRunOptions returns runtime options that inject wire delays
-// from spec at a scale that makes overlap visible in wall-clock.
-func DefaultRunOptions(spec MachineSpec) RunOptions { return runtime.DefaultOptions(spec) }
 
 // Transport kinds for RunOptions.Transport.
 const (
