@@ -14,6 +14,7 @@ import (
 
 	"overlap"
 	"overlap/internal/models"
+	"overlap/internal/runtime"
 	"overlap/internal/serve"
 )
 
@@ -32,7 +33,6 @@ type Flags struct {
 
 	// Execution.
 	Mode          string
-	TimeScale     float64
 	Transport     string
 	KernelWorkers int
 	KernelSplitK  int
@@ -56,7 +56,7 @@ type Flags struct {
 
 // Defaults returns the values most commands start from.
 func Defaults() *Flags {
-	return &Flags{Model: "GPT_32B", Devices: 4, Dim: 8, Mode: "all", TimeScale: 2000, Transport: "chan"}
+	return &Flags{Model: "GPT_32B", Devices: 4, Dim: 8, Mode: "all", Transport: "chan"}
 }
 
 // flagDef is one shared flag: its name, usage text, and the Flags field
@@ -76,7 +76,6 @@ var shared = []flagDef{
 	{"peak-tflops", "override per-chip peak TFLOP/s", func(f *Flags) any { return &f.PeakTFLOPs }},
 
 	{"mode", "baseline, rolled, overlap, or all", func(f *Flags) any { return &f.Mode }},
-	{"timescale", "wire-delay scale: modeled seconds sleep this many times longer", func(f *Flags) any { return &f.TimeScale }},
 	{"transport", "fabric transport: chan (in-process channels) or proc (one worker process per device over Unix sockets)", func(f *Flags) any { return &f.Transport }},
 	{"kernel-workers", "intra-op einsum kernel parallelism (0 = GOMAXPROCS); results are byte-identical for any value, plan fingerprints are keyed on it", func(f *Flags) any { return &f.KernelWorkers }},
 	{"kernel-splitk", "split-K factor the rolled and overlap pipelines stamp on every einsum (0 = off); factors >= 2 reassociate the contraction deterministically", func(f *Flags) any { return &f.KernelSplitK }},
@@ -162,9 +161,10 @@ func (f *Flags) Miniature() (overlap.ModelConfig, error) {
 func Args(c *overlap.Computation) [][]*overlap.Tensor { return serve.Args(c, 42) }
 
 // RunOptions maps the execution flags onto the runtime's options:
-// -timescale, -transport, and -fault seeded with -fault-seed.
+// -transport, and -fault seeded with -fault-seed. The wire scale is no
+// flag's: a command sets the Clock it derived.
 func (f *Flags) RunOptions() (overlap.RunOptions, error) {
-	opts := overlap.RunOptions{Spec: overlap.TPUv4(), TimeScale: f.TimeScale}
+	opts := overlap.RunOptions{Spec: overlap.TPUv4()}
 	var err error
 	if opts.Transport, err = overlap.ParseTransport(f.Transport); err != nil {
 		return opts, err
@@ -176,6 +176,19 @@ func (f *Flags) RunOptions() (overlap.RunOptions, error) {
 		opts.Faults.Seed = f.FaultSeed
 	}
 	return opts, nil
+}
+
+// Clock derives the one wire scale every run of a command injects:
+// runtime.Executable.Clock on c, the untransformed program, with Args'
+// arguments, under -deadline.
+func (f *Flags) Clock(c *overlap.Computation, devices int) (float64, error) {
+	x, err := runtime.Compile(c, devices, overlap.TPUv4())
+	if err != nil {
+		return 0, err
+	}
+	ctx, cancel := f.Context()
+	defer cancel()
+	return x.Clock(ctx, Args(c))
 }
 
 // Context returns the context a run executes under: bounded by

@@ -132,6 +132,12 @@ func runOptions(f *cli.Flags, stdout io.Writer) (overlap.RunOptions, error) {
 	return opts, err
 }
 
+// printClock reports the one wire scale a command's runs inject and
+// where it came from.
+func printClock(w io.Writer, scale float64, source string) {
+	fmt.Fprintf(w, "clock: wire × %.4g (%s)\n", scale, source)
+}
+
 // modes expands -mode into the pipelines to run, in presentation order.
 func modes(mode string) ([]string, error) {
 	switch mode {

@@ -41,8 +41,9 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// tiny sizes every case: the smallest miniature, near-zero wire delays.
-var tiny = []string{"-model", "GPT_32B", "-devices", "4", "-dim", "2", "-timescale", "1"}
+// tiny sizes every case: the smallest miniature, whose compute — and so
+// its wire at the derived clock — takes well under a millisecond.
+var tiny = []string{"-model", "GPT_32B", "-devices", "4", "-dim", "2"}
 
 func invoke(args ...string) (status int, stdout, stderr string) {
 	var out, errw bytes.Buffer
@@ -159,7 +160,7 @@ func TestSubcommands(t *testing.T) {
 	})
 	t.Run("run every mode with attribution", func(t *testing.T) {
 		mustContain(t, with("run", "-check", "-attrib"), 0,
-			[]string{"baseline  step", "rolled    step", "overlap   step", "overlap efficiency"}, nil)
+			[]string{"clock: wire × ", " (measured on the untransformed miniature)\nbaseline  step", "rolled    step", "overlap   step", "overlap efficiency"}, nil)
 	})
 	t.Run("run writes its telemetry and traces", func(t *testing.T) {
 		chrome, prom := filepath.Join(dir, "run-chrome.json"), filepath.Join(dir, "run.prom")
@@ -254,7 +255,7 @@ func TestSubcommands(t *testing.T) {
 	})
 	t.Run("tune cold then warm", func(t *testing.T) {
 		args := with("tune", "-topk", "1", "-cache", cache, "-plan-out", plan)
-		mustContain(t, args, 0, []string{"cache: cold", "wrote compiled plan"}, nil)
+		mustContain(t, args, 0, []string{"cache: cold", "clock: wire × ", " (measured on the input)", "wrote compiled plan"}, nil)
 		cold, err := os.ReadFile(plan)
 		if err != nil {
 			t.Fatal(err)
@@ -278,12 +279,12 @@ func TestSubcommands(t *testing.T) {
 		}
 	})
 	t.Run("run a tuned plan", func(t *testing.T) {
-		mustContain(t, []string{"run", "-plan-in", plan, "-timescale", "1", "-check"}, 0, []string{"plan      step", "[checked]"}, nil)
+		mustContain(t, []string{"run", "-plan-in", plan, "-check"}, 0, []string{" (carried by the plan)", "plan      step", "[checked]"}, nil)
 	})
 	t.Run("train", func(t *testing.T) {
 		prom := filepath.Join(dir, "train.prom")
-		mustContain(t, []string{"train", "-timescale", "1", "-strategy", "ddp", "-steps", "3", "-check", "-attrib", "-metrics-out", prom}, 0,
-			[]string{"[checked]", "overlap   loss decreased over 3 steps", "partially hidden", "overlap efficiency"}, nil)
+		mustContain(t, []string{"train", "-strategy", "ddp", "-steps", "3", "-check", "-attrib", "-metrics-out", prom}, 0,
+			[]string{" (measured on the untransformed step)", "[checked]", "overlap   loss decreased over 3 steps", "partially hidden", "overlap efficiency"}, nil)
 		lintProm(t, prom)
 	})
 	t.Run("experiments", func(t *testing.T) {
@@ -304,7 +305,7 @@ func TestSubcommands(t *testing.T) {
 // flight recorder's listing and trace (JSON and Chrome), a training
 // run, the /metrics scrape, the run id in the JSON log, a clean drain.
 func TestServeEndToEnd(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "serve", "-addr", "127.0.0.1:0", "-no-cache", "-timescale", "20")
+	cmd := exec.Command(os.Args[0], "serve", "-addr", "127.0.0.1:0", "-no-cache")
 	cmd.Env = append(os.Environ(), mainEnv+"=1")
 	var logs bytes.Buffer // read only after Wait
 	cmd.Stderr = &logs
@@ -443,7 +444,7 @@ func TestServeEndToEnd(t *testing.T) {
 
 // TestSharedFlagsDefinedOnce keeps the flag→options mapping single: a
 // flag in the shared set is defined by cli's table and nowhere else
-// under cmd/, so no command can grow its own -model or -timescale with
+// under cmd/, so no command can grow its own -model or -transport with
 // a drifting default or meaning.
 func TestSharedFlagsDefinedOnce(t *testing.T) {
 	names := cli.Names()

@@ -16,11 +16,13 @@ import (
 // proc, one worker process) per device, asynchronous CollectivePermutes
 // — and print a compute / communication / exposed-stall breakdown
 // measured from wall-clock timestamps rather than the simulator's
-// predictions. With -plan-in a compiled plan runs instead of a model.
+// predictions. Every mode injects wire at one clock, measured on the
+// untransformed miniature, so the modes differ only in their schedules.
+// With -plan-in a compiled plan runs instead of a model, at its clock.
 func setupRun(fs *flag.FlagSet, stdout, _ io.Writer) func() error {
 	f := cli.Defaults()
 	f.Register(fs, "model", "devices", "dim", "mode",
-		"timescale", "transport", "kernel-workers", "kernel-splitk", "fault", "fault-seed", "deadline", "check",
+		"transport", "kernel-workers", "kernel-splitk", "fault", "fault-seed", "deadline", "check",
 		"attrib", "trace", "trace-out", "metrics-out", "serve")
 	planIn := fs.String("plan-in", "", "execute a compiled Plan artifact (from overlap tune -plan-out or overlap serve's /v1/compile) instead of building a model; zero compilation")
 
@@ -43,6 +45,14 @@ func setupRun(fs *flag.FlagSet, stdout, _ io.Writer) func() error {
 			}
 			fmt.Fprintf(stdout, "%s miniature: %d devices, model dim %d, ff dim %d, %d tokens\n",
 				mini.Name, f.Devices, mini.ModelDim, mini.FFDim, mini.Tokens())
+			c, err := overlap.BuildLayerStep(mini)
+			if err != nil {
+				return err
+			}
+			if ropts.TimeScale, err = f.Clock(c, f.Devices); err != nil {
+				return err
+			}
+			printClock(stdout, ropts.TimeScale, "measured on the untransformed miniature")
 			for _, mode := range pipelines {
 				if err := runMode(f, stdout, ropts, mini, mode); err != nil {
 					return err
@@ -100,6 +110,8 @@ func runPlan(f *cli.Flags, stdout io.Writer, ropts overlap.RunOptions, path stri
 	}
 	fmt.Fprintf(stdout, "plan %s: %d devices, winner %s (compiled %s)\n",
 		plan.Fingerprint, plan.Devices, plan.BestName, plan.Created)
+	ropts.TimeScale = plan.TimeScale
+	printClock(stdout, ropts.TimeScale, "carried by the plan")
 	return execute(f, stdout, ropts, "plan", "plan:"+plan.Fingerprint, c, plan.Devices, true)
 }
 

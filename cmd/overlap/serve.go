@@ -54,10 +54,9 @@ func setupServe(fs *flag.FlagSet, stdout, stderr io.Writer) func() error {
 	def := overlap.ServerConfig{}.WithDefaults()
 	f := cli.Defaults()
 	f.TopK = def.TuneTopK
-	f.TimeScale = def.TimeScale
-	// -transport and -timescale are operator decisions: requests cannot
-	// override them.
-	f.Register(fs, "timescale", "transport", "kernel-workers", "topk", "cache", "no-cache")
+	// -transport is an operator decision: requests cannot override it.
+	// The wire scale is each plan's own clock.
+	f.Register(fs, "transport", "kernel-workers", "topk", "cache", "no-cache")
 	addr := fs.String("addr", ":8080", "listen address")
 	maxPending := fs.Int("max-pending", def.MaxPending, "run and compile requests between decode and response; beyond it requests get 503")
 	maxRuns := fs.Int("max-runs", def.MaxConcurrentRuns, "admission limit: concurrent runtime executions sharing the kernel pool")
@@ -93,7 +92,6 @@ func setupServe(fs *flag.FlagSet, stdout, stderr io.Writer) func() error {
 			CachePath:          f.Cache,
 			DisableDiskCache:   f.NoCache,
 			TuneTopK:           f.TopK,
-			TimeScale:          f.TimeScale,
 			DefaultDeadline:    *deadline,
 			DebugFaults:        *debugFaults,
 			FlightRecorderSize: *flightSize,
@@ -122,8 +120,8 @@ func setupServe(fs *flag.FlagSet, stdout, stderr io.Writer) func() error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "overlap serve: serving at http://%s (plans cached: %d, pending: %d, admission: %d, timescale: %g)\n",
-			bound, *planCache, *maxPending, *maxRuns, f.TimeScale)
+		fmt.Fprintf(stdout, "overlap serve: serving at http://%s (plans cached: %d, pending: %d, admission: %d)\n",
+			bound, *planCache, *maxPending, *maxRuns)
 		if *debugFaults {
 			fmt.Fprintln(stdout, "overlap serve: debug-faults enabled — requests may inject deterministic failures")
 		}

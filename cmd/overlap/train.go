@@ -29,11 +29,12 @@ import (
 // Every step can be cross-checked bit for bit against the lockstep
 // interpreter (-check), and the dyadic training fixtures make
 // first-step gradients byte-identical across every overlap
-// configuration.
+// configuration. Every mode injects wire at one clock, measured on the
+// untransformed step.
 func setupTrain(fs *flag.FlagSet, stdout, _ io.Writer) func() error {
 	f := cli.Defaults()
 	f.Register(fs, "model", "devices", "dim", "mode",
-		"timescale", "kernel-workers", "kernel-splitk", "fault", "fault-seed", "deadline", "check",
+		"kernel-workers", "kernel-splitk", "fault", "fault-seed", "deadline", "check",
 		"attrib", "trace-out", "metrics-out")
 	layers := fs.Int("layers", 2, "FFN blocks in the training step (restores a multi-layer backward pass)")
 	strategy := fs.String("strategy", "ddp", "partitioning strategy: megatron or ddp")
@@ -67,6 +68,15 @@ func setupTrain(fs *flag.FlagSet, stdout, _ io.Writer) func() error {
 			f.Model, cfg.Devices, cfg.Layers, cfg.Model, cfg.Hidden, cfg.Tokens, cfg.Strategy)
 
 		return around(f, stdout, func() error {
+			step, err := overlap.BuildTrainStep(cfg)
+			if err != nil {
+				return err
+			}
+			clock, err := f.Clock(step.Comp, cfg.Devices)
+			if err != nil {
+				return err
+			}
+			printClock(stdout, clock, "measured on the untransformed step")
 			// -trace-out names one file: the overlap mode's final step
 			// when that mode ran, else the first mode's.
 			var trace *overlap.RunTrace
@@ -77,7 +87,7 @@ func setupTrain(fs *flag.FlagSet, stdout, _ io.Writer) func() error {
 					Steps:       *steps,
 					LR:          *lr,
 					Seed:        *seed,
-					TimeScale:   f.TimeScale,
+					TimeScale:   clock,
 					Check:       f.Check,
 					Attribution: f.Attrib || f.TraceOut != "",
 					Faults:      ropts.Faults,

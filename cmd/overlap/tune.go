@@ -14,13 +14,13 @@ import (
 // of a miniature, rank them with the timing simulator, execute the best
 // few for real on the concurrent runtime, and print the winning
 // configuration, the predicted-vs-measured table, the fitted machine
-// calibration, and the plan store's status. Tuning the same miniature
-// again answers from the stored plan without executing anything.
+// calibration, the clock the candidates ran at, and the plan store's
+// status. Tuning the same miniature again answers from the stored plan
+// without executing anything.
 func setupTune(fs *flag.FlagSet, stdout, _ io.Writer) func() error {
 	f := cli.Defaults()
-	f.TimeScale = 500
 	f.TopK = 3
-	f.Register(fs, "model", "devices", "dim", "timescale", "kernel-workers",
+	f.Register(fs, "model", "devices", "dim", "kernel-workers",
 		"topk", "cache", "no-cache", "metrics-out", "serve")
 	repeats := fs.Int("repeats", 1, "measured repetitions per executed candidate (minimum kept)")
 	noCalibrate := fs.Bool("no-calibrate", false, "skip fitting the machine spec to measured breakdowns")
@@ -42,7 +42,6 @@ func setupTune(fs *flag.FlagSet, stdout, _ io.Writer) func() error {
 			res, err := overlap.Autotune(c, f.Devices, cli.Args(c), overlap.AutotuneOptions{
 				Spec:         overlap.TPUv4(),
 				TopK:         f.TopK,
-				TimeScale:    f.TimeScale,
 				Repeats:      *repeats,
 				CachePath:    f.Cache,
 				DisableCache: f.NoCache,
@@ -118,5 +117,6 @@ func reportTune(w io.Writer, res *overlap.AutotuneResult) {
 		fmt.Fprintf(w, "calibration: compute x%.3g, wire x%.3g, overhead x%.3g; residual %.1f%%\n",
 			cal.ComputeScale, cal.WireScale, cal.OverheadScale, plan.Residual*100)
 	}
+	printClock(w, plan.TimeScale, "measured on the input")
 	fmt.Fprintf(w, "key: %s\n", plan.Fingerprint)
 }

@@ -196,6 +196,72 @@ func TestSourceGuards(t *testing.T) {
 	}
 }
 
+// TestNoHandSetWireScale keeps the clock derived: a run injects the wire
+// scale runtime.Executable.Clock measures on its untransformed program,
+// or the one its plan carries. So no non-test Go outside bench/ (frozen,
+// and naming its workloads' scales until it adopts the clock) assigns a
+// literal to a TimeScale field, in a composite literal or a statement,
+// or names a timescale flag.
+func TestNoHandSetWireScale(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || d.Name() == "testdata" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return fs.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				if key, ok := n.Key.(*ast.Ident); ok && key.Name == "TimeScale" && literal(n.Value) {
+					t.Errorf("%s: a hand-set TimeScale: derive the clock (runtime.Executable.Clock) or run at the plan's", fset.Position(n.Pos()))
+				}
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "TimeScale" && i < len(n.Rhs) && literal(n.Rhs[i]) {
+						t.Errorf("%s: a hand-set TimeScale: derive the clock (runtime.Executable.Clock) or run at the plan's", fset.Position(n.Pos()))
+					}
+				}
+			case *ast.BasicLit:
+				if s, err := strconv.Unquote(n.Value); n.Kind == token.STRING && err == nil && strings.EqualFold(s, "timescale") {
+					t.Errorf("%s: a timescale flag: the wire scale is measured, not an option", fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// literal reports whether e is built from literals alone.
+func literal(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.BasicLit:
+		return true
+	case *ast.ParenExpr:
+		return literal(e.X)
+	case *ast.UnaryExpr:
+		return literal(e.X)
+	case *ast.BinaryExpr:
+		return literal(e.X) && literal(e.Y)
+	}
+	return false
+}
+
 func (g sourceGuard) scan(t *testing.T, path string) error {
 	file, err := os.Open(path)
 	if err != nil {

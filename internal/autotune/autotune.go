@@ -13,7 +13,10 @@
 //     DefaultOptions configuration, so tuning can never regress it) are
 //     executed for real on the concurrent goroutine runtime, each run
 //     cross-checked bit-identical against the lockstep interpreter, and
-//     the winner is picked by measured wall-clock.
+//     the winner is picked by measured wall-clock. Every candidate
+//     injects wire at one clock, measured on the input program
+//     (runtime.Executable.Clock), so measured compute and wire stand in
+//     the machine model's ratio; the plan carries that clock.
 //
 // Stage 1 never runs the pipeline per candidate. core's stage table
 // says which knobs each stage reads, and core.Stage.On narrows that to
@@ -84,10 +87,10 @@ type Options struct {
 	// does not rank there). Zero means 3.
 	TopK int
 
-	// TimeScale is the runtime's wire-delay injection scale (see
-	// runtime.Options); zero means 200, which keeps miniature tunes fast
-	// while still making communication visible in wall-clock. Negative
-	// disables injection (measured times then reflect compute only).
+	// TimeScale overrides the runtime's wire-delay injection scale (see
+	// runtime.Options). Zero derives it: stage 2 runs every candidate at
+	// the clock it measures on the input program. Negative disables
+	// injection (measured times then reflect compute only).
 	TimeScale float64
 
 	// Repeats is how many times each stage-2 candidate runs; the minimum
@@ -107,7 +110,7 @@ type Options struct {
 
 	// RunID correlates the tune with the caller's run-scoped telemetry:
 	// candidate executions run under "<RunID>.<candidate>.r<repeat>"
-	// (the warmup under "<RunID>.warmup") and structured logs carry it.
+	// and structured logs carry it.
 	// Empty mints a fresh obs.NewRunID.
 	RunID string
 }
@@ -115,9 +118,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.TopK == 0 {
 		o.TopK = 3
-	}
-	if o.TimeScale == 0 {
-		o.TimeScale = 200
 	}
 	if o.Repeats <= 0 {
 		o.Repeats = 1
@@ -175,7 +175,8 @@ type Result struct {
 	// predicted step time (errored candidates last); empty on a
 	// CacheHit, when no search ran.
 	Candidates []Candidate
-	// Executions counts runtime runs performed; zero on a CacheHit.
+	// Executions counts the candidate runs stage 2 performed, the
+	// clock's wire-free runs aside; zero on a CacheHit.
 	Executions int
 
 	// CacheHit reports the plan came from the store's directory;
@@ -268,7 +269,7 @@ func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tenso
 	atCandidates.Add(float64(len(res.Candidates)))
 
 	// Stage 2: execute the top-K (plus the paper's default) for real.
-	winner, prog, err := stage2(res, s, args, opts)
+	winner, prog, scale, err := stage2(res, s, args, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -276,14 +277,14 @@ func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tenso
 
 	cal, residual := machine.Identity(), -1.0
 	if opts.Calibrate {
-		cal, residual = calibrate(res.Candidates, s, opts)
+		cal, residual = calibrate(res.Candidates, s, scale)
 		if residual >= 0 {
 			atResidual.Set(residual)
 		}
 	}
 
 	// The one place a Plan is made: from the program stage 2 executed.
-	res.Plan = newPlan(key, numDevices, opts.Spec, winner, prog, cal, residual)
+	res.Plan = newPlan(key, numDevices, opts.Spec, winner, prog, cal, residual, scale)
 	if res.CachePath != "" {
 		if err := storePlan(res.CachePath, res.Plan); err != nil {
 			return nil, fmt.Errorf("autotune: storing plan: %w", err)
@@ -367,44 +368,61 @@ func stage2Set(ranked []Candidate, topK int, spec machine.Spec) []int {
 // DefaultOptions configuration into the set so the tuned result can
 // never be slower than it in the same measurement session — picks the
 // fastest by wall-clock and returns it with its program: the one that
-// was executed and checked, not a rebuild of it.
-func stage2(res *Result, s *search, args [][]*tensor.Tensor, opts Options) (*Candidate, *hlo.Computation, error) {
+// was executed and checked, not a rebuild of it. The last return is the
+// wire scale every candidate ran at: opts.TimeScale, or when that is
+// zero the clock measured on the input program; 0 for no wire.
+func stage2(res *Result, s *search, args [][]*tensor.Tensor, opts Options) (*Candidate, *hlo.Computation, float64, error) {
 	toRun := stage2Set(res.Candidates, opts.TopK, opts.Spec)
 	if len(toRun) == 0 {
-		return nil, nil, fmt.Errorf("autotune: no candidate survived stage 1 (first error: %s)", firstErr(res.Candidates))
+		return nil, nil, 0, fmt.Errorf("autotune: no candidate survived stage 1 (first error: %s)", firstErr(res.Candidates))
 	}
 
 	// Only now does a program leave the search tree: each candidate to
 	// execute is cloned from its node, stamped and verified in full, and
-	// compiled for the runtime once — the warm-up and every repeat run
-	// the same Executable.
+	// compiled for the runtime once — every repeat runs the same
+	// Executable.
 	numDevices := s.numDevices
 	progs := make([]*hlo.Computation, len(toRun))
 	exes := make([]*runtime.Executable, len(toRun))
+	input := -1 // position in toRun of the baseline: the input program
 	for k, i := range toRun {
 		cand := &res.Candidates[i]
 		prog, err := s.materialise(cand)
 		if err != nil {
-			return nil, nil, fmt.Errorf("autotune: materialising %s: %w", cand.Name, err)
+			return nil, nil, 0, fmt.Errorf("autotune: materialising %s: %w", cand.Name, err)
 		}
 		progs[k] = prog
 		if exes[k], err = runtime.Compile(prog, numDevices, opts.Spec); err != nil {
-			return nil, nil, fmt.Errorf("autotune: executing %s: %w", cand.Name, err)
+			return nil, nil, 0, fmt.Errorf("autotune: executing %s: %w", cand.Name, err)
+		}
+		if cand.Baseline {
+			input = k
 		}
 	}
 	s.releaseTree()
 
+	// The clock is the input program's, whichever candidates run. Its
+	// wire-free runs are also the warm-up: the first execution in a
+	// process pays for thread-pool and allocator spin-up that would
+	// otherwise be charged to whichever candidate happens to run first.
 	ctx := context.Background()
-	ropts := runtime.Options{TimeScale: opts.TimeScale}
-
-	// One untimed warmup run: the first execution in a process pays for
-	// thread-pool and allocator spin-up that would otherwise be charged
-	// to whichever candidate happens to run first.
-	ropts.RunID = opts.RunID + ".warmup"
-	if warm, err := exes[0].Run(ctx, args, ropts); err == nil && warm != nil {
-		res.Executions++
-		warm.Release()
+	var clockOn *runtime.Executable
+	if input >= 0 {
+		clockOn = exes[input]
+	} else {
+		var err error
+		if clockOn, err = runtime.Compile(s.base.c, numDevices, opts.Spec); err != nil {
+			return nil, nil, 0, fmt.Errorf("autotune: measuring the clock: %w", err)
+		}
 	}
+	scale, err := clockOn.Clock(ctx, args)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("autotune: measuring the clock: %w", err)
+	}
+	if opts.TimeScale != 0 {
+		scale = max(opts.TimeScale, 0)
+	}
+	ropts := runtime.Options{TimeScale: scale}
 
 	best := -1 // position in toRun
 	for k, i := range toRun {
@@ -413,12 +431,12 @@ func stage2(res *Result, s *search, args [][]*tensor.Tensor, opts Options) (*Can
 			ropts.RunID = fmt.Sprintf("%s.%s.r%d", opts.RunID, cand.Name, r)
 			run, err := exes[k].Run(ctx, args, ropts)
 			if err != nil {
-				return nil, nil, fmt.Errorf("autotune: executing %s: %w", cand.Name, err)
+				return nil, nil, 0, fmt.Errorf("autotune: executing %s: %w", cand.Name, err)
 			}
 			res.Executions++
 			if r == 0 {
 				if err := runtime.CheckInterpreter(prog, numDevices, args, run); err != nil {
-					return nil, nil, fmt.Errorf("autotune: checking %s: %w", cand.Name, err)
+					return nil, nil, 0, fmt.Errorf("autotune: checking %s: %w", cand.Name, err)
 				}
 				cand.Checked = true
 			}
@@ -434,7 +452,7 @@ func stage2(res *Result, s *search, args [][]*tensor.Tensor, opts Options) (*Can
 			best = k
 		}
 	}
-	return &res.Candidates[toRun[best]], progs[best], nil
+	return &res.Candidates[toRun[best]], progs[best], scale, nil
 }
 
 // covers reports whether this candidate is, or canonically stands in

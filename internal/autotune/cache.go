@@ -37,8 +37,10 @@ func cachePath(opts Options) string {
 // einsum-kernel worker count (intra-op parallelism shifts measured
 // compute spans, which shifts which overlap plan wins), and whether
 // telemetry instrumentation is recording (its bounded overhead still
-// moves measured spans). Anything else (TopK, repeats, wire scale) only
-// affects how hard the search looks, not what it is searching for.
+// moves measured spans). TopK and repeats only affect how hard the search
+// looks. The wire scale is not in the key although it decides whether
+// decomposition wins: it is measured on the host, not given, so the plan
+// carries it (Plan.TimeScale) and every run of the plan injects it.
 // Both tiers of the plan store key with this one function so a
 // SetKernelWorkers or obs.SetEnabled change can never serve a stale
 // plan.

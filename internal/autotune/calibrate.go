@@ -13,10 +13,12 @@ import (
 // fit and its residual error — identity and -1 when there is nothing to
 // fit.
 //
-// The runtime realizes modeled wire seconds as TimeScale-scaled sleeps
-// but evaluates compute as real Go tensor math, so the two domains
-// drift apart by independent factors. The fit therefore estimates three
-// parameters from the measured breakdowns:
+// The runtime realizes modeled wire seconds as sleeps scaled by ts, the
+// scale stage 2 ran at, but evaluates compute as real Go tensor math, so
+// the two domains drift apart by independent factors. (At a derived
+// clock the compute factor is 1 on the input program by construction;
+// the candidates' compute still drifts from the model.) The fit
+// therefore estimates three parameters from the measured breakdowns:
 //
 //   - effective compute throughput, from the measured vs predicted
 //     compute spans (a through-origin least-squares slope);
@@ -27,9 +29,8 @@ import (
 // Each factor becomes a machine.Calibration throughput multiplier; the
 // residual is the RMS relative step-time error of the re-simulated,
 // calibrated spec against the measurements.
-func calibrate(cands []Candidate, s *search, opts Options) (machine.Calibration, float64) {
-	numDevices := s.numDevices
-	ts := opts.TimeScale
+func calibrate(cands []Candidate, s *search, ts float64) (machine.Calibration, float64) {
+	numDevices, spec := s.numDevices, s.spec
 	if ts <= 0 {
 		return machine.Identity(), -1 // wall-clock has no modeled-seconds axis to fit against
 	}
@@ -61,7 +62,7 @@ func calibrate(cands []Candidate, s *search, opts Options) (machine.Calibration,
 
 	// With compute and wire corrected, attribute the remaining step-time
 	// residual to per-instruction issue overhead.
-	partial := cal.Apply(opts.Spec)
+	partial := cal.Apply(spec)
 	var xs, rs []float64
 	for _, c := range measured {
 		bd, err := sim.Simulate(s.programs[c.Name], numDevices, partial)
@@ -79,17 +80,17 @@ func calibrate(cands []Candidate, s *search, opts Options) (machine.Calibration,
 	if den > 0 {
 		delta /= den
 	}
-	if opts.Spec.OpOverhead > 0 && den > 0 {
-		newOvh := opts.Spec.OpOverhead + delta
+	if spec.OpOverhead > 0 && den > 0 {
+		newOvh := spec.OpOverhead + delta
 		if newOvh < 0 {
 			newOvh = 0
 		}
-		cal.OverheadScale = clampSlope(newOvh / opts.Spec.OpOverhead)
+		cal.OverheadScale = clampSlope(newOvh / spec.OpOverhead)
 	}
 
 	// Residual: how well the calibrated simulator now predicts the
 	// measured step times.
-	calibrated := cal.Apply(opts.Spec)
+	calibrated := cal.Apply(spec)
 	var sq float64
 	n := 0
 	for _, c := range measured {

@@ -17,7 +17,7 @@ var (
 	atCandidates = obs.Default().Counter("overlap_autotune_candidates_total",
 		"Candidates evaluated by the simulator ranking stage.")
 	atExecutions = obs.Default().Counter("overlap_autotune_executions_total",
-		"Runtime executions performed by tuning (warmups and repeats included).")
+		"Candidate runs performed by tuning (repeats included, the clock's wire-free runs not).")
 	atResidual = obs.Default().Gauge("overlap_autotune_calibration_residual",
 		"RMS relative step-time error of the latest machine-calibration fit.")
 	atCacheCorrupt = obs.Default().Counter("overlap_autotune_cache_corrupt_total",

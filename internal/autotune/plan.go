@@ -18,8 +18,10 @@ import (
 // Version 2: the kernel split-K factor lives in Program (splitk= on
 // each einsum); a v1 plan with Knobs.KernelSplitK >= 2 has an unstamped
 // program and would execute unsplit. Version 3: plans carry Residual,
-// so a stored plan restores everything a warm Result reports.
-const PlanVersion = 3
+// so a stored plan restores everything a warm Result reports. Version 4:
+// plans carry TimeScale, the clock their candidates ran at, which every
+// run of the plan injects.
+const PlanVersion = 4
 
 // errPlanVersion marks a plan written under another PlanVersion: a
 // deliberate invalidation, which the store tells apart from rot.
@@ -27,9 +29,9 @@ var errPlanVersion = errors.New("recompile the plan")
 
 // Plan is the one record of a tuning decision: the program stage 2
 // executed and checked bitwise against the interpreter, as text, with
-// the knobs that produced it, its predicted and measured step times and
-// the calibration the tune fitted — everything needed to run the winner
-// with zero further compilation. tune is its only producer. It is a
+// the knobs that produced it, its predicted and measured step times, the
+// calibration the tune fitted and the clock it ran at — everything needed
+// to run the winner with zero further compilation. tune is its only producer. It is a
 // pure function of its Fingerprint (program shape, machine spec, device
 // count, kernel workers, instrumentation toggle), which is what makes it
 // storable: the daemon's in-memory LRU holds it, the disk tier keeps one
@@ -64,6 +66,11 @@ type Plan struct {
 	// step-time error (-1 when there was no fit).
 	Calibration machine.Calibration `json:"calibration"`
 	Residual    float64             `json:"residual"`
+	// TimeScale is the wire-delay scale stage 2 ran the candidates at
+	// (runtime.Options.TimeScale; 0 is no wire): the input program's
+	// clock unless the tune overrode it. The compute:wire ratio decides
+	// whether decomposition wins, so every run of the plan injects it.
+	TimeScale float64 `json:"time_scale"`
 	// Created is the compile timestamp (RFC 3339, UTC); empty in golden
 	// fixtures.
 	Created string `json:"created,omitempty"`
@@ -90,8 +97,9 @@ func CompileKeyed(key string, c *hlo.Computation, numDevices int, args [][]*tens
 
 // newPlan freezes a finished search: w is stage 2's winner and prog its
 // program as stage 2 materialised and executed it; cal and residual are
-// calibrate's fit (identity and -1 without one).
-func newPlan(key string, numDevices int, spec machine.Spec, w *Candidate, prog *hlo.Computation, cal machine.Calibration, residual float64) *Plan {
+// calibrate's fit (identity and -1 without one), scale the wire scale
+// stage 2 ran at.
+func newPlan(key string, numDevices int, spec machine.Spec, w *Candidate, prog *hlo.Computation, cal machine.Calibration, residual, scale float64) *Plan {
 	return &Plan{
 		Version:      PlanVersion,
 		Fingerprint:  key,
@@ -105,6 +113,7 @@ func newPlan(key string, numDevices int, spec machine.Spec, w *Candidate, prog *
 		MeasuredSec:  w.Measured.StepTime,
 		Calibration:  cal,
 		Residual:     residual,
+		TimeScale:    scale,
 		Created:      time.Now().UTC().Format(time.RFC3339),
 	}
 }

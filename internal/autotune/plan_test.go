@@ -43,6 +43,7 @@ func TestPlanGoldenJSON(t *testing.T) {
 		MeasuredSec:  0.002,
 		Calibration:  machine.Identity(),
 		Residual:     0.125,
+		TimeScale:    512,
 		// Created deliberately empty: golden fixtures are timeless.
 	}
 	got, err := p.EncodeJSON()
@@ -63,7 +64,7 @@ func TestPlanGoldenJSON(t *testing.T) {
 	if string(want) != string(got) {
 		t.Fatalf("Plan JSON schema changed; bump PlanVersion and run with -update if intended.\n--- got ---\n%s", got)
 	}
-	if !strings.Contains(string(got), `"version": 3`) {
+	if !strings.Contains(string(got), `"version": 4`) {
 		t.Fatal("serialized plan does not carry the version field")
 	}
 
@@ -235,10 +236,11 @@ func TestDecodePlanRejects(t *testing.T) {
 	}
 	// A plan of an older version may mean something else by the same
 	// fields (a v1 program is unstamped and would execute unsplit
-	// whatever its knobs say), so it must fail closed.
-	stale := strings.Replace(string(good), `"version": 3`, `"version": 2`, 1)
-	if _, err := autotune.DecodePlan([]byte(stale)); err == nil || !strings.Contains(err.Error(), "plan version 2, want 3 (recompile the plan)") {
-		t.Fatalf("v2 plan: got %v, want the version error", err)
+	// whatever its knobs say; a v3 plan names no clock), so it must fail
+	// closed.
+	stale := strings.Replace(string(good), `"version": 4`, `"version": 3`, 1)
+	if _, err := autotune.DecodePlan([]byte(stale)); err == nil || !strings.Contains(err.Error(), "plan version 3, want 4 (recompile the plan)") {
+		t.Fatalf("v3 plan: got %v, want the version error", err)
 	}
 	corrupt := *plan
 	corrupt.Program = "this is not an hlo computation"

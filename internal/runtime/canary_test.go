@@ -476,7 +476,7 @@ func TestReleasedArgumentsCanary(t *testing.T) {
 		{Model: "GPT_32B", Devices: 4, Dim: 2, Scenario: "train", Strategy: "megatron"},
 	}
 	for _, tr := range transports {
-		s, err := serve.New(serve.Config{DisableDiskCache: true, TuneTopK: 1, TimeScale: 5, Transport: tr})
+		s, err := serve.New(serve.Config{DisableDiskCache: true, TuneTopK: 1, Transport: tr})
 		if err != nil {
 			t.Fatal(err)
 		}

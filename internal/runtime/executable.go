@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"math"
 	"sort"
 
 	"overlap/internal/hlo"
@@ -24,10 +25,12 @@ type Executable struct {
 	n    int
 	tape *tape
 
-	// specErr is what the machine spec the tape was priced on fails
-	// validation with, nil for a sound one. Only a run that injects wire
-	// time (TimeScale > 0) reads the modeled seconds, so only such a run
-	// fails on it: TimeScale-0 callers compile with the zero Spec.
+	// spec is the machine spec the tape was priced on and specErr what it
+	// fails validation with, nil for a sound one. Only a run that injects
+	// wire time (TimeScale > 0) and Clock read the modeled seconds, so
+	// only they fail on it: TimeScale-0 callers compile with the zero
+	// Spec.
+	spec    machine.Spec
 	specErr error
 
 	// The fabric's program-derived tables. edges lists the directed
@@ -57,8 +60,9 @@ type edge struct {
 // (hlo.VerifyRing: every blocking collective joinable by all of its
 // devices, every posted transfer with exactly one reader — what keeps a
 // device goroutine from waiting forever) and lowers it once. spec prices
-// the wire time runs inject; a caller whose runs never inject any
-// (TimeScale 0) may pass the zero Spec.
+// the wire time runs inject and the compute Clock compares against; a
+// caller that needs neither (TimeScale 0, no Clock) may pass the zero
+// Spec.
 func Compile(c *hlo.Computation, numDevices int, spec machine.Spec) (*Executable, error) {
 	if err := c.VerifyRing(numDevices); err != nil {
 		return nil, err
@@ -71,6 +75,7 @@ func Compile(c *hlo.Computation, numDevices int, spec machine.Spec) (*Executable
 		comp:    c,
 		n:       numDevices,
 		tape:    t,
+		spec:    spec,
 		specErr: spec.Validate(),
 		boxes:   make(map[string]int, len(t.starts)),
 	}
@@ -145,6 +150,44 @@ func (x *Executable) Run(ctx context.Context, args [][]*tensor.Tensor, opts Opti
 		return nil, err
 	}
 	return eng.run(ctx, args)
+}
+
+// clockRuns is how many wire-free runs Clock measures. It keeps the
+// lowest compute, so the first run's thread and allocator spin-up is not
+// charged to the clock.
+const clockRuns = 2
+
+// Clock derives the wire scale at which runs of x hold the machine
+// model's compute:wire ratio on this host. It runs x with no wire and
+// divides the lowest measured Breakdown.Compute by sim.Simulate's
+// modeled Compute on the spec x was compiled with; wire injected at that
+// TimeScale stands to measured compute as the model's wire stands to its
+// compute. The ratio depends on the program (a small CPU einsum is
+// memory-bound where the model's is not), so a caller measures it on the
+// untransformed program whose schedules it compares, and runs every
+// schedule at it. Clock is 1 when either compute is 0, and fails with
+// the spec's validation error when x was compiled without a sound spec.
+func (x *Executable) Clock(ctx context.Context, args [][]*tensor.Tensor) (float64, error) {
+	if x.specErr != nil {
+		return 0, x.specErr
+	}
+	modeled, err := sim.Simulate(x.comp, x.n, x.spec)
+	if err != nil {
+		return 0, err
+	}
+	measured := math.Inf(1)
+	for i := 0; i < clockRuns; i++ {
+		res, err := x.Run(ctx, args, Options{})
+		if err != nil {
+			return 0, err
+		}
+		measured = min(measured, res.Breakdown.Compute)
+		res.Release()
+	}
+	if measured == 0 || modeled.Compute == 0 {
+		return 1, nil
+	}
+	return measured / modeled.Compute, nil
 }
 
 // CheckInterpreter is the bitwise contract as a call: it executes c on

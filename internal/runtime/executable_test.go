@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -179,6 +180,67 @@ func TestExecutableZeroSpec(t *testing.T) {
 	_, oneShot := runtime.Run(c, n, args, runtime.Options{TimeScale: 50})
 	if oneShot == nil || oneShot.Error() != want.Error() {
 		t.Fatalf("one-shot Run with TimeScale 50 and no Spec: %v, want %v", oneShot, want)
+	}
+}
+
+// TestClockPutsARunOnTheModelRatio: at the clock Clock derives on the
+// untransformed golden site, a run's injected wire stands to its
+// measured compute as the machine model's wire stands to its compute —
+// within 2×, the best of three runs, for the host's noise. A zero-Spec
+// Executable has no model to measure against and fails with the spec's
+// error; a program the model prices at no compute runs at clock 1.
+func TestClockPutsARunOnTheModelRatio(t *testing.T) {
+	const n = 4
+	ctx := context.Background()
+	spec := machine.TPUv4()
+	c, args := benchSite(t, nil)
+	x, err := runtime.Compile(c, n, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock, err := x.Clock(ctx, args)
+	if err != nil || clock <= 0 {
+		t.Fatalf("Clock on the golden site: %v, %v", clock, err)
+	}
+	modeled, err := sim.Simulate(c, n, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := modeled.CollectiveWire / modeled.Compute
+	var got []float64
+	for run := 0; run < 3; run++ {
+		res, err := x.Run(ctx, args, runtime.Options{TimeScale: clock})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, res.Breakdown.CollectiveWire/res.Breakdown.Compute)
+		res.Release()
+	}
+	t.Logf("clock %.4g: measured wire/compute %.3g, modeled %.3g", clock, got, want)
+	if !slices.ContainsFunc(got, func(r float64) bool { return r >= want/2 && r <= want*2 }) {
+		t.Fatalf("at clock %.4g the runs measured wire/compute %.3g, the model %.3g: none within 2×", clock, got, want)
+	}
+
+	zero, err := runtime.Compile(c, n, machine.Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := zero.Clock(ctx, args); err == nil || err.Error() != (machine.Spec{}).Validate().Error() {
+		t.Fatalf("Clock on a zero-Spec Executable: %v, want the spec's validation error", err)
+	}
+
+	wireOnly := hlo.NewComputation("wire-only")
+	p := wireOnly.Parameter(0, "p", []int{2, 2})
+	wireOnly.CollectivePermuteDone(wireOnly.CollectivePermuteStart(p, ringPairs(n)))
+	if m, err := sim.Simulate(wireOnly, n, spec); err != nil || m.Compute != 0 {
+		t.Fatalf("the wire-only program models %v s of compute (%v), want 0", m.Compute, err)
+	}
+	wx, err := runtime.Compile(wireOnly, n, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clock, err := wx.Clock(ctx, randomArgs(wireOnly, n, rand.New(rand.NewSource(53)))); err != nil || clock != 1 {
+		t.Fatalf("Clock on a program with no modeled compute: %v, %v; want 1", clock, err)
 	}
 }
 

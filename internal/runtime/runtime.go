@@ -61,7 +61,9 @@ type Options struct {
 	// a transfer occupies its link for Spec wire time times TimeScale.
 	// Zero (or negative) disables delay injection entirely — transfers
 	// complete as fast as the channels move them — which is the right
-	// setting for correctness tests.
+	// setting for correctness tests. The scale that puts a run on the
+	// machine model's compute:wire ratio is measured, not picked:
+	// (*Executable).Clock.
 	TimeScale float64
 
 	// Trace records per-device, per-instruction wall-clock spans

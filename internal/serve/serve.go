@@ -9,7 +9,8 @@
 // three mechanisms on that purity:
 //
 //   - a compiled Plan artifact (autotune.Plan): the transformed,
-//     scheduled program frozen to text with its knobs and calibration,
+//     scheduled program frozen to text with its knobs, calibration and
+//     clock (the wire scale every served run of it injects),
 //     held in an in-memory LRU keyed by the autotune fingerprint, the
 //     memory tier of a plan store whose disk tier is a directory of
 //     plan files. A plan reaches the runtime the same way whether it
@@ -98,11 +99,6 @@ type Config struct {
 	// (default 2).
 	TuneTopK int
 
-	// TimeScale is the wire-delay injection scale of served runs and of
-	// the compiles that tune their plans (default 50; negative disables
-	// injection). An operator decision: requests cannot override it.
-	TimeScale float64
-
 	// DefaultDeadline bounds runs that do not carry their own
 	// deadline_ms (default 60s).
 	DefaultDeadline time.Duration
@@ -148,9 +144,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.TuneTopK <= 0 {
 		c.TuneTopK = 2
-	}
-	if c.TimeScale == 0 {
-		c.TimeScale = 50
 	}
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 60 * time.Second
@@ -539,13 +532,15 @@ func (r *admittedRun) release() {
 	runtime.ReleaseArgs(r.args)
 }
 
-// runAdmitted executes the plan's Executable for one request. Served
-// runs share the kernel worker pool, and the admission semaphore bounds
-// how many hold it at once: the slot is taken here and given back when
-// the run and its Check are over — before the digest, the trace and the
-// response write to a possibly slow client, none of which touch the
-// pool. The error return is the admission wait outlasting the
-// request's deadline; a failed run comes back in admittedRun.err.
+// runAdmitted executes the plan's Executable for one request, injecting
+// wire at the plan's clock, the one its candidates were measured at; a
+// request cannot change it. Served runs share the kernel worker pool,
+// and the admission semaphore bounds how many hold it at once: the slot
+// is taken here and given back when the run and its Check are over —
+// before the digest, the trace and the response write to a possibly
+// slow client, none of which touch the pool. The error return is the
+// admission wait outlasting the request's deadline; a failed run comes
+// back in admittedRun.err.
 func (s *Server) runAdmitted(ctx context.Context, req *Request, cp *cachedPlan, runID string) (admittedRun, error) {
 	var run admittedRun
 	admStart := time.Now()
@@ -563,7 +558,7 @@ func (s *Server) runAdmitted(ctx context.Context, req *Request, cp *cachedPlan, 
 	run.args = argsFrom(cp.comp, req.Seed, pooledRand)
 	runStart := time.Now()
 	run.res, run.err = cp.exe.Run(ctx, run.args, runtime.Options{
-		TimeScale: s.cfg.TimeScale, Trace: true, RunID: runID,
+		TimeScale: cp.plan.TimeScale, Trace: true, RunID: runID,
 		Transport: s.cfg.Transport, Faults: req.faults,
 	})
 	run.dur = time.Since(runStart)
@@ -987,7 +982,6 @@ func (s *Server) acquirePlan(ctx context.Context, req *Request, prog *program) (
 		plan, err := autotune.CompileKeyed(prog.key, comp, devices, Args(comp, seed), autotune.Options{
 			Spec:         s.cfg.Spec,
 			TopK:         s.cfg.TuneTopK,
-			TimeScale:    s.cfg.TimeScale,
 			CachePath:    s.cfg.CachePath,
 			DisableCache: s.cfg.DisableDiskCache,
 			Calibrate:    true,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -17,18 +18,18 @@ import (
 	"overlap/internal/autotune"
 	"overlap/internal/corpus"
 	"overlap/internal/hlo"
+	"overlap/internal/machine"
 	"overlap/internal/obs"
 	"overlap/internal/sim"
 	"overlap/internal/tensor"
 )
 
-// testConfig keeps compiles cheap: one executed candidate, tiny wire
-// delays, no disk cache (each server starts cold and stays hermetic).
+// testConfig keeps compiles cheap: one executed candidate, no disk
+// cache (each server starts cold and stays hermetic).
 func testConfig() Config {
 	return Config{
 		DisableDiskCache: true,
 		TuneTopK:         1,
-		TimeScale:        5,
 	}
 }
 
@@ -457,10 +458,10 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
-// TestCallerCannotScaleTheWire: the wire-delay scale is the operator's.
-// A body asking for a billion-fold scale under an hour's deadline runs
-// at the server's own scale and answers promptly, and with one admission
-// slot an ordinary request sent beside it still gets the slot.
+// TestCallerCannotScaleTheWire: the wire-delay scale is the plan's. A
+// body asking for a billion-fold scale under an hour's deadline runs at
+// the plan's clock and answers promptly, and with one admission slot an
+// ordinary request sent beside it still gets the slot.
 func TestCallerCannotScaleTheWire(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxConcurrentRuns = 1
@@ -751,6 +752,62 @@ func TestRestartedDaemonAnswersFromDisk(t *testing.T) {
 	}
 	if warm.Fingerprint != cold.Fingerprint || warm.BestName != cold.BestName || warm.Digest != cold.Digest || !warm.Checked {
 		t.Errorf("restarted daemon answered %+v, first daemon %+v", warm, cold)
+	}
+}
+
+// TestServedRunsInjectThePlanClock: a served run injects wire at its
+// plan's clock — breakdown_ms.wire is plan.time_scale times the plan
+// program's modeled per-device wire, up to the truncation of each
+// injected time.Duration (1 µs allows a thousand) — and a plan a
+// restarted daemon reads back from the disk tier runs at the clock it
+// was stored with, not at a new measurement.
+func TestServedRunsInjectThePlanClock(t *testing.T) {
+	cfg := testConfig()
+	cfg.DisableDiskCache = false
+	cfg.CachePath = filepath.Join(t.TempDir(), "plans")
+	req := miniatureRequest()
+	var stored float64
+	for _, daemon := range []string{"compiling", "restarted"} {
+		_, ts := newTestServer(t, cfg)
+		run, _, _, err := postRun(ts, req)
+		if err != nil {
+			t.Fatalf("%s daemon: %v", daemon, err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/compile", "application/json", bytes.NewReader(mustJSON(t, req)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body bytes.Buffer
+		_, err = body.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := autotune.DecodePlan(body.Bytes())
+		if err != nil {
+			t.Fatalf("%s daemon: %v", daemon, err)
+		}
+		if plan.TimeScale <= 0 {
+			t.Fatalf("%s daemon: the plan carries clock %v", daemon, plan.TimeScale)
+		}
+		if stored == 0 {
+			stored = plan.TimeScale
+		} else if plan.TimeScale != stored {
+			t.Fatalf("the restarted daemon's plan runs at clock %v, stored at %v", plan.TimeScale, stored)
+		}
+		comp, err := plan.Computation()
+		if err != nil {
+			t.Fatal(err)
+		}
+		modeled, err := sim.Simulate(comp, plan.Devices, machine.TPUv4())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s daemon: winner %s at clock %.4g injected %.4g ms of wire per device", daemon, plan.BestName, plan.TimeScale, run.BreakdownMS.Wire)
+		if want := plan.TimeScale * modeled.CollectiveWire * 1e3; math.Abs(run.BreakdownMS.Wire-want) > 1e-3 {
+			t.Errorf("%s daemon: the run injected %v ms of wire per device, clock %v × modeled %v s is %v ms",
+				daemon, run.BreakdownMS.Wire, plan.TimeScale, modeled.CollectiveWire, want)
+		}
 	}
 }
 

@@ -35,7 +35,9 @@ type Options struct {
 	// machine.TPUv4().
 	Spec machine.Spec
 	// TimeScale stretches modeled wire seconds into real sleeps,
-	// exactly as in runtime.Options.
+	// exactly as in runtime.Options (0 is no wire). overlap train sets
+	// the clock it measured on the untransformed step
+	// (runtime.Executable.Clock), one value for every mode.
 	TimeScale float64
 	// Check cross-checks every step's outputs bitwise against
 	// sim.Interpret on the same program and arguments.
