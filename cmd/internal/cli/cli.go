@@ -32,14 +32,13 @@ type Flags struct {
 	PeakTFLOPs float64
 
 	// Execution.
-	Mode          string
-	Transport     string
-	KernelWorkers int
-	KernelSplitK  int
-	Fault         string
-	FaultSeed     int64
-	Deadline      time.Duration
-	Check         bool
+	Mode         string
+	Transport    string
+	KernelSplitK int
+	Fault        string
+	FaultSeed    int64
+	Deadline     time.Duration
+	Check        bool
 
 	// Tuning.
 	TopK    int
@@ -77,7 +76,6 @@ var shared = []flagDef{
 
 	{"mode", "baseline, rolled, overlap, or all", func(f *Flags) any { return &f.Mode }},
 	{"transport", "fabric transport: chan (in-process channels) or proc (one worker process per device over Unix sockets)", func(f *Flags) any { return &f.Transport }},
-	{"kernel-workers", "intra-op einsum kernel parallelism (0 = GOMAXPROCS); results are byte-identical for any value, plan fingerprints are keyed on it", func(f *Flags) any { return &f.KernelWorkers }},
 	{"kernel-splitk", "split-K factor the rolled and overlap pipelines stamp on every einsum (0 = off); factors >= 2 reassociate the contraction deterministically", func(f *Flags) any { return &f.KernelSplitK }},
 	{"fault", "inject faults, comma-separated: crash:dev:D[:K], drop:link:S-D[:K], dup:link:S-D[:K], delay:link:S-D:DUR[:JITTER]", func(f *Flags) any { return &f.Fault }},
 	{"fault-seed", "seed for fault-injection jitter (deterministic per seed)", func(f *Flags) any { return &f.FaultSeed }},

@@ -92,12 +92,11 @@ func dispatch(args []string, stdout, stderr io.Writer) int {
 }
 
 // around runs body between the process-wide effects the shared flags
-// name: the kernel worker count and the live /metrics endpoint before
-// it; the telemetry export after it — even when body failed, because a
-// chaos run's fault and abort counters are exactly what the caller
-// wants to see — and, under -serve, staying up.
+// name: the live /metrics endpoint before it; the telemetry export after
+// it — even when body failed, because a chaos run's fault and abort
+// counters are exactly what the caller wants to see — and, under -serve,
+// staying up.
 func around(f *cli.Flags, stdout io.Writer, body func() error) error {
-	overlap.SetKernelWorkers(f.KernelWorkers)
 	if f.Serve != "" {
 		_, addr, err := overlap.ServeMetrics(f.Serve)
 		if err != nil {

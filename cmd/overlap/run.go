@@ -22,7 +22,7 @@ import (
 func setupRun(fs *flag.FlagSet, stdout, _ io.Writer) func() error {
 	f := cli.Defaults()
 	f.Register(fs, "model", "devices", "dim", "mode",
-		"transport", "kernel-workers", "kernel-splitk", "fault", "fault-seed", "deadline", "check",
+		"transport", "kernel-splitk", "fault", "fault-seed", "deadline", "check",
 		"attrib", "trace", "trace-out", "metrics-out", "serve")
 	planIn := fs.String("plan-in", "", "execute a compiled Plan artifact (from overlap tune -plan-out or overlap serve's /v1/compile) instead of building a model; zero compilation")
 

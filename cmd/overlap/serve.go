@@ -56,7 +56,7 @@ func setupServe(fs *flag.FlagSet, stdout, stderr io.Writer) func() error {
 	f.TopK = def.TuneTopK
 	// -transport is an operator decision: requests cannot override it.
 	// The wire scale is each plan's own clock.
-	f.Register(fs, "transport", "kernel-workers", "topk", "cache", "no-cache")
+	f.Register(fs, "transport", "topk", "cache", "no-cache")
 	addr := fs.String("addr", ":8080", "listen address")
 	maxPending := fs.Int("max-pending", def.MaxPending, "run and compile requests between decode and response; beyond it requests get 503")
 	maxRuns := fs.Int("max-runs", def.MaxConcurrentRuns, "admission limit: concurrent runtime executions sharing the kernel pool")
@@ -70,7 +70,6 @@ func setupServe(fs *flag.FlagSet, stdout, stderr io.Writer) func() error {
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 
 	return func() error {
-		overlap.SetKernelWorkers(f.KernelWorkers)
 		tk, err := overlap.ParseTransport(f.Transport)
 		if err != nil {
 			return err

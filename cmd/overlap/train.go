@@ -34,7 +34,7 @@ import (
 func setupTrain(fs *flag.FlagSet, stdout, _ io.Writer) func() error {
 	f := cli.Defaults()
 	f.Register(fs, "model", "devices", "dim", "mode",
-		"kernel-workers", "kernel-splitk", "fault", "fault-seed", "deadline", "check",
+		"kernel-splitk", "fault", "fault-seed", "deadline", "check",
 		"attrib", "trace-out", "metrics-out")
 	layers := fs.Int("layers", 2, "FFN blocks in the training step (restores a multi-layer backward pass)")
 	strategy := fs.String("strategy", "ddp", "partitioning strategy: megatron or ddp")

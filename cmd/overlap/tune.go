@@ -20,8 +20,7 @@ import (
 func setupTune(fs *flag.FlagSet, stdout, _ io.Writer) func() error {
 	f := cli.Defaults()
 	f.TopK = 3
-	f.Register(fs, "model", "devices", "dim", "kernel-workers",
-		"topk", "cache", "no-cache", "metrics-out", "serve")
+	f.Register(fs, "model", "devices", "dim", "topk", "cache", "no-cache", "metrics-out", "serve")
 	repeats := fs.Int("repeats", 1, "measured repetitions per executed candidate (minimum kept)")
 	noCalibrate := fs.Bool("no-calibrate", false, "skip fitting the machine spec to measured breakdowns")
 	planOut := fs.String("plan-out", "", "write the compiled Plan artifact (tuned, scheduled program as JSON) to this file; overlap run -plan-in and overlap serve execute the same artifact")

@@ -136,6 +136,21 @@ var sourceGuards = []sourceGuard{
 		roots:   []string{"internal", "cmd", "overlap.go"},
 		except:  under("internal/corpus/"), // the goldens core itself printed; only tests import it
 	},
+	{
+		name:    "one run regime: kernel parallelism is GOMAXPROCS",
+		why:     "the kernels run on GOMAXPROCS workers: no kernel-worker setter or flag comes back, and tests sweep GOMAXPROCS",
+		pattern: regexp.MustCompile(`SetKernelWorkers|kernel-workers`),
+		roots:   []string{"."},
+		tests:   true,
+		except:  under("bench/", "guard_test.go"),
+	},
+	{
+		name:    "one run regime: telemetry is on in every shipped run",
+		why:     "a plan's key reads no telemetry toggle because shipped code never flips it: only tests call SetEnabled",
+		pattern: regexp.MustCompile(`\.SetEnabled\(`),
+		roots:   []string{"."},
+		except:  under("bench/"),
+	},
 }
 
 // TestSourceGuards runs every rule over the tree, then the two checks
@@ -294,7 +309,7 @@ var testOnly = map[string]string{
 	"internal/hlo.Computation.Find":      "lookup by name for tests that assert on one instruction of a rewritten program",
 
 	"internal/obs.Attribution.ExposedFraction": "HiddenFraction's complement; the attribution tests state their expectations in it",
-	"internal/obs.Registry.SetEnabled":         "test hook: the telemetry toggle autotune.KeyOf reads live, flipped to show the key and the overhead move",
+	"internal/obs.Registry.SetEnabled":         "test hook: shipped runs always record; tests turn recording off to measure its overhead and to show a plan's key does not read it",
 	"internal/partition.Sharding.IsReplicated": "states the propagation tests' expectation; one line over the sharding's own fields",
 	"internal/partition.UnshardTensor":         "ShardTensor's inverse: the reference the partition tests reassemble per-device results with",
 	"internal/partition.addShapes":             "UnshardTensor's helper",

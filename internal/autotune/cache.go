@@ -9,7 +9,6 @@ import (
 
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
-	"overlap/internal/obs"
 	"overlap/internal/tensor"
 )
 
@@ -32,18 +31,17 @@ func cachePath(opts Options) string {
 	return DefaultCachePath()
 }
 
-// Key is the identity a (program, machine, environment) tuple tunes and
-// stores its plan under: program shape, machine spec, ring size, the
-// einsum-kernel worker count (intra-op parallelism shifts measured
-// compute spans, which shifts which overlap plan wins), and whether
-// telemetry instrumentation is recording (its bounded overhead still
-// moves measured spans). TopK and repeats only affect how hard the search
+// Key is the identity a (program, machine, host) tuple tunes and stores
+// its plan under: program shape, machine spec, ring size, and the host's
+// parallelism — the einsum kernels run on GOMAXPROCS workers, and
+// intra-op parallelism shifts measured compute spans, which shifts which
+// overlap plan wins. TopK and repeats only affect how hard the search
 // looks. The wire scale is not in the key although it decides whether
 // decomposition wins: it is measured on the host, not given, so the plan
 // carries it (Plan.TimeScale) and every run of the plan injects it.
-// Both tiers of the plan store key with this one function so a
-// SetKernelWorkers or obs.SetEnabled change can never serve a stale
-// plan.
+// Both tiers of the plan store key with this one function, so a process
+// started under another GOMAXPROCS never serves a plan measured under
+// this one.
 func Key(c *hlo.Computation, spec machine.Spec, numDevices int) string {
 	return KeyOf(ProgramFingerprint(c), spec, numDevices)
 }
@@ -51,16 +49,12 @@ func Key(c *hlo.Computation, spec machine.Spec, numDevices int) string {
 // KeyOf is Key for a caller that already holds the program's
 // ProgramFingerprint — the daemon remembers it per request shape so a
 // warm request need not rebuild its graph to name its plan. Only the
-// program half may be remembered: the environment half (kernel workers,
-// instrumentation) is read here, live, on every call.
+// program half may be remembered: the host's parallelism is read here,
+// on every call.
 func KeyOf(programFingerprint string, spec machine.Spec, numDevices int) string {
 	specFP := fmt.Sprintf("%x", sha256.Sum256([]byte(spec.Fingerprint())))[:16]
-	instr := 0
-	if obs.Default().Enabled() {
-		instr = 1
-	}
-	return fmt.Sprintf("%s|%s|n=%d|kw=%d|obs=%d",
-		programFingerprint, specFP, numDevices, tensor.KernelWorkers(), instr)
+	return fmt.Sprintf("%s|%s|n=%d|kw=%d",
+		programFingerprint, specFP, numDevices, tensor.KernelWorkers())
 }
 
 // planPath is where the store keeps the plan compiled under key: one

@@ -33,10 +33,10 @@ var errPlanVersion = errors.New("recompile the plan")
 // calibration the tune fitted and the clock it ran at — everything needed
 // to run the winner with zero further compilation. tune is its only producer. It is a
 // pure function of its Fingerprint (program shape, machine spec, device
-// count, kernel workers, instrumentation toggle), which is what makes it
-// storable: the daemon's in-memory LRU holds it, the disk tier keeps one
-// file of EncodeJSON bytes per fingerprint, and -plan-out/-plan-in move
-// the same bytes by hand.
+// count, host parallelism), which is what makes it storable: the
+// daemon's in-memory LRU holds it, the disk tier keeps one file of
+// EncodeJSON bytes per fingerprint, and -plan-out/-plan-in move the same
+// bytes by hand.
 type Plan struct {
 	// Version is PlanVersion at encode time; Decode rejects mismatches.
 	Version int `json:"version"`

@@ -343,49 +343,48 @@ func fuzzRunnable(c *hlo.Computation) bool {
 	return small
 }
 
-// TestKeyTracksEnvironment pins that the decision/plan cache key moves
-// with every input that moves measured runtimes: the program, the
-// device count, the kernel-worker count, and the telemetry toggle. A
-// key that failed to move across SetKernelWorkers served PR 4's tuning
-// decisions stale; this is its regression test, extended to the obs
-// toggle the serving layer flips.
+// TestKeyTracksEnvironment pins that the plan key moves with every input
+// that moves measured runtimes — the program, the device count and the
+// host's parallelism (GOMAXPROCS, the kernels' worker count) — and with
+// nothing else. A key that failed to move with the kernel-worker count
+// served stale tuning decisions; this is its regression test. Telemetry
+// records in every shipped run, so flipping it (as only tests do) must
+// not move the key.
 func TestKeyTracksEnvironment(t *testing.T) {
 	c, _ := site(4, 1)
 	spec := machine.TPUv4()
 
-	tensor.SetKernelWorkers(1)
-	defer tensor.SetKernelWorkers(0)
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
 	base := autotune.Key(c, spec, 4)
 
 	if got := autotune.Key(c, spec, 8); got == base {
 		t.Fatal("key ignored the device count")
 	}
-	tensor.SetKernelWorkers(2)
+	goruntime.GOMAXPROCS(2)
 	if got := autotune.Key(c, spec, 4); got == base {
-		t.Fatal("key ignored SetKernelWorkers — a tuned decision would be served stale")
+		t.Fatal("key ignored GOMAXPROCS — a plan tuned under one worker count would be served under another")
 	}
-	tensor.SetKernelWorkers(1)
+	goruntime.GOMAXPROCS(1)
 
 	obs.Default().SetEnabled(false)
 	key := autotune.Key(c, spec, 4)
 	obs.Default().SetEnabled(true)
-	if key == base {
-		t.Fatal("key ignored the obs instrumentation toggle")
+	if key != base {
+		t.Fatal("key moved with the telemetry toggle: a plan's key reads no toggle")
 	}
 	if got := autotune.Key(c, spec, 4); got != base {
-		t.Fatal("key is not a pure function of (program, spec, devices, kw, obs)")
+		t.Fatal("key is not a pure function of (program, spec, devices, GOMAXPROCS)")
 	}
 }
 
 // TestTuneNoStaleHitAcrossKernelWorkers is the behavioral half of the
 // keying regression: a decision cached under one kernel-worker count
-// must not answer a tune performed under another.
+// (GOMAXPROCS) must not answer a tune performed under another.
 func TestTuneNoStaleHitAcrossKernelWorkers(t *testing.T) {
 	c, args := site(2, 5)
 	opts := tuneOpts(t)
 
-	tensor.SetKernelWorkers(1)
-	defer tensor.SetKernelWorkers(0)
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
 	first, err := autotune.Tune(c, 2, args, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -394,7 +393,7 @@ func TestTuneNoStaleHitAcrossKernelWorkers(t *testing.T) {
 		t.Fatal("first tune hit an empty cache")
 	}
 
-	tensor.SetKernelWorkers(2)
+	goruntime.GOMAXPROCS(2)
 	second, err := autotune.Tune(c, 2, args, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -403,7 +402,7 @@ func TestTuneNoStaleHitAcrossKernelWorkers(t *testing.T) {
 		t.Fatal("stale hit: decision cached under kw=1 answered a kw=2 tune")
 	}
 	if first.Plan.Fingerprint == second.Plan.Fingerprint {
-		t.Fatal("fingerprints identical across SetKernelWorkers")
+		t.Fatal("fingerprints identical across GOMAXPROCS")
 	}
 
 	// Same environment again: now the cache must answer.

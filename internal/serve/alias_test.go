@@ -7,8 +7,6 @@ import (
 	goruntime "runtime"
 	"testing"
 	"time"
-
-	"overlap/internal/tensor"
 )
 
 // mustRun posts one /v1/run request and fails the test on anything but
@@ -62,13 +60,13 @@ func TestKnownShapeBuildsNoGraph(t *testing.T) {
 
 // TestAliasNeverServesStaleEnvironment pins autotune.Key's contract
 // through the alias: only the program half of a fingerprint is
-// remembered per shape. A kernel-worker change between two requests of
-// one shape must change the fingerprint and miss the plan cache, exactly
-// as it did when every request rebuilt its graph; changing it back must
-// hit the first plan again.
+// remembered per shape. A change of the host's parallelism (GOMAXPROCS,
+// the kernel-worker count) between two requests of one shape must
+// change the fingerprint and miss the plan cache, exactly as it did when
+// every request rebuilt its graph; changing it back must hit the first
+// plan again.
 func TestAliasNeverServesStaleEnvironment(t *testing.T) {
-	defer tensor.SetKernelWorkers(0)
-	tensor.SetKernelWorkers(1)
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
 	s, ts := newTestServer(t, testConfig())
 	req := miniatureRequest()
 
@@ -77,7 +75,7 @@ func TestAliasNeverServesStaleEnvironment(t *testing.T) {
 		t.Fatalf("second request plan = %q, want hit", warm.Plan)
 	}
 
-	tensor.SetKernelWorkers(2)
+	goruntime.GOMAXPROCS(2)
 	c0 := svCompiles.Value()
 	moved := mustRun(t, ts, req)
 	if moved.Fingerprint == first.Fingerprint {
@@ -89,11 +87,11 @@ func TestAliasNeverServesStaleEnvironment(t *testing.T) {
 	if moved.Digest != first.Digest {
 		t.Fatalf("digest moved with the kernel-worker count: %s vs %s", moved.Digest, first.Digest)
 	}
-	if s.plans.len() != 2 {
-		t.Fatalf("plan cache holds %d plans, want one per environment", s.plans.len())
+	if plans := s.plans.keys(); len(plans) != 2 {
+		t.Fatalf("plan cache holds %d plans, want one per environment", len(plans))
 	}
 
-	tensor.SetKernelWorkers(1)
+	goruntime.GOMAXPROCS(1)
 	if back := mustRun(t, ts, req); back.Plan != "hit" || back.Fingerprint != first.Fingerprint {
 		t.Fatalf("back under the first environment: plan %q under %s, want hit under %s", back.Plan, back.Fingerprint, first.Fingerprint)
 	}
@@ -124,8 +122,8 @@ func TestEvictionDropsAliasesAndExecutable(t *testing.T) {
 	s.plans.mu.Lock()
 	aliases := len(s.plans.aliases)
 	s.plans.mu.Unlock()
-	if aliases != 1 || s.plans.len() != 1 {
-		t.Fatalf("%d aliases over %d plans, want 1 over 1", aliases, s.plans.len())
+	if plans := s.plans.keys(); aliases != 1 || len(plans) != 1 {
+		t.Fatalf("%d aliases over %d plans, want 1 over 1", aliases, len(plans))
 	}
 
 	builds := s.graphBuilds.Load()
@@ -150,8 +148,8 @@ func TestTwoModelsOneProgramShareOnePlan(t *testing.T) {
 	if second.Plan != "hit" || second.Fingerprint != first.Fingerprint {
 		t.Fatalf("second model name: plan %q under %s, want hit under %s", second.Plan, second.Fingerprint, first.Fingerprint)
 	}
-	if s.plans.len() != 1 {
-		t.Fatalf("plan cache holds %d plans for one program", s.plans.len())
+	if plans := s.plans.keys(); len(plans) != 1 {
+		t.Fatalf("plan cache holds %d plans for one program", len(plans))
 	}
 	if got := s.graphBuilds.Load(); got != 2 {
 		t.Fatalf("two new shapes built %d graphs, want 2", got)

@@ -168,14 +168,8 @@ func (pc *planCache) remember(key string, shape requestShape, fingerprint string
 	pc.aliases[shape] = alias{fingerprint: fingerprint, owner: entry}
 }
 
-// len reports the current entry count.
-func (pc *planCache) len() int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.order.Len()
-}
-
-// keys returns the cached fingerprints, most recently used first.
+// keys returns the cached fingerprints, most recently used first, read
+// under one lock: the number of cached plans is its length.
 func (pc *planCache) keys() []string {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()

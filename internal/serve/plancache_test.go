@@ -29,8 +29,8 @@ func TestPlanCacheLRU(t *testing.T) {
 			t.Fatalf("%s was evicted; LRU order is wrong", key)
 		}
 	}
-	if pc.len() != 2 {
-		t.Fatalf("len = %d, want 2", pc.len())
+	if keys := pc.keys(); len(keys) != 2 {
+		t.Fatalf("%d plans cached, want 2", len(keys))
 	}
 }
 
@@ -48,8 +48,8 @@ func TestPlanCacheReplace(t *testing.T) {
 	if !ok || got.plan.BestName != "v2" {
 		t.Fatalf("get after replace = %v, want v2", got)
 	}
-	if pc.len() != 1 {
-		t.Fatalf("len = %d, want 1", pc.len())
+	if keys := pc.keys(); len(keys) != 1 {
+		t.Fatalf("%d plans cached, want 1", len(keys))
 	}
 }
 

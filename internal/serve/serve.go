@@ -4,8 +4,9 @@
 // partition → decompose → schedule pipeline per invocation.
 //
 // The pipeline's decisions are pure functions of the (program, machine
-// spec, device count, kernel workers, instrumentation) fingerprint —
-// exactly the property a serving system exploits. The daemon layers
+// spec, device count, host parallelism) fingerprint — exactly the
+// property a serving system exploits. Plans are priced on the TPU-v4
+// spec (machine.TPUv4), as every executed CLI run is. The daemon layers
 // three mechanisms on that purity:
 //
 //   - a compiled Plan artifact (autotune.Plan): the transformed,
@@ -69,13 +70,8 @@ import (
 	"overlap/internal/train"
 )
 
-// Config tunes the daemon. The zero value serves with sane defaults on
-// the TPU-v4 spec.
+// Config tunes the daemon. The zero value serves with sane defaults.
 type Config struct {
-	// Spec is the machine model plans are compiled and executed
-	// against; zero means machine.TPUv4().
-	Spec machine.Spec
-
 	// MaxPending bounds the /v1/run and /v1/compile requests between
 	// decode and response — waiting on a compile or an admission slot,
 	// running, answering; one more is rejected with 503 (default 256).
@@ -130,9 +126,6 @@ type Config struct {
 // with: the one statement of the daemon's defaults, which overlap
 // serve's flags show rather than restate.
 func (c Config) WithDefaults() Config {
-	if c.Spec.Name == "" {
-		c.Spec = machine.TPUv4()
-	}
 	if c.MaxPending <= 0 {
 		c.MaxPending = 256
 	}
@@ -191,9 +184,6 @@ type Server struct {
 // to a listener (Start) or a mux (Handler).
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.WithDefaults()
-	if err := cfg.Spec.Validate(); err != nil {
-		return nil, err
-	}
 	s := &Server{
 		cfg:      cfg,
 		plans:    newPlanCache(cfg.PlanCacheSize),
@@ -723,15 +713,17 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePlans serves GET /v1/plans: the cached fingerprints, hottest
-// first.
+// first, and their count — both from one snapshot, so a compile or an
+// eviction landing meanwhile cannot make them disagree.
 func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("serve: %s needs GET", r.URL.Path))
 		return
 	}
+	plans := s.plans.keys()
 	s.writeJSON(w, http.StatusOK, map[string]any{
-		"plans": s.plans.keys(),
-		"size":  s.plans.len(),
+		"plans": plans,
+		"size":  len(plans),
 	})
 }
 
@@ -852,12 +844,11 @@ type program struct {
 // a warm request's allocations — so the plan cache remembers, beside
 // each plan, the shapes that resolved to it and their program digest,
 // and a known shape skips models.BuildLayerStep / train.Build and the
-// digest altogether. The environment half — kernel workers, whether
-// telemetry is recording — is process state a request cannot see and
-// must never be remembered: KeyOf reads it live on every request, so a
-// SetKernelWorkers between two requests of one shape changes the key
-// and misses the cache, exactly as if the graph had been rebuilt.
-// Inline programs are parsed and digested every time.
+// digest altogether. The host half — the kernels' worker count,
+// GOMAXPROCS — is never remembered: KeyOf reads it on every request, so
+// plans measured under one parallelism are never served under another,
+// exactly as if the graph had been rebuilt. Inline programs are parsed
+// and digested every time.
 func (s *Server) resolve(req *Request) (*program, error) {
 	if req.Program != "" {
 		c, err := hlo.ParseProgram(req.Program, req.Devices)
@@ -871,7 +862,7 @@ func (s *Server) resolve(req *Request) (*program, error) {
 			return nil, fmt.Errorf("serve: program is not accepted: %w", err)
 		}
 		fp := autotune.ProgramFingerprint(c)
-		return &program{key: autotune.KeyOf(fp, s.cfg.Spec, req.Devices), fingerprint: fp, comp: c}, nil
+		return &program{key: autotune.KeyOf(fp, machine.TPUv4(), req.Devices), fingerprint: fp, comp: c}, nil
 	}
 	prog := &program{shape: shapeOf(req)}
 	fp, known := s.plans.fingerprintOf(prog.shape)
@@ -887,7 +878,7 @@ func (s *Server) resolve(req *Request) (*program, error) {
 		prog.comp, fp = c, autotune.ProgramFingerprint(c)
 	}
 	prog.fingerprint = fp
-	prog.key = autotune.KeyOf(fp, s.cfg.Spec, req.Devices)
+	prog.key = autotune.KeyOf(fp, machine.TPUv4(), req.Devices)
 	return prog, nil
 }
 
@@ -971,8 +962,8 @@ func (s *Server) acquirePlan(ctx context.Context, req *Request, prog *program) (
 		comp := prog.comp
 		if comp == nil {
 			// A known shape whose plan is not cached under this key: the
-			// environment half of the key moved since the shape was
-			// remembered, or the plan was evicted since resolve looked.
+			// host half of the key moved since the shape was remembered,
+			// or the plan was evicted since resolve looked.
 			c, err := s.buildGraph(prog.shape)
 			if err != nil {
 				return nil, err
@@ -980,7 +971,7 @@ func (s *Server) acquirePlan(ctx context.Context, req *Request, prog *program) (
 			comp = c
 		}
 		plan, err := autotune.CompileKeyed(prog.key, comp, devices, Args(comp, seed), autotune.Options{
-			Spec:         s.cfg.Spec,
+			Spec:         machine.TPUv4(),
 			TopK:         s.cfg.TuneTopK,
 			CachePath:    s.cfg.CachePath,
 			DisableCache: s.cfg.DisableDiskCache,
@@ -993,7 +984,7 @@ func (s *Server) acquirePlan(ctx context.Context, req *Request, prog *program) (
 		if err != nil {
 			return nil, err
 		}
-		exe, err := runtime.Compile(exec, plan.Devices, s.cfg.Spec)
+		exe, err := runtime.Compile(exec, plan.Devices, machine.TPUv4())
 		if err != nil {
 			return nil, err
 		}

@@ -825,12 +825,16 @@ func TestPlansEndpoint(t *testing.T) {
 	defer resp.Body.Close()
 	var body struct {
 		Plans []string `json:"plans"`
+		Size  int      `json:"size"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
 	if len(body.Plans) != 1 || body.Plans[0] != first.Fingerprint {
 		t.Fatalf("plans = %v, want [%s]", body.Plans, first.Fingerprint)
+	}
+	if body.Size != len(body.Plans) {
+		t.Fatalf("size = %d beside %d plans: both must come from one snapshot", body.Size, len(body.Plans))
 	}
 }
 

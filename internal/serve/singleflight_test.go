@@ -96,8 +96,8 @@ func TestSingleflightFailedBuildNotCached(t *testing.T) {
 	if _, err := s.getPlan(context.Background(), "fp", failOnce); err == nil {
 		t.Fatal("failed build did not propagate its error")
 	}
-	if s.plans.len() != 0 {
-		t.Fatalf("failed build was cached (len %d)", s.plans.len())
+	if plans := s.plans.keys(); len(plans) != 0 {
+		t.Fatalf("failed build was cached (%d plans)", len(plans))
 	}
 	out, err := s.getPlan(context.Background(), "fp", failOnce)
 	if err != nil {

@@ -151,11 +151,11 @@ func TestKernelFallbackSpecs(t *testing.T) {
 }
 
 // TestKernelWorkerCountDeterminism verifies the partitioning contract:
-// results are byte-identical for 1, 2 and GOMAXPROCS workers, on sizes
-// large enough to cross the parallel threshold, for direct and packed
-// layouts.
+// results are byte-identical for 1, 2 and the host's GOMAXPROCS
+// workers, on sizes large enough to cross the parallel threshold, for
+// direct and packed layouts.
 func TestKernelWorkerCountDeterminism(t *testing.T) {
-	defer SetKernelWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(3))
 	specs := []struct {
 		spec     string
@@ -172,7 +172,7 @@ func TestKernelWorkerCountDeterminism(t *testing.T) {
 		rhs := Rand(rng, tc.rhs...)
 		var base *Tensor
 		for _, w := range counts {
-			SetKernelWorkers(w)
+			runtime.GOMAXPROCS(w)
 			got := Einsum(tc.spec, lhs, rhs)
 			if base == nil {
 				base = got
@@ -182,7 +182,7 @@ func TestKernelWorkerCountDeterminism(t *testing.T) {
 				t.Fatalf("spec %q: %d workers produced different bytes than 1 worker", tc.spec, w)
 			}
 		}
-		SetKernelWorkers(1)
+		runtime.GOMAXPROCS(1)
 		want := ReferenceEinsum(tc.spec, lhs, rhs)
 		if !base.Equal(want) {
 			t.Fatalf("spec %q: kernel differs from reference at parallel sizes", tc.spec)
@@ -198,8 +198,7 @@ func TestEinsumAddIntoSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not representative under the race detector")
 	}
-	SetKernelWorkers(1)
-	defer SetKernelWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(5))
 	lhs := Rand(rng, 64, 64)
 	rhs := Rand(rng, 64, 64)
@@ -221,8 +220,7 @@ func TestEinsumAddIntoPackedPathPoolsScratch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool deliberately drops items under the race detector")
 	}
-	SetKernelWorkers(1)
-	defer SetKernelWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(6))
 	lhs := Rand(rng, 64, 64)
 	rhs := Rand(rng, 64, 64)

@@ -12,35 +12,11 @@ import (
 // ascending-K order — results are byte-identical for any worker count,
 // which preserves the runtime-vs-interpreter bit-identical cross-check.
 
-// maxKernelWorkers bounds the configurable parallelism; beyond this the
-// chunking overhead dwarfs any win.
-const maxKernelWorkers = 1024
-
-// kernelWorkers holds the configured worker count; zero means "follow
-// GOMAXPROCS".
-var kernelWorkers atomic.Int32
-
-// SetKernelWorkers sets the process-wide intra-op parallelism of the
-// einsum kernel engine. n <= 0 restores the default (GOMAXPROCS at call
-// time). The setting changes only how work is partitioned, never the
+// KernelWorkers returns the intra-op worker count: the host's
+// parallelism, GOMAXPROCS. An operator who wants fewer threads sets
+// GOMAXPROCS; the count changes only how work is partitioned, never the
 // result bytes.
-func SetKernelWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	if n > maxKernelWorkers {
-		n = maxKernelWorkers
-	}
-	kernelWorkers.Store(int32(n))
-}
-
-// KernelWorkers returns the effective intra-op worker count.
-func KernelWorkers() int {
-	if n := kernelWorkers.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
+func KernelWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // MaxKernelSplitK bounds the split factor; the tree combine costs
 // (S-1)·M·N adds, so very large factors only add overhead.

@@ -49,7 +49,7 @@ func splitOracleMatmul(x, y *Tensor, s int) *Tensor {
 // when it does not. The gate itself (splitFactor) is consulted
 // directly, so a gate/dispatch mismatch fails here too.
 func TestSplitKMatchesOracleFuzz(t *testing.T) {
-	defer SetKernelWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(21))
 	workerChoices := []int{1, 2, 3, runtime.GOMAXPROCS(0)}
 	split := 0
@@ -60,7 +60,7 @@ func TestSplitKMatchesOracleFuzz(t *testing.T) {
 		s := 2 + rng.Intn(7)
 		x := Rand(rng, m, k)
 		y := Rand(rng, k, n)
-		SetKernelWorkers(workerChoices[rng.Intn(len(workerChoices))])
+		runtime.GOMAXPROCS(workerChoices[rng.Intn(len(workerChoices))])
 		got := EinsumSplitK(s, "mk,kn->mn", x, y)
 		var want *Tensor
 		if eff := splitFactor(m, k, n, s); eff > 1 {
@@ -84,7 +84,7 @@ func TestSplitKMatchesOracleFuzz(t *testing.T) {
 // identical at every worker count, for direct and packed layouts —
 // and identical to the scalar oracle.
 func TestSplitKWorkerCountDeterminism(t *testing.T) {
-	defer SetKernelWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(22))
 	const m, k, n = 4, 1024, 64
 	x := Rand(rng, m, k)
@@ -97,7 +97,7 @@ func TestSplitKWorkerCountDeterminism(t *testing.T) {
 		}
 		want := splitOracleMatmul(x, y, s)
 		for _, w := range counts {
-			SetKernelWorkers(w)
+			runtime.GOMAXPROCS(w)
 			if got := EinsumSplitK(s, "mk,kn->mn", x, y); !got.Equal(want) {
 				t.Fatalf("factor %d, %d workers: bytes differ from oracle", s, w)
 			}
@@ -105,7 +105,7 @@ func TestSplitKWorkerCountDeterminism(t *testing.T) {
 		// Packed rhs layout: same tree, packing must not change bytes.
 		var base *Tensor
 		for _, w := range counts {
-			SetKernelWorkers(w)
+			runtime.GOMAXPROCS(w)
 			got := EinsumSplitK(s, "mk,nk->mn", x, yT)
 			if base == nil {
 				base = got
@@ -186,9 +186,10 @@ func TestSplitKAccumulatesOntoPrior(t *testing.T) {
 // bytes are identical across worker counts and pack-cache settings,
 // and the factor-0 cell equals the scalar reference exactly.
 func TestKernelStrategyGrid(t *testing.T) {
-	defer SetKernelWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	defer setPackCache(true)
 	rng := rand.New(rand.NewSource(26))
+	counts := []int{1, 2, runtime.GOMAXPROCS(0)}
 	specs := []struct {
 		spec     string
 		lhs, rhs []int
@@ -202,9 +203,9 @@ func TestKernelStrategyGrid(t *testing.T) {
 		rhs := Rand(rng, tc.rhs...)
 		for _, s := range []int{0, 2, 4} {
 			var base *Tensor
-			for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+			for _, w := range counts {
 				for _, cache := range []bool{true, false} {
-					SetKernelWorkers(w)
+					runtime.GOMAXPROCS(w)
 					setPackCache(cache)
 					got := EinsumSplitK(s, tc.spec, lhs, rhs)
 					if base == nil {

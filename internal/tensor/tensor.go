@@ -7,8 +7,8 @@
 // (internal/sim) can prove rewrites semantically equivalent; timing
 // comes from the analytic machine model instead. Einsums nevertheless
 // execute through a real kernel engine (kernel.go): two-operand specs
-// lower to a cache-blocked batched GEMM with optional intra-op
-// parallelism (SetKernelWorkers), constrained to produce bytes
+// lower to a cache-blocked batched GEMM with intra-op parallelism over
+// GOMAXPROCS workers (KernelWorkers), constrained to produce bytes
 // identical to the scalar reference path — speed without giving up the
 // executors' bit-identical cross-checks.
 package tensor

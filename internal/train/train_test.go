@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	goruntime "runtime"
 	"strings"
 	"testing"
 
@@ -160,13 +161,13 @@ func ddpVariants() []trainVariant {
 
 // TestGradientsBitIdenticalAcrossConfigs is the dyadic-exactness
 // acceptance: every overlap configuration — rolled baseline, decomposed
-// loops, bucketed ring all-reduce — and every kernel worker count must
-// produce byte-identical first-step gradients and updated weights. Each
-// step is additionally checked bitwise against the interpreter, and the
-// loss trajectories must agree across configs to the last bit at step
-// one and to float tolerance afterwards.
+// loops, bucketed ring all-reduce — and every kernel worker count
+// (GOMAXPROCS) must produce byte-identical first-step gradients and
+// updated weights. Each step is additionally checked bitwise against
+// the interpreter, and the loss trajectories must agree across configs
+// to the last bit at step one and to float tolerance afterwards.
 func TestGradientsBitIdenticalAcrossConfigs(t *testing.T) {
-	defer tensor.SetKernelWorkers(0)
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(0))
 	for _, tc := range []struct {
 		strategy train.Strategy
 		variants []trainVariant
@@ -178,7 +179,7 @@ func TestGradientsBitIdenticalAcrossConfigs(t *testing.T) {
 		var wantLoss []float64
 		for _, v := range tc.variants {
 			for _, workers := range []int{1, 3} {
-				tensor.SetKernelWorkers(workers)
+				goruntime.GOMAXPROCS(workers)
 				res, err := train.Run(context.Background(), testConfig(tc.strategy), train.Options{
 					Pipeline: v.opts, Steps: 2, Check: true, Seed: 9,
 				})

@@ -2,18 +2,35 @@
 // Computation via Decomposition in Large Deep Learning Models"
 // (Wang et al., ASPLOS 2023) as a self-contained Go library.
 //
-// The package is a thin facade over the implementation packages:
+// The package is a thin facade over the implementation packages, listed
+// from the bottom layer up (each imports only packages listed before
+// it):
 //
+//   - internal/obs — telemetry: the metrics registry, spans, the run
+//     trace artifact and the overlap-attribution analyzer;
+//   - internal/tensor — dense tensors and the einsum kernel engine,
+//     bit-identical to its scalar reference at any worker count;
 //   - internal/hlo — the XLA-HLO-like dataflow IR the passes operate on;
+//   - internal/topology — device meshes: rings and tori;
+//   - internal/machine — the TPU-v4-like machine model;
+//   - internal/collective — what each collective computes;
 //   - internal/partition — intra-layer (tensor) model parallelism:
 //     shardings, einsum propagation, collective insertion;
+//   - internal/grad — reverse-mode differentiation, transposing
+//     collectives;
+//   - internal/models — the paper's Table 1 / Table 2 workloads;
 //   - internal/core — the paper's contribution: Looped CollectiveEinsum
 //     decomposition, asynchronous CollectivePermute scheduling, loop
 //     unrolling, bidirectional transfer, fusion rewrites, cost model;
 //   - internal/sim — a functional SPMD interpreter (correctness) and a
 //     discrete-event timing simulator (performance);
-//   - internal/machine — the TPU-v4-like machine model;
-//   - internal/models — the paper's Table 1 / Table 2 workloads;
+//   - internal/runtime — the concurrent executor: a program compiled
+//     once to a per-device tape, run on one goroutine per device over
+//     channel or process links;
+//   - internal/autotune — the measured variant search and its one
+//     record, the Plan, stored under its fingerprint;
+//   - internal/train — fwd+bwd+SGD training steps;
+//   - internal/serve — the compile-and-run daemon;
 //   - internal/experiments — runners that regenerate every evaluation
 //     table and figure.
 //
@@ -279,8 +296,9 @@ func CompilePlan(c *Computation, numDevices int, args [][]*Tensor, opts Autotune
 func DecodePlan(data []byte) (*Plan, error) { return autotune.DecodePlan(data) }
 
 // PlanKey returns the fingerprint a computation compiles and caches
-// under: program shape, machine spec, device count, kernel workers, and
-// the telemetry toggle — every input that moves measured runtimes.
+// under: program shape, machine spec, device count and the host's
+// parallelism (GOMAXPROCS, the einsum kernels' worker count) — every
+// input that moves measured runtimes.
 func PlanKey(c *Computation, spec MachineSpec, numDevices int) string {
 	return autotune.Key(c, spec, numDevices)
 }
@@ -333,16 +351,6 @@ func SetLogOutput(w io.Writer) { obs.SetLogOutput(w) }
 // the concurrent runtime, and the autotuner all record into it; export
 // it with WritePrometheus/JSON/WriteFile or serve it with ServeMetrics.
 func Metrics() *MetricsRegistry { return obs.Default() }
-
-// SetKernelWorkers sets the process-wide intra-op parallelism of the
-// einsum kernel engine: how many goroutines each sufficiently large
-// einsum partitions its output across. n <= 0 restores the default
-// (GOMAXPROCS). The setting changes only execution speed — kernel
-// results are byte-identical for every worker count.
-func SetKernelWorkers(n int) { tensor.SetKernelWorkers(n) }
-
-// KernelWorkers returns the effective intra-op kernel worker count.
-func KernelWorkers() int { return tensor.KernelWorkers() }
 
 // Attribute runs the overlap-attribution analyzer over a span stream
 // (simulated or measured) and reports, per collective instruction, how
