@@ -14,20 +14,26 @@ import (
 	"overlap/internal/topology"
 )
 
+// packSpec is a decomposed site whose weight the kernels cannot read
+// in place: the weight's contraction label e sits between its free
+// labels h and t, so every partial einsum needs it packed. (The
+// gathered lhs, [e, d], is read in place.)
+const packSpec = "ed,het->dht"
+
 // TestDecomposedRunReusesPacks verifies the pack cache end to end: a
-// decomposed loop whose weight is stored transposed (the rhs must be
-// permute-packed for every partial einsum) packs it once and serves
-// every later iteration — across loop iterations, devices sharing the
-// replicated tensor, and whole runs — from the plan's cache, while
-// staying bit-identical to the lockstep interpreter.
+// decomposed loop whose weight must be permute-packed for every
+// partial einsum packs it once and serves every later iteration —
+// across loop iterations, devices sharing the replicated tensor, and
+// whole runs — from the tensor's pack, while staying bit-identical to
+// the lockstep interpreter.
 func TestDecomposedRunReusesPacks(t *testing.T) {
 	const n = 4
 	c := hlo.NewComputation("packs")
 	groups := topology.NewRing(n).AxisGroups(0)
-	a := c.Parameter(0, "a", []int{8, 16})
-	w := c.Parameter(1, "w", []int{8, 16}) // transposed weight: rhs packs
-	full := c.AllGather(a, 0, groups)
-	c.Einsum("mk,nk->mn", full, w)
+	a := c.Parameter(0, "a", []int{16, 8})
+	w := c.Parameter(1, "w", []int{2, 16, 4})
+	full := c.AllGather(a, 1, groups)
+	c.Einsum(packSpec, full, w)
 	opts := core.DefaultOptions(machine.TPUv4())
 	opts.UseCostModel = false
 	if _, err := core.Apply(c, opts); err != nil {
@@ -37,16 +43,20 @@ func TestDecomposedRunReusesPacks(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	shards := make([]*tensor.Tensor, n)
 	for d := range shards {
-		shards[d] = tensor.Rand(rng, 8, 16)
+		shards[d] = tensor.Rand(rng, 16, 8)
 	}
-	args := [][]*tensor.Tensor{shards, {tensor.Rand(rng, 8, 16)}}
+	args := [][]*tensor.Tensor{shards, {tensor.Rand(rng, 2, 16, 4)}}
 
 	hits := obs.Default().Counter("overlap_kernel_pack_hits_total", "")
 	misses := obs.Default().Counter("overlap_kernel_pack_misses_total", "")
 
+	cold := misses.Value()
 	want, err := sim.Interpret(c, n, args)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if misses.Value() == cold {
+		t.Fatal("the interpreter packed nothing: the test no longer exercises packs")
 	}
 	hits0, misses0 := hits.Value(), misses.Value()
 	res, err := Run(c, n, args, Options{})
@@ -80,9 +90,9 @@ func TestReplicatedWeightPacksOncePerRun(t *testing.T) {
 	const n = 4
 	c := hlo.NewComputation("packs-once")
 	groups := topology.NewRing(n).AxisGroups(0)
-	a := c.Parameter(0, "a", []int{8, 16})
-	w := c.Parameter(1, "w", []int{64, 16}) // transposed weight: rhs packs
-	c.Einsum("mk,nk->mn", c.AllGather(a, 0, groups), w)
+	a := c.Parameter(0, "a", []int{16, 8})
+	w := c.Parameter(1, "w", []int{4, 16, 16})
+	c.Einsum(packSpec, c.AllGather(a, 1, groups), w)
 	opts := core.DefaultOptions(machine.TPUv4())
 	opts.UseCostModel = false
 	if _, err := core.Apply(c, opts); err != nil {
@@ -95,11 +105,11 @@ func TestReplicatedWeightPacksOncePerRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	shards := make([]*tensor.Tensor, n)
 	for d := range shards {
-		shards[d] = tensor.Rand(rng, 8, 16)
+		shards[d] = tensor.Rand(rng, 16, 8)
 	}
 	misses := obs.Default().Counter("overlap_kernel_pack_misses_total", "")
 	for round := 0; round < 3; round++ {
-		args := [][]*tensor.Tensor{shards, {tensor.Rand(rng, 64, 16)}}
+		args := [][]*tensor.Tensor{shards, {tensor.Rand(rng, 4, 16, 16)}}
 		for run, want := range []float64{1, 0} {
 			misses0 := misses.Value()
 			res, err := x.Run(context.Background(), args, Options{})

@@ -1,50 +1,46 @@
 package tensor_test
 
 import (
+	"math/rand"
 	"testing"
 
-	"overlap/internal/core"
-	"overlap/internal/machine"
+	"overlap/internal/hlo"
 	"overlap/internal/obs"
 	"overlap/internal/runtime"
 	"overlap/internal/tensor"
-	"overlap/internal/train"
 )
 
-// TestStepsLeaveNoPackOnArenaBuffers pins what training steps may leave
-// behind in the kernel engine. A pack lives on the tensor it was packed
-// from, and an executor's buffers — which from the second step on
-// include the weights, the previous step's outputs — are free-list
-// tensors: they carry packs while a step reads them (the backward pass
-// finds the forward pass's), and Release takes the packs off again.
-// After five steps of a two-layer megatron program, with every result
-// released, the free lists hold the steps' buffers and not one pack.
+// TestStepsLeaveNoPackOnArenaBuffers pins what steps may leave behind
+// in the kernel engine. A pack lives on the tensor it was packed from,
+// and an executor's buffers — an intermediate, and from the second step
+// on the weight, the previous step's output — are free-list tensors:
+// they carry packs while a step reads them, and Release takes the packs
+// off again. The step's einsums read the weight in a layout the kernels
+// cannot read in place (the contraction label between two free labels),
+// so every read packs. After five steps, with every result released,
+// the free lists hold the steps' buffers and not one pack.
 func TestStepsLeaveNoPackOnArenaBuffers(t *testing.T) {
-	prog, err := train.Build(train.Config{Devices: 4, Layers: 2, Model: 8, Hidden: 16, Tokens: 16, Strategy: train.StrategyMegatron})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := core.DefaultOptions(machine.TPUv4())
-	opts.UseCostModel = false
-	opts.RematerializeGathers = true
-	if _, err := core.Apply(prog.Comp, opts); err != nil {
-		t.Fatal(err)
-	}
-	args, err := train.Args(prog, 3, 1.0/1024)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const devices = 2
+	c := hlo.NewComputation("steps")
+	x := c.Parameter(0, "x", []int{16, 4})    // [e, d]
+	w := c.Parameter(1, "w", []int{3, 16, 5}) // [h, e, t]
+	y := c.Einsum("ed,het->dht", x, w)
+	u := c.Add(w, w) // an intermediate, packed at its last use
+	z := c.Einsum("ed,het->dht", x, u)
+	next := c.Add(w, u)
+	c.Tuple(c.Add(y, z), next)
+
+	rng := rand.New(rand.NewSource(3))
+	args := [][]*tensor.Tensor{{tensor.Rand(rng, 16, 4)}, {tensor.Rand(rng, 3, 16, 5)}}
 	misses := obs.Default().Counter("overlap_kernel_pack_misses_total", "")
 	misses0 := misses.Value()
 	var prev *runtime.Result
 	for step := 0; step < 5; step++ {
-		res, err := runtime.Run(prog.Comp, prog.Config.Devices, args, runtime.Options{})
+		res, err := runtime.Run(c, devices, args, runtime.Options{})
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		for i := 0; i < prog.Config.NumWeights(); i++ {
-			args[train.ParamWeight0+i] = res.All[prog.RootWeight(i)]
-		}
+		args[1] = res.All[next]
 		if prev != nil {
 			prev.Release()
 		}
@@ -52,7 +48,7 @@ func TestStepsLeaveNoPackOnArenaBuffers(t *testing.T) {
 	}
 	prev.Release()
 	if misses.Value() == misses0 {
-		t.Fatal("five training steps packed nothing at all: the test no longer exercises packs")
+		t.Fatal("five steps packed nothing at all: the test no longer exercises packs")
 	}
 	tensors, packs := tensor.FreeListPacks()
 	if tensors == 0 {

@@ -8,19 +8,34 @@ import (
 
 // This file is the einsum kernel engine: any two-operand einsum whose
 // labels classify cleanly into batch/M/N/K groups is lowered to a
-// canonical batched-GEMM form — permute-packed into contiguous scratch
-// buffers when the operand layout requires it — and executed by a
-// cache-blocked microkernel with stride-1 inner loops and register
-// accumulation, optionally partitioned across the process-wide worker
-// pool (see parallel.go). Specs that do not lower (single-operand
-// reductions, labels summed within one operand) fall back to the
-// odometer reference path in einsum.go.
+// canonical batched GEMM, C[batch, m, n] += A[batch, m, k]·B[batch, k, n],
+// and executed by cache-blocked microkernels with stride-1 inner loops
+// and register accumulation, optionally partitioned across the
+// process-wide worker pool (see parallel.go). Specs that do not lower
+// (single-operand reductions, labels summed within one operand) fall
+// back to the odometer reference path in einsum.go.
+//
+// The kernels read three operand layouts where they lie:
+//
+//   - direct: the operand is row-major in canonical order;
+//   - NT, rhs laid out [batch, n, k] (`mk,nk->mn`, the input gradients
+//     `ef,df->ed`): the NT kernel computes each element as the dot
+//     product of a row of A and a row of the stored rhs;
+//   - TN, lhs laid out [batch, k, m] (the weight gradients `ef,ed->fd`,
+//     `ptd,ptf->pdf`): the row kernels read A with its row and k strides
+//     swapped.
+//
+// Every other layout — a contraction label between two free labels, as
+// in the rhs of `ed,het->dht`, or a TN lhs beside an NT rhs (the NT
+// kernel reads A rows contiguously) — is permute-packed into canonical
+// order, and the pack lives on its tensor (packcache.go).
 //
 // Determinism contract: for every output element the contracted terms
 // are accumulated in ascending flattened-K order — exactly the order
-// the odometer reference uses — and each element is written by exactly
-// one worker. Kernel results are therefore byte-identical to
-// einsumReference and byte-identical across any worker count.
+// the odometer reference uses — with one add per term, and each element
+// is written by exactly one worker. Kernel results are therefore
+// byte-identical to einsumReference, whichever layout a kernel read,
+// and byte-identical across any worker count.
 
 // gemmPlan is the shape-independent lowering of one einsum spec. Plans
 // are cached per spec string (the compiler emits a small, fixed set of
@@ -40,9 +55,14 @@ type gemmPlan struct {
 	// outPerm maps packed [batch, m, n] to output dimensions.
 	lhsPerm, rhsPerm, outPerm []int
 
-	// Direct layouts: the operand (or output) is already row-major in
-	// packed order, so its backing array is used without copying.
-	lhsDirect, rhsDirect, outDirect bool
+	// How each operand reaches the kernels, picked from the layout
+	// alone. Direct: already row-major in packed order, so its backing
+	// array is used without copying. rhsNT: rhs is [batch, n, k], read
+	// in place by the NT kernel. lhsTN: lhs is [batch, k, m], read in
+	// place by the row kernels — unless rhsNT, since the NT kernel reads
+	// A's rows contiguously. An input that is none of these is packed;
+	// an output that is not direct accumulates in a pooled scratch copy.
+	lhsDirect, lhsTN, rhsDirect, rhsNT, outDirect bool
 }
 
 // buildPlan classifies the spec's labels and constructs the packing
@@ -104,6 +124,8 @@ func buildPlan(spec EinsumSpec) *gemmPlan {
 	p.lhsDirect = lhsOrder == lhs
 	p.rhsDirect = rhsOrder == rhs
 	p.outDirect = outOrder == out
+	p.rhsNT = !p.rhsDirect && string(batch)+string(n)+string(k) == rhs
+	p.lhsTN = !p.lhsDirect && !p.rhsNT && string(batch)+string(k)+string(m) == lhs
 	p.ok = true
 	return p
 }
@@ -176,28 +198,31 @@ func (p *gemmPlan) check(out, lhs, rhs *Tensor) error {
 
 // run accumulates spec(lhs, rhs) into out — out's existing contents are
 // the accumulator, so callers computing a fresh einsum pass a zeroed
-// tensor. A packed input operand is the pack its tensor carries
-// (packcache.go); the accumulator is pre-packed into pooled scratch
-// when the output layout is not direct, which keeps the per-element
-// accumulation order identical to the reference in every case. The
-// accumulator pack is never kept: the kernel itself mutates it.
+// tensor. An input the kernels cannot read in place is the pack its
+// tensor carries (packcache.go); the accumulator is pre-packed into
+// pooled scratch when the output layout is not direct, which keeps the
+// per-element accumulation order identical to the reference in every
+// case. The accumulator pack is never kept: the kernel itself mutates
+// it.
 func (p *gemmPlan) run(out, lhs, rhs *Tensor, workers, splitK int) {
 	B, M, K, N := p.sizes(lhs, rhs)
 	if B*M*N == 0 {
 		return // no output elements (K == 0 alone leaves out unchanged below)
 	}
 
-	a := lhs.data
-	if !p.lhsDirect {
+	g := gemmOperands{a: lhs.data, b: rhs.data, B: B, M: M, K: K, N: N, aRow: K, aK: 1, bT: p.rhsNT}
+	switch {
+	case p.lhsTN:
+		g.aRow, g.aK = 1, M
+	case !p.lhsDirect:
 		pk := lhs.packed(p.lhsPerm)
 		defer lhs.unpack(pk)
-		a = *pk.buf
+		g.a = *pk.buf
 	}
-	b := rhs.data
-	if !p.rhsDirect {
+	if !p.rhsDirect && !p.rhsNT {
 		pk := rhs.packed(p.rhsPerm)
 		defer rhs.unpack(pk)
-		b = *pk.buf
+		g.b = *pk.buf
 	}
 	c := out.data
 	var cBuf *[]float64
@@ -207,7 +232,7 @@ func (p *gemmPlan) run(out, lhs, rhs *Tensor, workers, splitK int) {
 		c = *cBuf
 	}
 
-	gemm(c, a, b, B, M, K, N, workers, splitK)
+	gemm(c, g, workers, splitK)
 
 	if cBuf != nil {
 		permCopy(*cBuf, out, p.outPerm, false)
@@ -285,8 +310,20 @@ func permCopy(packed []float64, t *Tensor, perm []int, toPacked bool) {
 // microseconds; this is roughly a 64^3 matmul).
 const gemmParallelMinFlops = 1 << 19
 
-// gemm executes C[g,i,j] += sum_k A[g,i,k]*B[g,k,j] over contiguous
-// row-major buffers, choosing a strategy by shape:
+// gemmOperands is one GEMM's inputs as the kernels read them. A is
+// [B, M, K] at the strides below; b is B row-major, [B, K, N], or with
+// bT its transpose, [B, N, K], which only the NT kernel reads.
+type gemmOperands struct {
+	a, b       []float64
+	B, M, K, N int
+	// A[g, i, p] is a[g*M*K + i*aRow + p*aK]: (K, 1) when A is row-major,
+	// (1, M) for a TN lhs read in place. The NT kernel needs (K, 1).
+	aRow, aK int
+	bT       bool
+}
+
+// gemm executes C[g,i,j] += sum_k A[g,i,k]*B[g,k,j] into the row-major
+// c, choosing a strategy by shape:
 //
 //   - split-K tree reduction when a factor is planned and the shape is
 //     skinny (splitk.go) — byte-identical across worker counts for a
@@ -299,78 +336,112 @@ const gemmParallelMinFlops = 1 << 19
 //     element, so bytes again match the reference exactly.
 //
 // Only the split-K factor — a planned, fingerprinted decision — ever
-// changes result bytes; the worker count and the rows/columns choice
-// never do.
-func gemm(c, a, b []float64, B, M, K, N, workers, splitK int) {
-	rows := B * M
-	if s := splitFactor(rows, K, N, splitK); s > 1 {
-		gemmSplitK(c, a, b, B, M, K, N, s, workers)
+// changes result bytes; the worker count, the rows/columns choice and
+// the kernel a layout selects never do.
+func gemm(c []float64, g gemmOperands, workers, splitK int) {
+	rows := g.B * g.M
+	if s := splitFactor(rows, g.K, g.N, splitK); s > 1 {
+		gemmSplitK(c, g, s, workers)
 		return
 	}
-	flops := 2 * int64(rows) * int64(K) * int64(N)
+	flops := 2 * int64(rows) * int64(g.K) * int64(g.N)
 	if workers > 1 && flops >= gemmParallelMinFlops {
 		switch {
-		case rows >= N && rows > 1:
+		case rows >= g.N && rows > 1:
 			parallelRows(rows, workers, func(lo, hi int) {
-				gemmRows(c, a, b, M, K, N, lo, hi)
+				g.block(c, lo, hi, 0, g.N, 0, g.K)
 			})
 			return
-		case N > 1:
-			parallelRows(N, workers, func(lo, hi int) {
-				gemmCols(c, a, b, B, M, K, N, lo, hi)
+		case g.N > 1:
+			parallelRows(g.N, workers, func(lo, hi int) {
+				g.block(c, 0, rows, lo, hi, 0, g.K)
 			})
 			return
 		}
 	}
-	gemmRows(c, a, b, M, K, N, 0, rows)
+	g.block(c, 0, rows, 0, g.N, 0, g.K)
 }
 
-// gemmRows computes output rows [lo, hi) — row r is batch r/M, row r%M.
-// Rows within one batch are processed four at a time so each streamed
-// row of B feeds four register accumulating C rows.
-func gemmRows(c, a, b []float64, M, K, N, lo, hi int) {
-	if K == 0 || N == 0 {
+// block accumulates the contraction range [k0, k1) of output rows
+// [rlo, rhi) and columns [clo, chi) into c — a row range is the row
+// partition's share, a column range the column partition's, a K range
+// one split-K chunk. Row r is batch r/M, row r%M; rows are handed to
+// the kernel one batch at a time.
+func (g gemmOperands) block(c []float64, rlo, rhi, clo, chi, k0, k1 int) {
+	if k1 <= k0 || chi <= clo {
 		return
 	}
-	r := lo
-	for r < hi {
-		g, i := r/M, r%M
-		span := hi - r
-		if left := M - i; left < span {
-			span = left
+	for r := rlo; r < rhi; {
+		span := min(rhi-r, g.M-r%g.M)
+		if g.bT {
+			g.ntRows(c, r, span, clo, chi, k0, k1)
+		} else {
+			g.rows(c, r, span, clo, chi, k0, k1)
 		}
-		bmat := b[g*K*N : (g+1)*K*N]
-		aoff := (g*M + i) * K
-		coff := (g*M + i) * N
-		for span >= 4 {
-			gemm4Rows(c[coff:coff+4*N], a[aoff:aoff+4*K], bmat, K, K, N)
-			span -= 4
-			r += 4
-			aoff += 4 * K
-			coff += 4 * N
-		}
-		for ; span > 0; span-- {
-			gemmRow(c[coff:coff+N], a[aoff:aoff+K], bmat, K, N)
-			r++
-			aoff += K
-			coff += N
-		}
+		r += span
 	}
 }
 
-// gemm4Rows updates four C rows against the shared B panel: one load of
-// each B row feeds four multiply-accumulates, quartering the B memory
-// traffic of the single-row kernel. K is the panel length; aStride the
-// distance between consecutive A rows (== K on the full matrix, larger
-// when a split-K chunk reads a K-subrange of each row).
-func gemm4Rows(c, a, b []float64, K, aStride, N int) {
-	c0 := c[0*N : 1*N]
-	c1 := c[1*N : 2*N]
-	c2 := c[2*N : 3*N]
-	c3 := c[3*N : 4*N]
-	for p := 0; p < K; p++ {
-		brow := b[p*N : p*N+N]
-		a0, a1, a2, a3 := a[p], a[aStride+p], a[2*aStride+p], a[3*aStride+p]
+// rows is block over rows [r, r+span) of one batch when B is
+// row-major. Rows go four at a time so each streamed row of B feeds
+// four C rows.
+func (g gemmOperands) rows(c []float64, r, span, clo, chi, k0, k1 int) {
+	M, K, N := g.M, g.K, g.N
+	b := g.b[r/M*K*N+k0*N+clo:]
+	aoff := r/M*M*K + r%M*g.aRow + k0*g.aK
+	kLen, w := k1-k0, chi-clo
+	for ; span >= 4; span -= 4 {
+		gemm4Rows(c[r*N+clo:], g.a[aoff:], b, kLen, w, N, g.aRow, g.aK)
+		r += 4
+		aoff += 4 * g.aRow
+	}
+	for ; span > 0; span-- {
+		gemmRow(c[r*N+clo:r*N+chi], g.a[aoff:], b, kLen, N, g.aK)
+		r++
+		aoff += g.aRow
+	}
+}
+
+// gemm4Rows adds a kLen-long panel of B (rows N apart, w wide) to four
+// C rows (N apart, w wide): one load of each B row feeds four
+// multiply-accumulates, quartering the B memory traffic of the
+// single-row kernel, and K is unrolled by two, halving the C traffic.
+// The four rows' A elements at step p sit at p·aK + {0, 1, 2, 3}·aRow.
+func gemm4Rows(c, a, b []float64, kLen, w, N, aRow, aK int) {
+	c0 := c[0*N:][:w]
+	c1 := c[1*N:][:w]
+	c2 := c[2*N:][:w]
+	c3 := c[3*N:][:w]
+	p, o := 0, 0
+	for ; p+2 <= kLen; p, o = p+2, o+2*aK {
+		b0 := b[p*N:][:w]
+		b1 := b[(p+1)*N:][:w]
+		a00, a10, a20, a30 := a[o], a[o+aRow], a[o+2*aRow], a[o+3*aRow]
+		q := o + aK
+		a01, a11, a21, a31 := a[q], a[q+aRow], a[q+2*aRow], a[q+3*aRow]
+		for j := 0; j < w; j++ {
+			x, y := b0[j], b1[j]
+			s := c0[j]
+			s += a00 * x
+			s += a01 * y
+			c0[j] = s
+			s = c1[j]
+			s += a10 * x
+			s += a11 * y
+			c1[j] = s
+			s = c2[j]
+			s += a20 * x
+			s += a21 * y
+			c2[j] = s
+			s = c3[j]
+			s += a30 * x
+			s += a31 * y
+			c3[j] = s
+		}
+	}
+	for ; p < kLen; p, o = p+1, o+aK {
+		brow := b[p*N:][:w]
+		a0, a1, a2, a3 := a[o], a[o+aRow], a[o+2*aRow], a[o+3*aRow]
 		for j, bv := range brow {
 			c0[j] += a0 * bv
 			c1[j] += a1 * bv
@@ -380,17 +451,20 @@ func gemm4Rows(c, a, b []float64, K, aStride, N int) {
 	}
 }
 
-// gemmRow updates one C row, unrolling K by four. The unrolled body
-// adds each term separately so the per-element accumulation order stays
-// k-ascending (a fused sum would round differently).
-func gemmRow(crow, arow, b []float64, K, N int) {
-	p := 0
-	for ; p+4 <= K; p += 4 {
-		a0, a1, a2, a3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
-		b0 := b[p*N : p*N+N]
-		b1 := b[(p+1)*N : (p+1)*N+N]
-		b2 := b[(p+2)*N : (p+2)*N+N]
-		b3 := b[(p+3)*N : (p+3)*N+N]
+// gemmRow adds a kLen-long panel of B (rows N apart, len(crow) wide)
+// to one C row, unrolling K by four; the row's A element at step p is
+// a[p·aK]. The unrolled body adds each term separately so the
+// per-element accumulation order stays k-ascending (a fused sum would
+// round differently).
+func gemmRow(crow, a, b []float64, kLen, N, aK int) {
+	w := len(crow)
+	p, o := 0, 0
+	for ; p+4 <= kLen; p, o = p+4, o+4*aK {
+		a0, a1, a2, a3 := a[o], a[o+aK], a[o+2*aK], a[o+3*aK]
+		b0 := b[p*N:][:w]
+		b1 := b[(p+1)*N:][:w]
+		b2 := b[(p+2)*N:][:w]
+		b3 := b[(p+3)*N:][:w]
 		for j := range b0 {
 			s := crow[j]
 			s += a0 * b0[j]
@@ -400,56 +474,109 @@ func gemmRow(crow, arow, b []float64, K, N int) {
 			crow[j] = s
 		}
 	}
-	for ; p < K; p++ {
-		ap := arow[p]
-		brow := b[p*N : p*N+N]
+	for ; p < kLen; p, o = p+1, o+aK {
+		ap := a[o]
+		brow := b[p*N:][:w]
 		for j, bv := range brow {
 			crow[j] += ap * bv
 		}
 	}
 }
 
-// gemmCols computes output columns [lo, hi) of every row — the
-// partition axis for skinny outputs, where too few rows exist to feed
-// the worker pool. Each element still accumulates its K terms in
-// ascending order and is written by exactly one worker, so the bytes
-// match the reference at any worker count.
-func gemmCols(c, a, b []float64, B, M, K, N, lo, hi int) {
-	w := hi - lo
-	if K == 0 || w <= 0 {
-		return
-	}
-	for g := 0; g < B; g++ {
-		bmat := b[g*K*N:]
-		for i := 0; i < M; i++ {
-			r := g*M + i
-			arow := a[r*K : r*K+K]
-			crow := c[r*N+lo : r*N+hi]
-			p := 0
-			for ; p+4 <= K; p += 4 {
-				a0, a1, a2, a3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
-				b0 := bmat[p*N+lo : p*N+lo+w]
-				b1 := bmat[(p+1)*N+lo : (p+1)*N+lo+w]
-				b2 := bmat[(p+2)*N+lo : (p+2)*N+lo+w]
-				b3 := bmat[(p+3)*N+lo : (p+3)*N+lo+w]
-				for j := range b0 {
-					s := crow[j]
-					s += a0 * b0[j]
-					s += a1 * b1[j]
-					s += a2 * b2[j]
-					s += a3 * b3[j]
-					crow[j] = s
-				}
-			}
-			for ; p < K; p++ {
-				ap := arow[p]
-				brow := bmat[p*N+lo : p*N+lo+w]
-				for j, bv := range brow {
-					crow[j] += ap * bv
-				}
+// ntRows is block over rows [r, r+span) of one batch when b holds B
+// transposed, [B, N, K]: every output element is the dot product of a
+// row of A and a row of b, both contiguous, so neither is copied. Four
+// rows of A meet two rows of b at a time, the eight elements held in
+// registers across the whole K range.
+func (g gemmOperands) ntRows(c []float64, r, span, clo, chi, k0, k1 int) {
+	K, N := g.K, g.N
+	a, bt := g.a, g.b[r/g.M*N*K:]
+	for ; span >= 4; span -= 4 {
+		a0 := a[r*K+k0 : r*K+k1]
+		a1 := a[(r+1)*K+k0 : (r+1)*K+k1]
+		a2 := a[(r+2)*K+k0 : (r+2)*K+k1]
+		a3 := a[(r+3)*K+k0 : (r+3)*K+k1]
+		j := clo
+		for ; j+2 <= chi; j += 2 {
+			nt4x2(c[r*N+j:], N, a0, a1, a2, a3, bt[j*K+k0:j*K+k1], bt[(j+1)*K+k0:(j+1)*K+k1])
+		}
+		if j < chi {
+			b0 := bt[j*K+k0 : j*K+k1]
+			for q, aq := range [4][]float64{a0, a1, a2, a3} {
+				c[(r+q)*N+j] = ntDot(c[(r+q)*N+j], aq, b0)
 			}
 		}
+		r += 4
 	}
+	for ; span > 0; span-- {
+		a0 := a[r*K+k0 : r*K+k1]
+		j := clo
+		for ; j+4 <= chi; j += 4 {
+			nt1x4(c[r*N+j:], a0, bt[j*K+k0:j*K+k1], bt[(j+1)*K+k0:(j+1)*K+k1],
+				bt[(j+2)*K+k0:(j+2)*K+k1], bt[(j+3)*K+k0:(j+3)*K+k1])
+		}
+		for ; j < chi; j++ {
+			c[r*N+j] = ntDot(c[r*N+j], a0, bt[j*K+k0:j*K+k1])
+		}
+		r++
+	}
+}
+
+// nt4x2 adds the dot products of rows a0..a3 with rows b0 and b1 onto
+// the 4×2 block of c whose rows are ldc apart. Each element is one
+// accumulator that starts from its value in c and adds its terms in
+// ascending k, one add per term — the reference's order.
+func nt4x2(c []float64, ldc int, a0, a1, a2, a3, b0, b1 []float64) {
+	n := len(b0)
+	a0, a1, a2, a3, b1 = a0[:n], a1[:n], a2[:n], a3[:n], b1[:n]
+	s00, s01 := c[0], c[1]
+	s10, s11 := c[ldc], c[ldc+1]
+	s20, s21 := c[2*ldc], c[2*ldc+1]
+	s30, s31 := c[3*ldc], c[3*ldc+1]
+	for p, x := range b0 {
+		y := b1[p]
+		v := a0[p]
+		s00 += v * x
+		s01 += v * y
+		v = a1[p]
+		s10 += v * x
+		s11 += v * y
+		v = a2[p]
+		s20 += v * x
+		s21 += v * y
+		v = a3[p]
+		s30 += v * x
+		s31 += v * y
+	}
+	c[0], c[1] = s00, s01
+	c[ldc], c[ldc+1] = s10, s11
+	c[2*ldc], c[2*ldc+1] = s20, s21
+	c[3*ldc], c[3*ldc+1] = s30, s31
+}
+
+// nt1x4 is nt4x2 for a row of A left over below four: one row against
+// four rows of b, onto c[0..3].
+func nt1x4(c, a, b0, b1, b2, b3 []float64) {
+	n := len(a)
+	b0, b1, b2, b3 = b0[:n], b1[:n], b2[:n], b3[:n]
+	s0, s1, s2, s3 := c[0], c[1], c[2], c[3]
+	for p, v := range a {
+		s0 += v * b0[p]
+		s1 += v * b1[p]
+		s2 += v * b2[p]
+		s3 += v * b3[p]
+	}
+	c[0], c[1], c[2], c[3] = s0, s1, s2, s3
+}
+
+// ntDot returns s plus the dot product of a and b, added term by term
+// in ascending k.
+func ntDot(s float64, a, b []float64) float64 {
+	b = b[:len(a)]
+	for p, v := range a {
+		s += v * b[p]
+	}
+	return s
 }
 
 // ---- spec/plan cache and dispatch ----

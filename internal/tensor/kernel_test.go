@@ -153,7 +153,7 @@ func TestKernelFallbackSpecs(t *testing.T) {
 // TestKernelWorkerCountDeterminism verifies the partitioning contract:
 // results are byte-identical for 1, 2 and the host's GOMAXPROCS
 // workers, on sizes large enough to cross the parallel threshold, for
-// direct and packed layouts.
+// direct, in-place transposed and packed layouts.
 func TestKernelWorkerCountDeterminism(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(3))
@@ -162,9 +162,12 @@ func TestKernelWorkerCountDeterminism(t *testing.T) {
 		lhs, rhs []int
 	}{
 		{"ik,kj->ij", []int{160, 160}, []int{160, 160}},      // fully direct
-		{"ik,jk->ij", []int{160, 160}, []int{160, 160}},      // rhs packed
+		{"ik,jk->ij", []int{160, 160}, []int{160, 160}},      // rhs NT, read in place
+		{"ki,kj->ij", []int{160, 160}, []int{160, 160}},      // lhs TN, read in place
+		{"ki,jk->ij", []int{160, 160}, []int{160, 160}},      // NT rhs in place, TN lhs packed
+		{"mk,nk->mn", []int{4, 2048}, []int{256, 2048}},      // the site's skinny NT: column partition
 		{"gik,gkj->gij", []int{4, 96, 96}, []int{4, 96, 96}}, // batched
-		{"ki,kj->ji", []int{160, 160}, []int{160, 160}},      // all packed
+		{"ki,kj->ji", []int{160, 160}, []int{160, 160}},      // lhs TN, output packed
 	}
 	counts := []int{1, 2, runtime.GOMAXPROCS(0)}
 	for _, tc := range specs {
@@ -191,9 +194,9 @@ func TestKernelWorkerCountDeterminism(t *testing.T) {
 }
 
 // TestEinsumAddIntoSteadyStateAllocs pins the fused accumulate path at
-// zero steady-state allocations for direct layouts: the spec/plan cache
-// is warm, no output temporary is materialized, and no packing scratch
-// is needed.
+// zero steady-state allocations for the layouts the kernels read in
+// place — direct, NT and TN: the spec/plan cache is warm, no output
+// temporary is materialized, and no packing scratch is needed.
 func TestEinsumAddIntoSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not representative under the race detector")
@@ -203,19 +206,70 @@ func TestEinsumAddIntoSteadyStateAllocs(t *testing.T) {
 	lhs := Rand(rng, 64, 64)
 	rhs := Rand(rng, 64, 64)
 	acc := New(64, 64)
-	EinsumAddInto(acc, "ik,kj->ij", lhs, rhs) // warm the spec cache
-	allocs := testing.AllocsPerRun(100, func() {
-		EinsumAddInto(acc, "ik,kj->ij", lhs, rhs)
-	})
-	if allocs != 0 {
-		t.Fatalf("EinsumAddInto direct path allocates %.1f objects/op, want 0", allocs)
+	for _, spec := range []string{"ik,kj->ij", "ik,jk->ij", "ki,kj->ij"} {
+		EinsumAddInto(acc, spec, lhs, rhs) // warm the spec cache
+		allocs := testing.AllocsPerRun(100, func() {
+			EinsumAddInto(acc, spec, lhs, rhs)
+		})
+		if allocs != 0 {
+			t.Fatalf("EinsumAddInto %s allocates %.1f objects/op, want 0", spec, allocs)
+		}
+	}
+}
+
+// TestTransposedOperandsReadInPlace: a transposed operand the kernels
+// read where it lies gives exactly the bytes of the same operand
+// physically transposed and read directly, at every split-K factor and
+// worker count — the layout picks a kernel, never a result. Only the
+// NT+TN pair packs (its lhs); no other case touches the pack cache.
+func TestTransposedOperandsReadInPlace(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(8))
+	cases := []struct {
+		spec, direct string
+		lhs, rhs     []int // operand shapes under spec
+		lhsT, rhsT   []int // the permutation that lays each out for direct; nil if it already is
+		packs        bool
+	}{
+		{"mk,nk->mn", "mk,kn->mn", []int{4, 1024}, []int{64, 1024}, nil, []int{1, 0}, false},
+		{"km,kn->mn", "mk,kn->mn", []int{1024, 4}, []int{1024, 64}, []int{1, 0}, nil, false},
+		{"km,nk->mn", "mk,kn->mn", []int{1024, 4}, []int{64, 1024}, []int{1, 0}, []int{1, 0}, true},
+		{"mk,nk->mn", "mk,kn->mn", []int{96, 128}, []int{48, 128}, nil, []int{1, 0}, false},
+		{"km,kn->mn", "mk,kn->mn", []int{128, 96}, []int{128, 48}, []int{1, 0}, nil, false},
+		{"gmk,gnk->gmn", "gmk,gkn->gmn", []int{3, 5, 512}, []int{3, 18, 512}, nil, []int{0, 2, 1}, false},
+		{"gkm,gkn->gmn", "gmk,gkn->gmn", []int{3, 512, 5}, []int{3, 512, 18}, []int{0, 2, 1}, nil, false},
+	}
+	for _, tc := range cases {
+		lhs, rhs := Rand(rng, tc.lhs...), Rand(rng, tc.rhs...)
+		dl, dr := lhs, rhs
+		if tc.lhsT != nil {
+			dl = Transpose(lhs, tc.lhsT...)
+		}
+		if tc.rhsT != nil {
+			dr = Transpose(rhs, tc.rhsT...)
+		}
+		for _, s := range []int{0, 2, 4} {
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				misses0 := kernelPackMisses.Value()
+				got := EinsumSplitK(s, tc.spec, lhs, rhs)
+				if packed := kernelPackMisses.Value() > misses0; packed != tc.packs {
+					t.Fatalf("%s: packed %v, want %v", tc.spec, packed, tc.packs)
+				}
+				if want := EinsumSplitK(s, tc.direct, dl, dr); !got.Equal(want) {
+					t.Fatalf("%s %v×%v splitk=%d GOMAXPROCS=%d: bytes differ from the transposed copy read directly (max diff %g)",
+						tc.spec, tc.lhs, tc.rhs, s, procs, got.MaxDifference(want))
+				}
+				lhs.noteMutation() // the NT+TN lhs packs afresh every cell
+			}
+		}
 	}
 }
 
 // TestEinsumAddIntoPackedPathPoolsScratch pins that packing scratch is
-// recycled: a packed-layout accumulate averages well under one
-// allocation per run once the buffer pool is warm (three fresh
-// data-sized buffers per run would be the unpooled cost).
+// recycled: an accumulate onto a non-direct output layout, which
+// accumulates in a pre-packed scratch copy, averages well under one
+// allocation per run once the buffer pool is warm.
 func TestEinsumAddIntoPackedPathPoolsScratch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool deliberately drops items under the race detector")
@@ -234,8 +288,38 @@ func TestEinsumAddIntoPackedPathPoolsScratch(t *testing.T) {
 	}
 }
 
-// BenchmarkEinsum sweeps square matmuls from 32 to 512, reporting
-// GFLOP/s alongside ns/op.
+type layoutCase struct {
+	name, spec string
+	lhs, rhs   []int
+}
+
+// einsumLayouts is BenchmarkEinsum's layout table: the golden site's
+// partial einsum (a shard's rows against the transposed weight), square
+// NT, TN and direct matrices, and the four gradient einsums of a
+// megatron layer at model 128, hidden 512 and 32 tokens per device.
+func einsumLayouts() []layoutCase {
+	cases := []layoutCase{
+		{"site/m4", "mk,nk->mn", []int{4, 8192}, []int{256, 8192}},
+		{"site/m16", "mk,nk->mn", []int{16, 8192}, []int{256, 8192}},
+	}
+	for _, n := range []int{16, 32, 64, 128, 256} {
+		cases = append(cases,
+			layoutCase{fmt.Sprintf("nt/%d", n), "ik,jk->ij", []int{n, n}, []int{n, n}},
+			layoutCase{fmt.Sprintf("tn/%d", n), "ki,kj->ij", []int{n, n}, []int{n, n}},
+			layoutCase{fmt.Sprintf("direct/%d", n), "ik,kj->ij", []int{n, n}, []int{n, n}})
+	}
+	return append(cases,
+		layoutCase{"megatron/ef,df->ed", "ef,df->ed", []int{32, 512}, []int{128, 512}},
+		layoutCase{"megatron/ed,fd->ef", "ed,fd->ef", []int{32, 128}, []int{512, 128}},
+		layoutCase{"megatron/ed,ef->df", "ed,ef->df", []int{32, 128}, []int{32, 512}},
+		layoutCase{"megatron/ef,ed->fd", "ef,ed->fd", []int{32, 512}, []int{32, 128}})
+}
+
+// BenchmarkEinsum sweeps square matmuls from 32 to 512, then runs the
+// layout table, reporting GFLOP/s alongside ns/op. Every layout
+// iteration bumps both operands' versions, so a layout that packs pays
+// its pack every time, as a changing weight does: a row that reads in
+// place compares directly with the same row where it packs.
 func BenchmarkEinsum(b *testing.B) {
 	for _, size := range []int{32, 64, 128, 256, 512} {
 		b.Run(fmt.Sprintf("matmul%d", size), func(b *testing.B) {
@@ -248,6 +332,28 @@ func BenchmarkEinsum(b *testing.B) {
 				Einsum("ik,kj->ij", x, y)
 			}
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+	for _, tc := range einsumLayouts() {
+		b.Run(tc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			x, y := Rand(rng, tc.lhs...), Rand(rng, tc.rhs...)
+			e, err := einsumLookup(tc.spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			flops, err := e.spec.Flops(tc.lhs, tc.rhs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			out := Einsum(tc.spec, x, y)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				x.noteMutation()
+				y.noteMutation()
+				EinsumIntoSplitK(out, 0, tc.spec, x, y)
+			}
+			b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
 	}
 }

@@ -6,7 +6,9 @@ import (
 )
 
 // A packed operand lives on the tensor it was packed from. The kernel
-// engine's permute-packing of a non-direct operand is a pure function
+// engine packs only the layouts no kernel reads in place (kernel.go:
+// direct, NT rhs and TN lhs are read where they lie), such as a
+// contraction label between two free labels. Packing is a pure function
 // of (permutation, tensor contents), and the decomposed loop re-reads
 // the same stationary operand every iteration and on every device, so
 // the packed form is kept — by the one thing that is alive exactly as

@@ -13,6 +13,18 @@ import (
 // always-freshly-packed path the cached engine is compared against.
 func setPackCache(on bool) { packCacheOn.Store(on) }
 
+// packSpec is a layout the kernels cannot read in place: the rhs's
+// contraction label e sits between its two free labels h and t, so the
+// rhs is packed (its lhs, [e, d], is TN and read where it lies). Every
+// pack-cache test runs it and asserts the miss counter moved, so none
+// of them can pass without packing.
+const packSpec = "ed,het->dht"
+
+// packOperands returns packSpec's operands: x is [e, d], w [h, e, t].
+func packOperands(rng *rand.Rand, e, d, h, t int) (x, w *Tensor) {
+	return Rand(rng, e, d), Rand(rng, h, e, t)
+}
+
 // TestPackCacheHitsAcrossIterations verifies the pack's purpose: a
 // recurring packed operand (the decomposed loop's weight shard) packs
 // once, then every later kernel execution against it is a hit — and
@@ -21,15 +33,18 @@ func TestPackCacheHitsAcrossIterations(t *testing.T) {
 	defer setPackCache(true)
 	setPackCache(true)
 	rng := rand.New(rand.NewSource(31))
-	x := Rand(rng, 4, 96)
-	w := Rand(rng, 64, 96) // rhs of "mk,nk->mn": packed every run
-	want := ReferenceEinsum("mk,nk->mn", x, w)
+	x, w := packOperands(rng, 96, 4, 8, 8)
+	want := ReferenceEinsum(packSpec, x, w)
 
-	first := Einsum("mk,nk->mn", x, w) // populate (or refresh) the entry
+	misses0 := kernelPackMisses.Value()
+	first := Einsum(packSpec, x, w) // populate the entry
+	if kernelPackMisses.Value() == misses0 {
+		t.Fatal("the first kernel against a fresh operand did not pack it")
+	}
 	hits0 := kernelPackHits.Value()
 	const iters = 20
 	for i := 0; i < iters; i++ {
-		if got := Einsum("mk,nk->mn", x, w); !got.Equal(want) || !first.Equal(want) {
+		if got := Einsum(packSpec, x, w); !got.Equal(want) || !first.Equal(want) {
 			t.Fatal("cached pack produced different bytes than the reference")
 		}
 	}
@@ -46,43 +61,45 @@ func TestPackCacheInvalidationOnMutation(t *testing.T) {
 	defer setPackCache(true)
 	setPackCache(true)
 	rng := rand.New(rand.NewSource(32))
-	const spec = "mk,nk->mn"
-	x := Rand(rng, 4, 64)
-	w := Rand(rng, 32, 64)
+	x, w := packOperands(rng, 64, 4, 4, 8)
 	check := func(stage string) {
 		t.Helper()
-		if got, want := Einsum(spec, x, w), ReferenceEinsum(spec, x, w); !got.Equal(want) {
+		misses0 := kernelPackMisses.Value()
+		if got, want := Einsum(packSpec, x, w), ReferenceEinsum(packSpec, x, w); !got.Equal(want) {
 			t.Fatalf("%s: kernel served a stale pack (max diff %g)", stage, got.MaxDifference(want))
+		}
+		if stage != "warm" && kernelPackMisses.Value() == misses0 {
+			t.Fatalf("%s: the mutated operand was not repacked", stage)
 		}
 	}
 	check("cold")
 	check("warm")
 
-	w.Set(42.5, 3, 7)
+	w.Set(42.5, 3, 7, 1)
 	check("after Set")
 
 	w.Data()[11] = -3.25
 	check("after write through Data")
 
-	AddInPlace(w, Rand(rng, 32, 64))
+	AddInPlace(w, Rand(rng, 4, 64, 8))
 	check("after AddInPlace")
 
 	// A tensor used as a kernel output and then as an operand: run()'s
 	// mutation note must invalidate too.
-	EinsumAddInto(w, "mk,kn->mn", Rand(rng, 32, 16), Rand(rng, 16, 64))
+	EinsumAddInto(w, "hk,ket->het", Rand(rng, 4, 16), Rand(rng, 16, 64, 8))
 	check("after being a kernel output")
 
 	// The destination-passing kernels an executor's buffer plan runs in
 	// place: each one writes w without w ever leaving the cache's sight.
-	AddInto(w, Rand(rng, 32, 64), w)
+	AddInto(w, Rand(rng, 4, 64, 8), w)
 	check("after AddInto in place")
-	MaxInto(w, w, Rand(rng, 32, 64))
+	MaxInto(w, w, Rand(rng, 4, 64, 8))
 	check("after MaxInto in place")
-	DynamicUpdateSliceInto(w, w, Rand(rng, 4, 64), []int{9, 0})
+	DynamicUpdateSliceInto(w, w, Rand(rng, 1, 64, 8), []int{2, 0, 0})
 	check("after DynamicUpdateSliceInto in place")
-	CopyInto(w, Rand(rng, 32, 64))
+	CopyInto(w, Rand(rng, 4, 64, 8))
 	check("after CopyInto")
-	EinsumIntoSplitK(w, 0, "mk,kn->mn", Rand(rng, 32, 16), Rand(rng, 16, 64))
+	EinsumIntoSplitK(w, 0, "hk,ket->het", Rand(rng, 4, 16), Rand(rng, 16, 64, 8))
 	check("after EinsumInto")
 }
 
@@ -96,15 +113,14 @@ func TestPooledTensorCarriesItsPackUntilRelease(t *testing.T) {
 	defer setPackCache(true)
 	setPackCache(true)
 	rng := rand.New(rand.NewSource(36))
-	const spec = "mk,nk->mn"
-	x := Rand(rng, 4, 64)
-	w := NewPooled(32, 64)
+	x := Rand(rng, 64, 4)
+	w := NewPooled(4, 64, 8)
 	var buf *[]float64
 	for round := 0; round < 3; round++ {
-		CopyInto(w, Rand(rng, 32, 64))
+		CopyInto(w, Rand(rng, 4, 64, 8))
 		hits0, misses0 := kernelPackHits.Value(), kernelPackMisses.Value()
 		for use := 0; use < 2; use++ {
-			if got, want := Einsum(spec, x, w), ReferenceEinsum(spec, x, w); !got.Equal(want) {
+			if got, want := Einsum(packSpec, x, w), ReferenceEinsum(packSpec, x, w); !got.Equal(want) {
 				t.Fatalf("round %d: pooled operand produced wrong bytes", round)
 			}
 		}
@@ -132,7 +148,7 @@ func TestPooledTensorCarriesItsPackUntilRelease(t *testing.T) {
 	}
 	if !raceEnabled { // the race detector makes sync.Pool drop buffers at random
 		fresh0 := kernelPoolFreshBytes.Value()
-		next := getBuf(32 * 64)
+		next := getBuf(4 * 64 * 8)
 		if next != buf || kernelPoolFreshBytes.Value() != fresh0 {
 			t.Fatal("Release did not hand the pack buffer back to the scratch pool")
 		}
@@ -148,19 +164,22 @@ func TestPackDiesWithItsTensor(t *testing.T) {
 	defer setPackCache(true)
 	setPackCache(true)
 	rng := rand.New(rand.NewSource(33))
-	const spec = "mk,nk->mn" // rhs side packs
-	x := Rand(rng, 2, 32)
+	x := Rand(rng, 32, 2)
 	freed := make(chan struct{})
+	misses0 := kernelPackMisses.Value()
 	func() {
-		w := Rand(rng, 8, 32)
-		Einsum(spec, x, w)
+		w := Rand(rng, 2, 32, 4)
+		Einsum(packSpec, x, w)
 		if len(w.packs) != 1 {
 			t.Fatalf("the operand carries %d packs, want 1", len(w.packs))
 		}
 		goruntime.SetFinalizer(w.packs[0], func(*pack) { close(freed) })
 	}()
 	for i := 0; i < 10; i++ {
-		Einsum(spec, x, Rand(rng, 8, 32))
+		Einsum(packSpec, x, Rand(rng, 2, 32, 4))
+	}
+	if misses := kernelPackMisses.Value() - misses0; misses != 11 {
+		t.Fatalf("11 kernels against 11 fresh operands packed %g times", misses)
 	}
 	deadline := time.After(10 * time.Second)
 	for {
@@ -183,9 +202,8 @@ func TestReplicatedOperandPacksOnce(t *testing.T) {
 	defer setPackCache(true)
 	setPackCache(true)
 	rng := rand.New(rand.NewSource(37))
-	x := Rand(rng, 2, 48)
-	w := Rand(rng, 256, 48)
-	want := ReferenceEinsum("mk,nk->mn", x, w)
+	x, w := packOperands(rng, 48, 2, 16, 16)
+	want := ReferenceEinsum(packSpec, x, w)
 	misses0 := kernelPackMisses.Value()
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -194,7 +212,7 @@ func TestReplicatedOperandPacksOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			if !Einsum("mk,nk->mn", x, w).Equal(want) {
+			if !Einsum(packSpec, x, w).Equal(want) {
 				t.Error("wrong bytes from a pack filled under contention")
 			}
 		}()
@@ -237,19 +255,21 @@ func TestStalePackUnderAReaderIsReplaced(t *testing.T) {
 }
 
 // TestPackCacheDisabled verifies the toggle: with the cache off the
-// engine packs into pooled scratch every run, still byte-identical.
+// engine packs every run, still byte-identical.
 func TestPackCacheDisabled(t *testing.T) {
 	defer setPackCache(true)
 	rng := rand.New(rand.NewSource(34))
-	x := Rand(rng, 4, 64)
-	w := Rand(rng, 32, 64)
+	x, w := packOperands(rng, 64, 4, 4, 8)
 	setPackCache(true)
-	on := Einsum("mk,nk->mn", x, w)
+	on := Einsum(packSpec, x, w)
 	setPackCache(false)
-	hits0 := kernelPackHits.Value()
-	off := Einsum("mk,nk->mn", x, w)
+	hits0, misses0 := kernelPackHits.Value(), kernelPackMisses.Value()
+	off := Einsum(packSpec, x, w)
 	if kernelPackHits.Value() != hits0 {
 		t.Fatal("disabled cache still served a hit")
+	}
+	if kernelPackMisses.Value() == misses0 {
+		t.Fatal("disabled cache did not pack")
 	}
 	if !on.Equal(off) {
 		t.Fatal("cache on/off produced different bytes")
@@ -265,9 +285,9 @@ func TestPackCacheConcurrentUse(t *testing.T) {
 	defer setPackCache(true)
 	setPackCache(true)
 	rng := rand.New(rand.NewSource(35))
-	x := Rand(rng, 2, 48)
-	shared := Rand(rng, 24, 48) // cached pack read by every goroutine
-	want := ReferenceEinsum("mk,nk->mn", x, shared)
+	x, shared := packOperands(rng, 48, 2, 4, 6) // shared: a pack read by every goroutine
+	want := ReferenceEinsum(packSpec, x, shared)
+	misses0 := kernelPackMisses.Value()
 
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -277,15 +297,15 @@ func TestPackCacheConcurrentUse(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			own := Rand(rng, 24, 48)
+			own := Rand(rng, 4, 48, 6)
 			for i := 0; i < 50; i++ {
-				if got := Einsum("mk,nk->mn", x, shared); !got.Equal(want) {
+				if got := Einsum(packSpec, x, shared); !got.Equal(want) {
 					errs <- fmt.Errorf("shared operand: wrong bytes on iteration %d", i)
 					return
 				}
-				own.Set(rng.Float64(), i%24, i%48)
-				got := Einsum("mk,nk->mn", x, own)
-				ref := ReferenceEinsum("mk,nk->mn", x, own)
+				own.Set(rng.Float64(), i%4, i%48, i%6)
+				got := Einsum(packSpec, x, own)
+				ref := ReferenceEinsum(packSpec, x, own)
 				if !got.Equal(ref) {
 					errs <- fmt.Errorf("private operand: stale pack on iteration %d", i)
 					return
@@ -300,6 +320,11 @@ func TestPackCacheConcurrentUse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+	// One fill of the shared pack at least, and a repack of each
+	// goroutine's own operand after every Set.
+	if misses := kernelPackMisses.Value() - misses0; misses < goroutines*50+1 {
+		t.Fatalf("%g pack misses, want at least %d", misses, goroutines*50+1)
 	}
 }
 

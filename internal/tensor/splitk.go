@@ -57,18 +57,19 @@ func splitFactor(rows, K, N, splitK int) int {
 
 // gemmSplitK executes C[g,i,j] += sum_k A[g,i,k]·B[g,k,j] by
 // partitioning K into s ranges with private accumulators and combining
-// them in the fixed binary tree described above.
-func gemmSplitK(c, a, b []float64, B, M, K, N, s, workers int) {
-	rows := B * M
-	out := rows * N
+// them in the fixed binary tree described above. Each range is one call
+// of the kernels the unsplit GEMM runs (gemmOperands.block), so an
+// operand read in place stays in place at every factor.
+func gemmSplitK(c []float64, g gemmOperands, s, workers int) {
+	rows := g.B * g.M
+	out := rows * g.N
 	parts := make([]*[]float64, s)
 	for i := range parts {
 		parts[i] = getZeroBuf(out)
 	}
 	parallelRows(s, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			k0, k1 := i*K/s, (i+1)*K/s
-			gemmChunk(*parts[i], a, b, B, M, K, N, k0, k1)
+			g.block(*parts[i], 0, rows, 0, g.N, i*g.K/s, (i+1)*g.K/s)
 		}
 	})
 	for gap := 1; gap < s; gap *= 2 {
@@ -81,29 +82,6 @@ func gemmSplitK(c, a, b []float64, B, M, K, N, s, workers int) {
 		putBuf(p)
 	}
 	kernelSplitKOps.Inc()
-}
-
-// gemmChunk accumulates the K-range [k0, k1) of every output row into
-// dst (rows laid out as the output, one row per M·N block). Within the
-// range each element accumulates in ascending k, reusing the 4-row
-// B-panel kernel where M allows.
-func gemmChunk(dst, a, b []float64, B, M, K, N, k0, k1 int) {
-	kLen := k1 - k0
-	if kLen <= 0 || N == 0 {
-		return
-	}
-	for g := 0; g < B; g++ {
-		bmat := b[g*K*N+k0*N : g*K*N+k1*N]
-		i := 0
-		for ; i+4 <= M; i += 4 {
-			r := g*M + i
-			gemm4Rows(dst[r*N:(r+4)*N], a[r*K+k0:], bmat, kLen, K, N)
-		}
-		for ; i < M; i++ {
-			r := g*M + i
-			gemmRow(dst[r*N:(r+1)*N], a[r*K+k0:r*K+k0+kLen], bmat, kLen, N)
-		}
-	}
 }
 
 // addInto folds src into dst elementwise in ascending index order.

@@ -81,7 +81,7 @@ func TestSplitKMatchesOracleFuzz(t *testing.T) {
 
 // TestSplitKWorkerCountDeterminism pins the contract the factor is
 // allowed to exist under: for a fixed factor, result bytes are
-// identical at every worker count, for direct and packed layouts —
+// identical at every worker count, for direct and transposed layouts —
 // and identical to the scalar oracle.
 func TestSplitKWorkerCountDeterminism(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -102,7 +102,8 @@ func TestSplitKWorkerCountDeterminism(t *testing.T) {
 				t.Fatalf("factor %d, %d workers: bytes differ from oracle", s, w)
 			}
 		}
-		// Packed rhs layout: same tree, packing must not change bytes.
+		// Transposed rhs, read in place by the NT kernel: same tree,
+		// the kernel must not change bytes.
 		var base *Tensor
 		for _, w := range counts {
 			runtime.GOMAXPROCS(w)
@@ -184,7 +185,9 @@ func TestSplitKAccumulatesOntoPrior(t *testing.T) {
 // TestKernelStrategyGrid is the bitwise contract over the whole
 // strategy space: for every (spec, split factor) cell, the result
 // bytes are identical across worker counts and pack-cache settings,
-// and the factor-0 cell equals the scalar reference exactly.
+// and the factor-0 cell equals the scalar reference exactly. The
+// layouts cover every way an operand reaches the kernels: direct, read
+// in place transposed (NT rhs, TN lhs), and packed.
 func TestKernelStrategyGrid(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	defer setPackCache(true)
@@ -194,9 +197,10 @@ func TestKernelStrategyGrid(t *testing.T) {
 		spec     string
 		lhs, rhs []int
 	}{
-		{"mk,kn->mn", []int{8, 512}, []int{512, 64}}, // direct
-		{"mk,nk->mn", []int{8, 512}, []int{64, 512}}, // rhs packed
-		{"km,kn->mn", []int{512, 8}, []int{512, 64}}, // lhs packed
+		{"mk,kn->mn", []int{8, 512}, []int{512, 64}},      // direct
+		{"mk,nk->mn", []int{8, 512}, []int{64, 512}},      // rhs NT
+		{"km,kn->mn", []int{512, 8}, []int{512, 64}},      // lhs TN
+		{"ed,het->dht", []int{512, 8}, []int{4, 512, 16}}, // rhs packed
 	}
 	for _, tc := range specs {
 		lhs := Rand(rng, tc.lhs...)

@@ -18,9 +18,8 @@ import (
 // collective results and outputs in arena buffers that Execute releases
 // it was 174 KiB, most of it the program being re-validated and
 // re-lowered every step. With one Executable per Execute, what is left
-// is a step's engine bookkeeping and the digests' blocks — the packs a
-// step builds ride on arena buffers and go back to the scratch pool
-// with them (tensor's TestStepsLeaveNoPackOnArenaBuffers).
+// is a step's engine bookkeeping and the digests' blocks. A step packs
+// nothing: the kernels read every layout its einsums use in place.
 func TestMegatronStepAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop buffers at random")
