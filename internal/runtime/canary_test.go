@@ -444,12 +444,11 @@ func TestResultRelease(t *testing.T) {
 
 // TestReleasedArgumentsCanary is the canary over a served request's own
 // buffers. The daemon draws a request's arguments from the arena's free
-// lists, the run's kernels leave packs on them, and after the digest
-// and the interpreter check both go back — here NaN-filled, arguments
-// and packs alike. Request k+1 of the same plan draws those very
-// buffers: with the same seed it must refill every element it reads,
-// with a different one a pack left on a recycled tensor would be the
-// wrong weights. Every digest must be what the interpreter computes
+// lists, and after the digest and the interpreter check they go back —
+// here NaN-filled. Request k+1 of the same plan draws those very
+// buffers: with the same seed or a different one, it must refill every
+// element it reads, or a NaN or the last request's weights reach its
+// result. Every digest must be what the interpreter computes
 // from freshly allocated arguments of that seed, for a forward layer
 // and for a training step, checked and unchecked, on both transports.
 func TestReleasedArgumentsCanary(t *testing.T) {

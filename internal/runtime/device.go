@@ -117,10 +117,10 @@ func (d *device) stat() (Phase, string, float64) {
 	return phase, op.in.Name, float64(w&(1<<statTimeBits-1)) / 1e6
 }
 
-// poisonReleased makes release overwrite a buffer, and the packs it
-// carries, with NaN before it re-enters a free list, so a read after the
-// planned last use, or a buffer recycled while still on a link, corrupts
-// a checked result instead of passing unnoticed. Set only by tests.
+// poisonReleased makes release overwrite a buffer with NaN before it
+// re-enters a free list, so a read after the planned last use, or a
+// buffer recycled while still on a link, corrupts a checked result
+// instead of passing unnoticed. Set only by tests.
 var poisonReleased bool
 
 // acquire draws an owned buffer of the given shape; its contents are

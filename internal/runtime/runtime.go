@@ -156,9 +156,9 @@ func (r *Result) Release() {
 }
 
 // ReleaseArgs hands a finished run's arguments back to the arena's free
-// lists, packs and all, for a caller that drew them there itself
-// (tensor.NewPooled) and is their only holder; ordinary tensors among
-// them are left alone. An earlier result's outputs fed forward as
+// lists, for a caller that drew them there itself (tensor.NewPooled)
+// and is their only holder; ordinary tensors among them are left
+// alone. An earlier result's outputs fed forward as
 // arguments are that result's to release, never this function's.
 func ReleaseArgs(args [][]*tensor.Tensor) {
 	for _, set := range args {

@@ -244,8 +244,8 @@ func TestAdmissionSlotReleasedBeforeResponse(t *testing.T) {
 // stream copied into Result.Trace and again into the recorder's
 // RunSpans, about 315. What is left is the request's own span slab, its
 // engine's slot tables and the attribution, plus HTTP and JSON: the
-// arguments and their packs cycle through the arena, and the trace
-// artifact is built only when the run is read.
+// arguments cycle through the arena, packs through the kernels' scratch
+// pool, and the trace artifact is built only when the run is read.
 func TestWarmRequestAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop buffers at random")

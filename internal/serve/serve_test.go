@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -496,6 +497,82 @@ func TestCallerCannotScaleTheWire(t *testing.T) {
 		case <-timeout:
 			t.Fatalf("the %s request did not answer within 30s", name)
 		}
+	}
+}
+
+// TestClientDisconnectFreesItsSlot: a client that hangs up mid-run takes
+// its run with it. A delay fault holds the run on a link for far longer
+// than the test; cancelling the request ends the run with the context's
+// error, attributed to the fault, the handler returns, and on a
+// one-slot server the next request is admitted at once.
+func TestClientDisconnectFreesItsSlot(t *testing.T) {
+	cfg := testConfig()
+	cfg.DebugFaults = true
+	cfg.MaxConcurrentRuns = 1
+	s, ts := newTestServer(t, cfg)
+	mustRun(t, ts, miniatureRequest()) // compile outside the measured part
+
+	held := miniatureRequest()
+	held.Fault = "delay:link:0-1:1h"
+	held.DeadlineMS = 60000 // only so that a regression fails instead of hanging
+	body, err := json.Marshal(held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, hangUp := context.WithCancel(context.Background())
+	defer hangUp()
+	r, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/run", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runErrors0 := svRunErrors.Value()
+	answered := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(r)
+		if err == nil {
+			resp.Body.Close()
+			err = fmt.Errorf("status %d", resp.StatusCode)
+		}
+		answered <- err
+	}()
+	waitUntil := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s did not happen within 30s", what)
+			}
+		}
+	}
+	waitUntil("the held run's admission", func() bool { return len(s.slots) == 1 })
+	hangUp()
+	if err := <-answered; !errors.Is(err, context.Canceled) {
+		t.Fatalf("the cancelled request answered %v, want the client's context.Canceled", err)
+	}
+	// The handler leaves pending last, after the run, its record and the
+	// slot are done with.
+	waitUntil("the handler's return", func() bool { return len(s.pending) == 0 })
+	if len(s.slots) != 0 {
+		t.Fatal("the handler returned still holding its admission slot")
+	}
+	if got := svRunErrors.Value() - runErrors0; got != 1 {
+		t.Fatalf("run-error counter moved %v, want 1", got)
+	}
+	runs := s.recorder.list()
+	if len(runs) == 0 {
+		t.Fatal("the cancelled run left no trace")
+	}
+	trace := s.recorder.get(runs[0].ID)
+	if trace.Status != obs.StatusFailed || trace.Error == nil ||
+		!strings.Contains(trace.Error.Cause, context.Canceled.Error()) || !strings.HasPrefix(trace.Error.Fault, "delay:") {
+		t.Fatalf("the cancelled run's trace: status %q, error %+v; want failed with the context's error on the delay fault", trace.Status, trace.Error)
+	}
+
+	rr, _, _, err := postRun(ts, miniatureRequest())
+	if err != nil {
+		t.Fatalf("request after the disconnect: %v", err)
+	}
+	if rr.TimingMS.Admission > 1000 {
+		t.Fatalf("request after the disconnect waited %.0f ms for admission, want at once", rr.TimingMS.Admission)
 	}
 }
 

@@ -28,7 +28,7 @@ import (
 // Every other layout — a contraction label between two free labels, as
 // in the rhs of `ed,het->dht`, or a TN lhs beside an NT rhs (the NT
 // kernel reads A rows contiguously) — is permute-packed into canonical
-// order, and the pack lives on its tensor (packcache.go).
+// order in pooled scratch (pool.go) that lives for one kernel call.
 //
 // Determinism contract: for every output element the contracted terms
 // are accumulated in ascending flattened-K order — exactly the order
@@ -198,12 +198,10 @@ func (p *gemmPlan) check(out, lhs, rhs *Tensor) error {
 
 // run accumulates spec(lhs, rhs) into out — out's existing contents are
 // the accumulator, so callers computing a fresh einsum pass a zeroed
-// tensor. An input the kernels cannot read in place is the pack its
-// tensor carries (packcache.go); the accumulator is pre-packed into
-// pooled scratch when the output layout is not direct, which keeps the
-// per-element accumulation order identical to the reference in every
-// case. The accumulator pack is never kept: the kernel itself mutates
-// it.
+// tensor. An input the kernels cannot read in place, and an accumulator
+// whose layout is not direct, is permute-packed into pooled scratch for
+// the length of this call, which keeps the per-element accumulation
+// order identical to the reference in every case.
 func (p *gemmPlan) run(out, lhs, rhs *Tensor, workers, splitK int) {
 	B, M, K, N := p.sizes(lhs, rhs)
 	if B*M*N == 0 {
@@ -215,14 +213,14 @@ func (p *gemmPlan) run(out, lhs, rhs *Tensor, workers, splitK int) {
 	case p.lhsTN:
 		g.aRow, g.aK = 1, M
 	case !p.lhsDirect:
-		pk := lhs.packed(p.lhsPerm)
-		defer lhs.unpack(pk)
-		g.a = *pk.buf
+		buf := packOperand(lhs, p.lhsPerm)
+		defer putBuf(buf)
+		g.a = *buf
 	}
 	if !p.rhsDirect && !p.rhsNT {
-		pk := rhs.packed(p.rhsPerm)
-		defer rhs.unpack(pk)
-		g.b = *pk.buf
+		buf := packOperand(rhs, p.rhsPerm)
+		defer putBuf(buf)
+		g.b = *buf
 	}
 	c := out.data
 	var cBuf *[]float64
@@ -238,7 +236,15 @@ func (p *gemmPlan) run(out, lhs, rhs *Tensor, workers, splitK int) {
 		permCopy(*cBuf, out, p.outPerm, false)
 		putBuf(cBuf)
 	}
-	out.noteMutation()
+}
+
+// packOperand returns t's elements packed under perm in a buffer from
+// the scratch pool, which the caller hands back with putBuf.
+func packOperand(t *Tensor, perm []int) *[]float64 {
+	buf := getBuf(len(t.data))
+	permCopy(*buf, t, perm, true)
+	kernelPackBytes.Add(float64(8 * len(t.data)))
+	return buf
 }
 
 // permCopy moves elements between a tensor and a packed row-major

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -221,7 +222,7 @@ func TestEinsumAddIntoSteadyStateAllocs(t *testing.T) {
 // read where it lies gives exactly the bytes of the same operand
 // physically transposed and read directly, at every split-K factor and
 // worker count — the layout picks a kernel, never a result. Only the
-// NT+TN pair packs (its lhs); no other case touches the pack cache.
+// NT+TN pair packs (its lhs); no other case packs a byte.
 func TestTransposedOperandsReadInPlace(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(8))
@@ -251,16 +252,15 @@ func TestTransposedOperandsReadInPlace(t *testing.T) {
 		for _, s := range []int{0, 2, 4} {
 			for _, procs := range []int{1, 2, 4} {
 				runtime.GOMAXPROCS(procs)
-				misses0 := kernelPackMisses.Value()
+				bytes0 := kernelPackBytes.Value()
 				got := EinsumSplitK(s, tc.spec, lhs, rhs)
-				if packed := kernelPackMisses.Value() > misses0; packed != tc.packs {
+				if packed := kernelPackBytes.Value() > bytes0; packed != tc.packs {
 					t.Fatalf("%s: packed %v, want %v", tc.spec, packed, tc.packs)
 				}
 				if want := EinsumSplitK(s, tc.direct, dl, dr); !got.Equal(want) {
 					t.Fatalf("%s %v×%v splitk=%d GOMAXPROCS=%d: bytes differ from the transposed copy read directly (max diff %g)",
 						tc.spec, tc.lhs, tc.rhs, s, procs, got.MaxDifference(want))
 				}
-				lhs.noteMutation() // the NT+TN lhs packs afresh every cell
 			}
 		}
 	}
@@ -268,8 +268,9 @@ func TestTransposedOperandsReadInPlace(t *testing.T) {
 
 // TestEinsumAddIntoPackedPathPoolsScratch pins that packing scratch is
 // recycled: an accumulate onto a non-direct output layout, which
-// accumulates in a pre-packed scratch copy, averages well under one
-// allocation per run once the buffer pool is warm.
+// accumulates in a pre-packed scratch copy, and one whose lhs is packed
+// (TN beside an NT rhs) each average well under one allocation per run
+// once the buffer pool is warm.
 func TestEinsumAddIntoPackedPathPoolsScratch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool deliberately drops items under the race detector")
@@ -279,12 +280,60 @@ func TestEinsumAddIntoPackedPathPoolsScratch(t *testing.T) {
 	lhs := Rand(rng, 64, 64)
 	rhs := Rand(rng, 64, 64)
 	acc := New(64, 64)
-	EinsumAddInto(acc, "ki,kj->ji", lhs, rhs) // warm spec cache and pool
-	allocs := testing.AllocsPerRun(200, func() {
-		EinsumAddInto(acc, "ki,kj->ji", lhs, rhs)
-	})
-	if allocs >= 1 {
-		t.Fatalf("EinsumAddInto packed path allocates %.2f objects/op, want < 1 with pooled scratch", allocs)
+	for _, spec := range []string{"ki,kj->ji", "ki,jk->ij"} {
+		EinsumAddInto(acc, spec, lhs, rhs) // warm spec cache and pool
+		allocs := testing.AllocsPerRun(200, func() {
+			EinsumAddInto(acc, spec, lhs, rhs)
+		})
+		if allocs >= 1 {
+			t.Fatalf("EinsumAddInto %s packed path allocates %.2f objects/op, want < 1 with pooled scratch", spec, allocs)
+		}
+	}
+}
+
+// TestPackedOperandsUnderContention runs a layout whose rhs is packed
+// (ed,het->dht: the contraction label e sits between the free labels h
+// and t) from eight goroutines at once. Each packs into its own scratch
+// for the length of one kernel, so a shared operand is only ever read,
+// and a private one written between kernels is packed as it is now.
+// The CI race job runs it under the detector.
+func TestPackedOperandsUnderContention(t *testing.T) {
+	const spec = "ed,het->dht"
+	rng := rand.New(rand.NewSource(35))
+	x, shared := Rand(rng, 48, 2), Rand(rng, 4, 48, 6)
+	want := ReferenceEinsum(spec, x, shared)
+	bytes0 := kernelPackBytes.Value()
+
+	const goroutines, iters = 8, 50
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			own := Rand(rng, 4, 48, 6)
+			for i := 0; i < iters; i++ {
+				if got := Einsum(spec, x, shared); !got.Equal(want) {
+					errs <- fmt.Errorf("shared operand: wrong bytes on iteration %d", i)
+					return
+				}
+				own.Set(rng.Float64(), i%4, i%48, i%6)
+				if got, ref := Einsum(spec, x, own), ReferenceEinsum(spec, x, own); !got.Equal(ref) {
+					errs <- fmt.Errorf("private operand: wrong bytes on iteration %d", i)
+					return
+				}
+			}
+		}(int64(100 + g))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	// Every kernel packed its rhs: two per iteration per goroutine.
+	if got, want := kernelPackBytes.Value()-bytes0, float64(goroutines*iters*2*8*shared.NumElements()); got < want {
+		t.Fatalf("%g bytes packed, want at least %g", got, want)
 	}
 }
 
@@ -316,10 +365,9 @@ func einsumLayouts() []layoutCase {
 }
 
 // BenchmarkEinsum sweeps square matmuls from 32 to 512, then runs the
-// layout table, reporting GFLOP/s alongside ns/op. Every layout
-// iteration bumps both operands' versions, so a layout that packs pays
-// its pack every time, as a changing weight does: a row that reads in
-// place compares directly with the same row where it packs.
+// layout table, reporting GFLOP/s alongside ns/op. A layout that packs
+// pays its pack on every call, so a row that reads in place compares
+// directly with the same row where it packs.
 func BenchmarkEinsum(b *testing.B) {
 	for _, size := range []int{32, 64, 128, 256, 512} {
 		b.Run(fmt.Sprintf("matmul%d", size), func(b *testing.B) {
@@ -349,8 +397,6 @@ func BenchmarkEinsum(b *testing.B) {
 			out := Einsum(tc.spec, x, y)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				x.noteMutation()
-				y.noteMutation()
 				EinsumIntoSplitK(out, 0, tc.spec, x, y)
 			}
 			b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")

@@ -23,12 +23,8 @@ var (
 		"Scratch bytes freshly allocated on kernel buffer-pool misses.")
 	kernelSpanSeconds = obs.Default().Histogram("overlap_kernel_span_seconds",
 		"Wall-clock duration of individual einsum kernel executions.", obs.TimeBuckets())
-	kernelPackHits = obs.Default().Counter("overlap_kernel_pack_hits_total",
-		"Kernel operand packs served from the pack the operand tensor carries.")
-	kernelPackMisses = obs.Default().Counter("overlap_kernel_pack_misses_total",
-		"Kernel operand packs computed because the tensor carried none, or a stale one.")
 	kernelPackBytes = obs.Default().Counter("overlap_kernel_pack_bytes_total",
-		"Bytes permute-packed on misses.")
+		"Operand bytes permute-packed into kernel scratch (layouts no kernel reads in place).")
 	kernelSplitKOps = obs.Default().Counter("overlap_kernel_splitk_total",
 		"GEMM executions on the deterministic split-K tree-reduction path.")
 )

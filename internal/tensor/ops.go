@@ -7,8 +7,7 @@ import "fmt"
 // non-nil dst must already carry the result shape, its prior contents
 // are ignored, and it is overwritten and returned. Where the doc says
 // dst may alias an operand the kernel is safe to run in place; nowhere
-// else may dst share storage with an operand. Writing a destination
-// counts as a mutation for pack-cache invalidation.
+// else may dst share storage with an operand.
 
 // The element-wise ops use direct loops rather than a shared combinator
 // taking a func(x, y float64): the per-element indirect call defeats
@@ -56,7 +55,7 @@ func elementwiseDst(dst, a, b *Tensor) *Tensor {
 
 // resolveDst returns the tensor an op writes its result to: a fresh
 // zeroed one when dst is nil, otherwise dst itself, checked against
-// the result shape and marked mutated.
+// the result shape.
 func resolveDst(dst *Tensor, shape []int) *Tensor {
 	if dst == nil {
 		return New(shape...)
@@ -64,7 +63,6 @@ func resolveDst(dst *Tensor, shape []int) *Tensor {
 	if !sameDims(dst.shape, shape) {
 		panic("tensor: destination shape " + dims(dst.shape) + ", result shape " + dims(shape))
 	}
-	dst.noteMutation()
 	return dst
 }
 
@@ -257,9 +255,6 @@ func DynamicUpdateSliceInto(dst, t, update *Tensor, starts []int) *Tensor {
 		}
 	}
 	out := CopyInto(dst, t)
-	if dst == t {
-		out.noteMutation()
-	}
 	var buf [maxBlockRank]int
 	at := out.offsetOf(clampStarts(buf[:0], t, starts, update.shape))
 	copyBlock(out.data, out.strides, at, update.data, update.strides, 0, update.shape)

@@ -1,15 +1,16 @@
 package tensor
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 )
 
-// Size-keyed scratch-buffer pool for the kernel engine. Packed-operand
-// and packed-accumulator buffers are transient — alive only for one
-// kernel execution — so recycling them keeps the decomposed loop's
-// steady state free of per-step data-sized allocations. Buffers are
-// binned by power-of-two capacity; a returned buffer serves any later
+// Size-keyed scratch-buffer pool for the kernel engine. A packed
+// operand or accumulator lives in a buffer from here for one kernel
+// call and goes straight back, so recycling them keeps the decomposed
+// loop's steady state free of per-step data-sized allocations. Buffers
+// are binned by power-of-two capacity; a returned buffer serves any later
 // request of its class. Contents are not zeroed on reuse: getBuf is for
 // scratch that a kernel path fully overwrites before reading (packed
 // operands), while accumulator scratch — anything a kernel adds into
@@ -170,14 +171,22 @@ func NewPooled(shape ...int) *Tensor {
 func (t *Tensor) Pooled() bool { return t.pooled }
 
 // Release hands a tensor obtained from NewPooled back to its free
-// list, and the packs it carries back to the scratch pool. The caller
-// must hold the only reference: the next NewPooled of the same size may
-// return it. Releasing any other tensor, or the same one twice, panics.
+// list. The caller must hold the only reference: the next NewPooled of
+// the same size may return it. Releasing any other tensor, or the same
+// one twice, panics.
 func Release(t *Tensor) {
 	if !t.pooled {
 		panic("tensor: Release of a tensor that is not pooled (or already released)")
 	}
 	t.pooled = false
-	t.dropPacks()
 	putFree(t)
+}
+
+// Poison overwrites t's elements with NaN: an executor's
+// use-after-release canary, applied just before Release.
+func Poison(t *Tensor) {
+	nan := math.NaN()
+	for i := range t.data {
+		t.data[i] = nan
+	}
 }

@@ -19,6 +19,36 @@ func freeBytes() int {
 	return free.bytes
 }
 
+// TestGetZeroBufReturnsZeroedPrefix is the pool-poisoning regression:
+// a recycled buffer carries the previous kernel's garbage, including
+// in the oversized tail its power-of-two class rounds up to, so
+// accumulator scratch must come back fully zeroed at the requested
+// length no matter what was recycled.
+func TestGetZeroBufReturnsZeroedPrefix(t *testing.T) {
+	for trial := 0; trial < 8; trial++ {
+		dirty := getBuf(100) // class 7 (128 capacity): tail beyond 100 is junk
+		for i := range *dirty {
+			(*dirty)[i] = 1e9
+		}
+		// Poison the tail the pool rounds up to, then recycle.
+		full := (*dirty)[:cap(*dirty)]
+		for i := range full {
+			full[i] = -1e9
+		}
+		putBuf(dirty)
+		z := getZeroBuf(70) // same class: likely reuses the poisoned buffer
+		if len(*z) != 70 {
+			t.Fatalf("getZeroBuf(70) returned length %d", len(*z))
+		}
+		for i, v := range *z {
+			if v != 0 {
+				t.Fatalf("trial %d: getZeroBuf element %d = %g, want 0", trial, i, v)
+			}
+		}
+		putBuf(z)
+	}
+}
+
 // TestFreeListsOutliveCollections pins what made a run's allocations
 // repeat: a released buffer is there for the next NewPooled of its size
 // however many collections fall in between (as sync.Pools the lists

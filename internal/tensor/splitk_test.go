@@ -184,13 +184,12 @@ func TestSplitKAccumulatesOntoPrior(t *testing.T) {
 
 // TestKernelStrategyGrid is the bitwise contract over the whole
 // strategy space: for every (spec, split factor) cell, the result
-// bytes are identical across worker counts and pack-cache settings,
-// and the factor-0 cell equals the scalar reference exactly. The
-// layouts cover every way an operand reaches the kernels: direct, read
-// in place transposed (NT rhs, TN lhs), and packed.
+// bytes are identical across worker counts, and the factor-0 cell
+// equals the scalar reference exactly. The layouts cover every way an
+// operand reaches the kernels: direct, read in place transposed (NT
+// rhs, TN lhs), and packed.
 func TestKernelStrategyGrid(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	defer setPackCache(true)
 	rng := rand.New(rand.NewSource(26))
 	counts := []int{1, 2, runtime.GOMAXPROCS(0)}
 	specs := []struct {
@@ -208,16 +207,12 @@ func TestKernelStrategyGrid(t *testing.T) {
 		for _, s := range []int{0, 2, 4} {
 			var base *Tensor
 			for _, w := range counts {
-				for _, cache := range []bool{true, false} {
-					runtime.GOMAXPROCS(w)
-					setPackCache(cache)
-					got := EinsumSplitK(s, tc.spec, lhs, rhs)
-					if base == nil {
-						base = got
-					} else if !got.Equal(base) {
-						t.Fatalf("%s splitk=%d workers=%d cache=%v: bytes differ within cell",
-							tc.spec, s, w, cache)
-					}
+				runtime.GOMAXPROCS(w)
+				got := EinsumSplitK(s, tc.spec, lhs, rhs)
+				if base == nil {
+					base = got
+				} else if !got.Equal(base) {
+					t.Fatalf("%s splitk=%d workers=%d: bytes differ within cell", tc.spec, s, w)
 				}
 			}
 			if s == 0 {

@@ -21,8 +21,6 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // Tensor is a dense, row-major n-dimensional array of float64 values.
@@ -33,22 +31,9 @@ type Tensor struct {
 	strides []int
 	data    []float64
 
-	// version counts observed mutations of data after construction. The
-	// packed forms the kernel engine keeps on the tensor (packs) are
-	// stamped with it, so every path that can write data — Set, the live
-	// slice handed out by Data, in-place accumulation — must bump it; a
-	// stale version on lookup forces a repack. Atomic because concurrent
-	// device goroutines may call Data on a shared replicated tensor.
-	version atomic.Uint64
-
-	// packs are the packed forms of data the kernel engine has built,
-	// one per permutation asked for, under packMu (packcache.go).
-	packMu sync.Mutex
-	packs  []*pack
-
 	// pooled marks a tensor drawn from the exact-size free lists
 	// (NewPooled): exactly one holder owns it, may overwrite it, and
-	// hands it back — its packs with it — with Release.
+	// hands it back with Release.
 	pooled bool
 }
 
@@ -103,7 +88,6 @@ func Rand(rng *rand.Rand, shape ...int) *Tensor {
 // order, and returns dst: Rand into a buffer the caller already holds.
 func RandInto(dst *Tensor, rng *rand.Rand) *Tensor {
 	fillRand(dst.data, rng)
-	dst.noteMutation()
 	return dst
 }
 
@@ -161,7 +145,6 @@ func (t *Tensor) setShape(shape []int) {
 	}
 	t.strides = t.strides[:len(shape)]
 	fillStrides(t.strides, shape)
-	t.noteMutation()
 }
 
 // Rank returns the number of dimensions.
@@ -177,20 +160,8 @@ func (t *Tensor) Dim(i int) int { return t.shape[i] }
 func (t *Tensor) NumElements() int { return len(t.data) }
 
 // Data returns the underlying row-major element slice. The slice is the
-// live backing store, not a copy; mutating it mutates the tensor. The
-// engine must assume the caller will write through it, so handing the
-// slice out counts as a mutation: the tensor's packs go stale.
-func (t *Tensor) Data() []float64 {
-	t.noteMutation()
-	return t.data
-}
-
-// Version returns the tensor's mutation counter (see the field comment);
-// cached derivations of the contents are valid only while it is stable.
-func (t *Tensor) Version() uint64 { return t.version.Load() }
-
-// noteMutation records that data was (or may be about to be) written.
-func (t *Tensor) noteMutation() { t.version.Add(1) }
+// live backing store, not a copy; mutating it mutates the tensor.
+func (t *Tensor) Data() []float64 { return t.data }
 
 // Clone returns a deep copy of t.
 func (t *Tensor) Clone() *Tensor {
@@ -207,7 +178,6 @@ func (t *Tensor) At(index ...int) float64 {
 // Set stores v at the given multi-dimensional index.
 func (t *Tensor) Set(v float64, index ...int) {
 	t.data[t.offset(index)] = v
-	t.noteMutation()
 }
 
 func (t *Tensor) offset(index []int) int {
