@@ -6,13 +6,15 @@
 // decomposition's equivalence tests use them as ground truth.
 //
 // Every collective has a destination-passing form, the kernel both
-// executors run. With nil destinations it allocates its results — value
-// semantics, what the interpreter asks for; the concurrent runtime
-// passes one buffer per member (in group order, each already of the
-// result shape, contents ignored, none sharing storage with an input)
-// and every one of them is written in full. The reduction order is the
-// group order either way, so the two agree bit for bit. Temporaries
-// come from the tensor package's free lists.
+// executors run: the caller passes one buffer per member (in group
+// order, each already of the result shape, contents ignored, none
+// sharing storage with an input) and every one of them is written in
+// full. Where every member receives the same tensor (AllGather,
+// AllReduce) the members may name one buffer, which is then written
+// once: the interpreter's form, where the concurrent runtime brings one
+// arena buffer per member. Nil destinations allocate the results. The
+// reduction order is the group order either way, so the two agree bit
+// for bit. Temporaries come from the tensor package's free lists.
 package collective
 
 import (
@@ -21,15 +23,9 @@ import (
 	"overlap/internal/tensor"
 )
 
-// AllGather concatenates the group's shards along axis; every device
-// receives the same result.
-func AllGather(shards []*tensor.Tensor, axis int) *tensor.Tensor {
-	return AllGatherInto(nil, shards, axis)
-}
-
-// AllGatherInto is AllGather writing the result into every member's
-// destination; it returns the first (the one fresh result when dsts is
-// nil).
+// AllGatherInto concatenates the group's shards along axis into every
+// member's destination: every device receives the same result. It
+// returns the first (the one fresh result when dsts is nil).
 func AllGatherInto(dsts, shards []*tensor.Tensor, axis int) *tensor.Tensor {
 	if len(shards) == 0 {
 		panic("collective: AllGather with no shards")
@@ -37,13 +33,9 @@ func AllGatherInto(dsts, shards []*tensor.Tensor, axis int) *tensor.Tensor {
 	return replicate(dsts, tensor.ConcatInto(first(dsts, len(shards)), axis, shards...))
 }
 
-// ReduceScatter element-wise sums the group's inputs and returns one
-// shard of the sum per device, split along axis in group order.
-func ReduceScatter(inputs []*tensor.Tensor, axis int) []*tensor.Tensor {
-	return ReduceScatterInto(nil, inputs, axis)
-}
-
-// ReduceScatterInto is ReduceScatter writing shard i into dsts[i].
+// ReduceScatterInto element-wise sums the group's inputs and writes
+// one shard of the sum per device, split along axis in group order:
+// shard i into dsts[i].
 func ReduceScatterInto(dsts, inputs []*tensor.Tensor, axis int) []*tensor.Tensor {
 	if len(inputs) == 0 {
 		panic("collective: ReduceScatter with no inputs")
@@ -53,13 +45,9 @@ func ReduceScatterInto(dsts, inputs []*tensor.Tensor, axis int) []*tensor.Tensor
 	return tensor.SplitInto(dsts, sum, axis, len(inputs))
 }
 
-// AllReduce element-wise sums the group's inputs; every device receives
-// the full sum.
-func AllReduce(inputs []*tensor.Tensor) *tensor.Tensor { return AllReduceInto(nil, inputs) }
-
-// AllReduceInto is AllReduce writing the sum into every member's
-// destination; it returns the first (the one fresh result when dsts is
-// nil).
+// AllReduceInto element-wise sums the group's inputs into every
+// member's destination: every device receives the full sum. It returns
+// the first (the one fresh result when dsts is nil).
 func AllReduceInto(dsts, inputs []*tensor.Tensor) *tensor.Tensor {
 	if len(inputs) == 0 {
 		panic("collective: AllReduce with no inputs")
@@ -109,15 +97,10 @@ func replicate(dsts []*tensor.Tensor, res *tensor.Tensor) *tensor.Tensor {
 	return res
 }
 
-// AllToAll splits every device's input into len(inputs) pieces along
-// splitAxis and returns, for device j, the concatenation of piece j
+// AllToAllInto splits every device's input into len(inputs) pieces
+// along splitAxis and writes into dsts[j] the concatenation of piece j
 // from every device (in group order) along concatAxis — the shard
 // transpose used by mixture-of-experts dispatch.
-func AllToAll(inputs []*tensor.Tensor, splitAxis, concatAxis int) []*tensor.Tensor {
-	return AllToAllInto(nil, inputs, splitAxis, concatAxis)
-}
-
-// AllToAllInto is AllToAll writing device j's result into dsts[j].
 func AllToAllInto(dsts, inputs []*tensor.Tensor, splitAxis, concatAxis int) []*tensor.Tensor {
 	n := len(inputs)
 	if n == 0 {
@@ -152,15 +135,11 @@ func AllToAllInto(dsts, inputs []*tensor.Tensor, splitAxis, concatAxis int) []*t
 	return dsts
 }
 
-// Permute applies point-to-point transfers over global device ids:
-// output[target] = input[source] for each pair, and a zero tensor of the
-// input's shape for devices that are not the target of any pair (XLA
-// CollectivePermute semantics).
-func Permute(inputs []*tensor.Tensor, pairs [][2]int) []*tensor.Tensor {
-	return PermuteInto(nil, inputs, pairs)
-}
-
-// PermuteInto is Permute writing device d's value into dsts[d].
+// PermuteInto applies point-to-point transfers over global device ids,
+// writing device d's value into dsts[d]: output[target] = input[source]
+// for each pair, and a zero tensor of the input's shape for devices
+// that are not the target of any pair (XLA CollectivePermute
+// semantics).
 func PermuteInto(dsts, inputs []*tensor.Tensor, pairs [][2]int) []*tensor.Tensor {
 	dsts = perMember(dsts, len(inputs))
 	written := make([]bool, len(inputs))

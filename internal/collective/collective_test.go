@@ -10,6 +10,27 @@ import (
 	"overlap/internal/tensor"
 )
 
+// The value forms below are the collectives with nil destinations: each
+// allocates its results.
+
+func AllGather(shards []*tensor.Tensor, axis int) *tensor.Tensor {
+	return AllGatherInto(nil, shards, axis)
+}
+
+func ReduceScatter(inputs []*tensor.Tensor, axis int) []*tensor.Tensor {
+	return ReduceScatterInto(nil, inputs, axis)
+}
+
+func AllReduce(inputs []*tensor.Tensor) *tensor.Tensor { return AllReduceInto(nil, inputs) }
+
+func AllToAll(inputs []*tensor.Tensor, splitAxis, concatAxis int) []*tensor.Tensor {
+	return AllToAllInto(nil, inputs, splitAxis, concatAxis)
+}
+
+func Permute(inputs []*tensor.Tensor, pairs [][2]int) []*tensor.Tensor {
+	return PermuteInto(nil, inputs, pairs)
+}
+
 func randShards(seed int64, n, rows, cols int) []*tensor.Tensor {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]*tensor.Tensor, n)

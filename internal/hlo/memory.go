@@ -51,9 +51,9 @@ type MemoryStats struct {
 // LastUses is the liveness of the schedule: for the instruction at
 // each position, the position of the last instruction that reads it
 // (its own position when nothing does). Everything that reasons about
-// buffer lifetimes reads this one pass — PeakMemory's estimate below
-// and the runtime's tape, which recycles a value's buffer at exactly
-// the position named here.
+// buffer lifetimes reads this one pass — PeakMemory's estimate below,
+// the runtime's tape, which recycles a value's buffer at exactly the
+// position named here, and the interpreter, which drops the value there.
 func (c *Computation) LastUses() []int {
 	pos := make(map[*Instruction]int, len(c.instrs))
 	last := make([]int, len(c.instrs))

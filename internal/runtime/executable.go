@@ -197,7 +197,7 @@ func (x *Executable) Clock(ctx context.Context, args [][]*tensor.Tensor) (float6
 // daemon, the training loop, the tuner's measured candidates) calls it
 // before releasing res.
 func CheckInterpreter(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, res *Result) error {
-	want, err := sim.InterpretAll(c, numDevices, args)
+	want, err := sim.InterpretOutputs(c, numDevices, args)
 	if err != nil {
 		return err
 	}

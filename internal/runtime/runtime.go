@@ -19,8 +19,8 @@
 //
 // Correctness is anchored to the lockstep interpreter: local
 // instructions evaluate through the shared sim.EvalLocalInto dispatch
-// (the interpreter with no destination, this package into the buffer
-// its plan assigned) and group collectives through the same
+// (the interpreter into a buffer no live value names, this package into
+// the buffer its plan assigned) and group collectives through the same
 // internal/collective kernels, so for any program both executors
 // accept, the results are bit-identical by construction — the runtime
 // tests cross-validate this on every golden decomposition case, with

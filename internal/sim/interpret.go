@@ -16,6 +16,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"overlap/internal/collective"
 	"overlap/internal/hlo"
@@ -25,171 +26,328 @@ import (
 // Interpret executes the computation on numDevices devices and returns
 // the root instruction's value on each device. args[i][d] supplies the
 // value of parameter index i on device d; parameters may also be
-// supplied replicated with a single tensor (len(args[i]) == 1).
+// supplied replicated with a single tensor (len(args[i]) == 1). The
+// returned tensors are the caller's.
 func Interpret(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor) ([]*tensor.Tensor, error) {
-	values, err := InterpretAll(c, numDevices, args)
-	if err != nil {
-		return nil, err
-	}
 	root := c.Root()
 	if root == nil {
 		return nil, fmt.Errorf("sim: empty computation %s", c.Name)
 	}
+	values, err := interpret(c, numDevices, args, func(in *hlo.Instruction) bool { return in == root })
+	if err != nil {
+		return nil, err
+	}
 	return values[root], nil
 }
 
-// InterpretAll executes the computation and returns every instruction's
-// per-device value, letting callers inspect interior outputs (e.g. the
-// operands of a result tuple).
+// InterpretAll executes the computation and returns every top-level
+// instruction's per-device value, letting callers inspect interior
+// values (a loss the root does not carry, the operand of a copy). It
+// keeps all of them alive at once; a caller that needs only the outputs
+// calls InterpretOutputs.
 func InterpretAll(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor) (map[*hlo.Instruction][]*tensor.Tensor, error) {
-	if err := c.VerifyRing(numDevices); err != nil {
+	return interpret(c, numDevices, args, func(*hlo.Instruction) bool { return true })
+}
+
+// InterpretOutputs executes the computation and returns the per-device
+// values of its outputs — the root and, under a tuple root, each of its
+// operands. Every other value is released after its last reader, as
+// Interpret releases it.
+func InterpretOutputs(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor) (map[*hlo.Instruction][]*tensor.Tensor, error) {
+	root := c.Root()
+	if root == nil {
+		return nil, fmt.Errorf("sim: empty computation %s", c.Name)
+	}
+	outs := []*hlo.Instruction{root}
+	if root.Op == hlo.OpTuple {
+		outs = append(outs, root.Operands...)
+	}
+	values, err := interpret(c, numDevices, args, func(in *hlo.Instruction) bool { return slices.Contains(outs, in) })
+	return values, err
+}
+
+// An interpretation holds what is live and nothing more. A value dies
+// after the last instruction that reads it (hlo.Computation.LastUses)
+// unless the caller keeps it, and its buffers go onto the
+// interpretation's own free lists, exact-size like the tensor
+// package's, for a later result of the same size to take. Values alias
+// — a parameter is its argument, a start its operand, a loop's carried
+// values its operands and then its body's results, and the members of
+// an AllGather or AllReduce group share one result — so buffers are
+// counted, not values: refs holds, for every buffer the interpretation
+// made and still holds, how many live values name it, and the buffer is
+// free when that reaches zero. Arguments and constants are never
+// counted, so never reused.
+//
+// The lists are the interpretation's and die with it. Handing its
+// buffers to the tensor package's lists instead would keep the
+// oracle's whole working set alive after every check, on lists sized
+// for the runtime's arena.
+//
+// No kernel is handed a buffer a live value names: every result gets a
+// buffer nothing else holds. That keeps the value semantics the bitwise
+// contract needs from its oracle; taking a dying operand over in place
+// is the runtime's buffer plan, which the interpreter is there to check
+// and so does not share.
+type interp struct {
+	n    int
+	refs map[*tensor.Tensor]int
+	free map[int][]*tensor.Tensor // by element count
+}
+
+// draw takes a buffer for a result that refs live values will name:
+// a free one of its size, else a new one.
+func (ip *interp) draw(shape []int, refs int) *tensor.Tensor {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	var t *tensor.Tensor
+	if l := ip.free[n]; len(l) > 0 {
+		t, ip.free[n] = l[len(l)-1], l[:len(l)-1]
+		tensor.ReshapeInto(t, t, shape...)
+	} else {
+		t = tensor.New(shape...)
+	}
+	ip.refs[t] = refs
+	return t
+}
+
+// hold counts one more live value naming each drawn buffer among ts.
+func (ip *interp) hold(ts ...*tensor.Tensor) {
+	for _, t := range ts {
+		if k, ok := ip.refs[t]; ok {
+			ip.refs[t] = k + 1
+		}
+	}
+}
+
+// drop counts one live value fewer naming each drawn buffer among ts,
+// and frees a buffer no live value names any more.
+func (ip *interp) drop(ts ...*tensor.Tensor) {
+	for _, t := range ts {
+		switch k, ok := ip.refs[t]; {
+		case !ok:
+		case k > 1:
+			ip.refs[t] = k - 1
+		default:
+			delete(ip.refs, t)
+			if poisonReleased {
+				tensor.Poison(t)
+			}
+			n := t.NumElements()
+			ip.free[n] = append(ip.free[n], t)
+		}
+	}
+}
+
+// poisonReleased makes drop overwrite a buffer with NaN as it goes onto
+// a free list, so a value read after the release its liveness promised
+// corrupts a checked result instead of passing unnoticed. Set only by
+// tests.
+var poisonReleased bool
+
+// interpret checks the program against the ring and the arguments
+// against the program, runs it, and returns the top-level values keep
+// selects.
+func interpret(c *hlo.Computation, n int, args [][]*tensor.Tensor, keep func(*hlo.Instruction) bool) (map[*hlo.Instruction][]*tensor.Tensor, error) {
+	if err := c.VerifyRing(n); err != nil {
 		return nil, err
 	}
-	if err := c.VerifyArgs(numDevices, args); err != nil {
+	if err := c.VerifyArgs(n, args); err != nil {
 		return nil, err
 	}
+	ip := &interp{n: n, refs: map[*tensor.Tensor]int{}, free: map[int][]*tensor.Tensor{}}
 	values := make(map[*hlo.Instruction][]*tensor.Tensor, c.NumInstructions())
 	argFor := func(p *hlo.Instruction, dev int) *tensor.Tensor {
 		set := args[p.ParamIndex]
 		return set[dev%len(set)] // one replicated value, or one per device
 	}
-	if err := runSequence(c.Instructions(), values, numDevices, 0, argFor); err != nil {
+	if err := ip.sequence(newSeq(c, keep), values, 0, argFor); err != nil {
 		return nil, err
 	}
 	return values, nil
 }
 
-// runSequence interprets one instruction sequence: the top-level program
-// (iter 0) or a loop body at a given iteration, with parameters resolved
-// by paramFor.
-func runSequence(instrs []*hlo.Instruction, values map[*hlo.Instruction][]*tensor.Tensor, numDevices, iter int, paramFor func(p *hlo.Instruction, dev int) *tensor.Tensor) error {
-	for _, in := range instrs {
-		perDevice := make([]*tensor.Tensor, numDevices)
-		switch in.Op {
-		case hlo.OpParameter:
-			for d := 0; d < numDevices; d++ {
-				perDevice[d] = paramFor(in, d)
-			}
+// seq is an instruction sequence with its deaths: dies[i] lists the
+// values nothing reads after position i that the caller does not keep.
+type seq struct {
+	instrs []*hlo.Instruction
+	dies   [][]*hlo.Instruction
+}
 
-		case hlo.OpConstant:
-			for d := 0; d < numDevices; d++ {
-				perDevice[d] = in.Literal
-			}
-
-		case hlo.OpAllGather, hlo.OpReduceScatter, hlo.OpAllReduce, hlo.OpAllToAll:
-			evalGroupCollective(in, values[in.Operands[0]], perDevice)
-
-		case hlo.OpCollectivePermute:
-			src := values[in.Operands[0]]
-			out := collective.Permute(src, pairSlice(in.Pairs))
-			copy(perDevice, out)
-
-		case hlo.OpCollectivePermuteStart:
-			// The start carries its operand; the matching done performs
-			// the movement.
-			copy(perDevice, values[in.Operands[0]])
-
-		case hlo.OpCollectivePermuteDone:
-			start := in.Operands[0]
-			src := values[start.Operands[0]]
-			out := collective.Permute(src, pairSlice(in.Pairs))
-			copy(perDevice, out)
-
-		case hlo.OpLoop:
-			res, err := runLoop(in, values, numDevices)
-			if err != nil {
-				return err
-			}
-			perDevice = res
-
-		default:
-			for d := 0; d < numDevices; d++ {
-				ops := make([]*tensor.Tensor, len(in.Operands))
-				for i, op := range in.Operands {
-					ops[i] = values[op][d]
-				}
-				v, err := EvalLocal(in, ops, d, iter)
-				if err != nil {
-					return err
-				}
-				perDevice[d] = v
-			}
+func newSeq(c *hlo.Computation, keep func(*hlo.Instruction) bool) seq {
+	s := seq{instrs: c.Instructions()}
+	s.dies = make([][]*hlo.Instruction, len(s.instrs))
+	for i, last := range c.LastUses() {
+		if in := s.instrs[i]; !keep(in) {
+			s.dies[last] = append(s.dies[last], in)
 		}
-		values[in] = perDevice
+	}
+	return s
+}
+
+// sequence interprets one instruction sequence: the top-level program
+// (iter 0) or a loop body at a given iteration, with parameters
+// resolved by paramFor. A value leaves values right after its last
+// reader, so a read past it finds nothing rather than a recycled
+// buffer.
+func (ip *interp) sequence(s seq, values map[*hlo.Instruction][]*tensor.Tensor, iter int, paramFor func(p *hlo.Instruction, dev int) *tensor.Tensor) error {
+	for i, in := range s.instrs {
+		v, err := ip.eval(in, values, iter, paramFor)
+		if err != nil {
+			return err
+		}
+		values[in] = v
+		for _, dead := range s.dies[i] {
+			ip.drop(values[dead]...)
+			delete(values, dead)
+		}
 	}
 	return nil
 }
 
-// runLoop interprets a counted loop: the body runs TripCount times with
+// eval computes one instruction's per-device value, counting it as one
+// more live value naming each of its buffers.
+func (ip *interp) eval(in *hlo.Instruction, values map[*hlo.Instruction][]*tensor.Tensor, iter int, paramFor func(p *hlo.Instruction, dev int) *tensor.Tensor) ([]*tensor.Tensor, error) {
+	out := make([]*tensor.Tensor, ip.n)
+	switch in.Op {
+	case hlo.OpParameter:
+		for d := range out {
+			out[d] = paramFor(in, d)
+		}
+		ip.hold(out...)
+
+	case hlo.OpConstant:
+		for d := range out {
+			out[d] = in.Literal
+		}
+
+	case hlo.OpAllGather, hlo.OpReduceScatter, hlo.OpAllReduce, hlo.OpAllToAll:
+		ip.groupCollective(in, values[in.Operands[0]], out)
+
+	case hlo.OpCollectivePermute, hlo.OpCollectivePermuteDone:
+		// A done reads its start, whose value is the operand it carries.
+		for d := range out {
+			out[d] = ip.draw(in.Shape, 1)
+		}
+		collective.PermuteInto(out, values[in.Operands[0]], pairSlice(in.Pairs))
+
+	case hlo.OpCollectivePermuteStart:
+		// The start carries its operand; the matching done performs the
+		// movement.
+		copy(out, values[in.Operands[0]])
+		ip.hold(out...)
+
+	case hlo.OpLoop:
+		return ip.loop(in, values)
+
+	default:
+		ops := make([]*tensor.Tensor, len(in.Operands))
+		for d := range out {
+			for i, op := range in.Operands {
+				ops[i] = values[op][d]
+			}
+			var dst *tensor.Tensor
+			if in.Op != hlo.OpTuple {
+				dst = ip.draw(in.Shape, 1)
+			}
+			v, err := EvalLocalInto(in, dst, ops, d, iter)
+			if err != nil {
+				return nil, err
+			}
+			if v != dst {
+				// A tuple's placeholder, or a fusion yielding an operand.
+				ip.drop(dst)
+				ip.hold(v)
+			}
+			out[d] = v
+		}
+	}
+	return out, nil
+}
+
+// loop interprets a counted loop: the body runs TripCount times with
 // the carried per-device values threaded from the root tuple back into
 // the parameters, and the iteration index feeding the body's dynamic
 // offsets. (hlo.VerifyRing has rejected nested loops: the decomposition
-// never emits them.)
-func runLoop(loop *hlo.Instruction, values map[*hlo.Instruction][]*tensor.Tensor, numDevices int) ([]*tensor.Tensor, error) {
-	carried := make([][]*tensor.Tensor, len(loop.Operands))
-	for i, op := range loop.Operands {
+// never emits them.) The carried values are live values of their own,
+// so each iteration releases whatever the body computed and does not
+// carry on.
+func (ip *interp) loop(l *hlo.Instruction, values map[*hlo.Instruction][]*tensor.Tensor) ([]*tensor.Tensor, error) {
+	carried := make([][]*tensor.Tensor, len(l.Operands))
+	for i, op := range l.Operands {
 		carried[i] = values[op]
+		ip.hold(carried[i]...)
 	}
-	bodyInstrs := loop.Body.Instructions()
-	root := loop.Body.Root()
-	for it := 0; it < loop.TripCount; it++ {
-		bodyValues := make(map[*hlo.Instruction][]*tensor.Tensor, len(bodyInstrs))
-		resolve := func(p *hlo.Instruction, dev int) *tensor.Tensor { return carried[p.ParamIndex][dev] }
-		if err := runSequence(bodyInstrs, bodyValues, numDevices, it, resolve); err != nil {
-			return nil, fmt.Errorf("sim: loop %s iteration %d: %w", loop.Name, it, err)
+	root := l.Body.Root()
+	body := newSeq(l.Body, func(in *hlo.Instruction) bool { return in == root || slices.Contains(root.Operands, in) })
+	bodyValues := make(map[*hlo.Instruction][]*tensor.Tensor, len(body.instrs))
+	resolve := func(p *hlo.Instruction, dev int) *tensor.Tensor { return carried[p.ParamIndex][dev] }
+	for it := 0; it < l.TripCount; it++ {
+		if err := ip.sequence(body, bodyValues, it, resolve); err != nil {
+			return nil, fmt.Errorf("sim: loop %s iteration %d: %w", l.Name, it, err)
 		}
+		next := make([][]*tensor.Tensor, len(root.Operands))
 		for i, op := range root.Operands {
-			carried[i] = bodyValues[op]
+			next[i] = bodyValues[op]
+			ip.hold(next[i]...)
 		}
+		for _, in := range body.instrs {
+			if v, ok := bodyValues[in]; ok {
+				ip.drop(v...)
+				delete(bodyValues, in)
+			}
+		}
+		for _, v := range carried {
+			ip.drop(v...)
+		}
+		carried = next
 	}
-	return carried[loop.ResultIndex], nil
+	res := carried[l.ResultIndex]
+	ip.hold(res...)
+	for _, v := range carried {
+		ip.drop(v...)
+	}
+	return res, nil
 }
 
-// evalGroupCollective evaluates a group collective group by group;
-// hlo.VerifyRing has every device in exactly one.
-func evalGroupCollective(in *hlo.Instruction, src, out []*tensor.Tensor) {
+// groupCollective evaluates a group collective group by group into
+// buffers drawn for its result; hlo.VerifyRing has every device in
+// exactly one group. The members of an AllGather or AllReduce group all
+// receive the same tensor, so they name one buffer, which the
+// collective writes once.
+func (ip *interp) groupCollective(in *hlo.Instruction, src, out []*tensor.Tensor) {
 	for _, group := range in.Groups {
-		inputs := make([]*tensor.Tensor, len(group))
+		var shared *tensor.Tensor
+		if in.Op == hlo.OpAllGather || in.Op == hlo.OpAllReduce {
+			shared = ip.draw(in.Shape, len(group))
+		}
+		inputs, dsts := make([]*tensor.Tensor, len(group)), make([]*tensor.Tensor, len(group))
 		for i, dev := range group {
-			inputs[i] = src[dev]
+			if dsts[i] = shared; shared == nil {
+				dsts[i] = ip.draw(in.Shape, 1)
+			}
+			inputs[i], out[dev] = src[dev], dsts[i]
 		}
 		switch in.Op {
 		case hlo.OpAllGather:
-			res := collective.AllGather(inputs, in.CollectiveAxis)
-			for _, dev := range group {
-				out[dev] = res
-			}
+			collective.AllGatherInto(dsts, inputs, in.CollectiveAxis)
 		case hlo.OpReduceScatter:
-			shards := collective.ReduceScatter(inputs, in.CollectiveAxis)
-			for i, dev := range group {
-				out[dev] = shards[i]
-			}
+			collective.ReduceScatterInto(dsts, inputs, in.CollectiveAxis)
 		case hlo.OpAllReduce:
-			res := collective.AllReduce(inputs)
-			for _, dev := range group {
-				out[dev] = res
-			}
+			collective.AllReduceInto(dsts, inputs)
 		case hlo.OpAllToAll:
-			res := collective.AllToAll(inputs, in.CollectiveAxis, in.Axis)
-			for i, dev := range group {
-				out[dev] = res[i]
-			}
+			collective.AllToAllInto(dsts, inputs, in.CollectiveAxis, in.Axis)
 		}
 	}
-}
-
-// EvalLocal evaluates a device-local instruction on one device's
-// operand values and returns a fresh result: EvalLocalInto with no
-// destination.
-func EvalLocal(in *hlo.Instruction, ops []*tensor.Tensor, pid, iter int) (*tensor.Tensor, error) {
-	return EvalLocalInto(in, nil, ops, pid, iter)
 }
 
 // EvalLocalInto evaluates a device-local instruction on one device's
 // operand values. pid and iter resolve partition- and iteration-
 // dependent offsets. It is the one dispatch from opcode to kernel: the
-// lockstep interpreter calls it with a nil dst and gets value semantics
-// — a fresh result, operands untouched — and the concurrent runtime
+// lockstep interpreter passes a buffer no live value names and gets
+// value semantics — operands untouched — and the concurrent runtime
 // (internal/runtime) passes the buffer its memory plan assigned, so the
 // two execute the same kernel on the same bytes and agree bit for bit
 // by construction. An einsum executes with the split-K factor its
@@ -200,9 +358,9 @@ func EvalLocal(in *hlo.Instruction, ops []*tensor.Tensor, pid, iter int) (*tenso
 // is returned. It may be one of the operands only where the kernel runs
 // in place (Step.Overwrites names the positions): either operand of an
 // Add or Max, the base of a DynamicUpdateSlice, the operand of a Copy
-// or Reshape. A
-// Constant (met inside fusion bodies) is its literal and a Tuple a fresh
-// placeholder; neither uses dst.
+// or Reshape. A nil dst allocates the result. A Constant (met inside
+// fusion bodies) is its literal and a Tuple a fresh placeholder;
+// neither uses dst.
 func EvalLocalInto(in *hlo.Instruction, dst *tensor.Tensor, ops []*tensor.Tensor, pid, iter int) (*tensor.Tensor, error) {
 	switch in.Op {
 	case hlo.OpConstant:
