@@ -137,6 +137,18 @@ var sourceGuards = []sourceGuard{
 		except:  under("internal/corpus/"), // the goldens core itself printed; only tests import it
 	},
 	{
+		name: "attributes are immutable once built",
+		why: "Clone, the fusion pass and MakeAsync share an instruction's hlo.Attrs with every copy, and instructions without " +
+			"attributes share one zero Attrs, so a write through one would rewrite them all: only the builders and the parser " +
+			"make an Attrs, and a test that breaks one on purpose edits a private copy (hlo.EditAttrs, on the line that calls it)",
+		pattern: attrWrite,
+		roots:   []string{"."},
+		tests:   true,
+		except: func(path, line string) bool {
+			return path == "internal/hlo/builder.go" || path == "internal/hlo/parser.go" || strings.Contains(line, "EditAttrs(")
+		},
+	},
+	{
 		name:    "one run regime: kernel parallelism is GOMAXPROCS",
 		why:     "the kernels run on GOMAXPROCS workers: no kernel-worker setter or flag comes back, and tests sweep GOMAXPROCS",
 		pattern: regexp.MustCompile(`SetKernelWorkers|kernel-workers`),
@@ -152,6 +164,24 @@ var sourceGuards = []sourceGuard{
 		except:  under("bench/"),
 	},
 }
+
+// attrWrite matches a statement that writes an hlo.Attrs, by the names
+// of its fields: an assignment, increment or address taken through
+// one, a copy, append or sort into one, a write through the Attrs
+// pointer, and an Attrs literal (not a *Attrs type, as in a map's).
+var attrWrite = func() *regexp.Regexp {
+	field := `\.(Literal|Axis|PadLow|PadHigh|PadValue|Starts|Limits|Offsets|SliceSizes|Perm|Groups|CollectiveAxis|Pairs|TripCount|ResultIndex)\b`
+	chain := `\w+(\.\w+)*` + field
+	return regexp.MustCompile(strings.Join([]string{
+		field + `(\[[^]]*\]|\.\w+)*\s*([-+*/]?=[^=]|\+\+|--)`,
+		field + `(\[[^]]*\])*\s*,.*[^=!<>:]=[^=]`,
+		`&` + chain,
+		`\b(copy|append)\(\s*` + chain,
+		`(slices\.(Sort\w*|Reverse)|sort\.\w+)\(\s*` + chain,
+		`\*\w+(\.\w+)*\.Attrs\s*=[^=]`,
+		`(^|[^*\w.])(hlo\.)?Attrs\{`,
+	}, "|"))
+}()
 
 // TestSourceGuards runs every rule over the tree, then the two checks
 // that count files instead of matching lines.
@@ -307,6 +337,9 @@ var testOnly = map[string]string{
 	"internal/core.SwapReshapeSlice":     "as SwapReshapeConcat",
 	"internal/hlo.Computation.Constant":  "builder for the constant opcode: the parser builds constants itself, tests and callers of the public overlap.Computation build them with this",
 	"internal/hlo.Computation.Find":      "lookup by name for tests that assert on one instruction of a rewritten program",
+
+	"internal/hlo.EditAttrs":                          "test hook: the one way to break a built instruction's attributes, on a private copy its clones and async partner do not share",
+	"internal/hlo.Computation.CollectivePermuteStart": "builder for a program already in async form, as tests write one: MakeAsync's starts share their permute's Attrs through AddBuilt instead",
 
 	"internal/obs.Attribution.ExposedFraction": "HiddenFraction's complement; the attribution tests state their expectations in it",
 	"internal/obs.Registry.SetEnabled":         "test hook: shipped runs always record; tests turn recording off to measure its overhead and to show a plan's key does not read it",

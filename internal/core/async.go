@@ -29,7 +29,9 @@ func MakeAsync(c *hlo.Computation) int {
 			if in.Op != hlo.OpCollectivePermute {
 				continue
 			}
-			start := c.CollectivePermuteStart(in.Operands[0], in.Pairs)
+			// The pair shares the permute's attributes, which are
+			// immutable: nothing is copied.
+			start := c.AddBuilt(&hlo.Instruction{Op: hlo.OpCollectivePermuteStart, Operands: []*hlo.Instruction{in.Operands[0]}, Attrs: in.Attrs})
 			done := c.CollectivePermuteDone(start)
 			// A custom-named permute (e.g. the gradient-bucket pass's
 			// "gbktK." prefix) keeps its name on the async pair so trace

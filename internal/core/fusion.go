@@ -186,25 +186,14 @@ func fuseRegion(c *hlo.Computation, anchor *hlo.Instruction, region map[*hlo.Ins
 		mapping[ext] = body.Parameter(i, ext.Name+".p", ext.Shape)
 	}
 	for _, m := range members {
+		// The member's attributes are immutable, so the body shares them.
 		inner := &hlo.Instruction{
-			Op:             m.Op,
-			Name:           m.Name + ".f",
-			Shape:          append([]int(nil), m.Shape...),
-			EinsumSpec:     m.EinsumSpec,
-			SplitK:         m.SplitK,
-			Axis:           m.Axis,
-			PadLow:         append([]int(nil), m.PadLow...),
-			PadHigh:        append([]int(nil), m.PadHigh...),
-			PadValue:       m.PadValue,
-			Starts:         append([]int(nil), m.Starts...),
-			Limits:         append([]int(nil), m.Limits...),
-			Offsets:        append([]hlo.DynOffset(nil), m.Offsets...),
-			SliceSizes:     append([]int(nil), m.SliceSizes...),
-			Perm:           append([]int(nil), m.Perm...),
-			CollectiveAxis: m.CollectiveAxis,
-		}
-		if m.Literal != nil {
-			inner.Literal = m.Literal.Clone()
+			Op:         m.Op,
+			Name:       m.Name + ".f",
+			Shape:      append([]int(nil), m.Shape...),
+			EinsumSpec: m.EinsumSpec,
+			SplitK:     m.SplitK,
+			Attrs:      m.Attrs,
 		}
 		for _, op := range m.Operands {
 			repl, ok := mapping[op]

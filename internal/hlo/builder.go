@@ -2,6 +2,7 @@ package hlo
 
 import (
 	"fmt"
+	"slices"
 
 	"overlap/internal/tensor"
 )
@@ -22,6 +23,9 @@ func (c *Computation) build(in *Instruction) *Instruction {
 // tryBuild is build for the parser, whose instructions are input: a
 // malformed one is an error and the computation is left as it was.
 func (c *Computation) tryBuild(in *Instruction) (*Instruction, error) {
+	if in.Attrs == nil {
+		in.Attrs = &noAttrs
+	}
 	if in.Op == OpEinsum {
 		// A malformed einsum is inferShape's to report.
 		in.einsum, _ = deriveEinsumFacts(in)
@@ -48,7 +52,7 @@ func (c *Computation) Parameter(index int, name string, shape []int) *Instructio
 
 // Constant embeds a literal tensor.
 func (c *Computation) Constant(name string, value *tensor.Tensor) *Instruction {
-	return c.build(&Instruction{Op: OpConstant, Name: name, Literal: value})
+	return c.build(&Instruction{Op: OpConstant, Name: name, Attrs: &Attrs{Literal: value}})
 }
 
 // Zeros builds a zero-filled tensor of the given shape — the
@@ -85,19 +89,19 @@ func (c *Computation) Reshape(a *Instruction, shape ...int) *Instruction {
 
 // Transpose permutes a's dimensions.
 func (c *Computation) Transpose(a *Instruction, perm ...int) *Instruction {
-	return c.build(&Instruction{Op: OpTranspose, Perm: append([]int(nil), perm...), Operands: []*Instruction{a}})
+	return c.build(&Instruction{Op: OpTranspose, Operands: []*Instruction{a}, Attrs: &Attrs{Perm: append([]int(nil), perm...)}})
 }
 
 // Concat concatenates the operands along axis.
 func (c *Computation) Concat(axis int, ops ...*Instruction) *Instruction {
-	return c.build(&Instruction{Op: OpConcat, Axis: axis, Operands: append([]*Instruction(nil), ops...)})
+	return c.build(&Instruction{Op: OpConcat, Operands: append([]*Instruction(nil), ops...), Attrs: &Attrs{Axis: axis}})
 }
 
 // Pad pads a with value, low[i] elements before and high[i] after dim i.
 func (c *Computation) Pad(a *Instruction, low, high []int, value float64) *Instruction {
 	return c.build(&Instruction{
 		Op: OpPad, Operands: []*Instruction{a},
-		PadLow: append([]int(nil), low...), PadHigh: append([]int(nil), high...), PadValue: value,
+		Attrs: &Attrs{PadLow: append([]int(nil), low...), PadHigh: append([]int(nil), high...), PadValue: value},
 	})
 }
 
@@ -105,7 +109,7 @@ func (c *Computation) Pad(a *Instruction, low, high []int, value float64) *Instr
 func (c *Computation) Slice(a *Instruction, starts, limits []int) *Instruction {
 	return c.build(&Instruction{
 		Op: OpSlice, Operands: []*Instruction{a},
-		Starts: append([]int(nil), starts...), Limits: append([]int(nil), limits...),
+		Attrs: &Attrs{Starts: append([]int(nil), starts...), Limits: append([]int(nil), limits...)},
 	})
 }
 
@@ -114,7 +118,7 @@ func (c *Computation) Slice(a *Instruction, starts, limits []int) *Instruction {
 func (c *Computation) DynamicSlice(a *Instruction, offsets []DynOffset, sizes []int) *Instruction {
 	return c.build(&Instruction{
 		Op: OpDynamicSlice, Operands: []*Instruction{a},
-		Offsets: append([]DynOffset(nil), offsets...), SliceSizes: append([]int(nil), sizes...),
+		Attrs: &Attrs{Offsets: append([]DynOffset(nil), offsets...), SliceSizes: append([]int(nil), sizes...)},
 	})
 }
 
@@ -123,47 +127,47 @@ func (c *Computation) DynamicSlice(a *Instruction, offsets []DynOffset, sizes []
 func (c *Computation) DynamicUpdateSlice(base, update *Instruction, offsets []DynOffset) *Instruction {
 	return c.build(&Instruction{
 		Op: OpDynamicUpdateSlice, Operands: []*Instruction{base, update},
-		Offsets: append([]DynOffset(nil), offsets...),
+		Attrs: &Attrs{Offsets: append([]DynOffset(nil), offsets...)},
 	})
 }
 
 // AllGather concatenates shards along axis across each device group.
 func (c *Computation) AllGather(a *Instruction, axis int, groups [][]int) *Instruction {
-	return c.build(&Instruction{Op: OpAllGather, Operands: []*Instruction{a}, CollectiveAxis: axis, Groups: copyGroups(groups)})
+	return c.build(&Instruction{Op: OpAllGather, Operands: []*Instruction{a}, Attrs: &Attrs{CollectiveAxis: axis, Groups: copyGroups(groups)}})
 }
 
 // ReduceScatter sums across each device group and keeps the shard along
 // axis owned by each device's position in its group.
 func (c *Computation) ReduceScatter(a *Instruction, axis int, groups [][]int) *Instruction {
-	return c.build(&Instruction{Op: OpReduceScatter, Operands: []*Instruction{a}, CollectiveAxis: axis, Groups: copyGroups(groups)})
+	return c.build(&Instruction{Op: OpReduceScatter, Operands: []*Instruction{a}, Attrs: &Attrs{CollectiveAxis: axis, Groups: copyGroups(groups)}})
 }
 
 // AllReduce sums across each device group.
 func (c *Computation) AllReduce(a *Instruction, groups [][]int) *Instruction {
-	return c.build(&Instruction{Op: OpAllReduce, Operands: []*Instruction{a}, Groups: copyGroups(groups)})
+	return c.build(&Instruction{Op: OpAllReduce, Operands: []*Instruction{a}, Attrs: &Attrs{Groups: copyGroups(groups)}})
 }
 
 // AllToAll splits a along splitAxis, exchanges the pieces across each
 // group, and concatenates the received pieces along concatAxis — the
 // shard transpose that re-shards one dimension onto another.
 func (c *Computation) AllToAll(a *Instruction, splitAxis, concatAxis int, groups [][]int) *Instruction {
-	return c.build(&Instruction{Op: OpAllToAll, Operands: []*Instruction{a}, CollectiveAxis: splitAxis, Axis: concatAxis, Groups: copyGroups(groups)})
+	return c.build(&Instruction{Op: OpAllToAll, Operands: []*Instruction{a}, Attrs: &Attrs{CollectiveAxis: splitAxis, Axis: concatAxis, Groups: copyGroups(groups)}})
 }
 
 // CollectivePermute transfers a along explicit source→target pairs.
 func (c *Computation) CollectivePermute(a *Instruction, pairs []SourceTargetPair) *Instruction {
-	return c.build(&Instruction{Op: OpCollectivePermute, Operands: []*Instruction{a}, Pairs: append([]SourceTargetPair(nil), pairs...)})
+	return c.build(&Instruction{Op: OpCollectivePermute, Operands: []*Instruction{a}, Attrs: &Attrs{Pairs: append([]SourceTargetPair(nil), pairs...)}})
 }
 
 // CollectivePermuteStart begins an asynchronous permute of a.
 func (c *Computation) CollectivePermuteStart(a *Instruction, pairs []SourceTargetPair) *Instruction {
-	return c.build(&Instruction{Op: OpCollectivePermuteStart, Operands: []*Instruction{a}, Pairs: append([]SourceTargetPair(nil), pairs...)})
+	return c.build(&Instruction{Op: OpCollectivePermuteStart, Operands: []*Instruction{a}, Attrs: &Attrs{Pairs: append([]SourceTargetPair(nil), pairs...)}})
 }
 
 // CollectivePermuteDone completes the asynchronous permute started by
-// start.
+// start, sharing start's attributes.
 func (c *Computation) CollectivePermuteDone(start *Instruction) *Instruction {
-	return c.build(&Instruction{Op: OpCollectivePermuteDone, Operands: []*Instruction{start}, Pairs: append([]SourceTargetPair(nil), start.Pairs...)})
+	return c.build(&Instruction{Op: OpCollectivePermuteDone, Operands: []*Instruction{start}, Attrs: start.Attrs})
 }
 
 // Loop builds a counted loop: body's parameters receive the carried
@@ -173,11 +177,10 @@ func (c *Computation) CollectivePermuteDone(start *Instruction) *Instruction {
 // unchanged (the tuple re-lists their parameter).
 func (c *Computation) Loop(body *Computation, tripCount, resultIndex int, inits ...*Instruction) *Instruction {
 	return c.build(&Instruction{
-		Op:          OpLoop,
-		Body:        body,
-		TripCount:   tripCount,
-		ResultIndex: resultIndex,
-		Operands:    append([]*Instruction(nil), inits...),
+		Op:       OpLoop,
+		Body:     body,
+		Operands: append([]*Instruction(nil), inits...),
+		Attrs:    &Attrs{TripCount: tripCount, ResultIndex: resultIndex},
 	})
 }
 
@@ -189,7 +192,10 @@ func (c *Computation) Tuple(ops ...*Instruction) *Instruction {
 
 // AddBuilt registers a pre-constructed instruction, inferring and
 // validating its shape — the entry point for pass code that clones
-// instructions into new computations (e.g. fusion bodies).
+// instructions into new computations (e.g. fusion bodies). A nil Attrs
+// becomes the shared zero one; a non-nil one is taken as it is and,
+// like every built instruction's, never written again, so a pass hands
+// over the source's pointer rather than a copy.
 func (c *Computation) AddBuilt(in *Instruction) *Instruction {
 	return c.build(in)
 }
@@ -206,4 +212,29 @@ func copyGroups(groups [][]int) [][]int {
 		out[i] = append([]int(nil), g...)
 	}
 	return out
+}
+
+// EditAttrs gives in a private deep copy of its attributes and lets
+// edit change them: the one way to alter a built instruction's
+// attributes, for tests that break a program on purpose. The copy is
+// in's alone, so no clone, fusion body or async partner that shared
+// the old Attrs sees the edit.
+func EditAttrs(in *Instruction, edit func(a *Attrs)) {
+	a := *in.Attrs
+	if a.Literal != nil {
+		a.Literal = a.Literal.Clone()
+	}
+	a.PadLow = slices.Clone(a.PadLow)
+	a.PadHigh = slices.Clone(a.PadHigh)
+	a.Starts = slices.Clone(a.Starts)
+	a.Limits = slices.Clone(a.Limits)
+	a.Offsets = slices.Clone(a.Offsets)
+	a.SliceSizes = slices.Clone(a.SliceSizes)
+	a.Perm = slices.Clone(a.Perm)
+	a.Pairs = slices.Clone(a.Pairs)
+	if a.Groups != nil {
+		a.Groups = copyGroups(a.Groups)
+	}
+	edit(&a)
+	in.Attrs = &a
 }

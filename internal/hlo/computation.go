@@ -486,40 +486,34 @@ func (c *Computation) VerifySplitK(k int) error {
 // same structure, attributes, IDs and user order, including fusion
 // bodies. It is the unit of work of every search over the pipeline (one
 // clone per memoised stage), so the copy is slab-allocated: the
-// instructions, the operand lists, the user lists and each kind of
-// attribute slice come out of one allocation per kind, carved with
-// their capacity capped so a later append reallocates instead of
-// running into a neighbour, and a source instruction finds its copy
-// through a table indexed by ID rather than a pointer-keyed map.
+// instructions, the operand lists, the user lists and the shapes come
+// out of one allocation per kind, carved with their capacity capped so
+// a later append reallocates instead of running into a neighbour, and a
+// source instruction finds its copy through a table indexed by ID
+// rather than a pointer-keyed map.
 //
-// The attribute slices (Shape, Offsets, Pairs, Groups, ...) are copied,
-// not shared with the source, although nothing mutates them in place
-// today: sharing them was measured at 2.7% of a cold compile's bytes,
-// which does not pay for an aliasing surface between programs that are
-// otherwise independent. Only the immutable einsum facts are shared.
+// What no pass writes is shared, not copied: the einsum facts and the
+// Attrs, which are immutable once built (see Attrs), so a copy costs
+// the narrow inline fields and one pointer. Sharing the attribute
+// slices was once measured at 2.7% of a cold compile's bytes and left
+// out; that measurement kept every attribute header inline, and the
+// width those headers gave each of the thousands of cloned
+// instructions, not their contents, was where the bytes were.
 func (c *Computation) Clone() *Computation {
 	out := NewComputation(c.Name)
 	out.nextID = c.nextID
 	out.groupSeq = c.groupSeq
 
-	var nOperands, nUses, nInts, nOffsets, nPairs int
+	var nOperands, nUses, nInts int
 	for _, in := range c.instrs {
 		nOperands += len(in.Operands)
 		nUses += len(in.users)
-		nInts += len(in.Shape) + len(in.PadLow) + len(in.PadHigh) + len(in.Starts) +
-			len(in.Limits) + len(in.SliceSizes) + len(in.Perm)
-		for _, g := range in.Groups {
-			nInts += len(g)
-		}
-		nOffsets += len(in.Offsets)
-		nPairs += len(in.Pairs)
+		nInts += len(in.Shape)
 	}
 	instrs := make([]Instruction, len(c.instrs))
 	operands := make([]*Instruction, nOperands)
 	uses := make([]use, nUses)
 	ints := make([]int, nInts)
-	offsets := make([]DynOffset, nOffsets)
-	pairs := make([]SourceTargetPair, nPairs)
 
 	out.instrs = make([]*Instruction, len(c.instrs))
 	// at[id] is one more than the schedule position of the source
@@ -534,37 +528,16 @@ func (c *Computation) Clone() *Computation {
 	for i, in := range c.instrs {
 		cp := &instrs[i]
 		*cp = Instruction{
-			ID:             in.ID,
-			Name:           in.Name,
-			Op:             in.Op,
-			Shape:          carve(&ints, in.Shape),
-			Group:          in.Group,
-			ParamIndex:     in.ParamIndex,
-			EinsumSpec:     in.EinsumSpec,
-			SplitK:         in.SplitK,
-			einsum:         in.einsum,
-			Axis:           in.Axis,
-			PadLow:         carve(&ints, in.PadLow),
-			PadHigh:        carve(&ints, in.PadHigh),
-			PadValue:       in.PadValue,
-			Starts:         carve(&ints, in.Starts),
-			Limits:         carve(&ints, in.Limits),
-			Offsets:        carve(&offsets, in.Offsets),
-			SliceSizes:     carve(&ints, in.SliceSizes),
-			Perm:           carve(&ints, in.Perm),
-			Pairs:          carve(&pairs, in.Pairs),
-			CollectiveAxis: in.CollectiveAxis,
-			TripCount:      in.TripCount,
-			ResultIndex:    in.ResultIndex,
-		}
-		if in.Literal != nil {
-			cp.Literal = in.Literal.Clone()
-		}
-		if len(in.Groups) > 0 {
-			cp.Groups = make([][]int, len(in.Groups))
-			for g, group := range in.Groups {
-				cp.Groups[g] = carve(&ints, group)
-			}
+			ID:         in.ID,
+			Name:       in.Name,
+			Op:         in.Op,
+			Shape:      carve(&ints, in.Shape),
+			Group:      in.Group,
+			ParamIndex: in.ParamIndex,
+			EinsumSpec: in.EinsumSpec,
+			SplitK:     in.SplitK,
+			einsum:     in.einsum,
+			Attrs:      in.Attrs,
 		}
 		if in.Body != nil {
 			cp.Body = in.Body.Clone()

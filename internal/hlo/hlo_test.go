@@ -276,12 +276,9 @@ func TestEinsumFactsAreBuiltOnceAndChecked(t *testing.T) {
 func TestVerifyCollectiveGroups(t *testing.T) {
 	c := NewComputation("groups")
 	a := c.Parameter(0, "a", []int{2, 4})
-	bad := &Instruction{
-		Op: OpAllGather, Operands: []*Instruction{a},
-		CollectiveAxis: 0, Groups: [][]int{{0, 1}, {1, 2}}, // device 1 twice
-		Shape: []int{4, 4},
-	}
-	c.add(bad)
+	// The builder refuses overlapping groups, so they are edited in.
+	bad := c.AllGather(a, 0, [][]int{{0, 1}, {2, 3}})
+	EditAttrs(bad, func(a *Attrs) { a.Groups[1][0] = 1 }) // device 1 twice
 	if err := c.Verify(); err == nil || !strings.Contains(err.Error(), "two groups") {
 		t.Fatalf("verifier missed overlapping groups: %v", err)
 	}
@@ -307,7 +304,8 @@ func TestDynOffsetEval(t *testing.T) {
 }
 
 func TestCollectivePermutePairHelpers(t *testing.T) {
-	in := &Instruction{Op: OpCollectivePermute, Pairs: []SourceTargetPair{{1, 0}, {2, 1}, {0, 2}}}
+	c := NewComputation("pairs")
+	in := c.CollectivePermute(c.Parameter(0, "a", []int{2}), []SourceTargetPair{{1, 0}, {2, 1}, {0, 2}})
 	if s, ok := in.PairSource(1); !ok || s != 2 {
 		t.Fatalf("PairSource(1) = %d,%v", s, ok)
 	}
@@ -427,7 +425,7 @@ func TestCollectivePermuteDoneRequiresStart(t *testing.T) {
 	// A done whose operand is not a start must fail verification.
 	bad := NewComputation("bad")
 	p := bad.Parameter(0, "p", []int{4})
-	bad.add(&Instruction{Op: OpCollectivePermuteDone, Operands: []*Instruction{p}, Shape: []int{4}})
+	bad.add(&Instruction{Op: OpCollectivePermuteDone, Operands: []*Instruction{p}, Shape: []int{4}, Attrs: &noAttrs})
 	if err := bad.Verify(); err == nil {
 		t.Fatal("done without start passed verification")
 	}

@@ -60,9 +60,11 @@ type SourceTargetPair struct {
 	Target int
 }
 
-// Instruction is one node of the dataflow graph. Exported attribute
-// fields are only meaningful for the opcodes that use them; the verifier
-// enforces consistency.
+// Instruction is one node of the dataflow graph: the fields every
+// opcode has, inline, and the opcode-specific attributes behind one
+// embedded *Attrs, whose fields read as the instruction's own (in.Pairs,
+// in.Groups). Exported attribute fields are only meaningful for the
+// opcodes that use them; the verifier enforces consistency.
 type Instruction struct {
 	ID       int
 	Name     string
@@ -84,9 +86,6 @@ type Instruction struct {
 	// Parameter.
 	ParamIndex int
 
-	// Constant.
-	Literal *tensor.Tensor
-
 	// Einsum. SplitK >= 2 is the kernel split-K factor this einsum
 	// executes with (see tensor.EinsumSplitK); 0 keeps the reference
 	// accumulation order. core.Apply stamps the planned factor here so
@@ -96,6 +95,35 @@ type Instruction struct {
 	// einsum is what EinsumSpec and the operand shapes determine (see
 	// einsumFacts). Built instructions carry it; Clone shares it.
 	einsum *einsumFacts
+
+	// Fusion: the fused subgraph. Its parameters correspond 1:1 with the
+	// fusion instruction's operands; the last instruction in the body is
+	// the fusion result.
+	// Loop: the loop body; parameters receive the carried buffers, the
+	// root Tuple provides the next iteration's values.
+	// Inline, not in Attrs: passes rewrite bodies in place, so each
+	// instruction owns its own.
+	Body *Computation
+
+	// Attrs is never nil on a built instruction. It is shared, not
+	// owned: see Attrs.
+	*Attrs
+}
+
+// Attrs holds the opcode-specific attributes of an instruction. Most
+// opcodes have none, and those instructions all point at one shared
+// zero Attrs; an instruction with attributes gets its own from the
+// builder or the parser that makes it.
+//
+// An Attrs is immutable once its instruction is built: nothing writes
+// its fields, its slices' elements or its literal's data. That is what
+// lets Clone, the fusion pass and MakeAsync hand the source's pointer
+// to every copy instead of copying it. A change of attributes is a new
+// instruction from a builder, and a test that breaks one on purpose
+// takes a private copy first (EditAttrs).
+type Attrs struct {
+	// Constant.
+	Literal *tensor.Tensor
 
 	// Concat.
 	Axis int
@@ -125,17 +153,13 @@ type Instruction struct {
 	// CollectivePermute (and Start/Done).
 	Pairs []SourceTargetPair
 
-	// Fusion: the fused subgraph. Its parameters correspond 1:1 with the
-	// fusion instruction's operands; the last instruction in the body is
-	// the fusion result.
-	// Loop: the loop body; parameters receive the carried buffers, the
-	// root Tuple provides the next iteration's values.
-	Body *Computation
-
 	// Loop: iteration count and which carried buffer the loop yields.
 	TripCount   int
 	ResultIndex int
 }
+
+// noAttrs is the Attrs of every instruction whose opcode has none.
+var noAttrs Attrs
 
 // use is one user edge: the reading instruction and how many of its
 // operand slots name this one.

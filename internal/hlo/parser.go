@@ -154,23 +154,6 @@ func applyAttrs(in *Instruction, attrs string) error {
 	switch in.Op {
 	case OpParameter:
 		return scanInt(attrs, "index=%d", &in.ParamIndex)
-	case OpConstant:
-		vals, err := parseFloats(cut(attrs, "value="))
-		if err != nil {
-			return err
-		}
-		// Checked before FromValues sizes a tensor by the declared shape;
-		// in floating point, so an absurd shape cannot overflow into
-		// agreement.
-		n := 1.0
-		for _, d := range in.Shape {
-			n *= float64(d)
-		}
-		if n != float64(len(vals)) {
-			return fmt.Errorf("constant of shape %v has %d values", in.Shape, len(vals))
-		}
-		in.Literal = tensor.FromValues(in.Shape, vals)
-		return nil
 	case OpEinsum:
 		quoted, err := strconv.QuotedPrefix(cut(attrs, "spec="))
 		if err == nil {
@@ -191,8 +174,31 @@ func applyAttrs(in *Instruction, attrs string) error {
 			return fmt.Errorf("bad einsum splitk %q", factor)
 		}
 		return checkSplitK(in.Op, in.SplitK)
+	}
+	// Every other opcode's attributes go into an Attrs of its own, the
+	// one the built instruction keeps.
+	a := new(Attrs)
+	in.Attrs = a
+	switch in.Op {
+	case OpConstant:
+		vals, err := parseFloats(cut(attrs, "value="))
+		if err != nil {
+			return err
+		}
+		// Checked before FromValues sizes a tensor by the declared shape;
+		// in floating point, so an absurd shape cannot overflow into
+		// agreement.
+		n := 1.0
+		for _, d := range in.Shape {
+			n *= float64(d)
+		}
+		if n != float64(len(vals)) {
+			return fmt.Errorf("constant of shape %v has %d values", in.Shape, len(vals))
+		}
+		a.Literal = tensor.FromValues(in.Shape, vals)
+		return nil
 	case OpConcat:
-		return scanInt(attrs, "axis=%d", &in.Axis)
+		return scanInt(attrs, "axis=%d", &a.Axis)
 	case OpPad:
 		lowStr, rest, ok := strings.Cut(cut(attrs, "low="), " high=")
 		if !ok {
@@ -203,13 +209,13 @@ func applyAttrs(in *Instruction, attrs string) error {
 			return fmt.Errorf("bad pad attrs %q", attrs)
 		}
 		var err error
-		if in.PadLow, err = parseInts(strings.Trim(lowStr, "[]")); err != nil {
+		if a.PadLow, err = parseInts(strings.Trim(lowStr, "[]")); err != nil {
 			return err
 		}
-		if in.PadHigh, err = parseInts(strings.Trim(highStr, "[]")); err != nil {
+		if a.PadHigh, err = parseInts(strings.Trim(highStr, "[]")); err != nil {
 			return err
 		}
-		if in.PadValue, err = strconv.ParseFloat(valStr, 64); err != nil {
+		if a.PadValue, err = strconv.ParseFloat(valStr, 64); err != nil {
 			return err
 		}
 		return nil
@@ -220,10 +226,10 @@ func applyAttrs(in *Instruction, attrs string) error {
 			return fmt.Errorf("bad slice bounds %q", attrs)
 		}
 		var err error
-		if in.Starts, err = parseInts(startStr); err != nil {
+		if a.Starts, err = parseInts(startStr); err != nil {
 			return err
 		}
-		if in.Limits, err = parseInts(limitStr); err != nil {
+		if a.Limits, err = parseInts(limitStr); err != nil {
 			return err
 		}
 		return nil
@@ -233,20 +239,20 @@ func applyAttrs(in *Instruction, attrs string) error {
 			return fmt.Errorf("bad dynamic-slice attrs %q", attrs)
 		}
 		var err error
-		if in.Offsets, err = parseOffsets(offStr); err != nil {
+		if a.Offsets, err = parseOffsets(offStr); err != nil {
 			return err
 		}
-		if in.SliceSizes, err = parseInts(strings.Trim(sizeStr, "[]")); err != nil {
+		if a.SliceSizes, err = parseInts(strings.Trim(sizeStr, "[]")); err != nil {
 			return err
 		}
 		return nil
 	case OpDynamicUpdateSlice:
 		var err error
-		in.Offsets, err = parseOffsets(cut(attrs, "offsets="))
+		a.Offsets, err = parseOffsets(cut(attrs, "offsets="))
 		return err
 	case OpTranspose:
 		var err error
-		in.Perm, err = parseInts(strings.Trim(cut(attrs, "perm="), "[]"))
+		a.Perm, err = parseInts(strings.Trim(cut(attrs, "perm="), "[]"))
 		return err
 	case OpAllGather, OpReduceScatter, OpAllToAll:
 		axisStr, groupStr, ok := strings.Cut(cut(attrs, "axis="), " groups=")
@@ -257,21 +263,21 @@ func applyAttrs(in *Instruction, attrs string) error {
 		if err != nil {
 			return err
 		}
-		in.CollectiveAxis = axis
+		a.CollectiveAxis = axis
 		if in.Op == OpAllToAll {
-			in.Axis = axis // printer emits the split axis; concat axis matches for parsed text
+			a.Axis = axis // printer emits the split axis; concat axis matches for parsed text
 		}
-		in.Groups, err = parseGroups(groupStr)
+		a.Groups, err = parseGroups(groupStr)
 		return err
 	case OpAllReduce:
 		var err error
-		in.Groups, err = parseGroups(cut(attrs, "groups="))
+		a.Groups, err = parseGroups(cut(attrs, "groups="))
 		return err
 	case OpCollectivePermute, OpCollectivePermuteStart, OpCollectivePermuteDone:
 		for _, m := range pairRe.FindAllStringSubmatch(attrs, -1) {
 			src, _ := strconv.Atoi(m[1])
 			dst, _ := strconv.Atoi(m[2])
-			in.Pairs = append(in.Pairs, SourceTargetPair{Source: src, Target: dst})
+			a.Pairs = append(a.Pairs, SourceTargetPair{Source: src, Target: dst})
 		}
 		return nil
 	case OpLoop:
@@ -280,10 +286,10 @@ func applyAttrs(in *Instruction, attrs string) error {
 			return fmt.Errorf("bad loop attrs %q", attrs)
 		}
 		var err error
-		if in.TripCount, err = strconv.Atoi(tripStr); err != nil {
+		if a.TripCount, err = strconv.Atoi(tripStr); err != nil {
 			return err
 		}
-		in.ResultIndex, err = strconv.Atoi(resStr)
+		a.ResultIndex, err = strconv.Atoi(resStr)
 		return err
 	}
 	return nil

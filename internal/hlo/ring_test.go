@@ -50,19 +50,19 @@ func TestVerifyRingRules(t *testing.T) {
 		want   string // with %n the ring size
 	}{
 		{"device out of range", func(p *ringProgram, n int) {
-			p.gather.Groups[0][n-1] = n
+			EditAttrs(p.gather, func(a *Attrs) { a.Groups[0][n-1] = n })
 		}, "all-reduce.1 group device %n out of range [0,%n)"},
 		{"device in no group", func(p *ringProgram, n int) {
-			p.gather.Groups[0] = p.gather.Groups[0][:n-1]
+			EditAttrs(p.gather, func(a *Attrs) { a.Groups[0] = a.Groups[0][:n-1] })
 		}, " does not participate in all-reduce.1"},
 		{"endpoint out of range", func(p *ringProgram, n int) {
-			p.permute.Pairs[0].Target = n
+			EditAttrs(p.permute, func(a *Attrs) { a.Pairs[0].Target = n })
 		}, "collective-permute.2 pair 0->%n out of range [0,%n)"},
 		{"negative endpoint", func(p *ringProgram, n int) {
-			p.start.Pairs[0].Source = -1
+			EditAttrs(p.start, func(a *Attrs) { a.Pairs[0].Source = -1 })
 		}, "collective-permute-start.3 pair -1->"},
 		{"endpoint out of range in a loop body", func(p *ringProgram, n int) {
-			p.bodyPermute.Pairs[n-1].Source = n + 98
+			EditAttrs(p.bodyPermute, func(a *Attrs) { a.Pairs[n-1].Source = n + 98 })
 		}, "collective-permute.1 pair "},
 		{"start with no done", func(p *ringProgram, n int) {
 			p.c.CollectivePermuteStart(p.a, p.start.Pairs)
@@ -91,8 +91,7 @@ func TestVerifyRingRules(t *testing.T) {
 			p.c.CollectivePermuteDone(start)
 		}, "collective-permute-done.2 completes in a different sequence than collective-permute-start.1"},
 		{"start and done disagree on pairs", func(p *ringProgram, n int) {
-			p.done.Pairs = append([]SourceTargetPair(nil), p.done.Pairs...)
-			p.done.Pairs[0].Target = (p.done.Pairs[0].Target + 1) % (n + 1)
+			EditAttrs(p.done, func(a *Attrs) { a.Pairs[0].Target = (a.Pairs[0].Target + 1) % (n + 1) })
 		}, "collective-permute-start.3 and collective-permute-done.4 disagree on permute pairs"},
 		{"nested loop", func(p *ringProgram, n int) {
 			inner := NewComputation("inner")

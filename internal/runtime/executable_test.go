@@ -332,7 +332,7 @@ func zeroTripProgram() *hlo.Computation {
 	c := hlo.NewComputation("zero-trip")
 	x := c.Parameter(0, "x", []int{2, 2})
 	loop := c.Loop(body, 1, 0, x)
-	loop.TripCount = 0
+	hlo.EditAttrs(loop, func(a *hlo.Attrs) { a.TripCount = 0 })
 	c.Add(loop, x)
 	return c
 }

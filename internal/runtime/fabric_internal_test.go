@@ -99,8 +99,9 @@ func TestRunOnUnbuiltEdgeFailsWithMissingLink(t *testing.T) {
 	}
 
 	// Editing the instruction after Compile does not reach the run: the
-	// tape holds its own copy of the pairs.
-	start.Pairs[0].Target = 3
+	// tape holds its own copy of the pairs. (The edit goes to a private
+	// copy of the attributes, which the done shares until then.)
+	hlo.EditAttrs(start, func(a *hlo.Attrs) { a.Pairs[0].Target = 3 })
 	if _, err := x.Run(context.Background(), args, Options{}); err != nil {
 		t.Fatalf("run after the instruction's pairs were edited: %v", err)
 	}

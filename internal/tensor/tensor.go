@@ -21,6 +21,7 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Tensor is a dense, row-major n-dimensional array of float64 values.
@@ -240,9 +241,11 @@ func (t *Tensor) MaxDifference(o *Tensor) float64 {
 // row-major order, tensor after tensor, to h: equal digests mean
 // bit-identical values. The bytes go through one 4 KiB block rather
 // than one Write per element — a hash's per-call overhead otherwise
-// costs more than the hashing.
+// costs more than the hashing. The block is pooled: it escapes through
+// h.Write, so a local one would be a heap allocation per call.
 func HashBits(h hash.Hash, tensors ...*Tensor) {
-	var block [4096]byte
+	block := hashBlocks.Get().(*[4096]byte)
+	defer hashBlocks.Put(block)
 	n := 0
 	for _, t := range tensors {
 		for _, v := range t.data {
@@ -255,6 +258,8 @@ func HashBits(h hash.Hash, tensors ...*Tensor) {
 	}
 	h.Write(block[:n])
 }
+
+var hashBlocks = sync.Pool{New: func() any { return new([4096]byte) }}
 
 // String renders the tensor's shape and, for small tensors, its values.
 func (t *Tensor) String() string {

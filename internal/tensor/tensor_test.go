@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"math/rand"
 	"testing"
 )
@@ -154,4 +156,27 @@ func TestOutOfBoundsIndexPanics(t *testing.T) {
 		}
 	}()
 	x.At(2, 0)
+}
+
+// TestHashBitsAllocatesNothing: the staging block is pooled, so a digest
+// that calls HashBits once per tensor list (training hashes one call per
+// weight) allocates nothing per call, and how the tensors split across
+// calls does not change the bytes the hash sees.
+func TestHashBitsAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	a, b := Rand(rng, 33, 17), Rand(rng, 700) // b crosses a block boundary
+	one, two := sha256.New(), sha256.New()
+	HashBits(one, a, b)
+	HashBits(two, a)
+	HashBits(two, b)
+	if !bytes.Equal(one.Sum(nil), two.Sum(nil)) {
+		t.Fatal("HashBits over [a b] and over [a] then [b] fed the hash different bytes")
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool deliberately drops items under the race detector")
+	}
+	h := sha256.New()
+	if allocs := testing.AllocsPerRun(100, func() { HashBits(h, a, b) }); allocs != 0 {
+		t.Fatalf("HashBits allocates %.1f objects per call, want 0", allocs)
+	}
 }
