@@ -344,6 +344,7 @@ var testOnly = map[string]string{
 	"internal/obs.Attribution.ExposedFraction": "HiddenFraction's complement; the attribution tests state their expectations in it",
 	"internal/obs.Registry.SetEnabled":         "test hook: shipped runs always record; tests turn recording off to measure its overhead and to show a plan's key does not read it",
 	"internal/partition.Sharding.IsReplicated": "states the propagation tests' expectation; one line over the sharding's own fields",
+	"internal/partition.ShardTensor":           "UnshardTensor's counterpart, and the oracle of train's feed test: Args draws each shard in place, and must equal the full tensor cut by this",
 	"internal/partition.UnshardTensor":         "ShardTensor's inverse: the reference the partition tests reassemble per-device results with",
 	"internal/partition.addShapes":             "UnshardTensor's helper",
 	"internal/runtime.fabric.mailboxSizes":     "test hook: the leak check that every mailbox is empty after a run, failed or not",
@@ -355,6 +356,7 @@ var testOnly = map[string]string{
 	"internal/tensor.Iota":                   "test fixture: a tensor whose every element is distinguishable",
 	"internal/tensor.Scale":                  "test fixture: expected values of scaled sums",
 	"internal/tensor.Concat":                 "value form of ConcatInto (nil destination): tests build expected values with it",
+	"internal/tensor.Slice":                  "value form of SliceInto, as Concat",
 	"internal/tensor.DynamicSlice":           "value form of DynamicSliceInto, as Concat",
 	"internal/tensor.DynamicUpdateSlice":     "value form of DynamicUpdateSliceInto, as Concat",
 	"internal/tensor.Pad":                    "value form of PadInto, as Concat",

@@ -354,14 +354,14 @@ func gemm(c []float64, g gemmOperands, workers, splitK int) {
 	if workers > 1 && flops >= gemmParallelMinFlops {
 		switch {
 		case rows >= g.N && rows > 1:
-			parallelRows(rows, workers, func(lo, hi int) {
-				g.block(c, lo, hi, 0, g.N, 0, g.K)
-			})
+			j := getJob(fanRows, c, g)
+			j.fanOut(rows, workers)
+			putJob(j)
 			return
 		case g.N > 1:
-			parallelRows(g.N, workers, func(lo, hi int) {
-				g.block(c, 0, rows, lo, hi, 0, g.K)
-			})
+			j := getJob(fanCols, c, g)
+			j.fanOut(g.N, workers)
+			putJob(j)
 			return
 		}
 	}

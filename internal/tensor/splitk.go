@@ -61,17 +61,14 @@ func splitFactor(rows, K, N, splitK int) int {
 // of the kernels the unsplit GEMM runs (gemmOperands.block), so an
 // operand read in place stays in place at every factor.
 func gemmSplitK(c []float64, g gemmOperands, s, workers int) {
-	rows := g.B * g.M
-	out := rows * g.N
-	parts := make([]*[]float64, s)
+	out := g.B * g.M * g.N
+	j := getJob(fanSplitK, nil, g)
+	j.s = s
+	parts := j.parts[:s]
 	for i := range parts {
 		parts[i] = getZeroBuf(out)
 	}
-	parallelRows(s, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			g.block(*parts[i], 0, rows, 0, g.N, i*g.K/s, (i+1)*g.K/s)
-		}
-	})
+	j.fanOut(s, workers)
 	for gap := 1; gap < s; gap *= 2 {
 		for i := 0; i+gap < s; i += 2 * gap {
 			addInto(*parts[i], *parts[i+gap])
@@ -81,6 +78,7 @@ func gemmSplitK(c []float64, g gemmOperands, s, workers int) {
 	for _, p := range parts {
 		putBuf(p)
 	}
+	putJob(j)
 	kernelSplitKOps.Inc()
 }
 

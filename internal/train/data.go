@@ -5,9 +5,7 @@ import (
 	"math"
 	"math/rand"
 
-	"overlap/internal/partition"
 	"overlap/internal/tensor"
-	"overlap/internal/topology"
 )
 
 // The training fixtures are dyadic rationals: every entry is k/2^4 with
@@ -23,16 +21,23 @@ const (
 	quantRange = 8
 )
 
-// quantRand fills a tensor with dyadic rationals k/2^quantBits, k
-// uniform in [-quantRange, quantRange].
-func quantRand(rng *rand.Rand, shape ...int) *tensor.Tensor {
-	t := tensor.New(shape...)
-	data := t.Data()
-	scale := math.Ldexp(1, -quantBits)
-	for i := range data {
-		data[i] = float64(rng.Intn(2*quantRange+1)-quantRange) * scale
+// drawShards draws a [rows, cols] tensor of dyadic rationals k·unit, k
+// uniform in [-quantRange, quantRange], straight into n pooled row
+// blocks: block d holds rows [d·rows/n, (d+1)·rows/n), device d's shard
+// of a tensor sharded on dim 0 (n = 1 is the whole tensor, replicated).
+// The blocks are filled in device order, so the draws come in the
+// global row-major order of the unsharded tensor.
+func drawShards(rng *rand.Rand, n, rows, cols int, unit float64) []*tensor.Tensor {
+	out := make([]*tensor.Tensor, n)
+	for d := range out {
+		t := tensor.NewPooled(rows/n, cols)
+		data := t.Data()
+		for i := range data {
+			data[i] = float64(rng.Intn(2*quantRange+1)-quantRange) * unit
+		}
+		out[d] = t
 	}
-	return t
+	return out
 }
 
 // CheckLR rejects learning rates that are not powers of two in
@@ -50,44 +55,36 @@ func CheckLR(lr float64) error {
 // the strategy, the scalar cotangent seed (1) and negated learning
 // rate. The layout follows the Param* constants; runtime and
 // interpreter replicate single-entry lists, so replicated parameters
-// carry one tensor.
+// carry one tensor. Every shard is drawn where it lives, in a tensor
+// from the arena's free lists (tensor.NewPooled); a caller that is done
+// with the arguments may hand them back with runtime.ReleaseArgs.
 func Args(prog *Program, seed int64, lr float64) ([][]*tensor.Tensor, error) {
 	if err := CheckLR(lr); err != nil {
 		return nil, err
 	}
 	cfg := prog.Config
 	rng := rand.New(rand.NewSource(seed))
-	mesh := topology.NewTorus2D(1, cfg.Devices)
-	rows := partition.OnDim(2, 0, 1)
-
-	x := quantRand(rng, cfg.Tokens, cfg.Model)
-	y := quantRand(rng, cfg.Tokens, cfg.Model)
-	negy := tensor.New(y.Shape()...)
-	for i, v := range y.Data() {
-		negy.Data()[i] = -v
-	}
+	n := cfg.Devices
+	unit := math.Ldexp(1, -quantBits)
 
 	args := make([][]*tensor.Tensor, ParamWeight0+cfg.NumWeights())
-	args[ParamX] = partition.ShardTensor(x, rows, mesh)
-	args[ParamNegY] = partition.ShardTensor(negy, rows, mesh)
+	args[ParamX] = drawShards(rng, n, cfg.Tokens, cfg.Model, unit)
+	args[ParamNegY] = drawShards(rng, n, cfg.Tokens, cfg.Model, -unit) // k·(−unit) is −(k·unit), bit for bit
 	args[ParamSeed] = []*tensor.Tensor{tensor.Scalar(1)}
 	args[ParamNegLR] = []*tensor.Tensor{tensor.Scalar(-lr)}
 	for i := 0; i < cfg.NumWeights(); i++ {
-		w := quantRand(rng, prog.WeightGlobal[i]...)
+		shape := prog.WeightGlobal[i]
 		// Scale by 2^-s with 2^s >= sqrt(fan_in): the usual
 		// 1/sqrt(fan_in) initialization rounded to a power of two, so
 		// activations stay O(1) through the layer chain without
 		// spending any dyadic-exactness budget (the scale only shifts
 		// exponents).
-		scale := math.Ldexp(1, -weightShift(prog.WeightGlobal[i][0]))
-		for j, v := range w.Data() {
-			w.Data()[j] = v * scale
-		}
+		wunit := math.Ldexp(unit, -weightShift(shape[0]))
+		shards := 1
 		if cfg.Strategy == StrategyMegatron {
-			args[ParamWeight0+i] = partition.ShardTensor(w, rows, mesh)
-		} else {
-			args[ParamWeight0+i] = []*tensor.Tensor{w}
+			shards = n // row-sharded on the ring
 		}
+		args[ParamWeight0+i] = drawShards(rng, shards, shape[0], shape[1], wunit)
 	}
 	return args, nil
 }

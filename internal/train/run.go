@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"overlap/internal/core"
@@ -154,10 +155,16 @@ func Execute(ctx context.Context, prog *Program, res *Result, opts Options) (*Re
 	if steps < 1 {
 		steps = 1
 	}
-	args, err := Args(prog, opts.Seed, lr)
+	feed, err := Args(prog, opts.Seed, lr)
 	if err != nil {
 		return nil, err
 	}
+	// The feed goes back to the arena however the call ends, so the next
+	// Execute draws the same buffers. args starts as the feed and then
+	// holds each step's updated weights, which are that step's result's
+	// to release.
+	defer runtime.ReleaseArgs(feed)
+	args := slices.Clone(feed)
 
 	trGradBucketBytes.Set(bucketBytes(opts.Pipeline))
 	trGradBuckets.Set(float64(len(res.Report.Buckets)))
@@ -189,6 +196,11 @@ func Execute(ctx context.Context, prog *Program, res *Result, opts Options) (*Re
 	// only once the current step — and whatever reads its arguments — is
 	// through.
 	var prev *runtime.Result
+	defer func() {
+		if prev != nil {
+			prev.Release()
+		}
+	}()
 	for step := 0; step < steps; step++ {
 		stepID := fmt.Sprintf("%s.s%d", runID, step)
 		ropts := runtime.Options{TimeScale: opts.TimeScale, Faults: opts.Faults, RunID: stepID}
@@ -207,6 +219,7 @@ func Execute(ctx context.Context, prog *Program, res *Result, opts Options) (*Re
 			loss += t.At()
 		}
 		if math.IsNaN(loss) || math.IsInf(loss, 0) {
+			rres.Release()
 			err := &DivergedError{Step: step, LR: lr, Loss: loss}
 			obs.Log().Error("train.step", "run_id", stepID, "step", step, "error", err.Error())
 			return nil, err
@@ -221,6 +234,7 @@ func Execute(ctx context.Context, prog *Program, res *Result, opts Options) (*Re
 
 		if opts.Check {
 			if err := runtime.CheckInterpreter(prog.Comp, n, args, rres); err != nil {
+				rres.Release()
 				return nil, fmt.Errorf("train: step %d: %w", step, err)
 			}
 			stat.Checked = true
@@ -255,7 +269,6 @@ func Execute(ctx context.Context, prog *Program, res *Result, opts Options) (*Re
 		}
 		prev = rres
 	}
-	prev.Release()
 	return res, nil
 }
 
