@@ -2,7 +2,6 @@ package hlo
 
 import (
 	"fmt"
-	"regexp"
 	"strconv"
 	"strings"
 
@@ -41,12 +40,76 @@ func Parse(text string) (*Computation, error) {
 	return c, nil
 }
 
-var (
-	headerRe = regexp.MustCompile(`^(\S+) \{$`)
-	instrRe  = regexp.MustCompile(`^  %(\S+) = f32\[([0-9 ]*)\] ([a-z-]+)\(([^)]*)\)(?:, (.*))?$`)
-	offsetRe = regexp.MustCompile(`^\(\((-?\d+)\*\(pid/(\d+)\)\+(?:(-?\d+)\*i\+)?(-?\d+)\)%(-?\d+)\)\*(-?\d+)$`)
-	pairRe   = regexp.MustCompile(`\{(-?\d+),(-?\d+)\}`)
-)
+// The scanners below read a line left to right in the order printer.go
+// writes it. A name is a run of bytes with no blank (space, tab, CR,
+// LF, FF) in it; an integer is an optional '-' and ASCII digits.
+
+// blanks are the bytes that end a name.
+const blanks = " \t\n\f\r"
+
+// scanHeader reads a "name {" line: the computation's name, or false.
+func scanHeader(line string) (string, bool) {
+	name, ok := strings.CutSuffix(line, " {")
+	if !ok || name == "" || strings.ContainsAny(name, blanks) {
+		return "", false
+	}
+	return name, true
+}
+
+// instrLine is one scanned instruction line:
+// "  %name = f32[shape] opcode(operands)" and optionally ", attrs".
+type instrLine struct {
+	name, shape, op, operands, attrs string
+}
+
+// scanInstr splits an instruction line into its fields, or reports
+// false when the line is not one.
+func scanInstr(line string) (instrLine, bool) {
+	var in instrLine
+	rest, ok := strings.CutPrefix(line, "  %")
+	if !ok {
+		return in, false
+	}
+	end := strings.IndexAny(rest, blanks)
+	if end <= 0 {
+		return in, false
+	}
+	in.name = rest[:end]
+	if rest, ok = strings.CutPrefix(rest[end:], " = f32["); !ok {
+		return in, false
+	}
+	if in.shape, rest, ok = strings.Cut(rest, "]"); !ok || strings.Trim(in.shape, "0123456789 ") != "" {
+		return in, false
+	}
+	if rest, ok = strings.CutPrefix(rest, " "); !ok {
+		return in, false
+	}
+	if in.op, rest, ok = strings.Cut(rest, "("); !ok || in.op == "" || strings.Trim(in.op, "abcdefghijklmnopqrstuvwxyz-") != "" {
+		return in, false
+	}
+	if in.operands, rest, ok = strings.Cut(rest, ")"); !ok {
+		return in, false
+	}
+	if rest == "" {
+		return in, true
+	}
+	in.attrs, ok = strings.CutPrefix(rest, ", ")
+	return in, ok
+}
+
+// scanInteger reads an integer off the front of s: its text, and what
+// follows it.
+func scanInteger(s string) (num, rest string, ok bool) {
+	i := 0
+	if i < len(s) && s[i] == '-' {
+		i++
+	}
+	digits := i
+	for i < len(s) && s[i] >= '0' && s[i] <= '9' {
+		i++
+	}
+	return s[:i], s[i:], i > digits
+}
 
 // parseComputation consumes one "name { ... }" block from lines and
 // returns the remaining lines. first is the text's line number of
@@ -57,11 +120,11 @@ func parseComputation(lines []string, first int) (*Computation, []string, error)
 	if len(lines) == 0 {
 		return nil, nil, fmt.Errorf("hlo: empty input")
 	}
-	m := headerRe.FindStringSubmatch(strings.TrimRight(lines[0], " "))
-	if m == nil {
+	header, ok := scanHeader(strings.TrimRight(lines[0], " "))
+	if !ok {
 		return nil, nil, fmt.Errorf("hlo: expected computation header, got %q", lines[0])
 	}
-	c := NewComputation(m[1])
+	c := NewComputation(header)
 	byName := map[string]*Instruction{}
 	i := 1
 	for ; i < len(lines); i++ {
@@ -69,11 +132,11 @@ func parseComputation(lines []string, first int) (*Computation, []string, error)
 		if line == "}" {
 			return c, lines[i+1:], nil
 		}
-		im := instrRe.FindStringSubmatch(line)
-		if im == nil {
+		im, ok := scanInstr(line)
+		if !ok {
 			return nil, nil, fmt.Errorf("hlo: cannot parse instruction line %q", line)
 		}
-		name, shapeStr, opName, operandStr, attrStr := im[1], im[2], im[3], im[4], im[5]
+		name, shapeStr, opName, operandStr, attrStr := im.name, im.shape, im.op, im.operands, im.attrs
 		op, ok := opByName(opName)
 		if !ok {
 			return nil, nil, fmt.Errorf("hlo: unknown opcode %q", opName)
@@ -153,7 +216,7 @@ func applyAttrs(in *Instruction, attrs string) error {
 	}
 	switch in.Op {
 	case OpParameter:
-		return scanInt(attrs, "index=%d", &in.ParamIndex)
+		return attrInt(attrs, "index=", &in.ParamIndex)
 	case OpEinsum:
 		quoted, err := strconv.QuotedPrefix(cut(attrs, "spec="))
 		if err == nil {
@@ -198,7 +261,7 @@ func applyAttrs(in *Instruction, attrs string) error {
 		a.Literal = tensor.FromValues(in.Shape, vals)
 		return nil
 	case OpConcat:
-		return scanInt(attrs, "axis=%d", &a.Axis)
+		return attrInt(attrs, "axis=", &a.Axis)
 	case OpPad:
 		lowStr, rest, ok := strings.Cut(cut(attrs, "low="), " high=")
 		if !ok {
@@ -274,11 +337,7 @@ func applyAttrs(in *Instruction, attrs string) error {
 		a.Groups, err = parseGroups(cut(attrs, "groups="))
 		return err
 	case OpCollectivePermute, OpCollectivePermuteStart, OpCollectivePermuteDone:
-		for _, m := range pairRe.FindAllStringSubmatch(attrs, -1) {
-			src, _ := strconv.Atoi(m[1])
-			dst, _ := strconv.Atoi(m[2])
-			a.Pairs = append(a.Pairs, SourceTargetPair{Source: src, Target: dst})
-		}
+		a.Pairs = scanPairs(attrs)
 		return nil
 	case OpLoop:
 		tripStr, resStr, ok := strings.Cut(cut(attrs, "trip="), " result=")
@@ -299,9 +358,16 @@ func cut(s, prefix string) string {
 	return strings.TrimPrefix(s, prefix)
 }
 
-func scanInt(s, format string, out *int) error {
-	_, err := fmt.Sscanf(s, format, out)
-	return err
+// attrInt reads an attribute the printer writes as prefix and an
+// integer.
+func attrInt(s, prefix string, out *int) error {
+	num, ok := strings.CutPrefix(s, prefix)
+	v, err := strconv.Atoi(num)
+	if !ok || err != nil {
+		return fmt.Errorf("bad attribute %q, want %sN", s, prefix)
+	}
+	*out = v
+	return nil
 }
 
 func parseInts(s string) ([]int, error) {
@@ -371,24 +437,78 @@ func parseOffsets(s string) ([]DynOffset, error) {
 			out[i] = DynOffset{Add: v, Scale: 1}
 			continue
 		}
-		m := offsetRe.FindStringSubmatch(p)
-		if m == nil {
+		o, ok := scanOffset(p)
+		if !ok {
 			return nil, fmt.Errorf("bad offset expression %q", p)
 		}
-		atoi := func(s string) int {
-			v, _ := strconv.Atoi(s)
-			return v
-		}
-		out[i] = DynOffset{
-			PIDFactor:  atoi(m[1]),
-			Div:        atoi(m[2]),
-			IterFactor: atoi(m[3]), // empty → 0
-			Add:        atoi(m[4]),
-			Mod:        atoi(m[5]),
-			Scale:      atoi(m[6]),
-		}
+		out[i] = o
 	}
 	return out, nil
+}
+
+// scanOffset reads the symbolic offset form the printer writes,
+// ((P*(pid/D)+[I*i+]A)%M)*S, recovering every DynOffset field.
+func scanOffset(s string) (DynOffset, bool) {
+	var o DynOffset
+	// Each field is an integer behind a fixed text; the iteration term
+	// is the one optional part.
+	field := func(prefix string, unsigned bool, dst *int) bool {
+		var ok bool
+		if s, ok = strings.CutPrefix(s, prefix); !ok {
+			return false
+		}
+		var num string
+		if num, s, ok = scanInteger(s); !ok || (unsigned && num[0] == '-') {
+			return false
+		}
+		*dst, _ = strconv.Atoi(num) // out of range saturates, as before
+		return true
+	}
+	if !field("((", false, &o.PIDFactor) || !field("*(pid/", true, &o.Div) || !field(")+", false, &o.Add) {
+		return o, false
+	}
+	if strings.HasPrefix(s, "*i+") {
+		o.IterFactor = o.Add
+		if !field("*i+", false, &o.Add) {
+			return o, false
+		}
+	}
+	if !field(")%", false, &o.Mod) || !field(")*", false, &o.Scale) {
+		return o, false
+	}
+	return o, s == ""
+}
+
+// scanPairs reads every {source,target} pair in a permute's attribute
+// text, left to right.
+func scanPairs(s string) []SourceTargetPair {
+	var pairs []SourceTargetPair
+	for {
+		at := strings.IndexByte(s, '{')
+		if at < 0 {
+			return pairs
+		}
+		s = s[at+1:]
+		src, rest, ok := scanInteger(s)
+		if !ok {
+			continue
+		}
+		if rest, ok = strings.CutPrefix(rest, ","); !ok {
+			continue
+		}
+		dst, rest, ok := scanInteger(rest)
+		if !ok {
+			continue
+		}
+		if rest, ok = strings.CutPrefix(rest, "}"); !ok {
+			continue
+		}
+		p := SourceTargetPair{}
+		p.Source, _ = strconv.Atoi(src) // out of range saturates, as before
+		p.Target, _ = strconv.Atoi(dst)
+		pairs = append(pairs, p)
+		s = rest
+	}
 }
 
 // parseGroups decodes fmt's [][]int rendering, e.g. "[[0 1] [2 3]]".

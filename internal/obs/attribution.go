@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 )
 
 // Span is one timed interval from an execution's span stream, simulated
@@ -151,9 +153,7 @@ func (r AttributionReport) GroupBy(key func(name string) string) []Attribution {
 		}
 	}
 	for i := range out {
-		sort.Slice(out[i].Under, func(a, b int) bool {
-			return out[i].Under[a].Seconds > out[i].Under[b].Seconds
-		})
+		slices.SortFunc(out[i].Under, func(a, b UnderShare) int { return cmp.Compare(b.Seconds, a.Seconds) })
 	}
 	return out
 }
@@ -174,29 +174,15 @@ func Attribute(spans []Span) AttributionReport {
 	// spans in stream order — every sum below depends on it. A stream
 	// already grouped that way (every executor's is) is walked in place;
 	// any other is copied and grouped once.
-	byDevice := func(i, j int) bool { return spans[i].Device < spans[j].Device }
-	if !sort.SliceIsSorted(spans, byDevice) {
-		spans = append([]Span(nil), spans...)
-		sort.SliceStable(spans, byDevice)
+	byDevice := func(a, b Span) int { return cmp.Compare(a.Device, b.Device) }
+	if !slices.IsSortedFunc(spans, byDevice) {
+		spans = slices.Clone(spans)
+		slices.SortStableFunc(spans, byDevice)
 	}
-
-	type acc struct {
-		blocking              bool
-		wire, hidden, exposed float64
-		under                 map[string]float64
-	}
-	accs := map[string]*acc{}
-	get := func(name string) *acc {
-		a, ok := accs[name]
-		if !ok {
-			a = &acc{under: map[string]float64{}}
-			accs[name] = a
-		}
-		return a
-	}
+	at := attributors.Get().(*attributor)
+	defer at.put()
 
 	var report AttributionReport
-	var compute []Span // one device's compute spans; reused across devices
 	for lo, hi := 0, 0; lo < len(spans); lo = hi {
 		dev := spans[lo].Device
 		for hi = lo; hi < len(spans) && spans[hi].Device == dev; hi++ {
@@ -205,46 +191,39 @@ func Attribute(spans []Span) AttributionReport {
 			continue // no executor records one; a hostile stream's are ignored
 		}
 		devSpans := spans[lo:hi]
-		n := 0
-		for _, s := range devSpans {
-			if s.Track == TrackCompute && s.Cat == CatCompute {
-				n++
-			}
-		}
-		if cap(compute) < n {
-			compute = make([]Span, 0, n)
-		}
-		compute = compute[:0]
+		compute := at.compute[:0]
 		for _, s := range devSpans {
 			if s.Track == TrackCompute && s.Cat == CatCompute {
 				compute = append(compute, s)
 			}
 		}
-		sort.Slice(compute, func(i, j int) bool { return compute[i].Start < compute[j].Start })
+		slices.SortFunc(compute, func(a, b Span) int { return cmp.Compare(a.Start, b.Start) })
+		at.compute = compute
 
 		for _, s := range devSpans {
 			switch {
 			case s.Track == TrackTransfer && s.Cat == CatTransfer:
-				a := get(s.Name)
-				a.wire += s.Dur
+				c := at.collective(s.Name)
+				at.colls[c].wire += s.Dur
 				hidden := 0.0
-				for _, c := range compute {
-					if c.Start >= s.Start+s.Dur {
+				for _, cs := range compute {
+					if cs.Start >= s.Start+s.Dur {
 						break
 					}
-					from, to := maxf(c.Start, s.Start), minf(c.Start+c.Dur, s.Start+s.Dur)
+					from, to := maxf(cs.Start, s.Start), minf(cs.Start+cs.Dur, s.Start+s.Dur)
 					if to > from {
 						hidden += to - from
-						a.under[c.Name] += to - from
+						at.under(c, cs.Name, to-from)
 					}
 				}
 				if hidden > s.Dur {
 					hidden = s.Dur // overlapping compute spans cannot hide more than the wire
 				}
+				a := &at.colls[c]
 				a.hidden += hidden
 				a.exposed += s.Dur - hidden
 			case s.Track == TrackCompute && s.Cat == CatCollective:
-				a := get(s.Name)
+				a := &at.colls[at.collective(s.Name)]
 				a.blocking = true
 				a.wire += s.Dur
 				a.exposed += s.Dur
@@ -253,38 +232,117 @@ func Attribute(spans []Span) AttributionReport {
 			}
 		}
 	}
+	if len(at.colls) == 0 {
+		return report
+	}
 
-	names := make([]string, 0, len(accs))
-	for name := range accs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	if len(names) > 0 {
-		report.Collectives = make([]Attribution, 0, len(names))
-	}
-	for _, name := range names {
-		a := accs[name]
-		att := Attribution{
-			Name: name, Blocking: a.blocking,
+	// The report: its collectives by name, and one list of UnderShares
+	// cut into each collective's, largest share first.
+	report.Collectives = make([]Attribution, len(at.colls))
+	shares := make([]UnderShare, len(at.unders))
+	for i, a := range at.colls {
+		report.Collectives[i] = Attribution{
+			Name: a.name, Blocking: a.blocking,
 			Wire: a.wire, Hidden: a.hidden, Exposed: a.exposed,
 		}
-		if len(a.under) > 0 {
-			att.Under = make([]UnderShare, 0, len(a.under))
+	}
+	for _, u := range at.unders {
+		at.colls[u.coll].nunder++
+	}
+	next := 0
+	for i := range at.colls {
+		a := &at.colls[i]
+		if a.nunder > 0 {
+			report.Collectives[i].Under = shares[next : next : next+a.nunder]
+			next += a.nunder
 		}
-		for under, sec := range a.under {
-			att.Under = append(att.Under, UnderShare{Name: under, Seconds: sec})
-		}
-		sort.Slice(att.Under, func(i, j int) bool {
-			if att.Under[i].Seconds != att.Under[j].Seconds {
-				return att.Under[i].Seconds > att.Under[j].Seconds
+	}
+	for _, u := range at.unders {
+		att := &report.Collectives[u.coll]
+		att.Under = append(att.Under, UnderShare{Name: u.name, Seconds: u.sec})
+	}
+	slices.SortFunc(report.Collectives, func(a, b Attribution) int { return strings.Compare(a.Name, b.Name) })
+	for i := range report.Collectives {
+		att := &report.Collectives[i]
+		slices.SortFunc(att.Under, func(a, b UnderShare) int {
+			if c := cmp.Compare(b.Seconds, a.Seconds); c != 0 {
+				return c
 			}
-			return att.Under[i].Name < att.Under[j].Name
+			return strings.Compare(a.Name, b.Name)
 		})
-		report.Collectives = append(report.Collectives, att)
-		report.TotalWire += a.wire
-		report.TotalHidden += a.hidden
+		report.TotalWire += att.Wire
+		report.TotalHidden += att.Hidden
 	}
 	return report
+}
+
+// attributor is Attribute's scratch, reused across calls: one
+// accumulator per collective, found by name, and one per (collective,
+// compute instruction) pair the collective's wire hid under.
+type attributor struct {
+	colls   []collectiveAcc
+	byName  map[string]int
+	unders  []underAcc
+	byUnder map[underKey]int
+	compute []Span // one device's compute spans
+}
+
+type collectiveAcc struct {
+	name                  string
+	blocking              bool
+	wire, hidden, exposed float64
+	nunder                int
+}
+
+type underKey struct {
+	coll int
+	name string
+}
+
+type underAcc struct {
+	coll int
+	name string
+	sec  float64
+}
+
+var attributors = sync.Pool{New: func() any {
+	return &attributor{byName: map[string]int{}, byUnder: map[underKey]int{}}
+}}
+
+// collective returns the position of name's accumulator.
+func (at *attributor) collective(name string) int {
+	c, ok := at.byName[name]
+	if !ok {
+		c = len(at.colls)
+		at.byName[name] = c
+		at.colls = append(at.colls, collectiveAcc{name: name})
+	}
+	return c
+}
+
+// under adds sec to what collective c hid under compute instruction
+// name.
+func (at *attributor) under(c int, name string, sec float64) {
+	k := underKey{c, name}
+	u, ok := at.byUnder[k]
+	if !ok {
+		u = len(at.unders)
+		at.byUnder[k] = u
+		at.unders = append(at.unders, underAcc{coll: c, name: name})
+	}
+	at.unders[u].sec += sec
+}
+
+// put empties the scratch and returns it to the pool; the names it
+// held are the caller's.
+func (at *attributor) put() {
+	clear(at.colls)
+	clear(at.unders)
+	clear(at.compute)
+	clear(at.byName)
+	clear(at.byUnder)
+	at.colls, at.unders, at.compute = at.colls[:0], at.unders[:0], at.compute[:0]
+	attributors.Put(at)
 }
 
 // Render draws the report as an aligned table: one row per collective

@@ -60,9 +60,12 @@ type device struct {
 	// trace records the device's compute-track spans: its window of the
 	// run's span slab, the size the trace layout gives, when the device
 	// is inside the run's trace window, and nil otherwise. pace times
-	// the blocking collectives this device closes.
+	// the blocking collectives this device closes; rv is where the
+	// member that closes one it waits on wakes it, nil until the device
+	// first joins one.
 	trace []obs.Span
 	pace  pacer
+	rv    chan struct{}
 
 	// status publishes what the device was last doing, for the deadline
 	// watchdog: the op index plus one in the high bits, the entry time
@@ -75,7 +78,7 @@ const statTimeBits = 40 // 12 days of microseconds
 
 func newDevice(e *engine, id int) *device {
 	t := e.tape
-	d := &device{
+	return &device{
 		id:    id,
 		eng:   e,
 		vals:  make([]*tensor.Tensor, t.nslots),
@@ -84,10 +87,24 @@ func newDevice(e *engine, id int) *device {
 		flags: make([]bool, t.maxArgs),
 		count: make([]int32, len(t.ops)),
 	}
-	if id < e.window {
-		e.spans.declare(id, obs.TrackCompute, e.computeSpans, &d.trace)
-	}
-	return d
+}
+
+// reset clears what a clean run left in the device — the outputs
+// assemble moved out still sit in their slots — and zeroes its
+// measurements. The timer and the wake-up channel stay: a clean run
+// left the one expired and drained, the other empty.
+func (d *device) reset() {
+	clear(d.vals)
+	clear(d.owned)
+	clear(d.args)
+	clear(d.flags)
+	clear(d.count)
+	d.iter, d.seq = 0, 0
+	d.compute, d.wire, d.exposed = 0, 0, 0
+	d.asyncSends, d.outstanding, d.peakInFlight = 0, 0, 0
+	d.arena, d.arenaPeak, d.finished = 0, 0, 0
+	d.trace = nil
+	d.status.Store(0)
 }
 
 // setStat publishes the op the device is entering and when; the
@@ -169,15 +186,15 @@ func (d *device) set(slot int32, t *tensor.Tensor, owned bool) {
 
 // run walks the tape and records the device's total wall-clock. Any
 // failure aborts the whole engine.
-func (d *device) run(paramFor func(index, dev int) *tensor.Tensor) {
-	d.walk(paramFor)
+func (d *device) run() {
+	d.walk()
 	d.finished = d.eng.since()
 	d.status.Store(0)
 }
 
 // walk executes the tape. It returns early when the run aborted —
 // either this device failed or another one did.
-func (d *device) walk(paramFor func(index, dev int) *tensor.Tensor) {
+func (d *device) walk() {
 	e := d.eng
 	ops := e.tape.ops
 	for pc := 0; pc < len(ops); pc++ {
@@ -201,7 +218,7 @@ func (d *device) walk(paramFor func(index, dev int) *tensor.Tensor) {
 		rtInstructions.Inc()
 		switch op.kind {
 		case opParam:
-			d.set(op.out, paramFor(op.in.ParamIndex, d.id), false)
+			d.set(op.out, e.param(op.in.ParamIndex, d.id), false)
 
 		case opCarried:
 			// A loop body's parameter: already in its carried slot.

@@ -13,29 +13,38 @@ import (
 	"overlap/internal/tensor"
 )
 
-// engine owns one concurrent execution of an Executable: the shared
-// rendezvous registry for blocking collectives, the link fabric for
-// asynchronous transfers, the fault injector (nil when no plan is set),
-// and the abort machinery that lets any device — or the run deadline —
-// fail the run without deadlocking the others. It reads the Executable
-// and writes only its own state, and it is never reused: an aborted
-// run's mailboxes and counters die with it.
+// engine is a run context: one concurrent execution of an Executable at
+// a time — the shared rendezvous registry for blocking collectives, the
+// link fabric for asynchronous transfers, the fault injector (nil when
+// no plan is set), and the abort machinery that lets any device — or
+// the run deadline — fail the run without deadlocking the others. It
+// reads the Executable and writes only its own state. A run checks a
+// context out of its Executable and, after a clean run, hands it back
+// reset for the next one (checkin): its tables, mailboxes, link queues,
+// generation states and timers outlive the run. A run that failed or
+// aborted never hands its context back: its mailboxes, counters and
+// half-finished generations die with it.
 type engine struct {
 	*Executable
 	opts Options
+	args [][]*tensor.Tensor
 
 	// window is the number of leading devices whose spans are recorded:
-	// zero with tracing off. spans is where they are recorded, nil with
-	// tracing off.
+	// zero with tracing off. spans is where they are recorded — slab
+	// for a traced run, nil with tracing off.
 	window int
 	spans  *spanSlab
+	slab   spanSlab
 
 	fabric  *fabric
 	inj     *injector
 	devices []*device
 
-	mu    sync.Mutex
+	mu sync.Mutex
+	// gens holds the generations some member has reached and not every
+	// member has; spare holds finished generation states for reuse.
 	gens  map[rvKey]*genState
+	spare []*genState
 	abort chan struct{}
 	once  sync.Once
 	err   error
@@ -44,37 +53,87 @@ type engine struct {
 	failedAt time.Time
 }
 
+// newEngine builds a run context for x and prepares it for a run under
+// opts.
 func newEngine(x *Executable, opts Options) (*engine, error) {
 	e := &engine{
 		Executable: x,
-		opts:       opts,
 		gens:       map[rvKey]*genState{},
 		abort:      make(chan struct{}),
 	}
-	if opts.Trace {
-		e.window = min(x.n, obs.TraceMaxDevices)
-		// At most a compute window per device and, on the process
-		// transport, three transfer windows per edge.
-		e.spans = &spanSlab{wins: make([]spanWindow, 0, e.window+3*len(x.edges))}
-	}
-	if opts.Faults != nil && len(opts.Faults.Faults) > 0 {
-		e.inj = newInjector(opts.Faults)
-	}
-	// The transport's recorders and the devices declare their windows
-	// of the span slab as they are built; then the slab is cut.
-	f, err := newFabric(e)
-	if err != nil {
-		return nil, err
-	}
-	e.fabric = f
+	e.fabric = newFabric(e)
 	e.devices = make([]*device, e.n)
 	for d := range e.devices {
 		e.devices[d] = newDevice(e, d)
 	}
+	return e, e.prepare(opts)
+}
+
+// checkout lends a run context for one run under opts: one a clean run
+// handed back, or a new one.
+func (x *Executable) checkout(opts Options) (*engine, error) {
+	x.mu.Lock()
+	n := len(x.idle)
+	if n == 0 {
+		x.mu.Unlock()
+		return newEngine(x, opts)
+	}
+	e := x.idle[n-1]
+	x.idle[n-1] = nil
+	x.idle = x.idle[:n-1]
+	x.mu.Unlock()
+	return e, e.prepare(opts)
+}
+
+// checkin resets the context of a clean run and hands it back for a
+// later run.
+func (x *Executable) checkin(e *engine) {
+	e.reset()
+	x.mu.Lock()
+	x.idle = append(x.idle, e)
+	x.mu.Unlock()
+}
+
+// prepare sets a context up for one run under opts: the fault
+// injector, the transport, and for a traced run the span slab, whose
+// windows the transport's recorders and the devices declare before it
+// is cut.
+func (e *engine) prepare(opts Options) error {
+	e.opts = opts
+	e.window, e.spans = 0, nil
+	if opts.Trace {
+		e.window = min(e.n, obs.TraceMaxDevices)
+		e.spans = &e.slab
+	}
+	if opts.Faults != nil && len(opts.Faults.Faults) > 0 {
+		e.inj = newInjector(opts.Faults)
+	}
+	if err := e.fabric.bind(); err != nil {
+		return err
+	}
+	for _, d := range e.devices {
+		if d.id < e.window {
+			e.spans.declare(d.id, obs.TrackCompute, e.computeSpans, &d.trace)
+		}
+	}
 	if e.spans != nil {
 		e.spans.carve()
 	}
-	return e, nil
+	return nil
+}
+
+// reset empties a context after a clean run: no tensor, span slab,
+// fault plan or argument of the run stays reachable from it. A clean
+// run consumed every parcel, token and generation it made, so what is
+// left to clear is the tables.
+func (e *engine) reset() {
+	e.opts, e.args, e.inj = Options{}, nil, nil
+	e.window, e.spans = 0, nil
+	e.slab.reset()
+	e.fabric.reset()
+	for _, d := range e.devices {
+		d.reset()
+	}
 }
 
 // fail records the first error and releases every blocked goroutine.
@@ -141,14 +200,7 @@ func (p *pacer) sleep(d time.Duration, abort <-chan struct{}) bool {
 // joins everything, winds down the fabric, and assembles the per-device
 // outputs and measured breakdown.
 func (e *engine) run(ctx context.Context, args [][]*tensor.Tensor) (*Result, error) {
-	paramFor := func(index, dev int) *tensor.Tensor {
-		set := args[index]
-		if len(set) == 1 {
-			return set[0]
-		}
-		return set[dev]
-	}
-
+	e.args = args
 	e.epoch = time.Now()
 	// Bring the transport's data plane up before any device goroutine
 	// exists: a worker-spawn failure becomes a structured run error, not
@@ -165,24 +217,7 @@ func (e *engine) run(ctx context.Context, args [][]*tensor.Tensor) (*Result, err
 	var wg sync.WaitGroup
 	for _, dev := range e.devices {
 		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// A panicking kernel (malformed einsum spec, shape bug)
-			// must not crash the whole process: convert it into the
-			// engine's first-error slot, which also closes the abort
-			// channel so peer devices blocked on fabric sends drain
-			// instead of deadlocking.
-			defer func() {
-				if r := recover(); r != nil {
-					_, instr, _ := dev.stat()
-					e.fail(&RunError{
-						Device: dev.id, Instr: instr, Phase: PhaseCompute,
-						Elapsed: e.sinceDur(), Err: fmt.Errorf("panic: %v", r),
-					})
-				}
-			}()
-			dev.run(paramFor)
-		}()
+		go e.runDevice(&wg, dev)
 	}
 
 	// The watchdog turns a stalled transfer or livelocked rendezvous
@@ -219,6 +254,34 @@ func (e *engine) run(ctx context.Context, args [][]*tensor.Tensor) (*Result, err
 		return nil, e.err
 	}
 	return e.assemble(e.devices), nil
+}
+
+// runDevice is one device goroutine. A panicking kernel (malformed
+// einsum spec, shape bug) must not crash the whole process: it becomes
+// the engine's first error, which also closes the abort channel so peer
+// devices blocked on fabric sends drain instead of deadlocking.
+func (e *engine) runDevice(wg *sync.WaitGroup, dev *device) {
+	defer wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			_, instr, _ := dev.stat()
+			e.fail(&RunError{
+				Device: dev.id, Instr: instr, Phase: PhaseCompute,
+				Elapsed: e.sinceDur(), Err: fmt.Errorf("panic: %v", r),
+			})
+		}
+	}()
+	dev.run()
+}
+
+// param is parameter index's value on device dev: args[index][dev], or
+// the one replicated tensor.
+func (e *engine) param(index, dev int) *tensor.Tensor {
+	set := e.args[index]
+	if len(set) == 1 {
+		return set[0]
+	}
+	return set[dev]
 }
 
 // deadlineError attributes a deadline abort: to the fired drop/delay

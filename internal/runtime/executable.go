@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"sort"
+	"sync"
 
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
@@ -18,6 +19,9 @@ import (
 // program, the ring size and the machine spec, computed once by Compile
 // and never written again, so one Executable serves any number of runs,
 // sequential or concurrent, each with its own arguments and Options.
+// The one thing it keeps besides is a stack of idle run contexts —
+// engines whose tables a clean run handed back — which each Run checks
+// one out of, so a warm run builds no tables.
 // The computation must not be modified while an Executable of it is in
 // use: kernels read their instructions' attributes as they execute.
 type Executable struct {
@@ -46,6 +50,11 @@ type Executable struct {
 	// compute-track spans one device records at most. Each edge carries
 	// the link half.
 	computeSpans int
+
+	// idle holds the run contexts clean runs handed back; mu guards it.
+	// It holds at most as many as there were runs at once.
+	mu   sync.Mutex
+	idle []*engine
 }
 
 // edge is one directed link of the fabric.
@@ -133,8 +142,10 @@ func (x *Executable) layout() {
 // rendezvous wakes — and the error is a *RunError attributing the stall
 // to a device, instruction and phase (and, under fault injection, to
 // the fault that caused it), with the context error available via
-// errors.Is. A failed or aborted run leaves nothing behind in the
-// Executable; the next Run starts clean.
+// errors.Is. A run executes in a run context checked out of x; a clean
+// run hands it back cleared of every tensor, span and argument it
+// touched, and a failed or aborted run drops it, so an aborted run
+// leaves nothing behind in the Executable: the next Run starts clean.
 func (x *Executable) Run(ctx context.Context, args [][]*tensor.Tensor, opts Options) (*Result, error) {
 	if err := x.validateRun(args, opts); err != nil {
 		return nil, err
@@ -145,11 +156,16 @@ func (x *Executable) Run(ctx context.Context, args [][]*tensor.Tensor, opts Opti
 	if opts.RunID == "" {
 		opts.RunID = obs.NewRunID()
 	}
-	eng, err := newEngine(x, opts)
+	eng, err := x.checkout(opts)
 	if err != nil {
 		return nil, err
 	}
-	return eng.run(ctx, args)
+	res, err := eng.run(ctx, args)
+	if err != nil {
+		return nil, err
+	}
+	x.checkin(eng)
+	return res, nil
 }
 
 // clockRuns is how many wire-free runs Clock measures. It keeps the

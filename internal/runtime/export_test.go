@@ -108,3 +108,11 @@ func (x *Executable) RunTraceBuffers(ctx context.Context, args [][]*tensor.Tenso
 	}
 	return out, nil
 }
+
+// IdleRunContexts reports how many run contexts the Executable holds
+// for later runs.
+func (x *Executable) IdleRunContexts() int {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return len(x.idle)
+}

@@ -52,16 +52,19 @@ type mailboxes struct {
 	wake chan struct{}
 }
 
-// fabric is one run's transfer addressing: every device's mailboxes and
-// the at-most-once bookkeeping, over the edge and mailbox tables the
-// Executable derived from the program. The movement between post and
-// deliver — wire pacing, fault actions, and (for the process transport)
-// the serialization across real sockets — belongs to the pluggable
-// transport underneath.
+// fabric is a run context's transfer addressing: every device's
+// mailboxes and the at-most-once bookkeeping, over the edge and mailbox
+// tables the Executable derived from the program. The movement between
+// post and deliver — wire pacing, fault actions, and (for the process
+// transport) the serialization across real sockets — belongs to the
+// pluggable transport underneath: tr, the current run's. The channel
+// transport's link queues outlive a run with the context (chans); the
+// process transport spawns its workers for each run.
 type fabric struct {
-	eng  *engine
-	tr   transport
-	mail []mailboxes
+	eng   *engine
+	tr    transport
+	chans *chanTransport
+	mail  []mailboxes
 }
 
 // linkBuffer bounds parcels queued on one edge before the wire; a start
@@ -70,12 +73,11 @@ type fabric struct {
 // stall but never deadlock.
 const linkBuffer = 64
 
-// newFabric lays out one mailbox per (device, start) of the tape and
-// constructs the configured transport for the Executable's edges. The
-// transport's data plane is not started yet — engine.run starts it
-// before launching devices, so a spawn failure surfaces as a run error
-// instead of a hang.
-func newFabric(e *engine) (*fabric, error) {
+// newFabric lays out one mailbox per (device, start) of the tape. Its
+// transport is bound per run (bind), and its data plane started by
+// engine.run before launching devices, so a spawn failure surfaces as a
+// run error instead of a hang.
+func newFabric(e *engine) *fabric {
 	starts := e.tape.starts
 	f := &fabric{
 		eng:  e,
@@ -94,12 +96,46 @@ func newFabric(e *engine) (*fabric, error) {
 		m.water = make([]int, len(starts))
 		m.wake = make(chan struct{}, 1)
 	}
-	tr, err := newTransport(e, f)
-	if err != nil {
-		return nil, err
+	return f
+}
+
+// bind constructs, or for the channel transport readies, the run's
+// transport for the Executable's edges; its recorders declare their
+// windows of a traced run's span slab.
+func (f *fabric) bind() error {
+	e := f.eng
+	switch e.opts.Transport {
+	case "", TransportChan:
+		if f.chans == nil {
+			f.chans = newChanTransport(e, f)
+		}
+		f.chans.bind()
+		f.tr = f.chans
+		return nil
+	case TransportProc:
+		tr, err := newProcTransportChecked(e, f)
+		f.tr = tr
+		return err
 	}
-	f.tr = tr
-	return f, nil
+	return formatErr("unknown transport %q", e.opts.Transport)
+}
+
+// reset readies the mailboxes for another run after a clean one, which
+// consumed every parcel: only the watermarks and a leftover wake-up
+// token remain.
+func (f *fabric) reset() {
+	f.tr = nil
+	if f.chans != nil {
+		f.chans.reset()
+	}
+	for d := range f.mail {
+		m := &f.mail[d]
+		clear(m.water)
+		select {
+		case <-m.wake:
+		default:
+		}
+	}
 }
 
 // start brings the transport's data plane up.

@@ -18,34 +18,40 @@ type rvKey struct {
 }
 
 // genState accumulates one generation of one collective group: every
-// member deposits, by position, its input and the arena buffer its share
-// of the result goes into. The last arriver injects the modeled wire
-// delay and evaluates the same internal/collective kernel the lockstep
-// interpreter uses, into those buffers; done releases the waiters.
+// member deposits, by position, its input, the arena buffer its share
+// of the result goes into, and itself. The last arriver injects the
+// modeled wire delay, evaluates the same internal/collective kernel the
+// lockstep interpreter uses into those buffers, and wakes the others.
+// A finished state goes back to the engine's spare list: the states
+// outlive the run with the rest of its context.
 type genState struct {
-	inputs  []*tensor.Tensor
-	dsts    []*tensor.Tensor
-	arrived int
-	done    chan struct{}
+	inputs, dsts []*tensor.Tensor
+	members      []*device
+	arrived      int
 }
 
 // rendezvous runs device d's side of a blocking collective: deposit
 // the input and the destination, wait until the group has written the
 // result. Inputs are read, and destinations written, only between the
-// last arrival and done. It returns false when the run aborted while
-// waiting.
+// last arrival and the wake-up. It returns false when the run aborted
+// while waiting.
 func (e *engine) rendezvous(op *tapeOp, gen int, d *device, input, dst *tensor.Tensor) bool {
 	group, pos := op.groups.group[d.id], op.groups.pos[d.id]
 	members := int(op.groups.members[group])
 	key := rvKey{in: op.in, group: group, gen: gen}
+	if d.rv == nil {
+		// Made on first use: a program without blocking collectives
+		// never needs one. The lock below publishes it to the member
+		// that will wake this device.
+		d.rv = make(chan struct{}, 1)
+	}
 	e.mu.Lock()
 	gs, ok := e.gens[key]
 	if !ok {
-		table := make([]*tensor.Tensor, 2*members)
-		gs = &genState{inputs: table[:members], dsts: table[members:], done: make(chan struct{})}
+		gs = e.newGen(members)
 		e.gens[key] = gs
 	}
-	gs.inputs[pos], gs.dsts[pos] = input, dst
+	gs.inputs[pos], gs.dsts[pos], gs.members[pos] = input, dst, d
 	gs.arrived++
 	last := gs.arrived == members
 	if last {
@@ -56,8 +62,10 @@ func (e *engine) rendezvous(op *tapeOp, gen int, d *device, input, dst *tensor.T
 	e.mu.Unlock()
 
 	if !last {
+		// A device waits on one collective at a time, so its wake-up
+		// channel holds at most this generation's token.
 		select {
-		case <-gs.done:
+		case <-d.rv:
 			return true
 		case <-e.abort:
 			return false
@@ -66,13 +74,44 @@ func (e *engine) rendezvous(op *tapeOp, gen int, d *device, input, dst *tensor.T
 	// The whole group is blocked here, so the group's wire time is
 	// serialized with its devices: one injected delay per instance. The
 	// sleep is abort-aware — on a failed run the waiters are released by
-	// the abort channel, not by gs.done.
+	// the abort channel, not by their tokens.
 	if !d.pace.sleep(e.delay(op.modeled), e.abort) {
 		return false
 	}
 	collectiveInto(op.in, gs.dsts, gs.inputs)
-	close(gs.done)
+	for _, m := range gs.members {
+		if m != d {
+			m.rv <- struct{}{}
+		}
+	}
+	e.mu.Lock()
+	clear(gs.inputs)
+	clear(gs.dsts)
+	clear(gs.members)
+	gs.arrived = 0
+	e.spare = append(e.spare, gs)
+	e.mu.Unlock()
 	return true
+}
+
+// newGen draws a state for a generation of a members-device group from
+// the spare list, or makes one. Called with e.mu held.
+func (e *engine) newGen(members int) *genState {
+	var gs *genState
+	if n := len(e.spare); n > 0 {
+		gs = e.spare[n-1]
+		e.spare[n-1] = nil
+		e.spare = e.spare[:n-1]
+	} else {
+		gs = &genState{}
+	}
+	if cap(gs.members) < members {
+		table := make([]*tensor.Tensor, 2*members)
+		gs.inputs, gs.dsts = table[:members:members], table[members:]
+		gs.members = make([]*device, members)
+	}
+	gs.inputs, gs.dsts, gs.members = gs.inputs[:members], gs.dsts[:members], gs.members[:members]
+	return gs
 }
 
 // collectiveInto evaluates one group instance into its members'

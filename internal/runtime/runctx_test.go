@@ -1,0 +1,170 @@
+package runtime_test
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+	"time"
+
+	"overlap/internal/machine"
+	"overlap/internal/runtime"
+	"overlap/internal/tensor"
+)
+
+// sameOutputs reports where got's outputs differ from want's, bit for
+// bit, or nil. The number of transfers a device posted is a count a
+// stale counter would move, so it must match too.
+func sameOutputs(got, want *runtime.Result) error {
+	if len(got.All) != len(want.All) {
+		return fmt.Errorf("%d outputs, want %d", len(got.All), len(want.All))
+	}
+	for in, per := range want.All {
+		for d, w := range per {
+			if !got.All[in][d].Equal(w) {
+				return fmt.Errorf("%s on device %d differs by %v", in.Name, d, got.All[in][d].MaxDifference(w))
+			}
+		}
+	}
+	if g, w := got.Breakdown.AsyncTransfers, want.Breakdown.AsyncTransfers; g != w {
+		return fmt.Errorf("%d asynchronous transfers, want %d", g, w)
+	}
+	return nil
+}
+
+// TestRunAfterAbortMatchesFreshExecutable pins the run context's rule:
+// a clean run hands its context back to the Executable, reset, and a
+// failed one drops it. After a deadline abort and after an injected
+// crash — parcels left on links, mailboxes half filled, a collective
+// generation some devices never reached — the next runs, the second
+// on a context the first handed back, equal a run on a fresh
+// Executable bit for bit, on both transports, with every released
+// buffer poisoned.
+func TestRunAfterAbortMatchesFreshExecutable(t *testing.T) {
+	defer runtime.PoisonReleased()()
+	const n = 4
+	crash := &runtime.FaultPlan{Seed: 3, Faults: []runtime.Fault{{Kind: runtime.FaultCrash, Device: 1, K: 2}}}
+	aborts := []struct {
+		name     string
+		opts     runtime.Options
+		deadline time.Duration
+		sentinel error
+	}{
+		// Seconds of wire per transfer: the deadline fires mid-run.
+		{"deadline", runtime.Options{TimeScale: 1e6}, 100 * time.Millisecond, context.DeadlineExceeded},
+		{"crash", runtime.Options{TimeScale: 20, Faults: crash}, 10 * time.Second, runtime.ErrInjectedCrash},
+	}
+	run := func(x *runtime.Executable, ctx context.Context, args [][]*tensor.Tensor, opts runtime.Options) (*runtime.Result, error) {
+		opts.Trace = true
+		return x.Run(ctx, args, opts)
+	}
+	for name, c := range reusePrograms(t) {
+		args := randomArgs(c, n, rand.New(rand.NewSource(59)))
+		for _, tr := range transports {
+			clean := runtime.Options{Transport: tr, TimeScale: 20}
+			fresh, err := runtime.Compile(c, n, machine.TPUv4())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := run(fresh, context.Background(), args, clean)
+			if err != nil {
+				t.Fatalf("%s (%s): fresh run: %v", name, tr, err)
+			}
+			for _, a := range aborts {
+				x, err := runtime.Compile(c, n, machine.TPUv4())
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := run(x, context.Background(), args, clean)
+				if err != nil {
+					t.Fatalf("%s (%s): first run: %v", name, tr, err)
+				}
+				res.Release()
+				if got := x.IdleRunContexts(); got != 1 {
+					t.Fatalf("%s (%s): a clean run left %d idle run contexts, want 1", name, tr, got)
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), a.deadline)
+				opts := a.opts
+				opts.Transport = tr
+				_, err = run(x, ctx, args, opts)
+				cancel()
+				var re *runtime.RunError
+				if !errors.Is(err, a.sentinel) || !errors.As(err, &re) {
+					t.Fatalf("%s (%s): %s: error %v, want a *RunError wrapping %v", name, tr, a.name, err, a.sentinel)
+				}
+				if got := x.IdleRunContexts(); got != 0 {
+					t.Fatalf("%s (%s): the run aborted by %s handed its context back (%d idle)", name, tr, a.name, got)
+				}
+				for i := 0; i < 2; i++ {
+					res, err := run(x, context.Background(), args, clean)
+					if err != nil {
+						t.Fatalf("%s (%s): run %d after %s: %v", name, tr, i, a.name, err)
+					}
+					if err := sameOutputs(res, want); err != nil {
+						t.Fatalf("%s (%s): run %d after %s differs from a fresh Executable's: %v", name, tr, i, a.name, err)
+					}
+					res.Release()
+				}
+				if got := x.IdleRunContexts(); got != 1 {
+					t.Fatalf("%s (%s): two clean runs after %s left %d idle run contexts, want 1", name, tr, a.name, got)
+				}
+			}
+			want.Release()
+		}
+	}
+}
+
+// TestRunContextsUnderConcurrency: serve runs one Executable for many
+// requests at once, so run contexts are checked out and handed back
+// concurrently, and span slabs go back to their free list while other
+// runs draw from it. Eight goroutines each run one Executable five
+// times, traced, on arguments of their own, and hand every trace back;
+// every run equals the serial run on its arguments bit for bit.
+func TestRunContextsUnderConcurrency(t *testing.T) {
+	defer runtime.PoisonReleased()()
+	const n, workers, runs = 4, 8, 5
+	for name, c := range reusePrograms(t) {
+		x, err := runtime.Compile(c, n, machine.TPUv4())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := runtime.Options{TimeScale: 20, Trace: true}
+		rng := rand.New(rand.NewSource(61))
+		args := make([][][]*tensor.Tensor, workers)
+		want := make([]*runtime.Result, workers)
+		for w := range args {
+			args[w] = randomArgs(c, n, rng)
+			if want[w], err = x.Run(context.Background(), args[w], opts); err != nil {
+				t.Fatalf("%s: serial run %d: %v", name, w, err)
+			}
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < runs; i++ {
+					res, err := x.Run(context.Background(), args[w], opts)
+					if err == nil {
+						err = sameOutputs(res, want[w])
+					}
+					if err != nil {
+						t.Errorf("%s: goroutine %d run %d: %v", name, w, i, err)
+						return
+					}
+					runtime.ReleaseTrace(res.Trace)
+					res.Release()
+				}
+			}(w)
+		}
+		wg.Wait()
+		if got := x.IdleRunContexts(); got < 1 || got > workers {
+			t.Errorf("%s: %d idle run contexts after %d concurrent runners, want 1 to %d", name, got, workers, workers)
+		}
+		for _, res := range want {
+			res.Release()
+		}
+	}
+}

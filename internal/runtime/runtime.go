@@ -10,12 +10,16 @@
 //
 // Execution has two halves. Compile is the program's: validation,
 // lowering to the tape and its buffer plan, the fabric's edge and
-// mailbox tables, the trace layout — paid once, held in an immutable
+// mailbox tables, the trace layout — paid once, held in an
 // Executable by whoever holds the plan (serve's plan cache, a training
 // loop, the tuner's measured candidates). (*Executable).Run is the
-// run's: argument and fault-plan checks, a fresh engine, mailboxes,
-// transport and span buffers, all discarded with the run. Run and
-// RunContext are the one-shot form, Compile then Run.
+// run's: argument and fault-plan checks, then a run context checked out
+// of the Executable — engine, mailboxes, link queues, slot tables,
+// collective generations, timers — and a span slab from the span free
+// list. A clean run hands its context back, cleared, for the next run;
+// a failed or aborted run drops it, so whatever the abort left half
+// done dies with it. Run and RunContext are the one-shot form, Compile
+// then Run.
 //
 // Correctness is anchored to the lockstep interpreter: local
 // instructions evaluate through the shared sim.EvalLocalInto dispatch
@@ -133,7 +137,8 @@ type Result struct {
 
 	// Trace holds the recorded spans when Options.Trace was set, on the
 	// same device tracks the simulator emits, in seconds from run
-	// start.
+	// start. It is the run's span slab: a holder done with it may hand
+	// it back with ReleaseTrace.
 	Trace []obs.Span
 
 	// owned lists the output buffers that came out of the arena: what

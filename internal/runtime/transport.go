@@ -61,17 +61,6 @@ type transport interface {
 	shutdown()
 }
 
-// newTransport constructs the configured transport for one engine.
-func newTransport(e *engine, f *fabric) (transport, error) {
-	switch e.opts.Transport {
-	case "", TransportChan:
-		return newChanTransport(e, f), nil
-	case TransportProc:
-		return newProcTransportChecked(e, f)
-	}
-	return nil, formatErr("unknown transport %q", e.opts.Transport)
-}
-
 // faultActions resolves the injector's decision for the k-th parcel on
 // one edge: whether to drop it, duplicate it, and how much extra wire
 // delay to add (nanoseconds). The decision (and its telemetry) is made

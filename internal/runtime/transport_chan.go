@@ -21,6 +21,8 @@ type chanLink struct {
 
 // chanTransport is the original fabric data plane: per-edge buffered Go
 // channels serviced by link goroutines, all inside the parent process.
+// The links outlive a run with the run context; their goroutines are
+// the run's.
 type chanTransport struct {
 	eng   *engine
 	fab   *fabric
@@ -29,29 +31,39 @@ type chanTransport struct {
 }
 
 // newChanTransport lays out one link per directed edge. A link's queue
-// holds every parcel the run will post on it, up to linkBuffer, and its
-// window of the span slab every transfer the trace layout says it
-// carries.
+// holds every parcel a run will post on it, up to linkBuffer.
 func newChanTransport(e *engine, f *fabric) *chanTransport {
 	t := &chanTransport{eng: e, fab: f, links: make([]*chanLink, len(e.edges))}
 	for i, edge := range e.edges {
-		l := &chanLink{src: edge.src, dst: edge.dst, ch: make(chan parcel, min(linkBuffer, edge.transfers))}
-		if l.src < e.window {
-			e.spans.declare(l.src, obs.TrackTransfer, edge.transfers, &l.trace)
-		}
-		t.links[i] = l
+		t.links[i] = &chanLink{src: edge.src, dst: edge.dst, ch: make(chan parcel, min(linkBuffer, edge.transfers))}
 	}
 	return t
+}
+
+// bind gives each link inside a traced run's window its window of the
+// span slab: every transfer the trace layout says it carries.
+func (t *chanTransport) bind() {
+	e := t.eng
+	for i, l := range t.links {
+		if l.src < e.window {
+			e.spans.declare(l.src, obs.TrackTransfer, e.edges[i].transfers, &l.trace)
+		}
+	}
+}
+
+// reset drops the links' windows of the last run's slab, which the
+// run's Result now owns.
+func (t *chanTransport) reset() {
+	for _, l := range t.links {
+		l.trace = nil
+	}
 }
 
 // start spins up the link goroutines.
 func (t *chanTransport) start() error {
 	for _, l := range t.links {
 		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			t.serve(l)
-		}()
+		go t.serve(l)
 	}
 	return nil
 }
@@ -64,10 +76,15 @@ func (t *chanTransport) start() error {
 // in-flight transfer, and the injector can drop, duplicate, or delay
 // individual deliveries at this choke point.
 func (t *chanTransport) serve(l *chanLink) {
+	defer t.wg.Done()
 	e := t.eng
 	lf := e.injLink(l.src, l.dst)
 	traced := l.src < e.window
-	for p := range l.ch {
+	for {
+		p := <-l.ch
+		if p.key.start == nil {
+			return // shutdown's stop parcel: the queue is empty behind it
+		}
 		start := e.since()
 		wire := t.fab.delay(p.key.box)
 		drop, dup, extra := e.faultActions(lf, p.key.start.Name)
@@ -103,10 +120,12 @@ func (t *chanTransport) post(link int, p parcel) bool {
 	}
 }
 
-// shutdown closes every link and joins the link goroutines.
+// shutdown stops every link and joins the link goroutines. The queues
+// stay open for the context's next run, so a link stops on a parcel
+// that names no start, queued behind everything the devices posted.
 func (t *chanTransport) shutdown() {
 	for _, l := range t.links {
-		close(l.ch)
+		l.ch <- parcel{}
 	}
 	t.wg.Wait()
 }

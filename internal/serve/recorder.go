@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"overlap/internal/obs"
+	"overlap/internal/runtime"
 )
 
 // flightRecorder is the daemon's bounded in-memory trace store: the
@@ -64,10 +65,12 @@ func newFlightRecorder(size, keep int) *flightRecorder {
 }
 
 // record stores one run: its header and its spans, neither of which the
-// caller may write afterwards. When the ring wraps, the overwritten
-// run either moves to the kept set (it outranks the weakest keeper, or
-// a keep slot is free) or is evicted for good — eviction is counted in
-// svTraceEvictions so memory pressure is visible in /metrics.
+// caller may touch afterwards — the recorder owns the span slab, and
+// hands it back to the runtime's span free list when it evicts the run
+// for good. When the ring wraps, the overwritten run either moves to
+// the kept set (it outranks the weakest keeper, or a keep slot is free)
+// or is evicted for good — eviction is counted in svTraceEvictions so
+// memory pressure is visible in /metrics.
 func (fr *flightRecorder) record(t *obs.RunTrace, spans []obs.Span) {
 	if t == nil || t.ID == "" {
 		return
@@ -122,20 +125,30 @@ func (fr *flightRecorder) retire(id string) {
 	}
 	if weakest != nil && e.score > weakest.score {
 		delete(fr.kept, weakestID)
-		delete(fr.entries, weakestID)
+		fr.evict(weakestID, weakest)
 		fr.kept[id] = struct{}{}
 	} else {
-		delete(fr.entries, id)
+		fr.evict(id, e)
 	}
+}
+
+// evict drops a run for good and hands its span slab back for a later
+// run to record into: no get can reach it any more, and get copies what
+// it reads under the lock. Called with fr.mu held.
+func (fr *flightRecorder) evict(id string, e *recordedRun) {
+	delete(fr.entries, id)
+	runtime.ReleaseTrace(e.spans)
 	svTraceEvictions.Inc()
 }
 
 // get builds the trace artifact of a stored run, nil when the ID is
-// unknown (evicted or never recorded).
+// unknown (evicted or never recorded). The artifact copies the spans,
+// under the lock: once the lock is released an eviction may hand the
+// slab to another run.
 func (fr *flightRecorder) get(id string) *obs.RunTrace {
 	fr.mu.Lock()
+	defer fr.mu.Unlock()
 	e, ok := fr.entries[id]
-	fr.mu.Unlock()
 	if !ok {
 		return nil
 	}

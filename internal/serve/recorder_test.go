@@ -1,11 +1,16 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
 
+	"overlap/internal/hlo"
+	"overlap/internal/machine"
 	"overlap/internal/obs"
+	"overlap/internal/runtime"
+	"overlap/internal/tensor"
 )
 
 // mkRun is a run as the server records it: a header and (here, no)
@@ -135,5 +140,100 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	wg.Wait()
 	if len(fr.list()) == 0 {
 		t.Error("recorder empty after concurrent traffic")
+	}
+}
+
+// TestFlightRecorderRecyclesSlabs: the recorder hands every span slab it
+// evicts back to the runtime, whose next traced run records into it.
+// Four goroutines run a small program traced and record each run under
+// its own ID — its spans renamed after it — into a ring of four, far
+// past wraparound, while two more GET the newest runs. A GET must see
+// only its own run's spans, never a slab another run is writing into
+// after the recorder gave it back; under -race, a read outside the
+// recorder's lock is a reported race as well.
+func TestFlightRecorderRecyclesSlabs(t *testing.T) {
+	const n, writers, runs = 4, 4, 50
+	c := hlo.NewComputation("slabs")
+	p := c.Parameter(0, "p", []int{2, 2})
+	pairs := make([]hlo.SourceTargetPair, n)
+	for d := range pairs {
+		pairs[d] = hlo.SourceTargetPair{Source: d, Target: (d + 1) % n}
+	}
+	c.Add(c.CollectivePermuteDone(c.CollectivePermuteStart(p, pairs)), p)
+	x, err := runtime.Compile(c, n, machine.Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := [][]*tensor.Tensor{{tensor.New(2, 2)}}
+	fr := newFlightRecorder(4, 1)
+
+	var (
+		mu    sync.Mutex
+		ids   []string
+		slabs = map[*obs.Span]int{} // how many runs recorded into each slab
+	)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < runs; i++ {
+				res, err := x.Run(context.Background(), args, runtime.Options{Trace: true})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				res.Release()
+				id := fmt.Sprintf("r-%d-%03d", w, i)
+				for k := range res.Trace {
+					res.Trace[k].Name = id
+				}
+				mu.Lock()
+				slabs[&res.Trace[:1][0]]++
+				ids = append(ids, id)
+				mu.Unlock()
+				fr.record(obs.NewRunHeader(id, "run", obs.Attribute(res.Trace)), res.Trace)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				mu.Lock()
+				recent := ids[max(0, len(ids)-6):]
+				mu.Unlock()
+				for _, id := range recent {
+					tr := fr.get(id)
+					if tr == nil {
+						continue
+					}
+					for _, s := range tr.Spans {
+						if s.Name != id {
+							t.Errorf("GET %s read a span of %s", id, s.Name)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	readers.Wait()
+	reused := 0
+	for _, runs := range slabs {
+		reused += runs - 1
+	}
+	if reused == 0 {
+		t.Errorf("%d traced runs never recorded into a slab the recorder had evicted", writers*runs)
 	}
 }

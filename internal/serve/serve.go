@@ -158,7 +158,10 @@ type Server struct {
 	recorder *flightRecorder
 	pending  chan struct{} // MaxPending places
 	slots    chan struct{} // admission semaphore
-	mux      *http.ServeMux
+	// rngs holds one argument generator per admission slot: a run
+	// holding a slot takes one, reseeds it and gives it back.
+	rngs chan *rand.Rand
+	mux  *http.ServeMux
 	// flightsMu guards flights, the compile in flight per fingerprint.
 	flightsMu sync.Mutex
 	flights   map[string]*flight
@@ -190,8 +193,12 @@ func New(cfg Config) (*Server, error) {
 		recorder: newFlightRecorder(cfg.FlightRecorderSize, cfg.FlightKeep),
 		pending:  make(chan struct{}, cfg.MaxPending),
 		slots:    make(chan struct{}, cfg.MaxConcurrentRuns),
+		rngs:     make(chan *rand.Rand, cfg.MaxConcurrentRuns),
 		flights:  map[string]*flight{},
 		check:    runtime.CheckInterpreter,
+	}
+	for i := 0; i < cfg.MaxConcurrentRuns; i++ {
+		s.rngs <- rand.New(rand.NewSource(0))
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/run", s.guard(s.handleRun))
@@ -545,7 +552,11 @@ func (s *Server) runAdmitted(ctx context.Context, req *Request, cp *cachedPlan, 
 	defer func() { svInflight.Add(-1); <-s.slots }()
 
 	devices := cp.plan.Devices
-	run.args = argsFrom(cp.comp, req.Seed, pooledRand)
+	// Holding a slot, a generator is always there to take.
+	rng := <-s.rngs
+	rng.Seed(req.Seed)
+	run.args = argsFrom(cp.comp, rng, pooledRand)
+	s.rngs <- rng
 	runStart := time.Now()
 	run.res, run.err = cp.exe.Run(ctx, run.args, runtime.Options{
 		TimeScale: cp.plan.TimeScale, Trace: true, RunID: runID,
@@ -594,20 +605,20 @@ func (s *Server) newHeader(runID string, req *Request, key string, devices int, 
 }
 
 // record stores a run — its header and the span slab its executor
-// recorded into — in the flight recorder. The trace artifact is built
-// here only for TraceDir's durable JSON twin; otherwise when a GET asks.
+// recorded into — in the flight recorder, which owns the slab from then
+// on. The trace artifact is built here only for TraceDir's durable JSON
+// twin, before the recorder takes the slab; otherwise when a GET asks.
 func (s *Server) record(head *obs.RunTrace, spans []obs.Span) {
+	if s.cfg.TraceDir != "" {
+		data, err := head.WithSpans(spans).EncodeJSON()
+		if err == nil {
+			err = os.WriteFile(filepath.Join(s.cfg.TraceDir, head.ID+".json"), data, 0o644)
+		}
+		if err != nil {
+			obs.Log().Error("serve.trace_write", "run_id", head.ID, "error", err.Error())
+		}
+	}
 	s.recorder.record(head, spans)
-	if s.cfg.TraceDir == "" {
-		return
-	}
-	data, err := head.WithSpans(spans).EncodeJSON()
-	if err == nil {
-		err = os.WriteFile(filepath.Join(s.cfg.TraceDir, head.ID+".json"), data, 0o644)
-	}
-	if err != nil {
-		obs.Log().Error("serve.trace_write", "run_id", head.ID, "error", err.Error())
-	}
 }
 
 // handleRuns serves GET /v1/runs: the flight recorder's contents,
@@ -1031,12 +1042,12 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 // the daemon, its clients, and the CLIs so a caller can reproduce a
 // served run bit for bit.
 func Args(c *hlo.Computation, seed int64) [][]*tensor.Tensor {
-	return argsFrom(c, seed, tensor.Rand)
+	return argsFrom(c, rand.New(rand.NewSource(seed)), tensor.Rand)
 }
 
-// argsFrom is Args over the given source of seeded random tensors.
-func argsFrom(c *hlo.Computation, seed int64, draw func(rng *rand.Rand, shape ...int) *tensor.Tensor) [][]*tensor.Tensor {
-	rng := rand.New(rand.NewSource(seed))
+// argsFrom is Args over the given seeded generator and source of random
+// tensors.
+func argsFrom(c *hlo.Computation, rng *rand.Rand, draw func(rng *rand.Rand, shape ...int) *tensor.Tensor) [][]*tensor.Tensor {
 	params := c.Parameters()
 	args := make([][]*tensor.Tensor, len(params))
 	for i, p := range params {
