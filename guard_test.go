@@ -348,6 +348,7 @@ var testOnly = map[string]string{
 	"internal/partition.UnshardTensor":         "ShardTensor's inverse: the reference the partition tests reassemble per-device results with",
 	"internal/partition.addShapes":             "UnshardTensor's helper",
 	"internal/runtime.fabric.mailboxSizes":     "test hook: the leak check that every mailbox is empty after a run, failed or not",
+	"internal/sim.PoisonReleased":              "test hook: the interpreter's use-after-release canary; the runtime's poisoned-arena tests turn it on beside the runtime's own, which an export_test.go hook in sim cannot reach",
 	"internal/sim.InterpretAll":                "the interpreter keeping every top-level value alive: the tests that read interior values (a loss, a gradient, a rewritten copy) and the reference the release canary compares against",
 
 	"internal/tensor.ReferenceEinsum":        "the scalar reference einsum every kernel configuration is compared against bitwise",

@@ -14,7 +14,11 @@
 // once: the interpreter's form, where the concurrent runtime brings one
 // arena buffer per member. Nil destinations allocate the results. The
 // reduction order is the group order either way, so the two agree bit
-// for bit. Temporaries come from the tensor package's free lists.
+// for bit. No collective draws a temporary: a ReduceScatter sums each
+// member's window straight into its destination and an AllToAll copies
+// each piece straight into place, so the kernels never touch the tensor
+// package's free lists, which the runtime's arena and the interpreter's
+// borrowing count on.
 package collective
 
 import (
@@ -40,9 +44,7 @@ func ReduceScatterInto(dsts, inputs []*tensor.Tensor, axis int) []*tensor.Tensor
 	if len(inputs) == 0 {
 		panic("collective: ReduceScatter with no inputs")
 	}
-	sum := sumInto(tensor.NewPooled(inputs[0].Shape()...), inputs)
-	defer tensor.Release(sum)
-	return tensor.SplitInto(dsts, sum, axis, len(inputs))
+	return tensor.SumSplitInto(dsts, inputs, axis)
 }
 
 // AllReduceInto element-wise sums the group's inputs into every
@@ -112,24 +114,21 @@ func AllToAllInto(dsts, inputs []*tensor.Tensor, splitAxis, concatAxis int) []*t
 		panic(fmt.Sprintf("collective: AllToAll cannot split axis %d and concatenate axis %d of shape %v across %d devices", splitAxis, concatAxis, shape, n))
 	}
 	dsts = perMember(dsts, n)
-	// One piece at a time through a pooled buffer: piece j of input i
-	// lands in window i of result j.
-	shape[splitAxis] /= n
-	piece := tensor.NewPooled(shape...)
-	defer tensor.Release(piece)
-	from, to := make([]int, rank), make([]int, rank)
-	limits := inputs[0].Shape()
-	width := shape[concatAxis]
+	// Piece j of input i is copied straight into window i of result j.
+	piece := shape[splitAxis] / n
+	sizes := inputs[0].Shape()
+	sizes[splitAxis] = piece
+	shape[splitAxis] = piece
 	shape[concatAxis] *= n
+	from, to := make([]int, rank), make([]int, rank)
 	for j := range dsts {
 		if dsts[j] == nil {
 			dsts[j] = tensor.New(shape...)
 		}
-		from[splitAxis] = j * piece.Dim(splitAxis)
-		limits[splitAxis] = from[splitAxis] + piece.Dim(splitAxis)
+		from[splitAxis] = j * piece
 		for i, in := range inputs {
-			to[concatAxis] = i * width
-			tensor.DynamicUpdateSliceInto(dsts[j], dsts[j], tensor.SliceInto(piece, in, from, limits), to)
+			to[concatAxis] = i * sizes[concatAxis]
+			tensor.CopyWindowInto(dsts[j], to, in, from, sizes)
 		}
 	}
 	return dsts

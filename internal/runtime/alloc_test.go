@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"context"
 	"math/rand"
 	goruntime "runtime"
 	"testing"
@@ -105,6 +106,46 @@ func TestBlockingCollectiveAllocBudget(t *testing.T) {
 			})
 			if kib > 200 {
 				t.Fatalf("one warm %s site run allocates %.1f KiB, budget 200 KiB", tc.name, kib)
+			}
+		})
+	}
+}
+
+// TestCheckedRunAllocBudget pins a warm checked run of the golden site —
+// Run on a held Executable, CheckInterpreter, Release — the shape of
+// every checked served request and measured tuner candidate. The
+// interpreter borrows its buffers from the arena the run just released
+// into and hands them back, so what is left is the run's bookkeeping and
+// the interpreter's results of sizes the lists lack (blocking, the four
+// [16 256] outputs, which the unreleased result still holds). With the
+// interpreter's lists private, the check alone allocated its live set:
+// 1,156 KiB a checked run blocking and 2,450 decomposed.
+func TestCheckedRunAllocBudget(t *testing.T) {
+	opts := core.DefaultOptions(machine.TPUv4())
+	opts.UseCostModel = false
+	for _, tc := range []struct {
+		name     string
+		pipeline *core.Options
+		budget   float64 // KiB
+	}{{"blocking", nil, 200}, {"decomposed", &opts, 400}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, args := benchSite(t, tc.pipeline)
+			x, err := runtime.Compile(c, 4, machine.TPUv4())
+			if err != nil {
+				t.Fatal(err)
+			}
+			kib, _ := warmRunAllocs(t, func() {
+				res, err := x.Run(context.Background(), args, runtime.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := runtime.CheckInterpreter(c, 4, args, res); err != nil {
+					t.Fatal(err)
+				}
+				res.Release()
+			})
+			if kib > tc.budget {
+				t.Fatalf("one warm checked %s site run allocates %.1f KiB, budget %.0f KiB", tc.name, kib, tc.budget)
 			}
 		})
 	}

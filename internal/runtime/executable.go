@@ -208,25 +208,25 @@ func (x *Executable) Clock(ctx context.Context, args [][]*tensor.Tensor) (float6
 
 // CheckInterpreter is the bitwise contract as a call: it executes c on
 // the lockstep interpreter with the arguments res was run on and
-// compares every output res holds — the root, or each operand of a
-// tuple root — on every device. Whoever offers a -check (the CLI, the
-// daemon, the training loop, the tuner's measured candidates) calls it
-// before releasing res.
+// compares every output — the root, or each operand of a tuple root —
+// on every device. An output res does not hold, or holds for a number
+// of devices other than numDevices, fails the check as a divergence
+// does. Whoever offers a -check (the CLI, the daemon, the training
+// loop, the tuner's measured candidates) calls it before releasing res.
 func CheckInterpreter(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, res *Result) error {
-	want, err := sim.InterpretOutputs(c, numDevices, args)
-	if err != nil {
-		return err
-	}
-	outs := []*hlo.Instruction{c.Root()}
-	if outs[0].Op == hlo.OpTuple {
-		outs = outs[0].Operands
-	}
-	for _, in := range outs {
-		for d, got := range res.All[in] {
-			if !got.Equal(want[in][d]) {
-				return formatErr("%s on device %d diverges bitwise from the interpreter", in.Name, d)
+	return sim.CheckOutputs(c, numDevices, args, func(out *hlo.Instruction, want []*tensor.Tensor) error {
+		got, ok := res.All[out]
+		switch {
+		case !ok:
+			return formatErr("%s is missing from the result checked against the interpreter", out.Name)
+		case len(got) != numDevices:
+			return formatErr("%s has %d per-device values for a %d-device ring", out.Name, len(got), numDevices)
+		}
+		for d, g := range got {
+			if !g.Equal(want[d]) {
+				return formatErr("%s on device %d diverges bitwise from the interpreter", out.Name, d)
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }

@@ -29,6 +29,9 @@
 // accept, the results are bit-identical by construction — the runtime
 // tests cross-validate this on every golden decomposition case, with
 // released buffers poisoned so that a wrong plan cannot pass.
+// CheckInterpreter runs the interpreter on this package's arena: it
+// borrows from the free lists a run released into and hands back
+// exactly what it borrowed once the outputs are compared.
 //
 // Because Go cannot put a tensor on a real ICI link, wire time is
 // *injected*: every transfer holds its (src,dst) link goroutine for the

@@ -395,6 +395,38 @@ func TestCheckInterpreter(t *testing.T) {
 	}
 }
 
+// TestCheckInterpreterWantsEveryOutput: a check that compares nothing
+// is not a pass. A result missing one of the outputs, or holding one
+// for fewer devices than the ring has, fails with the output named.
+func TestCheckInterpreterWantsEveryOutput(t *testing.T) {
+	const n = 2
+	c := hlo.NewComputation("checked")
+	a := c.Parameter(0, "a", []int{2, 2})
+	sum := c.AllReduce(a, [][]int{{0, 1}})
+	twice := c.Add(sum, sum)
+	c.Tuple(sum, twice)
+	args := [][]*tensor.Tensor{{tensor.Iota(2, 2), tensor.Iota(2, 2)}}
+	for _, tc := range []struct {
+		name   string
+		damage func(*runtime.Result)
+		want   string
+	}{
+		{"missing output", func(r *runtime.Result) { delete(r.All, twice) },
+			"runtime: " + twice.Name + " is missing from the result checked against the interpreter"},
+		{"truncated device list", func(r *runtime.Result) { r.All[sum] = r.All[sum][:1] },
+			"runtime: " + sum.Name + " has 1 per-device values for a 2-device ring"},
+	} {
+		res, err := runtime.Run(c, n, args, runtime.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.damage(res)
+		if err := runtime.CheckInterpreter(c, n, args, res); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestNilArgumentIsAnError feeds both executors an argument list with a
 // hole in it — what reading a released Result's All yields — and wants
 // the structured parameter error from each, not a nil dereference on

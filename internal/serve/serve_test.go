@@ -526,6 +526,11 @@ func TestClientDisconnectFreesItsSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 	runErrors0 := svRunErrors.Value()
+	// The run holds on the link only once the delay has fired, at the
+	// delayed parcel's post; a hang-up before that ends the run
+	// somewhere else, attributed to no fault.
+	delays := obs.Default().Counter("overlap_runtime_fault_delays_total", "")
+	delays0 := delays.Value()
 	answered := make(chan error, 1)
 	go func() {
 		resp, err := http.DefaultClient.Do(r)
@@ -544,6 +549,7 @@ func TestClientDisconnectFreesItsSlot(t *testing.T) {
 		}
 	}
 	waitUntil("the held run's admission", func() bool { return len(s.slots) == 1 })
+	waitUntil("the delay fault", func() bool { return delays.Value() > delays0 })
 	hangUp()
 	if err := <-answered; !errors.Is(err, context.Canceled) {
 		t.Fatalf("the cancelled request answered %v, want the client's context.Canceled", err)

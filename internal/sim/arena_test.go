@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"math/rand"
 	goruntime "runtime"
 	"strings"
@@ -59,16 +60,16 @@ func TestInterpretReleasesOnlyDeadValues(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, err := sim.InterpretOutputs(c, n, args)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for in, vals := range got {
-			for d, v := range vals {
+		err = sim.CheckOutputs(c, n, args, func(in *hlo.Instruction, got []*tensor.Tensor) error {
+			for d, v := range got {
 				if !v.Equal(want[in][d]) {
-					t.Fatalf("%s: %s on device %d differs from the value InterpretAll kept alive", name, in.Name, d)
+					return fmt.Errorf("%s on device %d differs from the value InterpretAll kept alive", in.Name, d)
 				}
 			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 		for i, set := range args {
 			for d, a := range set {

@@ -33,37 +33,59 @@ func Interpret(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor) ([]*
 	if root == nil {
 		return nil, fmt.Errorf("sim: empty computation %s", c.Name)
 	}
-	values, err := interpret(c, numDevices, args, func(in *hlo.Instruction) bool { return in == root })
-	if err != nil {
-		return nil, err
-	}
-	return values[root], nil
+	var out []*tensor.Tensor
+	err := interpret(c, numDevices, args, func(in *hlo.Instruction) bool { return in == root },
+		func(ip *interp, values map[*hlo.Instruction][]*tensor.Tensor) error {
+			out = ip.own(values[root])
+			return nil
+		})
+	return out, err
 }
 
 // InterpretAll executes the computation and returns every top-level
 // instruction's per-device value, letting callers inspect interior
 // values (a loss the root does not carry, the operand of a copy). It
-// keeps all of them alive at once; a caller that needs only the outputs
-// calls InterpretOutputs.
+// keeps all of them alive at once; a caller that needs only to compare
+// the outputs calls CheckOutputs.
 func InterpretAll(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor) (map[*hlo.Instruction][]*tensor.Tensor, error) {
-	return interpret(c, numDevices, args, func(*hlo.Instruction) bool { return true })
+	var all map[*hlo.Instruction][]*tensor.Tensor
+	err := interpret(c, numDevices, args, func(*hlo.Instruction) bool { return true },
+		func(ip *interp, values map[*hlo.Instruction][]*tensor.Tensor) error {
+			for _, v := range values {
+				ip.own(v)
+			}
+			all = values
+			return nil
+		})
+	return all, err
 }
 
-// InterpretOutputs executes the computation and returns the per-device
-// values of its outputs — the root and, under a tuple root, each of its
-// operands. Every other value is released after its last reader, as
-// Interpret releases it.
-func InterpretOutputs(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor) (map[*hlo.Instruction][]*tensor.Tensor, error) {
+// CheckOutputs executes the computation and calls compare with each
+// output's per-device values — the root's or, under a tuple root, each
+// of its operands' — while the interpretation still holds them. Every
+// other value is released after its last reader, as Interpret releases
+// it. The values may be buffers the interpretation borrowed from the
+// tensor package's free lists, which go back there when CheckOutputs
+// returns, so compare must not keep them. The first error compare
+// returns ends the check and is CheckOutputs' error.
+func CheckOutputs(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, compare func(out *hlo.Instruction, want []*tensor.Tensor) error) error {
 	root := c.Root()
 	if root == nil {
-		return nil, fmt.Errorf("sim: empty computation %s", c.Name)
+		return fmt.Errorf("sim: empty computation %s", c.Name)
 	}
 	outs := []*hlo.Instruction{root}
 	if root.Op == hlo.OpTuple {
-		outs = append(outs, root.Operands...)
+		outs = root.Operands
 	}
-	values, err := interpret(c, numDevices, args, func(in *hlo.Instruction) bool { return slices.Contains(outs, in) })
-	return values, err
+	return interpret(c, numDevices, args, func(in *hlo.Instruction) bool { return slices.Contains(outs, in) },
+		func(_ *interp, values map[*hlo.Instruction][]*tensor.Tensor) error {
+			for _, out := range outs {
+				if err := compare(out, values[out]); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 }
 
 // An interpretation holds what is live and nothing more. A value dies
@@ -75,28 +97,44 @@ func InterpretOutputs(c *hlo.Computation, numDevices int, args [][]*tensor.Tenso
 // values its operands and then its body's results, and the members of
 // an AllGather or AllReduce group share one result — so buffers are
 // counted, not values: refs holds, for every buffer the interpretation
-// made and still holds, how many live values name it, and the buffer is
+// drew and still holds, how many live values name it, and the buffer is
 // free when that reaches zero. Arguments and constants are never
 // counted, so never reused.
 //
-// The lists are the interpretation's and die with it. Handing its
-// buffers to the tensor package's lists instead would keep the
-// oracle's whole working set alive after every check, on lists sized
-// for the runtime's arena.
+// A result with nothing free of its size on those lists borrows from
+// the tensor package's, the runtime's arena (tensor.TakePooled), and is
+// made new only when that list is empty too. The interpretation hands
+// back exactly what it borrowed, when it ends, and nothing else: the
+// new buffers die with it, and a value returned to a caller is never a
+// borrowed buffer (own copies one out). Handing every freed buffer to
+// the arena instead would keep the oracle's whole working set on lists
+// sized for the runtime's, after every check.
 //
 // No kernel is handed a buffer a live value names: every result gets a
 // buffer nothing else holds. That keeps the value semantics the bitwise
 // contract needs from its oracle; taking a dying operand over in place
 // is the runtime's buffer plan, which the interpreter is there to check
-// and so does not share.
+// and so does not share. A fusion runs as its steps (FusionSteps,
+// lowered once per interpretation), each into a buffer of its own that
+// is freed when the fusion finishes.
 type interp struct {
-	n    int
-	refs map[*tensor.Tensor]int
-	free map[int][]*tensor.Tensor // by element count
+	n        int
+	refs     map[*tensor.Tensor]int
+	free     map[int][]*tensor.Tensor // by element count
+	borrowed []*tensor.Tensor
+	fusions  map[*hlo.Instruction]fusion
+	copies   map[*tensor.Tensor]*tensor.Tensor // by borrowed buffer
 }
 
-// draw takes a buffer for a result that refs live values will name:
-// a free one of its size, else a new one.
+// fusion is a fusion instruction lowered to its steps.
+type fusion struct {
+	steps  []Step
+	result int
+}
+
+// draw takes a buffer for a result that refs live values will name: a
+// free one of its size, else one borrowed from the arena, else a new
+// one.
 func (ip *interp) draw(shape []int, refs int) *tensor.Tensor {
 	n := 1
 	for _, d := range shape {
@@ -106,6 +144,8 @@ func (ip *interp) draw(shape []int, refs int) *tensor.Tensor {
 	if l := ip.free[n]; len(l) > 0 {
 		t, ip.free[n] = l[len(l)-1], l[:len(l)-1]
 		tensor.ReshapeInto(t, t, shape...)
+	} else if t = tensor.TakePooled(shape...); t != nil {
+		ip.borrowed = append(ip.borrowed, t)
 	} else {
 		t = tensor.New(shape...)
 	}
@@ -141,32 +181,83 @@ func (ip *interp) drop(ts ...*tensor.Tensor) {
 	}
 }
 
-// poisonReleased makes drop overwrite a buffer with NaN as it goes onto
-// a free list, so a value read after the release its liveness promised
-// corrupts a checked result instead of passing unnoticed. Set only by
-// tests.
+// own replaces each borrowed buffer among the live values vals with a
+// copy of it, one copy per buffer, so that what a caller keeps outlives
+// the hand-back; it returns vals.
+func (ip *interp) own(vals []*tensor.Tensor) []*tensor.Tensor {
+	for d, t := range vals {
+		if _, drawn := ip.refs[t]; !drawn || !t.Pooled() {
+			continue // an argument, a constant or a new buffer
+		}
+		c, ok := ip.copies[t]
+		if !ok {
+			if ip.copies == nil {
+				ip.copies = map[*tensor.Tensor]*tensor.Tensor{}
+			}
+			c = t.Clone()
+			ip.copies[t] = c
+		}
+		vals[d] = c
+	}
+	return vals
+}
+
+// handBack returns every buffer the interpretation borrowed to the
+// arena's free lists.
+func (ip *interp) handBack() {
+	for _, t := range ip.borrowed {
+		if poisonReleased {
+			tensor.Poison(t)
+		}
+		tensor.Release(t)
+	}
+	ip.borrowed = nil
+}
+
+// poisonReleased makes drop and handBack overwrite a buffer with NaN as
+// it goes onto a free list, so a value read after the release its
+// liveness promised corrupts a checked result instead of passing
+// unnoticed. Set only by tests, through PoisonReleased.
 var poisonReleased bool
 
+// PoisonReleased turns the use-after-release canary on for the calling
+// test and returns the function that turns it off again: while on,
+// every buffer the interpreter frees or hands back to the arena is
+// overwritten with NaN before a later result can take it. It is a test
+// hook outside export_test.go because the runtime's tests turn it on
+// beside the runtime's own canary.
+func PoisonReleased() (restore func()) {
+	poisonReleased = true
+	return func() { poisonReleased = false }
+}
+
 // interpret checks the program against the ring and the arguments
-// against the program, runs it, and returns the top-level values keep
-// selects.
-func interpret(c *hlo.Computation, n int, args [][]*tensor.Tensor, keep func(*hlo.Instruction) bool) (map[*hlo.Instruction][]*tensor.Tensor, error) {
+// against the program, runs it, hands the top-level values keep selects
+// to use, and then hands back every buffer it borrowed: a value use
+// keeps past the call must be one ip.own returned.
+func interpret(c *hlo.Computation, n int, args [][]*tensor.Tensor, keep func(*hlo.Instruction) bool, use func(*interp, map[*hlo.Instruction][]*tensor.Tensor) error) error {
 	if err := c.VerifyRing(n); err != nil {
-		return nil, err
+		return err
 	}
 	if err := c.VerifyArgs(n, args); err != nil {
-		return nil, err
+		return err
 	}
-	ip := &interp{n: n, refs: map[*tensor.Tensor]int{}, free: map[int][]*tensor.Tensor{}}
+	ip := &interp{
+		n:       n,
+		refs:    map[*tensor.Tensor]int{},
+		free:    map[int][]*tensor.Tensor{},
+		fusions: map[*hlo.Instruction]fusion{},
+	}
+	defer ip.handBack()
 	values := make(map[*hlo.Instruction][]*tensor.Tensor, c.NumInstructions())
 	argFor := func(p *hlo.Instruction, dev int) *tensor.Tensor {
 		set := args[p.ParamIndex]
 		return set[dev%len(set)] // one replicated value, or one per device
 	}
 	if err := ip.sequence(newSeq(c, keep), values, 0, argFor); err != nil {
-		return nil, err
+		return err
 	}
-	return values, nil
+	return use(ip, values)
 }
 
 // seq is an instruction sequence with its deaths: dies[i] lists the
@@ -242,27 +333,76 @@ func (ip *interp) eval(in *hlo.Instruction, values map[*hlo.Instruction][]*tenso
 	case hlo.OpLoop:
 		return ip.loop(in, values)
 
+	case hlo.OpFusion:
+		return ip.fusion(in, values, iter)
+
 	default:
 		ops := make([]*tensor.Tensor, len(in.Operands))
+		s := Step{In: in}
 		for d := range out {
 			for i, op := range in.Operands {
 				ops[i] = values[op][d]
 			}
-			var dst *tensor.Tensor
-			if in.Op != hlo.OpTuple {
-				dst = ip.draw(in.Shape, 1)
-			}
-			v, err := EvalLocalInto(in, dst, ops, d, iter)
+			v, err := ip.step(&s, ops, d, iter)
 			if err != nil {
 				return nil, err
 			}
-			if v != dst {
-				// A tuple's placeholder, or a fusion yielding an operand.
-				ip.drop(dst)
-				ip.hold(v)
-			}
 			out[d] = v
 		}
+	}
+	return out, nil
+}
+
+// step evaluates one kernel on one device into a buffer drawn for its
+// result; a literal or a tuple placeholder draws none.
+func (ip *interp) step(s *Step, args []*tensor.Tensor, pid, iter int) (*tensor.Tensor, error) {
+	if s.In.Op == hlo.OpConstant || s.In.Op == hlo.OpTuple {
+		return s.EvalInto(nil, args, pid, iter)
+	}
+	dst := ip.draw(s.In.Shape, 1)
+	if _, err := s.EvalInto(dst, args, pid, iter); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// fusion interprets a fusion on every device: its steps in order, over
+// a value list seeded with the device's operands. The steps' buffers
+// are freed when the device's fusion finishes, all but the one holding
+// the result, which the fusion's value names.
+func (ip *interp) fusion(f *hlo.Instruction, values map[*hlo.Instruction][]*tensor.Tensor, iter int) ([]*tensor.Tensor, error) {
+	fu, ok := ip.fusions[f]
+	if !ok {
+		steps, result, err := FusionSteps(f)
+		if err != nil {
+			return nil, err
+		}
+		fu = fusion{steps, result}
+		ip.fusions[f] = fu
+	}
+	out := make([]*tensor.Tensor, ip.n)
+	base := len(f.Operands)
+	vals := make([]*tensor.Tensor, base+len(fu.steps))
+	var args []*tensor.Tensor
+	for d := range out {
+		for k, op := range f.Operands {
+			vals[k] = values[op][d]
+		}
+		for j := range fu.steps {
+			s := &fu.steps[j]
+			args = args[:0]
+			for _, a := range s.Args {
+				args = append(args, vals[a])
+			}
+			v, err := ip.step(s, args, d, iter)
+			if err != nil {
+				return nil, fmt.Errorf("sim: fusion %s: %w", f.Name, err)
+			}
+			vals[base+j] = v
+		}
+		out[d] = vals[fu.result]
+		ip.hold(out[d])
+		ip.drop(vals[base:]...)
 	}
 	return out, nil
 }
@@ -353,14 +493,14 @@ func (ip *interp) groupCollective(in *hlo.Instruction, src, out []*tensor.Tensor
 // by construction. An einsum executes with the split-K factor its
 // instruction carries.
 //
-// A non-nil dst carries the result shape (the same element count for a
-// Reshape, whose header is rewritten); its contents are ignored and it
-// is returned. It may be one of the operands only where the kernel runs
-// in place (Step.Overwrites names the positions): either operand of an
-// Add or Max, the base of a DynamicUpdateSlice, the operand of a Copy
-// or Reshape. A nil dst allocates the result. A Constant (met inside
-// fusion bodies) is its literal and a Tuple a fresh placeholder;
-// neither uses dst.
+// dst carries the result shape (the same element count for a Reshape,
+// whose header is rewritten); its contents are ignored and it is
+// returned. It may be one of the operands only where the kernel runs in
+// place (Step.Overwrites names the positions): either operand of an Add
+// or Max, the base of a DynamicUpdateSlice, the operand of a Copy or
+// Reshape. A Constant (met inside fusion bodies) is its literal and a
+// Tuple a fresh placeholder; neither uses dst. A fusion is not local:
+// both executors run it as its steps (FusionSteps).
 func EvalLocalInto(in *hlo.Instruction, dst *tensor.Tensor, ops []*tensor.Tensor, pid, iter int) (*tensor.Tensor, error) {
 	switch in.Op {
 	case hlo.OpConstant:
@@ -393,8 +533,6 @@ func EvalLocalInto(in *hlo.Instruction, dst *tensor.Tensor, ops []*tensor.Tensor
 	case hlo.OpDynamicUpdateSlice:
 		var buf [maxOffsetRank]int
 		return tensor.DynamicUpdateSliceInto(dst, ops[0], ops[1], evalOffsets(buf[:0], in.Offsets, pid, iter)), nil
-	case hlo.OpFusion:
-		return evalFusion(in, dst, ops, pid, iter)
 	}
 	return nil, fmt.Errorf("sim: cannot evaluate %s locally", in.Op)
 }
@@ -405,8 +543,8 @@ var (
 )
 
 // Step is one kernel evaluation of a fusion body. Both executors run a
-// fusion as its steps: the interpreter with fresh results, the runtime
-// flattened into its tape with planned destinations.
+// fusion as its steps: the interpreter each into a buffer no live value
+// names, the runtime flattened into its tape with planned destinations.
 type Step struct {
 	// In is the body instruction evaluated; it supplies the opcode and
 	// attributes. For an accumulation step it is the Add.
@@ -475,8 +613,7 @@ func FusionSteps(f *hlo.Instruction) (steps []Step, result int, err error) {
 	instrs := body.Instructions()
 	steps = make([]Step, 0, len(instrs))
 	// valueOf resolves a body instruction to its value index. Bodies
-	// are a handful of instructions, so a scan beats building a map on
-	// every interpreted call.
+	// are a handful of instructions, so a scan beats building a map.
 	valueOf := func(in *hlo.Instruction) int {
 		if in.Op == hlo.OpParameter {
 			return in.ParamIndex
@@ -538,36 +675,6 @@ func deferredEinsum(in, root *hlo.Instruction) bool {
 	}
 	u := in.Users()[0]
 	return u.Op == hlo.OpAdd && u.Operands[0] != u.Operands[1]
-}
-
-// evalFusion interprets a fusion on one device: its steps in order,
-// over a value list seeded with the operands. Only the step computing
-// the result may use dst.
-func evalFusion(f *hlo.Instruction, dst *tensor.Tensor, ops []*tensor.Tensor, pid, iter int) (*tensor.Tensor, error) {
-	steps, result, err := FusionSteps(f)
-	if err != nil {
-		return nil, err
-	}
-	vals := make([]*tensor.Tensor, len(ops), len(ops)+len(steps))
-	copy(vals, ops)
-	var args []*tensor.Tensor
-	for j := range steps {
-		s := &steps[j]
-		args = args[:0]
-		for _, a := range s.Args {
-			args = append(args, vals[a])
-		}
-		var d *tensor.Tensor
-		if len(ops)+j == result {
-			d = dst
-		}
-		v, err := s.EvalInto(d, args, pid, iter)
-		if err != nil {
-			return nil, fmt.Errorf("sim: fusion %s: %w", f.Name, err)
-		}
-		vals = append(vals, v)
-	}
-	return vals[result], nil
 }
 
 // maxOffsetRank sizes the stack scratch dynamic offsets evaluate into;

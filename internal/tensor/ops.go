@@ -374,6 +374,81 @@ func TransposeInto(dst, t *Tensor, perm ...int) *Tensor {
 	return out
 }
 
+// SumSplitInto writes chunk p, along axis, of the element-wise sum of
+// the inputs into dsts[p]: SplitInto of the sum into len(inputs) parts,
+// without the sum. Each chunk is its window of the first input plus, in
+// input order, the same window of every other input, so every element
+// is summed in the order AddInto would sum it. The inputs share one
+// shape; a nil dsts allocates the chunks, otherwise it must hold one
+// destination per input, none sharing storage with an input, and is
+// returned.
+func SumSplitInto(dsts, inputs []*Tensor, axis int) []*Tensor {
+	parts := len(inputs)
+	if parts == 0 {
+		panic("tensor: SumSplit of no inputs")
+	}
+	shape := inputs[0].shape
+	if axis < 0 || axis >= len(shape) || shape[axis]%parts != 0 {
+		panic(fmt.Sprintf("tensor: cannot SumSplit dim %d of shape %v into %d parts", axis, shape, parts))
+	}
+	for _, in := range inputs[1:] {
+		if !sameDims(in.shape, shape) {
+			panic("tensor: shape mismatch " + dims(in.shape) + " vs " + dims(shape))
+		}
+	}
+	if dsts == nil {
+		dsts = make([]*Tensor, parts)
+	} else if len(dsts) != parts {
+		panic(fmt.Sprintf("tensor: SumSplit into %d parts given %d destinations", parts, len(dsts)))
+	}
+	var chunkArr [maxBlockRank]int
+	chunk := append(chunkArr[:0], shape...)
+	chunk[axis] /= parts
+	// Row-major, chunk p is outer runs of run elements, one per index
+	// of the dimensions before axis, row elements apart.
+	outer, run := 1, 1
+	for _, d := range shape[:axis] {
+		outer *= d
+	}
+	for _, d := range chunk[axis:] {
+		run *= d
+	}
+	row := parts * run
+	for p := range dsts {
+		out := resolveDst(dsts[p], chunk)
+		for o := 0; o < outer; o++ {
+			acc := out.data[o*run : (o+1)*run]
+			at := o*row + p*run
+			copy(acc, inputs[0].data[at:at+run])
+			for _, in := range inputs[1:] {
+				for i, v := range in.data[at : at+run] {
+					acc[i] += v
+				}
+			}
+		}
+		dsts[p] = out
+	}
+	return dsts
+}
+
+// CopyWindowInto copies the window of src at srcStarts, of the given
+// sizes, into dst at dstStarts and returns dst; the rest of dst is left
+// as it was. Both windows must lie inside their tensors, which must not
+// share storage.
+func CopyWindowInto(dst *Tensor, dstStarts []int, src *Tensor, srcStarts, sizes []int) *Tensor {
+	if len(dstStarts) != dst.Rank() || len(srcStarts) != src.Rank() || len(sizes) != src.Rank() || src.Rank() != dst.Rank() {
+		panic("tensor: CopyWindow rank mismatch " + dims(dst.shape) + " vs " + dims(src.shape))
+	}
+	for i, n := range sizes {
+		if n < 0 || srcStarts[i] < 0 || dstStarts[i] < 0 || srcStarts[i]+n > src.shape[i] || dstStarts[i]+n > dst.shape[i] {
+			panic("tensor: CopyWindow of " + dims(sizes) + " from " + dims(srcStarts) + " in " + dims(src.shape) +
+				" to " + dims(dstStarts) + " in " + dims(dst.shape) + " out of bounds")
+		}
+	}
+	copyBlock(dst.data, dst.strides, dst.offsetOf(dstStarts), src.data, src.strides, src.offsetOf(srcStarts), sizes)
+	return dst
+}
+
 // Split partitions t into parts equal chunks along axis; the dimension
 // size must be divisible by parts.
 func Split(t *Tensor, axis, parts int) []*Tensor { return SplitInto(nil, t, axis, parts) }

@@ -235,3 +235,48 @@ func BenchmarkElementwiseAdd(b *testing.B) {
 		Add(x, y)
 	}
 }
+
+// TestSumSplitIsSplitOfTheSum: summing each chunk's window in input
+// order is SplitInto of the sum AddInto accumulates, bit for bit, along
+// every axis, into fresh and into recycled destinations.
+func TestSumSplitIsSplitOfTheSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const parts = 3
+	shape := []int{6, 3, 9}
+	inputs := make([]*Tensor, parts)
+	for i := range inputs {
+		inputs[i] = Rand(rng, shape...)
+	}
+	sum := inputs[0].Clone()
+	for _, in := range inputs[1:] {
+		AddInPlace(sum, in)
+	}
+	for axis := range shape {
+		want := Split(sum, axis, parts)
+		reused := make([]*Tensor, parts)
+		for p := range reused {
+			reused[p] = Rand(rng, want[p].shape...)
+		}
+		for name, dsts := range map[string][]*Tensor{"fresh": nil, "reused": reused} {
+			got := SumSplitInto(dsts, inputs, axis)
+			for p := range want {
+				if !got[p].Equal(want[p]) {
+					t.Fatalf("axis %d, %s destinations: chunk %d differs from the split sum", axis, name, p)
+				}
+			}
+		}
+	}
+}
+
+// TestCopyWindowIsSliceThenUpdate: a window copied straight across is
+// what slicing it out and updating it in lands, and nothing else moves.
+func TestCopyWindowIsSliceThenUpdate(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	src, dst := Rand(rng, 4, 6, 5), Rand(rng, 5, 3, 8)
+	from, to, sizes := []int{1, 2, 0}, []int{3, 0, 2}, []int{2, 3, 5}
+	limits := []int{3, 5, 5}
+	want := DynamicUpdateSlice(dst, Slice(src, from, limits), to)
+	if got := CopyWindowInto(dst, to, src, from, sizes); got != dst || !got.Equal(want) {
+		t.Fatal("the copied window differs from slice-then-update")
+	}
+}

@@ -146,9 +146,22 @@ func putFree(t *Tensor) {
 }
 
 // NewPooled returns a tensor of the given shape from the exact-size
-// free lists. Its contents are unspecified: the caller must overwrite
-// every element before reading any. The caller owns it until Release.
+// free lists, or a new one when its list is empty. Its contents are
+// unspecified: the caller must overwrite every element before reading
+// any. The caller owns it until Release.
 func NewPooled(shape ...int) *Tensor {
+	if t := TakePooled(shape...); t != nil {
+		return t
+	}
+	t := New(shape...)
+	t.pooled = true
+	return t
+}
+
+// TakePooled is NewPooled without the fallback: it returns nil when the
+// free list of the shape's size is empty, for a caller that must not
+// put a buffer of its own onto the lists when it releases what it took.
+func TakePooled(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
@@ -159,10 +172,8 @@ func NewPooled(shape ...int) *Tensor {
 	t := takeFree(n)
 	if t != nil {
 		t.setShape(shape)
-	} else {
-		t = New(shape...)
+		t.pooled = true
 	}
-	t.pooled = true
 	return t
 }
 
