@@ -150,7 +150,7 @@ func (x *Executable) Run(ctx context.Context, args [][]*tensor.Tensor, opts Opti
 	if err := x.validateRun(args, opts); err != nil {
 		return nil, err
 	}
-	if err := opts.Faults.validate(x.n); err != nil {
+	if err := opts.Faults.Validate(x.n); err != nil {
 		return nil, err
 	}
 	if opts.RunID == "" {

@@ -176,8 +176,11 @@ func (p *FaultPlan) String() string {
 	return strings.Join(parts, ",")
 }
 
-// validate rejects plans that address devices or edges outside the run.
-func (p *FaultPlan) validate(n int) error {
+// Validate rejects a plan that addresses a device or an edge outside an
+// n-device ring, or names an impossible index or delay. Run calls it on
+// every plan; a caller that can judge a plan before a run (the daemon,
+// before it acquires a plan) calls it too.
+func (p *FaultPlan) Validate(n int) error {
 	if p == nil {
 		return nil
 	}

@@ -1,8 +1,15 @@
 package serve
 
 import (
+	"fmt"
+	"net/http"
+	"os"
+	"path/filepath"
+	"regexp"
 	"sort"
+	"strings"
 	"sync"
+	"time"
 
 	"overlap/internal/obs"
 	"overlap/internal/runtime"
@@ -192,4 +199,106 @@ func (fr *flightRecorder) list() []RunSummary {
 		})
 	}
 	return out
+}
+
+// scenarioLabel normalizes a request scenario onto the trace artifact's
+// vocabulary: forward layer steps are "run", training steps "train".
+func scenarioLabel(s string) string {
+	if s == "train" {
+		return "train"
+	}
+	return "run"
+}
+
+// newHeader assembles one served run's trace artifact less its spans:
+// the attribution of the span stream the run produced (none when it
+// failed), the serve-path stage breakdown and the request metadata.
+func (s *Server) newHeader(runID string, req *Request, key string, devices int, start time.Time, timing TimingMS, spans []obs.Span) *obs.RunTrace {
+	head := obs.NewRunHeader(runID, scenarioLabel(req.Scenario), obs.Attribute(spans))
+	head.Model = req.Model
+	head.Fingerprint = key
+	head.Devices = devices
+	head.Start = start.UTC().Format(time.RFC3339Nano)
+	head.TotalMS = timing.Total
+	cursor := 0.0
+	for _, st := range []struct {
+		name string
+		dur  float64
+	}{{"plan", timing.Plan}, {"admission", timing.Admission}, {"run", timing.Run}} {
+		head.Stages = append(head.Stages, obs.RunStage{Name: st.name, StartMS: cursor, DurMS: st.dur})
+		cursor += st.dur
+	}
+	return head
+}
+
+// record stores a run — its header and the span slab its executor
+// recorded into — in the flight recorder, which owns the slab from then
+// on. The trace artifact is built here only for TraceDir's durable JSON
+// twin, before the recorder takes the slab; otherwise when a GET asks.
+func (s *Server) record(head *obs.RunTrace, spans []obs.Span) {
+	if s.cfg.TraceDir != "" {
+		data, err := head.WithSpans(spans).EncodeJSON()
+		if err == nil {
+			err = os.WriteFile(filepath.Join(s.cfg.TraceDir, head.ID+".json"), data, 0o644)
+		}
+		if err != nil {
+			obs.Log().Error("serve.trace_write", "run_id", head.ID, "error", err.Error())
+		}
+	}
+	s.recorder.record(head, spans)
+}
+
+// handleRuns serves GET /v1/runs: the flight recorder's contents,
+// newest first.
+func (s *Server) handleRuns(w http.ResponseWriter, _ *http.Request) {
+	runs := s.recorder.list()
+	s.writeJSON(w, http.StatusOK, map[string]any{
+		"runs": runs,
+		"size": len(runs),
+	})
+}
+
+// runIDPattern is the exact shape obs.NewRunID mints: "r-" plus 16 hex
+// digits. The run id from the URL is attacker-controlled and ends up in
+// a TraceDir filesystem path below, so anything else — including "..",
+// separators in any encoding, or oversized ids — is rejected before any
+// filepath.Join ever sees it.
+var runIDPattern = regexp.MustCompile(`^r-[0-9a-f]{16}$`)
+
+// handleRunByID serves GET /v1/runs/{id}?format=json|chrome: the full
+// trace artifact of one recorded run, as stable JSON (default) or as a
+// Chrome trace file loadable in Perfetto. Runs evicted from the
+// in-memory recorder are re-read from their durable TraceDir twin when
+// one is configured.
+func (s *Server) handleRunByID(w http.ResponseWriter, r *http.Request) {
+	id := strings.TrimPrefix(r.URL.Path, "/v1/runs/")
+	if !runIDPattern.MatchString(id) {
+		s.writeError(w, http.StatusNotFound, fmt.Errorf("serve: no run id in %s", r.URL.Path))
+		return
+	}
+	trace := s.recorder.get(id)
+	if trace == nil && s.cfg.TraceDir != "" {
+		if data, err := os.ReadFile(filepath.Join(s.cfg.TraceDir, id+".json")); err == nil {
+			trace, _ = obs.DecodeRunTrace(data) // nil when the twin does not decode
+		}
+	}
+	if trace == nil {
+		s.writeError(w, http.StatusNotFound, fmt.Errorf("serve: run %s is not in the flight recorder (evicted or never recorded)", id))
+		return
+	}
+	encode := trace.EncodeJSON
+	switch format := r.URL.Query().Get("format"); format {
+	case "", "json":
+	case "chrome":
+		encode = trace.ChromeTrace
+	default:
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf("serve: unknown trace format %q (want json or chrome)", format))
+		return
+	}
+	data, err := encode()
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeBytes(w, data)
 }

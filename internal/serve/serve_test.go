@@ -363,9 +363,12 @@ func TestFaultSpecValidatedUpFront(t *testing.T) {
 	}
 }
 
-// TestRequestValidation pins the request-surface errors.
+// TestRequestValidation pins the request-surface errors. The server
+// takes fault specs, so the fault rows reach the ring check.
 func TestRequestValidation(t *testing.T) {
-	_, ts := newTestServer(t, testConfig())
+	cfg := testConfig()
+	cfg.DebugFaults = true
+	_, ts := newTestServer(t, cfg)
 	cases := []struct {
 		name   string
 		method string
@@ -378,6 +381,11 @@ func TestRequestValidation(t *testing.T) {
 		{"model and program", http.MethodPost, `{"model":"GPT_32B","program":"x","devices":2}`, http.StatusBadRequest},
 		{"neither model nor program", http.MethodPost, `{"devices":2}`, http.StatusBadRequest},
 		{"unknown model", http.MethodPost, `{"model":"nope","devices":2}`, http.StatusBadRequest},
+		{"trailing garbage", http.MethodPost, `{"model":"GPT_32B","devices":2,"dim":2}garbage`, http.StatusBadRequest},
+		{"second object", http.MethodPost, `{"model":"GPT_32B","devices":2,"dim":2} {"devices":999}`, http.StatusBadRequest},
+		{"deadline past a duration", http.MethodPost, `{"model":"GPT_32B","devices":2,"dim":2,"deadline_ms":9300000000000}`, http.StatusBadRequest},
+		{"crash off the ring", http.MethodPost, `{"model":"GPT_32B","devices":2,"dim":2,"fault":"crash:dev:9"}`, http.StatusBadRequest},
+		{"drop off the ring", http.MethodPost, `{"model":"GPT_32B","devices":2,"dim":2,"fault":"drop:link:0-7"}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		req, err := http.NewRequest(tc.method, ts.URL+"/v1/run", bytes.NewReader([]byte(tc.body)))
@@ -397,11 +405,14 @@ func TestRequestValidation(t *testing.T) {
 
 // FuzzDecodeRequest: a /v1/run body is outside input. Whatever its
 // bytes, decodeRequest and resolve answer a 4xx or accept the request,
-// never panic, and accept none that names a ring past maxDevices, a dim
-// or layer count past maxDim or maxLayers, a program whose modeled live
-// bytes across the ring pass maxProgramBytes, or an inline program whose
-// loops run past maxInlineLoopWork body instructions. The seeds under
-// testdata/fuzz are the bodies of TestRequestValidation,
+// never panic, and accept none that is more than one JSON value, that
+// names a ring past maxDevices, a dim
+// or layer count past maxDim or maxLayers, a deadline that does not put
+// the run's deadline after its start, a fault the ring does not have, a
+// program whose modeled live bytes across the ring pass maxProgramBytes,
+// or an inline program whose loops run past maxInlineLoopWork body
+// instructions. The seeds under testdata/fuzz are the bodies of
+// TestRequestValidation,
 // TestMalformedInlineProgramIs400, TestInlineLoopWorkIsBounded and
 // TestRequestSizeIsBounded; plain go test replays them.
 func FuzzDecodeRequest(f *testing.F) {
@@ -412,19 +423,32 @@ func FuzzDecodeRequest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		w := httptest.NewRecorder()
-		req, err := s.decodeRequest(w, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+		w, r := httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body))
+		req, status, err := s.decodeRequest(w, r)
 		if err != nil {
-			if w.Code < 400 || w.Code >= 500 {
-				t.Fatalf("a rejected body answered %d, want a 4xx", w.Code)
+			if status < 400 || status >= 500 {
+				t.Fatalf("a rejected body answered %d, want a 4xx", status)
 			}
 			return
+		}
+		if !json.Valid(body) {
+			t.Fatalf("accepted a body that is not one JSON value: %q", body)
 		}
 		if req.Devices < 1 || req.Devices > maxDevices {
 			t.Fatalf("accepted a request on %d devices", req.Devices)
 		}
 		if req.Dim > maxDim || req.Layers > maxLayers {
 			t.Fatalf("accepted a request of dim %d and %d layers", req.Dim, req.Layers)
+		}
+		before := time.Now()
+		ctx, cancel := s.runContext(r, req)
+		deadline, ok := ctx.Deadline()
+		cancel()
+		if !ok || !deadline.After(before) {
+			t.Fatalf("accepted a request whose deadline_ms %d gives its run a deadline %v before it started", req.DeadlineMS, deadline.Sub(before))
+		}
+		if err := req.faults.Validate(req.Devices); err != nil {
+			t.Fatalf("accepted a fault spec that does not fit its %d-device ring: %v", req.Devices, err)
 		}
 		prog, err := s.resolve(req)
 		if err != nil {
