@@ -1,10 +1,11 @@
 // Package experiments reproduces the paper's evaluation section: one
-// runner per table and figure, each building the model's partitioned
-// layer-step graph, applying (or not) the overlap pipeline, simulating
-// it on the machine model, and reporting the same rows/series the paper
-// plots. Absolute times come from the TPU-v4-like machine model; the
-// reproduction target is the shape — who wins, by what factor, where
-// the effect saturates.
+// runner per table and figure, listed in one table (see IDs), each
+// building the model's partitioned layer-step graph, applying (or not)
+// the overlap pipeline, simulating it on the machine model, and
+// reporting the same rows/series the paper plots. Every simulated
+// number comes through one routine, measure. Absolute times come from
+// the TPU-v4-like machine model; the reproduction target is the shape —
+// who wins, by what factor, where the effect saturates.
 package experiments
 
 import (
@@ -21,52 +22,71 @@ import (
 	"overlap/internal/topology"
 )
 
-// Run is one simulated configuration of one model.
+// Run is one simulated configuration of one program.
 type Run struct {
+	// Config is the model the program is one layer step of; zero for
+	// the §7.1 serving chain, which is not a Table 1/2 model.
 	Config    models.Config
 	Breakdown sim.Breakdown
-	// DeviceFlops is the per-device model FLOP count of one layer step
+	// DeviceFlops is the per-device model FLOP count of one step
 	// (einsum work only, measured on the unmodified graph).
 	DeviceFlops int64
 	// Utilization is achieved FLOP/s over peak FLOP/s.
 	Utilization float64
-	// StepTime is the full-model training step estimate (layer time x
-	// layer count).
+	// StepTime is the full-model step estimate (simulated step time x
+	// the model's layer count; the step itself for a whole program).
 	StepTime float64
-	Report   core.Report
+	// PeakBytes is the per-device peak-memory estimate of the program
+	// as simulated (hlo.PeakMemory).
+	PeakBytes int64
+	Report    core.Report
+}
+
+// program is one graph the evaluation measures: how to build a fresh
+// copy, the ring it runs on, and how many times a full step repeats it.
+type program struct {
+	cfg     models.Config
+	devices int
+	layers  int
+	build   func() (*hlo.Computation, error)
+}
+
+// layerStep is one layer step of a Table 1/2 model.
+func layerStep(cfg models.Config) program {
+	return program{cfg: cfg, devices: cfg.Mesh().NumDevices(), layers: cfg.Layers,
+		build: func() (*hlo.Computation, error) { return models.BuildLayerStep(cfg) }}
+}
+
+// measure builds a fresh copy of p, applies the overlap pipeline under
+// opts when overlap is set, and simulates it on opts.Spec. It is the one
+// build → apply → simulate path: every experiment's numbers come
+// through here.
+func measure(p program, opts core.Options, overlap bool) (Run, error) {
+	c, err := p.build()
+	if err != nil {
+		return Run{}, err
+	}
+	run := Run{Config: p.cfg, DeviceFlops: deviceFlops(c)}
+	if overlap {
+		if run.Report, err = core.Apply(c, opts); err != nil {
+			return Run{}, err
+		}
+	}
+	if run.Breakdown, err = sim.Simulate(c, p.devices, opts.Spec); err != nil {
+		return Run{}, err
+	}
+	if t := run.Breakdown.StepTime; t > 0 {
+		run.Utilization = float64(run.DeviceFlops) / opts.Spec.PeakFLOPS / t
+	}
+	run.StepTime = run.Breakdown.StepTime * float64(p.layers)
+	run.PeakBytes = hlo.PeakMemory(c).PeakBytes
+	return run, nil
 }
 
 // RunModel builds cfg's layer graph, optionally applies the overlap
 // pipeline, and simulates it.
 func RunModel(cfg models.Config, opts core.Options, overlap bool) (Run, error) {
-	c, err := models.BuildLayerStep(cfg)
-	if err != nil {
-		return Run{}, err
-	}
-	flops := deviceFlops(c)
-	var report core.Report
-	if overlap {
-		report, err = core.Apply(c, opts)
-		if err != nil {
-			return Run{}, err
-		}
-	}
-	bd, err := sim.Simulate(c, cfg.Mesh().NumDevices(), opts.Spec)
-	if err != nil {
-		return Run{}, err
-	}
-	util := 0.0
-	if bd.StepTime > 0 {
-		util = float64(flops) / opts.Spec.PeakFLOPS / bd.StepTime
-	}
-	return Run{
-		Config:      cfg,
-		Breakdown:   bd,
-		DeviceFlops: flops,
-		Utilization: util,
-		StepTime:    bd.StepTime * float64(cfg.Layers),
-		Report:      report,
-	}, nil
+	return measure(layerStep(cfg), opts, overlap)
 }
 
 // deviceFlops sums the einsum FLOPs of the per-device graph (fusions
@@ -116,17 +136,22 @@ func (c Comparison) CommReduction() float64 {
 	return c.Baseline.Breakdown.Exposed / c.Overlapped.Breakdown.Exposed
 }
 
-// Compare runs cfg without and with the overlap pipeline.
-func Compare(cfg models.Config, opts core.Options) (Comparison, error) {
-	base, err := RunModel(cfg, opts, false)
+// compare measures p without and with the overlap pipeline.
+func compare(p program, opts core.Options) (Comparison, error) {
+	base, err := measure(p, opts, false)
 	if err != nil {
 		return Comparison{}, err
 	}
-	over, err := RunModel(cfg, opts, true)
+	over, err := measure(p, opts, true)
 	if err != nil {
 		return Comparison{}, err
 	}
 	return Comparison{Baseline: base, Overlapped: over}, nil
+}
+
+// Compare runs cfg without and with the overlap pipeline.
+func Compare(cfg models.Config, opts core.Options) (Comparison, error) {
+	return compare(layerStep(cfg), opts)
 }
 
 func table(write func(w *tabwriter.Writer)) string {
@@ -137,215 +162,185 @@ func table(write func(w *tabwriter.Writer)) string {
 	return b.String()
 }
 
-// Table1 prints the evaluated-applications table.
-func Table1() string {
-	return configTable("Table 1: evaluated applications", models.Table1())
-}
-
-// Table2 prints the weak-scaled GPT table.
-func Table2() string {
-	return configTable("Table 2: weak-scaled GPT models", models.Table2())
-}
-
-func configTable(title string, cfgs []models.Config) string {
+// modelTable renders title, the header row and one row per model of
+// cfgs: the model's name, then the cells row returns for it (or the
+// error it returns).
+func modelTable(title, header string, cfgs []models.Config, row func(models.Config) (string, error)) string {
 	return title + "\n" + table(func(w *tabwriter.Writer) {
-		fmt.Fprintln(w, "model\tparams(B)\tlayers\td_model\td_ff\tbatch\tchips\tmesh\tarch")
-		for _, c := range cfgs {
-			fmt.Fprintf(w, "%s\t%.1f\t%d\t%d\t%d\t%d\t%d\t%dx%d\t%s\n",
-				c.Name, c.ParamsB, c.Layers, c.ModelDim, c.FFDim, c.Batch, c.Chips, c.MeshX, c.MeshY, c.Arch)
+		fmt.Fprintln(w, header)
+		for _, cfg := range cfgs {
+			cells, err := row(cfg)
+			if err != nil {
+				cells = "error: " + err.Error()
+			}
+			fmt.Fprintf(w, "%s\t%s\n", cfg.Name, cells)
 		}
 	})
 }
 
-// Fig1 reproduces the step-time breakdown of Figure 1: the fraction of
-// the (baseline, non-overlapped) training step spent in communication.
-func Fig1(spec machine.Spec) (string, error) {
-	out := "Figure 1: training step time breakdown (baseline, no overlap)\n"
-	var rows []string
-	for _, cfg := range models.Table1() {
-		run, err := RunModel(cfg, core.Options{Spec: spec}, false)
+// compareTable is the model-list comparison figure: a modelTable whose
+// row compares the model without and with the overlap pipeline under
+// opts and formats the comparison with cells. It also returns the
+// comparisons that succeeded, in row order.
+func compareTable(title, header string, cfgs []models.Config, opts core.Options, cells func(Comparison) string) (string, []Comparison) {
+	var comps []Comparison
+	text := modelTable(title, header, cfgs, func(cfg models.Config) (string, error) {
+		comp, err := Compare(cfg, opts)
 		if err != nil {
 			return "", err
 		}
-		rows = append(rows, fmt.Sprintf("%s\t%.1f%%\t%.1f%%\t%.2f s",
-			cfg.Name, 100*(1-run.Breakdown.CommFraction()), 100*run.Breakdown.CommFraction(), run.StepTime))
+		comps = append(comps, comp)
+		return cells(comp), nil
+	})
+	return text, comps
+}
+
+// utilization is the Fig 12/13 cells: baseline and overlapped fraction
+// of peak FLOPS, and the speedup.
+func utilization(c Comparison) string {
+	return fmt.Sprintf("%.1f%%\t%.1f%%\t%.2fx", 100*c.Baseline.Utilization, 100*c.Overlapped.Utilization, c.Speedup())
+}
+
+// configTable is the runner that prints cfgs, the models a table of
+// the paper lists.
+func configTable(title string, cfgs func() []models.Config) func(machine.Spec) (Result, error) {
+	return func(machine.Spec) (Result, error) {
+		return report(modelTable(title, "model\tparams(B)\tlayers\td_model\td_ff\tbatch\tchips\tmesh\tarch", cfgs(),
+			func(c models.Config) (string, error) {
+				return fmt.Sprintf("%.1f\t%d\t%d\t%d\t%d\t%d\t%dx%d\t%s",
+					c.ParamsB, c.Layers, c.ModelDim, c.FFDim, c.Batch, c.Chips, c.MeshX, c.MeshY, c.Arch), nil
+			})), nil
 	}
-	return out + table(func(w *tabwriter.Writer) {
-		fmt.Fprintln(w, "model\tcompute\tcommunication\tstep time")
-		for _, r := range rows {
-			fmt.Fprintln(w, r)
-		}
-	}), nil
 }
 
-// Fig12 reproduces Figure 12: normalized throughput (fraction of peak
+// fig1 reproduces the step-time breakdown of Figure 1: the fraction of
+// the (baseline, non-overlapped) training step spent in communication.
+func fig1(spec machine.Spec) (Result, error) {
+	return report(modelTable("Figure 1: training step time breakdown (baseline, no overlap)",
+		"model\tcompute\tcommunication\tstep time", models.Table1(),
+		func(cfg models.Config) (string, error) {
+			run, err := RunModel(cfg, core.Options{Spec: spec}, false)
+			if err != nil {
+				return "", err
+			}
+			return fmt.Sprintf("%.1f%%\t%.1f%%\t%.2f s",
+				100*(1-run.Breakdown.CommFraction()), 100*run.Breakdown.CommFraction(), run.StepTime), nil
+		})), nil
+}
+
+// fig12 reproduces Figure 12: normalized throughput (fraction of peak
 // FLOPS) with and without the proposed technique, plus the §6.1
-// communication-cost-reduction columns.
-func Fig12(spec machine.Spec) (string, []Comparison, error) {
-	opts := core.DefaultOptions(spec)
-	var comps []Comparison
-	out := "Figure 12: performance of the evaluated applications\n"
-	text := table(func(w *tabwriter.Writer) {
-		fmt.Fprintln(w, "model\tbaseline util\toverlap util\tspeedup\texposed comm reduction")
-		for _, cfg := range models.Table1() {
-			comp, err := Compare(cfg, opts)
-			if err != nil {
-				fmt.Fprintf(w, "%s\terror: %v\n", cfg.Name, err)
-				continue
-			}
-			comps = append(comps, comp)
-			fmt.Fprintf(w, "%s\t%.1f%%\t%.1f%%\t%.2fx\t%.1fx\n",
-				cfg.Name,
-				100*comp.Baseline.Utilization,
-				100*comp.Overlapped.Utilization,
-				comp.Speedup(),
-				comp.CommReduction())
-		}
-	})
-	return out + text, comps, nil
+// communication-cost-reduction column.
+func fig12(spec machine.Spec) (Result, error) {
+	return compared(compareTable("Figure 12: performance of the evaluated applications",
+		"model\tbaseline util\toverlap util\tspeedup\texposed comm reduction", models.Table1(), core.DefaultOptions(spec),
+		func(c Comparison) string { return fmt.Sprintf("%s\t%.1fx", utilization(c), c.CommReduction()) })), nil
 }
 
-// Fig13 reproduces the weak-scaling study of Figure 13 on the Table 2
+// fig13 reproduces the weak-scaling study of Figure 13 on the Table 2
 // GPT family.
-func Fig13(spec machine.Spec) (string, []Comparison, error) {
-	opts := core.DefaultOptions(spec)
-	var comps []Comparison
-	out := "Figure 13: performance of the weakly scaled GPT models\n"
-	text := table(func(w *tabwriter.Writer) {
-		fmt.Fprintln(w, "model\tbaseline util\toverlap util\tspeedup")
-		for _, cfg := range models.Table2() {
-			comp, err := Compare(cfg, opts)
-			if err != nil {
-				fmt.Fprintf(w, "%s\terror: %v\n", cfg.Name, err)
-				continue
-			}
-			comps = append(comps, comp)
-			fmt.Fprintf(w, "%s\t%.1f%%\t%.1f%%\t%.2fx\n",
-				cfg.Name, 100*comp.Baseline.Utilization, 100*comp.Overlapped.Utilization, comp.Speedup())
-		}
-	})
-	return out + text, comps, nil
+func fig13(spec machine.Spec) (Result, error) {
+	return compared(compareTable("Figure 13: performance of the weakly scaled GPT models",
+		"model\tbaseline util\toverlap util\tspeedup", models.Table2(), core.DefaultOptions(spec), utilization)), nil
 }
 
-// ablation runs the Table 2 family under two option sets and reports
-// stepTime(with)/stepTime(without) per model.
-func ablation(spec machine.Spec, title string, with, without func(*core.Options)) (string, []float64, error) {
+// ablation runs the Table 2 family with one option set on and off
+// and reports stepTime(on)/stepTime(off) per model.
+func ablation(spec machine.Spec, title string, set func(o *core.Options, on bool)) (Result, error) {
 	var ratios []float64
-	text := table(func(w *tabwriter.Writer) {
-		fmt.Fprintln(w, "model\twithout\twith\tnormalized time (with/without)")
-		for _, cfg := range models.Table2() {
-			optsOn := core.DefaultOptions(spec)
-			with(&optsOn)
-			optsOff := core.DefaultOptions(spec)
-			without(&optsOff)
-			on, err := RunModel(cfg, optsOn, true)
-			if err != nil {
-				fmt.Fprintf(w, "%s\terror: %v\n", cfg.Name, err)
-				continue
+	text := modelTable(title, "model\twithout\twith\tnormalized time (with/without)", models.Table2(),
+		func(cfg models.Config) (string, error) {
+			var runs [2]Run
+			for i, on := range []bool{true, false} {
+				opts := core.DefaultOptions(spec)
+				set(&opts, on)
+				var err error
+				if runs[i], err = RunModel(cfg, opts, true); err != nil {
+					return "", err
+				}
 			}
-			off, err := RunModel(cfg, optsOff, true)
-			if err != nil {
-				fmt.Fprintf(w, "%s\terror: %v\n", cfg.Name, err)
-				continue
-			}
-			r := on.Breakdown.StepTime / off.Breakdown.StepTime
-			ratios = append(ratios, r)
-			fmt.Fprintf(w, "%s\t%.3f ms\t%.3f ms\t%.3f\n",
-				cfg.Name, 1e3*off.Breakdown.StepTime, 1e3*on.Breakdown.StepTime, r)
-		}
-	})
-	return title + "\n" + text, ratios, nil
+			on, off := runs[0].Breakdown.StepTime, runs[1].Breakdown.StepTime
+			ratios = append(ratios, on/off)
+			return fmt.Sprintf("%.3f ms\t%.3f ms\t%.3f", 1e3*off, 1e3*on, on/off), nil
+		})
+	return Result{Structured: Structured{Text: text, Speedups: ratios}}, nil
 }
 
-// Fig14 reproduces the loop-unrolling ablation of Figure 14.
-func Fig14(spec machine.Spec) (string, []float64, error) {
+// fig14 reproduces the loop-unrolling ablation of Figure 14.
+func fig14(spec machine.Spec) (Result, error) {
 	return ablation(spec, "Figure 14: effect of loop unrolling (per-layer step time)",
-		func(o *core.Options) { o.Unroll = true },
-		func(o *core.Options) { o.Unroll = false })
+		func(o *core.Options, on bool) { o.Unroll = on })
 }
 
-// Fig15 reproduces the bidirectional-transfer ablation of Figure 15.
-func Fig15(spec machine.Spec) (string, []float64, error) {
+// fig15 reproduces the bidirectional-transfer ablation of Figure 15.
+func fig15(spec machine.Spec) (Result, error) {
 	return ablation(spec, "Figure 15: effect of bidirectional data transfer (per-layer step time)",
-		func(o *core.Options) { o.Bidirectional = true },
-		func(o *core.Options) { o.Bidirectional = false })
+		func(o *core.Options, on bool) { o.Bidirectional = on })
 }
 
-// Fig16 reproduces the scheduler comparison of Figure 16.
-func Fig16(spec machine.Spec) (string, []float64, error) {
+// fig16 reproduces the scheduler comparison of Figure 16: bottom-up on,
+// top-down off.
+func fig16(spec machine.Spec) (Result, error) {
 	return ablation(spec, "Figure 16: bottom-up vs top-down scheduling (per-layer step time)",
-		func(o *core.Options) { o.Scheduler = core.SchedulerBottomUp },
-		func(o *core.Options) { o.Scheduler = core.SchedulerTopDown })
+		func(o *core.Options, on bool) {
+			o.Scheduler = core.SchedulerTopDown
+			if on {
+				o.Scheduler = core.SchedulerBottomUp
+			}
+		})
 }
 
-// Energy reproduces §6.4: energy consumption reduction equals the
+// energy reproduces §6.4: energy consumption reduction equals the
 // end-to-end step time ratio (computational units cannot sleep during
 // synchronous communication).
-func Energy(spec machine.Spec) (string, error) {
-	opts := core.DefaultOptions(spec)
-	out := "Section 6.4: energy consumption reduction (= step time ratio)\n"
-	return out + table(func(w *tabwriter.Writer) {
-		fmt.Fprintln(w, "model\tenergy reduction")
-		for _, cfg := range models.Table1() {
-			comp, err := Compare(cfg, opts)
-			if err != nil {
-				fmt.Fprintf(w, "%s\terror: %v\n", cfg.Name, err)
-				continue
-			}
-			fmt.Fprintf(w, "%s\t%.2fx\n", cfg.Name, comp.Speedup())
+func energy(spec machine.Spec) (Result, error) {
+	text, _ := compareTable("Section 6.4: energy consumption reduction (= step time ratio)",
+		"model\tenergy reduction", models.Table1(), core.DefaultOptions(spec),
+		func(c Comparison) string { return fmt.Sprintf("%.2fx", c.Speedup()) })
+	return report(text), nil
+}
+
+// inferenceChain is a multi-layer 2-way model-parallel MLP serving
+// graph (the §7.1 recommendation-model stand-in) with e batch rows:
+// weights sharded across the 2-device ring and AllGathered before each
+// einsum, activations replicated, layers chained so one layer's gathers
+// can overlap the previous layer's computation.
+func inferenceChain(layers, e, d, f int) program {
+	return program{devices: 2, layers: 1, build: func() (*hlo.Computation, error) {
+		mesh := topology.NewRing(2)
+		b := partition.NewBuilder("recsys_inference", mesh)
+		act := b.Parameter("act", []int{e, d}, partition.ReplicatedSharding(2))
+		cur := act
+		for l := 0; l < layers; l++ {
+			w1 := b.Parameter(fmt.Sprintf("w1_%d", l), []int{d, f}, partition.OnDim(2, 0, 0))
+			w2 := b.Parameter(fmt.Sprintf("w2_%d", l), []int{f, d}, partition.OnDim(2, 0, 0))
+			h := b.Einsum("ed,df->ef", cur, b.AllGather(w1, 0))
+			cur = b.Einsum("ef,fd->ed", h, b.AllGather(w2, 0))
 		}
-	}), nil
+		b.Comp.Tuple(cur.Instr)
+		return b.Comp, nil
+	}}
 }
 
-// buildInferenceChain constructs a multi-layer 2-way model-parallel
-// MLP serving graph (the §7.1 recommendation-model stand-in): weights
-// sharded across the 2-device ring and AllGathered before each einsum,
-// activations replicated, layers chained so one layer's gathers can
-// overlap the previous layer's computation.
-func buildInferenceChain(layers, e, d, f int) *hlo.Computation {
-	mesh := topology.NewRing(2)
-	b := partition.NewBuilder("recsys_inference", mesh)
-	act := b.Parameter("act", []int{e, d}, partition.ReplicatedSharding(2))
-	cur := act
-	for l := 0; l < layers; l++ {
-		w1 := b.Parameter(fmt.Sprintf("w1_%d", l), []int{d, f}, partition.OnDim(2, 0, 0))
-		w2 := b.Parameter(fmt.Sprintf("w2_%d", l), []int{f, d}, partition.OnDim(2, 0, 0))
-		h := b.Einsum("ed,df->ef", cur, b.AllGather(w1, 0))
-		cur = b.Einsum("ef,fd->ed", h, b.AllGather(w2, 0))
-	}
-	b.Comp.Tuple(cur.Instr)
-	return b.Comp
-}
-
-// Inference reproduces the §7.1 case study: latency improvement of a
-// small model served with 2-way intra-layer model parallelism. The
+// compareInference compares the §7.1 chain with e batch rows. The
 // overlap feature is force-enabled: the §5.5 estimate conservatively
 // assumes loop prologues cannot be hidden, but in a chained multi-layer
 // serving graph they overlap the previous layer's computation.
-func Inference(spec machine.Spec) (string, Comparison, error) {
-	const layers, e, d, f = 8, 2688, 4096, 16384
-	base := buildInferenceChain(layers, e, d, f)
-	flops := deviceFlops(base)
-	bb, err := sim.Simulate(base, 2, spec)
-	if err != nil {
-		return "", Comparison{}, err
-	}
-	over := buildInferenceChain(layers, e, d, f)
+func compareInference(spec machine.Spec, layers, e int) (Comparison, error) {
 	opts := core.DefaultOptions(spec)
 	opts.UseCostModel = false
-	report, err := core.Apply(over, opts)
+	return compare(inferenceChain(layers, e, 4096, 16384), opts)
+}
+
+// inference reproduces the §7.1 case study: latency improvement of a
+// small model served with 2-way intra-layer model parallelism.
+func inference(spec machine.Spec) (Result, error) {
+	const layers, e = 8, 2688
+	comp, err := compareInference(spec, layers, e)
 	if err != nil {
-		return "", Comparison{}, err
+		return Result{}, err
 	}
-	ob, err := sim.Simulate(over, 2, spec)
-	if err != nil {
-		return "", Comparison{}, err
-	}
-	comp := Comparison{
-		Baseline:   Run{Breakdown: bb, DeviceFlops: flops, StepTime: bb.StepTime},
-		Overlapped: Run{Breakdown: ob, DeviceFlops: flops, StepTime: ob.StepTime, Report: report},
-	}
-	out := fmt.Sprintf("Section 7.1: 2-way model-parallel inference latency (%d-layer MLP)\nbaseline %.3f ms  overlapped %.3f ms  improvement %.2fx\n",
-		layers, 1e3*bb.StepTime, 1e3*ob.StepTime, comp.Speedup())
-	return out, comp, nil
+	text := fmt.Sprintf("Section 7.1: 2-way model-parallel inference latency (%d-layer MLP)\nbaseline %.3f ms  overlapped %.3f ms  improvement %.2fx\n",
+		layers, 1e3*comp.Baseline.Breakdown.StepTime, 1e3*comp.Overlapped.Breakdown.StepTime, comp.Speedup())
+	return Result{Structured: Structured{Text: text, Speedups: []float64{comp.Speedup()}}, Comparisons: []Comparison{comp}}, nil
 }

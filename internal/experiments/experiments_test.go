@@ -17,10 +17,8 @@ func TestFig12Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-model sweep")
 	}
-	text, comps, err := Fig12(machine.TPUv4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := regenerated(t, "fig12")
+	text, comps := r.Text, r.Comparisons
 	if len(comps) != 6 {
 		t.Fatalf("expected 6 models, got %d\n%s", len(comps), text)
 	}
@@ -56,10 +54,7 @@ func TestFig12PeakUtilization(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-model sweep")
 	}
-	_, comps, err := Fig12(machine.TPUv4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	comps := regenerated(t, "fig12").Comparisons
 	best := 0.0
 	for _, c := range comps {
 		if u := c.Overlapped.Utilization; u > best {
@@ -76,10 +71,7 @@ func TestFig13WeakScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-model sweep")
 	}
-	_, comps, err := Fig13(machine.TPUv4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	comps := regenerated(t, "fig13").Comparisons
 	if len(comps) != 6 {
 		t.Fatalf("expected 6 GPT sizes, got %d", len(comps))
 	}
@@ -94,10 +86,7 @@ func TestFig14UnrollingHelps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-model sweep")
 	}
-	_, ratios, err := Fig14(machine.TPUv4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ratios := regenerated(t, "fig14").Speedups
 	sum := 0.0
 	for i, r := range ratios {
 		sum += r
@@ -114,10 +103,7 @@ func TestFig15BidirectionalHelpsLargeModels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-model sweep")
 	}
-	_, ratios, err := Fig15(machine.TPUv4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ratios := regenerated(t, "fig15").Speedups
 	// Small models see little effect (the paper: <5% for GPT_32B); the
 	// largest models see clearly more.
 	if ratios[0] < 0.90 {
@@ -133,10 +119,7 @@ func TestFig16SchedulersComparable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-model sweep")
 	}
-	_, ratios, err := Fig16(machine.TPUv4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ratios := regenerated(t, "fig16").Speedups
 	// The two schedulers land within a few percent of each other (the
 	// paper reports a ~5% average edge for bottom-up; our simplified
 	// top-down with cost rebalancing closes most of that gap).
@@ -151,10 +134,7 @@ func TestFig1CommunicationFractions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-model sweep")
 	}
-	text, err := Fig1(machine.TPUv4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	text := regenerated(t, "fig1").Text
 	if !strings.Contains(text, "GPT_1T") || !strings.Contains(text, "communication") {
 		t.Fatalf("Fig1 output malformed:\n%s", text)
 	}
@@ -173,10 +153,8 @@ func TestFig1CommunicationFractions(t *testing.T) {
 }
 
 func TestInferenceLatency(t *testing.T) {
-	text, comp, err := Inference(machine.TPUv4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := regenerated(t, "inference")
+	text, comp := r.Text, r.Comparisons[0]
 	if comp.Speedup() < 1.3 {
 		t.Fatalf("inference improvement %.2fx below 1.3x\n%s", comp.Speedup(), text)
 	}
@@ -186,17 +164,14 @@ func TestEnergyMatchesSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-model sweep")
 	}
-	text, err := Energy(machine.TPUv4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	text := regenerated(t, "energy").Text
 	if !strings.Contains(text, "energy reduction") {
 		t.Fatalf("energy output malformed:\n%s", text)
 	}
 }
 
 func TestTablesRender(t *testing.T) {
-	t1, t2 := Table1(), Table2()
+	t1, t2 := regenerated(t, "table1").Text, regenerated(t, "table2").Text
 	for _, want := range []string{"GPT_1T", "GLaM_1T", "BigSSL_10B"} {
 		if !strings.Contains(t1, want) {
 			t.Errorf("Table1 missing %s", want)

@@ -3,18 +3,13 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"overlap/internal/machine"
 )
 
 func TestMemoryExtensionShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-model sweep")
 	}
-	text, err := Memory(machine.TPUv4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	text := regenerated(t, "memory").Text
 	if !strings.Contains(text, "GPT_1T") || !strings.Contains(text, "+") {
 		t.Fatalf("memory table malformed:\n%s", text)
 	}
@@ -36,10 +31,7 @@ func TestRolledExtensionShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-model sweep")
 	}
-	text, err := Rolled(machine.TPUv4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	text := regenerated(t, "rolled").Text
 	// The expanded form must beat the rolled loop on every row.
 	rows := 0
 	for _, line := range strings.Split(text, "\n") {
@@ -59,10 +51,7 @@ func TestRolledExtensionShape(t *testing.T) {
 }
 
 func TestInferenceSweepCrossover(t *testing.T) {
-	text, err := InferenceSweep(machine.TPUv4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	text := regenerated(t, "inference-sweep").Text
 	// The sweep must show the crossover: small batches lose (the cost
 	// model would reject them), mid-size batches win.
 	if !strings.Contains(text, "0.") {
@@ -77,10 +66,7 @@ func TestPipelineComposition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-model run")
 	}
-	text, err := Pipeline(machine.TPUv4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	text := regenerated(t, "pipeline").Text
 	if !strings.Contains(text, "speedup 1.") {
 		t.Fatalf("pipeline composition lost the intra-layer speedup:\n%s", text)
 	}
@@ -93,10 +79,7 @@ func TestGPUGeneralization(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-model sweep")
 	}
-	text, err := GPU(machine.TPUv4())
-	if err != nil {
-		t.Fatal(err)
-	}
+	text := regenerated(t, "gpu").Text
 	rows := 0
 	for _, line := range strings.Split(text, "\n") {
 		if !strings.Contains(line, "x") || !strings.Contains(line, "%") {
