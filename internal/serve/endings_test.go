@@ -68,7 +68,7 @@ func TestRunEndings(t *testing.T) {
 			keys:     []string{"error", "fingerprint", "run_error", "run_id"},
 			err:      "runtime: run failed: device 1: wq (phase compute): injected device crash [elapsed ",
 			recorded: true, phase: "compute", device: 1, runError: true,
-			dRunErrors: 1, dFailed: 1,
+			dErrors: 1, dRunErrors: 1, dFailed: 1,
 		},
 		{
 			name: "failed check",

@@ -14,7 +14,7 @@ var (
 	svErrors = obs.Default().Counter("overlap_serve_errors_total",
 		"Requests that ended in an error response (4xx or 5xx).")
 	svRunErrors = obs.Default().Counter("overlap_serve_run_errors_total",
-		"Served runs that failed with a structured runtime error (5xx, daemon stays up).")
+		"Served runs that failed with a structured runtime error (503, daemon stays up; also counted in overlap_serve_errors_total).")
 	svOverload = obs.Default().Counter("overlap_serve_overload_total",
 		"Requests rejected with 503 because MaxPending requests were already pending.")
 	svPlanHits = obs.Default().Counter("overlap_serve_plan_cache_hits_total",

@@ -104,7 +104,6 @@ func (s *Server) handleRun(w http.ResponseWriter, p planned) {
 	switch {
 	case admitErr != nil:
 		status = http.StatusServiceUnavailable
-		svErrors.Inc()
 	case run.runErr != nil:
 		re := run.runErr
 		status, err = http.StatusServiceUnavailable, re
@@ -112,10 +111,11 @@ func (s *Server) handleRun(w http.ResponseWriter, p planned) {
 		svRunErrors.Inc()
 	case run.err != nil:
 		status, err, recorded = http.StatusInternalServerError, run.err, false
-		svErrors.Inc()
 	case run.checkErr != nil:
 		status, err = http.StatusInternalServerError, run.checkErr
 		fail = obs.RunTraceError{Device: -1, Phase: "check"}
+	}
+	if err != nil {
 		svErrors.Inc()
 	}
 	if run.err != nil {
