@@ -1,8 +1,8 @@
 package runtime
 
 import (
-	"overlap/internal/collective"
 	"overlap/internal/hlo"
+	"overlap/internal/sim"
 	"overlap/internal/tensor"
 )
 
@@ -78,7 +78,7 @@ func (e *engine) rendezvous(op *tapeOp, gen int, d *device, input, dst *tensor.T
 	if !d.pace.sleep(e.delay(op.modeled), e.abort) {
 		return false
 	}
-	collectiveInto(op.in, gs.dsts, gs.inputs)
+	sim.CollectiveInto(op.in, gs.dsts, gs.inputs)
 	for _, m := range gs.members {
 		if m != d {
 			m.rv <- struct{}{}
@@ -112,32 +112,4 @@ func (e *engine) newGen(members int) *genState {
 	}
 	gs.inputs, gs.dsts, gs.members = gs.inputs[:members], gs.dsts[:members], gs.members[:members]
 	return gs
-}
-
-// collectiveInto evaluates one group instance into its members'
-// destinations, dispatching to the same kernels sim's interpreter uses
-// so both executors produce bit-identical tensors.
-func collectiveInto(in *hlo.Instruction, dsts, inputs []*tensor.Tensor) {
-	switch in.Op {
-	case hlo.OpAllGather:
-		collective.AllGatherInto(dsts, inputs, in.CollectiveAxis)
-	case hlo.OpReduceScatter:
-		collective.ReduceScatterInto(dsts, inputs, in.CollectiveAxis)
-	case hlo.OpAllReduce:
-		collective.AllReduceInto(dsts, inputs)
-	case hlo.OpAllToAll:
-		collective.AllToAllInto(dsts, inputs, in.CollectiveAxis, in.Axis)
-	case hlo.OpCollectivePermute:
-		collective.PermuteInto(dsts, inputs, pairSlice(in.Pairs))
-	default:
-		panic(formatErr("%s is not a blocking collective", in.Op))
-	}
-}
-
-func pairSlice(pairs []hlo.SourceTargetPair) [][2]int {
-	out := make([][2]int, len(pairs))
-	for i, p := range pairs {
-		out[i] = [2]int{p.Source, p.Target}
-	}
-	return out
 }

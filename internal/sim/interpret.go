@@ -322,7 +322,7 @@ func (ip *interp) eval(in *hlo.Instruction, values map[*hlo.Instruction][]*tenso
 		for d := range out {
 			out[d] = ip.draw(in.Shape, 1)
 		}
-		collective.PermuteInto(out, values[in.Operands[0]], pairSlice(in.Pairs))
+		CollectiveInto(in, out, values[in.Operands[0]])
 
 	case hlo.OpCollectivePermuteStart:
 		// The start carries its operand; the matching done performs the
@@ -470,16 +470,30 @@ func (ip *interp) groupCollective(in *hlo.Instruction, src, out []*tensor.Tensor
 			}
 			inputs[i], out[dev] = src[dev], dsts[i]
 		}
-		switch in.Op {
-		case hlo.OpAllGather:
-			collective.AllGatherInto(dsts, inputs, in.CollectiveAxis)
-		case hlo.OpReduceScatter:
-			collective.ReduceScatterInto(dsts, inputs, in.CollectiveAxis)
-		case hlo.OpAllReduce:
-			collective.AllReduceInto(dsts, inputs)
-		case hlo.OpAllToAll:
-			collective.AllToAllInto(dsts, inputs, in.CollectiveAxis, in.Axis)
-		}
+		CollectiveInto(in, dsts, inputs)
+	}
+}
+
+// CollectiveInto evaluates one instance of a blocking collective: the
+// inputs of the members of one group (every device, for a permute), in
+// member order, into their destinations. It is the one dispatch from
+// collective opcode to kernel, so the lockstep interpreter and the
+// concurrent runtime produce bit-identical tensors. A
+// CollectivePermuteDone moves its start's operand along its pairs.
+func CollectiveInto(in *hlo.Instruction, dsts, inputs []*tensor.Tensor) {
+	switch in.Op {
+	case hlo.OpAllGather:
+		collective.AllGatherInto(dsts, inputs, in.CollectiveAxis)
+	case hlo.OpReduceScatter:
+		collective.ReduceScatterInto(dsts, inputs, in.CollectiveAxis)
+	case hlo.OpAllReduce:
+		collective.AllReduceInto(dsts, inputs)
+	case hlo.OpAllToAll:
+		collective.AllToAllInto(dsts, inputs, in.CollectiveAxis, in.Axis)
+	case hlo.OpCollectivePermute, hlo.OpCollectivePermuteDone:
+		collective.PermuteInto(dsts, inputs, pairSlice(in.Pairs))
+	default:
+		panic(fmt.Sprintf("sim: %s is not a blocking collective", in.Op))
 	}
 }
 
