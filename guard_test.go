@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	goruntime "runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -588,6 +589,191 @@ func recvName(e ast.Expr) string {
 			return x.Name
 		default:
 			return "?"
+		}
+	}
+}
+
+// TestDocsNameDeclarations keeps the prose describing code that exists:
+// every backticked pkg.Name or pkg.Type.Member (also written
+// (*pkg.Type).Member or pkg.(*Type).Member) in DESIGN.md, README.md and
+// EXPERIMENTS.md whose pkg is one of the module's package names must
+// name a declaration in that package — a top-level name, or a method or
+// field of the type, promoted ones included — and every backticked
+// *.go path must name a file, from the repository root, from internal/,
+// or by base name. A selector the module cannot resolve is exempt only
+// where a standard-library package of that name declares it (runtime).
+func TestDocsNameDeclarations(t *testing.T) {
+	type typeInfo struct {
+		members  map[string]bool
+		embedded []string // "pkg.Type" of each embedded field
+	}
+	fset := token.NewFileSet()
+	top := map[string]map[string]bool{}        // package name → top-level names
+	types := map[string]map[string]*typeInfo{} // package name → type → members
+	files := map[string]bool{}                 // every .go path and base name
+	typeOf := func(pkg, name string) *typeInfo {
+		if types[pkg] == nil {
+			types[pkg] = map[string]*typeInfo{}
+		}
+		if types[pkg][name] == nil {
+			types[pkg][name] = &typeInfo{members: map[string]bool{}}
+		}
+		return types[pkg][name]
+	}
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() {
+			if name := e.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return fs.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		files[filepath.ToSlash(path)], files[e.Name()] = true, true
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := file.Name.Name
+		if top[pkg] == nil {
+			top[pkg] = map[string]bool{}
+		}
+		for _, d := range file.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv != nil && len(d.Recv.List) == 1 {
+					typeOf(pkg, recvName(d.Recv.List[0].Type)).members[d.Name.Name] = true
+				} else {
+					top[pkg][d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							top[pkg][n.Name] = true
+						}
+					case *ast.TypeSpec:
+						top[pkg][s.Name.Name] = true
+						ti := typeOf(pkg, s.Name.Name)
+						var fields []*ast.Field
+						switch x := s.Type.(type) {
+						case *ast.StructType:
+							fields = x.Fields.List
+						case *ast.InterfaceType:
+							fields = x.Methods.List
+						}
+						for _, f := range fields {
+							for _, n := range f.Names {
+								ti.members[n.Name] = true
+							}
+							if len(f.Names) == 0 {
+								switch x := f.Type.(type) {
+								case *ast.StarExpr:
+									f.Type = x.X
+								}
+								switch x := f.Type.(type) {
+								case *ast.Ident:
+									ti.members[x.Name] = true
+									ti.embedded = append(ti.embedded, pkg+"."+x.Name)
+								case *ast.SelectorExpr:
+									ti.members[x.Sel.Name] = true
+									ti.embedded = append(ti.embedded, x.X.(*ast.Ident).Name+"."+x.Sel.Name)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hasMember func(pkg, typ, member string, depth int) bool
+	hasMember = func(pkg, typ, member string, depth int) bool {
+		ti := types[pkg][typ]
+		if ti == nil || depth > 4 {
+			return false
+		}
+		if ti.members[member] {
+			return true
+		}
+		for _, e := range ti.embedded {
+			p, ty, _ := strings.Cut(e, ".")
+			if hasMember(p, ty, member, depth+1) {
+				return true
+			}
+		}
+		return false
+	}
+	stdlib := map[string]map[string]bool{}
+	inStdlib := func(pkg, name string) bool {
+		if stdlib[pkg] == nil {
+			stdlib[pkg] = map[string]bool{}
+			dir := filepath.Join(goruntime.GOROOT(), "src", pkg)
+			entries, _ := os.ReadDir(dir)
+			for _, e := range entries {
+				if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+					continue
+				}
+				f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(dir, e.Name()), nil, parser.SkipObjectResolution)
+				if err != nil {
+					continue
+				}
+				for _, d := range f.Decls {
+					switch d := d.(type) {
+					case *ast.FuncDecl:
+						stdlib[pkg][d.Name.Name] = true
+					case *ast.GenDecl:
+						for _, s := range d.Specs {
+							switch s := s.(type) {
+							case *ast.ValueSpec:
+								for _, n := range s.Names {
+									stdlib[pkg][n.Name] = true
+								}
+							case *ast.TypeSpec:
+								stdlib[pkg][s.Name.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+		return stdlib[pkg][name]
+	}
+
+	span := regexp.MustCompile("`([^`\n]+)`")
+	selector := regexp.MustCompile(`(?:\(\*)?\b([a-z]\w*)\.(?:\(\*)?([A-Z]\w*)\)?(?:\.([A-Za-z]\w*))?`)
+	goPath := regexp.MustCompile(`[\w./-]+\.go\b`)
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, m := range span.FindAllStringSubmatch(line, -1) {
+				for _, s := range selector.FindAllStringSubmatch(m[1], -1) {
+					pkg, name, member := s[1], s[2], s[3]
+					if top[pkg] == nil || pkg == "main" {
+						continue // a variable, or a package the module does not have
+					}
+					ok := top[pkg][name] && (member == "" || hasMember(pkg, name, member, 0))
+					if !ok && !inStdlib(pkg, name) {
+						t.Errorf("%s:%d: `%s` names no declaration in package %s", doc, i+1, s[0], pkg)
+					}
+				}
+				for _, p := range goPath.FindAllString(m[1], -1) {
+					if !files[p] && !files["internal/"+p] && (strings.Contains(p, "/") || !files[filepath.Base(p)]) {
+						t.Errorf("%s:%d: `%s` is no file in the module", doc, i+1, p)
+					}
+				}
+			}
 		}
 	}
 }

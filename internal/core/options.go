@@ -15,6 +15,8 @@ const (
 	// the paper's default (slightly better, more general).
 	SchedulerBottomUp SchedulerKind = iota
 	// SchedulerTopDown is the start-early/done-late forward scheduler.
+	// It is kept as Figure 16's comparison and as an autotune candidate,
+	// never as a default.
 	SchedulerTopDown
 	// SchedulerNone leaves start/done pairs adjacent — communication is
 	// decomposed but not overlapped; useful for ablations.

@@ -229,7 +229,8 @@ func hasOperandOp(in *hlo.Instruction, op hlo.OpCode) bool {
 // late as possible (only when no other instruction is ready), and
 // everything else keeps its input order. The in-flight budget defers
 // starts rather than dones. Like ScheduleBottomUp it returns the order
-// and leaves c as it was.
+// and leaves c as it was. It is kept as Figure 16's comparison and as an
+// autotune candidate (SchedulerTopDown), not as a default.
 func ScheduleTopDown(c *hlo.Computation, spec machine.Spec) []*hlo.Instruction {
 	n := c.NumInstructions()
 	origPos := make([]int, c.IDBound())
