@@ -31,7 +31,21 @@ type Computation struct {
 	root      *Instruction
 	trackRoot *Instruction
 	tracking  bool
+
+	// gen counts the mutations of the sequence and its dataflow edges:
+	// every method that adds, rewires, removes or reorders instructions
+	// bumps it. A compiled form of the computation records it, so a use
+	// of that form can tell the computation changed since.
+	gen uint64
 }
+
+// Generation is the computation's mutation count: it changes whenever an
+// instruction is added, rewired by ReplaceAllUsesWith, removed by
+// RemoveDeadCode or moved by a schedule, and at no other time. Two equal
+// readings of one computation bracket no such change. It counts this
+// computation's own sequence; a fusion or loop body is built whole and
+// never edited in place.
+func (c *Computation) Generation() uint64 { return c.gen }
 
 // WithRootPreserved runs a graph mutation with the current root pinned:
 // instructions appended inside f do not become the root, but if f
@@ -116,7 +130,13 @@ func (c *Computation) Root() *Instruction {
 
 // Parameters returns the parameter instructions ordered by ParamIndex.
 func (c *Computation) Parameters() []*Instruction {
-	var params []*Instruction
+	return c.appendParameters(nil)
+}
+
+// appendParameters appends the parameter instructions, ordered by
+// ParamIndex, to params: a caller with a small stack array to fill
+// gets them without allocating.
+func (c *Computation) appendParameters(params []*Instruction) []*Instruction {
 	for _, in := range c.instrs {
 		if in.Op == OpParameter {
 			params = append(params, in)
@@ -147,6 +167,7 @@ func (c *Computation) Find(name string) *Instruction {
 func (c *Computation) add(in *Instruction) *Instruction {
 	in.ID = c.nextID
 	c.nextID++
+	c.gen++
 	if in.Group == 0 {
 		in.Group = c.buildGroup
 	}
@@ -169,6 +190,7 @@ func (c *Computation) ReplaceAllUsesWith(old, new *Instruction) {
 	if old == new {
 		return
 	}
+	c.gen++
 	for _, u := range old.Users() {
 		u.ReplaceOperand(old, new)
 	}
@@ -203,6 +225,7 @@ func (c *Computation) RemoveDeadCode() int {
 		if !changed {
 			return removed
 		}
+		c.gen++
 	}
 }
 
@@ -262,6 +285,7 @@ func (c *Computation) setSchedule(table, order []*Instruction) error {
 	}
 	// As many distinct members as the computation has: none is missing.
 	copy(c.instrs, order)
+	c.gen++
 	return nil
 }
 
@@ -315,6 +339,7 @@ func (c *Computation) ScheduleStableTopological() {
 		panic("hlo: cycle detected in computation graph")
 	}
 	c.instrs = order
+	c.gen++
 }
 
 // posHeap is a binary min-heap of schedule positions.

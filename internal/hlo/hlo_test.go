@@ -430,3 +430,76 @@ func TestCollectivePermuteDoneRequiresStart(t *testing.T) {
 		t.Fatal("done without start passed verification")
 	}
 }
+
+// TestGenerationCountsMutations pins the generation's contract: every
+// method that adds, rewires, removes or reorders instructions moves it,
+// and reading the computation — its text, its verification, its users,
+// its parameters — does not.
+func TestGenerationCountsMutations(t *testing.T) {
+	c := NewComputation("gen")
+	a := c.Parameter(0, "a", []int{2, 2})
+	x := c.Copy(a)
+	y := c.Copy(a)
+	c.Add(x, y)
+	mutations := []struct {
+		name string
+		f    func()
+	}{
+		{"add", func() { c.Copy(a) }},
+		{"ReplaceAllUsesWith", func() { c.ReplaceAllUsesWith(y, x) }},
+		{"RemoveDeadCode", func() { c.RemoveDeadCode() }},
+		{"SetSchedule", func() {
+			if err := c.SetSchedule(c.Instructions()); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"SetScheduleIDs", func() {
+			var ids []int
+			for _, in := range c.Instructions() {
+				ids = append(ids, in.ID)
+			}
+			if err := c.SetScheduleIDs(ids); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"ScheduleStableTopological", c.ScheduleStableTopological},
+	}
+	for _, m := range mutations {
+		before := c.Generation()
+		m.f()
+		if c.Generation() == before {
+			t.Errorf("%s left the generation at %d", m.name, before)
+		}
+	}
+	before := c.Generation()
+	_ = c.Format()
+	if err := c.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	_ = c.Parameters()
+	_ = x.Users()
+	if err := c.VerifyArgs(1, [][]*tensor.Tensor{{tensor.New(2, 2)}}); err != nil {
+		t.Fatal(err)
+	}
+	if c.Generation() != before {
+		t.Errorf("reading the computation moved its generation %d -> %d", before, c.Generation())
+	}
+}
+
+// TestVerifyArgsAllocatesNothing: a run checks its arguments on every
+// call, so an accepted set costs no allocation.
+func TestVerifyArgsAllocatesNothing(t *testing.T) {
+	c := NewComputation("args")
+	for i := 0; i < 6; i++ {
+		c.Parameter(i, "", []int{4, 2})
+	}
+	arg := []*tensor.Tensor{tensor.New(4, 2)}
+	args := [][]*tensor.Tensor{arg, arg, arg, arg, arg, arg}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := c.VerifyArgs(4, args); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("VerifyArgs allocates %v times per call", allocs)
+	}
+}

@@ -189,7 +189,8 @@ func (r *ringCheck) pairs(in *Instruction) error {
 // tensor. A nil or mis-shaped argument must fail here, on the caller's
 // goroutine, not as a nil dereference inside an executor.
 func (c *Computation) VerifyArgs(n int, args [][]*tensor.Tensor) error {
-	params := c.Parameters()
+	var stack [16]*Instruction // a run's check allocates nothing
+	params := c.appendParameters(stack[:0])
 	if len(args) != len(params) {
 		return fmt.Errorf("hlo: computation %s has %d parameters, got %d arguments", c.Name, len(params), len(args))
 	}
@@ -205,7 +206,7 @@ func (c *Computation) VerifyArgs(n int, args [][]*tensor.Tensor) error {
 			if v == nil {
 				return fmt.Errorf("hlo: parameter %d value %d of %d is nil", p.ParamIndex, d, len(set))
 			}
-			if !sameShape(v.Shape(), p.Shape) {
+			if !v.HasShape(p.Shape) {
 				return fmt.Errorf("hlo: parameter %d value shape %v, declared %v", p.ParamIndex, v.Shape(), p.Shape)
 			}
 		}

@@ -2,6 +2,7 @@ package runtime_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -440,6 +442,70 @@ func TestResultRelease(t *testing.T) {
 		}
 	}
 	kept.Release()
+}
+
+// TestResultReleaseRecyclesTables: Release hands a result's All map
+// and slices back to the run context that filled them, and that
+// context's next run refills them. With every recycled buffer poisoned,
+// each run on recycled tables — one at a time, and with an unreleased
+// result held across them — equals a fresh Executable's run bit for
+// bit, and a released result keeps seeing nothing, never a later run's
+// outputs.
+func TestResultReleaseRecyclesTables(t *testing.T) {
+	defer runtime.PoisonReleased()()
+	const n = 4
+	prog, args := trainStep(t, train.StrategyMegatron, trainOverlap())
+	fresh, err := runtime.Compile(prog.Comp, n, machine.TPUv4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Run(context.Background(), args, runtime.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer want.Release()
+
+	x, err := runtime.Compile(prog.Comp, n, machine.TPUv4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(label string) *runtime.Result {
+		t.Helper()
+		res, err := x.Run(context.Background(), args, runtime.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if err := sameOutputs(res, want); err != nil {
+			t.Fatalf("%s differs from a fresh Executable's run: %v", label, err)
+		}
+		return res
+	}
+	mapOf := func(r *runtime.Result) uintptr { return reflect.ValueOf(r.All).Pointer() }
+
+	first := run("the first run")
+	firstMap := mapOf(first)
+	first.Release()
+	if first.All != nil || first.Values != nil {
+		t.Fatal("Release left All or Values behind")
+	}
+	second := run("a run on recycled tables")
+	if mapOf(second) != firstMap {
+		t.Fatal("the run after a Release built a new map instead of refilling the released one")
+	}
+	third := run("a run while the last result is held")
+	if mapOf(third) == mapOf(second) {
+		t.Fatal("two unreleased results share one map")
+	}
+	second.Release()
+	fourth := run("a run on tables released while another result is held")
+	if err := sameOutputs(third, want); err != nil {
+		t.Fatalf("a held result changed under a later run on recycled tables: %v", err)
+	}
+	if first.All != nil {
+		t.Fatal("a released result sees a later run's outputs")
+	}
+	third.Release()
+	fourth.Release()
 }
 
 // TestReleasedArgumentsCanary is the canary over a served request's own

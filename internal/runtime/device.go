@@ -294,7 +294,8 @@ func (d *device) walk() {
 // result goes — into a dying operand's buffer when the kernel can
 // overwrite one this device owns, else into a fresh arena buffer; a
 // literal or a tuple placeholder has nothing to plan — evaluate through
-// the dispatch shared with the interpreter, and release what died.
+// the dispatch shared with the interpreter (a tuple takes the run
+// context's placeholder instead of a fresh one), and release what died.
 func (d *device) eval(st *step) error {
 	args := d.args[:len(st.args)]
 	for k, a := range st.args {
@@ -313,7 +314,10 @@ func (d *device) eval(st *step) error {
 			dst = d.acquire(st.In.Shape)
 		}
 	}
-	v, err := st.EvalInto(dst, args, d.id, d.iter)
+	v, err := d.eng.placeholder, error(nil)
+	if st.In.Op != hlo.OpTuple {
+		v, err = st.EvalInto(dst, args, d.id, d.iter)
+	}
 	if err != nil {
 		if took < 0 && dst != nil {
 			d.release(dst)

@@ -140,13 +140,24 @@ func (s *Server) handleRun(w http.ResponseWriter, p planned) {
 		s.record(head, spans)
 		body.Fingerprint, body.RunID = p.key, runID
 	}
-	level, logged := slog.LevelInfo, make([]any, 0, 16) // the longest line's 16: no append reallocates
-	logged = append(logged, "run_id", runID, "fingerprint", p.key, "scenario", scenarioLabel(p.req.Scenario))
+	// The line's attributes are boxed only when the logger takes it.
+	level := slog.LevelInfo
+	if err != nil {
+		level = slog.LevelError
+	}
+	var logged []any
+	logging := admitErr == nil && obs.Log().Enabled(p.ctx, level)
+	if logging {
+		logged = make([]any, 0, 16) // the longest line's 16: no append reallocates
+		logged = append(logged, "run_id", runID, "fingerprint", p.key, "scenario", scenarioLabel(p.req.Scenario))
+	}
 	var answer any
 	if err == nil {
 		b := run.res.Breakdown
-		logged = append(logged, "status", "ok", "plan", p.out.source, "step_ms", head.StepMS,
-			"total_ms", timing.Total, "overlap_efficiency", head.OverlapEfficiency)
+		if logging {
+			logged = append(logged, "status", "ok", "plan", p.out.source, "step_ms", head.StepMS,
+				"total_ms", timing.Total, "overlap_efficiency", head.OverlapEfficiency)
+		}
 		answer = RunResponse{
 			RunID:       runID,
 			Fingerprint: p.key,
@@ -167,10 +178,12 @@ func (s *Server) handleRun(w http.ResponseWriter, p planned) {
 		}
 	} else {
 		body.Error = err.Error()
-		level, answer = slog.LevelError, body
-		logged = append(logged, "status", "failed", "total_ms", timing.Total, "error", body.Error)
+		answer = body
+		if logging {
+			logged = append(logged, "status", "failed", "total_ms", timing.Total, "error", body.Error)
+		}
 	}
-	if admitErr == nil {
+	if logging {
 		obs.Log().Log(p.ctx, level, "serve.run", logged...)
 	}
 	s.writeJSON(w, status, answer)

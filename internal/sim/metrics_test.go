@@ -55,3 +55,34 @@ func TestBenchShims(t *testing.T) {
 		t.Fatalf("Attribute = %+v, obs.Attribute = %+v", got, want)
 	}
 }
+
+// TestRecordAllocatesNothing: Record runs after every runtime run and
+// every Simulate, so once a scope's handles are resolved it updates
+// them without allocating — and the scope's metrics exist only from its
+// first Record on.
+func TestRecordAllocatesNothing(t *testing.T) {
+	const name = "overlap_recordtest_runs_total"
+	registered := func() bool {
+		for _, m := range obs.Default().Snapshot() {
+			if m.Name == name {
+				return true
+			}
+		}
+		return false
+	}
+	if registered() {
+		t.Fatalf("%s exists before its scope's first Record", name)
+	}
+	b := Breakdown{StepTime: 2, Compute: 1, Exposed: 0.5, AsyncTransfers: 3}
+	b.Record("recordtest")
+	if !registered() {
+		t.Fatalf("%s is missing after its scope's first Record", name)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { b.Record("recordtest") }); allocs != 0 {
+		t.Fatalf("Record allocates %v times per call", allocs)
+	}
+	// The first Record, then AllocsPerRun's warm-up call and its 100.
+	if got := obs.Default().Counter(name, "").Value(); got != 102 {
+		t.Fatalf("%s = %v after 102 Records", name, got)
+	}
+}

@@ -133,11 +133,30 @@ func (s EinsumSpec) OutputShape(shapes ...[]int) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.outputShape(&sizes), nil
+}
+
+// outputShape is the result shape under the given label sizes.
+func (s EinsumSpec) outputShape(sizes *labelSizes) []int {
 	out := make([]int, len(s.Output))
 	for i := 0; i < len(s.Output); i++ {
 		out[i] = sizes.of(s.Output[i])
 	}
-	return out, nil
+	return out
+}
+
+// hasOutputShape reports whether shape is the result shape under the
+// given label sizes, without building it.
+func (s EinsumSpec) hasOutputShape(sizes *labelSizes, shape []int) bool {
+	if len(shape) != len(s.Output) {
+		return false
+	}
+	for i := 0; i < len(s.Output); i++ {
+		if shape[i] != sizes.of(s.Output[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Flops returns the floating-point operation count of evaluating the spec
@@ -272,17 +291,24 @@ func ReferenceEinsum(spec string, operands ...*Tensor) *Tensor {
 }
 
 // newEinsumOutput validates the operand shapes and returns the zeroed
-// result tensor: a fresh one, or dst cleared.
+// result tensor: a fresh one, or dst cleared. Validating a given dst
+// allocates nothing.
 func newEinsumOutput(spec EinsumSpec, dst *Tensor, operands []*Tensor) (*Tensor, error) {
-	shapes := make([][]int, len(operands))
-	for i, op := range operands {
-		shapes[i] = op.shape
+	var stack [4][]int
+	shapes := stack[:0]
+	for _, op := range operands {
+		shapes = append(shapes, op.shape)
 	}
-	outShape, err := spec.OutputShape(shapes...)
+	sizes, err := spec.labelSizes(shapes)
 	if err != nil {
 		return nil, err
 	}
-	return Zero(dst, outShape...), nil
+	if dst == nil || !spec.hasOutputShape(&sizes, dst.shape) {
+		// A fresh result, or resolveDst's panic on a mis-shaped dst.
+		return Zero(dst, spec.outputShape(&sizes)...), nil
+	}
+	clear(dst.data)
+	return dst, nil
 }
 
 // einsumExec validates shapes and runs the fastest applicable path:

@@ -219,3 +219,26 @@ func BenchmarkEinsumMatmul64(b *testing.B) {
 		Einsum("ik,kj->ij", x, y)
 	}
 }
+
+// TestEinsumIntoAllocatesNothing: an executor evaluates every einsum
+// into the buffer its plan assigned, every step, so checking the
+// operands' and the destination's shapes against the spec costs no
+// allocation on any layout the kernels read in place.
+func TestEinsumIntoAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, tc := range []struct {
+		spec   string
+		lhs    []int
+		rhs    []int
+		result []int
+	}{
+		{"mk,kn->mn", []int{8, 16}, []int{16, 4}, []int{8, 4}},
+		{"mk,nk->mn", []int{8, 16}, []int{4, 16}, []int{8, 4}},
+		{"km,kn->mn", []int{16, 8}, []int{16, 4}, []int{8, 4}},
+	} {
+		a, b, dst := Rand(rng, tc.lhs...), Rand(rng, tc.rhs...), New(tc.result...)
+		if allocs := testing.AllocsPerRun(50, func() { EinsumIntoSplitK(dst, 0, tc.spec, a, b) }); allocs != 0 {
+			t.Errorf("%s into a given destination allocates %v times a call", tc.spec, allocs)
+		}
+	}
+}

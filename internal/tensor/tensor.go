@@ -198,6 +198,9 @@ func (t *Tensor) offset(index []int) int {
 // SameShape reports whether t and o have identical shapes.
 func (t *Tensor) SameShape(o *Tensor) bool { return sameDims(t.shape, o.shape) }
 
+// HasShape reports whether t's shape is shape, without copying either.
+func (t *Tensor) HasShape(shape []int) bool { return sameDims(t.shape, shape) }
+
 // Equal reports whether t and o have the same shape and bitwise-equal
 // elements.
 func (t *Tensor) Equal(o *Tensor) bool {
