@@ -3,6 +3,8 @@ package runtime
 import (
 	"context"
 	"fmt"
+	goruntime "runtime"
+	"sync/atomic"
 
 	"overlap/internal/obs"
 	"overlap/internal/tensor"
@@ -115,4 +117,13 @@ func (x *Executable) IdleRunContexts() int {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	return len(x.idle)
+}
+
+// OnTapeCollected sets collected once the Executable's tape is garbage.
+// The finalizer sits on the tape because the Executable itself is on a
+// reference cycle with its run contexts, and the collector runs no
+// finalizer on a cycle; nothing but the Executable and its contexts
+// reaches the tape.
+func (x *Executable) OnTapeCollected(collected *atomic.Bool) {
+	goruntime.SetFinalizer(x.tape, func(*tape) { collected.Store(true) })
 }

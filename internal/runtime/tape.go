@@ -192,7 +192,8 @@ type lowering struct {
 // lower builds the tape of a validated computation for an n-device
 // ring, pricing its transfers on spec. Compile is its one caller.
 func lower(c *hlo.Computation, n int, spec machine.Spec) (*tape, error) {
-	lw := &lowering{t: &tape{}, n: n, spec: spec, pinned: map[*hlo.Instruction]bool{}}
+	t := &tape{ops: make([]tapeOp, 0, tapeLen(c))}
+	lw := &lowering{t: t, n: n, spec: spec, pinned: map[*hlo.Instruction]bool{}}
 	var outputs []*hlo.Instruction
 	if root := c.Root(); root != nil {
 		outputs = append(outputs, root)
@@ -216,7 +217,8 @@ func lower(c *hlo.Computation, n int, spec machine.Spec) (*tape, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, in := range c.Instructions() {
+	for i := 0; i < c.NumInstructions(); i++ {
+		in := c.At(i)
 		for _, o := range outputs {
 			if o == in {
 				lw.t.outputs = append(lw.t.outputs, output{in: in, slot: slots[i]})
@@ -225,6 +227,18 @@ func lower(c *hlo.Computation, n int, spec machine.Spec) (*tape, error) {
 		}
 	}
 	return lw.t, nil
+}
+
+// tapeLen is the number of ops lowering c appends: one per
+// instruction, and a loop's body and back-edge after its entry.
+func tapeLen(c *hlo.Computation) int {
+	n := c.NumInstructions()
+	for i := 0; i < c.NumInstructions(); i++ {
+		if in := c.At(i); in.Op == hlo.OpLoop {
+			n += tapeLen(in.Body) + 1
+		}
+	}
+	return n
 }
 
 func (lw *lowering) newSlot() int32 {
@@ -237,20 +251,22 @@ func (lw *lowering) newSlot() int32 {
 // (held) are carried out rather than released — and returns each
 // instruction's slot by schedule position.
 func (lw *lowering) seq(c *hlo.Computation, carried []int32, held map[*hlo.Instruction]bool) ([]int32, error) {
-	instrs := c.Instructions()
 	lastUse := c.LastUses()
-	pos := make(map[*hlo.Instruction]int, len(instrs))
-	slots := make([]int32, len(instrs))
+	// pos is each instruction's schedule position, by ID: a verified
+	// computation's operands are its own instructions.
+	pos := make([]int32, c.IDBound())
+	slots := make([]int32, c.NumInstructions())
 	inLoop := carried != nil
 
 	// read returns the arg for instruction i reading operand op.
 	read := func(i int, op *hlo.Instruction) arg {
-		p := pos[op]
+		p := pos[op.ID]
 		return arg{slot: slots[p], last: lastUse[p] == i && !lw.pinned[op] && !held[op]}
 	}
 
-	for i, in := range instrs {
-		pos[in] = i
+	for i := 0; i < c.NumInstructions(); i++ {
+		in := c.At(i)
+		pos[in.ID] = int32(i)
 		op := tapeOp{kind: opLocal, in: in}
 		if in.Op == hlo.OpParameter && inLoop {
 			op.out = carried[in.ParamIndex]
@@ -287,7 +303,7 @@ func (lw *lowering) seq(c *hlo.Computation, carried []int32, held map[*hlo.Instr
 
 		case hlo.OpCollectivePermuteDone:
 			op.kind = opDone
-			start := lw.t.ops[lw.startOp(slots[pos[in.Operands[0]]])]
+			start := lw.t.ops[lw.startOp(slots[pos[in.Operands[0].ID]])]
 			op.box = start.box
 			op.bytes = in.ByteSize()
 			op.peer = lw.peers(in, false)
