@@ -142,9 +142,9 @@ func execute(f *cli.Flags, stdout io.Writer, ropts overlap.RunOptions, label, mo
 		mark = "  [checked]"
 	}
 	b := res.Breakdown
-	fmt.Fprintf(stdout, "%-9s step %8.2fms  compute %8.2fms  wire %8.2fms  exposed %8.2fms  async %d  in-flight %d%s\n",
+	fmt.Fprintf(stdout, "%-9s step %8.2fms  compute %8.2fms  wire %8.2fms  exposed %8.2fms  overshoot %7.2fms  async %d  in-flight %d%s\n",
 		label, b.StepTime*1e3, b.Compute*1e3, b.CollectiveWire*1e3, b.Exposed*1e3,
-		b.AsyncTransfers, b.PeakInFlight, mark)
+		res.WireOvershoot*1e3, b.AsyncTransfers, b.PeakInFlight, mark)
 	if !ropts.Trace {
 		return nil
 	}

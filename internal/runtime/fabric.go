@@ -24,10 +24,12 @@ type mailKey struct {
 // parcel is one tensor in flight on a link. The link owns data from
 // post to delivery: the sender either handed over a buffer it was done
 // with or posted a private copy, and the receiving done adopts it.
+// posted is when the sender put it on the link, from the run's epoch:
+// the earliest its wire can start.
 type parcel struct {
-	key   mailKey
-	data  *tensor.Tensor
-	bytes int64
+	key    mailKey
+	data   *tensor.Tensor
+	posted time.Duration
 }
 
 // mailboxes is one device's receive side: a queue per start, all under
@@ -220,7 +222,7 @@ func (f *fabric) post(src, dst int, key mailKey, data *tensor.Tensor, bytes int6
 		})
 		return false
 	}
-	if !f.tr.post(link, parcel{key: key, data: data, bytes: bytes}) {
+	if !f.tr.post(link, parcel{key: key, data: data, posted: f.eng.sinceDur()}) {
 		return false
 	}
 	rtTransfers.Inc()
@@ -256,7 +258,7 @@ func (f *fabric) receive(dst int, key mailKey) (*tensor.Tensor, bool) {
 // shutdown winds the transport down. Called after all devices have
 // returned: remaining parcels (possible only on abort) drain into
 // mailboxes nobody reads, which cannot block because delivery never
-// waits on a reader and in-flight sleeps select against the abort.
+// waits on a reader and in-flight waits select against the abort.
 func (f *fabric) shutdown() { f.tr.shutdown() }
 
 // mailboxSizes reports, for one device, how many queue cells exist, how

@@ -191,3 +191,97 @@ func TestInjectorJitterDeterministic(t *testing.T) {
 		t.Fatal("different seeds produced identical jitter streams")
 	}
 }
+
+// TestLinkDeliversNoEarlierThanItsDue pins the link's pacing rule: a
+// parcel's wire starts at its post or when the wire ahead of it on the
+// link ends, so k parcels posted back to back are delivered no earlier
+// than (i+1) wires after the first post — an injected delay lengthening
+// its parcel's wire and every due behind it, a dropped parcel holding
+// none. Only lower bounds are asserted: how late a timer fires is the
+// host's.
+func TestLinkDeliversNoEarlierThanItsDue(t *testing.T) {
+	const (
+		k     = 6
+		ask   = 2 * time.Millisecond
+		extra = 3 * time.Millisecond
+	)
+	c := hlo.NewComputation("one-link")
+	a := c.Parameter(0, "a", []int{2, 2})
+	start := c.CollectivePermuteStart(a, []hlo.SourceTargetPair{{Source: 0, Target: 1}})
+	c.CollectivePermuteDone(start)
+	x, err := Compile(c, 2, machine.TPUv4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale := ask.Seconds() / x.tape.ops[x.tape.starts[0]].modeled
+
+	for _, tc := range []struct {
+		name, faults string
+		extra        map[int]time.Duration // injected delay by instance
+		dropped      int                   // the dropped instance, or -1
+	}{
+		{"clean", "", nil, -1},
+		{"delay", "delay:link:0-1:3ms@2", map[int]time.Duration{2: extra}, -1},
+		{"drop", "drop:link:0-1:2", nil, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan, err := ParseFaults(tc.faults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := newEngine(x, Options{TimeScale: scale, Trace: true, Faults: plan})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wire := e.fabric.delay(0)
+			if wire < ask-time.Microsecond {
+				t.Fatalf("the link injects %v a parcel, want %v", wire, ask)
+			}
+			e.epoch = time.Now()
+			if err := e.fabric.start(); err != nil {
+				t.Fatal(err)
+			}
+			first := e.sinceDur()
+			for i := 0; i < k; i++ {
+				if !e.fabric.post(0, 1, e.fabric.key(0, i), tensor.New(2, 2), 16) {
+					t.Fatalf("post %d failed: %v", i, e.err)
+				}
+			}
+			e.fabric.shutdown() // the stop parcel queues behind all k
+			if e.err != nil {
+				t.Fatal(e.err)
+			}
+
+			l := e.fabric.chans.links[e.link[[2]int{0, 1}]]
+			want := k
+			if tc.dropped >= 0 {
+				want--
+			}
+			if len(l.trace) != want {
+				t.Fatalf("%d deliveries, want %d", len(l.trace), want)
+			}
+			if _, delivered, _ := e.fabric.mailboxSizes(1); delivered != want {
+				t.Fatalf("%d parcels in device 1's mailbox, want %d", delivered, want)
+			}
+			busy, m := time.Duration(0), 0
+			for i := 0; i < k; i++ {
+				if i == tc.dropped {
+					continue
+				}
+				busy += wire + tc.extra[i]
+				sp := l.trace[m]
+				due := (first + busy).Seconds()
+				if end := sp.Start + sp.Dur; end+1e-9 < due {
+					t.Errorf("instance %d delivered at %.6fs, before its due %.6fs", i, end, due)
+				}
+				if m > 0 && sp.Start < l.trace[m-1].Start {
+					t.Errorf("instance %d's span starts at %.6fs, before the one ahead of it (%.6fs)", i, sp.Start, l.trace[m-1].Start)
+				}
+				m++
+			}
+			if l.overshoot < 0 {
+				t.Errorf("the link's overshoot is %v, want >= 0", l.overshoot)
+			}
+		})
+	}
+}

@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"time"
+
 	"overlap/internal/hlo"
 	"overlap/internal/sim"
 	"overlap/internal/tensor"
@@ -72,11 +74,16 @@ func (e *engine) rendezvous(op *tapeOp, gen int, d *device, input, dst *tensor.T
 		}
 	}
 	// The whole group is blocked here, so the group's wire time is
-	// serialized with its devices: one injected delay per instance. The
-	// sleep is abort-aware — on a failed run the waiters are released by
-	// the abort channel, not by their tokens.
-	if !d.pace.sleep(e.delay(op.modeled), e.abort) {
-		return false
+	// serialized with its devices: one injected delay per instance, due
+	// that long after the last arrival. The wait is abort-aware — on a
+	// failed run the waiters are released by the abort channel, not by
+	// their tokens.
+	if wire := e.delay(op.modeled); wire > 0 {
+		due := time.Now().Add(wire)
+		if !d.pace.until(due, e.abort) {
+			return false
+		}
+		d.overshoot += time.Since(due)
 	}
 	sim.CollectiveInto(op.in, gs.dsts, gs.inputs)
 	for _, m := range gs.members {

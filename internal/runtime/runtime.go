@@ -37,7 +37,9 @@
 // Because Go cannot put a tensor on a real ICI link, wire time is
 // *injected*: every transfer holds its (src,dst) link goroutine for the
 // machine model's TransferTime scaled by Options.TimeScale, realized as
-// a sleep. A sleeping link goroutine releases its OS thread, so device
+// a wait until the transfer's due time: its post, or the end of the
+// wire ahead of it on the link, plus its own wire. A waiting link
+// goroutine releases its OS thread, so device
 // goroutines keep computing while transfers are "on the wire" — which is
 // exactly the resource structure (compute engine vs transfer engine)
 // whose overlap the paper exploits, and it holds even on a single-core
@@ -138,6 +140,17 @@ type Result struct {
 	// local-evaluation and communication-wait spans, CollectiveWire
 	// averages the injected wire occupancy each device initiated.
 	Breakdown sim.Breakdown
+
+	// WireOvershoot is how late, past its due, the injected wire a
+	// device initiated ended, in seconds summed over the run and
+	// averaged over the devices: the time the host's timers and
+	// scheduler added to the model's. A transfer is due when its wire
+	// ends, counted from its post or from the end of the wire ahead of
+	// it on its link; a blocking collective, its wire after its last
+	// member arrived. Wire-free transfers and collectives add nothing.
+	// The process transport paces its transfers in its workers, whose
+	// clocks the parent does not read, so only its collectives count.
+	WireOvershoot float64
 
 	// Trace holds the recorded spans when Options.Trace was set, on the
 	// same device tracks the simulator emits, in seconds from run

@@ -16,7 +16,7 @@ const (
 	// TransportProc runs each communicating logical device as its own
 	// spawned OS process: tensors leave the parent as length-prefixed
 	// binary frames, cross a Unix socket into the source device's
-	// worker, sleep the modeled wire time there, cross a second socket
+	// worker, hold its edge for the modeled wire time there, cross a second socket
 	// to the destination device's worker, and come back up to the
 	// parent for delivery. Link faults (drop/dup/delay) act inside the
 	// workers — below the mailbox layer, on the real sockets.

@@ -12,11 +12,17 @@ import (
 // modeled wire time. Because every parcel for the edge passes through
 // one goroutine, transfers on the same link serialize — the property
 // that makes the injected delays compose like real link occupancy.
+//
+// due is when the link's last parcel finishes its wire, from the run's
+// epoch, and overshoot sums how late the run's deliveries came after
+// their dues. Both belong to one run: start zeroes them.
 type chanLink struct {
-	src, dst int
-	ch       chan parcel
-	trace    []obs.Span
-	pace     pacer
+	src, dst  int
+	ch        chan parcel
+	trace     []obs.Span
+	pace      pacer
+	due       time.Duration
+	overshoot time.Duration
 }
 
 // chanTransport is the original fabric data plane: per-edge buffered Go
@@ -59,9 +65,11 @@ func (t *chanTransport) reset() {
 	}
 }
 
-// start spins up the link goroutines.
+// start spins up the link goroutines, each on a link idle since the
+// run's epoch.
 func (t *chanTransport) start() error {
 	for _, l := range t.links {
+		l.due, l.overshoot = 0, 0
 		t.wg.Add(1)
 		go t.serve(l)
 	}
@@ -69,12 +77,16 @@ func (t *chanTransport) start() error {
 }
 
 // serve is one link goroutine: drain parcels in order, hold the wire for
-// the modeled time, deliver into the destination mailbox. Sleeping here
-// releases the OS thread, so device goroutines compute while transfers
-// are in flight — including on a single-core host. The sleep selects
-// against the engine's abort so a failed run never waits out an
-// in-flight transfer, and the injector can drop, duplicate, or delay
-// individual deliveries at this choke point.
+// the modeled time, deliver into the destination mailbox. A parcel's
+// wire starts when it was posted or when the link's previous wire ends,
+// whichever is later, so its due is fixed by the model, not by when
+// this goroutine got round to it: a parcel whose due has passed is
+// delivered at once, and a queue pays a late wake-up once, not once
+// per parcel. Waiting releases the OS thread, so device goroutines
+// compute while transfers are in flight — including on a single-core
+// host. The wait selects against the engine's abort so a failed run
+// never waits out an in-flight transfer, and the injector can drop,
+// duplicate, or delay individual deliveries at this choke point.
 func (t *chanTransport) serve(l *chanLink) {
 	defer t.wg.Done()
 	e := t.eng
@@ -85,21 +97,26 @@ func (t *chanTransport) serve(l *chanLink) {
 		if p.key.start == nil {
 			return // shutdown's stop parcel: the queue is empty behind it
 		}
-		start := e.since()
 		wire := t.fab.delay(p.key.box)
 		drop, dup, extra := e.faultActions(lf, p.key.start.Name)
 		if drop {
-			continue // lost on the wire: never delivered
+			continue // lost on the wire: never delivered, never on it
 		}
 		wire += time.Duration(extra)
-		if !l.pace.sleep(wire, e.abort) {
-			continue // aborted mid-wire: keep draining without sleeping
+		start := max(p.posted, l.due)
+		l.due = start + wire
+		if !l.pace.until(e.epoch.Add(l.due), e.abort) {
+			continue // aborted mid-wire: keep draining without waiting
+		}
+		delivered := e.sinceDur()
+		if wire > 0 {
+			l.overshoot += delivered - l.due
 		}
 		if traced {
 			l.trace = append(l.trace, obs.Span{
 				Device: l.src, Track: obs.TrackTransfer,
 				Cat: obs.CatTransfer, Name: p.key.start.Name,
-				Start: start, Dur: e.since() - start,
+				Start: start.Seconds(), Dur: (delivered - start).Seconds(),
 			})
 		}
 		t.fab.deliver(l.dst, p.key, p.data, "")
@@ -107,6 +124,16 @@ func (t *chanTransport) serve(l *chanLink) {
 			t.fab.deliver(l.dst, p.key, p.data, dup.String())
 		}
 	}
+}
+
+// overshoot is how late the run's deliveries came after their dues,
+// summed over the links. Read after shutdown has joined them.
+func (t *chanTransport) overshoot() time.Duration {
+	var sum time.Duration
+	for _, l := range t.links {
+		sum += l.overshoot
+	}
+	return sum
 }
 
 // post enqueues a transfer on its link channel without waiting for the

@@ -48,6 +48,12 @@ type procTransport struct {
 	sendWG  sync.WaitGroup
 	readWG  sync.WaitGroup
 
+	// awaited counts the frames sent down that have not come back up:
+	// one a frame, none for a drop, two for a duplicate. A reader that
+	// takes it to zero leaves a token in drained, for drain.
+	awaited atomic.Int64
+	drained chan struct{}
+
 	// pending matches a posted frame to its delivery for the transfer
 	// trace span (only touched when tracing is on).
 	pendMu  sync.Mutex
@@ -97,6 +103,7 @@ func newProcTransport(e *engine, f *fabric) *procTransport {
 		edges:   make([]*procEdge, len(e.edges)),
 		deser:   make([][]obs.Span, e.n),
 		pending: map[pendingKey]float64{},
+		drained: make(chan struct{}, 1),
 	}
 	inbound := make([]int, e.n)
 	for i, edge := range e.edges {
@@ -265,13 +272,17 @@ func (t *procTransport) serveEdge(l *procEdge) {
 			Shape:  p.data.Shape(),
 			Data:   p.data.Data(),
 		}
+		arrivals := int64(1)
 		if drop {
 			fr.Flags |= wire.FlagDrop
+			arrivals = 0
 		}
 		if dup != nil {
 			fr.Flags |= wire.FlagDup
 			fr.Fault = dup.String()
+			arrivals = 2
 		}
+		t.awaited.Add(arrivals)
 		t0 := e.since()
 		w.writeMu.Lock()
 		err := wire.WriteFrame(w.control, &fr)
@@ -344,6 +355,12 @@ func (t *procTransport) readWorker(w *procWorker) {
 		}
 		des := e.since() - t0
 		rtDeserializeSpans.Observe(des)
+		if t.awaited.Add(-1) == 0 {
+			select {
+			case t.drained <- struct{}{}:
+			default:
+			}
+		}
 		if w.id < e.window {
 			t.deser[w.id] = append(t.deser[w.id], obs.Span{
 				Device: w.id, Track: obs.TrackTransfer,
@@ -367,16 +384,37 @@ func (t *procTransport) readWorker(w *procWorker) {
 	}
 }
 
-// shutdown winds the process fabric down: stop the senders, close the
-// control sockets (the workers exit on EOF), join the readers, and reap
-// every worker — escalating to SIGKILL only if a worker ignores the
-// close for longer than the grace period.
+// drain waits until every frame sent down has come back up, or the run
+// aborts. A token in drained may be stale — left when the count touched
+// zero mid-run — so the count, not the token, decides.
+func (t *procTransport) drain() {
+	for t.awaited.Load() > 0 {
+		select {
+		case <-t.drained:
+		case <-t.eng.abort:
+			return
+		}
+	}
+}
+
+// shutdown winds the process fabric down: stop the senders, wait for
+// the frames still coming up, close the control sockets (the workers
+// exit on EOF), join the readers, and reap every worker — escalating to
+// SIGKILL only if a worker ignores the close for longer than the grace
+// period.
+//
+// A clean run has consumed every transfer, but the second copy of a
+// duplicated frame may still be on its way up: waiting for it lets the
+// duplicate fail the run, as it does on the channel transport, whose
+// link delivers both copies before it stops. An aborted run, or a
+// worker that dies meanwhile, ends the wait.
 func (t *procTransport) shutdown() {
-	t.closing.Store(true)
 	for _, l := range t.edges {
 		close(l.ch)
 	}
 	t.sendWG.Wait()
+	t.drain()
+	t.closing.Store(true)
 	for _, w := range t.workers {
 		w.control.Close()
 	}

@@ -67,8 +67,8 @@ type Frame struct {
 	// per-device execution count.
 	Name string
 	Inst int
-	// WireNS is the modeled wire occupancy the worker sleeps before
-	// forwarding, in nanoseconds.
+	// WireNS is the modeled wire occupancy the worker holds the edge
+	// for before forwarding, in nanoseconds.
 	WireNS int64
 	// Flags carries pre-decided fault actions (FlagDrop, FlagDup).
 	Flags uint8

@@ -74,23 +74,31 @@ func MaybeWorker() {
 
 // outEdge is one outgoing edge inside a worker: an unbounded queue of
 // frames waiting for the wire, drained in order by one goroutine that
-// sleeps the modeled wire time and writes to the edge socket. The queue
-// is unbounded so the control reader never blocks on a slow wire —
-// which is what keeps the parent's control writes prompt and teardown
-// EOFs immediate.
+// holds each frame until its wire is due and writes it to the edge
+// socket. The queue is unbounded so the control reader never blocks on
+// a slow wire — which is what keeps the parent's control writes prompt
+// and teardown EOFs immediate.
 type outEdge struct {
 	dst  int
 	sock *os.File
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []*wire.Frame
+	queue  []queued
 	closed bool
 }
 
-func (o *outEdge) push(f *wire.Frame) {
+// queued is a frame waiting for its edge's wire, and when it reached
+// the worker: the earliest its wire can start on the worker's clock,
+// which is not the parent's.
+type queued struct {
+	f       *wire.Frame
+	arrived time.Time
+}
+
+func (o *outEdge) push(f *wire.Frame, arrived time.Time) {
 	o.mu.Lock()
-	o.queue = append(o.queue, f)
+	o.queue = append(o.queue, queued{f, arrived})
 	o.mu.Unlock()
 	o.cond.Signal()
 }
@@ -102,18 +110,18 @@ func (o *outEdge) close() {
 	o.cond.Signal()
 }
 
-func (o *outEdge) pop() (*wire.Frame, bool) {
+func (o *outEdge) pop() (queued, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	for len(o.queue) == 0 && !o.closed {
 		o.cond.Wait()
 	}
 	if len(o.queue) == 0 {
-		return nil, false
+		return queued{}, false
 	}
-	f := o.queue[0]
+	q := o.queue[0]
 	o.queue = o.queue[1:]
-	return f, true
+	return q, true
 }
 
 // runWorker is the whole life of one worker process: read frames from
@@ -154,7 +162,7 @@ func runWorker(dev int, edgeSpec string) error {
 		}
 	}
 
-	// closed releases wire sleeps in flight once teardown starts, so a
+	// closed releases wire waits in flight once teardown starts, so a
 	// worker never holds the run's shutdown hostage to a modeled delay.
 	closedCh := make(chan struct{})
 	var closeOnce sync.Once
@@ -169,32 +177,35 @@ func runWorker(dev int, edgeSpec string) error {
 	}()
 
 	var wg sync.WaitGroup
-	// One drainer per outgoing edge: sleep the frame's wire occupancy
-	// (abort-aware), then write it to the peer — twice for an injected
-	// duplicate, never for an injected drop (discarded without holding
-	// the wire, mirroring the channel transport's early continue).
+	// One drainer per outgoing edge, paced as the channel transport's
+	// link is: a frame's wire starts when it arrived or when the edge's
+	// previous wire ends, whichever is later, and the drainer waits
+	// (abort-aware) only for what is left of it. Then it writes the
+	// frame to the peer — twice for an injected duplicate, never for an
+	// injected drop (discarded without holding the wire).
 	for _, e := range out {
 		e := e
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer e.sock.Close()
+			var pace pacer
+			var due time.Time
 			for {
-				f, ok := e.pop()
+				q, ok := e.pop()
 				if !ok {
 					return
 				}
+				f := q.f
 				if f.Flags&wire.FlagDrop != 0 {
 					continue
 				}
-				if f.WireNS > 0 {
-					t := time.NewTimer(time.Duration(f.WireNS))
-					select {
-					case <-t.C:
-					case <-closedCh:
-						t.Stop()
-						continue
-					}
+				if q.arrived.After(due) {
+					due = q.arrived
+				}
+				due = due.Add(time.Duration(f.WireNS))
+				if !pace.until(due, closedCh) {
+					continue
 				}
 				writes := 1
 				if f.Flags&wire.FlagDup != 0 {
@@ -247,6 +258,7 @@ func runWorker(dev int, edgeSpec string) error {
 			}
 			break
 		}
+		arrived := time.Now()
 		e, ok := out[f.Dst]
 		if !ok {
 			readErr = fmt.Errorf("frame for unknown edge %d->%d", f.Src, f.Dst)
@@ -256,7 +268,7 @@ func runWorker(dev int, edgeSpec string) error {
 		g := f
 		g.Shape = append([]int(nil), f.Shape...)
 		g.Data = append([]float64(nil), f.Data...)
-		e.push(&g)
+		e.push(&g, arrived)
 	}
 
 	shut()
