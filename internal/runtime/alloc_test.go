@@ -9,6 +9,7 @@ import (
 	"overlap/internal/core"
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
+	"overlap/internal/obs"
 	"overlap/internal/runtime"
 	"overlap/internal/tensor"
 	"overlap/internal/topology"
@@ -148,5 +149,52 @@ func TestCheckedRunAllocBudget(t *testing.T) {
 				t.Fatalf("one warm checked %s site run allocates %.1f KiB, budget %.0f KiB", tc.name, kib, tc.budget)
 			}
 		})
+	}
+}
+
+// TestWarmRunTakesNoFreshScratchHoweverScheduled pins what makes a warm
+// run's scratch allocations repeat: each device keeps its kernels'
+// scratch in its own stash for the run, so what a run takes from the
+// shared scratch classes follows from the program, not from how many
+// devices were inside a kernel at once. Warmed on one P, where the
+// kernels do not fan out and no two devices hold scratch at once, runs
+// on four Ps, where a device parks mid-kernel while its fan-out
+// finishes and the others enter theirs, take no fresh scratch. With
+// one set of classes shared by the devices they took a buffer each
+// time a device more than ever before held one.
+func TestWarmRunTakesNoFreshScratchHoweverScheduled(t *testing.T) {
+	const devices, m, k, n = 4, 32, 512, 128
+	c := hlo.NewComputation("scratch")
+	a := c.Parameter(0, "a", []int{m, k})
+	b := c.Parameter(1, "b", []int{k, n})
+	c.Einsum("mk,kn->nm", a, b) // a transposed output: the GEMM runs into scratch
+	rng := rand.New(rand.NewSource(5))
+	shards := make([]*tensor.Tensor, devices)
+	for d := range shards {
+		shards[d] = tensor.Rand(rng, m, k)
+	}
+	args := [][]*tensor.Tensor{shards, {tensor.Rand(rng, k, n)}}
+	x, err := runtime.Compile(c, devices, machine.TPUv4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		res, err := x.Run(context.Background(), args, runtime.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Release()
+	}
+
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	run()
+	goruntime.GOMAXPROCS(4)
+	fresh := obs.Default().Counter("overlap_kernel_pool_fresh_bytes_total", "")
+	before := fresh.Value()
+	for i := 0; i < 50; i++ {
+		run()
+	}
+	if got := fresh.Value() - before; got != 0 {
+		t.Fatalf("warm runs on four Ps took %.0f fresh scratch bytes", got)
 	}
 }

@@ -357,10 +357,10 @@ func (ip *interp) eval(in *hlo.Instruction, values map[*hlo.Instruction][]*tenso
 // result; a literal or a tuple placeholder draws none.
 func (ip *interp) step(s *Step, args []*tensor.Tensor, pid, iter int) (*tensor.Tensor, error) {
 	if s.In.Op == hlo.OpConstant || s.In.Op == hlo.OpTuple {
-		return s.EvalInto(nil, args, pid, iter)
+		return s.EvalInto(nil, nil, args, pid, iter)
 	}
 	dst := ip.draw(s.In.Shape, 1)
-	if _, err := s.EvalInto(dst, args, pid, iter); err != nil {
+	if _, err := s.EvalInto(dst, nil, args, pid, iter); err != nil {
 		return nil, err
 	}
 	return dst, nil
@@ -505,7 +505,8 @@ func CollectiveInto(in *hlo.Instruction, dsts, inputs []*tensor.Tensor) {
 // (internal/runtime) passes the buffer its memory plan assigned, so the
 // two execute the same kernel on the same bytes and agree bit for bit
 // by construction. An einsum executes with the split-K factor its
-// instruction carries.
+// instruction carries, and takes its kernel scratch by way of scratch:
+// the runtime's device passes its own stash, the interpreter nil.
 //
 // dst carries the result shape (the same element count for a Reshape,
 // whose header is rewritten); its contents are ignored and it is
@@ -515,7 +516,7 @@ func CollectiveInto(in *hlo.Instruction, dsts, inputs []*tensor.Tensor) {
 // Reshape. A Constant (met inside fusion bodies) is its literal and a
 // Tuple a fresh placeholder; neither uses dst. A fusion is not local:
 // both executors run it as its steps (FusionSteps).
-func EvalLocalInto(in *hlo.Instruction, dst *tensor.Tensor, ops []*tensor.Tensor, pid, iter int) (*tensor.Tensor, error) {
+func EvalLocalInto(in *hlo.Instruction, dst *tensor.Tensor, scratch *tensor.Stash, ops []*tensor.Tensor, pid, iter int) (*tensor.Tensor, error) {
 	switch in.Op {
 	case hlo.OpConstant:
 		return in.Literal, nil
@@ -524,7 +525,7 @@ func EvalLocalInto(in *hlo.Instruction, dst *tensor.Tensor, ops []*tensor.Tensor
 	case hlo.OpTuple:
 		return tensor.New(), nil // rank-0 placeholder; outputs are read by name
 	case hlo.OpEinsum:
-		return tensor.EinsumIntoSplitK(dst, in.SplitK, in.EinsumSpec, ops[0], ops[1]), nil
+		return tensor.EinsumIntoSplitK(dst, scratch, in.SplitK, in.EinsumSpec, ops[0], ops[1]), nil
 	case hlo.OpAdd:
 		return tensor.AddInto(dst, ops[0], ops[1]), nil
 	case hlo.OpMax:
@@ -602,19 +603,19 @@ func (s *Step) Overwrites() []int {
 
 // EvalInto evaluates the step on its argument values, under
 // EvalLocalInto's destination contract.
-func (s *Step) EvalInto(dst *tensor.Tensor, args []*tensor.Tensor, pid, iter int) (*tensor.Tensor, error) {
+func (s *Step) EvalInto(dst *tensor.Tensor, scratch *tensor.Stash, args []*tensor.Tensor, pid, iter int) (*tensor.Tensor, error) {
 	if s.Fused == nil {
-		return EvalLocalInto(s.In, dst, args, pid, iter)
+		return EvalLocalInto(s.In, dst, scratch, args, pid, iter)
 	}
 	var acc *tensor.Tensor
 	if s.Base != nil {
-		acc = tensor.EinsumIntoSplitK(dst, s.Base.SplitK, s.Base.EinsumSpec, args[0], args[1])
+		acc = tensor.EinsumIntoSplitK(dst, scratch, s.Base.SplitK, s.Base.EinsumSpec, args[0], args[1])
 		args = args[2:]
 	} else {
 		acc = tensor.CopyInto(dst, args[0])
 		args = args[1:]
 	}
-	return tensor.EinsumAddIntoSplitK(acc, s.Fused.EinsumSpec, args[0], args[1], s.Fused.SplitK), nil
+	return tensor.EinsumAddIntoSplitK(acc, scratch, s.Fused.EinsumSpec, args[0], args[1], s.Fused.SplitK), nil
 }
 
 // FusionSteps lowers a fusion instruction's body to its evaluation

@@ -256,17 +256,18 @@ func Einsum(spec string, operands ...*Tensor) *Tensor {
 // 0/1 is off, >= 2 is that factor (clamped). The executors pass each
 // einsum instruction's own factor (hlo.Instruction.SplitK).
 func EinsumSplitK(splitK int, spec string, operands ...*Tensor) *Tensor {
-	return EinsumIntoSplitK(nil, splitK, spec, operands...)
+	return EinsumIntoSplitK(nil, nil, splitK, spec, operands...)
 }
 
 // EinsumIntoSplitK is EinsumSplitK writing into dst (see ops.go for
-// the destination convention); dst must not alias an operand.
-func EinsumIntoSplitK(dst *Tensor, splitK int, spec string, operands ...*Tensor) *Tensor {
+// the destination convention), with its packing scratch by way of
+// scratch (nil: the shared classes); dst must not alias an operand.
+func EinsumIntoSplitK(dst *Tensor, scratch *Stash, splitK int, spec string, operands ...*Tensor) *Tensor {
 	e, err := einsumLookup(spec)
 	if err != nil {
 		panic(err)
 	}
-	out, err := einsumExec(e, dst, operands, splitK)
+	out, err := einsumExec(e, dst, operands, splitK, scratch)
 	if err != nil {
 		panic(err)
 	}
@@ -314,14 +315,14 @@ func newEinsumOutput(spec EinsumSpec, dst *Tensor, operands []*Tensor) (*Tensor,
 // einsumExec validates shapes and runs the fastest applicable path:
 // the blocked GEMM kernel for lowerable two-operand specs, otherwise
 // the odometer reference.
-func einsumExec(e *einsumEntry, dst *Tensor, operands []*Tensor, splitK int) (*Tensor, error) {
+func einsumExec(e *einsumEntry, dst *Tensor, operands []*Tensor, splitK int, sc *Stash) (*Tensor, error) {
 	out, err := newEinsumOutput(e.spec, dst, operands)
 	if err != nil {
 		return nil, err
 	}
 	t0, timed := kernelTimerStart()
 	if len(operands) == 2 && e.plan.ok {
-		e.plan.run(out, operands[0], operands[1], KernelWorkers(), splitK)
+		e.plan.run(out, operands[0], operands[1], KernelWorkers(), splitK, sc)
 		kernelGemmOps.Inc()
 	} else {
 		einsumReference(out, e.spec, operands)

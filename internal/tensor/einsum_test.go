@@ -237,7 +237,7 @@ func TestEinsumIntoAllocatesNothing(t *testing.T) {
 		{"km,kn->mn", []int{16, 8}, []int{16, 4}, []int{8, 4}},
 	} {
 		a, b, dst := Rand(rng, tc.lhs...), Rand(rng, tc.rhs...), New(tc.result...)
-		if allocs := testing.AllocsPerRun(50, func() { EinsumIntoSplitK(dst, 0, tc.spec, a, b) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(50, func() { EinsumIntoSplitK(dst, nil, 0, tc.spec, a, b) }); allocs != 0 {
 			t.Errorf("%s into a given destination allocates %v times a call", tc.spec, allocs)
 		}
 	}

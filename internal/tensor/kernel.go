@@ -202,7 +202,7 @@ func (p *gemmPlan) check(out, lhs, rhs *Tensor) error {
 // whose layout is not direct, is permute-packed into pooled scratch for
 // the length of this call, which keeps the per-element accumulation
 // order identical to the reference in every case.
-func (p *gemmPlan) run(out, lhs, rhs *Tensor, workers, splitK int) {
+func (p *gemmPlan) run(out, lhs, rhs *Tensor, workers, splitK int, sc *Stash) {
 	B, M, K, N := p.sizes(lhs, rhs)
 	if B*M*N == 0 {
 		return // no output elements (K == 0 alone leaves out unchanged below)
@@ -213,35 +213,36 @@ func (p *gemmPlan) run(out, lhs, rhs *Tensor, workers, splitK int) {
 	case p.lhsTN:
 		g.aRow, g.aK = 1, M
 	case !p.lhsDirect:
-		buf := packOperand(lhs, p.lhsPerm)
-		defer putBuf(buf)
+		buf := packOperand(lhs, p.lhsPerm, sc)
+		defer sc.putBuf(buf)
 		g.a = *buf
 	}
 	if !p.rhsDirect && !p.rhsNT {
-		buf := packOperand(rhs, p.rhsPerm)
-		defer putBuf(buf)
+		buf := packOperand(rhs, p.rhsPerm, sc)
+		defer sc.putBuf(buf)
 		g.b = *buf
 	}
 	c := out.data
 	var cBuf *[]float64
 	if !p.outDirect {
-		cBuf = getBuf(B * M * N)
+		cBuf = sc.getBuf(B * M * N)
 		permCopy(*cBuf, out, p.outPerm, true)
 		c = *cBuf
 	}
 
-	gemm(c, g, workers, splitK)
+	gemm(c, g, workers, splitK, sc)
 
 	if cBuf != nil {
 		permCopy(*cBuf, out, p.outPerm, false)
-		putBuf(cBuf)
+		sc.putBuf(cBuf)
 	}
 }
 
 // packOperand returns t's elements packed under perm in a buffer from
-// the scratch pool, which the caller hands back with putBuf.
-func packOperand(t *Tensor, perm []int) *[]float64 {
-	buf := getBuf(len(t.data))
+// the scratch pool by way of sc, which the caller hands back with
+// sc.putBuf.
+func packOperand(t *Tensor, perm []int, sc *Stash) *[]float64 {
+	buf := sc.getBuf(len(t.data))
 	permCopy(*buf, t, perm, true)
 	kernelPackBytes.Add(float64(8 * len(t.data)))
 	return buf
@@ -344,10 +345,10 @@ type gemmOperands struct {
 // Only the split-K factor — a planned, fingerprinted decision — ever
 // changes result bytes; the worker count, the rows/columns choice and
 // the kernel a layout selects never do.
-func gemm(c []float64, g gemmOperands, workers, splitK int) {
+func gemm(c []float64, g gemmOperands, workers, splitK int, sc *Stash) {
 	rows := g.B * g.M
 	if s := splitFactor(rows, g.K, g.N, splitK); s > 1 {
-		gemmSplitK(c, g, s, workers)
+		gemmSplitK(c, g, s, workers, sc)
 		return
 	}
 	flops := 2 * int64(rows) * int64(g.K) * int64(g.N)
@@ -623,12 +624,13 @@ func einsumLookup(spec string) (*einsumEntry, error) {
 // of acc's prior value. Like Einsum, it panics on malformed specs or
 // mismatched shapes.
 func EinsumAddInto(acc *Tensor, spec string, lhs, rhs *Tensor) *Tensor {
-	return EinsumAddIntoSplitK(acc, spec, lhs, rhs, KernelSplitK())
+	return EinsumAddIntoSplitK(acc, nil, spec, lhs, rhs, KernelSplitK())
 }
 
 // EinsumAddIntoSplitK is EinsumAddInto with an explicit split-K factor
-// for this call, like EinsumSplitK.
-func EinsumAddIntoSplitK(acc *Tensor, spec string, lhs, rhs *Tensor, splitK int) *Tensor {
+// for this call, like EinsumSplitK, and its packing scratch by way of
+// scratch (nil: the shared classes).
+func EinsumAddIntoSplitK(acc *Tensor, scratch *Stash, spec string, lhs, rhs *Tensor, splitK int) *Tensor {
 	e, err := einsumLookup(spec)
 	if err != nil {
 		panic(err)
@@ -641,7 +643,7 @@ func EinsumAddIntoSplitK(acc *Tensor, spec string, lhs, rhs *Tensor, splitK int)
 		if err := e.plan.check(acc, lhs, rhs); err != nil {
 			panic(err)
 		}
-		e.plan.run(acc, lhs, rhs, KernelWorkers(), splitK)
+		e.plan.run(acc, lhs, rhs, KernelWorkers(), splitK, scratch)
 		kernelGemmOps.Inc()
 	} else {
 		if err := checkReferenceShapes(e.spec, acc, lhs, rhs); err != nil {

@@ -397,7 +397,7 @@ func BenchmarkEinsum(b *testing.B) {
 			out := Einsum(tc.spec, x, y)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				EinsumIntoSplitK(out, 0, tc.spec, x, y)
+				EinsumIntoSplitK(out, nil, 0, tc.spec, x, y)
 			}
 			b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})

@@ -36,7 +36,7 @@ func TestParallelGemmAllocatesNothing(t *testing.T) {
 		a, b := Rand(rng, tc.m, tc.k), Rand(rng, tc.k, tc.n)
 		g := gemmOperands{a: a.data, b: b.data, B: 1, M: tc.m, K: tc.k, N: tc.n, aRow: tc.k, aK: 1}
 		want := make([]float64, tc.m*tc.n)
-		gemm(want, g, 1, tc.fac)
+		gemm(want, g, 1, tc.fac, nil)
 
 		var wg sync.WaitGroup
 		bad := make(chan int, 8)
@@ -47,7 +47,7 @@ func TestParallelGemmAllocatesNothing(t *testing.T) {
 				got := make([]float64, len(want))
 				for i := 0; i < 3; i++ {
 					clear(got)
-					gemm(got, g, workers, tc.fac)
+					gemm(got, g, workers, tc.fac, nil)
 					if !slices.Equal(got, want) {
 						bad <- w
 						return
@@ -65,8 +65,8 @@ func TestParallelGemmAllocatesNothing(t *testing.T) {
 			continue // allocation counts are not representative under the race detector
 		}
 		c := make([]float64, len(want))
-		gemm(c, g, workers, tc.fac) // warm the job pool and the scratch classes
-		if allocs := testing.AllocsPerRun(100, func() { gemm(c, g, workers, tc.fac) }); allocs != 0 {
+		gemm(c, g, workers, tc.fac, nil) // warm the job pool and the scratch classes
+		if allocs := testing.AllocsPerRun(100, func() { gemm(c, g, workers, tc.fac, nil) }); allocs != 0 {
 			t.Errorf("%s: a warm parallel GEMM allocates %.1f objects per call, want 0", tc.name, allocs)
 		}
 	}

@@ -18,10 +18,18 @@ import (
 // requested prefix. A recycled buffer's tail beyond the request is
 // never guaranteed zero (the pool hands back the larger of its class),
 // so no call site may rely on it.
+//
+// The classes are free lists beside the whole-tensor ones below, held
+// the same way: strongly, most recently returned on top, under the
+// same lock, and bounded by maxFreeBytes on their own account. They
+// were sync.Pools. A collection moved those to a victim cache that the
+// first miss then threw away, and a buffer in one P's private slot was
+// out of reach of the others, so how much scratch a run re-allocated
+// depended on where the collector and the scheduler fell (the
+// benchmark's training workload allocated 3 to 9 KiB a step with
+// nothing changed).
 
 const numBufClasses = 40
-
-var bufClasses [numBufClasses]sync.Pool
 
 // bufClass returns the pool bin for a buffer of n float64s: the
 // smallest c with 1<<c >= n.
@@ -32,13 +40,27 @@ func bufClass(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
+// takeBuf pops the most recently returned buffer of class c, or nil.
+func takeBuf(c int) *[]float64 {
+	free.Lock()
+	defer free.Unlock()
+	l := free.bufs[c]
+	if len(l) == 0 {
+		return nil
+	}
+	p := l[len(l)-1]
+	l[len(l)-1] = nil
+	free.bufs[c] = l[:len(l)-1]
+	free.bufBytes -= 8 * cap(*p)
+	return p
+}
+
 // getBuf returns a length-n scratch buffer, reusing a pooled one when
-// the size class has any. The pointer form keeps sync.Pool round trips
-// allocation-free.
+// the size class has any. The pointer form keeps a round trip through
+// the lists allocation-free.
 func getBuf(n int) *[]float64 {
 	c := bufClass(n)
-	if v := bufClasses[c].Get(); v != nil {
-		p := v.(*[]float64)
+	if p := takeBuf(c); p != nil {
 		*p = (*p)[:n]
 		kernelPoolReusedBytes.Add(float64(8 * n))
 		return p
@@ -58,8 +80,7 @@ func getBuf(n int) *[]float64 {
 // fully stored first.
 func getZeroBuf(n int) *[]float64 {
 	c := bufClass(n)
-	if v := bufClasses[c].Get(); v != nil {
-		p := v.(*[]float64)
+	if p := takeBuf(c); p != nil {
 		*p = (*p)[:n]
 		s := *p
 		for i := range s {
@@ -74,14 +95,32 @@ func getZeroBuf(n int) *[]float64 {
 	return &s
 }
 
-// putBuf recycles a buffer obtained from getBuf.
+// putBuf recycles a buffer obtained from getBuf, emptying every class
+// first if it would take them past maxFreeBytes; a buffer larger than
+// the bound on its own is left to the collector.
 func putBuf(p *[]float64) {
+	free.Lock()
+	defer free.Unlock()
+	putBufLocked(p)
+}
+
+// putBufLocked is putBuf with free already locked.
+func putBufLocked(p *[]float64) {
 	c := cap(*p)
 	if c == 0 || c&(c-1) != 0 {
 		return // only exact power-of-two capacities are pool-shaped
 	}
 	*p = (*p)[:c]
-	bufClasses[bufClass(c)].Put(p)
+	if free.bufBytes+8*c > maxFreeBytes {
+		clear(free.bufs[:])
+		free.bufBytes = 0
+		if 8*c > maxFreeBytes {
+			return
+		}
+	}
+	k := bufClass(c)
+	free.bufs[k] = append(free.bufs[k], p)
+	free.bufBytes += 8 * c
 }
 
 // Exact-size free lists for whole tensors. The scratch classes above
@@ -108,6 +147,9 @@ var free struct {
 	sync.Mutex
 	lists map[int][]*Tensor // by element count
 	bytes int               // held by lists
+
+	bufs     [numBufClasses][]*[]float64 // scratch, by class
+	bufBytes int                         // held by bufs
 }
 
 // takeFree pops the most recently released n-element tensor, or nil.
@@ -129,9 +171,14 @@ func takeFree(n int) *Tensor {
 // would not fit under maxFreeBytes; a tensor larger than the bound on
 // its own is left to the collector.
 func putFree(t *Tensor) {
-	n := len(t.data)
 	free.Lock()
 	defer free.Unlock()
+	putFreeLocked(t)
+}
+
+// putFreeLocked is putFree with free already locked.
+func putFreeLocked(t *Tensor) {
+	n := len(t.data)
 	if free.bytes+8*n > maxFreeBytes {
 		free.lists, free.bytes = nil, 0
 		if 8*n > maxFreeBytes {
@@ -143,6 +190,136 @@ func putFree(t *Tensor) {
 	}
 	free.lists[n] = append(free.lists[n], t)
 	free.bytes += 8 * n
+}
+
+// A Stash is one goroutine's own front for the free lists and the
+// scratch classes. Release keeps a tensor for its owner instead of
+// handing it to the shared lists, and a kernel given the stash keeps
+// its scratch there the same way; New, and the kernel's next request,
+// serve a size from what the owner kept before they fall back to the
+// shared lists, and Drain hands everything kept to the shared lists.
+// What its owner takes from the shared lists is then fixed by the
+// owner's own sequence of requests and returns, not by how other
+// goroutines' interleave with it: goroutines that each keep a stash
+// for a round and drain it after they have all joined take the same
+// number of buffers of each size from the shared lists every round,
+// however they were scheduled, so a round that found enough there once
+// always does. The zero Stash is ready; one goroutine at a time may
+// use it. A kernel given a nil Stash uses the shared classes alone.
+type Stash struct {
+	kept []*Tensor    // most recently released last
+	bufs []*[]float64 // kernel scratch, likewise
+}
+
+// New is NewPooled, served first from the tensors the stash kept: the
+// most recently released one of the size.
+func (s *Stash) New(shape ...int) *Tensor {
+	n := elements(shape)
+	for i := len(s.kept) - 1; i >= 0; i-- {
+		if t := s.kept[i]; len(t.data) == n {
+			last := len(s.kept) - 1
+			copy(s.kept[i:], s.kept[i+1:])
+			s.kept[last] = nil
+			s.kept = s.kept[:last]
+			t.setShape(shape)
+			t.pooled = true
+			return t
+		}
+	}
+	return NewPooled(shape...)
+}
+
+// Release is the package's Release into the stash: t, which the
+// caller alone holds, waits there for the owner's next New of its size
+// or for Drain.
+func (s *Stash) Release(t *Tensor) {
+	if !t.pooled {
+		panic("tensor: Release of a tensor that is not pooled (or already released)")
+	}
+	t.pooled = false
+	s.kept = append(s.kept, t)
+}
+
+// Drain hands every tensor and scratch buffer the stash kept to the
+// shared lists, oldest first.
+func (s *Stash) Drain() {
+	if len(s.kept) == 0 && len(s.bufs) == 0 {
+		return
+	}
+	free.Lock()
+	defer free.Unlock()
+	for i, t := range s.kept {
+		putFreeLocked(t)
+		s.kept[i] = nil
+	}
+	for i, p := range s.bufs {
+		putBufLocked(p)
+		s.bufs[i] = nil
+	}
+	s.kept, s.bufs = s.kept[:0], s.bufs[:0]
+}
+
+// getBuf is the package's getBuf, served first from the scratch the
+// stash kept.
+func (s *Stash) getBuf(n int) *[]float64 {
+	if p := s.keptBuf(n); p != nil {
+		return p
+	}
+	return getBuf(n)
+}
+
+// getZeroBuf is the package's getZeroBuf, served first from the
+// scratch the stash kept.
+func (s *Stash) getZeroBuf(n int) *[]float64 {
+	if p := s.keptBuf(n); p != nil {
+		clear(*p)
+		return p
+	}
+	return getZeroBuf(n)
+}
+
+// keptBuf pops the most recently kept scratch buffer of n's class, at
+// length n, or returns nil.
+func (s *Stash) keptBuf(n int) *[]float64 {
+	if s == nil {
+		return nil
+	}
+	want := 1 << bufClass(n)
+	for i := len(s.bufs) - 1; i >= 0; i-- {
+		if p := s.bufs[i]; cap(*p) == want {
+			last := len(s.bufs) - 1
+			copy(s.bufs[i:], s.bufs[i+1:])
+			s.bufs[last] = nil
+			s.bufs = s.bufs[:last]
+			*p = (*p)[:n]
+			kernelPoolReusedBytes.Add(float64(8 * n))
+			return p
+		}
+	}
+	return nil
+}
+
+// putBuf keeps a buffer from the stash's getBuf or getZeroBuf for the
+// stash's owner; a nil stash hands it to the shared classes.
+func (s *Stash) putBuf(p *[]float64) {
+	if s == nil {
+		putBuf(p)
+		return
+	}
+	s.bufs = append(s.bufs, p)
+}
+
+// elements is the element count of shape, which must have no negative
+// dimension.
+func elements(shape []int) int {
+	n := 1
+	for _, d := range shape {
+		if d < 0 {
+			panic("tensor: negative dimension in shape " + dims(shape))
+		}
+		n *= d
+	}
+	return n
 }
 
 // NewPooled returns a tensor of the given shape from the exact-size
@@ -162,14 +339,7 @@ func NewPooled(shape ...int) *Tensor {
 // free list of the shape's size is empty, for a caller that must not
 // put a buffer of its own onto the lists when it releases what it took.
 func TakePooled(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		if d < 0 {
-			panic("tensor: negative dimension in shape " + dims(shape))
-		}
-		n *= d
-	}
-	t := takeFree(n)
+	t := takeFree(elements(shape))
 	if t != nil {
 		t.setShape(shape)
 		t.pooled = true

@@ -5,11 +5,13 @@ import (
 	"testing"
 )
 
-// resetFree empties the free lists, so a test sees only its own
-// buffers whatever ran before it.
+// resetFree empties the free lists and the scratch classes, so a test
+// sees only its own buffers whatever ran before it.
 func resetFree() {
 	free.Lock()
 	free.lists, free.bytes = nil, 0
+	clear(free.bufs[:])
+	free.bufBytes = 0
 	free.Unlock()
 }
 
@@ -108,5 +110,92 @@ func TestFreeListsBounded(t *testing.T) {
 	Release(NewPooled(maxFreeBytes/8 + 1))
 	if got := freeBytes(); got != 0 {
 		t.Fatalf("a tensor over the bound on its own was kept: lists hold %d bytes", got)
+	}
+}
+
+// TestScratchOutlivesCollections pins what made a kernel's scratch
+// allocations repeat: a returned buffer is there for the next request
+// of its class however many collections fall in between (as
+// sync.Pools the classes lost it to the first miss after one), most
+// recently returned first, and the classes stay under maxFreeBytes.
+func TestScratchOutlivesCollections(t *testing.T) {
+	defer func(b int) { maxFreeBytes = b; resetFree() }(maxFreeBytes)
+	resetFree()
+	a, b := getBuf(100), getBuf(128)
+	putBuf(a)
+	putBuf(b)
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	if got := getBuf(70); got != b || len(*got) != 70 {
+		t.Fatal("the most recently returned scratch buffer did not survive three collections")
+	}
+	if got := getZeroBuf(128); got != a {
+		t.Fatal("the earlier returned scratch buffer did not survive three collections")
+	}
+
+	maxFreeBytes = 8 * 256
+	resetFree()
+	putBuf(a)
+	putBuf(b)
+	if x, y := getBuf(128), getBuf(128); x != b || y != a {
+		t.Fatal("two buffers under the bound were not both kept")
+	}
+	putBuf(a)
+	putBuf(getBuf(512)) // over the bound on its own
+	if got := getBuf(128); got == a {
+		t.Fatal("a buffer over the bound did not empty the classes")
+	}
+	if freeBytesOfScratch() != 0 {
+		t.Fatal("a buffer over the bound on its own was kept")
+	}
+}
+
+func freeBytesOfScratch() int {
+	free.Lock()
+	defer free.Unlock()
+	return free.bufBytes
+}
+
+// TestStash pins the stash: a release waits there for its owner's next
+// draw of the size, at the draw's shape; a size it never kept comes
+// from the shared lists; Drain hands everything to the shared lists
+// and leaves the stash empty.
+func TestStash(t *testing.T) {
+	resetFree()
+	defer resetFree()
+	shared := NewPooled(6)
+	Release(shared)
+
+	var s Stash
+	a := s.New(4, 6)
+	s.Release(a)
+	if freeBytes() != 8*6 {
+		t.Fatal("a stash release reached the shared lists")
+	}
+	if got := s.New(2, 12); got != a || !got.Pooled() || got.Dim(0) != 2 || got.Dim(1) != 12 {
+		t.Fatalf("the stash did not hand back its own buffer at the new shape: %v", got.Shape())
+	}
+	if got := s.New(3, 2); got != shared {
+		t.Fatal("a size the stash never kept did not come from the shared lists")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("releasing a tensor twice into a stash did not panic")
+			}
+		}()
+		s.Release(a)
+		s.Release(a)
+	}()
+	s.Release(shared)
+	s.Drain()
+	if got := freeBytes(); got != 8*(24+6) {
+		t.Fatalf("after Drain the shared lists hold %d bytes, want %d", got, 8*(24+6))
+	}
+	s.New(24)
+	s.New(6)
+	if got := freeBytes(); got != 0 {
+		t.Fatalf("the shared lists still hold %d bytes after both sizes were drawn again", got)
 	}
 }

@@ -60,13 +60,13 @@ func splitFactor(rows, K, N, splitK int) int {
 // them in the fixed binary tree described above. Each range is one call
 // of the kernels the unsplit GEMM runs (gemmOperands.block), so an
 // operand read in place stays in place at every factor.
-func gemmSplitK(c []float64, g gemmOperands, s, workers int) {
+func gemmSplitK(c []float64, g gemmOperands, s, workers int, sc *Stash) {
 	out := g.B * g.M * g.N
 	j := getJob(fanSplitK, nil, g)
 	j.s = s
 	parts := j.parts[:s]
 	for i := range parts {
-		parts[i] = getZeroBuf(out)
+		parts[i] = sc.getZeroBuf(out)
 	}
 	j.fanOut(s, workers)
 	for gap := 1; gap < s; gap *= 2 {
@@ -76,7 +76,7 @@ func gemmSplitK(c []float64, g gemmOperands, s, workers int) {
 	}
 	addInto(c[:out], *parts[0])
 	for _, p := range parts {
-		putBuf(p)
+		sc.putBuf(p)
 	}
 	putJob(j)
 	kernelSplitKOps.Inc()

@@ -177,7 +177,7 @@ func TestSplitKAccumulatesOntoPrior(t *testing.T) {
 	for j := range want.data {
 		want.data[j] += oracle.data[j]
 	}
-	if got := EinsumAddIntoSplitK(acc.Clone(), "mk,kn->mn", x, y, 4); !got.Equal(want) {
+	if got := EinsumAddIntoSplitK(acc.Clone(), nil, "mk,kn->mn", x, y, 4); !got.Equal(want) {
 		t.Fatal("split-K EinsumAddInto differs from oracle folded onto the prior accumulator")
 	}
 }
