@@ -110,9 +110,15 @@ var sourceGuards = []sourceGuard{
 		roots:   []string{"internal/serve", "internal/train", "internal/autotune"},
 	},
 	{
-		name:    "lower once: one timer per link",
-		why:     "the channel transport paces a link with its pacer, not a timer per parcel",
-		pattern: regexp.MustCompile(`time\.NewTimer`),
+		name:    "one timer per device: a parcel carries its due",
+		why:     "a done waits out what is left of its transfer's wire on its device's pacer; no link, edge sender or worker keeps a timer of its own",
+		pattern: regexp.MustCompile(`time\.NewTimer|\bpacer\b`),
+		roots:   []string{"internal/runtime/transport_chan.go", "internal/runtime/transport_proc.go", "internal/runtime/worker.go"},
+	},
+	{
+		name:    "the wire needs no goroutine",
+		why:     "the channel transport delivers at the post: the posting device takes the parcel onto its link, no link goroutine stands between",
+		pattern: regexp.MustCompile(`^\s*go\s`),
 		roots:   []string{"internal/runtime/transport_chan.go"},
 	},
 	{

@@ -222,8 +222,8 @@ func TestChaosSoak(t *testing.T) {
 		})
 	}
 
-	// Every Run returns only after its device and link goroutines have
-	// joined; the process-level count must come back to the baseline
+	// Every Run returns only after its device goroutines and its
+	// transport's have joined; the process-level count must come back to the baseline
 	// (with slack for runtime bookkeeping goroutines).
 	deadline := time.Now().Add(5 * time.Second)
 	for {

@@ -55,8 +55,9 @@ type device struct {
 	// time spent blocked on communication.
 	compute, wire, exposed float64
 
-	// overshoot sums how late the blocking collectives this device
-	// closed woke after their wire was due.
+	// overshoot sums how late this device woke past the dues it waited
+	// for: those of the transfers its dones took before their wire
+	// ended, and those of the blocking collectives it closed.
 	overshoot time.Duration
 
 	asyncSends   int
@@ -72,10 +73,10 @@ type device struct {
 
 	// trace records the device's compute-track spans: its window of the
 	// run's span slab, the size the trace layout gives, when the device
-	// is inside the run's trace window, and nil otherwise. pace times
-	// the blocking collectives this device closes; rv is where the
-	// member that closes one it waits on wakes it, nil until the device
-	// first joins one.
+	// is inside the run's trace window, and nil otherwise. pace is the
+	// timer the device waits for a due on, a transfer's or a blocking
+	// collective's; rv is where the member that closes a collective it
+	// waits on wakes it, nil until the device first joins one.
 	trace []obs.Span
 	pace  pacer
 	rv    chan struct{}
@@ -401,8 +402,8 @@ func (d *device) post(op *tapeOp, pc int) bool {
 	return true
 }
 
-// receive executes a done: a pair target blocks for the delivery and
-// adopts its buffer as the slot's value — no copy; any other device
+// receive executes a done: a pair target takes the delivery and adopts
+// its buffer as the slot's value — no copy; any other device
 // gets zeros, mirroring the permute kernel's zero fill.
 func (d *device) receive(op *tapeOp, pc int) bool {
 	e := d.eng
@@ -412,7 +413,7 @@ func (d *device) receive(op *tapeOp, pc int) bool {
 	var out *tensor.Tensor
 	if op.peer[d.id] >= 0 {
 		d.setStat(pc, t0)
-		t, alive := e.fabric.receive(d.id, mailKey{start: op.in.Operands[0], box: int(op.box), inst: inst})
+		t, alive := d.take(mailKey{start: op.in.Operands[0], box: int(op.box), inst: inst})
 		if !alive {
 			return false
 		}
@@ -431,6 +432,25 @@ func (d *device) receive(op *tapeOp, pc int) bool {
 	}
 	d.set(op.out, out, true)
 	return true
+}
+
+// take blocks until the transfer key addresses is in the device's
+// mailbox and then, only if its due is still ahead, until its due; a
+// transfer whose wire has ended by the time the done comes is taken at
+// once, without the timer. It reports false when the run aborted.
+func (d *device) take(key mailKey) (*tensor.Tensor, bool) {
+	e := d.eng
+	t, due, alive := e.fabric.receive(d.id, key)
+	if !alive {
+		return nil, false
+	}
+	if e.sinceDur() < due {
+		if !d.pace.until(e.epoch.Add(due), e.abort) {
+			return nil, false
+		}
+		d.overshoot += e.sinceDur() - due
+	}
+	return t, true
 }
 
 // loopEnter binds the carried slots to the loop's operands. An operand

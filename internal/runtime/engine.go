@@ -233,9 +233,9 @@ func (e *engine) delay(modeled float64) time.Duration {
 	return time.Duration(modeled * e.opts.TimeScale * 1e9)
 }
 
-// pacer is the one timer a goroutine that injects wire time — a link, a
-// worker's edge, or a device closing a blocking collective — keeps for
-// the whole run, instead of a new one per transfer.
+// pacer is the one timer a device keeps for the whole run to wait out
+// injected wire — a transfer's its done takes before the wire ends, a
+// blocking collective's it closes — instead of a new one per wait.
 type pacer struct {
 	timer *time.Timer
 }
@@ -259,8 +259,8 @@ func (p *pacer) until(due time.Time, abort <-chan struct{}) bool {
 	case <-p.timer.C:
 		return true
 	case <-abort:
-		// A link keeps draining its queue after an abort: a tick left in
-		// the channel would end its next wait before it began.
+		// A tick left in the channel would end the next wait before it
+		// began.
 		if !p.timer.Stop() {
 			<-p.timer.C
 		}
@@ -476,9 +476,6 @@ func (e *engine) assemble(devices []*device) *Result {
 	var over time.Duration
 	for _, dev := range devices {
 		over += dev.overshoot
-	}
-	if c, ok := e.fabric.tr.(*chanTransport); ok {
-		over += c.overshoot()
 	}
 	res.WireOvershoot = over.Seconds() / float64(e.n)
 

@@ -153,10 +153,13 @@ func TestExecutableTimeScaleIsPerRun(t *testing.T) {
 	}
 }
 
-// TestWireOvershoot: a run reports how late its injected wire ended
-// past the model's dues. It is never negative, it is zero when the run
-// injects no wire, on either transport, and with wire on the channel
-// transport it is positive — no timer fires to the nanosecond.
+// TestWireOvershoot: a run reports how long its dones and blocking
+// collectives waited past the model's dues. It is never negative, it is
+// zero when the run injects no wire, and with wire it is positive on
+// either transport — no timer fires to the nanosecond. TimeScale 2000
+// gives each of the decomposed program's transfers about 2 ms of wire,
+// longer than a frame's trip through the process transport's sockets,
+// so some of its dones come before their due and wait.
 func TestWireOvershoot(t *testing.T) {
 	const n = 4
 	spec := machine.TPUv4()
@@ -167,13 +170,13 @@ func TestWireOvershoot(t *testing.T) {
 		}
 		args := randomArgs(c, n, rand.New(rand.NewSource(41)))
 		for _, tr := range transports {
-			for _, scale := range []float64{0, 200} {
+			for _, scale := range []float64{0, 2000} {
 				res, err := x.Run(context.Background(), args, runtime.Options{TimeScale: scale, Transport: tr})
 				if err != nil {
 					t.Fatal(err)
 				}
 				over := res.WireOvershoot
-				if over < 0 || (scale == 0 && over != 0) || (scale > 0 && tr == runtime.TransportChan && over <= 0) {
+				if over < 0 || (scale == 0 && over != 0) || (scale > 0 && over <= 0) {
 					t.Errorf("%s (%s) at TimeScale %v: wire overshoot %v s", name, tr, scale, over)
 				}
 				res.Release()

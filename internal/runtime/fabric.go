@@ -21,11 +21,11 @@ type mailKey struct {
 	inst  int
 }
 
-// parcel is one tensor in flight on a link. The link owns data from
-// post to delivery: the sender either handed over a buffer it was done
-// with or posted a private copy, and the receiving done adopts it.
-// posted is when the sender put it on the link, from the run's epoch:
-// the earliest its wire can start.
+// parcel is one posted tensor on its way into a mailbox. The fabric
+// owns data from post to delivery: the sender either handed over a
+// buffer it was done with or posted a private copy, and the receiving
+// done adopts it. posted is when the sender posted it, from the run's
+// epoch: the earliest its wire can start.
 type parcel struct {
 	key    mailKey
 	data   *tensor.Tensor
@@ -38,7 +38,7 @@ type parcel struct {
 type mailboxes struct {
 	mu sync.Mutex
 
-	// queue[box][i] is instance water[box]+i of that start, nil until
+	// queue[box][i] is instance water[box]+i of that start, empty until
 	// it arrives; water[box] is one past the last instance the device
 	// consumed. Per (start, device) instances are consumed strictly in
 	// order — the receiver's k-th done blocks until instance k arrives
@@ -46,7 +46,7 @@ type mailboxes struct {
 	// can only be a duplicate (injected or a fabric bug), and a queue
 	// holds only in-flight instances however many times a loop executes
 	// the start.
-	queue [][]*tensor.Tensor
+	queue [][]cell
 	water []int
 
 	// wake has room for one token: a delivery leaves one, the device
@@ -54,26 +54,33 @@ type mailboxes struct {
 	wake chan struct{}
 }
 
-// fabric is a run context's transfer addressing: every device's
-// mailboxes and the at-most-once bookkeeping, over the edge and mailbox
-// tables the Executable derived from the program. The movement between
-// post and deliver — wire pacing, fault actions, and (for the process
-// transport) the serialization across real sockets — belongs to the
-// pluggable transport underneath: tr, the current run's. The channel
-// transport's link queues outlive a run with the context (chans); the
+// cell is one delivered transfer: its buffer, and when its wire ends,
+// from the run's epoch — the earliest the done may take it.
+type cell struct {
+	data *tensor.Tensor
+	due  time.Duration
+}
+
+// fabric is a run context's transfer addressing and timing: every
+// device's mailboxes, the at-most-once bookkeeping, and when each link's
+// wire is next free, over the edge and mailbox tables the Executable
+// derived from the program. The movement between post and deliver — and
+// for the process transport the serialization across real sockets —
+// belongs to the pluggable transport underneath: tr, the current run's.
+// The channel transport outlives a run with the context (chans); the
 // process transport spawns its workers for each run.
+//
+// due[link] is when the wire of the last parcel taken onto that link
+// ends, from the run's epoch; start zeroes it. Only the goroutine that
+// takes the link's parcels — its source device on the channel
+// transport, its serializer on the process one — touches it.
 type fabric struct {
 	eng   *engine
 	tr    transport
 	chans *chanTransport
 	mail  []mailboxes
+	due   []time.Duration
 }
-
-// linkBuffer bounds parcels queued on one edge before the wire; a start
-// only blocks posting if this many sends are already pending there,
-// and even then the transport is always draining, so posting can
-// stall but never deadlock.
-const linkBuffer = 64
 
 // newFabric lays out one mailbox per (device, start) of the tape. Its
 // transport is bound per run (bind), and its data plane started by
@@ -84,13 +91,14 @@ func newFabric(e *engine) *fabric {
 	f := &fabric{
 		eng:  e,
 		mail: make([]mailboxes, e.n),
+		due:  make([]time.Duration, len(e.edges)),
 	}
 	// One cell per mailbox up front: in a healthy run at most one
 	// instance of a start is waiting at a device, so queues never grow.
-	cells := make([]*tensor.Tensor, e.n*len(starts))
+	cells := make([]cell, e.n*len(starts))
 	for d := range f.mail {
 		m := &f.mail[d]
-		m.queue = make([][]*tensor.Tensor, len(starts))
+		m.queue = make([][]cell, len(starts))
 		for b := range m.queue {
 			at := d*len(starts) + b
 			m.queue[b] = cells[at : at : at+1]
@@ -140,21 +148,44 @@ func (f *fabric) reset() {
 	}
 }
 
-// start brings the transport's data plane up.
-func (f *fabric) start() error { return f.tr.start() }
+// start brings the transport's data plane up, on links idle since the
+// run's epoch.
+func (f *fabric) start() error {
+	clear(f.due)
+	return f.tr.start()
+}
 
-// deliver hands one parcel to its destination mailbox, enforcing
-// at-most-once delivery per transfer instance. fault carries the
-// injected-fault description when this delivery is itself the fault (a
-// duplicate); a detected duplicate fails the run with a structured
-// error attributed to the receiving device, and the buffer is not
-// handed over a second time.
-func (f *fabric) deliver(dst int, key mailKey, data *tensor.Tensor, fault string) {
+// transit is the wire rule both transports apply where they take a
+// parcel off its link's source. It makes the parcel's fault decision
+// and, unless the parcel is dropped, fixes its wire: the wire starts
+// when the parcel was posted or when the link's previous wire ends,
+// whichever is later, and lasts the injected delay plus any injected
+// extra. The due follows from the model, not from when any goroutine
+// got round to the parcel; a dropped parcel never holds the link.
+func (f *fabric) transit(link int, p parcel) (start, due time.Duration, dup *Fault, drop bool) {
+	e := f.eng
+	edge := e.edges[link]
+	drop, dup, extra := e.faultActions(e.injLink(edge.src, edge.dst), p.key.start.Name)
+	if drop {
+		return 0, 0, nil, true
+	}
+	start = max(p.posted, f.due[link])
+	f.due[link] = start + f.delay(p.key.box) + time.Duration(extra)
+	return start, f.due[link], dup, false
+}
+
+// deliver hands one parcel to its destination mailbox, stamped with its
+// due, enforcing at-most-once delivery per transfer instance. fault
+// carries the injected-fault description when this delivery is itself
+// the fault (a duplicate); a detected duplicate fails the run with a
+// structured error attributed to the receiving device, and the buffer
+// is not handed over a second time.
+func (f *fabric) deliver(dst int, key mailKey, data *tensor.Tensor, due time.Duration, fault string) {
 	m := &f.mail[dst]
 	m.mu.Lock()
 	q := m.queue[key.box]
 	i := key.inst - m.water[key.box]
-	if i < 0 || (i < len(q) && q[i] != nil) {
+	if i < 0 || (i < len(q) && q[i].data != nil) {
 		m.mu.Unlock()
 		f.eng.fail(&RunError{
 			Device: dst, Instr: key.start.Name, Phase: PhaseReceive,
@@ -163,9 +194,9 @@ func (f *fabric) deliver(dst int, key mailKey, data *tensor.Tensor, fault string
 		return
 	}
 	for len(q) <= i {
-		q = append(q, nil)
+		q = append(q, cell{})
 	}
-	q[i] = data
+	q[i] = cell{data, due}
 	m.queue[key.box] = q
 	m.mu.Unlock()
 	select {
@@ -181,7 +212,7 @@ func (f *fabric) deliver(dst int, key mailKey, data *tensor.Tensor, fault string
 // injection's description on both copies, so a detected duplicate is
 // attributed identically to the in-process transport). An unknown name
 // is a framing or routing bug and fails the run.
-func (f *fabric) deliverNamed(dst int, name string, inst int, data *tensor.Tensor, fault string) {
+func (f *fabric) deliverNamed(dst int, name string, inst int, data *tensor.Tensor, due time.Duration, fault string) {
 	box, ok := f.eng.boxes[name]
 	if !ok || dst < 0 || dst >= f.eng.n {
 		f.eng.fail(&RunError{
@@ -191,7 +222,7 @@ func (f *fabric) deliverNamed(dst int, name string, inst int, data *tensor.Tenso
 		})
 		return
 	}
-	f.deliver(dst, f.key(box, inst), data, fault)
+	f.deliver(dst, f.key(box, inst), data, due, fault)
 }
 
 // key names instance inst of the start behind mailbox number box.
@@ -207,11 +238,11 @@ func (f *fabric) delay(box int) time.Duration {
 	return f.eng.delay(t.ops[t.starts[box]].modeled)
 }
 
-// post enqueues a transfer on its link without waiting for the wire.
-// It reports false if the run aborted while the link queue was full, or
-// if no link exists for the edge — a peer table that names an edge the
-// Executable never laid out — which fails the run with an error naming
-// the edge instead of blocking forever.
+// post hands a transfer to its link's transport without waiting for the
+// wire. It reports false if the run aborted while the transport could
+// not take it, or if no link exists for the edge — a peer table that
+// names an edge the Executable never laid out — which fails the run
+// with an error naming the edge instead of blocking forever.
 func (f *fabric) post(src, dst int, key mailKey, data *tensor.Tensor, bytes int64) bool {
 	link, ok := f.eng.link[[2]int{src, dst}]
 	if !ok {
@@ -231,26 +262,27 @@ func (f *fabric) post(src, dst int, key mailKey, data *tensor.Tensor, bytes int6
 }
 
 // receive blocks until the transfer addressed by key — always the next
-// instance the device has not consumed — arrives at device dst, or the
-// run aborts. The device becomes the buffer's owner.
-func (f *fabric) receive(dst int, key mailKey) (*tensor.Tensor, bool) {
+// instance the device has not consumed — is in device dst's mailbox, or
+// the run aborts, and returns it with its due: the device becomes the
+// buffer's owner, and waits out what is left of the wire itself.
+func (f *fabric) receive(dst int, key mailKey) (*tensor.Tensor, time.Duration, bool) {
 	m := &f.mail[dst]
 	for {
 		m.mu.Lock()
-		if q := m.queue[key.box]; len(q) > 0 && q[0] != nil {
-			t := q[0]
+		if q := m.queue[key.box]; len(q) > 0 && q[0].data != nil {
+			c := q[0]
 			copy(q, q[1:])
-			q[len(q)-1] = nil
+			q[len(q)-1] = cell{}
 			m.queue[key.box] = q[:len(q)-1]
 			m.water[key.box] = key.inst + 1
 			m.mu.Unlock()
-			return t, true
+			return c.data, c.due, true
 		}
 		m.mu.Unlock()
 		select {
 		case <-m.wake:
 		case <-f.eng.abort:
-			return nil, false
+			return nil, 0, false
 		}
 	}
 }
@@ -258,7 +290,7 @@ func (f *fabric) receive(dst int, key mailKey) (*tensor.Tensor, bool) {
 // shutdown winds the transport down. Called after all devices have
 // returned: remaining parcels (possible only on abort) drain into
 // mailboxes nobody reads, which cannot block because delivery never
-// waits on a reader and in-flight waits select against the abort.
+// waits on a reader.
 func (f *fabric) shutdown() { f.tr.shutdown() }
 
 // mailboxSizes reports, for one device, how many queue cells exist, how
@@ -271,8 +303,8 @@ func (f *fabric) mailboxSizes(dev int) (mail, delivered, watermarks int) {
 	defer m.mu.Unlock()
 	for box, q := range m.queue {
 		mail += len(q)
-		for _, t := range q {
-			if t != nil {
+		for _, c := range q {
+			if c.data != nil {
 				delivered++
 			}
 		}

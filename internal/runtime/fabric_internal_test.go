@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
@@ -192,19 +193,10 @@ func TestInjectorJitterDeterministic(t *testing.T) {
 	}
 }
 
-// TestLinkDeliversNoEarlierThanItsDue pins the link's pacing rule: a
-// parcel's wire starts at its post or when the wire ahead of it on the
-// link ends, so k parcels posted back to back are delivered no earlier
-// than (i+1) wires after the first post — an injected delay lengthening
-// its parcel's wire and every due behind it, a dropped parcel holding
-// none. Only lower bounds are asserted: how late a timer fires is the
-// host's.
-func TestLinkDeliversNoEarlierThanItsDue(t *testing.T) {
-	const (
-		k     = 6
-		ask   = 2 * time.Millisecond
-		extra = 3 * time.Millisecond
-	)
+// oneLink compiles a program with one transfer, device 0 to device 1,
+// and returns the TimeScale at which that transfer injects wire.
+func oneLink(t *testing.T, wire time.Duration) (*Executable, float64) {
+	t.Helper()
 	c := hlo.NewComputation("one-link")
 	a := c.Parameter(0, "a", []int{2, 2})
 	start := c.CollectivePermuteStart(a, []hlo.SourceTargetPair{{Source: 0, Target: 1}})
@@ -213,8 +205,24 @@ func TestLinkDeliversNoEarlierThanItsDue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scale := ask.Seconds() / x.tape.ops[x.tape.starts[0]].modeled
+	return x, wire.Seconds() / x.tape.ops[x.tape.starts[0]].modeled
+}
 
+// TestLinkDeliversNoEarlierThanItsDue pins the wire rule at the
+// receiver: a parcel's wire starts at its post or when the wire ahead of
+// it on the link ends, so of k parcels posted back to back, device 1
+// takes the i-th no earlier than (i+1) wires after the first post — an
+// injected delay lengthening its parcel's wire and every due behind it,
+// a dropped parcel holding none. The transfer spans the poster records
+// end no earlier than those dues and never start before the one ahead.
+// Only lower bounds are asserted: how late a timer fires is the host's.
+func TestLinkDeliversNoEarlierThanItsDue(t *testing.T) {
+	const (
+		k     = 6
+		ask   = 2 * time.Millisecond
+		extra = 3 * time.Millisecond
+	)
+	x, scale := oneLink(t, ask)
 	for _, tc := range []struct {
 		name, faults string
 		extra        map[int]time.Duration // injected delay by instance
@@ -241,47 +249,102 @@ func TestLinkDeliversNoEarlierThanItsDue(t *testing.T) {
 			if err := e.fabric.start(); err != nil {
 				t.Fatal(err)
 			}
+			defer e.fabric.shutdown()
 			first := e.sinceDur()
 			for i := 0; i < k; i++ {
 				if !e.fabric.post(0, 1, e.fabric.key(0, i), tensor.New(2, 2), 16) {
 					t.Fatalf("post %d failed: %v", i, e.err)
 				}
 			}
-			e.fabric.shutdown() // the stop parcel queues behind all k
 			if e.err != nil {
 				t.Fatal(e.err)
 			}
 
-			l := e.fabric.chans.links[e.link[[2]int{0, 1}]]
+			trace := e.fabric.chans.trace[e.link[[2]int{0, 1}]]
 			want := k
 			if tc.dropped >= 0 {
 				want--
 			}
-			if len(l.trace) != want {
-				t.Fatalf("%d deliveries, want %d", len(l.trace), want)
+			if len(trace) != want {
+				t.Fatalf("%d transfer spans, want %d", len(trace), want)
 			}
 			if _, delivered, _ := e.fabric.mailboxSizes(1); delivered != want {
 				t.Fatalf("%d parcels in device 1's mailbox, want %d", delivered, want)
 			}
+			dev := e.devices[1]
 			busy, m := time.Duration(0), 0
 			for i := 0; i < k; i++ {
 				if i == tc.dropped {
 					continue
 				}
 				busy += wire + tc.extra[i]
-				sp := l.trace[m]
-				due := (first + busy).Seconds()
-				if end := sp.Start + sp.Dur; end+1e-9 < due {
-					t.Errorf("instance %d delivered at %.6fs, before its due %.6fs", i, end, due)
+				due := first + busy
+				sp := trace[m]
+				if end := sp.Start + sp.Dur; end+1e-9 < due.Seconds() {
+					t.Errorf("instance %d's transfer span ends at %.6fs, before its due %.6fs", i, end, due.Seconds())
 				}
-				if m > 0 && sp.Start < l.trace[m-1].Start {
-					t.Errorf("instance %d's span starts at %.6fs, before the one ahead of it (%.6fs)", i, sp.Start, l.trace[m-1].Start)
+				if m > 0 && sp.Start < trace[m-1].Start {
+					t.Errorf("instance %d's span starts at %.6fs, before the one ahead of it (%.6fs)", i, sp.Start, trace[m-1].Start)
 				}
 				m++
+				if tc.dropped >= 0 && i > tc.dropped {
+					continue // behind a lost instance: a done never gets to it
+				}
+				if _, ok := dev.take(e.fabric.key(0, i)); !ok {
+					t.Fatalf("device 1 could not take instance %d: %v", i, e.err)
+				}
+				if took := e.sinceDur(); took < due {
+					t.Errorf("device 1 took instance %d at %v, before its due %v", i, took, due)
+				}
 			}
-			if l.overshoot < 0 {
-				t.Errorf("the link's overshoot is %v, want >= 0", l.overshoot)
+			if dev.overshoot < 0 {
+				t.Errorf("device 1's overshoot is %v, want >= 0", dev.overshoot)
 			}
 		})
+	}
+}
+
+// TestPastDueDoneTakesAtOnce: a done that comes after its transfer's due
+// takes the buffer without waiting — the device's timer is never armed
+// and it reports no overshoot. Nothing about elapsed time is asserted.
+func TestPastDueDoneTakesAtOnce(t *testing.T) {
+	x, scale := oneLink(t, 2*time.Millisecond)
+	e, err := newEngine(x, Options{TimeScale: scale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.epoch = time.Now()
+	if err := e.fabric.start(); err != nil {
+		t.Fatal(err)
+	}
+	defer e.fabric.shutdown()
+	if !e.fabric.post(0, 1, e.fabric.key(0, 0), tensor.New(2, 2), 16) {
+		t.Fatalf("post failed: %v", e.err)
+	}
+	due := e.fabric.due[e.link[[2]int{0, 1}]]
+	if due <= 0 {
+		t.Fatalf("the transfer is due at %v, want after the epoch", due)
+	}
+	for now := e.sinceDur(); now <= due; now = e.sinceDur() {
+		time.Sleep(due - now + time.Millisecond)
+	}
+	dev := e.devices[1]
+	if _, ok := dev.take(e.fabric.key(0, 0)); !ok {
+		t.Fatalf("device 1 could not take the transfer: %v", e.err)
+	}
+	if dev.pace.timer != nil {
+		t.Error("a done past its transfer's due armed the device's timer")
+	}
+	if dev.overshoot != 0 {
+		t.Errorf("a done past its transfer's due reports %v of overshoot, want 0", dev.overshoot)
+	}
+}
+
+// TestParcelSize pins a parcel at 40 bytes: the process transport's
+// edge queues hold parcels by value and are made for every run, so each
+// byte more is paid on every run.
+func TestParcelSize(t *testing.T) {
+	if n := unsafe.Sizeof(parcel{}); n > 40 {
+		t.Fatalf("a parcel is %d bytes, want at most 40", n)
 	}
 }

@@ -127,12 +127,12 @@ func stallProgram() (*hlo.Computation, [][]*tensor.Tensor) {
 	return c, args
 }
 
-// TestAbortReturnsBeforeWireDelay is the regression test for the
-// fabric.serve abort bug: a link goroutine used to sleep out the full
+// TestAbortReturnsBeforeWireDelay is the regression test for an abort
+// bug: a wait for an in-flight transfer's wire used to run out the full
 // modeled wire time even after the run failed, so a failing run stalled
-// in shutdown for up to the largest in-flight transfer. With a 10s
-// injected wire occupancy and a device crash mid-run, Run must return
-// the crash error in a small fraction of that.
+// for up to the largest in-flight transfer. With a 10s injected wire
+// occupancy and a device crash mid-run, Run must return the crash error
+// in a small fraction of that.
 func TestAbortReturnsBeforeWireDelay(t *testing.T) {
 	c, args := stallProgram()
 	opts := runtime.Options{Faults: &runtime.FaultPlan{Faults: []runtime.Fault{
@@ -203,7 +203,7 @@ func TestDeadlineDropAttribution(t *testing.T) {
 // TestDuplicateDeliveryDetected pins the fabric's at-most-once
 // enforcement: an injected duplicate delivery is detected at the
 // mailbox and fails the run with a structured error at the receiving
-// device, rather than wedging the link goroutine on a full channel.
+// device, rather than handing the same buffer over twice.
 func TestDuplicateDeliveryDetected(t *testing.T) {
 	c, args := stallProgram()
 	dup := runtime.Fault{Kind: runtime.FaultDuplicate, Src: 0, Dst: 1, K: 0}

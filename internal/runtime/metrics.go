@@ -17,9 +17,9 @@ var (
 	rtCollectiveSpans = obs.Default().Histogram("overlap_runtime_collective_span_seconds",
 		"Wall-clock duration of blocking-collective rendezvous waits.", obs.TimeBuckets())
 	rtTransfers = obs.Default().Counter("overlap_runtime_transfers_total",
-		"Asynchronous transfers posted onto link goroutines.")
+		"Asynchronous transfers posted to a destination mailbox.")
 	rtTransferBytes = obs.Default().Counter("overlap_runtime_transfer_bytes_total",
-		"Payload bytes posted onto link goroutines.")
+		"Payload bytes posted to a destination mailbox.")
 )
 
 // Process-transport instrumentation: the serialization boundary the
@@ -56,5 +56,5 @@ var (
 	rtAbortDeadlines = obs.Default().Counter("overlap_runtime_abort_deadline_total",
 		"Runtime executions aborted by a context deadline or cancellation.")
 	rtAbortJoin = obs.Default().Histogram("overlap_runtime_abort_join_seconds",
-		"Wall-clock from the first failure to every device and link goroutine joined.", obs.TimeBuckets())
+		"Wall-clock from the first failure to every device goroutine and the transport joined.", obs.TimeBuckets())
 )

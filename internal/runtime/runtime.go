@@ -1,9 +1,9 @@
 // Package runtime executes SPMD computations concurrently: each logical
 // device is a goroutine walking the program's tape (tape.go) over its
-// own slots and arena buffers, ring links are buffered Go channels
-// serviced by per-link goroutines, and the asynchronous
-// CollectivePermuteStart/Done pair maps onto a genuinely non-blocking
-// post + blocking wait. Where internal/sim *models* the
+// own slots and arena buffers, a ring link is the destination device's
+// mailbox, and the asynchronous CollectivePermuteStart/Done pair maps
+// onto a genuinely non-blocking post + a wait for what is left of the
+// wire. Where internal/sim *models* the
 // overlap of communication with dependent computation, this package
 // *performs* it: the schedule produced by internal/core decides how much
 // wall-clock the in-flight transfers hide behind partial einsums.
@@ -35,15 +35,17 @@
 // exactly what it borrowed once the outputs are compared.
 //
 // Because Go cannot put a tensor on a real ICI link, wire time is
-// *injected*: every transfer holds its (src,dst) link goroutine for the
-// machine model's TransferTime scaled by Options.TimeScale, realized as
-// a wait until the transfer's due time: its post, or the end of the
-// wire ahead of it on the link, plus its own wire. A waiting link
-// goroutine releases its OS thread, so device
-// goroutines keep computing while transfers are "on the wire" — which is
-// exactly the resource structure (compute engine vs transfer engine)
-// whose overlap the paper exploits, and it holds even on a single-core
-// host.
+// *injected*: every transfer holds its (src,dst) link for the machine
+// model's TransferTime scaled by Options.TimeScale. The link's wire is
+// arithmetic, not a goroutine: a transfer is due at its post, or at the
+// end of the wire ahead of it on the link, plus its own wire, and it
+// goes into the destination's mailbox at once, stamped with that due.
+// The done that takes it waits only for what is left of the wire — on
+// its device's own timer, which releases the OS thread — and a done
+// that comes after the due takes it at once. So device goroutines keep
+// computing while transfers are "on the wire" — which is exactly the
+// resource structure (compute engine vs transfer engine) whose overlap
+// the paper exploits, and it holds even on a single-core host.
 package runtime
 
 import (
@@ -141,15 +143,15 @@ type Result struct {
 	// averages the injected wire occupancy each device initiated.
 	Breakdown sim.Breakdown
 
-	// WireOvershoot is how late, past its due, the injected wire a
-	// device initiated ended, in seconds summed over the run and
-	// averaged over the devices: the time the host's timers and
-	// scheduler added to the model's. A transfer is due when its wire
+	// WireOvershoot is how long a done or a blocking collective waited
+	// past its due, in seconds summed over the run and averaged over
+	// the devices: the time the host's timers and scheduler added to the
+	// model's, on either transport. A transfer is due when its wire
 	// ends, counted from its post or from the end of the wire ahead of
 	// it on its link; a blocking collective, its wire after its last
-	// member arrived. Wire-free transfers and collectives add nothing.
-	// The process transport paces its transfers in its workers, whose
-	// clocks the parent does not read, so only its collectives count.
+	// member arrived. A done that comes after its transfer's due waits
+	// for nothing and adds nothing, and neither do wire-free transfers
+	// and collectives.
 	WireOvershoot float64
 
 	// Trace holds the recorded spans when Options.Trace was set, on the

@@ -7,19 +7,20 @@ import "time"
 type TransportKind string
 
 const (
-	// TransportChan is the in-process fabric: one buffered Go channel
-	// per directed edge, serviced by a link goroutine that imposes the
-	// modeled wire time. The zero value of Options.Transport resolves
-	// here.
+	// TransportChan is the in-process fabric: the posting device puts
+	// a transfer straight into the destination's mailbox, stamped with
+	// when its modeled wire ends, and the receiving done waits out what
+	// is left of it. The zero value of Options.Transport resolves here.
 	TransportChan TransportKind = "chan"
 
 	// TransportProc runs each communicating logical device as its own
 	// spawned OS process: tensors leave the parent as length-prefixed
-	// binary frames, cross a Unix socket into the source device's
-	// worker, hold its edge for the modeled wire time there, cross a second socket
-	// to the destination device's worker, and come back up to the
-	// parent for delivery. Link faults (drop/dup/delay) act inside the
-	// workers — below the mailbox layer, on the real sockets.
+	// binary frames carrying their due, cross a Unix socket into the
+	// source device's worker, cross a second socket to the destination
+	// device's worker, and come back up to the parent for delivery,
+	// where the receiving done waits out what is left of the wire.
+	// Drops and duplicates act inside the workers — below the mailbox
+	// layer, on the real sockets; an injected delay is in the due.
 	TransportProc TransportKind = "proc"
 )
 
@@ -36,12 +37,13 @@ func ParseTransport(s string) (TransportKind, error) {
 }
 
 // transport is the movement half of the fabric: it carries one posted
-// parcel from its source device to the destination mailbox, imposing
-// the modeled wire time and acting out the run's link faults on the
-// way. Everything above it — mailbox addressing, at-most-once
-// enforcement, watermark pruning, the missing-link check — stays in
-// the fabric, shared by every implementation, which is what keeps the
-// bitwise cross-check against sim.Interpret transport-independent. A
+// parcel from its source device to the destination mailbox, stamped
+// with the due the fabric's wire rule (transit) gives it, and acts out
+// the run's link faults on the way. Everything above it — the wire rule,
+// mailbox addressing, at-most-once enforcement, watermark pruning, the
+// missing-link check — stays in the fabric, shared by every
+// implementation, which is what keeps the bitwise cross-check against
+// sim.Interpret transport-independent. A
 // transport's span recorders declare their windows of a traced run's
 // slab (engine.spans) when it is constructed.
 type transport interface {
@@ -51,9 +53,9 @@ type transport interface {
 	start() error
 
 	// post hands one parcel to the wire of the edge at position link of
-	// the Executable's edge table, without waiting for it. It may block
-	// while the edge's queue is full but must return false instead of
-	// blocking forever once the run aborts.
+	// the Executable's edge table, without waiting for the wire. It may
+	// block while the edge's queue is full but must return false
+	// instead of blocking forever once the run aborts.
 	post(link int, p parcel) bool
 
 	// shutdown tears the data plane down — goroutines joined, worker

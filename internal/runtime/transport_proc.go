@@ -24,13 +24,16 @@ import (
 // Unix sockets on its way from post to deliver:
 //
 //	parent ──frame──▶ worker[src] ──frame──▶ worker[dst] ──frame──▶ parent
-//	 (serialize)        (wire sleep,           (forward up)          (deserialize,
-//	                     drop/dup act here)                           deliver)
+//	 (serialize)        (drop/dup act here)    (forward up)          (deserialize,
+//	                                                                  deliver)
 //
 // The parent keeps everything that must stay deterministic: fault
 // decisions come from the run's seeded injector before the frame goes
-// down (the worker only acts them out, on the real sockets), and
-// mailbox addressing never leaves the fabric. Compute stays on the
+// down (the worker only acts them out, on the real sockets), the
+// frame's due is fixed there by the fabric's wire rule, and mailbox
+// addressing never leaves the fabric. The frame comes back up as fast
+// as the sockets move it; the receiving done waits out whatever is left
+// of its wire, as on the channel transport. Compute stays on the
 // parent's device goroutines — the workers are fabric endpoints, which
 // is exactly the slice of the system a multi-machine deployment would
 // move onto the network first.
@@ -54,10 +57,10 @@ type procTransport struct {
 	awaited atomic.Int64
 	drained chan struct{}
 
-	// pending matches a posted frame to its delivery for the transfer
-	// trace span (only touched when tracing is on).
+	// pending matches a posted frame's wire start to its delivery for
+	// the transfer trace span (only touched when tracing is on).
 	pendMu  sync.Mutex
-	pending map[pendingKey]float64
+	pending map[pendingKey]time.Duration
 }
 
 type pendingKey struct {
@@ -74,18 +77,25 @@ type procWorker struct {
 	writeMu sync.Mutex // serializes outbound frames on the control socket
 }
 
-// procEdge is the parent-side queue for one directed edge, mirroring
-// the channel transport's link: per-edge ordering (and therefore wire
-// serialization) is preserved because one sender goroutine drains it.
+// procEdge is the parent-side queue for one directed edge: per-edge
+// ordering (and therefore wire serialization) is preserved because one
+// sender goroutine drains it.
 type procEdge struct {
 	src, dst int
 	ch       chan parcel
 	// The source device's transfer track, twice per parcel: ser is the
 	// serialize span, recorded by the edge's sender; transfer the span
-	// from post to delivery, recorded by the reader of the destination's
-	// worker — the one goroutine the edge's frames come back up through.
+	// from the wire's start to its due or the frame's arrival, whichever
+	// is later, recorded by the reader of the destination's worker — the
+	// one goroutine the edge's frames come back up through.
 	ser, transfer []obs.Span
 }
+
+// linkBuffer bounds parcels queued on one edge before its sender; a
+// start only blocks posting if this many sends are already pending
+// there, and even then the sender is always draining, so posting can
+// stall but never deadlock.
+const linkBuffer = 64
 
 func newProcTransportChecked(e *engine, f *fabric) (transport, error) {
 	return newProcTransport(e, f), nil
@@ -102,12 +112,12 @@ func newProcTransport(e *engine, f *fabric) *procTransport {
 		workers: map[int]*procWorker{},
 		edges:   make([]*procEdge, len(e.edges)),
 		deser:   make([][]obs.Span, e.n),
-		pending: map[pendingKey]float64{},
+		pending: map[pendingKey]time.Duration{},
 		drained: make(chan struct{}, 1),
 	}
 	inbound := make([]int, e.n)
 	for i, edge := range e.edges {
-		l := &procEdge{src: edge.src, dst: edge.dst, ch: make(chan parcel, linkBuffer)}
+		l := &procEdge{src: edge.src, dst: edge.dst, ch: make(chan parcel, min(linkBuffer, edge.transfers))}
 		if l.src < e.window {
 			e.spans.declare(l.src, obs.TrackTransfer, edge.transfers, &l.ser)
 			e.spans.declare(l.src, obs.TrackTransfer, edge.transfers, &l.transfer)
@@ -219,12 +229,11 @@ func (t *procTransport) start() error {
 			"device", id, "pid", cmd.Process.Pid)
 	}
 
-	for _, l := range t.edges {
-		l := l
+	for i, l := range t.edges {
 		t.sendWG.Add(1)
 		go func() {
 			defer t.sendWG.Done()
-			t.serveEdge(l)
+			t.serveEdge(i, l)
 		}()
 	}
 	for _, w := range t.workers {
@@ -249,28 +258,27 @@ func (t *procTransport) post(link int, p parcel) bool {
 	}
 }
 
-// serveEdge drains one edge queue: decide the parcel's fault actions
-// from the seeded injector, serialize the tensor into a frame, send it
-// down the source worker's control socket, and recycle the parcel's
-// buffer — the bytes are on the wire, and the link was its only owner. Wire pacing happens in
-// the worker; serialization cost is measured here, as a span and a
+// serveEdge drains the queue of the edge at position link: take each
+// parcel onto the link by the fabric's wire rule, which decides its
+// fault actions and its due, serialize the tensor into a frame carrying
+// both, send it down the source worker's control socket, and recycle
+// the parcel's buffer — the bytes are on the wire, and the link was its
+// only owner. Serialization cost is measured here, as a span and a
 // histogram sample, because it is the genuinely new cost the process
 // fabric adds over the channel one.
-func (t *procTransport) serveEdge(l *procEdge) {
+func (t *procTransport) serveEdge(link int, l *procEdge) {
 	e := t.eng
-	lf := e.injLink(l.src, l.dst)
 	w := t.workers[l.src]
 	traced := l.src < e.window
 	for p := range l.ch {
-		wireDur := t.fab.delay(p.key.box)
-		drop, dup, extra := e.faultActions(lf, p.key.start.Name)
+		start, due, dup, drop := t.fab.transit(link, p)
 		fr := wire.Frame{
 			Src: l.src, Dst: l.dst,
-			Name:   p.key.start.Name,
-			Inst:   p.key.inst,
-			WireNS: wireDur.Nanoseconds() + extra,
-			Shape:  p.data.Shape(),
-			Data:   p.data.Data(),
+			Name:  p.key.start.Name,
+			Inst:  p.key.inst,
+			DueNS: due.Nanoseconds(),
+			Shape: p.data.Shape(),
+			Data:  p.data.Data(),
 		}
 		arrivals := int64(1)
 		if drop {
@@ -310,7 +318,7 @@ func (t *procTransport) serveEdge(l *procEdge) {
 			})
 			if !drop {
 				t.pendMu.Lock()
-				t.pending[pendingKey{fr.Name, fr.Inst, l.src, l.dst}] = t0
+				t.pending[pendingKey{fr.Name, fr.Inst, l.src, l.dst}] = start
 				t.pendMu.Unlock()
 			}
 		}
@@ -320,7 +328,7 @@ func (t *procTransport) serveEdge(l *procEdge) {
 // readWorker drains one worker's control socket: every frame coming up
 // is a transfer that finished its socket journey, decoded here straight
 // into the arena buffer the receiving done will adopt and handed to the
-// fabric for delivery. An EOF or read error while the run
+// fabric for delivery with the due it carries. An EOF or read error while the run
 // is still live means the worker died — a real fabric failure, surfaced
 // as a structured *RunError attributed to that device.
 func (t *procTransport) readWorker(w *procWorker) {
@@ -354,6 +362,7 @@ func (t *procTransport) readWorker(w *procWorker) {
 			return
 		}
 		des := e.since() - t0
+		due := time.Duration(fr.DueNS)
 		rtDeserializeSpans.Observe(des)
 		if t.awaited.Add(-1) == 0 {
 			select {
@@ -368,19 +377,20 @@ func (t *procTransport) readWorker(w *procWorker) {
 				Start: t0, Dur: des,
 			})
 			t.pendMu.Lock()
-			post, ok := t.pending[pendingKey{fr.Name, fr.Inst, fr.Src, fr.Dst}]
+			start, ok := t.pending[pendingKey{fr.Name, fr.Inst, fr.Src, fr.Dst}]
 			delete(t.pending, pendingKey{fr.Name, fr.Inst, fr.Src, fr.Dst})
 			t.pendMu.Unlock()
 			if ok {
 				l := t.edges[e.link[[2]int{fr.Src, fr.Dst}]]
+				end := max(due, e.sinceDur())
 				l.transfer = append(l.transfer, obs.Span{
 					Device: fr.Src, Track: obs.TrackTransfer,
 					Cat: obs.CatTransfer, Name: fr.Name,
-					Start: post, Dur: e.since() - post,
+					Start: start.Seconds(), Dur: (end - start).Seconds(),
 				})
 			}
 		}
-		t.fab.deliverNamed(fr.Dst, fr.Name, fr.Inst, data, fr.Fault)
+		t.fab.deliverNamed(fr.Dst, fr.Name, fr.Inst, data, due, fr.Fault)
 	}
 }
 
@@ -405,8 +415,8 @@ func (t *procTransport) drain() {
 //
 // A clean run has consumed every transfer, but the second copy of a
 // duplicated frame may still be on its way up: waiting for it lets the
-// duplicate fail the run, as it does on the channel transport, whose
-// link delivers both copies before it stops. An aborted run, or a
+// duplicate fail the run, as it does on the channel transport, which
+// delivers both copies at the post. An aborted run, or a
 // worker that dies meanwhile, ends the wait.
 func (t *procTransport) shutdown() {
 	for _, l := range t.edges {

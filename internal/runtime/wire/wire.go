@@ -6,11 +6,12 @@
 // Layout (all integers little-endian):
 //
 //	u32  payload length (bytes after this field)
-//	u8   version (wireVersion)
+//	u8   version (Version)
 //	u8   flags (drop / dup, pre-decided by the parent's injector)
 //	u32  src device
 //	u32  dst device
-//	u64  modeled wire occupancy, nanoseconds
+//	u64  due: when the transfer's wire ends, nanoseconds from the run's
+//	     epoch on the parent's clock
 //	u16  start-instruction name length, then the name bytes
 //	u16  fault description length, then the bytes (the injected fault
 //	     a duplicated frame is attributed to; usually empty)
@@ -37,7 +38,7 @@ import (
 
 // Version pins the frame layout; a reader rejects frames from a
 // mismatched writer instead of misparsing them.
-const Version = 1
+const Version = 2
 
 // Flags carried in a frame header: fault actions the parent decided
 // (deterministically, from the run's seeded plan) that the worker must
@@ -67,9 +68,11 @@ type Frame struct {
 	// per-device execution count.
 	Name string
 	Inst int
-	// WireNS is the modeled wire occupancy the worker holds the edge
-	// for before forwarding, in nanoseconds.
-	WireNS int64
+	// DueNS is when the transfer's wire ends, in nanoseconds from the
+	// run's epoch on the parent's clock: the parent fixes it before the
+	// frame goes down and reads it back when the frame comes up; a
+	// worker only relays it.
+	DueNS int64
 	// Flags carries pre-decided fault actions (FlagDrop, FlagDup).
 	Flags uint8
 	// Fault describes the injected fault behind a FlagDup/FlagDrop
@@ -122,7 +125,7 @@ func WriteFrame(w io.Writer, f *Frame) error {
 	b[5] = f.Flags
 	binary.LittleEndian.PutUint32(b[6:], uint32(f.Src))
 	binary.LittleEndian.PutUint32(b[10:], uint32(f.Dst))
-	binary.LittleEndian.PutUint64(b[14:], uint64(f.WireNS))
+	binary.LittleEndian.PutUint64(b[14:], uint64(f.DueNS))
 	binary.LittleEndian.PutUint16(b[22:], uint16(len(f.Name)))
 	off := 24 + copy(b[24:], f.Name)
 	binary.LittleEndian.PutUint16(b[off:], uint16(len(f.Fault)))
@@ -180,7 +183,7 @@ func ReadFrameInto(r io.Reader, f *Frame, alloc func(shape []int) []float64) err
 	f.Flags = b[1]
 	f.Src = int(binary.LittleEndian.Uint32(b[2:]))
 	f.Dst = int(binary.LittleEndian.Uint32(b[6:]))
-	f.WireNS = int64(binary.LittleEndian.Uint64(b[10:]))
+	f.DueNS = int64(binary.LittleEndian.Uint64(b[10:]))
 	nameLen := int(binary.LittleEndian.Uint16(b[18:]))
 	if 20+nameLen+10 > n {
 		return fmt.Errorf("wire: frame name length %d overruns frame of %d bytes", nameLen, n)

@@ -34,15 +34,15 @@ func TestFrameRoundTrip(t *testing.T) {
 	nan := math.Float64frombits(0x7ff8000000000001)
 	frames := []Frame{
 		{Src: 0, Dst: 1, Name: "cps.0", Inst: 0, Shape: []int{2, 3}, Data: []float64{1, 2, 3, 4, 5, 6}},
-		{Src: 3, Dst: 0, Name: "gbkt2.permute.17", Inst: 41, WireNS: 12345678, Shape: []int{1}, Data: []float64{math.Copysign(0, -1)}},
+		{Src: 3, Dst: 0, Name: "gbkt2.permute.17", Inst: 41, DueNS: 12345678, Shape: []int{1}, Data: []float64{math.Copysign(0, -1)}},
 		{Src: 1, Dst: 2, Name: "x", Inst: 7, Flags: FlagDup, Fault: "dup:link:1-2:7", Shape: []int{4}, Data: []float64{nan, math.Inf(1), math.Inf(-1), -1e-300}},
 		// Rank 0 is a scalar: one element, no dims.
-		{Src: 2, Dst: 3, Name: "drop-me", Inst: 1, Flags: FlagDrop, Fault: "drop:link:2-3:1", WireNS: 1, Shape: []int{}, Data: []float64{42.5}},
+		{Src: 2, Dst: 3, Name: "drop-me", Inst: 1, Flags: FlagDrop, Fault: "drop:link:2-3:1", DueNS: 1, Shape: []int{}, Data: []float64{42.5}},
 	}
 	for _, in := range frames {
 		out := roundTrip(t, in)
 		if out.Src != in.Src || out.Dst != in.Dst || out.Name != in.Name ||
-			out.Inst != in.Inst || out.WireNS != in.WireNS ||
+			out.Inst != in.Inst || out.DueNS != in.DueNS ||
 			out.Flags != in.Flags || out.Fault != in.Fault {
 			t.Fatalf("header fields changed: got %+v, want %+v", out, in)
 		}

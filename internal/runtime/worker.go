@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"syscall"
-	"time"
 
 	"overlap/internal/runtime/wire"
 )
@@ -73,32 +72,23 @@ func MaybeWorker() {
 }
 
 // outEdge is one outgoing edge inside a worker: an unbounded queue of
-// frames waiting for the wire, drained in order by one goroutine that
-// holds each frame until its wire is due and writes it to the edge
-// socket. The queue is unbounded so the control reader never blocks on
-// a slow wire — which is what keeps the parent's control writes prompt
-// and teardown EOFs immediate.
+// frames waiting for the edge socket, drained in order by one goroutine
+// that writes each to the socket. The queue is unbounded so the control
+// reader never blocks on a slow peer — which is what keeps the parent's
+// control writes prompt and teardown EOFs immediate.
 type outEdge struct {
 	dst  int
 	sock *os.File
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []queued
+	queue  []*wire.Frame
 	closed bool
 }
 
-// queued is a frame waiting for its edge's wire, and when it reached
-// the worker: the earliest its wire can start on the worker's clock,
-// which is not the parent's.
-type queued struct {
-	f       *wire.Frame
-	arrived time.Time
-}
-
-func (o *outEdge) push(f *wire.Frame, arrived time.Time) {
+func (o *outEdge) push(f *wire.Frame) {
 	o.mu.Lock()
-	o.queue = append(o.queue, queued{f, arrived})
+	o.queue = append(o.queue, f)
 	o.mu.Unlock()
 	o.cond.Signal()
 }
@@ -110,23 +100,23 @@ func (o *outEdge) close() {
 	o.cond.Signal()
 }
 
-func (o *outEdge) pop() (queued, bool) {
+func (o *outEdge) pop() (*wire.Frame, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	for len(o.queue) == 0 && !o.closed {
 		o.cond.Wait()
 	}
 	if len(o.queue) == 0 {
-		return queued{}, false
+		return nil, false
 	}
-	q := o.queue[0]
+	f := o.queue[0]
 	o.queue = o.queue[1:]
-	return q, true
+	return f, true
 }
 
 // runWorker is the whole life of one worker process: read frames from
-// the parent on the control socket (fd 3), act out each frame's wire
-// time and pre-decided faults on its outgoing edge, and forward frames
+// the parent on the control socket (fd 3), act out each frame's
+// pre-decided faults on its outgoing edge, and forward frames
 // arriving from peer workers back up to the parent. It exits when the
 // parent closes the control socket (normal teardown), on SIGTERM, or on
 // an unrecoverable socket error.
@@ -162,49 +152,29 @@ func runWorker(dev int, edgeSpec string) error {
 		}
 	}
 
-	// closed releases wire waits in flight once teardown starts, so a
-	// worker never holds the run's shutdown hostage to a modeled delay.
-	closedCh := make(chan struct{})
-	var closeOnce sync.Once
-	shut := func() { closeOnce.Do(func() { close(closedCh) }) }
-
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
 	go func() {
 		<-sigs
-		shut()
 		control.Close()
 	}()
 
 	var wg sync.WaitGroup
-	// One drainer per outgoing edge, paced as the channel transport's
-	// link is: a frame's wire starts when it arrived or when the edge's
-	// previous wire ends, whichever is later, and the drainer waits
-	// (abort-aware) only for what is left of it. Then it writes the
-	// frame to the peer — twice for an injected duplicate, never for an
-	// injected drop (discarded without holding the wire).
+	// One drainer per outgoing edge relays each frame to the peer as it
+	// comes — twice for an injected duplicate, never for an injected
+	// drop. The frame carries its due; the parent's receiving done waits
+	// it out, so nothing here holds a frame for its wire.
 	for _, e := range out {
-		e := e
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer e.sock.Close()
-			var pace pacer
-			var due time.Time
 			for {
-				q, ok := e.pop()
+				f, ok := e.pop()
 				if !ok {
 					return
 				}
-				f := q.f
 				if f.Flags&wire.FlagDrop != 0 {
-					continue
-				}
-				if q.arrived.After(due) {
-					due = q.arrived
-				}
-				due = due.Add(time.Duration(f.WireNS))
-				if !pace.until(due, closedCh) {
 					continue
 				}
 				writes := 1
@@ -258,7 +228,6 @@ func runWorker(dev int, edgeSpec string) error {
 			}
 			break
 		}
-		arrived := time.Now()
 		e, ok := out[f.Dst]
 		if !ok {
 			readErr = fmt.Errorf("frame for unknown edge %d->%d", f.Src, f.Dst)
@@ -268,10 +237,9 @@ func runWorker(dev int, edgeSpec string) error {
 		g := f
 		g.Shape = append([]int(nil), f.Shape...)
 		g.Data = append([]float64(nil), f.Data...)
-		e.push(&g, arrived)
+		e.push(&g)
 	}
 
-	shut()
 	for _, e := range out {
 		e.close()
 	}

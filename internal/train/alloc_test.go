@@ -28,7 +28,7 @@ import (
 // and an einsum's shape slices. Now a step's result reuses the tables
 // the step before it released, and what is left is what it keeps — its
 // Result, its StepStat's strings — and the closures that start its
-// device and link goroutines. A step packs nothing: the kernels read
+// device goroutines. A step packs nothing: the kernels read
 // every layout its einsums use in place, and a parallel kernel hands
 // its chunks to the workers without allocating.
 func TestMegatronStepAllocBudget(t *testing.T) {
@@ -134,8 +134,8 @@ func megatronStep(t *testing.T) (*Program, core.Report) {
 // warm runs 12-step Executes until two in a row allocate the same
 // bytes, at most 21 of them. The first calls fill the arena, the einsum
 // plans, the kernel scratch and the Go scheduler's per-P lists of
-// exited goroutines, which every step's device and link goroutines
-// start from: until the lists hold enough, starting a goroutine
+// exited goroutines, which every step's device goroutines start
+// from: until the lists hold enough, starting a goroutine
 // allocates one.
 func warm(t *testing.T, prog *Program, report core.Report) {
 	last := execute(t, prog, report, 12)
