@@ -111,15 +111,28 @@ var sourceGuards = []sourceGuard{
 	},
 	{
 		name:    "one timer per device: a parcel carries its due",
-		why:     "a done waits out what is left of its transfer's wire on its device's pacer; no link, edge sender or worker keeps a timer of its own",
+		why:     "a device waits out what is left of a transfer's or a collective result's wire on its own pacer; no link, rendezvous, edge sender or worker keeps a timer of its own",
 		pattern: regexp.MustCompile(`time\.NewTimer|\bpacer\b`),
-		roots:   []string{"internal/runtime/transport_chan.go", "internal/runtime/transport_proc.go", "internal/runtime/worker.go"},
+		roots:   []string{"internal/runtime/fabric.go", "internal/runtime/rendezvous.go", "internal/runtime/transport_proc.go", "internal/runtime/worker.go"},
 	},
 	{
 		name:    "the wire needs no goroutine",
-		why:     "the channel transport delivers at the post: the posting device takes the parcel onto its link, no link goroutine stands between",
+		why:     "in process the fabric delivers at the post and a blocking collective's completing member at its kernel: no link or rendezvous goroutine stands between",
 		pattern: regexp.MustCompile(`^\s*go\s`),
-		roots:   []string{"internal/runtime/transport_chan.go"},
+		roots:   []string{"internal/runtime/fabric.go", "internal/runtime/rendezvous.go"},
+	},
+	{
+		name:    "one way a device receives: only device.take waits on a pacer",
+		why:     "a transfer and a blocking collective's result both reach a device through its mailbox, stamped with their due, and take alone waits out what is left of it",
+		pattern: regexp.MustCompile(`\.pace\.until`),
+		roots:   []string{"internal/runtime"},
+		except:  under("internal/runtime/device.go", "internal/runtime/engine.go"),
+	},
+	{
+		name:    "one way a device receives: the rendezvous keeps no lock or timer",
+		why:     "members count themselves in with one atomic add and take their results from their mailboxes: no mutex, registry, timer or wake-up channel comes back",
+		pattern: regexp.MustCompile(`\bsync\.(RW)?Mutex\b|\.R?Lock\(\)|"sync"|"time"`),
+		roots:   []string{"internal/runtime/rendezvous.go"},
 	},
 	{
 		name: "one plan record",

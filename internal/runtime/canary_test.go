@@ -301,6 +301,45 @@ func TestPlanRefusesUnsafeReuse(t *testing.T) {
 	checkOutputsBitwise(t, "shared-gather", shared, n, randomArgs(shared, n, rng))
 }
 
+// TestBlockingCollectivesInALongLoop runs blocking collectives — an
+// AllGather over the ring and an AllReduce over two pairs — in a loop
+// body of 64 trips, with one device held back on every trip, bitwise
+// against the interpreter under both canaries. Each group gathers in
+// two states used by the generation's parity, so every state is reused
+// 32 times, while devices that are through one generation already
+// deposit into the other; a state reset too late, or read after its
+// reset, shows as a wrong or poisoned result, and under -race as the
+// cross-device write it is.
+func TestBlockingCollectivesInALongLoop(t *testing.T) {
+	defer runtime.PoisonReleased()()
+	defer sim.PoisonReleased()()
+	const n, trips = 4, 64
+	ring := topology.NewRing(n)
+	body := hlo.NewComputation("body")
+	{
+		b := body
+		p := b.Parameter(0, "p", []int{2, 4})
+		acc := b.Parameter(1, "acc", []int{8, 4})
+		start := b.CollectivePermuteStart(p, ringPairs(n))
+		full := b.AllGather(p, 0, ring.AxisGroups(0))
+		sum := b.AllReduce(full, [][]int{{0, 2}, {1, 3}})
+		shard := b.CollectivePermuteDone(start) // device 1 waits here
+		b.Tuple(shard, b.Add(acc, sum))
+	}
+	looped := hlo.NewComputation("collectives-in-a-long-loop")
+	{
+		c := looped
+		x := c.Parameter(0, "x", []int{2, 4})
+		acc := c.Parameter(1, "acc", []int{8, 4})
+		c.Loop(body, trips, 1, x, acc)
+	}
+	slow := runtime.Options{Faults: &runtime.FaultPlan{Seed: 1, Faults: []runtime.Fault{
+		{Kind: runtime.FaultDelay, Src: 0, Dst: 1, K: -1, Delay: 200 * time.Microsecond},
+	}}}
+	rng := rand.New(rand.NewSource(29))
+	checkOutputsBitwiseWith(t, "collectives-in-a-long-loop", looped, n, randomArgs(looped, n, rng), slow).Release()
+}
+
 func ringPairs(n int) []hlo.SourceTargetPair {
 	pairs := make([]hlo.SourceTargetPair, n)
 	for d := range pairs {

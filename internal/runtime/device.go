@@ -56,8 +56,8 @@ type device struct {
 	compute, wire, exposed float64
 
 	// overshoot sums how late this device woke past the dues it waited
-	// for: those of the transfers its dones took before their wire
-	// ended, and those of the blocking collectives it closed.
+	// for: those of the transfers and blocking-collective results it
+	// came to take before their wire ended.
 	overshoot time.Duration
 
 	asyncSends   int
@@ -75,11 +75,9 @@ type device struct {
 	// run's span slab, the size the trace layout gives, when the device
 	// is inside the run's trace window, and nil otherwise. pace is the
 	// timer the device waits for a due on, a transfer's or a blocking
-	// collective's; rv is where the member that closes a collective it
-	// waits on wakes it, nil until the device first joins one.
+	// collective's.
 	trace []obs.Span
 	pace  pacer
-	rv    chan struct{}
 
 	// status publishes what the device was last doing, for the deadline
 	// watchdog: the op index plus one in the high bits, the entry time
@@ -105,8 +103,8 @@ func newDevice(e *engine, id int) *device {
 
 // reset clears what a clean run left in the device — the outputs
 // assemble moved out still sit in their slots — and zeroes its
-// measurements. The timer and the wake-up channel stay: a clean run
-// left the one expired and drained, the other empty.
+// measurements. The timer stays: a clean run left it expired and
+// drained.
 func (d *device) reset() {
 	clear(d.vals)
 	clear(d.owned)
@@ -249,10 +247,11 @@ func (d *device) walk() {
 			gen := int(d.count[pc])
 			d.count[pc]++
 			// The group writes this device's share into a buffer of its
-			// own. On an abort it is abandoned, not recycled: the member
-			// computing the result may still be writing it.
-			out := d.acquire(op.in.Shape)
-			if !e.rendezvous(op, gen, d, d.vals[op.arg.slot], out) {
+			// own, and the device takes it back from its mailbox. On an
+			// abort it is abandoned, not recycled: the member computing
+			// the result may still be writing it.
+			out, alive := d.rendezvous(op, gen, d.vals[op.arg.slot], d.acquire(op.in.Shape))
+			if !alive {
 				return
 			}
 			wait := e.since() - t0
@@ -390,7 +389,7 @@ func (d *device) post(op *tapeOp, pc int) bool {
 			d.free(op.arg.slot)
 		}
 	}
-	if !e.fabric.post(d.id, int(target), mailKey{start: op.in, box: int(op.box), inst: inst}, data, op.bytes) {
+	if !e.fabric.post(d.id, int(target), mailKey{box: int(op.box), inst: inst}, data, op.bytes) {
 		return false
 	}
 	d.wire += e.delay(op.modeled).Seconds()
@@ -413,7 +412,7 @@ func (d *device) receive(op *tapeOp, pc int) bool {
 	var out *tensor.Tensor
 	if op.peer[d.id] >= 0 {
 		d.setStat(pc, t0)
-		t, alive := d.take(mailKey{start: op.in.Operands[0], box: int(op.box), inst: inst})
+		t, alive := d.take(mailKey{box: int(op.box), inst: inst})
 		if !alive {
 			return false
 		}
@@ -434,10 +433,11 @@ func (d *device) receive(op *tapeOp, pc int) bool {
 	return true
 }
 
-// take blocks until the transfer key addresses is in the device's
-// mailbox and then, only if its due is still ahead, until its due; a
-// transfer whose wire has ended by the time the done comes is taken at
-// once, without the timer. It reports false when the run aborted.
+// take is how a device receives: it blocks until what key addresses —
+// a transfer, or a blocking collective's result — is in the device's
+// mailbox and then, only if its due is still ahead, until its due; one
+// whose wire has ended by the time the device comes is taken at once,
+// without the timer. It reports false when the run aborted.
 func (d *device) take(key mailKey) (*tensor.Tensor, bool) {
 	e := d.eng
 	t, due, alive := e.fabric.receive(d.id, key)

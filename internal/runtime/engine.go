@@ -15,16 +15,16 @@ import (
 )
 
 // engine is a run context: one concurrent execution of an Executable at
-// a time — the shared rendezvous registry for blocking collectives, the
-// link fabric for asynchronous transfers, the fault injector (nil when
-// no plan is set), and the abort machinery that lets any device — or
-// the run deadline — fail the run without deadlocking the others. It
+// a time — the generation states blocking collectives gather in, the
+// mailbox fabric every device receives through, the fault injector (nil
+// when no plan is set), and the abort machinery that lets any device —
+// or the run deadline — fail the run without deadlocking the others. It
 // reads the Executable and writes only its own state. A run checks a
 // context out of its Executable and, after a clean run, hands it back
-// reset for the next one (checkin): its tables, mailboxes, link queues,
-// generation states and timers outlive the run. A run that failed or
-// aborted never hands its context back: its mailboxes, counters and
-// half-finished generations die with it.
+// reset for the next one (checkin): its tables, mailboxes, generation
+// states and timers outlive the run. A run that failed or aborted never
+// hands its context back: its mailboxes, counters and half-finished
+// generations die with it.
 type engine struct {
 	*Executable
 	opts Options
@@ -47,11 +47,9 @@ type engine struct {
 	// owns or writes.
 	placeholder *tensor.Tensor
 
-	mu sync.Mutex
-	// gens holds the generations some member has reached and not every
-	// member has; spare holds finished generation states for reuse.
-	gens  map[rvKey]*genState
-	spare []*genState
+	// gens[box] holds a blocking collective's generation states, laid
+	// out by layoutGens.
+	gens  [][]genState
 	abort chan struct{}
 	once  sync.Once
 	err   error
@@ -126,7 +124,7 @@ func (t *resultTables) giveBack() {
 func newEngine(x *Executable, opts Options) (*engine, error) {
 	e := &engine{
 		Executable:  x,
-		gens:        map[rvKey]*genState{},
+		gens:        layoutGens(x.tape),
 		abort:       make(chan struct{}),
 		placeholder: tensor.New(),
 		shelf:       &tableShelf{},
@@ -166,8 +164,8 @@ func (x *Executable) checkin(e *engine) {
 
 // prepare sets a context up for one run under opts: the fault
 // injector, the transport, and for a traced run the span slab, whose
-// windows the transport's recorders and the devices declare before it
-// is cut.
+// windows the fabric's links (or the process transport's recorders) and
+// the devices declare before it is cut.
 func (e *engine) prepare(opts Options) error {
 	e.opts = opts
 	e.window, e.spans = 0, nil
@@ -194,8 +192,9 @@ func (e *engine) prepare(opts Options) error {
 
 // reset empties a context after a clean run: no tensor, span slab,
 // fault plan or argument of the run stays reachable from it. A clean
-// run consumed every parcel, token and generation it made, so what is
-// left to clear is the tables.
+// run consumed every parcel, token and generation it made — the member
+// completing a generation clears its state — so what is left to clear
+// is the tables.
 func (e *engine) reset() {
 	e.opts, e.args, e.inj = Options{}, nil, nil
 	e.window, e.spans = 0, nil
@@ -234,8 +233,8 @@ func (e *engine) delay(modeled float64) time.Duration {
 }
 
 // pacer is the one timer a device keeps for the whole run to wait out
-// injected wire — a transfer's its done takes before the wire ends, a
-// blocking collective's it closes — instead of a new one per wait.
+// injected wire — of a transfer or a blocking collective's result it
+// takes before the wire ends — instead of a new one per wait.
 type pacer struct {
 	timer *time.Timer
 }

@@ -92,7 +92,7 @@ func Compile(c *hlo.Computation, numDevices int, spec machine.Spec) (*Executable
 		tape:    t,
 		spec:    spec,
 		specErr: spec.Validate(),
-		boxes:   make(map[string]int, len(t.starts)),
+		boxes:   make(map[string]int, len(t.boxes)),
 	}
 	x.layout()
 	return x, nil

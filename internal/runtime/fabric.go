@@ -4,21 +4,20 @@ import (
 	"sync"
 	"time"
 
-	"overlap/internal/hlo"
+	"overlap/internal/obs"
 	"overlap/internal/tensor"
 )
 
-// mailKey addresses one asynchronous transfer instance: which
-// CollectivePermuteStart produced it — the instruction for attribution,
-// box its mailbox number on every device (its position in the tape's
-// start list) — and the per-device execution count of that start. SPMD
-// keeps the counters symmetric — the sender's k-th execution of a start
-// pairs with the receiver's k-th execution of the matching done — so no
-// further coordination is needed to match them.
+// mailKey addresses one received instance: box is the mailbox number of
+// the op that produced it — a CollectivePermuteStart or a blocking
+// collective (fabric.op reads the op back) — and inst that op's
+// per-device execution count. SPMD keeps the counters symmetric — a
+// sender's k-th start pairs with its receiver's k-th done, and every
+// member's k-th collective is generation k — so no further
+// coordination is needed to match them.
 type mailKey struct {
-	start *hlo.Instruction
-	box   int
-	inst  int
+	box  int
+	inst int
 }
 
 // parcel is one posted tensor on its way into a mailbox. The fabric
@@ -32,20 +31,20 @@ type parcel struct {
 	posted time.Duration
 }
 
-// mailboxes is one device's receive side: a queue per start, all under
-// one lock, and one wake-up channel — only the device itself ever waits
-// here, on one transfer at a time.
+// mailboxes is one device's receive side: a queue per mailbox number,
+// all under one lock, and one wake-up channel — only the device itself
+// ever waits here, on one transfer or collective result at a time.
 type mailboxes struct {
 	mu sync.Mutex
 
-	// queue[box][i] is instance water[box]+i of that start, empty until
+	// queue[box][i] is instance water[box]+i of that op, empty until
 	// it arrives; water[box] is one past the last instance the device
-	// consumed. Per (start, device) instances are consumed strictly in
+	// consumed. Per (op, device) instances are consumed strictly in
 	// order — the receiver's k-th done blocks until instance k arrives
 	// — so a delivery below the watermark, or into an occupied cell,
 	// can only be a duplicate (injected or a fabric bug), and a queue
 	// holds only in-flight instances however many times a loop executes
-	// the start.
+	// the op.
 	queue [][]cell
 	water []int
 
@@ -54,8 +53,8 @@ type mailboxes struct {
 	wake chan struct{}
 }
 
-// cell is one delivered transfer: its buffer, and when its wire ends,
-// from the run's epoch — the earliest the done may take it.
+// cell is one delivered instance: its buffer, and when its wire ends,
+// from the run's epoch — the earliest the device may take it.
 type cell struct {
 	data *tensor.Tensor
 	due  time.Duration
@@ -64,63 +63,69 @@ type cell struct {
 // fabric is a run context's transfer addressing and timing: every
 // device's mailboxes, the at-most-once bookkeeping, and when each link's
 // wire is next free, over the edge and mailbox tables the Executable
-// derived from the program. The movement between post and deliver — and
-// for the process transport the serialization across real sockets —
-// belongs to the pluggable transport underneath: tr, the current run's.
-// The channel transport outlives a run with the context (chans); the
-// process transport spawns its workers for each run.
+// derived from the program. In process it is the whole data plane: the
+// posting device takes a parcel onto its link and delivers it at once,
+// stamped with its due, and the device that takes it waits out whatever
+// is left of that wire on its own timer. No goroutine stands between
+// the two. A run on the process transport binds tr, whose workers move
+// the parcel across real sockets between post and deliver; tr is nil
+// on an in-process run.
 //
 // due[link] is when the wire of the last parcel taken onto that link
 // ends, from the run's epoch; start zeroes it. Only the goroutine that
-// takes the link's parcels — its source device on the channel
-// transport, its serializer on the process one — touches it.
+// takes the link's parcels — its source device in process, the edge's
+// serializer on the process transport — touches it. trace[link] is the
+// in-process transfer window of a link whose source device is inside a
+// traced run's window, nil otherwise.
 type fabric struct {
 	eng   *engine
 	tr    transport
-	chans *chanTransport
 	mail  []mailboxes
 	due   []time.Duration
+	trace [][]obs.Span
 }
 
-// newFabric lays out one mailbox per (device, start) of the tape. Its
-// transport is bound per run (bind), and its data plane started by
-// engine.run before launching devices, so a spawn failure surfaces as a
-// run error instead of a hang.
+// newFabric lays out one mailbox per (device, mailbox number) of the
+// tape. A process transport is bound per run (bind), and its data plane
+// started by engine.run before launching devices, so a spawn failure
+// surfaces as a run error instead of a hang.
 func newFabric(e *engine) *fabric {
-	starts := e.tape.starts
+	boxes := len(e.tape.boxes)
 	f := &fabric{
-		eng:  e,
-		mail: make([]mailboxes, e.n),
-		due:  make([]time.Duration, len(e.edges)),
+		eng:   e,
+		mail:  make([]mailboxes, e.n),
+		due:   make([]time.Duration, len(e.edges)),
+		trace: make([][]obs.Span, len(e.edges)),
 	}
 	// One cell per mailbox up front: in a healthy run at most one
-	// instance of a start is waiting at a device, so queues never grow.
-	cells := make([]cell, e.n*len(starts))
+	// instance of an op is waiting at a device, so queues never grow.
+	cells := make([]cell, e.n*boxes)
 	for d := range f.mail {
 		m := &f.mail[d]
-		m.queue = make([][]cell, len(starts))
+		m.queue = make([][]cell, boxes)
 		for b := range m.queue {
-			at := d*len(starts) + b
+			at := d*boxes + b
 			m.queue[b] = cells[at : at : at+1]
 		}
-		m.water = make([]int, len(starts))
+		m.water = make([]int, boxes)
 		m.wake = make(chan struct{}, 1)
 	}
 	return f
 }
 
-// bind constructs, or for the channel transport readies, the run's
-// transport for the Executable's edges; its recorders declare their
-// windows of a traced run's span slab.
+// bind readies the fabric for a run's transport. In process, each link
+// inside a traced run's window gets its window of the span slab: every
+// transfer the trace layout says it carries. The process transport is
+// constructed here, and its recorders declare their own windows.
 func (f *fabric) bind() error {
 	e := f.eng
 	switch e.opts.Transport {
 	case "", TransportChan:
-		if f.chans == nil {
-			f.chans = newChanTransport(e, f)
+		for i, edge := range e.edges {
+			if edge.src < e.window {
+				e.spans.declare(edge.src, obs.TrackTransfer, edge.transfers, &f.trace[i])
+			}
 		}
-		f.chans.bind()
-		f.tr = f.chans
 		return nil
 	case TransportProc:
 		tr, err := newProcTransportChecked(e, f)
@@ -132,12 +137,11 @@ func (f *fabric) bind() error {
 
 // reset readies the mailboxes for another run after a clean one, which
 // consumed every parcel: only the watermarks and a leftover wake-up
-// token remain.
+// token remain. The links' windows of the last run's slab go: the run's
+// Result owns them now.
 func (f *fabric) reset() {
 	f.tr = nil
-	if f.chans != nil {
-		f.chans.reset()
-	}
+	clear(f.trace)
 	for d := range f.mail {
 		m := &f.mail[d]
 		clear(m.water)
@@ -148,29 +152,32 @@ func (f *fabric) reset() {
 	}
 }
 
-// start brings the transport's data plane up, on links idle since the
-// run's epoch.
+// start brings the data plane up, on links idle since the run's epoch.
 func (f *fabric) start() error {
 	clear(f.due)
+	if f.tr == nil {
+		return nil
+	}
 	return f.tr.start()
 }
 
-// transit is the wire rule both transports apply where they take a
-// parcel off its link's source. It makes the parcel's fault decision
-// and, unless the parcel is dropped, fixes its wire: the wire starts
-// when the parcel was posted or when the link's previous wire ends,
-// whichever is later, and lasts the injected delay plus any injected
-// extra. The due follows from the model, not from when any goroutine
+// transit is the wire rule every parcel takes where it leaves its
+// link's source — in carry, or in the process transport's edge
+// serializer. It makes the parcel's fault decision and, unless the
+// parcel is dropped, fixes its wire: the wire starts when the parcel
+// was posted or when the link's previous wire ends, whichever is
+// later, and lasts the injected delay plus any injected extra. The due follows from the model, not from when any goroutine
 // got round to the parcel; a dropped parcel never holds the link.
 func (f *fabric) transit(link int, p parcel) (start, due time.Duration, dup *Fault, drop bool) {
 	e := f.eng
 	edge := e.edges[link]
-	drop, dup, extra := e.faultActions(e.injLink(edge.src, edge.dst), p.key.start.Name)
+	op := f.op(p.key.box)
+	drop, dup, extra := e.faultActions(e.injLink(edge.src, edge.dst), op.in.Name)
 	if drop {
 		return 0, 0, nil, true
 	}
 	start = max(p.posted, f.due[link])
-	f.due[link] = start + f.delay(p.key.box) + time.Duration(extra)
+	f.due[link] = start + e.delay(op.modeled) + time.Duration(extra)
 	return start, f.due[link], dup, false
 }
 
@@ -188,7 +195,7 @@ func (f *fabric) deliver(dst int, key mailKey, data *tensor.Tensor, due time.Dur
 	if i < 0 || (i < len(q) && q[i].data != nil) {
 		m.mu.Unlock()
 		f.eng.fail(&RunError{
-			Device: dst, Instr: key.start.Name, Phase: PhaseReceive,
+			Device: dst, Instr: f.op(key.box).in.Name, Phase: PhaseReceive,
 			Elapsed: f.eng.sinceDur(), Fault: fault, Err: ErrDuplicateDelivery,
 		})
 		return
@@ -222,38 +229,37 @@ func (f *fabric) deliverNamed(dst int, name string, inst int, data *tensor.Tenso
 		})
 		return
 	}
-	f.deliver(dst, f.key(box, inst), data, due, fault)
+	f.deliver(dst, mailKey{box: box, inst: inst}, data, due, fault)
 }
 
-// key names instance inst of the start behind mailbox number box.
-func (f *fabric) key(box, inst int) mailKey {
+// op is the tape op behind mailbox number box: its instruction names a
+// transfer or a collective result in errors, spans and frames.
+func (f *fabric) op(box int) *tapeOp {
 	t := f.eng.tape
-	return mailKey{start: t.ops[t.starts[box]].in, box: box, inst: inst}
+	return &t.ops[t.boxes[box]]
 }
 
-// delay is the wire occupancy this run injects for one transfer of the
-// start behind a mailbox number.
-func (f *fabric) delay(box int) time.Duration {
-	t := f.eng.tape
-	return f.eng.delay(t.ops[t.starts[box]].modeled)
-}
-
-// post hands a transfer to its link's transport without waiting for the
-// wire. It reports false if the run aborted while the transport could
-// not take it, or if no link exists for the edge — a peer table that
-// names an edge the Executable never laid out — which fails the run
-// with an error naming the edge instead of blocking forever.
+// post puts a transfer on its link without waiting for the wire: in
+// process it delivers at once (carry), on the process transport it
+// hands the parcel to the edge's queue. It reports false if the run
+// aborted while the process transport could not take it, or if no link
+// exists for the edge — a peer table that names an edge the Executable
+// never laid out — which fails the run with an error naming the edge
+// instead of blocking forever.
 func (f *fabric) post(src, dst int, key mailKey, data *tensor.Tensor, bytes int64) bool {
 	link, ok := f.eng.link[[2]int{src, dst}]
 	if !ok {
 		f.eng.fail(&RunError{
-			Device: src, Instr: key.start.Name, Phase: PhasePost,
+			Device: src, Instr: f.op(key.box).in.Name, Phase: PhasePost,
 			Elapsed: f.eng.sinceDur(),
 			Err:     formatErr("%w %d->%d (permute pair absent at fabric build time)", ErrMissingLink, src, dst),
 		})
 		return false
 	}
-	if !f.tr.post(link, parcel{key: key, data: data, posted: f.eng.sinceDur()}) {
+	p := parcel{key: key, data: data, posted: f.eng.sinceDur()}
+	if f.tr == nil {
+		f.carry(link, p)
+	} else if !f.tr.post(link, p) {
 		return false
 	}
 	rtTransfers.Inc()
@@ -261,9 +267,36 @@ func (f *fabric) post(src, dst int, key mailKey, data *tensor.Tensor, bytes int6
 	return true
 }
 
-// receive blocks until the transfer addressed by key — always the next
-// instance the device has not consumed — is in device dst's mailbox, or
-// the run aborts, and returns it with its due: the device becomes the
+// carry takes a parcel onto its link in process and delivers it at once
+// — twice for an injected duplicate, never for a drop. The posting
+// device records the transfer span, from the wire's start to its due or
+// to the end of the hand-off, whichever is later: the span never ends
+// before the wire, its start never decreases along a link, and it is
+// never empty, even with no wire injected.
+func (f *fabric) carry(link int, p parcel) {
+	e := f.eng
+	start, due, dup, drop := f.transit(link, p)
+	if drop {
+		return // lost on the wire: never delivered, never on it
+	}
+	edge := e.edges[link]
+	f.deliver(edge.dst, p.key, p.data, due, "")
+	if dup != nil {
+		f.deliver(edge.dst, p.key, p.data, due, dup.String())
+	}
+	if edge.src < e.window {
+		end := max(due, e.sinceDur())
+		f.trace[link] = append(f.trace[link], obs.Span{
+			Device: edge.src, Track: obs.TrackTransfer,
+			Cat: obs.CatTransfer, Name: f.op(p.key.box).in.Name,
+			Start: start.Seconds(), Dur: (end - start).Seconds(),
+		})
+	}
+}
+
+// receive blocks until the instance addressed by key — always the next
+// one the device has not consumed — is in device dst's mailbox, or the
+// run aborts, and returns it with its due: the device becomes the
 // buffer's owner, and waits out what is left of the wire itself.
 func (f *fabric) receive(dst int, key mailKey) (*tensor.Tensor, time.Duration, bool) {
 	m := &f.mail[dst]
@@ -287,14 +320,18 @@ func (f *fabric) receive(dst int, key mailKey) (*tensor.Tensor, time.Duration, b
 	}
 }
 
-// shutdown winds the transport down. Called after all devices have
-// returned: remaining parcels (possible only on abort) drain into
+// shutdown winds a process transport down. Called after all devices
+// have returned: remaining parcels (possible only on abort) drain into
 // mailboxes nobody reads, which cannot block because delivery never
 // waits on a reader.
-func (f *fabric) shutdown() { f.tr.shutdown() }
+func (f *fabric) shutdown() {
+	if f.tr != nil {
+		f.tr.shutdown()
+	}
+}
 
 // mailboxSizes reports, for one device, how many queue cells exist, how
-// many hold an undelivered parcel, and how many starts have advanced
+// many hold an undelivered parcel, and how many ops have advanced
 // their watermark — the boundedness receive guarantees, pinned by the
 // fabric tests.
 func (f *fabric) mailboxSizes(dev int) (mail, delivered, watermarks int) {

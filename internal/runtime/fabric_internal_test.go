@@ -49,7 +49,7 @@ func TestPostMissingLinkFailsFast(t *testing.T) {
 	done := make(chan bool, 1)
 	go func() {
 		// Edge 0->3 was never built: only 0->1 appears in the program.
-		done <- e.fabric.post(0, 3, mailKey{start: start}, tensor.New(2, 2), 16)
+		done <- e.fabric.post(0, 3, mailKey{}, tensor.New(2, 2), 16)
 	}()
 	select {
 	case ok := <-done:
@@ -205,7 +205,7 @@ func oneLink(t *testing.T, wire time.Duration) (*Executable, float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return x, wire.Seconds() / x.tape.ops[x.tape.starts[0]].modeled
+	return x, wire.Seconds() / x.tape.ops[x.tape.boxes[0]].modeled
 }
 
 // TestLinkDeliversNoEarlierThanItsDue pins the wire rule at the
@@ -241,7 +241,7 @@ func TestLinkDeliversNoEarlierThanItsDue(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wire := e.fabric.delay(0)
+			wire := e.delay(e.fabric.op(0).modeled)
 			if wire < ask-time.Microsecond {
 				t.Fatalf("the link injects %v a parcel, want %v", wire, ask)
 			}
@@ -252,7 +252,7 @@ func TestLinkDeliversNoEarlierThanItsDue(t *testing.T) {
 			defer e.fabric.shutdown()
 			first := e.sinceDur()
 			for i := 0; i < k; i++ {
-				if !e.fabric.post(0, 1, e.fabric.key(0, i), tensor.New(2, 2), 16) {
+				if !e.fabric.post(0, 1, mailKey{inst: i}, tensor.New(2, 2), 16) {
 					t.Fatalf("post %d failed: %v", i, e.err)
 				}
 			}
@@ -260,7 +260,7 @@ func TestLinkDeliversNoEarlierThanItsDue(t *testing.T) {
 				t.Fatal(e.err)
 			}
 
-			trace := e.fabric.chans.trace[e.link[[2]int{0, 1}]]
+			trace := e.fabric.trace[e.link[[2]int{0, 1}]]
 			want := k
 			if tc.dropped >= 0 {
 				want--
@@ -290,7 +290,7 @@ func TestLinkDeliversNoEarlierThanItsDue(t *testing.T) {
 				if tc.dropped >= 0 && i > tc.dropped {
 					continue // behind a lost instance: a done never gets to it
 				}
-				if _, ok := dev.take(e.fabric.key(0, i)); !ok {
+				if _, ok := dev.take(mailKey{inst: i}); !ok {
 					t.Fatalf("device 1 could not take instance %d: %v", i, e.err)
 				}
 				if took := e.sinceDur(); took < due {
@@ -318,7 +318,7 @@ func TestPastDueDoneTakesAtOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.fabric.shutdown()
-	if !e.fabric.post(0, 1, e.fabric.key(0, 0), tensor.New(2, 2), 16) {
+	if !e.fabric.post(0, 1, mailKey{inst: 0}, tensor.New(2, 2), 16) {
 		t.Fatalf("post failed: %v", e.err)
 	}
 	due := e.fabric.due[e.link[[2]int{0, 1}]]
@@ -329,7 +329,7 @@ func TestPastDueDoneTakesAtOnce(t *testing.T) {
 		time.Sleep(due - now + time.Millisecond)
 	}
 	dev := e.devices[1]
-	if _, ok := dev.take(e.fabric.key(0, 0)); !ok {
+	if _, ok := dev.take(mailKey{inst: 0}); !ok {
 		t.Fatalf("device 1 could not take the transfer: %v", e.err)
 	}
 	if dev.pace.timer != nil {
@@ -340,11 +340,11 @@ func TestPastDueDoneTakesAtOnce(t *testing.T) {
 	}
 }
 
-// TestParcelSize pins a parcel at 40 bytes: the process transport's
+// TestParcelSize pins a parcel at 32 bytes: the process transport's
 // edge queues hold parcels by value and are made for every run, so each
 // byte more is paid on every run.
 func TestParcelSize(t *testing.T) {
-	if n := unsafe.Sizeof(parcel{}); n > 40 {
-		t.Fatalf("a parcel is %d bytes, want at most 40", n)
+	if n := unsafe.Sizeof(parcel{}); n > 32 {
+		t.Fatalf("a parcel is %d bytes, want at most 32", n)
 	}
 }

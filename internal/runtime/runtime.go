@@ -14,9 +14,9 @@
 // Executable by whoever holds the plan (serve's plan cache, a training
 // Program, the tuner's measured candidates). (*Executable).Run is the
 // run's: argument and fault-plan checks, then a run context checked out
-// of the Executable — engine, mailboxes, link queues, slot tables,
-// collective generations, timers — and a span slab from the span free
-// list. A clean run hands its context back, cleared, for the next run;
+// of the Executable — engine, mailboxes, link dues, slot tables,
+// collective generation states, timers — and a span slab from the span
+// free list. A clean run hands its context back, cleared, for the next run;
 // a failed or aborted run drops it, so whatever the abort left half
 // done dies with it. A released Result hands its tables — the All map
 // and its slices — back to the context that filled them. Run and
@@ -42,10 +42,12 @@
 // goes into the destination's mailbox at once, stamped with that due.
 // The done that takes it waits only for what is left of the wire — on
 // its device's own timer, which releases the OS thread — and a done
-// that comes after the due takes it at once. So device goroutines keep
-// computing while transfers are "on the wire" — which is exactly the
-// resource structure (compute engine vs transfer engine) whose overlap
-// the paper exploits, and it holds even on a single-core host.
+// that comes after the due takes it at once. A blocking collective's
+// result reaches each member the same way, due its wire after the
+// group's last arrival. So device goroutines keep computing while
+// transfers are "on the wire" — which is exactly the resource
+// structure (compute engine vs transfer engine) whose overlap the paper
+// exploits, and it holds even on a single-core host.
 package runtime
 
 import (
@@ -99,7 +101,8 @@ type Options struct {
 
 	// Transport selects the fabric implementation transfers move over:
 	// TransportChan (the default, also the zero value) keeps every
-	// device in-process on buffered channels; TransportProc spawns one
+	// device in process, delivering into its mailboxes at the post;
+	// TransportProc spawns one
 	// OS worker process per communicating device and moves tensors as
 	// length-prefixed frames over Unix sockets. Results are
 	// bit-identical across transports — only the movement layer
@@ -143,15 +146,16 @@ type Result struct {
 	// averages the injected wire occupancy each device initiated.
 	Breakdown sim.Breakdown
 
-	// WireOvershoot is how long a done or a blocking collective waited
-	// past its due, in seconds summed over the run and averaged over
-	// the devices: the time the host's timers and scheduler added to the
+	// WireOvershoot is how long the devices woke past the dues they
+	// waited for, in seconds summed over the run and averaged over the
+	// devices: the time the host's timers and scheduler added to the
 	// model's, on either transport. A transfer is due when its wire
 	// ends, counted from its post or from the end of the wire ahead of
-	// it on its link; a blocking collective, its wire after its last
-	// member arrived. A done that comes after its transfer's due waits
-	// for nothing and adds nothing, and neither do wire-free transfers
-	// and collectives.
+	// it on its link; a blocking collective's result, its wire after
+	// its last member arrived, and every member that waits for it adds
+	// its own lateness. A done or a member that comes after the due
+	// waits for nothing and adds nothing, and neither do wire-free
+	// transfers and collectives.
 	WireOvershoot float64
 
 	// Trace holds the recorded spans when Options.Trace was set, on the

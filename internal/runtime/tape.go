@@ -62,9 +62,11 @@ type tape struct {
 	ops    []tapeOp
 	nslots int
 
-	// starts lists the op index of every CollectivePermuteStart; a
-	// start's position here is its mailbox number on every device.
-	starts []int32
+	// boxes lists the op index of every op whose result a device
+	// receives through its mailbox — each CollectivePermuteStart (its
+	// done takes the transfer) and each blocking collective; an op's
+	// position here is its mailbox number on every device.
+	boxes []int32
 
 	// outputs are the instructions Result.All reports, with their
 	// slots.
@@ -127,7 +129,8 @@ type tapeOp struct {
 	// arg is the operand of a collective or a start.
 	arg arg
 
-	// groups is a blocking collective's rendezvous membership.
+	// groups is a blocking collective's rendezvous membership; box is
+	// its mailbox number.
 	groups *groupPlan
 
 	steps []step
@@ -155,11 +158,11 @@ type tapeOp struct {
 
 // groupPlan resolves who a device meets at a blocking collective:
 // group[d] is the rendezvous group device d joins, pos[d] its position
-// in it, members[g] group g's size. A CollectivePermute synchronizes
-// every device: one group, each device at its own id.
+// in it, devs[g] group g's devices by position. A CollectivePermute
+// synchronizes every device: one group, each device at its own id.
 type groupPlan struct {
 	group, pos []int32
-	members    []int32
+	devs       [][]int
 }
 
 // loopPlan is shared by a loop's entry and back-edge ops.
@@ -290,16 +293,16 @@ func (lw *lowering) seq(c *hlo.Computation, carried []int32, held map[*hlo.Instr
 			op.arg = read(i, in.Operands[0])
 			op.modeled = lw.spec.CollectiveTime(in)
 			op.groups = lw.groups(in)
+			op.box = lw.box()
 
 		case hlo.OpCollectivePermuteStart:
 			op.kind = opStart
 			op.arg = read(i, in.Operands[0])
-			op.box = int32(len(lw.t.starts))
+			op.box = lw.box()
 			op.bytes = in.Operands[0].ByteSize()
 			op.modeled = lw.spec.TransferTime(op.bytes, 1)
 			op.peer = lw.peers(in, true)
 			op.carries = lw.pinned[in]
-			lw.t.starts = append(lw.t.starts, int32(len(lw.t.ops)))
 
 		case hlo.OpCollectivePermuteDone:
 			op.kind = opDone
@@ -337,10 +340,16 @@ func (lw *lowering) seq(c *hlo.Computation, carried []int32, held map[*hlo.Instr
 	return slots, nil
 }
 
+// box numbers a mailbox for the op being lowered.
+func (lw *lowering) box() int32 {
+	lw.t.boxes = append(lw.t.boxes, int32(len(lw.t.ops)))
+	return int32(len(lw.t.boxes) - 1)
+}
+
 // startOp finds the start op that owns a slot (a done's operand).
 func (lw *lowering) startOp(slot int32) int32 {
-	for _, idx := range lw.t.starts {
-		if lw.t.ops[idx].out == slot {
+	for _, idx := range lw.t.boxes {
+		if op := &lw.t.ops[idx]; op.kind == opStart && op.out == slot {
 			return idx
 		}
 	}
@@ -368,18 +377,15 @@ func (lw *lowering) peers(in *hlo.Instruction, asSource bool) []int32 {
 // per-device columns. hlo.VerifyRing has every device join exactly
 // one group.
 func (lw *lowering) groups(in *hlo.Instruction) *groupPlan {
-	n := lw.n
-	gp := &groupPlan{group: make([]int32, n), pos: make([]int32, n)}
+	gp := &groupPlan{group: make([]int32, lw.n), pos: make([]int32, lw.n), devs: in.Groups}
 	if in.Op == hlo.OpCollectivePermute {
-		for d := range gp.pos {
-			gp.pos[d] = int32(d)
+		all := make([]int, lw.n)
+		for d := range all {
+			all[d] = d
 		}
-		gp.members = []int32{int32(n)}
-		return gp
+		gp.devs = [][]int{all}
 	}
-	gp.members = make([]int32, len(in.Groups))
-	for g, devs := range in.Groups {
-		gp.members[g] = int32(len(devs))
+	for g, devs := range gp.devs {
 		for i, d := range devs {
 			gp.group[d], gp.pos[d] = int32(g), int32(i)
 		}

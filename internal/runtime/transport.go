@@ -36,16 +36,17 @@ func ParseTransport(s string) (TransportKind, error) {
 	return "", formatErr("unknown transport %q (want %q or %q)", s, TransportChan, TransportProc)
 }
 
-// transport is the movement half of the fabric: it carries one posted
-// parcel from its source device to the destination mailbox, stamped
-// with the due the fabric's wire rule (transit) gives it, and acts out
-// the run's link faults on the way. Everything above it — the wire rule,
-// mailbox addressing, at-most-once enforcement, watermark pruning, the
-// missing-link check — stays in the fabric, shared by every
-// implementation, which is what keeps the bitwise cross-check against
-// sim.Interpret transport-independent. A
-// transport's span recorders declare their windows of a traced run's
-// slab (engine.spans) when it is constructed.
+// transport is the seam the process transport plugs into the fabric
+// behind its build tag: it carries one posted parcel from its source
+// device's worker to the destination mailbox, stamped with the due the
+// fabric's wire rule (transit) gives it, and acts out the run's link
+// faults on the way. In process the fabric carries parcels itself and
+// binds no transport. Everything above it — the wire rule, mailbox
+// addressing, at-most-once enforcement, watermark pruning, the
+// missing-link check — stays in the fabric, which is what keeps the
+// bitwise cross-check against sim.Interpret transport-independent. Its
+// span recorders declare their windows of a traced run's slab
+// (engine.spans) when it is constructed.
 type transport interface {
 	// start brings the data plane up for the Executable's directed
 	// edges. Called once, before any device goroutine runs; an error

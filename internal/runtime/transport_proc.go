@@ -33,7 +33,7 @@ import (
 // frame's due is fixed there by the fabric's wire rule, and mailbox
 // addressing never leaves the fabric. The frame comes back up as fast
 // as the sockets move it; the receiving done waits out whatever is left
-// of its wire, as on the channel transport. Compute stays on the
+// of its wire, as in process. Compute stays on the
 // parent's device goroutines — the workers are fabric endpoints, which
 // is exactly the slice of the system a multi-machine deployment would
 // move onto the network first.
@@ -272,9 +272,10 @@ func (t *procTransport) serveEdge(link int, l *procEdge) {
 	traced := l.src < e.window
 	for p := range l.ch {
 		start, due, dup, drop := t.fab.transit(link, p)
+		name := t.fab.op(p.key.box).in.Name
 		fr := wire.Frame{
 			Src: l.src, Dst: l.dst,
-			Name:  p.key.start.Name,
+			Name:  name,
 			Inst:  p.key.inst,
 			DueNS: due.Nanoseconds(),
 			Shape: p.data.Shape(),
@@ -303,7 +304,7 @@ func (t *procTransport) serveEdge(link int, l *procEdge) {
 		if err != nil {
 			if !t.closing.Load() {
 				e.fail(&RunError{
-					Device: l.src, Instr: p.key.start.Name, Phase: PhasePost,
+					Device: l.src, Instr: name, Phase: PhasePost,
 					Elapsed: e.sinceDur(),
 					Err:     formatErr("%w %d: %v", ErrWorkerExit, l.src, err),
 				})
@@ -313,7 +314,7 @@ func (t *procTransport) serveEdge(link int, l *procEdge) {
 		if traced {
 			l.ser = append(l.ser, obs.Span{
 				Device: l.src, Track: obs.TrackTransfer,
-				Cat: "serialize", Name: p.key.start.Name,
+				Cat: "serialize", Name: name,
 				Start: t0, Dur: ser,
 			})
 			if !drop {
@@ -415,9 +416,9 @@ func (t *procTransport) drain() {
 //
 // A clean run has consumed every transfer, but the second copy of a
 // duplicated frame may still be on its way up: waiting for it lets the
-// duplicate fail the run, as it does on the channel transport, which
-// delivers both copies at the post. An aborted run, or a
-// worker that dies meanwhile, ends the wait.
+// duplicate fail the run, as it does in process, where both copies
+// are delivered at the post. An aborted run, or a worker that dies
+// meanwhile, ends the wait.
 func (t *procTransport) shutdown() {
 	for _, l := range t.edges {
 		close(l.ch)
