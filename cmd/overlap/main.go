@@ -29,11 +29,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"overlap"
 	"overlap/cmd/internal/cli"
-	"overlap/internal/runtime"
 )
 
 // command is one subcommand. setup registers its flags on fs and
@@ -133,11 +131,10 @@ func runOptions(f *cli.Flags, stdout io.Writer) (overlap.RunOptions, error) {
 	return opts, err
 }
 
-// printClock reports the one wire scale a command's runs inject, the
-// host's timer floor it is injected on, and where the scale came from.
+// printClock reports the one wire scale a command's runs inject and
+// where the scale came from.
 func printClock(w io.Writer, scale float64, source string) {
-	fmt.Fprintf(w, "clock: wire × %.4g, timer floor %.2f ms (%s)\n",
-		scale, float64(runtime.TimerFloor())/float64(time.Millisecond), source)
+	fmt.Fprintf(w, "clock: wire × %.4g (%s)\n", scale, source)
 }
 
 // modes expands -mode into the pipelines to run, in presentation order.

@@ -14,9 +14,9 @@ import (
 // setupRun is `overlap run`: execute a named model's layer step for
 // real on the concurrent runtime — one goroutine (or, with -transport
 // proc, one worker process) per device, asynchronous CollectivePermutes
-// — and print a compute / communication / exposed-stall breakdown
-// measured from wall-clock timestamps rather than the simulator's
-// predictions. Every mode injects wire at one clock, measured on the
+// — and print a compute / communication / exposed-stall breakdown on
+// the devices' clocks (measured compute, injected wire) rather than the
+// simulator's predictions. Every mode injects wire at one clock, measured on the
 // untransformed miniature, so the modes differ only in their schedules.
 // With -plan-in a compiled plan runs instead of a model, at its clock.
 func setupRun(fs *flag.FlagSet, stdout, _ io.Writer) func() error {
@@ -142,9 +142,9 @@ func execute(f *cli.Flags, stdout io.Writer, ropts overlap.RunOptions, label, mo
 		mark = "  [checked]"
 	}
 	b := res.Breakdown
-	fmt.Fprintf(stdout, "%-9s step %8.2fms  compute %8.2fms  wire %8.2fms  exposed %8.2fms  overshoot %7.2fms  async %d  in-flight %d%s\n",
+	fmt.Fprintf(stdout, "%-9s step %8.2fms  compute %8.2fms  wire %8.2fms  exposed %8.2fms  async %d  in-flight %d%s\n",
 		label, b.StepTime*1e3, b.Compute*1e3, b.CollectiveWire*1e3, b.Exposed*1e3,
-		res.WireOvershoot*1e3, b.AsyncTransfers, b.PeakInFlight, mark)
+		b.AsyncTransfers, b.PeakInFlight, mark)
 	if !ropts.Trace {
 		return nil
 	}

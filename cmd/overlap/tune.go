@@ -108,7 +108,7 @@ func reportTune(w io.Writer, res *overlap.AutotuneResult) {
 	} else {
 		fmt.Fprintf(w, "winner: %s\n", plan.BestName)
 	}
-	fmt.Fprintf(w, "        predicted %.3fms (modeled), measured %.3fms (wall)\n",
+	fmt.Fprintf(w, "        predicted %.3fms (modeled), measured %.3fms (executed)\n",
 		plan.PredictedSec*1e3, plan.MeasuredSec*1e3)
 
 	cal := plan.Calibration

@@ -110,10 +110,14 @@ var sourceGuards = []sourceGuard{
 		roots:   []string{"internal/serve", "internal/train", "internal/autotune"},
 	},
 	{
-		name:    "one timer per device: a parcel carries its due",
-		why:     "a device waits out what is left of a transfer's or a collective result's wire on its own pacer; no link, rendezvous, edge sender or worker keeps a timer of its own",
-		pattern: regexp.MustCompile(`time\.NewTimer|\bpacer\b`),
-		roots:   []string{"internal/runtime/fabric.go", "internal/runtime/rendezvous.go", "internal/runtime/transport_proc.go", "internal/runtime/worker.go"},
+		name: "virtual time: no goroutine sleeps on the wire",
+		why: "a device's clock moves by what it computes and jumps to the due of what it takes, so nothing in the runtime waits on a timer: " +
+			"only the process transport's reaper gives a worker its grace before the kill, and the deadline watchdog waits on the caller's context",
+		pattern: regexp.MustCompile(`time\.(NewTimer|NewTicker|Sleep|After|AfterFunc|Tick)\b`),
+		roots:   []string{"internal/runtime"},
+		except: func(path, line string) bool {
+			return path == "internal/runtime/transport_proc.go" && strings.Contains(line, "time.After(reapGrace)")
+		},
 	},
 	{
 		name:    "the wire needs no goroutine",
@@ -122,16 +126,9 @@ var sourceGuards = []sourceGuard{
 		roots:   []string{"internal/runtime/fabric.go", "internal/runtime/rendezvous.go"},
 	},
 	{
-		name:    "one way a device receives: only device.take waits on a pacer",
-		why:     "a transfer and a blocking collective's result both reach a device through its mailbox, stamped with their due, and take alone waits out what is left of it",
-		pattern: regexp.MustCompile(`\.pace\.until`),
-		roots:   []string{"internal/runtime"},
-		except:  under("internal/runtime/device.go", "internal/runtime/engine.go"),
-	},
-	{
-		name:    "one way a device receives: the rendezvous keeps no lock or timer",
-		why:     "members count themselves in with one atomic add and take their results from their mailboxes: no mutex, registry, timer or wake-up channel comes back",
-		pattern: regexp.MustCompile(`\bsync\.(RW)?Mutex\b|\.R?Lock\(\)|"sync"|"time"`),
+		name:    "one way a device receives: the rendezvous takes no mutex",
+		why:     "members count themselves in with one atomic add and take their results from their mailboxes: no mutex, registry or wake-up channel comes back",
+		pattern: regexp.MustCompile(`\bsync\.(RW)?Mutex\b|\.R?Lock\(\)|"sync"`),
 		roots:   []string{"internal/runtime/rendezvous.go"},
 	},
 	{

@@ -13,7 +13,8 @@
 //     DefaultOptions configuration, so tuning can never regress it) are
 //     executed for real on the concurrent goroutine runtime, each run
 //     cross-checked bit-identical against the lockstep interpreter, and
-//     the winner is picked by measured wall-clock. Every candidate
+//     the winner is picked by its executed step on the runtime's
+//     virtual clocks (measured compute, injected wire). Every candidate
 //     injects wire at one clock, measured on the input program
 //     (runtime.Executable.Clock), so measured compute and wire stand in
 //     the machine model's ratio; the plan carries that clock.
@@ -94,7 +95,8 @@ type Options struct {
 	TimeScale float64
 
 	// Repeats is how many times each stage-2 candidate runs; the minimum
-	// wall-clock is kept, damping scheduler noise. Zero means 1.
+	// executed step is kept, damping the noise in measured compute. Zero
+	// means 1.
 	Repeats int
 
 	// CachePath names the plan store's directory; empty means the
@@ -140,7 +142,7 @@ type Candidate struct {
 	// in modeled seconds.
 	Predicted sim.Breakdown
 	// Measured is the runtime's breakdown of the fastest repeat, in
-	// wall-clock seconds; valid only when Executed.
+	// seconds on its devices' clocks; valid only when Executed.
 	Measured sim.Breakdown
 	// Executed reports whether stage 2 ran this candidate.
 	Executed bool
@@ -213,7 +215,7 @@ func ProgramFingerprint(c *hlo.Computation) string {
 }
 
 // Tune searches the pipeline variant space for the computation and
-// returns the fastest configuration by measured wall-clock. c is not
+// returns the fastest configuration by executed step. c is not
 // modified; args follows sim.Interpret's convention (args[i][d] is
 // parameter i's value on device d, a single entry replicates).
 func Tune(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options) (*Result, error) {
@@ -367,7 +369,7 @@ func stage2Set(ranked []Candidate, topK int, spec machine.Spec) []int {
 // stage2 executes the top-K unique candidates — forcing the paper's
 // DefaultOptions configuration into the set so the tuned result can
 // never be slower than it in the same measurement session — picks the
-// fastest by wall-clock and returns it with its program: the one that
+// fastest by executed step and returns it with its program: the one that
 // was executed and checked, not a rebuild of it. The last return is the
 // wire scale every candidate ran at: opts.TimeScale, or when that is
 // zero the clock measured on the input program; 0 for no wire.

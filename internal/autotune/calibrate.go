@@ -32,7 +32,7 @@ import (
 func calibrate(cands []Candidate, s *search, ts float64) (machine.Calibration, float64) {
 	numDevices, spec := s.numDevices, s.spec
 	if ts <= 0 {
-		return machine.Identity(), -1 // wall-clock has no modeled-seconds axis to fit against
+		return machine.Identity(), -1 // measured compute alone has no modeled-seconds axis to fit against
 	}
 	measured := []*Candidate{}
 	for i := range cands {

@@ -102,11 +102,14 @@ func buildChaosModels(t *testing.T, n int) []*chaosModel {
 
 // TestChaosSoak drives the runtime through randomized, seeded fault
 // scenarios across three miniature models and asserts the graceful-
-// failure contract on every one of them: the run terminates within its
-// deadline, the error is a *RunError attributing the injected fault to
-// the right device and phase, no goroutines leak, and a fault-free run
-// of the same program stays bit-identical to the interpreter — never a
-// deadlock, never a wrong answer. Scenario generation is deterministic
+// failure contract on every one of them: a run with a crash, a drop or
+// a duplicate terminates within its deadline, the error is a *RunError
+// attributing the injected fault to the right device and phase, a run
+// whose only fault is a delay — seconds of extra wire on the clocks,
+// which holds no goroutine — succeeds bit-identical to the interpreter,
+// no goroutines leak, and a fault-free run of the same program stays
+// bit-identical to the interpreter — never a deadlock, never a wrong
+// answer. Scenario generation is deterministic
 // per index, so a failure reproduces from its seed.
 func TestChaosSoak(t *testing.T) {
 	const n = 4
@@ -114,8 +117,9 @@ func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		scenarios = 24
 	}
-	// The stall deadline bounds drop/delay scenarios, which must wait it
-	// out; immediate faults (crash, dup) get a generous tripwire.
+	// The stall deadline bounds drop scenarios, which must wait it out;
+	// immediate faults (crash, dup) and delays, which end the run
+	// without one, get a generous tripwire.
 	const stallDeadline = 150 * time.Millisecond
 	const hardDeadline = 10 * time.Second
 
@@ -160,10 +164,9 @@ func TestChaosSoak(t *testing.T) {
 			edge := m.edges[rng.Intn(len(m.edges))]
 			fault = runtime.Fault{
 				Kind: kind, Src: edge[0], Dst: edge[1], K: -1,
-				Delay:  5 * time.Second, // far beyond the deadline: guaranteed stall
+				Delay:  5 * time.Second, // far beyond the stall deadline, and never waited for
 				Jitter: time.Duration(rng.Intn(100)) * time.Millisecond,
 			}
-			deadline = stallDeadline
 		}
 
 		// Every 8th scenario exercises the process transport, so the
@@ -183,11 +186,22 @@ func TestChaosSoak(t *testing.T) {
 			res, err := runtime.RunContext(ctx, m.comp, m.n, m.args, runtime.Options{Faults: plan, Transport: transport})
 			elapsed := time.Since(t0)
 
+			if elapsed > deadline+3*time.Second {
+				t.Fatalf("run took %s to end, deadline was %s", elapsed, deadline)
+			}
+			if kind == runtime.FaultDelay {
+				if err != nil {
+					t.Fatalf("injected %s: %v, want the delayed run to succeed", fault, err)
+				}
+				for d := range m.ref {
+					if !res.Values[d].Equal(m.ref[d]) {
+						t.Fatalf("injected %s: device %d diverges from the interpreter", fault, d)
+					}
+				}
+				return
+			}
 			if err == nil {
 				t.Fatalf("injected %s but the run succeeded (%v)", fault, res.Breakdown)
-			}
-			if elapsed > deadline+3*time.Second {
-				t.Fatalf("run took %s to unwind, deadline was %s", elapsed, deadline)
 			}
 			var re *runtime.RunError
 			if !errors.As(err, &re) {
@@ -211,7 +225,7 @@ func TestChaosSoak(t *testing.T) {
 				if re.Device != fault.Dst || re.Phase != runtime.PhaseReceive {
 					t.Fatalf("dup attributed to device %d phase %s, want device %d phase receive", re.Device, re.Phase, fault.Dst)
 				}
-			case runtime.FaultDrop, runtime.FaultDelay:
+			case runtime.FaultDrop:
 				if !errors.Is(err, context.DeadlineExceeded) {
 					t.Fatalf("stall scenario returned %v, want deadline", err)
 				}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -21,8 +20,8 @@ import (
 // or the run deadline — fail the run without deadlocking the others. It
 // reads the Executable and writes only its own state. A run checks a
 // context out of its Executable and, after a clean run, hands it back
-// reset for the next one (checkin): its tables, mailboxes, generation
-// states and timers outlive the run. A run that failed or aborted never
+// reset for the next one (checkin): its tables, mailboxes and generation
+// states outlive the run. A run that failed or aborted never
 // hands its context back: its mailboxes, counters and half-finished
 // generations die with it.
 type engine struct {
@@ -54,6 +53,8 @@ type engine struct {
 	once  sync.Once
 	err   error
 
+	// epoch is when the run's Run call began, on the wall clock: what a
+	// failure's Elapsed and the watchdog's attribution count from.
 	epoch    time.Time
 	failedAt time.Time
 
@@ -223,8 +224,8 @@ func (e *engine) fail(err error) {
 	})
 }
 
-// delay scales an op's modeled wire seconds into the occupancy this
-// run injects for it.
+// delay scales an op's modeled wire seconds into the wire this run
+// puts on the devices' clocks for it.
 func (e *engine) delay(modeled float64) time.Duration {
 	if e.opts.TimeScale <= 0 {
 		return 0
@@ -232,76 +233,14 @@ func (e *engine) delay(modeled float64) time.Duration {
 	return time.Duration(modeled * e.opts.TimeScale * 1e9)
 }
 
-// pacer is the one timer a device keeps for the whole run to wait out
-// injected wire — of a transfer or a blocking collective's result it
-// takes before the wire ends — instead of a new one per wait.
-type pacer struct {
-	timer *time.Timer
-}
-
-// until holds the caller until the wall-clock instant due, but wakes
-// immediately when abort closes — a failed run must never wait out an
-// in-flight transfer. A due already past returns at once, without
-// touching the timer. It reports false when the abort cut the wait
-// short.
-func (p *pacer) until(due time.Time, abort <-chan struct{}) bool {
-	d := time.Until(due)
-	if d <= 0 {
-		return true
-	}
-	if p.timer == nil {
-		p.timer = time.NewTimer(d)
-	} else {
-		p.timer.Reset(d) // stopped or expired, and drained, by the previous wait
-	}
-	select {
-	case <-p.timer.C:
-		return true
-	case <-abort:
-		// A tick left in the channel would end the next wait before it
-		// began.
-		if !p.timer.Stop() {
-			<-p.timer.C
-		}
-		return false
-	}
-}
-
-// TimerFloor is the host's shortest wait: the median time a
-// sub-millisecond pacer wait takes to return, measured once per process
-// over timerFloorSamples waits. A wait shorter than the floor lasts the
-// floor, not what was asked.
-func TimerFloor() time.Duration {
-	timerFloorOnce.Do(func() {
-		var p pacer
-		took := make([]time.Duration, timerFloorSamples)
-		for i := range took {
-			t0 := time.Now()
-			p.until(t0.Add(timerFloorAsk), nil)
-			took[i] = time.Since(t0)
-		}
-		slices.Sort(took)
-		timerFloor = took[len(took)/2]
-	})
-	return timerFloor
-}
-
-const (
-	timerFloorSamples = 50
-	timerFloorAsk     = 50 * time.Microsecond
-)
-
-var (
-	timerFloorOnce sync.Once
-	timerFloor     time.Duration
-)
-
 // run launches one goroutine per device, arms the deadline watchdog,
 // joins everything, winds down the fabric, and assembles the per-device
-// outputs and measured breakdown.
-func (e *engine) run(ctx context.Context, args [][]*tensor.Tensor) (*Result, error) {
+// outputs and measured breakdown. epoch is when the caller's Run began:
+// a failure reports its elapsed time from there, as the caller's
+// deadline counts it.
+func (e *engine) run(ctx context.Context, args [][]*tensor.Tensor, epoch time.Time) (*Result, error) {
 	e.args = args
-	e.epoch = time.Now()
+	e.epoch = epoch
 	// Bring the transport's data plane up before any device goroutine
 	// exists: a worker-spawn failure becomes a structured run error, not
 	// a fleet of devices blocked on a fabric that never formed. The
@@ -454,9 +393,7 @@ func (e *engine) assemble(devices []*device) *Result {
 
 	var b sim.Breakdown
 	for _, dev := range devices {
-		if dev.finished > b.StepTime {
-			b.StepTime = dev.finished
-		}
+		b.StepTime = max(b.StepTime, dev.vt.Seconds())
 		b.Compute += dev.compute / float64(e.n)
 		b.CollectiveWire += dev.wire / float64(e.n)
 		b.Exposed += dev.exposed / float64(e.n)
@@ -472,11 +409,6 @@ func (e *engine) assemble(devices []*device) *Result {
 	}
 	res.Breakdown = b
 	b.Record("runtime")
-	var over time.Duration
-	for _, dev := range devices {
-		over += dev.overshoot
-	}
-	res.WireOvershoot = over.Seconds() / float64(e.n)
 
 	if e.spans != nil {
 		res.Trace = e.spans.assemble()
@@ -484,7 +416,8 @@ func (e *engine) assemble(devices []*device) *Result {
 	return res
 }
 
-// since returns seconds elapsed from the execution epoch.
+// since returns wall-clock seconds elapsed from the execution epoch:
+// the deadline watchdog's time, never a device's clock.
 func (e *engine) since() float64 { return time.Since(e.epoch).Seconds() }
 
 // sinceDur returns the elapsed run time as a duration.

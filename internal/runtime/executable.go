@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"time"
 
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
@@ -159,7 +160,15 @@ func (x *Executable) layout() {
 // leaves nothing behind in the Executable: the next Run starts clean.
 // A computation transformed since Compile fails the run with an error
 // wrapping ErrModified before anything executes.
+//
+// A failure's Elapsed counts from Run's entry, as the caller's deadline
+// does.
 func (x *Executable) Run(ctx context.Context, args [][]*tensor.Tensor, opts Options) (*Result, error) {
+	return x.runFrom(ctx, args, opts, time.Now())
+}
+
+// runFrom is Run with the instant a failure's Elapsed counts from.
+func (x *Executable) runFrom(ctx context.Context, args [][]*tensor.Tensor, opts Options, epoch time.Time) (*Result, error) {
 	if err := x.validateRun(args, opts); err != nil {
 		return nil, err
 	}
@@ -173,7 +182,7 @@ func (x *Executable) Run(ctx context.Context, args [][]*tensor.Tensor, opts Opti
 	if err != nil {
 		return nil, err
 	}
-	res, err := eng.run(ctx, args)
+	res, err := eng.run(ctx, args, epoch)
 	if err != nil {
 		return nil, err
 	}

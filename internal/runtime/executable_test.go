@@ -153,38 +153,6 @@ func TestExecutableTimeScaleIsPerRun(t *testing.T) {
 	}
 }
 
-// TestWireOvershoot: a run reports how long its dones and blocking
-// collectives waited past the model's dues. It is never negative, it is
-// zero when the run injects no wire, and with wire it is positive on
-// either transport — no timer fires to the nanosecond. TimeScale 2000
-// gives each of the decomposed program's transfers about 2 ms of wire,
-// longer than a frame's trip through the process transport's sockets,
-// so some of its dones come before their due and wait.
-func TestWireOvershoot(t *testing.T) {
-	const n = 4
-	spec := machine.TPUv4()
-	for name, c := range reusePrograms(t) {
-		x, err := runtime.Compile(c, n, spec)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		args := randomArgs(c, n, rand.New(rand.NewSource(41)))
-		for _, tr := range transports {
-			for _, scale := range []float64{0, 2000} {
-				res, err := x.Run(context.Background(), args, runtime.Options{TimeScale: scale, Transport: tr})
-				if err != nil {
-					t.Fatal(err)
-				}
-				over := res.WireOvershoot
-				if over < 0 || (scale == 0 && over != 0) || (scale > 0 && over <= 0) {
-					t.Errorf("%s (%s) at TimeScale %v: wire overshoot %v s", name, tr, scale, over)
-				}
-				res.Release()
-			}
-		}
-	}
-}
-
 // TestExecutableZeroSpec: callers that never inject wire time compile
 // with no spec at all; a run that then asks for injection fails with
 // the spec's own validation error, as the one-shot Run always has.

@@ -23,8 +23,8 @@ type mailKey struct {
 // parcel is one posted tensor on its way into a mailbox. The fabric
 // owns data from post to delivery: the sender either handed over a
 // buffer it was done with or posted a private copy, and the receiving
-// done adopts it. posted is when the sender posted it, from the run's
-// epoch: the earliest its wire can start.
+// done adopts it. posted is the sender's clock when it posted it: the
+// earliest its wire can start.
 type parcel struct {
 	key    mailKey
 	data   *tensor.Tensor
@@ -53,8 +53,8 @@ type mailboxes struct {
 	wake chan struct{}
 }
 
-// cell is one delivered instance: its buffer, and when its wire ends,
-// from the run's epoch — the earliest the device may take it.
+// cell is one delivered instance: its buffer, and when its wire ends —
+// the clock its taker's moves on to, if its own is earlier.
 type cell struct {
 	data *tensor.Tensor
 	due  time.Duration
@@ -65,18 +65,18 @@ type cell struct {
 // wire is next free, over the edge and mailbox tables the Executable
 // derived from the program. In process it is the whole data plane: the
 // posting device takes a parcel onto its link and delivers it at once,
-// stamped with its due, and the device that takes it waits out whatever
-// is left of that wire on its own timer. No goroutine stands between
-// the two. A run on the process transport binds tr, whose workers move
-// the parcel across real sockets between post and deliver; tr is nil
-// on an in-process run.
+// stamped with its due, and the device that takes it moves its clock
+// on to that due. No goroutine stands between the two, and none waits
+// for the wire. A run on the process transport binds tr, whose workers
+// move the parcel across real sockets between post and deliver; tr is
+// nil on an in-process run.
 //
 // due[link] is when the wire of the last parcel taken onto that link
-// ends, from the run's epoch; start zeroes it. Only the goroutine that
-// takes the link's parcels — its source device in process, the edge's
-// serializer on the process transport — touches it. trace[link] is the
-// in-process transfer window of a link whose source device is inside a
-// traced run's window, nil otherwise.
+// ends, on the clocks' common axis; start zeroes it. Only the goroutine
+// that takes the link's parcels — its source device in process, the
+// edge's serializer on the process transport — touches it, and so
+// trace[link], the transfer window of a link whose source device is
+// inside a traced run's window (nil otherwise).
 type fabric struct {
 	eng   *engine
 	tr    transport
@@ -113,26 +113,27 @@ func newFabric(e *engine) *fabric {
 	return f
 }
 
-// bind readies the fabric for a run's transport. In process, each link
-// inside a traced run's window gets its window of the span slab: every
-// transfer the trace layout says it carries. The process transport is
-// constructed here, and its recorders declare their own windows.
+// bind readies the fabric for a run's transport: each link inside a
+// traced run's window gets its window of the span slab, every transfer
+// the trace layout says it carries, and a run on the process transport
+// constructs it here.
 func (f *fabric) bind() error {
 	e := f.eng
-	switch e.opts.Transport {
-	case "", TransportChan:
-		for i, edge := range e.edges {
-			if edge.src < e.window {
-				e.spans.declare(edge.src, obs.TrackTransfer, edge.transfers, &f.trace[i])
-			}
-		}
-		return nil
-	case TransportProc:
-		tr, err := newProcTransportChecked(e, f)
-		f.tr = tr
-		return err
+	kind := e.opts.Transport
+	if kind != "" && kind != TransportChan && kind != TransportProc {
+		return formatErr("unknown transport %q", kind)
 	}
-	return formatErr("unknown transport %q", e.opts.Transport)
+	for i, edge := range e.edges {
+		if edge.src < e.window {
+			e.spans.declare(edge.src, obs.TrackTransfer, edge.transfers, &f.trace[i])
+		}
+	}
+	if kind != TransportProc {
+		return nil
+	}
+	tr, err := newProcTransportChecked(e, f)
+	f.tr = tr
+	return err
 }
 
 // reset readies the mailboxes for another run after a clean one, which
@@ -152,7 +153,7 @@ func (f *fabric) reset() {
 	}
 }
 
-// start brings the data plane up, on links idle since the run's epoch.
+// start brings the data plane up, on links idle from clock zero.
 func (f *fabric) start() error {
 	clear(f.due)
 	if f.tr == nil {
@@ -164,21 +165,32 @@ func (f *fabric) start() error {
 // transit is the wire rule every parcel takes where it leaves its
 // link's source — in carry, or in the process transport's edge
 // serializer. It makes the parcel's fault decision and, unless the
-// parcel is dropped, fixes its wire: the wire starts when the parcel
-// was posted or when the link's previous wire ends, whichever is
-// later, and lasts the injected delay plus any injected extra. The due follows from the model, not from when any goroutine
-// got round to the parcel; a dropped parcel never holds the link.
-func (f *fabric) transit(link int, p parcel) (start, due time.Duration, dup *Fault, drop bool) {
+// parcel is dropped, fixes its wire and records it as a transfer span:
+// the wire starts when the parcel was posted or when the link's
+// previous wire ends, whichever is later, and lasts the run's scaled
+// wire plus any injected delay. The due is arithmetic on the clocks,
+// not a wait, and does not depend on when any goroutine got round to
+// the parcel; a dropped parcel never holds the link, and a wire-free
+// one records no span.
+func (f *fabric) transit(link int, p parcel) (due time.Duration, dup *Fault, drop bool) {
 	e := f.eng
 	edge := e.edges[link]
 	op := f.op(p.key.box)
 	drop, dup, extra := e.faultActions(e.injLink(edge.src, edge.dst), op.in.Name)
 	if drop {
-		return 0, 0, nil, true
+		return 0, nil, true
 	}
-	start = max(p.posted, f.due[link])
-	f.due[link] = start + e.delay(op.modeled) + time.Duration(extra)
-	return start, f.due[link], dup, false
+	start := max(p.posted, f.due[link])
+	due = start + e.delay(op.modeled) + time.Duration(extra)
+	f.due[link] = due
+	if edge.src < e.window && due > start {
+		f.trace[link] = append(f.trace[link], obs.Span{
+			Device: edge.src, Track: obs.TrackTransfer,
+			Cat: obs.CatTransfer, Name: op.in.Name,
+			Start: start.Seconds(), Dur: (due - start).Seconds(),
+		})
+	}
+	return due, dup, false
 }
 
 // deliver hands one parcel to its destination mailbox, stamped with its
@@ -239,14 +251,15 @@ func (f *fabric) op(box int) *tapeOp {
 	return &t.ops[t.boxes[box]]
 }
 
-// post puts a transfer on its link without waiting for the wire: in
-// process it delivers at once (carry), on the process transport it
-// hands the parcel to the edge's queue. It reports false if the run
+// post puts a transfer on its link, posted at the sender's clock at,
+// without waiting for the wire: in process it delivers at once (carry),
+// on the process transport it hands the parcel to the edge's queue. It
+// reports false if the run
 // aborted while the process transport could not take it, or if no link
 // exists for the edge — a peer table that names an edge the Executable
 // never laid out — which fails the run with an error naming the edge
 // instead of blocking forever.
-func (f *fabric) post(src, dst int, key mailKey, data *tensor.Tensor, bytes int64) bool {
+func (f *fabric) post(src, dst int, key mailKey, data *tensor.Tensor, bytes int64, at time.Duration) bool {
 	link, ok := f.eng.link[[2]int{src, dst}]
 	if !ok {
 		f.eng.fail(&RunError{
@@ -256,7 +269,7 @@ func (f *fabric) post(src, dst int, key mailKey, data *tensor.Tensor, bytes int6
 		})
 		return false
 	}
-	p := parcel{key: key, data: data, posted: f.eng.sinceDur()}
+	p := parcel{key: key, data: data, posted: at}
 	if f.tr == nil {
 		f.carry(link, p)
 	} else if !f.tr.post(link, p) {
@@ -268,36 +281,23 @@ func (f *fabric) post(src, dst int, key mailKey, data *tensor.Tensor, bytes int6
 }
 
 // carry takes a parcel onto its link in process and delivers it at once
-// — twice for an injected duplicate, never for a drop. The posting
-// device records the transfer span, from the wire's start to its due or
-// to the end of the hand-off, whichever is later: the span never ends
-// before the wire, its start never decreases along a link, and it is
-// never empty, even with no wire injected.
+// — twice for an injected duplicate, never for a drop.
 func (f *fabric) carry(link int, p parcel) {
-	e := f.eng
-	start, due, dup, drop := f.transit(link, p)
+	due, dup, drop := f.transit(link, p)
 	if drop {
 		return // lost on the wire: never delivered, never on it
 	}
-	edge := e.edges[link]
-	f.deliver(edge.dst, p.key, p.data, due, "")
+	dst := f.eng.edges[link].dst
+	f.deliver(dst, p.key, p.data, due, "")
 	if dup != nil {
-		f.deliver(edge.dst, p.key, p.data, due, dup.String())
-	}
-	if edge.src < e.window {
-		end := max(due, e.sinceDur())
-		f.trace[link] = append(f.trace[link], obs.Span{
-			Device: edge.src, Track: obs.TrackTransfer,
-			Cat: obs.CatTransfer, Name: f.op(p.key.box).in.Name,
-			Start: start.Seconds(), Dur: (end - start).Seconds(),
-		})
+		f.deliver(dst, p.key, p.data, due, dup.String())
 	}
 }
 
 // receive blocks until the instance addressed by key — always the next
 // one the device has not consumed — is in device dst's mailbox, or the
 // run aborts, and returns it with its due: the device becomes the
-// buffer's owner, and waits out what is left of the wire itself.
+// buffer's owner, and its clock moves on to the due.
 func (f *fabric) receive(dst int, key mailKey) (*tensor.Tensor, time.Duration, bool) {
 	m := &f.mail[dst]
 	for {

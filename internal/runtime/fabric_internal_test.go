@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
+	"overlap/internal/obs"
 	"overlap/internal/tensor"
 )
 
@@ -49,7 +51,7 @@ func TestPostMissingLinkFailsFast(t *testing.T) {
 	done := make(chan bool, 1)
 	go func() {
 		// Edge 0->3 was never built: only 0->1 appears in the program.
-		done <- e.fabric.post(0, 3, mailKey{}, tensor.New(2, 2), 16)
+		done <- e.fabric.post(0, 3, mailKey{}, tensor.New(2, 2), 16, 0)
 	}()
 	select {
 	case ok := <-done:
@@ -148,7 +150,7 @@ func TestMailboxMapsBounded(t *testing.T) {
 	e := mustEngine(t, c, 2)
 	rng := rand.New(rand.NewSource(3))
 	args := [][]*tensor.Tensor{{tensor.Rand(rng, 4), tensor.Rand(rng, 4)}}
-	if _, err := e.run(context.Background(), args); err != nil {
+	if _, err := e.run(context.Background(), args, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	for d := 0; d < 2; d++ {
@@ -208,14 +210,15 @@ func oneLink(t *testing.T, wire time.Duration) (*Executable, float64) {
 	return x, wire.Seconds() / x.tape.ops[x.tape.boxes[0]].modeled
 }
 
-// TestLinkDeliversNoEarlierThanItsDue pins the wire rule at the
-// receiver: a parcel's wire starts at its post or when the wire ahead of
-// it on the link ends, so of k parcels posted back to back, device 1
-// takes the i-th no earlier than (i+1) wires after the first post — an
-// injected delay lengthening its parcel's wire and every due behind it,
-// a dropped parcel holding none. The transfer spans the poster records
-// end no earlier than those dues and never start before the one ahead.
-// Only lower bounds are asserted: how late a timer fires is the host's.
+// TestLinkDeliversNoEarlierThanItsDue pins the wire rule on the clocks:
+// a parcel's wire starts at its post or when the wire ahead of it on
+// the link ends, whichever is later, so of k parcels posted back to
+// back each is due one wire after the one ahead of it, and the last,
+// posted once the link has gone idle, one wire after its post. An
+// injected delay lengthens its parcel's wire and every due behind it;
+// a dropped parcel holds none. The poster records each wire as a
+// transfer span, and device 1's clock, taking each parcel in turn,
+// lands exactly on its due.
 func TestLinkDeliversNoEarlierThanItsDue(t *testing.T) {
 	const (
 		k     = 6
@@ -245,14 +248,18 @@ func TestLinkDeliversNoEarlierThanItsDue(t *testing.T) {
 			if wire < ask-time.Microsecond {
 				t.Fatalf("the link injects %v a parcel, want %v", wire, ask)
 			}
-			e.epoch = time.Now()
 			if err := e.fabric.start(); err != nil {
 				t.Fatal(err)
 			}
 			defer e.fabric.shutdown()
-			first := e.sinceDur()
+			posted := func(i int) time.Duration {
+				if i == k-1 {
+					return 2 * k * (wire + extra) // the link is idle by then
+				}
+				return time.Duration(i) * wire / 2
+			}
 			for i := 0; i < k; i++ {
-				if !e.fabric.post(0, 1, mailKey{inst: i}, tensor.New(2, 2), 16) {
+				if !e.fabric.post(0, 1, mailKey{inst: i}, tensor.New(2, 2), 16, posted(i)) {
 					t.Fatalf("post %d failed: %v", i, e.err)
 				}
 			}
@@ -272,19 +279,17 @@ func TestLinkDeliversNoEarlierThanItsDue(t *testing.T) {
 				t.Fatalf("%d parcels in device 1's mailbox, want %d", delivered, want)
 			}
 			dev := e.devices[1]
-			busy, m := time.Duration(0), 0
+			free, m := time.Duration(0), 0
 			for i := 0; i < k; i++ {
 				if i == tc.dropped {
 					continue
 				}
-				busy += wire + tc.extra[i]
-				due := first + busy
-				sp := trace[m]
-				if end := sp.Start + sp.Dur; end+1e-9 < due.Seconds() {
-					t.Errorf("instance %d's transfer span ends at %.6fs, before its due %.6fs", i, end, due.Seconds())
-				}
-				if m > 0 && sp.Start < trace[m-1].Start {
-					t.Errorf("instance %d's span starts at %.6fs, before the one ahead of it (%.6fs)", i, sp.Start, trace[m-1].Start)
+				start := max(posted(i), free)
+				due := start + wire + tc.extra[i]
+				free = due
+				if sp := trace[m]; sp.Start != start.Seconds() || sp.Dur != (due-start).Seconds() {
+					t.Errorf("instance %d's transfer span is [%.9fs, +%.9fs], want [%.9fs, +%.9fs]",
+						i, sp.Start, sp.Dur, start.Seconds(), (due - start).Seconds())
 				}
 				m++
 				if tc.dropped >= 0 && i > tc.dropped {
@@ -293,50 +298,95 @@ func TestLinkDeliversNoEarlierThanItsDue(t *testing.T) {
 				if _, ok := dev.take(mailKey{inst: i}); !ok {
 					t.Fatalf("device 1 could not take instance %d: %v", i, e.err)
 				}
-				if took := e.sinceDur(); took < due {
-					t.Errorf("device 1 took instance %d at %v, before its due %v", i, took, due)
+				if dev.vt != due {
+					t.Errorf("device 1 took instance %d at %v on its clock, want its due %v", i, dev.vt, due)
 				}
-			}
-			if dev.overshoot < 0 {
-				t.Errorf("device 1's overshoot is %v, want >= 0", dev.overshoot)
 			}
 		})
 	}
 }
 
-// TestPastDueDoneTakesAtOnce: a done that comes after its transfer's due
-// takes the buffer without waiting — the device's timer is never armed
-// and it reports no overshoot. Nothing about elapsed time is asserted.
+// TestPastDueDoneTakesAtOnce: a done whose device's clock is already
+// past its transfer's due takes the buffer and its clock stays where it
+// was; one whose clock is behind the due moves to it exactly.
 func TestPastDueDoneTakesAtOnce(t *testing.T) {
 	x, scale := oneLink(t, 2*time.Millisecond)
 	e, err := newEngine(x, Options{TimeScale: scale})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.epoch = time.Now()
 	if err := e.fabric.start(); err != nil {
 		t.Fatal(err)
 	}
 	defer e.fabric.shutdown()
-	if !e.fabric.post(0, 1, mailKey{inst: 0}, tensor.New(2, 2), 16) {
-		t.Fatalf("post failed: %v", e.err)
+	const posted = time.Millisecond
+	for i := 0; i < 2; i++ {
+		if !e.fabric.post(0, 1, mailKey{inst: i}, tensor.New(2, 2), 16, posted) {
+			t.Fatalf("post %d failed: %v", i, e.err)
+		}
 	}
-	due := e.fabric.due[e.link[[2]int{0, 1}]]
-	if due <= 0 {
-		t.Fatalf("the transfer is due at %v, want after the epoch", due)
-	}
-	for now := e.sinceDur(); now <= due; now = e.sinceDur() {
-		time.Sleep(due - now + time.Millisecond)
+	first := posted + e.delay(e.fabric.op(0).modeled)
+	second := e.fabric.due[e.link[[2]int{0, 1}]]
+	if second <= first {
+		t.Fatalf("the second transfer is due at %v, want after the first's %v", second, first)
 	}
 	dev := e.devices[1]
+	ahead := first + time.Microsecond
+	dev.vt = ahead
 	if _, ok := dev.take(mailKey{inst: 0}); !ok {
-		t.Fatalf("device 1 could not take the transfer: %v", e.err)
+		t.Fatalf("device 1 could not take the first transfer: %v", e.err)
 	}
-	if dev.pace.timer != nil {
-		t.Error("a done past its transfer's due armed the device's timer")
+	if dev.vt != ahead {
+		t.Errorf("a done at %v, past its transfer's due %v, moved the clock to %v", ahead, first, dev.vt)
 	}
-	if dev.overshoot != 0 {
-		t.Errorf("a done past its transfer's due reports %v of overshoot, want 0", dev.overshoot)
+	if _, ok := dev.take(mailKey{inst: 1}); !ok {
+		t.Fatalf("device 1 could not take the second transfer: %v", e.err)
+	}
+	if dev.vt != second {
+		t.Errorf("a done at %v, before its transfer's due %v, moved the clock to %v", ahead, second, dev.vt)
+	}
+}
+
+// TestDelayLengthensItsWire: an injected delay is wire on the clocks,
+// not a wait. On either transport the delayed run succeeds with the
+// interpreter's values, the delayed transfer's span is exactly its wire
+// plus the delay, and the done that takes it stalls for exactly as
+// long on device 1's clock.
+func TestDelayLengthensItsWire(t *testing.T) {
+	const ask, delay = 2 * time.Millisecond, 3 * time.Millisecond
+	x, scale := oneLink(t, ask)
+	plan, err := ParseFaults("delay:link:0-1:3ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := [][]*tensor.Tensor{{tensor.Rand(rand.New(rand.NewSource(7)), 2, 2)}}
+	for _, tr := range []TransportKind{TransportChan, TransportProc} {
+		opts := Options{TimeScale: scale, Trace: true, Faults: plan, Transport: tr}
+		res, err := x.Run(context.Background(), args, opts)
+		if err != nil {
+			t.Fatalf("%s: the delayed run failed: %v", tr, err)
+		}
+		if err := CheckInterpreter(x.comp, x.n, args, res); err != nil {
+			t.Fatalf("%s: %v", tr, err)
+		}
+		want := (time.Duration(scale*x.tape.ops[x.tape.boxes[0]].modeled*1e9) + delay).Seconds()
+		var spans []string
+		for _, sp := range res.Trace {
+			ok := sp.Start == 0 && sp.Dur == want
+			switch {
+			case sp.Cat == obs.CatTransfer && sp.Device == 0, sp.Cat == obs.CatStall && sp.Device == 1:
+			default:
+				ok = false
+			}
+			if !ok {
+				spans = append(spans, fmt.Sprintf("%+v", sp))
+			}
+		}
+		if len(res.Trace) != 2 || len(spans) != 0 {
+			t.Errorf("%s: want one transfer span on device 0 and one stall on device 1, each [0, +%.9fs]; got %d spans, unexpected %v",
+				tr, want, len(res.Trace), spans)
+		}
+		res.Release()
 	}
 }
 

@@ -31,7 +31,8 @@ const (
 // RunError is the structured failure every aborted run surfaces: which
 // device the failure is attributed to (-1 when no single device is),
 // the instruction it was executing, the pipeline phase, how much
-// wall-clock had elapsed, and — when fault injection caused it — the
+// wall-clock had elapsed since the run was called, and — when fault
+// injection caused it — the
 // injected fault in ParseFaults syntax. The underlying cause unwraps,
 // so errors.Is(err, context.DeadlineExceeded) works on deadline aborts.
 type RunError struct {
@@ -110,8 +111,10 @@ var (
 type FaultKind string
 
 const (
-	// FaultDelay holds a link's wire for extra time (plus seeded jitter)
-	// on matching deliveries.
+	// FaultDelay lengthens a link's wire on the clocks by extra time
+	// (plus seeded jitter) on matching deliveries: the parcel is due that
+	// much later and every parcel behind it on the link with it. It holds
+	// no goroutine, so it slows a run's step, never its wall time.
 	FaultDelay FaultKind = "delay"
 	// FaultDrop loses a link's k-th delivery on the wire.
 	FaultDrop FaultKind = "drop"
@@ -426,14 +429,14 @@ func (inj *injector) record(f Fault, instr string) {
 	inj.mu.Unlock()
 }
 
-// firstStall returns the first fired fault that can stall a receiver
-// (a drop or delay): the fault a deadline abort should be attributed
-// to when nothing failed outright.
+// firstStall returns the first fired fault that can stall a receiver,
+// a drop (a delay only lengthens a wire on the clocks): the fault a
+// deadline abort should be attributed to when nothing failed outright.
 func (inj *injector) firstStall() (firedFault, bool) {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	for _, ff := range inj.fired {
-		if ff.fault.Kind == FaultDrop || ff.fault.Kind == FaultDelay {
+		if ff.fault.Kind == FaultDrop {
 			return ff, true
 		}
 	}

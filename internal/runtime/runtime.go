@@ -2,11 +2,11 @@
 // device is a goroutine walking the program's tape (tape.go) over its
 // own slots and arena buffers, a ring link is the destination device's
 // mailbox, and the asynchronous CollectivePermuteStart/Done pair maps
-// onto a genuinely non-blocking post + a wait for what is left of the
-// wire. Where internal/sim *models* the
-// overlap of communication with dependent computation, this package
-// *performs* it: the schedule produced by internal/core decides how much
-// wall-clock the in-flight transfers hide behind partial einsums.
+// onto a genuinely non-blocking post + a take that waits only for the
+// data. Where internal/sim *models* the overlap of communication with
+// dependent computation, this package *performs* it: the schedule
+// produced by internal/core decides how much of the in-flight
+// transfers' wire hides behind partial einsums.
 //
 // Execution has two halves. Compile is the program's: validation,
 // lowering to the tape and its buffer plan, the fabric's edge and
@@ -15,7 +15,7 @@
 // Program, the tuner's measured candidates). (*Executable).Run is the
 // run's: argument and fault-plan checks, then a run context checked out
 // of the Executable — engine, mailboxes, link dues, slot tables,
-// collective generation states, timers — and a span slab from the span
+// collective generation states — and a span slab from the span
 // free list. A clean run hands its context back, cleared, for the next run;
 // a failed or aborted run drops it, so whatever the abort left half
 // done dies with it. A released Result hands its tables — the All map
@@ -34,25 +34,31 @@
 // borrows from the free lists a run released into and hands back
 // exactly what it borrowed once the outputs are compared.
 //
-// Because Go cannot put a tensor on a real ICI link, wire time is
-// *injected*: every transfer holds its (src,dst) link for the machine
-// model's TransferTime scaled by Options.TimeScale. The link's wire is
-// arithmetic, not a goroutine: a transfer is due at its post, or at the
-// end of the wire ahead of it on the link, plus its own wire, and it
-// goes into the destination's mailbox at once, stamped with that due.
-// The done that takes it waits only for what is left of the wire — on
-// its device's own timer, which releases the OS thread — and a done
-// that comes after the due takes it at once. A blocking collective's
-// result reaches each member the same way, due its wire after the
-// group's last arrival. So device goroutines keep computing while
-// transfers are "on the wire" — which is exactly the resource
-// structure (compute engine vs transfer engine) whose overlap the paper
-// exploits, and it holds even on a single-core host.
+// Time is virtual. Each device keeps its own clock: a local op moves it
+// by the op's measured duration, and nothing else the device does — the
+// tape walk, copies, hand-offs between goroutines — is on it. Because
+// Go cannot put a tensor on a real ICI link, wire time is *injected* on
+// the clocks: every transfer holds its (src,dst) link for the machine
+// model's TransferTime scaled by Options.TimeScale. A transfer's wire
+// starts at its sender's clock when it was posted, or at the end of the
+// wire ahead of it on the link, and it goes into the destination's
+// mailbox at once, stamped with when its wire ends: its due. The done
+// that takes it waits only for the data, and its device's clock jumps
+// to the due if the due is later. A blocking collective's result
+// reaches each member the same way, due its wire after the group's
+// last arrival on the clocks (a CollectivePermute's target, after its
+// own source's). So device goroutines keep computing while transfers
+// are "on the wire" — the resource structure (compute engine vs
+// transfer engine) whose overlap the paper exploits — and no goroutine
+// ever sleeps on a wire: a step is the same max-plus arithmetic over
+// per-op costs that internal/sim prices, with measured compute in
+// place of the modeled and no host timer in it.
 package runtime
 
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
@@ -71,26 +77,26 @@ type Options struct {
 	// Its modeled seconds are only consulted when TimeScale > 0.
 	Spec machine.Spec
 
-	// TimeScale converts modeled wire seconds into real slept seconds:
-	// a transfer occupies its link for Spec wire time times TimeScale.
-	// Zero (or negative) disables delay injection entirely — transfers
-	// complete as fast as the channels move them — which is the right
-	// setting for correctness tests. The scale that puts a run on the
-	// machine model's compute:wire ratio is measured, not picked:
-	// (*Executable).Clock.
+	// TimeScale converts modeled wire seconds into seconds on the
+	// devices' clocks, the seconds their measured compute is in: a
+	// transfer occupies its link for Spec wire time times TimeScale.
+	// Zero (or negative) injects no wire at all — a take moves no clock
+	// past its sender's — which is the right setting for correctness
+	// tests. The scale that puts a run on the machine model's
+	// compute:wire ratio is measured, not picked: (*Executable).Clock.
 	TimeScale float64
 
-	// Trace records per-device, per-instruction wall-clock spans
-	// (Result.Trace) for the first obs.TraceMaxDevices devices, the
-	// simulator's window.
+	// Trace records per-device, per-instruction spans on the devices'
+	// clocks (Result.Trace) for the first obs.TraceMaxDevices devices,
+	// the simulator's window.
 	Trace bool
 
 	// Faults injects deterministic, seeded failures — link delays,
 	// dropped or duplicated deliveries, device crashes — into the run.
 	// Nil (or an empty plan) injects nothing. Every injected failure
 	// surfaces as a structured *RunError, never a hang or wrong answer;
-	// pair drop/delay plans with RunContext so a stalled transfer is
-	// bounded by a deadline.
+	// pair drop plans with RunContext so a stalled transfer is bounded
+	// by a deadline. A delay only lengthens a wire on the clocks.
 	Faults *FaultPlan
 
 	// RunID correlates this execution with the caller's run-scoped
@@ -139,28 +145,16 @@ type Result struct {
 	// estimate, parameters and constants aside.
 	ArenaPeakBytes int64
 
-	// Breakdown is the step decomposition measured from real
-	// timestamps, in seconds of wall-clock: StepTime is the slowest
-	// device's total, Compute/Exposed average the devices' measured
-	// local-evaluation and communication-wait spans, CollectiveWire
-	// averages the injected wire occupancy each device initiated.
+	// Breakdown is the step decomposition on the devices' clocks, in
+	// seconds: StepTime is the latest final clock, Compute averages the
+	// devices' measured local evaluation, Exposed their clocks' jumps to
+	// the dues of what they took, and CollectiveWire the injected wire
+	// each device initiated.
 	Breakdown sim.Breakdown
 
-	// WireOvershoot is how long the devices woke past the dues they
-	// waited for, in seconds summed over the run and averaged over the
-	// devices: the time the host's timers and scheduler added to the
-	// model's, on either transport. A transfer is due when its wire
-	// ends, counted from its post or from the end of the wire ahead of
-	// it on its link; a blocking collective's result, its wire after
-	// its last member arrived, and every member that waits for it adds
-	// its own lateness. A done or a member that comes after the due
-	// waits for nothing and adds nothing, and neither do wire-free
-	// transfers and collectives.
-	WireOvershoot float64
-
 	// Trace holds the recorded spans when Options.Trace was set, on the
-	// same device tracks the simulator emits, in seconds from run
-	// start. It is the run's span slab: a holder done with it may hand
+	// same device tracks the simulator emits, in seconds on the devices'
+	// clocks. It is the run's span slab: a holder done with it may hand
 	// it back with ReleaseTrace.
 	Trace []obs.Span
 
@@ -207,7 +201,7 @@ func ReleaseArgs(args [][]*tensor.Tensor) {
 }
 
 // Run executes the computation on numDevices goroutine devices and
-// returns the per-device results with measured timings. args follows
+// returns the per-device results with their clocks' breakdown. args follows
 // sim.Interpret's convention: args[i][d] is parameter i's value on
 // device d, and len(args[i]) == 1 supplies one replicated tensor.
 func Run(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options) (*Result, error) {
@@ -217,13 +211,15 @@ func Run(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Optio
 // RunContext is Run with a deadline (see Executable.Run for what an
 // expired context does to a run). It compiles the computation for this
 // one run; a caller that runs a program repeatedly keeps the Executable
-// instead.
+// instead. A failure's Elapsed counts from RunContext's entry, the
+// compile included.
 func RunContext(ctx context.Context, c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options) (*Result, error) {
+	epoch := time.Now()
 	x, err := Compile(c, numDevices, opts.Spec)
 	if err != nil {
 		return nil, err
 	}
-	return x.Run(ctx, args, opts)
+	return x.runFrom(ctx, args, opts, epoch)
 }
 
 func formatErr(format string, a ...interface{}) error {

@@ -68,8 +68,8 @@ func TestSpanSlabUnderfilledWindows(t *testing.T) {
 	}
 }
 
-// TestSpanSlabOverfilledWindow: a recorder that outgrows its window — a
-// duplicated frame deserialized twice — must not reach its neighbour's.
+// TestSpanSlabOverfilledWindow: a recorder that outgrows its window —
+// one span more than the layout counted — must not reach its neighbour's.
 // Its slice reallocates away from the slab, the neighbours keep what
 // they recorded, and assemble still returns every span, in order.
 func TestSpanSlabOverfilledWindow(t *testing.T) {

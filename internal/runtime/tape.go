@@ -23,7 +23,7 @@ import (
 // arena accounting, the mailboxes, the span buffers — and the run's own
 // options (TimeScale, Transport, Trace, Faults) never reach the tape:
 // it stores a transfer's modeled seconds, and the engine turns them
-// into a slept duration under the run's TimeScale.
+// into wire on the devices' clocks under the run's TimeScale.
 //
 // The tape also fixes the run's trace layout, because the tape is what
 // executes: a device records at most one compute-track span per local
@@ -140,8 +140,9 @@ type tapeOp struct {
 	// ignores.
 	drop []int32
 
-	// Starts and dones. peer[d] is the device d sends to (start) or
-	// receives from (done), -1 when d is not in the pairs; box is the
+	// Starts, dones and blocking permutes. peer[d] is the device d sends
+	// to (start) or receives from (done, blocking permute), -1 when d is
+	// not in the pairs; box is the
 	// start's mailbox number, bytes the payload size in the IR's
 	// 4-byte convention, modeled the machine spec's wire seconds for
 	// one transfer (also a blocking collective's modeled time), which a
@@ -294,6 +295,9 @@ func (lw *lowering) seq(c *hlo.Computation, carried []int32, held map[*hlo.Instr
 			op.modeled = lw.spec.CollectiveTime(in)
 			op.groups = lw.groups(in)
 			op.box = lw.box()
+			if in.Op == hlo.OpCollectivePermute {
+				op.peer = lw.peers(in, false)
+			}
 
 		case hlo.OpCollectivePermuteStart:
 			op.kind = opStart

@@ -9,8 +9,8 @@ type TransportKind string
 const (
 	// TransportChan is the in-process fabric: the posting device puts
 	// a transfer straight into the destination's mailbox, stamped with
-	// when its modeled wire ends, and the receiving done waits out what
-	// is left of it. The zero value of Options.Transport resolves here.
+	// when its modeled wire ends, and the receiving done's clock moves on
+	// to that due. The zero value of Options.Transport resolves here.
 	TransportChan TransportKind = "chan"
 
 	// TransportProc runs each communicating logical device as its own
@@ -18,7 +18,7 @@ const (
 	// binary frames carrying their due, cross a Unix socket into the
 	// source device's worker, cross a second socket to the destination
 	// device's worker, and come back up to the parent for delivery,
-	// where the receiving done waits out what is left of the wire.
+	// where the receiving done's clock moves on to the due.
 	// Drops and duplicates act inside the workers — below the mailbox
 	// layer, on the real sockets; an injected delay is in the due.
 	TransportProc TransportKind = "proc"
@@ -44,9 +44,8 @@ func ParseTransport(s string) (TransportKind, error) {
 // binds no transport. Everything above it — the wire rule, mailbox
 // addressing, at-most-once enforcement, watermark pruning, the
 // missing-link check — stays in the fabric, which is what keeps the
-// bitwise cross-check against sim.Interpret transport-independent. Its
-// span recorders declare their windows of a traced run's slab
-// (engine.spans) when it is constructed.
+// bitwise cross-check against sim.Interpret transport-independent, and
+// the fabric's transit records every transfer span.
 type transport interface {
 	// start brings the data plane up for the Executable's directed
 	// edges. Called once, before any device goroutine runs; an error

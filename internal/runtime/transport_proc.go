@@ -30,22 +30,21 @@ import (
 // The parent keeps everything that must stay deterministic: fault
 // decisions come from the run's seeded injector before the frame goes
 // down (the worker only acts them out, on the real sockets), the
-// frame's due is fixed there by the fabric's wire rule, and mailbox
-// addressing never leaves the fabric. The frame comes back up as fast
-// as the sockets move it; the receiving done waits out whatever is left
-// of its wire, as in process. Compute stays on the
-// parent's device goroutines — the workers are fabric endpoints, which
-// is exactly the slice of the system a multi-machine deployment would
-// move onto the network first.
+// frame's due is fixed there by the fabric's wire rule, which also
+// records its transfer span, and mailbox addressing never leaves the
+// fabric. The frame comes back up as fast as the sockets move it; the
+// receiving done's clock moves on to its due, as in process. The
+// sockets' own costs are wall time on the host, not wire on the clocks:
+// they go to the serialize and deserialize histograms, not the trace.
+// Compute stays on the parent's device goroutines — the workers are
+// fabric endpoints, which is exactly the slice of the system a
+// multi-machine deployment would move onto the network first.
 type procTransport struct {
 	eng *engine
 	fab *fabric
 
 	workers map[int]*procWorker
 	edges   []*procEdge // by position in the Executable's edge table
-	// deser[d] records the deserialize spans of device d's worker's
-	// reader (nil outside the trace window).
-	deser [][]obs.Span
 
 	closing atomic.Bool
 	sendWG  sync.WaitGroup
@@ -56,17 +55,6 @@ type procTransport struct {
 	// takes it to zero leaves a token in drained, for drain.
 	awaited atomic.Int64
 	drained chan struct{}
-
-	// pending matches a posted frame's wire start to its delivery for
-	// the transfer trace span (only touched when tracing is on).
-	pendMu  sync.Mutex
-	pending map[pendingKey]time.Duration
-}
-
-type pendingKey struct {
-	name     string
-	inst     int
-	src, dst int
 }
 
 // procWorker is the parent's handle on one spawned device process.
@@ -83,12 +71,6 @@ type procWorker struct {
 type procEdge struct {
 	src, dst int
 	ch       chan parcel
-	// The source device's transfer track, twice per parcel: ser is the
-	// serialize span, recorded by the edge's sender; transfer the span
-	// from the wire's start to its due or the frame's arrival, whichever
-	// is later, recorded by the reader of the destination's worker — the
-	// one goroutine the edge's frames come back up through.
-	ser, transfer []obs.Span
 }
 
 // linkBuffer bounds parcels queued on one edge before its sender; a
@@ -101,34 +83,17 @@ func newProcTransportChecked(e *engine, f *fabric) (transport, error) {
 	return newProcTransport(e, f), nil
 }
 
-// newProcTransport lays out the parent-side edge queues and, for a
-// traced run, every recorder's window of the span slab: per edge a
-// serialize and a transfer span for each parcel, per device a
-// deserialize span for each frame addressed to it.
+// newProcTransport lays out the parent-side edge queues.
 func newProcTransport(e *engine, f *fabric) *procTransport {
 	t := &procTransport{
 		eng:     e,
 		fab:     f,
 		workers: map[int]*procWorker{},
 		edges:   make([]*procEdge, len(e.edges)),
-		deser:   make([][]obs.Span, e.n),
-		pending: map[pendingKey]time.Duration{},
 		drained: make(chan struct{}, 1),
 	}
-	inbound := make([]int, e.n)
 	for i, edge := range e.edges {
-		l := &procEdge{src: edge.src, dst: edge.dst, ch: make(chan parcel, min(linkBuffer, edge.transfers))}
-		if l.src < e.window {
-			e.spans.declare(l.src, obs.TrackTransfer, edge.transfers, &l.ser)
-			e.spans.declare(l.src, obs.TrackTransfer, edge.transfers, &l.transfer)
-		}
-		inbound[l.dst] += edge.transfers
-		t.edges[i] = l
-	}
-	for dev, n := range inbound[:e.window] {
-		if n > 0 {
-			e.spans.declare(dev, obs.TrackTransfer, n, &t.deser[dev])
-		}
+		t.edges[i] = &procEdge{src: edge.src, dst: edge.dst, ch: make(chan parcel, min(linkBuffer, edge.transfers))}
 	}
 	return t
 }
@@ -260,18 +225,17 @@ func (t *procTransport) post(link int, p parcel) bool {
 
 // serveEdge drains the queue of the edge at position link: take each
 // parcel onto the link by the fabric's wire rule, which decides its
-// fault actions and its due, serialize the tensor into a frame carrying
-// both, send it down the source worker's control socket, and recycle
-// the parcel's buffer — the bytes are on the wire, and the link was its
-// only owner. Serialization cost is measured here, as a span and a
-// histogram sample, because it is the genuinely new cost the process
-// fabric adds over the channel one.
+// fault actions and its due and records its transfer span, serialize
+// the tensor into a frame carrying both, send it down the source
+// worker's control socket, and recycle the parcel's buffer — the bytes
+// are on the wire, and the link was its only owner. Serialization cost
+// is measured here, as a histogram sample, because it is the genuinely
+// new cost the process fabric adds over the channel one.
 func (t *procTransport) serveEdge(link int, l *procEdge) {
 	e := t.eng
 	w := t.workers[l.src]
-	traced := l.src < e.window
 	for p := range l.ch {
-		start, due, dup, drop := t.fab.transit(link, p)
+		due, dup, drop := t.fab.transit(link, p)
 		name := t.fab.op(p.key.box).in.Name
 		fr := wire.Frame{
 			Src: l.src, Dst: l.dst,
@@ -292,12 +256,11 @@ func (t *procTransport) serveEdge(link int, l *procEdge) {
 			arrivals = 2
 		}
 		t.awaited.Add(arrivals)
-		t0 := e.since()
+		t0 := time.Now()
 		w.writeMu.Lock()
 		err := wire.WriteFrame(w.control, &fr)
 		w.writeMu.Unlock()
-		ser := e.since() - t0
-		rtSerializeSpans.Observe(ser)
+		rtSerializeSpans.Observe(time.Since(t0).Seconds())
 		rtWireFrames.Inc()
 		rtWireFrameBytes.Add(float64(8 * len(fr.Data)))
 		recycle(p.data)
@@ -311,18 +274,6 @@ func (t *procTransport) serveEdge(link int, l *procEdge) {
 			}
 			continue // keep draining so posters never block forever
 		}
-		if traced {
-			l.ser = append(l.ser, obs.Span{
-				Device: l.src, Track: obs.TrackTransfer,
-				Cat: "serialize", Name: name,
-				Start: t0, Dur: ser,
-			})
-			if !drop {
-				t.pendMu.Lock()
-				t.pending[pendingKey{fr.Name, fr.Inst, l.src, l.dst}] = start
-				t.pendMu.Unlock()
-			}
-		}
 	}
 }
 
@@ -335,13 +286,13 @@ func (t *procTransport) serveEdge(link int, l *procEdge) {
 func (t *procTransport) readWorker(w *procWorker) {
 	e := t.eng
 	var fr wire.Frame
-	// The deserialize span runs from the header being parsed — the
-	// frame's bytes are all here — to the payload decoded into the
-	// tensor; the wait for the frame itself is not deserialization.
+	// Deserialization runs from the header being parsed — the frame's
+	// bytes are all here — to the payload decoded into the tensor; the
+	// wait for the frame itself is not deserialization.
 	var data *tensor.Tensor
-	var t0 float64
+	var t0 time.Time
 	into := func(shape []int) []float64 {
-		t0 = e.since()
+		t0 = time.Now()
 		data = tensor.NewPooled(shape...)
 		return data.Data()
 	}
@@ -362,36 +313,14 @@ func (t *procTransport) readWorker(w *procWorker) {
 			})
 			return
 		}
-		des := e.since() - t0
-		due := time.Duration(fr.DueNS)
-		rtDeserializeSpans.Observe(des)
+		rtDeserializeSpans.Observe(time.Since(t0).Seconds())
 		if t.awaited.Add(-1) == 0 {
 			select {
 			case t.drained <- struct{}{}:
 			default:
 			}
 		}
-		if w.id < e.window {
-			t.deser[w.id] = append(t.deser[w.id], obs.Span{
-				Device: w.id, Track: obs.TrackTransfer,
-				Cat: "deserialize", Name: fr.Name,
-				Start: t0, Dur: des,
-			})
-			t.pendMu.Lock()
-			start, ok := t.pending[pendingKey{fr.Name, fr.Inst, fr.Src, fr.Dst}]
-			delete(t.pending, pendingKey{fr.Name, fr.Inst, fr.Src, fr.Dst})
-			t.pendMu.Unlock()
-			if ok {
-				l := t.edges[e.link[[2]int{fr.Src, fr.Dst}]]
-				end := max(due, e.sinceDur())
-				l.transfer = append(l.transfer, obs.Span{
-					Device: fr.Src, Track: obs.TrackTransfer,
-					Cat: obs.CatTransfer, Name: fr.Name,
-					Start: start.Seconds(), Dur: (end - start).Seconds(),
-				})
-			}
-		}
-		t.fab.deliverNamed(fr.Dst, fr.Name, fr.Inst, data, due, fr.Fault)
+		t.fab.deliverNamed(fr.Dst, fr.Name, fr.Inst, data, time.Duration(fr.DueNS), fr.Fault)
 	}
 }
 
@@ -407,6 +336,10 @@ func (t *procTransport) drain() {
 		}
 	}
 }
+
+// reapGrace is how long shutdown lets a worker take to exit on its
+// control socket's close before it kills it.
+const reapGrace = 5 * time.Second
 
 // shutdown winds the process fabric down: stop the senders, wait for
 // the frames still coming up, close the control sockets (the workers
@@ -438,7 +371,7 @@ func (t *procTransport) shutdown() {
 		}(w)
 		select {
 		case <-done:
-		case <-time.After(5 * time.Second):
+		case <-time.After(reapGrace):
 			_ = w.cmd.Process.Kill()
 			<-done
 		}

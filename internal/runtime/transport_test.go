@@ -94,6 +94,17 @@ func faultSite(t *testing.T) (siteCase, [][2]int) {
 	if err := variants()[2].apply(c); err != nil { // decomposed
 		t.Fatalf("apply: %v", err)
 	}
+	edges := asyncEdges(c)
+	if len(edges) == 0 {
+		t.Fatal("decomposed site has no fabric edges")
+	}
+	site.build = func() *hlo.Computation { return c }
+	return site, edges
+}
+
+// asyncEdges lists the directed fabric edges c's starts post on, in
+// program order.
+func asyncEdges(c *hlo.Computation) [][2]int {
 	var edges [][2]int
 	seen := map[[2]int]bool{}
 	c.Walk(func(in *hlo.Instruction) {
@@ -108,11 +119,7 @@ func faultSite(t *testing.T) (siteCase, [][2]int) {
 			}
 		}
 	})
-	if len(edges) == 0 {
-		t.Fatal("decomposed site has no fabric edges")
-	}
-	site.build = func() *hlo.Computation { return c }
-	return site, edges
+	return edges
 }
 
 // TestTransportConformanceFaults pins identical failure semantics
@@ -142,12 +149,6 @@ func TestTransportConformanceFaults(t *testing.T) {
 			fault:    runtime.Fault{Kind: runtime.FaultDuplicate, Src: edge[0], Dst: edge[1], K: 0},
 			deadline: 10 * time.Second,
 			sentinel: runtime.ErrDuplicateDelivery,
-		},
-		{
-			name:     "delay-stalls",
-			fault:    runtime.Fault{Kind: runtime.FaultDelay, Src: edge[0], Dst: edge[1], K: -1, Delay: 30 * time.Second},
-			deadline: 200 * time.Millisecond,
-			sentinel: context.DeadlineExceeded,
 		},
 		{
 			name:     "crash-attributed",
@@ -275,10 +276,10 @@ func TestTransportProcCleanShutdown(t *testing.T) {
 func TestTransportProcWorkerSIGTERM(t *testing.T) {
 	site, edges := faultSite(t)
 	comp := site.build()
-	// A long injected delay keeps transfers in flight (and workers
-	// needed) while the signal lands.
+	// A transfer dropped on the wire keeps the run waiting (and its
+	// workers needed) while the signal lands.
 	plan := &runtime.FaultPlan{Seed: 9, Faults: []runtime.Fault{
-		{Kind: runtime.FaultDelay, Src: edges[0][0], Dst: edges[0][1], K: -1, Delay: 20 * time.Second},
+		{Kind: runtime.FaultDrop, Src: edges[0][0], Dst: edges[0][1], K: 0},
 	}}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -10,8 +10,8 @@
 //	u8   flags (drop / dup, pre-decided by the parent's injector)
 //	u32  src device
 //	u32  dst device
-//	u64  due: when the transfer's wire ends, nanoseconds from the run's
-//	     epoch on the parent's clock
+//	u64  due: when the transfer's wire ends, in nanoseconds on the
+//	     devices' virtual clocks
 //	u16  start-instruction name length, then the name bytes
 //	u16  fault description length, then the bytes (the injected fault
 //	     a duplicated frame is attributed to; usually empty)
@@ -68,10 +68,10 @@ type Frame struct {
 	// per-device execution count.
 	Name string
 	Inst int
-	// DueNS is when the transfer's wire ends, in nanoseconds from the
-	// run's epoch on the parent's clock: the parent fixes it before the
-	// frame goes down and reads it back when the frame comes up; a
-	// worker only relays it.
+	// DueNS is when the transfer's wire ends, in nanoseconds on the
+	// devices' virtual clocks: the parent fixes it before the frame
+	// goes down and reads it back when the frame comes up; a worker
+	// only relays it.
 	DueNS int64
 	// Flags carries pre-decided fault actions (FlagDrop, FlagDup).
 	Flags uint8

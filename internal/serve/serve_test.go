@@ -525,10 +525,10 @@ func TestCallerCannotScaleTheWire(t *testing.T) {
 }
 
 // TestClientDisconnectFreesItsSlot: a client that hangs up mid-run takes
-// its run with it. A delay fault holds the run on a link for far longer
-// than the test; cancelling the request ends the run with the context's
-// error, attributed to the fault, the handler returns, and on a
-// one-slot server the next request is admitted at once.
+// its run with it. A transfer dropped on the wire holds the run for as
+// long as the test lets it; cancelling the request ends the run with
+// the context's error, attributed to the fault, the handler returns,
+// and on a one-slot server the next request is admitted at once.
 func TestClientDisconnectFreesItsSlot(t *testing.T) {
 	cfg := testConfig()
 	cfg.DebugFaults = true
@@ -537,7 +537,7 @@ func TestClientDisconnectFreesItsSlot(t *testing.T) {
 	mustRun(t, ts, miniatureRequest()) // compile outside the measured part
 
 	held := miniatureRequest()
-	held.Fault = "delay:link:0-1:1h"
+	held.Fault = "drop:link:0-1:0"
 	held.DeadlineMS = 60000 // only so that a regression fails instead of hanging
 	body, err := json.Marshal(held)
 	if err != nil {
@@ -550,11 +550,11 @@ func TestClientDisconnectFreesItsSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 	runErrors0 := svRunErrors.Value()
-	// The run holds on the link only once the delay has fired, at the
-	// delayed parcel's post; a hang-up before that ends the run
-	// somewhere else, attributed to no fault.
-	delays := obs.Default().Counter("overlap_runtime_fault_delays_total", "")
-	delays0 := delays.Value()
+	// The run holds only once the drop has fired, at the dropped
+	// parcel's post; a hang-up before that ends the run somewhere else,
+	// attributed to no fault.
+	drops := obs.Default().Counter("overlap_runtime_fault_drops_total", "")
+	drops0 := drops.Value()
 	answered := make(chan error, 1)
 	go func() {
 		resp, err := http.DefaultClient.Do(r)
@@ -573,7 +573,7 @@ func TestClientDisconnectFreesItsSlot(t *testing.T) {
 		}
 	}
 	waitUntil("the held run's admission", func() bool { return len(s.slots) == 1 })
-	waitUntil("the delay fault", func() bool { return delays.Value() > delays0 })
+	waitUntil("the drop fault", func() bool { return drops.Value() > drops0 })
 	hangUp()
 	if err := <-answered; !errors.Is(err, context.Canceled) {
 		t.Fatalf("the cancelled request answered %v, want the client's context.Canceled", err)
@@ -593,8 +593,8 @@ func TestClientDisconnectFreesItsSlot(t *testing.T) {
 	}
 	trace := s.recorder.get(runs[0].ID)
 	if trace.Status != obs.StatusFailed || trace.Error == nil ||
-		!strings.Contains(trace.Error.Cause, context.Canceled.Error()) || !strings.HasPrefix(trace.Error.Fault, "delay:") {
-		t.Fatalf("the cancelled run's trace: status %q, error %+v; want failed with the context's error on the delay fault", trace.Status, trace.Error)
+		!strings.Contains(trace.Error.Cause, context.Canceled.Error()) || trace.Error.Fault != held.Fault {
+		t.Fatalf("the cancelled run's trace: status %q, error %+v; want failed with the context's error on the drop fault", trace.Status, trace.Error)
 	}
 
 	rr, _, _, err := postRun(ts, miniatureRequest())

@@ -67,7 +67,8 @@ type StepStat struct {
 	GradDigest string `json:"grad_digest"`
 	// WeightDigest hashes the updated weights the same way.
 	WeightDigest string `json:"weight_digest"`
-	// StepSeconds is the measured wall-clock step time.
+	// StepSeconds is the executed step time: the runtime's latest final
+	// device clock (measured compute, injected wire).
 	StepSeconds float64 `json:"step_seconds"`
 	// Checked marks a step verified bitwise against the interpreter.
 	Checked bool `json:"checked"`

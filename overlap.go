@@ -272,8 +272,8 @@ func MaybeTransportWorker() { runtime.MaybeWorker() }
 // rematerialization) for the configuration that executes the
 // computation fastest: candidates are ranked by the timing simulator,
 // the best few are run for real on the goroutine runtime (cross-checked
-// against the interpreter), and the winner is picked by measured
-// wall-clock. The result carries the decision's one record, result.Plan
+// against the interpreter), and the winner is picked by its executed
+// step. The result carries the decision's one record, result.Plan
 // — the winning program as it was executed — and the plan is stored
 // under its fingerprint in a directory of plan files, so re-tuning an
 // unchanged program returns the stored plan without compiling or
