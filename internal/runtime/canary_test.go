@@ -47,13 +47,6 @@ func randomArgs(c *hlo.Computation, n int, rng *rand.Rand) [][]*tensor.Tensor {
 // channel run's result.
 func checkOutputsBitwise(t *testing.T, label string, c *hlo.Computation, n int, args [][]*tensor.Tensor) *runtime.Result {
 	t.Helper()
-	return checkOutputsBitwiseWith(t, label, c, n, args, runtime.Options{})
-}
-
-// checkOutputsBitwiseWith is checkOutputsBitwise under the given run
-// options (the transport is set per run).
-func checkOutputsBitwiseWith(t *testing.T, label string, c *hlo.Computation, n int, args [][]*tensor.Tensor, opts runtime.Options) *runtime.Result {
-	t.Helper()
 	want, err := sim.InterpretAll(c, n, args)
 	if err != nil {
 		t.Fatalf("%s: interpret: %v", label, err)
@@ -64,8 +57,7 @@ func checkOutputsBitwiseWith(t *testing.T, label string, c *hlo.Computation, n i
 	}
 	var first *runtime.Result
 	for _, tr := range transports {
-		opts.Transport = tr
-		res, err := runtime.Run(c, n, args, opts)
+		res, err := runtime.Run(c, n, args, runtime.Options{Transport: tr})
 		if err != nil {
 			t.Fatalf("%s (%s): %v", label, tr, err)
 		}
@@ -252,10 +244,9 @@ func TestUseAfterReleaseCanary(t *testing.T) {
 		acc := c.Parameter(1, "acc", []int{8, 4})
 		c.Loop(body, 6, 1, x, acc)
 	}
-	slow := runtime.Options{Faults: &runtime.FaultPlan{Seed: 1, Faults: []runtime.Fault{
-		{Kind: runtime.FaultDelay, Src: 0, Dst: 1, K: -1, Delay: 2 * time.Millisecond},
-	}}}
-	checkOutputsBitwiseWith(t, "collective-in-loop", looped, n, randomArgs(looped, n, rng), slow)
+	// Held in wall time: a delay fault would only move device 1's clock.
+	defer runtime.HoldBack(1, 2*time.Millisecond)()
+	checkOutputsBitwise(t, "collective-in-loop", looped, n, randomArgs(looped, n, rng))
 }
 
 // TestPlanRefusesUnsafeReuse pins, under the NaN canary, the reuse the
@@ -333,11 +324,10 @@ func TestBlockingCollectivesInALongLoop(t *testing.T) {
 		acc := c.Parameter(1, "acc", []int{8, 4})
 		c.Loop(body, trips, 1, x, acc)
 	}
-	slow := runtime.Options{Faults: &runtime.FaultPlan{Seed: 1, Faults: []runtime.Fault{
-		{Kind: runtime.FaultDelay, Src: 0, Dst: 1, K: -1, Delay: 200 * time.Microsecond},
-	}}}
+	// Held in wall time: a delay fault would only move device 1's clock.
+	defer runtime.HoldBack(1, 200*time.Microsecond)()
 	rng := rand.New(rand.NewSource(29))
-	checkOutputsBitwiseWith(t, "collectives-in-a-long-loop", looped, n, randomArgs(looped, n, rng), slow).Release()
+	checkOutputsBitwise(t, "collectives-in-a-long-loop", looped, n, randomArgs(looped, n, rng)).Release()
 }
 
 func ringPairs(n int) []hlo.SourceTargetPair {

@@ -127,12 +127,12 @@ func stallProgram() (*hlo.Computation, [][]*tensor.Tensor) {
 	return c, args
 }
 
-// TestAbortReturnsBeforeWireDelay is the regression test for an abort
-// bug: a wait for an in-flight transfer's wire used to run out the full
-// modeled wire time even after the run failed, so a failing run stalled
-// for up to the largest in-flight transfer. With a 10s injected wire
-// occupancy and a device crash mid-run, Run must return the crash error
-// in a small fraction of that.
+// TestAbortReturnsBeforeWireDelay pins that a failing run waits for no
+// wire. A delay fault lengthens its parcel's wire on the devices'
+// clocks only, so even with a 10s delay on the parcel in flight when a
+// device crashes, Run must return the crash error in a small fraction
+// of that. (Before the clocks, a wait for an in-flight wire ran it out
+// in wall time after the run had failed.)
 func TestAbortReturnsBeforeWireDelay(t *testing.T) {
 	c, args := stallProgram()
 	opts := runtime.Options{Faults: &runtime.FaultPlan{Faults: []runtime.Fault{
@@ -246,8 +246,8 @@ func TestFaultPlanValidation(t *testing.T) {
 }
 
 // TestDelayFaultPreservesResults checks that a small injected delay
-// (with jitter) only slows the run down: the outputs stay bit-identical
-// to an undelayed execution.
+// (with jitter) only moves the devices' clocks: the outputs stay
+// bit-identical to an undelayed execution.
 func TestDelayFaultPreservesResults(t *testing.T) {
 	c, args := stallProgram()
 	clean, err := runtime.Run(c, 2, args, runtime.Options{})
