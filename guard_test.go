@@ -16,8 +16,8 @@ import (
 )
 
 // sourceGuard is one "deleted, and must not grow back" rule, enforced by
-// reading the tree: no line of the Go files under its roots may match
-// its pattern. The rules used to be grep steps in ci.yml, where no
+// reading the tree: no line of the Go (or, by suffix, other) files
+// under its roots may match its pattern. The rules used to be grep steps in ci.yml, where no
 // development session could run them; here go test ./... does.
 type sourceGuard struct {
 	name, why string
@@ -26,6 +26,8 @@ type sourceGuard struct {
 	// tests says whether _test.go files under them are covered too.
 	roots []string
 	tests bool
+	// suffix names the files read under the roots: "" reads Go files.
+	suffix string
 	// except exempts a matching line, by its file or its text (nil
 	// exempts nothing).
 	except func(path, line string) bool
@@ -166,6 +168,20 @@ var sourceGuards = []sourceGuard{
 		},
 	},
 	{
+		name: "the kernels' byte contract: no fused multiply-add",
+		why: "every kernel rounds each product and then each sum, one term at a time, as einsumReference does; " +
+			"a fused multiply-add rounds once and changes the bytes",
+		pattern: regexp.MustCompile(`\bVF(N)?M(ADD|SUB)\w*`),
+		roots:   []string{"internal/tensor"},
+		suffix:  ".s",
+	},
+	{
+		name:    "the kernels' byte contract: no fused multiply-add in Go",
+		why:     "math.FMA rounds a product and a sum once: the kernels and the reference round each",
+		pattern: regexp.MustCompile(`math\.FMA\b`),
+		roots:   []string{"internal/tensor"},
+	},
+	{
 		name:    "one run regime: kernel parallelism is GOMAXPROCS",
 		why:     "the kernels run on GOMAXPROCS workers: no kernel-worker setter or flag comes back, and tests sweep GOMAXPROCS",
 		pattern: regexp.MustCompile(`SetKernelWorkers|kernel-workers`),
@@ -215,7 +231,11 @@ func TestSourceGuards(t *testing.T) {
 					}
 					return nil
 				}
-				if !strings.HasSuffix(path, ".go") || (!g.tests && strings.HasSuffix(path, "_test.go")) {
+				suffix := g.suffix
+				if suffix == "" {
+					suffix = ".go"
+				}
+				if !strings.HasSuffix(path, suffix) || (!g.tests && strings.HasSuffix(path, "_test.go")) {
 					return nil
 				}
 				return g.scan(t, path)

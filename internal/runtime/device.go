@@ -58,8 +58,9 @@ type device struct {
 	// goroutines) are not on it, and nothing ever waits for it.
 	vt time.Duration
 
-	// Seconds on the clock: local evaluation, initiated wire occupancy,
-	// and the jumps to dues.
+	// Seconds on the clock: local evaluation, the blocking collectives'
+	// wire (a transfer's is its link's: fabric.wire), and the jumps to
+	// dues.
 	compute, wire, exposed float64
 
 	asyncSends   int
@@ -393,7 +394,6 @@ func (d *device) post(op *tapeOp, pc int) bool {
 	if !e.fabric.post(d.id, int(target), mailKey{box: int(op.box), inst: inst}, data, op.bytes, d.vt) {
 		return false
 	}
-	d.wire += e.delay(op.modeled).Seconds()
 	d.asyncSends++
 	d.outstanding++
 	if d.outstanding > d.peakInFlight {

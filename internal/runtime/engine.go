@@ -407,6 +407,9 @@ func (e *engine) assemble(devices []*device) *Result {
 			res.ArenaPeakBytes = dev.arenaPeak
 		}
 	}
+	for _, w := range e.fabric.wire {
+		b.CollectiveWire += w.Seconds() / float64(e.n)
+	}
 	res.Breakdown = b
 	b.Record("runtime")
 

@@ -72,16 +72,19 @@ type cell struct {
 // nil on an in-process run.
 //
 // due[link] is when the wire of the last parcel taken onto that link
-// ends, on the clocks' common axis; start zeroes it. Only the goroutine
-// that takes the link's parcels — its source device in process, the
-// edge's serializer on the process transport — touches it, and so
-// trace[link], the transfer window of a link whose source device is
-// inside a traced run's window (nil otherwise).
+// ends, on the clocks' common axis, and wire[link] the sum of the
+// link's wires this run, injected delays included; start zeroes both.
+// Only the goroutine that takes the link's parcels — its source device
+// in process, the edge's serializer on the process transport — touches
+// them, and so trace[link], the transfer window of a link whose source
+// device is inside a traced run's window (nil otherwise). The engine
+// reads wire once every goroutine has joined.
 type fabric struct {
 	eng   *engine
 	tr    transport
 	mail  []mailboxes
 	due   []time.Duration
+	wire  []time.Duration
 	trace [][]obs.Span
 }
 
@@ -95,6 +98,7 @@ func newFabric(e *engine) *fabric {
 		eng:   e,
 		mail:  make([]mailboxes, e.n),
 		due:   make([]time.Duration, len(e.edges)),
+		wire:  make([]time.Duration, len(e.edges)),
 		trace: make([][]obs.Span, len(e.edges)),
 	}
 	// One cell per mailbox up front: in a healthy run at most one
@@ -156,6 +160,7 @@ func (f *fabric) reset() {
 // start brings the data plane up, on links idle from clock zero.
 func (f *fabric) start() error {
 	clear(f.due)
+	clear(f.wire)
 	if f.tr == nil {
 		return nil
 	}
@@ -168,10 +173,10 @@ func (f *fabric) start() error {
 // parcel is dropped, fixes its wire and records it as a transfer span:
 // the wire starts when the parcel was posted or when the link's
 // previous wire ends, whichever is later, and lasts the run's scaled
-// wire plus any injected delay. The due is arithmetic on the clocks,
-// not a wait, and does not depend on when any goroutine got round to
-// the parcel; a dropped parcel never holds the link, and a wire-free
-// one records no span.
+// wire plus any injected delay, all of it added to the link's wire
+// sum. The due is arithmetic on the clocks, not a wait, and does not
+// depend on when any goroutine got round to the parcel; a dropped
+// parcel never holds the link, and a wire-free one records no span.
 func (f *fabric) transit(link int, p parcel) (due time.Duration, dup *Fault, drop bool) {
 	e := f.eng
 	edge := e.edges[link]
@@ -183,6 +188,7 @@ func (f *fabric) transit(link int, p parcel) (due time.Duration, dup *Fault, dro
 	start := max(p.posted, f.due[link])
 	due = start + e.delay(op.modeled) + time.Duration(extra)
 	f.due[link] = due
+	f.wire[link] += due - start
 	if edge.src < e.window && due > start {
 		f.trace[link] = append(f.trace[link], obs.Span{
 			Device: edge.src, Track: obs.TrackTransfer,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -385,6 +386,57 @@ func TestDelayLengthensItsWire(t *testing.T) {
 		if len(res.Trace) != 2 || len(spans) != 0 {
 			t.Errorf("%s: want one transfer span on device 0 and one stall on device 1, each [0, +%.9fs]; got %d spans, unexpected %v",
 				tr, want, len(res.Trace), spans)
+		}
+		res.Release()
+	}
+}
+
+// TestBreakdownWireCountsDelays: the breakdown's wire is the wire on
+// the clocks. Under a delay fault on link 0→1, CollectiveWire times the
+// device count is the trace's transfer spans — each parcel's wire, its
+// delay included, summed on its link — plus every member's wire for the
+// blocking collective, on both transports.
+func TestBreakdownWireCountsDelays(t *testing.T) {
+	const n = 2
+	c := hlo.NewComputation("wire-sum")
+	a := c.Parameter(0, "a", []int{2, 2})
+	start := c.CollectivePermuteStart(a, []hlo.SourceTargetPair{{Source: 0, Target: 1}, {Source: 1, Target: 0}})
+	c.AllReduce(c.CollectivePermuteDone(start), [][]int{{0, 1}})
+	x, err := Compile(c, n, machine.TPUv4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var permute, collective float64 // modeled seconds
+	for _, op := range x.tape.ops {
+		switch op.kind {
+		case opStart:
+			permute = op.modeled
+		case opCollective:
+			collective += op.modeled
+		}
+	}
+	scale := (2 * time.Millisecond).Seconds() / permute
+	plan, err := ParseFaults("delay:link:0-1:3ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	args := [][]*tensor.Tensor{{tensor.Rand(rng, 2, 2), tensor.Rand(rng, 2, 2)}}
+	for _, tr := range []TransportKind{TransportChan, TransportProc} {
+		res, err := x.Run(context.Background(), args, Options{TimeScale: scale, Trace: true, Faults: plan, Transport: tr})
+		if err != nil {
+			t.Fatalf("%s: %v", tr, err)
+		}
+		var transfers float64
+		for _, sp := range res.Trace {
+			if sp.Cat == obs.CatTransfer {
+				transfers += sp.Dur
+			}
+		}
+		want := transfers + n*time.Duration(collective*scale*1e9).Seconds()
+		if got := res.Breakdown.CollectiveWire * n; transfers < 7e-3 || math.Abs(got-want) > 1e-12 {
+			t.Errorf("%s: CollectiveWire·n = %.9fs, want the transfer spans' %.9fs (two 2 ms wires, one delayed 3 ms) plus the collective's wire, %.9fs in all",
+				tr, got, transfers, want)
 		}
 		res.Release()
 	}

@@ -148,8 +148,9 @@ type Result struct {
 	// Breakdown is the step decomposition on the devices' clocks, in
 	// seconds: StepTime is the latest final clock, Compute averages the
 	// devices' measured local evaluation, Exposed their clocks' jumps to
-	// the dues of what they took, and CollectiveWire the injected wire
-	// each device initiated.
+	// the dues of what they took, and CollectiveWire the wire on the
+	// clocks — every transfer's on its link, injected delays included,
+	// and every blocking collective's on each member — per device.
 	Breakdown sim.Breakdown
 
 	// Trace holds the recorded spans when Options.Trace was set, on the

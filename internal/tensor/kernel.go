@@ -29,13 +29,23 @@ import (
 // in the rhs of `ed,het->dht`, or a TN lhs beside an NT rhs (the NT
 // kernel reads A rows contiguously) — is permute-packed into canonical
 // order in pooled scratch (pool.go) that lives for one kernel call.
+// An output laid out [batch, n, m] (the weight gradients `ef,ed->df`,
+// `ed,ef->fd`) is the GEMM of the operands swapped, written directly;
+// any other output layout accumulates in a packed scratch copy.
+//
+// On amd64 with AVX, the 4-row kernels — NT (nt4x8) and direct or TN
+// (gemm4x4) — run in assembly (kernel_amd64.s), each vector lane a
+// different output element; the one-row kernels and the column tails
+// stay scalar, as does every kernel elsewhere (kernel_other.go).
 //
 // Determinism contract: for every output element the contracted terms
 // are accumulated in ascending flattened-K order — exactly the order
-// the odometer reference uses — with one add per term, and each element
-// is written by exactly one worker. Kernel results are therefore
-// byte-identical to einsumReference, whichever layout a kernel read,
-// and byte-identical across any worker count.
+// the odometer reference uses — with one rounded multiply and one
+// rounded add per term, never fused, and each element is written by
+// exactly one worker. Kernel results are therefore byte-identical to
+// einsumReference, whichever layout a kernel read and whether a lane
+// or a scalar register held the sum, and byte-identical across any
+// worker count.
 
 // gemmPlan is the shape-independent lowering of one einsum spec. Plans
 // are cached per spec string (the compiler emits a small, fixed set of
@@ -63,6 +73,11 @@ type gemmPlan struct {
 	// A's rows contiguously. An input that is none of these is packed;
 	// an output that is not direct accumulates in a pooled scratch copy.
 	lhsDirect, lhsTN, rhsDirect, rhsNT, outDirect bool
+
+	// swap: the plan is the GEMM of the operands swapped (the spec's
+	// output is [batch, n, m]), so check and run take rhs as the GEMM's
+	// lhs, and every field above describes the swapped GEMM.
+	swap bool
 }
 
 // buildPlan classifies the spec's labels and constructs the packing
@@ -114,6 +129,15 @@ func buildPlan(spec EinsumSpec) *gemmPlan {
 		}
 	}
 
+	// An output laid out [batch, n, m] is the GEMM of the swapped
+	// operands, Cᵀ = Bᵀ·Aᵀ, written where it lies: run that GEMM rather
+	// than scatter the accumulator. k keeps the spec's order, so each
+	// element still adds its terms in the reference's order.
+	if string(batch)+string(m)+string(n) != out && string(batch)+string(n)+string(m) == out {
+		p.swap = true
+		lhs, rhs, m, n = rhs, lhs, n, m
+	}
+
 	p.nBatch, p.nM, p.nN, p.nK = len(batch), len(m), len(n), len(k)
 	lhsOrder := string(batch) + string(m) + string(k)
 	rhsOrder := string(batch) + string(k) + string(n)
@@ -162,35 +186,39 @@ func (p *gemmPlan) sizes(lhs, rhs *Tensor) (B, M, K, N int) {
 // allocating: ranks match the spec, shared labels agree across
 // operands, and out carries the induced output extents.
 func (p *gemmPlan) check(out, lhs, rhs *Tensor) error {
-	if len(lhs.shape) != len(p.lhsPerm) || len(rhs.shape) != len(p.rhsPerm) {
+	l, r := lhs, rhs
+	if p.swap {
+		l, r = rhs, lhs
+	}
+	if len(l.shape) != len(p.lhsPerm) || len(r.shape) != len(p.rhsPerm) {
 		return fmt.Errorf("tensor: einsum operand rank mismatch: got %v and %v", lhs.shape, rhs.shape)
 	}
 	if len(out.shape) != len(p.outPerm) {
 		return fmt.Errorf("tensor: einsum output rank %d, want %d", len(out.shape), len(p.outPerm))
 	}
 	for i := 0; i < p.nBatch; i++ {
-		l, r := lhs.shape[p.lhsPerm[i]], rhs.shape[p.rhsPerm[i]]
-		if l != r {
-			return fmt.Errorf("tensor: einsum batch size mismatch %d vs %d", l, r)
+		x, y := l.shape[p.lhsPerm[i]], r.shape[p.rhsPerm[i]]
+		if x != y {
+			return fmt.Errorf("tensor: einsum batch size mismatch %d vs %d", x, y)
 		}
-		if o := out.shape[p.outPerm[i]]; o != l {
-			return fmt.Errorf("tensor: einsum output batch size %d, want %d", o, l)
+		if o := out.shape[p.outPerm[i]]; o != x {
+			return fmt.Errorf("tensor: einsum output batch size %d, want %d", o, x)
 		}
 	}
 	for i := 0; i < p.nK; i++ {
-		l, r := lhs.shape[p.lhsPerm[p.nBatch+p.nM+i]], rhs.shape[p.rhsPerm[p.nBatch+i]]
-		if l != r {
-			return fmt.Errorf("tensor: einsum contraction size mismatch %d vs %d", l, r)
+		x, y := l.shape[p.lhsPerm[p.nBatch+p.nM+i]], r.shape[p.rhsPerm[p.nBatch+i]]
+		if x != y {
+			return fmt.Errorf("tensor: einsum contraction size mismatch %d vs %d", x, y)
 		}
 	}
 	for i := 0; i < p.nM; i++ {
-		if o, l := out.shape[p.outPerm[p.nBatch+i]], lhs.shape[p.lhsPerm[p.nBatch+i]]; o != l {
-			return fmt.Errorf("tensor: einsum output size %d, want %d", o, l)
+		if o, x := out.shape[p.outPerm[p.nBatch+i]], l.shape[p.lhsPerm[p.nBatch+i]]; o != x {
+			return fmt.Errorf("tensor: einsum output size %d, want %d", o, x)
 		}
 	}
 	for i := 0; i < p.nN; i++ {
-		if o, r := out.shape[p.outPerm[p.nBatch+p.nM+i]], rhs.shape[p.rhsPerm[p.nBatch+p.nK+i]]; o != r {
-			return fmt.Errorf("tensor: einsum output size %d, want %d", o, r)
+		if o, y := out.shape[p.outPerm[p.nBatch+p.nM+i]], r.shape[p.rhsPerm[p.nBatch+p.nK+i]]; o != y {
+			return fmt.Errorf("tensor: einsum output size %d, want %d", o, y)
 		}
 	}
 	return nil
@@ -203,6 +231,9 @@ func (p *gemmPlan) check(out, lhs, rhs *Tensor) error {
 // the length of this call, which keeps the per-element accumulation
 // order identical to the reference in every case.
 func (p *gemmPlan) run(out, lhs, rhs *Tensor, workers, splitK int, sc *Stash) {
+	if p.swap {
+		lhs, rhs = rhs, lhs
+	}
 	B, M, K, N := p.sizes(lhs, rhs)
 	if B*M*N == 0 {
 		return // no output elements (K == 0 alone leaves out unchanged below)
@@ -398,7 +429,11 @@ func (g gemmOperands) rows(c []float64, r, span, clo, chi, k0, k1 int) {
 	aoff := r/M*M*K + r%M*g.aRow + k0*g.aK
 	kLen, w := k1-k0, chi-clo
 	for ; span >= 4; span -= 4 {
-		gemm4Rows(c[r*N+clo:], g.a[aoff:], b, kLen, w, N, g.aRow, g.aK)
+		if useAVX {
+			gemm4RowsAVX(c[r*N+clo:], g.a[aoff:], b, kLen, w, N, g.aRow, g.aK)
+		} else {
+			gemm4Rows(c[r*N+clo:], g.a[aoff:], b, kLen, w, N, g.aRow, g.aK)
+		}
 		r += 4
 		aoff += 4 * g.aRow
 	}
@@ -458,6 +493,23 @@ func gemm4Rows(c, a, b []float64, kLen, w, N, aRow, aK int) {
 	}
 }
 
+// gemm4RowsAVX is gemm4Rows on the AVX kernel (gemm4x4), four columns
+// to a lane group, the last w%4 columns on gemm4Rows. The slices are
+// checked for every element the kernel touches before it runs.
+func gemm4RowsAVX(c, a, b []float64, kLen, w, N, aRow, aK int) {
+	if v := w &^ 3; v > 0 {
+		_ = c[3*N+v-1]
+		_ = a[(kLen-1)*aK+3*aRow]
+		_ = b[(kLen-1)*N+v-1]
+		gemm4x4(&c[0], &a[0], &b[0], N, aRow, aK, kLen, v)
+		if v == w {
+			return
+		}
+		c, b, w = c[v:], b[v:], w-v
+	}
+	gemm4Rows(c, a, b, kLen, w, N, aRow, aK)
+}
+
 // gemmRow adds a kLen-long panel of B (rows N apart, len(crow) wide)
 // to one C row, unrolling K by four; the row's A element at step p is
 // a[p·aK]. The unrolled body adds each term separately so the
@@ -504,6 +556,9 @@ func (g gemmOperands) ntRows(c []float64, r, span, clo, chi, k0, k1 int) {
 		a2 := a[(r+2)*K+k0 : (r+2)*K+k1]
 		a3 := a[(r+3)*K+k0 : (r+3)*K+k1]
 		j := clo
+		for ; useAVX && j+8 <= chi; j += 8 {
+			nt4x8AVX(c[r*N+j:], N, a[r*K+k0:], bt[j*K+k0:], K, k1-k0)
+		}
 		for ; j+2 <= chi; j += 2 {
 			nt4x2(c[r*N+j:], N, a0, a1, a2, a3, bt[j*K+k0:j*K+k1], bt[(j+1)*K+k0:(j+1)*K+k1])
 		}
@@ -559,6 +614,17 @@ func nt4x2(c []float64, ldc int, a0, a1, a2, a3, b0, b1 []float64) {
 	c[ldc], c[ldc+1] = s10, s11
 	c[2*ldc], c[2*ldc+1] = s20, s21
 	c[3*ldc], c[3*ldc+1] = s30, s31
+}
+
+// nt4x8AVX adds the dot products of four rows of a with eight rows of
+// b, all K apart and n long, onto the 4×8 block of c whose rows are ldc
+// apart, on the AVX kernel nt4x8. The slices are checked for every
+// element the kernel touches before it runs.
+func nt4x8AVX(c []float64, ldc int, a, b []float64, K, n int) {
+	_ = c[3*ldc+7]
+	_ = a[3*K+n-1]
+	_ = b[7*K+n-1]
+	nt4x8(&c[0], ldc, &a[0], &b[0], K, n)
 }
 
 // nt1x4 is nt4x2 for a row of A left over below four: one row against

@@ -168,7 +168,8 @@ func TestKernelWorkerCountDeterminism(t *testing.T) {
 		{"ki,jk->ij", []int{160, 160}, []int{160, 160}},      // NT rhs in place, TN lhs packed
 		{"mk,nk->mn", []int{4, 2048}, []int{256, 2048}},      // the site's skinny NT: column partition
 		{"gik,gkj->gij", []int{4, 96, 96}, []int{4, 96, 96}}, // batched
-		{"ki,kj->ji", []int{160, 160}, []int{160, 160}},      // lhs TN, output packed
+		{"ki,kj->ji", []int{160, 160}, []int{160, 160}},      // output [n, m]: the swapped GEMM
+		{"gik,gkj->igj", []int{4, 96, 96}, []int{4, 96, 96}}, // output packed
 	}
 	counts := []int{1, 2, runtime.GOMAXPROCS(0)}
 	for _, tc := range specs {
@@ -277,16 +278,20 @@ func TestEinsumAddIntoPackedPathPoolsScratch(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(6))
-	lhs := Rand(rng, 64, 64)
-	rhs := Rand(rng, 64, 64)
-	acc := New(64, 64)
-	for _, spec := range []string{"ki,kj->ji", "ki,jk->ij"} {
-		EinsumAddInto(acc, spec, lhs, rhs) // warm spec cache and pool
+	for _, tc := range []struct {
+		spec          string
+		lhs, rhs, acc []int
+	}{
+		{"gik,gkj->igj", []int{4, 16, 64}, []int{4, 64, 16}, []int{16, 4, 16}},
+		{"ki,jk->ij", []int{64, 64}, []int{64, 64}, []int{64, 64}},
+	} {
+		lhs, rhs, acc := Rand(rng, tc.lhs...), Rand(rng, tc.rhs...), New(tc.acc...)
+		EinsumAddInto(acc, tc.spec, lhs, rhs) // warm spec cache and pool
 		allocs := testing.AllocsPerRun(200, func() {
-			EinsumAddInto(acc, spec, lhs, rhs)
+			EinsumAddInto(acc, tc.spec, lhs, rhs)
 		})
 		if allocs >= 1 {
-			t.Fatalf("EinsumAddInto %s packed path allocates %.2f objects/op, want < 1 with pooled scratch", spec, allocs)
+			t.Fatalf("EinsumAddInto %s packed path allocates %.2f objects/op, want < 1 with pooled scratch", tc.spec, allocs)
 		}
 	}
 }
