@@ -14,8 +14,8 @@ import (
 // setupRun is `overlap run`: execute a named model's layer step for
 // real on the concurrent runtime — one goroutine (or, with -transport
 // proc, one worker process) per device, asynchronous CollectivePermutes
-// — and print a compute / communication / exposed-stall breakdown on
-// the devices' clocks (measured compute, injected wire) rather than the
+// — and print a compute / communication / exposed-stall breakdown of
+// the replayed step (measured compute, modeled wire) rather than the
 // simulator's predictions. Every mode injects wire at one clock, measured on the
 // untransformed miniature, so the modes differ only in their schedules.
 // With -plan-in a compiled plan runs instead of a model, at its clock.

@@ -112,13 +112,23 @@ var sourceGuards = []sourceGuard{
 		roots:   []string{"internal/serve", "internal/train", "internal/autotune"},
 	},
 	{
-		name: "virtual time: no goroutine sleeps on the wire",
-		why: "a device's clock moves by what it computes and jumps to the due of what it takes, so nothing in the runtime waits on a timer: " +
+		name: "timing is a replay: no goroutine sleeps on the wire",
+		why: "a run's timing is computed after the join from the costs its devices recorded, so nothing in the runtime waits on a timer: " +
 			"only the process transport's reaper gives a worker its grace before the kill, and the deadline watchdog waits on the caller's context",
 		pattern: regexp.MustCompile(`time\.(NewTimer|NewTicker|Sleep|After|AfterFunc|Tick)\b`),
 		roots:   []string{"internal/runtime"},
 		except: func(path, line string) bool {
 			return path == "internal/runtime/transport_proc.go" && strings.Contains(line, "time.After(reapGrace)")
+		},
+	},
+	{
+		name: "timing is a replay: one place computes time",
+		why: "devices record costs and the fabric moves data; the replay alone builds the spans and the breakdown, " +
+			"so no clock, due or span slab grows back beside it",
+		pattern: regexp.MustCompile(`(^|[^\]\w.])obs\.Span\{|sim\.Breakdown\{|\.(StepTime|Compute|CollectiveWire|Exposed|AsyncTransfers|PeakInFlight)\s*([-+*/]?=[^=]|\+\+|--)`),
+		roots:   []string{"internal/runtime"},
+		except: func(path, line string) bool {
+			return path == "internal/runtime/replay.go" || strings.Contains(line, "unsafe.Sizeof(obs.Span{})")
 		},
 	},
 	{

@@ -13,8 +13,8 @@
 //     DefaultOptions configuration, so tuning can never regress it) are
 //     executed for real on the concurrent goroutine runtime, each run
 //     cross-checked bit-identical against the lockstep interpreter, and
-//     the winner is picked by its executed step on the runtime's
-//     virtual clocks (measured compute, injected wire). Every candidate
+//     the winner is picked by its executed step as the runtime replays
+//     it (measured compute, modeled wire). Every candidate
 //     injects wire at one clock, measured on the input program
 //     (runtime.Executable.Clock), so measured compute and wire stand in
 //     the machine model's ratio; the plan carries that clock.
@@ -142,7 +142,7 @@ type Candidate struct {
 	// in modeled seconds.
 	Predicted sim.Breakdown
 	// Measured is the runtime's breakdown of the fastest repeat, in
-	// seconds on its devices' clocks; valid only when Executed.
+	// seconds of its replayed step; valid only when Executed.
 	Measured sim.Breakdown
 	// Executed reports whether stage 2 ran this candidate.
 	Executed bool

@@ -105,7 +105,7 @@ func buildChaosModels(t *testing.T, n int) []*chaosModel {
 // failure contract on every one of them: a run with a crash, a drop or
 // a duplicate terminates within its deadline, the error is a *RunError
 // attributing the injected fault to the right device and phase, a run
-// whose only fault is a delay — seconds of extra wire on the clocks,
+// whose only fault is a delay — seconds of extra wire in the replay,
 // which holds no goroutine — succeeds bit-identical to the interpreter,
 // no goroutines leak, and a fault-free run of the same program stays
 // bit-identical to the interpreter — never a deadlock, never a wrong

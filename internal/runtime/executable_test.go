@@ -339,13 +339,14 @@ func zeroTripProgram() *hlo.Computation {
 
 // TestTraceLayoutSizesEveryBuffer runs every corpus program — as built,
 // rolled, and decomposed, plus a zero-trip loop — traced and untraced
-// and inspects the span buffers the run recorded into. The trace layout
+// and inspects the span slab the replay recorded into. The trace layout
 // is a compile-time count of what the tape can record, so a traced
-// run's device and link buffers must have been allocated once at
-// exactly that count and never have grown (an append past capacity
-// would show as a larger one), and an untraced run must have allocated
-// none. (A device outside the trace window allocating none is
-// TestTraceRecording's: no corpus ring is that wide.)
+// run's slab must have been drawn once at exactly that count and never
+// have grown (an append past capacity would show as a larger one), hold
+// no gap — a span the replay left zero-valued — and be in SpanLess
+// order; an untraced run must have drawn none. (A device outside the
+// trace window recording nothing is TestTraceRecording's: no corpus
+// ring is that wide.)
 func TestTraceLayoutSizesEveryBuffer(t *testing.T) {
 	progs, err := corpus.Programs()
 	if err != nil {
@@ -389,26 +390,33 @@ func TestTraceLayoutSizesEveryBuffer(t *testing.T) {
 				}
 				for _, traced := range []bool{true, false} {
 					label := fmt.Sprintf("%s/%s (%s, traced %v)", p.Name, form.name, tr, traced)
-					bufs, err := x.RunTraceBuffers(context.Background(), args,
-						runtime.Options{Transport: tr, Trace: traced})
+					res, err := x.Run(context.Background(), args, runtime.Options{Transport: tr, Trace: traced})
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					recorded := 0
-					for _, b := range bufs {
-						want := b.Layout
-						if !traced {
-							want = 0
+					trace := res.Trace
+					res.Release()
+					if !traced {
+						if trace != nil {
+							t.Fatalf("%s: an untraced run returned %d spans", label, len(trace))
 						}
-						if b.Cap != want || b.Len > b.Cap {
-							t.Fatalf("%s: %s holds %d spans in a buffer of %d, the layout says %d",
-								label, b.Owner, b.Len, b.Cap, want)
-						}
-						recorded += b.Len
+						continue
 					}
-					if traced && recorded == 0 && p.Name != "zero-trip" {
+					if want := x.TraceLayout(); cap(trace) != want {
+						t.Fatalf("%s: %d spans in a slab of %d, the layout says %d", label, len(trace), cap(trace), want)
+					}
+					if len(trace) == 0 && p.Name != "zero-trip" {
 						t.Fatalf("%s: a traced run recorded nothing", label)
 					}
+					for i, sp := range trace {
+						if sp.Name == "" || sp.Dur <= 0 {
+							t.Fatalf("%s: span %d of the trace is a gap: %+v", label, i, sp)
+						}
+						if i > 0 && obs.SpanLess(sp, trace[i-1]) {
+							t.Fatalf("%s: spans %d and %d are out of SpanLess order", label, i-1, i)
+						}
+					}
+					runtime.ReleaseTrace(trace)
 				}
 			}
 		}

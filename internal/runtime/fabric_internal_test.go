@@ -52,7 +52,7 @@ func TestPostMissingLinkFailsFast(t *testing.T) {
 	done := make(chan bool, 1)
 	go func() {
 		// Edge 0->3 was never built: only 0->1 appears in the program.
-		done <- e.fabric.post(0, 3, mailKey{}, tensor.New(2, 2), 16, 0)
+		done <- e.fabric.post(0, 3, mailKey{}, tensor.New(2, 2), 16)
 	}()
 	select {
 	case ok := <-done:
@@ -211,144 +211,7 @@ func oneLink(t *testing.T, wire time.Duration) (*Executable, float64) {
 	return x, wire.Seconds() / x.tape.ops[x.tape.boxes[0]].modeled
 }
 
-// TestLinkDeliversNoEarlierThanItsDue pins the wire rule on the clocks:
-// a parcel's wire starts at its post or when the wire ahead of it on
-// the link ends, whichever is later, so of k parcels posted back to
-// back each is due one wire after the one ahead of it, and the last,
-// posted once the link has gone idle, one wire after its post. An
-// injected delay lengthens its parcel's wire and every due behind it;
-// a dropped parcel holds none. The poster records each wire as a
-// transfer span, and device 1's clock, taking each parcel in turn,
-// lands exactly on its due.
-func TestLinkDeliversNoEarlierThanItsDue(t *testing.T) {
-	const (
-		k     = 6
-		ask   = 2 * time.Millisecond
-		extra = 3 * time.Millisecond
-	)
-	x, scale := oneLink(t, ask)
-	for _, tc := range []struct {
-		name, faults string
-		extra        map[int]time.Duration // injected delay by instance
-		dropped      int                   // the dropped instance, or -1
-	}{
-		{"clean", "", nil, -1},
-		{"delay", "delay:link:0-1:3ms@2", map[int]time.Duration{2: extra}, -1},
-		{"drop", "drop:link:0-1:2", nil, 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			plan, err := ParseFaults(tc.faults)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e, err := newEngine(x, Options{TimeScale: scale, Trace: true, Faults: plan})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wire := e.delay(e.fabric.op(0).modeled)
-			if wire < ask-time.Microsecond {
-				t.Fatalf("the link injects %v a parcel, want %v", wire, ask)
-			}
-			if err := e.fabric.start(); err != nil {
-				t.Fatal(err)
-			}
-			defer e.fabric.shutdown()
-			posted := func(i int) time.Duration {
-				if i == k-1 {
-					return 2 * k * (wire + extra) // the link is idle by then
-				}
-				return time.Duration(i) * wire / 2
-			}
-			for i := 0; i < k; i++ {
-				if !e.fabric.post(0, 1, mailKey{inst: i}, tensor.New(2, 2), 16, posted(i)) {
-					t.Fatalf("post %d failed: %v", i, e.err)
-				}
-			}
-			if e.err != nil {
-				t.Fatal(e.err)
-			}
-
-			trace := e.fabric.trace[e.link[[2]int{0, 1}]]
-			want := k
-			if tc.dropped >= 0 {
-				want--
-			}
-			if len(trace) != want {
-				t.Fatalf("%d transfer spans, want %d", len(trace), want)
-			}
-			if _, delivered, _ := e.fabric.mailboxSizes(1); delivered != want {
-				t.Fatalf("%d parcels in device 1's mailbox, want %d", delivered, want)
-			}
-			dev := e.devices[1]
-			free, m := time.Duration(0), 0
-			for i := 0; i < k; i++ {
-				if i == tc.dropped {
-					continue
-				}
-				start := max(posted(i), free)
-				due := start + wire + tc.extra[i]
-				free = due
-				if sp := trace[m]; sp.Start != start.Seconds() || sp.Dur != (due-start).Seconds() {
-					t.Errorf("instance %d's transfer span is [%.9fs, +%.9fs], want [%.9fs, +%.9fs]",
-						i, sp.Start, sp.Dur, start.Seconds(), (due - start).Seconds())
-				}
-				m++
-				if tc.dropped >= 0 && i > tc.dropped {
-					continue // behind a lost instance: a done never gets to it
-				}
-				if _, ok := dev.take(mailKey{inst: i}); !ok {
-					t.Fatalf("device 1 could not take instance %d: %v", i, e.err)
-				}
-				if dev.vt != due {
-					t.Errorf("device 1 took instance %d at %v on its clock, want its due %v", i, dev.vt, due)
-				}
-			}
-		})
-	}
-}
-
-// TestPastDueDoneTakesAtOnce: a done whose device's clock is already
-// past its transfer's due takes the buffer and its clock stays where it
-// was; one whose clock is behind the due moves to it exactly.
-func TestPastDueDoneTakesAtOnce(t *testing.T) {
-	x, scale := oneLink(t, 2*time.Millisecond)
-	e, err := newEngine(x, Options{TimeScale: scale})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.fabric.start(); err != nil {
-		t.Fatal(err)
-	}
-	defer e.fabric.shutdown()
-	const posted = time.Millisecond
-	for i := 0; i < 2; i++ {
-		if !e.fabric.post(0, 1, mailKey{inst: i}, tensor.New(2, 2), 16, posted) {
-			t.Fatalf("post %d failed: %v", i, e.err)
-		}
-	}
-	first := posted + e.delay(e.fabric.op(0).modeled)
-	second := e.fabric.due[e.link[[2]int{0, 1}]]
-	if second <= first {
-		t.Fatalf("the second transfer is due at %v, want after the first's %v", second, first)
-	}
-	dev := e.devices[1]
-	ahead := first + time.Microsecond
-	dev.vt = ahead
-	if _, ok := dev.take(mailKey{inst: 0}); !ok {
-		t.Fatalf("device 1 could not take the first transfer: %v", e.err)
-	}
-	if dev.vt != ahead {
-		t.Errorf("a done at %v, past its transfer's due %v, moved the clock to %v", ahead, first, dev.vt)
-	}
-	if _, ok := dev.take(mailKey{inst: 1}); !ok {
-		t.Fatalf("device 1 could not take the second transfer: %v", e.err)
-	}
-	if dev.vt != second {
-		t.Errorf("a done at %v, before its transfer's due %v, moved the clock to %v", ahead, second, dev.vt)
-	}
-}
-
-// TestDelayLengthensItsWire: an injected delay is wire on the clocks,
+// TestDelayLengthensItsWire: an injected delay is wire in the replay,
 // not a wait. On either transport the delayed run succeeds with the
 // interpreter's values, the delayed transfer's span is exactly its wire
 // plus the delay, and the done that takes it stalls for exactly as
@@ -370,7 +233,7 @@ func TestDelayLengthensItsWire(t *testing.T) {
 		if err := CheckInterpreter(x.comp, x.n, args, res); err != nil {
 			t.Fatalf("%s: %v", tr, err)
 		}
-		want := (time.Duration(scale*x.tape.ops[x.tape.boxes[0]].modeled*1e9) + delay).Seconds()
+		want := x.tape.ops[x.tape.boxes[0]].modeled*scale + delay.Seconds()
 		var spans []string
 		for _, sp := range res.Trace {
 			ok := sp.Start == 0 && sp.Dur == want
@@ -391,11 +254,11 @@ func TestDelayLengthensItsWire(t *testing.T) {
 	}
 }
 
-// TestBreakdownWireCountsDelays: the breakdown's wire is the wire on
-// the clocks. Under a delay fault on link 0→1, CollectiveWire times the
-// device count is the trace's transfer spans — each parcel's wire, its
-// delay included, summed on its link — plus every member's wire for the
-// blocking collective, on both transports.
+// TestBreakdownWireCountsDelays: the breakdown's wire is the replay's.
+// Under a delay fault on link 0→1, CollectiveWire times the device
+// count is the trace's transfer spans — each parcel's wire, its delay
+// included — plus every member's wire for the blocking collective, on
+// both transports.
 func TestBreakdownWireCountsDelays(t *testing.T) {
 	const n = 2
 	c := hlo.NewComputation("wire-sum")
@@ -433,7 +296,7 @@ func TestBreakdownWireCountsDelays(t *testing.T) {
 				transfers += sp.Dur
 			}
 		}
-		want := transfers + n*time.Duration(collective*scale*1e9).Seconds()
+		want := transfers + n*collective*scale
 		if got := res.Breakdown.CollectiveWire * n; transfers < 7e-3 || math.Abs(got-want) > 1e-12 {
 			t.Errorf("%s: CollectiveWire·n = %.9fs, want the transfer spans' %.9fs (two 2 ms wires, one delayed 3 ms) plus the collective's wire, %.9fs in all",
 				tr, got, transfers, want)

@@ -246,7 +246,7 @@ func TestFaultPlanValidation(t *testing.T) {
 }
 
 // TestDelayFaultPreservesResults checks that a small injected delay
-// (with jitter) only moves the devices' clocks: the outputs stay
+// (with jitter) only moves the replayed times: the outputs stay
 // bit-identical to an undelayed execution.
 func TestDelayFaultPreservesResults(t *testing.T) {
 	c, args := stallProgram()

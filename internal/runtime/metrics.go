@@ -13,9 +13,9 @@ var (
 	rtComputeSpans = obs.Default().Histogram("overlap_runtime_compute_span_seconds",
 		"Wall-clock duration of local-instruction evaluations on runtime devices.", obs.TimeBuckets())
 	rtStallSpans = obs.Default().Histogram("overlap_runtime_stall_span_seconds",
-		"Jumps of a device's virtual clock to the due of an asynchronous transfer its done took.", obs.TimeBuckets())
+		"Replayed waits of a device's done for its asynchronous transfer to arrive.", obs.TimeBuckets())
 	rtCollectiveSpans = obs.Default().Histogram("overlap_runtime_collective_span_seconds",
-		"Jumps of a device's virtual clock to the due of a blocking collective's result.", obs.TimeBuckets())
+		"Replayed waits of a blocking collective's members for its result.", obs.TimeBuckets())
 	rtTransfers = obs.Default().Counter("overlap_runtime_transfers_total",
 		"Asynchronous transfers posted to a destination mailbox.")
 	rtTransferBytes = obs.Default().Counter("overlap_runtime_transfer_bytes_total",

@@ -1,21 +1,18 @@
 package runtime
 
 import (
-	"slices"
 	"sync/atomic"
-	"time"
 
 	"overlap/internal/sim"
 	"overlap/internal/tensor"
 )
 
 // genState accumulates one generation of one group of a blocking
-// collective: every member deposits, by position, its input, the arena
-// buffer its share of the result goes into and its clock, then counts
-// itself in. The member that completes the group evaluates the same
+// collective: every member deposits, by position, its input and the
+// arena buffer its share of the result goes into, then counts itself
+// in. The member that completes the group evaluates the same
 // internal/collective kernel the lockstep interpreter uses into those
-// buffers, hands each to its member's mailbox stamped with its due and
-// resets the state.
+// buffers, hands each to its member's mailbox and resets the state.
 //
 // A group keeps two states, used by the parity of the generation (the
 // per-device execution count of the collective: inside a loop body it
@@ -28,7 +25,6 @@ import (
 // context.
 type genState struct {
 	inputs, dsts []*tensor.Tensor
-	vts          []time.Duration
 	arrived      atomic.Int32
 }
 
@@ -48,20 +44,15 @@ func layoutGens(t *tape) [][]genState {
 			table := make([]*tensor.Tensor, 2*members)
 			gs := &gens[b][i]
 			gs.inputs, gs.dsts = table[:members:members], table[members:]
-			gs.vts = make([]time.Duration, members)
 		}
 	}
 	return gens
 }
 
 // rendezvous runs device d's side of a blocking collective: deposit the
-// input, the destination and the device's clock, and take the result
-// from the mailbox. The member that completes the group evaluates the
-// kernel at once and delivers every member's buffer stamped with its
-// due, the collective's wire after the last member's deposited clock —
-// for a CollectivePermute, after its own source's, and a device with no
-// source at its own clock — so each member's clock jumps to the due in
-// take, exactly as at a done. Inputs are read, and destinations
+// input and the destination, and take the result from the mailbox. The
+// member that completes the group evaluates the kernel at once and
+// delivers every member's buffer. Inputs are read, and destinations
 // written, only between the last arrival and the delivery. It returns
 // false when the run aborted while waiting.
 func (d *device) rendezvous(op *tapeOp, gen int, input, dst *tensor.Tensor) (*tensor.Tensor, bool) {
@@ -70,22 +61,11 @@ func (d *device) rendezvous(op *tapeOp, gen int, input, dst *tensor.Tensor) (*te
 	devs := op.groups.devs[group]
 	key := mailKey{box: int(op.box), inst: gen}
 	gs := &e.gens[op.box][2*int(group)+gen&1]
-	gs.inputs[pos], gs.dsts[pos], gs.vts[pos] = input, dst, d.vt
+	gs.inputs[pos], gs.dsts[pos] = input, dst
 	if int(gs.arrived.Add(1)) == len(devs) {
 		sim.CollectiveInto(op.in, gs.dsts, gs.inputs)
-		wire := e.delay(op.modeled)
-		last := slices.Max(gs.vts)
 		for i, m := range devs {
-			due := last + wire
-			if op.peer != nil {
-				// A permute: one group of every device, each at its own
-				// position, so a source's clock is vts[source].
-				due = gs.vts[i]
-				if src := op.peer[m]; src >= 0 {
-					due = gs.vts[src] + wire
-				}
-			}
-			e.fabric.deliver(m, key, gs.dsts[i], due, "")
+			e.fabric.deliver(m, key, gs.dsts[i], "")
 		}
 		clear(gs.inputs)
 		clear(gs.dsts)

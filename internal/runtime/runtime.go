@@ -14,9 +14,9 @@
 // Executable by whoever holds the plan (serve's plan cache, a training
 // Program, the tuner's measured candidates). (*Executable).Run is the
 // run's: argument and fault-plan checks, then a run context checked out
-// of the Executable — engine, mailboxes, link dues, slot tables,
-// collective generation states — and a span slab from the span
-// free list. A clean run hands its context back, cleared, for the next run;
+// of the Executable — engine, mailboxes, slot tables, collective
+// generation states, the cost table and the replay's state — and, for a
+// traced run, a span slab from the span free list. A clean run hands its context back, cleared, for the next run;
 // a failed or aborted run drops it, so whatever the abort left half
 // done dies with it. A released Result hands its tables — the All map
 // and its slices — back to the context that filled them. Run and
@@ -34,25 +34,24 @@
 // borrows from the free lists a run released into and hands back
 // exactly what it borrowed once the outputs are compared.
 //
-// Time is virtual. Each device keeps its own clock: a local op moves it
-// by the op's measured duration, and nothing else the device does — the
-// tape walk, copies, hand-offs between goroutines — is on it. Because
-// Go cannot put a tensor on a real ICI link, wire time is *injected* on
-// the clocks: every transfer holds its (src,dst) link for the machine
-// model's TransferTime scaled by Options.TimeScale. A transfer's wire
-// starts at its sender's clock when it was posted, or at the end of the
-// wire ahead of it on the link, and it goes into the destination's
-// mailbox at once, stamped with when its wire ends: its due. The done
-// that takes it waits only for the data, and its device's clock jumps
-// to the due if the due is later. A blocking collective's result
-// reaches each member the same way, due its wire after the group's
-// last arrival on the clocks (a CollectivePermute's target, after its
-// own source's). So device goroutines keep computing while transfers
-// are "on the wire" — the resource structure (compute engine vs
-// transfer engine) whose overlap the paper exploits — and no goroutine
-// ever sleeps on a wire: a step is the same max-plus arithmetic over
-// per-op costs that internal/sim prices, with measured compute in
-// place of the modeled and no host timer in it.
+// Timing is a replay. The devices keep no time: each records how long
+// each local op it evaluated took (the run's cost table), and nothing
+// else it does — the tape walk, copies, hand-offs between goroutines,
+// waits for data — is in it. Once every device has joined, one pass on
+// one goroutine (replay.go) walks the tape in lockstep over that table,
+// as internal/sim walks the scheduled HLO, and computes every device's
+// clock, the Breakdown and every span. Because Go cannot put a tensor
+// on a real ICI link, the wire is modeled: a transfer holds its
+// (src,dst) link for the machine model's TransferTime scaled by
+// Options.TimeScale, from its sender's clock or the end of the wire
+// ahead of it on the link, and a done moves its device's clock on to
+// the transfer's arrival; a blocking collective ends at the group's
+// latest clock plus its wire. So device goroutines keep computing while
+// transfers are "on the wire" — the resource structure (compute engine
+// vs transfer engine) whose overlap the paper exploits — no goroutine
+// ever sleeps on a wire, and a step is the same max-plus arithmetic over
+// per-op costs that sim.Simulate prices, with measured compute in place
+// of the modeled: under the model's costs it is sim.Simulate's.
 package runtime
 
 import (
@@ -73,22 +72,24 @@ import (
 // keeps the spec it was compiled with. Every other field is the run's
 // own and is read afresh by each Run.
 type Options struct {
-	// Spec supplies the wire-time model for injected transfer delays.
-	// Its modeled seconds are only consulted when TimeScale > 0.
+	// Spec supplies the wire-time model the replay prices transfers
+	// and blocking collectives on. Its modeled seconds are only
+	// consulted when TimeScale > 0.
 	Spec machine.Spec
 
-	// TimeScale converts modeled wire seconds into seconds on the
-	// devices' clocks, the seconds their measured compute is in: a
+	// TimeScale is the one thing the replay reads that the program does
+	// not fix: it converts modeled wire seconds into seconds of the
+	// replayed step, the seconds the measured compute is in, so a
 	// transfer occupies its link for Spec wire time times TimeScale.
-	// Zero (or negative) injects no wire at all — a take moves no clock
-	// past its sender's — which is the right setting for correctness
-	// tests. The scale that puts a run on the machine model's
-	// compute:wire ratio is measured, not picked: (*Executable).Clock.
+	// Zero (or negative) replays no wire at all, which is the right
+	// setting for correctness tests. The scale that puts a run on the
+	// machine model's compute:wire ratio is measured, not picked:
+	// (*Executable).Clock.
 	TimeScale float64
 
-	// Trace records per-device, per-instruction spans on the devices'
-	// clocks (Result.Trace) for the first obs.TraceMaxDevices devices,
-	// the simulator's window.
+	// Trace records the replay's per-device, per-instruction spans
+	// (Result.Trace) for the first obs.TraceMaxDevices devices, the
+	// simulator's window.
 	Trace bool
 
 	// Faults injects deterministic, seeded failures — link delays,
@@ -96,7 +97,7 @@ type Options struct {
 	// Nil (or an empty plan) injects nothing. Every injected failure
 	// surfaces as a structured *RunError, never a hang or wrong answer;
 	// pair drop plans with RunContext so a stalled transfer is bounded
-	// by a deadline. A delay only lengthens a wire on the clocks.
+	// by a deadline. A delay only lengthens a wire in the replay.
 	Faults *FaultPlan
 
 	// RunID correlates this execution with the caller's run-scoped
@@ -145,18 +146,19 @@ type Result struct {
 	// estimate, parameters and constants aside.
 	ArenaPeakBytes int64
 
-	// Breakdown is the step decomposition on the devices' clocks, in
-	// seconds: StepTime is the latest final clock, Compute averages the
-	// devices' measured local evaluation, Exposed their clocks' jumps to
-	// the dues of what they took, and CollectiveWire the wire on the
-	// clocks — every transfer's on its link, injected delays included,
-	// and every blocking collective's on each member — per device.
+	// Breakdown is the replayed step decomposition, in seconds, by the
+	// simulator's rules: StepTime is the latest final clock, Compute
+	// averages the devices' measured local evaluation, Exposed their
+	// waits for communication, and CollectiveWire the wire each device
+	// sent — every transfer's, injected delays included, and every
+	// blocking collective's. AsyncTransfers counts device 0's posts and
+	// PeakInFlight the most transfers any device had in flight.
 	Breakdown sim.Breakdown
 
-	// Trace holds the recorded spans when Options.Trace was set, on the
-	// same device tracks the simulator emits, in seconds on the devices'
-	// clocks. It is the run's span slab: a holder done with it may hand
-	// it back with ReleaseTrace.
+	// Trace holds the replay's spans when Options.Trace was set, on the
+	// same device tracks the simulator emits, in seconds of the replayed
+	// step and in obs.SpanLess order. It is the run's span slab: a
+	// holder done with it may hand it back with ReleaseTrace.
 	Trace []obs.Span
 
 	// tables holds All's map and slices and the output buffers that came
@@ -202,7 +204,7 @@ func ReleaseArgs(args [][]*tensor.Tensor) {
 }
 
 // Run executes the computation on numDevices goroutine devices and
-// returns the per-device results with their clocks' breakdown. args follows
+// returns the per-device results with their replayed breakdown. args follows
 // sim.Interpret's convention: args[i][d] is parameter i's value on
 // device d, and len(args[i]) == 1 supplies one replicated tensor.
 func Run(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options) (*Result, error) {

@@ -506,14 +506,8 @@ func TestTraceRecording(t *testing.T) {
 	if len(recorded) != obs.TraceMaxDevices {
 		t.Fatalf("spans on %d devices, want every one of the %d inside the window", len(recorded), obs.TraceMaxDevices)
 	}
-	bufs, err := x.RunTraceBuffers(context.Background(), site.args, runtime.Options{Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range bufs {
-		if b.Cap != b.Layout {
-			t.Fatalf("%s has a span buffer of %d, the layout says %d", b.Owner, b.Cap, b.Layout)
-		}
+	if cap(res.Trace) != x.TraceLayout() {
+		t.Fatalf("%d spans in a slab of %d, the layout says %d", len(res.Trace), cap(res.Trace), x.TraceLayout())
 	}
 	raw, err := obs.NewRunTrace(res.RunID, "run", res.Trace).ChromeTrace()
 	if err != nil {

@@ -19,18 +19,19 @@ import (
 // The tape is program state: a function of the computation, the ring
 // size and the machine spec, immutable once Compile returns and walked
 // by any number of runs at once. Everything a run changes lives with
-// the run — each device's slot table, owned bits, execution counts and
-// arena accounting, the mailboxes, the span buffers — and the run's own
-// options (TimeScale, Transport, Trace, Faults) never reach the tape:
-// it stores a transfer's modeled seconds, and the engine turns them
-// into wire on the devices' clocks under the run's TimeScale.
+// the run — each device's slot table, owned bits, execution counts,
+// arena accounting and cost row, the mailboxes, the replay's state —
+// and the run's own options (TimeScale, Transport, Trace, Faults) never
+// reach the tape: it stores a transfer's modeled seconds, and the
+// replay scales them into wire under the run's TimeScale.
 //
 // The tape also fixes the run's trace layout, because the tape is what
 // executes: a device records at most one compute-track span per local
 // op, blocking collective and done it executes (a loop body's ops once
 // per trip), and a directed edge carries one transfer per execution of
 // each start that names it. Compile counts both (Executable.layout), so
-// a traced run allocates its span buffers once, at their final size.
+// a traced run draws its span slab once, at its final size. It counts
+// the local ops a device executes too: the length of its cost row.
 //
 // The buffer plan rides on the same ops. One liveness pass per
 // computation (hlo.Computation.LastUses, the pass hlo.PeakMemory sweeps)
@@ -145,8 +146,8 @@ type tapeOp struct {
 	// not in the pairs; box is the
 	// start's mailbox number, bytes the payload size in the IR's
 	// 4-byte convention, modeled the machine spec's wire seconds for
-	// one transfer (also a blocking collective's modeled time), which a
-	// run scales into its injected delay. On a done, sent is the
+	// one transfer (also a blocking collective's modeled time), which the
+	// replay scales into the run's wire. On a done, sent is the
 	// matching start's peer column: d posted a buffer iff sent[d] >= 0.
 	peer    []int32
 	sent    []int32

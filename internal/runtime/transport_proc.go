@@ -29,13 +29,12 @@ import (
 //
 // The parent keeps everything that must stay deterministic: fault
 // decisions come from the run's seeded injector before the frame goes
-// down (the worker only acts them out, on the real sockets), the
-// frame's due is fixed there by the fabric's wire rule, which also
-// records its transfer span, and mailbox addressing never leaves the
-// fabric. The frame comes back up as fast as the sockets move it; the
-// receiving done's clock moves on to its due, as in process. The
-// sockets' own costs are wall time on the host, not wire on the clocks:
-// they go to the serialize and deserialize histograms, not the trace.
+// down (the worker only acts them out, on the real sockets), and
+// mailbox addressing never leaves the fabric. The frame comes back up
+// as fast as the sockets move it. The sockets' own costs are wall time
+// on the host, not wire: they go to the serialize and deserialize
+// histograms, not the trace, whose transfers the replay times from the
+// tape as it does in process.
 // Compute stays on the parent's device goroutines — the workers are
 // fabric endpoints, which is exactly the slice of the system a
 // multi-machine deployment would move onto the network first.
@@ -224,9 +223,8 @@ func (t *procTransport) post(link int, p parcel) bool {
 }
 
 // serveEdge drains the queue of the edge at position link: take each
-// parcel onto the link by the fabric's wire rule, which decides its
-// fault actions and its due and records its transfer span, serialize
-// the tensor into a frame carrying both, send it down the source
+// parcel's fault decision, serialize the tensor into a frame carrying
+// it, send it down the source
 // worker's control socket, and recycle the parcel's buffer — the bytes
 // are on the wire, and the link was its only owner. Serialization cost
 // is measured here, as a histogram sample, because it is the genuinely
@@ -235,13 +233,12 @@ func (t *procTransport) serveEdge(link int, l *procEdge) {
 	e := t.eng
 	w := t.workers[l.src]
 	for p := range l.ch {
-		due, dup, drop := t.fab.transit(link, p)
 		name := t.fab.op(p.key.box).in.Name
+		drop, dup := t.fab.faults(link, name)
 		fr := wire.Frame{
 			Src: l.src, Dst: l.dst,
 			Name:  name,
 			Inst:  p.key.inst,
-			DueNS: due.Nanoseconds(),
 			Shape: p.data.Shape(),
 			Data:  p.data.Data(),
 		}
@@ -280,7 +277,7 @@ func (t *procTransport) serveEdge(link int, l *procEdge) {
 // readWorker drains one worker's control socket: every frame coming up
 // is a transfer that finished its socket journey, decoded here straight
 // into the arena buffer the receiving done will adopt and handed to the
-// fabric for delivery with the due it carries. An EOF or read error while the run
+// fabric for delivery. An EOF or read error while the run
 // is still live means the worker died — a real fabric failure, surfaced
 // as a structured *RunError attributed to that device.
 func (t *procTransport) readWorker(w *procWorker) {
@@ -320,7 +317,7 @@ func (t *procTransport) readWorker(w *procWorker) {
 			default:
 			}
 		}
-		t.fab.deliverNamed(fr.Dst, fr.Name, fr.Inst, data, time.Duration(fr.DueNS), fr.Fault)
+		t.fab.deliverNamed(fr.Dst, fr.Name, fr.Inst, data, fr.Fault)
 	}
 }
 

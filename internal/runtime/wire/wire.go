@@ -10,8 +10,6 @@
 //	u8   flags (drop / dup, pre-decided by the parent's injector)
 //	u32  src device
 //	u32  dst device
-//	u64  due: when the transfer's wire ends, in nanoseconds on the
-//	     devices' virtual clocks
 //	u16  start-instruction name length, then the name bytes
 //	u16  fault description length, then the bytes (the injected fault
 //	     a duplicated frame is attributed to; usually empty)
@@ -38,7 +36,7 @@ import (
 
 // Version pins the frame layout; a reader rejects frames from a
 // mismatched writer instead of misparsing them.
-const Version = 2
+const Version = 3
 
 // Flags carried in a frame header: fault actions the parent decided
 // (deterministically, from the run's seeded plan) that the worker must
@@ -68,11 +66,6 @@ type Frame struct {
 	// per-device execution count.
 	Name string
 	Inst int
-	// DueNS is when the transfer's wire ends, in nanoseconds on the
-	// devices' virtual clocks: the parent fixes it before the frame
-	// goes down and reads it back when the frame comes up; a worker
-	// only relays it.
-	DueNS int64
 	// Flags carries pre-decided fault actions (FlagDrop, FlagDup).
 	Flags uint8
 	// Fault describes the injected fault behind a FlagDup/FlagDrop
@@ -101,10 +94,14 @@ func putScratch(p *[]byte) {
 	scratch.Put(p)
 }
 
+// minFrame is the payload length of the smallest header: an empty name
+// and fault, and rank 0.
+const minFrame = 22
+
 // encodedSize returns the payload length of f (bytes after the u32
 // length prefix).
 func encodedSize(f *Frame) int {
-	return 1 + 1 + 4 + 4 + 8 + 2 + len(f.Name) + 2 + len(f.Fault) + 4 + 4 + 4*len(f.Shape) + 8*len(f.Data)
+	return 1 + 1 + 4 + 4 + 2 + len(f.Name) + 2 + len(f.Fault) + 4 + 4 + 4*len(f.Shape) + 8*len(f.Data)
 }
 
 // WriteFrame encodes f and writes it to w as one length-prefixed frame
@@ -125,9 +122,8 @@ func WriteFrame(w io.Writer, f *Frame) error {
 	b[5] = f.Flags
 	binary.LittleEndian.PutUint32(b[6:], uint32(f.Src))
 	binary.LittleEndian.PutUint32(b[10:], uint32(f.Dst))
-	binary.LittleEndian.PutUint64(b[14:], uint64(f.DueNS))
-	binary.LittleEndian.PutUint16(b[22:], uint16(len(f.Name)))
-	off := 24 + copy(b[24:], f.Name)
+	binary.LittleEndian.PutUint16(b[14:], uint16(len(f.Name)))
+	off := 16 + copy(b[16:], f.Name)
 	binary.LittleEndian.PutUint16(b[off:], uint16(len(f.Fault)))
 	off += 2
 	off += copy(b[off:], f.Fault)
@@ -168,8 +164,8 @@ func ReadFrameInto(r io.Reader, f *Frame, alloc func(shape []int) []float64) err
 		return err
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[:]))
-	if n < 30 || n > MaxFrameBytes {
-		return fmt.Errorf("wire: frame length %d out of range [30, %d]", n, MaxFrameBytes)
+	if n < minFrame || n > MaxFrameBytes {
+		return fmt.Errorf("wire: frame length %d out of range [%d, %d]", n, minFrame, MaxFrameBytes)
 	}
 	p := getScratch(n)
 	defer putScratch(p)
@@ -183,13 +179,12 @@ func ReadFrameInto(r io.Reader, f *Frame, alloc func(shape []int) []float64) err
 	f.Flags = b[1]
 	f.Src = int(binary.LittleEndian.Uint32(b[2:]))
 	f.Dst = int(binary.LittleEndian.Uint32(b[6:]))
-	f.DueNS = int64(binary.LittleEndian.Uint64(b[10:]))
-	nameLen := int(binary.LittleEndian.Uint16(b[18:]))
-	if 20+nameLen+10 > n {
+	nameLen := int(binary.LittleEndian.Uint16(b[10:]))
+	if 12+nameLen+10 > n {
 		return fmt.Errorf("wire: frame name length %d overruns frame of %d bytes", nameLen, n)
 	}
-	f.Name = string(b[20 : 20+nameLen])
-	off := 20 + nameLen
+	f.Name = string(b[12 : 12+nameLen])
+	off := 12 + nameLen
 	faultLen := int(binary.LittleEndian.Uint16(b[off:]))
 	off += 2
 	if off+faultLen+8 > n {

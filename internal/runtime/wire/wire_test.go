@@ -17,6 +17,13 @@ func roundTrip(t *testing.T, in Frame) Frame {
 	if err := WriteFrame(&buf, &in); err != nil {
 		t.Fatalf("WriteFrame: %v", err)
 	}
+	// The length prefix, then the header — version, flags, src, dst, the
+	// name's and the fault's lengths, inst, rank: 22 bytes — the strings,
+	// the dims and the payload.
+	want := 4 + 22 + len(in.Name) + len(in.Fault) + 4*len(in.Shape) + 8*len(in.Data)
+	if buf.Len() != want {
+		t.Fatalf("a frame of %q is %d bytes, want %d", in.Name, buf.Len(), want)
+	}
 	var out Frame
 	if err := ReadFrame(&buf, &out); err != nil {
 		t.Fatalf("ReadFrame: %v", err)
@@ -34,15 +41,15 @@ func TestFrameRoundTrip(t *testing.T) {
 	nan := math.Float64frombits(0x7ff8000000000001)
 	frames := []Frame{
 		{Src: 0, Dst: 1, Name: "cps.0", Inst: 0, Shape: []int{2, 3}, Data: []float64{1, 2, 3, 4, 5, 6}},
-		{Src: 3, Dst: 0, Name: "gbkt2.permute.17", Inst: 41, DueNS: 12345678, Shape: []int{1}, Data: []float64{math.Copysign(0, -1)}},
+		{Src: 3, Dst: 0, Name: "gbkt2.permute.17", Inst: 41, Shape: []int{1}, Data: []float64{math.Copysign(0, -1)}},
 		{Src: 1, Dst: 2, Name: "x", Inst: 7, Flags: FlagDup, Fault: "dup:link:1-2:7", Shape: []int{4}, Data: []float64{nan, math.Inf(1), math.Inf(-1), -1e-300}},
 		// Rank 0 is a scalar: one element, no dims.
-		{Src: 2, Dst: 3, Name: "drop-me", Inst: 1, Flags: FlagDrop, Fault: "drop:link:2-3:1", DueNS: 1, Shape: []int{}, Data: []float64{42.5}},
+		{Src: 2, Dst: 3, Name: "drop-me", Inst: 1, Flags: FlagDrop, Fault: "drop:link:2-3:1", Shape: []int{}, Data: []float64{42.5}},
 	}
 	for _, in := range frames {
 		out := roundTrip(t, in)
 		if out.Src != in.Src || out.Dst != in.Dst || out.Name != in.Name ||
-			out.Inst != in.Inst || out.DueNS != in.DueNS ||
+			out.Inst != in.Inst ||
 			out.Flags != in.Flags || out.Fault != in.Fault {
 			t.Fatalf("header fields changed: got %+v, want %+v", out, in)
 		}
@@ -146,16 +153,16 @@ func TestFrameRejectsCorruption(t *testing.T) {
 	})
 	mutate("wrong version", func(b []byte) { b[4] = Version + 1 })
 	mutate("name overruns frame", func(b []byte) {
-		binary.LittleEndian.PutUint16(b[22:], uint16(0xffff))
+		binary.LittleEndian.PutUint16(b[14:], uint16(0xffff))
 	})
 	mutate("rank overruns frame", func(b []byte) {
 		// rank sits after name (3) + faultLen (2+1) + inst (4).
-		off := 24 + 3 + 2 + 1 + 4
+		off := 16 + 3 + 2 + 1 + 4
 		binary.LittleEndian.PutUint32(b[off:], 1<<20)
 	})
 	mutate("payload does not fill frame", func(b []byte) {
 		// Shrink the claimed dim so elements stop matching the bytes.
-		off := 24 + 3 + 2 + 1 + 4 + 4
+		off := 16 + 3 + 2 + 1 + 4 + 4
 		binary.LittleEndian.PutUint32(b[off:], 1)
 	})
 

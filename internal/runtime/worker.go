@@ -162,8 +162,8 @@ func runWorker(dev int, edgeSpec string) error {
 	var wg sync.WaitGroup
 	// One drainer per outgoing edge relays each frame to the peer as it
 	// comes — twice for an injected duplicate, never for an injected
-	// drop. The frame carries its due; the parent's receiving done waits
-	// it out, so nothing here holds a frame for its wire.
+	// drop. Nothing here holds a frame for its wire: the wire is the
+	// replay's, in the parent.
 	for _, e := range out {
 		wg.Add(1)
 		go func() {

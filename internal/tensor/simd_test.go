@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -14,19 +13,6 @@ func withScalarKernels(f func()) {
 	defer func(v bool) { useAVX = v }(useAVX)
 	useAVX = false
 	f()
-}
-
-// sameBits reports whether a and b hold the same bytes.
-func sameBits(a, b *Tensor) bool {
-	if !a.SameShape(b) {
-		return false
-	}
-	for i, v := range a.data {
-		if math.Float64bits(v) != math.Float64bits(b.data[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // TestSIMDMatchesScalarAndReference is the differential grid behind
@@ -58,22 +44,22 @@ func TestSIMDMatchesScalarAndReference(t *testing.T) {
 			fresh = EinsumSplitK(s, spec, lhs, rhs)
 			acc = EinsumAddIntoSplitK(prior.Clone(), nil, spec, lhs, rhs, s)
 		})
-		if got := EinsumSplitK(s, spec, lhs, rhs); !sameBits(got, fresh) {
+		if got := EinsumSplitK(s, spec, lhs, rhs); !got.Equal(fresh) {
 			t.Fatalf("%s splitk=%d: AVX and scalar bytes differ (max diff %g)", name, s, got.MaxDifference(fresh))
 		}
-		if got := EinsumAddIntoSplitK(prior.Clone(), nil, spec, lhs, rhs, s); !sameBits(got, acc) {
+		if got := EinsumAddIntoSplitK(prior.Clone(), nil, spec, lhs, rhs, s); !got.Equal(acc) {
 			t.Fatalf("%s splitk=%d, accumulating: AVX and scalar bytes differ (max diff %g)", name, s, got.MaxDifference(acc))
 		}
 		if s != 0 {
 			return
 		}
-		if want := ReferenceEinsum(spec, lhs, rhs); !sameBits(fresh, want) {
+		if want := ReferenceEinsum(spec, lhs, rhs); !fresh.Equal(want) {
 			t.Fatalf("%s: kernels differ from the reference (max diff %g)", name, fresh.MaxDifference(want))
 		}
 		want := prior.Clone()
 		e, _ := einsumLookup(spec)
 		einsumReference(want, e.spec, []*Tensor{lhs, rhs})
-		if !sameBits(acc, want) {
+		if !acc.Equal(want) {
 			t.Fatalf("%s, accumulating: kernels differ from the reference (max diff %g)", name, acc.MaxDifference(want))
 		}
 	}
@@ -145,7 +131,7 @@ func TestTransposedOutputRunsSwapped(t *testing.T) {
 				run = withScalarKernels
 			}
 			run(func() {
-				if got, want := Einsum(tc.spec, lhs, rhs), ReferenceEinsum(tc.spec, lhs, rhs); !sameBits(got, want) {
+				if got, want := Einsum(tc.spec, lhs, rhs), ReferenceEinsum(tc.spec, lhs, rhs); !got.Equal(want) {
 					t.Fatalf("%s (AVX %v): differs from the reference (max diff %g)", tc.spec, simd && useAVX, got.MaxDifference(want))
 				}
 				shape, err := e.spec.OutputShape(lhs.Shape(), rhs.Shape())
@@ -155,7 +141,7 @@ func TestTransposedOutputRunsSwapped(t *testing.T) {
 				prior := Rand(rng, shape...)
 				want := prior.Clone()
 				einsumReference(want, e.spec, []*Tensor{lhs, rhs})
-				if got := EinsumAddInto(prior, tc.spec, lhs, rhs); !sameBits(got, want) {
+				if got := EinsumAddInto(prior, tc.spec, lhs, rhs); !got.Equal(want) {
 					t.Fatalf("%s (AVX %v), accumulating: differs from the reference (max diff %g)", tc.spec, simd && useAVX, got.MaxDifference(want))
 				}
 			})

@@ -201,14 +201,15 @@ func (t *Tensor) SameShape(o *Tensor) bool { return sameDims(t.shape, o.shape) }
 // HasShape reports whether t's shape is shape, without copying either.
 func (t *Tensor) HasShape(shape []int) bool { return sameDims(t.shape, shape) }
 
-// Equal reports whether t and o have the same shape and bitwise-equal
-// elements.
+// Equal reports whether t and o have the same shape and the same bits
+// in every element: −0 is not +0, and a NaN equals a NaN with the same
+// payload. It is the byte contract's comparison.
 func (t *Tensor) Equal(o *Tensor) bool {
 	if !t.SameShape(o) {
 		return false
 	}
-	for i := range t.data {
-		if t.data[i] != o.data[i] {
+	for i, v := range t.data {
+		if math.Float64bits(v) != math.Float64bits(o.data[i]) {
 			return false
 		}
 	}

@@ -3,6 +3,7 @@ package tensor
 import (
 	"bytes"
 	"crypto/sha256"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -91,6 +92,31 @@ func TestEqualAndAllClose(t *testing.T) {
 	c := Iota(3, 2)
 	if a.AllClose(c, 1) {
 		t.Fatal("AllClose across different shapes must be false")
+	}
+}
+
+// TestEqualComparesBits pins Equal as the byte contract's comparison:
+// it tells −0 from +0, which == cannot, and takes a NaN to equal a NaN
+// of the same payload, which == never does; NaNs of different payloads
+// differ.
+func TestEqualComparesBits(t *testing.T) {
+	nan := math.Float64frombits(0x7ff8000000000001)
+	other := math.Float64frombits(0x7ff8000000000002)
+	of := func(v float64) *Tensor { return FromValues([]int{2}, []float64{1, v}) }
+	for _, tc := range []struct {
+		name string
+		a, b float64
+		want bool
+	}{
+		{"−0 and +0", math.Copysign(0, -1), 0, false},
+		{"−0 and −0", math.Copysign(0, -1), math.Copysign(0, -1), true},
+		{"NaN and the same NaN", nan, nan, true},
+		{"NaNs of two payloads", nan, other, false},
+		{"NaN and a number", nan, 1, false},
+	} {
+		if got := of(tc.a).Equal(of(tc.b)); got != tc.want {
+			t.Errorf("%s: Equal is %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

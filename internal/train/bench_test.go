@@ -9,14 +9,15 @@ import (
 )
 
 // wallClockConfig sizes the miniature model so the partial einsums take
-// real CPU time, and the injected wire delays (TimeScale below) make a
+// measurable CPU time, and the scaled wire (TimeScale below) makes a
 // blocking collective expensive — the regime where overlap pays.
 func wallClockConfig(s train.Strategy) train.Config {
 	return train.Config{Devices: 4, Layers: 2, Model: 32, Hidden: 128, Tokens: 96, Strategy: s}
 }
 
 // wallClockTimeScale stretches the modeled microsecond-scale transfers
-// into tens of milliseconds, far above goroutine-scheduling noise.
+// into tens of milliseconds of replayed wire, far above the noise in the
+// measured compute.
 const wallClockTimeScale = 30000
 
 func stepSeconds(t testing.TB, s train.Strategy, pipeline *core.Options) float64 {
@@ -39,13 +40,15 @@ func rolledMegatron() core.Options {
 	return o
 }
 
-// TestOverlappedTrainStepFasterWallClock is the issue's performance
-// acceptance, measured on the goroutine runtime at 4 devices, minimum
-// of two repeats per cell to absorb scheduler jitter:
+// TestOverlappedTrainStepFasterWallClock is the training step's
+// performance acceptance on the goroutine runtime at 4 devices, read on
+// the replayed step (measured compute per local op, scaled modeled
+// wire; no wall clock despite the name), minimum of two repeats per
+// cell to absorb noise in the measured compute:
 //
 //   - DDP: the bucketed asynchronous gradient all-reduce must beat the
 //     sequential bwd→all-reduce baseline (blocking collectives after
-//     the backward pass) by at least 5% wall-clock.
+//     the backward pass) by at least 5%.
 //   - Megatron: the decomposed + scheduled step must beat the rolled
 //     (blocking-loop) form of the same program by at least 5% — the
 //     paper's own rolled-vs-decomposed comparison. A blocking AllGather

@@ -14,7 +14,7 @@ var (
 	trLoss = obs.Default().Gauge("overlap_train_loss",
 		"Global loss (summed over devices) of the most recent training step.")
 	trStepSeconds = obs.Default().Histogram("overlap_train_step_seconds",
-		"Executed step time of training steps on the runtime's virtual clocks (measured compute, injected wire).", obs.TimeBuckets())
+		"Executed step time of training steps, replayed from the runtime's per-op costs (measured compute, modeled wire).", obs.TimeBuckets())
 	trGradBuckets = obs.Default().Gauge("overlap_train_grad_buckets",
 		"Gradient buckets the bucketing pass formed for the current program.")
 	trGradBucketBytes = obs.Default().Gauge("overlap_train_grad_bucket_bytes",
