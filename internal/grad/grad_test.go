@@ -2,6 +2,7 @@ package grad
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"overlap/internal/core"
@@ -184,7 +185,7 @@ func TestCollectivePermuteAdjointReversesPairs(t *testing.T) {
 		t.Fatal("no adjoint permute emitted")
 	}
 	for _, p := range rev.Pairs {
-		if tgt, ok := shifted.PairTarget(p.Target); !ok || tgt != p.Source {
+		if !slices.Contains(shifted.Pairs, hlo.SourceTargetPair{Source: p.Target, Target: p.Source}) {
 			t.Fatalf("pair %v is not the reversal of the forward permute", p)
 		}
 	}

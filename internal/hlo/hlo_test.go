@@ -303,20 +303,6 @@ func TestDynOffsetEval(t *testing.T) {
 	}
 }
 
-func TestCollectivePermutePairHelpers(t *testing.T) {
-	c := NewComputation("pairs")
-	in := c.CollectivePermute(c.Parameter(0, "a", []int{2}), []SourceTargetPair{{1, 0}, {2, 1}, {0, 2}})
-	if s, ok := in.PairSource(1); !ok || s != 2 {
-		t.Fatalf("PairSource(1) = %d,%v", s, ok)
-	}
-	if tgt, ok := in.PairTarget(0); !ok || tgt != 2 {
-		t.Fatalf("PairTarget(0) = %d,%v", tgt, ok)
-	}
-	if _, ok := in.PairSource(9); ok {
-		t.Fatal("PairSource for absent device must report false")
-	}
-}
-
 func TestCloneIsIndependent(t *testing.T) {
 	c, _, _ := buildMLPLayer(t)
 	clone := c.Clone()

@@ -256,28 +256,6 @@ func (in *Instruction) ByteSize() int64 {
 	return n
 }
 
-// PairSource returns the source device sending to target under the
-// instruction's permute pairs, and whether one exists.
-func (in *Instruction) PairSource(target int) (int, bool) {
-	for _, p := range in.Pairs {
-		if p.Target == target {
-			return p.Source, true
-		}
-	}
-	return 0, false
-}
-
-// PairTarget returns the target device that source sends to, and whether
-// one exists.
-func (in *Instruction) PairTarget(source int) (int, bool) {
-	for _, p := range in.Pairs {
-		if p.Source == source {
-			return p.Target, true
-		}
-	}
-	return 0, false
-}
-
 func (in *Instruction) String() string {
 	return fmt.Sprintf("%%%s = %s%v", in.Name, in.Op, in.Shape)
 }

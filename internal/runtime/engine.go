@@ -9,6 +9,7 @@ import (
 
 	"overlap/internal/hlo"
 	"overlap/internal/obs"
+	"overlap/internal/sim"
 	"overlap/internal/tensor"
 )
 
@@ -51,11 +52,11 @@ type engine struct {
 	epoch    time.Time
 	failedAt time.Time
 
-	// costs is the run's cost table — each device's row, gathered after
-	// the join — and clocks the state of the replay that times the run
-	// from it.
+	// costs is the run's cost table — each device's row, which the
+	// device appends to (device.cost) — and clocks the state of the
+	// timing pass that times the run from it.
 	costs  [][]float64
-	clocks clocks
+	clocks sim.Clocks
 
 	// shelf holds the result tables this context's released results
 	// handed back, for its next assemble to refill.
@@ -130,13 +131,15 @@ func newEngine(x *Executable, opts Options) (*engine, error) {
 		shelf:       &tableShelf{},
 	}
 	e.fabric = newFabric(e)
-	e.clocks = newClocks(x)
+	e.clocks = x.sched.NewClocks(rtStallSpans, rtCollectiveSpans)
 	e.devices = make([]*device, e.n)
 	e.costs = make([][]float64, e.n)
-	table := make([]float64, e.n*x.localRuns)
+	row := x.sched.Locals
+	table := make([]float64, e.n*row)
 	for d := range e.devices {
 		e.devices[d] = newDevice(e, d)
-		e.devices[d].cost = table[d*x.localRuns : d*x.localRuns : (d+1)*x.localRuns]
+		e.costs[d] = table[d*row : (d+1)*row : (d+1)*row]
+		e.devices[d].cost = e.costs[d][:0]
 	}
 	return e, e.prepare(opts)
 }
@@ -344,11 +347,11 @@ func (e *engine) deadlineError(cause error) *RunError {
 
 // assemble merges the per-device outputs into the caller-facing
 // result — the output buffers the devices own move out of their arenas
-// with it — and replays the run's timing from its cost table: the
-// Breakdown and, for a traced run, the Trace, in a span slab of the
-// trace layout's size. Its map and slices are tables a released result
-// handed back, when there are any. It runs after every goroutine has
-// joined, so all device- and link-local state is safely visible.
+// with it — and times the run from its cost table with the timing
+// pass: the Breakdown and, for a traced run, the Trace, in a span slab
+// of the schedule's bound. Its map and slices are tables a released
+// result handed back, when there are any. It runs after every goroutine
+// has joined, so all device- and link-local state is safely visible.
 func (e *engine) assemble(devices []*device) *Result {
 	t := e.tables()
 	res := &Result{RunID: e.opts.RunID, All: t.all, tables: t}
@@ -365,16 +368,15 @@ func (e *engine) assemble(devices []*device) *Result {
 	if root := e.comp.Root(); root != nil {
 		res.Values = res.All[root]
 	}
-	for d, dev := range devices {
-		e.costs[d] = dev.cost
+	for _, dev := range devices {
 		res.ArenaPeakBytes = max(res.ArenaPeakBytes, dev.arenaPeak)
 	}
 
-	window, slab := 0, []obs.Span(nil)
+	var slab []obs.Span
 	if e.opts.Trace {
-		window, slab = min(e.n, obs.TraceMaxDevices), takeSpans(e.traceSpans)
+		slab = takeSpans(e.sched.Spans)
 	}
-	res.Breakdown, res.Trace = e.clocks.replay(e.costs, e.opts.TimeScale, e.inj, window, slab)
+	res.Breakdown, res.Trace = e.clocks.Time(e.costs, e.opts.TimeScale, e.inj.delay, slab)
 	res.Breakdown.Record("runtime")
 	return res
 }

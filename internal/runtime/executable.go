@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -16,10 +15,10 @@ import (
 )
 
 // Executable is a computation compiled for an n-device ring: validated,
-// lowered to its tape and buffer plan, with the fabric tables and the
-// trace layout the tape implies. Everything in it is a function of the
-// program, the ring size and the machine spec, computed once by Compile
-// and never written again, so one Executable serves any number of runs,
+// lowered to its tape and buffer plan, and to the timing schedule that
+// times its runs. Everything in it is a function of the program, the
+// ring size and the machine spec, computed once by Compile and never
+// written again, so one Executable serves any number of runs,
 // sequential or concurrent, each with its own arguments and Options.
 // The one thing it keeps besides is a stack of idle run contexts —
 // engines whose tables a clean run handed back — which each Run checks
@@ -35,40 +34,28 @@ type Executable struct {
 	n    int
 	tape *tape
 
-	// spec is the machine spec the tape was priced on and specErr what it
-	// fails validation with, nil for a sound one. Only a run that injects
+	// spec is the machine spec the schedule was priced on and specErr
+	// what it fails validation with, nil for a sound one. Only a run that injects
 	// wire time (TimeScale > 0) and Clock read the modeled seconds, so
 	// only they fail on it: TimeScale-0 callers compile with the zero
 	// Spec.
 	spec    machine.Spec
 	specErr error
 
-	// The fabric's program-derived tables. edges lists the directed
-	// links the starts' pairs use, in (source, target) order, and link
-	// finds an edge's position; boxes maps a start instruction's name to
-	// its mailbox number, for transports that cross a process boundary,
-	// where instruction pointers cannot travel.
-	edges []edge
-	link  map[[2]int]int
+	// sched is the program's timing schedule, which times every run: it
+	// knows the directed links the starts' pairs use (its edges, the
+	// fabric's too), the local ops a device executes (the length of its
+	// cost row) and the most spans a traced run records (the size of its
+	// span slab). boxes maps a start instruction's name to its mailbox
+	// number, for transports that cross a process boundary, where
+	// instruction pointers cannot travel.
+	sched *sim.Schedule
 	boxes map[string]int
-
-	// traceSpans is the trace layout: the most spans a traced run
-	// records, the size of its span slab. localRuns is how many local
-	// ops one device executes in a run: the length of its cost row.
-	traceSpans, localRuns int
 
 	// idle holds the run contexts clean runs handed back; mu guards it.
 	// It holds at most as many as there were runs at once.
 	mu   sync.Mutex
 	idle []*engine
-}
-
-// edge is one directed link of the fabric.
-type edge struct {
-	src, dst int
-	// transfers is how many parcels one run posts on the edge: the
-	// executions of every start whose pairs name it.
-	transfers int
 }
 
 // Compile checks that the computation can execute on a numDevices ring
@@ -82,7 +69,7 @@ func Compile(c *hlo.Computation, numDevices int, spec machine.Spec) (*Executable
 	if err := c.VerifyRing(numDevices); err != nil {
 		return nil, err
 	}
-	t, err := lower(c, numDevices, spec)
+	t, err := lower(c, numDevices)
 	if err != nil {
 		return nil, err
 	}
@@ -93,9 +80,14 @@ func Compile(c *hlo.Computation, numDevices int, spec machine.Spec) (*Executable
 		tape:    t,
 		spec:    spec,
 		specErr: spec.Validate(),
+		sched:   sim.NewSchedule(c, numDevices, spec),
 		boxes:   make(map[string]int, len(t.boxes)),
 	}
-	x.layout()
+	for box, at := range t.boxes {
+		if op := &t.ops[at]; op.kind == opStart {
+			x.boxes[op.in.Name] = box
+		}
+	}
 	return x, nil
 }
 
@@ -103,58 +95,6 @@ func Compile(c *hlo.Computation, numDevices int, spec machine.Spec) (*Executable
 // was transformed after Compile: its tape describes a program that no
 // longer exists.
 var ErrModified = errors.New("computation modified since Compile")
-
-// layout derives what the tape implies about a run before any run
-// exists: the edges its starts use and how often, the local ops a
-// device executes, and the spans a traced run records — one per local
-// op, blocking collective and done a device inside the trace window
-// executes, and one per transfer it posts. An op in a loop body
-// executes once per trip, not at all in a zero-trip loop.
-func (x *Executable) layout() {
-	transfers := map[[2]int]int{}
-	trips, computeSpans := 1, 0
-	for i := range x.tape.ops {
-		op := &x.tape.ops[i]
-		switch op.kind {
-		case opLoop:
-			trips = op.loop.trips
-		case opLoopEnd:
-			trips = 1
-		case opLocal:
-			x.localRuns += trips
-			computeSpans += trips
-		case opCollective, opDone:
-			computeSpans += trips
-		case opStart:
-			x.boxes[op.in.Name] = int(op.box)
-			for src, dst := range op.peer {
-				if dst >= 0 {
-					transfers[[2]int{src, int(dst)}] += trips
-				}
-			}
-		}
-	}
-	x.edges = make([]edge, 0, len(transfers))
-	for e, n := range transfers {
-		x.edges = append(x.edges, edge{src: e[0], dst: e[1], transfers: n})
-	}
-	sort.Slice(x.edges, func(i, j int) bool {
-		a, b := x.edges[i], x.edges[j]
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.dst < b.dst
-	})
-	x.link = make(map[[2]int]int, len(x.edges))
-	window := min(x.n, obs.TraceMaxDevices)
-	x.traceSpans = window * computeSpans
-	for at, e := range x.edges {
-		x.link[[2]int{e.src, e.dst}] = at
-		if e.src < window {
-			x.traceSpans += e.transfers
-		}
-	}
-}
 
 // Run executes the compiled program once: args follows sim.Interpret's
 // convention (args[i][d] is parameter i's value on device d, and

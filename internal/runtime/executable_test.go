@@ -339,11 +339,11 @@ func zeroTripProgram() *hlo.Computation {
 
 // TestTraceLayoutSizesEveryBuffer runs every corpus program — as built,
 // rolled, and decomposed, plus a zero-trip loop — traced and untraced
-// and inspects the span slab the replay recorded into. The trace layout
-// is a compile-time count of what the tape can record, so a traced
+// and inspects the span slab the timing pass recorded into. The trace
+// layout is a compile-time bound on what a run can record, so a traced
 // run's slab must have been drawn once at exactly that count and never
 // have grown (an append past capacity would show as a larger one), hold
-// no gap — a span the replay left zero-valued — and be in SpanLess
+// no gap — a span the pass left zero-valued — and be in SpanLess
 // order; an untraced run must have drawn none. (A device outside the
 // trace window recording nothing is TestTraceRecording's: no corpus
 // ring is that wide.)

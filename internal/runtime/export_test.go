@@ -7,6 +7,7 @@ import (
 
 	"overlap/internal/machine"
 	"overlap/internal/obs"
+	"overlap/internal/sim"
 )
 
 // PoisonReleased turns the use-after-release canary on for the calling
@@ -34,13 +35,15 @@ func HoldBack(dev int, hold time.Duration) (restore func()) {
 
 // TraceLayout is the span slab a traced run of x records into: for
 // each device inside the trace window, one compute-track span per local
-// op, blocking collective and done it executes, and one transfer span
-// per transfer it posts on each of its outgoing edges. It is derived
-// here, from the tape and the edge table, not read back from the
-// Executable.
+// op, blocking collective and done it executes, one transfer span per
+// transfer it posts, and one stall span per send past its first
+// MaxInFlight, the most MaxInFlight holds it can meet. It is derived
+// here, from the tape, not read back from the Executable's timing
+// schedule.
 func (x *Executable) TraceLayout() int {
 	window := min(x.n, obs.TraceMaxDevices)
 	spans, trips := 0, 1
+	sends := make([]int, window)
 	for i := range x.tape.ops {
 		switch op := &x.tape.ops[i]; op.kind {
 		case opLoop:
@@ -49,14 +52,33 @@ func (x *Executable) TraceLayout() int {
 			trips = 1
 		case opLocal, opCollective, opDone:
 			spans += window * trips
+		case opStart:
+			for d, tgt := range op.peer[:window] {
+				if tgt >= 0 {
+					sends[d] += trips
+				}
+			}
 		}
 	}
-	for _, e := range x.edges {
-		if e.src < window {
-			spans += e.transfers
+	for _, k := range sends {
+		spans += k
+		if bound := x.spec.MaxInFlight; bound > 0 {
+			spans += max(k-bound, 0)
 		}
 	}
 	return spans
+}
+
+// TimingSchedule is the timing schedule x times its runs by.
+func (x *Executable) TimingSchedule() *sim.Schedule { return x.sched }
+
+// LastPass is the cost table and the timing pass's state of x's last
+// clean run, as the run context it handed back keeps them.
+func (x *Executable) LastPass() ([][]float64, *sim.Clocks) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	e := x.idle[len(x.idle)-1]
+	return e.costs, &e.clocks
 }
 
 // ModelCosts makes every device record the machine model's cost for

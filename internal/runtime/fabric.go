@@ -136,8 +136,8 @@ func (f *fabric) start() error {
 // delay is no decision: it only moves time, and the replay adds it.
 func (f *fabric) faults(link int, instr string) (drop bool, dup *Fault) {
 	e := f.eng
-	edge := e.edges[link]
-	lf := e.injLink(edge.src, edge.dst)
+	edge := e.sched.Edges[link]
+	lf := e.injLink(edge.Src, edge.Dst)
 	if lf == nil {
 		return false, nil
 	}
@@ -221,7 +221,7 @@ func (f *fabric) op(box int) *tapeOp {
 // never laid out — which fails the run with an error naming the edge
 // instead of blocking forever.
 func (f *fabric) post(src, dst int, key mailKey, data *tensor.Tensor, bytes int64) bool {
-	link, ok := f.eng.link[[2]int{src, dst}]
+	link, ok := f.eng.sched.Link(src, dst)
 	if !ok {
 		f.eng.fail(&RunError{
 			Device: src, Instr: f.op(key.box).in.Name, Phase: PhasePost,
@@ -248,7 +248,7 @@ func (f *fabric) carry(link int, p parcel) {
 	if drop {
 		return // lost on the wire: never delivered
 	}
-	dst := f.eng.edges[link].dst
+	dst := f.eng.sched.Edges[link].Dst
 	f.deliver(dst, p.key, p.data, "")
 	if dup != nil {
 		f.deliver(dst, p.key, p.data, dup.String())

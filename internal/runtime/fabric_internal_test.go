@@ -208,7 +208,7 @@ func oneLink(t *testing.T, wire time.Duration) (*Executable, float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return x, wire.Seconds() / x.tape.ops[x.tape.boxes[0]].modeled
+	return x, wire.Seconds() / x.spec.TransferTime(x.tape.ops[x.tape.boxes[0]].bytes, 1)
 }
 
 // TestDelayLengthensItsWire: an injected delay is wire in the replay,
@@ -233,7 +233,7 @@ func TestDelayLengthensItsWire(t *testing.T) {
 		if err := CheckInterpreter(x.comp, x.n, args, res); err != nil {
 			t.Fatalf("%s: %v", tr, err)
 		}
-		want := x.tape.ops[x.tape.boxes[0]].modeled*scale + delay.Seconds()
+		want := x.spec.TransferTime(x.tape.ops[x.tape.boxes[0]].bytes, 1)*scale + delay.Seconds()
 		var spans []string
 		for _, sp := range res.Trace {
 			ok := sp.Start == 0 && sp.Dur == want
@@ -273,9 +273,9 @@ func TestBreakdownWireCountsDelays(t *testing.T) {
 	for _, op := range x.tape.ops {
 		switch op.kind {
 		case opStart:
-			permute = op.modeled
+			permute = x.spec.TransferTime(op.bytes, 1)
 		case opCollective:
-			collective += op.modeled
+			collective += x.spec.CollectiveTime(op.in)
 		}
 	}
 	scale := (2 * time.Millisecond).Seconds() / permute

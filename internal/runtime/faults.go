@@ -355,12 +355,12 @@ func (lf *linkFaults) next() int {
 	return k
 }
 
-// delay is the wire the plan adds to the next transfer on edge
-// src→dst: the length of every delay fault addressing it, plus each
-// one's jitter, drawn from the link's seeded stream. The replay asks
-// for each link's transfers in order, once each; a nil injector adds
-// nothing.
-func (inj *injector) delay(src, dst int, instr string) time.Duration {
+// delay is the wire, in seconds, the plan adds to the next transfer on
+// edge src→dst: the length of every delay fault addressing it, plus
+// each one's jitter, drawn from the link's seeded stream. The timing
+// pass asks for each link's transfers in order, once each; a nil
+// injector adds nothing.
+func (inj *injector) delay(src, dst int, instr string) float64 {
 	if inj == nil {
 		return 0
 	}
@@ -382,7 +382,7 @@ func (inj *injector) delay(src, dst int, instr string) time.Duration {
 		inj.record(flt, instr)
 		rtFaultDelays.Inc()
 	}
-	return extra
+	return extra.Seconds()
 }
 
 // firedFault records one fault that actually triggered, with the

@@ -112,17 +112,21 @@ func TestCheckedRunsShareTheArena(t *testing.T) {
 	}
 }
 
-// TestWireOnlyStepIsTheModels is the replay's oracle: a run's timing
-// is max-plus arithmetic over its per-op costs, the same arithmetic
-// sim.Simulate does over the machine model's. So a run whose devices
-// record the model's cost for every local op (ModelCosts), at TimeScale
-// 1, must replay to the simulator's numbers exactly: StepTime, Compute,
-// CollectiveWire, Exposed, AsyncTransfers, PeakInFlight and every span,
-// compared with ==. The programs: five the model prices at no compute
-// (chains of starts and dones, a loop of permutes, group collectives,
-// blocking permutes that reach only some devices), every corpus program
-// as built, and every corpus program under the knobs the tuner decides
-// for it — the entries decisions.golden.json pins — on both transports.
+// TestWireOnlyStepIsTheModels is the timing pass's oracle: a run is
+// timed by the pass sim.Simulate prices the program with, over the
+// costs its devices recorded. So a run whose devices record the model's
+// cost for every local op (ModelCosts), at TimeScale 1, must time to
+// the simulator's numbers exactly: StepTime, Compute, CollectiveWire,
+// Exposed, AsyncTransfers, PeakInFlight and every span, compared with
+// ==. It checks, besides, that every device's cost row is the
+// schedule's row of model costs — the tape's local ops line up with the
+// schedule's — and that on every device its stall and collective spans
+// sum to its exposed time, the MaxInFlight hold's included. The
+// programs: five the model prices at no compute (chains of starts and
+// dones, a loop of permutes, group collectives, blocking permutes that
+// reach only some devices), every corpus program as built, and every
+// corpus program under the knobs the tuner decides for it — the entries
+// decisions.golden.json pins — on both transports.
 func TestWireOnlyStepIsTheModels(t *testing.T) {
 	const n = 4
 	spec := machine.TPUv4()
@@ -266,6 +270,7 @@ func TestWireOnlyStepIsTheModels(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
+		row := x.TimingSchedule().Row(spec.InstructionCost)
 		args := randomArgs(p.comp, p.devices, rng)
 		for _, tr := range transports {
 			if tr == runtime.TransportProc && p.long {
@@ -280,6 +285,24 @@ func TestWireOnlyStepIsTheModels(t *testing.T) {
 			}
 			got, trace := res.Breakdown, res.Trace
 			res.Release()
+			cost, clocks := x.LastPass()
+			for d, r := range cost {
+				if !slices.Equal(r, row) {
+					t.Errorf("%s (%s): device %d's cost row does not line up with the schedule's local ops", p.name, tr, d)
+					break
+				}
+			}
+			waited := make([]float64, p.devices)
+			for _, sp := range trace {
+				if sp.Cat == obs.CatStall || sp.Cat == obs.CatCollective {
+					waited[sp.Device] += sp.Dur
+				}
+			}
+			for d, e := range clocks.Exposed[:min(p.devices, obs.TraceMaxDevices)] {
+				if math.Abs(waited[d]-e) > 1e-9 {
+					t.Errorf("%s (%s): device %d's stall and collective spans sum to %g s, its exposed time to %g s", p.name, tr, d, waited[d], e)
+				}
+			}
 			if got != model {
 				t.Errorf("%s (%s): the replay reads %+v, the model %+v", p.name, tr, got, model)
 			}

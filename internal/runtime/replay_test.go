@@ -12,12 +12,14 @@ import (
 	"overlap/internal/sim"
 )
 
-// The timing rules, each as a table over a hand-set cost table: the
-// replay runs on the test's goroutine, with no device goroutine, no
-// mailbox and no measured cost. unitSpec prices every point-to-point
-// transfer at exactly one second of wire and a g-member AllReduce at
-// 2(g−1) seconds, and the costs are whole seconds, so every expected
-// time below is exact.
+// The timing rules through a compiled Executable, each as a table over
+// a hand-set cost table: the timing pass runs on the test's goroutine
+// over the Executable's schedule, with the run's fault injector and no
+// device goroutine, mailbox or measured cost. (The rules' own table is
+// sim's TestTimingRules.) unitSpec prices every point-to-point transfer
+// at exactly one second of wire and a g-member AllReduce at 2(g−1)
+// seconds, and the costs are whole seconds, so every expected time
+// below is exact.
 var unitSpec = machine.Spec{Name: "unit", LinkLatency: 1, LinkBandwidth: math.Inf(1), MaxInFlight: 8}
 
 // replayed is one replay's output: the breakdown, every device's final
@@ -28,10 +30,10 @@ type replayed struct {
 	spans                 []obs.Span
 }
 
-// replayOn compiles c for n devices on spec and replays it at scale
-// over cost — cost[d] lists device d's local ops' costs in execution
-// order — under the fault plan faults. The spans go into a slab of the
-// trace layout's size, which the replay must not outgrow.
+// replayOn compiles c for n devices on spec and times it at scale over
+// cost — cost[d] lists device d's local ops' costs in execution order —
+// under the fault plan faults. The spans go into a slab of the
+// schedule's bound, which the pass must not outgrow.
 func replayOn(t *testing.T, c *hlo.Computation, n int, spec machine.Spec, cost [][]float64, scale float64, faults string) replayed {
 	t.Helper()
 	x, err := Compile(c, n, spec)
@@ -39,8 +41,8 @@ func replayOn(t *testing.T, c *hlo.Computation, n int, spec machine.Spec, cost [
 		t.Fatal(err)
 	}
 	for d, row := range cost {
-		if len(row) != x.localRuns {
-			t.Fatalf("device %d's cost row has %d entries, the tape runs %d local ops", d, len(row), x.localRuns)
+		if len(row) != x.sched.Locals {
+			t.Fatalf("device %d's cost row has %d entries, the tape runs %d local ops", d, len(row), x.sched.Locals)
 		}
 	}
 	var inj *injector
@@ -51,13 +53,13 @@ func replayOn(t *testing.T, c *hlo.Computation, n int, spec machine.Spec, cost [
 		}
 		inj = newInjector(plan)
 	}
-	clk := newClocks(x)
-	slab := make([]obs.Span, x.traceSpans)
-	b, spans := clk.replay(cost, scale, inj, min(n, obs.TraceMaxDevices), slab)
+	clk := x.sched.NewClocks(nil, nil)
+	slab := make([]obs.Span, x.sched.Spans)
+	b, spans := clk.Time(cost, scale, inj.delay, slab)
 	if len(spans) > 0 && &spans[0] != &slab[0] {
-		t.Fatalf("the replay outgrew the trace layout's %d spans", x.traceSpans)
+		t.Fatalf("the pass outgrew the schedule's %d spans", x.sched.Spans)
 	}
-	return replayed{b: b, clocks: clk.now, wire: clk.wire, exposed: clk.exposed, spans: spans}
+	return replayed{b: b, clocks: clk.Now, wire: clk.Wire, exposed: clk.Exposed, spans: spans}
 }
 
 // only returns the spans of one device and category, in order.
@@ -284,8 +286,9 @@ func TestPastDueCollectiveTakesAtOnce(t *testing.T) {
 
 // TestReplayHoldsAtMaxInFlight: a sender with MaxInFlight transfers in
 // flight waits, before it posts the next, until the oldest arrives —
-// exposed time with no span, as the simulator has it — and a transfer
-// that has arrived by the sender's clock no longer counts. PeakInFlight
+// exposed time, recorded as a stall span named for the start that
+// waits — and a transfer that has arrived by the sender's clock no
+// longer counts. PeakInFlight
 // is the most any device had in flight, and AsyncTransfers counts
 // device 0's posts.
 func TestReplayHoldsAtMaxInFlight(t *testing.T) {
@@ -331,8 +334,15 @@ func TestReplayHoldsAtMaxInFlight(t *testing.T) {
 			if r.exposed[src] != tc.hold {
 				t.Errorf("device %d's hold exposes %g, want %g", src, r.exposed[src], tc.hold)
 			}
-			if stalls := only(r.spans, src, obs.CatStall); len(stalls) != 0 {
-				t.Errorf("the sender records stall spans: %v", stalls)
+			held := 0.0
+			for _, sp := range only(r.spans, src, obs.CatStall) {
+				if sp.Name != starts[2].Name {
+					t.Errorf("the sender stalls at %s, want only at the third start", spanString(sp))
+				}
+				held += sp.Dur
+			}
+			if held != tc.hold {
+				t.Errorf("device %d's stall spans hold %g, want %g", src, held, tc.hold)
 			}
 			if r.b.PeakInFlight != tc.peak || r.b.AsyncTransfers != tc.async {
 				t.Errorf("peak in flight %d and async transfers %d, want %d and %d", r.b.PeakInFlight, r.b.AsyncTransfers, tc.peak, tc.async)
@@ -341,7 +351,7 @@ func TestReplayHoldsAtMaxInFlight(t *testing.T) {
 	}
 }
 
-// TestReplayScalesTheWireAndAddsDelays: the replay's wire is the op's
+// TestReplayScalesTheWireAndAddsDelays: a run's wire is the op's
 // modeled seconds times the run's TimeScale, plus the plan's delays
 // with their seeded jitter; TimeScale 0 injects no modeled wire, and a
 // delay still lengthens its transfer.
@@ -352,7 +362,7 @@ func TestReplayScalesTheWireAndAddsDelays(t *testing.T) {
 	jittered := func() float64 {
 		plan := &FaultPlan{Faults: []Fault{{Kind: FaultDelay, Src: 0, Dst: 1, K: -1, Delay: time.Second, Jitter: time.Second}}}
 		inj := newInjector(plan)
-		return inj.delay(0, 1, "").Seconds()
+		return inj.delay(0, 1, "")
 	}()
 	if jittered < 1 || jittered >= 2 {
 		t.Fatalf("a 1 s delay with 1 s of jitter adds %g s, want [1, 2)", jittered)
@@ -378,9 +388,9 @@ func TestReplayScalesTheWireAndAddsDelays(t *testing.T) {
 	}
 }
 
-// TestWarmReplayAllocatesNothing: the replay's state lives in the run
-// context and a traced run's spans go into the slab it is handed, so a
-// replay after the first allocates nothing, traced or not.
+// TestWarmReplayAllocatesNothing: the timing pass's state lives in the
+// run context and a traced run's spans go into the slab it is handed,
+// so a pass after the first allocates nothing, traced or not.
 func TestWarmReplayAllocatesNothing(t *testing.T) {
 	const n = 4
 	c := hlo.NewComputation("warm")
@@ -396,12 +406,12 @@ func TestWarmReplayAllocatesNothing(t *testing.T) {
 	for d := range cost {
 		cost[d] = []float64{1, 2}
 	}
-	clk := newClocks(x)
-	slab := make([]obs.Span, x.traceSpans)
-	for _, window := range []int{0, n} {
-		clk.replay(cost, 3, nil, window, slab)
-		if allocs := testing.AllocsPerRun(20, func() { clk.replay(cost, 3, nil, window, slab) }); allocs != 0 {
-			t.Errorf("a warm replay with a trace window of %d allocates %v times, want none", window, allocs)
+	clk := x.sched.NewClocks(rtStallSpans, rtCollectiveSpans)
+	var inj *injector
+	for _, slab := range [][]obs.Span{nil, make([]obs.Span, x.sched.Spans)} {
+		clk.Time(cost, 3, inj.delay, slab)
+		if allocs := testing.AllocsPerRun(20, func() { clk.Time(cost, 3, inj.delay, slab) }); allocs != 0 {
+			t.Errorf("a warm pass, traced %v, allocates %v times, want none", slab != nil, allocs)
 		}
 	}
 }

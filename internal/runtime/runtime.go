@@ -9,10 +9,10 @@
 // transfers' wire hides behind partial einsums.
 //
 // Execution has two halves. Compile is the program's: validation,
-// lowering to the tape and its buffer plan, the fabric's edge and
-// mailbox tables, the trace layout — paid once, held in an
-// Executable by whoever holds the plan (serve's plan cache, a training
-// Program, the tuner's measured candidates). (*Executable).Run is the
+// lowering to the tape and its buffer plan and to the timing schedule
+// (which also gives the fabric its edges), the mailbox tables — paid
+// once, held in an Executable by whoever holds the plan (serve's plan
+// cache, a training Program, the tuner's measured candidates). (*Executable).Run is the
 // run's: argument and fault-plan checks, then a run context checked out
 // of the Executable — engine, mailboxes, slot tables, collective
 // generation states, the cost table and the replay's state — and, for a
@@ -37,21 +37,25 @@
 // Timing is a replay. The devices keep no time: each records how long
 // each local op it evaluated took (the run's cost table), and nothing
 // else it does — the tape walk, copies, hand-offs between goroutines,
-// waits for data — is in it. Once every device has joined, one pass on
-// one goroutine (replay.go) walks the tape in lockstep over that table,
-// as internal/sim walks the scheduled HLO, and computes every device's
-// clock, the Breakdown and every span. Because Go cannot put a tensor
-// on a real ICI link, the wire is modeled: a transfer holds its
+// waits for data — is in it. Once every device has joined, the run is
+// timed by internal/sim's timing pass, the one sim.Simulate prices the
+// program with: Compile lowers the program into its timing schedule
+// (sim.NewSchedule) beside the tape, and the pass walks that schedule
+// in lockstep over the cost table, on one goroutine, and computes every
+// device's clock, the Breakdown and every span. The tape's local ops
+// are the schedule's (sim.Local), so the k-th cost a device records is
+// the cost of the schedule's k-th local op. Because Go cannot put a
+// tensor on a real ICI link, the wire is modeled: a transfer holds its
 // (src,dst) link for the machine model's TransferTime scaled by
-// Options.TimeScale, from its sender's clock or the end of the wire
-// ahead of it on the link, and a done moves its device's clock on to
-// the transfer's arrival; a blocking collective ends at the group's
-// latest clock plus its wire. So device goroutines keep computing while
-// transfers are "on the wire" — the resource structure (compute engine
-// vs transfer engine) whose overlap the paper exploits — no goroutine
-// ever sleeps on a wire, and a step is the same max-plus arithmetic over
-// per-op costs that sim.Simulate prices, with measured compute in place
-// of the modeled: under the model's costs it is sim.Simulate's.
+// Options.TimeScale, plus any delay fault, from its sender's clock or
+// the end of the wire ahead of it on the link; a done moves its
+// device's clock on to the transfer's arrival, and a blocking
+// collective ends at the group's latest clock plus its wire. So device
+// goroutines keep computing while transfers are "on the wire" — the
+// resource structure (compute engine vs transfer engine) whose overlap
+// the paper exploits — no goroutine ever sleeps on a wire, and a step is
+// sim.Simulate's arithmetic with measured compute in place of the
+// modeled: under the model's costs it is sim.Simulate's, span for span.
 package runtime
 
 import (
@@ -67,13 +71,13 @@ import (
 )
 
 // Options configures a runtime execution. Spec belongs to the program
-// half: Run and RunContext hand it to Compile, which prices the tape's
-// transfers on it, and (*Executable).Run ignores it — an Executable
+// half: Run and RunContext hand it to Compile, which prices the timing
+// schedule's wire on it, and (*Executable).Run ignores it — an Executable
 // keeps the spec it was compiled with. Every other field is the run's
 // own and is read afresh by each Run.
 type Options struct {
-	// Spec supplies the wire-time model the replay prices transfers
-	// and blocking collectives on. Its modeled seconds are only
+	// Spec supplies the wire-time model the timing pass prices
+	// transfers and blocking collectives on. Its modeled seconds are only
 	// consulted when TimeScale > 0.
 	Spec machine.Spec
 

@@ -7,22 +7,11 @@ import (
 	"overlap/internal/obs"
 )
 
-// spanCompare is obs.SpanLess as a three-way comparison.
-func spanCompare(a, b obs.Span) int {
-	switch {
-	case obs.SpanLess(a, b):
-		return -1
-	case obs.SpanLess(b, a):
-		return 1
-	}
-	return 0
-}
-
 // The span free list: exact-size lists of slabs, after the tensor free
-// lists. A program's trace layout gives its traced runs slabs of one
-// size, run after run, and a holder that is done with a run's trace —
-// serve's flight recorder, when it evicts the run — hands the slab back
-// with ReleaseTrace. The lists are bounded by bytes: a release that
+// lists. A program's timing schedule bounds its traced runs' spans, so
+// they draw slabs of one size, run after run, and a holder that is done
+// with a run's trace — serve's flight recorder, when it evicts the run —
+// hands the slab back with ReleaseTrace. The lists are bounded by bytes: a release that
 // would take them past maxFreeSpanBytes empties every list first.
 const maxFreeSpanBytes = 1 << 20
 

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"overlap/internal/hlo"
-	"overlap/internal/machine"
 	"overlap/internal/sim"
 )
 
@@ -10,28 +9,23 @@ import (
 // the form the device loop walks: one op per scheduled instruction, in
 // order, with loop bodies inlined between a loop op and its back-edge
 // and fusion bodies flattened into kernel steps. Every value is a dense
-// slot index; operand slots, per-device permute peers, transfer sizes,
-// modeled wire seconds and mailbox numbers are resolved here, so
-// executing an op looks nothing up. The tape is SPMD — shared by all
-// devices, which differ only in the per-device columns of peer tables
-// and in what their slots hold.
+// slot index; operand slots, per-device permute peers, transfer sizes
+// and mailbox numbers are resolved here, so executing an op looks
+// nothing up. The tape is SPMD — shared by all devices, which differ
+// only in the per-device columns of peer tables and in what their slots
+// hold.
 //
-// The tape is program state: a function of the computation, the ring
-// size and the machine spec, immutable once Compile returns and walked
-// by any number of runs at once. Everything a run changes lives with
-// the run — each device's slot table, owned bits, execution counts,
-// arena accounting and cost row, the mailboxes, the replay's state —
-// and the run's own options (TimeScale, Transport, Trace, Faults) never
-// reach the tape: it stores a transfer's modeled seconds, and the
-// replay scales them into wire under the run's TimeScale.
-//
-// The tape also fixes the run's trace layout, because the tape is what
-// executes: a device records at most one compute-track span per local
-// op, blocking collective and done it executes (a loop body's ops once
-// per trip), and a directed edge carries one transfer per execution of
-// each start that names it. Compile counts both (Executable.layout), so
-// a traced run draws its span slab once, at its final size. It counts
-// the local ops a device executes too: the length of its cost row.
+// The tape is program state: a function of the computation and the
+// ring size, immutable once Compile returns and walked by any number of
+// runs at once. Everything a run changes lives with the run — each
+// device's slot table, owned bits, execution counts, arena accounting
+// and cost row, the mailboxes, the timing pass's state — and the run's
+// own options (TimeScale, Transport, Trace, Faults) never reach the
+// tape. Time is not the tape's: the program's timing schedule
+// (sim.Schedule) holds the modeled wire, and the timing pass scales it
+// under the run's TimeScale. A local op is what sim.Local says, so the
+// k-th cost a device records is the cost of the schedule's k-th local
+// op.
 //
 // The buffer plan rides on the same ops. One liveness pass per
 // computation (hlo.Computation.LastUses, the pass hlo.PeakMemory sweeps)
@@ -143,17 +137,13 @@ type tapeOp struct {
 
 	// Starts, dones and blocking permutes. peer[d] is the device d sends
 	// to (start) or receives from (done, blocking permute), -1 when d is
-	// not in the pairs; box is the
-	// start's mailbox number, bytes the payload size in the IR's
-	// 4-byte convention, modeled the machine spec's wire seconds for
-	// one transfer (also a blocking collective's modeled time), which the
-	// replay scales into the run's wire. On a done, sent is the
+	// not in the pairs; box is the start's mailbox number, bytes the
+	// payload size in the IR's 4-byte convention. On a done, sent is the
 	// matching start's peer column: d posted a buffer iff sent[d] >= 0.
-	peer    []int32
-	sent    []int32
-	box     int32
-	bytes   int64
-	modeled float64
+	peer  []int32
+	sent  []int32
+	box   int32
+	bytes int64
 
 	loop *loopPlan
 }
@@ -186,19 +176,18 @@ type loopPlan struct {
 
 // lowering builds a tape.
 type lowering struct {
-	t    *tape
-	n    int
-	spec machine.Spec
+	t *tape
+	n int
 	// pinned values are never released or taken over by the run: no read
 	// of one is its last.
 	pinned map[*hlo.Instruction]bool
 }
 
 // lower builds the tape of a validated computation for an n-device
-// ring, pricing its transfers on spec. Compile is its one caller.
-func lower(c *hlo.Computation, n int, spec machine.Spec) (*tape, error) {
+// ring. Compile is its one caller.
+func lower(c *hlo.Computation, n int) (*tape, error) {
 	t := &tape{ops: make([]tapeOp, 0, tapeLen(c))}
-	lw := &lowering{t: t, n: n, spec: spec, pinned: map[*hlo.Instruction]bool{}}
+	lw := &lowering{t: t, n: n, pinned: map[*hlo.Instruction]bool{}}
 	var outputs []*hlo.Instruction
 	if root := c.Root(); root != nil {
 		outputs = append(outputs, root)
@@ -272,7 +261,7 @@ func (lw *lowering) seq(c *hlo.Computation, carried []int32, held map[*hlo.Instr
 	for i := 0; i < c.NumInstructions(); i++ {
 		in := c.At(i)
 		pos[in.ID] = int32(i)
-		op := tapeOp{kind: opLocal, in: in}
+		op := tapeOp{in: in}
 		if in.Op == hlo.OpParameter && inLoop {
 			op.out = carried[in.ParamIndex]
 		} else {
@@ -280,36 +269,41 @@ func (lw *lowering) seq(c *hlo.Computation, carried []int32, held map[*hlo.Instr
 		}
 		slots[i] = op.out
 
-		switch in.Op {
-		case hlo.OpParameter:
+		switch {
+		case sim.Local(in):
+			// The k-th local op a device executes is the k-th of its cost
+			// row, and of the schedule's.
+			op.kind = opLocal
+			if in.Op == hlo.OpFusion {
+				if err := lw.fusion(&op, func(o *hlo.Instruction) arg { return read(i, o) }); err != nil {
+					return nil, err
+				}
+				break
+			}
+			st := step{Step: sim.Step{In: in}, out: op.out}
+			for _, o := range in.Operands {
+				st.args = append(st.args, read(i, o))
+			}
+			op.steps = []step{st}
+			lw.finishSteps(&op)
+
+		case in.Op == hlo.OpParameter:
 			op.kind = opParam
 			if inLoop {
 				op.kind = opCarried
 			}
-		case hlo.OpConstant:
+		case in.Op == hlo.OpConstant:
 			op.kind = opConst
 
-		case hlo.OpAllGather, hlo.OpReduceScatter, hlo.OpAllReduce,
-			hlo.OpAllToAll, hlo.OpCollectivePermute:
-			op.kind = opCollective
-			op.arg = read(i, in.Operands[0])
-			op.modeled = lw.spec.CollectiveTime(in)
-			op.groups = lw.groups(in)
-			op.box = lw.box()
-			if in.Op == hlo.OpCollectivePermute {
-				op.peer = lw.peers(in, false)
-			}
-
-		case hlo.OpCollectivePermuteStart:
+		case in.Op == hlo.OpCollectivePermuteStart:
 			op.kind = opStart
 			op.arg = read(i, in.Operands[0])
 			op.box = lw.box()
 			op.bytes = in.Operands[0].ByteSize()
-			op.modeled = lw.spec.TransferTime(op.bytes, 1)
 			op.peer = lw.peers(in, true)
 			op.carries = lw.pinned[in]
 
-		case hlo.OpCollectivePermuteDone:
+		case in.Op == hlo.OpCollectivePermuteDone:
 			op.kind = opDone
 			start := lw.t.ops[lw.startOp(slots[pos[in.Operands[0].ID]])]
 			op.box = start.box
@@ -317,25 +311,21 @@ func (lw *lowering) seq(c *hlo.Computation, carried []int32, held map[*hlo.Instr
 			op.peer = lw.peers(in, false)
 			op.sent = start.peer
 
-		case hlo.OpLoop:
+		case in.Op == hlo.OpLoop:
 			// The loop appends its own ops: entry, body, back-edge.
 			if err := lw.loop(op, lastUse[i] == i, func(o *hlo.Instruction) arg { return read(i, o) }); err != nil {
 				return nil, err
 			}
 			continue
 
-		case hlo.OpFusion:
-			if err := lw.fusion(&op, func(o *hlo.Instruction) arg { return read(i, o) }); err != nil {
-				return nil, err
+		default: // a blocking collective: the rest sim.Local leaves out
+			op.kind = opCollective
+			op.arg = read(i, in.Operands[0])
+			op.groups = lw.groups(in)
+			op.box = lw.box()
+			if in.Op == hlo.OpCollectivePermute {
+				op.peer = lw.peers(in, false)
 			}
-
-		default:
-			st := step{Step: sim.Step{In: in}, out: op.out}
-			for _, o := range in.Operands {
-				st.args = append(st.args, read(i, o))
-			}
-			op.steps = []step{st}
-			lw.finishSteps(&op)
 		}
 		if lastUse[i] == i && !lw.pinned[in] && !held[in] && in.Op != hlo.OpCollectivePermuteStart {
 			op.drop = append(op.drop, op.out)

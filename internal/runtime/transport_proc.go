@@ -88,11 +88,11 @@ func newProcTransport(e *engine, f *fabric) *procTransport {
 		eng:     e,
 		fab:     f,
 		workers: map[int]*procWorker{},
-		edges:   make([]*procEdge, len(e.edges)),
+		edges:   make([]*procEdge, len(e.sched.Edges)),
 		drained: make(chan struct{}, 1),
 	}
-	for i, edge := range e.edges {
-		t.edges[i] = &procEdge{src: edge.src, dst: edge.dst, ch: make(chan parcel, min(linkBuffer, edge.transfers))}
+	for i, edge := range e.sched.Edges {
+		t.edges[i] = &procEdge{src: edge.Src, dst: edge.Dst, ch: make(chan parcel, min(linkBuffer, edge.Transfers))}
 	}
 	return t
 }
@@ -132,8 +132,8 @@ func (t *procTransport) start() error {
 		return formatErr("proc transport: %w", err)
 	}
 
-	for _, edge := range t.eng.edges {
-		src, dst := edge.src, edge.dst
+	for _, edge := range t.eng.sched.Edges {
+		src, dst := edge.Src, edge.Dst
 		fds, err := socketpair()
 		if err != nil {
 			return fail(err)

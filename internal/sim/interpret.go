@@ -4,14 +4,23 @@
 //   - Interpret runs the program functionally with real tensor values on
 //     every device, giving ground truth to prove graph rewrites
 //     semantically equivalent.
-//   - Simulate runs the program through a discrete-event timing model of
-//     the chips and their interconnect, giving the step time and
-//     compute/communication breakdown the paper's evaluation reports.
+//   - Simulate prices the program on the machine model, giving the step
+//     time and compute/communication breakdown the paper's evaluation
+//     reports.
 //
-// Both executors process the computation's scheduled instruction list in
-// lockstep across devices, which is exactly how an SPMD program executes:
-// the same sequence everywhere, with per-device divergence coming only
-// from partition-dependent offsets and collective data movement.
+// Both process the computation's scheduled instruction list in lockstep
+// across devices, which is exactly how an SPMD program executes: the
+// same sequence everywhere, with per-device divergence coming only from
+// partition-dependent offsets and collective data movement.
+//
+// Time has one home here: the timing pass (timing.go). NewSchedule
+// lowers a verified program once into a flat timing schedule, and
+// Clocks.Time walks it over a cost table — the seconds each local op
+// took on each device — with the modeled wire at a scale and optional
+// delays, and returns the Breakdown and the spans. Simulate runs it over
+// the machine model's costs; the runtime (internal/runtime) runs it over
+// the costs its devices measured, after they join. So a simulated step
+// and an executed one are the same function of different costs.
 package sim
 
 import (

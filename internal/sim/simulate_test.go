@@ -159,55 +159,6 @@ func TestSimulateAllGatherBarrier(t *testing.T) {
 	}
 }
 
-func TestSimulateInFlightBudgetStalls(t *testing.T) {
-	spec := testSpec()
-	spec.MaxInFlight = 1
-	c := hlo.NewComputation("budget")
-	x := c.Parameter(0, "x", []int{1 << 20})
-	s1 := c.CollectivePermuteStart(x, shiftLeftPairs(2))
-	s2 := c.CollectivePermuteStart(x, shiftLeftPairs(2))
-	d1 := c.CollectivePermuteDone(s1)
-	d2 := c.CollectivePermuteDone(s2)
-	c.Add(d1, d2)
-	res, err := Simulate(c, 2, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	transfer := 4.0 * (1 << 20) / 1e9
-	// With budget 1 the second start stalls until the first transfer
-	// lands, so the two transfers serialize.
-	if res.StepTime < 2*transfer*(1-1e-9) {
-		t.Fatalf("StepTime = %v, want >= %v (serialized)", res.StepTime, 2*transfer)
-	}
-	if res.PeakInFlight != 1 {
-		t.Fatalf("PeakInFlight = %d, want 1", res.PeakInFlight)
-	}
-}
-
-func TestSimulateSamePairSerializes(t *testing.T) {
-	// Two back-to-back async transfers on the same source→target path
-	// must queue on the link even with budget available.
-	spec := testSpec()
-	c := hlo.NewComputation("linkq")
-	x := c.Parameter(0, "x", []int{1 << 20})
-	s1 := c.CollectivePermuteStart(x, shiftLeftPairs(2))
-	s2 := c.CollectivePermuteStart(x, shiftLeftPairs(2))
-	d1 := c.CollectivePermuteDone(s1)
-	d2 := c.CollectivePermuteDone(s2)
-	c.Add(d1, d2)
-	res, err := Simulate(c, 2, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	transfer := 4.0 * (1 << 20) / 1e9
-	if res.StepTime < 2*transfer*(1-1e-9) {
-		t.Fatalf("StepTime = %v, want >= %v", res.StepTime, 2*transfer)
-	}
-	if res.PeakInFlight != 2 {
-		t.Fatalf("PeakInFlight = %d, want 2", res.PeakInFlight)
-	}
-}
-
 func TestSimulateDoneBeforeStartErrors(t *testing.T) {
 	c := hlo.NewComputation("bad")
 	x := c.Parameter(0, "x", []int{4})

@@ -8,21 +8,21 @@ import (
 	"overlap/internal/train"
 )
 
-// wallClockConfig sizes the miniature model so the partial einsums take
+// stepConfig sizes the miniature model so the partial einsums take
 // measurable CPU time, and the scaled wire (TimeScale below) makes a
 // blocking collective expensive — the regime where overlap pays.
-func wallClockConfig(s train.Strategy) train.Config {
+func stepConfig(s train.Strategy) train.Config {
 	return train.Config{Devices: 4, Layers: 2, Model: 32, Hidden: 128, Tokens: 96, Strategy: s}
 }
 
-// wallClockTimeScale stretches the modeled microsecond-scale transfers
+// stepTimeScale stretches the modeled microsecond-scale transfers
 // into tens of milliseconds of replayed wire, far above the noise in the
 // measured compute.
-const wallClockTimeScale = 30000
+const stepTimeScale = 30000
 
 func stepSeconds(t testing.TB, s train.Strategy, pipeline *core.Options) float64 {
-	res, err := train.Run(context.Background(), wallClockConfig(s), train.Options{
-		Pipeline: pipeline, Steps: 1, Seed: 5, TimeScale: wallClockTimeScale,
+	res, err := train.Run(context.Background(), stepConfig(s), train.Options{
+		Pipeline: pipeline, Steps: 1, Seed: 5, TimeScale: stepTimeScale,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,11 +40,11 @@ func rolledMegatron() core.Options {
 	return o
 }
 
-// TestOverlappedTrainStepFasterWallClock is the training step's
+// TestOverlappedTrainStepFasterReplayedStep is the training step's
 // performance acceptance on the goroutine runtime at 4 devices, read on
 // the replayed step (measured compute per local op, scaled modeled
-// wire; no wall clock despite the name), minimum of two repeats per
-// cell to absorb noise in the measured compute:
+// wire), minimum of two repeats per cell to absorb noise in the
+// measured compute:
 //
 //   - DDP: the bucketed asynchronous gradient all-reduce must beat the
 //     sequential bwd→all-reduce baseline (blocking collectives after
@@ -55,9 +55,9 @@ func rolledMegatron() core.Options {
 //     is not the interesting baseline here: the runtime already grants
 //     it full ring bandwidth with no per-chunk latency, so decomposing
 //     it buys overlap, not wire time.
-func TestOverlappedTrainStepFasterWallClock(t *testing.T) {
+func TestOverlappedTrainStepFasterReplayedStep(t *testing.T) {
 	if testing.Short() {
-		t.Skip("wall-clock comparison with scaled wire delays")
+		t.Skip("replayed-step comparison over measured compute")
 	}
 	bucketed := overlapOptions()
 	bucketed.GradBucketBytes = 32 << 10
