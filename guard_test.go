@@ -102,7 +102,33 @@ var sourceGuards = []sourceGuard{
 		pattern: regexp.MustCompile(`(^|[^A-Za-z_.])lower\(`),
 		roots:   []string{"internal/runtime"},
 		except: func(_, line string) bool {
-			return strings.Contains(line, "func lower(") || strings.Contains(line, "t, err := lower(c, numDevices)")
+			return strings.Contains(line, "func lower(") || strings.Contains(line, "t, err := lower(c, s, numDevices)")
+		},
+	},
+	{
+		name: "one lowering: the runtime reads the schedule",
+		why: "sim.NewSchedule resolves a program's pairs, groups and trip counts once, at Compile, and the devices walk " +
+			"what it resolved: no runtime code reads them off an instruction again",
+		pattern: attrRead,
+		roots:   []string{"internal/runtime"},
+	},
+	{
+		name:    "one lowering: Compile lowers once",
+		why:     "the runtime's one schedule is Compile's: every run, the clock and the fabric read the Executable's",
+		pattern: regexp.MustCompile(`sim\.NewSchedule\(`),
+		roots:   []string{"internal/runtime"},
+		except: func(_, line string) bool {
+			return strings.Contains(line, "s := sim.NewSchedule(c, numDevices, spec)")
+		},
+	},
+	{
+		name: "one lowering: the timing pass reads the schedule",
+		why: "in sim only the lowering (timing.go, off the instruction it lowers) and the reference interpreter, the " +
+			"oracle kept independent on purpose, read an instruction's pairs, groups and trip count",
+		pattern: attrRead,
+		roots:   []string{"internal/sim"},
+		except: func(path, line string) bool {
+			return path == "internal/sim/interpret.go" || path == "internal/sim/timing.go" && loweredRead.MatchString(line)
 		},
 	},
 	{
@@ -212,6 +238,14 @@ var sourceGuards = []sourceGuard{
 // Breakdown built with fields (a zero one computes nothing), or a
 // Breakdown field written.
 var timeWrite = regexp.MustCompile(`(^|[^\]\w.])obs\.Span\{|\bBreakdown\{[^}]|\.(StepTime|Compute|CollectiveWire|Exposed|AsyncTransfers|PeakInFlight)\s*([-+*/]?=[^=]|\+\+|--)`)
+
+// attrRead matches a read of an instruction's pairs, groups or trip
+// count; loweredRead one off the instruction the schedule's lowering
+// names in.
+var (
+	attrRead    = regexp.MustCompile(`\.(Pairs|Groups|TripCount)\b`)
+	loweredRead = regexp.MustCompile(`(^|[^.\w])in\.(Pairs|Groups|TripCount)\b`)
+)
 
 // attrWrite matches a statement that writes an hlo.Attrs, by the names
 // of its fields: an assignment, increment or address taken through

@@ -13,9 +13,10 @@ import (
 // fit and its residual error — identity and -1 when there is nothing to
 // fit.
 //
-// The runtime realizes modeled wire seconds as sleeps scaled by ts, the
-// scale stage 2 ran at, but evaluates compute as real Go tensor math, so
-// the two domains drift apart by independent factors. (At a derived
+// A run's step comes from one timing pass over per-op costs: its wire
+// is the modeled seconds scaled by ts, the scale stage 2 ran at, but its
+// compute is what real Go tensor math measured, so the two domains
+// drift apart by independent factors. (At a derived
 // clock the compute factor is 1 on the input program by construction;
 // the candidates' compute still drifts from the model.) The fit
 // therefore estimates three parameters from the measured breakdowns:

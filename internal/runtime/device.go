@@ -5,13 +5,15 @@ import (
 	"time"
 
 	"overlap/internal/hlo"
+	"overlap/internal/sim"
 	"overlap/internal/tensor"
 )
 
-// device is one SPMD participant: a goroutine walking the tape against
-// its own slots. All of its fields are goroutine-local while running,
-// except the watchdog-facing status word; the engine reads everything
-// else only after the device has joined.
+// device is one SPMD participant: a goroutine walking the schedule's
+// ops, and the tape's plan of each, against its own slots. All of its
+// fields are goroutine-local while running, except the watchdog-facing
+// status word; the engine reads everything else only after the device
+// has joined.
 type device struct {
 	id  int
 	eng *engine
@@ -39,7 +41,7 @@ type device struct {
 
 	// count tracks per-op execution counts; it numbers asynchronous
 	// transfer instances and collective generations, which stay aligned
-	// across devices because SPMD executes the same tape everywhere.
+	// across devices because SPMD executes the same schedule everywhere.
 	count []int32
 
 	// iter is the induction variable of the enclosing loop (0 outside).
@@ -112,17 +114,17 @@ func (d *device) stat() (Phase, string, float64) {
 	if w == 0 {
 		return "", "", 0
 	}
-	op := &d.eng.tape.ops[w>>statTimeBits-1]
+	op := &d.eng.sched.Ops[w>>statTimeBits-1]
 	phase := PhaseCompute
-	switch op.kind {
-	case opCollective:
+	switch op.Kind {
+	case sim.OpCollective, sim.OpPermute:
 		phase = PhaseRendezvous
-	case opStart:
+	case sim.OpStart:
 		phase = PhasePost
-	case opDone:
+	case sim.OpDone:
 		phase = PhaseReceive
 	}
-	return phase, op.in.Name, float64(w&(1<<statTimeBits-1)) / 1e6
+	return phase, op.In.Name, float64(w&(1<<statTimeBits-1)) / 1e6
 }
 
 // poisonReleased makes release overwrite a buffer with NaN before it
@@ -188,29 +190,29 @@ func (d *device) set(slot int32, t *tensor.Tensor, owned bool) {
 	d.vals[slot], d.owned[slot] = t, owned
 }
 
-// run walks the tape. Any failure aborts the whole engine.
+// run walks the schedule. Any failure aborts the whole engine.
 func (d *device) run() {
 	d.walk()
 	d.status.Store(0)
 }
 
-// walk executes the tape. It returns early when the run aborted —
-// either this device failed or another one did.
+// walk executes the schedule's ops by their plans. It returns early
+// when the run aborted — either this device failed or another one did.
 func (d *device) walk() {
 	e := d.eng
-	ops := e.tape.ops
+	ops, plan := e.sched.Ops, e.tape.ops
 	for pc := 0; pc < len(ops); pc++ {
-		op := &ops[pc]
-		if op.kind == opLoopEnd {
-			pc = d.loopEnd(op, pc)
+		op, p := &ops[pc], &plan[pc]
+		if op.Kind == sim.OpLoopEnd {
+			pc = d.loopEnd(op, p, pc)
 			continue
 		}
 		if e.inj != nil {
 			if f, ok := e.inj.crash(d.id, d.seq); ok {
-				e.inj.record(f, op.in.Name)
+				e.inj.record(f, op.In.Name)
 				rtFaultCrashes.Inc()
 				e.fail(&RunError{
-					Device: d.id, Instr: op.in.Name, Phase: PhaseCompute,
+					Device: d.id, Instr: op.In.Name, Phase: PhaseCompute,
 					Elapsed: e.sinceDur(), Fault: f.String(), Err: ErrInjectedCrash,
 				})
 				return
@@ -218,17 +220,17 @@ func (d *device) walk() {
 		}
 		d.seq++
 		rtInstructions.Inc()
-		switch op.kind {
-		case opParam:
-			d.set(op.out, e.param(op.in.ParamIndex, d.id), false)
+		switch op.Kind {
+		case sim.OpParameter:
+			// A loop body's parameter is already in its carried slot.
+			if !p.carried {
+				d.set(p.out, e.param(op.In.ParamIndex, d.id), false)
+			}
 
-		case opCarried:
-			// A loop body's parameter: already in its carried slot.
+		case sim.OpConstant:
+			d.set(p.out, op.In.Literal, false)
 
-		case opConst:
-			d.set(op.out, op.in.Literal, false)
-
-		case opCollective:
+		case sim.OpCollective, sim.OpPermute:
 			d.setStat(pc, e.since())
 			gen := int(d.count[pc])
 			d.count[pc]++
@@ -236,41 +238,41 @@ func (d *device) walk() {
 			// own, and the device takes it back from its mailbox. On an
 			// abort it is abandoned, not recycled: the member computing
 			// the result may still be writing it.
-			out, alive := d.rendezvous(op, gen, d.vals[op.arg.slot], d.acquire(op.in.Shape))
+			out, alive := d.rendezvous(op, p, gen, d.vals[p.arg.slot], d.acquire(op.In.Shape))
 			if !alive {
 				return
 			}
 			// The group has computed its result, so nobody reads the
 			// input any more.
-			if op.arg.last {
-				d.free(op.arg.slot)
+			if p.arg.last {
+				d.free(p.arg.slot)
 			}
-			d.set(op.out, out, true)
+			d.set(p.out, out, true)
 
-		case opStart:
-			if !d.post(op, pc) {
+		case sim.OpStart:
+			if !d.post(op, p, pc) {
 				return
 			}
 
-		case opDone:
-			if !d.receive(op, pc) {
+		case sim.OpDone:
+			if !d.receive(op, p, pc) {
 				return
 			}
 
-		case opLoop:
-			d.loopEnter(op)
-			if op.loop.trips == 0 {
-				pc = int(op.loop.end)
-				d.loopExit(&ops[pc])
+		case sim.OpLoop:
+			d.loopEnter(p)
+			if op.Trips == 0 {
+				pc = int(op.Jump)
+				d.loopExit(&plan[pc])
 			}
 
-		case opLocal:
+		case sim.OpLocal:
 			t0 := time.Now()
 			d.setStat(pc, t0.Sub(e.epoch).Seconds())
-			for i := range op.steps {
-				if err := d.eval(&op.steps[i]); err != nil {
+			for i := range p.steps {
+				if err := d.eval(&p.steps[i]); err != nil {
 					e.fail(&RunError{
-						Device: d.id, Instr: op.in.Name, Phase: PhaseCompute,
+						Device: d.id, Instr: op.In.Name, Phase: PhaseCompute,
 						Elapsed: e.sinceDur(), Err: err,
 					})
 					return
@@ -279,11 +281,11 @@ func (d *device) walk() {
 			cost := time.Since(t0).Seconds()
 			rtComputeSpans.Observe(cost)
 			if costOf != nil {
-				cost = costOf(op.in)
+				cost = costOf(op.In)
 			}
 			d.cost = append(d.cost, cost)
 		}
-		for _, s := range op.drop {
+		for _, s := range p.drop {
 			d.free(s)
 		}
 	}
@@ -343,63 +345,65 @@ func (d *device) eval(st *step) error {
 // owns and is reading for the last time is handed over as is;
 // otherwise the link gets a private copy, so the schedule may recycle
 // or overwrite the operand the moment its own reads are done.
-func (d *device) post(op *tapeOp, pc int) bool {
+func (d *device) post(op *sim.Op, p *tapeOp, pc int) bool {
 	e := d.eng
-	src := d.vals[op.arg.slot]
-	if op.carries {
+	src := d.vals[p.arg.slot]
+	if p.carries {
 		// Something besides the done reads the start: it carries its
 		// operand, like the interpreter's (the plan never releases the
 		// operand, so the alias is safe).
-		d.set(op.out, src, false)
+		d.set(p.out, src, false)
 	}
 	inst := int(d.count[pc])
 	d.count[pc]++
-	target := op.peer[d.id]
-	if target < 0 {
-		if op.arg.last {
-			d.free(op.arg.slot)
+	cm := &e.sched.Comms[op.Comm]
+	link := cm.Link[d.id]
+	if link < 0 {
+		if p.arg.last {
+			d.free(p.arg.slot)
 		}
 		return true
 	}
 	d.setStat(pc, e.since())
 	data := src
-	if op.arg.last && d.owned[op.arg.slot] {
-		d.set(op.arg.slot, nil, false) // the link owns it now; still charged until a done settles it
+	if p.arg.last && d.owned[p.arg.slot] {
+		d.set(p.arg.slot, nil, false) // the link owns it now; still charged until a done settles it
 	} else {
-		data = d.acquire(op.in.Operands[0].Shape)
+		data = d.acquire(op.In.Operands[0].Shape)
 		tensor.CopyInto(data, src)
-		if op.arg.last {
-			d.free(op.arg.slot)
+		if p.arg.last {
+			d.free(p.arg.slot)
 		}
 	}
-	return e.fabric.post(d.id, int(target), mailKey{box: int(op.box), inst: inst}, data, op.bytes)
+	return e.fabric.post(int(link), mailKey{box: int(op.Comm), inst: inst}, data, cm.Bytes)
 }
 
 // receive executes a done: a pair target takes the delivery and adopts
 // its buffer as the slot's value — no copy; any other device
 // gets zeros, mirroring the permute kernel's zero fill.
-func (d *device) receive(op *tapeOp, pc int) bool {
+func (d *device) receive(op *sim.Op, p *tapeOp, pc int) bool {
 	inst := int(d.count[pc])
 	d.count[pc]++
+	cm := &d.eng.sched.Comms[op.Comm]
 	var out *tensor.Tensor
-	if op.peer[d.id] >= 0 {
+	if cm.From[d.id] >= 0 {
 		d.setStat(pc, d.eng.since())
 		if holdAtDone != nil {
 			holdAtDone(d.id)
 		}
-		t, alive := d.take(mailKey{box: int(op.box), inst: inst})
+		t, alive := d.take(mailKey{box: int(op.Comm), inst: inst})
 		if !alive {
 			return false
 		}
 		out = t
 		d.charge(out)
 	} else {
-		out = tensor.Zero(d.acquire(op.in.Shape), op.in.Shape...)
+		out = tensor.Zero(d.acquire(op.In.Shape), op.In.Shape...)
 	}
-	if op.sent[d.id] >= 0 {
-		d.arena -= op.bytes // the buffer this device posted has a new owner
+	if cm.Link[d.id] >= 0 {
+		d.arena -= cm.Bytes // the buffer this device posted has a new owner
 	}
-	d.set(op.out, out, true)
+	d.set(p.out, out, true)
 	return true
 }
 
@@ -414,8 +418,8 @@ func (d *device) take(key mailKey) (*tensor.Tensor, bool) {
 // read here for the last time moves in, ownership and all; any other is
 // lent: the body reads it, and its owner — a slot outside the loop,
 // idle until the loop is over — keeps it.
-func (d *device) loopEnter(op *tapeOp) {
-	lp := op.loop
+func (d *device) loopEnter(p *tapeOp) {
+	lp := p.loop
 	for i, a := range lp.init {
 		d.set(lp.carried[i], d.vals[a.slot], a.last && d.owned[a.slot])
 		if a.last {
@@ -429,8 +433,8 @@ func (d *device) loopEnter(op *tapeOp) {
 // values of the next iteration, whatever the old ones still hold is
 // released, and the walk resumes at the body's first op — or, after the
 // last iteration, past the loop. It returns the pc to continue from.
-func (d *device) loopEnd(op *tapeOp, pc int) int {
-	lp := op.loop
+func (d *device) loopEnd(op *sim.Op, p *tapeOp, pc int) int {
+	lp := p.loop
 	// Lift the next values out of their slots first: a carried slot may
 	// be both a source (passed through, or rotated) and a destination.
 	next, owned := d.args[:len(lp.next)], d.flags[:len(lp.next)]
@@ -457,18 +461,18 @@ func (d *device) loopEnd(op *tapeOp, pc int) int {
 		d.set(c, next[i], owned[i])
 	}
 	clear(next)
-	if d.iter+1 < lp.trips {
+	if d.iter+1 < int(op.Trips) {
 		d.iter++
-		return int(lp.begin) - 1
+		return int(op.Jump) - 1
 	}
-	d.loopExit(op)
+	d.loopExit(p)
 	return pc
 }
 
 // loopExit yields the loop's result and releases the other carried
 // values and the operands that were only lent.
-func (d *device) loopExit(op *tapeOp) {
-	lp := op.loop
+func (d *device) loopExit(p *tapeOp) {
+	lp := p.loop
 	res := lp.carried[lp.result]
 	v, owned := d.vals[res], d.owned[res]
 	d.set(res, nil, false)
@@ -478,11 +482,11 @@ func (d *device) loopExit(op *tapeOp) {
 		c := d.acquire(v.Shape())
 		v, owned = tensor.CopyInto(c, v), true
 	}
-	d.set(op.out, v, owned)
+	d.set(p.out, v, owned)
 	for _, c := range lp.carried {
 		d.free(c)
 	}
-	for _, s := range op.drop {
+	for _, s := range p.drop {
 		d.free(s)
 	}
 	d.iter = 0

@@ -125,7 +125,7 @@ func (t *resultTables) giveBack() {
 func newEngine(x *Executable, opts Options) (*engine, error) {
 	e := &engine{
 		Executable:  x,
-		gens:        layoutGens(x.tape),
+		gens:        layoutGens(x.sched),
 		abort:       make(chan struct{}),
 		placeholder: tensor.New(),
 		shelf:       &tableShelf{},

@@ -15,11 +15,12 @@ import (
 )
 
 // Executable is a computation compiled for an n-device ring: validated,
-// lowered to its tape and buffer plan, and to the timing schedule that
-// times its runs. Everything in it is a function of the program, the
-// ring size and the machine spec, computed once by Compile and never
-// written again, so one Executable serves any number of runs,
-// sequential or concurrent, each with its own arguments and Options.
+// lowered once into its schedule, which its devices walk and which times
+// its runs, and planned into its tape, the schedule's buffer plan.
+// Everything in it is a function of the program, the ring size and the
+// machine spec, computed once by Compile and never written again, so
+// one Executable serves any number of runs, sequential or concurrent,
+// each with its own arguments and Options.
 // The one thing it keeps besides is a stack of idle run contexts —
 // engines whose tables a clean run handed back — which each Run checks
 // one out of, so a warm run builds no tables.
@@ -27,7 +28,7 @@ import (
 // use: kernels read their instructions' attributes as they execute.
 // Compile records the computation's hlo generation, and a Run after the
 // computation changed fails with ErrModified instead of executing a
-// tape lowered from the program as it was.
+// schedule lowered from the program as it was.
 type Executable struct {
 	comp *hlo.Computation
 	gen  uint64
@@ -42,13 +43,14 @@ type Executable struct {
 	spec    machine.Spec
 	specErr error
 
-	// sched is the program's timing schedule, which times every run: it
-	// knows the directed links the starts' pairs use (its edges, the
-	// fabric's too), the local ops a device executes (the length of its
-	// cost row) and the most spans a traced run records (the size of its
-	// span slab). boxes maps a start instruction's name to its mailbox
-	// number, for transports that cross a process boundary, where
-	// instruction pointers cannot travel.
+	// sched is the program's one lowering: the ops every device walks
+	// and every run is timed by, its mailbox numbers, the directed links
+	// the starts' pairs use (the fabric's edges), the local ops a device
+	// executes (the length of its cost row) and the most spans a traced
+	// run records (the size of its span slab). boxes maps a start
+	// instruction's name to its mailbox number, for transports that
+	// cross a process boundary, where instruction pointers cannot
+	// travel.
 	sched *sim.Schedule
 	boxes map[string]int
 
@@ -61,7 +63,8 @@ type Executable struct {
 // Compile checks that the computation can execute on a numDevices ring
 // (hlo.VerifyRing: every blocking collective joinable by all of its
 // devices, every posted transfer with exactly one reader — what keeps a
-// device goroutine from waiting forever) and lowers it once. spec prices
+// device goroutine from waiting forever), lowers it once into its
+// schedule (sim.NewSchedule) and plans the schedule's buffers. spec prices
 // the wire time runs inject and the compute Clock compares against; a
 // caller that needs neither (TimeScale 0, no Clock) may pass the zero
 // Spec.
@@ -69,7 +72,8 @@ func Compile(c *hlo.Computation, numDevices int, spec machine.Spec) (*Executable
 	if err := c.VerifyRing(numDevices); err != nil {
 		return nil, err
 	}
-	t, err := lower(c, numDevices)
+	s := sim.NewSchedule(c, numDevices, spec)
+	t, err := lower(c, s, numDevices)
 	if err != nil {
 		return nil, err
 	}
@@ -80,20 +84,20 @@ func Compile(c *hlo.Computation, numDevices int, spec machine.Spec) (*Executable
 		tape:    t,
 		spec:    spec,
 		specErr: spec.Validate(),
-		sched:   sim.NewSchedule(c, numDevices, spec),
-		boxes:   make(map[string]int, len(t.boxes)),
+		sched:   s,
+		boxes:   make(map[string]int, len(s.Comms)),
 	}
-	for box, at := range t.boxes {
-		if op := &t.ops[at]; op.kind == opStart {
-			x.boxes[op.in.Name] = box
+	for box, cm := range s.Comms {
+		if op := &s.Ops[cm.At]; op.Kind == sim.OpStart {
+			x.boxes[op.In.Name] = box
 		}
 	}
 	return x, nil
 }
 
 // ErrModified is what Run fails with when the Executable's computation
-// was transformed after Compile: its tape describes a program that no
-// longer exists.
+// was transformed after Compile: its schedule describes a program that
+// no longer exists.
 var ErrModified = errors.New("computation modified since Compile")
 
 // Run executes the compiled program once: args follows sim.Interpret's
@@ -147,8 +151,9 @@ const clockRuns = 2
 
 // Clock derives the wire scale at which runs of x hold the machine
 // model's compute:wire ratio on this host. It runs x with no wire and
-// divides the lowest measured Breakdown.Compute by sim.Simulate's
-// modeled Compute on the spec x was compiled with; wire injected at that
+// divides the lowest measured Breakdown.Compute by the modeled compute
+// — sim.Simulate's, from the timing pass over the schedule x already
+// holds, priced on the spec x was compiled with; wire injected at that
 // TimeScale stands to measured compute as the model's wire stands to its
 // compute. The ratio depends on the program (a small CPU einsum is
 // memory-bound where the model's is not), so a caller measures it on the
@@ -159,10 +164,7 @@ func (x *Executable) Clock(ctx context.Context, args [][]*tensor.Tensor) (float6
 	if x.specErr != nil {
 		return 0, x.specErr
 	}
-	modeled, err := sim.Simulate(x.comp, x.n, x.spec)
-	if err != nil {
-		return 0, err
-	}
+	modeled := x.modeledCompute()
 	measured := math.Inf(1)
 	for i := 0; i < clockRuns; i++ {
 		res, err := x.Run(ctx, args, Options{})
@@ -172,10 +174,18 @@ func (x *Executable) Clock(ctx context.Context, args [][]*tensor.Tensor) (float6
 		measured = min(measured, res.Breakdown.Compute)
 		res.Release()
 	}
-	if measured == 0 || modeled.Compute == 0 {
+	if measured == 0 || modeled == 0 {
 		return 1, nil
 	}
-	return measured / modeled.Compute, nil
+	return measured / modeled, nil
+}
+
+// modeledCompute is the machine model's compute for one run of x: the
+// timing pass over its schedule's row of model costs, what sim.Simulate
+// reads.
+func (x *Executable) modeledCompute() float64 {
+	b, _ := x.sched.Model(nil)
+	return b.Compute
 }
 
 // CheckInterpreter is the bitwise contract as a call: it executes c on

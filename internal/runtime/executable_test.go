@@ -244,6 +244,31 @@ func TestClockPutsARunOnTheModelRatio(t *testing.T) {
 	}
 }
 
+// TestClockModelsFromTheHeldSchedule: the modeled compute Clock divides
+// by comes from the schedule the Executable already holds, with no
+// second verification or lowering, and is sim.Simulate's Compute
+// exactly, on every corpus program.
+func TestClockModelsFromTheHeldSchedule(t *testing.T) {
+	spec := machine.TPUv4()
+	progs, err := corpus.Programs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range progs {
+		x, err := runtime.Compile(p.Comp, p.Devices, spec)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		want, err := sim.Simulate(p.Comp, p.Devices, spec)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		if got := x.ModeledCompute(); got != want.Compute {
+			t.Errorf("%s: Clock models %v s of compute, sim.Simulate %v s", p.Name, got, want.Compute)
+		}
+	}
+}
+
 // TestExecutableSurvivesAbortedRuns: an aborted run's state — parcels
 // still on links, half-filled mailboxes, a rendezvous generation that
 // never completed — belongs to its engine and dies with it. After a

@@ -38,23 +38,23 @@ func HoldBack(dev int, hold time.Duration) (restore func()) {
 // op, blocking collective and done it executes, one transfer span per
 // transfer it posts, and one stall span per send past its first
 // MaxInFlight, the most MaxInFlight holds it can meet. It is derived
-// here, from the tape, not read back from the Executable's timing
-// schedule.
+// here, by walking the schedule's ops, not read back from the count the
+// schedule keeps.
 func (x *Executable) TraceLayout() int {
 	window := min(x.n, obs.TraceMaxDevices)
 	spans, trips := 0, 1
 	sends := make([]int, window)
-	for i := range x.tape.ops {
-		switch op := &x.tape.ops[i]; op.kind {
-		case opLoop:
-			trips = op.loop.trips
-		case opLoopEnd:
+	for _, op := range x.sched.Ops {
+		switch op.Kind {
+		case sim.OpLoop:
+			trips = int(op.Trips)
+		case sim.OpLoopEnd:
 			trips = 1
-		case opLocal, opCollective, opDone:
+		case sim.OpLocal, sim.OpCollective, sim.OpPermute, sim.OpDone:
 			spans += window * trips
-		case opStart:
-			for d, tgt := range op.peer[:window] {
-				if tgt >= 0 {
+		case sim.OpStart:
+			for d, link := range x.sched.Comms[op.Comm].Link[:window] {
+				if link >= 0 {
 					sends[d] += trips
 				}
 			}
@@ -89,6 +89,10 @@ func ModelCosts(spec machine.Spec) (restore func()) {
 	costOf = spec.InstructionCost
 	return func() { costOf = nil }
 }
+
+// ModeledCompute is the machine model's compute for one run of x, the
+// figure Clock divides the measured compute by.
+func (x *Executable) ModeledCompute() float64 { return x.modeledCompute() }
 
 // IdleRunContexts reports how many run contexts the Executable holds
 // for later runs.

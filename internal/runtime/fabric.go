@@ -3,6 +3,7 @@ package runtime
 import (
 	"sync"
 
+	"overlap/internal/sim"
 	"overlap/internal/tensor"
 )
 
@@ -50,10 +51,10 @@ type mailboxes struct {
 }
 
 // fabric is a run context's transfer addressing: every device's
-// mailboxes and the at-most-once bookkeeping, over the edge and mailbox
-// tables the Executable derived from the program. It moves data and
-// decides drops and duplicates; it keeps no time, because the replay
-// computes every wire from the tape. In process it is the whole data
+// mailboxes and the at-most-once bookkeeping, over the edges and
+// mailbox numbers of the program's schedule. It moves data and decides
+// drops and duplicates; it keeps no time, because the replay computes
+// every wire from the schedule. In process it is the whole data
 // plane: the posting device delivers a parcel at once, and no goroutine
 // stands between it and the device that takes it. A run on the process
 // transport binds tr, whose workers move the parcel across real sockets
@@ -65,11 +66,11 @@ type fabric struct {
 }
 
 // newFabric lays out one mailbox per (device, mailbox number) of the
-// tape. A process transport is bound per run (bind), and its data plane
+// schedule. A process transport is bound per run (bind), and its data plane
 // started by engine.run before launching devices, so a spawn failure
 // surfaces as a run error instead of a hang.
 func newFabric(e *engine) *fabric {
-	boxes := len(e.tape.boxes)
+	boxes := len(e.sched.Comms)
 	f := &fabric{eng: e, mail: make([]mailboxes, e.n)}
 	// One cell per mailbox up front: in a healthy run at most one
 	// instance of an op is waiting at a device, so queues never grow.
@@ -169,7 +170,7 @@ func (f *fabric) deliver(dst int, key mailKey, data *tensor.Tensor, fault string
 	if i < 0 || (i < len(q) && q[i] != nil) {
 		m.mu.Unlock()
 		f.eng.fail(&RunError{
-			Device: dst, Instr: f.op(key.box).in.Name, Phase: PhaseReceive,
+			Device: dst, Instr: f.op(key.box).In.Name, Phase: PhaseReceive,
 			Elapsed: f.eng.sinceDur(), Fault: fault, Err: ErrDuplicateDelivery,
 		})
 		return
@@ -206,30 +207,19 @@ func (f *fabric) deliverNamed(dst int, name string, inst int, data *tensor.Tenso
 	f.deliver(dst, mailKey{box: box, inst: inst}, data, fault)
 }
 
-// op is the tape op behind mailbox number box: its instruction names a
-// transfer or a collective result in errors, spans and frames.
-func (f *fabric) op(box int) *tapeOp {
-	t := f.eng.tape
-	return &t.ops[t.boxes[box]]
+// op is the schedule op behind mailbox number box: its instruction
+// names a transfer or a collective result in errors, spans and frames.
+func (f *fabric) op(box int) *sim.Op {
+	s := f.eng.sched
+	return &s.Ops[s.Comms[box].At]
 }
 
-// post puts a transfer on its link: in process it delivers at once
-// (carry), on the process transport it hands the parcel to the edge's
-// queue. It reports false if the run
-// aborted while the process transport could not take it, or if no link
-// exists for the edge — a peer table that names an edge the Executable
-// never laid out — which fails the run with an error naming the edge
-// instead of blocking forever.
-func (f *fabric) post(src, dst int, key mailKey, data *tensor.Tensor, bytes int64) bool {
-	link, ok := f.eng.sched.Link(src, dst)
-	if !ok {
-		f.eng.fail(&RunError{
-			Device: src, Instr: f.op(key.box).in.Name, Phase: PhasePost,
-			Elapsed: f.eng.sinceDur(),
-			Err:     formatErr("%w %d->%d (permute pair absent at fabric build time)", ErrMissingLink, src, dst),
-		})
-		return false
-	}
+// post puts a transfer on the link at position link, which the schedule
+// resolved for its sender: in process it delivers at once (carry), on
+// the process transport it hands the parcel to the edge's queue. It
+// reports false if the run aborted while the process transport could
+// not take it.
+func (f *fabric) post(link int, key mailKey, data *tensor.Tensor, bytes int64) bool {
 	p := parcel{key: key, data: data}
 	if f.tr == nil {
 		f.carry(link, p)
@@ -244,7 +234,7 @@ func (f *fabric) post(src, dst int, key mailKey, data *tensor.Tensor, bytes int6
 // carry takes a parcel onto its link in process and delivers it at once
 // — twice for an injected duplicate, never for a drop.
 func (f *fabric) carry(link int, p parcel) {
-	drop, dup := f.faults(link, f.op(p.key.box).in.Name)
+	drop, dup := f.faults(link, f.op(p.key.box).In.Name)
 	if drop {
 		return // lost on the wire: never delivered
 	}

@@ -2,11 +2,10 @@ package runtime
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -14,6 +13,7 @@ import (
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
 	"overlap/internal/obs"
+	"overlap/internal/sim"
 	"overlap/internal/tensor"
 )
 
@@ -32,100 +32,65 @@ func mustEngine(t *testing.T, c *hlo.Computation, n int) *engine {
 	return e
 }
 
-// TestPostMissingLinkFailsFast pins the fabric's defense against edges
-// the Executable never laid out: posting on a (src,dst) pair with no
-// link must fail the run with a structured error naming the edge, not
-// index a link that is not there or block until some other failure
-// aborts the run.
-func TestPostMissingLinkFailsFast(t *testing.T) {
-	c := hlo.NewComputation("missing-link")
+// TestEditAfterCompileReachesNeitherDataNorTiming pins the one
+// lowering: an Executable runs and times the program as Compile lowered
+// it into its schedule. A start's pair edited after Compile — 0→1 made
+// 0→3, on a private copy of the instruction's attributes — reaches
+// neither the data path (device 1 still receives the transfer, and
+// every device's result is the unedited run's) nor the timing: a traced
+// run at TimeScale 1 under the model's costs reads the unedited run's
+// Breakdown and every one of its spans.
+func TestEditAfterCompileReachesNeitherDataNorTiming(t *testing.T) {
+	c := hlo.NewComputation("edited-pair")
 	a := c.Parameter(0, "a", []int{2, 2})
 	start := c.CollectivePermuteStart(a, []hlo.SourceTargetPair{{Source: 0, Target: 1}})
 	c.CollectivePermuteDone(start)
-
-	e := mustEngine(t, c, 4)
-	if err := e.fabric.start(); err != nil {
-		t.Fatal(err)
-	}
-	defer e.fabric.shutdown()
-
-	done := make(chan bool, 1)
-	go func() {
-		// Edge 0->3 was never built: only 0->1 appears in the program.
-		done <- e.fabric.post(0, 3, mailKey{}, tensor.New(2, 2), 16)
-	}()
-	select {
-	case ok := <-done:
-		if ok {
-			t.Fatal("post on a missing link reported success")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("post on a missing link blocked instead of failing fast")
-	}
-
-	var re *RunError
-	if !errors.As(e.err, &re) {
-		t.Fatalf("engine error %v is not a *RunError", e.err)
-	}
-	if !errors.Is(re, ErrMissingLink) {
-		t.Fatalf("error %v does not unwrap to ErrMissingLink", re)
-	}
-	if re.Device != 0 || re.Phase != PhasePost {
-		t.Fatalf("error attributes device %d phase %s, want device 0 phase post", re.Device, re.Phase)
-	}
-	for _, frag := range []string{"0->3", start.Name} {
-		if !strings.Contains(re.Error(), frag) {
-			t.Fatalf("error %q does not name %q", re.Error(), frag)
-		}
-	}
-}
-
-// TestRunOnUnbuiltEdgeFailsWithMissingLink drives the same defense
-// through a whole run. An Executable snapshots the program's pairs into
-// its tape and its edge table together, so the two cannot disagree; if
-// they ever did — the peer column naming a target the edge table never
-// saw, which is what a pair edited after Compile would look like had it
-// reached the tape — the posting device must fail the run with
-// ErrMissingLink while its peers are released, not leave them waiting
-// on a transfer nobody carries.
-func TestRunOnUnbuiltEdgeFailsWithMissingLink(t *testing.T) {
-	c := hlo.NewComputation("unbuilt-edge")
-	a := c.Parameter(0, "a", []int{2, 2})
-	start := c.CollectivePermuteStart(a, []hlo.SourceTargetPair{{Source: 0, Target: 1}})
-	c.CollectivePermuteDone(start)
-	x, err := Compile(c, 4, machine.Spec{})
+	spec := machine.TPUv4()
+	x, err := Compile(c, 4, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ModelCosts(spec)()
 	args := [][]*tensor.Tensor{{tensor.Rand(rand.New(rand.NewSource(5)), 2, 2)}}
-	if _, err := x.Run(context.Background(), args, Options{}); err != nil {
-		t.Fatalf("untampered run: %v", err)
+	type run struct {
+		values []*tensor.Tensor
+		b      sim.Breakdown
+		spans  []obs.Span
+	}
+	execute := func(what string) run {
+		res, err := x.Run(context.Background(), args, Options{TimeScale: 1, Trace: true})
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		defer res.Release()
+		r := run{b: res.Breakdown, spans: slices.Clone(res.Trace)}
+		for _, v := range res.Values {
+			r.values = append(r.values, v.Clone())
+		}
+		return r
+	}
+	want := execute("unedited run")
+	if len(want.spans) != 2 || want.spans[1].Device != 1 || want.spans[1].Cat != obs.CatStall {
+		t.Fatalf("the unedited run's spans %+v: want device 0's transfer and device 1's stall", want.spans)
 	}
 
-	// Editing the instruction after Compile does not reach the run: the
-	// tape holds its own copy of the pairs. (The edit goes to a private
-	// copy of the attributes, which the done shares until then.)
+	// The edit goes to a private copy of the attributes, which the done
+	// shares until then.
 	hlo.EditAttrs(start, func(a *hlo.Attrs) { a.Pairs[0].Target = 3 })
-	if _, err := x.Run(context.Background(), args, Options{}); err != nil {
-		t.Fatalf("run after the instruction's pairs were edited: %v", err)
+	got := execute("run after the instruction's pairs were edited")
+	if !got.values[1].Equal(args[0][0]) {
+		t.Error("device 1 no longer receives device 0's transfer")
 	}
-
-	// Reaching into the tape does: device 0 now posts on 0->3, and the
-	// done on device 1 would wait for ever.
-	for i := range x.tape.ops {
-		if op := &x.tape.ops[i]; op.kind == opStart {
-			op.peer[0] = 3
+	for d := range want.values {
+		if !got.values[d].Equal(want.values[d]) {
+			t.Errorf("device %d's result moved with the edit", d)
 		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_, err = x.Run(ctx, args, Options{})
-	var re *RunError
-	if !errors.As(err, &re) || !errors.Is(err, ErrMissingLink) {
-		t.Fatalf("run on an unbuilt edge: %v, want a *RunError wrapping ErrMissingLink", err)
+	if got.b != want.b {
+		t.Errorf("the edit moved the breakdown: %+v, unedited %+v", got.b, want.b)
 	}
-	if re.Device != 0 || re.Phase != PhasePost || !strings.Contains(re.Error(), "0->3") {
-		t.Fatalf("error %v does not attribute the post on 0->3 to device 0", re)
+	if !slices.Equal(got.spans, want.spans) {
+		t.Errorf("the edit moved the spans: %+v, unedited %+v", got.spans, want.spans)
 	}
 }
 
@@ -208,7 +173,7 @@ func oneLink(t *testing.T, wire time.Duration) (*Executable, float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return x, wire.Seconds() / x.spec.TransferTime(x.tape.ops[x.tape.boxes[0]].bytes, 1)
+	return x, wire.Seconds() / x.spec.TransferTime(x.sched.Comms[0].Bytes, 1)
 }
 
 // TestDelayLengthensItsWire: an injected delay is wire in the replay,
@@ -233,7 +198,7 @@ func TestDelayLengthensItsWire(t *testing.T) {
 		if err := CheckInterpreter(x.comp, x.n, args, res); err != nil {
 			t.Fatalf("%s: %v", tr, err)
 		}
-		want := x.spec.TransferTime(x.tape.ops[x.tape.boxes[0]].bytes, 1)*scale + delay.Seconds()
+		want := x.spec.TransferTime(x.sched.Comms[0].Bytes, 1)*scale + delay.Seconds()
 		var spans []string
 		for _, sp := range res.Trace {
 			ok := sp.Start == 0 && sp.Dur == want
@@ -270,12 +235,12 @@ func TestBreakdownWireCountsDelays(t *testing.T) {
 		t.Fatal(err)
 	}
 	var permute, collective float64 // modeled seconds
-	for _, op := range x.tape.ops {
-		switch op.kind {
-		case opStart:
-			permute = x.spec.TransferTime(op.bytes, 1)
-		case opCollective:
-			collective += x.spec.CollectiveTime(op.in)
+	for _, op := range x.sched.Ops {
+		switch op.Kind {
+		case sim.OpStart:
+			permute = x.spec.TransferTime(x.sched.Comms[op.Comm].Bytes, 1)
+		case sim.OpCollective:
+			collective += x.spec.CollectiveTime(op.In)
 		}
 	}
 	scale := (2 * time.Millisecond).Seconds() / permute

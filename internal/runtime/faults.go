@@ -101,7 +101,6 @@ func (e *RunError) MarshalJSON() ([]byte, error) {
 var (
 	ErrInjectedCrash     = errors.New("injected device crash")
 	ErrDuplicateDelivery = errors.New("duplicate transfer delivery")
-	ErrMissingLink       = errors.New("no fabric link for edge")
 	// ErrWorkerExit marks a process-transport worker that died (or whose
 	// socket broke) while the run was still live.
 	ErrWorkerExit = errors.New("transport worker exited for device")

@@ -28,19 +28,38 @@ type genState struct {
 	arrived      atomic.Int32
 }
 
-// layoutGens lays out a run context's generation states from the tape,
-// by mailbox number like its mailboxes: for a blocking collective two
-// per group, at 2*group + parity; nothing for a start.
-func layoutGens(t *tape) [][]genState {
-	gens := make([][]genState, len(t.boxes))
-	for b, at := range t.boxes {
-		op := &t.ops[at]
-		if op.kind != opCollective {
+// groupPlan resolves where each device meets a blocking collective:
+// group[d] is the index in the schedule's Members of the group device d
+// joins, pos[d] its position in it.
+type groupPlan struct {
+	group, pos []int32
+}
+
+// newGroupPlan lays out the positions of cm's members on an n-device
+// ring. hlo.VerifyRing has every device join exactly one group.
+func newGroupPlan(cm *sim.Comm, n int) *groupPlan {
+	col := make([]int32, 2*n)
+	gp := &groupPlan{group: col[:n:n], pos: col[n:]}
+	for g, devs := range cm.Members {
+		for i, d := range devs {
+			gp.group[d], gp.pos[d] = int32(g), int32(i)
+		}
+	}
+	return gp
+}
+
+// layoutGens lays out a run context's generation states from the
+// schedule, by mailbox number like its mailboxes: for a blocking
+// collective two per group, at 2*group + parity; nothing for a start.
+func layoutGens(s *sim.Schedule) [][]genState {
+	gens := make([][]genState, len(s.Comms))
+	for b, cm := range s.Comms {
+		if cm.Members == nil {
 			continue
 		}
-		gens[b] = make([]genState, 2*len(op.groups.devs))
+		gens[b] = make([]genState, 2*len(cm.Members))
 		for i := range gens[b] {
-			members := len(op.groups.devs[i/2])
+			members := len(cm.Members[i/2])
 			table := make([]*tensor.Tensor, 2*members)
 			gs := &gens[b][i]
 			gs.inputs, gs.dsts = table[:members:members], table[members:]
@@ -55,15 +74,15 @@ func layoutGens(t *tape) [][]genState {
 // delivers every member's buffer. Inputs are read, and destinations
 // written, only between the last arrival and the delivery. It returns
 // false when the run aborted while waiting.
-func (d *device) rendezvous(op *tapeOp, gen int, input, dst *tensor.Tensor) (*tensor.Tensor, bool) {
+func (d *device) rendezvous(op *sim.Op, p *tapeOp, gen int, input, dst *tensor.Tensor) (*tensor.Tensor, bool) {
 	e := d.eng
-	group, pos := op.groups.group[d.id], op.groups.pos[d.id]
-	devs := op.groups.devs[group]
-	key := mailKey{box: int(op.box), inst: gen}
-	gs := &e.gens[op.box][2*int(group)+gen&1]
+	group, pos := p.groups.group[d.id], p.groups.pos[d.id]
+	devs := e.sched.Comms[op.Comm].Members[group]
+	key := mailKey{box: int(op.Comm), inst: gen}
+	gs := &e.gens[op.Comm][2*int(group)+gen&1]
 	gs.inputs[pos], gs.dsts[pos] = input, dst
 	if int(gs.arrived.Add(1)) == len(devs) {
-		sim.CollectiveInto(op.in, gs.dsts, gs.inputs)
+		sim.CollectiveInto(op.In, gs.dsts, gs.inputs)
 		for i, m := range devs {
 			e.fabric.deliver(m, key, gs.dsts[i], "")
 		}

@@ -1,26 +1,30 @@
 // Package runtime executes SPMD computations concurrently: each logical
-// device is a goroutine walking the program's tape (tape.go) over its
-// own slots and arena buffers, a ring link is the destination device's
-// mailbox, and the asynchronous CollectivePermuteStart/Done pair maps
-// onto a genuinely non-blocking post + a take that waits only for the
-// data. Where internal/sim *models* the overlap of communication with
-// dependent computation, this package *performs* it: the schedule
-// produced by internal/core decides how much of the in-flight
-// transfers' wire hides behind partial einsums.
+// device is a goroutine walking the program's schedule (sim.Schedule)
+// and its buffer plan, the tape (tape.go), over its own slots and arena
+// buffers, a ring link is the destination device's mailbox, and the
+// asynchronous CollectivePermuteStart/Done pair maps onto a genuinely
+// non-blocking post + a take that waits only for the data. Where
+// internal/sim *models* the overlap of communication with dependent
+// computation, this package *performs* it: the schedule produced by
+// internal/core decides how much of the in-flight transfers' wire hides
+// behind partial einsums.
 //
-// Execution has two halves. Compile is the program's: validation,
-// lowering to the tape and its buffer plan and to the timing schedule
-// (which also gives the fabric its edges), the mailbox tables — paid
-// once, held in an Executable by whoever holds the plan (serve's plan
-// cache, a training Program, the tuner's measured candidates). (*Executable).Run is the
+// Execution has two halves. Compile is the program's: validation, the
+// one lowering into the schedule (sim.NewSchedule: the ops in program
+// order, loops inlined, mailbox numbers, each permute's per-device peer
+// and link, the fabric's edges), the tape that plans the schedule's
+// buffers op for op, the mailbox tables — paid once, held in an
+// Executable by whoever holds the plan (serve's plan cache, a training
+// Program, the tuner's measured candidates). (*Executable).Run is the
 // run's: argument and fault-plan checks, then a run context checked out
 // of the Executable — engine, mailboxes, slot tables, collective
 // generation states, the cost table and the replay's state — and, for a
-// traced run, a span slab from the span free list. A clean run hands its context back, cleared, for the next run;
-// a failed or aborted run drops it, so whatever the abort left half
-// done dies with it. A released Result hands its tables — the All map
-// and its slices — back to the context that filled them. Run and
-// RunContext are the one-shot form, Compile then Run.
+// traced run, a span slab from the span free list. A clean run hands
+// its context back, cleared, for the next run; a failed or aborted run
+// drops it, so whatever the abort left half done dies with it. A
+// released Result hands its tables — the All map and its slices — back
+// to the context that filled them. Run and RunContext are the one-shot
+// form, Compile then Run.
 //
 // Correctness is anchored to the lockstep interpreter: local
 // instructions evaluate through the shared sim.EvalLocalInto dispatch
@@ -39,12 +43,11 @@
 // else it does — the tape walk, copies, hand-offs between goroutines,
 // waits for data — is in it. Once every device has joined, the run is
 // timed by internal/sim's timing pass, the one sim.Simulate prices the
-// program with: Compile lowers the program into its timing schedule
-// (sim.NewSchedule) beside the tape, and the pass walks that schedule
-// in lockstep over the cost table, on one goroutine, and computes every
-// device's clock, the Breakdown and every span. The tape's local ops
-// are the schedule's (sim.Local), so the k-th cost a device records is
-// the cost of the schedule's k-th local op. Because Go cannot put a
+// program with: the pass walks the schedule the devices walked, in
+// lockstep over the cost table, on one goroutine, and computes every
+// device's clock, the Breakdown and every span. Devices and pass read
+// the same ops by position, so the k-th cost a device records is the
+// cost of the schedule's k-th local op. Because Go cannot put a
 // tensor on a real ICI link, the wire is modeled: a transfer holds its
 // (src,dst) link for the machine model's TransferTime scaled by
 // Options.TimeScale, plus any delay fault, from its sender's clock or

@@ -5,32 +5,32 @@ import (
 	"overlap/internal/sim"
 )
 
-// The tape is the scheduled program lowered once per Executable into
-// the form the device loop walks: one op per scheduled instruction, in
-// order, with loop bodies inlined between a loop op and its back-edge
-// and fusion bodies flattened into kernel steps. Every value is a dense
-// slot index; operand slots, per-device permute peers, transfer sizes
-// and mailbox numbers are resolved here, so executing an op looks
-// nothing up. The tape is SPMD — shared by all devices, which differ
-// only in the per-device columns of peer tables and in what their slots
-// hold.
+// The tape is the buffer plan of the program's one lowering. Compile
+// lowers a verified program once, into its schedule (sim.NewSchedule):
+// one op per instruction in program order, loop bodies inlined between
+// a loop op and its back-edge, with every mailbox number, loop jump and
+// trip count, and each permute's per-device peer and link, resolved.
+// The devices walk the schedule's ops by position, and the timing pass
+// walks the same ops over the costs they record, so the k-th cost a
+// device records is the cost of the schedule's k-th local op. The tape
+// adds, op for op, only what a device needs to move buffers: slots,
+// kernel steps (fusion bodies flattened), last reads, drops and
+// loop-carried values. Every value is a dense slot index, so executing
+// an op looks nothing up. Like the schedule it is SPMD — shared by all
+// devices, which differ only in what their slots hold.
 //
-// The tape is program state: a function of the computation and the
-// ring size, immutable once Compile returns and walked by any number of
+// The tape is program state: a function of the computation and its
+// schedule, immutable once Compile returns and walked by any number of
 // runs at once. Everything a run changes lives with the run — each
 // device's slot table, owned bits, execution counts, arena accounting
 // and cost row, the mailboxes, the timing pass's state — and the run's
 // own options (TimeScale, Transport, Trace, Faults) never reach the
-// tape. Time is not the tape's: the program's timing schedule
-// (sim.Schedule) holds the modeled wire, and the timing pass scales it
-// under the run's TimeScale. A local op is what sim.Local says, so the
-// k-th cost a device records is the cost of the schedule's k-th local
-// op.
+// tape.
 //
-// The buffer plan rides on the same ops. One liveness pass per
-// computation (hlo.Computation.LastUses, the pass hlo.PeakMemory sweeps)
-// marks the read at which each slot's value dies. What happens there
-// depends on who owns the buffer, which the device tracks per slot:
+// The plan itself: one liveness pass per computation
+// (hlo.Computation.LastUses, the pass hlo.PeakMemory sweeps) marks the
+// read at which each slot's value dies. What happens there depends on
+// who owns the buffer, which the device tracks per slot:
 //
 //   - An owned buffer came from the exact-size free lists — a kernel
 //     result, a blocking collective's result (each member brings its
@@ -54,14 +54,9 @@ import (
 // Ownership is a property of the value, liveness of the schedule; the
 // plan is the second, the device's owned bits the first.
 type tape struct {
+	// ops[i] is the plan of the schedule's op i.
 	ops    []tapeOp
 	nslots int
-
-	// boxes lists the op index of every op whose result a device
-	// receives through its mailbox — each CollectivePermuteStart (its
-	// done takes the transfer) and each blocking collective; an op's
-	// position here is its mailbox number on every device.
-	boxes []int32
 
 	// outputs are the instructions Result.All reports, with their
 	// slots.
@@ -76,20 +71,6 @@ type output struct {
 	in   *hlo.Instruction
 	slot int32
 }
-
-type opKind uint8
-
-const (
-	opParam      opKind = iota // run argument
-	opCarried                  // loop-body parameter: the carried slot itself
-	opConst                    // literal
-	opLocal                    // device-local kernel steps
-	opCollective               // blocking collective: rendezvous
-	opStart                    // asynchronous permute: post
-	opDone                     // asynchronous permute: receive
-	opLoop                     // loop entry: bind the carried values
-	opLoopEnd                  // loop back-edge; not an instruction of its own
-)
 
 // arg is one read of a slot.
 type arg struct {
@@ -112,20 +93,19 @@ type step struct {
 	take []int8
 }
 
+// tapeOp is the buffer plan of one schedule op.
 type tapeOp struct {
-	kind opKind
-	in   *hlo.Instruction
-	out  int32
+	out int32
 
-	// carries marks a start something besides its done reads: its slot
-	// then aliases the operand, like the interpreter's.
-	carries bool
+	// carried marks a loop body's parameter: its slot is the carried
+	// value's own. carries marks a start something besides its done
+	// reads: its slot then aliases the operand, like the interpreter's.
+	carried, carries bool
 
 	// arg is the operand of a collective or a start.
 	arg arg
 
-	// groups is a blocking collective's rendezvous membership; box is
-	// its mailbox number.
+	// groups is a blocking collective's rendezvous positions.
 	groups *groupPlan
 
 	steps []step
@@ -135,34 +115,12 @@ type tapeOp struct {
 	// ignores.
 	drop []int32
 
-	// Starts, dones and blocking permutes. peer[d] is the device d sends
-	// to (start) or receives from (done, blocking permute), -1 when d is
-	// not in the pairs; box is the start's mailbox number, bytes the
-	// payload size in the IR's 4-byte convention. On a done, sent is the
-	// matching start's peer column: d posted a buffer iff sent[d] >= 0.
-	peer  []int32
-	sent  []int32
-	box   int32
-	bytes int64
-
 	loop *loopPlan
-}
-
-// groupPlan resolves who a device meets at a blocking collective:
-// group[d] is the rendezvous group device d joins, pos[d] its position
-// in it, devs[g] group g's devices by position. A CollectivePermute
-// synchronizes every device: one group, each device at its own id.
-type groupPlan struct {
-	group, pos []int32
-	devs       [][]int
 }
 
 // loopPlan is shared by a loop's entry and back-edge ops.
 type loopPlan struct {
-	trips  int
-	begin  int32 // first body op
-	end    int32 // the opLoopEnd
-	result int   // carried index the loop yields
+	result int // carried index the loop yields
 
 	// init reads the loop's operands; a last read that is the operand's
 	// only appearance moves the value in, any other operand is lent to
@@ -174,20 +132,22 @@ type loopPlan struct {
 	next    []int32
 }
 
-// lowering builds a tape.
+// lowering builds a tape over a schedule's ops, in their order.
 type lowering struct {
 	t *tape
+	s *sim.Schedule
 	n int
+	// pc is the schedule op the lowering reaches next.
+	pc int
 	// pinned values are never released or taken over by the run: no read
 	// of one is its last.
 	pinned map[*hlo.Instruction]bool
 }
 
-// lower builds the tape of a validated computation for an n-device
-// ring. Compile is its one caller.
-func lower(c *hlo.Computation, n int) (*tape, error) {
-	t := &tape{ops: make([]tapeOp, 0, tapeLen(c))}
-	lw := &lowering{t: t, n: n, pinned: map[*hlo.Instruction]bool{}}
+// lower builds the tape of a verified computation over its schedule s
+// for an n-device ring. Compile is its one caller.
+func lower(c *hlo.Computation, s *sim.Schedule, n int) (*tape, error) {
+	lw := &lowering{t: &tape{ops: make([]tapeOp, len(s.Ops))}, s: s, n: n, pinned: map[*hlo.Instruction]bool{}}
 	var outputs []*hlo.Instruction
 	if root := c.Root(); root != nil {
 		outputs = append(outputs, root)
@@ -223,34 +183,22 @@ func lower(c *hlo.Computation, n int) (*tape, error) {
 	return lw.t, nil
 }
 
-// tapeLen is the number of ops lowering c appends: one per
-// instruction, and a loop's body and back-edge after its entry.
-func tapeLen(c *hlo.Computation) int {
-	n := c.NumInstructions()
-	for i := 0; i < c.NumInstructions(); i++ {
-		if in := c.At(i); in.Op == hlo.OpLoop {
-			n += tapeLen(in.Body) + 1
-		}
-	}
-	return n
-}
-
 func (lw *lowering) newSlot() int32 {
 	lw.t.nslots++
 	return int32(lw.t.nslots - 1)
 }
 
-// seq lowers one instruction sequence — the program, or a loop body
+// seq plans one instruction sequence — the program, or a loop body
 // whose parameter i is bound to carried[i] and whose root operands
-// (held) are carried out rather than released — and returns each
-// instruction's slot by schedule position.
+// (held) are carried out rather than released — over the schedule's
+// next ops, one per instruction, and returns each instruction's slot by
+// schedule position.
 func (lw *lowering) seq(c *hlo.Computation, carried []int32, held map[*hlo.Instruction]bool) ([]int32, error) {
 	lastUse := c.LastUses()
 	// pos is each instruction's schedule position, by ID: a verified
 	// computation's operands are its own instructions.
 	pos := make([]int32, c.IDBound())
 	slots := make([]int32, c.NumInstructions())
-	inLoop := carried != nil
 
 	// read returns the arg for instruction i reading operand op.
 	read := func(i int, op *hlo.Instruction) arg {
@@ -261,138 +209,57 @@ func (lw *lowering) seq(c *hlo.Computation, carried []int32, held map[*hlo.Instr
 	for i := 0; i < c.NumInstructions(); i++ {
 		in := c.At(i)
 		pos[in.ID] = int32(i)
-		op := tapeOp{in: in}
-		if in.Op == hlo.OpParameter && inLoop {
-			op.out = carried[in.ParamIndex]
+		at := lw.pc
+		lw.pc++
+		kind, p := lw.s.Ops[at].Kind, &lw.t.ops[at]
+		if kind == sim.OpParameter && carried != nil {
+			p.out, p.carried = carried[in.ParamIndex], true
 		} else {
-			op.out = lw.newSlot()
+			p.out = lw.newSlot()
 		}
-		slots[i] = op.out
+		slots[i] = p.out
 
-		switch {
-		case sim.Local(in):
-			// The k-th local op a device executes is the k-th of its cost
-			// row, and of the schedule's.
-			op.kind = opLocal
+		switch kind {
+		case sim.OpLocal:
 			if in.Op == hlo.OpFusion {
-				if err := lw.fusion(&op, func(o *hlo.Instruction) arg { return read(i, o) }); err != nil {
+				if err := lw.fusion(p, in, func(o *hlo.Instruction) arg { return read(i, o) }); err != nil {
 					return nil, err
 				}
 				break
 			}
-			st := step{Step: sim.Step{In: in}, out: op.out}
+			st := step{Step: sim.Step{In: in}, out: p.out}
 			for _, o := range in.Operands {
 				st.args = append(st.args, read(i, o))
 			}
-			op.steps = []step{st}
-			lw.finishSteps(&op)
+			p.steps = []step{st}
+			lw.finishSteps(p)
 
-		case in.Op == hlo.OpParameter:
-			op.kind = opParam
-			if inLoop {
-				op.kind = opCarried
-			}
-		case in.Op == hlo.OpConstant:
-			op.kind = opConst
+		case sim.OpStart:
+			p.arg = read(i, in.Operands[0])
+			p.carries = lw.pinned[in]
 
-		case in.Op == hlo.OpCollectivePermuteStart:
-			op.kind = opStart
-			op.arg = read(i, in.Operands[0])
-			op.box = lw.box()
-			op.bytes = in.Operands[0].ByteSize()
-			op.peer = lw.peers(in, true)
-			op.carries = lw.pinned[in]
+		case sim.OpCollective, sim.OpPermute:
+			p.arg = read(i, in.Operands[0])
+			p.groups = newGroupPlan(&lw.s.Comms[lw.s.Ops[at].Comm], lw.n)
 
-		case in.Op == hlo.OpCollectivePermuteDone:
-			op.kind = opDone
-			start := lw.t.ops[lw.startOp(slots[pos[in.Operands[0].ID]])]
-			op.box = start.box
-			op.bytes = in.ByteSize()
-			op.peer = lw.peers(in, false)
-			op.sent = start.peer
-
-		case in.Op == hlo.OpLoop:
-			// The loop appends its own ops: entry, body, back-edge.
-			if err := lw.loop(op, lastUse[i] == i, func(o *hlo.Instruction) arg { return read(i, o) }); err != nil {
+		case sim.OpLoop:
+			// The loop plans its own ops: entry, body, back-edge.
+			if err := lw.loop(at, lastUse[i] == i, func(o *hlo.Instruction) arg { return read(i, o) }); err != nil {
 				return nil, err
 			}
 			continue
-
-		default: // a blocking collective: the rest sim.Local leaves out
-			op.kind = opCollective
-			op.arg = read(i, in.Operands[0])
-			op.groups = lw.groups(in)
-			op.box = lw.box()
-			if in.Op == hlo.OpCollectivePermute {
-				op.peer = lw.peers(in, false)
-			}
 		}
-		if lastUse[i] == i && !lw.pinned[in] && !held[in] && in.Op != hlo.OpCollectivePermuteStart {
-			op.drop = append(op.drop, op.out)
+		if lastUse[i] == i && !lw.pinned[in] && !held[in] && kind != sim.OpStart {
+			p.drop = append(p.drop, p.out)
 		}
-		lw.t.ops = append(lw.t.ops, op)
 	}
 	return slots, nil
-}
-
-// box numbers a mailbox for the op being lowered.
-func (lw *lowering) box() int32 {
-	lw.t.boxes = append(lw.t.boxes, int32(len(lw.t.ops)))
-	return int32(len(lw.t.boxes) - 1)
-}
-
-// startOp finds the start op that owns a slot (a done's operand).
-func (lw *lowering) startOp(slot int32) int32 {
-	for _, idx := range lw.t.boxes {
-		if op := &lw.t.ops[idx]; op.kind == opStart && op.out == slot {
-			return idx
-		}
-	}
-	panic(formatErr("done completes no lowered start")) // hlo.VerifyRing rules it out
-}
-
-// peers resolves a permute's pairs into a per-device column: whom each
-// device sends to (asSource) or receives from.
-func (lw *lowering) peers(in *hlo.Instruction, asSource bool) []int32 {
-	out := make([]int32, lw.n)
-	for d := range out {
-		out[d] = -1
-	}
-	for _, p := range in.Pairs {
-		if asSource {
-			out[p.Source] = int32(p.Target)
-		} else {
-			out[p.Target] = int32(p.Source)
-		}
-	}
-	return out
-}
-
-// groups resolves a blocking collective's rendezvous membership into
-// per-device columns. hlo.VerifyRing has every device join exactly
-// one group.
-func (lw *lowering) groups(in *hlo.Instruction) *groupPlan {
-	gp := &groupPlan{group: make([]int32, lw.n), pos: make([]int32, lw.n), devs: in.Groups}
-	if in.Op == hlo.OpCollectivePermute {
-		all := make([]int, lw.n)
-		for d := range all {
-			all[d] = d
-		}
-		gp.devs = [][]int{all}
-	}
-	for g, devs := range gp.devs {
-		for i, d := range devs {
-			gp.group[d], gp.pos[d] = int32(g), int32(i)
-		}
-	}
-	return gp
 }
 
 // fusion flattens a fusion's body into the op's steps. The body's
 // parameters are the fusion's operand slots themselves, so a dying
 // operand is taken over by the step inside the body that reads it last.
-func (lw *lowering) fusion(op *tapeOp, read func(*hlo.Instruction) arg) error {
-	f := op.in
+func (lw *lowering) fusion(op *tapeOp, f *hlo.Instruction, read func(*hlo.Instruction) arg) error {
 	steps, result, err := sim.FusionSteps(f)
 	if err != nil {
 		return err
@@ -482,15 +349,16 @@ func (lw *lowering) finishSteps(op *tapeOp) {
 	}
 }
 
-// loop lowers a counted loop: the entry op, the body inline, and the
-// back-edge. unread reports that nothing reads the loop's result.
-func (lw *lowering) loop(op tapeOp, unread bool, read func(*hlo.Instruction) arg) error {
-	l := op.in
+// loop plans a counted loop, whose entry is the schedule's op at: the
+// entry, the body inline, and the back-edge. unread reports that
+// nothing reads the loop's result.
+func (lw *lowering) loop(at int, unread bool, read func(*hlo.Instruction) arg) error {
+	entry, l := &lw.t.ops[at], lw.s.Ops[at].In
 	root := l.Body.Root()
-	lp := &loopPlan{trips: l.TripCount, result: l.ResultIndex}
-	exit := tapeOp{kind: opLoopEnd, in: l, out: op.out, loop: lp}
-	op.kind, op.loop = opLoop, lp
+	lp := &loopPlan{result: l.ResultIndex}
+	entry.loop = lp
 
+	var drop []int32
 	named := map[int32]int{}
 	for _, o := range l.Operands {
 		named[read(o).slot]++
@@ -502,7 +370,7 @@ func (lw *lowering) loop(op tapeOp, unread bool, read func(*hlo.Instruction) arg
 			// the loop is over.
 			a.last = false
 			if named[a.slot] > 0 {
-				exit.drop = append(exit.drop, a.slot)
+				drop = append(drop, a.slot)
 				named[a.slot] = -1
 			}
 		}
@@ -513,11 +381,9 @@ func (lw *lowering) loop(op tapeOp, unread bool, read func(*hlo.Instruction) arg
 		lw.t.maxArgs = len(lp.carried)
 	}
 	if unread && !lw.pinned[l] {
-		exit.drop = append(exit.drop, op.out)
+		drop = append(drop, entry.out)
 	}
 
-	lw.t.ops = append(lw.t.ops, op)
-	lp.begin = int32(len(lw.t.ops))
 	held := make(map[*hlo.Instruction]bool, len(root.Operands))
 	for _, o := range root.Operands {
 		held[o] = true
@@ -534,7 +400,7 @@ func (lw *lowering) loop(op tapeOp, unread bool, read func(*hlo.Instruction) arg
 			}
 		}
 	}
-	lp.end = int32(len(lw.t.ops))
-	lw.t.ops = append(lw.t.ops, exit)
+	lw.t.ops[lw.pc] = tapeOp{out: entry.out, loop: lp, drop: drop}
+	lw.pc++
 	return nil
 }

@@ -233,7 +233,7 @@ func (t *procTransport) serveEdge(link int, l *procEdge) {
 	e := t.eng
 	w := t.workers[l.src]
 	for p := range l.ch {
-		name := t.fab.op(p.key.box).in.Name
+		name := t.fab.op(p.key.box).In.Name
 		drop, dup := t.fab.faults(link, name)
 		fr := wire.Frame{
 			Src: l.src, Dst: l.dst,

@@ -10,8 +10,9 @@ import (
 // time. Compute, CollectiveWire and Exposed are averages over devices;
 // StepTime is the critical path (max finish time over devices).
 type Breakdown struct {
-	// StepTime is the wall-clock duration of one execution of the
-	// computation.
+	// StepTime is the length of one execution of the computation: the
+	// latest device clock the timing pass ends on, from per-op costs and
+	// the wire.
 	StepTime float64
 	// Compute is the time spent executing local instructions.
 	Compute float64
@@ -39,10 +40,10 @@ func (b Breakdown) CommFraction() float64 {
 
 // Simulate prices the computation on numDevices devices described by
 // spec and returns the step breakdown: it lowers the program into its
-// timing schedule (NewSchedule), prices every local op on the machine
-// model (spec.InstructionCost) into one cost row every device shares,
-// and runs the timing pass (Clocks.Time) over it with the modeled wire
-// at scale 1. So the model executes the scheduled instruction list in
+// schedule (NewSchedule) and runs the timing pass over the machine
+// model's costs (Schedule.Model): every local op priced by
+// spec.InstructionCost, in one cost row every device shares, and the
+// modeled wire at scale 1. So the model executes the scheduled instruction list in
 // SPMD lockstep: a local op advances its device's clock by its machine
 // cost, a CollectivePermuteStart puts a transfer on its sender's
 // outgoing link and costs nothing, the matching done blocks the
@@ -76,17 +77,11 @@ func simulate(c *hlo.Computation, numDevices int, spec machine.Spec, traced bool
 	}
 	s := NewSchedule(c, numDevices, spec)
 	simInstructions.Add(float64(s.executed))
-	row := s.Row(spec.InstructionCost)
-	cost := make([][]float64, numDevices)
-	for d := range cost {
-		cost[d] = row
-	}
 	var slab []obs.Span
 	if traced {
 		slab = make([]obs.Span, s.Spans)
 	}
-	clk := s.NewClocks(nil, nil)
-	b, spans := clk.Time(cost, 1, nil, slab)
+	b, spans := s.Model(slab)
 	b.Record("sim")
 	return b, spans, nil
 }

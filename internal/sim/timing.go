@@ -3,7 +3,6 @@ package sim
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
@@ -30,30 +29,35 @@ import (
 // wire, a device with no source keeps its clock, and only the sources
 // are charged the wire.
 
-// Schedule is a verified computation lowered once, for an n-device ring
-// and a machine spec, into the flat form the timing pass walks: one op
-// per instruction that takes time (parameters and constants take none),
-// loop bodies inlined between a loop op and its back-edge, each start's
-// row of arrivals and each of its pairs' links resolved, and every
-// transfer's and collective's wire priced on the spec. It is immutable
-// once built, and any number of passes walk it at once.
+// Schedule is the program's one lowering: a verified computation
+// lowered once, for an n-device ring and a machine spec, into one list
+// of ops in program order. Both executors walk it by position — the
+// timing pass over a cost table, and the runtime's devices over their
+// slots — so the k-th cost a device records is the cost of the
+// schedule's k-th local op. Every instruction is one op, parameters and
+// constants too (they take no time), and a loop's body is inlined
+// between its entry and its back-edge. What a walk needs of an
+// instruction's pairs, groups and trip count is resolved here, once,
+// from the instruction as it was: each communication's mailbox number,
+// each done's start, each loop's jumps and trips, each permute's
+// per-device peer and each transfer's link. The wire is priced on the
+// spec. It is immutable once built, and any number of walks read it at
+// once.
 type Schedule struct {
-	n           int
-	maxInFlight int
-	ops         []timedOp
+	n    int
+	spec machine.Spec
 
-	// starts is how many rows of arrivals a pass keeps, one per start;
-	// links holds the link of each of the starts' pairs, of which there
-	// are pairs.
-	starts, pairs int
-	links         []int32
+	// Ops are the program's ops in program order, loop bodies once;
+	// Comms are its communications, by mailbox number.
+	Ops   []Op
+	Comms []Comm
 
 	// executed counts the instructions one run executes, a loop's body
 	// once per trip: what Simulate counts.
 	executed int
 
-	// Locals is how many local ops (Local) one device executes in a run,
-	// a loop's body once per trip: the length of a cost row.
+	// Locals is how many local ops one device executes in a run, a
+	// loop's body once per trip: the length of a cost row.
 	Locals int
 
 	// Edges lists the directed links the starts' pairs use, in (source,
@@ -75,89 +79,112 @@ type Edge struct {
 	Src, Dst, Transfers int
 }
 
-type timedKind uint8
+// OpKind is what an op of a Schedule does.
+type OpKind uint8
 
 const (
-	timedLocal      timedKind = iota
-	timedStart                // post a transfer per pair
-	timedDone                 // wait for the start's arrivals
-	timedCollective           // a blocking group collective
-	timedPermute              // a blocking CollectivePermute
-	timedLoop                 // loop entry
-	timedLoopEnd              // loop back-edge
+	OpParameter  OpKind = iota // a run argument, or a loop body's carried value
+	OpConstant                 // a literal
+	OpLocal                    // evaluated by its device alone: one entry of a cost row
+	OpStart                    // post a transfer per pair
+	OpDone                     // take the start's transfers
+	OpCollective               // a blocking group collective
+	OpPermute                  // a blocking CollectivePermute
+	OpLoop                     // loop entry
+	OpLoopEnd                  // loop back-edge; not an instruction of its own
 )
 
-// timedOp is one op of a Schedule. A permute's pairs and a collective's
-// groups are its instruction's own: shape inference gives a permute at
-// most one pair per source and per target.
-type timedOp struct {
-	kind timedKind
+// Op is one op of a Schedule.
+type Op struct {
+	In   *hlo.Instruction
+	Kind OpKind
 
-	// box is a start's row of arrivals, which its done reads; link is
-	// where its pairs' links begin in Schedule.links; jump is a loop
-	// entry's back-edge and a back-edge's first body op.
-	box, link, jump int32
+	// Comm is the mailbox number of a start's, done's or blocking
+	// collective's communication. Jump is a loop entry's back-edge and a
+	// back-edge's first body op, and Trips the loop's trip count, on
+	// both.
+	Comm, Jump, Trips int32
+}
 
-	in *hlo.Instruction
+// Comm is one communication: a start and the done that takes its
+// transfers, or a blocking collective. Its position in Schedule.Comms
+// is its mailbox number on every device, and its row of arrivals in a
+// timing pass.
+type Comm struct {
+	// At is the position of the start or the collective.
+	At int32
+
+	// Link[d] is the link a start's transfer from device d takes, -1
+	// when d sends none. From[d] is the device d receives from, at a
+	// start's done or at a blocking permute, -1 when it receives
+	// nothing. Shape inference gives a permute at most one pair per
+	// source and per target.
+	Link, From []int32
+
+	// Members[g] lists the devices of a blocking collective's group g,
+	// by position: a group collective's own groups, a blocking permute's
+	// every device in one.
+	Members [][]int
+
+	// Bytes is a start's payload, in the IR's 4-byte convention.
+	Bytes int64
 
 	// wire is the modeled seconds of one transfer (a start) or of the
 	// collective (a blocking one).
 	wire float64
 }
 
-// Local reports whether in is a local op: one a device evaluates on its
-// own, whose cost a cost row records. Every op is one except
-// parameters, constants, collectives, the asynchronous starts and
-// dones, and loops. The runtime's tape lowers by the same predicate, so
-// its devices' cost rows line up with the schedule's local ops.
-func Local(in *hlo.Instruction) bool {
-	switch in.Op {
-	case hlo.OpParameter, hlo.OpConstant,
-		hlo.OpAllGather, hlo.OpReduceScatter, hlo.OpAllReduce, hlo.OpAllToAll, hlo.OpCollectivePermute,
-		hlo.OpCollectivePermuteStart, hlo.OpCollectivePermuteDone, hlo.OpLoop:
-		return false
-	}
-	return true
-}
-
 // NewSchedule lowers c, which hlo.VerifyRing accepted for an n-device
-// ring, into its timing schedule, pricing its wire on spec.
+// ring, into its schedule, pricing its wire on spec.
 func NewSchedule(c *hlo.Computation, n int, spec machine.Spec) *Schedule {
+	ops, comms := size(c)
 	// A ring's two directions are 2n edges: room for them up front.
-	s := &Schedule{n: n, maxInFlight: spec.MaxInFlight, ops: make([]timedOp, 0, c.NumInstructions()), Edges: make([]Edge, 0, 2*n)}
-	s.lower(c, spec, 1)
-	slices.SortFunc(s.Edges, func(a, b Edge) int { return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst)) })
-	s.links = make([]int32, s.pairs)
-	for i := range s.ops {
-		if op := &s.ops[i]; op.kind == timedStart {
-			for k, p := range op.in.Pairs {
-				link, _ := s.Link(p.Source, p.Target)
-				s.links[int(op.link)+k] = int32(link)
+	s := &Schedule{n: n, spec: spec, Ops: make([]Op, 0, ops), Comms: make([]Comm, 0, comms), Edges: make([]Edge, 0, 2*n)}
+	s.lower(c, 1)
+	slices.SortFunc(s.Edges, edgeCompare)
+	for i := range s.Comms {
+		if cm := &s.Comms[i]; cm.Link != nil {
+			for dst, src := range cm.From {
+				if src >= 0 {
+					link, _ := slices.BinarySearchFunc(s.Edges, Edge{Src: int(src), Dst: dst}, edgeCompare)
+					cm.Link[src] = int32(link)
+				}
 			}
 		}
 	}
 	// A device's k-th send finds at most k transfers in flight, so only
 	// its sends past the first MaxInFlight can hold.
-	for d := 0; d < min(n, obs.TraceMaxDevices) && s.maxInFlight > 0; d++ {
+	for d := 0; d < min(n, obs.TraceMaxDevices) && spec.MaxInFlight > 0; d++ {
 		sent := 0
 		for _, e := range s.Edges {
 			if e.Src == d {
 				sent += e.Transfers
 			}
 		}
-		s.Spans += max(sent-s.maxInFlight, 0)
+		s.Spans += max(sent-spec.MaxInFlight, 0)
 	}
 	return s
 }
 
-// Link is the index of the edge src→dst, and whether the schedule has
-// one.
-func (s *Schedule) Link(src, dst int) (int, bool) {
-	at := sort.Search(len(s.Edges), func(i int) bool {
-		e := s.Edges[i]
-		return e.Src > src || e.Src == src && e.Dst >= dst
-	})
-	return at, at < len(s.Edges) && s.Edges[at].Src == src && s.Edges[at].Dst == dst
+// size counts the ops and communications lowering c appends: one op
+// per instruction, and a loop's body and back-edge after its entry.
+func size(c *hlo.Computation) (ops, comms int) {
+	for i := 0; i < c.NumInstructions(); i++ {
+		switch in := c.At(i); in.Op {
+		case hlo.OpLoop:
+			o, k := size(in.Body)
+			ops, comms = ops+o+1, comms+k
+		case hlo.OpCollectivePermuteStart, hlo.OpCollectivePermute,
+			hlo.OpAllGather, hlo.OpReduceScatter, hlo.OpAllReduce, hlo.OpAllToAll:
+			comms++
+		}
+		ops++
+	}
+	return ops, comms
+}
+
+func edgeCompare(a, b Edge) int {
+	return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
 }
 
 // Row is one device's cost row with every local op priced by price, in
@@ -165,90 +192,125 @@ func (s *Schedule) Link(src, dst int) (int, bool) {
 func (s *Schedule) Row(price func(*hlo.Instruction) float64) []float64 {
 	row := make([]float64, 0, s.Locals)
 	iter := 0
-	for pc := 0; pc < len(s.ops); pc++ {
-		switch op := &s.ops[pc]; op.kind {
-		case timedLocal:
-			row = append(row, price(op.in))
-		case timedLoop:
+	for pc := 0; pc < len(s.Ops); pc++ {
+		switch op := &s.Ops[pc]; op.Kind {
+		case OpLocal:
+			row = append(row, price(op.In))
+		case OpLoop:
 			iter = 0
-			if op.in.TripCount == 0 {
-				pc = int(op.jump)
+			if op.Trips == 0 {
+				pc = int(op.Jump)
 			}
-		case timedLoopEnd:
-			if iter+1 < op.in.TripCount {
+		case OpLoopEnd:
+			if iter+1 < int(op.Trips) {
 				iter++
-				pc = int(op.jump) - 1
+				pc = int(op.Jump) - 1
 			}
 		}
 	}
 	return row
 }
 
+// Model runs the timing pass over the machine model's costs — every
+// device's cost row priced by the spec the schedule was lowered on,
+// spec.InstructionCost — with the modeled wire at scale 1: the step
+// Simulate reads. slab is as Time's.
+func (s *Schedule) Model(slab []obs.Span) (Breakdown, []obs.Span) {
+	row := s.Row(s.spec.InstructionCost)
+	cost := make([][]float64, s.n)
+	for d := range cost {
+		cost[d] = row
+	}
+	clk := s.NewClocks(nil, nil)
+	return clk.Time(cost, 1, nil, slab)
+}
+
 // lower appends the ops of one instruction sequence that executes trips
 // times a run, and counts what they execute.
-func (s *Schedule) lower(c *hlo.Computation, spec machine.Spec, trips int) {
+func (s *Schedule) lower(c *hlo.Computation, trips int) {
 	window := min(s.n, obs.TraceMaxDevices)
 	for i := 0; i < c.NumInstructions(); i++ {
 		in := c.At(i)
 		s.executed += trips
-		op := timedOp{in: in}
-		switch {
-		case Local(in):
-			op.kind = timedLocal
-			s.Locals += trips
+		op := Op{In: in, Kind: OpLocal}
+		switch in.Op {
+		case hlo.OpParameter:
+			op.Kind = OpParameter
+		case hlo.OpConstant:
+			op.Kind = OpConstant
 
-		case in.Op == hlo.OpParameter || in.Op == hlo.OpConstant:
-			continue
-
-		case in.Op == hlo.OpCollectivePermuteStart:
-			op.kind = timedStart
-			op.box = int32(s.starts)
-			s.starts++
-			op.wire = spec.TransferTime(in.Operands[0].ByteSize(), 1)
-			op.link = int32(s.pairs)
-			s.pairs += len(in.Pairs)
+		case hlo.OpCollectivePermuteStart:
+			bytes, col := in.Operands[0].ByteSize(), s.column(2)
+			from := col[s.n:]
 			for _, p := range in.Pairs {
+				from[p.Target] = int32(p.Source)
 				s.edge(p.Source, p.Target, trips)
 				if p.Source < window {
 					s.Spans += trips
 				}
 			}
-			s.ops = append(s.ops, op)
+			// NewSchedule resolves the links once the edges are sorted.
+			op.Kind, op.Comm = OpStart, s.comm(Comm{Link: col[:s.n:s.n], From: from, Bytes: bytes, wire: s.spec.TransferTime(bytes, 1)})
+
+		case hlo.OpCollectivePermuteDone:
+			op.Kind, op.Comm = OpDone, s.startOf(in.Operands[0])
+
+		case hlo.OpLoop:
+			entry := len(s.Ops)
+			s.Ops = append(s.Ops, Op{In: in, Kind: OpLoop, Trips: int32(in.TripCount)})
+			s.lower(in.Body, trips*in.TripCount)
+			s.Ops[entry].Jump = int32(len(s.Ops))
+			s.Ops = append(s.Ops, Op{In: in, Kind: OpLoopEnd, Jump: int32(entry + 1), Trips: int32(in.TripCount)})
 			continue
 
-		case in.Op == hlo.OpCollectivePermuteDone:
-			op.kind = timedDone
-			op.box = s.startBox(in.Operands[0])
+		case hlo.OpCollectivePermute:
+			all, from := make([]int, s.n), s.column(1)
+			for d := range all {
+				all[d] = d
+			}
+			for _, p := range in.Pairs {
+				from[p.Target] = int32(p.Source)
+			}
+			op.Kind, op.Comm = OpPermute, s.comm(Comm{From: from, Members: [][]int{all}, wire: s.spec.CollectiveTime(in)})
 
-		case in.Op == hlo.OpLoop:
-			entry := len(s.ops)
-			s.ops = append(s.ops, timedOp{kind: timedLoop, in: in})
-			s.lower(in.Body, spec, trips*in.TripCount)
-			s.ops[entry].jump = int32(len(s.ops))
-			s.ops = append(s.ops, timedOp{kind: timedLoopEnd, in: in, jump: int32(entry + 1)})
-			continue
-
-		case in.Op == hlo.OpCollectivePermute:
-			op.kind = timedPermute
-			op.wire = spec.CollectiveTime(in)
-
-		default: // a group collective
-			op.kind = timedCollective
-			op.wire = spec.CollectiveTime(in)
+		case hlo.OpAllGather, hlo.OpReduceScatter, hlo.OpAllReduce, hlo.OpAllToAll:
+			op.Kind, op.Comm = OpCollective, s.comm(Comm{Members: in.Groups, wire: s.spec.CollectiveTime(in)})
 		}
-		// A local op, done or blocking collective: at most one
-		// compute-track span on each device in the window.
-		s.Spans += window * trips
-		s.ops = append(s.ops, op)
+		switch op.Kind {
+		case OpLocal:
+			s.Locals += trips
+			fallthrough
+		case OpDone, OpCollective, OpPermute:
+			// At most one compute-track span on each device in the
+			// window.
+			s.Spans += window * trips
+		}
+		s.Ops = append(s.Ops, op)
 	}
 }
 
-// startBox is the row of arrivals of start, which the schedule lowered
+// comm numbers the communication of the op being lowered.
+func (s *Schedule) comm(cm Comm) int32 {
+	cm.At = int32(len(s.Ops))
+	s.Comms = append(s.Comms, cm)
+	return int32(len(s.Comms) - 1)
+}
+
+// column returns k per-device columns in one array, every entry -1.
+func (s *Schedule) column(k int) []int32 {
+	col := make([]int32, k*s.n)
+	for d := range col {
+		col[d] = -1
+	}
+	return col
+}
+
+// startOf is the mailbox number of start, which the schedule lowered
 // before its done: a verified done reads its own sequence's start.
-func (s *Schedule) startBox(start *hlo.Instruction) int32 {
-	for i := len(s.ops) - 1; ; i-- {
-		if s.ops[i].in == start {
-			return s.ops[i].box
+func (s *Schedule) startOf(start *hlo.Instruction) int32 {
+	for i := len(s.Comms) - 1; ; i-- {
+		if s.Ops[s.Comms[i].At].In == start {
+			return int32(i)
 		}
 	}
 }
@@ -265,7 +327,7 @@ func (s *Schedule) edge(src, dst, trips int) {
 }
 
 // Clocks is the timing pass's state: what it keeps per device, link and
-// start. A caller holds one per concurrent pass and reuses it, so a
+// mailbox. A caller holds one per concurrent pass and reuses it, so a
 // pass after the first allocates nothing. After a pass it holds every
 // device's final clock, and the seconds on it of local cost, of wire
 // the device sent, and of waiting for communication.
@@ -281,8 +343,9 @@ type Clocks struct {
 
 	// prev is scratch for a blocking permute, which reads the clocks as
 	// they were before it; free[link] is when the wire of the link's
-	// last transfer ends; arrive[box*n+d] is when device d's transfer of
-	// the start with that row arrives, -1 when d receives none.
+	// last transfer ends; arrive[comm*n+d] is when device d's transfer of
+	// the start with that mailbox number arrives, -1 when d receives
+	// none.
 	prev, free, arrive []float64
 
 	// flight[d] lists the arrivals of device d's transfers still in
@@ -295,7 +358,7 @@ type Clocks struct {
 // collective member's wait into collective; either may be nil.
 func (s *Schedule) NewClocks(stall, collective *obs.Histogram) Clocks {
 	n, links := s.n, len(s.Edges)
-	buf := make([]float64, 5*n+links+s.starts*n)
+	buf := make([]float64, 5*n+links+len(s.Comms)*n)
 	return Clocks{
 		s:          s,
 		stall:      stall,
@@ -356,25 +419,25 @@ func (c *Clocks) Time(cost [][]float64, scale float64, delay func(src, dst int, 
 	}
 
 	var b Breakdown
-	ops := s.ops
+	ops := s.Ops
 	k, iter := 0, 0
 	for pc := 0; pc < len(ops); pc++ {
 		op := &ops[pc]
-		name := op.in.Name
-		switch op.kind {
-		case timedLoop:
+		name := op.In.Name
+		switch op.Kind {
+		case OpLoop:
 			iter = 0
-			if op.in.TripCount == 0 {
-				pc = int(op.jump)
+			if op.Trips == 0 {
+				pc = int(op.Jump)
 			}
 
-		case timedLoopEnd:
-			if iter+1 < op.in.TripCount {
+		case OpLoopEnd:
+			if iter+1 < int(op.Trips) {
 				iter++
-				pc = int(op.jump) - 1
+				pc = int(op.Jump) - 1
 			}
 
-		case timedLocal:
+		case OpLocal:
 			for d := 0; d < n; d++ {
 				t := cost[d][k]
 				record(d, obs.TrackCompute, obs.CatCompute, name, now[d], t)
@@ -383,16 +446,19 @@ func (c *Clocks) Time(cost [][]float64, scale float64, delay func(src, dst int, 
 			}
 			k++
 
-		case timedStart:
-			arr := c.arrive[int(op.box)*n : int(op.box+1)*n]
+		case OpStart:
+			cm := &s.Comms[op.Comm]
+			arr := c.arrive[int(op.Comm)*n : int(op.Comm+1)*n]
 			for d := range arr {
 				arr[d] = -1
 			}
-			for i, p := range op.in.Pairs {
-				d, tgt := p.Source, p.Target
+			for d, link := range cm.Link {
+				if link < 0 {
+					continue
+				}
+				tgt := s.Edges[link].Dst
 				waitUntil(d, c.hold(d), obs.CatStall, name)
-				link := s.links[int(op.link)+i]
-				t := wireOf(op.wire)
+				t := wireOf(cm.wire)
 				if delay != nil {
 					t += delay(d, tgt, name)
 				}
@@ -409,8 +475,8 @@ func (c *Clocks) Time(cost [][]float64, scale float64, delay func(src, dst int, 
 				}
 			}
 
-		case timedDone:
-			arr := c.arrive[int(op.box)*n : int(op.box+1)*n]
+		case OpDone:
+			arr := c.arrive[int(op.Comm)*n : int(op.Comm+1)*n]
 			for d := 0; d < n; d++ {
 				if arr[d] < 0 {
 					continue
@@ -419,20 +485,24 @@ func (c *Clocks) Time(cost [][]float64, scale float64, delay func(src, dst int, 
 				waitUntil(d, arr[d], obs.CatStall, name)
 			}
 
-		case timedPermute:
-			t := wireOf(op.wire)
+		case OpPermute:
+			cm := &s.Comms[op.Comm]
+			t := wireOf(cm.wire)
 			copy(c.prev, now)
-			for _, p := range op.in.Pairs {
-				src, d := p.Source, p.Target
+			for d, src := range cm.From {
+				if src < 0 {
+					continue
+				}
 				c.Wire[src] += t
 				until := c.prev[src] + t
 				c.collective.Observe(max(until-now[d], 0))
 				waitUntil(d, until, obs.CatCollective, name)
 			}
 
-		case timedCollective:
-			t := wireOf(op.wire)
-			for _, group := range op.in.Groups {
+		case OpCollective:
+			cm := &s.Comms[op.Comm]
+			t := wireOf(cm.wire)
+			for _, group := range cm.Members {
 				finish := 0.0
 				for _, d := range group {
 					finish = max(finish, now[d])
@@ -470,7 +540,7 @@ func (c *Clocks) hold(d int) float64 {
 		}
 	}
 	until := now
-	if bound := c.s.maxInFlight; bound > 0 && len(f) >= bound {
+	if bound := c.s.spec.MaxInFlight; bound > 0 && len(f) >= bound {
 		until = f[0]
 		f = f[:copy(f, f[1:])]
 	}

@@ -35,12 +35,13 @@ type Options struct {
 	LR float64
 	// Seed drives the deterministic dyadic data generation.
 	Seed int64
-	// Spec prices the injected wire delays; zero-value defaults to
+	// Spec prices the modeled wire; zero-value defaults to
 	// machine.TPUv4().
 	Spec machine.Spec
-	// TimeScale stretches modeled wire seconds into real sleeps,
-	// exactly as in runtime.Options (0 is no wire). overlap train sets
-	// the clock it measured on the untransformed step
+	// TimeScale scales the modeled wire seconds the timing pass prices
+	// each step's transfers and collectives at, exactly as in
+	// runtime.Options (0 is no wire); no goroutine waits on it. overlap
+	// train sets the clock it measured on the untransformed step
 	// (runtime.Executable.Clock), one value for every mode.
 	TimeScale float64
 	// Check cross-checks every step's outputs bitwise against
