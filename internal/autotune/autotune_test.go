@@ -373,9 +373,10 @@ func TestTuneAllocBudget(t *testing.T) {
 // TestTuneIsDeterministic: nothing stage 1 decides may depend on the
 // run — not on map iteration (user lists are slices in edge order now),
 // not on which order an async node's shared program was last read in,
-// not on how many cores stage 2's executions had. For every corpus
-// program, three tunes on one core and three on four agree on the whole
-// candidate list — names, order, Predicted, DuplicateOf, Err, and which
+// not on how many workers built the tree's subtrees and simulated its
+// nodes, nor on how many cores stage 2's executions had. For every
+// corpus program, three tunes each on one, two and four cores agree on
+// the whole candidate list — names, order, Predicted, DuplicateOf, Err, and which
 // candidates stage 2 executed — and on the program text of whichever
 // candidate wins. Which one wins is stage 2's wall-clock measurement and
 // may differ from run to run when more than one was executed; when only
@@ -400,7 +401,7 @@ func TestTuneIsDeterministic(t *testing.T) {
 		args := miniArgs(p.Comp, 7)
 		var first []decided
 		texts := map[string]string{} // winner → plan text
-		for _, procs := range []int{1, 4} {
+		for _, procs := range []int{1, 2, 4} {
 			for rep := 0; rep < 3; rep++ {
 				runtime.GOMAXPROCS(procs)
 				res, err := autotune.Tune(p.Comp, p.Devices, args, opts)

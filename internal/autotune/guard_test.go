@@ -26,13 +26,19 @@ import (
 //     once per scheduler (an order node is an order, not a copy), and
 //     not where On marks a stage the identity on its input program or
 //     drops a knob that would make a second child (those hand the
-//     parent on, or find the first child in the memo).
+//     parent on, or find the first child in the memo). Building the
+//     tree on workers adds no Clone: a worker clones only nodes of the
+//     subtree it owns;
+//   - search.go starts goroutines in one place, the worker loop (each),
+//     which runs the subtrees grow hands out and the groups of nodes
+//     stage1 simulates; nothing else in the package starts one.
 func TestOnePipelineOneStage1(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fset := token.NewFileSet()
+	workerLoops := 0
 	for _, name := range files {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
@@ -47,6 +53,13 @@ func TestOnePipelineOneStage1(t *testing.T) {
 				continue
 			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					if at := fset.Position(g.Pos()); name != "search.go" || fn.Name.Name != "each" {
+						t.Errorf("%s: %s starts a goroutine: stage 1's one worker loop is search.go's each", at, fn.Name.Name)
+					} else {
+						workerLoops++
+					}
+				}
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
@@ -75,5 +88,8 @@ func TestOnePipelineOneStage1(t *testing.T) {
 				return true
 			})
 		}
+	}
+	if workerLoops != 1 {
+		t.Errorf("search.go's each starts goroutines in %d places, want 1", workerLoops)
 	}
 }

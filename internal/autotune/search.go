@@ -3,6 +3,10 @@ package autotune
 import (
 	"crypto/sha256"
 	"fmt"
+	"maps"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"overlap/internal/core"
 	"overlap/internal/hlo"
@@ -126,35 +130,37 @@ func newSearch(c *hlo.Computation, numDevices int, spec machine.Spec) *search {
 
 func stampStage() core.Stage { return core.Stages()[core.StageStamp] }
 
-// stage1 ranks the candidates: grow walks each down the tree, then one
-// pass in enumeration order — which is the dedup and tie-break order:
-// the first candidate to produce a program is its unique
-// representative, later ones its duplicates — reads what the nodes
-// learned.
+// stage1 ranks the candidates. grow walks each down the tree and
+// inspects the node it lands on. Then a pass in enumeration order —
+// which is the dedup and tie-break order: the first candidate to
+// produce a program is its unique representative, later ones its
+// duplicates — keys each candidate, and the node of each key's first
+// candidate is simulated, on workers. A last pass in the same order
+// reads what the nodes learned.
 func (s *search) stage1(cands []*Candidate) {
 	at := s.grow(cands)
+	keys := make([]programKey, len(cands))
+	printed := map[programKey]bool{}
+	var printers []*node
 	for i, cand := range cands {
 		// The baseline is not verified here: Apply, whose tail the
 		// inspection stands in for, never sees it.
-		n, key := s.base, s.baseKey
-		if !cand.Baseline {
-			n = at[i]
-			if n.err != "" {
-				cand.Err = n.err
-				continue
-			}
-			if n.rankErr != "" {
-				cand.Err = n.rankErr
-				continue
-			}
-			key = programKey{digest: n.digest}
-			if n.einsum {
-				if err := n.c.VerifySplitK(cand.Opts.KernelSplitK); err != nil {
-					cand.Err = err.Error()
-					continue
-				}
-				key.factor = printedFactor(cand.Opts.KernelSplitK)
-			}
+		if cand.Baseline {
+			at[i], keys[i] = s.base, s.baseKey
+		} else if keys[i], cand.Err = at[i].key(cand.Opts); cand.Err != "" {
+			at[i] = nil
+			continue
+		}
+		if !printed[keys[i]] {
+			printed[keys[i]] = true
+			printers = append(printers, at[i])
+		}
+	}
+	s.simulate(printers)
+	for i, cand := range cands {
+		n, key := at[i], keys[i]
+		if n == nil {
+			continue
 		}
 		if first, dup := s.seen[key]; dup {
 			cand.DuplicateOf = first.Name
@@ -163,17 +169,10 @@ func (s *search) stage1(cands []*Candidate) {
 		}
 		// The simulator never reads the stamped factor, so every
 		// split-K variant of a node shares its one simulation — and its
-		// one failure. Only a program no earlier candidate printed is
-		// simulated, which is why this is here and not in grow: whether
-		// it is one is this pass's to say.
-		if !n.simulated {
-			n.simulated = true
-			if err := n.schedule(n.c); err != nil {
-				n.rankErr = err.Error()
-			} else if n.predicted, err = sim.Simulate(n.c, s.numDevices, s.spec); err != nil {
-				n.rankErr = err.Error()
-			}
-		}
+		// one failure. A node is simulated only for a program no earlier
+		// candidate printed: above, for each program's first printer,
+		// and here for the next one if that first one failed.
+		n.simulate(s.numDevices, s.spec)
 		if n.rankErr != "" {
 			cand.Err = n.rankErr
 			continue
@@ -185,6 +184,26 @@ func (s *search) stage1(cands []*Candidate) {
 	}
 }
 
+// key is the dedup key of a candidate under o that landed on n, or
+// what failed before it could be ranked: the stage that should have
+// built n, n's inspection, or o's split-K factor on n's program.
+func (n *node) key(o core.Options) (programKey, string) {
+	if n.err != "" {
+		return programKey{}, n.err
+	}
+	if n.rankErr != "" {
+		return programKey{}, n.rankErr
+	}
+	key := programKey{digest: n.digest}
+	if n.einsum {
+		if err := n.c.VerifySplitK(o.KernelSplitK); err != nil {
+			return programKey{}, err.Error()
+		}
+		key.factor = printedFactor(o.KernelSplitK)
+	}
+	return key, ""
+}
+
 // grow walks every candidate down the tree, stage by stage, and returns
 // the node each lands on, inspected. At node n a stage is asked as it
 // acts on n's program (core.Stage.On): where it is the identity under
@@ -194,41 +213,131 @@ func (s *search) stage1(cands []*Candidate) {
 // first by construction, and a knob On drops for n's program makes no
 // second child. A failed node ends every path that reaches it.
 //
-// The subtrees under the decompose nodes share only ancestors they
-// Clone, and building them on min(GOMAXPROCS, subtrees) workers was
-// tried (results stayed bit-identical). It is not here because it did
-// not pay where it had to: over ten alternating pairs on the 2-core
-// reference box autotune.compile_ms_p50 fell 48.6 → 44.9 ms (9/10) but
-// serve_cold op_ms_p50 did not move (57.6 vs 57.6 ms, 5/10) and
-// peak_rss_mb rose 57 → 62 MiB — stage 2's executions are two thirds
-// of a compile now, and the collector already uses the second core.
+// Run serially, stage 1 is about four fifths of a compile — the 13
+// programs of the daemon's 4-device warm mix, on a 2-core host, spent
+// 258–305 ms of each 310–391 ms pass of Tune in it — and nearly all of
+// it is building and inspecting this tree, so the tree is built on
+// min(GOMAXPROCS, subtrees) workers. Here, serially, each candidate is
+// walked through the pre stage, whose node (one at most) every subtree
+// shares, and told which node the decompose stage would take it to: the
+// top of its subtree, built or not, of which a layer has 9. One worker
+// owns each subtree. It builds the top — a Clone of the pre node, which
+// every worker only reads: its decompose On was asked here — and the
+// fuse, async and order nodes below, and inspects every node a candidate
+// lands on there. No other goroutine writes those nodes' programs,
+// orders, On caches or inspection fields; an async node and its order
+// kids, which share one program, are always in one subtree. Where the
+// decompose stage is the identity the top is the pre node itself, and
+// its owner alone writes the pre node's later On entries and inspection.
+// A worker's new nodes go into its subtree's memo, and into the search's
+// once every worker is done.
 func (s *search) grow(cands []*Candidate) []*node {
 	at := make([]*node, len(cands))
+	var subtrees []*subtree
+	of := map[memoKey]*subtree{}
 	for i, cand := range cands {
 		if cand.Baseline {
 			continue
 		}
-		n := s.root
-		for st := range core.Stages()[:core.StageStamp] {
-			if n.err != "" {
-				break
+		pre := s.walk(s.memo, s.root, cand.Opts, core.StagePre, core.StageDecompose)
+		top := memoKey{parent: pre, stage: -1} // the pre node itself
+		if pre.err == "" {
+			if stage := pre.stageOn(core.StageDecompose); !stage.Identity(cand.Opts) {
+				top = memoKey{parent: pre, stage: core.StageDecompose, knobs: stage.Key(cand.Opts)}
 			}
-			stage := n.stageOn(st)
-			if stage.Identity(cand.Opts) {
-				continue
-			}
-			key := memoKey{parent: n, stage: st, knobs: stage.Key(cand.Opts)}
-			child, ok := s.memo[key]
-			if !ok {
-				child = n.child(st, stage, cand.Opts)
-				s.memo[key] = child
-			}
-			n = child
 		}
-		n.inspect()
-		at[i] = n
+		t := of[top]
+		if t == nil {
+			t = &subtree{pre: pre, memo: map[memoKey]*node{}}
+			of[top] = t
+			subtrees = append(subtrees, t)
+		}
+		t.cands = append(t.cands, i)
+	}
+	each(len(subtrees), func(k int) {
+		t := subtrees[k]
+		for _, i := range t.cands {
+			n := s.walk(t.memo, t.pre, cands[i].Opts, core.StageDecompose, core.StageStamp)
+			n.inspect()
+			at[i] = n
+		}
+	})
+	for _, t := range subtrees {
+		maps.Copy(s.memo, t.memo)
 	}
 	return at
+}
+
+// subtree is one worker's share of grow: the candidates the decompose
+// stage takes from the pre node to one top, and the nodes built from
+// the top down.
+type subtree struct {
+	pre   *node
+	cands []int
+	memo  map[memoKey]*node
+}
+
+// walk takes n down stages [from, to) under o and returns the node it
+// reaches. A node not in the search's memo is found in, or built into,
+// memo.
+func (s *search) walk(memo map[memoKey]*node, n *node, o core.Options, from, to int) *node {
+	for st := from; st < to && n.err == ""; st++ {
+		stage := n.stageOn(st)
+		if stage.Identity(o) {
+			continue
+		}
+		key := memoKey{parent: n, stage: st, knobs: stage.Key(o)}
+		child, ok := s.memo[key]
+		if !ok {
+			child, ok = memo[key]
+		}
+		if !ok {
+			child = n.child(st, stage, o)
+			memo[key] = child
+		}
+		n = child
+	}
+	return n
+}
+
+// simulate prices each node's program in its schedule, on workers. Nodes
+// that share a program — an async node and its order kids, each of
+// which puts it in its own schedule first — go to one worker, in turn.
+func (s *search) simulate(nodes []*node) {
+	var groups [][]*node
+	of := map[*hlo.Computation]int{}
+	for _, n := range nodes {
+		g, ok := of[n.c]
+		if !ok {
+			g = len(groups)
+			of[n.c] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], n)
+	}
+	each(len(groups), func(g int) {
+		for _, n := range groups[g] {
+			n.simulate(s.numDevices, s.spec)
+		}
+	})
+}
+
+// each runs f(0), …, f(n-1) on min(GOMAXPROCS, n) workers, each taking
+// the next index until none is left, and returns once every call has.
+// It is the one place stage 1 starts goroutines.
+func each(n int, f func(int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // stageOn returns stage st as it acts on n's program, asked once.
@@ -285,6 +394,20 @@ func (n *node) schedule(c *hlo.Computation) error {
 		return fmt.Errorf("core: scheduling: %w", err) // as the order stage words it
 	}
 	return nil
+}
+
+// simulate prices n's program in n's schedule, once; a failure is
+// n's rankErr.
+func (n *node) simulate(numDevices int, spec machine.Spec) {
+	if n.simulated {
+		return
+	}
+	n.simulated = true
+	if err := n.schedule(n.c); err != nil {
+		n.rankErr = err.Error()
+	} else if n.predicted, err = sim.Simulate(n.c, numDevices, spec); err != nil {
+		n.rankErr = err.Error()
+	}
 }
 
 // inspect does, once per node a candidate lands on, what Apply's tail

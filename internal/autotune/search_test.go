@@ -10,6 +10,7 @@ import (
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
 	"overlap/internal/models"
+	"overlap/internal/obs"
 	"overlap/internal/sim"
 	"overlap/internal/topology"
 )
@@ -128,6 +129,50 @@ func TestSearchTreeIsFlatLoop(t *testing.T) {
 			if dupOfBaseline == 0 {
 				t.Errorf("%s: no candidate deduplicated into the baseline", p.Name)
 			}
+		}
+	}
+}
+
+// TestStage1SimulatesEachProgramOnce counts sim.Simulate calls across
+// one stage 1 on every corpus program: one per distinct node that a
+// unique candidate was ranked on — the first candidate to print each
+// program — and none for a node whose every candidate is a duplicate of
+// one ranked elsewhere, so building the tree on workers simulates no
+// program the serial pass did not. That is also never more than the
+// per-candidate loop's one call per unique candidate.
+func TestStage1SimulatesEachProgramOnce(t *testing.T) {
+	progs, err := corpus.Programs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := obs.Default().Counter("overlap_sim_runs_total", "")
+	for _, p := range progs {
+		if (testing.Short() || corpus.RaceEnabled) && p.Long() {
+			continue
+		}
+		cands := enumerated(p.Comp, p.Devices)()
+		s := newSearch(p.Comp, p.Devices, machine.TPUv4())
+		before := calls.Value()
+		s.stage1(cands)
+		got := int(calls.Value() - before)
+
+		ranked, unique := map[*node]bool{}, 0
+		for _, n := range s.landed {
+			ranked[n] = true
+		}
+		for _, cand := range cands {
+			if cand.unique {
+				unique++
+			}
+			if cand.Err != "" {
+				t.Fatalf("%s: %s failed: %s", p.Name, cand.Name, cand.Err)
+			}
+		}
+		if got != len(ranked) {
+			t.Errorf("%s: stage 1 called Simulate %d times for %d distinct ranked nodes", p.Name, got, len(ranked))
+		}
+		if got > unique {
+			t.Errorf("%s: stage 1 called Simulate %d times for %d unique candidates", p.Name, got, unique)
 		}
 	}
 }

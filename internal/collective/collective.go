@@ -135,28 +135,40 @@ func AllToAllInto(dsts, inputs []*tensor.Tensor, splitAxis, concatAxis int) []*t
 }
 
 // PermuteInto applies point-to-point transfers over global device ids,
-// writing device d's value into dsts[d]: output[target] = input[source]
-// for each pair, and a zero tensor of the input's shape for devices
-// that are not the target of any pair (XLA CollectivePermute
-// semantics).
-func PermuteInto(dsts, inputs []*tensor.Tensor, pairs [][2]int) []*tensor.Tensor {
+// writing device d's value into dsts[d]: the input of from[d], the
+// source of the pair targeting d (PermuteSources resolves a permute's
+// pairs into from), or a zero tensor of d's input's shape where from[d]
+// is -1 (XLA CollectivePermute semantics). It allocates nothing when
+// every dsts entry is set.
+func PermuteInto(dsts, inputs []*tensor.Tensor, from []int32) []*tensor.Tensor {
 	dsts = perMember(dsts, len(inputs))
-	written := make([]bool, len(inputs))
-	for _, p := range pairs {
-		src, dst := p[0], p[1]
-		if src < 0 || src >= len(inputs) || dst < 0 || dst >= len(inputs) {
-			panic(fmt.Sprintf("collective: permute pair %v out of range for %d devices", p, len(inputs)))
-		}
-		if written[dst] {
-			panic(fmt.Sprintf("collective: permute target %d written twice", dst))
-		}
-		dsts[dst] = tensor.CopyInto(dsts[dst], inputs[src])
-		written[dst] = true
-	}
-	for d, done := range written {
-		if !done {
+	for d, src := range from {
+		if src < 0 {
 			dsts[d] = tensor.Zero(dsts[d], inputs[d].Shape()...)
+		} else {
+			dsts[d] = tensor.CopyInto(dsts[d], inputs[src])
 		}
 	}
 	return dsts
+}
+
+// PermuteSources resolves a permute's pairs on n devices into the
+// column PermuteInto reads: from[d] is the source of the pair
+// targeting d, -1 when none does.
+func PermuteSources(pairs [][2]int, n int) []int32 {
+	from := make([]int32, n)
+	for d := range from {
+		from[d] = -1
+	}
+	for _, p := range pairs {
+		src, dst := p[0], p[1]
+		if src < 0 || src >= n || dst < 0 || dst >= n {
+			panic(fmt.Sprintf("collective: permute pair %v out of range for %d devices", p, n))
+		}
+		if from[dst] >= 0 {
+			panic(fmt.Sprintf("collective: permute target %d written twice", dst))
+		}
+		from[dst] = int32(src)
+	}
+	return from
 }

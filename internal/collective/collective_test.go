@@ -28,7 +28,7 @@ func AllToAll(inputs []*tensor.Tensor, splitAxis, concatAxis int) []*tensor.Tens
 }
 
 func Permute(inputs []*tensor.Tensor, pairs [][2]int) []*tensor.Tensor {
-	return PermuteInto(nil, inputs, pairs)
+	return PermuteInto(nil, inputs, PermuteSources(pairs, len(inputs)))
 }
 
 func randShards(seed int64, n, rows, cols int) []*tensor.Tensor {
@@ -283,7 +283,7 @@ func TestIntoFormsMatchFreshBitwise(t *testing.T) {
 	// Devices 1, 4 and 5 are nobody's target and must read zero.
 	pairs := [][2]int{{0, 3}, {3, 0}, {5, 2}, {6, 6}, {1, 7}}
 	dsts := nanDsts(devices, rows, cols)
-	PermuteInto(dsts, values, pairs)
+	PermuteInto(dsts, values, PermuteSources(pairs, devices))
 	same("PermuteInto", dsts, Permute(values, pairs))
 
 	// Every call above read the inputs and wrote only its destinations.

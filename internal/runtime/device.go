@@ -357,7 +357,7 @@ func (d *device) post(op *sim.Op, p *tapeOp, pc int) bool {
 	inst := int(d.count[pc])
 	d.count[pc]++
 	cm := &e.sched.Comms[op.Comm]
-	link := cm.Link[d.id]
+	link := e.sched.Links(op.Comm)[d.id]
 	if link < 0 {
 		if p.arg.last {
 			d.free(p.arg.slot)
@@ -384,9 +384,9 @@ func (d *device) post(op *sim.Op, p *tapeOp, pc int) bool {
 func (d *device) receive(op *sim.Op, p *tapeOp, pc int) bool {
 	inst := int(d.count[pc])
 	d.count[pc]++
-	cm := &d.eng.sched.Comms[op.Comm]
+	s := d.eng.sched
 	var out *tensor.Tensor
-	if cm.From[d.id] >= 0 {
+	if s.From(op.Comm)[d.id] >= 0 {
 		d.setStat(pc, d.eng.since())
 		if holdAtDone != nil {
 			holdAtDone(d.id)
@@ -400,8 +400,8 @@ func (d *device) receive(op *sim.Op, p *tapeOp, pc int) bool {
 	} else {
 		out = tensor.Zero(d.acquire(op.In.Shape), op.In.Shape...)
 	}
-	if cm.Link[d.id] >= 0 {
-		d.arena -= cm.Bytes // the buffer this device posted has a new owner
+	if s.Links(op.Comm)[d.id] >= 0 {
+		d.arena -= s.Comms[op.Comm].Bytes // the buffer this device posted has a new owner
 	}
 	d.set(p.out, out, true)
 	return true

@@ -53,7 +53,7 @@ func (x *Executable) TraceLayout() int {
 		case sim.OpLocal, sim.OpCollective, sim.OpPermute, sim.OpDone:
 			spans += window * trips
 		case sim.OpStart:
-			for d, link := range x.sched.Comms[op.Comm].Link[:window] {
+			for d, link := range x.sched.Links(op.Comm)[:window] {
 				if link >= 0 {
 					sends[d] += trips
 				}

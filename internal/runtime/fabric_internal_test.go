@@ -34,63 +34,90 @@ func mustEngine(t *testing.T, c *hlo.Computation, n int) *engine {
 
 // TestEditAfterCompileReachesNeitherDataNorTiming pins the one
 // lowering: an Executable runs and times the program as Compile lowered
-// it into its schedule. A start's pair edited after Compile — 0→1 made
-// 0→3, on a private copy of the instruction's attributes — reaches
-// neither the data path (device 1 still receives the transfer, and
+// it into its schedule. A permute's pair edited after Compile — 0→1
+// made 0→3, on a private copy of the instruction's attributes — reaches
+// neither the data path (device 1 still receives device 0's value, and
 // every device's result is the unedited run's) nor the timing: a traced
 // run at TimeScale 1 under the model's costs reads the unedited run's
-// Breakdown and every one of its spans.
+// Breakdown and every one of its spans. It holds for a start, whose
+// transfer the fabric carries, and for a blocking permute, which the
+// rendezvous evaluates with the permute kernel.
 func TestEditAfterCompileReachesNeitherDataNorTiming(t *testing.T) {
-	c := hlo.NewComputation("edited-pair")
-	a := c.Parameter(0, "a", []int{2, 2})
-	start := c.CollectivePermuteStart(a, []hlo.SourceTargetPair{{Source: 0, Target: 1}})
-	c.CollectivePermuteDone(start)
-	spec := machine.TPUv4()
-	x, err := Compile(c, 4, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ModelCosts(spec)()
-	args := [][]*tensor.Tensor{{tensor.Rand(rand.New(rand.NewSource(5)), 2, 2)}}
-	type run struct {
-		values []*tensor.Tensor
-		b      sim.Breakdown
-		spans  []obs.Span
-	}
-	execute := func(what string) run {
-		res, err := x.Run(context.Background(), args, Options{TimeScale: 1, Trace: true})
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		defer res.Release()
-		r := run{b: res.Breakdown, spans: slices.Clone(res.Trace)}
-		for _, v := range res.Values {
-			r.values = append(r.values, v.Clone())
-		}
-		return r
-	}
-	want := execute("unedited run")
-	if len(want.spans) != 2 || want.spans[1].Device != 1 || want.spans[1].Cat != obs.CatStall {
-		t.Fatalf("the unedited run's spans %+v: want device 0's transfer and device 1's stall", want.spans)
-	}
+	pair := []hlo.SourceTargetPair{{Source: 0, Target: 1}}
+	for _, tc := range []struct {
+		name string
+		// build returns the instruction whose attributes the edit
+		// copies. An unedited run records spans spans, the last device
+		// 1's wait, of category cat.
+		build func(c *hlo.Computation, a *hlo.Instruction) *hlo.Instruction
+		spans int
+		cat   string
+	}{
+		{"start", func(c *hlo.Computation, a *hlo.Instruction) *hlo.Instruction {
+			start := c.CollectivePermuteStart(a, pair)
+			c.CollectivePermuteDone(start)
+			return start
+		}, 2, obs.CatStall}, // device 0's transfer, device 1's stall
+		{"blocking permute", func(c *hlo.Computation, a *hlo.Instruction) *hlo.Instruction {
+			return c.CollectivePermute(a, pair)
+		}, 1, obs.CatCollective},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := hlo.NewComputation("edited-pair")
+			a := c.Parameter(0, "a", []int{2, 2})
+			edited := tc.build(c, a)
+			spec := machine.TPUv4()
+			x, err := Compile(c, 4, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ModelCosts(spec)()
+			rng := rand.New(rand.NewSource(5))
+			args := [][]*tensor.Tensor{make([]*tensor.Tensor, 4)}
+			for d := range args[0] {
+				args[0][d] = tensor.Rand(rng, 2, 2)
+			}
+			type run struct {
+				values []*tensor.Tensor
+				b      sim.Breakdown
+				spans  []obs.Span
+			}
+			execute := func(what string) run {
+				res, err := x.Run(context.Background(), args, Options{TimeScale: 1, Trace: true})
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				defer res.Release()
+				r := run{b: res.Breakdown, spans: slices.Clone(res.Trace)}
+				for _, v := range res.Values {
+					r.values = append(r.values, v.Clone())
+				}
+				return r
+			}
+			want := execute("unedited run")
+			if len(want.spans) != tc.spans || want.spans[tc.spans-1].Device != 1 || want.spans[tc.spans-1].Cat != tc.cat {
+				t.Fatalf("the unedited run's spans %+v: want %d, device 1's %s last", want.spans, tc.spans, tc.cat)
+			}
 
-	// The edit goes to a private copy of the attributes, which the done
-	// shares until then.
-	hlo.EditAttrs(start, func(a *hlo.Attrs) { a.Pairs[0].Target = 3 })
-	got := execute("run after the instruction's pairs were edited")
-	if !got.values[1].Equal(args[0][0]) {
-		t.Error("device 1 no longer receives device 0's transfer")
-	}
-	for d := range want.values {
-		if !got.values[d].Equal(want.values[d]) {
-			t.Errorf("device %d's result moved with the edit", d)
-		}
-	}
-	if got.b != want.b {
-		t.Errorf("the edit moved the breakdown: %+v, unedited %+v", got.b, want.b)
-	}
-	if !slices.Equal(got.spans, want.spans) {
-		t.Errorf("the edit moved the spans: %+v, unedited %+v", got.spans, want.spans)
+			// The edit goes to a private copy of the attributes, which a
+			// done shares until then.
+			hlo.EditAttrs(edited, func(a *hlo.Attrs) { a.Pairs[0].Target = 3 })
+			got := execute("run after the instruction's pairs were edited")
+			if !got.values[1].Equal(args[0][0]) {
+				t.Error("device 1 no longer receives device 0's value")
+			}
+			for d := range want.values {
+				if !got.values[d].Equal(want.values[d]) {
+					t.Errorf("device %d's result moved with the edit", d)
+				}
+			}
+			if got.b != want.b {
+				t.Errorf("the edit moved the breakdown: %+v, unedited %+v", got.b, want.b)
+			}
+			if !slices.Equal(got.spans, want.spans) {
+				t.Errorf("the edit moved the spans: %+v, unedited %+v", got.spans, want.spans)
+			}
+		})
 	}
 }
 

@@ -82,7 +82,7 @@ func (d *device) rendezvous(op *sim.Op, p *tapeOp, gen int, input, dst *tensor.T
 	gs := &e.gens[op.Comm][2*int(group)+gen&1]
 	gs.inputs[pos], gs.dsts[pos] = input, dst
 	if int(gs.arrived.Add(1)) == len(devs) {
-		sim.CollectiveInto(op.In, gs.dsts, gs.inputs)
+		sim.CollectiveInto(op.In, e.sched.From(op.Comm), gs.dsts, gs.inputs)
 		for i, m := range devs {
 			e.fabric.deliver(m, key, gs.dsts[i], "")
 		}

@@ -215,7 +215,14 @@ func TestConcurrentIdenticalFingerprintSingleCompile(t *testing.T) {
 	}
 
 	// The shared digest must be the interpreter's answer on the same
-	// compiled program — fetch the artifact and replay it in lockstep.
+	// compiled program.
+	checkInterpreterDigest(t, ts, req, responses[0].Digest)
+}
+
+// checkInterpreterDigest fetches the plan the server compiled for req
+// and replays it in lockstep: digest must be the interpreter's answer.
+func checkInterpreterDigest(t *testing.T, ts *httptest.Server, req Request, digest string) {
+	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/compile", "application/json",
 		bytes.NewReader(mustJSON(t, req)))
 	if err != nil {
@@ -239,9 +246,51 @@ func TestConcurrentIdenticalFingerprintSingleCompile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("interpreter: %v", err)
 	}
-	want := Digest(Outputs(comp, all, plan.Devices))
-	if responses[0].Digest != want {
-		t.Fatalf("served digest %s != interpreter digest %s", responses[0].Digest, want)
+	if want := Digest(Outputs(comp, all, plan.Devices)); digest != want {
+		t.Fatalf("%s: served digest %s != interpreter digest %s", req.Model, digest, want)
+	}
+}
+
+// TestConcurrentDistinctFingerprintsCompileApart: two requests with
+// different fingerprints arrive at once, so two compiles run at the
+// same time, each building its search tree on its own workers. Each is
+// a miss with a compile of its own, each answer is the interpreter's on
+// the plan it compiled, and no worker outlives the server (the cleanup
+// counts goroutines). CI runs this under -race.
+func TestConcurrentDistinctFingerprintsCompileApart(t *testing.T) {
+	_, ts := newTestServer(t, testConfig())
+	reqs := []Request{miniatureRequest(), {Model: "T5_300B", Devices: 4, Dim: 2}}
+	for i := range reqs {
+		reqs[i].Seed = 5
+	}
+
+	c0 := svCompiles.Value()
+	var wg sync.WaitGroup
+	responses := make([]*RunResponse, len(reqs))
+	errs := make([]error, len(reqs))
+	for i, req := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			responses[i], _, _, errs[i] = postRun(ts, req)
+		}()
+	}
+	wg.Wait()
+
+	if d := svCompiles.Value() - c0; d != float64(len(reqs)) {
+		t.Fatalf("%d concurrent distinct requests ran %v compiles, want %d", len(reqs), d, len(reqs))
+	}
+	for i, req := range reqs {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", req.Model, errs[i])
+		}
+		if responses[i].Plan != "miss" {
+			t.Fatalf("%s: plan %q, want miss", req.Model, responses[i].Plan)
+		}
+		checkInterpreterDigest(t, ts, req, responses[i].Digest)
+	}
+	if responses[0].Fingerprint == responses[1].Fingerprint {
+		t.Fatalf("both requests share fingerprint %s", responses[0].Fingerprint)
 	}
 }
 

@@ -331,7 +331,7 @@ func (ip *interp) eval(in *hlo.Instruction, values map[*hlo.Instruction][]*tenso
 		for d := range out {
 			out[d] = ip.draw(in.Shape, 1)
 		}
-		CollectiveInto(in, out, values[in.Operands[0]])
+		CollectiveInto(in, permuteFrom(in, len(out)), out, values[in.Operands[0]])
 
 	case hlo.OpCollectivePermuteStart:
 		// The start carries its operand; the matching done performs the
@@ -479,7 +479,7 @@ func (ip *interp) groupCollective(in *hlo.Instruction, src, out []*tensor.Tensor
 			}
 			inputs[i], out[dev] = src[dev], dsts[i]
 		}
-		CollectiveInto(in, dsts, inputs)
+		CollectiveInto(in, nil, dsts, inputs)
 	}
 }
 
@@ -487,9 +487,14 @@ func (ip *interp) groupCollective(in *hlo.Instruction, src, out []*tensor.Tensor
 // inputs of the members of one group (every device, for a permute), in
 // member order, into their destinations. It is the one dispatch from
 // collective opcode to kernel, so the lockstep interpreter and the
-// concurrent runtime produce bit-identical tensors. A
-// CollectivePermuteDone moves its start's operand along its pairs.
-func CollectiveInto(in *hlo.Instruction, dsts, inputs []*tensor.Tensor) {
+// concurrent runtime produce bit-identical tensors. A permute — a
+// CollectivePermute, or a CollectivePermuteDone moving its start's
+// operand — moves each device's input along from, the column of
+// sources its pairs resolve to: the interpreter resolves it from the
+// instruction (permuteFrom), the runtime reads the one its schedule
+// resolved at Compile (Schedule.From). Any other collective ignores
+// from.
+func CollectiveInto(in *hlo.Instruction, from []int32, dsts, inputs []*tensor.Tensor) {
 	switch in.Op {
 	case hlo.OpAllGather:
 		collective.AllGatherInto(dsts, inputs, in.CollectiveAxis)
@@ -500,7 +505,7 @@ func CollectiveInto(in *hlo.Instruction, dsts, inputs []*tensor.Tensor) {
 	case hlo.OpAllToAll:
 		collective.AllToAllInto(dsts, inputs, in.CollectiveAxis, in.Axis)
 	case hlo.OpCollectivePermute, hlo.OpCollectivePermuteDone:
-		collective.PermuteInto(dsts, inputs, pairSlice(in.Pairs))
+		collective.PermuteInto(dsts, inputs, from)
 	default:
 		panic(fmt.Sprintf("sim: %s is not a blocking collective", in.Op))
 	}
@@ -712,10 +717,13 @@ func evalOffsets(buf []int, offsets []hlo.DynOffset, pid, iter int) []int {
 	return buf
 }
 
-func pairSlice(pairs []hlo.SourceTargetPair) [][2]int {
-	out := make([][2]int, len(pairs))
-	for i, p := range pairs {
-		out[i] = [2]int{p.Source, p.Target}
+// permuteFrom resolves a permute's pairs, read off the instruction, on
+// n devices into the column of sources CollectiveInto moves its inputs
+// along.
+func permuteFrom(in *hlo.Instruction, n int) []int32 {
+	pairs := make([][2]int, len(in.Pairs))
+	for i, p := range in.Pairs {
+		pairs[i] = [2]int{p.Source, p.Target}
 	}
-	return out
+	return collective.PermuteSources(pairs, n)
 }

@@ -52,6 +52,15 @@ type Schedule struct {
 	Ops   []Op
 	Comms []Comm
 
+	// cols holds the per-device columns of every point-to-point
+	// communication — a start, or a blocking permute — in one array,
+	// two per row: its links, then its sources (Links, From). rows
+	// counts those rows; all is the one group of every device, which
+	// each blocking permute's Members shares.
+	cols []int32
+	rows int
+	all  [][]int
+
 	// executed counts the instructions one run executes, a loop's body
 	// once per trip: what Simulate counts.
 	executed int
@@ -108,18 +117,16 @@ type Op struct {
 
 // Comm is one communication: a start and the done that takes its
 // transfers, or a blocking collective. Its position in Schedule.Comms
-// is its mailbox number on every device, and its row of arrivals in a
-// timing pass.
+// is its mailbox number on every device.
 type Comm struct {
 	// At is the position of the start or the collective.
 	At int32
 
-	// Link[d] is the link a start's transfer from device d takes, -1
-	// when d sends none. From[d] is the device d receives from, at a
-	// start's done or at a blocking permute, -1 when it receives
-	// nothing. Shape inference gives a permute at most one pair per
-	// source and per target.
-	Link, From []int32
+	// row numbers a point-to-point communication — a start, or a
+	// blocking permute — among them: its columns in the schedule's
+	// column array, and its row of arrivals in a timing pass. It is -1
+	// for a group collective.
+	row int32
 
 	// Members[g] lists the devices of a blocking collective's group g,
 	// by position: a group collective's own groups, a blocking permute's
@@ -134,20 +141,49 @@ type Comm struct {
 	wire float64
 }
 
+// Links is box's column of links: Links(box)[d] is the link a start's
+// transfer from device d takes, -1 when d sends none — every device,
+// at a blocking permute, which posts no transfer. It is nil for a
+// group collective.
+func (s *Schedule) Links(box int32) []int32 { return s.column(box, 0) }
+
+// From is box's column of sources: From(box)[d] is the device d
+// receives from at a start's done or at a blocking permute, -1 when it
+// receives nothing. It is nil for a group collective. Shape inference
+// gives a permute at most one pair per source and per target.
+func (s *Schedule) From(box int32) []int32 { return s.column(box, 1) }
+
+// column is column k of box's row.
+func (s *Schedule) column(box int32, k int) []int32 {
+	row := int(s.Comms[box].row)
+	if row < 0 {
+		return nil
+	}
+	at := (2*row + k) * s.n
+	return s.cols[at : at+s.n : at+s.n]
+}
+
 // NewSchedule lowers c, which hlo.VerifyRing accepted for an n-device
 // ring, into its schedule, pricing its wire on spec.
 func NewSchedule(c *hlo.Computation, n int, spec machine.Spec) *Schedule {
-	ops, comms := size(c)
-	// A ring's two directions are 2n edges: room for them up front.
-	s := &Schedule{n: n, spec: spec, Ops: make([]Op, 0, ops), Comms: make([]Comm, 0, comms), Edges: make([]Edge, 0, 2*n)}
+	ops, comms, starts, permutes := size(c)
+	s := &Schedule{n: n, spec: spec, Ops: make([]Op, 0, ops), Comms: make([]Comm, 0, comms), cols: make([]int32, 2*(starts+permutes)*n)}
+	for i := range s.cols {
+		s.cols[i] = -1
+	}
+	if starts > 0 {
+		// A ring's two directions are 2n edges: room for them up front.
+		s.Edges = make([]Edge, 0, 2*n)
+	}
 	s.lower(c, 1)
 	slices.SortFunc(s.Edges, edgeCompare)
-	for i := range s.Comms {
-		if cm := &s.Comms[i]; cm.Link != nil {
-			for dst, src := range cm.From {
+	for box := range s.Comms {
+		if s.Ops[s.Comms[box].At].Kind == OpStart {
+			links := s.Links(int32(box))
+			for dst, src := range s.From(int32(box)) {
 				if src >= 0 {
 					link, _ := slices.BinarySearchFunc(s.Edges, Edge{Src: int(src), Dst: dst}, edgeCompare)
-					cm.Link[src] = int32(link)
+					links[src] = int32(link)
 				}
 			}
 		}
@@ -166,21 +202,26 @@ func NewSchedule(c *hlo.Computation, n int, spec machine.Spec) *Schedule {
 	return s
 }
 
-// size counts the ops and communications lowering c appends: one op
-// per instruction, and a loop's body and back-edge after its entry.
-func size(c *hlo.Computation) (ops, comms int) {
+// size counts the ops and communications lowering c appends — one op
+// per instruction, and a loop's body and back-edge after its entry —
+// and, of the communications, the starts and the blocking permutes:
+// the rows of the column array.
+func size(c *hlo.Computation) (ops, comms, starts, permutes int) {
 	for i := 0; i < c.NumInstructions(); i++ {
 		switch in := c.At(i); in.Op {
 		case hlo.OpLoop:
-			o, k := size(in.Body)
-			ops, comms = ops+o+1, comms+k
-		case hlo.OpCollectivePermuteStart, hlo.OpCollectivePermute,
-			hlo.OpAllGather, hlo.OpReduceScatter, hlo.OpAllReduce, hlo.OpAllToAll:
+			o, k, st, p := size(in.Body)
+			ops, comms, starts, permutes = ops+o+1, comms+k, starts+st, permutes+p
+		case hlo.OpCollectivePermuteStart:
+			comms, starts = comms+1, starts+1
+		case hlo.OpCollectivePermute:
+			comms, permutes = comms+1, permutes+1
+		case hlo.OpAllGather, hlo.OpReduceScatter, hlo.OpAllReduce, hlo.OpAllToAll:
 			comms++
 		}
 		ops++
 	}
-	return ops, comms
+	return ops, comms, starts, permutes
 }
 
 func edgeCompare(a, b Edge) int {
@@ -240,8 +281,10 @@ func (s *Schedule) lower(c *hlo.Computation, trips int) {
 			op.Kind = OpConstant
 
 		case hlo.OpCollectivePermuteStart:
-			bytes, col := in.Operands[0].ByteSize(), s.column(2)
-			from := col[s.n:]
+			// NewSchedule resolves the links once the edges are sorted.
+			bytes := in.Operands[0].ByteSize()
+			op.Kind, op.Comm = OpStart, s.comm(Comm{row: int32(s.rows), Bytes: bytes, wire: s.spec.TransferTime(bytes, 1)})
+			from := s.From(op.Comm)
 			for _, p := range in.Pairs {
 				from[p.Target] = int32(p.Source)
 				s.edge(p.Source, p.Target, trips)
@@ -249,8 +292,7 @@ func (s *Schedule) lower(c *hlo.Computation, trips int) {
 					s.Spans += trips
 				}
 			}
-			// NewSchedule resolves the links once the edges are sorted.
-			op.Kind, op.Comm = OpStart, s.comm(Comm{Link: col[:s.n:s.n], From: from, Bytes: bytes, wire: s.spec.TransferTime(bytes, 1)})
+			s.rows++
 
 		case hlo.OpCollectivePermuteDone:
 			op.Kind, op.Comm = OpDone, s.startOf(in.Operands[0])
@@ -264,17 +306,22 @@ func (s *Schedule) lower(c *hlo.Computation, trips int) {
 			continue
 
 		case hlo.OpCollectivePermute:
-			all, from := make([]int, s.n), s.column(1)
-			for d := range all {
-				all[d] = d
+			if s.all == nil {
+				all := make([]int, s.n)
+				for d := range all {
+					all[d] = d
+				}
+				s.all = [][]int{all}
 			}
+			op.Kind, op.Comm = OpPermute, s.comm(Comm{row: int32(s.rows), Members: s.all, wire: s.spec.CollectiveTime(in)})
+			from := s.From(op.Comm)
 			for _, p := range in.Pairs {
 				from[p.Target] = int32(p.Source)
 			}
-			op.Kind, op.Comm = OpPermute, s.comm(Comm{From: from, Members: [][]int{all}, wire: s.spec.CollectiveTime(in)})
+			s.rows++
 
 		case hlo.OpAllGather, hlo.OpReduceScatter, hlo.OpAllReduce, hlo.OpAllToAll:
-			op.Kind, op.Comm = OpCollective, s.comm(Comm{Members: in.Groups, wire: s.spec.CollectiveTime(in)})
+			op.Kind, op.Comm = OpCollective, s.comm(Comm{row: -1, Members: in.Groups, wire: s.spec.CollectiveTime(in)})
 		}
 		switch op.Kind {
 		case OpLocal:
@@ -294,15 +341,6 @@ func (s *Schedule) comm(cm Comm) int32 {
 	cm.At = int32(len(s.Ops))
 	s.Comms = append(s.Comms, cm)
 	return int32(len(s.Comms) - 1)
-}
-
-// column returns k per-device columns in one array, every entry -1.
-func (s *Schedule) column(k int) []int32 {
-	col := make([]int32, k*s.n)
-	for d := range col {
-		col[d] = -1
-	}
-	return col
 }
 
 // startOf is the mailbox number of start, which the schedule lowered
@@ -343,9 +381,9 @@ type Clocks struct {
 
 	// prev is scratch for a blocking permute, which reads the clocks as
 	// they were before it; free[link] is when the wire of the link's
-	// last transfer ends; arrive[comm*n+d] is when device d's transfer of
-	// the start with that mailbox number arrives, -1 when d receives
-	// none.
+	// last transfer ends; arrive[row*n+d] is when device d's transfer of
+	// the start in that row (Comm.row) arrives, -1 when d receives
+	// none; a blocking permute's row is unused.
 	prev, free, arrive []float64
 
 	// flight[d] lists the arrivals of device d's transfers still in
@@ -358,7 +396,11 @@ type Clocks struct {
 // collective member's wait into collective; either may be nil.
 func (s *Schedule) NewClocks(stall, collective *obs.Histogram) Clocks {
 	n, links := s.n, len(s.Edges)
-	buf := make([]float64, 5*n+links+len(s.Comms)*n)
+	buf := make([]float64, 5*n+links+s.rows*n)
+	var flight [][]float64
+	if len(s.Edges) > 0 {
+		flight = make([][]float64, n) // only a start puts a transfer in flight
+	}
 	return Clocks{
 		s:          s,
 		stall:      stall,
@@ -370,7 +412,7 @@ func (s *Schedule) NewClocks(stall, collective *obs.Histogram) Clocks {
 		prev:       buf[4*n : 5*n],
 		free:       buf[5*n : 5*n+links],
 		arrive:     buf[5*n+links:],
-		flight:     make([][]float64, n),
+		flight:     flight,
 	}
 }
 
@@ -448,11 +490,11 @@ func (c *Clocks) Time(cost [][]float64, scale float64, delay func(src, dst int, 
 
 		case OpStart:
 			cm := &s.Comms[op.Comm]
-			arr := c.arrive[int(op.Comm)*n : int(op.Comm+1)*n]
+			arr := c.arrive[int(cm.row)*n : int(cm.row+1)*n]
 			for d := range arr {
 				arr[d] = -1
 			}
-			for d, link := range cm.Link {
+			for d, link := range s.Links(op.Comm) {
 				if link < 0 {
 					continue
 				}
@@ -476,7 +518,8 @@ func (c *Clocks) Time(cost [][]float64, scale float64, delay func(src, dst int, 
 			}
 
 		case OpDone:
-			arr := c.arrive[int(op.Comm)*n : int(op.Comm+1)*n]
+			row := int(s.Comms[op.Comm].row)
+			arr := c.arrive[row*n : (row+1)*n]
 			for d := 0; d < n; d++ {
 				if arr[d] < 0 {
 					continue
@@ -489,7 +532,7 @@ func (c *Clocks) Time(cost [][]float64, scale float64, delay func(src, dst int, 
 			cm := &s.Comms[op.Comm]
 			t := wireOf(cm.wire)
 			copy(c.prev, now)
-			for d, src := range cm.From {
+			for d, src := range s.From(op.Comm) {
 				if src < 0 {
 					continue
 				}
