@@ -138,6 +138,13 @@ var sourceGuards = []sourceGuard{
 		roots:   []string{"internal/serve", "internal/train", "internal/autotune"},
 	},
 	{
+		name: "run state follows the schedule",
+		why: "a transfer's instance and a collective's generation are the device's loop iteration, and fault state is indexed " +
+			"by the schedule's links and devices: no per-op execution counter and no (src,dst)-keyed map grows back",
+		pattern: regexp.MustCompile(`map\[\[2\]int\]|\[pc\](\+\+|\s*\+=)|\bcount\s+\[\]int`),
+		roots:   []string{"internal/runtime"},
+	},
+	{
 		name: "timing is a replay: no goroutine sleeps on the wire",
 		why: "a run's timing is computed after the join from the costs its devices recorded, so nothing in the runtime waits on a timer: " +
 			"only the process transport's reaper gives a worker its grace before the kill, and the deadline watchdog waits on the caller's context",

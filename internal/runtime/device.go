@@ -39,12 +39,12 @@ type device struct {
 	args  []*tensor.Tensor
 	flags []bool
 
-	// count tracks per-op execution counts; it numbers asynchronous
-	// transfer instances and collective generations, which stay aligned
-	// across devices because SPMD executes the same schedule everywhere.
-	count []int32
-
 	// iter is the induction variable of the enclosing loop (0 outside).
+	// It is also the instance of a transfer and the generation of a
+	// blocking collective: an op outside a loop runs once a run, one in
+	// a loop once per trip (hlo.VerifyRing refuses nested loops), and
+	// every device walks the same schedule, so the numbers agree across
+	// devices.
 	iter int
 
 	// seq counts every instruction this device has executed, in program
@@ -81,7 +81,6 @@ func newDevice(e *engine, id int) *device {
 		owned: make([]bool, t.nslots),
 		args:  make([]*tensor.Tensor, t.maxArgs),
 		flags: make([]bool, t.maxArgs),
-		count: make([]int32, len(t.ops)),
 	}
 }
 
@@ -93,7 +92,6 @@ func (d *device) reset() {
 	clear(d.owned)
 	clear(d.args)
 	clear(d.flags)
-	clear(d.count)
 	d.iter, d.seq = 0, 0
 	d.cost = d.cost[:0]
 	d.arena, d.arenaPeak = 0, 0
@@ -209,7 +207,7 @@ func (d *device) walk() {
 		}
 		if e.inj != nil {
 			if f, ok := e.inj.crash(d.id, d.seq); ok {
-				e.inj.record(f, op.In.Name)
+				rtFaultInjections.Inc()
 				rtFaultCrashes.Inc()
 				e.fail(&RunError{
 					Device: d.id, Instr: op.In.Name, Phase: PhaseCompute,
@@ -232,13 +230,11 @@ func (d *device) walk() {
 
 		case sim.OpCollective, sim.OpPermute:
 			d.setStat(pc, e.since())
-			gen := int(d.count[pc])
-			d.count[pc]++
 			// The group writes this device's share into a buffer of its
 			// own, and the device takes it back from its mailbox. On an
 			// abort it is abandoned, not recycled: the member computing
 			// the result may still be writing it.
-			out, alive := d.rendezvous(op, p, gen, d.vals[p.arg.slot], d.acquire(op.In.Shape))
+			out, alive := d.rendezvous(op, p, d.vals[p.arg.slot], d.acquire(op.In.Shape))
 			if !alive {
 				return
 			}
@@ -354,8 +350,6 @@ func (d *device) post(op *sim.Op, p *tapeOp, pc int) bool {
 		// operand, so the alias is safe).
 		d.set(p.out, src, false)
 	}
-	inst := int(d.count[pc])
-	d.count[pc]++
 	cm := &e.sched.Comms[op.Comm]
 	link := e.sched.Links(op.Comm)[d.id]
 	if link < 0 {
@@ -375,15 +369,13 @@ func (d *device) post(op *sim.Op, p *tapeOp, pc int) bool {
 			d.free(p.arg.slot)
 		}
 	}
-	return e.fabric.post(int(link), mailKey{box: int(op.Comm), inst: inst}, data, cm.Bytes)
+	return e.fabric.post(int(link), mailKey{box: int(op.Comm), inst: d.iter}, data, cm.Bytes)
 }
 
 // receive executes a done: a pair target takes the delivery and adopts
 // its buffer as the slot's value — no copy; any other device
 // gets zeros, mirroring the permute kernel's zero fill.
 func (d *device) receive(op *sim.Op, p *tapeOp, pc int) bool {
-	inst := int(d.count[pc])
-	d.count[pc]++
 	s := d.eng.sched
 	var out *tensor.Tensor
 	if s.From(op.Comm)[d.id] >= 0 {
@@ -391,7 +383,7 @@ func (d *device) receive(op *sim.Op, p *tapeOp, pc int) bool {
 		if holdAtDone != nil {
 			holdAtDone(d.id)
 		}
-		t, alive := d.take(mailKey{box: int(op.Comm), inst: inst})
+		t, alive := d.take(mailKey{box: int(op.Comm), inst: d.iter})
 		if !alive {
 			return false
 		}

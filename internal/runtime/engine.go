@@ -174,7 +174,7 @@ func (x *Executable) checkin(e *engine) {
 func (e *engine) prepare(opts Options) error {
 	e.opts = opts
 	if opts.Faults != nil && len(opts.Faults.Faults) > 0 {
-		e.inj = newInjector(opts.Faults)
+		e.inj = newInjector(opts.Faults, e.sched, e.n)
 	}
 	return e.fabric.bind()
 }
@@ -311,13 +311,14 @@ func (e *engine) param(index, dev int) *tensor.Tensor {
 	return set[dev]
 }
 
-// deadlineError attributes a deadline abort: to the fired drop/delay
-// fault when injection caused the stall, otherwise to the device that
+// deadlineError attributes a deadline abort: to the first fired drop
+// when injection caused the stall (a delay only lengthens a wire in the
+// replay), otherwise to the device that
 // has been blocked the longest in the most communication-bound phase.
 func (e *engine) deadlineError(cause error) *RunError {
 	re := &RunError{Device: -1, Elapsed: e.sinceDur(), Err: cause}
 	if e.inj != nil {
-		if ff, ok := e.inj.firstStall(); ok {
+		if ff := e.inj.drop.Load(); ff != nil {
 			re.Device = ff.fault.Dst
 			re.Instr = ff.instr
 			re.Phase = PhaseReceive
@@ -387,12 +388,3 @@ func (e *engine) since() float64 { return time.Since(e.epoch).Seconds() }
 
 // sinceDur returns the elapsed run time as a duration.
 func (e *engine) sinceDur() time.Duration { return time.Since(e.epoch) }
-
-// injLink returns the fault state for one directed edge, nil when no
-// fault addresses it.
-func (e *engine) injLink(src, dst int) *linkFaults {
-	if e.inj == nil {
-		return nil
-	}
-	return e.inj.links[[2]int{src, dst}]
-}

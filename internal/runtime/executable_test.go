@@ -77,8 +77,8 @@ func runMatchesInterpreter(x *runtime.Executable, c *hlo.Computation, n int, arg
 // times in a row and four times at once, every run on its own
 // arguments, equals the interpreter bit for bit each time — on both
 // transports, with every released buffer poisoned, so state leaking
-// from one run into another (a slot table, a mailbox watermark, an
-// execution count) or a buffer shared between two concurrent runs
+// from one run into another (a slot table, a mailbox watermark, a
+// loop iteration) or a buffer shared between two concurrent runs
 // corrupts a checked result.
 func TestExecutableReusable(t *testing.T) {
 	defer runtime.PoisonReleased()()
@@ -365,13 +365,15 @@ func zeroTripProgram() *hlo.Computation {
 // TestTraceLayoutSizesEveryBuffer runs every corpus program — as built,
 // rolled, and decomposed, plus a zero-trip loop — traced and untraced
 // and inspects the span slab the timing pass recorded into. The trace
-// layout is a compile-time bound on what a run can record, so a traced
-// run's slab must have been drawn once at exactly that count and never
-// have grown (an append past capacity would show as a larger one), hold
-// no gap — a span the pass left zero-valued — and be in SpanLess
-// order; an untraced run must have drawn none. (A device outside the
-// trace window recording nothing is TestTraceRecording's: no corpus
-// ring is that wide.)
+// layout is a compile-time bound on what a run records short of a
+// MaxInFlight hold, and these runs inject no wire, so no sender holds:
+// a traced run's slab must have been drawn once at exactly that count
+// and never have grown (an append past capacity would show as a larger
+// one), hold no gap — a span the pass left zero-valued — and be in
+// SpanLess order; an untraced run must have drawn none. (A device
+// outside the trace window recording nothing is TestTraceRecording's:
+// no corpus ring is that wide. A hold growing the slab is
+// TestHoldRecordsPastTheSlab's.)
 func TestTraceLayoutSizesEveryBuffer(t *testing.T) {
 	progs, err := corpus.Programs()
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"overlap/internal/machine"
 	"overlap/internal/obs"
+	"overlap/internal/runtime/wire"
 	"overlap/internal/sim"
 )
 
@@ -33,17 +34,22 @@ func HoldBack(dev int, hold time.Duration) (restore func()) {
 	return func() { holdAtDone = nil }
 }
 
+// EditFrames rewrites every frame the process transport sends down to a
+// worker with edit, and returns the function that turns it off again.
+func EditFrames(edit func(*wire.Frame)) (restore func()) {
+	editFrame = edit
+	return func() { editFrame = nil }
+}
+
 // TraceLayout is the span slab a traced run of x records into: for
 // each device inside the trace window, one compute-track span per local
-// op, blocking collective and done it executes, one transfer span per
-// transfer it posts, and one stall span per send past its first
-// MaxInFlight, the most MaxInFlight holds it can meet. It is derived
-// here, by walking the schedule's ops, not read back from the count the
-// schedule keeps.
+// op, blocking collective and done it executes, and one transfer span
+// per transfer it posts. A MaxInFlight hold has no room in it. It is
+// derived here, by walking the schedule's ops, not read back from the
+// count the schedule keeps.
 func (x *Executable) TraceLayout() int {
 	window := min(x.n, obs.TraceMaxDevices)
 	spans, trips := 0, 1
-	sends := make([]int, window)
 	for _, op := range x.sched.Ops {
 		switch op.Kind {
 		case sim.OpLoop:
@@ -53,17 +59,11 @@ func (x *Executable) TraceLayout() int {
 		case sim.OpLocal, sim.OpCollective, sim.OpPermute, sim.OpDone:
 			spans += window * trips
 		case sim.OpStart:
-			for d, link := range x.sched.Links(op.Comm)[:window] {
+			for _, link := range x.sched.Links(op.Comm)[:window] {
 				if link >= 0 {
-					sends[d] += trips
+					spans += trips
 				}
 			}
-		}
-	}
-	for _, k := range sends {
-		spans += k
-		if bound := x.spec.MaxInFlight; bound > 0 {
-			spans += max(k-bound, 0)
 		}
 	}
 	return spans

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"slices"
 	"sync"
 
 	"overlap/internal/sim"
@@ -9,11 +10,12 @@ import (
 
 // mailKey addresses one received instance: box is the mailbox number of
 // the op that produced it — a CollectivePermuteStart or a blocking
-// collective (fabric.op reads the op back) — and inst that op's
-// per-device execution count. SPMD keeps the counters symmetric — a
-// sender's k-th start pairs with its receiver's k-th done, and every
-// member's k-th collective is generation k — so no further
-// coordination is needed to match them.
+// collective (fabric.op reads the op back) — and inst the loop
+// iteration it ran in (0 outside a loop). Every device walks the same
+// schedule, so a sender's start in iteration k pairs with its
+// receiver's done in iteration k, and every member's collective in
+// iteration k is generation k: no further coordination is needed to
+// match them.
 type mailKey struct {
 	box  int
 	inst int
@@ -136,22 +138,23 @@ func (f *fabric) start() error {
 // their attribution identical across transports and across runs. A
 // delay is no decision: it only moves time, and the replay adds it.
 func (f *fabric) faults(link int, instr string) (drop bool, dup *Fault) {
-	e := f.eng
-	edge := e.sched.Edges[link]
-	lf := e.injLink(edge.Src, edge.Dst)
-	if lf == nil {
+	inj := f.eng.inj
+	if inj == nil {
 		return false, nil
 	}
-	k := lf.next()
-	if flt, ok := lf.drops[k]; ok {
-		e.inj.record(flt, instr)
+	lf := &inj.links[link]
+	k := lf.sent
+	lf.sent++
+	if flt, ok := lf.at(FaultDrop, k); ok {
+		inj.drop.CompareAndSwap(nil, &firedFault{fault: *flt, instr: instr})
+		rtFaultInjections.Inc()
 		rtFaultDrops.Inc()
 		return true, nil
 	}
-	if flt, ok := lf.dups[k]; ok {
-		e.inj.record(flt, instr)
+	if flt, ok := lf.at(FaultDuplicate, k); ok {
+		rtFaultInjections.Inc()
 		rtFaultDuplicates.Inc()
-		return false, &flt
+		return false, flt
 	}
 	return false, nil
 }
@@ -192,19 +195,40 @@ func (f *fabric) deliver(dst int, key mailKey, data *tensor.Tensor, fault string
 // and is mapped back to the start's mailbox. fault is the injected
 // fault the frame was marked with (a duplicated delivery carries its
 // injection's description on both copies, so a detected duplicate is
-// attributed identically to the in-process transport). An unknown name
-// is a framing or routing bug and fails the run.
+// attributed identically to the in-process transport). A delivery the
+// schedule cannot have sent — a name that is no start, a device the
+// start sends nothing to, an instance past the transfers its edge
+// carries in a run, a shape other than the start operand's — is a
+// framing or routing bug: it fails the run, and its buffer is recycled.
 func (f *fabric) deliverNamed(dst int, name string, inst int, data *tensor.Tensor, fault string) {
-	box, ok := f.eng.boxes[name]
-	if !ok || dst < 0 || dst >= f.eng.n {
+	box, err := f.named(dst, name, inst, data.Shape())
+	if err != nil {
+		recycle(data)
 		f.eng.fail(&RunError{
 			Device: dst, Instr: name, Phase: PhaseReceive,
-			Elapsed: f.eng.sinceDur(),
-			Err:     formatErr("transport delivered unknown transfer %q to device %d", name, dst),
+			Elapsed: f.eng.sinceDur(), Err: err,
 		})
 		return
 	}
 	f.deliver(dst, mailKey{box: box, inst: inst}, data, fault)
+}
+
+// named resolves a delivery from another process to its mailbox number,
+// if the schedule can have sent it.
+func (f *fabric) named(dst int, name string, inst int, shape []int) (int, error) {
+	s := f.eng.sched
+	box, ok := f.eng.boxes[name]
+	if !ok || dst < 0 || dst >= f.eng.n || s.From(int32(box))[dst] < 0 {
+		return 0, formatErr("transport delivered unknown transfer %q to device %d", name, dst)
+	}
+	edge := s.Edges[s.Links(int32(box))[s.From(int32(box))[dst]]]
+	if inst < 0 || inst >= edge.Transfers {
+		return 0, formatErr("transport delivered instance %d of %q; edge %d->%d carries %d", inst, name, edge.Src, edge.Dst, edge.Transfers)
+	}
+	if want := f.op(box).In.Operands[0].Shape; !slices.Equal(shape, want) {
+		return 0, formatErr("transport delivered %q in shape %v, want %v", name, shape, want)
+	}
+	return box, nil
 }
 
 // op is the schedule op behind mailbox number box: its instruction

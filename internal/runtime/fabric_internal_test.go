@@ -167,23 +167,31 @@ func TestInjectorJitterDeterministic(t *testing.T) {
 			{Kind: FaultDelay, Src: 1, Dst: 2, K: -1, Delay: time.Millisecond, Jitter: time.Millisecond},
 		}}
 	}
+	c := hlo.NewComputation("two-links")
+	a := c.Parameter(0, "a", []int{2, 2})
+	c.CollectivePermuteDone(c.CollectivePermuteStart(a, []hlo.SourceTargetPair{{Source: 0, Target: 1}, {Source: 1, Target: 2}}))
+	x, err := Compile(c, 3, machine.Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	draw := func(p *FaultPlan) [][3]float64 {
-		inj := newInjector(p)
+		inj := newInjector(p, x.sched, 3)
 		var out [][3]float64
 		for _, edge := range [][2]int{{0, 1}, {1, 2}} {
-			lf := inj.links[edge]
+			link, _ := x.sched.Link(edge[0], edge[1])
+			lf := &inj.links[link]
 			out = append(out, [3]float64{lf.rng.Float64(), lf.rng.Float64(), lf.rng.Float64()})
 		}
 		return out
 	}
-	a, b := draw(plan(7)), draw(plan(7))
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed, different jitter stream on edge %d: %v vs %v", i, a[i], b[i])
+	first, again := draw(plan(7)), draw(plan(7))
+	for i := range first {
+		if first[i] != again[i] {
+			t.Fatalf("same seed, different jitter stream on edge %d: %v vs %v", i, first[i], again[i])
 		}
 	}
-	c := draw(plan(8))
-	if a[0] == c[0] && a[1] == c[1] {
+	other := draw(plan(8))
+	if first[0] == other[0] && first[1] == other[1] {
 		t.Fatal("different seeds produced identical jitter streams")
 	}
 }

@@ -7,8 +7,10 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
+
+	"overlap/internal/sim"
 )
 
 // Phase names where in the execution pipeline a device was (or failed)
@@ -331,147 +333,101 @@ func parseEdge(s string) (src, dst int, err error) {
 	return src, dst, nil
 }
 
-// linkFaults is the per-edge injection state: a delivery counter and
-// the drop/dup indices, read by the edge's one sender during the run,
-// and a count of the transfers the replay has priced, the delay faults
-// and their seeded jitter stream, read by the replay after it. Because
-// transfers on one link are program-ordered, the whole thing is
-// deterministic.
-type linkFaults struct {
-	count   int
-	delayed int
-	drops   map[int]Fault
-	dups    map[int]Fault
-	delays  []Fault
-	rng     *rand.Rand
+// injector is a run's fault plan compiled against its schedule: each
+// link's fault state, by link index, and each device's crash points.
+// A link fault on an edge no transfer takes is left out: nothing would
+// ever fire it. drop is the first drop that fired, what a deadline
+// abort is attributed to.
+type injector struct {
+	links   []linkFaults
+	crashAt [][]Fault
+	drop    atomic.Pointer[firedFault]
 }
 
-// next returns the index of the delivery about to be served and
-// advances the counter.
-func (lf *linkFaults) next() int {
-	k := lf.count
-	lf.count++
-	return k
+// linkFaults is one link's injection state: the faults addressing it,
+// in plan order; how many deliveries its one sender has served, during
+// the run; how many transfers the replay has priced, after it; and the
+// seeded jitter stream of its delays. Transfers on one link are
+// program-ordered, so all of it is deterministic.
+type linkFaults struct {
+	faults       []Fault
+	sent, priced int
+	rng          *rand.Rand
+}
+
+// firedFault is a fault that fired, with the instruction it hit.
+type firedFault struct {
+	fault Fault
+	instr string
+}
+
+// newInjector compiles plan, which Validate accepted for an n-device
+// ring, against that ring's schedule s.
+func newInjector(plan *FaultPlan, s *sim.Schedule, n int) *injector {
+	inj := &injector{links: make([]linkFaults, len(s.Edges)), crashAt: make([][]Fault, n)}
+	for _, f := range plan.Faults {
+		if f.Kind == FaultCrash {
+			inj.crashAt[f.Device] = append(inj.crashAt[f.Device], f)
+			continue
+		}
+		link, ok := s.Link(f.Src, f.Dst)
+		if !ok {
+			continue
+		}
+		lf := &inj.links[link]
+		if lf.rng == nil {
+			// Seed the jitter stream per edge so concurrency between
+			// links cannot perturb it.
+			lf.rng = rand.New(rand.NewSource(plan.Seed ^ (int64(f.Src)<<32 | int64(f.Dst))))
+		}
+		lf.faults = append(lf.faults, f)
+	}
+	return inj
+}
+
+// at returns the fault of kind that addresses the link's k-th delivery.
+func (lf *linkFaults) at(kind FaultKind, k int) (*Fault, bool) {
+	for i := range lf.faults {
+		if f := &lf.faults[i]; f.Kind == kind && f.K == k {
+			return f, true
+		}
+	}
+	return nil, false
 }
 
 // delay is the wire, in seconds, the plan adds to the next transfer on
-// edge src→dst: the length of every delay fault addressing it, plus
-// each one's jitter, drawn from the link's seeded stream. The timing
-// pass asks for each link's transfers in order, once each; a nil
-// injector adds nothing.
-func (inj *injector) delay(src, dst int, instr string) float64 {
+// the link: the length of every delay fault addressing it, plus each
+// one's jitter, drawn from the link's seeded stream. The timing pass
+// asks for each link's transfers in order, once each; a nil injector
+// adds nothing.
+func (inj *injector) delay(link int) float64 {
 	if inj == nil {
 		return 0
 	}
-	lf := inj.links[[2]int{src, dst}]
-	if lf == nil {
-		return 0
-	}
-	k := lf.delayed
-	lf.delayed++
+	lf := &inj.links[link]
+	k := lf.priced
+	lf.priced++
 	var extra time.Duration
-	for _, flt := range lf.delays {
-		if flt.K >= 0 && flt.K != k {
+	for _, flt := range lf.faults {
+		if flt.Kind != FaultDelay || flt.K >= 0 && flt.K != k {
 			continue
 		}
 		extra += flt.Delay
 		if flt.Jitter > 0 {
 			extra += time.Duration(lf.rng.Float64() * float64(flt.Jitter))
 		}
-		inj.record(flt, instr)
+		rtFaultInjections.Inc()
 		rtFaultDelays.Inc()
 	}
 	return extra.Seconds()
 }
 
-// firedFault records one fault that actually triggered, with the
-// instruction it hit, so deadline aborts can attribute a stall to the
-// injected fault that caused it.
-type firedFault struct {
-	fault Fault
-	instr string
-}
-
-// injector holds a run's compiled fault plan: per-device crash points,
-// per-link fault state, and the record of faults that fired.
-type injector struct {
-	crashAt map[int]map[int]Fault
-	links   map[[2]int]*linkFaults
-
-	mu    sync.Mutex
-	fired []firedFault
-}
-
-func newInjector(plan *FaultPlan) *injector {
-	inj := &injector{
-		crashAt: map[int]map[int]Fault{},
-		links:   map[[2]int]*linkFaults{},
-	}
-	lf := func(f Fault) *linkFaults {
-		edge := [2]int{f.Src, f.Dst}
-		l, ok := inj.links[edge]
-		if !ok {
-			// Seed the jitter stream per link so concurrency between
-			// links cannot perturb it.
-			seed := plan.Seed ^ (int64(f.Src)<<32 | int64(f.Dst))
-			l = &linkFaults{
-				drops: map[int]Fault{},
-				dups:  map[int]Fault{},
-				rng:   rand.New(rand.NewSource(seed)),
-			}
-			inj.links[edge] = l
-		}
-		return l
-	}
-	for _, f := range plan.Faults {
-		switch f.Kind {
-		case FaultCrash:
-			m, ok := inj.crashAt[f.Device]
-			if !ok {
-				m = map[int]Fault{}
-				inj.crashAt[f.Device] = m
-			}
-			m[f.K] = f
-		case FaultDrop:
-			lf(f).drops[f.K] = f
-		case FaultDuplicate:
-			lf(f).dups[f.K] = f
-		case FaultDelay:
-			l := lf(f)
-			l.delays = append(l.delays, f)
-		}
-	}
-	return inj
-}
-
 // crash reports whether device dev should crash at instruction index k.
 func (inj *injector) crash(dev, k int) (Fault, bool) {
-	m, ok := inj.crashAt[dev]
-	if !ok {
-		return Fault{}, false
-	}
-	f, ok := m[k]
-	return f, ok
-}
-
-// record notes a fired fault and bumps the fault telemetry.
-func (inj *injector) record(f Fault, instr string) {
-	rtFaultInjections.Inc()
-	inj.mu.Lock()
-	inj.fired = append(inj.fired, firedFault{fault: f, instr: instr})
-	inj.mu.Unlock()
-}
-
-// firstStall returns the first fired fault that can stall a receiver,
-// a drop (a delay only lengthens a wire in the replay): the fault a
-// deadline abort should be attributed to when nothing failed outright.
-func (inj *injector) firstStall() (firedFault, bool) {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	for _, ff := range inj.fired {
-		if ff.fault.Kind == FaultDrop {
-			return ff, true
+	for _, f := range inj.crashAt[dev] {
+		if f.K == k {
+			return f, true
 		}
 	}
-	return firedFault{}, false
+	return Fault{}, false
 }

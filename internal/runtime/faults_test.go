@@ -4,12 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 	"time"
 
 	"overlap/internal/hlo"
+	"overlap/internal/machine"
+	"overlap/internal/obs"
 	"overlap/internal/runtime"
 	"overlap/internal/tensor"
 )
@@ -297,5 +300,139 @@ func TestRunErrorMarshalJSON(t *testing.T) {
 	}
 	if got["cause"] != context.DeadlineExceeded.Error() {
 		t.Fatalf("cause = %v", got["cause"])
+	}
+}
+
+// faultPointsProgram posts on a 4-device ring: a loop whose body sends
+// each device's value to its right neighbour three times, one transfer
+// back to the left, and then two more transfers on the edge 0→1, so
+// that link 0→1 carries five deliveries, of three starts. It returns
+// the program, its arguments and the two starts after the loop.
+func faultPointsProgram() (*hlo.Computation, [][]*tensor.Tensor, [2]*hlo.Instruction) {
+	body := hlo.NewComputation("body")
+	q := body.Parameter(0, "q", []int{2, 2})
+	body.Tuple(body.Add(body.CollectivePermuteDone(body.CollectivePermuteStart(q, ringPairs(4))), q))
+	c := hlo.NewComputation("fault-points")
+	p := c.Parameter(0, "p", []int{2, 2})
+	l := c.Loop(body, 3, 0, p)
+	left := []hlo.SourceTargetPair{{Source: 1, Target: 0}, {Source: 2, Target: 1}, {Source: 3, Target: 2}, {Source: 0, Target: 3}}
+	back := c.CollectivePermuteDone(c.CollectivePermuteStart(l, left))
+	one := []hlo.SourceTargetPair{{Source: 0, Target: 1}}
+	s1 := c.CollectivePermuteStart(back, one)
+	d1 := c.CollectivePermuteDone(s1)
+	s2 := c.CollectivePermuteStart(d1, one)
+	c.Tuple(c.CollectivePermuteDone(s2), back)
+	rng := rand.New(rand.NewSource(61))
+	args := [][]*tensor.Tensor{make([]*tensor.Tensor, 4)}
+	for d := range args[0] {
+		args[0][d] = tensor.Rand(rng, 2, 2)
+	}
+	return c, args, [2]*hlo.Instruction{s1, s2}
+}
+
+// TestFaultPlanFiresAtTheSameDeliveries pins where a seeded fault plan
+// fires, on both transports: which deliveries each delay lengthens and
+// by how much — its length plus the jitter drawn from its link's
+// stream, seeded per (source, target) — and which delivery a drop and a
+// duplicate hit. The run has no modeled wire, so each transfer span is
+// exactly its delay. The nanoseconds are pinned: how the injector
+// keeps its state must not move them.
+func TestFaultPlanFiresAtTheSameDeliveries(t *testing.T) {
+	c, args, after := faultPointsProgram()
+	x, err := runtime.Compile(c, 4, machine.TPUv4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	delays := &runtime.FaultPlan{Seed: 5, Faults: []runtime.Fault{
+		{Kind: runtime.FaultDelay, Src: 0, Dst: 1, K: -1, Delay: time.Millisecond, Jitter: 2 * time.Millisecond},
+		{Kind: runtime.FaultDelay, Src: 1, Dst: 2, K: 1, Delay: 2 * time.Millisecond},
+		{Kind: runtime.FaultDelay, Src: 2, Dst: 3, K: 2, Delay: time.Millisecond, Jitter: time.Millisecond},
+		{Kind: runtime.FaultDelay, Src: 1, Dst: 0, K: -1, Delay: time.Millisecond, Jitter: 3 * time.Millisecond},
+		{Kind: runtime.FaultDelay, Src: 0, Dst: 1, K: 3, Delay: 4 * time.Millisecond, Jitter: time.Millisecond},
+	}}
+	// Each device's transfer spans, in the order it posted them, in
+	// nanoseconds of delay.
+	want := [][]time.Duration{
+		0: {1486743, 1204223, 1689403, 7228644, 1934145},
+		1: {2000000, 3756676},
+		2: {1566092},
+	}
+	for _, tr := range transports {
+		res, err := x.Run(context.Background(), args, runtime.Options{Trace: true, Faults: delays, Transport: tr})
+		if err != nil {
+			t.Fatalf("%s: %v", tr, err)
+		}
+		got := make([][]time.Duration, len(want))
+		for _, sp := range res.Trace {
+			if sp.Cat == obs.CatTransfer {
+				got[sp.Device] = append(got[sp.Device], time.Duration(math.Round(sp.Dur*1e9)))
+			}
+		}
+		res.Release()
+		for d := range want {
+			if !slices.Equal(got[d], want[d]) {
+				t.Errorf("%s: device %d's delayed transfers %v, want %v", tr, d, got[d], want[d])
+			}
+		}
+	}
+
+	for _, tc := range []struct {
+		fault runtime.Fault
+		instr string
+		cause error
+	}{
+		{runtime.Fault{Kind: runtime.FaultDrop, Src: 0, Dst: 1, K: 3}, after[0].Name, context.DeadlineExceeded},
+		{runtime.Fault{Kind: runtime.FaultDuplicate, Src: 0, Dst: 1, K: 4}, after[1].Name, runtime.ErrDuplicateDelivery},
+	} {
+		for _, tr := range transports {
+			ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+			_, err := x.Run(ctx, args, runtime.Options{Faults: &runtime.FaultPlan{Faults: []runtime.Fault{tc.fault}}, Transport: tr})
+			cancel()
+			var re *runtime.RunError
+			if !errors.As(err, &re) || !errors.Is(err, tc.cause) {
+				t.Fatalf("%s %s: error %v, want a *RunError from %v", tr, tc.fault, err, tc.cause)
+			}
+			if re.Device != 1 || re.Instr != tc.instr || re.Phase != runtime.PhaseReceive || re.Fault != tc.fault.String() {
+				t.Errorf("%s %s: error %v, want device 1 at %s, phase receive, fault %s", tr, tc.fault, re, tc.instr, tc.fault)
+			}
+		}
+	}
+}
+
+// TestUnusedEdgeFaultFiresNothing: a fault on an edge no transfer of the
+// program takes fires nothing, on either transport. The run succeeds
+// with the interpreter's values and no wire: the delay lengthens
+// nothing, the drop loses nothing and the duplicate repeats nothing.
+func TestUnusedEdgeFaultFiresNothing(t *testing.T) {
+	c, args, _ := faultPointsProgram()
+	x, err := runtime.Compile(c, 4, machine.TPUv4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &runtime.FaultPlan{Seed: 3, Faults: []runtime.Fault{
+		{Kind: runtime.FaultDelay, Src: 0, Dst: 2, K: -1, Delay: 5 * time.Millisecond, Jitter: time.Millisecond},
+		{Kind: runtime.FaultDrop, Src: 2, Dst: 0, K: 0},
+		{Kind: runtime.FaultDuplicate, Src: 3, Dst: 1, K: 0},
+	}}
+	for _, tr := range transports {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		res, err := x.Run(ctx, args, runtime.Options{Trace: true, Faults: plan, Transport: tr})
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: %v", tr, err)
+		}
+		if err := runtime.CheckInterpreter(c, 4, args, res); err != nil {
+			t.Fatalf("%s: %v", tr, err)
+		}
+		transfers := 0
+		for _, sp := range res.Trace {
+			if sp.Cat == obs.CatTransfer {
+				transfers++
+			}
+		}
+		if res.Breakdown.CollectiveWire != 0 || transfers != 0 {
+			t.Errorf("%s: %g s of wire and %d transfer spans, want none", tr, res.Breakdown.CollectiveWire, transfers)
+		}
+		res.Release()
 	}
 }

@@ -15,9 +15,9 @@ import (
 // buffers, hands each to its member's mailbox and resets the state.
 //
 // A group keeps two states, used by the parity of the generation (the
-// per-device execution count of the collective: inside a loop body it
-// runs once per trip, and fast devices may reach generation k+1 before
-// slow ones have taken generation k's result). Two are enough: a member
+// device's loop iteration: inside a loop body the collective runs once
+// per trip, and fast devices may reach generation k+1 before slow ones
+// have taken generation k's result). Two are enough: a member
 // deposits generation k+2 only after taking its k+1 result, which
 // exists only once every member has deposited k+1 — among them the
 // member that completed k, which reset k's state before depositing
@@ -74,12 +74,12 @@ func layoutGens(s *sim.Schedule) [][]genState {
 // delivers every member's buffer. Inputs are read, and destinations
 // written, only between the last arrival and the delivery. It returns
 // false when the run aborted while waiting.
-func (d *device) rendezvous(op *sim.Op, p *tapeOp, gen int, input, dst *tensor.Tensor) (*tensor.Tensor, bool) {
+func (d *device) rendezvous(op *sim.Op, p *tapeOp, input, dst *tensor.Tensor) (*tensor.Tensor, bool) {
 	e := d.eng
 	group, pos := p.groups.group[d.id], p.groups.pos[d.id]
 	devs := e.sched.Comms[op.Comm].Members[group]
-	key := mailKey{box: int(op.Comm), inst: gen}
-	gs := &e.gens[op.Comm][2*int(group)+gen&1]
+	key := mailKey{box: int(op.Comm), inst: d.iter}
+	gs := &e.gens[op.Comm][2*int(group)+d.iter&1]
 	gs.inputs[pos], gs.dsts[pos] = input, dst
 	if int(gs.arrived.Add(1)) == len(devs) {
 		sim.CollectiveInto(op.In, e.sched.From(op.Comm), gs.dsts, gs.inputs)

@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -51,7 +52,7 @@ func replayOn(t *testing.T, c *hlo.Computation, n int, spec machine.Spec, cost [
 		if err != nil {
 			t.Fatal(err)
 		}
-		inj = newInjector(plan)
+		inj = newInjector(plan, x.sched, n)
 	}
 	clk := x.sched.NewClocks(nil, nil)
 	slab := make([]obs.Span, x.sched.Spans)
@@ -351,6 +352,58 @@ func TestReplayHoldsAtMaxInFlight(t *testing.T) {
 	}
 }
 
+// TestHoldRecordsPastTheSlab: the schedule's span count leaves no room
+// for a MaxInFlight hold, so a pass that meets one on a full slab
+// appends past it. Two devices swap MaxInFlight+1 transfers over a
+// 1000 s wire, each posted after an Add: device 0's cost 1 s, device
+// 1's 100 s. Every local op records a span and every transfer one, each
+// device holds once at its last post — device 0 until 1001, device 1
+// until 1100 — and every done stalls but device 1's first, whose
+// transfer arrived at 1001: one span more than the slab holds.
+func TestHoldRecordsPastTheSlab(t *testing.T) {
+	posts := unitSpec.MaxInFlight + 1
+	c := hlo.NewComputation("hold-past-the-slab")
+	p := c.Parameter(0, "p", []int{2, 2})
+	swap := []hlo.SourceTargetPair{{Source: 0, Target: 1}, {Source: 1, Target: 0}}
+	var starts, dones []*hlo.Instruction
+	for i := 0; i < posts; i++ {
+		starts = append(starts, c.CollectivePermuteStart(c.Add(p, p), swap))
+	}
+	for _, s := range starts {
+		dones = append(dones, c.CollectivePermuteDone(s))
+	}
+	c.Tuple(dones...)
+	x, err := Compile(c, 2, unitSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost := [][]float64{make([]float64, posts+1), make([]float64, posts+1)}
+	for k := range cost[0] {
+		cost[0][k], cost[1][k] = 1, 100
+	}
+	cost[1][posts] = 1 // the tuple
+	slab := make([]obs.Span, x.sched.Spans)
+	clk := x.sched.NewClocks(nil, nil)
+	_, spans := clk.Time(cost, 1000, nil, slab)
+	if len(spans) != len(slab)+1 {
+		t.Fatalf("%d spans for a slab of %d, want one more", len(spans), len(slab))
+	}
+	last := starts[posts-1].Name
+	var holds []obs.Span
+	for _, sp := range spans {
+		if sp.Cat == obs.CatStall && sp.Name == last {
+			holds = append(holds, sp)
+		}
+	}
+	want := []obs.Span{
+		{Device: 0, Track: obs.TrackCompute, Cat: obs.CatStall, Name: last, Start: float64(posts), Dur: 1001 - float64(posts)},
+		{Device: 1, Track: obs.TrackCompute, Cat: obs.CatStall, Name: last, Start: 100 * float64(posts), Dur: 1100 - 100*float64(posts)},
+	}
+	if !slices.Equal(holds, want) {
+		t.Errorf("holds %v, want %v", holds, want)
+	}
+}
+
 // TestReplayScalesTheWireAndAddsDelays: a run's wire is the op's
 // modeled seconds times the run's TimeScale, plus the plan's delays
 // with their seeded jitter; TimeScale 0 injects no modeled wire, and a
@@ -360,9 +413,13 @@ func TestReplayScalesTheWireAndAddsDelays(t *testing.T) {
 	p := c.Parameter(0, "p", []int{2, 2})
 	c.CollectivePermuteDone(c.CollectivePermuteStart(p, []hlo.SourceTargetPair{{Source: 0, Target: 1}}))
 	jittered := func() float64 {
+		x, err := Compile(c, 2, unitSpec)
+		if err != nil {
+			t.Fatal(err)
+		}
 		plan := &FaultPlan{Faults: []Fault{{Kind: FaultDelay, Src: 0, Dst: 1, K: -1, Delay: time.Second, Jitter: time.Second}}}
-		inj := newInjector(plan)
-		return inj.delay(0, 1, "")
+		link, _ := x.sched.Link(0, 1)
+		return newInjector(plan, x.sched, 2).delay(link)
 	}()
 	if jittered < 1 || jittered >= 2 {
 		t.Fatalf("a 1 s delay with 1 s of jitter adds %g s, want [1, 2)", jittered)

@@ -26,6 +26,17 @@
 // to the context that filled them. Run and RunContext are the one-shot
 // form, Compile then Run.
 //
+// Run state follows the schedule: what a run keeps per op, link or
+// device is laid out by the schedule's positions, and nothing keeps
+// count beside it. A transfer's instance and a blocking collective's
+// generation are the device's loop iteration (an op outside a loop
+// runs once a run, and hlo.VerifyRing refuses nested loops); a fault
+// plan is compiled against the schedule's links, its state indexed by
+// link and its crash points by device; a traced run's span slab is the
+// schedule's span count, which a rare MaxInFlight hold grows past; and
+// a frame coming up from a worker process is delivered only if the
+// schedule can have sent it.
+//
 // Correctness is anchored to the lockstep interpreter: local
 // instructions evaluate through the shared sim.EvalLocalInto dispatch
 // (the interpreter into a buffer no live value names, this package into

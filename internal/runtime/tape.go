@@ -22,7 +22,7 @@ import (
 // The tape is program state: a function of the computation and its
 // schedule, immutable once Compile returns and walked by any number of
 // runs at once. Everything a run changes lives with the run — each
-// device's slot table, owned bits, execution counts, arena accounting
+// device's slot table, owned bits, loop iteration, arena accounting
 // and cost row, the mailboxes, the timing pass's state — and the run's
 // own options (TimeScale, Transport, Trace, Faults) never reach the
 // tape.

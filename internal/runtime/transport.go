@@ -1,5 +1,7 @@
 package runtime
 
+import "overlap/internal/runtime/wire"
+
 // TransportKind selects the fabric implementation a run's transfers
 // move over.
 type TransportKind string
@@ -32,6 +34,11 @@ func ParseTransport(s string) (TransportKind, error) {
 	}
 	return "", formatErr("unknown transport %q (want %q or %q)", s, TransportChan, TransportProc)
 }
+
+// editFrame, when set, rewrites each frame the process transport sends
+// down to its source worker. Set only by tests, to send a frame no
+// schedule can have sent.
+var editFrame func(*wire.Frame)
 
 // transport is the seam the process transport plugs into the fabric
 // behind its build tag: it carries one posted parcel from its source

@@ -253,6 +253,9 @@ func (t *procTransport) serveEdge(link int, l *procEdge) {
 			arrivals = 2
 		}
 		t.awaited.Add(arrivals)
+		if editFrame != nil {
+			editFrame(&fr)
+		}
 		t0 := time.Now()
 		w.writeMu.Lock()
 		err := wire.WriteFrame(w.control, &fr)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -15,7 +16,9 @@ import (
 	"time"
 
 	"overlap/internal/hlo"
+	"overlap/internal/machine"
 	"overlap/internal/runtime"
+	"overlap/internal/runtime/wire"
 	"overlap/internal/sim"
 	"overlap/internal/tensor"
 )
@@ -330,6 +333,59 @@ func TestTransportProcWorkerSIGTERM(t *testing.T) {
 			break
 		} else if time.Now().After(deadline) {
 			t.Fatalf("worker processes leaked after worker death: %v", pids)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestMalformedFramesFailTheRun: a frame coming up from a worker
+// process that no schedule can have sent ends the run in one *RunError
+// at phase receive and leaves no worker process or goroutine behind.
+// Dims whose product overflows into agreement with an empty payload are
+// refused by the source worker's decoder, and the worker exits; an
+// instance past what its edge carries, and a shape other than the start
+// operand's of the same element count, are refused by the parent
+// before any mailbox holds them.
+func TestMalformedFramesFailTheRun(t *testing.T) {
+	c := hlo.NewComputation("one-link")
+	a := c.Parameter(0, "a", []int{2, 2})
+	c.CollectivePermuteDone(c.CollectivePermuteStart(a, []hlo.SourceTargetPair{{Source: 0, Target: 1}}))
+	x, err := runtime.Compile(c, 2, machine.Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := [][]*tensor.Tensor{{tensor.Rand(rand.New(rand.NewSource(3)), 2, 2)}}
+	baseline := goruntime.NumGoroutine()
+	for _, tc := range []struct {
+		name   string
+		edit   func(*wire.Frame)
+		device int
+		cause  error
+	}{
+		{"dims overflow", func(f *wire.Frame) { f.Shape, f.Data = []int{65536, 65536, 65536, 65536}, nil }, 0, runtime.ErrWorkerExit},
+		{"instance past its edge", func(f *wire.Frame) { f.Inst = math.MaxUint32 }, 1, nil},
+		{"shape not the operand's", func(f *wire.Frame) { f.Shape = []int{4, 1} }, 1, nil},
+	} {
+		restore := runtime.EditFrames(tc.edit)
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		_, err := x.Run(ctx, args, runtime.Options{Transport: runtime.TransportProc})
+		cancel()
+		restore()
+		var re *runtime.RunError
+		if !errors.As(err, &re) || errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: error %v, want a *RunError before the deadline", tc.name, err)
+		}
+		if re.Device != tc.device || re.Phase != runtime.PhaseReceive || (tc.cause != nil && !errors.Is(err, tc.cause)) {
+			t.Errorf("%s: error %v, want device %d, phase receive, cause %v", tc.name, re, tc.device, tc.cause)
+		}
+		if pids := workerProcs(t); len(pids) != 0 {
+			t.Fatalf("%s: worker processes leaked: %v", tc.name, pids)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for goruntime.NumGoroutine() > baseline+3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d at start, %d after runs", baseline, goruntime.NumGoroutine())
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

@@ -1,7 +1,7 @@
 // Package wire is the frame codec of the process transport: it moves
 // one asynchronous transfer — addressed by its start instruction's name
-// and per-device execution count — across a Unix socket as one
-// length-prefixed binary frame.
+// and its instance, the loop iteration that posted it — across a Unix
+// socket as one length-prefixed binary frame.
 //
 // Layout (all integers little-endian):
 //
@@ -13,9 +13,14 @@
 //	u16  start-instruction name length, then the name bytes
 //	u16  fault description length, then the bytes (the injected fault
 //	     a duplicated frame is attributed to; usually empty)
-//	u32  inst (per-device execution count of the start)
+//	u32  inst (the loop iteration that posted the transfer; 0 outside a loop)
 //	u32  rank, then rank × u32 dims
 //	     dims-product × u64 IEEE-754 float64 payload
+//
+// A reader accepts only what a writer can produce: a frame whose name
+// or fault is longer than a writer allows, or whose dims' product does
+// not count exactly the payload's elements, is an error, never a
+// frame.
 //
 // Writes assemble the whole frame in one pooled scratch buffer and hand
 // it to the socket as a single Write, so a frame is never interleaved
@@ -63,7 +68,7 @@ type Frame struct {
 	// Name and Inst address the transfer instance: the start
 	// instruction's name (portable across process boundaries, unlike
 	// the *hlo.Instruction the in-process mailboxes key on) and the
-	// per-device execution count.
+	// loop iteration that posted it.
 	Name string
 	Inst int
 	// Flags carries pre-decided fault actions (FlagDrop, FlagDup).
@@ -150,11 +155,11 @@ func WriteFrame(w io.Writer, f *Frame) error {
 func ReadFrame(r io.Reader, f *Frame) error { return ReadFrameInto(r, f, nil) }
 
 // ReadFrameInto is ReadFrame with the payload's storage chosen by the
-// caller: once the header is parsed, alloc is called with the frame's
-// shape and must return a slice of exactly its element count, which the
-// payload is decoded into and f.Data is set to. The shape slice is the
-// frame's own and is only valid during the call. A nil alloc reuses
-// f.Data's capacity, as ReadFrame does.
+// caller: once the header is parsed and checked, alloc is called with
+// the frame's shape and must return a slice of exactly its element
+// count, which the payload is decoded into and f.Data is set to. The
+// shape slice is the frame's own and is only valid during the call. A
+// nil alloc reuses f.Data's capacity, as ReadFrame does.
 func ReadFrameInto(r io.Reader, f *Frame, alloc func(shape []int) []float64) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -167,12 +172,12 @@ func ReadFrameInto(r io.Reader, f *Frame, alloc func(shape []int) []float64) err
 	if n < minFrame || n > MaxFrameBytes {
 		return fmt.Errorf("wire: frame length %d out of range [%d, %d]", n, minFrame, MaxFrameBytes)
 	}
-	p := getScratch(n)
+	p := scratch.Get().(*[]byte)
 	defer putScratch(p)
-	b := *p
-	if _, err := io.ReadFull(r, b); err != nil {
+	if err := readBody(r, p, n); err != nil {
 		return fmt.Errorf("wire: truncated frame body: %w", err)
 	}
+	b := *p
 	if b[0] != Version {
 		return fmt.Errorf("wire: frame version %d, want %d", b[0], Version)
 	}
@@ -180,15 +185,15 @@ func ReadFrameInto(r io.Reader, f *Frame, alloc func(shape []int) []float64) err
 	f.Src = int(binary.LittleEndian.Uint32(b[2:]))
 	f.Dst = int(binary.LittleEndian.Uint32(b[6:]))
 	nameLen := int(binary.LittleEndian.Uint16(b[10:]))
-	if 12+nameLen+10 > n {
-		return fmt.Errorf("wire: frame name length %d overruns frame of %d bytes", nameLen, n)
+	if nameLen > maxNameLen || 12+nameLen+10 > n {
+		return fmt.Errorf("wire: frame name length %d out of range for a frame of %d bytes", nameLen, n)
 	}
 	f.Name = string(b[12 : 12+nameLen])
 	off := 12 + nameLen
 	faultLen := int(binary.LittleEndian.Uint16(b[off:]))
 	off += 2
-	if off+faultLen+8 > n {
-		return fmt.Errorf("wire: frame fault length %d overruns frame of %d bytes", faultLen, n)
+	if faultLen > maxNameLen || off+faultLen+8 > n {
+		return fmt.Errorf("wire: frame fault length %d out of range for a frame of %d bytes", faultLen, n)
 	}
 	f.Fault = string(b[off : off+faultLen])
 	off += faultLen
@@ -200,15 +205,18 @@ func ReadFrameInto(r io.Reader, f *Frame, alloc func(shape []int) []float64) err
 		return fmt.Errorf("wire: frame rank %d overruns frame of %d bytes", rank, n)
 	}
 	f.Shape = resize(f.Shape, rank)
-	elems := 1
+	// The element count is checked in floating point, so an absurd shape
+	// cannot overflow into agreement with the bytes that remain.
+	count := 1.0
 	for i := range f.Shape {
 		f.Shape[i] = int(binary.LittleEndian.Uint32(b[off:]))
 		off += 4
-		elems *= f.Shape[i]
+		count *= float64(f.Shape[i])
 	}
-	if off+8*elems != n {
-		return fmt.Errorf("wire: frame payload %d elements does not fill %d remaining bytes", elems, n-off)
+	if 8*count != float64(n-off) {
+		return fmt.Errorf("wire: frame dims %v do not count the %d payload bytes", f.Shape, n-off)
 	}
+	elems := (n - off) / 8
 	if alloc == nil {
 		f.Data = resizeF(f.Data, elems)
 	} else if f.Data = alloc(f.Shape); len(f.Data) != elems {
@@ -218,6 +226,35 @@ func ReadFrameInto(r io.Reader, f *Frame, alloc func(shape []int) []float64) err
 		f.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
 		off += 8
 	}
+	return nil
+}
+
+// trustedBody is how much of a frame body a reader allocates on the
+// length prefix's word alone.
+const trustedBody = 1 << 20
+
+// readBody reads an n-byte frame body into *p. A buffer too small for
+// it is replaced by one of at most trustedBody bytes, which doubles, up
+// to n, each time the bytes that arrive fill it: a length prefix that
+// claims more than the stream carries costs at most trustedBody plus
+// twice what the stream does.
+func readBody(r io.Reader, p *[]byte, n int) error {
+	b := (*p)[:0]
+	if cap(b) < n {
+		b = make([]byte, 0, min(n, trustedBody))
+	}
+	for len(b) < n {
+		if len(b) == cap(b) {
+			b = append(make([]byte, 0, min(n, 2*cap(b))), b...)
+		}
+		k, err := io.ReadFull(r, b[len(b):min(n, cap(b))])
+		b = b[:len(b)+k]
+		if err != nil {
+			*p = b
+			return err
+		}
+	}
+	*p = b
 	return nil
 }
 

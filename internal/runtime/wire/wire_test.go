@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	goruntime "runtime"
 	"strings"
 	"testing"
 )
@@ -34,19 +35,43 @@ func roundTrip(t *testing.T, in Frame) Frame {
 	return out
 }
 
-// TestFrameRoundTrip encodes representative frames and decodes them
-// back: every field — including flags, fault attribution, negative
-// zero, NaN payload bits, and empty shapes — must survive bit for bit.
-func TestFrameRoundTrip(t *testing.T) {
-	nan := math.Float64frombits(0x7ff8000000000001)
-	frames := []Frame{
-		{Src: 0, Dst: 1, Name: "cps.0", Inst: 0, Shape: []int{2, 3}, Data: []float64{1, 2, 3, 4, 5, 6}},
-		{Src: 3, Dst: 0, Name: "gbkt2.permute.17", Inst: 41, Shape: []int{1}, Data: []float64{math.Copysign(0, -1)}},
-		{Src: 1, Dst: 2, Name: "x", Inst: 7, Flags: FlagDup, Fault: "dup:link:1-2:7", Shape: []int{4}, Data: []float64{nan, math.Inf(1), math.Inf(-1), -1e-300}},
-		// Rank 0 is a scalar: one element, no dims.
-		{Src: 2, Dst: 3, Name: "drop-me", Inst: 1, Flags: FlagDrop, Fault: "drop:link:2-3:1", Shape: []int{}, Data: []float64{42.5}},
+// sampleFrames are representative frames: flags, fault attribution,
+// negative zero, NaN payload bits and a scalar's empty shape. They seed
+// FuzzReadFrame.
+var sampleFrames = []Frame{
+	{Src: 0, Dst: 1, Name: "cps.0", Inst: 0, Shape: []int{2, 3}, Data: []float64{1, 2, 3, 4, 5, 6}},
+	{Src: 3, Dst: 0, Name: "gbkt2.permute.17", Inst: 41, Shape: []int{1}, Data: []float64{math.Copysign(0, -1)}},
+	{Src: 1, Dst: 2, Name: "x", Inst: 7, Flags: FlagDup, Fault: "dup:link:1-2:7", Shape: []int{4}, Data: []float64{math.Float64frombits(0x7ff8000000000001), math.Inf(1), math.Inf(-1), -1e-300}},
+	// Rank 0 is a scalar: one element, no dims.
+	{Src: 2, Dst: 3, Name: "drop-me", Inst: 1, Flags: FlagDrop, Fault: "drop:link:2-3:1", Shape: []int{}, Data: []float64{42.5}},
+}
+
+// rawFrame lays a frame's bytes out as WriteFrame does, without its
+// checks: how a corrupt or hostile writer would.
+func rawFrame(name string, dims []uint32, payload int) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(minFrame+len(name)+4*len(dims)+8*payload))
+	b = append(b, Version, 0)
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	b = binary.LittleEndian.AppendUint32(b, 1)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(name)))
+	b = append(b, name...)
+	b = binary.LittleEndian.AppendUint16(b, 0)
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(dims)))
+	for _, d := range dims {
+		b = binary.LittleEndian.AppendUint32(b, d)
 	}
-	for _, in := range frames {
+	return append(b, make([]byte, 8*payload)...)
+}
+
+// overflowFrame claims rank 4 with every dim 65536 and carries no
+// payload: the dims' product, 2^64, wraps to 0 in an int.
+var overflowFrame = rawFrame("cps.0", []uint32{65536, 65536, 65536, 65536}, 0)
+
+// TestFrameRoundTrip encodes representative frames and decodes them
+// back: every field must survive bit for bit.
+func TestFrameRoundTrip(t *testing.T) {
+	for _, in := range sampleFrames {
 		out := roundTrip(t, in)
 		if out.Src != in.Src || out.Dst != in.Dst || out.Name != in.Name ||
 			out.Inst != in.Inst ||
@@ -166,10 +191,66 @@ func TestFrameRejectsCorruption(t *testing.T) {
 		binary.LittleEndian.PutUint32(b[off:], 1)
 	})
 
+	// What no writer produces is no frame: dims whose product overflows
+	// into agreement with an empty payload, and a name longer than a
+	// writer allows.
+	for name, b := range map[string][]byte{
+		"dims overflow":  overflowFrame,
+		"name too long":  rawFrame(strings.Repeat("x", maxNameLen+1), []uint32{1}, 1),
+		"dims overcount": rawFrame("a", []uint32{1 << 31, 1 << 31, 4}, 2),
+	} {
+		var out Frame
+		if err := ReadFrame(bytes.NewReader(b), &out); err == nil {
+			t.Fatalf("%s: decoder accepted %+v", name, out)
+		}
+	}
+
+	// A length prefix that claims more than the stream carries costs
+	// memory in proportion to the stream, not to the claim.
+	lying := append(binary.LittleEndian.AppendUint32(nil, MaxFrameBytes), base[4:]...)
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	var out Frame
+	if err := ReadFrame(bytes.NewReader(lying), &out); err == nil {
+		t.Fatal("decoder accepted a frame shorter than its length prefix")
+	}
+	goruntime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*trustedBody {
+		t.Errorf("a %d-byte stream claiming %d bytes allocated %d bytes", len(lying), MaxFrameBytes, grew)
+	}
+
 	// A name longer than the cap is refused at encode time.
 	var buf bytes.Buffer
 	err := WriteFrame(&buf, &Frame{Name: strings.Repeat("x", maxNameLen+1), Shape: []int{}, Data: []float64{}})
 	if err == nil {
 		t.Fatal("WriteFrame accepted an oversized name")
 	}
+}
+
+// FuzzReadFrame: whatever bytes arrive, the decoder returns an error or
+// a frame, never panics, and a frame it accepts re-encodes to exactly
+// the bytes it consumed.
+func FuzzReadFrame(f *testing.F) {
+	for _, fr := range sampleFrames {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, &fr); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add(overflowFrame)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r := bytes.NewReader(b)
+		var fr Frame
+		if err := ReadFrame(r, &fr); err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, &fr); err != nil {
+			t.Fatalf("an accepted frame does not re-encode: %v", err)
+		}
+		if read := b[:len(b)-r.Len()]; !bytes.Equal(buf.Bytes(), read) {
+			t.Fatalf("an accepted frame re-encodes to %x, read from %x", buf.Bytes(), read)
+		}
+	})
 }

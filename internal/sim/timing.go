@@ -73,12 +73,12 @@ type Schedule struct {
 	// target) order; an edge's position is its link index.
 	Edges []Edge
 
-	// Spans is the most spans a traced pass records: for each device
+	// Spans is what every traced pass can record: for each device
 	// inside the trace window, one compute-track span per local op,
-	// blocking collective and done it executes, one transfer span per
-	// transfer it posts, and one stall span per MaxInFlight hold, which
-	// only a send past its first MaxInFlight can meet. It sizes a traced
-	// pass's span slab.
+	// blocking collective and done it executes, and one transfer span
+	// per transfer it posts. It sizes a traced pass's span slab. A send
+	// that meets a MaxInFlight hold records one stall span more, past
+	// the slab: a hold is rare, and the slab has no room for it.
 	Spans int
 }
 
@@ -182,24 +182,19 @@ func NewSchedule(c *hlo.Computation, n int, spec machine.Spec) *Schedule {
 			links := s.Links(int32(box))
 			for dst, src := range s.From(int32(box)) {
 				if src >= 0 {
-					link, _ := slices.BinarySearchFunc(s.Edges, Edge{Src: int(src), Dst: dst}, edgeCompare)
+					link, _ := s.Link(int(src), dst)
 					links[src] = int32(link)
 				}
 			}
 		}
 	}
-	// A device's k-th send finds at most k transfers in flight, so only
-	// its sends past the first MaxInFlight can hold.
-	for d := 0; d < min(n, obs.TraceMaxDevices) && spec.MaxInFlight > 0; d++ {
-		sent := 0
-		for _, e := range s.Edges {
-			if e.Src == d {
-				sent += e.Transfers
-			}
-		}
-		s.Spans += max(sent-spec.MaxInFlight, 0)
-	}
 	return s
+}
+
+// Link is the position in Edges of the edge src→dst, false when no
+// start's transfer takes it.
+func (s *Schedule) Link(src, dst int) (int, bool) {
+	return slices.BinarySearchFunc(s.Edges, Edge{Src: src, Dst: dst}, edgeCompare)
 }
 
 // size counts the ops and communications lowering c appends — one op
@@ -419,12 +414,14 @@ func (s *Schedule) NewClocks(stall, collective *obs.Histogram) Clocks {
 // Time runs the timing pass. cost[d][k] is the seconds the k-th local
 // op device d executed took. A transfer's or collective's wire is its
 // modeled seconds times scale (none at all at scale <= 0), and a
-// transfer's lengthens by delay(source, target, name) when delay is not
-// nil; the pass asks for each link's transfers in order, once each. A
-// traced pass — one handed a slab, Schedule.Spans long — records the
-// spans of the first obs.TraceMaxDevices devices into slab[:0] and
-// returns them in obs.SpanLess order; a nil slab records none.
-func (c *Clocks) Time(cost [][]float64, scale float64, delay func(src, dst int, name string) float64, slab []obs.Span) (Breakdown, []obs.Span) {
+// transfer's lengthens by delay(link), link its edge's position in
+// Edges, when delay is not nil; the pass asks for each link's transfers
+// in order, once each. A traced pass — one handed a slab,
+// Schedule.Spans long — records the spans of the first
+// obs.TraceMaxDevices devices into slab[:0], past its end only at a
+// MaxInFlight hold, and returns them in obs.SpanLess order; a nil slab
+// records none.
+func (c *Clocks) Time(cost [][]float64, scale float64, delay func(link int) float64, slab []obs.Span) (Breakdown, []obs.Span) {
 	s := c.s
 	n := s.n
 	for _, v := range [][]float64{c.Now, c.Compute, c.Wire, c.Exposed, c.free} {
@@ -502,7 +499,7 @@ func (c *Clocks) Time(cost [][]float64, scale float64, delay func(src, dst int, 
 				waitUntil(d, c.hold(d), obs.CatStall, name)
 				t := wireOf(cm.wire)
 				if delay != nil {
-					t += delay(d, tgt, name)
+					t += delay(int(link))
 				}
 				depart := max(now[d], c.free[link])
 				arrival := depart + t

@@ -113,7 +113,7 @@ func TestTimingRules(t *testing.T) {
 		build    func(c *hlo.Computation) []*hlo.Instruction
 		cost     [][]float64
 		scale    float64
-		delay    func(src, dst int, name string) float64
+		delay    func(link int) float64
 
 		now, wire, exposed []float64
 		spans              []want
@@ -165,9 +165,9 @@ func TestTimingRules(t *testing.T) {
 			build: posts(2, pair(0, 1)),
 			cost:  [][]float64{row(0, 0, 0), row(0, 0, 0)},
 			scale: 2,
-			delay: func() func(src, dst int, name string) float64 {
+			delay: func() func(link int) float64 {
 				k := 0
-				return func(src, dst int, _ string) float64 {
+				return func(int) float64 {
 					k++
 					if k == 1 {
 						return 3
