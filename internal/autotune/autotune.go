@@ -46,6 +46,9 @@
 // order where SetSchedule applies it; every node a candidate lands on,
 // once, in its order; each factor's legality against its node; every
 // executed program stamped, and then bitwise against sim.Interpret.
+// A compiler that keeps a Rankings (rankings.go) ranks each program
+// body once: a program that differs from a ranked one only in its name
+// skips stage 1, and only the candidates stage 2 executes are built.
 //
 // Because stage 2 observes real breakdowns, the tuner also *calibrates*
 // the machine model: it fits effective compute throughput, link
@@ -219,12 +222,13 @@ func ProgramFingerprint(c *hlo.Computation) string {
 // modified; args follows sim.Interpret's convention (args[i][d] is
 // parameter i's value on device d, a single entry replicates).
 func Tune(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options) (*Result, error) {
-	return tune("", c, numDevices, args, opts)
+	return tune("", c, numDevices, args, opts, nil)
 }
 
 // tune is Tune under a decision key the caller already computed —
-// Key(c, opts.Spec, numDevices); empty computes it here.
-func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options) (*Result, error) {
+// Key(c, opts.Spec, numDevices); empty computes it here — and, unless
+// memo is nil, with stage 1's rankings kept in and reused from memo.
+func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options, memo *Rankings) (*Result, error) {
 	opts = opts.withDefaults()
 	if c == nil {
 		return nil, fmt.Errorf("autotune: nil computation")
@@ -263,12 +267,29 @@ func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tenso
 	atCacheMisses.Inc()
 
 	// Stage 1: enumerate, run each stage once per distinct input and
-	// key, rank by simulated time.
-	cands := enumerate(c, numDevices, opts)
+	// key, rank by simulated time — or take the ranking memo holds for
+	// this program's body, and build only what stage 2 will execute.
 	s := newSearch(c, numDevices, opts.Spec)
-	s.stage1(cands)
-	res.Candidates = rank(cands)
-	atCandidates.Add(float64(len(res.Candidates)))
+	var rk rankKey
+	reused := false
+	if memo != nil {
+		rk = rankKeyOf(c, numDevices, opts.Spec)
+		res.Candidates, reused = memo.get(rk)
+	}
+	if reused {
+		atRankReuses.Inc()
+		if err := s.regrow(res.Candidates, stage2Set(res.Candidates, opts.TopK, opts.Spec)); err != nil {
+			return nil, err
+		}
+	} else {
+		cands := enumerate(c, numDevices, opts)
+		s.stage1(cands)
+		res.Candidates = rank(cands)
+		atCandidates.Add(float64(len(res.Candidates)))
+		if memo != nil {
+			memo.put(rk, res.Candidates)
+		}
+	}
 
 	// Stage 2: execute the top-K (plus the paper's default) for real.
 	winner, prog, scale, err := stage2(res, s, args, opts)

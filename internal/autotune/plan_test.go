@@ -14,6 +14,7 @@ import (
 	"overlap/internal/corpus"
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
+	"overlap/internal/models"
 	"overlap/internal/obs"
 	"overlap/internal/runtime"
 	"overlap/internal/sim"
@@ -215,6 +216,81 @@ func TestWarmCompileDoesNoPipelineWork(t *testing.T) {
 	t.Logf("cold %d KiB, warm %d KiB", coldBytes>>10, warmBytes>>10)
 	if warmBytes*10 >= coldBytes {
 		t.Fatalf("warm compile allocated %d KiB, cold %d KiB: a stored plan must cost under a tenth of a search", warmBytes>>10, coldBytes>>10)
+	}
+}
+
+// layer builds a Table 1/2 model's layer miniature on a 4-ring, dim 2.
+func layer(t *testing.T, model string) *hlo.Computation {
+	t.Helper()
+	cfg, err := models.ByName(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mini, err := models.Miniature(cfg, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := models.BuildLayerStep(mini)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestRankingsReuseAndBound drives Rankings through Compile. GPT_32B
+// and GPT_64B miniaturize to one layer body, which only the
+// computation's name tells apart: the second compile reuses the first's
+// ranking — no stage 1 — and its plan is its own program. The memo holds
+// no more rankings than its capacity, dropping the least recently used,
+// and a zero capacity holds none.
+func TestRankingsReuseAndBound(t *testing.T) {
+	reuses := obs.Default().Counter("overlap_autotune_rank_reuses_total", "")
+	ranked := obs.Default().Counter("overlap_autotune_candidates_total", "")
+	opts := autotune.Options{Spec: machine.TPUv4(), TopK: 1, TimeScale: -1, DisableCache: true}
+	compile := func(r *autotune.Rankings, c *hlo.Computation) (*autotune.Plan, bool) {
+		t.Helper()
+		before, candidates := reuses.Value(), ranked.Value()
+		plan, err := r.Compile("", c, 4, miniArgs(c, 3), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused := reuses.Value() == before+1
+		if reused != (ranked.Value() == candidates) {
+			t.Fatalf("%s: %v rankings reused, %v candidates ranked", c.Name, reuses.Value()-before, ranked.Value()-candidates)
+		}
+		return plan, reused
+	}
+	gpt32, gpt64, t5 := layer(t, "GPT_32B"), layer(t, "GPT_64B"), layer(t, "T5_300B")
+
+	r := autotune.NewRankings(1)
+	first, reused := compile(r, gpt32)
+	if reused || r.Len() != 1 {
+		t.Fatalf("first compile: reused %v, %d rankings held; want false, 1", reused, r.Len())
+	}
+	twin, reused := compile(r, gpt64)
+	if !reused {
+		t.Fatal("the twin's compile ran stage 1")
+	}
+	c, err := twin.Computation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Name != gpt64.Name || twin.Fingerprint == first.Fingerprint {
+		t.Fatalf("the twin's plan is %s under %s, want its own program", c.Name, twin.Fingerprint)
+	}
+
+	if _, reused := compile(r, t5); reused || r.Len() != 1 {
+		t.Fatalf("another body: reused %v, %d rankings held; want false, 1", reused, r.Len())
+	}
+	if _, reused := compile(r, gpt32); reused {
+		t.Fatal("the least recently used ranking outlived the capacity")
+	}
+
+	none := autotune.NewRankings(0)
+	for range 2 {
+		if _, reused := compile(none, gpt32); reused || none.Len() != 0 {
+			t.Fatalf("a zero-capacity memo reused %v and holds %d rankings", reused, none.Len())
+		}
 	}
 }
 

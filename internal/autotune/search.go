@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"fmt"
 	"maps"
@@ -184,6 +185,28 @@ func (s *search) stage1(cands []*Candidate) {
 	}
 }
 
+// regrow is stage 1 for a tune whose ranking was reused (Rankings):
+// only the paths of the candidates at toRun, which stage 2 executes,
+// are grown, so the programs stage 2 materialises are built from this
+// search's own input.
+func (s *search) regrow(ranked []Candidate, toRun []int) error {
+	var cands []*Candidate
+	for _, i := range toRun {
+		if cand := &ranked[i]; cand.Baseline {
+			s.landed[cand.Name] = s.base
+		} else {
+			cands = append(cands, cand)
+		}
+	}
+	for k, n := range s.grow(cands) {
+		if err := cmp.Or(n.err, n.rankErr); err != "" {
+			return fmt.Errorf("autotune: %s, ranked on a twin program, fails here: %s", cands[k].Name, err)
+		}
+		s.landed[cands[k].Name] = n
+	}
+	return nil
+}
+
 // key is the dedup key of a candidate under o that landed on n, or
 // what failed before it could be ranked: the stage that should have
 // built n, n's inspection, or o's split-K factor on n's program.
@@ -213,11 +236,12 @@ func (n *node) key(o core.Options) (programKey, string) {
 // first by construction, and a knob On drops for n's program makes no
 // second child. A failed node ends every path that reaches it.
 //
-// Run serially, stage 1 is about four fifths of a compile — the 13
-// programs of the daemon's 4-device warm mix, on a 2-core host, spent
-// 258–305 ms of each 310–391 ms pass of Tune in it — and nearly all of
-// it is building and inspecting this tree, so the tree is built on
-// min(GOMAXPROCS, subtrees) workers. Here, serially, each candidate is
+// Stage 1 is most of a compile, and nearly all of it is building and
+// inspecting this tree, so the tree is built on min(GOMAXPROCS,
+// subtrees) workers: on the 13 programs of the daemon's 4-device warm
+// mix, on a 2-core host at GOMAXPROCS 2, stage 1 took 202–221 ms of
+// each 266–310 ms pass of Tune (71–79%). A server pays it once per
+// program body (Rankings). Here, serially, each candidate is
 // walked through the pre stage, whose node (one at most) every subtree
 // shares, and told which node the decompose stage would take it to: the
 // top of its subtree, built or not, of which a layer has 9. One worker

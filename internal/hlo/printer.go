@@ -27,26 +27,35 @@ func (c *Computation) Format() string { return string(c.AppendFormat(nil)) }
 // AppendFormat appends the computation's Format text to dst and returns
 // the extended buffer.
 func (c *Computation) AppendFormat(dst []byte) []byte {
-	return c.appendText(dst, 0, nil)
+	return c.appendText(dst, c.Name, 0, nil)
 }
 
 // TextDigest returns the SHA-256 of the computation's Format text
 // without building it: the text streams through one small buffer into
 // the hash.
-func (c *Computation) TextDigest() [sha256.Size]byte {
+func (c *Computation) TextDigest() [sha256.Size]byte { return c.digest(c.Name) }
+
+// UnnamedDigest is TextDigest of the text with the computation's own
+// name left out: two programs that differ only in what they are called
+// digest alike. Fusion and loop bodies keep their names, which the
+// pipeline derives from instruction names.
+func (c *Computation) UnnamedDigest() [sha256.Size]byte { return c.digest("") }
+
+func (c *Computation) digest(name string) [sha256.Size]byte {
 	h := sha256.New()
-	h.Write(c.appendText(make([]byte, 0, 2*digestChunk), 0, h))
+	h.Write(c.appendText(make([]byte, 0, 2*digestChunk), name, 0, h))
 	var sum [sha256.Size]byte
 	h.Sum(sum[:0])
 	return sum
 }
 
-// appendText appends the text of c, nested depth bodies deep. With a
-// sink, the buffer is drained into it whenever a finished line leaves
-// more than digestChunk bytes pending; the caller writes what remains.
-func (c *Computation) appendText(dst []byte, depth int, sink hash.Hash) []byte {
+// appendText appends the text of c under the given name, nested depth
+// bodies deep. With a sink, the buffer is drained into it whenever a
+// finished line leaves more than digestChunk bytes pending; the caller
+// writes what remains.
+func (c *Computation) appendText(dst []byte, name string, depth int, sink hash.Hash) []byte {
 	dst = appendPrefix(dst, depth)
-	dst = append(dst, c.Name...)
+	dst = append(dst, name...)
 	dst = append(dst, " {\n"...)
 	for _, in := range c.instrs {
 		dst = appendPrefix(dst, depth)
@@ -54,7 +63,7 @@ func (c *Computation) appendText(dst []byte, depth int, sink hash.Hash) []byte {
 		dst = appendInstruction(dst, in)
 		dst = append(dst, '\n')
 		if in.Op == OpFusion || in.Op == OpLoop {
-			dst = in.Body.appendText(dst, depth+1, sink)
+			dst = in.Body.appendText(dst, in.Body.Name, depth+1, sink)
 		}
 		if sink != nil && len(dst) >= digestChunk {
 			sink.Write(dst)

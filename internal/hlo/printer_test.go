@@ -132,6 +132,9 @@ func checkPrinter(t *testing.T, label string, c *hlo.Computation) {
 	if got := c.TextDigest(); got != sha256.Sum256([]byte(want)) {
 		t.Fatalf("%s: TextDigest is not the SHA-256 of the text", label)
 	}
+	if got := c.UnnamedDigest(); got != sha256.Sum256([]byte(strings.TrimPrefix(want, c.Name))) {
+		t.Fatalf("%s: UnnamedDigest is not the SHA-256 of the text without the name", label)
+	}
 }
 
 // TestPrinterMatchesReferenceOnCorpus pins the printer byte for byte on

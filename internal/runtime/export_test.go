@@ -41,6 +41,14 @@ func EditFrames(edit func(*wire.Frame)) (restore func()) {
 	return func() { editFrame = nil }
 }
 
+// WatchWorkerExits calls exited with each process-transport worker's
+// exit — nil for exit 0 — as a run's teardown reaps it, and returns the
+// function that stops watching.
+func WatchWorkerExits(exited func(dev int, err error)) (restore func()) {
+	workerExited = exited
+	return func() { workerExited = nil }
+}
+
 // TraceLayout is the span slab a traced run of x records into: for
 // each device inside the trace window, one compute-track span per local
 // op, blocking collective and done it executes, and one transfer span

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -396,6 +397,52 @@ func TestFaultPlanFiresAtTheSameDeliveries(t *testing.T) {
 				t.Errorf("%s %s: error %v, want device 1 at %s, phase receive, fault %s", tr, tc.fault, re, tc.instr, tc.fault)
 			}
 		}
+	}
+}
+
+// TestAbortedProcRunWorkersExitClean: a drop fault aborts a proc run at
+// its deadline and a duplicate aborts one at once, and the parent tears
+// the fabric down with frames still in flight, so a worker's control
+// read may end in a reset, a broken pipe or a frame cut short rather
+// than EOF. The abort is the parent's own and already reported as a
+// RunError: every worker must take the close as orderly and exit 0.
+// Where the close catches a worker is timing, so the test aborts forty
+// runs, mostly by the duplicate, which costs no deadline.
+func TestAbortedProcRunWorkersExitClean(t *testing.T) {
+	c, args, _ := faultPointsProgram()
+	x, err := runtime.Compile(c, 4, machine.TPUv4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	exits := map[int]error{}
+	defer runtime.WatchWorkerExits(func(dev int, err error) {
+		mu.Lock()
+		exits[dev] = err
+		mu.Unlock()
+	})()
+	drop := runtime.Fault{Kind: runtime.FaultDrop, Src: 0, Dst: 1, K: 3}
+	dup := runtime.Fault{Kind: runtime.FaultDuplicate, Src: 0, Dst: 1, K: 4}
+	for round := range 40 {
+		fault := dup
+		if round%8 == 0 {
+			fault = drop
+		}
+		clear(exits)
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		_, err := x.Run(ctx, args, runtime.Options{Faults: &runtime.FaultPlan{Faults: []runtime.Fault{fault}}, Transport: runtime.TransportProc})
+		cancel()
+		var re *runtime.RunError
+		if !errors.As(err, &re) {
+			t.Fatalf("round %d, %s: error %v, want a *RunError", round, fault, err)
+		}
+		mu.Lock()
+		for dev := range 4 {
+			if err, ok := exits[dev]; !ok || err != nil {
+				t.Errorf("round %d, %s: worker %d reaped %v, exit %v; want exit 0", round, fault, dev, ok, err)
+			}
+		}
+		mu.Unlock()
 	}
 }
 

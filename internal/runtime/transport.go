@@ -40,6 +40,11 @@ func ParseTransport(s string) (TransportKind, error) {
 // schedule can have sent.
 var editFrame func(*wire.Frame)
 
+// workerExited, when set, is told how each process-transport worker
+// exited once the run's teardown has reaped it: nil for exit 0. Set only
+// by tests.
+var workerExited func(dev int, err error)
+
 // transport is the seam the process transport plugs into the fabric
 // behind its build tag: it carries one posted parcel from its source
 // device's worker to the destination mailbox and acts out the run's

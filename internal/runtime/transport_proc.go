@@ -366,7 +366,14 @@ func (t *procTransport) shutdown() {
 	for _, w := range t.workers {
 		done := make(chan struct{})
 		go func(w *procWorker) {
-			_ = w.cmd.Wait()
+			err := w.cmd.Wait()
+			if err != nil {
+				obs.Log().Warn("runtime.worker_exit", "run_id", t.eng.opts.RunID,
+					"device", w.id, "err", err.Error())
+			}
+			if workerExited != nil {
+				workerExited(w.id, err)
+			}
 			close(done)
 		}(w)
 		select {

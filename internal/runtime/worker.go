@@ -3,6 +3,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -217,13 +218,13 @@ func runWorker(dev int, edgeSpec string) error {
 		}()
 	}
 
-	// Main loop: dispatch parent frames onto their outgoing edge. EOF is
-	// the parent's orderly close (or our own SIGTERM handler's).
+	// Main loop: dispatch parent frames onto their outgoing edge until
+	// the parent closes the control socket (parentClosed).
 	var f wire.Frame
 	var readErr error
 	for {
 		if err := wire.ReadFrame(control, &f); err != nil {
-			if err != io.EOF && !strings.Contains(err.Error(), "file already closed") {
+			if !parentClosed(err) {
 				readErr = err
 			}
 			break
@@ -246,4 +247,14 @@ func runWorker(dev int, edgeSpec string) error {
 	wg.Wait()
 	control.Close()
 	return readErr
+}
+
+// parentClosed reports whether a control read ended because the parent
+// closed its end, which is how every run ends: EOF after a clean run,
+// our own SIGTERM handler's close, or — after an aborted run, whose
+// teardown closes the socket with frames still unread on either side —
+// a reset, a broken pipe or a frame cut short.
+func parentClosed(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, os.ErrClosed) ||
+		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
 }

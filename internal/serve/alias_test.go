@@ -5,8 +5,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	goruntime "runtime"
+	"sync"
 	"testing"
 	"time"
+
+	"overlap/internal/obs"
 )
 
 // mustRun posts one /v1/run request and fails the test on anything but
@@ -161,6 +164,86 @@ func TestTwoModelsOneProgramShareOnePlan(t *testing.T) {
 	}
 	if got := s.graphBuilds.Load(); got != 2 {
 		t.Fatalf("warm requests under either name built %d more graphs, want 0", got-2)
+	}
+}
+
+// TestBodyTwinsReuseOneRanking: GPT_32B and GPT_64B build one layer
+// program apart from the computation's name, so they are two plans, but
+// the second compile reuses the first's stage-1 ranking. It makes no
+// ranking Simulate call: only calibration's two re-simulations of each
+// executed candidate move the simulator's run counter. Its plan is its
+// own program, and its run digests as a fresh server's does. A new
+// server holds no ranking, and none holds more than its plan cache has
+// room for.
+func TestBodyTwinsReuseOneRanking(t *testing.T) {
+	s, ts := newTestServer(t, testConfig())
+	if n := s.rankings.Len(); n != 0 {
+		t.Fatalf("a new server holds %d rankings", n)
+	}
+	a, b := miniatureRequest(), miniatureRequest()
+	b.Model = "GPT_64B"
+	sims := obs.Default().Counter("overlap_sim_runs_total", "")
+	executions := obs.Default().Counter("overlap_autotune_executions_total", "")
+	compile := func(ts *httptest.Server, req Request) (*RunResponse, float64) {
+		t.Helper()
+		simulated, executed := sims.Value(), executions.Value()
+		rr := mustRun(t, ts, req)
+		if rr.Plan != "miss" {
+			t.Fatalf("%s: plan %q, want a compile", req.Model, rr.Plan)
+		}
+		return rr, (sims.Value() - simulated) - 2*(executions.Value()-executed)
+	}
+
+	first, ranked := compile(ts, a)
+	second, twinRanked := compile(ts, b)
+	if ranked <= 0 || twinRanked != 0 {
+		t.Fatalf("stage 1 simulated %v programs for the first body and %v for its twin; want some, then none", ranked, twinRanked)
+	}
+	cp, ok := s.plans.get(second.Fingerprint)
+	if !ok || second.Fingerprint == first.Fingerprint {
+		t.Fatal("the twin was not compiled to a plan of its own")
+	}
+	want, err := s.buildGraph(shapeOf(&b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.comp.Name != want.Name {
+		t.Fatalf("the twin's plan names %s, want %s", cp.comp.Name, want.Name)
+	}
+
+	cfg := testConfig()
+	cfg.PlanCacheSize = 1
+	fresh, freshTS := newTestServer(t, cfg)
+	for _, req := range []Request{b, {Model: "T5_300B", Devices: 4, Dim: 2}} {
+		rr, _ := compile(freshTS, req)
+		if req == b && rr.Digest != second.Digest {
+			t.Fatalf("the twin digests %s, a fresh server's run %s", second.Digest, rr.Digest)
+		}
+		if n := fresh.rankings.Len(); n != 1 {
+			t.Fatalf("a server with room for one plan holds %d rankings", n)
+		}
+	}
+
+	// Two twins compiling at once share the memo: one may rank and the
+	// other reuse, or both rank and both keep the one ranking.
+	twins := []Request{miniatureRequest(), miniatureRequest()}
+	twins[0].Model, twins[1].Model = "GPT_128B", "GPT_256B"
+	digests := make([]string, len(twins))
+	var wg sync.WaitGroup
+	for i, req := range twins {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if rr, _, _, err := postRun(freshTS, req); err == nil {
+				digests[i] = rr.Digest
+			} else {
+				t.Errorf("%s: %v", req.Model, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if digests[0] != second.Digest || digests[1] != second.Digest || fresh.rankings.Len() != 1 {
+		t.Fatalf("twins compiled at once digest %v, want %s each, and left %d rankings, want 1", digests, second.Digest, fresh.rankings.Len())
 	}
 }
 

@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"overlap/internal/autotune"
 	"overlap/internal/hlo"
 	"overlap/internal/obs"
 	"overlap/internal/runtime"
@@ -52,7 +53,9 @@ type Config struct {
 	// worker pool at once (default 4).
 	MaxConcurrentRuns int
 
-	// PlanCacheSize bounds the in-memory compiled-plan LRU (default 64).
+	// PlanCacheSize bounds the in-memory compiled-plan LRU, and as many
+	// stage-1 rankings are kept for programs that differ only in name
+	// (default 64).
 	PlanCacheSize int
 
 	// CachePath / DisableDiskCache control the plan store's disk tier
@@ -124,8 +127,14 @@ func (c Config) WithDefaults() Config {
 // Server is the overlap-as-a-service daemon. Create with New, attach
 // with Handler or Start, stop with Shutdown.
 type Server struct {
-	cfg      Config
-	plans    *planCache
+	cfg   Config
+	plans *planCache
+	// rankings is stage 1's memo (autotune.Rankings), bounded as the
+	// plan cache is: a compile of a program whose body an earlier one
+	// shares — model layers that differ only in the model's name —
+	// skips the simulator ranking. It is the server's, so every new
+	// server starts cold.
+	rankings *autotune.Rankings
 	recorder *flightRecorder
 	pending  chan struct{} // MaxPending places
 	slots    chan struct{} // admission semaphore
@@ -158,6 +167,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		plans:    newPlanCache(cfg.PlanCacheSize),
+		rankings: autotune.NewRankings(cfg.PlanCacheSize),
 		recorder: newFlightRecorder(cfg.FlightRecorderSize, cfg.FlightKeep),
 		pending:  make(chan struct{}, cfg.MaxPending),
 		slots:    make(chan struct{}, cfg.MaxConcurrentRuns),
