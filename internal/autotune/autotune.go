@@ -46,17 +46,20 @@
 // order where SetSchedule applies it; every node a candidate lands on,
 // once, in its order; each factor's legality against its node; every
 // executed program stamped, and then bitwise against sim.Interpret.
-// A compiler that keeps a Rankings (rankings.go) ranks each program
-// body once: a program that differs from a ranked one only in its name
-// skips stage 1, and only the candidates stage 2 executes are built.
+// A compiler that keeps a Decisions (decisions.go) searches each
+// program body once: a program that differs from a decided one only in
+// its name runs no stage, no ranking and no candidate. It executes its
+// body's winner once under its own name, checks that run bitwise, and
+// takes the body's plan under its own key.
 //
 // Because stage 2 observes real breakdowns, the tuner also *calibrates*
 // the machine model: it fits effective compute throughput, link
 // bandwidth and per-op overhead so simulated and measured times track
 // each other, and reports the residual error of the fit (calibrate.go).
 //
-// A tuning decision has one record, the Plan (plan.go), produced once:
-// where stage 2 picks its winner, from the program it executed. Every
+// A tuning decision has one record, the Plan (plan.go), made where
+// stage 2 picks its winner, from the program it executed (or where a
+// body twin re-executes that winner under its own name). Every
 // Result carries it. The plan store keeps it in two tiers under one key
 // (Key): the daemon's in-memory LRU (serve.planCache) and a directory of
 // plan files, one per fingerprint (cache.go) — the same bytes -plan-out
@@ -227,8 +230,8 @@ func Tune(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Opti
 
 // tune is Tune under a decision key the caller already computed —
 // Key(c, opts.Spec, numDevices); empty computes it here — and, unless
-// memo is nil, with stage 1's rankings kept in and reused from memo.
-func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options, memo *Rankings) (*Result, error) {
+// memo is nil, with decisions kept in and reused from memo.
+func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options, memo *Decisions) (*Result, error) {
 	opts = opts.withDefaults()
 	if c == nil {
 		return nil, fmt.Errorf("autotune: nil computation")
@@ -266,30 +269,30 @@ func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tenso
 	}
 	atCacheMisses.Inc()
 
-	// Stage 1: enumerate, run each stage once per distinct input and
-	// key, rank by simulated time — or take the ranking memo holds for
-	// this program's body, and build only what stage 2 will execute.
-	s := newSearch(c, numDevices, opts.Spec)
-	var rk rankKey
-	reused := false
+	// A body memo has decided: its winner under this program's name,
+	// executed once and checked, and no search.
+	var dk decisionKey
 	if memo != nil {
-		rk = rankKeyOf(c, numDevices, opts.Spec)
-		res.Candidates, reused = memo.get(rk)
-	}
-	if reused {
-		atRankReuses.Inc()
-		if err := s.regrow(res.Candidates, stage2Set(res.Candidates, opts.TopK, opts.Spec)); err != nil {
-			return nil, err
-		}
-	} else {
-		cands := enumerate(c, numDevices, opts)
-		s.stage1(cands)
-		res.Candidates = rank(cands)
-		atCandidates.Add(float64(len(res.Candidates)))
-		if memo != nil {
-			memo.put(rk, res.Candidates)
+		dk = decisionKeyOf(c, numDevices, opts)
+		if decided, ok := memo.get(dk); ok {
+			plan, err := reuse(key, c, args, opts, &decided)
+			if err != nil {
+				return nil, err
+			}
+			atDecisionReuses.Inc()
+			atExecutions.Inc()
+			res.Plan, res.Executions = plan, 1
+			return finish(res)
 		}
 	}
+
+	// Stage 1: enumerate, run each stage once per distinct input and
+	// key, rank by simulated time.
+	s := newSearch(c, numDevices, opts.Spec)
+	cands := enumerate(c, numDevices, opts)
+	s.stage1(cands)
+	res.Candidates = rank(cands)
+	atCandidates.Add(float64(len(res.Candidates)))
 
 	// Stage 2: execute the top-K (plus the paper's default) for real.
 	winner, prog, scale, err := stage2(res, s, args, opts)
@@ -306,16 +309,25 @@ func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tenso
 		}
 	}
 
-	// The one place a Plan is made: from the program stage 2 executed.
+	// The plan is made from the program stage 2 executed.
 	res.Plan = newPlan(key, numDevices, opts.Spec, winner, prog, cal, residual, scale)
+	if memo != nil {
+		memo.put(dk, res.Plan)
+	}
+	return finish(res)
+}
+
+// finish stores the plan of a tune that searched or reused a decision in
+// the disk tier, when there is one, and logs the tune.
+func finish(res *Result) (*Result, error) {
 	if res.CachePath != "" {
 		if err := storePlan(res.CachePath, res.Plan); err != nil {
 			return nil, fmt.Errorf("autotune: storing plan: %w", err)
 		}
 	}
 	obs.Log().Info("autotune.tune", "run_id", res.RunID,
-		"fingerprint", key, "cache_hit", false,
-		"best", winner.Name, "executions", res.Executions)
+		"fingerprint", res.Plan.Fingerprint, "cache_hit", false,
+		"best", res.Plan.BestName, "executions", res.Executions)
 	return res, nil
 }
 

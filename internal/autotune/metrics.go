@@ -5,9 +5,9 @@ import "overlap/internal/obs"
 // Tuner-side instrumentation handles, resolved once against the
 // process-wide registry: how many searches ran, how often the plan
 // store answered, how wide the candidate space was, how often a
-// ranking was reused (Rankings), how many runtime
-// executions the searches paid for, and how well the fitted machine
-// calibration tracks the measurements.
+// decision was reused (Decisions), how many runtime executions the
+// searches paid for, and how well the fitted machine calibration tracks
+// the measurements.
 var (
 	atTunes = obs.Default().Counter("overlap_autotune_tunes_total",
 		"Autotune searches performed (cache hits included).")
@@ -17,10 +17,10 @@ var (
 		"Tunes that had to search (no stored plan, a stale one, or the disk tier off).")
 	atCandidates = obs.Default().Counter("overlap_autotune_candidates_total",
 		"Candidates evaluated by the simulator ranking stage.")
-	atRankReuses = obs.Default().Counter("overlap_autotune_rank_reuses_total",
-		"Tunes that skipped stage 1: an earlier program with the same body, device count and spec was ranked.")
+	atDecisionReuses = obs.Default().Counter("overlap_autotune_decision_reuses_total",
+		"Tunes answered with an earlier program's decision (same body, device count, spec, host and tune options): one checked execution, no search.")
 	atExecutions = obs.Default().Counter("overlap_autotune_executions_total",
-		"Candidate runs performed by tuning (repeats included, the clock's wire-free runs not).")
+		"Candidate runs performed by tuning (repeats and a reused decision's one run included, the clock's wire-free runs not).")
 	atResidual = obs.Default().Gauge("overlap_autotune_calibration_residual",
 		"RMS relative step-time error of the latest machine-calibration fit.")
 	atCacheCorrupt = obs.Default().Counter("overlap_autotune_cache_corrupt_total",

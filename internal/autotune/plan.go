@@ -88,7 +88,7 @@ func Compile(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts O
 // under the key does not format and hash the program a second time to
 // compile it.
 func CompileKeyed(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options) (*Plan, error) {
-	return (*Rankings)(nil).Compile(key, c, numDevices, args, opts)
+	return (*Decisions)(nil).Compile(key, c, numDevices, args, opts)
 }
 
 // newPlan freezes a finished search: w is stage 2's winner and prog its

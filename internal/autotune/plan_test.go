@@ -219,14 +219,14 @@ func TestWarmCompileDoesNoPipelineWork(t *testing.T) {
 	}
 }
 
-// layer builds a Table 1/2 model's layer miniature on a 4-ring, dim 2.
+// layer builds a Table 1/2 model's layer miniature on a 4-ring, dim 8.
 func layer(t *testing.T, model string) *hlo.Computation {
 	t.Helper()
 	cfg, err := models.ByName(model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mini, err := models.Miniature(cfg, 4, 2)
+	mini, err := models.Miniature(cfg, 4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,59 +237,70 @@ func layer(t *testing.T, model string) *hlo.Computation {
 	return c
 }
 
-// TestRankingsReuseAndBound drives Rankings through Compile. GPT_32B
+// TestDecisionsReuseAndBound drives Decisions through Compile. GPT_32B
 // and GPT_64B miniaturize to one layer body, which only the
-// computation's name tells apart: the second compile reuses the first's
-// ranking — no stage 1 — and its plan is its own program. The memo holds
-// no more rankings than its capacity, dropping the least recently used,
-// and a zero capacity holds none.
-func TestRankingsReuseAndBound(t *testing.T) {
-	reuses := obs.Default().Counter("overlap_autotune_rank_reuses_total", "")
+// computation's name tells apart: the second compile is answered with
+// the first's decision — no ranking, and one execution, its check's — and
+// its plan is that decision under its own name and fingerprint. The memo
+// holds no more decisions than its capacity, dropping the least recently
+// used, and a zero capacity holds none.
+func TestDecisionsReuseAndBound(t *testing.T) {
+	reuses := obs.Default().Counter("overlap_autotune_decision_reuses_total", "")
 	ranked := obs.Default().Counter("overlap_autotune_candidates_total", "")
-	opts := autotune.Options{Spec: machine.TPUv4(), TopK: 1, TimeScale: -1, DisableCache: true}
-	compile := func(r *autotune.Rankings, c *hlo.Computation) (*autotune.Plan, bool) {
+	executions := obs.Default().Counter("overlap_autotune_executions_total", "")
+	spec := machine.TPUv4()
+	opts := autotune.Options{Spec: spec, TopK: 1, TimeScale: -1, DisableCache: true}
+	compile := func(d *autotune.Decisions, c *hlo.Computation) (*autotune.Plan, bool) {
 		t.Helper()
-		before, candidates := reuses.Value(), ranked.Value()
-		plan, err := r.Compile("", c, 4, miniArgs(c, 3), opts)
+		before, candidates, executed := reuses.Value(), ranked.Value(), executions.Value()
+		plan, err := d.Compile("", c, 4, miniArgs(c, 3), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		reused := reuses.Value() == before+1
-		if reused != (ranked.Value() == candidates) {
-			t.Fatalf("%s: %v rankings reused, %v candidates ranked", c.Name, reuses.Value()-before, ranked.Value()-candidates)
+		if searched := ranked.Value() != candidates; reused == searched || reused && executions.Value() != executed+1 {
+			t.Fatalf("%s: %v decisions reused, %v candidates ranked, %v executions",
+				c.Name, reuses.Value()-before, ranked.Value()-candidates, executions.Value()-executed)
 		}
 		return plan, reused
 	}
 	gpt32, gpt64, t5 := layer(t, "GPT_32B"), layer(t, "GPT_64B"), layer(t, "T5_300B")
 
-	r := autotune.NewRankings(1)
-	first, reused := compile(r, gpt32)
-	if reused || r.Len() != 1 {
-		t.Fatalf("first compile: reused %v, %d rankings held; want false, 1", reused, r.Len())
+	d := autotune.NewDecisions(1)
+	first, reused := compile(d, gpt32)
+	if reused || d.Len() != 1 {
+		t.Fatalf("first compile: reused %v, %d decisions held; want false, 1", reused, d.Len())
 	}
-	twin, reused := compile(r, gpt64)
+	twin, reused := compile(d, gpt64)
 	if !reused {
-		t.Fatal("the twin's compile ran stage 1")
+		t.Fatal("the twin's compile searched")
 	}
 	c, err := twin.Computation()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Name != gpt64.Name || twin.Fingerprint == first.Fingerprint {
-		t.Fatalf("the twin's plan is %s under %s, want its own program", c.Name, twin.Fingerprint)
+	if c.Name != gpt64.Name || twin.Fingerprint != autotune.Key(gpt64, spec, 4) {
+		t.Fatalf("the twin's plan is %s under %s, want its own program under its own key", c.Name, twin.Fingerprint)
+	}
+	c.Name = gpt32.Name
+	decided, own := *first, *twin
+	decided.Program, decided.Fingerprint, decided.Created = "", "", ""
+	own.Program, own.Fingerprint, own.Created = "", "", ""
+	if c.Format() != first.Program || own != decided {
+		t.Fatalf("the twin's plan is not its body's decision:\n%+v\n%+v", own, decided)
 	}
 
-	if _, reused := compile(r, t5); reused || r.Len() != 1 {
-		t.Fatalf("another body: reused %v, %d rankings held; want false, 1", reused, r.Len())
+	if _, reused := compile(d, t5); reused || d.Len() != 1 {
+		t.Fatalf("another body: reused %v, %d decisions held; want false, 1", reused, d.Len())
 	}
-	if _, reused := compile(r, gpt32); reused {
-		t.Fatal("the least recently used ranking outlived the capacity")
+	if _, reused := compile(d, gpt32); reused {
+		t.Fatal("the least recently used decision outlived the capacity")
 	}
 
-	none := autotune.NewRankings(0)
+	none := autotune.NewDecisions(0)
 	for range 2 {
 		if _, reused := compile(none, gpt32); reused || none.Len() != 0 {
-			t.Fatalf("a zero-capacity memo reused %v and holds %d rankings", reused, none.Len())
+			t.Fatalf("a zero-capacity memo reused %v and holds %d decisions", reused, none.Len())
 		}
 	}
 }

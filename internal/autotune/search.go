@@ -1,7 +1,6 @@
 package autotune
 
 import (
-	"cmp"
 	"crypto/sha256"
 	"fmt"
 	"maps"
@@ -185,28 +184,6 @@ func (s *search) stage1(cands []*Candidate) {
 	}
 }
 
-// regrow is stage 1 for a tune whose ranking was reused (Rankings):
-// only the paths of the candidates at toRun, which stage 2 executes,
-// are grown, so the programs stage 2 materialises are built from this
-// search's own input.
-func (s *search) regrow(ranked []Candidate, toRun []int) error {
-	var cands []*Candidate
-	for _, i := range toRun {
-		if cand := &ranked[i]; cand.Baseline {
-			s.landed[cand.Name] = s.base
-		} else {
-			cands = append(cands, cand)
-		}
-	}
-	for k, n := range s.grow(cands) {
-		if err := cmp.Or(n.err, n.rankErr); err != "" {
-			return fmt.Errorf("autotune: %s, ranked on a twin program, fails here: %s", cands[k].Name, err)
-		}
-		s.landed[cands[k].Name] = n
-	}
-	return nil
-}
-
 // key is the dedup key of a candidate under o that landed on n, or
 // what failed before it could be ranked: the stage that should have
 // built n, n's inspection, or o's split-K factor on n's program.
@@ -241,7 +218,7 @@ func (n *node) key(o core.Options) (programKey, string) {
 // subtrees) workers: on the 13 programs of the daemon's 4-device warm
 // mix, on a 2-core host at GOMAXPROCS 2, stage 1 took 202–221 ms of
 // each 266–310 ms pass of Tune (71–79%). A server pays it once per
-// program body (Rankings). Here, serially, each candidate is
+// program body (Decisions). Here, serially, each candidate is
 // walked through the pre stage, whose node (one at most) every subtree
 // shares, and told which node the decompose stage would take it to: the
 // top of its subtree, built or not, of which a layer has 9. One worker

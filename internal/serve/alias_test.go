@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"overlap/internal/autotune"
+	"overlap/internal/machine"
 	"overlap/internal/obs"
 )
 
@@ -167,37 +169,51 @@ func TestTwoModelsOneProgramShareOnePlan(t *testing.T) {
 	}
 }
 
-// TestBodyTwinsReuseOneRanking: GPT_32B and GPT_64B build one layer
+// TestBodyTwinsReuseOneDecision: GPT_32B and GPT_64B build one layer
 // program apart from the computation's name, so they are two plans, but
-// the second compile reuses the first's stage-1 ranking. It makes no
-// ranking Simulate call: only calibration's two re-simulations of each
-// executed candidate move the simulator's run counter. Its plan is its
-// own program, and its run digests as a fresh server's does. A new
-// server holds no ranking, and none holds more than its plan cache has
-// room for.
-func TestBodyTwinsReuseOneRanking(t *testing.T) {
+// the second compile is answered with the first's decision. It runs no
+// simulation at all, and executes once — the decided program under its
+// own name, checked bitwise. Its plan names its own computation under
+// its own fingerprint, and its run digests as a fresh server's full
+// compile does. A new server holds no decision, one with room for one
+// plan holds one, the least recently used going first, and two twins
+// compiled at once digest alike.
+func TestBodyTwinsReuseOneDecision(t *testing.T) {
 	s, ts := newTestServer(t, testConfig())
-	if n := s.rankings.Len(); n != 0 {
-		t.Fatalf("a new server holds %d rankings", n)
+	if n := s.decisions.Len(); n != 0 {
+		t.Fatalf("a new server holds %d decisions", n)
 	}
-	a, b := miniatureRequest(), miniatureRequest()
-	b.Model = "GPT_64B"
+	a := Request{Model: "GPT_32B", Devices: 4, Dim: 8}
+	b, c, d := a, a, a
+	b.Model, c.Model, d.Model = "GPT_64B", "GPT_128B", "GPT_256B"
 	sims := obs.Default().Counter("overlap_sim_runs_total", "")
 	executions := obs.Default().Counter("overlap_autotune_executions_total", "")
-	compile := func(ts *httptest.Server, req Request) (*RunResponse, float64) {
+	reuses := obs.Default().Counter("overlap_autotune_decision_reuses_total", "")
+	// compile posts a request that must compile, and reports whether
+	// the compile reused a decision.
+	compile := func(ts *httptest.Server, req Request) (*RunResponse, bool) {
 		t.Helper()
-		simulated, executed := sims.Value(), executions.Value()
+		simulated, executed, reused := sims.Value(), executions.Value(), reuses.Value()
 		rr := mustRun(t, ts, req)
 		if rr.Plan != "miss" {
 			t.Fatalf("%s: plan %q, want a compile", req.Model, rr.Plan)
 		}
-		return rr, (sims.Value() - simulated) - 2*(executions.Value()-executed)
+		if reuses.Value() == reused {
+			return rr, false
+		}
+		if n, x := sims.Value()-simulated, executions.Value()-executed; n != 0 || x != 1 {
+			t.Fatalf("%s: the twin's compile ran %v simulations and %v executions, want 0 and 1", req.Model, n, x)
+		}
+		return rr, true
 	}
 
-	first, ranked := compile(ts, a)
-	second, twinRanked := compile(ts, b)
-	if ranked <= 0 || twinRanked != 0 {
-		t.Fatalf("stage 1 simulated %v programs for the first body and %v for its twin; want some, then none", ranked, twinRanked)
+	first, reused := compile(ts, a)
+	if reused {
+		t.Fatal("the first body's compile reused a decision")
+	}
+	second, reused := compile(ts, b)
+	if !reused {
+		t.Fatal("the twin's compile searched")
 	}
 	cp, ok := s.plans.get(second.Fingerprint)
 	if !ok || second.Fingerprint == first.Fingerprint {
@@ -207,27 +223,33 @@ func TestBodyTwinsReuseOneRanking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.comp.Name != want.Name {
-		t.Fatalf("the twin's plan names %s, want %s", cp.comp.Name, want.Name)
+	if cp.comp.Name != want.Name || cp.plan.Fingerprint != autotune.Key(want, machine.TPUv4(), b.Devices) {
+		t.Fatalf("the twin's plan names %s under %s, want %s under its own key", cp.comp.Name, cp.plan.Fingerprint, want.Name)
 	}
 
 	cfg := testConfig()
 	cfg.PlanCacheSize = 1
 	fresh, freshTS := newTestServer(t, cfg)
-	for _, req := range []Request{b, {Model: "T5_300B", Devices: 4, Dim: 2}} {
-		rr, _ := compile(freshTS, req)
-		if req == b && rr.Digest != second.Digest {
+	for _, step := range []struct {
+		req    Request
+		reused bool
+	}{{b, false}, {a, true}, {Request{Model: "T5_300B", Devices: 4, Dim: 8}, false}} {
+		rr, reused := compile(freshTS, step.req)
+		if reused != step.reused {
+			t.Fatalf("%s on a server with room for one plan: reused %v, want %v", step.req.Model, reused, step.reused)
+		}
+		if step.req == b && rr.Digest != second.Digest {
 			t.Fatalf("the twin digests %s, a fresh server's run %s", second.Digest, rr.Digest)
 		}
-		if n := fresh.rankings.Len(); n != 1 {
-			t.Fatalf("a server with room for one plan holds %d rankings", n)
+		if n := fresh.decisions.Len(); n != 1 {
+			t.Fatalf("a server with room for one plan holds %d decisions", n)
 		}
 	}
 
-	// Two twins compiling at once share the memo: one may rank and the
-	// other reuse, or both rank and both keep the one ranking.
-	twins := []Request{miniatureRequest(), miniatureRequest()}
-	twins[0].Model, twins[1].Model = "GPT_128B", "GPT_256B"
+	// Two twins of the evicted body compiling at once share the memo:
+	// one may search and the other reuse, or both search and both keep
+	// the one decision.
+	twins := []Request{c, d}
 	digests := make([]string, len(twins))
 	var wg sync.WaitGroup
 	for i, req := range twins {
@@ -242,8 +264,8 @@ func TestBodyTwinsReuseOneRanking(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if digests[0] != second.Digest || digests[1] != second.Digest || fresh.rankings.Len() != 1 {
-		t.Fatalf("twins compiled at once digest %v, want %s each, and left %d rankings, want 1", digests, second.Digest, fresh.rankings.Len())
+	if digests[0] != second.Digest || digests[1] != second.Digest || fresh.decisions.Len() != 1 {
+		t.Fatalf("twins compiled at once digest %v, want %s each, and left %d decisions, want 1", digests, second.Digest, fresh.decisions.Len())
 	}
 }
 

@@ -257,10 +257,11 @@ func (s *Server) getPlan(ctx context.Context, key string, build buildFunc) (plan
 // fingerprint at a time and builds everything a cache entry holds — the
 // plan, its parsed computation and that computation's Executable —
 // before the entry is published. It compiles through the server's
-// stage-1 memo, so a program whose body an earlier compile ranked —
-// another model's name on the same layer — is not ranked again. A
-// model request that got its plan is remembered by shape, so the next
-// one of that shape resolves without its graph.
+// decision memo, so a program whose body an earlier compile decided —
+// another model's name on the same layer — is not searched again: its
+// compile executes and checks the body's winner once under its own
+// name. A model request that got its plan is remembered by shape, so
+// the next one of that shape resolves without its graph.
 func (s *Server) acquirePlan(ctx context.Context, req *Request, prog *program) (planOutcome, error) {
 	devices, seed := req.Devices, req.Seed
 	out, err := s.getPlan(ctx, prog.key, func() (*cachedPlan, error) {
@@ -275,7 +276,7 @@ func (s *Server) acquirePlan(ctx context.Context, req *Request, prog *program) (
 			}
 			comp = c
 		}
-		plan, err := s.rankings.Compile(prog.key, comp, devices, Args(comp, seed), autotune.Options{
+		plan, err := s.decisions.Compile(prog.key, comp, devices, Args(comp, seed), autotune.Options{
 			Spec:         machine.TPUv4(),
 			TopK:         s.cfg.TuneTopK,
 			CachePath:    s.cfg.CachePath,

@@ -54,7 +54,7 @@ type Config struct {
 	MaxConcurrentRuns int
 
 	// PlanCacheSize bounds the in-memory compiled-plan LRU, and as many
-	// stage-1 rankings are kept for programs that differ only in name
+	// tuning decisions are kept for programs that differ only in name
 	// (default 64).
 	PlanCacheSize int
 
@@ -129,15 +129,16 @@ func (c Config) WithDefaults() Config {
 type Server struct {
 	cfg   Config
 	plans *planCache
-	// rankings is stage 1's memo (autotune.Rankings), bounded as the
-	// plan cache is: a compile of a program whose body an earlier one
-	// shares — model layers that differ only in the model's name —
-	// skips the simulator ranking. It is the server's, so every new
-	// server starts cold.
-	rankings *autotune.Rankings
-	recorder *flightRecorder
-	pending  chan struct{} // MaxPending places
-	slots    chan struct{} // admission semaphore
+	// decisions is the tuner's memo (autotune.Decisions), bounded as
+	// the plan cache is: a compile of a program whose body an earlier
+	// one shares — model layers that differ only in the model's name —
+	// runs no search; it executes and checks the body's winner once
+	// under its own name. It is the server's, so every new server
+	// starts cold.
+	decisions *autotune.Decisions
+	recorder  *flightRecorder
+	pending   chan struct{} // MaxPending places
+	slots     chan struct{} // admission semaphore
 	// rngs holds one argument generator per admission slot: a run
 	// holding a slot takes one, reseeds it and gives it back.
 	rngs chan *rand.Rand
@@ -165,14 +166,14 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.WithDefaults()
 	s := &Server{
-		cfg:      cfg,
-		plans:    newPlanCache(cfg.PlanCacheSize),
-		rankings: autotune.NewRankings(cfg.PlanCacheSize),
-		recorder: newFlightRecorder(cfg.FlightRecorderSize, cfg.FlightKeep),
-		pending:  make(chan struct{}, cfg.MaxPending),
-		slots:    make(chan struct{}, cfg.MaxConcurrentRuns),
-		rngs:     make(chan *rand.Rand, cfg.MaxConcurrentRuns),
-		check:    runtime.CheckInterpreter,
+		cfg:       cfg,
+		plans:     newPlanCache(cfg.PlanCacheSize),
+		decisions: autotune.NewDecisions(cfg.PlanCacheSize),
+		recorder:  newFlightRecorder(cfg.FlightRecorderSize, cfg.FlightKeep),
+		pending:   make(chan struct{}, cfg.MaxPending),
+		slots:     make(chan struct{}, cfg.MaxConcurrentRuns),
+		rngs:      make(chan *rand.Rand, cfg.MaxConcurrentRuns),
+		check:     runtime.CheckInterpreter,
 	}
 	for i := 0; i < cfg.MaxConcurrentRuns; i++ {
 		s.rngs <- rand.New(rand.NewSource(0))
