@@ -138,6 +138,13 @@ var sourceGuards = []sourceGuard{
 		roots:   []string{"internal/serve", "internal/train", "internal/autotune"},
 	},
 	{
+		name: "a served plan is lowered in one place",
+		why: "(*autotune.Decisions).Compile returns the program and the Executable it executed and checked, and the daemon caches " +
+			"them as they are: nothing in internal/serve parses a plan's text or lowers a program again",
+		pattern: regexp.MustCompile(`runtime\.Compile|\.Computation\(\)`),
+		roots:   []string{"internal/serve"},
+	},
+	{
 		name: "run state follows the schedule",
 		why: "a transfer's instance and a collective's generation are the device's loop iteration, and fault state is indexed " +
 			"by the schedule's links and devices: no per-op execution counter and no (src,dst)-keyed map grows back",

@@ -65,7 +65,10 @@
 // plan files, one per fingerprint (cache.go) — the same bytes -plan-out
 // writes and -plan-in reads. Tuning a fingerprint the directory holds
 // answers from the stored plan: no pipeline stage, no simulation, no
-// execution.
+// execution. The daemon's compile, (*Decisions).Compile, returns the
+// plan with the program and runtime.Executable it was executed and
+// checked on — or, for a stored plan, the program its decode parsed,
+// lowered once — so a served plan is parsed and lowered in one place.
 package autotune
 
 import (
@@ -225,22 +228,27 @@ func ProgramFingerprint(c *hlo.Computation) string {
 // modified; args follows sim.Interpret's convention (args[i][d] is
 // parameter i's value on device d, a single entry replicates).
 func Tune(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options) (*Result, error) {
-	return tune("", c, numDevices, args, opts, nil)
+	res, _, _, err := tune("", c, numDevices, args, opts, nil)
+	return res, err
 }
 
 // tune is Tune under a decision key the caller already computed —
 // Key(c, opts.Spec, numDevices); empty computes it here — and, unless
-// memo is nil, with decisions kept in and reused from memo.
-func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options, memo *Decisions) (*Result, error) {
+// memo is nil, with decisions kept in and reused from memo. With the
+// result it returns the plan's program as a graph and, when the tune
+// ran it, the Executable it was executed and checked on: stage 2's
+// winner, or the twin reuse ran. A plan from the disk tier comes with
+// the program its decode parsed and no Executable: nothing ran it.
+func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options, memo *Decisions) (*Result, *hlo.Computation, *runtime.Executable, error) {
 	opts = opts.withDefaults()
 	if c == nil {
-		return nil, fmt.Errorf("autotune: nil computation")
+		return nil, nil, nil, fmt.Errorf("autotune: nil computation")
 	}
 	if err := c.VerifyRing(numDevices); err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	if err := opts.Spec.Validate(); err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 
 	if key == "" {
@@ -259,12 +267,12 @@ func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tenso
 		res.CachePath = cachePath(opts)
 	}
 	if res.CachePath != "" {
-		if plan := loadPlan(res.CachePath, key, numDevices); plan != nil {
+		if plan, prog := loadPlan(res.CachePath, key, numDevices); plan != nil {
 			atCacheHits.Inc()
 			res.Plan, res.CacheHit = plan, true
 			obs.Log().Info("autotune.tune", "run_id", res.RunID,
 				"fingerprint", key, "cache_hit", true, "best", plan.BestName)
-			return res, nil
+			return res, prog, nil, nil
 		}
 	}
 	atCacheMisses.Inc()
@@ -275,14 +283,14 @@ func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tenso
 	if memo != nil {
 		dk = decisionKeyOf(c, numDevices, opts)
 		if decided, ok := memo.get(dk); ok {
-			plan, err := reuse(key, c, args, opts, &decided)
+			plan, prog, exe, err := reuse(key, c, args, opts, &decided)
 			if err != nil {
-				return nil, err
+				return nil, nil, nil, err
 			}
 			atDecisionReuses.Inc()
 			atExecutions.Inc()
 			res.Plan, res.Executions = plan, 1
-			return finish(res)
+			return finish(res, prog, exe)
 		}
 	}
 
@@ -295,9 +303,9 @@ func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tenso
 	atCandidates.Add(float64(len(res.Candidates)))
 
 	// Stage 2: execute the top-K (plus the paper's default) for real.
-	winner, prog, scale, err := stage2(res, s, args, opts)
+	winner, prog, exe, scale, err := stage2(res, s, args, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	atExecutions.Add(float64(res.Executions))
 
@@ -314,21 +322,22 @@ func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tenso
 	if memo != nil {
 		memo.put(dk, res.Plan)
 	}
-	return finish(res)
+	return finish(res, prog, exe)
 }
 
 // finish stores the plan of a tune that searched or reused a decision in
-// the disk tier, when there is one, and logs the tune.
-func finish(res *Result) (*Result, error) {
+// the disk tier, when there is one, logs the tune and hands on the
+// program and Executable the plan was checked on.
+func finish(res *Result, prog *hlo.Computation, exe *runtime.Executable) (*Result, *hlo.Computation, *runtime.Executable, error) {
 	if res.CachePath != "" {
 		if err := storePlan(res.CachePath, res.Plan); err != nil {
-			return nil, fmt.Errorf("autotune: storing plan: %w", err)
+			return nil, nil, nil, fmt.Errorf("autotune: storing plan: %w", err)
 		}
 	}
 	obs.Log().Info("autotune.tune", "run_id", res.RunID,
 		"fingerprint", res.Plan.Fingerprint, "cache_hit", false,
 		"best", res.Plan.BestName, "executions", res.Executions)
-	return res, nil
+	return res, prog, exe, nil
 }
 
 // enumerate builds the candidate list: the blocking baseline plus every
@@ -402,14 +411,15 @@ func stage2Set(ranked []Candidate, topK int, spec machine.Spec) []int {
 // stage2 executes the top-K unique candidates — forcing the paper's
 // DefaultOptions configuration into the set so the tuned result can
 // never be slower than it in the same measurement session — picks the
-// fastest by executed step and returns it with its program: the one that
-// was executed and checked, not a rebuild of it. The last return is the
-// wire scale every candidate ran at: opts.TimeScale, or when that is
-// zero the clock measured on the input program; 0 for no wire.
-func stage2(res *Result, s *search, args [][]*tensor.Tensor, opts Options) (*Candidate, *hlo.Computation, float64, error) {
+// fastest by executed step and returns it with its program and that
+// program's Executable: the ones that were executed and checked, not a
+// rebuild of them. The last return is the wire scale every candidate
+// ran at: opts.TimeScale, or when that is zero the clock measured on
+// the input program; 0 for no wire.
+func stage2(res *Result, s *search, args [][]*tensor.Tensor, opts Options) (*Candidate, *hlo.Computation, *runtime.Executable, float64, error) {
 	toRun := stage2Set(res.Candidates, opts.TopK, opts.Spec)
 	if len(toRun) == 0 {
-		return nil, nil, 0, fmt.Errorf("autotune: no candidate survived stage 1 (first error: %s)", firstErr(res.Candidates))
+		return nil, nil, nil, 0, fmt.Errorf("autotune: no candidate survived stage 1 (first error: %s)", firstErr(res.Candidates))
 	}
 
 	// Only now does a program leave the search tree: each candidate to
@@ -424,11 +434,11 @@ func stage2(res *Result, s *search, args [][]*tensor.Tensor, opts Options) (*Can
 		cand := &res.Candidates[i]
 		prog, err := s.materialise(cand)
 		if err != nil {
-			return nil, nil, 0, fmt.Errorf("autotune: materialising %s: %w", cand.Name, err)
+			return nil, nil, nil, 0, fmt.Errorf("autotune: materialising %s: %w", cand.Name, err)
 		}
 		progs[k] = prog
 		if exes[k], err = runtime.Compile(prog, numDevices, opts.Spec); err != nil {
-			return nil, nil, 0, fmt.Errorf("autotune: executing %s: %w", cand.Name, err)
+			return nil, nil, nil, 0, fmt.Errorf("autotune: executing %s: %w", cand.Name, err)
 		}
 		if cand.Baseline {
 			input = k
@@ -447,12 +457,12 @@ func stage2(res *Result, s *search, args [][]*tensor.Tensor, opts Options) (*Can
 	} else {
 		var err error
 		if clockOn, err = runtime.Compile(s.base.c, numDevices, opts.Spec); err != nil {
-			return nil, nil, 0, fmt.Errorf("autotune: measuring the clock: %w", err)
+			return nil, nil, nil, 0, fmt.Errorf("autotune: measuring the clock: %w", err)
 		}
 	}
 	scale, err := clockOn.Clock(ctx, args)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("autotune: measuring the clock: %w", err)
+		return nil, nil, nil, 0, fmt.Errorf("autotune: measuring the clock: %w", err)
 	}
 	if opts.TimeScale != 0 {
 		scale = max(opts.TimeScale, 0)
@@ -466,12 +476,12 @@ func stage2(res *Result, s *search, args [][]*tensor.Tensor, opts Options) (*Can
 			ropts.RunID = fmt.Sprintf("%s.%s.r%d", opts.RunID, cand.Name, r)
 			run, err := exes[k].Run(ctx, args, ropts)
 			if err != nil {
-				return nil, nil, 0, fmt.Errorf("autotune: executing %s: %w", cand.Name, err)
+				return nil, nil, nil, 0, fmt.Errorf("autotune: executing %s: %w", cand.Name, err)
 			}
 			res.Executions++
 			if r == 0 {
 				if err := runtime.CheckInterpreter(prog, numDevices, args, run); err != nil {
-					return nil, nil, 0, fmt.Errorf("autotune: checking %s: %w", cand.Name, err)
+					return nil, nil, nil, 0, fmt.Errorf("autotune: checking %s: %w", cand.Name, err)
 				}
 				cand.Checked = true
 			}
@@ -487,7 +497,7 @@ func stage2(res *Result, s *search, args [][]*tensor.Tensor, opts Options) (*Can
 			best = k
 		}
 	}
-	return &res.Candidates[toRun[best]], progs[best], scale, nil
+	return &res.Candidates[toRun[best]], progs[best], exes[best], scale, nil
 }
 
 // covers reports whether this candidate is, or canonically stands in

@@ -65,26 +65,26 @@ func planPath(dir, key string) string {
 	return filepath.Join(dir, fmt.Sprintf("%x.json", sha256.Sum256([]byte(key))))
 }
 
-// loadPlan returns the plan stored under key, or nil: a missing file and
-// one written under another PlanVersion are plain misses; one that does
-// not decode, or that is not the plan asked for (another fingerprint or
-// ring size under this name), is a miss counted as corruption. Either
-// way the next store overwrites it — tuning never fails because the
-// store rotted.
-func loadPlan(dir, key string, numDevices int) *Plan {
+// loadPlan returns the plan stored under key with the program parsed
+// to verify it, or nil: a missing file and one written under another
+// PlanVersion are plain misses; one that does not decode, or that is
+// not the plan asked for (another fingerprint or ring size under this
+// name), is a miss counted as corruption. Either way the next store
+// overwrites it — tuning never fails because the store rotted.
+func loadPlan(dir, key string, numDevices int) (*Plan, *hlo.Computation) {
 	data, err := os.ReadFile(planPath(dir, key))
 	if err != nil {
-		return nil
+		return nil, nil
 	}
-	p, err := DecodePlan(data)
+	p, prog, err := decodePlan(data)
 	switch {
 	case errors.Is(err, errPlanVersion):
-		return nil
+		return nil, nil
 	case err != nil, p.Fingerprint != key, p.Devices != numDevices:
 		atCacheCorrupt.Inc()
-		return nil
+		return nil, nil
 	}
-	return p
+	return p, prog
 }
 
 // storePlan writes the plan under its fingerprint — the bytes -plan-out

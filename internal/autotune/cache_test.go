@@ -69,7 +69,7 @@ func TestLoadCacheCorruptCounted(t *testing.T) {
 			}
 		}
 		before := atCacheCorrupt.Value()
-		if p := loadPlan(dir, key, devices); p != nil {
+		if p, prog := loadPlan(dir, key, devices); p != nil || prog != nil {
 			t.Fatalf("%s: loaded a plan", tc.name)
 		}
 		want := before
@@ -82,7 +82,7 @@ func TestLoadCacheCorruptCounted(t *testing.T) {
 		if err := storePlan(dir, good); err != nil {
 			t.Fatalf("%s: store over it: %v", tc.name, err)
 		}
-		if p := loadPlan(dir, key, devices); p == nil || p.Program != good.Program {
+		if p, prog := loadPlan(dir, key, devices); p == nil || p.Program != good.Program || prog.Format() != good.Program {
 			t.Fatalf("%s: the next store did not replace it", tc.name)
 		}
 	}
@@ -171,7 +171,7 @@ func TestCacheStoreConcurrentKeepsAll(t *testing.T) {
 		}
 	}
 	for _, k := range keys {
-		if p := loadPlan(dir, k, good.Devices); p == nil || p.Fingerprint != k {
+		if p, _ := loadPlan(dir, k, good.Devices); p == nil || p.Fingerprint != k {
 			t.Errorf("plan %s lost", k)
 		}
 	}

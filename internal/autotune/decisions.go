@@ -61,12 +61,24 @@ func NewDecisions(capacity int) *Decisions {
 // has decided is answered with that decision, executed once and checked
 // under the program's own name, and a decision made here is kept in d.
 // A nil d keeps none, so every compile searches.
-func (d *Decisions) Compile(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options) (*Plan, error) {
-	res, err := tune(key, c, numDevices, args, opts, d)
+//
+// With the plan it returns the plan's program as a graph and that
+// graph's Executable — the pair that was executed and checked: stage
+// 2's winner for a searched body, the renamed program reuse ran for a
+// twin. A plan from the disk tier comes with the program its decode
+// parsed, lowered here once. Either way the caller runs the plan with
+// no further parse or lowering.
+func (d *Decisions) Compile(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options) (*Plan, *hlo.Computation, *runtime.Executable, error) {
+	res, prog, exe, err := tune(key, c, numDevices, args, opts, d)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	return res.Plan, nil
+	if exe == nil {
+		if exe, err = runtime.Compile(prog, res.Plan.Devices, opts.Spec); err != nil {
+			return nil, nil, nil, fmt.Errorf("autotune: compiling stored plan %s: %w", res.Plan.BestName, err)
+		}
+	}
+	return res.Plan, prog, exe, nil
 }
 
 // Len is how many decisions d holds.
@@ -134,31 +146,32 @@ func twinProgram(p *Plan, c *hlo.Computation) (*hlo.Computation, error) {
 
 // reuse answers a tune of c, a twin of the body p decided, with p's
 // decision under key: the decided program under c's name, executed once
-// at p's clock on args and checked bitwise against the interpreter.
-func reuse(key string, c *hlo.Computation, args [][]*tensor.Tensor, opts Options, p *Plan) (*Plan, error) {
+// at p's clock on args and checked bitwise against the interpreter. It
+// returns that program and its Executable with the plan.
+func reuse(key string, c *hlo.Computation, args [][]*tensor.Tensor, opts Options, p *Plan) (*Plan, *hlo.Computation, *runtime.Executable, error) {
 	prog, err := twinProgram(p, c)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	exe, err := runtime.Compile(prog, p.Devices, opts.Spec)
 	if err != nil {
-		return nil, fmt.Errorf("autotune: executing %s: %w", p.BestName, err)
+		return nil, nil, nil, fmt.Errorf("autotune: executing %s: %w", p.BestName, err)
 	}
 	run, err := exe.Run(context.Background(), args, runtime.Options{
 		TimeScale: p.TimeScale,
 		RunID:     fmt.Sprintf("%s.%s.r0", opts.RunID, p.BestName),
 	})
 	if err != nil {
-		return nil, fmt.Errorf("autotune: executing %s: %w", p.BestName, err)
+		return nil, nil, nil, fmt.Errorf("autotune: executing %s: %w", p.BestName, err)
 	}
 	defer run.Release()
 	if err := runtime.CheckInterpreter(prog, p.Devices, args, run); err != nil {
-		return nil, fmt.Errorf("autotune: checking %s: %w", p.BestName, err)
+		return nil, nil, nil, fmt.Errorf("autotune: checking %s: %w", p.BestName, err)
 	}
 	w := &Candidate{
 		Name: p.BestName, Baseline: p.Baseline, Opts: core.Options{Knobs: p.Knobs},
 		Predicted: sim.Breakdown{StepTime: p.PredictedSec},
 		Measured:  sim.Breakdown{StepTime: p.MeasuredSec},
 	}
-	return newPlan(key, p.Devices, opts.Spec, w, prog, p.Calibration, p.Residual, p.TimeScale), nil
+	return newPlan(key, p.Devices, opts.Spec, w, prog, p.Calibration, p.Residual, p.TimeScale), prog, exe, nil
 }

@@ -88,7 +88,11 @@ func Compile(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts O
 // under the key does not format and hash the program a second time to
 // compile it.
 func CompileKeyed(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options) (*Plan, error) {
-	return (*Decisions)(nil).Compile(key, c, numDevices, args, opts)
+	res, _, _, err := tune(key, c, numDevices, args, opts, nil)
+	if err != nil {
+		return nil, err
+	}
+	return res.Plan, nil
 }
 
 // newPlan freezes a finished search: w is stage 2's winner and prog its
@@ -144,15 +148,23 @@ func (p *Plan) EncodeJSON() ([]byte, error) {
 // plan's own device count — a truncated or hand-edited plan must fail
 // loudly here, not misexecute later.
 func DecodePlan(data []byte) (*Plan, error) {
+	p, _, err := decodePlan(data)
+	return p, err
+}
+
+// decodePlan is DecodePlan that also returns the program it parsed to
+// verify the plan.
+func decodePlan(data []byte) (*Plan, *hlo.Computation, error) {
 	var p Plan
 	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("autotune: plan does not parse: %w", err)
+		return nil, nil, fmt.Errorf("autotune: plan does not parse: %w", err)
 	}
 	if p.Version != PlanVersion {
-		return nil, fmt.Errorf("autotune: plan version %d, want %d (%w)", p.Version, PlanVersion, errPlanVersion)
+		return nil, nil, fmt.Errorf("autotune: plan version %d, want %d (%w)", p.Version, PlanVersion, errPlanVersion)
 	}
-	if _, err := p.Computation(); err != nil {
-		return nil, err
+	prog, err := p.Computation()
+	if err != nil {
+		return nil, nil, err
 	}
-	return &p, nil
+	return &p, prog, nil
 }

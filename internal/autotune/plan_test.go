@@ -253,7 +253,7 @@ func TestDecisionsReuseAndBound(t *testing.T) {
 	compile := func(d *autotune.Decisions, c *hlo.Computation) (*autotune.Plan, bool) {
 		t.Helper()
 		before, candidates, executed := reuses.Value(), ranked.Value(), executions.Value()
-		plan, err := d.Compile("", c, 4, miniArgs(c, 3), opts)
+		plan, _, _, err := d.Compile("", c, 4, miniArgs(c, 3), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -175,6 +175,111 @@ func TestWinnerIgnoresTheName(t *testing.T) {
 	}
 }
 
+// TestCompileHandsOverTheCheckedProgram: what Decisions.Compile returns
+// beside its plan — the program and the Executable the compile checked
+// it on — is the plan's own program. On every corpus program and every
+// warm-mix layer, for a searched compile, a twin's compile and a
+// disk-tier hit, the returned program prints as Plan.Program byte for
+// byte; its Executable, run on the compile's arguments, gives bitwise
+// the outputs of the plan's text parsed and compiled afresh; and the two
+// programs time alike under the model's costs (breakdown and spans). A
+// server that caches the returned pair therefore serves what a parse
+// and a lowering of the plan would.
+func TestCompileHandsOverTheCheckedProgram(t *testing.T) {
+	progs, err := corpus.Programs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := machine.TPUv4()
+	for _, p := range append(progs, warmLayers(t)...) {
+		if (testing.Short() || corpus.RaceEnabled) && p.Long() {
+			continue
+		}
+		opts := Options{Spec: spec, TopK: 1, TimeScale: -1, CachePath: t.TempDir()}
+		twin := p.Comp.Clone()
+		twin.Name = "twin." + p.Comp.Name
+		memo := NewDecisions(1)
+		for _, step := range []struct {
+			path string
+			c    *hlo.Computation
+			memo *Decisions
+		}{
+			{"searched", p.Comp, memo},
+			{"twin", twin, memo},
+			{"disk hit", p.Comp, NewDecisions(1)},
+		} {
+			args := randomArgs(step.c, 7)
+			reuses, hits := atDecisionReuses.Value(), atCacheHits.Value()
+			plan, prog, exe, err := step.memo.Compile("", step.c, p.Devices, args, opts)
+			if err != nil {
+				t.Fatalf("%s, %s compile: %v", p.Name, step.path, err)
+			}
+			took := "searched"
+			switch {
+			case atDecisionReuses.Value() == reuses+1:
+				took = "twin"
+			case atCacheHits.Value() == hits+1:
+				took = "disk hit"
+			}
+			if took != step.path {
+				t.Fatalf("%s: the %s compile took the %q path", p.Name, step.path, took)
+			}
+			if got := prog.Format(); got != plan.Program {
+				t.Fatalf("%s, %s compile: the returned program is not the plan's:\n--- returned ---\n%s--- plan ---\n%s",
+					p.Name, step.path, got, plan.Program)
+			}
+			fresh, err := plan.Computation()
+			if err != nil {
+				t.Fatal(err)
+			}
+			freshExe, err := runtime.Compile(fresh, plan.Devices, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalTensors(runOutputs(t, p, exe, prog, args), runOutputs(t, p, freshExe, fresh, args)) {
+				t.Errorf("%s, %s compile: the returned Executable runs %s to other outputs than the plan's text does",
+					p.Name, step.path, plan.BestName)
+			}
+			gotStep, gotSpans := modelTimed(prog, plan.Devices, spec)
+			wantStep, wantSpans := modelTimed(fresh, plan.Devices, spec)
+			if gotStep != wantStep || !reflect.DeepEqual(gotSpans, wantSpans) {
+				t.Errorf("%s, %s compile: the returned program times differently from the plan's text under the model's costs",
+					p.Name, step.path)
+			}
+		}
+	}
+}
+
+// runOutputs runs exe, compiled from c, on args and returns c's outputs:
+// one per root operand when the root is a tuple, each held for every
+// device.
+func runOutputs(t *testing.T, p corpus.Program, exe *runtime.Executable, c *hlo.Computation, args [][]*tensor.Tensor) [][]*tensor.Tensor {
+	t.Helper()
+	r, err := exe.Run(context.Background(), args, runtime.Options{})
+	if err != nil {
+		t.Fatalf("%s: %v", p.Name, err)
+	}
+	outputs := []*hlo.Instruction{c.Root()}
+	if root := c.Root(); root.Op == hlo.OpTuple {
+		outputs = root.Operands
+	}
+	var out [][]*tensor.Tensor
+	for _, in := range outputs {
+		if len(r.All[in]) != p.Devices {
+			t.Fatalf("%s: %s is not held for every device", p.Name, in.Name)
+		}
+		out = append(out, r.All[in])
+	}
+	return out
+}
+
+// modelTimed is c's timing pass under the model's costs: its breakdown and
+// spans.
+func modelTimed(c *hlo.Computation, numDevices int, spec machine.Spec) (sim.Breakdown, []obs.Span) {
+	s := sim.NewSchedule(c, numDevices, spec)
+	return s.Model(make([]obs.Span, 0, s.Spans))
+}
+
 // randomArgs supplies one replicated random tensor per parameter.
 func randomArgs(c *hlo.Computation, seed int64) [][]*tensor.Tensor {
 	rng := rand.New(rand.NewSource(seed))

@@ -14,14 +14,16 @@ import (
 	"overlap/internal/runtime"
 )
 
-// cachedPlan is a compiled plan held hot: the immutable artifact, its
-// parsed computation, and the computation compiled for the runtime —
-// validated and lowered to its tape once, when the plan was. All three
-// are built inside one compile closure, under the singleflight, and
-// never written after the entry is published, so every request that
-// shares the plan reads them without a lock and runs the one Executable
-// concurrently (the 16-client soak pins this under -race). The serve hot path is one map lookup and zero parsing, zero
-// compilation, zero lowering.
+// cachedPlan is a compiled plan held hot, exactly as the decision memo's
+// Compile returned it: the immutable artifact, its program as a graph,
+// and that graph's Executable — the pair the compile executed and
+// checked (stage 2's winner, or a twin's one checked run), or, for a
+// plan from the disk tier, the program its decode parsed, lowered
+// once. Nothing here parses or lowers a plan again. The entry is never
+// written after it is published, so every request that shares the plan
+// reads it without a lock and runs the one Executable concurrently (the
+// 16-client soak pins this under -race). The serve hot path is one map
+// lookup and zero parsing, zero compilation, zero lowering.
 type cachedPlan struct {
 	plan *autotune.Plan
 	comp *hlo.Computation
@@ -254,10 +256,10 @@ func (s *Server) getPlan(ctx context.Context, key string, build buildFunc) (plan
 // acquirePlan gets the request's plan through getPlan: the plan cache
 // answers warm requests with zero compilation, identical fingerprints
 // coalesce onto one compile. The compile closure runs at most once per
-// fingerprint at a time and builds everything a cache entry holds — the
-// plan, its parsed computation and that computation's Executable —
-// before the entry is published. It compiles through the server's
-// decision memo, so a program whose body an earlier compile decided —
+// fingerprint at a time: it builds the graph if the request did not,
+// compiles through the server's decision memo and caches what that
+// returns — the plan, its program and the Executable the compile
+// checked it on. A program whose body an earlier compile decided —
 // another model's name on the same layer — is not searched again: its
 // compile executes and checks the body's winner once under its own
 // name. A model request that got its plan is remembered by shape, so
@@ -276,21 +278,13 @@ func (s *Server) acquirePlan(ctx context.Context, req *Request, prog *program) (
 			}
 			comp = c
 		}
-		plan, err := s.decisions.Compile(prog.key, comp, devices, Args(comp, seed), autotune.Options{
+		plan, exec, exe, err := s.decisions.Compile(prog.key, comp, devices, Args(comp, seed), autotune.Options{
 			Spec:         machine.TPUv4(),
 			TopK:         s.cfg.TuneTopK,
 			CachePath:    s.cfg.CachePath,
 			DisableCache: s.cfg.DisableDiskCache,
 			Calibrate:    true,
 		})
-		if err != nil {
-			return nil, err
-		}
-		exec, err := plan.Computation()
-		if err != nil {
-			return nil, err
-		}
-		exe, err := runtime.Compile(exec, plan.Devices, machine.TPUv4())
 		if err != nil {
 			return nil, err
 		}

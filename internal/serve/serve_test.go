@@ -172,7 +172,9 @@ func TestWarmPathZeroCompilation(t *testing.T) {
 // demands: 16 concurrent clients with the same fingerprint trigger
 // exactly one compile (pinned by the counter metric), and every client
 // gets a bit-identical answer that matches the lockstep interpreter on
-// the same compiled program. CI runs this under -race.
+// the same compiled program. They run the just-landed plan at once on
+// the one Executable its compile returned, which stage 2 has already
+// run and checked. CI runs this under -race.
 func TestConcurrentIdenticalFingerprintSingleCompile(t *testing.T) {
 	_, ts := newTestServer(t, testConfig())
 
@@ -908,6 +910,64 @@ func TestRestartedDaemonAnswersFromDisk(t *testing.T) {
 	}
 	if warm.Fingerprint != cold.Fingerprint || warm.BestName != cold.BestName || warm.Digest != cold.Digest || !warm.Checked {
 		t.Errorf("restarted daemon answered %+v, first daemon %+v", warm, cold)
+	}
+}
+
+// TestEveryCompilePathServesOneAnswer: a daemon serves a plan on what
+// its compile returned — stage 2's checked winner, a twin's one checked
+// run, or a stored plan whose decode parse is lowered once — and all
+// three answer alike. A cold compile's digest is the digest of a daemon
+// restarted over the same plan directory, which answers from disk, and
+// of a fresh daemon that compiles the shape as the twin of a body it
+// searched under another name. Every cache entry holds the plan's own
+// program.
+func TestEveryCompilePathServesOneAnswer(t *testing.T) {
+	cfg := testConfig()
+	cfg.DisableDiskCache = false
+	cfg.CachePath = filepath.Join(t.TempDir(), "plans")
+	req := miniatureRequest()
+	req.Check, req.Seed = true, 9
+	sibling := req
+	sibling.Model = "GPT_64B"
+	counter := func(name string) float64 { return obs.Default().Counter(name, "").Value() }
+	// served posts req and checks the cache entry it was answered from.
+	served := func(s *Server, ts *httptest.Server, req Request, path string) *RunResponse {
+		t.Helper()
+		rr := mustRun(t, ts, req)
+		cp, ok := s.plans.get(rr.Fingerprint)
+		if !ok || rr.Plan != "miss" || !rr.Checked {
+			t.Fatalf("%s: plan %q, cached %v, checked %v: want a checked compile", path, rr.Plan, ok, rr.Checked)
+		}
+		if cp.comp.Format() != cp.plan.Program {
+			t.Fatalf("%s: the cache entry's program is not its plan's", path)
+		}
+		return rr
+	}
+
+	first, firstTS := newTestServer(t, cfg)
+	cold := served(first, firstTS, req, "cold compile")
+
+	restarted, restartedTS := newTestServer(t, cfg)
+	hits := counter("overlap_autotune_cache_hits_total")
+	fromDisk := served(restarted, restartedTS, req, "restarted daemon")
+	if d := counter("overlap_autotune_cache_hits_total") - hits; d != 1 {
+		t.Fatalf("the restarted daemon's store answered %v times, want 1", d)
+	}
+
+	cfg.DisableDiskCache = true
+	fresh, freshTS := newTestServer(t, cfg)
+	served(fresh, freshTS, sibling, "fresh daemon's body")
+	reuses := counter("overlap_autotune_decision_reuses_total")
+	twin := served(fresh, freshTS, req, "fresh daemon's twin")
+	if d := counter("overlap_autotune_decision_reuses_total") - reuses; d != 1 {
+		t.Fatalf("the fresh daemon's twin reused %v decisions, want 1", d)
+	}
+
+	for _, rr := range []*RunResponse{fromDisk, twin} {
+		if rr.Fingerprint != cold.Fingerprint || rr.BestName != cold.BestName || rr.Digest != cold.Digest {
+			t.Errorf("answered %s %s %s, the cold compile %s %s %s",
+				rr.Fingerprint, rr.BestName, rr.Digest, cold.Fingerprint, cold.BestName, cold.Digest)
+		}
 	}
 }
 
