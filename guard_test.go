@@ -392,6 +392,59 @@ func TestNoHandSetWireScale(t *testing.T) {
 	}
 }
 
+// TestServedAttributionIsBuiltOnRead keeps a served request paying only
+// for its answer: non-test code in internal/serve names obs.Attribute in
+// one function, traceArtifact, which builds a trace artifact when a GET
+// or the TraceDir twin asks for one, and newHeader — run on every
+// request — takes the efficiency from obs.OverlapEfficiency, never from
+// a report.
+func TestServedAttributionIsBuiltOnRead(t *testing.T) {
+	fset := token.NewFileSet()
+	paths, err := filepath.Glob("internal/serve/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	attributing := map[string]int{} // function → how often it names obs.Attribute
+	efficiency := false
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range file.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "obs" {
+					return true
+				}
+				switch sel.Sel.Name {
+				case "Attribute":
+					attributing[fn.Name.Name]++
+				case "OverlapEfficiency":
+					efficiency = efficiency || fn.Name.Name == "newHeader"
+				}
+				return true
+			})
+		}
+	}
+	if len(attributing) != 1 || attributing["traceArtifact"] != 1 {
+		t.Errorf("internal/serve names obs.Attribute in %v, want once, in traceArtifact: a served run is attributed only when its trace is read", attributing)
+	}
+	if !efficiency {
+		t.Error("newHeader does not take the run's efficiency from obs.OverlapEfficiency")
+	}
+}
+
 // literal reports whether e is built from literals alone.
 func literal(e ast.Expr) bool {
 	switch e := e.(type) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
@@ -43,18 +44,27 @@ func cachePath(opts Options) string {
 // started under another GOMAXPROCS never serves a plan measured under
 // this one.
 func Key(c *hlo.Computation, spec machine.Spec, numDevices int) string {
-	return KeyOf(ProgramFingerprint(c), spec, numDevices)
+	return SpecKeyOf(spec).Key(ProgramFingerprint(c), numDevices)
 }
 
-// KeyOf is Key for a caller that already holds the program's
-// ProgramFingerprint — the daemon remembers it per request shape so a
-// warm request need not rebuild its graph to name its plan. Only the
-// program half may be remembered: the host's parallelism is read here,
-// on every call.
-func KeyOf(programFingerprint string, spec machine.Spec, numDevices int) string {
-	specFP := fmt.Sprintf("%x", sha256.Sum256([]byte(spec.Fingerprint())))[:16]
-	return fmt.Sprintf("%s|%s|n=%d|kw=%d",
-		programFingerprint, specFP, numDevices, tensor.KernelWorkers())
+// SpecKey is a plan key's machine part: the first 16 hex digits of the
+// sha256 of the spec's Fingerprint. A caller that names every plan on
+// one spec — the daemon, once per request — computes it once.
+type SpecKey string
+
+// SpecKeyOf formats and digests spec's fingerprint.
+func SpecKeyOf(spec machine.Spec) SpecKey {
+	return SpecKey(fmt.Sprintf("%x", sha256.Sum256([]byte(spec.Fingerprint())))[:16])
+}
+
+// Key returns what Key(c, spec, numDevices) does, for a caller that
+// already holds c's ProgramFingerprint and spec's SpecKey — the daemon
+// remembers the fingerprint per request shape, so a warm request need
+// not rebuild its graph to name its plan. The host's part is never
+// remembered: its parallelism is read here, on every call.
+func (k SpecKey) Key(programFingerprint string, numDevices int) string {
+	return programFingerprint + "|" + string(k) + "|n=" + strconv.Itoa(numDevices) +
+		"|kw=" + strconv.Itoa(tensor.KernelWorkers())
 }
 
 // planPath is where the store keeps the plan compiled under key: one

@@ -1,7 +1,9 @@
 package autotune_test
 
 import (
+	"crypto/sha256"
 	"flag"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -461,6 +463,41 @@ func TestKeyTracksEnvironment(t *testing.T) {
 	}
 	if got := autotune.Key(c, spec, 4); got != base {
 		t.Fatal("key is not a pure function of (program, spec, devices, GOMAXPROCS)")
+	}
+}
+
+// TestSpecKeyIsKey pins the key a caller builds from a spec digested
+// once: byte for byte the key Key builds, in the format it always had
+// (the program fingerprint, the first 16 hex digits of the sha256 of
+// Spec.Fingerprint, then the ring size and the kernels' worker count),
+// on TPUv4 and on a spec one field away, whose key differs. The worker
+// count is read on every call, so a held SpecKey still names another
+// plan under another GOMAXPROCS.
+func TestSpecKeyIsKey(t *testing.T) {
+	c, _ := site(4, 1)
+	fp := autotune.ProgramFingerprint(c)
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	tpu := machine.TPUv4()
+	keys := map[string]bool{}
+	for _, spec := range []machine.Spec{tpu, tpu.WithLinkBandwidth(tpu.LinkBandwidth / 2)} {
+		held := autotune.SpecKeyOf(spec)
+		for _, procs := range []int{1, 2} {
+			goruntime.GOMAXPROCS(procs)
+			for _, n := range []int{4, 8} {
+				want := fmt.Sprintf("%s|%s|n=%d|kw=%d",
+					fp, fmt.Sprintf("%x", sha256.Sum256([]byte(spec.Fingerprint())))[:16], n, procs)
+				if got := held.Key(fp, n); got != want {
+					t.Fatalf("%s, GOMAXPROCS %d, %d devices: held spec key names %q, want %q", spec.Fingerprint(), procs, n, got, want)
+				}
+				if got := autotune.Key(c, spec, n); got != want {
+					t.Fatalf("%s, GOMAXPROCS %d, %d devices: Key names %q, want %q", spec.Fingerprint(), procs, n, got, want)
+				}
+				keys[want] = true
+			}
+		}
+	}
+	if len(keys) != 8 {
+		t.Fatalf("two specs, two worker counts and two ring sizes named %d keys, want 8", len(keys))
 	}
 }
 

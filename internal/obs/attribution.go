@@ -170,68 +170,9 @@ func (r AttributionReport) GroupBy(key func(name string) string) []Attribution {
 // construction. Devices outside the trace window simply contribute
 // nothing; SPMD symmetry makes the recorded devices representative.
 func Attribute(spans []Span) AttributionReport {
-	// The analysis visits devices in ascending order and each device's
-	// spans in stream order — every sum below depends on it. A stream
-	// already grouped that way (every executor's is) is walked in place;
-	// any other is copied and grouped once.
-	byDevice := func(a, b Span) int { return cmp.Compare(a.Device, b.Device) }
-	if !slices.IsSortedFunc(spans, byDevice) {
-		spans = slices.Clone(spans)
-		slices.SortStableFunc(spans, byDevice)
-	}
 	at := attributors.Get().(*attributor)
 	defer at.put()
-
-	var report AttributionReport
-	for lo, hi := 0, 0; lo < len(spans); lo = hi {
-		dev := spans[lo].Device
-		for hi = lo; hi < len(spans) && spans[hi].Device == dev; hi++ {
-		}
-		if dev < 0 {
-			continue // no executor records one; a hostile stream's are ignored
-		}
-		devSpans := spans[lo:hi]
-		compute := at.compute[:0]
-		for _, s := range devSpans {
-			if s.Track == TrackCompute && s.Cat == CatCompute {
-				compute = append(compute, s)
-			}
-		}
-		slices.SortFunc(compute, func(a, b Span) int { return cmp.Compare(a.Start, b.Start) })
-		at.compute = compute
-
-		for _, s := range devSpans {
-			switch {
-			case s.Track == TrackTransfer && s.Cat == CatTransfer:
-				c := at.collective(s.Name)
-				at.colls[c].wire += s.Dur
-				hidden := 0.0
-				for _, cs := range compute {
-					if cs.Start >= s.Start+s.Dur {
-						break
-					}
-					from, to := maxf(cs.Start, s.Start), minf(cs.Start+cs.Dur, s.Start+s.Dur)
-					if to > from {
-						hidden += to - from
-						at.under(c, cs.Name, to-from)
-					}
-				}
-				if hidden > s.Dur {
-					hidden = s.Dur // overlapping compute spans cannot hide more than the wire
-				}
-				a := &at.colls[c]
-				a.hidden += hidden
-				a.exposed += s.Dur - hidden
-			case s.Track == TrackCompute && s.Cat == CatCollective:
-				a := &at.colls[at.collective(s.Name)]
-				a.blocking = true
-				a.wire += s.Dur
-				a.exposed += s.Dur
-			case s.Track == TrackCompute && s.Cat == CatStall:
-				report.StallSeconds += s.Dur
-			}
-		}
-	}
+	report := AttributionReport{StallSeconds: at.sweep(spans, true)}
 	if len(at.colls) == 0 {
 		return report
 	}
@@ -276,9 +217,97 @@ func Attribute(spans []Span) AttributionReport {
 	return report
 }
 
-// attributor is Attribute's scratch, reused across calls: one
-// accumulator per collective, found by name, and one per (collective,
-// compute instruction) pair the collective's wire hid under.
+// OverlapEfficiency is Attribute(spans).OverlapEfficiency(), bit for
+// bit, without the report: the same sweep, recording no under-lists,
+// summing the collectives in name order as the report's totals do. A
+// stream grouped by device — every executor's — costs no allocation
+// once the pooled scratch has grown to it.
+func OverlapEfficiency(spans []Span) float64 {
+	at := attributors.Get().(*attributor)
+	defer at.put()
+	at.sweep(spans, false)
+	slices.SortFunc(at.colls, func(a, b collectiveAcc) int { return strings.Compare(a.name, b.name) })
+	var wire, hidden float64
+	for _, a := range at.colls {
+		wire += a.wire
+		hidden += a.hidden
+	}
+	if wire == 0 {
+		return 0
+	}
+	return hidden / wire
+}
+
+// sweep accumulates spans into at, one collective at a time, and
+// returns the stream's stall seconds; with unders it also records what
+// each collective's wire hid under. It visits devices in ascending
+// order and each device's spans in stream order — every sum depends on
+// it. A stream already grouped that way (every executor's is) is walked
+// in place; any other is copied and grouped once.
+func (at *attributor) sweep(spans []Span, unders bool) (stall float64) {
+	byDevice := func(a, b Span) int { return cmp.Compare(a.Device, b.Device) }
+	if !slices.IsSortedFunc(spans, byDevice) {
+		spans = slices.Clone(spans)
+		slices.SortStableFunc(spans, byDevice)
+	}
+	for lo, hi := 0, 0; lo < len(spans); lo = hi {
+		dev := spans[lo].Device
+		for hi = lo; hi < len(spans) && spans[hi].Device == dev; hi++ {
+		}
+		if dev < 0 {
+			continue // no executor records one; a hostile stream's are ignored
+		}
+		devSpans := spans[lo:hi]
+		compute := at.compute[:0]
+		for _, s := range devSpans {
+			if s.Track == TrackCompute && s.Cat == CatCompute {
+				compute = append(compute, s)
+			}
+		}
+		slices.SortFunc(compute, func(a, b Span) int { return cmp.Compare(a.Start, b.Start) })
+		at.compute = compute
+
+		for _, s := range devSpans {
+			switch {
+			case s.Track == TrackTransfer && s.Cat == CatTransfer:
+				c := at.collective(s.Name)
+				at.colls[c].wire += s.Dur
+				hidden := 0.0
+				for _, cs := range compute {
+					if cs.Start >= s.Start+s.Dur {
+						break
+					}
+					from, to := maxf(cs.Start, s.Start), minf(cs.Start+cs.Dur, s.Start+s.Dur)
+					if to > from {
+						hidden += to - from
+						if unders {
+							at.under(c, cs.Name, to-from)
+						}
+					}
+				}
+				if hidden > s.Dur {
+					hidden = s.Dur // overlapping compute spans cannot hide more than the wire
+				}
+				a := &at.colls[c]
+				a.hidden += hidden
+				a.exposed += s.Dur - hidden
+			case s.Track == TrackCompute && s.Cat == CatCollective:
+				a := &at.colls[at.collective(s.Name)]
+				a.blocking = true
+				a.wire += s.Dur
+				a.exposed += s.Dur
+			case s.Track == TrackCompute && s.Cat == CatStall:
+				stall += s.Dur
+			}
+		}
+	}
+	return stall
+}
+
+// attributor is the sweep's scratch, reused across calls of Attribute
+// and OverlapEfficiency: one accumulator per collective, found by name,
+// and one per (collective, compute instruction) pair the collective's
+// wire hid under.
 type attributor struct {
 	colls   []collectiveAcc
 	byName  map[string]int

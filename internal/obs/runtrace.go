@@ -155,36 +155,37 @@ func SpanLess(a, b Span) bool {
 // its instruction's verdict, and embeds the full report. Metadata
 // fields (Model, Fingerprint, Stages, timings) are the caller's to fill
 // in. A caller that keeps a run's spans and wants the artifact only if
-// somebody asks takes the two halves separately: NewRunHeader when the
-// run ends, WithSpans when it is asked.
+// somebody asks takes the two halves separately: NewRunHeader with
+// OverlapEfficiency(spans) when the run ends, WithAttribution with
+// Attribute(spans) when it is asked.
 func NewRunTrace(id, scenario string, spans []Span) *RunTrace {
-	return NewRunHeader(id, scenario, Attribute(spans)).WithSpans(spans)
+	rep := Attribute(spans)
+	return NewRunHeader(id, scenario, rep.OverlapEfficiency()).WithAttribution(rep, spans)
 }
 
-// NewRunHeader is the artifact without its spans: identity, status, and
-// what the attribution report of the run's span stream says.
-func NewRunHeader(id, scenario string, rep AttributionReport) *RunTrace {
-	t := &RunTrace{
+// NewRunHeader is the artifact without its spans and without its
+// attribution report: identity, status, and the run's overlap
+// efficiency — all an answer needs, and OverlapEfficiency computes it
+// without building the report.
+func NewRunHeader(id, scenario string, overlapEfficiency float64) *RunTrace {
+	return &RunTrace{
 		Version:           RunTraceVersion,
 		ID:                id,
 		Scenario:          scenario,
 		Status:            StatusOK,
-		OverlapEfficiency: rep.OverlapEfficiency(),
+		OverlapEfficiency: overlapEfficiency,
 	}
-	if len(rep.Collectives) > 0 || rep.StallSeconds > 0 {
-		t.Attribution = &rep
-	}
-	return t
 }
 
-// WithSpans returns a copy of the header t carrying the span stream its
-// attribution was computed from, every wire span stamped with its
+// WithAttribution returns a copy of the header t carrying rep — the
+// attribution report of spans, embedded when it has a collective or a
+// stall — and the span stream, every wire span stamped with its
 // instruction's verdict. Spans are encoded in SpanLess order so the
 // encoding is deterministic regardless of collection order: a stream
 // already in it is read in place, any other (the simulator's, a
 // hand-built one) is copied and sorted first — the caller's slice is
 // never reordered, and t is not written.
-func (t *RunTrace) WithSpans(spans []Span) *RunTrace {
+func (t *RunTrace) WithAttribution(rep AttributionReport, spans []Span) *RunTrace {
 	// What a wire span is stamped with is a property of its collective:
 	// computed once per collective, the Under list shared by its spans.
 	type stamp struct {
@@ -192,10 +193,12 @@ func (t *RunTrace) WithSpans(spans []Span) *RunTrace {
 		hidden  float64
 		under   []string
 	}
+	out := *t
 	var stamps map[string]stamp
-	if t.Attribution != nil {
-		stamps = make(map[string]stamp, len(t.Attribution.Collectives))
-		for _, a := range t.Attribution.Collectives {
+	if len(rep.Collectives) > 0 || rep.StallSeconds > 0 {
+		out.Attribution = &rep
+		stamps = make(map[string]stamp, len(rep.Collectives))
+		for _, a := range rep.Collectives {
 			st := stamp{verdict: verdictOf(a), hidden: a.HiddenFraction()}
 			if n := min(len(a.Under), 3); n > 0 {
 				st.under = make([]string, n)
@@ -213,7 +216,6 @@ func (t *RunTrace) WithSpans(spans []Span) *RunTrace {
 		sort.SliceStable(spans, less)
 	}
 
-	out := *t
 	if len(spans) > 0 {
 		out.Spans = make([]RunSpan, len(spans))
 	}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"slices"
 	"strings"
 	"testing"
@@ -220,5 +222,40 @@ func TestRunEndings(t *testing.T) {
 				t.Errorf("trace status %q, error %+v; want failed and %+v", trace.Status, trace.Error, want)
 			}
 		})
+	}
+}
+
+// TestWriteJSONIsAFreshEncoders pins the pooled response encoder to the
+// bytes a fresh indenting encoder writes on the response, over answers
+// written one after another through the pool: a small one after a
+// document too large to be pooled again, and a value that does not
+// encode, which writes no body at all.
+func TestWriteJSONIsAFreshEncoders(t *testing.T) {
+	big := map[string]string{}
+	for i := 0; i < 2000; i++ {
+		big[fmt.Sprintf("key-%04d", i)] = strings.Repeat("x", 40)
+	}
+	answers := []any{
+		RunResponse{RunID: "r-0000000000000001", Plan: "hit", Devices: 4, BatchSize: 1, OverlapEfficiency: 0.25, Digest: "<&>"},
+		errorBody{Error: "serve: draining"},
+		big,
+		errorBody{Error: "serve: overloaded", Fingerprint: "fp"},
+		map[string]float64{"nan": math.NaN()},
+		RunResponse{RunID: "r-0000000000000002", TimingMS: TimingMS{Total: 1.5}},
+	}
+	s := &Server{}
+	for i, v := range answers {
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(v)
+		rec := httptest.NewRecorder()
+		s.writeJSON(rec, http.StatusTeapot, v)
+		if rec.Code != http.StatusTeapot || rec.Header().Get("Content-Type") != "application/json" {
+			t.Fatalf("answer %d: status %d, content type %q", i, rec.Code, rec.Header().Get("Content-Type"))
+		}
+		if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+			t.Fatalf("answer %d: pooled encoder wrote\n%s\nwant\n%s", i, rec.Body.Bytes(), want.Bytes())
+		}
 	}
 }

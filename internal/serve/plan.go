@@ -41,8 +41,8 @@ type cachedPlan struct {
 // the ProgramFingerprint of the graph they build, so a known shape names
 // its plan without rebuilding that graph. The aliases are part of their
 // entry: they count against no capacity of their own and are dropped by
-// the same eviction that drops the plan and its Executable. Only the
-// program half of the key is remembered — see Server.resolve.
+// the same eviction that drops the plan and its Executable. The host
+// part of the key is never remembered — see Server.resolve.
 //
 // The same mutex guards the compiles in flight: a lookup finds a plan
 // or joins its compile in one critical section, and a compile caches its
@@ -270,7 +270,7 @@ func (s *Server) acquirePlan(ctx context.Context, req *Request, prog *program) (
 		comp := prog.comp
 		if comp == nil {
 			// A known shape whose plan is not cached under this key: the
-			// host half of the key moved since the shape was remembered,
+			// host part of the key moved since the shape was remembered,
 			// or the plan was evicted since resolve looked.
 			c, err := s.buildGraph(prog.shape)
 			if err != nil {

@@ -18,13 +18,16 @@ import (
 // flightRecorder is the daemon's bounded in-memory trace store: the
 // last N runs in a ring, plus a kept set of the K most interesting runs
 // (slowest or failed) that survive ring wraparound. A run is stored as
-// it came off the executor — the span slab, plus the header computed
-// from it — and becomes a trace artifact only when get is asked for it:
-// every request records one, few are ever read. The answer to "show
-// me the trace of the slow run from 30 seconds ago" without unbounded
-// memory: steady-state traffic cycles through the ring, while the runs
-// an operator actually asks about — the outliers and the failures —
-// stay addressable until something more interesting displaces them.
+// it came off the executor — the span slab, plus a header that holds
+// the run's overlap efficiency but no attribution report — and becomes
+// a trace artifact only when get is asked for it: the report, and with
+// it every wire span's verdict, is built then, from the slab the
+// recorder owns (traceArtifact). Every request records one run, few
+// are ever read. The answer to "show me the trace of the slow run from
+// 30 seconds ago" without unbounded memory: steady-state traffic cycles
+// through the ring, while the runs an operator actually asks about —
+// the outliers and the failures — stay addressable until something
+// more interesting displaces them.
 type flightRecorder struct {
 	mu   sync.Mutex
 	size int // ring capacity
@@ -38,8 +41,8 @@ type flightRecorder struct {
 }
 
 // recordedRun is one stored run with its recording order and its
-// keep-worthiness score: head is the trace artifact less its spans,
-// spans the stream the header's attribution was computed from.
+// keep-worthiness score: head is the trace artifact less its spans and
+// its attribution report, spans the stream both are built from.
 type recordedRun struct {
 	seq   int64
 	score float64
@@ -149,9 +152,9 @@ func (fr *flightRecorder) evict(id string, e *recordedRun) {
 }
 
 // get builds the trace artifact of a stored run, nil when the ID is
-// unknown (evicted or never recorded). The artifact copies the spans,
-// under the lock: once the lock is released an eviction may hand the
-// slab to another run.
+// unknown (evicted or never recorded). The artifact is attributed and
+// copies the spans under the lock: once the lock is released an
+// eviction may hand the slab to another run.
 func (fr *flightRecorder) get(id string) *obs.RunTrace {
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
@@ -159,7 +162,16 @@ func (fr *flightRecorder) get(id string) *obs.RunTrace {
 	if !ok {
 		return nil
 	}
-	return e.head.WithSpans(e.spans)
+	return traceArtifact(e.head, e.spans)
+}
+
+// traceArtifact is a served run's trace artifact: its header with the
+// attribution report of its span stream, and the spans stamped with the
+// report's verdicts. It is the one place a served run is attributed,
+// and only a trace read (get) or the TraceDir twin asks for it; the
+// answer needs only the efficiency newHeader stored.
+func traceArtifact(head *obs.RunTrace, spans []obs.Span) *obs.RunTrace {
+	return head.WithAttribution(obs.Attribute(spans), spans)
 }
 
 // RunSummary is one flight-recorder entry as /v1/runs lists it.
@@ -210,11 +222,12 @@ func scenarioLabel(s string) string {
 	return "run"
 }
 
-// newHeader assembles one served run's trace artifact less its spans:
-// the attribution of the span stream the run produced (none when it
-// failed), the serve-path stage breakdown and the request metadata.
+// newHeader assembles one served run's trace artifact less its spans
+// and its attribution report: the overlap efficiency of the span stream
+// the run produced (0 when it failed), the serve-path stage breakdown
+// and the request metadata.
 func (s *Server) newHeader(runID string, req *Request, key string, devices int, start time.Time, timing TimingMS, spans []obs.Span) *obs.RunTrace {
-	head := obs.NewRunHeader(runID, scenarioLabel(req.Scenario), obs.Attribute(spans))
+	head := obs.NewRunHeader(runID, scenarioLabel(req.Scenario), obs.OverlapEfficiency(spans))
 	head.Model = req.Model
 	head.Fingerprint = key
 	head.Devices = devices
@@ -237,7 +250,7 @@ func (s *Server) newHeader(runID string, req *Request, key string, devices int, 
 // twin, before the recorder takes the slab; otherwise when a GET asks.
 func (s *Server) record(head *obs.RunTrace, spans []obs.Span) {
 	if s.cfg.TraceDir != "" {
-		data, err := head.WithSpans(spans).EncodeJSON()
+		data, err := traceArtifact(head, spans).EncodeJSON()
 		if err == nil {
 			err = os.WriteFile(filepath.Join(s.cfg.TraceDir, head.ID+".json"), data, 0o644)
 		}

@@ -16,7 +16,7 @@ import (
 // mkRun is a run as the server records it: a header and (here, no)
 // spans.
 func mkRun(id string, totalMS float64, failed bool) (*obs.RunTrace, []obs.Span) {
-	t := obs.NewRunHeader(id, "run", obs.Attribute(nil))
+	t := obs.NewRunHeader(id, "run", 0)
 	t.TotalMS = totalMS
 	if failed {
 		t.SetError(obs.RunTraceError{Device: 0, Cause: "injected"})
@@ -192,7 +192,7 @@ func TestFlightRecorderRecyclesSlabs(t *testing.T) {
 				slabs[&res.Trace[:1][0]]++
 				ids = append(ids, id)
 				mu.Unlock()
-				fr.record(obs.NewRunHeader(id, "run", obs.Attribute(res.Trace)), res.Trace)
+				fr.record(obs.NewRunHeader(id, "run", obs.OverlapEfficiency(res.Trace)), res.Trace)
 			}
 		}(w)
 	}

@@ -11,7 +11,6 @@ import (
 
 	"overlap/internal/autotune"
 	"overlap/internal/hlo"
-	"overlap/internal/machine"
 	"overlap/internal/models"
 	"overlap/internal/runtime"
 	"overlap/internal/train"
@@ -148,7 +147,7 @@ func (s *Server) runContext(r *http.Request, req *Request) (context.Context, con
 // program is a request's computation as the plan machinery needs it:
 // named (key), and built only if somebody has to compile it.
 type program struct {
-	// key is the plan fingerprint, autotune.KeyOf(fingerprint, …).
+	// key is the plan fingerprint, autotune.SpecKey.Key(fingerprint, …).
 	key string
 	// fingerprint is the graph's autotune.ProgramFingerprint.
 	fingerprint string
@@ -164,15 +163,16 @@ type program struct {
 // resolve names the request's program: its plan-cache fingerprint, and
 // the graph itself when naming it took building it.
 //
-// The fingerprint has two halves (autotune.Key). The program half is a
+// The fingerprint has three parts (autotune.Key). The program part is a
 // digest of the graph's text, a pure function of the request's shape,
 // and building a miniature's graph only to digest it was a twentieth of
 // a warm request's allocations — so the plan cache remembers, beside
 // each plan, the shapes that resolved to it and their program digest,
 // and a known shape skips models.BuildLayerStep / train.Build and the
-// digest altogether. The host half — the kernels' worker count,
-// GOMAXPROCS — is never remembered: KeyOf reads it on every request, so
-// plans measured under one parallelism are never served under another,
+// digest altogether. The spec part is the server's specKey, digested
+// once. The host part — the kernels' worker count, GOMAXPROCS — is
+// never remembered: SpecKey.Key reads it on every request, so plans
+// measured under one parallelism are never served under another,
 // exactly as if the graph had been rebuilt. Inline programs are parsed
 // and digested every time.
 func (s *Server) resolve(req *Request) (*program, error) {
@@ -188,7 +188,7 @@ func (s *Server) resolve(req *Request) (*program, error) {
 			return nil, fmt.Errorf("serve: program is not accepted: %w", err)
 		}
 		fp := autotune.ProgramFingerprint(c)
-		return &program{key: autotune.KeyOf(fp, machine.TPUv4(), req.Devices), fingerprint: fp, comp: c}, nil
+		return &program{key: s.specKey.Key(fp, req.Devices), fingerprint: fp, comp: c}, nil
 	}
 	prog := &program{shape: shapeOf(req)}
 	fp, known := s.plans.fingerprintOf(prog.shape)
@@ -204,7 +204,7 @@ func (s *Server) resolve(req *Request) (*program, error) {
 		prog.comp, fp = c, autotune.ProgramFingerprint(c)
 	}
 	prog.fingerprint = fp
-	prog.key = autotune.KeyOf(fp, machine.TPUv4(), req.Devices)
+	prog.key = s.specKey.Key(fp, req.Devices)
 	return prog, nil
 }
 

@@ -35,9 +35,13 @@ type RunResponse struct {
 
 	BreakdownMS       BreakdownMS `json:"breakdown_ms"`
 	OverlapEfficiency float64     `json:"overlap_efficiency"`
-	// Digest is sha256 over every device's root tensor bytes — callers
-	// verify bit-identity across replicas and against the interpreter
-	// without shipping tensors.
+	// Digest is sha256 over every device's output tensor bytes, the
+	// witness a caller compares without shipping tensors ("check"
+	// compares the bits with the interpreter's server-side). It is a
+	// function of the request and of the plan that answered it:
+	// decompositions round differently, so two servers agree on it when
+	// they serve the same plan, for example from a shared plan
+	// directory, not whenever they are sent the same request.
 	Digest   string   `json:"digest"`
 	Checked  bool     `json:"checked,omitempty"`
 	TimingMS TimingMS `json:"timing_ms"`
@@ -78,7 +82,7 @@ type errorBody struct {
 
 // handleRun answers POST /v1/run for a request that got its plan: it
 // executes the plan under an admission slot on the concurrent runtime
-// and answers with the measured breakdown and overlap attribution.
+// and answers with the measured breakdown and overlap efficiency.
 //
 // Every ending is answered from one place: the switch sets the status,
 // the error and the recorded trace's error, then the request is
@@ -91,8 +95,8 @@ func (s *Server) handleRun(w http.ResponseWriter, p planned) {
 	// The digest below is the last reader of the outputs, the run and its
 	// check the only readers of the arguments: both go back to the arena.
 	defer run.release()
-	// The admission slot is free again: the digest, the attribution, the
-	// trace and the response below are this request's own time.
+	// The admission slot is free again: the digest, the efficiency, the
+	// trace header and the response below are this request's own time.
 	timing := TimingMS{
 		Plan:      p.out.wait.Seconds() * 1e3,
 		Admission: run.admission.Seconds() * 1e3,

@@ -24,6 +24,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -37,6 +38,7 @@ import (
 
 	"overlap/internal/autotune"
 	"overlap/internal/hlo"
+	"overlap/internal/machine"
 	"overlap/internal/obs"
 	"overlap/internal/runtime"
 	"overlap/internal/tensor"
@@ -136,9 +138,12 @@ type Server struct {
 	// under its own name. It is the server's, so every new server
 	// starts cold.
 	decisions *autotune.Decisions
-	recorder  *flightRecorder
-	pending   chan struct{} // MaxPending places
-	slots     chan struct{} // admission semaphore
+	// specKey is every plan key's machine half,
+	// autotune.SpecKeyOf(machine.TPUv4()), digested once.
+	specKey  autotune.SpecKey
+	recorder *flightRecorder
+	pending  chan struct{} // MaxPending places
+	slots    chan struct{} // admission semaphore
 	// rngs holds one argument generator per admission slot: a run
 	// holding a slot takes one, reseeds it and gives it back.
 	rngs chan *rand.Rand
@@ -169,6 +174,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		plans:     newPlanCache(cfg.PlanCacheSize),
 		decisions: autotune.NewDecisions(cfg.PlanCacheSize),
+		specKey:   autotune.SpecKeyOf(machine.TPUv4()),
 		recorder:  newFlightRecorder(cfg.FlightRecorderSize, cfg.FlightKeep),
 		pending:   make(chan struct{}, cfg.MaxPending),
 		slots:     make(chan struct{}, cfg.MaxConcurrentRuns),
@@ -316,13 +322,40 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	s.writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
+// writeJSON answers with v as indented JSON. It encodes through a
+// pooled encoder into the encoder's own buffer, whose indent scratch is
+// reused with it, and writes the document in one Write, as a fresh
+// encoder on w would: the same bytes.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	jw := jsonWriters.Get().(*jsonWriter)
+	if jw.enc.Encode(v) == nil {
+		_, _ = w.Write(jw.buf.Bytes())
+	}
+	// One large document must not pin its buffer for every later one.
+	if jw.buf.Cap() <= maxPooledJSON {
+		jw.buf.Reset()
+		jsonWriters.Put(jw)
+	}
 }
+
+// jsonWriter is writeJSON's scratch: an encoder indenting into buf.
+type jsonWriter struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// maxPooledJSON is the largest buffer a jsonWriter goes back to the
+// pool with.
+const maxPooledJSON = 64 << 10
+
+var jsonWriters = sync.Pool{New: func() any {
+	jw := &jsonWriter{}
+	jw.enc = json.NewEncoder(&jw.buf)
+	jw.enc.SetIndent("", "  ")
+	return jw
+}}
 
 // writeBytes answers 200 with an already encoded JSON document.
 func writeBytes(w http.ResponseWriter, data []byte) {

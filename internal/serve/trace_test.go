@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -537,4 +538,210 @@ func TestConcurrentWarmRequestsOnePlan(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+}
+
+// recorded copies what the flight recorder holds for a run: its header
+// and its span stream.
+func (fr *flightRecorder) recorded(id string) (*obs.RunTrace, []obs.Span) {
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	e, ok := fr.entries[id]
+	if !ok {
+		return nil, nil
+	}
+	head := *e.head
+	return &head, slices.Clone(e.spans)
+}
+
+// TestTraceArtifactIsNewRunTrace pins the deferred report: a served run
+// is recorded with its overlap efficiency and no attribution, and what
+// a GET reads — as JSON and as a Chrome trace — and what the TraceDir
+// twin holds are byte for byte obs.NewRunTrace over the run's spans
+// with the header's fields, for a layer run, a training run and a run
+// whose interpreter check failed. The answer's overlap_efficiency is
+// that artifact's.
+func TestTraceArtifactIsNewRunTrace(t *testing.T) {
+	cfg := testConfig()
+	cfg.TraceDir = t.TempDir()
+	s, ts := newTestServer(t, cfg)
+	train := Request{Model: "GPT_32B", Devices: 4, Dim: 2, Scenario: "train", Layers: 1}
+	for _, tc := range []struct {
+		name   string
+		req    Request
+		failed bool
+	}{
+		{"layer", miniatureRequest(), false},
+		{"train", train, false},
+		{"check failed", miniatureRequest(), true},
+	} {
+		var id string
+		var answered float64
+		if tc.failed {
+			s.check = func(*hlo.Computation, int, [][]*tensor.Tensor, *runtime.Result) error {
+				return fmt.Errorf("output on device 1 diverges bitwise from the interpreter")
+			}
+			req := tc.req
+			req.Check = true
+			_, status, raw, _ := postRun(ts, req)
+			s.check = runtime.CheckInterpreter
+			var body errorBody
+			if err := json.Unmarshal(raw, &body); err != nil || status != http.StatusInternalServerError {
+				t.Fatalf("%s: status %d, body %s (%v)", tc.name, status, raw, err)
+			}
+			id = body.RunID
+		} else {
+			rr, _, _, err := postRun(ts, tc.req)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			id, answered = rr.RunID, rr.OverlapEfficiency
+		}
+
+		head, spans := s.recorder.recorded(id)
+		if head == nil || len(spans) == 0 {
+			t.Fatalf("%s: run %s is not recorded with its spans", tc.name, id)
+		}
+		if head.Attribution != nil || head.Spans != nil {
+			t.Fatalf("%s: the recorded header carries an attribution report or spans before any read", tc.name)
+		}
+		want := obs.NewRunTrace(id, head.Scenario, spans)
+		want.Model, want.Fingerprint, want.Devices, want.Start = head.Model, head.Fingerprint, head.Devices, head.Start
+		want.Stages, want.StepMS, want.TotalMS = head.Stages, head.StepMS, head.TotalMS
+		want.Status, want.Error = head.Status, head.Error
+		if tc.failed != (want.Status == obs.StatusFailed) {
+			t.Fatalf("%s: recorded status %q", tc.name, want.Status)
+		}
+		if head.OverlapEfficiency != want.OverlapEfficiency || (!tc.failed && answered != want.OverlapEfficiency) {
+			t.Fatalf("%s: header efficiency %v, answer %v, artifact %v", tc.name, head.OverlapEfficiency, answered, want.OverlapEfficiency)
+		}
+		if want.Attribution == nil {
+			t.Fatalf("%s: the run's spans hold no collective: nothing to attribute", tc.name)
+		}
+		wantJSON, err := want.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantChrome, err := want.ChromeTrace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := getBytes(t, ts.URL+"/v1/runs/"+id); !bytes.Equal(got, wantJSON) {
+			t.Errorf("%s: GET differs from obs.NewRunTrace:\n%s\nwant\n%s", tc.name, got, wantJSON)
+		}
+		if got := getBytes(t, ts.URL+"/v1/runs/"+id+"?format=chrome"); !bytes.Equal(got, wantChrome) {
+			t.Errorf("%s: GET ?format=chrome differs from obs.NewRunTrace's Chrome trace", tc.name)
+		}
+		twin, err := os.ReadFile(filepath.Join(cfg.TraceDir, id+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(twin, wantJSON) {
+			t.Errorf("%s: the TraceDir twin differs from obs.NewRunTrace", tc.name)
+		}
+	}
+}
+
+// TestTraceReadsRacePosts is the -race witness for the deferred report:
+// four clients POST through a ring of four while two more GET the
+// newest runs, as JSON and as Chrome traces, so the recorder attributes
+// span slabs under its lock while runs are recorded and evicted around
+// it. Every GET that finds its run reads an artifact whose efficiency
+// is the one its POST answered, and whose wire verdicts are the
+// analyzer's over its own spans.
+func TestTraceReadsRacePosts(t *testing.T) {
+	cfg := testConfig()
+	cfg.FlightRecorderSize, cfg.FlightKeep, cfg.MaxConcurrentRuns = 4, 1, 4
+	_, ts := newTestServer(t, cfg)
+	if _, _, _, err := postRun(ts, miniatureRequest()); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu       sync.Mutex
+		ids      []string
+		answered = map[string]float64{}
+		read     []*obs.RunTrace
+	)
+	var posters sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		posters.Add(1)
+		go func(c int) {
+			defer posters.Done()
+			for i := 0; i < 6; i++ {
+				req := miniatureRequest()
+				req.Seed = int64(c*6 + i)
+				rr, _, _, err := postRun(ts, req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				ids = append(ids, rr.RunID)
+				answered[rr.RunID] = rr.OverlapEfficiency
+				mu.Unlock()
+			}
+		}(c)
+	}
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			format := []string{"", "?format=chrome"}[r]
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				mu.Lock()
+				recent := slices.Clone(ids[max(0, len(ids)-4):])
+				mu.Unlock()
+				for _, id := range recent {
+					resp, err := http.Get(ts.URL + "/v1/runs/" + id + format)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					data, err := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if err != nil || resp.StatusCode == http.StatusNotFound {
+						continue // evicted since it was listed
+					}
+					if resp.StatusCode != http.StatusOK {
+						t.Errorf("GET %s%s: status %d: %s", id, format, resp.StatusCode, data)
+						return
+					}
+					if format != "" {
+						if !json.Valid(data) {
+							t.Errorf("GET %s%s: not JSON", id, format)
+						}
+						continue
+					}
+					trace, err := obs.DecodeRunTrace(data)
+					if err != nil {
+						t.Errorf("GET %s: %v", id, err)
+						return
+					}
+					mu.Lock()
+					if trace.ID != id || trace.OverlapEfficiency != answered[id] {
+						t.Errorf("GET %s read run %s at efficiency %v; its POST answered %v", id, trace.ID, trace.OverlapEfficiency, answered[id])
+					}
+					if len(read) < 16 {
+						read = append(read, trace)
+					}
+					mu.Unlock()
+				}
+			}
+		}(r)
+	}
+	posters.Wait()
+	close(done)
+	readers.Wait()
+	if len(read) == 0 {
+		t.Fatal("no GET found its run")
+	}
+	for _, trace := range read {
+		checkWireVerdicts(t, trace)
+	}
 }
