@@ -100,11 +100,7 @@ func runPlan(f *cli.Flags, stdout io.Writer, ropts overlap.RunOptions, path stri
 	if err != nil {
 		return err
 	}
-	plan, err := overlap.DecodePlan(data)
-	if err != nil {
-		return err
-	}
-	c, err := plan.Computation()
+	plan, c, err := overlap.DecodePlan(data)
 	if err != nil {
 		return err
 	}

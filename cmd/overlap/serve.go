@@ -60,7 +60,7 @@ func setupServe(fs *flag.FlagSet, stdout, stderr io.Writer) func() error {
 	addr := fs.String("addr", ":8080", "listen address")
 	maxPending := fs.Int("max-pending", def.MaxPending, "run and compile requests between decode and response; beyond it requests get 503")
 	maxRuns := fs.Int("max-runs", def.MaxConcurrentRuns, "admission limit: concurrent runtime executions sharing the kernel pool")
-	planCache := fs.Int("plan-cache", def.PlanCacheSize, "in-memory compiled-plan LRU capacity, and how many tuning decisions are kept for programs that differ only in name")
+	planCache := fs.Int("plan-cache", def.PlanCacheSize, "in-memory plan cache capacity, in program bodies (every name of a body shares its entry)")
 	deadline := fs.Duration("default-deadline", def.DefaultDeadline, "run deadline when the request carries none")
 	debugFaults := fs.Bool("debug-faults", false, "allow requests to inject deterministic faults (chaos testing)")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof at this address on a separate mux (never on the serving port); empty disables")

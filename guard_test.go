@@ -139,10 +139,16 @@ var sourceGuards = []sourceGuard{
 	},
 	{
 		name: "a served plan is lowered in one place",
-		why: "(*autotune.Decisions).Compile returns the program and the Executable it executed and checked, and the daemon caches " +
+		why: "autotune.CompileKeyed returns the program and the Executable it executed and checked, and the daemon caches " +
 			"them as they are: nothing in internal/serve parses a plan's text or lowers a program again",
 		pattern: regexp.MustCompile(`runtime\.Compile|\.Computation\(\)`),
 		roots:   []string{"internal/serve"},
+	},
+	{
+		name:    "a plan file is parsed once",
+		why:     "overlap.DecodePlan returns the program it parsed to verify the file, and overlap run -plan-in runs that one",
+		pattern: regexp.MustCompile(`\.Computation\(\)`),
+		roots:   []string{"cmd/overlap/run.go"},
 	},
 	{
 		name: "run state follows the schedule",

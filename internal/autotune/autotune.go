@@ -46,11 +46,6 @@
 // order where SetSchedule applies it; every node a candidate lands on,
 // once, in its order; each factor's legality against its node; every
 // executed program stamped, and then bitwise against sim.Interpret.
-// A compiler that keeps a Decisions (decisions.go) searches each
-// program body once: a program that differs from a decided one only in
-// its name runs no stage, no ranking and no candidate. It executes its
-// body's winner once under its own name, checks that run bitwise, and
-// takes the body's plan under its own key.
 //
 // Because stage 2 observes real breakdowns, the tuner also *calibrates*
 // the machine model: it fits effective compute throughput, link
@@ -58,17 +53,21 @@
 // each other, and reports the residual error of the fit (calibrate.go).
 //
 // A tuning decision has one record, the Plan (plan.go), made where
-// stage 2 picks its winner, from the program it executed (or where a
-// body twin re-executes that winner under its own name). Every
-// Result carries it. The plan store keeps it in two tiers under one key
-// (Key): the daemon's in-memory LRU (serve.planCache) and a directory of
-// plan files, one per fingerprint (cache.go) — the same bytes -plan-out
-// writes and -plan-in reads. Tuning a fingerprint the directory holds
-// answers from the stored plan: no pipeline stage, no simulation, no
-// execution. The daemon's compile, (*Decisions).Compile, returns the
-// plan with the program and runtime.Executable it was executed and
-// checked on — or, for a stored plan, the program its decode parsed,
-// lowered once — so a served plan is parsed and lowered in one place.
+// stage 2 picks its winner, from the program it executed. Every Result
+// carries it. A plan is keyed by the program's body (Key): its text
+// without the computation's name, which nothing in a search, a run, a
+// check or the timing pass reads (TestRankingIgnoresTheName,
+// TestWinnerIgnoresTheName), so programs that differ only in name are
+// one plan. The plan store keeps it in two tiers under that key: the
+// daemon's in-memory LRU (serve.planCache), where each request's
+// name-bearing key is an alias of its body's entry, and a directory of
+// plan files, one per body (cache.go) — the same bytes -plan-out writes
+// and -plan-in reads. Tuning a body the directory holds answers from the
+// stored plan: no pipeline stage, no simulation, no execution. The
+// daemon's compile, CompileKeyed, returns the plan with the program and
+// runtime.Executable it was executed and checked on — or, for a stored
+// plan, the program its decode parsed, lowered once — so a served plan
+// is parsed and lowered in one place.
 package autotune
 
 import (
@@ -216,10 +215,12 @@ func (r *Result) ApplyBest(c *hlo.Computation) (core.Report, error) {
 	return core.Apply(c, core.Options{Spec: r.spec, Knobs: r.Plan.Knobs})
 }
 
-// ProgramFingerprint returns the cache identity of a computation: a
-// hash of its printed form, so any structural change re-tunes.
+// ProgramFingerprint returns the cache identity of a computation's body:
+// a hash of its printed form without the computation's name
+// (hlo.Computation.UnnamedDigest), so any structural change re-tunes and
+// a rename does not.
 func ProgramFingerprint(c *hlo.Computation) string {
-	sum := c.TextDigest()
+	sum := c.UnnamedDigest()
 	return hex.EncodeToString(sum[:8])
 }
 
@@ -228,18 +229,17 @@ func ProgramFingerprint(c *hlo.Computation) string {
 // modified; args follows sim.Interpret's convention (args[i][d] is
 // parameter i's value on device d, a single entry replicates).
 func Tune(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options) (*Result, error) {
-	res, _, _, err := tune("", c, numDevices, args, opts, nil)
+	res, _, _, err := tune("", c, numDevices, args, opts)
 	return res, err
 }
 
-// tune is Tune under a decision key the caller already computed —
-// Key(c, opts.Spec, numDevices); empty computes it here — and, unless
-// memo is nil, with decisions kept in and reused from memo. With the
-// result it returns the plan's program as a graph and, when the tune
-// ran it, the Executable it was executed and checked on: stage 2's
-// winner, or the twin reuse ran. A plan from the disk tier comes with
-// the program its decode parsed and no Executable: nothing ran it.
-func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options, memo *Decisions) (*Result, *hlo.Computation, *runtime.Executable, error) {
+// tune is Tune under a plan key the caller already computed —
+// Key(c, opts.Spec, numDevices); empty computes it here. With the result
+// it returns the plan's program as a graph and, when the tune searched,
+// stage 2's winner's Executable, the one it was executed and checked on.
+// A plan from the disk tier comes with the program its decode parsed and
+// no Executable: nothing ran it.
+func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options) (*Result, *hlo.Computation, *runtime.Executable, error) {
 	opts = opts.withDefaults()
 	if c == nil {
 		return nil, nil, nil, fmt.Errorf("autotune: nil computation")
@@ -277,23 +277,6 @@ func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tenso
 	}
 	atCacheMisses.Inc()
 
-	// A body memo has decided: its winner under this program's name,
-	// executed once and checked, and no search.
-	var dk decisionKey
-	if memo != nil {
-		dk = decisionKeyOf(c, numDevices, opts)
-		if decided, ok := memo.get(dk); ok {
-			plan, prog, exe, err := reuse(key, c, args, opts, &decided)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			atDecisionReuses.Inc()
-			atExecutions.Inc()
-			res.Plan, res.Executions = plan, 1
-			return finish(res, prog, exe)
-		}
-	}
-
 	// Stage 1: enumerate, run each stage once per distinct input and
 	// key, rank by simulated time.
 	s := newSearch(c, numDevices, opts.Spec)
@@ -319,16 +302,6 @@ func tune(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tenso
 
 	// The plan is made from the program stage 2 executed.
 	res.Plan = newPlan(key, numDevices, opts.Spec, winner, prog, cal, residual, scale)
-	if memo != nil {
-		memo.put(dk, res.Plan)
-	}
-	return finish(res, prog, exe)
-}
-
-// finish stores the plan of a tune that searched or reused a decision in
-// the disk tier, when there is one, logs the tune and hands on the
-// program and Executable the plan was checked on.
-func finish(res *Result, prog *hlo.Computation, exe *runtime.Executable) (*Result, *hlo.Computation, *runtime.Executable, error) {
 	if res.CachePath != "" {
 		if err := storePlan(res.CachePath, res.Plan); err != nil {
 			return nil, nil, nil, fmt.Errorf("autotune: storing plan: %w", err)

@@ -33,16 +33,17 @@ func cachePath(opts Options) string {
 }
 
 // Key is the identity a (program, machine, host) tuple tunes and stores
-// its plan under: program shape, machine spec, ring size, and the host's
-// parallelism — the einsum kernels run on GOMAXPROCS workers, and
-// intra-op parallelism shifts measured compute spans, which shifts which
-// overlap plan wins. TopK and repeats only affect how hard the search
-// looks. The wire scale is not in the key although it decides whether
-// decomposition wins: it is measured on the host, not given, so the plan
-// carries it (Plan.TimeScale) and every run of the plan injects it.
-// Both tiers of the plan store key with this one function, so a process
-// started under another GOMAXPROCS never serves a plan measured under
-// this one.
+// its plan under: program body (ProgramFingerprint, the name left out),
+// machine spec, ring size, and the host's parallelism — the einsum
+// kernels run on GOMAXPROCS workers, and intra-op parallelism shifts
+// measured compute spans, which shifts which overlap plan wins. TopK and
+// repeats only affect how hard the search looks. The wire scale is not
+// in the key although it decides whether decomposition wins: it is
+// measured on the host, not given, so the plan carries it
+// (Plan.TimeScale) and every run of the plan injects it. Both tiers of
+// the plan store key with this one function, so a process started under
+// another GOMAXPROCS never serves a plan measured under this one, and
+// every name of one body finds one plan.
 func Key(c *hlo.Computation, spec machine.Spec, numDevices int) string {
 	return SpecKeyOf(spec).Key(ProgramFingerprint(c), numDevices)
 }
@@ -58,9 +59,10 @@ func SpecKeyOf(spec machine.Spec) SpecKey {
 }
 
 // Key returns what Key(c, spec, numDevices) does, for a caller that
-// already holds c's ProgramFingerprint and spec's SpecKey — the daemon
-// remembers the fingerprint per request shape, so a warm request need
-// not rebuild its graph to name its plan. The host's part is never
+// already holds c's ProgramFingerprint and spec's SpecKey. The daemon
+// also names each request through it, from a digest of the program's
+// text with its name: the request key it remembers per request shape,
+// so a warm request need not rebuild its graph. The host's part is never
 // remembered: its parallelism is read here, on every call.
 func (k SpecKey) Key(programFingerprint string, numDevices int) string {
 	return programFingerprint + "|" + string(k) + "|n=" + strconv.Itoa(numDevices) +
@@ -68,7 +70,7 @@ func (k SpecKey) Key(programFingerprint string, numDevices int) string {
 }
 
 // planPath is where the store keeps the plan compiled under key: one
-// file per fingerprint, so a lookup reads one file, a store writes one,
+// file per body, so a lookup reads one file, a store writes one,
 // and stores of different plans — from one process or several — never
 // touch each other's.
 func planPath(dir, key string) string {
@@ -86,7 +88,7 @@ func loadPlan(dir, key string, numDevices int) (*Plan, *hlo.Computation) {
 	if err != nil {
 		return nil, nil
 	}
-	p, prog, err := decodePlan(data)
+	p, prog, err := DecodePlanProgram(data)
 	switch {
 	case errors.Is(err, errPlanVersion):
 		return nil, nil

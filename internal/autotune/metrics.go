@@ -4,9 +4,8 @@ import "overlap/internal/obs"
 
 // Tuner-side instrumentation handles, resolved once against the
 // process-wide registry: how many searches ran, how often the plan
-// store answered, how wide the candidate space was, how often a
-// decision was reused (Decisions), how many runtime executions the
-// searches paid for, and how well the fitted machine calibration tracks
+// store answered, how wide the candidate space was, how many runtime
+// executions the searches paid for, and how well the fitted machine calibration tracks
 // the measurements.
 var (
 	atTunes = obs.Default().Counter("overlap_autotune_tunes_total",
@@ -17,10 +16,8 @@ var (
 		"Tunes that had to search (no stored plan, a stale one, or the disk tier off).")
 	atCandidates = obs.Default().Counter("overlap_autotune_candidates_total",
 		"Candidates evaluated by the simulator ranking stage.")
-	atDecisionReuses = obs.Default().Counter("overlap_autotune_decision_reuses_total",
-		"Tunes answered with an earlier program's decision (same body, device count, spec, host and tune options): one checked execution, no search.")
 	atExecutions = obs.Default().Counter("overlap_autotune_executions_total",
-		"Candidate runs performed by tuning (repeats and a reused decision's one run included, the clock's wire-free runs not).")
+		"Candidate runs performed by tuning searches (repeats included, the clock's wire-free runs not); a stored plan and a held body run none.")
 	atResidual = obs.Default().Gauge("overlap_autotune_calibration_residual",
 		"RMS relative step-time error of the latest machine-calibration fit.")
 	atCacheCorrupt = obs.Default().Counter("overlap_autotune_cache_corrupt_total",

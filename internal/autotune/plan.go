@@ -9,6 +9,7 @@ import (
 	"overlap/internal/core"
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
+	"overlap/internal/runtime"
 	"overlap/internal/tensor"
 )
 
@@ -31,12 +32,13 @@ var errPlanVersion = errors.New("recompile the plan")
 // executed and checked bitwise against the interpreter, as text, with
 // the knobs that produced it, its predicted and measured step times, the
 // calibration the tune fitted and the clock it ran at — everything needed
-// to run the winner with zero further compilation. tune is its only producer. It is a
-// pure function of its Fingerprint (program shape, machine spec, device
-// count, host parallelism), which is what makes it storable: the
-// daemon's in-memory LRU holds it, the disk tier keeps one file of
-// EncodeJSON bytes per fingerprint, and -plan-out/-plan-in move the same
-// bytes by hand.
+// to run the winner with zero further compilation. tune is its only
+// producer. It is a pure function of its Fingerprint (program body,
+// machine spec, device count, host parallelism), which is what makes it
+// storable: the daemon's in-memory LRU holds it, the disk tier keeps one
+// file of EncodeJSON bytes per body, and -plan-out/-plan-in move the
+// same bytes by hand. Its Program carries the name of the program it was
+// searched for; every other name of the body runs it as it is.
 type Plan struct {
 	// Version is PlanVersion at encode time; Decode rejects mismatches.
 	Version int `json:"version"`
@@ -77,22 +79,34 @@ type Plan struct {
 }
 
 // Compile tunes c — or answers from the plan store when it holds c's
-// fingerprint — and returns the Plan. c is not modified.
+// body — and returns the Plan. c is not modified.
 func Compile(c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options) (*Plan, error) {
-	return CompileKeyed("", c, numDevices, args, opts)
-}
-
-// CompileKeyed is Compile for a caller that already computed the
-// program's decision key — key must be Key(c, opts.Spec, numDevices),
-// or empty to have it computed — so a request that looked its plan up
-// under the key does not format and hash the program a second time to
-// compile it.
-func CompileKeyed(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options) (*Plan, error) {
-	res, _, _, err := tune(key, c, numDevices, args, opts, nil)
+	res, _, _, err := tune("", c, numDevices, args, opts)
 	if err != nil {
 		return nil, err
 	}
 	return res.Plan, nil
+}
+
+// CompileKeyed is Compile for a caller that already computed the
+// program's plan key — key must be Key(c, opts.Spec, numDevices), or
+// empty to have it computed — and that will run the plan: with it comes
+// the plan's program as a graph and that graph's Executable. For a
+// searched body they are stage 2's winner, the pair that was executed
+// and checked; for a plan from the disk tier, the program its decode
+// parsed, lowered here once. Either way the caller runs the plan with no
+// further parse or lowering.
+func CompileKeyed(key string, c *hlo.Computation, numDevices int, args [][]*tensor.Tensor, opts Options) (*Plan, *hlo.Computation, *runtime.Executable, error) {
+	res, prog, exe, err := tune(key, c, numDevices, args, opts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if exe == nil {
+		if exe, err = runtime.Compile(prog, res.Plan.Devices, opts.Spec); err != nil {
+			return nil, nil, nil, fmt.Errorf("autotune: compiling stored plan %s: %w", res.Plan.BestName, err)
+		}
+	}
+	return res.Plan, prog, exe, nil
 }
 
 // newPlan freezes a finished search: w is stage 2's winner and prog its
@@ -148,13 +162,13 @@ func (p *Plan) EncodeJSON() ([]byte, error) {
 // plan's own device count — a truncated or hand-edited plan must fail
 // loudly here, not misexecute later.
 func DecodePlan(data []byte) (*Plan, error) {
-	p, _, err := decodePlan(data)
+	p, _, err := DecodePlanProgram(data)
 	return p, err
 }
 
-// decodePlan is DecodePlan that also returns the program it parsed to
-// verify the plan.
-func decodePlan(data []byte) (*Plan, *hlo.Computation, error) {
+// DecodePlanProgram is DecodePlan that also returns the program it
+// parsed to verify the plan, for a caller that runs it.
+func DecodePlanProgram(data []byte) (*Plan, *hlo.Computation, error) {
 	var p Plan
 	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, nil, fmt.Errorf("autotune: plan does not parse: %w", err)

@@ -16,7 +16,6 @@ import (
 	"overlap/internal/corpus"
 	"overlap/internal/hlo"
 	"overlap/internal/machine"
-	"overlap/internal/models"
 	"overlap/internal/obs"
 	"overlap/internal/runtime"
 	"overlap/internal/sim"
@@ -103,7 +102,7 @@ func TestPlanCompileExecutes(t *testing.T) {
 	// A caller that already holds the key hands it down: the decision
 	// Compile just cached under it answers, without the program being
 	// formatted and hashed again.
-	keyed, err := autotune.CompileKeyed(plan.Fingerprint, c, 4, args, opts)
+	keyed, _, _, err := autotune.CompileKeyed(plan.Fingerprint, c, 4, args, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,92 +217,6 @@ func TestWarmCompileDoesNoPipelineWork(t *testing.T) {
 	t.Logf("cold %d KiB, warm %d KiB", coldBytes>>10, warmBytes>>10)
 	if warmBytes*10 >= coldBytes {
 		t.Fatalf("warm compile allocated %d KiB, cold %d KiB: a stored plan must cost under a tenth of a search", warmBytes>>10, coldBytes>>10)
-	}
-}
-
-// layer builds a Table 1/2 model's layer miniature on a 4-ring, dim 8.
-func layer(t *testing.T, model string) *hlo.Computation {
-	t.Helper()
-	cfg, err := models.ByName(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mini, err := models.Miniature(cfg, 4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := models.BuildLayerStep(mini)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-// TestDecisionsReuseAndBound drives Decisions through Compile. GPT_32B
-// and GPT_64B miniaturize to one layer body, which only the
-// computation's name tells apart: the second compile is answered with
-// the first's decision — no ranking, and one execution, its check's — and
-// its plan is that decision under its own name and fingerprint. The memo
-// holds no more decisions than its capacity, dropping the least recently
-// used, and a zero capacity holds none.
-func TestDecisionsReuseAndBound(t *testing.T) {
-	reuses := obs.Default().Counter("overlap_autotune_decision_reuses_total", "")
-	ranked := obs.Default().Counter("overlap_autotune_candidates_total", "")
-	executions := obs.Default().Counter("overlap_autotune_executions_total", "")
-	spec := machine.TPUv4()
-	opts := autotune.Options{Spec: spec, TopK: 1, TimeScale: -1, DisableCache: true}
-	compile := func(d *autotune.Decisions, c *hlo.Computation) (*autotune.Plan, bool) {
-		t.Helper()
-		before, candidates, executed := reuses.Value(), ranked.Value(), executions.Value()
-		plan, _, _, err := d.Compile("", c, 4, miniArgs(c, 3), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reused := reuses.Value() == before+1
-		if searched := ranked.Value() != candidates; reused == searched || reused && executions.Value() != executed+1 {
-			t.Fatalf("%s: %v decisions reused, %v candidates ranked, %v executions",
-				c.Name, reuses.Value()-before, ranked.Value()-candidates, executions.Value()-executed)
-		}
-		return plan, reused
-	}
-	gpt32, gpt64, t5 := layer(t, "GPT_32B"), layer(t, "GPT_64B"), layer(t, "T5_300B")
-
-	d := autotune.NewDecisions(1)
-	first, reused := compile(d, gpt32)
-	if reused || d.Len() != 1 {
-		t.Fatalf("first compile: reused %v, %d decisions held; want false, 1", reused, d.Len())
-	}
-	twin, reused := compile(d, gpt64)
-	if !reused {
-		t.Fatal("the twin's compile searched")
-	}
-	c, err := twin.Computation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Name != gpt64.Name || twin.Fingerprint != autotune.Key(gpt64, spec, 4) {
-		t.Fatalf("the twin's plan is %s under %s, want its own program under its own key", c.Name, twin.Fingerprint)
-	}
-	c.Name = gpt32.Name
-	decided, own := *first, *twin
-	decided.Program, decided.Fingerprint, decided.Created = "", "", ""
-	own.Program, own.Fingerprint, own.Created = "", "", ""
-	if c.Format() != first.Program || own != decided {
-		t.Fatalf("the twin's plan is not its body's decision:\n%+v\n%+v", own, decided)
-	}
-
-	if _, reused := compile(d, t5); reused || d.Len() != 1 {
-		t.Fatalf("another body: reused %v, %d decisions held; want false, 1", reused, d.Len())
-	}
-	if _, reused := compile(d, gpt32); reused {
-		t.Fatal("the least recently used decision outlived the capacity")
-	}
-
-	none := autotune.NewDecisions(0)
-	for range 2 {
-		if _, reused := compile(none, gpt32); reused || none.Len() != 0 {
-			t.Fatalf("a zero-capacity memo reused %v and holds %d decisions", reused, none.Len())
-		}
 	}
 }
 

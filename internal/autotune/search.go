@@ -218,7 +218,7 @@ func (n *node) key(o core.Options) (programKey, string) {
 // subtrees) workers: on the 13 programs of the daemon's 4-device warm
 // mix, on a 2-core host at GOMAXPROCS 2, stage 1 took 202–221 ms of
 // each 266–310 ms pass of Tune (71–79%). A server pays it once per
-// program body (Decisions). Here, serially, each candidate is
+// program body (Key leaves the name out). Here, serially, each candidate is
 // walked through the pre stage, whose node (one at most) every subtree
 // shares, and told which node the decompose stage would take it to: the
 // top of its subtree, built or not, of which a layer has 9. One worker

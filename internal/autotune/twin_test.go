@@ -175,16 +175,17 @@ func TestWinnerIgnoresTheName(t *testing.T) {
 	}
 }
 
-// TestCompileHandsOverTheCheckedProgram: what Decisions.Compile returns
+// TestCompileHandsOverTheCheckedProgram: what CompileKeyed returns
 // beside its plan — the program and the Executable the compile checked
-// it on — is the plan's own program. On every corpus program and every
-// warm-mix layer, for a searched compile, a twin's compile and a
-// disk-tier hit, the returned program prints as Plan.Program byte for
-// byte; its Executable, run on the compile's arguments, gives bitwise
-// the outputs of the plan's text parsed and compiled afresh; and the two
-// programs time alike under the model's costs (breakdown and spans). A
-// server that caches the returned pair therefore serves what a parse
-// and a lowering of the plan would.
+// it on, or for a stored plan the program its decode parsed, lowered
+// once — is the plan's own program. On every corpus program and every
+// warm-mix layer, for a searched compile, a disk-tier hit, and a disk-tier
+// hit for a twin (the body under another name), the returned program
+// prints as Plan.Program byte for byte; its Executable, run on the
+// compile's arguments, gives bitwise the outputs of the plan's text
+// parsed and compiled afresh; and the two programs time alike under the
+// model's costs (breakdown and spans). A server that caches the returned
+// pair therefore serves what a parse and a lowering of the plan would.
 func TestCompileHandsOverTheCheckedProgram(t *testing.T) {
 	progs, err := corpus.Programs()
 	if err != nil {
@@ -198,31 +199,22 @@ func TestCompileHandsOverTheCheckedProgram(t *testing.T) {
 		opts := Options{Spec: spec, TopK: 1, TimeScale: -1, CachePath: t.TempDir()}
 		twin := p.Comp.Clone()
 		twin.Name = "twin." + p.Comp.Name
-		memo := NewDecisions(1)
 		for _, step := range []struct {
 			path string
 			c    *hlo.Computation
-			memo *Decisions
 		}{
-			{"searched", p.Comp, memo},
-			{"twin", twin, memo},
-			{"disk hit", p.Comp, NewDecisions(1)},
+			{"searched", p.Comp},
+			{"disk hit", p.Comp},
+			{"twin's disk hit", twin},
 		} {
 			args := randomArgs(step.c, 7)
-			reuses, hits := atDecisionReuses.Value(), atCacheHits.Value()
-			plan, prog, exe, err := step.memo.Compile("", step.c, p.Devices, args, opts)
+			hits := atCacheHits.Value()
+			plan, prog, exe, err := CompileKeyed("", step.c, p.Devices, args, opts)
 			if err != nil {
 				t.Fatalf("%s, %s compile: %v", p.Name, step.path, err)
 			}
-			took := "searched"
-			switch {
-			case atDecisionReuses.Value() == reuses+1:
-				took = "twin"
-			case atCacheHits.Value() == hits+1:
-				took = "disk hit"
-			}
-			if took != step.path {
-				t.Fatalf("%s: the %s compile took the %q path", p.Name, step.path, took)
+			if hit := atCacheHits.Value() == hits+1; hit != (step.path != "searched") {
+				t.Fatalf("%s: the %s compile hit the store: %v", p.Name, step.path, hit)
 			}
 			if got := prog.Format(); got != plan.Program {
 				t.Fatalf("%s, %s compile: the returned program is not the plan's:\n--- returned ---\n%s--- plan ---\n%s",
@@ -248,6 +240,17 @@ func TestCompileHandsOverTheCheckedProgram(t *testing.T) {
 			}
 		}
 	}
+}
+
+// twinProgram is p's program as a twin's, c's: the decided text, parsed
+// for the ring, under c's name.
+func twinProgram(p *Plan, c *hlo.Computation) (*hlo.Computation, error) {
+	prog, err := p.Computation()
+	if err != nil {
+		return nil, err
+	}
+	prog.Name = c.Name
+	return prog, nil
 }
 
 // runOutputs runs exe, compiled from c, on args and returns c's outputs:

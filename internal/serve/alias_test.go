@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	goruntime "runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -169,103 +170,93 @@ func TestTwoModelsOneProgramShareOnePlan(t *testing.T) {
 	}
 }
 
-// TestBodyTwinsReuseOneDecision: GPT_32B and GPT_64B build one layer
-// program apart from the computation's name, so they are two plans, but
-// the second compile is answered with the first's decision. It runs no
-// simulation at all, and executes once — the decided program under its
-// own name, checked bitwise. Its plan names its own computation under
-// its own fingerprint, and its run digests as a fresh server's full
-// compile does. A new server holds no decision, one with room for one
-// plan holds one, the least recently used going first, and two twins
-// compiled at once digest alike.
-func TestBodyTwinsReuseOneDecision(t *testing.T) {
+// TestTwinsShareOneEntry: GPT_32B, GPT_64B, GPT_128B and GPT_256B
+// build one layer program apart from the computation's name, so they
+// are one body: one plan cache entry, one plan. A twin's first request
+// is a miss under a request key of its own, and its compile is one
+// lookup — no tune, no execution, no simulation: it runs the body's
+// Executable and digests as the body does. Two twins POSTed at once on a
+// fresh server land one entry and one digest, and an eviction drops a
+// body with every name and shape that aliased it.
+func TestTwinsShareOneEntry(t *testing.T) {
 	s, ts := newTestServer(t, testConfig())
-	if n := s.decisions.Len(); n != 0 {
-		t.Fatalf("a new server holds %d decisions", n)
-	}
 	a := Request{Model: "GPT_32B", Devices: 4, Dim: 8}
 	b, c, d := a, a, a
 	b.Model, c.Model, d.Model = "GPT_64B", "GPT_128B", "GPT_256B"
-	sims := obs.Default().Counter("overlap_sim_runs_total", "")
-	executions := obs.Default().Counter("overlap_autotune_executions_total", "")
-	reuses := obs.Default().Counter("overlap_autotune_decision_reuses_total", "")
-	// compile posts a request that must compile, and reports whether
-	// the compile reused a decision.
-	compile := func(ts *httptest.Server, req Request) (*RunResponse, bool) {
-		t.Helper()
-		simulated, executed, reused := sims.Value(), executions.Value(), reuses.Value()
-		rr := mustRun(t, ts, req)
-		if rr.Plan != "miss" {
-			t.Fatalf("%s: plan %q, want a compile", req.Model, rr.Plan)
+	held := func(pc *planCache) (bodies, names, shapes int) {
+		pc.mu.Lock()
+		defer pc.mu.Unlock()
+		return len(pc.bodies), len(pc.names), len(pc.aliases)
+	}
+	work := func() []float64 {
+		var out []float64
+		for _, name := range []string{"overlap_autotune_tunes_total", "overlap_autotune_executions_total", "overlap_sim_runs_total"} {
+			out = append(out, obs.Default().Counter(name, "").Value())
 		}
-		if reuses.Value() == reused {
-			return rr, false
-		}
-		if n, x := sims.Value()-simulated, executions.Value()-executed; n != 0 || x != 1 {
-			t.Fatalf("%s: the twin's compile ran %v simulations and %v executions, want 0 and 1", req.Model, n, x)
-		}
-		return rr, true
+		return out
 	}
 
-	first, reused := compile(ts, a)
-	if reused {
-		t.Fatal("the first body's compile reused a decision")
+	first := mustRun(t, ts, a)
+	before := work()
+	second := mustRun(t, ts, b)
+	if after := work(); second.Plan != "miss" || !slices.Equal(after, before) {
+		t.Fatalf("the twin's first request: plan %q, tunes, executions and simulations %v -> %v; want a miss that moves none",
+			second.Plan, before, after)
 	}
-	second, reused := compile(ts, b)
-	if !reused {
-		t.Fatal("the twin's compile searched")
+	if second.Fingerprint == first.Fingerprint || second.BestName != first.BestName || second.Digest != first.Digest {
+		t.Fatalf("the twin answered %s %s %s, its body %s %s %s: want its own key and the body's plan and digest",
+			second.Fingerprint, second.BestName, second.Digest, first.Fingerprint, first.BestName, first.Digest)
 	}
-	cp, ok := s.plans.get(second.Fingerprint)
-	if !ok || second.Fingerprint == first.Fingerprint {
-		t.Fatal("the twin was not compiled to a plan of its own")
+	body, _ := s.plans.get(first.Fingerprint)
+	twin, ok := s.plans.get(second.Fingerprint)
+	if !ok || twin != body || twin.exe != body.exe {
+		t.Fatal("the twin's request key does not alias its body's entry and Executable")
 	}
-	want, err := s.buildGraph(shapeOf(&b))
-	if err != nil {
-		t.Fatal(err)
+	if want, err := s.buildGraph(shapeOf(&b)); err != nil || body.plan.Fingerprint != autotune.Key(want, machine.TPUv4(), b.Devices) {
+		t.Fatalf("the body's plan is keyed %s, not by the twin's body (%v)", body.plan.Fingerprint, err)
 	}
-	if cp.comp.Name != want.Name || cp.plan.Fingerprint != autotune.Key(want, machine.TPUv4(), b.Devices) {
-		t.Fatalf("the twin's plan names %s under %s, want %s under its own key", cp.comp.Name, cp.plan.Fingerprint, want.Name)
+	if bodies, names, shapes := held(s.plans); bodies != 1 || names != 2 || shapes != 2 {
+		t.Fatalf("two names of one body left %d names and %d shapes over %d bodies, want 2 and 2 over 1", names, shapes, bodies)
 	}
 
 	cfg := testConfig()
 	cfg.PlanCacheSize = 1
 	fresh, freshTS := newTestServer(t, cfg)
-	for _, step := range []struct {
-		req    Request
-		reused bool
-	}{{b, false}, {a, true}, {Request{Model: "T5_300B", Devices: 4, Dim: 8}, false}} {
-		rr, reused := compile(freshTS, step.req)
-		if reused != step.reused {
-			t.Fatalf("%s on a server with room for one plan: reused %v, want %v", step.req.Model, reused, step.reused)
-		}
-		if step.req == b && rr.Digest != second.Digest {
-			t.Fatalf("the twin digests %s, a fresh server's run %s", second.Digest, rr.Digest)
-		}
-		if n := fresh.decisions.Len(); n != 1 {
-			t.Fatalf("a server with room for one plan holds %d decisions", n)
-		}
-	}
-
-	// Two twins of the evicted body compiling at once share the memo:
-	// one may search and the other reuse, or both search and both keep
-	// the one decision.
 	twins := []Request{c, d}
-	digests := make([]string, len(twins))
+	answers := make([]*RunResponse, len(twins))
 	var wg sync.WaitGroup
 	for i, req := range twins {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if rr, _, _, err := postRun(freshTS, req); err == nil {
-				digests[i] = rr.Digest
-			} else {
+			rr, _, _, err := postRun(freshTS, req)
+			if err != nil {
 				t.Errorf("%s: %v", req.Model, err)
 			}
+			answers[i] = rr
 		}()
 	}
 	wg.Wait()
-	if digests[0] != second.Digest || digests[1] != second.Digest || fresh.decisions.Len() != 1 {
-		t.Fatalf("twins compiled at once digest %v, want %s each, and left %d decisions, want 1", digests, second.Digest, fresh.decisions.Len())
+	if t.Failed() {
+		t.FailNow()
+	}
+	if bodies, names, _ := held(fresh.plans); answers[0].Digest != answers[1].Digest || bodies != 1 || names != 2 {
+		t.Fatalf("twins compiled at once digest %s and %s, %d names over %d bodies; want one digest, 2 names over 1 body",
+			answers[0].Digest, answers[1].Digest, names, bodies)
+	}
+
+	other := mustRun(t, freshTS, Request{Model: "T5_300B", Devices: 4, Dim: 8})
+	for i, req := range twins {
+		if _, ok := fresh.plans.get(answers[i].Fingerprint); ok {
+			t.Fatalf("%s's request key outlived its evicted body", req.Model)
+		}
+		if _, ok := fresh.plans.fingerprintOf(shapeOf(&req)); ok {
+			t.Fatalf("%s's shape outlived its evicted body", req.Model)
+		}
+	}
+	bodies, names, shapes := held(fresh.plans)
+	if keys := fresh.plans.keys(); bodies != 1 || names != 1 || shapes != 1 || keys[0] != other.Fingerprint {
+		t.Fatalf("after the eviction: %d bodies, %d names, %d shapes, keys %v; want T5_300B's alone", bodies, names, shapes, keys)
 	}
 }
 

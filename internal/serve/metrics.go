@@ -20,13 +20,13 @@ var (
 	svPlanHits = obs.Default().Counter("overlap_serve_plan_cache_hits_total",
 		"Plan acquisitions answered by the in-memory plan cache (zero compilation).")
 	svPlanMisses = obs.Default().Counter("overlap_serve_plan_cache_misses_total",
-		"Plan acquisitions that had to compile (tune cache may still spare executions).")
+		"Plan acquisitions that started their request key's compile: a lookup of a body held under another name, a read of the disk tier, or a search.")
 	svPlanCoalesced = obs.Default().Counter("overlap_serve_plan_coalesced_total",
-		"Plan acquisitions that joined a compile already in flight for the same fingerprint.")
+		"Plan acquisitions that joined a compile already in flight for the same request key.")
 	svPlanEvictions = obs.Default().Counter("overlap_serve_plan_cache_evictions_total",
-		"Plans evicted from the in-memory LRU.")
+		"Program bodies evicted from the in-memory plan cache, each with every name and shape that aliased it.")
 	svCompiles = obs.Default().Counter("overlap_serve_compiles_total",
-		"Plan compilations performed (tune + apply); the warm path keeps this flat.")
+		"Compile closures run, one per plan cache miss: a held body's lookup, a disk-tier read, or a search; the warm path keeps this flat.")
 	svInflight = obs.Default().Gauge("overlap_serve_inflight_runs",
 		"Runs currently holding an admission slot.")
 	svAdmissionWait = obs.Default().Histogram("overlap_serve_admission_wait_seconds",

@@ -14,51 +14,59 @@ import (
 	"overlap/internal/runtime"
 )
 
-// cachedPlan is a compiled plan held hot, exactly as the decision memo's
-// Compile returned it: the immutable artifact, its program as a graph,
-// and that graph's Executable — the pair the compile executed and
-// checked (stage 2's winner, or a twin's one checked run), or, for a
-// plan from the disk tier, the program its decode parsed, lowered
-// once. Nothing here parses or lowers a plan again. The entry is never
-// written after it is published, so every request that shares the plan
-// reads it without a lock and runs the one Executable concurrently (the
-// 16-client soak pins this under -race). The serve hot path is one map
-// lookup and zero parsing, zero compilation, zero lowering.
+// cachedPlan is a compiled plan held hot, exactly as
+// autotune.CompileKeyed returned it: the immutable artifact, its
+// program as a graph, and that graph's Executable — the pair the
+// compile executed and checked (stage 2's winner), or, for a plan from
+// the disk tier, the program its decode parsed, lowered once. Nothing
+// here parses or lowers a plan again. The entry is never written after
+// it is published, so every request that shares the plan — under any
+// name of its body — reads it without a lock and runs the one
+// Executable concurrently (the 16-client soak pins this under -race).
+// The serve hot path is one map lookup and zero parsing, zero
+// compilation, zero lowering.
 type cachedPlan struct {
 	plan *autotune.Plan
 	comp *hlo.Computation
 	exe  *runtime.Executable
 }
 
-// planCache is a fixed-capacity LRU of compiled plans keyed by the
-// autotune fingerprint: the plan store's memory tier, above autotune's
-// directory of plan files. The disk tier spares the search; this one
-// also spares the parse and the lowering. A run failure never evicts
-// anything — plans are pure functions of their fingerprint, so a failed
-// run says nothing about the plan (see the poisoning regression test).
+// planCache is the plan store's memory tier, above autotune's directory
+// of plan files: a fixed-capacity LRU of compiled plans, one entry per
+// program body, keyed by autotune.Key (the plan's Fingerprint). The disk
+// tier spares the search; this one also spares the parse and the
+// lowering. A run failure never evicts anything — plans are pure
+// functions of their key, so a failed run says nothing about the plan
+// (see the poisoning regression test).
 //
-// Each entry also remembers the request shapes that resolved to it, with
-// the ProgramFingerprint of the graph they build, so a known shape names
-// its plan without rebuilding that graph. The aliases are part of their
-// entry: they count against no capacity of their own and are dropped by
-// the same eviction that drops the plan and its Executable. The host
-// part of the key is never remembered — see Server.resolve.
+// A request's key digests its program's text with the computation's
+// name (Server.resolve), so each entry keeps two kinds of alias: the request keys that resolved to it,
+// and the request shapes that did, with the name-bearing fingerprint of
+// the graph they build, so a known shape names its plan without
+// rebuilding that graph. Aliases are part of their entry: they count
+// against no capacity of their own and are dropped by the same eviction
+// that drops the plan and its Executable. The host part of a key is
+// never remembered — see Server.resolve.
 //
-// The same mutex guards the compiles in flight: a lookup finds a plan
-// or joins its compile in one critical section, and a compile caches its
-// plan and leaves in another, so no request sees neither.
+// The same mutex guards the compiles in flight, one per request key: a
+// lookup finds a plan or joins its compile in one critical section, and
+// a compile lands its plan and leaves in another, so no request sees
+// neither. A body's first landing wins: a compile that lands a body the
+// cache already holds adopts the held entry, so every name of a body
+// serves one plan.
 type planCache struct {
 	mu      sync.Mutex
 	cap     int
-	order   *list.List // front = most recent; values are *planEntry
-	entries map[string]*list.Element
+	order   *list.List               // front = most recent; values are *planEntry
+	bodies  map[string]*list.Element // by autotune.Key
+	names   map[string]*list.Element // by request key
 	aliases map[requestShape]alias
-	flights map[string]*flight // the compile in flight per fingerprint
+	flights map[string]*flight // the compile in flight per request key
 }
 
 type planEntry struct {
-	key    string
 	val    *cachedPlan
+	names  []string
 	shapes []requestShape
 }
 
@@ -84,22 +92,24 @@ func newPlanCache(capacity int) *planCache {
 	return &planCache{
 		cap:     capacity,
 		order:   list.New(),
-		entries: make(map[string]*list.Element),
+		bodies:  make(map[string]*list.Element),
+		names:   make(map[string]*list.Element),
 		aliases: make(map[requestShape]alias),
 		flights: make(map[string]*flight),
 	}
 }
 
-// get returns the cached plan and marks it most recently used.
-func (pc *planCache) get(key string) (*cachedPlan, bool) {
+// get returns the plan a request key names and marks it most recently
+// used.
+func (pc *planCache) get(name string) (*cachedPlan, bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	return pc.lookup(key)
+	return pc.lookup(name)
 }
 
 // lookup is get with pc.mu held.
-func (pc *planCache) lookup(key string) (*cachedPlan, bool) {
-	el, ok := pc.entries[key]
+func (pc *planCache) lookup(name string) (*cachedPlan, bool) {
+	el, ok := pc.names[name]
 	if !ok {
 		return nil, false
 	}
@@ -107,41 +117,63 @@ func (pc *planCache) lookup(key string) (*cachedPlan, bool) {
 	return el.Value.(*planEntry).val, true
 }
 
-// join returns key's cached plan, else the compile in flight for key,
-// else a new flight for the caller to fly (started).
-func (pc *planCache) join(key string) (cp *cachedPlan, f *flight, started bool) {
+// held returns the plan held for a body, named by its autotune.Key.
+func (pc *planCache) held(body string) (*cachedPlan, bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if cp, ok := pc.lookup(key); ok {
+	el, ok := pc.bodies[body]
+	if !ok {
+		return nil, false
+	}
+	return el.Value.(*planEntry).val, true
+}
+
+// join returns the plan name resolves to, else the compile in flight
+// for name, else a new flight for the caller to fly (started).
+func (pc *planCache) join(name string) (cp *cachedPlan, f *flight, started bool) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if cp, ok := pc.lookup(name); ok {
 		return cp, nil, false
 	}
-	if f, ok := pc.flights[key]; ok {
+	if f, ok := pc.flights[name]; ok {
 		return nil, f, false
 	}
 	f = &flight{done: make(chan struct{})}
-	pc.flights[key] = f
+	pc.flights[name] = f
 	return nil, f, true
 }
 
-// land ends key's flight, caching its plan if the compile succeeded and
-// evicting the least recently used entry — its aliases with it — when
-// over capacity.
-func (pc *planCache) land(key string, f *flight) {
+// land ends name's flight. A compile that succeeded leaves name an
+// alias of its plan's body: of the entry already held for the body,
+// whose plan the flight then answers with, else of a new entry, which
+// evicts the least recently used one — its aliases with it — when over
+// capacity.
+func (pc *planCache) land(name string, f *flight) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	delete(pc.flights, key)
+	delete(pc.flights, name)
 	if f.err != nil {
 		return
 	}
-	if el, ok := pc.entries[key]; ok {
-		el.Value.(*planEntry).val = f.plan
+	body := f.plan.plan.Fingerprint
+	el, ok := pc.bodies[body]
+	if ok {
+		f.plan = el.Value.(*planEntry).val
 		pc.order.MoveToFront(el)
-		return
+	} else {
+		el = pc.order.PushFront(&planEntry{val: f.plan})
+		pc.bodies[body] = el
 	}
-	pc.entries[key] = pc.order.PushFront(&planEntry{key: key, val: f.plan})
+	entry := el.Value.(*planEntry)
+	entry.names = append(entry.names, name)
+	pc.names[name] = el
 	for pc.order.Len() > pc.cap {
 		oldest := pc.order.Remove(pc.order.Back()).(*planEntry)
-		delete(pc.entries, oldest.key)
+		delete(pc.bodies, oldest.val.plan.Fingerprint)
+		for _, n := range oldest.names {
+			delete(pc.names, n)
+		}
 		for _, shape := range oldest.shapes {
 			delete(pc.aliases, shape)
 		}
@@ -149,11 +181,11 @@ func (pc *planCache) land(key string, f *flight) {
 	}
 }
 
-// put inserts (or refreshes) a plan as a compile of it landing would.
-func (pc *planCache) put(key string, val *cachedPlan) { pc.land(key, &flight{plan: val}) }
+// put lands a plan under a request key as a compile of it would.
+func (pc *planCache) put(name string, val *cachedPlan) { pc.land(name, &flight{plan: val}) }
 
-// fingerprintOf returns the ProgramFingerprint remembered for a request
-// shape, if a cached plan still vouches for it.
+// fingerprintOf returns the fingerprint remembered for a request shape,
+// if a cached plan still vouches for it.
 func (pc *planCache) fingerprintOf(shape requestShape) (string, bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
@@ -162,13 +194,14 @@ func (pc *planCache) fingerprintOf(shape requestShape) (string, bool) {
 }
 
 // remember records that a request of this shape, whose graph has this
-// ProgramFingerprint, resolved to the plan cached under key. A shape
-// has one owner, the entry it resolved to last; if that plan is already
-// gone there is nothing to attach the alias to and it is not kept.
-func (pc *planCache) remember(key string, shape requestShape, fingerprint string) {
+// fingerprint, resolved to the plan cached under request key name. A
+// shape has one owner, the entry it resolved to last; if that plan is
+// already gone there is nothing to attach the alias to and it is not
+// kept.
+func (pc *planCache) remember(name string, shape requestShape, fingerprint string) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	el, ok := pc.entries[key]
+	el, ok := pc.names[name]
 	if !ok {
 		return
 	}
@@ -183,19 +216,20 @@ func (pc *planCache) remember(key string, shape requestShape, fingerprint string
 	pc.aliases[shape] = alias{fingerprint: fingerprint, owner: entry}
 }
 
-// keys returns the cached fingerprints, most recently used first, read
-// under one lock: the number of cached plans is its length.
+// keys returns the request keys the cache answers, those of the most
+// recently used body first, read under one lock: how many it answers is
+// its length.
 func (pc *planCache) keys() []string {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	out := make([]string, 0, pc.order.Len())
+	out := make([]string, 0, len(pc.names))
 	for el := pc.order.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*planEntry).key)
+		out = append(out, el.Value.(*planEntry).names...)
 	}
 	return out
 }
 
-// buildFunc compiles the plan for one fingerprint.
+// buildFunc compiles the plan for one request key.
 type buildFunc func() (*cachedPlan, error)
 
 // planOutcome is what one plan acquisition learned: the plan, where it
@@ -210,7 +244,7 @@ type planOutcome struct {
 
 // getPlan answers key from the plan cache, else joins the compile in
 // flight for key, else starts it: N simultaneous callers with one
-// fingerprint share one build. The compile runs on its own goroutine,
+// request key share one build. The compile runs on its own goroutine,
 // detached from ctx — a waiter that gives up leaves it running for the
 // others and for the cache — and Shutdown waits for it. Only a
 // successful compile is cached; a failed one is answered to its waiters
@@ -254,16 +288,16 @@ func (s *Server) getPlan(ctx context.Context, key string, build buildFunc) (plan
 }
 
 // acquirePlan gets the request's plan through getPlan: the plan cache
-// answers warm requests with zero compilation, identical fingerprints
+// answers warm requests with zero compilation, identical request keys
 // coalesce onto one compile. The compile closure runs at most once per
-// fingerprint at a time: it builds the graph if the request did not,
-// compiles through the server's decision memo and caches what that
-// returns — the plan, its program and the Executable the compile
-// checked it on. A program whose body an earlier compile decided —
-// another model's name on the same layer — is not searched again: its
-// compile executes and checks the body's winner once under its own
-// name. A model request that got its plan is remembered by shape, so
-// the next one of that shape resolves without its graph.
+// request key at a time: it builds the graph if the request did not and
+// keys it by its body. A body the cache holds — another model's name on
+// the same layer — answers as it is: one lookup, and the request key
+// becomes its alias. Any other body compiles through
+// autotune.CompileKeyed, and the cache keeps what that returns — the
+// plan, its program and the Executable the compile checked it on. A
+// model request that got its plan is remembered by shape, so the next
+// one of that shape resolves without its graph.
 func (s *Server) acquirePlan(ctx context.Context, req *Request, prog *program) (planOutcome, error) {
 	devices, seed := req.Devices, req.Seed
 	out, err := s.getPlan(ctx, prog.key, func() (*cachedPlan, error) {
@@ -278,7 +312,11 @@ func (s *Server) acquirePlan(ctx context.Context, req *Request, prog *program) (
 			}
 			comp = c
 		}
-		plan, exec, exe, err := s.decisions.Compile(prog.key, comp, devices, Args(comp, seed), autotune.Options{
+		body := s.specKey.Key(autotune.ProgramFingerprint(comp), devices)
+		if cp, ok := s.plans.held(body); ok {
+			return cp, nil
+		}
+		plan, exec, exe, err := autotune.CompileKeyed(body, comp, devices, Args(comp, seed), autotune.Options{
 			Spec:         machine.TPUv4(),
 			TopK:         s.cfg.TuneTopK,
 			CachePath:    s.cfg.CachePath,
@@ -309,9 +347,10 @@ func (s *Server) handleCompile(w http.ResponseWriter, p planned) {
 	writeBytes(w, data)
 }
 
-// handlePlans serves GET /v1/plans: the cached fingerprints, hottest
-// first, and their count — both from one snapshot, so a compile or an
-// eviction landing meanwhile cannot make them disagree.
+// handlePlans serves GET /v1/plans: the request keys the plan cache
+// answers, those of the hottest body first, and their count — both from
+// one snapshot, so a compile or an eviction landing meanwhile cannot
+// make them disagree.
 func (s *Server) handlePlans(w http.ResponseWriter, _ *http.Request) {
 	plans := s.plans.keys()
 	s.writeJSON(w, http.StatusOK, map[string]any{

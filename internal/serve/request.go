@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,7 +10,6 @@ import (
 	"net/http"
 	"time"
 
-	"overlap/internal/autotune"
 	"overlap/internal/hlo"
 	"overlap/internal/models"
 	"overlap/internal/runtime"
@@ -147,9 +147,10 @@ func (s *Server) runContext(r *http.Request, req *Request) (context.Context, con
 // program is a request's computation as the plan machinery needs it:
 // named (key), and built only if somebody has to compile it.
 type program struct {
-	// key is the plan fingerprint, autotune.SpecKey.Key(fingerprint, …).
+	// key is the request key, SpecKey.Key over fingerprint: what the
+	// request's plan is looked up, coalesced and answered under.
 	key string
-	// fingerprint is the graph's autotune.ProgramFingerprint.
+	// fingerprint is textFingerprint of the graph.
 	fingerprint string
 	// shape is the request's shape; zero (no model name) for an
 	// inline-program request, which has none.
@@ -160,10 +161,19 @@ type program struct {
 	comp *hlo.Computation
 }
 
-// resolve names the request's program: its plan-cache fingerprint, and
-// the graph itself when naming it took building it.
+// textFingerprint digests a program's text, its computation's name
+// included: the program part of a request key. The plan cache keys
+// plans by the body (autotune.ProgramFingerprint), which leaves the name
+// out; a request key is an alias of its body's entry.
+func textFingerprint(c *hlo.Computation) string {
+	sum := c.TextDigest()
+	return hex.EncodeToString(sum[:8])
+}
+
+// resolve names the request's program: its request key, and the graph
+// itself when naming it took building it.
 //
-// The fingerprint has three parts (autotune.Key). The program part is a
+// The key has three parts, as autotune.Key has. The program part is a
 // digest of the graph's text, a pure function of the request's shape,
 // and building a miniature's graph only to digest it was a twentieth of
 // a warm request's allocations — so the plan cache remembers, beside
@@ -187,7 +197,7 @@ func (s *Server) resolve(req *Request) (*program, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: program is not accepted: %w", err)
 		}
-		fp := autotune.ProgramFingerprint(c)
+		fp := textFingerprint(c)
 		return &program{key: s.specKey.Key(fp, req.Devices), fingerprint: fp, comp: c}, nil
 	}
 	prog := &program{shape: shapeOf(req)}
@@ -201,7 +211,7 @@ func (s *Server) resolve(req *Request) (*program, error) {
 		if err != nil {
 			return nil, err
 		}
-		prog.comp, fp = c, autotune.ProgramFingerprint(c)
+		prog.comp, fp = c, textFingerprint(c)
 	}
 	prog.fingerprint = fp
 	prog.key = s.specKey.Key(fp, req.Devices)

@@ -38,7 +38,9 @@ type RunResponse struct {
 	// Digest is sha256 over every device's output tensor bytes, the
 	// witness a caller compares without shipping tensors ("check"
 	// compares the bits with the interpreter's server-side). It is a
-	// function of the request and of the plan that answered it:
+	// function of the request and of the plan that answered it. Within
+	// one server every name of a program body serves one plan, so
+	// requests that differ only in the model's name digest alike. But
 	// decompositions round differently, so two servers agree on it when
 	// they serve the same plan, for example from a shared plan
 	// directory, not whenever they are sent the same request.

@@ -2,18 +2,22 @@
 // a daemon that accepts compile, tune, and run jobs over HTTP/JSON and
 // answers them from a compiled-plan cache instead of re-running the
 // partition → decompose → schedule pipeline per invocation. The
-// pipeline's decisions are pure functions of the (program, machine
-// spec, device count, host parallelism) fingerprint — exactly the
-// property a serving system exploits. Plans are priced on the TPU-v4
-// spec (machine.TPUv4), as every executed CLI run is.
+// pipeline's decisions are pure functions of the program's body (its
+// text without the computation's name), the machine spec, the device
+// count and the host's parallelism — exactly the property a serving
+// system exploits. So there is one plan store, keyed by the body
+// (autotune.Key), and a request's own key, which carries its program's
+// name, is an alias of its body's entry: every name of a body serves
+// one plan. Plans are priced on the TPU-v4 spec (machine.TPUv4), as
+// every executed CLI run is.
 //
 // A request flows lookup → singleflight → admission → run, and the
 // files follow it. serve.go holds the server's lifecycle, its routes and
 // the preamble the POST routes share, where MaxPending bounds the
 // requests anywhere in the flow (one more is answered 503). request.go
 // decodes and validates a request and names its program. plan.go
-// answers it from the plan cache, or joins or starts its fingerprint's
-// one compile. run.go admits it to the runs sharing the einsum kernel
+// answers it from the plan cache, or joins or starts its request key's
+// one compile, which finds a held body by one lookup. run.go admits it to the runs sharing the einsum kernel
 // worker pool, runs it and answers it from one place. recorder.go keeps
 // each run's trace for GET /v1/runs.
 //
@@ -55,15 +59,16 @@ type Config struct {
 	// worker pool at once (default 4).
 	MaxConcurrentRuns int
 
-	// PlanCacheSize bounds the in-memory compiled-plan LRU, and as many
-	// tuning decisions are kept for programs that differ only in name
-	// (default 64).
+	// PlanCacheSize bounds the program bodies the in-memory plan cache
+	// holds (default 64). Every name and request shape of a body is an
+	// alias that lives and dies with it.
 	PlanCacheSize int
 
 	// CachePath / DisableDiskCache control the plan store's disk tier
-	// under the plan cache: a directory of plan files (empty path =
-	// per-user default), which is what lets a restarted daemon answer
-	// a fingerprint it has compiled before without compiling.
+	// under the plan cache: a directory of plan files, one per body
+	// (empty path = per-user default), which is what lets a restarted
+	// daemon answer a body it has compiled before — under any name —
+	// without compiling.
 	CachePath        string
 	DisableDiskCache bool
 
@@ -131,13 +136,6 @@ func (c Config) WithDefaults() Config {
 type Server struct {
 	cfg   Config
 	plans *planCache
-	// decisions is the tuner's memo (autotune.Decisions), bounded as
-	// the plan cache is: a compile of a program whose body an earlier
-	// one shares — model layers that differ only in the model's name —
-	// runs no search; it executes and checks the body's winner once
-	// under its own name. It is the server's, so every new server
-	// starts cold.
-	decisions *autotune.Decisions
 	// specKey is every plan key's machine half,
 	// autotune.SpecKeyOf(machine.TPUv4()), digested once.
 	specKey  autotune.SpecKey
@@ -171,15 +169,14 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.WithDefaults()
 	s := &Server{
-		cfg:       cfg,
-		plans:     newPlanCache(cfg.PlanCacheSize),
-		decisions: autotune.NewDecisions(cfg.PlanCacheSize),
-		specKey:   autotune.SpecKeyOf(machine.TPUv4()),
-		recorder:  newFlightRecorder(cfg.FlightRecorderSize, cfg.FlightKeep),
-		pending:   make(chan struct{}, cfg.MaxPending),
-		slots:     make(chan struct{}, cfg.MaxConcurrentRuns),
-		rngs:      make(chan *rand.Rand, cfg.MaxConcurrentRuns),
-		check:     runtime.CheckInterpreter,
+		cfg:      cfg,
+		plans:    newPlanCache(cfg.PlanCacheSize),
+		specKey:  autotune.SpecKeyOf(machine.TPUv4()),
+		recorder: newFlightRecorder(cfg.FlightRecorderSize, cfg.FlightKeep),
+		pending:  make(chan struct{}, cfg.MaxPending),
+		slots:    make(chan struct{}, cfg.MaxConcurrentRuns),
+		rngs:     make(chan *rand.Rand, cfg.MaxConcurrentRuns),
+		check:    runtime.CheckInterpreter,
 	}
 	for i := 0; i < cfg.MaxConcurrentRuns; i++ {
 		s.rngs <- rand.New(rand.NewSource(0))

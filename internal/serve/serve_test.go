@@ -914,12 +914,14 @@ func TestRestartedDaemonAnswersFromDisk(t *testing.T) {
 }
 
 // TestEveryCompilePathServesOneAnswer: a daemon serves a plan on what
-// its compile returned — stage 2's checked winner, a twin's one checked
-// run, or a stored plan whose decode parse is lowered once — and all
-// three answer alike. A cold compile's digest is the digest of a daemon
-// restarted over the same plan directory, which answers from disk, and
-// of a fresh daemon that compiles the shape as the twin of a body it
-// searched under another name. Every cache entry holds the plan's own
+// its compile returned — stage 2's checked winner, or a stored plan
+// whose decode parse is lowered once — or on the entry of a body it
+// holds under another name, and all answer alike. A cold compile's
+// digest is the digest of a daemon restarted over the same plan
+// directory, which answers from disk, whether it is asked for the shape
+// or for a twin of it (another name on the same body), and of a fresh
+// daemon that serves the shape as the twin of a body it searched under
+// another name, tuning nothing. Every cache entry holds the plan's own
 // program.
 func TestEveryCompilePathServesOneAnswer(t *testing.T) {
 	cfg := testConfig()
@@ -953,14 +955,24 @@ func TestEveryCompilePathServesOneAnswer(t *testing.T) {
 	if d := counter("overlap_autotune_cache_hits_total") - hits; d != 1 {
 		t.Fatalf("the restarted daemon's store answered %v times, want 1", d)
 	}
+	restartedTwin, restartedTwinTS := newTestServer(t, cfg)
+	hits, executions := counter("overlap_autotune_cache_hits_total"), counter("overlap_autotune_executions_total")
+	twinFromDisk := served(restartedTwin, restartedTwinTS, sibling, "restarted daemon's twin")
+	if h, x := counter("overlap_autotune_cache_hits_total")-hits, counter("overlap_autotune_executions_total")-executions; h != 1 || x != 0 {
+		t.Fatalf("the restarted daemon answered a twin of a stored body with %v store hits and %v executions, want 1 and 0", h, x)
+	}
 
 	cfg.DisableDiskCache = true
 	fresh, freshTS := newTestServer(t, cfg)
 	served(fresh, freshTS, sibling, "fresh daemon's body")
-	reuses := counter("overlap_autotune_decision_reuses_total")
+	tunes := counter("overlap_autotune_tunes_total")
 	twin := served(fresh, freshTS, req, "fresh daemon's twin")
-	if d := counter("overlap_autotune_decision_reuses_total") - reuses; d != 1 {
-		t.Fatalf("the fresh daemon's twin reused %v decisions, want 1", d)
+	if d := counter("overlap_autotune_tunes_total") - tunes; d != 0 {
+		t.Fatalf("the fresh daemon's twin ran %v tunes, want 0", d)
+	}
+	if twinFromDisk.Fingerprint == cold.Fingerprint || twinFromDisk.BestName != cold.BestName || twinFromDisk.Digest != cold.Digest {
+		t.Errorf("the restarted daemon's twin answered %s %s %s, the cold compile %s %s %s",
+			twinFromDisk.Fingerprint, twinFromDisk.BestName, twinFromDisk.Digest, cold.Fingerprint, cold.BestName, cold.Digest)
 	}
 
 	for _, rr := range []*RunResponse{fromDisk, twin} {

@@ -14,8 +14,9 @@ import (
 	"overlap/internal/autotune"
 )
 
+// dummyPlan is a plan named name, of a body of its own.
 func dummyPlan(name string) *cachedPlan {
-	return &cachedPlan{plan: &autotune.Plan{BestName: name}}
+	return &cachedPlan{plan: &autotune.Plan{BestName: name, Fingerprint: name}}
 }
 
 // TestSingleflightCoalescesIdenticalKeys: N concurrent lookups of one

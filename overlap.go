@@ -292,13 +292,15 @@ func CompilePlan(c *Computation, numDevices int, args [][]*Tensor, opts Autotune
 }
 
 // DecodePlan parses a serialized Plan, rejecting version mismatches and
-// artifacts whose embedded program does not parse and verify.
-func DecodePlan(data []byte) (*Plan, error) { return autotune.DecodePlan(data) }
+// artifacts whose embedded program does not parse and verify, and
+// returns with it the program it parsed to verify it, ready to run.
+func DecodePlan(data []byte) (*Plan, *Computation, error) { return autotune.DecodePlanProgram(data) }
 
 // PlanKey returns the fingerprint a computation compiles and caches
-// under: program shape, machine spec, device count and the host's
-// parallelism (GOMAXPROCS, the einsum kernels' worker count) — every
-// input that moves measured runtimes.
+// under: its body (the program's text without its name, so programs
+// that differ only in name share one plan), machine spec, device count
+// and the host's parallelism (GOMAXPROCS, the einsum kernels' worker
+// count) — every input that moves measured runtimes.
 func PlanKey(c *Computation, spec MachineSpec, numDevices int) string {
 	return autotune.Key(c, spec, numDevices)
 }
